@@ -26,7 +26,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		seed     = flag.Int64("seed", 1, "generation and simulation seed")
 		subjects = flag.Int("subjects", 30, "simulated subjects per treatment cell")
-		benchout = flag.String("benchout", "BENCH_engine.json", "output path for machine-readable bench artifacts")
 	)
 	flag.Parse()
 
@@ -46,7 +45,6 @@ func main() {
 		Seed:     *seed,
 		Subjects: *subjects,
 		Out:      os.Stdout,
-		BenchOut: *benchout,
 	}
 
 	var toRun []experiments.Experiment

@@ -62,10 +62,6 @@ type CoordinatorConfig struct {
 	// each on the next worker in rotation (default len(Workers)-1).
 	// Negative means zero: first failure loses the partition.
 	Retries int
-	// ScanWorkers and ShardMinRecords tune each worker's local sharded
-	// scan (0 = worker defaults).
-	ScanWorkers     int
-	ShardMinRecords int
 	// LocalThreshold is the range length below which the coordinator
 	// folds the records on its own dataset copy instead of paying a
 	// network round trip — a pure scheduling choice, bit-identical to
@@ -218,12 +214,8 @@ func (c *Coordinator) ScanRange(ctx context.Context, group *query.RatingGroup, k
 	}
 	if n := hi - lo; n <= c.cfg.LocalThreshold {
 		acc := c.builder.NewAccumulator(group.Desc, keys)
-		workers := c.cfg.ScanWorkers
-		if workers <= 0 {
-			workers = runtime.NumCPU() // mirror the worker-side default
-		}
 		start := time.Now()
-		c.local.ScanInto(acc, group.Records[lo:hi], workers, c.cfg.ShardMinRecords)
+		c.local.ScanInto(acc, group.Records[lo:hi], runtime.NumCPU(), 0) // the worker-side defaults
 		return &engine.RangeScan{
 			Partials:   []*ratingmap.Accumulator{acc},
 			Partitions: 1,
@@ -264,12 +256,10 @@ func (c *Coordinator) ScanRange(ctx context.Context, group *query.RatingGroup, k
 			merged = p
 		}
 	}
-	mergeStart := time.Now()
 	for p := 0; p < merged; p++ {
 		rs.Partials = append(rs.Partials, results[p].acc)
 		rs.Records += results[p].prof.Records
 	}
-	c.m.observeMerge(time.Since(mergeStart))
 	rs.Lost = parts - merged
 	c.m.addPartitions(parts, rs.Lost)
 	span.SetAttr("lost", rs.Lost)
@@ -306,8 +296,6 @@ func (c *Coordinator) scanPartition(ctx context.Context, fp string, group *query
 		Records:     encodeRecords(group.Records[lo:hi]),
 		Count:       hi - lo,
 		Partition:   p,
-		Workers:     c.cfg.ScanWorkers,
-		ShardMin:    c.cfg.ShardMinRecords,
 	})
 	if err != nil { // unreachable: the request is plain data
 		res.prof.Lost = true

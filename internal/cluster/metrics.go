@@ -29,9 +29,6 @@ type Metrics struct {
 	// subdex_cluster_partitions_lost_total).
 	Partitions     *obs.Counter
 	PartitionsLost *obs.Counter
-	// MergeLatency times the coordinator-side merge of one ScanRange's
-	// decoded partials (subdex_cluster_merge_duration_seconds).
-	MergeLatency *obs.Histogram
 	// FingerprintMismatch counts frames or workers rejected by the
 	// engine-config fingerprint guard — any nonzero value means a
 	// mixed-version cluster (subdex_cluster_fingerprint_mismatch_total).
@@ -60,8 +57,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Partitions dispatched across distributed scans."),
 		PartitionsLost: r.Counter("subdex_cluster_partitions_lost_total",
 			"Partitions dropped after exhausting the retry budget (degrades the step)."),
-		MergeLatency: r.Histogram("subdex_cluster_merge_duration_seconds",
-			"Coordinator-side merge time of one distributed scan's partial accumulators.", obs.DefBuckets),
 		FingerprintMismatch: r.Counter("subdex_cluster_fingerprint_mismatch_total",
 			"Scan frames or workers rejected by the engine-config fingerprint guard."),
 		WorkersHealthy: r.Gauge("subdex_cluster_workers_healthy",
@@ -93,12 +88,6 @@ func (m *Metrics) addPartitions(n, lost int) {
 	m.Partitions.Add(int64(n))
 	if lost > 0 {
 		m.PartitionsLost.Add(int64(lost))
-	}
-}
-
-func (m *Metrics) observeMerge(d time.Duration) {
-	if m != nil {
-		m.MergeLatency.ObserveDuration(d)
 	}
 }
 

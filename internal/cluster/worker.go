@@ -66,10 +66,6 @@ type ScanRequest struct {
 	// Partition identifies the partition within its ScanRange call, for
 	// logs and traces.
 	Partition int `json:"partition"`
-	// Workers and ShardMin tune the worker's local sharded scan
-	// (0 = worker defaults).
-	Workers  int `json:"workers,omitempty"`
-	ShardMin int `json:"shard_min,omitempty"`
 }
 
 // healthResponse is the worker healthz body.
@@ -83,8 +79,8 @@ type WorkerOptions struct {
 	// Registry receives subdex_cluster_worker_* instruments and, when
 	// non-nil, is also served at /metrics.
 	Registry *obs.Registry
-	// ScanWorkers is the per-request sharded-scan parallelism when the
-	// request does not specify one (default: NumCPU).
+	// ScanWorkers is the sharded-scan parallelism of every served
+	// partition (default: NumCPU).
 	ScanWorkers int
 	// ScanHook, when non-nil, runs before every scan — the fault-
 	// injection seam: return an error to fail the request with 500, or
@@ -209,16 +205,12 @@ func (w *Worker) handleScan(rw http.ResponseWriter, r *http.Request) {
 		w.m.addScan(0, time.Since(start), true)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = w.opts.ScanWorkers
-	}
 	// The accumulator's description stays empty here: frames are
 	// description-free and the coordinator re-attaches the group's
 	// description at decode (see ratingmap.DecodeWire).
 	acc := w.ex.Gen.Builder.NewAccumulator(query.Description{}, req.Keys)
 	scanStart := time.Now()
-	w.ex.Gen.ScanInto(acc, records, workers, req.ShardMin)
+	w.ex.Gen.ScanInto(acc, records, w.opts.ScanWorkers, 0)
 	frame := acc.EncodeWire()
 	rw.Header().Set("Content-Type", frameContentType)
 	rw.Header().Set(scanMSHeader, fmt.Sprintf("%.3f", float64(time.Since(scanStart).Microseconds())/1000))

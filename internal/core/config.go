@@ -82,9 +82,9 @@ type Config struct {
 	// selection — and the Recommendation Builder's repeated evaluation of
 	// overlapping candidate operations — skips the aggregation scan and
 	// re-finalizes the exact cached histograms against the current seen
-	// set, so cached and uncached steps return identical results. Set
-	// Engine.ExactOnCacheMiss to additionally make large pruned steps
-	// cacheable (exact scan on miss, zero scan on revisit).
+	// set, so cached and uncached steps return identical results. Only
+	// complete unpruned scans are cacheable; Engine.Pruning = PruneNone
+	// makes every completed scan one.
 	EngineCacheRecords int
 }
 

@@ -165,8 +165,12 @@ func (ex *Explorer) Fingerprint() string {
 	c := ex.Cfg
 	fmt.Fprintf(h, "|k=%d|o=%d|l=%d|div=%t|rss=%d", c.K, c.O, c.L, c.DiversityOnly, c.RecSampleSize)
 	e := c.Engine
-	fmt.Fprintf(h, "|ph=%d|delta=%g|prune=%d|minph=%d|exact=%t|util=%+v",
-		e.Phases, e.Delta, int(e.Pruning), e.MinPhaseRecords, e.ExactOnCacheMiss, e.Utility)
+	// "exact=false" is the token an engine setting since removed (exact
+	// scans on cache misses, never enabled by any binary) used to render;
+	// the literal keeps every stored session directory and mixed-version
+	// cluster on the same fingerprint.
+	fmt.Fprintf(h, "|ph=%d|delta=%g|prune=%d|minph=%d|exact=false|util=%+v",
+		e.Phases, e.Delta, int(e.Pruning), e.MinPhaseRecords, e.Utility)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"subdex/internal/gen"
 	"subdex/internal/query"
 )
 
@@ -307,5 +308,24 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if base.Fingerprint() == diff.Fingerprint() {
 		t.Error("result-affecting parameters must change the fingerprint")
+	}
+}
+
+// TestFingerprintPinned pins the fingerprint of the default configuration
+// over the demo dataset to its literal value. Stored session directories
+// and mixed-version clusters compare this string, so a refactor that
+// renames or drops a config field must leave it alone (the literal
+// "exact=false" token in Fingerprint exists for that reason).
+func TestFingerprintPinned(t *testing.T) {
+	db, err := gen.Demo(gen.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExplorer(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ex.Fingerprint(), "717fe74f99701140"; got != want {
+		t.Fatalf("Fingerprint() = %s, want %s: stored sessions and workers of the previous version would be refused", got, want)
 	}
 }

@@ -85,8 +85,10 @@ func (c *TopMapsCache) get(key string) (*ratingmap.Accumulator, bool) {
 }
 
 // put admits a completed accumulator, evicting LRU entries until the
-// record budget holds. It returns how many entries were evicted. Entries
-// larger than the whole budget are never admitted.
+// record budget holds. It counts the evictions under the lock that made
+// them — Stats never shows entries gone but not yet counted — and returns
+// how many there were, for the metrics counter. Entries larger than the
+// whole budget are never admitted.
 func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) int {
 	if c == nil || c.budget <= 0 || cost > c.budget {
 		return 0
@@ -109,6 +111,7 @@ func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) int
 		c.order.Remove(back)
 		evicted++
 	}
+	c.evictions += int64(evicted)
 	el := c.order.PushFront(&topMapsCacheEntry{key: key, acc: acc, cost: cost})
 	c.entries[key] = el
 	c.used += cost
@@ -164,17 +167,6 @@ func (c *TopMapsCache) Stats() CacheStats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 	}
-}
-
-// addEvictions folds eviction counts recorded by put under the lock-free
-// metrics path.
-func (c *TopMapsCache) addEvictions(n int) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.evictions += int64(n)
-	c.mu.Unlock()
 }
 
 // cacheKey builds the lookup key: the group signature (description +

@@ -29,6 +29,11 @@ func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	if ev := c.put("c", acc, 40); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
+	// The count lands under the lock that evicted: no window in which
+	// Stats shows the entry gone and Evictions not yet bumped.
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("stats after eviction %+v, want 2 entries and 1 eviction", st)
+	}
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -57,7 +62,6 @@ func TestTopMapsCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.put("x", nil, 1)
-	c.addEvictions(3)
 	c.Invalidate()
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil stats %+v", st)
@@ -238,10 +242,12 @@ func TestCacheConcurrentTopMaps(t *testing.T) {
 	}
 }
 
-// TestExactOnCacheMiss verifies the opt-in: with a cache installed and
-// ExactOnCacheMiss set, a group above the phase threshold skips the
-// pruning machinery (miss = exact scan, populate) and the revisit hits.
-func TestExactOnCacheMiss(t *testing.T) {
+// TestPrunedRunNotCached pins the admission rule from the other side: a
+// group above the phase threshold takes the pruning loop and, having
+// pruned, must NOT populate the cache (its histograms no longer cover
+// every candidate). The cacheable counterpart — PruneNone, then a hit —
+// is a row of TestUnifiedLoop.
+func TestPrunedRunNotCached(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := buildRandomDB(t, rng, 40, 30, 9000)
 	group := wholeGroup(t, db)
@@ -250,39 +256,15 @@ func TestExactOnCacheMiss(t *testing.T) {
 	g := NewGenerator(db)
 	g.Cache = NewTopMapsCache(1 << 22)
 	cfg := DefaultConfig()
-	cfg.MinPhaseRecords = 1000 // group is comfortably phased-eligible
-	cfg.ExactOnCacheMiss = true
-
-	first, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg)
+	cfg.MinPhaseRecords = 1000
+	res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.PrunedCI != 0 || first.PrunedMAB != 0 {
-		t.Fatalf("exact-on-miss run pruned: %+v", first)
+	if res.PrunedCI+res.PrunedMAB == 0 {
+		t.Fatal("the run pruned nothing; the test needs a pruned scan")
 	}
-	second, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := g.Cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss", st)
-	}
-	if ratingmap.DigestMaps(first.Maps) != ratingmap.DigestMaps(second.Maps) {
-		t.Fatal("hit result differs from miss result")
-	}
-	// Without the flag the same shape takes the phased path and, having
-	// pruned, must NOT populate the cache.
-	g2 := NewGenerator(db)
-	g2.Cache = NewTopMapsCache(1 << 22)
-	cfg2 := DefaultConfig()
-	cfg2.MinPhaseRecords = 1000
-	res, err := g2.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PrunedCI+res.PrunedMAB > 0 {
-		if st := g2.Cache.Stats(); st.Entries != 0 {
-			t.Fatalf("pruned run populated the cache: %+v", st)
-		}
+	if st := g.Cache.Stats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("pruned run populated the cache: %+v", st)
 	}
 }

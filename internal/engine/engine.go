@@ -11,9 +11,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,20 +78,13 @@ type Config struct {
 	// to force multi-shard merges on tiny inputs through the public
 	// TopMaps path.
 	ShardMinRecords int
-	// ExactOnCacheMiss, with a Generator.Cache installed, disables the
-	// phase/pruning machinery on cache misses and runs the exact sharded
-	// scan instead, so every completed scan is cacheable. One exact scan
-	// costs a small constant factor more than a pruned one; every revisit
-	// of the group then skips the scan entirely. Leave false (the default)
-	// to preserve pure Algorithm 1 semantics on misses — sub-threshold
-	// groups and recommendation evaluation still populate the cache.
-	ExactOnCacheMiss bool
-	// PhaseHook, when non-nil, runs at the start of every phase (and once,
-	// with phase 0, before the single-pass scan of the unphased path) with
-	// the TopMaps context and the phase index. It is a test-only
-	// fault-injection seam: tests use it to force slow or cancelled phases
-	// deterministically instead of sleeping on wall-clock data sizes.
-	// Production configs leave it nil.
+	// PhaseHook, when non-nil, runs once before every executed stride of
+	// the phase loop — a group scanned in one pass has the single stride 0 —
+	// and once, with phase 0, before a cache hit is served, with the TopMaps
+	// context and the phase index. It is a test-only fault-injection seam:
+	// tests use it to force slow or cancelled phases deterministically
+	// instead of sleeping on wall-clock data sizes. Production configs
+	// leave it nil.
 	PhaseHook func(ctx context.Context, phase int)
 }
 
@@ -194,17 +187,32 @@ func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key
 }
 
 // TopMapsCtx is TopMaps with span propagation and cooperative
-// cancellation. Under a context carrying an obs sink it emits an
-// "engine.topmaps" span with one "engine.phase" child per executed phase,
+// cancellation. It is Algorithm 1 in four stages, each its own function:
+//
+//  1. cache lookup — a completed unpruned accumulator for this exact
+//     (group, candidate set, utility config) skips stages 2 and 3;
+//  2. the phase loop (scan) — fold the group one record fraction ("stride")
+//     at a time through scanRange, the engine's only scan site;
+//  3. between strides, pruning (prune) — estimate the survivors on the
+//     prefix folded so far, drop what the confidence intervals and the
+//     bandit rule out;
+//  4. finalize — score the survivors on everything accumulated, rank, and
+//     materialize the top kPrime.
+//
+// A group not worth pruning (PruneNone, fewer than MinPhaseRecords
+// records, no more candidates than kPrime) is the same loop with one
+// stride, and once the survivors fit in kPrime the remaining strides only
+// scan. Under a context carrying an obs sink the call emits an
+// "engine.topmaps" span with one "engine.phase" child per executed stride,
 // and — when Generator.Metrics is installed — records the hot-path
 // counters and histograms. Both instruments are no-ops when absent.
 //
-// The context is consulted at every phase boundary and inside the
-// estimate/finalize worker chunk loops. Cancellation before the first
-// phase completes returns ctx.Err(). Cancellation after that degrades
-// instead of failing: the scan stops at the last completed phase boundary
-// and the survivors are finalized over the records processed so far —
-// Algorithm 1 is an anytime algorithm, every phase boundary is a
+// The context is consulted before every stride and inside the
+// estimate/finalize worker loops. Cancellation before the first stride
+// completes returns ctx.Err(). Cancellation after that degrades instead
+// of failing: the scan stops at the last completed stride boundary and
+// the survivors are finalized over the records processed so far —
+// Algorithm 1 is an anytime algorithm, every stride boundary is a
 // consistent record prefix — yielding a Result with Degraded set and
 // RecordsProcessed reporting the prefix length.
 func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
@@ -215,9 +223,6 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	if cfg.Phases <= 0 {
 		cfg.Phases = 1
 	}
-	if cfg.ShardMinRecords <= 0 {
-		cfg.ShardMinRecords = defaultShardMinRecords
-	}
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "engine.topmaps")
 	span.SetAttr("candidates", len(candidates))
@@ -225,279 +230,45 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	span.SetAttr("k_prime", kPrime)
 	span.SetAttr("pruning", cfg.Pruning.String())
 	g.Metrics.addCandidates(len(candidates))
-	res := &Result{Considered: len(candidates)}
-	prof := &Profile{Cache: "off", Workers: cfg.Workers, GroupRecords: len(group.Records)}
-	if prof.Workers < 1 {
-		prof.Workers = 1
-	}
-	defer func() {
-		g.Metrics.addPruned(res.PrunedCI, res.PrunedMAB)
-		g.Metrics.addFinalized(len(res.Maps))
-		g.Metrics.observeTopMaps(time.Since(start))
-		if res.Degraded {
-			g.Metrics.addDegraded()
-			span.SetAttr("degraded", true)
-			if prof.DegradedReason == "" {
-				// The only degradation not tagged at its source: the deadline
-				// hit inside the final scoring pass.
-				prof.DegradedReason = "deadline_mid_finalize"
-			}
-		}
-		prof.Considered = res.Considered
-		prof.PrunedCI = res.PrunedCI
-		prof.PrunedMAB = res.PrunedMAB
-		if prof.Cache != "hit" {
-			prof.RecordsScanned = res.RecordsProcessed
-		}
-		prof.TotalMS = msSince(start)
-		res.Profile = prof
-		span.SetAttr("pruned_ci", res.PrunedCI)
-		span.SetAttr("pruned_mab", res.PrunedMAB)
-		span.SetAttr("maps", len(res.Maps))
-		span.End()
-	}()
+	n := len(group.Records)
+	prof := &Profile{Cache: "off", Workers: max(cfg.Workers, 1), GroupRecords: n, Considered: len(candidates)}
+	res := &Result{Considered: len(candidates), Profile: prof}
+	defer g.endTopMaps(span, start, res)
 	if len(candidates) == 0 {
 		return res, nil
 	}
 
-	n := len(group.Records)
-
-	// Cross-step cache: a completed unpruned accumulator for this exact
-	// (group, candidate set, utility config) lets the step skip the scan
-	// and finalize the exact ranking directly. The cached accumulator is
-	// shared and read-only; finalize never mutates it.
+	// The cached accumulator is shared and read-only; finalize never
+	// mutates it.
 	var key string
+	var acc *ratingmap.Accumulator
 	if g.Cache != nil {
 		key = cacheKey(group, candidates, cfg.Utility)
 		if cached, ok := g.Cache.get(key); ok {
+			acc = cached
 			g.Metrics.addCacheHit()
-			span.SetAttr("cache", "hit")
 			prof.Cache = "hit"
-			if cfg.PhaseHook != nil {
-				cfg.PhaseHook(ctx, 0)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err // nothing served yet: fail, don't degrade
-			}
-			res.RecordsProcessed = n
-			fstart := time.Now()
-			g.finalize(ctx, cached, seen, kPrime, cfg, res)
-			prof.FinalizeMS = msSince(fstart)
-			return res, nil
+		} else {
+			g.Metrics.addCacheMiss()
+			prof.Cache = "miss"
 		}
-		g.Metrics.addCacheMiss()
-		span.SetAttr("cache", "miss")
-		prof.Cache = "miss"
 	}
-
-	acc := g.Builder.NewAccumulator(group.Desc, candidates)
-
-	usePhases := cfg.Pruning != PruneNone && cfg.Phases > 1 &&
-		n >= cfg.MinPhaseRecords && len(candidates) > kPrime &&
-		!(g.Cache != nil && cfg.ExactOnCacheMiss)
-	span.SetAttr("phased", usePhases)
-	prof.Phased = usePhases
-
-	if !usePhases {
+	if acc != nil {
 		if cfg.PhaseHook != nil {
 			cfg.PhaseHook(ctx, 0)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err // nothing processed yet: fail, don't degrade
+			return nil, err // nothing served yet: fail, don't degrade
 		}
-		folded, lost, err := g.scanRange(ctx, acc, group, 0, n, cfg, prof)
-		if err != nil {
+		res.RecordsProcessed = n
+	} else {
+		acc = g.Builder.NewAccumulator(group.Desc, candidates)
+		if err := g.scan(ctx, acc, group, seen, kPrime, cfg, res); err != nil {
 			return nil, err
-		}
-		if lost && folded == 0 {
-			return nil, fmt.Errorf("engine: distributed scan lost every partition")
-		}
-		res.RecordsProcessed = folded
-		if lost {
-			// Same anytime contract as a deadline: the merged partition
-			// prefix is a consistent record prefix, so finalize it
-			// (detached below) instead of failing the step.
-			res.Degraded = true
-			prof.DegradedReason = "partition_lost"
 		}
 		g.maybeCache(key, acc, res, n)
-		fctx := ctx
-		if res.Degraded {
-			fctx = context.WithoutCancel(ctx)
-		}
-		fstart := time.Now()
-		g.finalize(fctx, acc, seen, kPrime, cfg, res)
-		prof.FinalizeMS = msSince(fstart)
-		return res, nil
 	}
 
-	var sar *bandit.SAR
-	if cfg.Pruning == PruneMAB || cfg.Pruning == PruneBoth {
-		ids := make([]int, len(candidates))
-		for i := range ids {
-			ids[i] = i
-		}
-		var err error
-		sar, err = bandit.NewSAR(ids, kPrime)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// alive maps candidate index → key for candidates still accumulated.
-	alive := make(map[int]ratingmap.Key, len(candidates))
-	for i, k := range candidates {
-		alive[i] = k
-	}
-
-	processed := 0
-	for phase := 0; phase < cfg.Phases; phase++ {
-		lo := phase * n / cfg.Phases
-		hi := (phase + 1) * n / cfg.Phases
-		if lo >= hi {
-			continue
-		}
-		if cfg.PhaseHook != nil {
-			cfg.PhaseHook(ctx, phase)
-		}
-		// Anytime degradation: a deadline hitting at a phase boundary stops
-		// the scan and finalizes the consistent prefix accumulated so far.
-		// Before the first phase there is no prefix — fail outright.
-		if err := ctx.Err(); err != nil {
-			if processed == 0 {
-				return nil, err
-			}
-			res.Degraded = true
-			prof.DegradedReason = "deadline_at_phase_boundary"
-			break
-		}
-		phaseStart := time.Now()
-		_, pspan := obs.StartSpan(ctx, "engine.phase")
-		pspan.SetAttr("phase", phase)
-		ciBefore, mabBefore := res.PrunedCI, res.PrunedMAB
-		startProcessed := processed
-		endPhase := func() {
-			g.Metrics.observePhase(time.Since(phaseStart))
-			pspan.SetAttr("alive", len(alive))
-			pspan.SetAttr("pruned_ci", res.PrunedCI-ciBefore)
-			pspan.SetAttr("pruned_mab", res.PrunedMAB-mabBefore)
-			pspan.End()
-			prof.Phases = append(prof.Phases, PhaseProfile{
-				Phase:      phase,
-				DurationMS: msSince(phaseStart),
-				Records:    processed - startProcessed,
-				Alive:      len(alive),
-				PrunedCI:   res.PrunedCI - ciBefore,
-				PrunedMAB:  res.PrunedMAB - mabBefore,
-			})
-		}
-		folded, lostPart, err := g.scanRange(ctx, acc, group, lo, hi, cfg, prof)
-		if err != nil {
-			endPhase()
-			return nil, err
-		}
-		processed += folded
-		if lostPart {
-			// A partition lost mid-phase leaves a consistent prefix
-			// shorter than the phase boundary: degrade exactly as a
-			// deadline at this point would.
-			if processed == 0 {
-				endPhase()
-				return nil, fmt.Errorf("engine: distributed scan lost every partition")
-			}
-			res.Degraded = true
-			prof.DegradedReason = "partition_lost"
-			endPhase()
-			break
-		}
-		if phase == cfg.Phases-1 {
-			endPhase()
-			break // nothing to prune after the last fraction; finalize below
-		}
-
-		est, aborted := g.estimate(ctx, acc, alive, seen, cfg, processed, n)
-		if aborted {
-			// Cancelled mid-estimate: the phase's records are accumulated (a
-			// consistent prefix), the estimates are not — skip pruning and
-			// degrade to finalizing the prefix.
-			res.Degraded = true
-			prof.DegradedReason = "deadline_mid_estimate"
-			endPhase()
-			break
-		}
-
-		if cfg.Pruning == PruneCI || cfg.Pruning == PruneBoth {
-			pruned := ciPrune(est, processed, n, kPrime, cfg.Delta, sar)
-			for _, idx := range pruned {
-				acc.Remove(alive[idx])
-				delete(alive, idx)
-				res.PrunedCI++
-			}
-		}
-		if sar != nil {
-			//subdex:orderinsensitive SetMean writes are keyed by candidate index; no write touches another index's state
-			for idx, e := range est {
-				if _, ok := alive[idx]; ok {
-					if err := sar.SetMean(idx, e.dwMean); err != nil {
-						return nil, err
-					}
-				}
-			}
-			// Successive Accepts and Rejects makes one decision per round
-			// and needs (#arms − k') rounds in total; with n phases the
-			// per-phase decision budget spreads the remaining decisions
-			// over the remaining phases.
-			remaining := len(alive) - kPrime
-			phasesLeft := cfg.Phases - 1 - phase
-			if phasesLeft < 1 {
-				phasesLeft = 1
-			}
-			budget := (remaining + phasesLeft - 1) / phasesLeft
-			for d := 0; d < budget; d++ {
-				id, st, ok := sar.Step()
-				if !ok {
-					break
-				}
-				if st == bandit.Rejected {
-					if k, live := alive[id]; live {
-						acc.Remove(k)
-						delete(alive, id)
-						res.PrunedMAB++
-					}
-				}
-			}
-		}
-		if len(alive) <= kPrime {
-			// Survivors all fit in the answer; stop pruning, finish the scan
-			// (still honoring the deadline at each phase-sized stride).
-			for p := phase + 1; p < cfg.Phases; p++ {
-				if ctx.Err() != nil {
-					res.Degraded = true
-					prof.DegradedReason = "deadline_mid_tail_scan"
-					break
-				}
-				lo := p * n / cfg.Phases
-				hi := (p + 1) * n / cfg.Phases
-				if lo < hi {
-					folded, lostPart, err := g.scanRange(ctx, acc, group, lo, hi, cfg, prof)
-					if err != nil {
-						endPhase()
-						return nil, err
-					}
-					processed += folded
-					if lostPart {
-						res.Degraded = true
-						prof.DegradedReason = "partition_lost"
-						break
-					}
-				}
-			}
-			endPhase()
-			break
-		}
-		endPhase()
-	}
-	res.RecordsProcessed = processed
-	g.maybeCache(key, acc, res, n)
 	// Finalize over whatever prefix was accumulated. A degraded run
 	// finalizes under a detached context: the final scoring pass is cheap
 	// (it reads accumulated statistics, not records) and must complete for
@@ -510,6 +281,211 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	g.finalize(fctx, acc, seen, kPrime, cfg, res)
 	prof.FinalizeMS = msSince(fstart)
 	return res, nil
+}
+
+// endTopMaps closes a TopMaps call — failed ones included — by copying the
+// result's counters into the metrics, the profile and the span.
+func (g *Generator) endTopMaps(span *obs.Span, start time.Time, res *Result) {
+	prof := res.Profile
+	g.Metrics.addPruned(res.PrunedCI, res.PrunedMAB)
+	g.Metrics.addFinalized(len(res.Maps))
+	g.Metrics.observeTopMaps(time.Since(start))
+	if res.Degraded {
+		g.Metrics.addDegraded()
+		span.SetAttr("degraded", true)
+	}
+	prof.PrunedCI, prof.PrunedMAB = res.PrunedCI, res.PrunedMAB
+	prof.TotalMS = msSince(start)
+	if prof.Cache != "off" {
+		span.SetAttr("cache", prof.Cache)
+	}
+	span.SetAttr("phased", prof.Phased)
+	span.SetAttr("pruned_ci", res.PrunedCI)
+	span.SetAttr("pruned_mab", res.PrunedMAB)
+	span.SetAttr("maps", len(res.Maps))
+	span.End()
+}
+
+// degrade switches the call to anytime semantics: the result will rank the
+// candidates over a record prefix only, and reason says what cut it short.
+func (r *Result) degrade(reason string) {
+	r.Degraded = true
+	r.Profile.DegradedReason = reason
+}
+
+// scan is the phase loop of Algorithm 1 and the only caller of scanRange:
+// every record of the group that reaches acc is folded here, one stride at
+// a time, so the rules for a deadline and for a lost partition are written
+// once. A lost partition leaves a consistent prefix shorter than the stride
+// boundary and degrades exactly as a deadline at that point would; with no
+// prefix at all (nothing folded yet) either one is an error.
+func (g *Generator) scan(ctx context.Context, acc *ratingmap.Accumulator, group *query.RatingGroup,
+	seen *ratingmap.SeenSet, kPrime int, cfg Config, res *Result) error {
+	prof := res.Profile
+	n := len(group.Records)
+	phases := 1
+	var pr *pruner
+	if cfg.Pruning != PruneNone && cfg.Phases > 1 && n >= cfg.MinPhaseRecords && len(acc.Keys()) > kPrime {
+		var err error
+		if pr, err = newPruner(acc.Keys(), kPrime, cfg.Pruning); err != nil {
+			return err
+		}
+		phases = cfg.Phases
+	}
+	prof.Phased = pr != nil
+	prof.Phases = make([]PhaseProfile, 0, phases)
+
+	processed := 0
+	for phase := 0; phase < phases && !res.Degraded; phase++ {
+		lo, hi := phase*n/phases, (phase+1)*n/phases
+		if lo == hi && phases > 1 {
+			continue // more phases than records; an empty group still takes its one stride
+		}
+		if cfg.PhaseHook != nil {
+			cfg.PhaseHook(ctx, phase)
+		}
+		if err := ctx.Err(); err != nil {
+			if processed == 0 {
+				return err
+			}
+			res.degrade("deadline_at_phase_boundary")
+			break
+		}
+		st := beginStride(ctx, phase, res)
+		folded, lost, err := g.scanRange(ctx, acc, group, lo, hi, cfg, prof)
+		processed += folded
+		switch {
+		case err != nil:
+		case lost && processed == 0:
+			err = errors.New("engine: distributed scan lost every partition")
+		case lost:
+			res.degrade("partition_lost")
+		case pr.active() && phase < phases-1: // nothing to prune after the last fraction
+			err = g.prune(ctx, pr, acc, seen, cfg, phase, processed, n, res)
+		}
+		st.end(g.Metrics, res, folded, len(acc.Keys()))
+		if err != nil {
+			return err
+		}
+	}
+	res.RecordsProcessed, prof.RecordsScanned = processed, processed
+	return nil
+}
+
+// stride is the bookkeeping of one executed record fraction: its
+// "engine.phase" span, its Profile.Phases row and its phase-latency sample.
+type stride struct {
+	phase   int
+	start   time.Time
+	span    *obs.Span
+	ci, mab int // the result's pruning counters when the stride began
+}
+
+func beginStride(ctx context.Context, phase int, res *Result) stride {
+	_, span := obs.StartSpan(ctx, "engine.phase")
+	span.SetAttr("phase", phase)
+	return stride{phase: phase, start: time.Now(), span: span, ci: res.PrunedCI, mab: res.PrunedMAB}
+}
+
+func (s stride) end(m *Metrics, res *Result, records, alive int) {
+	row := PhaseProfile{
+		Phase:      s.phase,
+		DurationMS: msSince(s.start),
+		Records:    records,
+		Alive:      alive,
+		PrunedCI:   res.PrunedCI - s.ci,
+		PrunedMAB:  res.PrunedMAB - s.mab,
+	}
+	m.observePhase(time.Since(s.start))
+	s.span.SetAttr("alive", row.Alive)
+	s.span.SetAttr("pruned_ci", row.PrunedCI)
+	s.span.SetAttr("pruned_mab", row.PrunedMAB)
+	s.span.End()
+	res.Profile.Phases = append(res.Profile.Phases, row)
+}
+
+// pruner is the pruning state carried from stride to stride: which
+// candidates are still accumulated and, under bandit pruning, the arms'
+// accept/reject state. A nil *pruner never prunes.
+type pruner struct {
+	// alive maps candidate index → key for candidates still accumulated.
+	alive  map[int]ratingmap.Key
+	sar    *bandit.SAR // nil without PruneMAB / PruneBoth
+	ci     bool        // PruneCI / PruneBoth
+	kPrime int
+}
+
+func newPruner(candidates []ratingmap.Key, kPrime int, mode Pruning) (*pruner, error) {
+	p := &pruner{alive: make(map[int]ratingmap.Key, len(candidates)), ci: mode != PruneMAB, kPrime: kPrime}
+	for i, k := range candidates {
+		p.alive[i] = k
+	}
+	if mode != PruneCI {
+		ids := make([]int, len(candidates))
+		for i := range ids {
+			ids[i] = i
+		}
+		var err error
+		if p.sar, err = bandit.NewSAR(ids, kPrime); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// active reports whether pruning can still drop a candidate: once the
+// survivors all fit in the answer, the remaining strides only scan.
+func (p *pruner) active() bool { return p != nil && len(p.alive) > p.kPrime }
+
+// prune runs between strides: it estimates every survivor on the processed
+// record prefix, then drops the candidates Algorithm 3's intervals and the
+// bandit rule out. A deadline inside the estimate leaves the stride's
+// records accumulated (a consistent prefix) but the estimates incomplete,
+// so pruning is skipped and the call degrades to finalizing the prefix.
+func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
+	cfg Config, phase, processed, total int, res *Result) error {
+	est, aborted := g.estimate(ctx, acc, p.alive, seen, cfg, processed, total)
+	if aborted {
+		res.degrade("deadline_mid_estimate")
+		return nil
+	}
+	if p.ci {
+		for _, idx := range ciPrune(est, processed, total, p.kPrime, cfg.Delta, p.sar) {
+			acc.Remove(p.alive[idx])
+			delete(p.alive, idx)
+			res.PrunedCI++
+		}
+	}
+	if p.sar == nil {
+		return nil
+	}
+	//subdex:orderinsensitive SetMean writes are keyed by candidate index; no write touches another index's state
+	for idx, e := range est {
+		if _, ok := p.alive[idx]; ok {
+			if err := p.sar.SetMean(idx, e.dwMean); err != nil {
+				return err
+			}
+		}
+	}
+	// Successive Accepts and Rejects makes one decision per round and
+	// needs (#arms − k') rounds in total; with n phases the per-phase
+	// decision budget spreads the remaining decisions over the remaining
+	// phases.
+	remaining := len(p.alive) - p.kPrime
+	phasesLeft := max(cfg.Phases-1-phase, 1)
+	budget := (remaining + phasesLeft - 1) / phasesLeft
+	for d := 0; d < budget; d++ {
+		id, st, ok := p.sar.Step()
+		if !ok {
+			break
+		}
+		if k, live := p.alive[id]; live && st == bandit.Rejected {
+			acc.Remove(k)
+			delete(p.alive, id)
+			res.PrunedMAB++
+		}
+	}
+	return nil
 }
 
 // estimateEntry carries one candidate's per-criterion estimates and its
@@ -529,7 +505,7 @@ type estimateEntry struct {
 // estimate is abandoned (aborted = true) — partial estimates must never
 // feed pruning decisions.
 func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, alive map[int]ratingmap.Key,
-	seen *ratingmap.SeenSet, cfg ratingmapConfigCarrier, processed, total int) (est map[int]estimateEntry, aborted bool) {
+	seen *ratingmap.SeenSet, cfg Config, processed, total int) (est map[int]estimateEntry, aborted bool) {
 	recordScale := 1.0
 	if processed > 0 {
 		recordScale = float64(total) / float64(processed)
@@ -540,72 +516,38 @@ func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, al
 	}
 	sort.Ints(idxs)
 	out := make([]estimateEntry, len(idxs))
-	workers := cfg.workers()
-	if workers < 1 {
-		workers = 1
-	}
-	poolStart := time.Now()
-	busy := make([]time.Duration, workers)
 	var abort atomic.Bool
-	var wg sync.WaitGroup
-	chunk := (len(idxs) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(idxs); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			defer func() { busy[w] = time.Since(t0) }()
-			for p := lo; p < hi; p++ {
-				if ctx.Err() != nil {
-					abort.Store(true)
-					return
-				}
-				idx := idxs[p]
-				key := alive[idx]
-				scores, _ := acc.CriteriaEstimateOpt(key, seen, recordScale, cfg.utility().Peculiarity)
-				w := seen.Weight(key.Dim)
-				if cfg.utility().DisableDimensionWeights {
-					w = 1
-				}
-				out[p] = estimateEntry{
-					idx:    idx,
-					key:    key,
-					scores: scores,
-					weight: w,
-					dwMean: w * scores.Aggregate(cfg.utility()),
-				}
+	util := cfg.Utility // the closure captures the scoring config, not the whole Config
+	g.parallel(len(idxs), cfg.Workers, func(_, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			if ctx.Err() != nil {
+				abort.Store(true)
+				return
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var totalBusy time.Duration
-	for _, b := range busy {
-		totalBusy += b
-	}
-	g.Metrics.observeUtilization(totalBusy, time.Since(poolStart), workers)
+			key := alive[idxs[p]]
+			scores, _ := acc.CriteriaEstimateOpt(key, seen, recordScale, util.Peculiarity)
+			w := seen.Weight(key.Dim)
+			if util.DisableDimensionWeights {
+				w = 1
+			}
+			out[p] = estimateEntry{
+				idx:    idxs[p],
+				key:    key,
+				scores: scores,
+				weight: w,
+				dwMean: w * scores.Aggregate(util),
+			}
+		}
+	})
 	if abort.Load() {
 		return nil, true
 	}
-	m := make(map[int]estimateEntry, len(out))
+	est = make(map[int]estimateEntry, len(out))
 	for _, e := range out {
-		m[e.idx] = e
+		est[e.idx] = e
 	}
-	return m, false
+	return est, false
 }
-
-// ratingmapConfigCarrier lets estimate share Config without an import cycle
-// risk; Config satisfies it.
-type ratingmapConfigCarrier interface {
-	workers() int
-	utility() ratingmap.UtilityConfig
-}
-
-func (c Config) workers() int                     { return c.Workers }
-func (c Config) utility() ratingmap.UtilityConfig { return c.Utility }
 
 // ciPrune applies Algorithm 3. Each candidate's interval is built per
 // criterion from the Hoeffding-Serfling radius at (processed, total), then
@@ -688,11 +630,7 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 	if key == "" || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
 		return
 	}
-	evicted := g.Cache.put(key, acc, n)
-	if evicted > 0 {
-		g.Cache.addEvictions(evicted)
-		g.Metrics.addCacheEvictions(evicted)
-	}
+	g.Metrics.addCacheEvictions(g.Cache.put(key, acc, n))
 }
 
 func countTrue(bs []bool) int {
@@ -720,44 +658,18 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	keys := acc.Keys()
 	scores := make([]ratingmap.Scores, len(keys))
 	scored := make([]bool, len(keys))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	poolStart := time.Now()
-	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
-	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(keys); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(keys) {
-			hi = len(keys)
+	peculiarity := cfg.Utility.Peculiarity
+	g.parallel(len(keys), cfg.Workers, func(_, lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			scores[i], _ = acc.CriteriaEstimateOpt(keys[i], seen, 1, peculiarity)
+			scored[i] = true
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				scores[i], _ = acc.CriteriaEstimateOpt(keys[i], seen, 1, cfg.Utility.Peculiarity)
-				scored[i] = true
-			}
-			busy[w] = time.Since(t0)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var totalBusy time.Duration
-	for _, b := range busy {
-		totalBusy += b
-	}
-	g.Metrics.observeUtilization(totalBusy, time.Since(poolStart), workers)
+	})
 
 	// Drop candidates the cancelled scoring pass never reached; ranking a
 	// zero-valued score would be wrong, excluding it is merely incomplete.
 	if nScored := countTrue(scored); nScored < len(keys) {
-		res.Degraded = true
+		res.degrade("deadline_mid_finalize")
 		ck := make([]ratingmap.Key, 0, nScored)
 		cs := make([]ratingmap.Scores, 0, nScored)
 		for i, ok := range scored {

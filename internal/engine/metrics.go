@@ -28,12 +28,14 @@ type Metrics struct {
 	// TopMapsLatency is the per-TopMaps wall-clock histogram in seconds
 	// (subdex_engine_topmaps_duration_seconds).
 	TopMapsLatency *obs.Histogram
-	// PhaseLatency times one phase of Algorithm 1: the partial scan plus
-	// the phase-boundary estimation and pruning
+	// PhaseLatency times one executed stride of the phase loop: the
+	// partial scan plus, while pruning is on, the estimation and pruning
+	// that follow it. A group scanned in one pass is one stride
 	// (subdex_engine_phase_duration_seconds).
 	PhaseLatency *obs.Histogram
-	// WorkerUtilization is Σ busy-time / (wall × workers) of the parallel
-	// estimation and sharded-scan pools, in (0,1]
+	// WorkerUtilization is Σ busy-time / (wall × workers) of every run of
+	// the engine's worker pool (sharded scan, estimate, finalize) that
+	// used more than one worker, in (0,1]
 	// (subdex_engine_worker_utilization_ratio).
 	WorkerUtilization *obs.Histogram
 	// CacheHits / CacheMisses / CacheEvictions count cross-step
@@ -67,9 +69,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		TopMapsLatency: r.Histogram("subdex_engine_topmaps_duration_seconds",
 			"Wall-clock duration of one TopMaps call.", nil),
 		PhaseLatency: r.Histogram("subdex_engine_phase_duration_seconds",
-			"Duration of one Algorithm 1 phase (scan + estimate + prune).", nil),
+			"Duration of one executed stride of the Algorithm 1 phase loop (scan + estimate + prune).", nil),
 		WorkerUtilization: r.Histogram("subdex_engine_worker_utilization_ratio",
-			"Busy-time share of the parallel estimation worker pool.",
+			"Busy-time share of the engine worker pool (scan shards, estimate, finalize).",
 			obs.RatioBuckets),
 		CacheHits: r.Counter("subdex_engine_cache_hits_total",
 			"TopMaps calls served from the cross-step accumulator cache."),

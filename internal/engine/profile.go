@@ -1,7 +1,7 @@
 // Per-call EXPLAIN profiles. A Profile is the structured answer to "what
-// did the generator actually do for this step": which execution path ran,
-// how the scan was sharded, what each phase cost and pruned, and why a
-// degraded result stopped where it did. It rides on Result (and from
+// did the generator actually do for this step": whether the cache served
+// it, how the scan was sharded, what each stride cost and pruned, and why
+// a degraded result stopped where it did. It rides on Result (and from
 // there on core.StepResult and the server's ?explain=1 step JSON), so the
 // numbers the spans and metrics aggregate stay attributable per step.
 
@@ -15,17 +15,20 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
 }
 
-// PhaseProfile describes one executed phase of Algorithm 1.
+// PhaseProfile describes one executed stride of the phase loop: one record
+// fraction folded, then (while pruning is still on) estimated and pruned.
+// Every scan has at least one — a group scanned in a single pass reports
+// its one stride as phase 0 — and strides after pruning has stopped get a
+// row each, so the rows' Records always sum to Profile.RecordsScanned.
 type PhaseProfile struct {
 	// Phase is the phase index (line 2 of Algorithm 1).
 	Phase int `json:"phase"`
-	// DurationMS is the phase's wall time, including pruning decisions.
+	// DurationMS is the stride's wall time, including pruning decisions.
 	DurationMS float64 `json:"duration_ms"`
 	// Records counts group records folded into the accumulator during the
-	// phase (the tail-scan fast path charges its remaining strides to the
-	// phase that triggered it).
+	// stride (fewer than the fraction when a partition was lost).
 	Records int `json:"records"`
-	// Alive is the surviving candidate count after the phase's pruning.
+	// Alive is the surviving candidate count after the stride's pruning.
 	Alive int `json:"alive"`
 	// PrunedCI and PrunedMAB count candidates each scheme dropped here.
 	PrunedCI  int `json:"pruned_ci"`
@@ -34,8 +37,10 @@ type PhaseProfile struct {
 
 // Profile is the per-call execution profile of one TopMaps run.
 type Profile struct {
-	// Phased reports whether the phase/pruning machinery ran (false for
-	// sub-threshold groups, PruneNone, and exact-on-cache-miss scans).
+	// Phased reports whether the group was scanned in Config.Phases
+	// fractions with pruning between them (false for sub-threshold
+	// groups, PruneNone, candidate sets that already fit in k′, and cache
+	// hits — those scan in one stride or not at all).
 	Phased bool `json:"phased"`
 	// Cache is the cross-step accumulator cache outcome: "hit", "miss",
 	// or "off" when no cache is installed.
@@ -56,7 +61,9 @@ type Profile struct {
 	RecordsScanned int `json:"records_scanned"`
 	// GroupRecords is the group size the scan was up against.
 	GroupRecords int `json:"group_records"`
-	// Phases details each executed phase (empty on unphased paths).
+	// Phases has one row per executed stride, in order (empty only when
+	// nothing was scanned: a cache hit or no candidates).
+	// Σ Phases[].Records == RecordsScanned.
 	Phases []PhaseProfile `json:"phases,omitempty"`
 	// Cluster details every partition of every distributed scan the call
 	// issued (empty without a Generator.Scanner): per-worker scan and
@@ -69,9 +76,10 @@ type Profile struct {
 	FinalizeMS float64 `json:"finalize_ms"`
 	// TotalMS is the whole call's wall time.
 	TotalMS float64 `json:"total_ms"`
-	// DegradedReason says where the deadline cut a degraded run:
-	// "deadline_at_phase_boundary", "deadline_mid_estimate",
-	// "deadline_mid_tail_scan", "deadline_mid_finalize", or
+	// DegradedReason says what cut a degraded run short:
+	// "deadline_at_phase_boundary" (before a stride, pruned or not — this
+	// absorbed the former "deadline_mid_tail_scan"),
+	// "deadline_mid_estimate", "deadline_mid_finalize", or
 	// "partition_lost" when a distributed scan dropped a partition after
 	// exhausting its retry budget.
 	DegradedReason string `json:"degraded_reason,omitempty"`

@@ -4,13 +4,13 @@
 // estimation, pruning, finalization — keeps running unchanged in the
 // coordinator process.
 //
-// Exactness is inherited, not re-proven: a RangeScanner returns partial
-// accumulators in deterministic partition order over contiguous
-// subranges of the same record range a local scan would fold, and
-// Accumulator.Merge is associative and bit-exact on integer histograms
-// (FuzzMerge), so the prefix-merge below is bit-for-bit identical to
-// g.accumulate over the full range. The cluster differential harness
-// asserts exactly that, across the network.
+// The exactness argument is one sentence: every fold of a record range
+// goes through scanRange, and scanRange merges contiguous subranges —
+// local shards or remote partitions — in range order. Accumulator.Merge is
+// associative and bit-exact on integer histograms (FuzzMerge), so either
+// merge is bit-for-bit identical to one sequential Update over the range.
+// The engine and cluster differential harnesses assert exactly that, in
+// process and across the network.
 
 package engine
 
@@ -79,6 +79,7 @@ type PartitionProfile struct {
 // sharded scan, or through g.Scanner when one is installed — and
 // reports how many records were actually folded plus whether a trailing
 // part of the range was lost (degrading the call to anytime semantics).
+// The phase loop (Generator.scan) is its only caller.
 func (g *Generator) scanRange(ctx context.Context, acc *ratingmap.Accumulator, group *query.RatingGroup,
 	lo, hi int, cfg Config, prof *Profile) (folded int, lost bool, err error) {
 	if g.Scanner == nil {

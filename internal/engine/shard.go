@@ -1,10 +1,10 @@
 // Sharded parallel accumulation: the scan half of the "parallel query
-// execution" sharing optimization of §4.2.1. The record range of a phase
-// (or of the whole unphased scan) is split into contiguous per-worker
-// shards; each worker folds its shard into a *private* ratingmap
-// accumulator — the per-record hot loop takes no locks and shares no
-// cache lines — and the shards are then merged into the target
-// accumulator in shard order. Every count is an integer, so the merged
+// execution" sharing optimization of §4.2.1, and the engine's one worker
+// pool (parallel), which the estimate and finalize passes share. The
+// record range of a stride is split into contiguous per-worker shards;
+// each worker folds its shard into a *private* ratingmap accumulator —
+// the per-record hot loop takes no locks and shares no cache lines — and
+// the shards are then merged into the target accumulator in shard order. Every count is an integer, so the merged
 // state is bit-for-bit identical to a sequential scan of the same range
 // regardless of scheduling; merging in shard order additionally makes the
 // in-memory layout reproducible run-to-run. The differential harness
@@ -47,37 +47,45 @@ func (g *Generator) accumulate(acc *ratingmap.Accumulator, records []int32, work
 		return 1
 	}
 	shards := make([]*ratingmap.Accumulator, workers)
-	busy := make([]time.Duration, workers)
-	keys := acc.Keys()
-	desc := acc.Desc()
-	poolStart := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(records) / workers
-		hi := (w + 1) * len(records) / workers
-		if lo >= hi {
-			continue
-		}
+	keys, desc := acc.Keys(), acc.Desc()
+	g.parallel(len(records), workers, func(w, lo, hi int) {
 		shards[w] = g.Builder.NewAccumulator(desc, keys)
-		wg.Add(1)
-		go func(w int, sh *ratingmap.Accumulator, recs []int32) {
-			defer wg.Done()
-			t0 := time.Now()
-			sh.Update(recs)
-			busy[w] = time.Since(t0)
-		}(w, shards[w], records[lo:hi])
-	}
-	wg.Wait()
+		shards[w].Update(records[lo:hi])
+	})
 	// Deterministic merge: shard order, not completion order.
 	for _, sh := range shards {
-		if sh != nil {
-			acc.Merge(sh)
-		}
+		acc.Merge(sh)
 	}
+	return workers
+}
+
+// parallel splits [0, n) into at most workers contiguous chunks and runs
+// fn(w, lo, hi) on each — concurrently when there is more than one, inline
+// otherwise. It owns every goroutine the engine starts, their WaitGroup,
+// and the busy-time accounting behind the worker-utilization histogram
+// (Σ busy / (wall × workers); a pool of one is not sampled).
+func (g *Generator) parallel(n, workers int, fn func(w, lo, hi int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	poolStart := time.Now()
+	busy := make([]time.Duration, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			t0 := time.Now()
+			fn(w, w*n/workers, (w+1)*n/workers)
+			busy[w] = time.Since(t0)
+		}(w)
+	}
+	wg.Wait()
 	var totalBusy time.Duration
 	for _, b := range busy {
 		totalBusy += b
 	}
 	g.Metrics.observeUtilization(totalBusy, time.Since(poolStart), workers)
-	return workers
 }

@@ -33,10 +33,6 @@ type Params struct {
 	Subjects int
 	// Out receives the rendered tables.
 	Out io.Writer
-	// BenchOut is where machine-readable bench artifacts are written
-	// (benchengine's BENCH_engine.json); empty selects the default name
-	// in the current directory.
-	BenchOut string
 }
 
 // DefaultParams returns bench defaults: scale 0.05, 30 subjects.
@@ -65,13 +61,6 @@ func (p Params) subjects() int {
 	return p.Subjects
 }
 
-func (p Params) benchOut() string {
-	if p.BenchOut == "" {
-		return "BENCH_engine.json"
-	}
-	return p.BenchOut
-}
-
 // Experiment is one runnable paper artifact.
 type Experiment struct {
 	ID    string
@@ -98,7 +87,6 @@ func All() []Experiment {
 		{"fig11b", "Figure 11(b): runtime vs number of recommendations o", Fig11b},
 		{"fig11c", "Figure 11(c): runtime vs pruning-diversity factor l", Fig11c},
 		{"hotels", "Extension: Scenario I guidance on Hotel Reviews", Hotels},
-		{"benchengine", "Engine bench: sharded accumulation + cross-step cache (BENCH_engine.json)", BenchEngine},
 	}
 }
 

@@ -80,13 +80,7 @@ func (a *Accumulator) updateKernel(records []int32) {
 			continue
 		}
 		a.recordVisits += len(records)
-		col := t.Column(ai)
-		if col == nil {
-			// Unfrozen table (defensive: kernel is only enabled on frozen
-			// databases) — the reference scan needs no projections.
-			a.refScanAttr(t, rowOf, ai, records, ps)
-			continue
-		}
+		col := t.Column(ai) // non-nil: a.kernel is only set on a frozen database
 		for _, p := range ps {
 			// Fold strategy: sweeping every dense row costs one pass over
 			// NValues×(scale+1) cells, tracking touched values costs one

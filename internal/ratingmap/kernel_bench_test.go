@@ -4,7 +4,7 @@ package ratingmap
 // the fused columnar kernel vs the map-based reference scan. Run with
 //   go test ./internal/ratingmap -bench BenchmarkUpdate -benchmem
 // to reproduce the per-scan numbers quoted in DESIGN.md; the end-to-end
-// step costs live in BENCH_engine.json (benchengine).
+// step costs are the benchmark's (bench/, ratingmap.update_ns_per_record).
 
 import (
 	"fmt"

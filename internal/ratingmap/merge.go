@@ -41,11 +41,9 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		}
 		p := a.find(k)
 		if p == nil {
-			ak := attrKey(k.Side, k.Attr)
 			cp := &partial{key: k, scale: op.scale}
 			cp.merge(op)
-			a.byAttr[ak] = append(a.byAttr[ak], cp)
-			a.order = append(a.order, k)
+			a.register(cp)
 			continue
 		}
 		p.merge(op)
@@ -55,7 +53,7 @@ func (a *Accumulator) Merge(other *Accumulator) {
 
 // find returns the partial of a candidate key, or nil.
 func (a *Accumulator) find(k Key) *partial {
-	for _, cand := range a.byAttr[attrKey(k.Side, k.Attr)] {
+	for _, cand := range a.byAttr[attrRef{k.Side, k.Attr}] {
 		if cand.key == k {
 			return cand
 		}
@@ -106,7 +104,7 @@ func (a *Accumulator) NumRecords(k Key) int {
 // histogram, in subgroup-value order (independent of the display sort).
 // Two rating maps digest equally iff their accumulated counts are
 // identical — the "byte-identical rating maps" check of the differential
-// harness and of cmd/sdebench's BENCH_engine.json exactness field.
+// harness and of the benchmark's per-step oracle comparison.
 func (rm *RatingMap) Digest() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d.%s.dim%d|n=%d|", rm.Side, rm.Attr, rm.Dim, rm.TotalRecords)

@@ -183,8 +183,7 @@ type Builder struct {
 	// when the fused columnar scan kernel (kernel.go) is available. The
 	// reference path is the exactness oracle: the differential harness and
 	// FuzzScanKernel assert that both paths produce bit-identical digests
-	// on every input, and benchengine's reference arm uses it to measure
-	// the kernel's speedup.
+	// on every input. Only tests set it; no non-test code does.
 	DisableKernel bool
 }
 
@@ -212,7 +211,7 @@ type Accumulator struct {
 	db *dataset.DB
 	// byAttr groups partials sharing the same (side, attr) so one
 	// attribute lookup per record serves every dimension.
-	byAttr map[string][]*partial
+	byAttr map[attrRef][]*partial
 	order  []Key
 	desc   query.Description
 	// kernel selects the fused columnar scan path (kernel.go) for Update.
@@ -227,29 +226,39 @@ type Accumulator struct {
 	recordVisits int
 }
 
+// attrRef names one grouping attribute: the unit of scan sharing.
+type attrRef struct {
+	side query.Side
+	attr string
+}
+
 // NewAccumulator prepares shared accumulation for the given candidate keys
 // over the rating group described by desc.
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
-	acc := &Accumulator{
-		db:     b.DB,
-		byAttr: make(map[string][]*partial),
-		desc:   desc,
-		kernel: !b.DisableKernel && b.DB != nil && b.DB.Frozen(),
-	}
+	acc := b.emptyAccumulator(desc)
 	for _, k := range keys {
-		p := &partial{
-			key:   k,
-			scale: b.DB.Ratings.Dimensions[k.Dim].Scale,
-		}
-		ak := attrKey(k.Side, k.Attr)
-		acc.byAttr[ak] = append(acc.byAttr[ak], p)
-		acc.order = append(acc.order, k)
+		acc.register(&partial{key: k, scale: b.DB.Ratings.Dimensions[k.Dim].Scale})
 	}
 	return acc
 }
 
-func attrKey(side query.Side, attr string) string {
-	return fmt.Sprintf("%d\x00%s", side, attr)
+// emptyAccumulator is the one place an Accumulator is constructed, so the
+// kernel-selection rule (Accumulator.kernel) is written once for scans and
+// for decoded wire frames alike.
+func (b *Builder) emptyAccumulator(desc query.Description) *Accumulator {
+	return &Accumulator{
+		db:     b.DB,
+		byAttr: make(map[attrRef][]*partial),
+		desc:   desc,
+		kernel: !b.DisableKernel && b.DB != nil && b.DB.Frozen(),
+	}
+}
+
+// register appends a candidate's partial at the end of the key order.
+func (a *Accumulator) register(p *partial) {
+	ak := attrRef{p.key.Side, p.key.Attr}
+	a.byAttr[ak] = append(a.byAttr[ak], p)
+	a.order = append(a.order, p.key)
 }
 
 // Update feeds a batch of rating-record positions into every candidate map.
@@ -284,12 +293,11 @@ func (a *Accumulator) updateReference(records []int32) {
 
 // resolveAttr maps an attribute key to its entity table, the per-record
 // entity-row column, and the attribute's schema index (-1 if absent).
-func (a *Accumulator) resolveAttr(ak string) (*dataset.EntityTable, []int32, int) {
-	side, attr := splitAttrKey(ak)
-	if side == query.ReviewerSide {
-		return a.db.Reviewers, a.db.Ratings.Reviewer, a.db.Reviewers.Schema.Index(attr)
+func (a *Accumulator) resolveAttr(ak attrRef) (*dataset.EntityTable, []int32, int) {
+	if ak.side == query.ReviewerSide {
+		return a.db.Reviewers, a.db.Ratings.Reviewer, a.db.Reviewers.Schema.Index(ak.attr)
 	}
-	return a.db.Items, a.db.Ratings.Item, a.db.Items.Schema.Index(attr)
+	return a.db.Items, a.db.Ratings.Item, a.db.Items.Schema.Index(ak.attr)
 }
 
 // refScanAttr folds one attribute's shared scan over records into its
@@ -315,15 +323,6 @@ func (a *Accumulator) refScanAttr(t *dataset.EntityTable, rowOf []int32, ai int,
 			}
 		}
 	}
-}
-
-func splitAttrKey(ak string) (query.Side, string) {
-	for i := 0; i < len(ak); i++ {
-		if ak[i] == 0 {
-			return query.Side(ak[0] - '0'), ak[i+1:]
-		}
-	}
-	return query.ReviewerSide, ak
 }
 
 func (p *partial) add(v dataset.ValueID, s dataset.Score) {
@@ -364,7 +363,7 @@ func (a *Accumulator) RecordVisits() int { return a.recordVisits }
 // phases no longer pay for its histogram updates. Removing the last
 // candidate of an attribute removes the attribute's shared scan entirely.
 func (a *Accumulator) Remove(k Key) {
-	ak := attrKey(k.Side, k.Attr)
+	ak := attrRef{k.Side, k.Attr}
 	ps := a.byAttr[ak]
 	for i, p := range ps {
 		if p.key == k {

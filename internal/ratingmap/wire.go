@@ -198,12 +198,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 	if nKeys > maxWireKeys {
 		return nil, fmt.Errorf("ratingmap: wire key count %d exceeds cap", nKeys)
 	}
-	acc := &Accumulator{
-		db:     b.DB,
-		byAttr: make(map[string][]*partial),
-		desc:   desc,
-		kernel: !b.DisableKernel && b.DB.Frozen(),
-	}
+	acc := b.emptyAccumulator(desc)
 	for i := uint64(0); i < nKeys && r.err == nil; i++ {
 		side := r.byte("side")
 		if side > 1 {
@@ -273,9 +268,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 				k, mass, nRecords)
 		}
 		p.nRecords = int(nRecords)
-		ak := attrKey(k.Side, k.Attr)
-		acc.byAttr[ak] = append(acc.byAttr[ak], p)
-		acc.order = append(acc.order, k)
+		acc.register(p)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -204,7 +204,7 @@ func FuzzPartialCodec(f *testing.F) {
 		f.Add(wireAcc(db, keys, records).EncodeWire())
 	}
 	valid := wireAcc(db, keys[:3], all).EncodeWire()
-	f.Add(valid[:len(valid)/2])                       // truncated
+	f.Add(valid[:len(valid)/2])                        // truncated
 	f.Add(append(append([]byte{}, valid...), 1, 2, 3)) // trailing garbage
 	mut := append([]byte{}, valid...)
 	mut[len(mut)-1] ^= 0xFF // checksum corruption

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"subdex/internal/engine"
 	"subdex/internal/obs"
 )
 
@@ -106,9 +107,9 @@ func TestTraceparentMiddleware(t *testing.T) {
 // shape on a revisited selection — with it.
 func TestExplainQuery(t *testing.T) {
 	cfg := lightConfig()
-	// Exact scan on miss makes the step's accumulator cacheable, so the
+	// An unpruned scan makes the step's accumulator cacheable, so the
 	// second step at the same selection is a deterministic cache hit.
-	cfg.Engine.ExactOnCacheMiss = true
+	cfg.Engine.Pruning = engine.PruneNone
 	_, ts := testServerWith(t, cfg, Options{})
 	id := createSession(t, ts, "ud")
 
