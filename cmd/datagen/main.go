@@ -18,7 +18,7 @@ import (
 
 func main() {
 	var (
-		ds        = flag.String("dataset", "yelp", "dataset to generate: movielens | yelp | hotels")
+		ds        = flag.String("dataset", "yelp", "dataset to generate: demo | movielens | yelp | hotels")
 		scale     = flag.Float64("scale", 1.0, "scale factor (1.0 = paper size, Table 2)")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		out       = flag.String("out", "", "output directory (required)")
@@ -46,19 +46,7 @@ func main() {
 		cfg.ForcedBiases = gen.InsightBiases(ins)
 	}
 
-	var db *dataset.DB
-	var err error
-	switch *ds {
-	case "movielens":
-		db, err = gen.Movielens(cfg)
-	case "yelp":
-		db, err = gen.Yelp(cfg)
-	case "hotels":
-		db, err = gen.Hotels(cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *ds)
-		os.Exit(2)
-	}
+	db, err := gen.ByName(*ds, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)

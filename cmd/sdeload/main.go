@@ -30,8 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"sync/atomic"
 	"time"
@@ -335,15 +333,11 @@ func run(ctx context.Context, o options) error {
 				return err
 			}
 			flight = srv.Flight()
-			defer srv.Close()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			base, stop, err := serveLocal(srv)
 			if err != nil {
 				return err
 			}
-			hs := &http.Server{Handler: srv.Handler()}
-			go func() { _ = hs.Serve(ln) }()
-			defer hs.Close()
-			base := "http://" + ln.Addr().String()
+			defer stop()
 			fmt.Printf("serving %s on %s\n", db.Name, base)
 			factory = workload.HTTPFactory(base, nil, sessMode, o.predicate)
 			snapshot = registrySnapshot(srv.Registry())
@@ -409,31 +403,20 @@ func writeBench(path string, rep *benchReport) error {
 
 // buildDataset generates the configured synthetic dataset.
 func buildDataset(o options) (*dataset.DB, error) {
-	cfg := gen.Config{Seed: o.seed, Scale: o.scale}
-	switch o.generate {
-	case "demo":
-		return gen.Demo(cfg)
-	case "movielens":
-		return gen.Movielens(cfg)
-	case "yelp":
-		return gen.Yelp(cfg)
-	case "hotels":
-		return gen.Hotels(cfg)
+	db, err := gen.ByName(o.generate, gen.Config{Seed: o.seed, Scale: o.scale})
+	if err != nil {
+		return nil, usageError{"-generate: " + err.Error()}
 	}
-	return nil, usageError{fmt.Sprintf("unknown -generate %q (want demo, movielens, yelp, or hotels)", o.generate)}
+	return db, nil
 }
 
 // parseSessionMode maps the wire token to a core.Mode.
 func parseSessionMode(s string) (core.Mode, error) {
-	switch s {
-	case "ud":
-		return core.UserDriven, nil
-	case "rp":
-		return core.RecommendationPowered, nil
-	case "fa":
-		return core.FullyAutomated, nil
+	m, err := core.ParseModeToken(s)
+	if err != nil || s == "" {
+		return 0, usageError{fmt.Sprintf("unknown -session-mode %q (want ud, rp, or fa)", s)}
 	}
-	return 0, usageError{fmt.Sprintf("unknown -session-mode %q (want ud, rp, or fa)", s)}
+	return m, nil
 }
 
 // faultHook builds the engine fault injector: every Nth phase entry

@@ -34,8 +34,8 @@ import (
 	"strings"
 
 	"subdex"
-	"subdex/internal/dataset"
-	"subdex/internal/gen"
+	"subdex/internal/core"
+	"subdex/internal/daemon"
 	"subdex/internal/query"
 	"subdex/internal/trace"
 )
@@ -46,7 +46,7 @@ var metricsReg *subdex.Registry
 func main() {
 	var (
 		data     = flag.String("data", "", "CSV directory written by datagen")
-		generate = flag.String("generate", "", "generate a synthetic dataset: movielens | yelp | hotels")
+		generate = flag.String("generate", "", "generate a synthetic dataset: demo | movielens | yelp | hotels")
 		scale    = flag.Float64("scale", 0.02, "scale for -generate")
 		seed     = flag.Int64("seed", 1, "seed for -generate")
 		mode     = flag.String("mode", "rp", "exploration mode: ud | rp | fa")
@@ -56,7 +56,7 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := loadDB(*data, *generate, *scale, *seed)
+	db, err := daemon.LoadDataset(*data, *generate, *scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subdex:", err)
 		os.Exit(1)
@@ -73,15 +73,8 @@ func main() {
 	metricsReg = subdex.NewRegistry()
 	ex.Instrument(metricsReg)
 
-	var m subdex.Mode
-	switch *mode {
-	case "ud":
-		m = subdex.UserDriven
-	case "rp":
-		m = subdex.RecommendationPowered
-	case "fa":
-		m = subdex.FullyAutomated
-	default:
+	m, err := core.ParseModeToken(*mode)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "subdex: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -116,31 +109,6 @@ func criterionName(c int) string {
 		return names[c]
 	}
 	return "?"
-}
-
-func loadDB(data, generate string, scale float64, seed int64) (*subdex.DB, error) {
-	switch {
-	case data != "":
-		// Multi-valued attribute declarations for the shipped datasets.
-		kinds := map[string]dataset.Kind{
-			"genre": dataset.MultiValued, "cuisine": dataset.MultiValued,
-			"amenity": dataset.MultiValued,
-		}
-		return subdex.LoadDir(data, "loaded", kinds)
-	case generate != "":
-		cfg := gen.Config{Seed: seed, Scale: scale}
-		switch generate {
-		case "movielens":
-			return gen.Movielens(cfg)
-		case "yelp":
-			return gen.Yelp(cfg)
-		case "hotels":
-			return gen.Hotels(cfg)
-		}
-		return nil, fmt.Errorf("unknown dataset %q", generate)
-	default:
-		return nil, fmt.Errorf("one of -data or -generate is required")
-	}
 }
 
 // display runs one step and renders it.

@@ -40,21 +40,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"subdex"
 	"subdex/internal/cluster"
-	"subdex/internal/dataset"
-	"subdex/internal/gen"
+	"subdex/internal/daemon"
 	"subdex/internal/obs"
 	"subdex/internal/server"
 	"subdex/internal/sessionstore"
@@ -95,7 +89,7 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := loadDB(*data, *generate, *scale, *seed)
+	db, err := daemon.LoadDataset(*data, *generate, *scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subdexd:", err)
 		os.Exit(1)
@@ -164,94 +158,9 @@ func main() {
 	fmt.Printf("subdexd: serving %s (%d reviewers, %d items, %d ratings) on %s\n",
 		s.Name, s.NumReviewers, s.NumItems, s.NumRatings, *addr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Hardened listener: slow or stalled clients cannot hold connections
-	// (and their goroutines) open indefinitely. WriteTimeout is left
-	// unset on purpose — legitimate steps may run long when no
-	// -step-timeout is configured; response lifetime is bounded by the
-	// step deadline instead.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 2)
-	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	var debugSrv *http.Server
-	if *debug != "" {
-		debugSrv = &http.Server{Addr: *debug, Handler: debugMux(),
-			ReadHeaderTimeout: 5 * time.Second}
-		fmt.Printf("subdexd: pprof on http://%s/debug/pprof/\n", *debug)
-		go func() {
-			if err := debugSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errCh <- fmt.Errorf("debug listener: %w", err)
-			}
-		}()
-	}
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("subdexd: shutdown signal received, draining...")
-	case err := <-errCh:
+	if err := daemon.Serve(context.Background(), "subdexd", *addr, *debug, srv.Handler(), *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "subdexd:", err)
 		os.Exit(1)
 	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "subdexd: shutdown:", err)
-		os.Exit(1)
-	}
-	if debugSrv != nil {
-		_ = debugSrv.Shutdown(shutdownCtx)
-	}
 	fmt.Println("subdexd: bye")
-}
-
-// debugMux wires the net/http/pprof handlers onto a private mux, so the
-// profiling surface never rides the public address.
-func debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-func loadDB(data, generate string, scale float64, seed int64) (*subdex.DB, error) {
-	switch {
-	case data != "":
-		kinds := map[string]dataset.Kind{
-			"genre": dataset.MultiValued, "cuisine": dataset.MultiValued,
-			"amenity": dataset.MultiValued,
-		}
-		return subdex.LoadDir(data, "loaded", kinds)
-	case generate != "":
-		cfg := gen.Config{Seed: seed, Scale: scale}
-		switch generate {
-		case "demo":
-			return gen.Demo(cfg)
-		case "movielens":
-			return gen.Movielens(cfg)
-		case "yelp":
-			return gen.Yelp(cfg)
-		case "hotels":
-			return gen.Hotels(cfg)
-		}
-		return nil, fmt.Errorf("unknown dataset %q", generate)
-	default:
-		return nil, fmt.Errorf("one of -data or -generate is required")
-	}
 }

@@ -19,22 +19,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"subdex"
 	"subdex/internal/cluster"
 	"subdex/internal/core"
-	"subdex/internal/dataset"
-	"subdex/internal/gen"
+	"subdex/internal/daemon"
 	"subdex/internal/obs"
 )
 
@@ -54,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := loadDB(*data, *generate, *scale, *seed)
+	db, err := daemon.LoadDataset(*data, *generate, *scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subdexworker:", err)
 		os.Exit(1)
@@ -66,87 +60,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "subdexworker:", err)
 		os.Exit(1)
 	}
-	reg := obs.NewRegistry()
 	worker := cluster.NewWorker(ex, cluster.WorkerOptions{
-		Registry:    reg,
+		Registry:    obs.NewRegistry(),
 		ScanWorkers: *scanW,
 	})
 	s := db.Stats()
 	fmt.Printf("subdexworker: serving %s (%d ratings) on %s\n", s.Name, s.NumRatings, *addr)
 	fmt.Printf("subdexworker: engine fingerprint %s\n", worker.Fingerprint())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           worker.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 2)
-	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	var debugSrv *http.Server
-	if *debug != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		debugSrv = &http.Server{Addr: *debug, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		fmt.Printf("subdexworker: pprof on http://%s/debug/pprof/\n", *debug)
-		go func() {
-			if err := debugSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errCh <- fmt.Errorf("debug listener: %w", err)
-			}
-		}()
-	}
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("subdexworker: shutdown signal received, draining...")
-	case err := <-errCh:
+	if err := daemon.Serve(context.Background(), "subdexworker", *addr, *debug, worker.Handler(), *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "subdexworker:", err)
 		os.Exit(1)
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "subdexworker: shutdown:", err)
-		os.Exit(1)
-	}
-	if debugSrv != nil {
-		_ = debugSrv.Shutdown(shutdownCtx)
-	}
 	fmt.Println("subdexworker: bye")
-}
-
-func loadDB(data, generate string, scale float64, seed int64) (*subdex.DB, error) {
-	switch {
-	case data != "":
-		kinds := map[string]dataset.Kind{
-			"genre": dataset.MultiValued, "cuisine": dataset.MultiValued,
-			"amenity": dataset.MultiValued,
-		}
-		return subdex.LoadDir(data, "loaded", kinds)
-	case generate != "":
-		cfg := gen.Config{Seed: seed, Scale: scale}
-		switch generate {
-		case "demo":
-			return gen.Demo(cfg)
-		case "movielens":
-			return gen.Movielens(cfg)
-		case "yelp":
-			return gen.Yelp(cfg)
-		case "hotels":
-			return gen.Hotels(cfg)
-		}
-		return nil, fmt.Errorf("unknown dataset %q", generate)
-	default:
-		return nil, fmt.Errorf("one of -data or -generate is required")
-	}
 }

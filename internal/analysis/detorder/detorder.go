@@ -38,14 +38,7 @@ var Analyzer = &framework.Analyzer{
 var criticalPkgs = []string{"internal/engine", "internal/ratingmap"}
 
 func run(pass *framework.Pass) error {
-	critical := false
-	for _, suffix := range criticalPkgs {
-		if framework.PathHasSuffix(pass.Path(), suffix) {
-			critical = true
-			break
-		}
-	}
-	if !critical {
+	if !framework.PathHasSuffix(pass.Path(), criticalPkgs...) {
 		return nil
 	}
 

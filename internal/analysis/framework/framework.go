@@ -321,10 +321,15 @@ func NamedTypeIn(t types.Type, pkgSuffix, typeName string) bool {
 	return PathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
-// PathHasSuffix reports whether path equals suffix or ends with
-// "/"+suffix.
-func PathHasSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+// PathHasSuffix reports whether path equals one of suffixes or ends with
+// "/"+suffix — how an analyzer scopes itself to a package list.
+func PathHasSuffix(path string, suffixes ...string) bool {
+	for _, suffix := range suffixes {
+		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // CalleeFunc resolves the *types.Func a call expression invokes (through

@@ -32,6 +32,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // ---------------------------------------------------------------------------
@@ -46,19 +47,12 @@ func FuncKeyOf(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if ptr, okP := t.(*types.Pointer); okP {
-			t = ptr.Elem()
-		}
-		if named, okN := t.(*types.Named); okN {
-			return CanonicalPath(fn.Pkg().Path()) + ".(" + named.Obj().Name() + ")." + fn.Name()
-		}
-		// Receiver is an unnamed type (embedded interface literal):
-		// fall through to the package-function rendering, which is
-		// still stable if imprecise.
+	if recv := ReceiverTypeName(fn); recv != "" {
+		return CanonicalPath(fn.Pkg().Path()) + ".(" + recv + ")." + fn.Name()
 	}
+	// A package function — or a receiver of unnamed type (an embedded
+	// interface literal), whose package-function rendering is still
+	// stable if imprecise.
 	return CanonicalPath(fn.Pkg().Path()) + "." + fn.Name()
 }
 
@@ -172,6 +166,18 @@ func ObjClass(info *types.Info, expr ast.Expr) string {
 	return ""
 }
 
+// LocalPrefix marks the key of an object that has no class.
+const LocalPrefix = "local:"
+
+// ObjKey is ObjClass with a fallback for a local, which renders to no
+// class: LocalPrefix plus the expression, meaningful in one package only.
+func ObjKey(info *types.Info, expr ast.Expr) string {
+	if class := ObjClass(info, expr); class != "" {
+		return class
+	}
+	return LocalPrefix + ExprKey(expr)
+}
+
 // FieldClassInLiteral renders the class of a field being initialized in
 // a composite literal: for the key ident of `&Server{walFailures: …}`
 // it returns "pkg.(Server).walFailures". lit is the enclosing
@@ -208,10 +214,17 @@ const (
 	FlowTryAcquire
 	// FlowCall is a statically resolvable call (Callee/Key set).
 	FlowCall
+	// FlowSend, FlowRecv and FlowSelect are the operations that park a
+	// goroutine on a channel: a send statement, a receive expression, and
+	// a select with no default clause (whose communications are not
+	// reported on their own: whether they block is the select's property).
+	FlowSend
+	FlowRecv
+	FlowSelect
 )
 
-// A FlowEvent is one acquisition or call observed by ScanFlow, with the
-// set of lock classes held when control reaches it.
+// A FlowEvent is one acquisition, call or channel operation observed by
+// ScanFlow, with the locks held when control reaches it.
 type FlowEvent struct {
 	Kind   FlowKind
 	Class  string      // lock class, for acquires
@@ -219,60 +232,83 @@ type FlowEvent struct {
 	Key    string      // FuncKeyOf(Callee), for FlowCall
 	Call   *ast.CallExpr
 	Held   []string // sorted lock classes held before this event
-	Pos    token.Pos
+	// Locks names every lock held before this event by the expression
+	// that took it ("s.mu", "mu"), sorted — Held plus the function-local
+	// mutexes that render to no class.
+	Locks []string
+	Pos   token.Pos
 }
 
-// ScanFlow walks body in statement order, tracking which mutex classes
-// are held, and emits an event for every blocking/try acquisition of a
-// class-renderable mutex and every statically resolvable call. The
-// control-flow approximations are lockblock's, shared deliberately so
-// the two analyzers agree on what "held" means: branch bodies inherit
-// (a clone of) the state at entry; an unlock inside a branch does not
-// clear the fall-through state; `defer x.Unlock()` means held to
-// function end; deferred and spawned calls and nested function literals
-// are not descended into (literals are scanned as their own FuncBody).
-// Locks that render to no class (locals) are invisible here — local
-// lock discipline is lockblock's intraprocedural job.
+// ScanFlow walks body in statement order, tracking which mutexes are
+// held, and emits an event for every blocking/try acquisition of a
+// class-renderable mutex, every statically resolvable call and every
+// channel operation that can park. It is the one statement walker of the
+// lock analyzers, so lockblock and lockorder agree on what "held" means:
+// branch bodies inherit (a clone of) the state at entry; an unlock inside
+// a branch does not clear the fall-through state; `defer x.Unlock()`
+// means held to function end; deferred and spawned calls and nested
+// function literals are not descended into (literals are scanned as
+// their own FuncBody). A mutex is identified by its class, so all
+// instances of a type are one lock; one that renders to no class (a
+// local) is tracked by its expression, appears in Locks only, and emits
+// no acquire event — lock *order* is a property of classes.
 func ScanFlow(info *types.Info, body *ast.BlockStmt, emit func(FlowEvent)) {
 	fs := &flowScanner{info: info, emit: emit}
-	fs.block(body, map[string]int{})
+	fs.block(body, map[string]heldLock{})
 }
 
 type flowScanner struct {
 	info *types.Info
 	emit func(FlowEvent)
+	// inComm is set while a select's communication is scanned: its calls
+	// count, its channel operation is the select's to report.
+	inComm bool
 }
 
-func heldList(held map[string]int) []string {
-	out := make([]string, 0, len(held))
-	for c, n := range held {
-		if n > 0 {
-			out = append(out, c)
+// heldLock is one entry of the held set, keyed by ObjKey.
+type heldLock struct {
+	n    int    // acquisitions not yet released
+	name string // the expression that took it first, for messages
+}
+
+// event emits ev with the held set rendered both ways.
+func (fs *flowScanner) event(ev FlowEvent, held map[string]heldLock) {
+	for key, l := range held {
+		if l.n <= 0 {
+			continue
+		}
+		ev.Locks = append(ev.Locks, l.name)
+		if !strings.HasPrefix(key, LocalPrefix) {
+			ev.Held = append(ev.Held, key)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(ev.Held)
+	sort.Strings(ev.Locks)
+	fs.emit(ev)
 }
 
-func cloneHeld(held map[string]int) map[string]int {
-	out := make(map[string]int, len(held))
-	for c, n := range held {
-		out[c] = n
+func cloneHeld(held map[string]heldLock) map[string]heldLock {
+	out := make(map[string]heldLock, len(held))
+	for c, l := range held {
+		out[c] = l
 	}
 	return out
 }
 
-func (fs *flowScanner) block(body *ast.BlockStmt, held map[string]int) {
+func (fs *flowScanner) block(body *ast.BlockStmt, held map[string]heldLock) {
 	for _, stmt := range body.List {
 		fs.stmt(stmt, held)
 	}
 }
 
-func (fs *flowScanner) stmt(stmt ast.Stmt, held map[string]int) {
+func (fs *flowScanner) stmt(stmt ast.Stmt, held map[string]heldLock) {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
 		fs.expr(s.X, held)
 	case *ast.SendStmt:
+		if !fs.inComm {
+			fs.event(FlowEvent{Kind: FlowSend, Pos: s.Arrow}, held)
+		}
 		fs.expr(s.Chan, held)
 		fs.expr(s.Value, held)
 	case *ast.AssignStmt:
@@ -307,16 +343,23 @@ func (fs *flowScanner) stmt(stmt ast.Stmt, held map[string]int) {
 		fs.expr(s.X, held)
 		fs.block(s.Body, cloneHeld(held))
 	case *ast.SelectStmt:
+		blocking := true // until a default clause shows up
 		for _, clause := range s.Body.List {
 			if cc, ok := clause.(*ast.CommClause); ok {
 				inner := cloneHeld(held)
 				if cc.Comm != nil {
+					fs.inComm = true
 					fs.stmt(cc.Comm, inner)
+					fs.inComm = false
 				}
+				blocking = blocking && cc.Comm != nil
 				for _, cs := range cc.Body {
 					fs.stmt(cs, inner)
 				}
 			}
+		}
+		if blocking {
+			fs.event(FlowEvent{Kind: FlowSelect, Pos: s.Select}, held)
 		}
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -347,7 +390,7 @@ func (fs *flowScanner) stmt(stmt ast.Stmt, held map[string]int) {
 	}
 }
 
-func (fs *flowScanner) caseBodies(body *ast.BlockStmt, held map[string]int) {
+func (fs *flowScanner) caseBodies(body *ast.BlockStmt, held map[string]heldLock) {
 	for _, clause := range body.List {
 		if cc, ok := clause.(*ast.CaseClause); ok {
 			inner := cloneHeld(held)
@@ -360,45 +403,56 @@ func (fs *flowScanner) caseBodies(body *ast.BlockStmt, held map[string]int) {
 
 // expr inspects e in traversal order, applying mutex calls to held and
 // emitting events. Nested function literals are opaque.
-func (fs *flowScanner) expr(e ast.Expr, held map[string]int) {
+func (fs *flowScanner) expr(e ast.Expr, held map[string]heldLock) {
 	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+		switch x := n.(type) {
+		case *ast.FuncLit:
 			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, okS := ast.Unparen(call.Fun).(*ast.SelectorExpr); okS {
-			if method, isMutex := MutexMethod(fs.info, sel); isMutex {
-				class := ObjClass(fs.info, sel.X)
-				switch method {
-				case "Lock", "RLock":
-					if class != "" {
-						fs.emit(FlowEvent{Kind: FlowAcquire, Class: class, Call: call,
-							Held: heldList(held), Pos: call.Pos()})
-						held[class]++
-					}
-				case "TryLock", "TryRLock":
-					if class != "" {
-						fs.emit(FlowEvent{Kind: FlowTryAcquire, Class: class, Call: call,
-							Held: heldList(held), Pos: call.Pos()})
-						held[class]++
-					}
-				case "Unlock", "RUnlock":
-					if class != "" && held[class] > 0 {
-						held[class]--
-					}
-				}
-				return true
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && !fs.inComm {
+				fs.event(FlowEvent{Kind: FlowRecv, Pos: x.OpPos}, held)
 			}
-		}
-		if fn := CalleeFunc(fs.info, call); fn != nil {
-			fs.emit(FlowEvent{Kind: FlowCall, Callee: fn, Key: FuncKeyOf(fn), Call: call,
-				Held: heldList(held), Pos: call.Pos()})
+		case *ast.CallExpr:
+			fs.call(x, held)
 		}
 		return true
 	})
+}
+
+// call applies a mutex method to held, or emits the call.
+func (fs *flowScanner) call(call *ast.CallExpr, held map[string]heldLock) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	recv, method := "", ""
+	if ok {
+		recv, method = SyncMethod(fs.info, sel)
+	}
+	if recv != "Mutex" && recv != "RWMutex" {
+		if fn := CalleeFunc(fs.info, call); fn != nil {
+			fs.event(FlowEvent{Kind: FlowCall, Callee: fn, Key: FuncKeyOf(fn), Call: call, Pos: call.Pos()}, held)
+		}
+		return
+	}
+	key := ObjKey(fs.info, sel.X)
+	l := held[key]
+	switch method {
+	case "Lock", "RLock", "TryLock", "TryRLock":
+		if !strings.HasPrefix(key, LocalPrefix) {
+			kind := FlowAcquire
+			if method == "TryLock" || method == "TryRLock" {
+				kind = FlowTryAcquire
+			}
+			fs.event(FlowEvent{Kind: kind, Class: key, Call: call, Pos: call.Pos()}, held)
+		}
+		if l.n == 0 {
+			l.name = ExprKey(sel.X)
+		}
+		l.n++
+	case "Unlock", "RUnlock":
+		if l.n > 0 {
+			l.n--
+		}
+	}
+	held[key] = l
 }
 
 // ExprKey renders an expression as a stable source-path key: "s.mu",
@@ -418,33 +472,37 @@ func ExprKey(e ast.Expr) string {
 	}
 }
 
-// MutexMethod reports whether sel selects a method on sync.Mutex /
-// sync.RWMutex (directly or via embedding) and returns the method name.
-func MutexMethod(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+// SyncMethod resolves sel to a method of a package sync type (selected
+// directly or via embedding) and returns the type's and the method's
+// names — ("Mutex", "Lock"), ("WaitGroup", "Done") — or "", "".
+func SyncMethod(info *types.Info, sel *ast.SelectorExpr) (recv, method string) {
 	selection, ok := info.Selections[sel]
 	if !ok {
-		return "", false
+		return "", ""
 	}
 	fn, ok := selection.Obj().(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
+		return "", ""
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", false
+	return ReceiverTypeName(fn), fn.Name()
+}
+
+// ReceiverTypeName returns the name of fn's receiver type, pointers
+// unwrapped: "" for a package-level function and for a receiver that is
+// not a named type (an interface method set carries no name here).
+func ReceiverTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
 	}
-	t := recv.Type()
+	t := sig.Recv().Type()
 	if ptr, okP := t.(*types.Pointer); okP {
 		t = ptr.Elem()
 	}
-	named, okN := t.(*types.Named)
-	if !okN {
-		return "", false
+	if named, okN := t.(*types.Named); okN {
+		return named.Obj().Name()
 	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return "", false
-	}
-	return fn.Name(), true
+	return ""
 }
 
 // ---------------------------------------------------------------------------

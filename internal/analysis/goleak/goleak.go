@@ -62,11 +62,6 @@ var scopedPkgs = []string{"internal/engine", "internal/server", "internal/sessio
 // carries both).
 const ctxToken = "ctx"
 
-// localPrefix marks package-local (non-class) channel and WaitGroup
-// keys; they are meaningful within one package and stripped from
-// exported summaries.
-const localPrefix = "local:"
-
 // pkgFact is the per-package fact: closed per-function summaries and
 // the channel classes the package closes.
 type pkgFact struct {
@@ -146,7 +141,7 @@ func run(pass *framework.Pass) error {
 	}
 
 	// Pass 3: judge every go statement in scoped packages.
-	if inScope(pass.Path()) {
+	if framework.PathHasSuffix(pass.Path(), scopedPkgs...) {
 		for i := range bodies {
 			for _, spawn := range direct[i].spawns {
 				judgeSpawn(pass, bodies, direct, spawn, summaryOf, closes, waits)
@@ -171,7 +166,7 @@ func run(pass *framework.Pass) error {
 		}
 	}
 	for c := range closes {
-		if !strings.HasPrefix(c, localPrefix) {
+		if !strings.HasPrefix(c, framework.LocalPrefix) {
 			fact.Closes = append(fact.Closes, c)
 		}
 	}
@@ -251,12 +246,6 @@ type bodyProps struct {
 func scanBodyProps(pass *framework.Pass, body *ast.BlockStmt) bodyProps {
 	info := pass.TypesInfo
 	var p bodyProps
-	chanKey := func(e ast.Expr) string {
-		if class := framework.ObjClass(info, e); class != "" {
-			return class
-		}
-		return localPrefix + framework.ExprKey(e)
-	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
@@ -271,24 +260,24 @@ func scanBodyProps(pass *framework.Pass, body *ast.BlockStmt) bodyProps {
 			return false
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				p.stops = append(p.stops, chanKey(x.X))
+				p.stops = append(p.stops, framework.ObjKey(info, x.X))
 			}
 		case *ast.RangeStmt:
 			if t := info.TypeOf(x.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
-					p.stops = append(p.stops, chanKey(x.X))
+					p.stops = append(p.stops, framework.ObjKey(info, x.X))
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 				if _, isB := info.Uses[id].(*types.Builtin); isB && id.Name == "close" && len(x.Args) == 1 {
-					p.closes = append(p.closes, chanKey(x.Args[0]))
+					p.closes = append(p.closes, framework.ObjKey(info, x.Args[0]))
 					return true
 				}
 			}
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if name, isWG := waitGroupMethod(info, sel); isWG {
-					key := chanKey(sel.X)
+				if recv, name := framework.SyncMethod(info, sel); recv == "WaitGroup" {
+					key := framework.ObjKey(info, sel.X)
 					switch name {
 					case "Done":
 						p.dones = append(p.dones, key)
@@ -313,49 +302,14 @@ func scanBodyProps(pass *framework.Pass, body *ast.BlockStmt) bodyProps {
 	return p
 }
 
-// waitGroupMethod reports whether sel selects a sync.WaitGroup method
-// and returns its name.
-func waitGroupMethod(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	selection, ok := info.Selections[sel]
-	if !ok {
-		return "", false
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", false
-	}
-	t := recv.Type()
-	if ptr, okP := t.(*types.Pointer); okP {
-		t = ptr.Elem()
-	}
-	named, okN := t.(*types.Named)
-	if !okN || named.Obj().Name() != "WaitGroup" {
-		return "", false
-	}
-	return fn.Name(), true
-}
-
 // exported strips package-local keys from a summary value list.
 func exported(keys []string) []string {
 	var out []string
 	for _, k := range keys {
-		if !strings.HasPrefix(k, localPrefix) && k != "" {
+		if !strings.HasPrefix(k, framework.LocalPrefix) && k != "" {
 			out = append(out, k)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-func inScope(path string) bool {
-	for _, suffix := range scopedPkgs {
-		if framework.PathHasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
 }

@@ -7,17 +7,15 @@
 // class of bug the session layer's "global mu guards only the map"
 // redesign removed).
 //
-// The analysis is a conservative intraprocedural walk: within each
-// function body, statements are scanned in order; x.Lock() / x.RLock()
-// (and x.TryLock(), whose success branch is the interesting one) mark
-// the receiver's lock as held until the matching x.Unlock() / x.RUnlock()
-// in the same statement sequence; `defer x.Unlock()` holds until
-// function end. Branch bodies inherit the state at their entry; an
-// unlock inside a conditional branch does not clear the state after it
-// (the fall-through path usually still holds the lock — and branches
+// The analysis is a conservative intraprocedural walk, the one lockorder
+// runs too: framework.ScanFlow, whose doc states the control-flow
+// approximations. x.Lock() / x.RLock() (and x.TryLock(), whose success
+// branch is the interesting one) mark the receiver's lock as held until
+// the matching x.Unlock() / x.RUnlock() in the same statement sequence;
+// an unlock inside a conditional branch does not clear the state after
+// it (the fall-through path usually still holds the lock — and branches
 // that unlock-and-return never reach the code after the conditional
-// anyway). Goroutine bodies (`go func(){…}`) and deferred closures run
-// outside the critical section and are scanned with a clean slate.
+// anyway).
 //
 // The network-call list is a heuristic allow/deny set over the net and
 // net/http packages: request-issuing functions and methods
@@ -49,8 +47,6 @@
 package lockblock
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -71,301 +67,42 @@ var Analyzer = &framework.Analyzer{
 // comment's jurisdiction note.
 var fileIOCriticalPkgs = []string{"internal/server", "internal/obs", "internal/core"}
 
-// fileIOCritical reports whether the package being analyzed is under the
-// no-file-I/O-under-lock contract.
-func fileIOCritical(path string) bool {
-	for _, suffix := range fileIOCriticalPkgs {
-		if framework.PathHasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *framework.Pass) error {
-	for _, file := range pass.Files {
-		if framework.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		// Every function body — declarations and literals, however nested —
-		// is scanned once with a clean lock set; scanStmt/scanExpr never
-		// descend into nested literals (a closure generally runs outside
-		// the lexical critical section: deferred, spawned, or stored).
-		// The known conservative miss is an immediately-invoked literal,
-		// which runs inline but is scanned lock-free.
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					scanBody(pass, fn.Body, newLockSet())
-				}
-			case *ast.FuncLit:
-				scanBody(pass, fn.Body, newLockSet())
+	// Every function body — declarations and literals, however nested —
+	// is scanned once with a clean lock set. The known conservative miss
+	// is an immediately-invoked literal, which runs inline but is scanned
+	// lock-free.
+	for _, fb := range framework.FuncBodies(pass) {
+		framework.ScanFlow(pass.TypesInfo, fb.Body, func(ev framework.FlowEvent) {
+			if len(ev.Locks) == 0 {
+				return
 			}
-			return true
+			held := ev.Locks[0] // a deterministic representative for messages
+			switch ev.Kind {
+			case framework.FlowSend:
+				pass.Reportf(ev.Pos, "channel send while %s is held: a blocked receiver stalls the critical section", held)
+			case framework.FlowRecv:
+				pass.Reportf(ev.Pos, "channel receive while %s is held", held)
+			case framework.FlowSelect:
+				pass.Reportf(ev.Pos, "blocking select while %s is held", held)
+			case framework.FlowCall:
+				if msg := blockingCall(pass, ev.Callee); msg != "" {
+					pass.Reportf(ev.Pos, "%s while %s is held", msg, held)
+				}
+			}
 		})
 	}
 	return nil
 }
 
-// lockSet is the set of lock expressions (rendered as source paths like
-// "s.mu") currently held.
-type lockSet map[string]bool
-
-func newLockSet() lockSet { return make(lockSet) }
-
-func (ls lockSet) clone() lockSet {
-	out := make(lockSet, len(ls))
-	for k, v := range ls {
-		out[k] = v
-	}
-	return out
-}
-
-func (ls lockSet) any() (string, bool) {
-	for k := range ls {
-		return k, true
-	}
-	return "", false
-}
-
-// held returns a deterministic representative lock name for messages.
-func (ls lockSet) representative() string {
-	best := ""
-	for k := range ls {
-		if best == "" || k < best {
-			best = k
-		}
-	}
-	return best
-}
-
-// scanBody walks stmts in order, tracking lock state and reporting
-// blocking operations executed while any lock is held.
-func scanBody(pass *framework.Pass, body *ast.BlockStmt, locks lockSet) {
-	for _, stmt := range body.List {
-		scanStmt(pass, stmt, locks)
-	}
-}
-
-func scanStmt(pass *framework.Pass, stmt ast.Stmt, locks lockSet) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		scanExpr(pass, s.X, locks)
-		updateLocks(pass, s.X, locks)
-	case *ast.SendStmt:
-		if _, heldAny := locks.any(); heldAny {
-			pass.Reportf(s.Arrow, "channel send while %s is held: a blocked receiver stalls the critical section", locks.representative())
-		}
-		scanExpr(pass, s.Value, locks)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			scanExpr(pass, e, locks)
-			updateLocks(pass, e, locks) // e.g. ok := mu.TryLock()
-		}
-	case *ast.DeferStmt:
-		// defer x.Unlock() keeps the lock held to function end: no state
-		// change. Other deferred calls (and go statements) run outside the
-		// critical section; their closure bodies are scanned separately by
-		// run's top-level walk.
-	case *ast.GoStmt:
-		// See DeferStmt.
-	case *ast.IfStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, locks)
-		}
-		scanExpr(pass, s.Cond, locks)
-		updateLocks(pass, s.Cond, locks) // if mu.TryLock() { ... }
-		scanBody(pass, s.Body, locks.clone())
-		if s.Else != nil {
-			scanStmt(pass, s.Else, locks.clone())
-		}
-	case *ast.BlockStmt:
-		scanBody(pass, s, locks)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, locks)
-		}
-		if s.Cond != nil {
-			scanExpr(pass, s.Cond, locks)
-		}
-		scanBody(pass, s.Body, locks.clone())
-	case *ast.RangeStmt:
-		scanExpr(pass, s.X, locks)
-		scanBody(pass, s.Body, locks.clone())
-	case *ast.SelectStmt:
-		if _, heldAny := locks.any(); heldAny && !hasDefaultClause(s) {
-			pass.Reportf(s.Select, "blocking select while %s is held", locks.representative())
-		}
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				for _, cs := range cc.Body {
-					scanStmt(pass, cs, locks.clone())
-				}
-			}
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, locks)
-		}
-		if s.Tag != nil {
-			scanExpr(pass, s.Tag, locks)
-		}
-		scanCaseBodies(pass, s.Body, locks)
-	case *ast.TypeSwitchStmt:
-		scanCaseBodies(pass, s.Body, locks)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			scanExpr(pass, e, locks)
-		}
-	case *ast.LabeledStmt:
-		scanStmt(pass, s.Stmt, locks)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						scanExpr(pass, e, locks)
-					}
-				}
-			}
-		}
-	}
-}
-
-func scanCaseBodies(pass *framework.Pass, body *ast.BlockStmt, locks lockSet) {
-	for _, clause := range body.List {
-		if cc, ok := clause.(*ast.CaseClause); ok {
-			for _, cs := range cc.Body {
-				scanStmt(pass, cs, locks.clone())
-			}
-		}
-	}
-}
-
-func hasDefaultClause(s *ast.SelectStmt) bool {
-	for _, clause := range s.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// scanExpr reports blocking operations inside expr evaluated under
-// locks. Function literals inside expressions are scanned lock-free
-// only when they escape (assigned/passed); immediately-invoked literals
-// run in the critical section and inherit the lock state.
-func scanExpr(pass *framework.Pass, expr ast.Expr, locks lockSet) {
-	if _, heldAny := locks.any(); !heldAny {
-		return
-	}
-	rep := locks.representative()
-	ast.Inspect(expr, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			// A literal generally escapes the critical section (stored,
-			// deferred, spawned); its body is scanned lock-free by run's
-			// top-level walk. Immediately-invoked literals are the known
-			// conservative miss.
-			return false
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				pass.Reportf(e.OpPos, "channel receive while %s is held", rep)
-			}
-		case *ast.CallExpr:
-			if msg := blockingCall(pass, e); msg != "" {
-				pass.Reportf(e.Pos(), "%s while %s is held", msg, rep)
-			}
-		}
-		return true
-	})
-}
-
-// updateLocks applies Lock/RLock/TryLock/Unlock/RUnlock calls found in
-// expr to the lock set.
-func updateLocks(pass *framework.Pass, expr ast.Expr, locks lockSet) {
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		recv, ok := mutexReceiver(pass, sel)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Lock", "RLock", "TryLock", "TryRLock":
-			locks[recv] = true
-		case "Unlock", "RUnlock":
-			delete(locks, recv)
-		}
-		return true
-	})
-}
-
-// mutexReceiver reports whether sel selects a method on sync.Mutex /
-// sync.RWMutex (directly or via an embedded field) and returns the
-// receiver expression rendered as a stable string key.
-func mutexReceiver(pass *framework.Pass, sel *ast.SelectorExpr) (string, bool) {
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok {
-		return "", false
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", false
-	}
-	t := recv.Type()
-	if ptr, okP := t.(*types.Pointer); okP {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return "", false
-	}
-	return exprKey(sel.X), true
-}
-
-// exprKey renders a receiver expression as a comparison key: "s.mu",
-// "e.mu", "mu". Unrenderable receivers (map index, call result) get a
-// catch-all key so their Lock still arms the analysis.
-func exprKey(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprKey(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return exprKey(x.X) + "[...]"
-	default:
-		return "<mutex>"
-	}
-}
-
-// blockingCall classifies call as a forbidden blocking operation under a
-// lock, returning a description or "".
-func blockingCall(pass *framework.Pass, call *ast.CallExpr) string {
-	fn := framework.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
+// blockingCall classifies a call to fn as a forbidden blocking operation
+// under a lock, returning a description or "".
+func blockingCall(pass *framework.Pass, fn *types.Func) string {
+	if fn.Pkg() == nil {
 		return ""
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
-	recvName := receiverTypeName(fn)
+	recvName := framework.ReceiverTypeName(fn)
 
 	switch pkg {
 	case "sync":
@@ -400,7 +137,7 @@ func blockingCall(pass *framework.Pass, call *ast.CallExpr) string {
 			return "net " + recvName + "." + name + " call"
 		}
 	case "os":
-		if !fileIOCritical(pass.Path()) {
+		if !framework.PathHasSuffix(pass.Path(), fileIOCriticalPkgs...) {
 			return ""
 		}
 		switch recvName {
@@ -415,29 +152,6 @@ func blockingCall(pass *framework.Pass, call *ast.CallExpr) string {
 				return "os.File." + name + " file I/O"
 			}
 		}
-	}
-	return ""
-}
-
-// receiverTypeName returns the name of fn's receiver type ("" for
-// package-level functions), unwrapping pointers.
-func receiverTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, okP := t.(*types.Pointer); okP {
-		t = ptr.Elem()
-	}
-	switch tt := t.(type) {
-	case *types.Named:
-		return tt.Obj().Name()
-	case *types.Interface:
-		// Interface method sets carry no name here; resolve common ones by
-		// the method's qualified position: http.ResponseWriter is the only
-		// interface we classify.
-		return ""
 	}
 	return ""
 }

@@ -52,9 +52,6 @@ func (a *Arm) Mean() float64 { return a.mean }
 // Pulls returns how many reward observations the arm has received.
 func (a *Arm) Pulls() int { return a.pulls }
 
-// State returns the arm's lifecycle state.
-func (a *Arm) StateOf() State { return a.state }
-
 // SAR runs Successive Accepts and Rejects over a fixed arm set.
 type SAR struct {
 	arms     []*Arm

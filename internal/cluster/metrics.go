@@ -148,39 +148,3 @@ func (m *WorkerMetrics) addScan(records int, d time.Duration, failed bool) {
 	}
 	m.ScanRecords.Add(int64(records))
 }
-
-// RouterMetrics bundles the front-tier session router's instruments.
-type RouterMetrics struct {
-	// Proxied counts requests forwarded to a backend and ProxyErrors the
-	// ones no backend could be resolved or reached for
-	// (subdex_cluster_router_requests_total,
-	// subdex_cluster_router_errors_total).
-	Proxied     *obs.Counter
-	ProxyErrors *obs.Counter
-}
-
-// NewRouterMetrics registers the router instruments on r (nil registry →
-// nil no-op RouterMetrics).
-func NewRouterMetrics(r *obs.Registry) *RouterMetrics {
-	if r == nil {
-		return nil
-	}
-	return &RouterMetrics{
-		Proxied: r.Counter("subdex_cluster_router_requests_total",
-			"Requests the session router forwarded to a backend."),
-		ProxyErrors: r.Counter("subdex_cluster_router_errors_total",
-			"Requests the session router could not route or deliver."),
-	}
-}
-
-func (m *RouterMetrics) addProxied() {
-	if m != nil {
-		m.Proxied.Inc()
-	}
-}
-
-func (m *RouterMetrics) addProxyError() {
-	if m != nil {
-		m.ProxyErrors.Inc()
-	}
-}

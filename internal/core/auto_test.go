@@ -62,10 +62,10 @@ func TestAutoCtxCancelledUpFront(t *testing.T) {
 
 // TestAutoCtxStopsMidWalk cancels the auto-pilot's context from inside the
 // engine (via the PhaseHook fault-injection seam) after the first step's
-// display has been generated. The first step completes — its
-// recommendation pass runs under the shim's own root context — and the
-// second step fails pre-first-phase, so AutoCtx returns exactly the
-// one-step prefix plus the cancellation error.
+// display has been generated, while its first candidate operation is
+// being scored. The first step keeps its complete display but drops the
+// recommendation pass the cancellation cut (a degraded step), so AutoCtx
+// returns exactly the one-step prefix plus the cancellation error.
 func TestAutoCtxStopsMidWalk(t *testing.T) {
 	ex := coreExplorer(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -77,8 +77,8 @@ func TestAutoCtxStopsMidWalk(t *testing.T) {
 			return
 		}
 		// Call 1 is step 1's display; call 2 is the first recommendation
-		// evaluation. Cancelling there leaves step 1 intact and kills the
-		// walk before step 2 can serve anything.
+		// evaluation. Cancelling there leaves step 1's display intact and
+		// ends the walk before step 2 can serve anything.
 		if topMapsCalls.Add(1) == 2 {
 			cancel()
 		}
@@ -94,11 +94,12 @@ func TestAutoCtxStopsMidWalk(t *testing.T) {
 	if len(steps) != 1 {
 		t.Fatalf("mid-walk cancellation returned %d steps, want the 1-step prefix", len(steps))
 	}
-	if steps[0].Degraded {
-		t.Error("the completed first step must not be marked degraded")
+	if first := steps[0]; !first.Degraded || !first.Profile.RecommendationsSkipped || first.Recommendations != nil {
+		t.Errorf("the first step must be degraded with its cut recommendation pass dropped: degraded=%v recs=%d",
+			first.Degraded, len(first.Recommendations))
 	}
-	if len(steps[0].Recommendations) == 0 {
-		t.Error("the completed first step must carry recommendations (they run under the shim's root context)")
+	if first := steps[0]; len(first.Maps) == 0 || first.RecordsProcessed != first.GroupSize {
+		t.Error("the first step's display was complete before the cancellation and must stay so")
 	}
 }
 

@@ -57,8 +57,10 @@ type Config struct {
 	// hits after the engine's first phase boundary the step degrades to an
 	// anytime result (StepResult.Degraded) instead of failing; before any
 	// phase completes StepCtx returns context.DeadlineExceeded. The
-	// recommendation pass is skipped entirely once the deadline has
-	// passed — it would start a fresh full-cost computation.
+	// recommendation pass — most of a guided step — is under the same
+	// deadline: it is not started once the deadline has passed, and one
+	// the deadline lands in is dropped whole (no partial list), the step
+	// degrading with RecommendationsSkipped.
 	StepTimeout time.Duration
 	// GroupCacheRecords budgets the query engine's materialization cache
 	// (total cached rating-record count; 0 selects the default, negative

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,6 +422,69 @@ func TestStepTimeoutDegrades(t *testing.T) {
 	}
 	if len(res.Maps) == 0 {
 		t.Error("degraded step must still display maps")
+	}
+}
+
+// cancellingScorer is Equation 2 that spends the step's budget — cancels
+// the step's context — while scoring its after-th candidate.
+type cancellingScorer struct {
+	after  int64
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (c *cancellingScorer) ScoreOperation(ex *Explorer, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
+	if c.calls.Add(1) == c.after {
+		c.cancel()
+	}
+	return EquationTwoScorer{}.ScoreOperation(ex, op, seen)
+}
+
+// TestStepDeadlineCoversRecommendationPass pins that the step budget
+// reaches into the recommendation pass, where a guided step spends nearly
+// all of its time: a budget spent while candidates are being scored stops
+// the dispatch (each worker finishes at most the candidate it holds) and
+// the step degrades exactly as it does when the budget is spent before
+// the pass — Degraded, RecommendationsSkipped, no partial list.
+func TestStepDeadlineCoversRecommendationPass(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		scorer := &cancellingScorer{after: 3, cancel: cancel}
+		cfg := DefaultConfig()
+		cfg.RecWorkers = workers
+		cfg.Scorer = scorer
+		ex, err := NewExplorer(coreDB(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(ex, RecommendationPowered, query.Description{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := sess.rb.CandidateOps(query.Description{}, nil)
+		if err != nil || len(ops) < 20 {
+			t.Fatalf("want a root selection with many candidates, have %d (%v)", len(ops), err)
+		}
+		res, err := sess.StepCtx(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: a budget spent mid-pass must degrade, not fail: %v", workers, err)
+		}
+		if got, bound := scorer.calls.Load(), scorer.after+int64(workers); got > bound {
+			t.Errorf("workers=%d: %d candidates scored after the budget was spent at #%d, want at most one more per worker (%d)",
+				workers, got, scorer.after, bound)
+		}
+		if !res.Degraded || !res.Profile.RecommendationsSkipped || res.Profile.DegradedReason != "recommendations_skipped" {
+			t.Errorf("workers=%d: degraded=%v profile=%+v, want a degraded step with the recommendations skipped",
+				workers, res.Degraded, res.Profile)
+		}
+		if res.Recommendations != nil || res.RecOpDurations != nil || res.RecDuration != 0 {
+			t.Errorf("workers=%d: a partial recommendation pass leaked into the step: %d recs, %d durations",
+				workers, len(res.Recommendations), len(res.RecOpDurations))
+		}
+		if len(res.Maps) == 0 || res.RecordsProcessed != res.GroupSize {
+			t.Errorf("workers=%d: the maps were complete before the budget ran out and must stay so", workers)
+		}
 	}
 }
 

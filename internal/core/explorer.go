@@ -179,18 +179,12 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 	if err != nil {
 		return nil, err
 	}
-	sel := diversity.SelectDiverse(genRes.Maps, cfg.K, cfg.Distance)
-
-	// Re-rank the selected subset by utility for display and recompute the
-	// aligned utilities from the generator's ranking.
-	utilOf := make(map[*ratingmap.RatingMap]float64, len(genRes.Maps))
-	for i, rm := range genRes.Maps {
-		utilOf[rm] = genRes.Utilities[i]
-	}
+	sel, utils := ex.selectDiverse(genRes)
 	out := &StepResult{
 		Desc:             group.Desc,
 		GroupSize:        group.Len(),
 		Maps:             sel,
+		Utilities:        utils,
 		PrunedCI:         genRes.PrunedCI,
 		PrunedMAB:        genRes.PrunedMAB,
 		Considered:       genRes.Considered,
@@ -208,10 +202,24 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 	}
 	out.NumMatched.Reviewers = group.Reviewers.Count()
 	out.NumMatched.Items = group.Items.Count()
-	for _, rm := range sel {
-		out.Utilities = append(out.Utilities, utilOf[rm])
-	}
 	return out, nil
+}
+
+// selectDiverse is the second half of RM-Set selection, shared by a step
+// and by every candidate operation it scores: GMM picks the k diverse
+// maps out of the generator's k′, and each keeps the utility the
+// generator ranked it by.
+func (ex *Explorer) selectDiverse(genRes *engine.Result) ([]*ratingmap.RatingMap, []float64) {
+	sel := diversity.SelectDiverse(genRes.Maps, ex.Cfg.K, ex.Cfg.Distance)
+	utilOf := make(map[*ratingmap.RatingMap]float64, len(genRes.Maps))
+	for i, rm := range genRes.Maps {
+		utilOf[rm] = genRes.Utilities[i]
+	}
+	utils := make([]float64, len(sel))
+	for i, rm := range sel {
+		utils[i] = utilOf[rm]
+	}
+	return sel, utils
 }
 
 // OperationUtility evaluates Equation 2 for a candidate operation: the sum
@@ -237,14 +245,10 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 	if err != nil {
 		return 0, err
 	}
-	sel := diversity.SelectDiverse(genRes.Maps, ex.Cfg.K, ex.Cfg.Distance)
-	utilOf := make(map[*ratingmap.RatingMap]float64, len(genRes.Maps))
-	for i, rm := range genRes.Maps {
-		utilOf[rm] = genRes.Utilities[i]
-	}
+	_, utils := ex.selectDiverse(genRes)
 	sum := 0.0
-	for _, rm := range sel {
-		sum += utilOf[rm]
+	for _, u := range utils {
+		sum += u
 	}
 	return sum, nil
 }

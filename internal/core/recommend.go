@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -40,7 +41,21 @@ type evaluated struct {
 // with RecWorkers ≤ 1 it degrades to the No-Parallelism baseline. The
 // returned durations list the sequential cost of every evaluated candidate,
 // letting benches derive schedules for arbitrary core counts.
+//
+// Recommend is an XCtx compatibility shim: a context-free wrapper F that
+// delegates to FCtx with context.Background(), keeping the pre-context
+// API alive.
 func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*ratingmap.RatingMap,
+	seen *ratingmap.SeenSet, o int) ([]Recommendation, []time.Duration, error) {
+	return rb.RecommendCtx(context.Background(), cur, maps, seen, o)
+}
+
+// RecommendCtx is Recommend under a deadline: once ctx is done no further
+// candidate is dispatched (the overrun is bounded by the one candidate
+// each worker has in hand — ctx does not reach inside a candidate's
+// evaluation) and ctx's error is returned instead of a list, because a
+// top-o over a prefix of the candidates is not Equation 2's top-o.
+func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Description, maps []*ratingmap.RatingMap,
 	seen *ratingmap.SeenSet, o int) ([]Recommendation, []time.Duration, error) {
 	ops, err := rb.CandidateOps(cur, maps)
 	if err != nil {
@@ -55,13 +70,7 @@ func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*rating
 		scorer = rb.Ex.Cfg.Scorer
 	}
 	results := make([]evaluated, len(ops))
-	workers := rb.Ex.Cfg.RecWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(ops) {
-		workers = len(ops)
-	}
+	workers := min(max(rb.Ex.Cfg.RecWorkers, 1), len(ops))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -75,11 +84,19 @@ func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*rating
 			}
 		}()
 	}
-	for i := range ops {
-		next <- i
+	dispatched := 0
+	for dispatched < len(ops) && ctx.Err() == nil {
+		select {
+		case next <- dispatched:
+			dispatched++
+		case <-ctx.Done():
+		}
 	}
 	close(next)
 	wg.Wait()
+	if dispatched < len(ops) {
+		return nil, nil, ctx.Err()
+	}
 
 	durations := make([]time.Duration, 0, len(results))
 	var recs []Recommendation

@@ -86,8 +86,9 @@ func (s *Session) Step() (*StepResult, error) {
 // bounded by it. A deadline hitting after the engine's first phase
 // boundary degrades the step to an anytime result (StepResult.Degraded,
 // with RecordsProcessed reporting the scanned prefix) and skips the
-// recommendation pass; a deadline hitting before any phase completes
-// returns the context's error.
+// recommendation pass; one hitting during the recommendation pass stops
+// it and degrades the step the same way; a deadline hitting before any
+// phase completes returns the context's error.
 func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 	start := time.Now()
 	if t := s.Ex.Cfg.StepTimeout; t > 0 {
@@ -106,28 +107,10 @@ func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 	for _, rm := range res.Maps {
 		s.seen.Add(rm)
 	}
-	switch {
-	case s.Mode == UserDriven:
-		// No recommendations in user-driven mode.
-	case ctx.Err() != nil:
-		// The step budget is spent: recommendation building would start a
-		// fresh full-cost computation. Skip it and report degradation.
-		res.Degraded = true
-		span.SetAttr("recommendations_skipped", true)
-	default:
-		recStart := time.Now()
-		_, rspan := obs.StartSpan(ctx, "core.recommend")
-		recs, durs, err := s.rb.Recommend(s.cur, res.Maps, s.seen, s.Ex.Cfg.O)
-		if err != nil {
-			rspan.End()
+	if s.Mode != UserDriven { // no recommendations in user-driven mode
+		if err := s.recommend(ctx, span, res); err != nil {
 			return nil, err
 		}
-		res.Recommendations = recs
-		res.RecOpDurations = durs
-		res.RecDuration = time.Since(recStart)
-		rspan.SetAttr("evaluated", len(durs))
-		rspan.SetAttr("recommended", len(recs))
-		rspan.End()
 	}
 	if res.Degraded {
 		span.SetAttr("degraded", true)
@@ -137,6 +120,31 @@ func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 	s.oplog = append(s.oplog, stepOp(res))
 	s.Ex.Ins.stepDone(time.Since(start), res.GenDuration, res.RecDuration, len(res.RecOpDurations), res.Degraded)
 	return res, nil
+}
+
+// recommend attaches the recommendation pass to res. When the step budget
+// is spent — before the pass, which would start a fresh full-cost
+// computation, or part-way through it — the pass is dropped whole and the
+// step reports degradation instead.
+func (s *Session) recommend(ctx context.Context, span *obs.Span, res *StepResult) error {
+	if ctx.Err() == nil {
+		recStart := time.Now()
+		_, rspan := obs.StartSpan(ctx, "core.recommend")
+		recs, durs, err := s.rb.RecommendCtx(ctx, s.cur, res.Maps, s.seen, s.Ex.Cfg.O)
+		rspan.SetAttr("evaluated", len(durs))
+		rspan.SetAttr("recommended", len(recs))
+		rspan.End()
+		if err == nil {
+			res.Recommendations, res.RecOpDurations, res.RecDuration = recs, durs, time.Since(recStart)
+			return nil
+		}
+		if ctx.Err() == nil {
+			return err
+		}
+	}
+	res.Degraded = true
+	span.SetAttr("recommendations_skipped", true)
+	return nil
 }
 
 // finishProfile completes the step's EXPLAIN record with the step-level
@@ -268,7 +276,9 @@ func (s *Session) AutoCtx(ctx context.Context, m int) ([]*StepResult, error) {
 			break
 		}
 		if len(res.Recommendations) == 0 {
-			break
+			// Nowhere to go — or the caller's cancellation cut the
+			// recommendation pass, and then that is why the walk ends.
+			return out, ctx.Err()
 		}
 		// Committed as an index op (not the target predicate), so the
 		// session log replays the auto-pilot's choice structurally.

@@ -35,11 +35,6 @@ type Params struct {
 	Out io.Writer
 }
 
-// DefaultParams returns bench defaults: scale 0.05, 30 subjects.
-func DefaultParams(out io.Writer) Params {
-	return Params{Scale: 0.05, Seed: 1, Subjects: 30, Out: out}
-}
-
 func (p Params) scale() float64 {
 	if p.Scale <= 0 {
 		return 0.05

@@ -44,6 +44,23 @@ type ForcedBias struct {
 	Bias  float64
 }
 
+// ByName runs the generator a -generate / -dataset flag names: demo,
+// movielens, yelp or hotels. Every binary resolves dataset names here, so
+// they all accept the same set.
+func ByName(name string, cfg Config) (*dataset.DB, error) {
+	switch name {
+	case "demo":
+		return Demo(cfg)
+	case "movielens":
+		return Movielens(cfg)
+	case "yelp":
+		return Yelp(cfg)
+	case "hotels":
+		return Hotels(cfg)
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want demo, movielens, yelp, or hotels)", name)
+}
+
 // apply installs the forced biases into a model.
 func (c Config) apply(b *biasModel) {
 	for _, fb := range c.ForcedBiases {

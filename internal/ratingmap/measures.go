@@ -306,14 +306,10 @@ func ComputeScoresOpt(rm *RatingMap, seen *SeenSet, recordScale float64, m Pecul
 	return s
 }
 
-// ScoreSet evaluates scores for a whole candidate set, optionally min-max
-// normalizing each criterion across the candidates (the [51] normalization
-// the paper applies because criteria live on different scales).
-func ScoreSet(maps []*RatingMap, seen *SeenSet, normalize bool) []Scores {
-	return ScoreSetOpt(maps, seen, normalize, PecTVD)
-}
-
-// ScoreSetOpt is ScoreSet with an explicit peculiarity measure.
+// ScoreSetOpt evaluates scores for a whole candidate set under peculiarity
+// measure m, optionally min-max normalizing each criterion across the
+// candidates (the [51] normalization the paper applies because criteria
+// live on different scales).
 func ScoreSetOpt(maps []*RatingMap, seen *SeenSet, normalize bool, m PeculiarityMeasure) []Scores {
 	out := make([]Scores, len(maps))
 	for i, rm := range maps {
@@ -402,9 +398,6 @@ func (s *SeenSet) AddDist(dim int, dist []float64) {
 // Total returns the number of maps seen (m in Equation 1).
 func (s *SeenSet) Total() int { return s.total }
 
-// DimCount returns how many seen maps aggregated dimension d (m_{r_d}).
-func (s *SeenSet) DimCount(d int) int { return s.dimCount[d] }
-
 // Weight returns the Equation 1 factor (1 − m_{r_d}/m) for dimension d.
 // Before anything is seen it is 1 for every dimension. When every seen map
 // aggregated dimension d the literal factor is 0, which — on a database
@@ -464,20 +457,6 @@ func (s *SeenSet) State() SeenState {
 		}
 	}
 	return st
-}
-
-// RestoreSeenSet rebuilds a SeenSet from its exported state.
-func RestoreSeenSet(st SeenState) *SeenSet {
-	s := NewSeenSet()
-	for _, d := range st.Dists {
-		s.dists = append(s.dists, stats.Distribution(append([]float64(nil), d...)))
-	}
-	//subdex:orderinsensitive keyed map copy: every write targets its own key, order cannot change the result
-	for d, n := range st.Dims {
-		s.dimCount[d] = n
-	}
-	s.total = st.Total
-	return s
 }
 
 // EqualState reports whether the history matches an exported state

@@ -579,9 +579,9 @@ func TestCreateRollbackOnStoreFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := durableServer(t, store, Options{})
-	s.mu.Lock()
-	s.nextID = 1 // collide with the unrecoverable stored session
-	s.mu.Unlock()
+	s.table.mu.Lock()
+	s.table.nextID = 1 // collide with the unrecoverable stored session
+	s.table.mu.Unlock()
 
 	resp, body := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "rp"})
 	if resp.StatusCode != http.StatusInternalServerError {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"subdex/internal/trace"
@@ -95,30 +94,6 @@ func ReadGolden(r io.Reader) ([]Record, error) {
 		out = append(out, rec)
 	}
 	return out, sc.Err()
-}
-
-// LoadGolden reads a golden-trace file from disk.
-func LoadGolden(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadGolden(f)
-}
-
-// SaveGolden writes a golden-trace file to disk (the -update path of the
-// regression tests).
-func SaveGolden(path string, recs []Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteGolden(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // DiffRecords renders a readable field-level account of how got diverges

@@ -85,9 +85,6 @@ func (c *HTTPClient) nextOpID() string {
 	return fmt.Sprintf("%d-%d", c.id, c.opSeq)
 }
 
-// SessionID returns the server-assigned session id.
-func (c *HTTPClient) SessionID() int { return c.id }
-
 // Step implements Client. It always requests the EXPLAIN profile: the
 // extra payload is a few hundred bytes, and the workload harness needs it
 // to record slow-step exemplars.

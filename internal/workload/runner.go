@@ -137,16 +137,7 @@ func HTTPRetryFactory(base string, hc *http.Client, mode core.Mode, predicate st
 }
 
 // ModeString renders a core.Mode as the server's wire token.
-func ModeString(m core.Mode) string {
-	switch m {
-	case core.UserDriven:
-		return "ud"
-	case core.FullyAutomated:
-		return "fa"
-	default:
-		return "rp"
-	}
-}
+func ModeString(m core.Mode) string { return m.Token() }
 
 // Run drives a population of cfg.Users virtual users against clients
 // minted by newClient and returns the aggregated outcome. The context
