@@ -272,6 +272,62 @@ func TestCandidateOpsDeduplicate(t *testing.T) {
 	}
 }
 
+// TestCandidateOpsRespectEditDistance pins §4.3 on the live enumeration:
+// from a bound description with displayed maps, every candidate differs
+// from the current selection in one or two attribute-value pairs, no
+// target repeats, and the two-pair kinds are present.
+func TestCandidateOpsRespectEditDistance(t *testing.T) {
+	ex := coreExplorer(t)
+	cur := query.MustDescription(
+		query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"})
+	res, err := ex.RMSet(cur, ratingmap.NewSeenSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := RecommendationBuilder{Ex: ex}
+	ops, err := rb.CandidateOps(cur, res.Maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	kinds := map[query.OpKind]bool{}
+	for _, op := range ops {
+		if d := cur.EditDistance(op.Target); d == 0 || d > 2 {
+			t.Errorf("candidate %s at edit distance %d", op, d)
+		}
+		k := op.Target.Key()
+		if targets[k] {
+			t.Errorf("duplicate candidate target %s", op.Target)
+		}
+		targets[k] = true
+		kinds[op.Kind] = true
+	}
+	for _, k := range []query.OpKind{query.Filter, query.FilterGeneralize, query.FilterChange} {
+		if !kinds[k] {
+			t.Errorf("no %s candidate enumerated", k)
+		}
+	}
+}
+
+// TestCandidateOpsLimits: MaxCandidates caps the enumeration itself, not
+// only what Recommend evaluates.
+func TestCandidateOpsLimits(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Limits.MaxCandidates = 3
+	ex, err := NewExplorer(coreDB(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := RecommendationBuilder{Ex: ex}
+	ops, err := rb.CandidateOps(query.Description{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 3 {
+		t.Fatalf("MaxCandidates=3: %d candidates", len(ops))
+	}
+}
+
 func TestCandidateOpsIncludeRollUps(t *testing.T) {
 	ex := coreExplorer(t)
 	cur := query.MustDescription(

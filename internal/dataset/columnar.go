@@ -19,8 +19,10 @@ import "fmt"
 type AttrColumn struct {
 	Kind Kind
 	// NValues is the dictionary size including the reserved missing id 0:
-	// every id in Values is < NValues, so a dense [NValues × scale] counter
-	// block indexed by value id can never be written out of bounds.
+	// every id in Values is < NValues, so a dense [NValues × (scale+1)]
+	// counter block indexed by value id and score — what a ratingmap
+	// accumulator sizes from the same dictionary — can never be written
+	// out of bounds.
 	NValues int
 	// Values holds the dictionary-coded ids: per row for atomic columns,
 	// CSR-flattened for multi-valued ones.

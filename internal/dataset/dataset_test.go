@@ -297,6 +297,28 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMissingLabelInsideSet: a multi-valued cell may list the missing label
+// among its values; it is no value, so the stored set must not hold the
+// missing id — alone it leaves the set empty, beside real values it is
+// dropped like "".
+func TestMissingLabelInsideSet(t *testing.T) {
+	in := "_key,tags\nu0,a;__missing__\nu1,__missing__;__missing__\nu2,__missing__;b;;a\n"
+	tab, err := ReadEntityCSV(strings.NewReader(in), "reviewers", map[string]Kind{"tags": MultiValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, want := range []string{"a", MissingLabel, "a;b"} {
+		if got := tab.ValueString(0, row); got != want {
+			t.Errorf("row %d: value set %q, want %q", row, got, want)
+		}
+		for _, id := range tab.MultiValues(0, row) {
+			if id == MissingValue {
+				t.Errorf("row %d: value set holds the missing id", row)
+			}
+		}
+	}
+}
+
 func TestReadEntityCSVRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"no key column":   "name,city\na,b\n",

@@ -55,8 +55,9 @@ func (t *EntityTable) DictByName(name string) *Dictionary {
 
 // AppendRow adds an entity. values maps attribute name → string value for
 // atomic attributes; setValues maps attribute name → value set for
-// multi-valued attributes. Missing entries are stored as missing. It returns
-// the dense row id.
+// multi-valued attributes. Missing entries are stored as missing; a value
+// set never holds the missing id (MissingLabel and "" are dropped from it).
+// It returns the dense row id.
 func (t *EntityTable) AppendRow(key string, values map[string]string, setValues map[string][]string) (int, error) {
 	row := len(t.Keys)
 	t.Keys = append(t.Keys, key)
@@ -81,7 +82,7 @@ func (t *EntityTable) AppendRow(key string, values map[string]string, setValues 
 			ids := make([]ValueID, 0, len(vs))
 			seen := make(map[ValueID]bool, len(vs))
 			for _, v := range vs {
-				if v == "" {
+				if v == "" || v == MissingLabel {
 					continue
 				}
 				id := t.dicts[a].Intern(v)

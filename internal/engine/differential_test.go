@@ -282,13 +282,13 @@ func TestDifferentialShardedAccumulation(t *testing.T) {
 				seq.Update(recs)
 				seqDigest := snapshotDigest(seq, keys)
 				// The default builder scans through the fused columnar
-				// kernel; the map-based reference path must produce a
+				// kernel; the row-oriented reference path must produce a
 				// bit-identical digest on every record set.
 				mapB := ratingmap.Builder{DB: db, DisableKernel: true}
 				mapAcc := mapB.NewAccumulator(desc, keys)
 				mapAcc.Update(recs)
 				if d := snapshotDigest(mapAcc, keys); d != seqDigest {
-					t.Fatalf("seed=%d shape=%v: kernel digest differs from map-based reference path",
+					t.Fatalf("seed=%d shape=%v: kernel digest differs from row-oriented reference path",
 						seed, sh)
 				}
 				for _, workers := range workersFor(len(recs)) {
@@ -498,7 +498,7 @@ func TestDifferentialCacheSeenSetFreshness(t *testing.T) {
 }
 
 // assertKernelFamily runs one adversarial record set through every scan
-// path — fused kernel, map-based reference builder, independent
+// path — fused kernel, row-oriented reference builder, independent
 // brute-force reference, and the sharded pool — and demands bit-identical
 // digests everywhere.
 func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
@@ -518,7 +518,7 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 	macc := mapB.NewAccumulator(desc, keys)
 	macc.Update(records)
 	if got := snapshotDigest(macc, keys); got != want {
-		t.Fatal("kernel digest differs from map-based reference path")
+		t.Fatal("kernel digest differs from row-oriented reference path")
 	}
 
 	g := &Generator{DB: db, Builder: kernelB}
@@ -533,12 +533,11 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 
 // TestDifferentialKernelAdversarial crafts record sets aimed at the fused
 // kernel's specific failure modes: repeated value IDs inside multi-valued
-// sets, rows with every value missing, all-zero score columns, dictionary
-// IDs far past the reference path's initial counter capacity (and hit
-// high-before-low, so slice growth patterns diverge maximally), empty
-// record ranges, and single-record groups. Each family must be digest-
-// identical across kernel, map-based reference, brute force, and the
-// sharded pool.
+// sets, rows with every value missing, the missing label listed inside a
+// value set, all-zero score columns, wide dictionaries hit high-before-low,
+// empty record ranges, and single-record groups. Each family must be
+// digest-identical across kernel, row-oriented reference, brute force, and
+// the sharded pool.
 func TestDifferentialKernelAdversarial(t *testing.T) {
 	mustRow := func(t *testing.T, et *dataset.EntityTable, id string,
 		vals map[string]string, multi map[string][]string) {
@@ -624,6 +623,30 @@ func TestDifferentialKernelAdversarial(t *testing.T) {
 		assertKernelFamily(t, db, allRecords(db))
 	})
 
+	t.Run("missing-label-in-set", func(t *testing.T) {
+		// A multi-valued CSV cell may list the missing label inside a set
+		// ("a;__missing__"), alone or beside real values. It is no value:
+		// the kernel's discard row swallows id 0, so a path that turned it
+		// into a "value 0" subgroup would break the exactness contract.
+		rev, item, ratings := newTables(t)
+		mustRow(t, rev, "u0", map[string]string{"gender": "x"},
+			map[string][]string{"tags": {dataset.MissingLabel}})
+		mustRow(t, rev, "u1", map[string]string{"gender": dataset.MissingLabel},
+			map[string][]string{"tags": {"a", dataset.MissingLabel}})
+		mustRow(t, rev, "u2", map[string]string{"gender": "y"},
+			map[string][]string{"tags": {dataset.MissingLabel, "b", dataset.MissingLabel, "a"}})
+		mustRow(t, item, "i0", map[string]string{"city": "nyc"},
+			map[string][]string{"cuisine": {dataset.MissingLabel, "thai"}})
+		for r := 0; r < 36; r++ {
+			if err := ratings.Append(r%3, 0, []dataset.Score{
+				dataset.Score(r % 6), dataset.Score(r % 4)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := freeze(t, rev, item, ratings)
+		assertKernelFamily(t, db, allRecords(db))
+	})
+
 	t.Run("all-zero-scores", func(t *testing.T) {
 		// One dimension entirely missing scores, the other mixed: the
 		// kernel's discard column absorbs the zero-score increments.
@@ -645,9 +668,7 @@ func TestDifferentialKernelAdversarial(t *testing.T) {
 	t.Run("high-value-ids-first", func(t *testing.T) {
 		// A wide dictionary (~50 IDs per attribute) with records ordered
 		// so the highest value IDs are scanned before the lowest: the
-		// reference path's counts slice grows in a completely different
-		// pattern than the kernel's pre-sized dense block, and the digest
-		// must not notice.
+		// digest must not notice the discovery order.
 		rev, item, ratings := newTables(t)
 		const wide = 50
 		for u := 0; u < wide; u++ {

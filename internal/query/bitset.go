@@ -94,27 +94,6 @@ func (b *Bitset) Equal(o *Bitset) bool {
 	return true
 }
 
-// Reset removes every element, keeping the universe and allocation.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Range calls f for each member in ascending order. It is the
-// allocation-free counterpart of Elements, used by the ratingmap scan
-// kernel to fold only the touched rows of its dense counter blocks.
-func (b *Bitset) Range(f func(i int)) {
-	for wi, w := range b.words {
-		base := wi * 64
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			f(base + tz)
-			w &= w - 1
-		}
-	}
-}
-
 // Elements appends all members in ascending order to dst and returns it.
 func (b *Bitset) Elements(dst []int32) []int32 {
 	for wi, w := range b.words {

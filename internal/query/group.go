@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"subdex/internal/dataset"
@@ -148,7 +149,7 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 				}
 			}
 		}
-		sortInt32(g.Records)
+		slices.Sort(g.Records)
 	default:
 		rows := ig.Elements(nil)
 		for _, i := range rows {
@@ -158,65 +159,9 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 				}
 			}
 		}
-		sortInt32(g.Records)
+		slices.Sort(g.Records)
 	}
 	return g, nil
-}
-
-func sortInt32(xs []int32) {
-	// insertion-friendly sizes dominate; use stdlib sort semantics without
-	// the interface allocation.
-	if len(xs) < 2 {
-		return
-	}
-	quicksortInt32(xs)
-}
-
-func quicksortInt32(xs []int32) {
-	for len(xs) > 12 {
-		p := partitionInt32(xs)
-		if p < len(xs)-p {
-			quicksortInt32(xs[:p])
-			xs = xs[p:]
-		} else {
-			quicksortInt32(xs[p:])
-			xs = xs[:p]
-		}
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func partitionInt32(xs []int32) int {
-	mid := len(xs) / 2
-	if xs[0] > xs[mid] {
-		xs[0], xs[mid] = xs[mid], xs[0]
-	}
-	if xs[0] > xs[len(xs)-1] {
-		xs[0], xs[len(xs)-1] = xs[len(xs)-1], xs[0]
-	}
-	if xs[mid] > xs[len(xs)-1] {
-		xs[mid], xs[len(xs)-1] = xs[len(xs)-1], xs[mid]
-	}
-	pivot := xs[mid]
-	i, j := 0, len(xs)-1
-	for {
-		for xs[i] < pivot {
-			i++
-		}
-		for xs[j] > pivot {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		xs[i], xs[j] = xs[j], xs[i]
-		i++
-		j--
-	}
 }
 
 // GroupingCandidate describes one way to partition a rating group: by an

@@ -72,16 +72,21 @@ func (op Operation) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// CandidateLimits bounds candidate-operation enumeration so recommendation
-// building stays interactive on wide schemas.
+// CandidateLimits bounds candidate-operation enumeration
+// (core.RecommendationBuilder.CandidateOps) so recommendation building
+// stays interactive on wide schemas.
 type CandidateLimits struct {
-	// MaxValuesPerAttribute caps how many values of each unbound attribute
-	// are considered for Filter additions (0 = unlimited).
+	// MaxValuesPerAttribute caps how many subgroups of each displayed map
+	// are drilled into and how many values a bound attribute may change to
+	// (0 = unlimited). Single-pair filter additions are never capped.
 	MaxValuesPerAttribute int
 	// MaxCandidates caps the total number of candidates (0 = unlimited).
 	MaxCandidates int
 	// IncludeCombined enables the two-pair kinds (FilterGeneralize,
 	// FilterChange); the paper limits candidates to ≤2 differing pairs.
+	// Both values are live: DefaultCandidateLimits (every binary, the
+	// benchmark) turns it on, while a zero core.Config — the golden traces
+	// and sdeload's in-process explorers — leaves it off.
 	IncludeCombined bool
 }
 
@@ -89,134 +94,4 @@ type CandidateLimits struct {
 // operations on, all values considered.
 func DefaultCandidateLimits() CandidateLimits {
 	return CandidateLimits{IncludeCombined: true}
-}
-
-// CandidateOperations enumerates the next-step operations q reachable from
-// cur per §4.3: q may add a new attribute-value pair, and may additionally
-// remove or change one existing pair. Pure removals and pure changes are
-// also included (they differ in one pair). Candidates whose target equals
-// cur are excluded.
-func (e *Engine) CandidateOperations(cur Description, lim CandidateLimits) ([]Operation, error) {
-	var ops []Operation
-	seen := map[string]bool{cur.Key(): true}
-
-	add := func(op Operation) bool {
-		k := op.Target.Key()
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-		ops = append(ops, op)
-		return lim.MaxCandidates == 0 || len(ops) < lim.MaxCandidates
-	}
-
-	additions, err := e.additionSelectors(cur, lim)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pure filters.
-	for _, sel := range additions {
-		target, err := cur.With(sel)
-		if err != nil {
-			continue
-		}
-		s := sel
-		if !add(Operation{Kind: Filter, Target: target, Added: &s}) {
-			return ops, nil
-		}
-	}
-
-	// Pure generalizations and changes over existing selectors.
-	for _, old := range cur.Selectors() {
-		old := old
-		target, err := cur.Without(old)
-		if err == nil {
-			if !add(Operation{Kind: Generalize, Target: target, Removed: &old}) {
-				return ops, nil
-			}
-		}
-		values, err := e.AttributeValues(old.Side, old.Attr)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range capValues(values, lim.MaxValuesPerAttribute) {
-			if v == old.Value {
-				continue
-			}
-			target, err := cur.WithChanged(old, v)
-			if err != nil {
-				continue
-			}
-			if !add(Operation{Kind: Change, Target: target, Changed: &old, ChangedTo: v}) {
-				return ops, nil
-			}
-		}
-	}
-
-	if !lim.IncludeCombined {
-		return ops, nil
-	}
-
-	// Combined: addition plus one removal, or addition plus one change.
-	for _, sel := range additions {
-		withAdd, err := cur.With(sel)
-		if err != nil {
-			continue
-		}
-		sel := sel
-		for _, old := range cur.Selectors() {
-			old := old
-			if old.Side == sel.Side && old.Attr == sel.Attr {
-				continue
-			}
-			if target, err := withAdd.Without(old); err == nil {
-				if !add(Operation{Kind: FilterGeneralize, Target: target, Added: &sel, Removed: &old}) {
-					return ops, nil
-				}
-			}
-			values, err := e.AttributeValues(old.Side, old.Attr)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range capValues(values, lim.MaxValuesPerAttribute) {
-				if v == old.Value {
-					continue
-				}
-				if target, err := withAdd.WithChanged(old, v); err == nil {
-					if !add(Operation{Kind: FilterChange, Target: target, Added: &sel, Changed: &old, ChangedTo: v}) {
-						return ops, nil
-					}
-				}
-			}
-		}
-	}
-	return ops, nil
-}
-
-// additionSelectors lists the selectors that may be added to cur: every
-// value of every attribute not already bound.
-func (e *Engine) additionSelectors(cur Description, lim CandidateLimits) ([]Selector, error) {
-	var out []Selector
-	for _, side := range []Side{ReviewerSide, ItemSide} {
-		t := e.table(side)
-		for a := 0; a < t.Schema.Len(); a++ {
-			name := t.Schema.At(a).Name
-			if cur.BindsAttr(side, name) {
-				continue
-			}
-			values := t.Dict(a).Values()
-			for _, v := range capValues(values, lim.MaxValuesPerAttribute) {
-				out = append(out, Selector{Side: side, Attr: name, Value: v})
-			}
-		}
-	}
-	return out, nil
-}
-
-func capValues(values []string, maxN int) []string {
-	if maxN > 0 && len(values) > maxN {
-		return values[:maxN]
-	}
-	return values
 }

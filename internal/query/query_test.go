@@ -324,43 +324,6 @@ func TestGroupingCandidatesExcludeBound(t *testing.T) {
 	}
 }
 
-func TestCandidateOperationsRespectEditDistance(t *testing.T) {
-	db := buildQueryDB(t)
-	e, _ := NewEngine(db)
-	cur := MustDescription(sel(ReviewerSide, "gender", "F"), sel(ItemSide, "city", "NYC"))
-	ops, err := e.CandidateOperations(cur, DefaultCandidateLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) == 0 {
-		t.Fatal("no candidates")
-	}
-	seen := map[string]bool{}
-	for _, op := range ops {
-		if d := cur.EditDistance(op.Target); d > 2 || d == 0 {
-			t.Errorf("candidate %s at edit distance %d", op, d)
-		}
-		k := op.Target.Key()
-		if seen[k] {
-			t.Errorf("duplicate candidate target %s", op.Target)
-		}
-		seen[k] = true
-	}
-}
-
-func TestCandidateOperationsLimits(t *testing.T) {
-	db := buildQueryDB(t)
-	e, _ := NewEngine(db)
-	lim := CandidateLimits{MaxCandidates: 3, IncludeCombined: true}
-	ops, err := e.CandidateOperations(MustDescription(), lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) > 3 {
-		t.Fatalf("MaxCandidates violated: %d", len(ops))
-	}
-}
-
 func TestAttributeValues(t *testing.T) {
 	db := buildQueryDB(t)
 	e, _ := NewEngine(db)

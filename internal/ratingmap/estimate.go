@@ -1,6 +1,10 @@
 package ratingmap
 
-import "math"
+import (
+	"math"
+
+	"subdex/internal/dataset"
+)
 
 // CriteriaEstimate computes the four bounded criteria of a candidate's
 // current partial state directly from the accumulator, without
@@ -21,22 +25,20 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 	if p == nil {
 		return s, false
 	}
-	nsub := p.nValues
-	if nsub == 0 || p.nRecords == 0 {
-		return s, true
-	}
-
-	// Pooled distribution.
+	// Pooled distribution, subgroup count and record total in one walk.
 	pooled := make([]float64, p.scale)
-	for _, c := range p.counts {
-		if c == nil {
-			continue
-		}
+	nsub, nRecords := 0, 0
+	p.rows(func(_ dataset.ValueID, c []int32, n int) {
+		nsub++
+		nRecords += n
 		for i, v := range c {
 			pooled[i] += float64(v)
 		}
+	})
+	if nsub == 0 {
+		return s, true
 	}
-	total := float64(p.nRecords)
+	total := float64(nRecords)
 	for i := range pooled {
 		pooled[i] /= total
 	}
@@ -53,17 +55,7 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 	// (support-shrunk max subgroup TVD), one pass per subgroup.
 	sdSum := 0.0
 	maxTVD := 0.0
-	for _, c := range p.counts {
-		if c == nil {
-			continue
-		}
-		n := 0
-		for _, v := range c {
-			n += v
-		}
-		if n == 0 {
-			continue
-		}
+	p.rows(func(_ dataset.ValueID, c []int32, n int) {
 		fn := float64(n)
 		mean := 0.0
 		for i, v := range c {
@@ -93,7 +85,7 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 		if t > maxTVD {
 			maxTVD = t
 		}
-	}
+	})
 	s[Agreement] = 1 / (1 + sdSum/total)
 	s[PecSelf] = maxTVD
 

@@ -1,9 +1,9 @@
 package ratingmap
 
 // Microbenchmarks for the two Update paths on a Yelp-shaped workload:
-// the fused columnar kernel vs the map-based reference scan. Run with
+// the fused columnar kernel vs the row-oriented reference scan. Run with
 //   go test ./internal/ratingmap -bench BenchmarkUpdate -benchmem
-// to reproduce the per-scan numbers quoted in DESIGN.md; the end-to-end
+// to reproduce the per-scan numbers quoted in EXPERIMENTS.md; the end-to-end
 // step costs are the benchmark's (bench/, ratingmap.update_ns_per_record).
 
 import (

@@ -1,7 +1,7 @@
 package ratingmap
 
 // Tests for the fused columnar scan kernel (kernel.go). The exactness
-// contract — kernel accumulator state bit-identical to the map-based
+// contract — kernel accumulator state bit-identical to the row-oriented
 // reference path on every input — is enforced three ways: fixture-driven
 // unit tests here, the engine differential harness (7500+ randomized
 // cases plus kernel-adversarial families), and FuzzScanKernel below,
@@ -9,6 +9,7 @@ package ratingmap
 // kinds, missing values, scales) alongside record positions and scores.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -82,8 +83,8 @@ func TestKernelMatchesReferenceOnFixture(t *testing.T) {
 
 // TestKernelMultiBatchAndRemove drives the phased-engine shape: several
 // Update batches with a candidate Remove in between. The kernel must stay
-// exact across batches (its scratch must fold and re-zero every call) and
-// must stop accumulating removed candidates exactly like the reference.
+// exact across batches and must stop accumulating removed candidates
+// exactly like the reference.
 func TestKernelMultiBatchAndRemove(t *testing.T) {
 	db, keys := fuzzFixture(nil)
 	n := db.Ratings.Len()
@@ -109,25 +110,139 @@ func TestKernelMultiBatchAndRemove(t *testing.T) {
 	}
 }
 
-// TestKernelScratchDrained pins the scratch invariant Merge and Snapshot
-// rely on: after Update returns, every dense block is all-zero and every
-// touched bitset is empty.
-func TestKernelScratchDrained(t *testing.T) {
-	db, keys := fuzzFixture(nil)
-	acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
-	records := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	acc.Update(records)
+// TestUpdateAllocatesNothing pins the property that replaced the kernel's
+// per-Update scratch: a candidate's block is sized when its partial is
+// built, so scanning a frozen database allocates nothing — for atomic and
+// multi-valued keys alike.
+func TestUpdateAllocatesNothing(t *testing.T) {
+	db, keys := fuzzFixture(t)
+	records := allRecords(db)
+	for name, ks := range map[string][]Key{
+		"atomic": {{Side: query.ReviewerSide, Attr: "gender", Dim: 0}, {Side: query.ItemSide, Attr: "city", Dim: 1}},
+		"multi":  {{Side: query.ItemSide, Attr: "tag", Dim: 0}, {Side: query.ItemSide, Attr: "tag", Dim: 1}},
+		"all":    keys,
+	} {
+		acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, ks)
+		if !acc.kernel {
+			t.Fatal("frozen DB must select the kernel")
+		}
+		if n := testing.AllocsPerRun(50, func() { acc.Update(records) }); n != 0 {
+			t.Errorf("%s keys: Update allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
+// bruteForce tallies one candidate's value → histogram by walking the
+// row-oriented accessors with map bookkeeping: no block, no discard cells.
+func bruteForce(db *dataset.DB, records []int32, k Key) map[dataset.ValueID][]int {
+	t, rowOf := db.Items, db.Ratings.Item
+	if k.Side == query.ReviewerSide {
+		t, rowOf = db.Reviewers, db.Ratings.Reviewer
+	}
+	ai := t.Schema.Index(k.Attr)
+	out := map[dataset.ValueID][]int{}
+	for _, r := range records {
+		s := db.Ratings.Scores[k.Dim][r]
+		var vs []dataset.ValueID
+		if t.Schema.At(ai).Kind == dataset.MultiValued {
+			vs = t.MultiValues(ai, int(rowOf[r]))
+		} else {
+			vs = []dataset.ValueID{t.AtomicValue(ai, int(rowOf[r]))}
+		}
+		for _, v := range vs {
+			if v == dataset.MissingValue || s == 0 {
+				continue
+			}
+			if out[v] == nil {
+				out[v] = make([]int, db.Ratings.Dimensions[k.Dim].Scale)
+			}
+			out[v][s-1]++
+		}
+	}
+	return out
+}
+
+// discardMass sums an accumulator's discard cells: row 0 and column 0 of
+// every block.
+func discardMass(acc *Accumulator) int {
+	mass := 0
 	for _, ps := range acc.byAttr {
 		for _, p := range ps {
-			for i, c := range p.ks.dense {
-				if c != 0 {
-					t.Fatalf("candidate %v: dense[%d]=%d after Update", p.key, i, c)
+			for i, c := range p.hist {
+				if i <= p.scale || i%(p.scale+1) == 0 {
+					mass += int(c)
 				}
 			}
-			if p.ks.touched != nil && p.ks.touched.Count() != 0 {
-				t.Fatalf("candidate %v: touched bitset not drained", p.key)
+		}
+	}
+	return mass
+}
+
+// TestDiscardCellsNeverLeak: the fixture has missing values and missing
+// scores on every attribute, so a kernel scan fills row 0 and column 0 of
+// its blocks. No reader may see them: NumRecords, Snapshot,
+// CriteriaEstimateOpt, EncodeWire and Merge must agree with the brute-force
+// tally and with the reference path, whose discard cells stay empty.
+func TestDiscardCellsNeverLeak(t *testing.T) {
+	db, keys := fuzzFixture(t)
+	records := allRecords(db)
+	n := len(records)
+	kern, ref := kernelPair(db, keys)
+	kern.Update(records)
+	ref.Update(records)
+	if discardMass(kern) == 0 {
+		t.Fatal("fixture no longer reaches the kernel's discard cells: the test is vacuous")
+	}
+	if m := discardMass(ref); m != 0 {
+		t.Fatalf("reference path wrote %d increments into discard cells", m)
+	}
+
+	// Merge adds discard cells too; they must stay invisible in the sum,
+	// both when merging into an existing candidate and when copying one.
+	merged := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys[:2])
+	merged.Update(records[:n/2])
+	tail := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+	tail.Update(records[n/2:])
+	head := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys[2:])
+	head.Update(records[:n/2])
+	merged.Merge(tail)
+	merged.Merge(head)
+
+	for _, acc := range []*Accumulator{kern, merged} {
+		for _, k := range keys {
+			want := bruteForce(db, records, k)
+			total := 0
+			rm := acc.Snapshot(k)
+			if len(rm.Subgroups) != len(want) {
+				t.Fatalf("%v: %d subgroups, brute force has %d", k, len(rm.Subgroups), len(want))
+			}
+			for _, sg := range rm.Subgroups {
+				if fmt.Sprint(sg.Counts) != fmt.Sprint(want[sg.Value]) {
+					t.Fatalf("%v value %d: counts %v, brute force %v", k, sg.Value, sg.Counts, want[sg.Value])
+				}
+				total += sg.N
+			}
+			if rm.TotalRecords != total || acc.NumRecords(k) != total {
+				t.Fatalf("%v: TotalRecords=%d NumRecords=%d, brute force %d", k, rm.TotalRecords, acc.NumRecords(k), total)
+			}
+			for _, m := range []PeculiarityMeasure{PecTVD, PecKL} {
+				got, _ := acc.CriteriaEstimateOpt(k, nil, 1, m)
+				exp, _ := ref.CriteriaEstimateOpt(k, nil, 1, m)
+				if got != exp {
+					t.Fatalf("%v measure %v: estimate %v, reference path %v", k, m, got, exp)
+				}
 			}
 		}
+	}
+	if !bytes.Equal(kern.EncodeWire(), ref.EncodeWire()) {
+		t.Fatal("EncodeWire of the kernel path and of the reference path differ")
+	}
+	dec, err := (&Builder{DB: db}).DecodeWire(query.Description{}, kern.EncodeWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := discardMass(dec); m != 0 {
+		t.Fatalf("decoded accumulator carries %d increments in discard cells", m)
 	}
 }
 
@@ -182,9 +297,20 @@ func TestKernelUnfrozenFallsBack(t *testing.T) {
 	}
 }
 
+// setLabel names the i-th value of a fuzzed value set. Index 0 is the
+// missing label itself: a CSV cell may list it inside a set ("a;__missing__"),
+// alone or beside real values, and neither scan path may turn it into a
+// subgroup.
+func setLabel(prefix string, i int) string {
+	if i == 0 {
+		return dataset.MissingLabel
+	}
+	return fmt.Sprintf("%s%d", prefix, i)
+}
+
 // fuzzShapeDB builds a database whose shape — table sizes, dictionary
-// sizes (including ids well past the reference path's initial counter
-// capacity), missing values, empty value sets, scales — is driven by the
+// sizes, missing values, the missing label inside value sets, empty value
+// sets, scales — is driven by the
 // fuzzer's shape bytes. Deterministic in its input.
 func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 	t.Helper()
@@ -219,7 +345,7 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 		}
 		var tags []string
 		for k := next() % 4; k > 0; k-- {
-			tags = append(tags, fmt.Sprintf("t%d", next()%7))
+			tags = append(tags, setLabel("t", next()%7))
 		}
 		if _, err := reviewers.AppendRow(fmt.Sprintf("u%d", u),
 			map[string]string{"g": g}, map[string][]string{"tags": tags}); err != nil {
@@ -229,14 +355,13 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 	for i := 0; i < nItem; i++ {
 		city := ""
 		// A wide dictionary: high value ids reach records even when only a
-		// few rows exist, exercising the reference growth path vs the
-		// kernel's dict-sized dense block.
+		// few rows exist.
 		if v := next() % 40; v > 0 {
 			city = fmt.Sprintf("c%d", v)
 		}
 		var cs []string
 		for k := next() % 5; k > 0; k-- {
-			cs = append(cs, fmt.Sprintf("k%d", next()%25))
+			cs = append(cs, setLabel("k", next()%25))
 		}
 		if _, err := items.AppendRow(fmt.Sprintf("i%d", i),
 			map[string]string{"city": city}, map[string][]string{"cuisine": cs}); err != nil {
@@ -277,14 +402,17 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 // FuzzScanKernel fuzzes the dataset shape (dictionary sizes, missing
 // values, scales) and the record selection (positions with repeats,
 // scores) together, asserting the kernel's accumulator state is
-// bit-identical to the map-based reference path — one-shot and split into
-// two batches — and never panics.
+// bit-identical to the row-oriented reference path — one-shot and split
+// into two batches — and never panics.
 func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 2, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 1, 1, 1, 1, 0}, []byte{0, 0, 0, 0})
 	f.Add([]byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81}, []byte{63, 63, 0, 1, 17, 42, 250})
 	f.Add([]byte{2, 3, 2, 2, 8, 255, 254, 253, 0, 0, 0, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0})
+	// The missing label inside value sets: reviewer 0 lists it alone,
+	// reviewer 1 beside a real tag, item 0 twice beside two real cuisines.
+	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 
 	f.Fuzz(func(t *testing.T, shape []byte, recs []byte) {
 		db, keys := fuzzShapeDB(t, shape)
@@ -300,7 +428,7 @@ func FuzzScanKernel(f *testing.F) {
 		assertAccEqual(t, kern, ref, keys, "one-shot")
 
 		// The same records split into two kernel batches must land in the
-		// same state: the scratch fold must be complete after every call.
+		// same state.
 		split := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
 		mid := len(records) / 2
 		split.Update(records[:mid])

@@ -2,9 +2,11 @@ package ratingmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"subdex/internal/dataset"
 	"subdex/internal/query"
 )
 
@@ -24,11 +26,15 @@ import (
 func (a *Accumulator) Desc() query.Description { return a.desc }
 
 // Merge folds other's partial state into a. Candidates are matched by key:
-// counts of shared candidates are added element-wise; candidates present
-// only in other are deep-copied into a (registered at the end of a's key
-// order, preserving other's order). Both accumulators must observe the same
-// database — merging shards of one group's record range is the intended
-// use. Merge is exact: all state is integer counts, so
+// blocks of shared candidates are added cell for cell (integer addition is
+// associative and commutative, so any merge order yields identical counts;
+// the engine still merges in shard order so key registration order is
+// reproducible run-to-run); candidates present only in other are
+// deep-copied into a (registered at the end of a's key order, preserving
+// other's order). Both accumulators must observe the same database, whose
+// dictionaries size the blocks — merging shards of one group's record
+// range is the intended use. Merge is exact: all state is integer counts,
+// so
 //
 //	Merge(accumulate(r[:i]), accumulate(r[i:])) == accumulate(r)
 //
@@ -41,12 +47,12 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		}
 		p := a.find(k)
 		if p == nil {
-			cp := &partial{key: k, scale: op.scale}
-			cp.merge(op)
-			a.register(cp)
+			a.register(&partial{key: k, scale: op.scale, hist: slices.Clone(op.hist)})
 			continue
 		}
-		p.merge(op)
+		for i, n := range op.hist {
+			p.hist[i] += n
+		}
 	}
 	a.recordVisits += other.recordVisits
 }
@@ -61,42 +67,16 @@ func (a *Accumulator) find(k Key) *partial {
 	return nil
 }
 
-// merge adds o's histogram counts into p. Integer addition is associative
-// and commutative, so any merge order yields identical counts; the engine
-// still merges in shard order so the in-memory layout (counts slice
-// lengths, subgroup registration order) is reproducible run-to-run.
-func (p *partial) merge(o *partial) {
-	if len(o.counts) > len(p.counts) {
-		grown := make([][]int, len(o.counts))
-		copy(grown, p.counts)
-		p.counts = grown
-	}
-	for v, oc := range o.counts {
-		if oc == nil {
-			continue
-		}
-		c := p.counts[v]
-		if c == nil {
-			c = make([]int, p.scale)
-			p.counts[v] = c
-			p.nValues++
-		}
-		for s, n := range oc {
-			c[s] += n
-		}
-	}
-	p.nRecords += o.nRecords
-}
-
-// NumRecords reports how many scored records the candidate has accumulated
-// (0 for unknown candidates). Exposed for the differential test harness and
-// the bench's exactness checks.
+// NumRecords reports how many scored records the candidate has accumulated,
+// with multiplicity for multi-valued attributes (0 for unknown candidates).
+// Exposed for the differential test harness and the bench's exactness
+// checks.
 func (a *Accumulator) NumRecords(k Key) int {
-	p := a.find(k)
-	if p == nil {
-		return 0
+	total := 0
+	if p := a.find(k); p != nil {
+		p.rows(func(_ dataset.ValueID, _ []int32, n int) { total += n })
 	}
-	return p.nRecords
+	return total
 }
 
 // Digest renders a canonical, byte-stable fingerprint of a rating map:

@@ -179,7 +179,7 @@ func (rm *RatingMap) Render(dict Dict) string {
 // groups by the same attribute, across all rating dimensions.
 type Builder struct {
 	DB *dataset.DB
-	// DisableKernel forces the map-based reference accumulation path even
+	// DisableKernel forces the row-oriented reference accumulation path even
 	// when the fused columnar scan kernel (kernel.go) is available. The
 	// reference path is the exactness oracle: the differential harness and
 	// FuzzScanKernel assert that both paths produce bit-identical digests
@@ -187,21 +187,35 @@ type Builder struct {
 	DisableKernel bool
 }
 
-// partial accumulates one candidate map across phases. counts is indexed
-// by dense ValueID (dictionary ids are small and dense), with nil entries
-// for values not yet seen; this keeps the per-record hot path to two array
-// indexings instead of a map lookup.
+// partial accumulates one candidate map across phases. hist is the dense
+// [NValues × (scale+1)] counter block both scan paths increment: cell
+// v*(scale+1)+s counts the records of subgroup value v with score s. Row 0
+// (missing value) and column 0 (missing score) are discard cells — the
+// kernel writes them instead of branching per record, and every reader
+// goes through rows, which skips them. The block is sized once, from the
+// attribute's dictionary, when the partial is built.
 type partial struct {
-	key      Key
-	scale    int
-	counts   [][]int // ValueID -> histogram (nil until seen)
-	nValues  int     // number of non-nil entries
-	nRecords int
-	// ks is the fused scan kernel's per-Update scratch (dense counter
-	// block + touched-value bitset, see kernel.go). Always folded back
-	// into counts and zeroed before Update returns, so Merge, Snapshot
-	// and the estimators never observe it.
-	ks kernelScratch
+	key   Key
+	scale int
+	hist  []int32
+}
+
+// rows calls fn for every subgroup of the candidate in ascending value
+// order: a subgroup exists iff its row holds a scored record. counts are
+// the row's score columns (counts[s-1] = records with score s), n their
+// sum.
+func (p *partial) rows(fn func(v dataset.ValueID, counts []int32, n int)) {
+	stride := p.scale + 1
+	for base := stride; base < len(p.hist); base += stride {
+		counts := p.hist[base+1 : base+stride]
+		n := 0
+		for _, c := range counts {
+			n += int(c)
+		}
+		if n > 0 {
+			fn(dataset.ValueID(base/stride), counts, n)
+		}
+	}
 }
 
 // Accumulator holds the in-progress subgroup histograms of a set of
@@ -237,9 +251,22 @@ type attrRef struct {
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
 	acc := b.emptyAccumulator(desc)
 	for _, k := range keys {
-		acc.register(&partial{key: k, scale: b.DB.Ratings.Dimensions[k.Dim].Scale})
+		acc.register(acc.newPartial(k))
 	}
 	return acc
+}
+
+// newPartial sizes a candidate's block from its attribute's dictionary as
+// it stands now, so the database must already hold its dictionaries —
+// every production path freezes it first. An attribute outside the schema
+// gets an empty block: no scan ever reaches it.
+func (a *Accumulator) newPartial(k Key) *partial {
+	scale := a.db.Ratings.Dimensions[k.Dim].Scale
+	nValues := 0
+	if t, _, ai := a.resolveAttr(attrRef{k.Side, k.Attr}); ai >= 0 {
+		nValues = t.Dict(ai).Len()
+	}
+	return &partial{key: k, scale: scale, hist: make([]int32, nValues*(scale+1))}
 }
 
 // emptyAccumulator is the one place an Accumulator is constructed, so the
@@ -263,7 +290,7 @@ func (a *Accumulator) register(p *partial) {
 
 // Update feeds a batch of rating-record positions into every candidate map.
 // It dispatches to the fused columnar scan kernel (kernel.go) when the
-// database is frozen, falling back to the map-based reference path
+// database is frozen, falling back to the row-oriented reference path
 // otherwise (or when the builder disabled the kernel). Exactness is the
 // contract between the two paths: identical Digest output on every input,
 // enforced by the engine differential harness and FuzzScanKernel.
@@ -276,9 +303,9 @@ func (a *Accumulator) Update(records []int32) {
 }
 
 // updateReference is the row-oriented reference scan: per record, an
-// attribute-keyed lookup, a kind switch, and nested map-shaped partial
-// updates. Deliberately simple — it is the oracle the kernel is proven
-// bit-identical against.
+// attribute-keyed lookup, a kind switch, and explicit missing-value and
+// missing-score branches in front of every increment. Deliberately simple
+// — it is the oracle the kernel is proven bit-identical against.
 func (a *Accumulator) updateReference(records []int32) {
 	//subdex:orderinsensitive each iteration mutates only its own attribute's partials; records are scanned in slice order within each, so attribute order cannot leak into any histogram or discovery order
 	for ak, ps := range a.byAttr {
@@ -309,9 +336,6 @@ func (a *Accumulator) refScanAttr(t *dataset.EntityTable, rowOf []int32, ai int,
 		switch kind {
 		case dataset.Atomic:
 			v := t.AtomicValue(ai, row)
-			if v == dataset.MissingValue {
-				continue
-			}
 			for _, p := range ps {
 				p.add(v, a.db.Ratings.Scores[p.key.Dim][r])
 			}
@@ -325,31 +349,13 @@ func (a *Accumulator) refScanAttr(t *dataset.EntityTable, rowOf []int32, ai int,
 	}
 }
 
+// add is the reference path's increment: what the kernel sends to the
+// discard cells is branched around here.
 func (p *partial) add(v dataset.ValueID, s dataset.Score) {
-	if s == 0 {
-		return // missing score
+	if v == dataset.MissingValue || s == 0 {
+		return
 	}
-	p.histogram(v)[s-1]++
-	p.nRecords++
-}
-
-// histogram returns the subgroup histogram of value v, growing the counts
-// index and registering the value on first touch. Shared by the reference
-// per-record add and the kernel's block fold so both paths create entries
-// with identical bookkeeping.
-func (p *partial) histogram(v dataset.ValueID) []int {
-	if int(v) >= len(p.counts) {
-		grown := make([][]int, int(v)+8)
-		copy(grown, p.counts)
-		p.counts = grown
-	}
-	c := p.counts[v]
-	if c == nil {
-		c = make([]int, p.scale)
-		p.counts[v] = c
-		p.nValues++
-	}
-	return c
+	p.hist[int(v)*(p.scale+1)+int(s)]++
 }
 
 // Keys returns the candidate keys in registration order.
@@ -391,28 +397,21 @@ func (a *Accumulator) Snapshot(k Key) *RatingMap {
 		return nil
 	}
 	rm := &RatingMap{
-		Key:          k,
-		DimName:      a.db.Ratings.Dimensions[k.Dim].Name,
-		Scale:        p.scale,
-		Desc:         a.desc,
-		TotalRecords: p.nRecords,
-		total:        make([]int, p.scale),
+		Key:     k,
+		DimName: a.db.Ratings.Dimensions[k.Dim].Name,
+		Scale:   p.scale,
+		Desc:    a.desc,
+		total:   make([]int, p.scale),
 	}
-	for v, counts := range p.counts {
-		if counts == nil {
-			continue
-		}
-		n := 0
+	p.rows(func(v dataset.ValueID, counts []int32, n int) {
+		sg := Subgroup{Value: v, Counts: make([]int, p.scale), N: n}
 		for s, c := range counts {
-			n += c
-			rm.total[s] += c
+			sg.Counts[s] = int(c)
+			rm.total[s] += int(c)
 		}
-		rm.Subgroups = append(rm.Subgroups, Subgroup{
-			Value:  dataset.ValueID(v),
-			Counts: append([]int(nil), counts...),
-			N:      n,
-		})
-	}
+		rm.TotalRecords += n
+		rm.Subgroups = append(rm.Subgroups, sg)
+	})
 	sort.Slice(rm.Subgroups, func(i, j int) bool {
 		ai, aj := rm.Subgroups[i].AvgScore(), rm.Subgroups[j].AvgScore()
 		if ai != aj {

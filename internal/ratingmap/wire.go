@@ -27,7 +27,10 @@
 //	                               everything preceding it
 //
 // Decoding is strict: bad magic/version/checksum, non-ascending or
-// duplicate value ids, scale or dimension disagreeing with the builder's
+// duplicate value ids, a value id outside the attribute's dictionary (the
+// missing id 0 included), an all-zero histogram (a subgroup exists iff its
+// row is non-zero, so encode never writes one), a count above
+// math.MaxInt32, scale or dimension disagreeing with the builder's
 // database schema, per-key record counts that do not equal the histogram
 // mass, trailing bytes, or any cap violation all return an error — never
 // a panic and never an unbounded allocation — which FuzzPartialCodec
@@ -38,6 +41,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"subdex/internal/dataset"
 	"subdex/internal/query"
@@ -63,8 +67,6 @@ const (
 	maxWireKeys    = 1 << 16
 	maxWireAttrLen = 1 << 10
 	maxWireScale   = 64
-	maxWireValueID = 1 << 21
-	maxWireCount   = int(1) << 40
 )
 
 // EncodeWire serializes the accumulator's mergeable state as one
@@ -91,17 +93,19 @@ func (a *Accumulator) EncodeWire() []byte {
 		buf = append(buf, k.Attr...)
 		buf = binary.AppendUvarint(buf, uint64(k.Dim))
 		buf = binary.AppendUvarint(buf, uint64(p.scale))
-		buf = binary.AppendUvarint(buf, uint64(p.nRecords))
-		buf = binary.AppendUvarint(buf, uint64(p.nValues))
-		for v, c := range p.counts {
-			if c == nil {
-				continue
-			}
+		nRecords, nValues := 0, 0
+		p.rows(func(_ dataset.ValueID, _ []int32, n int) {
+			nRecords += n
+			nValues++
+		})
+		buf = binary.AppendUvarint(buf, uint64(nRecords))
+		buf = binary.AppendUvarint(buf, uint64(nValues))
+		p.rows(func(v dataset.ValueID, c []int32, _ int) {
 			buf = binary.AppendUvarint(buf, uint64(v))
 			for _, n := range c {
 				buf = binary.AppendUvarint(buf, uint64(n))
 			}
-		}
+		})
 	}
 	h := fnv.New64a()
 	h.Write(buf)
@@ -222,13 +226,7 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 				i, scale, dims[dim].Scale, dims[dim].Name)
 		}
 		nRecords := r.uvarint("nRecords")
-		if nRecords > uint64(maxWireCount) {
-			return nil, fmt.Errorf("ratingmap: wire key %d record count %d exceeds cap", i, nRecords)
-		}
 		nValues := r.uvarint("nValues")
-		if nValues > maxWireValueID {
-			return nil, fmt.Errorf("ratingmap: wire key %d value count %d exceeds cap", i, nValues)
-		}
 		if r.err != nil {
 			break
 		}
@@ -236,29 +234,35 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 		if acc.find(k) != nil {
 			return nil, fmt.Errorf("ratingmap: wire frame repeats key %s", k)
 		}
-		p := &partial{key: k, scale: int(scale)}
-		prev, mass := -1, uint64(0)
+		p := acc.newPartial(k)
+		stride := p.scale + 1
+		dictLen := uint64(len(p.hist) / stride)
+		prev, mass := uint64(0), uint64(0)
 		for j := uint64(0); j < nValues && r.err == nil; j++ {
 			v := r.uvarint("valueID")
 			if r.err != nil {
 				break
 			}
-			if v > maxWireValueID {
-				return nil, fmt.Errorf("ratingmap: wire value id %d exceeds cap", v)
+			if v >= dictLen {
+				return nil, fmt.Errorf("ratingmap: wire key %s value id %d outside its dictionary (%d ids)", k, v, dictLen)
 			}
-			if int(v) <= prev {
-				return nil, fmt.Errorf("ratingmap: wire value ids not strictly ascending (%d after %d)", v, prev)
+			if v <= prev {
+				return nil, fmt.Errorf("ratingmap: wire value ids not strictly ascending from 1 (%d after %d)", v, prev)
 			}
-			prev = int(v)
-			c := p.histogram(dataset.ValueID(v))
-			for s := range c {
+			prev = v
+			rowMass := uint64(0)
+			for s := 1; s < stride; s++ {
 				n := r.uvarint("count")
-				if n > uint64(maxWireCount) {
+				if n > math.MaxInt32 {
 					return nil, fmt.Errorf("ratingmap: wire count %d exceeds cap", n)
 				}
-				c[s] = int(n)
-				mass += n
+				p.hist[int(v)*stride+s] = int32(n)
+				rowMass += n
 			}
+			if rowMass == 0 && r.err == nil {
+				return nil, fmt.Errorf("ratingmap: wire key %s value id %d has an all-zero histogram", k, v)
+			}
+			mass += rowMass
 		}
 		if r.err != nil {
 			break
@@ -267,7 +271,6 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			return nil, fmt.Errorf("ratingmap: wire key %s histogram mass %d disagrees with record count %d",
 				k, mass, nRecords)
 		}
-		p.nRecords = int(nRecords)
 		acc.register(p)
 	}
 	if r.err != nil {

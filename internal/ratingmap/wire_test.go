@@ -2,7 +2,13 @@ package ratingmap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"subdex/internal/dataset"
@@ -187,6 +193,84 @@ func TestWireSchemaGuard(t *testing.T) {
 	}
 }
 
+// TestWireParentFrame pins the format across the change of accumulator
+// representation: testdata/wire_v1_parent.hex is EncodeWire of the fixture's
+// full scan as written by the commit before the block became the
+// accumulator's state (WireVersion 1). It must decode, re-encode to the
+// same bytes, and equal what the same scan encodes to today — on both scan
+// paths.
+func TestWireParentFrame(t *testing.T) {
+	if WireVersion != 1 {
+		t.Fatalf("WireVersion = %d, want 1: the frame layout did not change", WireVersion)
+	}
+	raw, err := os.ReadFile("testdata/wire_v1_parent.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, keys := fuzzFixture(t)
+	all := allRecords(db)
+	dec, err := (&Builder{DB: db}).DecodeWire(query.Description{}, frame)
+	if err != nil {
+		t.Fatalf("parent-commit frame rejected: %v", err)
+	}
+	if !bytes.Equal(dec.EncodeWire(), frame) {
+		t.Fatal("parent-commit frame does not re-encode byte-identically")
+	}
+	for _, disable := range []bool{false, true} {
+		acc := (&Builder{DB: db, DisableKernel: disable}).NewAccumulator(query.Description{}, keys)
+		acc.Update(all)
+		if !bytes.Equal(acc.EncodeWire(), frame) {
+			t.Fatalf("DisableKernel=%t: today's encoding differs from the parent commit's", disable)
+		}
+	}
+}
+
+// craftFrame seals a one-key frame for reviewers.gender on dimension 0
+// (scale 5; dictionary: 0 missing, 1 F, 2 M) whose histogram section is
+// given as raw varints — nRecords, nValues, then value ids and counts.
+func craftFrame(histogram ...uint64) []byte {
+	buf := append([]byte(wireMagic), WireVersion)
+	buf = binary.AppendUvarint(buf, 0) // recordVisits
+	buf = binary.AppendUvarint(buf, 1) // nKeys
+	buf = append(buf, byte(query.ReviewerSide))
+	buf = binary.AppendUvarint(buf, uint64(len("gender")))
+	buf = append(buf, "gender"...)
+	buf = binary.AppendUvarint(buf, 0) // dim
+	buf = binary.AppendUvarint(buf, 5) // scale
+	for _, x := range histogram {
+		buf = binary.AppendUvarint(buf, x)
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	return h.Sum(buf)
+}
+
+// rejectedFrames are checksum-intact frames the block representation
+// cannot hold; DecodeWire must refuse each with an error, never a panic.
+var rejectedFrames = map[string][]byte{
+	"value id past the dictionary": craftFrame(1, 1, 3, 1, 0, 0, 0, 0),
+	"the missing value id":         craftFrame(1, 1, 0, 1, 0, 0, 0, 0),
+	"count above MaxInt32":         craftFrame(math.MaxInt32+1, 1, 1, math.MaxInt32+1, 0, 0, 0, 0),
+	"all-zero row":                 craftFrame(1, 2, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
+}
+
+func TestWireRejectsUnrepresentable(t *testing.T) {
+	db, _ := fuzzFixture(t)
+	b := Builder{DB: db}
+	if _, err := b.DecodeWire(query.Description{}, craftFrame(3, 2, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2)); err != nil {
+		t.Fatalf("crafted control frame rejected: %v", err)
+	}
+	for name, frame := range rejectedFrames {
+		if _, err := b.DecodeWire(query.Description{}, frame); err == nil {
+			t.Errorf("frame with %s accepted", name)
+		}
+	}
+}
+
 // FuzzPartialCodec drives DecodeWire with arbitrary bytes: any input
 // must either be rejected with an error or decode to a state whose
 // re-encoding is a canonical fixed point (encode(decode(x)) decodes to
@@ -211,6 +295,9 @@ func FuzzPartialCodec(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte("SDXA"))
 	f.Add([]byte{})
+	for _, frame := range rejectedFrames {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		acc, err := b.DecodeWire(query.Description{}, frame)
