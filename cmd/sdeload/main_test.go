@@ -71,6 +71,50 @@ func TestFaultHook(t *testing.T) {
 	}
 }
 
+// TestRunFaultEveryInjects drives run() end to end with the fault
+// injector on: the hook must reach the engine the run hosts, in both
+// self-hosted modes, and show up as wall time and as degraded steps.
+func TestRunFaultEveryInjects(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	runReport := func(t *testing.T, o options) benchReport {
+		t.Helper()
+		o.generate, o.scale, o.seed = "demo", 1, 1
+		o.users, o.steps, o.faultDelay = 1, 3, delay
+		o.sloErrRate, o.sloDegRate = -1, -1
+		o.benchout = filepath.Join(t.TempDir(), "BENCH_serving.json")
+		if err := run(context.Background(), o); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(o.benchout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep benchReport
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, mode := range []string{"inproc", "http"} {
+		t.Run(mode, func(t *testing.T) {
+			// User-Driven steps are one engine call each, so a stall on
+			// every phase entry is a floor of one delay per step.
+			rep := runReport(t, options{mode: mode, sessionMode: "ud", faultEvery: 1})
+			if min := float64(rep.Steps) * delay.Seconds(); rep.Steps != 3 || rep.WallSecs < min {
+				t.Errorf("%d steps in %.3fs: every step should have stalled %v", rep.Steps, rep.WallSecs, delay)
+			}
+			// Every second phase entry: the step's own scan runs, the first
+			// candidate of its recommendation pass stalls past the deadline,
+			// and the step degrades instead of failing.
+			rep = runReport(t, options{mode: mode, sessionMode: "rp", faultEvery: 2,
+				stepTimeout: 5 * time.Millisecond})
+			if rep.Degraded == 0 {
+				t.Errorf("no degraded step under a 5ms deadline and %v stalls: %+v", delay, rep)
+			}
+		})
+	}
+}
+
 func TestReportRates(t *testing.T) {
 	res := &workload.Result{Steps: 8, Degraded: 2, Wall: time.Second}
 	res.Errors.Busy = 2

@@ -20,7 +20,7 @@ func testCluster(t testing.TB, db *dataset.DB, nodes int, ccfg CoordinatorConfig
 	t.Helper()
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
-		wex, err := core.NewExplorer(db, core.Config{})
+		wex, err := core.NewExplorer(db, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func allKeys(t testing.TB, db *dataset.DB) (*query.RatingGroup, []ratingmap.Key)
 // installed via Config.Scanner.
 func bindTestFingerprint(t testing.TB, coord *Coordinator, db *dataset.DB) {
 	t.Helper()
-	ex, err := core.NewExplorer(db, core.Config{})
+	ex, err := core.NewExplorer(db, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,13 @@ func TestDifferentialExplorerEndToEnd(t *testing.T) {
 	db := buildDB(t, gen.Demo, gen.Config{Seed: 1, Scale: 1})
 	coord := testCluster(t, db, 3, CoordinatorConfig{}, WorkerOptions{})
 
-	dist, err := core.NewExplorer(db, core.Config{Scanner: coord})
+	cfg := core.DefaultConfig()
+	cfg.Scanner = coord
+	dist, err := core.NewExplorer(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.NewExplorer(db, core.Config{})
+	local, err := core.NewExplorer(db, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,9 @@ func TestFingerprintGuard(t *testing.T) {
 	group, keys := allKeys(t, db)
 
 	// Worker runs k=9: result-affecting, so its fingerprint differs.
-	wex, err := core.NewExplorer(db, core.Config{K: 9})
+	cfg := core.DefaultConfig()
+	cfg.K = 9
+	wex, err := core.NewExplorer(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func faultCluster(t testing.TB, db *dataset.DB, ccfg CoordinatorConfig,
 	t.Helper()
 	urls := make([]string, len(hooks))
 	for i, hook := range hooks {
-		wex, err := core.NewExplorer(db, core.Config{})
+		wex, err := core.NewExplorer(db, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestLocalThresholdBypassesWorkers(t *testing.T) {
 // worker's verdict and the gauge.
 func TestHealthProbeMarksDeadWorker(t *testing.T) {
 	db := buildDB(t, gen.Demo, gen.Config{Seed: 4, Scale: 1})
-	wex, err := core.NewExplorer(db, core.Config{})
+	wex, err := core.NewExplorer(db, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

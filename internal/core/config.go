@@ -8,15 +8,18 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"subdex/internal/diversity"
 	"subdex/internal/engine"
-	"subdex/internal/query"
 )
 
 // Config carries the system parameters of the paper's Table 3 plus the
-// engine and candidate-enumeration knobs.
+// engine and candidate-enumeration knobs. The zero value is not usable:
+// start from DefaultConfig() and change the fields you mean to change —
+// NewExplorer rejects a config whose K, O, L, Engine.Phases or Distance
+// is unset rather than guessing a value for it.
 type Config struct {
 	// K is the number of rating maps displayed per step (default 3).
 	K int
@@ -39,7 +42,7 @@ type Config struct {
 	// same effect. Reported diversity numbers always use pure EMD.
 	Distance diversity.Distance
 	// Limits bound candidate-operation enumeration.
-	Limits query.CandidateLimits
+	Limits CandidateLimits
 	// RecWorkers is the number of candidate operations evaluated
 	// simultaneously by the Recommendation Builder; the paper sets it to
 	// the number of cores. ≤1 is the No-Parallelism/Naive behaviour.
@@ -62,11 +65,6 @@ type Config struct {
 	// the deadline lands in is dropped whole (no partial list), the step
 	// degrading with RecommendationsSkipped.
 	StepTimeout time.Duration
-	// GroupCacheRecords budgets the query engine's materialization cache
-	// (total cached rating-record count; 0 selects the default, negative
-	// disables). Candidate-operation evaluation revisits many selections;
-	// the cache trades memory for repeated scans (cf. Data Canopy [57]).
-	GroupCacheRecords int
 	// Scanner, when non-nil, makes the RM-Generator scan record ranges
 	// through a distributed backend (internal/cluster's coordinator)
 	// instead of this process's sharded scan — bit-identical results by
@@ -77,65 +75,63 @@ type Config struct {
 	// the explorer's fingerprint to the scanner when it exposes
 	// BindFingerprint(string), arming the mixed-version cluster guard.
 	Scanner engine.RangeScanner
-	// EngineCacheRecords budgets the RM-Generator's cross-step
-	// accumulator cache (total cached record count; 0 selects the
-	// default, negative disables). Sessions thread this cache across
-	// steps: a filter→generalize→filter walk that returns to an earlier
+}
+
+// CandidateLimits bounds candidate-operation enumeration
+// (RecommendationBuilder.CandidateOps) so recommendation building stays
+// interactive on wide schemas. Both caps change which operations a step
+// recommends, so Explorer.Fingerprint covers them.
+type CandidateLimits struct {
+	// MaxValuesPerAttribute caps how many subgroups of each displayed map
+	// are drilled into and how many values a bound attribute may change to
+	// (0 = unlimited). Single-pair filter additions are never capped.
+	MaxValuesPerAttribute int
+	// MaxCandidates caps the total number of candidates (0 = unlimited).
+	MaxCandidates int
+}
+
+// Cache budgets, in total cached rating records. Both caches are shared
+// by every session of an explorer and return exactly what a recomputation
+// would; DESIGN.md "Mechanisms and the ledger rows that justify them"
+// records what each one buys on the guided_walk workload.
+const (
+	// groupCacheRecords budgets the query engine's materialization cache:
+	// candidate-operation evaluation revisits many selections, and the
+	// cache trades memory for repeated scans (cf. Data Canopy [57]).
+	groupCacheRecords = 500_000
+	// engineCacheRecords budgets the RM-Generator's cross-step accumulator
+	// cache. A filter→generalize→filter walk that returns to an earlier
 	// selection — and the Recommendation Builder's repeated evaluation of
 	// overlapping candidate operations — skips the aggregation scan and
 	// re-finalizes the exact cached histograms against the current seen
-	// set, so cached and uncached steps return identical results. Only
-	// complete unpruned scans are cacheable; Engine.Pruning = PruneNone
-	// makes every completed scan one.
-	EngineCacheRecords int
-}
+	// set. Only complete unpruned scans are cacheable; Engine.Pruning =
+	// PruneNone makes every completed scan one.
+	engineCacheRecords = 1_000_000
+)
 
-// DefaultConfig returns the Table 3 defaults with both pruning schemes and
-// a worker per configured core.
+// DefaultConfig returns the Table 3 defaults with both pruning schemes,
+// unlimited candidate enumeration and one worker. It is the only place a
+// default is written.
 func DefaultConfig() Config {
 	return Config{
-		K:                  3,
-		O:                  3,
-		L:                  3,
-		Engine:             engine.DefaultConfig(),
-		Distance:           diversity.EMDWithAttribute,
-		Limits:             query.DefaultCandidateLimits(),
-		RecWorkers:         1,
-		RecSampleSize:      2000,
-		GroupCacheRecords:  500_000,
-		EngineCacheRecords: 1_000_000,
+		K:             3,
+		O:             3,
+		L:             3,
+		Engine:        engine.DefaultConfig(),
+		Distance:      diversity.EMDWithAttribute,
+		RecWorkers:    1,
+		RecSampleSize: 2000,
 	}
 }
 
-// normalized fills defaults for zero fields so a partially specified Config
-// behaves sensibly.
-func (c Config) normalized() Config {
-	d := DefaultConfig()
-	if c.K <= 0 {
-		c.K = d.K
+// validate rejects a config that did not start from DefaultConfig(): the
+// fields every step divides by, loops over or calls through.
+func (c Config) validate() error {
+	if c.K < 1 || c.O < 1 || c.L < 1 || c.Engine.Phases < 1 || c.Distance == nil {
+		return fmt.Errorf("core: config needs K, O, L, Engine.Phases ≥ 1 and a Distance (got K=%d O=%d L=%d Engine.Phases=%d Distance set=%t); start from DefaultConfig()",
+			c.K, c.O, c.L, c.Engine.Phases, c.Distance != nil)
 	}
-	if c.O <= 0 {
-		c.O = d.O
-	}
-	if c.L <= 0 {
-		c.L = d.L
-	}
-	if c.Engine.Phases <= 0 {
-		c.Engine = d.Engine
-	}
-	if c.Distance == nil {
-		c.Distance = d.Distance
-	}
-	if c.RecWorkers <= 0 {
-		c.RecWorkers = 1
-	}
-	if c.GroupCacheRecords == 0 {
-		c.GroupCacheRecords = d.GroupCacheRecords
-	}
-	if c.EngineCacheRecords == 0 {
-		c.EngineCacheRecords = d.EngineCacheRecords
-	}
-	return c
+	return nil
 }
 
 // Mode is an exploration mode (§3.3).

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"subdex/internal/dataset"
+	"subdex/internal/engine"
 	"subdex/internal/gen"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
@@ -52,16 +54,31 @@ func TestNewExplorerDisablesDWForSingleDimension(t *testing.T) {
 	}
 }
 
-func TestConfigNormalization(t *testing.T) {
-	ex, err := NewExplorer(coreDB(t), Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestNewExplorerRejectsZeroConfig pins that DefaultConfig() is the only
+// source of defaults: a config that did not start from it is refused with
+// an error saying so, never completed by guesswork, and the shipped
+// configuration is accepted on every generator.
+func TestNewExplorerRejectsZeroConfig(t *testing.T) {
+	noEngine := DefaultConfig()
+	noEngine.Engine = engine.Config{}
+	noDistance := DefaultConfig()
+	noDistance.Distance = nil
+	for name, cfg := range map[string]Config{
+		"zero": {}, "zero engine": noEngine, "nil distance": noDistance,
+	} {
+		_, err := NewExplorer(coreDB(t), cfg)
+		if err == nil || !strings.Contains(err.Error(), "start from DefaultConfig()") {
+			t.Errorf("%s config: want the start-from-DefaultConfig error, got %v", name, err)
+		}
 	}
-	if ex.Cfg.K != 3 || ex.Cfg.O != 3 || ex.Cfg.L != 3 {
-		t.Errorf("zero config must normalize to Table 3 defaults: %+v", ex.Cfg)
-	}
-	if ex.Cfg.Distance == nil {
-		t.Error("distance must default")
+	for _, name := range []string{"demo", "movielens", "yelp", "hotels"} {
+		db, err := gen.ByName(name, gen.Config{Seed: 1, Scale: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewExplorer(db, DefaultConfig()); err != nil {
+			t.Errorf("DefaultConfig() rejected on %s: %v", name, err)
+		}
 	}
 }
 

@@ -32,21 +32,19 @@ type Explorer struct {
 // it can only distort the ranking (the weight factor is identical for all
 // candidates).
 func NewExplorer(db *dataset.DB, cfg Config) (*Explorer, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	qe, err := query.NewEngine(db)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalized()
 	if len(db.Ratings.Dimensions) == 1 {
 		cfg.Engine.Utility.DisableDimensionWeights = true
 	}
-	if cfg.GroupCacheRecords > 0 {
-		qe.EnableGroupCache(cfg.GroupCacheRecords)
-	}
+	qe.EnableGroupCache(groupCacheRecords)
 	gen := engine.NewGenerator(db)
-	if cfg.EngineCacheRecords > 0 {
-		gen.Cache = engine.NewTopMapsCache(cfg.EngineCacheRecords)
-	}
+	gen.Cache = engine.NewTopMapsCache(engineCacheRecords)
 	gen.Scanner = cfg.Scanner
 	ex := &Explorer{DB: db, Query: qe, Gen: gen, Cfg: cfg}
 	// Arm the distributed scanner's mixed-version guard: every worker
@@ -59,14 +57,14 @@ func NewExplorer(db *dataset.DB, cfg Config) (*Explorer, error) {
 }
 
 // EngineCacheStats snapshots the RM-Generator's cross-step accumulator
-// cache (zero stats when the cache is disabled). All sessions of this
+// cache (zero stats when Gen.Cache is nil). All sessions of this
 // explorer share the cache, so the counters aggregate the whole workload.
 func (ex *Explorer) EngineCacheStats() engine.CacheStats {
 	return ex.Gen.Cache.Stats()
 }
 
 // InvalidateEngineCache drops every cached accumulator, e.g. after the
-// underlying database is swapped. Safe to call with the cache disabled.
+// underlying database is swapped. Safe to call with a nil Gen.Cache.
 func (ex *Explorer) InvalidateEngineCache() {
 	ex.Gen.Cache.Invalidate()
 }

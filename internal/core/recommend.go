@@ -190,9 +190,6 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 			if !add(query.Operation{Kind: query.Filter, Target: target, Added: &s}) {
 				return ops, nil
 			}
-			if !lim.IncludeCombined {
-				continue
-			}
 			for _, old := range cur.Selectors() {
 				old := old
 				if t2, err := target.Without(old); err == nil {

@@ -16,7 +16,7 @@ import (
 // operation.
 //
 // Steps are threaded through the explorer's cross-step accumulator cache
-// (Config.EngineCacheRecords): when an exploration walk revisits a
+// (Explorer.Gen.Cache): when an exploration walk revisits a
 // selection — filter → generalize → filter, the Back button, or a
 // recommendation target evaluated on an earlier step — the engine skips
 // the aggregation scan and re-finalizes the cached histograms against the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"subdex/internal/engine"
 	"subdex/internal/ratingmap"
 )
 
@@ -151,8 +152,8 @@ func (s *Session) LastOp() (SessionOp, bool) {
 // Fingerprint renders a stable identity for the explorer's dataset and
 // result-affecting configuration: the Table 2 dataset statistics plus the
 // dimension schema, and the Table 3 / engine parameters that change what
-// a step computes. Scheduling knobs (worker counts, cache budgets, step
-// timeouts) are excluded on purpose — the engine is proven to return
+// a step computes. Scheduling knobs (worker counts, step timeouts, the
+// scanner) are excluded on purpose — the engine is proven to return
 // bit-identical results across them.
 func (ex *Explorer) Fingerprint() string {
 	h := fnv.New64a()
@@ -170,7 +171,14 @@ func (ex *Explorer) Fingerprint() string {
 	// the literal keeps every stored session directory and mixed-version
 	// cluster on the same fingerprint.
 	fmt.Fprintf(h, "|ph=%d|delta=%g|prune=%d|minph=%d|exact=false|util=%+v",
-		e.Phases, e.Delta, int(e.Pruning), e.MinPhaseRecords, e.Utility)
+		e.Phases, engine.Delta, int(e.Pruning), e.MinPhaseRecords, e.Utility)
+	// The candidate caps decide which operations a step recommends, so an
+	// OpRecommend index replays onto a different target under different
+	// caps. Rendered only when set: the uncapped default keeps the
+	// fingerprint every stored session directory already carries.
+	if lim := c.Limits; lim.MaxValuesPerAttribute != 0 || lim.MaxCandidates != 0 {
+		fmt.Fprintf(h, "|maxv=%d|maxc=%d", lim.MaxValuesPerAttribute, lim.MaxCandidates)
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -300,14 +300,22 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if base.Fingerprint() != sched.Fingerprint() {
 		t.Error("scheduling knobs must not change the fingerprint")
 	}
-	cfg = DefaultConfig()
-	cfg.O = 7
-	diff, err := NewExplorer(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fingerprint() == diff.Fingerprint() {
-		t.Error("result-affecting parameters must change the fingerprint")
+	// The candidate caps are result-affecting too: they decide which
+	// operation a recorded recommendation index replays onto.
+	for name, mut := range map[string]func(*Config){
+		"O":                     func(c *Config) { c.O = 7 },
+		"MaxValuesPerAttribute": func(c *Config) { c.Limits.MaxValuesPerAttribute = 2 },
+		"MaxCandidates":         func(c *Config) { c.Limits.MaxCandidates = 50 },
+	} {
+		cfg = DefaultConfig()
+		mut(&cfg)
+		diff, err := NewExplorer(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Fingerprint() == diff.Fingerprint() {
+			t.Errorf("%s is result-affecting and must change the fingerprint", name)
+		}
 	}
 }
 

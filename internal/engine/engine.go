@@ -54,13 +54,15 @@ func (p Pruning) String() string {
 	}
 }
 
+// Delta is the CI confidence parameter of Algorithm 3: the pruning
+// intervals hold with probability 1−Delta.
+const Delta = 0.05
+
 // Config parameterizes the generator. The zero value is not usable; start
-// from DefaultConfig.
+// from DefaultConfig() and change the fields you mean to change.
 type Config struct {
 	// Phases is n in Algorithm 1; the paper follows SeeDB in using 10.
 	Phases int
-	// Delta is the CI confidence parameter (intervals hold w.p. 1−Delta).
-	Delta float64
 	// Pruning selects the pruning schemes.
 	Pruning Pruning
 	// Workers bounds parallel per-phase estimation; ≤1 disables
@@ -93,7 +95,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Phases:          10,
-		Delta:           0.05,
 		Pruning:         PruneBoth,
 		Workers:         1,
 		Utility:         ratingmap.DefaultUtilityConfig(),
@@ -450,7 +451,7 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 		return nil
 	}
 	if p.ci {
-		for _, idx := range ciPrune(est, processed, total, p.kPrime, cfg.Delta, p.sar) {
+		for _, idx := range ciPrune(est, processed, total, p.kPrime, p.sar) {
 			acc.Remove(p.alive[idx])
 			delete(p.alive, idx)
 			res.PrunedCI++
@@ -558,11 +559,11 @@ func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, al
 // 10-11). A candidate is pruned when its upper bound falls below the lowest
 // lower bound of the current top-kPrime (lines 12-17). Arms already accepted
 // by the bandit are exempt. Returns the pruned candidate indexes.
-func ciPrune(est map[int]estimateEntry, processed, total, kPrime int, delta float64, sar *bandit.SAR) []int {
+func ciPrune(est map[int]estimateEntry, processed, total, kPrime int, sar *bandit.SAR) []int {
 	if len(est) <= kPrime {
 		return nil
 	}
-	radius := stats.HoeffdingSerflingRadius(processed, total, delta)
+	radius := stats.HoeffdingSerflingRadius(processed, total, Delta)
 	type bound struct {
 		idx    int
 		lo, hi float64

@@ -187,11 +187,11 @@ func TestCIPruneDominance(t *testing.T) {
 		return estimateEntry{scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
 	}
 	est := map[int]estimateEntry{0: mk(0.9), 1: mk(0.85), 2: mk(0.1)}
-	late := ciPrune(est, 9000, 10000, 2, 0.05, nil)
+	late := ciPrune(est, 9000, 10000, 2, nil)
 	if len(late) != 1 || late[0] != 2 {
 		t.Errorf("late-phase prune = %v, want [2]", late)
 	}
-	early := ciPrune(est, 10, 10000, 2, 0.05, nil)
+	early := ciPrune(est, 10, 10000, 2, nil)
 	if len(early) != 0 {
 		t.Errorf("early-phase prune = %v, want none (radius too wide)", early)
 	}
@@ -209,7 +209,7 @@ func TestCIPruneRespectsAcceptedArms(t *testing.T) {
 	sar.SetMean(0, 0.5)
 	sar.SetMean(1, 0.2)
 	sar.Step() // accepts arm 2 (highest mean, large gap)
-	pruned := ciPrune(est, 9000, 10000, 2, 0.05, sar)
+	pruned := ciPrune(est, 9000, 10000, 2, sar)
 	for _, idx := range pruned {
 		if idx == 2 {
 			t.Fatal("accepted arm was CI-pruned")

@@ -32,9 +32,6 @@ func (b *Bitset) trim() {
 	}
 }
 
-// Universe returns the size n of the universe.
-func (b *Bitset) Universe() int { return b.n }
-
 // Set adds element i.
 func (b *Bitset) Set(i int) { b.words[i/64] |= 1 << uint(i%64) }
 

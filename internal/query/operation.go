@@ -71,27 +71,3 @@ func (op Operation) String() string {
 	}
 	return strings.Join(parts, "; ")
 }
-
-// CandidateLimits bounds candidate-operation enumeration
-// (core.RecommendationBuilder.CandidateOps) so recommendation building
-// stays interactive on wide schemas.
-type CandidateLimits struct {
-	// MaxValuesPerAttribute caps how many subgroups of each displayed map
-	// are drilled into and how many values a bound attribute may change to
-	// (0 = unlimited). Single-pair filter additions are never capped.
-	MaxValuesPerAttribute int
-	// MaxCandidates caps the total number of candidates (0 = unlimited).
-	MaxCandidates int
-	// IncludeCombined enables the two-pair kinds (FilterGeneralize,
-	// FilterChange); the paper limits candidates to ≤2 differing pairs.
-	// Both values are live: DefaultCandidateLimits (every binary, the
-	// benchmark) turns it on, while a zero core.Config — the golden traces
-	// and sdeload's in-process explorers — leaves it off.
-	IncludeCombined bool
-}
-
-// DefaultCandidateLimits mirror the prototype's behaviour: combined
-// operations on, all values considered.
-func DefaultCandidateLimits() CandidateLimits {
-	return CandidateLimits{IncludeCombined: true}
-}

@@ -32,7 +32,7 @@ func TestGoldenTracesDistributed(t *testing.T) {
 			}
 			urls := make([]string, nodes)
 			for i := 0; i < nodes; i++ {
-				wex, err := core.NewExplorer(db, core.Config{})
+				wex, err := core.NewExplorer(db, core.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +50,9 @@ func TestGoldenTracesDistributed(t *testing.T) {
 			}
 			t.Cleanup(coord.Close)
 
-			ex, err := core.NewExplorer(db, core.Config{Scanner: coord})
+			cfg := core.DefaultConfig()
+			cfg.Scanner = coord
+			ex, err := core.NewExplorer(db, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

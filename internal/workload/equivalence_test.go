@@ -28,7 +28,7 @@ func demoDB(t *testing.T) *dataset.DB {
 // demoServer starts an httptest server over a fresh demo explorer.
 func demoServer(t *testing.T, opts server.Options) (*server.Server, *httptest.Server) {
 	t.Helper()
-	srv, err := server.NewWithOptions(demoDB(t), core.Config{}, opts)
+	srv, err := server.NewWithOptions(demoDB(t), core.DefaultConfig(), opts)
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -99,7 +99,7 @@ func compareUsers(t *testing.T, inproc, http *Result) {
 // and once over the HTTP API and requires byte-identical golden records
 // (including every per-step map digest) and identical path summaries.
 func TestEquivalenceSingleUser(t *testing.T) {
-	ex, err := core.NewExplorer(demoDB(t), core.Config{})
+	ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEquivalenceModesAndPredicates(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			ex, err := core.NewExplorer(demoDB(t), core.Config{})
+			ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestEquivalenceModesAndPredicates(t *testing.T) {
 // also re-proves that cache sharing and goroutine interleaving never
 // perturb a seeded path. CI runs this package under -race.
 func TestEquivalenceConcurrent32(t *testing.T) {
-	ex, err := core.NewExplorer(demoDB(t), core.Config{})
+	ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

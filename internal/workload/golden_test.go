@@ -46,7 +46,7 @@ func goldenWalk(t *testing.T, gc goldenCase) []Record {
 	if err != nil {
 		t.Fatalf("%s: generate: %v", gc.name, err)
 	}
-	ex, err := core.NewExplorer(db, core.Config{})
+	ex, err := core.NewExplorer(db, core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: explorer: %v", gc.name, err)
 	}
@@ -115,6 +115,72 @@ func TestGoldenTraces(t *testing.T) {
 			}
 			t.Errorf("golden trace diverged (%s):\n  %s", path, strings.Join(diffs, "\n  "))
 		})
+	}
+}
+
+// TestGoldenWalksExerciseShippedPaths guards what the goldens are for:
+// they pin the shipped configuration, so each checked-in walk must reach
+// the two behaviours only that configuration has — §4.3's two-pair
+// candidates (an operation rendered with "; ") among the recommendations,
+// and, on the yelp walk, a candidate group larger than RecSampleSize, so
+// the sampled utility estimate is part of what the digests pin.
+func TestGoldenWalksExerciseShippedPaths(t *testing.T) {
+	for _, gc := range goldenCases() {
+		f, err := os.Open(filepath.Join("testdata", "golden", gc.name+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadGolden(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoPair := false
+		for _, rec := range recs {
+			for _, r := range rec.Recommendations {
+				op, _, _ := strings.Cut(r, " => ")
+				twoPair = twoPair || strings.Contains(op, "; ")
+			}
+		}
+		if !twoPair {
+			t.Errorf("%s: no two-pair recommendation in the golden walk", gc.name)
+		}
+		if gc.name != "yelp" {
+			continue
+		}
+		db, err := gc.build(gc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := core.NewExplorer(db, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Single-pair filters and roll-ups of each visited selection are
+		// candidates whatever maps the step displayed.
+		rb := &core.RecommendationBuilder{Ex: ex}
+		largest := 0
+		for _, rec := range recs {
+			cur, err := ex.ParseDescription(rec.Event.Selection)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops, err := rb.CandidateOps(cur, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops {
+				g, err := ex.Query.Materialize(op.Target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				largest = max(largest, g.Len())
+			}
+		}
+		if largest <= ex.Cfg.RecSampleSize {
+			t.Errorf("yelp: largest candidate group has %d records, RecSampleSize is %d: the walk never samples",
+				largest, ex.Cfg.RecSampleSize)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func traceKeys(res *Result) []traceKey {
 // resolvable against a server regardless of mode. It also re-checks the
 // golden records stay byte-identical with tracing and exemplars on.
 func TestEquivalenceTraceIDs(t *testing.T) {
-	ex, err := core.NewExplorer(demoDB(t), core.Config{})
+	ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEquivalenceTraceIDs(t *testing.T) {
 // runner config and requires one wide event per step-producing call,
 // carrying the field set the obsmetrics discipline expects.
 func TestClientFlightEvents(t *testing.T) {
-	ex, err := core.NewExplorer(demoDB(t), core.Config{})
+	ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

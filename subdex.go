@@ -40,7 +40,8 @@ import (
 type (
 	// DB is a subjective database ⟨Items, Reviewers, Ratings⟩.
 	DB = dataset.DB
-	// Config carries the system parameters (k, o, l, engine knobs).
+	// Config carries the system parameters (k, o, l, engine knobs). Start
+	// from DefaultConfig(): NewExplorer rejects the zero value.
 	Config = core.Config
 	// Explorer is the SDE engine over one database.
 	Explorer = core.Explorer
