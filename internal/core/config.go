@@ -96,8 +96,9 @@ type CandidateLimits struct {
 // records what each one buys on the guided_walk workload.
 const (
 	// groupCacheRecords budgets the query engine's materialization cache:
-	// candidate-operation evaluation revisits many selections, and the
-	// cache trades memory for repeated scans (cf. Data Canopy [57]).
+	// walks revisit selections and every recommendation pass materializes
+	// the displayed group's roll-ups, and the cache trades memory for
+	// those repeated scans (cf. Data Canopy [57]).
 	groupCacheRecords = 500_000
 	// engineCacheRecords budgets the RM-Generator's cross-step accumulator
 	// cache. A filter→generalize→filter walk that returns to an earlier

@@ -506,11 +506,11 @@ type cancellingScorer struct {
 	calls  atomic.Int64
 }
 
-func (c *cancellingScorer) ScoreOperation(ex *Explorer, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
+func (c *cancellingScorer) ScoreOperation(_ query.Operation, eq2 float64) float64 {
 	if c.calls.Add(1) == c.after {
 		c.cancel()
 	}
-	return EquationTwoScorer{}.ScoreOperation(ex, op, seen)
+	return eq2
 }
 
 // TestStepDeadlineCoversRecommendationPass pins that the step budget

@@ -221,24 +221,29 @@ func (ex *Explorer) selectDiverse(genRes *engine.Result) ([]*ratingmap.RatingMap
 }
 
 // OperationUtility evaluates Equation 2 for a candidate operation: the sum
-// of DW utilities of the k rating maps its target group would display. To
-// keep recommendation building interactive, the group's records may be
-// subsampled per Cfg.RecSampleSize.
+// of DW utilities of the k rating maps its target group would display. It
+// materializes the target from the entity tables — the reference the
+// Recommendation Builder's derived groups (recPass) are tested against.
 func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
 	group, err := ex.Query.Materialize(op.Target)
 	if err != nil {
 		return 0, err
 	}
-	if group.Len() == 0 {
+	return ex.groupUtility(op.Target, group.Records, seen)
+}
+
+// groupUtility is Equation 2 over a rating group given as its description
+// and ascending records. To keep recommendation building interactive, the
+// records may be subsampled per Cfg.RecSampleSize.
+func (ex *Explorer) groupUtility(desc query.Description, records []int32, seen *ratingmap.SeenSet) (float64, error) {
+	if len(records) == 0 {
 		return 0, nil
 	}
-	records := group.Records
 	if n := ex.Cfg.RecSampleSize; n > 0 && len(records) > n {
 		records = sampleRecords(records, n)
-		group = &query.RatingGroup{Desc: group.Desc, Records: records,
-			Reviewers: group.Reviewers, Items: group.Items}
 	}
-	cands := ex.Gen.Candidates(ex.Query, op.Target)
+	group := &query.RatingGroup{Desc: desc, Records: records}
+	cands := ex.Gen.Candidates(ex.Query, desc)
 	genRes, err := ex.Gen.TopMaps(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine)
 	if err != nil {
 		return 0, err

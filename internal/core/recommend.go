@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"subdex/internal/dataset"
+	"subdex/internal/obs"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
@@ -55,8 +56,15 @@ func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*rating
 // each worker has in hand — ctx does not reach inside a candidate's
 // evaluation) and ctx's error is returned instead of a list, because a
 // top-o over a prefix of the candidates is not Equation 2's top-o.
+//
+// No candidate's group is materialized from the entity tables: each is
+// derived from the displayed group by a recPass that lives for this call.
+// Under a context carrying an obs sink the call is one "core.recommend"
+// span whose attributes say where the groups came from.
 func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Description, maps []*ratingmap.RatingMap,
 	seen *ratingmap.SeenSet, o int) ([]Recommendation, []time.Duration, error) {
+	_, span := obs.StartSpan(ctx, "core.recommend")
+	defer span.End()
 	ops, err := rb.CandidateOps(cur, maps)
 	if err != nil {
 		return nil, nil, err
@@ -64,11 +72,14 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if len(ops) == 0 {
 		return nil, nil, nil
 	}
-
-	var scorer OperationScorer = EquationTwoScorer{}
-	if rb.Ex.Cfg.Scorer != nil {
-		scorer = rb.Ex.Cfg.Scorer
+	group, err := rb.Ex.Query.Materialize(cur)
+	if err != nil {
+		return nil, nil, err
 	}
+	pass := newRecPass(rb.Ex.Query, group)
+	defer pass.describe(span)
+
+	scorer := rb.Ex.Cfg.Scorer
 	results := make([]evaluated, len(ops))
 	workers := min(max(rb.Ex.Cfg.RecWorkers, 1), len(ops))
 	var wg sync.WaitGroup
@@ -79,7 +90,10 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 			defer wg.Done()
 			for i := range next {
 				start := time.Now()
-				u, err := scorer.ScoreOperation(rb.Ex, ops[i], seen)
+				u, err := rb.operationUtility(pass, ops[i], seen)
+				if err == nil && scorer != nil {
+					u = scorer.ScoreOperation(ops[i], u)
+				}
 				results[i] = evaluated{op: ops[i], utility: u, duration: time.Since(start), err: err}
 			}
 		}()
@@ -111,7 +125,19 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if o > 0 && len(recs) > o {
 		recs = recs[:o]
 	}
+	span.SetAttr("evaluated", len(durations))
+	span.SetAttr("recommended", len(recs))
 	return recs, durations, nil
+}
+
+// operationUtility is Explorer.OperationUtility with the candidate's group
+// derived by the pass instead of materialized.
+func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
+	records, err := pass.records(op)
+	if err != nil {
+		return 0, err
+	}
+	return rb.Ex.groupUtility(op.Target, records, seen)
 }
 
 // CandidateOps enumerates the candidate operations of a step. Per §4.3 a

@@ -1,0 +1,144 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"subdex/internal/obs"
+	"subdex/internal/query"
+)
+
+// recPass derives the rating groups of one recommendation pass's candidate
+// operations from groups already in hand. Every candidate of a step is the
+// displayed group cur, or cur without one selector old (cur∖old), narrowed
+// by at most two attribute-value pairs — and narrowing an ascending record
+// list by ⟨a, v⟩ is reading bucket v of its query.Partition by a:
+//
+//	Filter            cur             by the added attribute
+//	Generalize        cur∖old         itself
+//	Change            cur∖old         by old's attribute
+//	FilterGeneralize  cur∖old         by the added attribute
+//	FilterChange      a Change group  by the added attribute
+//
+// so the ≈ 300 candidates of a step cost one materialization per selector of
+// cur and a few dozen linear passes, not 300 entity-table scans and sorts,
+// and the derived record lists equal what Query.Materialize(op.Target)
+// returns element for element.
+//
+// The memo belongs to one RecommendCtx call and is reachable only from it:
+// sessions share an explorer, so nothing here may outlive the call or hang
+// off the Explorer. mu makes it safe for the call's RecWorkers goroutines;
+// a partition is built under it, by the first candidate that needs it.
+type recPass struct {
+	qe  *query.Engine
+	cur *query.RatingGroup
+
+	mu    sync.Mutex
+	bases map[query.Selector][]int32 // old → records of cur∖old
+	parts map[partKey]*query.Partition
+
+	derived, materialized, partitionRecords int
+}
+
+// source names a record list the pass partitions: cur (the zero value),
+// cur∖removed, or — with changedTo set — cur∖removed narrowed to
+// ⟨removed's attribute, changedTo⟩, a Change candidate's group.
+type source struct {
+	removed   query.Selector
+	changedTo string
+}
+
+// partKey names one partition: a source bucketed by an attribute.
+type partKey struct {
+	src  source
+	side query.Side
+	attr string
+}
+
+func newRecPass(qe *query.Engine, cur *query.RatingGroup) *recPass {
+	return &recPass{qe: qe, cur: cur, materialized: 1, // cur itself
+		bases: make(map[query.Selector][]int32), parts: make(map[partKey]*query.Partition)}
+}
+
+// records returns the records of op.Target, ascending. op must be one of
+// CandidateOps' operations on the pass's cur: the delta fields are trusted
+// to describe how Target differs from it.
+func (p *recPass) records(op query.Operation) ([]int32, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if op.Kind != query.Generalize {
+		p.derived++
+	}
+	switch op.Kind {
+	case query.Filter:
+		return p.bucket(source{}, *op.Added)
+	case query.Generalize:
+		return p.base(*op.Removed)
+	case query.Change:
+		return p.sourceRecords(source{removed: *op.Changed, changedTo: op.ChangedTo})
+	case query.FilterGeneralize:
+		return p.bucket(source{removed: *op.Removed}, *op.Added)
+	case query.FilterChange:
+		return p.bucket(source{removed: *op.Changed, changedTo: op.ChangedTo}, *op.Added)
+	}
+	return nil, fmt.Errorf("core: cannot derive the group of %s operation %s", op.Kind, op)
+}
+
+// bucket narrows a source by one selector.
+func (p *recPass) bucket(src source, sel query.Selector) ([]int32, error) {
+	key := partKey{src: src, side: sel.Side, attr: sel.Attr}
+	part, ok := p.parts[key]
+	if !ok {
+		records, err := p.sourceRecords(src)
+		if err != nil {
+			return nil, err
+		}
+		if part, err = p.qe.Partition(records, sel.Side, sel.Attr); err != nil {
+			return nil, err
+		}
+		p.parts[key] = part
+		p.partitionRecords += part.Len()
+	}
+	return part.Bucket(sel.Value)
+}
+
+func (p *recPass) sourceRecords(src source) ([]int32, error) {
+	switch {
+	case src.removed == (query.Selector{}):
+		return p.cur.Records, nil
+	case src.changedTo == "":
+		return p.base(src.removed)
+	}
+	changed := src.removed
+	changed.Value = src.changedTo
+	return p.bucket(source{removed: src.removed}, changed)
+}
+
+// base materializes cur∖old: a superset of cur, so the one kind of group
+// the pass cannot derive from it.
+func (p *recPass) base(old query.Selector) ([]int32, error) {
+	if records, ok := p.bases[old]; ok {
+		return records, nil
+	}
+	desc, err := p.cur.Desc.Without(old)
+	if err != nil {
+		return nil, err
+	}
+	g, err := p.qe.Materialize(desc)
+	if err != nil {
+		return nil, err
+	}
+	p.bases[old] = g.Records
+	p.materialized++
+	return g.Records, nil
+}
+
+// describe records on the pass's span where its candidate groups came from.
+func (p *recPass) describe(span *obs.Span) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	span.SetAttr("groups_derived", p.derived)
+	span.SetAttr("groups_materialized", p.materialized)
+	span.SetAttr("partitions_built", len(p.parts))
+	span.SetAttr("partition_records", p.partitionRecords)
+}

@@ -1,31 +1,28 @@
 package core
 
-import (
-	"subdex/internal/query"
-	"subdex/internal/ratingmap"
-)
+import "subdex/internal/query"
 
-// OperationScorer ranks candidate next-step operations. The default scorer
-// is Equation 2 (the sum of DW utilities of the rating maps the operation's
-// group would display); the paper notes (§5.2.2) that "due to the modular
+// OperationScorer ranks candidate next-step operations by re-weighting
+// Equation 2 (the sum of DW utilities of the rating maps the operation's
+// group would display). The paper notes (§5.2.2) that "due to the modular
 // nature of SubDEx the Recommendation Builder may be replaced with
 // alternative implementations, yielding personalized recommendations using
 // logs of previous operations, or user feedback" — this interface is that
-// replacement point.
+// replacement point. The builder computes eq2 itself, on the group it
+// derived for the candidate, so a scorer never evaluates a group.
 type OperationScorer interface {
-	// ScoreOperation returns the utility of applying op given the maps the
-	// user has already seen.
-	ScoreOperation(ex *Explorer, op query.Operation, seen *ratingmap.SeenSet) (float64, error)
+	// ScoreOperation returns the ranking utility of op given eq2, its
+	// Equation 2 utility under the maps the user has already seen. It is
+	// called from the builder's RecWorkers goroutines.
+	ScoreOperation(op query.Operation, eq2 float64) float64
 }
 
 // EquationTwoScorer is the paper's ranking: u(q, RM) = Σ û(rm, RM) over the
-// k rating maps of q's target group.
+// k rating maps of q's target group — what a nil Config.Scorer selects.
 type EquationTwoScorer struct{}
 
-// ScoreOperation evaluates Equation 2.
-func (EquationTwoScorer) ScoreOperation(ex *Explorer, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
-	return ex.OperationUtility(op, seen)
-}
+// ScoreOperation returns eq2 unchanged.
+func (EquationTwoScorer) ScoreOperation(_ query.Operation, eq2 float64) float64 { return eq2 }
 
 // LogAffinityScorer personalizes Equation 2 with a log of the user's past
 // operations: candidates touching attributes the user has shown interest in
@@ -65,17 +62,13 @@ func (l *LogAffinityScorer) Observe(op query.Operation) {
 
 // ScoreOperation boosts Equation 2 by the operation's attribute affinity
 // with the observed log.
-func (l *LogAffinityScorer) ScoreOperation(ex *Explorer, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
-	base, err := ex.OperationUtility(op, seen)
-	if err != nil {
-		return 0, err
-	}
+func (l *LogAffinityScorer) ScoreOperation(op query.Operation, eq2 float64) float64 {
 	if l.total == 0 || l.Alpha == 0 {
-		return base, nil
+		return eq2
 	}
 	touched := touchedAttrs(op)
 	if len(touched) == 0 {
-		return base, nil
+		return eq2
 	}
 	hits := 0
 	for _, attr := range touched {
@@ -84,7 +77,7 @@ func (l *LogAffinityScorer) ScoreOperation(ex *Explorer, op query.Operation, see
 		}
 	}
 	affinity := float64(hits) / float64(len(touched))
-	return base * (1 + l.Alpha*affinity), nil
+	return eq2 * (1 + l.Alpha*affinity)
 }
 
 // touchedAttrs lists the side-qualified attributes an operation acts on.

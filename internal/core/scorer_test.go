@@ -7,70 +7,67 @@ import (
 	"subdex/internal/ratingmap"
 )
 
+// TestEquationTwoScorerMatchesOperationUtility pins the scorer contract:
+// the eq2 the builder hands a scorer is OperationUtility of that operation,
+// and EquationTwoScorer ranks by it unchanged — the list a nil Scorer gives.
 func TestEquationTwoScorerMatchesOperationUtility(t *testing.T) {
-	ex := coreExplorer(t)
 	seen := ratingmap.NewSeenSet()
-	op := query.Operation{Target: query.MustDescription(
-		query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"})}
-	a, err := EquationTwoScorer{}.ScoreOperation(ex, op, seen)
+	cfg := DefaultConfig()
+	cfg.Scorer = EquationTwoScorer{}
+	scored, err := NewExplorer(coreDB(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ex.OperationUtility(op, seen)
+	ex := coreExplorer(t)
+	got, _, err := (&RecommendationBuilder{Ex: scored}).Recommend(query.Description{}, nil, seen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("scorer %v vs direct %v", a, b)
+	want, _, err := (&RecommendationBuilder{Ex: ex}).Recommend(query.Description{}, nil, seen, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("%d recommendations with the scorer, %d without", len(got), len(want))
+	}
+	for i, r := range got {
+		direct, err := ex.OperationUtility(r.Op, seen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Utility != direct || r.Utility != want[i].Utility || !r.Op.Target.Equal(want[i].Op.Target) {
+			t.Fatalf("#%d %s: scorer %v, nil scorer %v (%s), direct %v", i, r.Op, r.Utility, want[i].Utility, want[i].Op, direct)
+		}
 	}
 }
 
 func TestLogAffinityScorerBoosts(t *testing.T) {
-	ex := coreExplorer(t)
-	seen := ratingmap.NewSeenSet()
 	sel := query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"}
 	op := query.Operation{Target: query.MustDescription(sel), Added: &sel}
 
 	plain := &LogAffinityScorer{Alpha: 0.5}
-	before, err := plain.ScoreOperation(ex, op, seen)
-	if err != nil {
-		t.Fatal(err)
+	if before := plain.ScoreOperation(op, 2); before != 2 {
+		t.Fatalf("empty log must not boost: %v", before)
 	}
 	// Record interest in the gender attribute, then rescore.
 	plain.Observe(op)
-	after, err := plain.ScoreOperation(ex, op, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after <= before {
-		t.Fatalf("affinity boost missing: %v vs %v", after, before)
+	if after := plain.ScoreOperation(op, 2); after != 3 {
+		t.Fatalf("affinity boost = %v, want 2 × (1 + 0.5 × 1)", after)
 	}
 	// An operation on an unrelated attribute gets no boost.
 	other := query.Selector{Side: query.ItemSide, Attr: "parking", Value: "yes"}
 	opOther := query.Operation{Target: query.MustDescription(other), Added: &other}
-	base, err := EquationTwoScorer{}.ScoreOperation(ex, opOther, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scored, err := plain.ScoreOperation(ex, opOther, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scored != base {
-		t.Fatalf("unrelated op must not be boosted: %v vs %v", scored, base)
+	if scored := plain.ScoreOperation(opOther, 2); scored != 2 {
+		t.Fatalf("unrelated op must not be boosted: %v", scored)
 	}
 }
 
 func TestLogAffinityScorerZeroAlpha(t *testing.T) {
-	ex := coreExplorer(t)
-	seen := ratingmap.NewSeenSet()
 	sel := query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"}
 	op := query.Operation{Target: query.MustDescription(sel), Added: &sel}
 	l := &LogAffinityScorer{Alpha: 0}
 	l.Observe(op)
-	a, _ := l.ScoreOperation(ex, op, seen)
-	b, _ := EquationTwoScorer{}.ScoreOperation(ex, op, seen)
-	if a != b {
+	if a := l.ScoreOperation(op, 2); a != 2 {
 		t.Fatal("alpha 0 must degrade to Equation 2")
 	}
 }
@@ -98,9 +95,7 @@ func TestCustomScorerWiredThroughRecommend(t *testing.T) {
 
 type constantScorer struct{}
 
-func (constantScorer) ScoreOperation(*Explorer, query.Operation, *ratingmap.SeenSet) (float64, error) {
-	return 42, nil
-}
+func (constantScorer) ScoreOperation(query.Operation, float64) float64 { return 42 }
 
 func TestSessionBack(t *testing.T) {
 	ex := coreExplorer(t)

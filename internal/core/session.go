@@ -129,11 +129,7 @@ func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 func (s *Session) recommend(ctx context.Context, span *obs.Span, res *StepResult) error {
 	if ctx.Err() == nil {
 		recStart := time.Now()
-		_, rspan := obs.StartSpan(ctx, "core.recommend")
 		recs, durs, err := s.rb.RecommendCtx(ctx, s.cur, res.Maps, s.seen, s.Ex.Cfg.O)
-		rspan.SetAttr("evaluated", len(durs))
-		rspan.SetAttr("recommended", len(recs))
-		rspan.End()
 		if err == nil {
 			res.Recommendations, res.RecOpDurations, res.RecDuration = recs, durs, time.Since(recStart)
 			return nil

@@ -1,13 +1,13 @@
 // Cross-step accumulator cache: exploration walks revisit heavily
 // overlapping rating groups (filter → generalize → filter returns to a
-// selection whose maps were already computed, and the Recommendation
-// Builder re-evaluates hundreds of candidate operations whose targets
-// recur step after step). The scan — not the scoring — dominates TopMaps,
-// and the accumulated histograms depend only on (record set, candidate
-// set), NOT on the session's seen-set; memoizing completed accumulators
-// therefore lets a repeated step skip the scan entirely while the cheap
-// finalize pass still runs fresh against the current history, so cached
-// and uncached steps return identical Results. This is the
+// selection whose maps were already computed, and the candidate operations
+// the Recommendation Builder scores recur step after step: their groups are
+// cheap to derive, their scans are not). The scan — not the scoring —
+// dominates TopMaps, and the accumulated histograms depend only on (record
+// set, candidate set), NOT on the session's seen-set; memoizing completed
+// accumulators therefore lets a repeated step skip the scan entirely while
+// the cheap finalize pass still runs fresh against the current history, so
+// cached and uncached steps return identical Results. This is the
 // repeated-subquery memoization of the Subjective Databases system
 // (Li et al.) applied to SubDEx's aggregation hot path, budgeted like the
 // query layer's group cache (cf. Data Canopy [57]).
@@ -15,11 +15,12 @@
 package engine
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -173,7 +174,9 @@ func (c *TopMapsCache) Stats() CacheStats {
 // record-set hash, distinguishing subsampled groups from their full
 // selection), the candidate-key set (order-insensitive), and the utility
 // configuration. The record hash is FNV-1a over the raw positions — O(n)
-// but ~50× cheaper per record than the scan it guards.
+// but ~50× cheaper per record than the scan it guards. The recommendation
+// pass builds one key per candidate operation, so the key is appended
+// field by field: no fmt, no reflection-driven sort.
 func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
 	h := fnv.New64a()
 	var buf [4]byte
@@ -181,22 +184,41 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 		binary.LittleEndian.PutUint32(buf[:], uint32(r))
 		h.Write(buf[:])
 	}
-	ks := append([]ratingmap.Key(nil), candidates...)
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].Side != ks[j].Side {
-			return ks[i].Side < ks[j].Side
+	ks := slices.Clone(candidates)
+	slices.SortFunc(ks, func(a, b ratingmap.Key) int {
+		if c := cmp.Compare(a.Side, b.Side); c != 0 {
+			return c
 		}
-		if ks[i].Attr != ks[j].Attr {
-			return ks[i].Attr < ks[j].Attr
+		if c := strings.Compare(a.Attr, b.Attr); c != 0 {
+			return c
 		}
-		return ks[i].Dim < ks[j].Dim
+		return cmp.Compare(a.Dim, b.Dim)
 	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\x02%d\x02%x\x02", group.Desc.Key(), len(group.Records), h.Sum64())
+	desc := group.Desc.Key()
+	b := make([]byte, 0, len(desc)+64+24*len(ks))
+	b = append(b, desc...)
+	b = append(b, 0x02)
+	b = strconv.AppendInt(b, int64(len(group.Records)), 10)
+	b = append(b, 0x02)
+	b = strconv.AppendUint(b, h.Sum64(), 16)
+	b = append(b, 0x02)
 	for _, k := range ks {
-		fmt.Fprintf(&b, "%d.%s.%d;", k.Side, k.Attr, k.Dim)
+		b = strconv.AppendInt(b, int64(k.Side), 10)
+		b = append(b, '.')
+		b = append(b, k.Attr...)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(k.Dim), 10)
+		b = append(b, ';')
 	}
-	fmt.Fprintf(&b, "\x02%d|%d|%d|%t|%t", u.Aggregation, u.Single, u.Peculiarity,
-		u.DisableDimensionWeights, u.Normalize)
-	return b.String()
+	b = append(b, 0x02)
+	b = strconv.AppendInt(b, int64(u.Aggregation), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(u.Single), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(u.Peculiarity), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, u.DisableDimensionWeights)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, u.Normalize)
+	return string(b)
 }

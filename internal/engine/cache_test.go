@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,6 +110,64 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	u2.Normalize = true
 	if base == cacheKey(group, keys, u2) {
 		t.Fatal("key ignores utility config")
+	}
+}
+
+// fmtCacheKey is cacheKey as it was first written, with fmt and sort.Slice:
+// the byte-for-byte reference of the appended form.
+func fmtCacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, r := range group.Records {
+		binary.LittleEndian.PutUint32(buf[:], uint32(r))
+		h.Write(buf[:])
+	}
+	ks := append([]ratingmap.Key(nil), candidates...)
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].Side != ks[j].Side {
+			return ks[i].Side < ks[j].Side
+		}
+		if ks[i].Attr != ks[j].Attr {
+			return ks[i].Attr < ks[j].Attr
+		}
+		return ks[i].Dim < ks[j].Dim
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\x02%d\x02%x\x02", group.Desc.Key(), len(group.Records), h.Sum64())
+	for _, k := range ks {
+		fmt.Fprintf(&b, "%d.%s.%d;", k.Side, k.Attr, k.Dim)
+	}
+	fmt.Fprintf(&b, "\x02%d|%d|%d|%t|%t", u.Aggregation, u.Single, u.Peculiarity,
+		u.DisableDimensionWeights, u.Normalize)
+	return b.String()
+}
+
+// TestCacheKeyBytesPinned holds the appended key to the fmt-built one, so
+// the rewrite cannot change which lookups hit.
+func TestCacheKeyBytesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	db := buildRandomDB(t, rng, 8, 8, 200)
+	whole := wholeGroup(t, db)
+	keys := allCandidates(db)
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	bound := query.MustDescription(query.Selector{Side: query.ItemSide, Attr: "weird \x00'\"é", Value: "v"})
+	configs := []ratingmap.UtilityConfig{
+		ratingmap.DefaultUtilityConfig(),
+		{Aggregation: ratingmap.AggSingle, Single: ratingmap.Agreement, Peculiarity: 1,
+			DisableDimensionWeights: true, Normalize: true},
+	}
+	for _, group := range []*query.RatingGroup{
+		whole,
+		{Desc: whole.Desc},
+		{Desc: bound, Records: whole.Records[3:40]},
+	} {
+		for _, u := range configs {
+			for _, ks := range [][]ratingmap.Key{keys, keys[:1], nil} {
+				if got, want := cacheKey(group, ks, u), fmtCacheKey(group, ks, u); got != want {
+					t.Fatalf("cacheKey = %q, fmt reference %q", got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,13 +2,15 @@ package query
 
 import "container/list"
 
-// Group-materialization cache. Recommendation building materializes
-// hundreds of candidate selections per step, and consecutive steps (and
-// consecutive simulated subjects) revisit many of them; caching whole
-// rating groups avoids the repeated record scans, in the spirit of the
-// statistics-reuse frameworks the paper cites (Data Canopy [57], the
-// caching of [18]). The cache is budgeted by total cached record count and
-// evicts least-recently-used groups.
+// Group-materialization cache. Consecutive steps (and consecutive simulated
+// subjects) revisit selections, and a recommendation pass materializes the
+// displayed group once more plus its roll-ups (the displayed group without
+// one selector); caching whole rating groups avoids those repeated record
+// scans, in the spirit of the statistics-reuse frameworks the paper cites
+// (Data Canopy [57], the caching of [18]). The pass's other candidates are
+// derived from these groups by Partition and never enter the cache. The
+// cache is budgeted by total cached record count and evicts
+// least-recently-used groups.
 
 // groupCache is an LRU keyed by description with a record-count budget.
 type groupCache struct {

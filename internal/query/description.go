@@ -9,6 +9,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -56,11 +57,15 @@ func (s Selector) String() string {
 	return fmt.Sprintf("%s.%s=%c%s%c", s.Side, s.Attr, q, s.Value, q)
 }
 
-// Key returns a canonical identity string (used for set semantics).
-func (s Selector) Key() string { return fmt.Sprintf("%d\x00%s\x00%s", s.Side, s.Attr, s.Value) }
+// Key returns a canonical identity string (used for set semantics):
+// side, attribute and value, NUL-separated. Keys are built by concatenation —
+// candidate enumeration makes several hundred a step.
+func (s Selector) Key() string {
+	return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr + "\x00" + s.Value
+}
 
 // AttrKey identifies the attribute (without the value) a selector binds.
-func (s Selector) AttrKey() string { return fmt.Sprintf("%d\x00%s", s.Side, s.Attr) }
+func (s Selector) AttrKey() string { return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr }
 
 // Description is a conjunctive set of selectors defining a reviewer group
 // and an item group simultaneously (the paper's q). The zero value selects
@@ -170,11 +175,18 @@ func (d Description) ValueOf(side Side, attr string) (string, bool) {
 
 // Key returns a canonical identity string for the whole description.
 func (d Description) Key() string {
-	parts := make([]string, len(d.selectors))
+	var b []byte
 	for i, s := range d.selectors {
-		parts[i] = s.Key()
+		if i > 0 {
+			b = append(b, 0x01)
+		}
+		b = strconv.AppendInt(b, int64(s.Side), 10)
+		b = append(b, 0x00)
+		b = append(b, s.Attr...)
+		b = append(b, 0x00)
+		b = append(b, s.Value...)
 	}
-	return strings.Join(parts, "\x01")
+	return string(b)
 }
 
 // Equal reports whether two descriptions select the same predicate.

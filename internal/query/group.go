@@ -24,9 +24,10 @@ type RatingGroup struct {
 func (g *RatingGroup) Len() int { return len(g.Records) }
 
 // Engine materializes descriptions against a database, caching per-selector
-// entity bitsets (the dominant cost of repeated candidate evaluation during
-// recommendation building). The cache is guarded: the parallel
-// Recommendation Builder materializes many descriptions concurrently.
+// entity bitsets, and partitions a group's records by an attribute
+// (Partition) — how the Recommendation Builder gets its candidates' groups
+// without materializing them. The caches are guarded: sessions share an
+// engine and materialize concurrently.
 type Engine struct {
 	DB *dataset.DB
 

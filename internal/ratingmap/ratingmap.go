@@ -10,6 +10,7 @@ package ratingmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -247,26 +248,60 @@ type attrRef struct {
 }
 
 // NewAccumulator prepares shared accumulation for the given candidate keys
-// over the rating group described by desc.
+// over the rating group described by desc. The recommendation pass builds
+// an accumulator of ~80 candidates for every candidate operation, so
+// construction is a handful of allocations, not a few per candidate: all
+// blocks are carved out of one slab — each with its capacity clipped to its
+// length, so no block can grow into the next — and a run of keys sharing an
+// attribute (Generator.Candidates lists an attribute's dimensions together)
+// is registered with one map write.
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
 	acc := b.emptyAccumulator(desc)
-	for _, k := range keys {
-		acc.register(acc.newPartial(k))
+	partials := make([]partial, len(keys))
+	refs := make([]*partial, len(keys))
+	ends := make([]int, len(keys)) // ends[i]: where candidate i's block ends in the slab
+	cells := 0
+	for i, k := range keys {
+		scale, n := acc.blockShape(k)
+		cells += n
+		partials[i], refs[i], ends[i] = partial{key: k, scale: scale}, &partials[i], cells
 	}
+	slab := make([]int32, cells)
+	for i, lo := 0, 0; i < len(keys); i++ {
+		partials[i].hist = slab[lo:ends[i]:ends[i]]
+		lo = ends[i]
+	}
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		ak := attrRef{keys[lo].Side, keys[lo].Attr}
+		for hi = lo + 1; hi < len(keys) && keys[hi].Side == ak.side && keys[hi].Attr == ak.attr; hi++ {
+		}
+		if seen, ok := acc.byAttr[ak]; ok { // the attribute's keys were not contiguous
+			acc.byAttr[ak] = append(seen, refs[lo:hi]...)
+		} else {
+			acc.byAttr[ak] = refs[lo:hi:hi]
+		}
+	}
+	acc.order = slices.Clone(keys)
 	return acc
 }
 
-// newPartial sizes a candidate's block from its attribute's dictionary as
+// newPartial is a candidate's partial with a block of its own.
+func (a *Accumulator) newPartial(k Key) *partial {
+	scale, cells := a.blockShape(k)
+	return &partial{key: k, scale: scale, hist: make([]int32, cells)}
+}
+
+// blockShape sizes a candidate's block from its attribute's dictionary as
 // it stands now, so the database must already hold its dictionaries —
 // every production path freezes it first. An attribute outside the schema
 // gets an empty block: no scan ever reaches it.
-func (a *Accumulator) newPartial(k Key) *partial {
-	scale := a.db.Ratings.Dimensions[k.Dim].Scale
+func (a *Accumulator) blockShape(k Key) (scale, cells int) {
+	scale = a.db.Ratings.Dimensions[k.Dim].Scale
 	nValues := 0
 	if t, _, ai := a.resolveAttr(attrRef{k.Side, k.Attr}); ai >= 0 {
 		nValues = t.Dict(ai).Len()
 	}
-	return &partial{key: k, scale: scale, hist: make([]int32, nValues*(scale+1))}
+	return scale, nValues * (scale + 1)
 }
 
 // emptyAccumulator is the one place an Accumulator is constructed, so the

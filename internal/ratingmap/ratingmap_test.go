@@ -1,8 +1,10 @@
 package ratingmap
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +160,58 @@ func TestAccumulatorRemove(t *testing.T) {
 	if rm := acc.Snapshot(keys[1]); rm == nil || rm.TotalRecords == 0 {
 		t.Fatal("surviving key must keep accumulating")
 	}
+}
+
+// TestNewAccumulatorSlab holds the slab-built accumulator to one built the
+// plain way — a block of its own per candidate, registered key by key —
+// over a key order that interleaves the attributes, through scans, a
+// pruning Remove and the wire encoding. Every block's capacity is its
+// length: an append to one can never write into the next.
+func TestNewAccumulatorSlab(t *testing.T) {
+	db := fixtureDB(t)
+	b := Builder{DB: db}
+	keys := []Key{
+		{Side: query.ReviewerSide, Attr: "gender", Dim: 0},
+		{Side: query.ItemSide, Attr: "city", Dim: 0},
+		{Side: query.ItemSide, Attr: "city", Dim: 1},
+		{Side: query.ReviewerSide, Attr: "gender", Dim: 1},
+		{Side: query.ItemSide, Attr: "tag", Dim: 1},
+		{Side: query.ItemSide, Attr: "no_such_attribute", Dim: 0},
+		{Side: query.ItemSide, Attr: "tag", Dim: 0},
+	}
+	slab := b.NewAccumulator(query.Description{}, keys)
+	plain := b.emptyAccumulator(query.Description{})
+	for _, k := range keys {
+		plain.register(plain.newPartial(k))
+	}
+	if !slices.Equal(slab.Keys(), keys) {
+		t.Fatalf("Keys = %v, want the order given", slab.Keys())
+	}
+	for _, k := range keys {
+		p := slab.find(k)
+		if p == nil {
+			t.Fatalf("%v not registered", k)
+		}
+		if want := len(plain.find(k).hist); len(p.hist) != want || cap(p.hist) != want {
+			t.Fatalf("%v: block len %d cap %d, want both %d", k, len(p.hist), cap(p.hist), want)
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		assertAccEqual(t, slab, plain, keys, label)
+		if !bytes.Equal(slab.EncodeWire(), plain.EncodeWire()) {
+			t.Fatalf("%s: wire frames differ", label)
+		}
+	}
+	records := allRecords(db)
+	slab.Update(records[:3])
+	plain.Update(records[:3])
+	check("first scan")
+	slab.Remove(keys[1])
+	plain.Remove(keys[1])
+	slab.Update(records[3:])
+	plain.Update(records[3:])
+	check("after Remove")
 }
 
 func TestSignatureDistinguishesGroupings(t *testing.T) {

@@ -208,14 +208,11 @@ func TestSeedScorer(t *testing.T) {
 		t.Skip("trace never narrowed the selection")
 	}
 	op := query.Operation{Target: query.MustDescription(logged), Added: &logged}
-	boosted, err := scorer.ScoreOperation(ex, op, sess.Seen())
+	base, err := ex.OperationUtility(op, sess.Seen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.EquationTwoScorer{}.ScoreOperation(ex, op, sess.Seen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	boosted := scorer.ScoreOperation(op, base)
 	if boosted <= base {
 		t.Fatalf("seeded scorer must boost logged attributes: %v vs %v", boosted, base)
 	}
