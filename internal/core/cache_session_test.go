@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"subdex/internal/engine"
+	"subdex/internal/gen"
+	"subdex/internal/obs"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
@@ -124,5 +127,50 @@ func TestSessionCachedMatchesUncached(t *testing.T) {
 	exC.InvalidateEngineCache()
 	if st := exC.EngineCacheStats(); st.Entries != 0 || st.UsedRecords != 0 {
 		t.Fatalf("post-invalidate stats %+v", st)
+	}
+}
+
+// TestMaterializeSpanSaysFoundOrBuilt steps twice on one demo selection and
+// reads the query.materialize span of each: the first group is built
+// (cache = miss), the second found in the group cache (cache = hit), with
+// the same record count — the one thing that tells a cold materialization
+// from a served one in a trace.
+func TestMaterializeSpanSaysFoundOrBuilt(t *testing.T) {
+	db, err := gen.Demo(gen.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExplorer(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr := db.Reviewers.Schema.At(0).Name
+	values, err := ex.Query.AttributeValues(query.ReviewerSide, attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: attr, Value: values[0]})
+	sink := obs.NewRingSink(2)
+	ctx := obs.WithSink(context.Background(), sink)
+	for _, want := range []string{"miss", "hit"} {
+		res, err := ex.RMSetCtx(ctx, desc, ratingmap.NewSeenSet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m *obs.SpanData
+		for _, c := range sink.Snapshot()[0].Children { // newest first
+			if c.Name == "query.materialize" {
+				m = c
+			}
+		}
+		if m == nil {
+			t.Fatal("core.rmset recorded no query.materialize span")
+		}
+		if got := m.Attrs["cache"]; got != want {
+			t.Errorf("query.materialize cache = %v, want %q", got, want)
+		}
+		if got := m.Attrs["records"]; got != res.GroupSize {
+			t.Errorf("query.materialize records = %v, want the group's %d", got, res.GroupSize)
+		}
 	}
 }

@@ -147,12 +147,19 @@ func (ex *Explorer) RMSetCtx(ctx context.Context, desc query.Description, seen *
 	span.SetAttr("selection", desc.String())
 	defer span.End()
 	_, mspan := obs.StartSpan(ctx, "query.materialize")
-	group, err := ex.Query.Materialize(desc)
+	group, hit, err := ex.Query.MaterializeCached(desc)
 	if err != nil {
 		mspan.End()
 		return nil, err
 	}
 	mspan.SetAttr("records", group.Len())
+	// Found in the group cache or built: a cold materialization and a
+	// hit are otherwise the same span with the same record count.
+	if hit {
+		mspan.SetAttr("cache", "hit")
+	} else {
+		mspan.SetAttr("cache", "miss")
+	}
 	mspan.End()
 	res, err := ex.rmSetForGroup(ctx, group, seen)
 	if err != nil {

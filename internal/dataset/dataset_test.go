@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -212,6 +214,34 @@ func buildTinyDB(t *testing.T) *DB {
 	return db
 }
 
+// checkRecordIndex holds one side's record index to the rating table's
+// entity column: every record listed exactly once, under its own entity,
+// each list ascending and unable to grow into its neighbour.
+func checkRecordIndex(t *testing.T, side string, col []int32, entities int, recordsOf func(int) []int32) {
+	t.Helper()
+	seen := make([]int, len(col))
+	for e := 0; e < entities; e++ {
+		list := recordsOf(e)
+		if cap(list) != len(list) {
+			t.Errorf("%s %d: cap %d != len %d, an append would overwrite the next entity's records", side, e, cap(list), len(list))
+		}
+		for k, r := range list {
+			if col[r] != int32(e) {
+				t.Errorf("%s %d lists record %d, which belongs to %s %d", side, e, r, side, col[r])
+			}
+			if k > 0 && list[k-1] >= r {
+				t.Errorf("%s %d: records %v not strictly ascending", side, e, list)
+			}
+			seen[r]++
+		}
+	}
+	for r, n := range seen {
+		if n != 1 {
+			t.Errorf("record %d appears %d times in the %s index, want once", r, n, side)
+		}
+	}
+}
+
 func TestDBFreezeAndIndexes(t *testing.T) {
 	db := buildTinyDB(t)
 	if !db.Frozen() {
@@ -222,6 +252,24 @@ func TestDBFreezeAndIndexes(t *testing.T) {
 	}
 	if got := len(db.RecordsOfItem(3)); got != 2 {
 		t.Errorf("item 3 has %d records, want 2", got)
+	}
+	checkRecordIndex(t, "reviewer", db.Ratings.Reviewer, db.Reviewers.Len(), db.RecordsOfReviewer)
+	checkRecordIndex(t, "item", db.Ratings.Item, db.Items.Len(), db.RecordsOfItem)
+
+	// An append to a returned list must reallocate, not reach reviewer 2's.
+	before := slices.Clone(db.RecordsOfReviewer(2))
+	_ = append(db.RecordsOfReviewer(1), -1)
+	if got := db.RecordsOfReviewer(2); !slices.Equal(got, before) {
+		t.Errorf("append to reviewer 1's records changed reviewer 2's: %v, was %v", got, before)
+	}
+
+	// Freeze is repeatable: a second one yields the same index.
+	byReviewer, byItem := db.byReviewer, db.byItem
+	if err := db.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(db.byReviewer, byReviewer) || !reflect.DeepEqual(db.byItem, byItem) {
+		t.Error("a second Freeze built a different record index")
 	}
 }
 
@@ -234,6 +282,28 @@ func TestDBFreezeRejectsDanglingRefs(t *testing.T) {
 	}
 	if err := db.Freeze(); err == nil {
 		t.Fatal("dangling reviewer reference must fail Freeze")
+	}
+
+	// On a database never frozen, a reference that dangles on either side
+	// leaves neither index behind — not the reviewers' without the items'.
+	for _, side := range []string{"reviewer", "item"} {
+		frozen := buildTinyDB(t)
+		db := NewDB("dangling", frozen.Reviewers, frozen.Items, frozen.Ratings)
+		col := db.Ratings.Item
+		if side == "reviewer" {
+			col = db.Ratings.Reviewer
+		}
+		col[len(col)-1] = -1
+		err := db.Freeze()
+		if err == nil || !strings.Contains(err.Error(), "unknown "+side) {
+			t.Fatalf("Freeze with a dangling %s reference: error %v", side, err)
+		}
+		if db.Frozen() {
+			t.Errorf("dangling %s: database reports frozen", side)
+		}
+		if db.byReviewer.records != nil || db.byItem.records != nil {
+			t.Errorf("dangling %s: a failed Freeze left an index behind", side)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -227,6 +228,46 @@ func (rt *RatingTable) Append(reviewer, item int, scores []Score) error {
 	return nil
 }
 
+// recordIndex lists the rating-record positions of every entity of one side
+// in CSR form: entity e's records are records[offsets[e]:offsets[e+1]],
+// ascending — one backing array for the whole side instead of one grown
+// slice per entity.
+type recordIndex struct {
+	offsets []int32 // len entities+1
+	records []int32 // len ratings
+}
+
+// buildRecordIndex indexes the rating table by one of its entity columns
+// (count, prefix-sum, fill), rejecting a reference outside {0..entities-1}.
+// side names the column in that error.
+func buildRecordIndex(col []int32, entities int, side string) (recordIndex, error) {
+	offsets := make([]int32, entities+1)
+	for r, e := range col {
+		if e < 0 || int(e) >= entities {
+			return recordIndex{}, fmt.Errorf("dataset: record %d references unknown %s %d", r, side, e)
+		}
+		offsets[e+1]++
+	}
+	for e := 0; e < entities; e++ {
+		offsets[e+1] += offsets[e]
+	}
+	records := make([]int32, len(col))
+	next := slices.Clone(offsets[:entities])
+	for r, e := range col {
+		records[next[e]] = int32(r)
+		next[e]++
+	}
+	return recordIndex{offsets: offsets, records: records}, nil
+}
+
+// of returns entity e's records. The slice aliases the index with its
+// capacity clipped, so appending to it cannot reach the next entity's list;
+// its elements must not be written.
+func (x *recordIndex) of(e int) []int32 {
+	lo, hi := x.offsets[e], x.offsets[e+1]
+	return x.records[lo:hi:hi]
+}
+
 // DB is the subjective database triple ⟨I, U, R⟩ of the paper with an index
 // from entities to their rating records.
 type DB struct {
@@ -235,10 +276,10 @@ type DB struct {
 	Items     *EntityTable
 	Ratings   *RatingTable
 
-	// byReviewer[u] and byItem[i] list the rating-record positions of each
-	// entity, built by Freeze.
-	byReviewer [][]int32
-	byItem     [][]int32
+	// byReviewer and byItem list the rating-record positions of each
+	// entity; Freeze builds them, both or neither.
+	byReviewer recordIndex
+	byItem     recordIndex
 	frozen     bool
 }
 
@@ -249,21 +290,16 @@ func NewDB(name string, reviewers, items *EntityTable, ratings *RatingTable) *DB
 }
 
 // Freeze validates record references and builds the per-entity record
-// indexes. It must be called once after loading and before exploration.
+// indexes. It must be called once after loading and before exploration. A
+// failed Freeze installs neither index.
 func (db *DB) Freeze() error {
-	nU, nI := db.Reviewers.Len(), db.Items.Len()
-	db.byReviewer = make([][]int32, nU)
-	db.byItem = make([][]int32, nI)
-	for r := 0; r < db.Ratings.Len(); r++ {
-		u, i := db.Ratings.Reviewer[r], db.Ratings.Item[r]
-		if int(u) < 0 || int(u) >= nU {
-			return fmt.Errorf("dataset: record %d references unknown reviewer %d", r, u)
-		}
-		if int(i) < 0 || int(i) >= nI {
-			return fmt.Errorf("dataset: record %d references unknown item %d", r, i)
-		}
-		db.byReviewer[u] = append(db.byReviewer[u], int32(r))
-		db.byItem[i] = append(db.byItem[i], int32(r))
+	byReviewer, err := buildRecordIndex(db.Ratings.Reviewer, db.Reviewers.Len(), "reviewer")
+	if err != nil {
+		return err
+	}
+	byItem, err := buildRecordIndex(db.Ratings.Item, db.Items.Len(), "item")
+	if err != nil {
+		return err
 	}
 	if err := db.Reviewers.buildColumnar(); err != nil {
 		return err
@@ -271,6 +307,7 @@ func (db *DB) Freeze() error {
 	if err := db.Items.buildColumnar(); err != nil {
 		return err
 	}
+	db.byReviewer, db.byItem = byReviewer, byItem
 	db.frozen = true
 	return nil
 }
@@ -278,11 +315,13 @@ func (db *DB) Freeze() error {
 // Frozen reports whether Freeze has completed.
 func (db *DB) Frozen() bool { return db.frozen }
 
-// RecordsOfReviewer returns the rating-record positions of reviewer row u.
-func (db *DB) RecordsOfReviewer(u int) []int32 { return db.byReviewer[u] }
+// RecordsOfReviewer returns the rating-record positions of reviewer row u,
+// ascending. The slice is shared with the index: read-only.
+func (db *DB) RecordsOfReviewer(u int) []int32 { return db.byReviewer.of(u) }
 
-// RecordsOfItem returns the rating-record positions of item row i.
-func (db *DB) RecordsOfItem(i int) []int32 { return db.byItem[i] }
+// RecordsOfItem returns the rating-record positions of item row i,
+// ascending. The slice is shared with the index: read-only.
+func (db *DB) RecordsOfItem(i int) []int32 { return db.byItem.of(i) }
 
 // Stats summarizes the database as in the paper's Table 2.
 type Stats struct {

@@ -17,8 +17,6 @@ package engine
 import (
 	"cmp"
 	"container/list"
-	"encoding/binary"
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"strings"
@@ -170,19 +168,29 @@ func (c *TopMapsCache) Stats() CacheStats {
 	}
 }
 
+// The 64-bit FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // cacheKey builds the lookup key: the group signature (description +
 // record-set hash, distinguishing subsampled groups from their full
 // selection), the candidate-key set (order-insensitive), and the utility
-// configuration. The record hash is FNV-1a over the raw positions — O(n)
-// but ~50× cheaper per record than the scan it guards. The recommendation
-// pass builds one key per candidate operation, so the key is appended
-// field by field: no fmt, no reflection-driven sort.
+// configuration. The record hash is FNV-1a over the four little-endian
+// bytes of each position — hash/fnv's sum, computed inline because a cold
+// step hashes its whole group and Hash64.Write is an interface call per
+// record — O(n) but ~50× cheaper per record than the scan it guards. The
+// recommendation pass builds one key per candidate operation, so the key
+// is appended field by field: no fmt, no reflection-driven sort.
 func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
-	h := fnv.New64a()
-	var buf [4]byte
+	h := uint64(fnvOffset64)
 	for _, r := range group.Records {
-		binary.LittleEndian.PutUint32(buf[:], uint32(r))
-		h.Write(buf[:])
+		p := uint32(r)
+		h = (h ^ uint64(p&0xff)) * fnvPrime64
+		h = (h ^ uint64(p>>8&0xff)) * fnvPrime64
+		h = (h ^ uint64(p>>16&0xff)) * fnvPrime64
+		h = (h ^ uint64(p>>24)) * fnvPrime64
 	}
 	ks := slices.Clone(candidates)
 	slices.SortFunc(ks, func(a, b ratingmap.Key) int {
@@ -200,7 +208,7 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 	b = append(b, 0x02)
 	b = strconv.AppendInt(b, int64(len(group.Records)), 10)
 	b = append(b, 0x02)
-	b = strconv.AppendUint(b, h.Sum64(), 16)
+	b = strconv.AppendUint(b, h, 16)
 	b = append(b, 0x02)
 	for _, k := range ks {
 		b = strconv.AppendInt(b, int64(k.Side), 10)

@@ -160,6 +160,9 @@ func TestCacheKeyBytesPinned(t *testing.T) {
 		whole,
 		{Desc: whole.Desc},
 		{Desc: bound, Records: whole.Records[3:40]},
+		// Positions with four distinct bytes: a 200-record table's all
+		// fit in one, which would hide a byte-order slip in the inline hash.
+		{Desc: bound, Records: []int32{0x01020304, 70000, 1<<31 - 1}},
 	} {
 		for _, u := range configs {
 			for _, ks := range [][]ratingmap.Key{keys, keys[:1], nil} {

@@ -79,8 +79,9 @@ func (e *Engine) EnableGroupCache(budgetRecords int) {
 	e.groups = newGroupCache(budgetRecords)
 }
 
-// cachedMaterialize consults the cache before materializing.
-func (e *Engine) cachedMaterialize(d Description) (*RatingGroup, bool, error) {
+// MaterializeCached is Materialize that also reports whether the group was
+// found in the group cache (true) or built (false).
+func (e *Engine) MaterializeCached(d Description) (*RatingGroup, bool, error) {
 	key := d.Key()
 	e.mu.Lock()
 	if e.groups != nil {

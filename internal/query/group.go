@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -23,11 +24,13 @@ type RatingGroup struct {
 // Len returns the number of rating records in the group.
 func (g *RatingGroup) Len() int { return len(g.Records) }
 
-// Engine materializes descriptions against a database, caching per-selector
-// entity bitsets, and partitions a group's records by an attribute
-// (Partition) — how the Recommendation Builder gets its candidates' groups
-// without materializing them. The caches are guarded: sessions share an
-// engine and materialize concurrently.
+// Engine materializes descriptions against a database — per-selector entity
+// bitsets, cached, intersected into the two entity groups, then the records
+// of the smaller one gathered from the database's record index in table
+// order (gather) — and partitions a group's records by an attribute
+// (Partition), which is how the Recommendation Builder gets its candidates'
+// groups without materializing them. The caches are guarded: sessions share
+// an engine and materialize concurrently.
 type Engine struct {
 	DB *dataset.DB
 
@@ -68,7 +71,8 @@ func (e *Engine) Validate(d Description) error {
 	return nil
 }
 
-// selectorBitset returns the entity rows matching one selector, cached.
+// selectorBitset returns the entity rows matching one selector, cached. It
+// reads the frozen flat column, as the scan kernel and Partition do.
 func (e *Engine) selectorBitset(s Selector) (*Bitset, error) {
 	e.mu.RLock()
 	b, ok := e.selCache[s.Key()]
@@ -85,10 +89,19 @@ func (e *Engine) selectorBitset(s Selector) (*Bitset, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
 	}
+	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
 	b = NewBitset(t.Len())
-	for row := 0; row < t.Len(); row++ {
-		if t.HasValue(a, row, v) {
-			b.Set(row)
+	if col.Kind == dataset.Atomic {
+		for row, x := range col.Values {
+			if x == v {
+				b.Set(row)
+			}
+		}
+	} else {
+		for row := 0; row < t.Len(); row++ {
+			if slices.Contains(col.Values[col.Offsets[row]:col.Offsets[row+1]], v) {
+				b.Set(row)
+			}
 		}
 	}
 	e.mu.Lock()
@@ -111,13 +124,15 @@ func (e *Engine) EntityGroup(d Description, side Side) (*Bitset, error) {
 	return acc, nil
 }
 
-// Materialize evaluates a description into a rating group. The record scan
-// iterates the smaller entity side's per-entity record index and filters by
-// the other side's bitset, so narrow selections stay cheap. With the group
-// cache enabled (EnableGroupCache), repeated selections are served from
-// memory; the returned group must then be treated as immutable.
+// Materialize evaluates a description into a rating group: the records of
+// the smaller entity side, read from its record index and kept when the
+// other side's bitset admits them, so narrow selections stay cheap; they
+// come back ascending without a sort (gather), in a slice of exactly their
+// number. With the group cache enabled (EnableGroupCache), repeated
+// selections are served from memory; the returned group must then be
+// treated as immutable.
 func (e *Engine) Materialize(d Description) (*RatingGroup, error) {
-	g, _, err := e.cachedMaterialize(d)
+	g, _, err := e.MaterializeCached(d)
 	return g, err
 }
 
@@ -142,27 +157,52 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 			g.Records[r] = int32(r)
 		}
 	case uCount <= iCount:
-		rows := ug.Elements(nil)
-		for _, u := range rows {
-			for _, r := range e.DB.RecordsOfReviewer(int(u)) {
-				if ig.Has(int(e.DB.Ratings.Item[r])) {
-					g.Records = append(g.Records, r)
-				}
-			}
-		}
-		slices.Sort(g.Records)
+		g.Records = e.gather(ug, e.DB.RecordsOfReviewer, ig, e.DB.Ratings.Item)
 	default:
-		rows := ig.Elements(nil)
-		for _, i := range rows {
-			for _, r := range e.DB.RecordsOfItem(int(i)) {
-				if ug.Has(int(e.DB.Ratings.Reviewer[r])) {
-					g.Records = append(g.Records, r)
-				}
-			}
-		}
-		slices.Sort(g.Records)
+		g.Records = e.gather(ig, e.DB.RecordsOfItem, ug, e.DB.Ratings.Reviewer)
 	}
 	return g, nil
+}
+
+// gather returns, ascending, the records of the entities in from whose
+// entity on the other side — otherOf[r] — is in other. The index hands the
+// records over entity by entity, which is not table order; marking them in
+// a bitmap over the rating table and reading the bitmap out restores it
+// without a sort, and sizes the result exactly. The bitmap costs an
+// allocation and a pass over its words however few records it holds, so the
+// first records gathered wait in a list, and a gather that never outgrows
+// the list is sorted instead. The list holds a quarter as many records as
+// the bitmap has words: at 3 000, 50 000 and 200 000 ratings alike, the sort
+// becomes the slower of the two between 0.2 and 0.3 records a word.
+func (e *Engine) gather(from *Bitset, recordsOf func(int) []int32, other *Bitset, otherOf []int32) []int32 {
+	n := e.DB.Ratings.Len()
+	limit := (n + 63) / 64 / 4
+	var few []int32
+	var marks *Bitset
+	for wi, w := range from.words {
+		for ; w != 0; w &= w - 1 {
+			for _, r := range recordsOf(wi*64 + bits.TrailingZeros64(w)) {
+				switch {
+				case !other.Has(int(otherOf[r])):
+				case marks != nil:
+					marks.Set(int(r))
+				case len(few) < limit:
+					few = append(few, r)
+				default:
+					marks = NewBitset(n)
+					for _, f := range few {
+						marks.Set(int(f))
+					}
+					marks.Set(int(r))
+				}
+			}
+		}
+	}
+	if marks == nil {
+		slices.Sort(few)
+		return slices.Clip(few)
+	}
+	return marks.Elements(make([]int32, 0, marks.Count()))
 }
 
 // GroupingCandidate describes one way to partition a rating group: by an
