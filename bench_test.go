@@ -190,6 +190,8 @@ func BenchmarkRecommendationBuilding(b *testing.B) {
 	}
 }
 
+var benchScores ratingmap.Scores
+
 func BenchmarkCriteriaEstimate(b *testing.B) {
 	db := sharedDB(b)
 	qe, _ := query.NewEngine(db)
@@ -201,10 +203,8 @@ func BenchmarkCriteriaEstimate(b *testing.B) {
 	seen := ratingmap.NewSeenSet()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, k := range keys {
-			if _, ok := acc.CriteriaEstimate(k, seen, 1); !ok {
-				b.Fatal("estimate failed")
-			}
+		for k := range keys {
+			benchScores = acc.ScoresAt(k, seen, 1, ratingmap.PecTVD)
 		}
 	}
 }

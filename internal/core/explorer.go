@@ -216,13 +216,12 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 // generator ranked it by.
 func (ex *Explorer) selectDiverse(genRes *engine.Result) ([]*ratingmap.RatingMap, []float64) {
 	sel := diversity.SelectDiverse(genRes.Maps, ex.Cfg.K, ex.Cfg.Distance)
-	utilOf := make(map[*ratingmap.RatingMap]float64, len(genRes.Maps))
+	// sel keeps the generator's order, so one walk pairs the utilities up.
+	utils := make([]float64, 0, len(sel))
 	for i, rm := range genRes.Maps {
-		utilOf[rm] = genRes.Utilities[i]
-	}
-	utils := make([]float64, len(sel))
-	for i, rm := range sel {
-		utils[i] = utilOf[rm]
+		if len(utils) < len(sel) && rm == sel[len(utils)] {
+			utils = append(utils, genRes.Utilities[i])
+		}
 	}
 	return sel, utils
 }
@@ -236,13 +235,13 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 	if err != nil {
 		return 0, err
 	}
-	return ex.groupUtility(op.Target, group.Records, seen)
+	return ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen)
 }
 
-// groupUtility is Equation 2 over a rating group given as its description
-// and ascending records. To keep recommendation building interactive, the
-// records may be subsampled per Cfg.RecSampleSize.
-func (ex *Explorer) groupUtility(desc query.Description, records []int32, seen *ratingmap.SeenSet) (float64, error) {
+// groupUtility is Equation 2 over a rating group given as its description,
+// ascending records and candidate rating maps. To keep recommendation
+// building interactive, the records may be subsampled per Cfg.RecSampleSize.
+func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands []ratingmap.Key, seen *ratingmap.SeenSet) (float64, error) {
 	if len(records) == 0 {
 		return 0, nil
 	}
@@ -250,7 +249,6 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, seen *
 		records = sampleRecords(records, n)
 	}
 	group := &query.RatingGroup{Desc: desc, Records: records}
-	cands := ex.Gen.Candidates(ex.Query, desc)
 	genRes, err := ex.Gen.TopMaps(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine)
 	if err != nil {
 		return 0, err

@@ -76,7 +76,7 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if err != nil {
 		return nil, nil, err
 	}
-	pass := newRecPass(rb.Ex.Query, group)
+	pass := newRecPass(rb.Ex, group)
 	defer pass.describe(span)
 
 	scorer := rb.Ex.Cfg.Scorer
@@ -134,10 +134,10 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 // derived by the pass instead of materialized.
 func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
 	records, err := pass.records(op)
-	if err != nil {
+	if err != nil || len(records) == 0 {
 		return 0, err
 	}
-	return rb.Ex.groupUtility(op.Target, records, seen)
+	return rb.Ex.groupUtility(op.Target, records, pass.candidates(op), seen)
 }
 
 // CandidateOps enumerates the candidate operations of a step. Per §4.3 a

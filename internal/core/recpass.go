@@ -6,6 +6,7 @@ import (
 
 	"subdex/internal/obs"
 	"subdex/internal/query"
+	"subdex/internal/ratingmap"
 )
 
 // recPass derives the rating groups of one recommendation pass's candidate
@@ -25,17 +26,22 @@ import (
 // and the derived record lists equal what Query.Materialize(op.Target)
 // returns element for element.
 //
+// A group's candidate rating maps depend only on which attributes its
+// description binds — cur's, less at most one, plus at most one — so each
+// such set is enumerated once per pass, not once per candidate operation.
+//
 // The memo belongs to one RecommendCtx call and is reachable only from it:
 // sessions share an explorer, so nothing here may outlive the call or hang
 // off the Explorer. mu makes it safe for the call's RecWorkers goroutines;
 // a partition is built under it, by the first candidate that needs it.
 type recPass struct {
-	qe  *query.Engine
+	ex  *Explorer
 	cur *query.RatingGroup
 
 	mu    sync.Mutex
 	bases map[query.Selector][]int32 // old → records of cur∖old
 	parts map[partKey]*query.Partition
+	cands map[boundDelta][]ratingmap.Key
 
 	derived, materialized, partitionRecords int
 }
@@ -55,9 +61,34 @@ type partKey struct {
 	attr string
 }
 
-func newRecPass(qe *query.Engine, cur *query.RatingGroup) *recPass {
-	return &recPass{qe: qe, cur: cur, materialized: 1, // cur itself
-		bases: make(map[query.Selector][]int32), parts: make(map[partKey]*query.Partition)}
+// boundDelta names the attributes a candidate's target binds by how they
+// differ from cur's: the one it unbinds and the one it binds (values blank;
+// the zero Selector for none).
+type boundDelta struct{ unbound, bound query.Selector }
+
+func newRecPass(ex *Explorer, cur *query.RatingGroup) *recPass {
+	return &recPass{ex: ex, cur: cur, materialized: 1, // cur itself
+		bases: make(map[query.Selector][]int32), parts: make(map[partKey]*query.Partition),
+		cands: make(map[boundDelta][]ratingmap.Key)}
+}
+
+// candidates is Generator.Candidates of op.Target, shared read-only by the
+// operations whose targets bind the same attributes. Like records it trusts
+// op's delta fields; a Change rebinds the attribute it changes, no delta.
+func (p *recPass) candidates(op query.Operation) []ratingmap.Key {
+	var d boundDelta
+	if op.Removed != nil {
+		d.unbound = query.Selector{Side: op.Removed.Side, Attr: op.Removed.Attr}
+	}
+	if op.Added != nil {
+		d.bound = query.Selector{Side: op.Added.Side, Attr: op.Added.Attr}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.cands[d]; !ok {
+		p.cands[d] = p.ex.Gen.Candidates(p.ex.Query, op.Target)
+	}
+	return p.cands[d]
 }
 
 // records returns the records of op.Target, ascending. op must be one of
@@ -93,7 +124,7 @@ func (p *recPass) bucket(src source, sel query.Selector) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		if part, err = p.qe.Partition(records, sel.Side, sel.Attr); err != nil {
+		if part, err = p.ex.Query.Partition(records, sel.Side, sel.Attr); err != nil {
 			return nil, err
 		}
 		p.parts[key] = part
@@ -124,7 +155,7 @@ func (p *recPass) base(old query.Selector) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := p.qe.Materialize(desc)
+	g, err := p.ex.Query.Materialize(desc)
 	if err != nil {
 		return nil, err
 	}

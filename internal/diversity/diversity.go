@@ -7,6 +7,7 @@ package diversity
 
 import (
 	"math"
+	"slices"
 
 	"subdex/internal/ratingmap"
 	"subdex/internal/stats"
@@ -21,14 +22,17 @@ type Distance func(a, b *ratingmap.RatingMap) float64
 // rating distribution (which separates maps on different dimensions) and
 // its subgroup-average signature (which separates different groupings of
 // the same records; the pooled view alone is grouping-blind). Maps with
-// different scales are maximally distant.
+// different scales are maximally distant. GMM evaluates the distance a
+// couple of dozen times per selection and the recommendation pass selects
+// once per candidate operation, so the four distributions are built in two
+// stack arrays (rating scales beyond them spill to the heap).
 func EMD(a, b *ratingmap.RatingMap) float64 {
-	da, db := a.Distribution(), b.Distribution()
-	if len(da) != len(db) {
+	if a.Scale != b.Scale {
 		return math.Inf(1)
 	}
-	pooled, _ := stats.NormalizedEarthMovers(da, db)
-	sig, _ := stats.NormalizedEarthMovers(a.Signature(), b.Signature())
+	var bufA, bufB [16]float64
+	pooled, _ := stats.NormalizedEarthMovers(a.AppendDistribution(bufA[:0]), b.AppendDistribution(bufB[:0]))
+	sig, _ := stats.NormalizedEarthMovers(a.AppendSignature(bufA[:0]), b.AppendSignature(bufB[:0]))
 	return (pooled + sig) / 2
 }
 
@@ -158,16 +162,10 @@ func GMM(maps []*ratingmap.RatingMap, k int, seed int, d Distance) []int {
 // at the top-utility candidate and returns the chosen maps in utility order.
 func SelectDiverse(ranked []*ratingmap.RatingMap, k int, d Distance) []*ratingmap.RatingMap {
 	idx := GMM(ranked, k, 0, d)
-	// Preserve utility order among the chosen for display.
-	pick := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		pick[i] = true
-	}
-	out := make([]*ratingmap.RatingMap, 0, len(idx))
-	for i, rm := range ranked {
-		if pick[i] {
-			out = append(out, rm)
-		}
+	slices.Sort(idx) // preserve utility order among the chosen for display
+	out := make([]*ratingmap.RatingMap, len(idx))
+	for j, i := range idx {
+		out[j] = ranked[i]
 	}
 	return out
 }

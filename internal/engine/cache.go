@@ -15,11 +15,8 @@
 package engine
 
 import (
-	"cmp"
 	"container/list"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"subdex/internal/query"
@@ -181,8 +178,10 @@ const (
 // bytes of each position — hash/fnv's sum, computed inline because a cold
 // step hashes its whole group and Hash64.Write is an interface call per
 // record — O(n) but ~50× cheaper per record than the scan it guards. The
-// recommendation pass builds one key per candidate operation, so the key
-// is appended field by field: no fmt, no reflection-driven sort.
+// recommendation pass builds one key per candidate operation over ~90
+// candidates each, so the candidate set is named by its length and the sum
+// of its keys' hashes — any order of one set adds up the same — not cloned,
+// sorted and spelled out; the rest is appended field by field, no fmt.
 func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
 	h := uint64(fnvOffset64)
 	for _, r := range group.Records {
@@ -192,32 +191,21 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 		h = (h ^ uint64(p>>16&0xff)) * fnvPrime64
 		h = (h ^ uint64(p>>24)) * fnvPrime64
 	}
-	ks := slices.Clone(candidates)
-	slices.SortFunc(ks, func(a, b ratingmap.Key) int {
-		if c := cmp.Compare(a.Side, b.Side); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Attr, b.Attr); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Dim, b.Dim)
-	})
+	set := uint64(0)
+	for _, k := range candidates {
+		set += keyHash(k)
+	}
 	desc := group.Desc.Key()
-	b := make([]byte, 0, len(desc)+64+24*len(ks))
+	b := make([]byte, 0, len(desc)+96)
 	b = append(b, desc...)
 	b = append(b, 0x02)
 	b = strconv.AppendInt(b, int64(len(group.Records)), 10)
 	b = append(b, 0x02)
 	b = strconv.AppendUint(b, h, 16)
 	b = append(b, 0x02)
-	for _, k := range ks {
-		b = strconv.AppendInt(b, int64(k.Side), 10)
-		b = append(b, '.')
-		b = append(b, k.Attr...)
-		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(k.Dim), 10)
-		b = append(b, ';')
-	}
+	b = strconv.AppendInt(b, int64(len(candidates)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, set, 16)
 	b = append(b, 0x02)
 	b = strconv.AppendInt(b, int64(u.Aggregation), 10)
 	b = append(b, '|')
@@ -229,4 +217,25 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 	b = append(b, '|')
 	b = strconv.AppendBool(b, u.Normalize)
 	return string(b)
+}
+
+// keyHash hashes one candidate key: FNV-1a over side, dimension, attribute
+// length and attribute bytes — the length keeps "a"+"bc" apart from
+// "ab"+"c" — finished with the murmur3 mixer. FNV's last step is linear in
+// the last byte, and a sum of such hashes cannot tell two sets that swapped
+// their last bytes apart; a sum of mixed ones can.
+func keyHash(k ratingmap.Key) uint64 {
+	h := uint64(fnvOffset64)
+	h = (h ^ uint64(k.Side)) * fnvPrime64
+	h = (h ^ uint64(k.Dim)) * fnvPrime64
+	h = (h ^ uint64(len(k.Attr))) * fnvPrime64
+	for i := 0; i < len(k.Attr); i++ {
+		h = (h ^ uint64(k.Attr[i])) * fnvPrime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,64 +113,89 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// fmtCacheKey is cacheKey as it was first written, with fmt and sort.Slice:
-// the byte-for-byte reference of the appended form.
-func fmtCacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, r := range group.Records {
-		binary.LittleEndian.PutUint32(buf[:], uint32(r))
-		h.Write(buf[:])
-	}
-	ks := append([]ratingmap.Key(nil), candidates...)
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].Side != ks[j].Side {
-			return ks[i].Side < ks[j].Side
-		}
-		if ks[i].Attr != ks[j].Attr {
-			return ks[i].Attr < ks[j].Attr
-		}
-		return ks[i].Dim < ks[j].Dim
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\x02%d\x02%x\x02", group.Desc.Key(), len(group.Records), h.Sum64())
-	for _, k := range ks {
-		fmt.Fprintf(&b, "%d.%s.%d;", k.Side, k.Attr, k.Dim)
-	}
-	fmt.Fprintf(&b, "\x02%d|%d|%d|%t|%t", u.Aggregation, u.Single, u.Peculiarity,
-		u.DisableDimensionWeights, u.Normalize)
-	return b.String()
-}
-
-// TestCacheKeyBytesPinned holds the appended key to the fmt-built one, so
-// the rewrite cannot change which lookups hit.
-func TestCacheKeyBytesPinned(t *testing.T) {
+// TestCacheKeyNamesCandidateSet: the key names the candidate *set* — any
+// order of it, nothing but it — beside the record list and the description,
+// and its record hash is still hash/fnv's.
+func TestCacheKeyNamesCandidateSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := buildRandomDB(t, rng, 8, 8, 200)
 	whole := wholeGroup(t, db)
 	keys := allCandidates(db)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	bound := query.MustDescription(query.Selector{Side: query.ItemSide, Attr: "weird \x00'\"é", Value: "v"})
-	configs := []ratingmap.UtilityConfig{
-		ratingmap.DefaultUtilityConfig(),
-		{Aggregation: ratingmap.AggSingle, Single: ratingmap.Agreement, Peculiarity: 1,
-			DisableDimensionWeights: true, Normalize: true},
-	}
-	for _, group := range []*query.RatingGroup{
-		whole,
-		{Desc: whole.Desc},
-		{Desc: bound, Records: whole.Records[3:40]},
-		// Positions with four distinct bytes: a 200-record table's all
-		// fit in one, which would hide a byte-order slip in the inline hash.
-		{Desc: bound, Records: []int32{0x01020304, 70000, 1<<31 - 1}},
-	} {
-		for _, u := range configs {
-			for _, ks := range [][]ratingmap.Key{keys, keys[:1], nil} {
-				if got, want := cacheKey(group, ks, u), fmtCacheKey(group, ks, u); got != want {
-					t.Fatalf("cacheKey = %q, fmt reference %q", got, want)
-				}
-			}
+	u := ratingmap.DefaultUtilityConfig()
+	base := cacheKey(whole, keys, u)
+
+	for round := 0; round < 20; round++ {
+		shuffled := slices.Clone(keys)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := cacheKey(whole, shuffled, u); got != base {
+			t.Fatalf("shuffle %d: key %q, want %q", round, got, base)
 		}
+	}
+	extra := ratingmap.Key{Side: query.ItemSide, Attr: "weird \x00'\"é", Dim: 1}
+	differs := func(label string, ks []ratingmap.Key) {
+		t.Helper()
+		if cacheKey(whole, ks, u) == base {
+			t.Fatalf("%s: same key as the full candidate set", label)
+		}
+	}
+	differs("one key added", append(slices.Clone(keys), extra))
+	differs("one key repeated", append(slices.Clone(keys), keys[0]))
+	differs("no keys", nil)
+	for i, k := range keys {
+		differs(fmt.Sprintf("key %d dropped", i), slices.Delete(slices.Clone(keys), i, i+1))
+		for field, changed := range map[string]ratingmap.Key{
+			"side": {Side: 1 - k.Side, Attr: k.Attr, Dim: k.Dim},
+			"attr": {Side: k.Side, Attr: k.Attr + "x", Dim: k.Dim},
+			"dim":  {Side: k.Side, Attr: k.Attr, Dim: k.Dim + 1},
+		} {
+			ks := slices.Clone(keys)
+			ks[i] = changed
+			differs(fmt.Sprintf("key %d changed in %s", i, field), ks)
+		}
+	}
+
+	// Sets a plain sum of FNV hashes, or one hash over the keys run
+	// together, would confuse.
+	pair := func(a, b string, da, db int) []ratingmap.Key {
+		return []ratingmap.Key{{Attr: a, Dim: da}, {Attr: b, Dim: db}}
+	}
+	for _, c := range []struct {
+		label string
+		x, y  []ratingmap.Key
+	}{
+		{"attribute boundary moved", pair("a", "bc", 0, 0), pair("ab", "c", 0, 0)},
+		{"last bytes swapped", pair("ab", "cd", 0, 0), pair("ad", "cb", 0, 0)},
+		{"dimensions swapped", pair("a", "b", 0, 1), pair("a", "b", 1, 0)},
+	} {
+		if cacheKey(whole, c.x, u) == cacheKey(whole, c.y, u) {
+			t.Fatalf("%s: %v and %v share a key", c.label, c.x, c.y)
+		}
+	}
+
+	// The same set on two record lists, and on two descriptions.
+	bound := query.MustDescription(query.Selector{Side: query.ItemSide, Attr: "weird \x00'\"é", Value: "v"})
+	for _, g := range []*query.RatingGroup{
+		{Desc: whole.Desc},
+		{Desc: whole.Desc, Records: whole.Records[3:40]},
+		{Desc: bound, Records: whole.Records},
+	} {
+		if cacheKey(g, keys, u) == base {
+			t.Fatalf("group %q with %d records shares the whole group's key", g.Desc, len(g.Records))
+		}
+	}
+
+	// Positions with four distinct bytes: a 200-record table's all fit in
+	// one, which would hide a byte-order slip in the inline record hash.
+	records := []int32{0x01020304, 70000, 1<<31 - 1}
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, r := range records {
+		binary.LittleEndian.PutUint32(buf[:], uint32(r))
+		h.Write(buf[:])
+	}
+	want := fmt.Sprintf("\x02%d\x02%x\x02", len(records), h.Sum64())
+	if got := cacheKey(&query.RatingGroup{Desc: bound, Records: records}, keys, u); !strings.Contains(got, want) {
+		t.Fatalf("key %q does not carry hash/fnv's record hash %q", got, want)
 	}
 }
 

@@ -10,9 +10,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -493,15 +495,16 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 // dimension-weighted mean at a phase boundary.
 type estimateEntry struct {
 	idx    int
-	key    ratingmap.Key
 	scores ratingmap.Scores
 	weight float64
 	dwMean float64
 }
 
-// estimate snapshots the alive candidates and computes bounded criterion
-// estimates in parallel (the "parallel query execution" sharing
-// optimization: up to cfg.Workers candidates are scored simultaneously).
+// estimate computes the alive candidates' bounded criterion estimates in
+// parallel (the "parallel query execution" sharing optimization: up to
+// cfg.Workers candidates are scored simultaneously). Remove keeps the
+// accumulator's keys in candidate order, so the alive candidate with the
+// p-th smallest index is the accumulator's candidate p and is scored there.
 // The workers consult ctx between candidates; on cancellation the whole
 // estimate is abandoned (aborted = true) — partial estimates must never
 // feed pruning decisions.
@@ -517,6 +520,7 @@ func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, al
 	}
 	sort.Ints(idxs)
 	out := make([]estimateEntry, len(idxs))
+	keys := acc.Keys()
 	var abort atomic.Bool
 	util := cfg.Utility // the closure captures the scoring config, not the whole Config
 	g.parallel(len(idxs), cfg.Workers, func(_, lo, hi int) {
@@ -525,15 +529,13 @@ func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, al
 				abort.Store(true)
 				return
 			}
-			key := alive[idxs[p]]
-			scores, _ := acc.CriteriaEstimateOpt(key, seen, recordScale, util.Peculiarity)
-			w := seen.Weight(key.Dim)
+			scores := acc.ScoresAt(p, seen, recordScale, util.Peculiarity)
+			w := seen.Weight(keys[p].Dim)
 			if util.DisableDimensionWeights {
 				w = 1
 			}
 			out[p] = estimateEntry{
 				idx:    idxs[p],
-				key:    key,
 				scores: scores,
 				weight: w,
 				dwMean: w * scores.Aggregate(util),
@@ -634,16 +636,6 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 	g.Metrics.addCacheEvictions(g.Cache.put(key, acc, n))
 }
 
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // finalize scores all remaining candidates on their full accumulated data
 // using the allocation-light estimator, ranks them, and materializes only
 // the top kPrime as rating maps. With normalization enabled in the utility
@@ -662,54 +654,48 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	peculiarity := cfg.Utility.Peculiarity
 	g.parallel(len(keys), cfg.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi && ctx.Err() == nil; i++ {
-			scores[i], _ = acc.CriteriaEstimateOpt(keys[i], seen, 1, peculiarity)
+			scores[i] = acc.ScoresAt(i, seen, 1, peculiarity)
 			scored[i] = true
 		}
 	})
 
-	// Drop candidates the cancelled scoring pass never reached; ranking a
+	// order lists the scored candidates by accumulator position. Those the
+	// cancelled scoring pass never reached are left out; ranking a
 	// zero-valued score would be wrong, excluding it is merely incomplete.
-	if nScored := countTrue(scored); nScored < len(keys) {
-		res.degrade("deadline_mid_finalize")
-		ck := make([]ratingmap.Key, 0, nScored)
-		cs := make([]ratingmap.Scores, 0, nScored)
-		for i, ok := range scored {
-			if ok {
-				ck = append(ck, keys[i])
-				cs = append(cs, scores[i])
-			}
+	order := make([]int, 0, len(keys))
+	for i, ok := range scored {
+		if ok {
+			order = append(order, i)
 		}
-		keys, scores = ck, cs
+	}
+	if len(order) < len(keys) {
+		res.degrade("deadline_mid_finalize")
 	}
 
-	if cfg.Utility.Normalize && len(keys) > 1 {
-		col := make([]float64, len(keys))
+	if cfg.Utility.Normalize && len(order) > 1 {
+		col := make([]float64, len(order))
 		for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
-			for i := range scores {
-				col[i] = scores[i][c]
+			for j, i := range order {
+				col[j] = scores[i][c]
 			}
 			stats.MinMaxNormalize(col)
-			for i := range scores {
-				scores[i][c] = col[i]
+			for j, i := range order {
+				scores[i][c] = col[j]
 			}
 		}
 	}
 	utils := make([]float64, len(keys))
-	for i := range keys {
+	for _, i := range order {
 		utils[i] = ratingmap.DWUtility(scores[i].Aggregate(cfg.Utility), keys[i].Dim, seen, cfg.Utility)
 	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return utils[order[a]] > utils[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(utils[b], utils[a]) })
 	if kPrime > len(order) {
 		kPrime = len(order)
 	}
 	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
 	res.Utilities = make([]float64, 0, kPrime)
 	for _, i := range order[:kPrime] {
-		res.Maps = append(res.Maps, acc.Snapshot(keys[i]))
+		res.Maps = append(res.Maps, acc.SnapshotAt(i))
 		res.Utilities = append(res.Utilities, utils[i])
 	}
 }

@@ -1,42 +1,60 @@
 package ratingmap
 
-import (
-	"math"
+import "math"
 
-	"subdex/internal/dataset"
-)
-
-// CriteriaEstimate computes the four bounded criteria of a candidate's
-// current partial state directly from the accumulator, without
-// materializing a RatingMap (no subgroup structs, no sorting). This is the
-// per-phase estimation path of the engine: with tens of candidates times
-// ten phases, estimation cost must stay far below scan cost or pruning
-// cannot pay for itself. recordScale projects conciseness to the full
-// group as in ComputeScoresScaled. ok is false for unknown candidates.
-func (a *Accumulator) CriteriaEstimate(k Key, seen *SeenSet, recordScale float64) (Scores, bool) {
-	return a.CriteriaEstimateOpt(k, seen, recordScale, PecTVD)
-}
-
-// CriteriaEstimateOpt is CriteriaEstimate under an explicit peculiarity
-// measure, keeping the pruning estimates consistent with the configured
-// exact scoring.
+// CriteriaEstimateOpt is ScoresAt for a candidate given by key; ok is false
+// for an unknown one.
 func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores, ok bool) {
-	p := a.find(k)
-	if p == nil {
+	i := a.index(k)
+	if i < 0 {
 		return s, false
 	}
-	// Pooled distribution, subgroup count and record total in one walk.
-	pooled := make([]float64, p.scale)
-	nsub, nRecords := 0, 0
-	p.rows(func(_ dataset.ValueID, c []int32, n int) {
-		nsub++
+	return a.ScoresAt(i, seen, recordScale, m), true
+}
+
+// stackScale and stackBars size ScoresAt's stack buffers; rating scales and
+// bar counts beyond them are scored the same way, from the heap.
+const stackScale, stackBars = 16, 64
+
+// ScoresAt computes the four bounded criteria of candidate Keys()[i] under
+// peculiarity measure m from its current partial state, without
+// materializing a RatingMap (no subgroup structs, no sorting). recordScale
+// projects conciseness to the full group as in ComputeScoresScaled. It is
+// the engine's scorer, per phase and at the end — some 90 calls per
+// candidate operation of a recommendation pass, most over a few dozen
+// records — so the block is walked once, the subgroups found are revisited
+// from a list, and nothing is allocated.
+func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores) {
+	p := &a.parts[i]
+	stride := p.scale + 1
+	var distBuf [2 * stackScale]float64
+	dists := distBuf[:]
+	if 2*p.scale > len(dists) {
+		dists = make([]float64, 2*p.scale)
+	}
+	pooled, sub := dists[:p.scale], dists[p.scale:2*p.scale]
+	var barBuf [stackBars]int32
+	bars := barBuf[:0] // where each subgroup's row starts in the block
+
+	// Pooled distribution, subgroups and record total in one walk.
+	nRecords := 0
+	for base := stride; base < len(p.hist); base += stride {
+		c := p.hist[base+1 : base+stride]
+		n := 0
+		for _, v := range c {
+			n += int(v)
+		}
+		if n == 0 {
+			continue
+		}
 		nRecords += n
 		for i, v := range c {
 			pooled[i] += float64(v)
 		}
-	})
-	if nsub == 0 {
-		return s, true
+		bars = append(bars, int32(base))
+	}
+	if len(bars) == 0 {
+		return s
 	}
 	total := float64(nRecords)
 	for i := range pooled {
@@ -44,18 +62,23 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 	}
 
 	// Conciseness (projected compaction gain, log-scaled).
-	gain := recordScale * total / float64(nsub)
-	conc := math.Log1p(gain) / math.Log1p(concGainRef)
+	gain := recordScale * total / float64(len(bars))
+	conc := math.Log1p(gain) / logConcGainRef
 	if conc > 1 {
 		conc = 1
 	}
 	s[Conciseness] = conc
 
 	// Agreement (record-weighted subgroup SD) and self peculiarity
-	// (support-shrunk max subgroup TVD), one pass per subgroup.
+	// (support-shrunk max subgroup distance), one pass per subgroup.
 	sdSum := 0.0
-	maxTVD := 0.0
-	p.rows(func(_ dataset.ValueID, c []int32, n int) {
+	maxPec := 0.0
+	for _, base := range bars {
+		c := p.hist[int(base)+1 : int(base)+stride]
+		n := 0
+		for _, v := range c {
+			n += int(v)
+		}
 		fn := float64(n)
 		mean := 0.0
 		for i, v := range c {
@@ -67,31 +90,25 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 		for i, v := range c {
 			d := float64(i+1) - mean
 			variance += float64(v) * d * d
-			tvd += math.Abs(float64(v)/fn - pooled[i])
+			sub[i] = float64(v) / fn
+			tvd += math.Abs(sub[i] - pooled[i])
 		}
 		sdSum += fn * math.Sqrt(variance/fn)
-		var t float64
-		if m == PecTVD {
-			t = tvd / 2
-		} else {
-			// Non-TVD measures need the subgroup distribution explicitly.
-			sub := make([]float64, len(c))
-			for i, v := range c {
-				sub[i] = float64(v) / fn
-			}
+		t := tvd / 2
+		if m != PecTVD {
 			t = pecDist(sub, pooled, m)
 		}
 		t *= fn / (fn + pecSupport)
-		if t > maxTVD {
-			maxTVD = t
+		if t > maxPec {
+			maxPec = t
 		}
-	})
+	}
 	s[Agreement] = 1 / (1 + sdSum/total)
-	s[PecSelf] = maxTVD
+	s[PecSelf] = maxPec
 
 	// Global peculiarity against the seen pooled distributions.
 	s[PecGlobal] = seen.maxDistAgainst(pooled, m)
-	return s, true
+	return s
 }
 
 // maxDistAgainst returns the maximum peculiarity distance between dist and

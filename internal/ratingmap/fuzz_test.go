@@ -131,5 +131,20 @@ func FuzzMerge(f *testing.F) {
 		if got.RecordVisits() != want.RecordVisits() {
 			t.Fatalf("RecordVisits %d vs %d", got.RecordVisits(), want.RecordVisits())
 		}
+		assertAligned(t, got, nil, "merged")
+
+		// A shard that knows candidates the target does not: they are
+		// registered behind the target's own, which keep their positions.
+		cut := int(pieces) % len(keys)
+		few := b.NewAccumulator(query.Description{}, keys[cut:])
+		few.Update(records)
+		few.Merge(want)
+		assertAligned(t, few, nil, "merged with unknown keys")
+		twice := b.NewAccumulator(query.Description{}, keys[cut:])
+		twice.Update(records)
+		twice.Update(records)
+		if g, w := accDigest(few, keys), accDigest(want, keys[:cut])+accDigest(twice, keys[cut:]); g != w {
+			t.Fatalf("merge of %d unknown keys diverges\n got: %s\nwant: %s", cut, g, w)
+		}
 	})
 }

@@ -4,7 +4,7 @@ package ratingmap
 //
 // The reference path (updateReference) walks every record through an
 // attribute lookup, a kind switch, a MultiValues slice-of-slices chase and
-// two branches in partial.add — per-record branches and pointer hops that
+// two branches in addAll — per-record branches and pointer hops that
 // dominate cold scans. The kernel increments the same counter block
 // (partial.hist) in one pass over flat columnar arrays instead:
 //
@@ -32,22 +32,20 @@ package ratingmap
 
 import "subdex/internal/dataset"
 
-// updateKernel is the fused columnar counterpart of updateReference.
+// updateKernel is the fused columnar counterpart of updateReference: the
+// same groups in the same order, one tight loop per candidate.
 func (a *Accumulator) updateKernel(records []int32) {
-	//subdex:orderinsensitive each iteration mutates only its own attribute's partials; records are scanned in slice order within each, so attribute order cannot leak into any histogram or discovery order
-	for ak, ps := range a.byAttr {
-		t, rowOf, ai := a.resolveAttr(ak)
-		if ai < 0 {
-			continue
-		}
+	for gi := range a.groups {
+		g := &a.groups[gi]
 		a.recordVisits += len(records)
-		col := t.Column(ai) // non-nil: a.kernel is only set on a frozen database
-		for _, p := range ps {
+		col := g.col // non-nil: a.kernel is only set on a frozen database
+		for _, i := range g.members {
+			p := &a.parts[i]
 			scores := a.db.Ratings.Scores[p.key.Dim]
 			if col.Kind == dataset.Atomic {
-				scanAtomic(p.hist, p.scale+1, col.Values, rowOf, scores, records)
+				scanAtomic(p.hist, p.scale+1, col.Values, g.rowOf, scores, records)
 			} else {
-				scanMulti(p.hist, p.scale+1, col.Values, col.Offsets, rowOf, scores, records)
+				scanMulti(p.hist, p.scale+1, col.Values, col.Offsets, g.rowOf, scores, records)
 			}
 		}
 	}

@@ -166,12 +166,10 @@ func bruteForce(db *dataset.DB, records []int32, k Key) map[dataset.ValueID][]in
 // every block.
 func discardMass(acc *Accumulator) int {
 	mass := 0
-	for _, ps := range acc.byAttr {
-		for _, p := range ps {
-			for i, c := range p.hist {
-				if i <= p.scale || i%(p.scale+1) == 0 {
-					mass += int(c)
-				}
+	for _, p := range acc.parts {
+		for i, c := range p.hist {
+			if i <= p.scale || i%(p.scale+1) == 0 {
+				mass += int(c)
 			}
 		}
 	}
@@ -434,5 +432,19 @@ func FuzzScanKernel(f *testing.F) {
 		split.Update(records[:mid])
 		split.Update(records[mid:])
 		assertAccEqual(t, split, ref, keys, "two-batch")
+
+		// Candidates stay addressable by position on both paths, also with
+		// one pruned away between two batches.
+		assertAligned(t, kern, nil, "kernel")
+		assertAligned(t, ref, nil, "reference")
+		if len(keys) > 1 {
+			drop := keys[len(records)%len(keys)]
+			kern.Remove(drop)
+			ref.Remove(drop)
+			kern.Update(records)
+			ref.Update(records)
+			assertAligned(t, kern, nil, "kernel after Remove")
+			assertAccEqual(t, kern, ref, kern.Keys(), "after Remove")
+		}
 	})
 }

@@ -145,6 +145,10 @@ func RawConciseness(rm *RatingMap) float64 {
 // blinds the recommender to anomalies.
 const concGainRef = 1_000_000.0
 
+// logConcGainRef is the denominator of bounded conciseness, taken once: the
+// engine evaluates the criterion for every candidate of every group.
+var logConcGainRef = math.Log1p(concGainRef)
+
 // BoundedConciseness maps the compaction gain |g_R|/|rm| into (0,1] with a
 // log transform: log(1+gain)/log(1+concGainRef), clamped at 1. Unlike a
 // pure 1/|rm|, this keeps the paper's absolute intent — a single bar over
@@ -161,7 +165,7 @@ func boundedConcisenessScaled(rm *RatingMap, recordScale float64) float64 {
 		return 0
 	}
 	gain := recordScale * float64(rm.TotalRecords) / float64(n)
-	c := math.Log1p(gain) / math.Log1p(concGainRef)
+	c := math.Log1p(gain) / logConcGainRef
 	if c > 1 {
 		c = 1
 	}

@@ -277,7 +277,7 @@ func TestCriteriaEstimateMatchesComputeScores(t *testing.T) {
 			seen.Add(randomRatingMap(r))
 		}
 		for _, k := range keys {
-			est, ok := acc.CriteriaEstimate(k, seen, 1)
+			est, ok := acc.CriteriaEstimateOpt(k, seen, 1, PecTVD)
 			if !ok {
 				return false
 			}

@@ -2,7 +2,6 @@ package ratingmap
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -40,31 +39,24 @@ func (a *Accumulator) Desc() query.Description { return a.desc }
 //
 // for every split point i, bit for bit.
 func (a *Accumulator) Merge(other *Accumulator) {
-	for _, k := range other.order {
-		op := other.find(k)
-		if op == nil {
-			continue // unreachable: order and byAttr are kept in sync
+	for j := range other.parts {
+		op := &other.parts[j]
+		// Shards are built from their target's keys, so a candidate is
+		// almost always at the same position on both sides.
+		i := j
+		if i >= len(a.order) || a.order[i] != op.key {
+			i = a.index(op.key)
 		}
-		p := a.find(k)
-		if p == nil {
-			a.register(&partial{key: k, scale: op.scale, hist: slices.Clone(op.hist)})
+		if i < 0 {
+			copy(a.register(op.key).hist, op.hist) // one database: blocks of one size
 			continue
 		}
-		for i, n := range op.hist {
-			p.hist[i] += n
+		hist := a.parts[i].hist
+		for c, n := range op.hist {
+			hist[c] += n
 		}
 	}
 	a.recordVisits += other.recordVisits
-}
-
-// find returns the partial of a candidate key, or nil.
-func (a *Accumulator) find(k Key) *partial {
-	for _, cand := range a.byAttr[attrRef{k.Side, k.Attr}] {
-		if cand.key == k {
-			return cand
-		}
-	}
-	return nil
 }
 
 // NumRecords reports how many scored records the candidate has accumulated,
@@ -73,8 +65,8 @@ func (a *Accumulator) find(k Key) *partial {
 // checks.
 func (a *Accumulator) NumRecords(k Key) int {
 	total := 0
-	if p := a.find(k); p != nil {
-		p.rows(func(_ dataset.ValueID, _ []int32, n int) { total += n })
+	if i := a.index(k); i >= 0 {
+		a.parts[i].rows(func(_ dataset.ValueID, _ []int32, n int) { total += n })
 	}
 	return total
 }

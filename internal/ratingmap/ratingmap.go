@@ -9,9 +9,9 @@
 package ratingmap
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"subdex/internal/dataset"
@@ -109,18 +109,28 @@ func (rm *RatingMap) Distribution() stats.Distribution {
 	return stats.NewDistributionFromCounts(rm.total)
 }
 
+// AppendDistribution appends Distribution() to dst: with a dst cut from an
+// array on its stack, a caller that compares and drops it allocates nothing.
+func (rm *RatingMap) AppendDistribution(dst stats.Distribution) stats.Distribution {
+	return stats.AppendDistributionFromCounts(dst, rm.total)
+}
+
 // NumSubgroups returns the number of bars.
 func (rm *RatingMap) NumSubgroups() int { return len(rm.Subgroups) }
 
-// Signature returns the distribution of subgroup average scores, weighted
+// AppendSignature computes the distribution of subgroup average scores, weighted
 // by subgroup size, with fractional averages split linearly between the
 // neighbouring scale bins. Unlike the pooled Distribution — which is
 // identical for every grouping of the same records on the same dimension —
 // the signature reflects the grouping structure itself, so it can tell
 // "GroupBy neighborhood" apart from "GroupBy parking" even on one
-// dimension. The diversity distance combines both.
-func (rm *RatingMap) Signature() stats.Distribution {
-	sig := make(stats.Distribution, rm.Scale)
+// dimension. The diversity distance combines both. The signature is
+// appended to dst, like AppendDistribution.
+func (rm *RatingMap) AppendSignature(dst stats.Distribution) stats.Distribution {
+	for i := 0; i < rm.Scale; i++ {
+		dst = append(dst, 0)
+	}
+	sig := dst[len(dst)-rm.Scale:]
 	total := 0.0
 	for i := range rm.Subgroups {
 		sg := &rm.Subgroups[i]
@@ -142,12 +152,12 @@ func (rm *RatingMap) Signature() stats.Distribution {
 	}
 	if total == 0 {
 		sig.Normalize()
-		return sig
+		return dst
 	}
 	for i := range sig {
 		sig[i] /= total
 	}
-	return sig
+	return dst
 }
 
 // Render formats the map as the tabular view of Figure 3.
@@ -220,88 +230,88 @@ func (p *partial) rows(fn func(v dataset.ValueID, counts []int32, n int)) {
 }
 
 // Accumulator holds the in-progress subgroup histograms of a set of
-// candidate maps sharing scans, keyed by grouping attribute. The engine's
-// phase loop calls Update once per phase with the next record fraction.
+// candidate maps sharing scans. Candidates are addressed by position:
+// parts[i] is the partial of Keys()[i], through every Remove, Merge and
+// decoded frame. The engine's phase loop calls Update once per phase with
+// the next record fraction.
 type Accumulator struct {
-	db *dataset.DB
-	// byAttr groups partials sharing the same (side, attr) so one
-	// attribute lookup per record serves every dimension.
-	byAttr map[attrRef][]*partial
-	order  []Key
+	db    *dataset.DB
+	order []Key
+	parts []partial
+	// groups are the shared scans, one per distinct grouping attribute of
+	// the schema in first-registration order. A candidate whose attribute
+	// is outside the schema belongs to none: no scan reaches it.
+	groups []attrGroup
 	desc   query.Description
 	// kernel selects the fused columnar scan path (kernel.go) for Update.
 	// Set at construction: on iff the database is frozen (so the flat
 	// column projections exist) and the builder did not disable it.
 	kernel bool
 
-	// recordVisits counts per-record attribute lookups — the cost the
-	// "Combining Multiple Aggregates" sharing optimization bounds: one
-	// visit per (record, attribute), independent of how many rating
-	// dimensions share the attribute.
+	// recordVisits counts len(records) once per attribute group per Update
+	// — the (record, attribute) lookups the reference scan performs, which
+	// the "Combining Multiple Aggregates" optimization keeps independent of
+	// how many rating dimensions share the attribute. The kernel charges
+	// the same number but does more: scanAtomic / scanMulti run once per
+	// (attribute, dimension), each resolving the record's entity row again.
 	recordVisits int
 }
 
-// attrRef names one grouping attribute: the unit of scan sharing.
-type attrRef struct {
-	side query.Side
-	attr string
+// attrGroup is one grouping attribute, resolved against the database once,
+// when its first candidate is registered: its table, the per-record
+// entity-row column, its schema index, its flat column (nil until the
+// database is frozen), its dictionary length — and the positions in parts
+// of the candidates grouping by it.
+type attrGroup struct {
+	t       *dataset.EntityTable
+	rowOf   []int32
+	ai      int
+	col     *dataset.AttrColumn
+	nValues int
+	members []int32
 }
 
 // NewAccumulator prepares shared accumulation for the given candidate keys
 // over the rating group described by desc. The recommendation pass builds
-// an accumulator of ~80 candidates for every candidate operation, so
-// construction is a handful of allocations, not a few per candidate: all
-// blocks are carved out of one slab — each with its capacity clipped to its
-// length, so no block can grow into the next — and a run of keys sharing an
-// attribute (Generator.Candidates lists an attribute's dimensions together)
-// is registered with one map write.
+// an accumulator of ~90 candidates for every candidate operation, so
+// construction is five allocations and one attribute resolution per run of
+// keys sharing an attribute (Generator.Candidates lists an attribute's
+// dimensions together): all blocks are carved out of one slab — each with
+// its capacity clipped to its length, so no block can grow into the next —
+// and all member lists out of one index array.
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
 	acc := b.emptyAccumulator(desc)
-	partials := make([]partial, len(keys))
-	refs := make([]*partial, len(keys))
-	ends := make([]int, len(keys)) // ends[i]: where candidate i's block ends in the slab
+	acc.order = slices.Clone(keys)
+	acc.parts = make([]partial, len(keys))
+	acc.groups = make([]attrGroup, 0, b.DB.Reviewers.Schema.Len()+b.DB.Items.Schema.Len())
+	positions := make([]int32, len(keys))
 	cells := 0
-	for i, k := range keys {
-		scale, n := acc.blockShape(k)
-		cells += n
-		partials[i], refs[i], ends[i] = partial{key: k, scale: scale}, &partials[i], cells
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi = lo + 1; hi < len(keys) && keys[hi].Side == keys[lo].Side && keys[hi].Attr == keys[lo].Attr; hi++ {
+		}
+		g := acc.groupOf(keys[lo])
+		for i := lo; i < hi; i++ {
+			positions[i] = int32(i)
+			acc.parts[i] = partial{key: keys[i], scale: b.DB.Ratings.Dimensions[keys[i].Dim].Scale}
+			if g != nil {
+				cells += g.nValues * (acc.parts[i].scale + 1)
+			}
+		}
+		if g != nil && g.members == nil {
+			g.members = positions[lo:hi:hi]
+		} else if g != nil { // the attribute's keys were not contiguous
+			g.members = append(g.members, positions[lo:hi]...)
+		}
 	}
 	slab := make([]int32, cells)
-	for i, lo := 0, 0; i < len(keys); i++ {
-		partials[i].hist = slab[lo:ends[i]:ends[i]]
-		lo = ends[i]
-	}
-	for lo, hi := 0, 0; lo < len(keys); lo = hi {
-		ak := attrRef{keys[lo].Side, keys[lo].Attr}
-		for hi = lo + 1; hi < len(keys) && keys[hi].Side == ak.side && keys[hi].Attr == ak.attr; hi++ {
-		}
-		if seen, ok := acc.byAttr[ak]; ok { // the attribute's keys were not contiguous
-			acc.byAttr[ak] = append(seen, refs[lo:hi]...)
-		} else {
-			acc.byAttr[ak] = refs[lo:hi:hi]
+	for gi := range acc.groups {
+		g := &acc.groups[gi]
+		for _, i := range g.members {
+			n := g.nValues * (acc.parts[i].scale + 1)
+			acc.parts[i].hist, slab = slab[:n:n], slab[n:]
 		}
 	}
-	acc.order = slices.Clone(keys)
 	return acc
-}
-
-// newPartial is a candidate's partial with a block of its own.
-func (a *Accumulator) newPartial(k Key) *partial {
-	scale, cells := a.blockShape(k)
-	return &partial{key: k, scale: scale, hist: make([]int32, cells)}
-}
-
-// blockShape sizes a candidate's block from its attribute's dictionary as
-// it stands now, so the database must already hold its dictionaries —
-// every production path freezes it first. An attribute outside the schema
-// gets an empty block: no scan ever reaches it.
-func (a *Accumulator) blockShape(k Key) (scale, cells int) {
-	scale = a.db.Ratings.Dimensions[k.Dim].Scale
-	nValues := 0
-	if t, _, ai := a.resolveAttr(attrRef{k.Side, k.Attr}); ai >= 0 {
-		nValues = t.Dict(ai).Len()
-	}
-	return scale, nValues * (scale + 1)
 }
 
 // emptyAccumulator is the one place an Accumulator is constructed, so the
@@ -310,18 +320,47 @@ func (a *Accumulator) blockShape(k Key) (scale, cells int) {
 func (b *Builder) emptyAccumulator(desc query.Description) *Accumulator {
 	return &Accumulator{
 		db:     b.DB,
-		byAttr: make(map[attrRef][]*partial),
 		desc:   desc,
 		kernel: !b.DisableKernel && b.DB != nil && b.DB.Frozen(),
 	}
 }
 
-// register appends a candidate's partial at the end of the key order.
-func (a *Accumulator) register(p *partial) {
-	ak := attrRef{p.key.Side, p.key.Attr}
-	a.byAttr[ak] = append(a.byAttr[ak], p)
-	a.order = append(a.order, p.key)
+// groupOf returns the shared scan of a candidate's attribute, resolving and
+// adding it on first sight, or nil for an attribute outside the schema. The
+// pointer is good until the next call.
+func (a *Accumulator) groupOf(k Key) *attrGroup {
+	t, rowOf := a.db.Items, a.db.Ratings.Item
+	if k.Side == query.ReviewerSide {
+		t, rowOf = a.db.Reviewers, a.db.Ratings.Reviewer
+	}
+	ai := t.Schema.Index(k.Attr)
+	if ai < 0 {
+		return nil
+	}
+	for gi := range a.groups {
+		if g := &a.groups[gi]; g.t == t && g.ai == ai {
+			return g
+		}
+	}
+	a.groups = append(a.groups, attrGroup{t: t, rowOf: rowOf, ai: ai, col: t.Column(ai), nValues: t.Dict(ai).Len()})
+	return &a.groups[len(a.groups)-1]
 }
+
+// register appends a candidate at the end of the key order, with an empty
+// block of its own, and returns its partial (good until the next call).
+func (a *Accumulator) register(k Key) *partial {
+	p := partial{key: k, scale: a.db.Ratings.Dimensions[k.Dim].Scale}
+	if g := a.groupOf(k); g != nil {
+		g.members = append(g.members, int32(len(a.parts)))
+		p.hist = make([]int32, g.nValues*(p.scale+1))
+	}
+	a.parts = append(a.parts, p)
+	a.order = append(a.order, k)
+	return &a.parts[len(a.parts)-1]
+}
+
+// index returns the position of a candidate key in Keys(), or -1.
+func (a *Accumulator) index(k Key) int { return slices.Index(a.order, k) }
 
 // Update feeds a batch of rating-record positions into every candidate map.
 // It dispatches to the fused columnar scan kernel (kernel.go) when the
@@ -342,55 +381,34 @@ func (a *Accumulator) Update(records []int32) {
 // missing-score branches in front of every increment. Deliberately simple
 // — it is the oracle the kernel is proven bit-identical against.
 func (a *Accumulator) updateReference(records []int32) {
-	//subdex:orderinsensitive each iteration mutates only its own attribute's partials; records are scanned in slice order within each, so attribute order cannot leak into any histogram or discovery order
-	for ak, ps := range a.byAttr {
-		t, rowOf, ai := a.resolveAttr(ak)
-		if ai < 0 {
-			continue
-		}
+	for gi := range a.groups {
+		g := &a.groups[gi]
 		a.recordVisits += len(records)
-		a.refScanAttr(t, rowOf, ai, records, ps)
-	}
-}
-
-// resolveAttr maps an attribute key to its entity table, the per-record
-// entity-row column, and the attribute's schema index (-1 if absent).
-func (a *Accumulator) resolveAttr(ak attrRef) (*dataset.EntityTable, []int32, int) {
-	if ak.side == query.ReviewerSide {
-		return a.db.Reviewers, a.db.Ratings.Reviewer, a.db.Reviewers.Schema.Index(ak.attr)
-	}
-	return a.db.Items, a.db.Ratings.Item, a.db.Items.Schema.Index(ak.attr)
-}
-
-// refScanAttr folds one attribute's shared scan over records into its
-// partials via the row-oriented accessors.
-func (a *Accumulator) refScanAttr(t *dataset.EntityTable, rowOf []int32, ai int, records []int32, ps []*partial) {
-	kind := t.Schema.At(ai).Kind
-	for _, r := range records {
-		row := int(rowOf[r])
-		switch kind {
-		case dataset.Atomic:
-			v := t.AtomicValue(ai, row)
-			for _, p := range ps {
-				p.add(v, a.db.Ratings.Scores[p.key.Dim][r])
-			}
-		case dataset.MultiValued:
-			for _, v := range t.MultiValues(ai, row) {
-				for _, p := range ps {
-					p.add(v, a.db.Ratings.Scores[p.key.Dim][r])
+		kind := g.t.Schema.At(g.ai).Kind
+		for _, r := range records {
+			row := int(g.rowOf[r])
+			switch kind {
+			case dataset.Atomic:
+				a.addAll(g, g.t.AtomicValue(g.ai, row), r)
+			case dataset.MultiValued:
+				for _, v := range g.t.MultiValues(g.ai, row) {
+					a.addAll(g, v, r)
 				}
 			}
 		}
 	}
 }
 
-// add is the reference path's increment: what the kernel sends to the
-// discard cells is branched around here.
-func (p *partial) add(v dataset.ValueID, s dataset.Score) {
-	if v == dataset.MissingValue || s == 0 {
-		return
+// addAll is the reference path's increment, for every candidate of the
+// group — the one attribute lookup serves all of its dimensions. What the
+// kernel sends to the discard cells is branched around here.
+func (a *Accumulator) addAll(g *attrGroup, v dataset.ValueID, r int32) {
+	for _, i := range g.members {
+		p := &a.parts[i]
+		if s := a.db.Ratings.Scores[p.key.Dim][r]; v != dataset.MissingValue && s != 0 {
+			p.hist[int(v)*(p.scale+1)+int(s)]++
+		}
 	}
-	p.hist[int(v)*(p.scale+1)+int(s)]++
 }
 
 // Keys returns the candidate keys in registration order.
@@ -403,56 +421,69 @@ func (a *Accumulator) RecordVisits() int { return a.recordVisits }
 // Remove drops a candidate from accumulation, the effect of pruning: later
 // phases no longer pay for its histogram updates. Removing the last
 // candidate of an attribute removes the attribute's shared scan entirely.
+// The candidates after it move up one position, in Keys() and parts alike.
 func (a *Accumulator) Remove(k Key) {
-	ak := attrRef{k.Side, k.Attr}
-	ps := a.byAttr[ak]
-	for i, p := range ps {
-		if p.key == k {
-			a.byAttr[ak] = append(ps[:i], ps[i+1:]...)
-			break
+	at := a.index(k)
+	if at < 0 {
+		return
+	}
+	a.order = slices.Delete(a.order, at, at+1)
+	a.parts = slices.Delete(a.parts, at, at+1)
+	for gi := range a.groups {
+		g := &a.groups[gi]
+		g.members = slices.DeleteFunc(g.members, func(i int32) bool { return int(i) == at })
+		for j, i := range g.members {
+			if int(i) > at {
+				g.members[j]--
+			}
 		}
 	}
-	if len(a.byAttr[ak]) == 0 {
-		delete(a.byAttr, ak)
-	}
-	for i, key := range a.order {
-		if key == k {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
+	a.groups = slices.DeleteFunc(a.groups, func(g attrGroup) bool { return len(g.members) == 0 })
 }
 
 // Snapshot materializes the current partial state of one candidate as a
-// RatingMap. The engine uses snapshots both for per-phase utility estimates
-// and for the final exact maps after the last phase.
+// RatingMap, or nil for an unknown candidate.
 func (a *Accumulator) Snapshot(k Key) *RatingMap {
-	p := a.find(k)
-	if p == nil {
-		return nil
+	if i := a.index(k); i >= 0 {
+		return a.SnapshotAt(i)
 	}
+	return nil
+}
+
+// SnapshotAt is Snapshot of candidate Keys()[i]: the engine's final exact
+// maps, k′ per call — thousands a step under recommendations — so a map is
+// three allocations whatever its bar count: the pooled histogram and every
+// subgroup's Counts are carved out of one array, each clipped to its scale.
+func (a *Accumulator) SnapshotAt(i int) *RatingMap {
+	p := &a.parts[i]
+	bars := 0
+	p.rows(func(dataset.ValueID, []int32, int) { bars++ })
+	counts := make([]int, (bars+1)*p.scale)
 	rm := &RatingMap{
-		Key:     k,
-		DimName: a.db.Ratings.Dimensions[k.Dim].Name,
+		Key:     p.key,
+		DimName: a.db.Ratings.Dimensions[p.key.Dim].Name,
 		Scale:   p.scale,
 		Desc:    a.desc,
-		total:   make([]int, p.scale),
+		total:   counts[:p.scale:p.scale],
 	}
-	p.rows(func(v dataset.ValueID, counts []int32, n int) {
-		sg := Subgroup{Value: v, Counts: make([]int, p.scale), N: n}
-		for s, c := range counts {
+	if bars > 0 {
+		rm.Subgroups = make([]Subgroup, 0, bars)
+	}
+	p.rows(func(v dataset.ValueID, row []int32, n int) {
+		counts = counts[p.scale:]
+		sg := Subgroup{Value: v, Counts: counts[:p.scale:p.scale], N: n}
+		for s, c := range row {
 			sg.Counts[s] = int(c)
 			rm.total[s] += int(c)
 		}
 		rm.TotalRecords += n
 		rm.Subgroups = append(rm.Subgroups, sg)
 	})
-	sort.Slice(rm.Subgroups, func(i, j int) bool {
-		ai, aj := rm.Subgroups[i].AvgScore(), rm.Subgroups[j].AvgScore()
-		if ai != aj {
-			return ai > aj
+	slices.SortFunc(rm.Subgroups, func(x, y Subgroup) int {
+		if c := cmp.Compare(y.AvgScore(), x.AvgScore()); c != 0 {
+			return c
 		}
-		return rm.Subgroups[i].Value < rm.Subgroups[j].Value
+		return cmp.Compare(x.Value, y.Value)
 	})
 	return rm
 }
@@ -464,8 +495,8 @@ func (b *Builder) Build(desc query.Description, records []int32, keys []Key) []*
 	acc := b.NewAccumulator(desc, keys)
 	acc.Update(records)
 	out := make([]*RatingMap, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, acc.Snapshot(k))
+	for i := range keys {
+		out = append(out, acc.SnapshotAt(i))
 	}
 	return out
 }

@@ -182,17 +182,18 @@ func TestNewAccumulatorSlab(t *testing.T) {
 	slab := b.NewAccumulator(query.Description{}, keys)
 	plain := b.emptyAccumulator(query.Description{})
 	for _, k := range keys {
-		plain.register(plain.newPartial(k))
+		plain.register(k)
 	}
 	if !slices.Equal(slab.Keys(), keys) {
 		t.Fatalf("Keys = %v, want the order given", slab.Keys())
 	}
 	for _, k := range keys {
-		p := slab.find(k)
-		if p == nil {
+		i := slab.index(k)
+		if i < 0 {
 			t.Fatalf("%v not registered", k)
 		}
-		if want := len(plain.find(k).hist); len(p.hist) != want || cap(p.hist) != want {
+		p := &slab.parts[i]
+		if want := len(plain.parts[plain.index(k)].hist); len(p.hist) != want || cap(p.hist) != want {
 			t.Fatalf("%v: block len %d cap %d, want both %d", k, len(p.hist), cap(p.hist), want)
 		}
 	}
@@ -229,7 +230,7 @@ func TestSignatureDistinguishesGroupings(t *testing.T) {
 		}
 	}
 	// …but signatures differ because the groupings differ.
-	s0, s1 := maps[0].Signature(), maps[1].Signature()
+	s0, s1 := maps[0].AppendSignature(nil), maps[1].AppendSignature(nil)
 	same := true
 	for i := range s0 {
 		if !almost(s0[i], s1[i]) {
@@ -246,7 +247,7 @@ func TestSignatureIsDistribution(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rm := randomRatingMap(r)
-		sig := rm.Signature()
+		sig := rm.AppendSignature(nil)
 		sum := 0.0
 		for _, v := range sig {
 			if v < -1e-12 {

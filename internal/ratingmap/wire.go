@@ -27,7 +27,8 @@
 //	                               everything preceding it
 //
 // Decoding is strict: bad magic/version/checksum, non-ascending or
-// duplicate value ids, a value id outside the attribute's dictionary (the
+// duplicate value ids, a grouping attribute outside the builder's database
+// schema, a value id outside the attribute's dictionary (the
 // missing id 0 included), an all-zero histogram (a subgroup exists iff its
 // row is non-zero, so encode never writes one), a count above
 // math.MaxInt32, scale or dimension disagreeing with the builder's
@@ -79,15 +80,9 @@ func (a *Accumulator) EncodeWire() []byte {
 	buf = append(buf, wireMagic...)
 	buf = append(buf, WireVersion)
 	buf = binary.AppendUvarint(buf, uint64(a.recordVisits))
-	keys := make([]Key, 0, len(a.order))
-	for _, k := range a.order {
-		if a.find(k) != nil { // unreachable guard: order and byAttr are kept in sync
-			keys = append(keys, k)
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		p := a.find(k)
+	buf = binary.AppendUvarint(buf, uint64(len(a.parts)))
+	for i := range a.parts {
+		p, k := &a.parts[i], a.parts[i].key
 		buf = append(buf, byte(k.Side))
 		buf = binary.AppendUvarint(buf, uint64(len(k.Attr)))
 		buf = append(buf, k.Attr...)
@@ -203,6 +198,8 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 		return nil, fmt.Errorf("ratingmap: wire key count %d exceeds cap", nKeys)
 	}
 	acc := b.emptyAccumulator(desc)
+	room := min(int(nKeys), len(payload)/6) // a key is six bytes and its attribute, at least
+	acc.order, acc.parts = make([]Key, 0, room), make([]partial, 0, room)
 	for i := uint64(0); i < nKeys && r.err == nil; i++ {
 		side := r.byte("side")
 		if side > 1 {
@@ -231,10 +228,16 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			break
 		}
 		k := Key{Side: query.Side(side), Attr: attr, Dim: int(dim)}
-		if acc.find(k) != nil {
-			return nil, fmt.Errorf("ratingmap: wire frame repeats key %s", k)
+		g := acc.groupOf(k)
+		if g == nil {
+			return nil, fmt.Errorf("ratingmap: wire key %s groups by an attribute outside the schema", k)
 		}
-		p := acc.newPartial(k)
+		for _, at := range g.members {
+			if acc.order[at] == k {
+				return nil, fmt.Errorf("ratingmap: wire frame repeats key %s", k)
+			}
+		}
+		p := acc.register(k)
 		stride := p.scale + 1
 		dictLen := uint64(len(p.hist) / stride)
 		prev, mass := uint64(0), uint64(0)
@@ -271,7 +274,6 @@ func (b *Builder) DecodeWire(desc query.Description, frame []byte) (*Accumulator
 			return nil, fmt.Errorf("ratingmap: wire key %s histogram mass %d disagrees with record count %d",
 				k, mass, nRecords)
 		}
-		acc.register(p)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -269,6 +269,23 @@ func TestWireRejectsUnrepresentable(t *testing.T) {
 			t.Errorf("frame with %s accepted", name)
 		}
 	}
+	// The control frame's key twice over: nKeys is the byte after the
+	// one-byte recordVisits, the key section runs up to the checksum.
+	one := craftFrame(1, 1, 1, 1, 0, 0, 0, 0)
+	body := one[wireHeaderLen+2 : len(one)-wireChecksumLen]
+	twice := append(append(append([]byte{}, one[:wireHeaderLen+1]...), 2), body...)
+	twice = append(twice, body...)
+	h := fnv.New64a()
+	h.Write(twice)
+	if _, err := b.DecodeWire(query.Description{}, h.Sum(twice)); err == nil || !strings.Contains(err.Error(), "repeats key") {
+		t.Errorf("frame repeating a key: err = %v, want a repeated-key error", err)
+	}
+	// An accumulator may hold a candidate its schema lacks (an empty block
+	// no scan reaches); a frame may not: it comes from another dataset.
+	stray := b.NewAccumulator(query.Description{}, []Key{{Side: query.ItemSide, Attr: "no_such_attribute"}})
+	if _, err := b.DecodeWire(query.Description{}, stray.EncodeWire()); err == nil {
+		t.Error("frame grouping by an attribute outside the schema accepted")
+	}
 }
 
 // FuzzPartialCodec drives DecodeWire with arbitrary bytes: any input

@@ -23,19 +23,23 @@ type Distribution []float64
 // the convention used throughout the engine for empty subgroups so that
 // distance computations remain well-defined.
 func NewDistributionFromCounts(counts []int) Distribution {
-	d := make(Distribution, len(counts))
+	return AppendDistributionFromCounts(make(Distribution, 0, len(counts)), counts)
+}
+
+// AppendDistributionFromCounts appends NewDistributionFromCounts(counts) to
+// d: with a d cut from an array on the caller's stack, a distribution that
+// is compared and dropped costs no allocation.
+func AppendDistributionFromCounts(d Distribution, counts []int) Distribution {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
-	if total == 0 {
-		for i := range d {
-			d[i] = 1 / float64(len(d))
+	for _, c := range counts {
+		if total == 0 {
+			d = append(d, 1/float64(len(counts)))
+		} else {
+			d = append(d, float64(c)/float64(total))
 		}
-		return d
-	}
-	for i, c := range counts {
-		d[i] = float64(c) / float64(total)
 	}
 	return d
 }
