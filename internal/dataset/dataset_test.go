@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -486,5 +488,40 @@ func TestAttributeProfileMissing(t *testing.T) {
 	// Single-valued attribute: zero entropy.
 	if p.Entropy != 0 {
 		t.Fatalf("entropy = %v, want 0", p.Entropy)
+	}
+}
+
+// TestReadEntityCSVDoesNotPinLines: encoding/csv returns a record's fields
+// as substrings of one string per line, so a key (or a dictionary value)
+// stored as is keeps the whole line reachable. Every row here carries the
+// same 4 KB cell; the loaded table must retain one copy of it, not one per
+// row.
+func TestReadEntityCSVDoesNotPinLines(t *testing.T) {
+	const rows, cell = 2_000, 4 << 10
+	var b strings.Builder
+	b.WriteString("_key,pad,tags\n")
+	pad := strings.Repeat("x", cell)
+	for r := 0; r < rows; r++ {
+		fmt.Fprintf(&b, "u%d,%s,a;b\n", r, pad)
+	}
+	input := b.String()
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	tbl, err := ReadEntityCSV(strings.NewReader(input), "reviewers", map[string]Kind{"tags": MultiValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(input)
+	if tbl.Len() != rows || tbl.Keys[rows-1] != fmt.Sprintf("u%d", rows-1) || tbl.ValueCardinality(0) != 1 {
+		t.Fatalf("loaded %d rows, last key %q, %d pad values", tbl.Len(), tbl.Keys[tbl.Len()-1], tbl.ValueCardinality(0))
+	}
+	if grown := int64(after) - int64(before); grown > rows*cell/10 {
+		t.Errorf("loading %d rows with a %d-byte cell retains %d bytes: the table pins its CSV lines", rows, cell, grown)
 	}
 }

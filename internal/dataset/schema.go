@@ -13,6 +13,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Kind distinguishes atomic attributes (exactly one value per entity) from
@@ -132,11 +133,13 @@ func NewDictionary() *Dictionary {
 }
 
 // Intern returns the id of v, registering it if new. Interning the missing
-// label returns MissingValue.
+// label returns MissingValue. The dictionary keeps a copy of a new value,
+// not v itself: a CSV cell is a substring of its whole line.
 func (d *Dictionary) Intern(v string) ValueID {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
+	v = strings.Clone(v)
 	id := ValueID(len(d.values))
 	d.values = append(d.values, v)
 	d.ids[v] = id

@@ -21,6 +21,7 @@ import (
 	"subdex/internal/dataset"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
+	"subdex/internal/ratingmap/reftest"
 )
 
 // buildRandomDB constructs a small synthetic subjective database with
@@ -118,56 +119,13 @@ func allCandidates(db *dataset.DB) []ratingmap.Key {
 	return keys
 }
 
-// referenceHistograms is the slow, single-threaded, obviously-correct
-// accumulator: for every candidate key it walks the record list one
-// record at a time and tallies value→histogram with map bookkeeping —
-// no sharing, no dense arrays, no merging. It deliberately re-derives
-// the grouping semantics (atomic vs multi-valued, missing attribute
-// values, missing scores) from the dataset API rather than reusing any
-// ratingmap code.
+// referenceHistograms tallies every candidate with the slow,
+// single-threaded, obviously-correct oracle (reftest.Histogram): one
+// record at a time, map bookkeeping, no ratingmap code.
 func referenceHistograms(db *dataset.DB, records []int32, keys []ratingmap.Key) map[ratingmap.Key]map[dataset.ValueID][]int {
 	out := make(map[ratingmap.Key]map[dataset.ValueID][]int, len(keys))
 	for _, k := range keys {
-		hist := make(map[dataset.ValueID][]int)
-		var t *dataset.EntityTable
-		var rowOf []int32
-		if k.Side == query.ReviewerSide {
-			t = db.Reviewers
-			rowOf = db.Ratings.Reviewer
-		} else {
-			t = db.Items
-			rowOf = db.Ratings.Item
-		}
-		a := t.Schema.Index(k.Attr)
-		scale := db.Ratings.Dimensions[k.Dim].Scale
-		add := func(v dataset.ValueID, s dataset.Score) {
-			if s == 0 {
-				return
-			}
-			h := hist[v]
-			if h == nil {
-				h = make([]int, scale)
-				hist[v] = h
-			}
-			h[s-1]++
-		}
-		for _, r := range records {
-			row := int(rowOf[r])
-			s := db.Ratings.Scores[k.Dim][r]
-			switch t.Schema.At(a).Kind {
-			case dataset.Atomic:
-				v := t.AtomicValue(a, row)
-				if v == dataset.MissingValue {
-					continue
-				}
-				add(v, s)
-			case dataset.MultiValued:
-				for _, v := range t.MultiValues(a, row) {
-					add(v, s)
-				}
-			}
-		}
-		out[k] = hist
+		out[k] = reftest.Histogram(db, k.Side, k.Attr, k.Dim, records)
 	}
 	return out
 }
@@ -281,16 +239,7 @@ func TestDifferentialShardedAccumulation(t *testing.T) {
 				seq := g.Builder.NewAccumulator(desc, keys)
 				seq.Update(recs)
 				seqDigest := snapshotDigest(seq, keys)
-				// The default builder scans through the fused columnar
-				// kernel; the row-oriented reference path must produce a
-				// bit-identical digest on every record set.
-				mapB := ratingmap.Builder{DB: db, DisableKernel: true}
-				mapAcc := mapB.NewAccumulator(desc, keys)
-				mapAcc.Update(recs)
-				if d := snapshotDigest(mapAcc, keys); d != seqDigest {
-					t.Fatalf("seed=%d shape=%v: kernel digest differs from row-oriented reference path",
-						seed, sh)
-				}
+				assertAccMatchesReference(t, seq, ref, keys)
 				for _, workers := range workersFor(len(recs)) {
 					for _, minPerShard := range []int{1, 3, 64} {
 						acc := g.Builder.NewAccumulator(desc, keys)
@@ -498,9 +447,10 @@ func TestDifferentialCacheSeenSetFreshness(t *testing.T) {
 }
 
 // assertKernelFamily runs one adversarial record set through every scan
-// path — fused kernel, row-oriented reference builder, independent
-// brute-force reference, and the sharded pool — and demands bit-identical
-// digests everywhere.
+// path — the fused kernel in one batch, the independent brute-force
+// reference, and the sharded pool down to one record per shard, where a
+// shard scans directly whatever strategy the whole range took — and
+// demands bit-identical digests everywhere.
 func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 	t.Helper()
 	keys := allCandidates(db)
@@ -508,18 +458,10 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 	ref := referenceHistograms(db, records, keys)
 
 	kernelB := ratingmap.Builder{DB: db}
-	mapB := ratingmap.Builder{DB: db, DisableKernel: true}
-
 	kacc := kernelB.NewAccumulator(desc, keys)
 	kacc.Update(records)
 	assertAccMatchesReference(t, kacc, ref, keys)
 	want := snapshotDigest(kacc, keys)
-
-	macc := mapB.NewAccumulator(desc, keys)
-	macc.Update(records)
-	if got := snapshotDigest(macc, keys); got != want {
-		t.Fatal("kernel digest differs from row-oriented reference path")
-	}
 
 	g := &Generator{DB: db, Builder: kernelB}
 	for _, workers := range []int{2, 5, len(records) + 3} {
@@ -535,9 +477,10 @@ func assertKernelFamily(t *testing.T, db *dataset.DB, records []int32) {
 // kernel's specific failure modes: repeated value IDs inside multi-valued
 // sets, rows with every value missing, the missing label listed inside a
 // value set, all-zero score columns, wide dictionaries hit high-before-low,
-// empty record ranges, and single-record groups. Each family must be
-// digest-identical across kernel, row-oriented reference, brute force, and
-// the sharded pool.
+// empty record ranges, single-record groups, and ranges long enough for
+// one side or both to be scanned entity-first while their shards are not.
+// Each family must be digest-identical across kernel, brute force, and the
+// sharded pool.
 func TestDifferentialKernelAdversarial(t *testing.T) {
 	mustRow := func(t *testing.T, et *dataset.EntityTable, id string,
 		vals map[string]string, multi map[string][]string) {
@@ -688,6 +631,25 @@ func TestDifferentialKernelAdversarial(t *testing.T) {
 		}
 		db := freeze(t, rev, item, ratings)
 		assertKernelFamily(t, db, allRecords(db))
+	})
+
+	t.Run("entity-first-range-direct-shards", func(t *testing.T) {
+		// The kernel aggregates a side below the join once the batch is
+		// long against the side's entity count (ratingmap/kernel.go). A
+		// MovieLens shape puts the whole range above that crossover on
+		// both sides, a Yelp shape (≈ 1.3 ratings per reviewer) on the item
+		// side only; the pool's small shards fall below it on every side,
+		// so the merge adds blocks filled by different strategies. Missing
+		// values, missing scores and multi-valued sets ride along.
+		for _, sh := range []struct{ nRev, nItem, nRec int }{
+			{9, 16, 1200},  // MovieLens-shaped
+			{900, 5, 1200}, // Yelp-shaped
+		} {
+			db := buildRandomDB(t, rand.New(rand.NewSource(20)), sh.nRev, sh.nItem, sh.nRec)
+			records := allRecords(db)
+			assertKernelFamily(t, db, records)
+			assertKernelFamily(t, db, records[len(records)/3:]) // a strict suffix: a later phase
+		}
 	})
 
 	t.Run("empty-and-single-record", func(t *testing.T) {

@@ -1,44 +1,100 @@
 package ratingmap
 
-// The fused columnar scan kernel.
+// The fused columnar scan kernel: Accumulator.Update.
 //
-// The reference path (updateReference) walks every record through an
-// attribute lookup, a kind switch, a MultiValues slice-of-slices chase and
-// two branches in addAll — per-record branches and pointer hops that
-// dominate cold scans. The kernel increments the same counter block
-// (partial.hist) in one pass over flat columnar arrays instead:
+// Every rating map is `ratings ⋈ entity GROUP BY entity.attr, score`. A
+// batch of records reaches a candidate's counter block (partial.hist) by
+// one of two strategies, chosen per side per batch from the input's shape
+// alone (foldPays):
 //
-//   - dataset.AttrColumn supplies per-attribute dictionary-coded value
+//   - Direct (scanSide): one tight loop over the batch per candidate.
+//     dataset.AttrColumn supplies per-attribute dictionary-coded value
 //     columns as flat arrays (atomic: one id per entity row; multi-valued:
 //     CSR runs in one shared backing array) — two array indexings reach a
-//     record's value ids, no interface dispatch, no [][]ValueID chase;
-//   - the inner loop is branch-free: a missing value (id 0) lands in the
+//     record's value ids, no interface dispatch, no [][]ValueID chase. The
+//     inner loop is branch-free: a missing value (id 0) lands in the
 //     block's row 0 and a missing score (score 0) in its row's column 0,
-//     the discard cells partial.rows never shows a reader;
-//   - the kind dispatch is hoisted out of the record loop: scanAtomic and
-//     scanMulti are separate tight loops chosen once per attribute per
-//     Update call.
+//     the discard cells partial.rows never shows a reader. The kind
+//     dispatch is hoisted out of the record loop: scanAtomic and scanMulti
+//     are separate loops chosen once per attribute per Update call.
+//   - Entity-first (foldSide): aggregate below the join. All maps of one
+//     side and dimension share the same per-entity score histogram, so one
+//     pass over the batch per (side, dimension) counts E[row][score], and
+//     each candidate then adds E[row] to the block row of the entity's
+//     value (foldAtomic) or values (foldMulti). A candidate costs the
+//     side's entities instead of the batch's records — the kernel does
+//     fewer increments, which is the one thing a scan bound by its
+//     increments can be given.
 //
-// Exactness is the contract: both paths write the same block, so after
-// every Update call their accumulator state agrees cell for cell outside
-// the discard cells — same Digest, same NumRecords, same RecordVisits. The
-// engine differential harness (7500+ randomized cases plus
-// kernel-adversarial families) and FuzzScanKernel enforce it.
+// Exactness is the contract. The direct loop adds one to cell
+// (value(row(r)), score(r)) for every record r; the fold adds, for every
+// entity row, the number of the batch's records with that row and score to
+// the same cell. Integer addition commutes, so the two strategies — and the
+// row-oriented reference scan the tests keep (reference_test.go) — leave
+// every cell, discard cells included, identical after every Update: same
+// Digest, same NumRecords, same wire frame, same RecordVisits. The engine
+// differential harness (7500+ randomized cases plus kernel-adversarial
+// families) and FuzzScanKernel enforce it.
 //
 // Counter width: a cell counts the records of one rating group holding one
 // value with one score. A group lists a record position once, a value set
 // lists a value once, and record positions are int32 (as are the CSR
 // offsets), so no cell can exceed 2^31-1: int32 cannot overflow.
 
-import "subdex/internal/dataset"
+import (
+	"sync"
 
-// updateKernel is the fused columnar counterpart of updateReference: the
-// same groups in the same order, one tight loop per candidate.
-func (a *Accumulator) updateKernel(records []int32) {
+	"subdex/internal/dataset"
+)
+
+// foldCrossover is how many records a batch must hold per cell of a side's
+// entity block (rows × (scale+1)) before the side is scanned entity-first.
+// Measured, not tuned per dataset: BenchmarkFoldCrossover forces both
+// strategies on batches of half, one and two entity blocks over the three
+// generated shapes (kernel_bench_test.go; one vCPU, best of 5). At one
+// record per cell the fold is ahead on every side that can get there —
+// yelp/items/cells=558/batch=558 97 → 48 µs, movielens/items 274 → 130 µs,
+// movielens/reviewers 100 → 62 µs, demo/items 3.5 → 2.0 µs,
+// demo/reviewers 36 → 31 µs — and at half a record per cell it loses on
+// three of the five (0.73–1.13×): a candidate's fold costs about a
+// nanosecond per cell, its direct scan one and a half to two per record.
+const foldCrossover = 1
+
+// foldPays reports whether a side of rows entities scans a batch of n
+// records entity-first. It sees nothing but the input's shape, so one
+// batch always takes one path, whatever accumulator it lands in.
+func foldPays(rows, stride, n int) bool {
+	return rows*stride <= foldCrossover*n
+}
+
+// Update feeds a batch of rating-record positions into every candidate map,
+// one side at a time: the shared scans of a side all resolve a record to
+// the same entity row, which is what the fold shares. The engine's phase
+// loop calls it once per phase, a shard worker once per shard.
+func (a *Accumulator) Update(records []int32) {
+	a.recordVisits += len(a.groups) * len(records)
+	stride := 0
+	for _, d := range a.db.Ratings.Dimensions {
+		stride = max(stride, d.Scale+1)
+	}
+	for _, t := range [...]*dataset.EntityTable{a.db.Reviewers, a.db.Items} {
+		if foldPays(t.Len(), stride, len(records)) {
+			a.foldSide(t, records)
+		} else {
+			a.scanSide(t, records)
+		}
+	}
+}
+
+// scanSide is the direct strategy: one tight loop over the batch per
+// candidate of the side.
+func (a *Accumulator) scanSide(t *dataset.EntityTable, records []int32) {
 	for gi := range a.groups {
 		g := &a.groups[gi]
-		a.recordVisits += len(records)
-		col := g.col // non-nil: a.kernel is only set on a frozen database
+		if g.t != t {
+			continue
+		}
+		col := g.col
 		for _, i := range g.members {
 			p := &a.parts[i]
 			scores := a.db.Ratings.Scores[p.key.Dim]
@@ -46,6 +102,95 @@ func (a *Accumulator) updateKernel(records []int32) {
 				scanAtomic(p.hist, p.scale+1, col.Values, g.rowOf, scores, records)
 			} else {
 				scanMulti(p.hist, p.scale+1, col.Values, col.Offsets, g.rowOf, scores, records)
+			}
+		}
+	}
+}
+
+// foldSide is the entity-first strategy: per live dimension of the side,
+// one pass over the batch counts its records by (entity row, score), and
+// every candidate of that dimension then adds each entity's counts to the
+// block row(s) of the entity's value(s) — work in the side's entities, not
+// in the batch.
+func (a *Accumulator) foldSide(t *dataset.EntityTable, records []int32) {
+	block := entityBlocks.Get().(*entityBlock)
+	for d, dim := range a.db.Ratings.Dimensions {
+		stride := dim.Scale + 1
+		var e []int32 // counted when the dimension's first candidate turns up
+		for gi := range a.groups {
+			g := &a.groups[gi]
+			if g.t != t {
+				continue
+			}
+			for _, i := range g.members {
+				p := &a.parts[i]
+				if p.key.Dim != d {
+					continue
+				}
+				if e == nil {
+					e = block.zeroed(t.Len() * stride)
+					countEntities(e, stride, g.rowOf, a.db.Ratings.Scores[d], records)
+				}
+				if g.col.Kind == dataset.Atomic {
+					foldAtomic(p.hist, stride, g.col.Values, e)
+				} else {
+					foldMulti(p.hist, stride, g.col.Values, g.col.Offsets, e)
+				}
+			}
+		}
+	}
+	entityBlocks.Put(block)
+}
+
+// entityBlock is foldSide's scratch, the [rows × (scale+1)] per-entity
+// score counts of one dimension. It is borrowed for the length of one
+// Update and handed back, so an accumulator — a cached one above all —
+// never holds one; pooling the struct rather than the slice keeps Get and
+// Put free of allocations.
+type entityBlock struct{ cells []int32 }
+
+var entityBlocks = sync.Pool{New: func() any { return new(entityBlock) }}
+
+// zeroed returns the block resized to n zero cells.
+func (b *entityBlock) zeroed(n int) []int32 {
+	if cap(b.cells) < n {
+		b.cells = make([]int32, n)
+		return b.cells
+	}
+	b.cells = b.cells[:n]
+	clear(b.cells)
+	return b.cells
+}
+
+// countEntities is the aggregation below the join: e[row*stride+s] counts
+// the batch's records of entity row with score s, score 0 included.
+func countEntities(e []int32, stride int, rowOf []int32, scores []dataset.Score, records []int32) {
+	for _, r := range records {
+		e[int(rowOf[r])*stride+int(scores[r])]++
+	}
+}
+
+// foldAtomic adds every entity's counts to the block row of its value —
+// row 0 for a missing one, like scanAtomic.
+func foldAtomic(hist []int32, stride int, vals []dataset.ValueID, e []int32) {
+	for row, v := range vals {
+		src := e[row*stride : (row+1)*stride]
+		dst := hist[int(v)*stride : (int(v)+1)*stride]
+		for s, c := range src {
+			dst[s] += c
+		}
+	}
+}
+
+// foldMulti adds every entity's counts to the block row of each value in
+// its CSR run.
+func foldMulti(hist []int32, stride int, vals []dataset.ValueID, offs []int32, e []int32) {
+	for row := 0; row+1 < len(offs); row++ {
+		src := e[row*stride : (row+1)*stride]
+		for _, v := range vals[offs[row]:offs[row+1]] {
+			dst := hist[int(v)*stride : (int(v)+1)*stride]
+			for s, c := range src {
+				dst[s] += c
 			}
 		}
 	}

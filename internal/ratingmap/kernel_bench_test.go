@@ -1,101 +1,125 @@
 package ratingmap
 
-// Microbenchmarks for the two Update paths on a Yelp-shaped workload:
-// the fused columnar kernel vs the row-oriented reference scan. Run with
-//   go test ./internal/ratingmap -bench BenchmarkUpdate -benchmem
-// to reproduce the per-scan numbers quoted in EXPERIMENTS.md; the end-to-end
-// step costs are the benchmark's (bench/, ratingmap.update_ns_per_record).
+// Microbenchmarks for Accumulator.Update by dataset shape and batch length,
+// with each side's two strategies forced next to the one Update picks: the
+// arms EXPERIMENTS.md quotes (BenchmarkUpdateKernel) and the ones that fix
+// foldCrossover in kernel.go (BenchmarkFoldCrossover).
+//
+//	go test ./internal/ratingmap -run '^$' -bench 'UpdateKernel|FoldCrossover' -benchmem
+//
+// The end-to-end step costs are the benchmark's (bench/,
+// ratingmap.update_ns_per_record).
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"subdex/internal/dataset"
+	"subdex/internal/gen"
 	"subdex/internal/query"
 )
 
-// benchDB builds a mid-sized synthetic database: wide-ish dictionaries,
-// multi-valued sets, missing values and missing scores.
-func benchDB(b *testing.B, nRev, nItem, nRec int) (*dataset.DB, []Key, []int32) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(42))
-	rev := dataset.NewEntityTable("reviewers", dataset.MustSchema(
-		dataset.Attribute{Name: "gender", Kind: dataset.Atomic},
-		dataset.Attribute{Name: "age", Kind: dataset.Atomic},
-		dataset.Attribute{Name: "tags", Kind: dataset.MultiValued},
-	))
-	item := dataset.NewEntityTable("items", dataset.MustSchema(
-		dataset.Attribute{Name: "city", Kind: dataset.Atomic},
-		dataset.Attribute{Name: "cuisine", Kind: dataset.MultiValued},
-	))
-	for u := 0; u < nRev; u++ {
-		var tags []string
-		for t := 0; t < rng.Intn(4); t++ {
-			tags = append(tags, fmt.Sprintf("t%d", rng.Intn(30)))
-		}
-		if _, err := rev.AppendRow(fmt.Sprintf("u%d", u), map[string]string{
-			"gender": fmt.Sprintf("g%d", rng.Intn(4)),
-			"age":    fmt.Sprintf("a%d", rng.Intn(8)),
-		}, map[string][]string{"tags": tags}); err != nil {
+// benchShape is one generated database with every candidate the engine
+// would register over it: all attributes of both sides on all dimensions.
+type benchShape struct {
+	name string
+	db   *dataset.DB
+	keys []Key
+}
+
+// benchShapes generates the paper's three dataset shapes (Table 2): Yelp,
+// 93 items under 150 318 reviewers of 1.3 ratings each; MovieLens, 943
+// reviewers and 1 682 items under 100 000 ratings; and the 3 000-rating
+// demo.
+func benchShapes(b *testing.B) []benchShape {
+	var shapes []benchShape
+	for _, g := range []struct {
+		name string
+		gen  func(gen.Config) (*dataset.DB, error)
+	}{{"yelp", gen.Yelp}, {"movielens", gen.Movielens}, {"demo", gen.Demo}} {
+		db, err := g.gen(gen.Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	for i := 0; i < nItem; i++ {
-		var cs []string
-		for c := 0; c < 1+rng.Intn(3); c++ {
-			cs = append(cs, fmt.Sprintf("c%d", rng.Intn(20)))
+		sh := benchShape{name: g.name, db: db}
+		for _, s := range []struct {
+			side query.Side
+			t    *dataset.EntityTable
+		}{{query.ReviewerSide, db.Reviewers}, {query.ItemSide, db.Items}} {
+			for a := 0; a < s.t.Schema.Len(); a++ {
+				for d := range db.Ratings.Dimensions {
+					sh.keys = append(sh.keys, Key{Side: s.side, Attr: s.t.Schema.At(a).Name, Dim: d})
+				}
+			}
 		}
-		if _, err := item.AppendRow(fmt.Sprintf("i%d", i), map[string]string{
-			"city": fmt.Sprintf("city%d", rng.Intn(12)),
-		}, map[string][]string{"cuisine": cs}); err != nil {
-			b.Fatal(err)
+		shapes = append(shapes, sh)
+	}
+	return shapes
+}
+
+// batch is a strided sample of n of the shape's records — it reaches every
+// part of the rating table, as a selection's records do.
+func (sh benchShape) batch(n int) []int32 {
+	records := make([]int32, n)
+	for i := range records {
+		records[i] = int32(i * sh.db.Ratings.Len() / n)
+	}
+	return records
+}
+
+// run times scan on one accumulator of all the shape's keys, reporting
+// ns/record beside ns/op.
+func (sh benchShape) run(b *testing.B, name string, n int, scan func(*Accumulator)) {
+	b.Run(name, func(b *testing.B) {
+		acc := (&Builder{DB: sh.db}).NewAccumulator(query.Description{}, sh.keys)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scan(acc)
 		}
-	}
-	ratings, err := dataset.NewRatingTable(
-		dataset.Dimension{Name: "overall", Scale: 5},
-		dataset.Dimension{Name: "value", Scale: 5},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for r := 0; r < nRec; r++ {
-		if err := ratings.Append(rng.Intn(nRev), rng.Intn(nItem), []dataset.Score{
-			dataset.Score(rng.Intn(6)), dataset.Score(rng.Intn(6))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	db := dataset.NewDB("bench", rev, item, ratings)
-	if err := db.Freeze(); err != nil {
-		b.Fatal(err)
-	}
-	var keys []Key
-	for _, s := range []struct {
-		side query.Side
-		t    *dataset.EntityTable
-	}{{query.ReviewerSide, db.Reviewers}, {query.ItemSide, db.Items}} {
-		for a := 0; a < s.t.Schema.Len(); a++ {
-			for d := range db.Ratings.Dimensions {
-				keys = append(keys, Key{Side: s.side, Attr: s.t.Schema.At(a).Name, Dim: d})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+	})
+}
+
+// BenchmarkUpdateKernel scans batches of a recommendation candidate's
+// length (50), a phase's (2 000) and a whole large group's (50 000).
+// update is Update as shipped; reviewers/… and items/… scan one side only,
+// with the named strategy forced; reference is the row-oriented oracle.
+func BenchmarkUpdateKernel(b *testing.B) {
+	for _, sh := range benchShapes(b) {
+		for _, n := range []int{50, 2_000, 50_000} {
+			if n > sh.db.Ratings.Len() {
+				continue
+			}
+			records := sh.batch(n)
+			prefix := fmt.Sprintf("%s/batch=%d/", sh.name, n)
+			sh.run(b, prefix+"update", n, func(a *Accumulator) { a.Update(records) })
+			sh.run(b, prefix+"reference", n, func(a *Accumulator) { a.updateReference(records) })
+			for _, t := range []*dataset.EntityTable{sh.db.Reviewers, sh.db.Items} {
+				sh.run(b, prefix+t.Name+"/direct", n, func(a *Accumulator) { a.scanSide(t, records) })
+				sh.run(b, prefix+t.Name+"/fold", n, func(a *Accumulator) { a.foldSide(t, records) })
 			}
 		}
 	}
-	recs := make([]int32, nRec)
-	for i := range recs {
-		recs[i] = int32(i)
-	}
-	return db, keys, recs
 }
 
-func benchUpdate(b *testing.B, disableKernel bool) {
-	db, keys, recs := benchDB(b, 2000, 800, 100_000)
-	bld := Builder{DB: db, DisableKernel: disableKernel}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc := bld.NewAccumulator(query.Description{}, keys)
-		acc.Update(recs)
+// BenchmarkFoldCrossover is the measurement behind foldCrossover: each
+// side's two strategies on batches of half, one and two times the side's
+// entity block (rows × 6 cells on these scale-5 datasets). A side whose
+// block outgrows the rating table — Yelp's reviewers — has no such batch.
+func BenchmarkFoldCrossover(b *testing.B) {
+	for _, sh := range benchShapes(b) {
+		for _, t := range []*dataset.EntityTable{sh.db.Reviewers, sh.db.Items} {
+			cells := t.Len() * 6
+			for _, n := range []int{cells / 2, cells, 2 * cells} {
+				if n > sh.db.Ratings.Len() {
+					continue
+				}
+				records := sh.batch(n)
+				prefix := fmt.Sprintf("%s/%s/cells=%d/batch=%d/", sh.name, t.Name, cells, n)
+				sh.run(b, prefix+"direct", n, func(a *Accumulator) { a.scanSide(t, records) })
+				sh.run(b, prefix+"fold", n, func(a *Accumulator) { a.foldSide(t, records) })
+			}
+		}
 	}
 }
-
-func BenchmarkUpdateKernel(b *testing.B)    { benchUpdate(b, false) }
-func BenchmarkUpdateReference(b *testing.B) { benchUpdate(b, true) }

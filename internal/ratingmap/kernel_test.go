@@ -1,28 +1,30 @@
 package ratingmap
 
 // Tests for the fused columnar scan kernel (kernel.go). The exactness
-// contract — kernel accumulator state bit-identical to the row-oriented
-// reference path on every input — is enforced three ways: fixture-driven
-// unit tests here, the engine differential harness (7500+ randomized
-// cases plus kernel-adversarial families), and FuzzScanKernel below,
-// which fuzzes the dataset shape itself (dictionary sizes, attribute
-// kinds, missing values, scales) alongside record positions and scores.
+// contract — accumulator state bit-identical to the row-oriented reference
+// scan (reference_test.go) on every input, whichever strategy a batch
+// takes — is enforced three ways: fixture-driven unit tests here, the
+// engine differential harness (7500+ randomized cases plus
+// kernel-adversarial families), and FuzzScanKernel below, which fuzzes the
+// dataset shape itself (dictionary sizes, attribute kinds, missing values,
+// scales) alongside record positions and scores.
 
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"subdex/internal/dataset"
 	"subdex/internal/query"
+	"subdex/internal/ratingmap/reftest"
 )
 
-// kernelPair builds one kernel-enabled and one reference accumulator over
-// the same database and candidate set.
+// kernelPair builds two accumulators over the same database and candidate
+// set: one for Update, one for updateReference.
 func kernelPair(db *dataset.DB, keys []Key) (kern, ref *Accumulator) {
-	kb := &Builder{DB: db}
-	rb := &Builder{DB: db, DisableKernel: true}
-	return kb.NewAccumulator(query.Description{}, keys), rb.NewAccumulator(query.Description{}, keys)
+	b := &Builder{DB: db}
+	return b.NewAccumulator(query.Description{}, keys), b.NewAccumulator(query.Description{}, keys)
 }
 
 // assertAccEqual compares complete accumulator state: digests of every
@@ -43,15 +45,27 @@ func assertAccEqual(t *testing.T, kern, ref *Accumulator, keys []Key, label stri
 	}
 }
 
-// TestKernelSelection pins the dispatch rule: kernel on frozen databases,
-// reference when disabled or unfrozen.
+// TestKernelSelection pins the strategy rule: a side is scanned
+// entity-first from the batch length at which the batch outweighs the
+// side's entity block by foldCrossover, decided from rows, scale and
+// len(records) alone.
 func TestKernelSelection(t *testing.T) {
-	db, keys := fuzzFixture(nil)
-	if acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys); !acc.kernel {
-		t.Fatal("frozen DB: kernel must be selected")
-	}
-	if acc := (&Builder{DB: db, DisableKernel: true}).NewAccumulator(query.Description{}, keys); acc.kernel {
-		t.Fatal("DisableKernel: kernel must not be selected")
+	first := firstFoldedLen(93, 6) // Yelp's items
+	for _, c := range []struct {
+		rows, stride, n int
+		want            bool
+	}{
+		{93, 6, first - 1, false},
+		{93, 6, first, true},
+		{93, 6, first + 1, true},
+		{150_318, 6, 200_500, false}, // Yelp's reviewers: 1.3 ratings each
+		{943, 6, 100_000, true},      // MovieLens, either side
+		{1_682, 6, 100_000, true},
+		{5, 4, 0, false},
+	} {
+		if got := foldPays(c.rows, c.stride, c.n); got != c.want {
+			t.Errorf("foldPays(rows=%d, stride=%d, n=%d) = %t, want %t", c.rows, c.stride, c.n, got, c.want)
+		}
 	}
 }
 
@@ -76,7 +90,7 @@ func TestKernelMatchesReferenceOnFixture(t *testing.T) {
 	for name, records := range cases {
 		kern, ref := kernelPair(db, keys)
 		kern.Update(records)
-		ref.Update(records)
+		ref.updateReference(records)
 		assertAccEqual(t, kern, ref, keys, name)
 	}
 }
@@ -97,13 +111,13 @@ func TestKernelMultiBatchAndRemove(t *testing.T) {
 		return out
 	}
 	kern.Update(batch(0, n/3))
-	ref.Update(batch(0, n/3))
+	ref.updateReference(batch(0, n/3))
 	kern.Remove(keys[0])
 	ref.Remove(keys[0])
 	kern.Update(batch(n/3, 2*n/3))
-	ref.Update(batch(n/3, 2*n/3))
+	ref.updateReference(batch(n/3, 2*n/3))
 	kern.Update(batch(2*n/3, n))
-	ref.Update(batch(2*n/3, n))
+	ref.updateReference(batch(2*n/3, n))
 	assertAccEqual(t, kern, ref, keys[1:], "after remove + 3 batches")
 	if kern.Snapshot(keys[0]) != nil {
 		t.Fatal("removed candidate still has a snapshot")
@@ -112,54 +126,39 @@ func TestKernelMultiBatchAndRemove(t *testing.T) {
 
 // TestUpdateAllocatesNothing pins the property that replaced the kernel's
 // per-Update scratch: a candidate's block is sized when its partial is
-// built, so scanning a frozen database allocates nothing — for atomic and
-// multi-valued keys alike.
+// built and the fold borrows its entity block from a pool, so a scan
+// allocates nothing — for atomic and multi-valued keys alike, on a batch
+// both sides fold and on one both scan directly.
 func TestUpdateAllocatesNothing(t *testing.T) {
 	db, keys := fuzzFixture(t)
-	records := allRecords(db)
+	folded, direct := allRecords(db), allRecords(db)[:4]
+	for _, tbl := range []*dataset.EntityTable{db.Reviewers, db.Items} {
+		if !foldPays(tbl.Len(), 6, len(folded)) || foldPays(tbl.Len(), 6, len(direct)) {
+			t.Fatalf("%s: the batches no longer sit on both sides of the crossover", tbl.Name)
+		}
+	}
 	for name, ks := range map[string][]Key{
 		"atomic": {{Side: query.ReviewerSide, Attr: "gender", Dim: 0}, {Side: query.ItemSide, Attr: "city", Dim: 1}},
 		"multi":  {{Side: query.ItemSide, Attr: "tag", Dim: 0}, {Side: query.ItemSide, Attr: "tag", Dim: 1}},
 		"all":    keys,
 	} {
 		acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, ks)
-		if !acc.kernel {
-			t.Fatal("frozen DB must select the kernel")
-		}
-		if n := testing.AllocsPerRun(50, func() { acc.Update(records) }); n != 0 {
-			t.Errorf("%s keys: Update allocates %v times per call, want 0", name, n)
+		for batch, records := range map[string][]int32{"folded": folded, "direct": direct} {
+			if raceEnabled && batch == "folded" {
+				continue // the entity block's pool drops at random there
+			}
+			if n := testing.AllocsPerRun(50, func() { acc.Update(records) }); n != 0 {
+				t.Errorf("%s keys, %s batch: Update allocates %v times per call, want 0", name, batch, n)
+			}
 		}
 	}
 }
 
-// bruteForce tallies one candidate's value → histogram by walking the
-// row-oriented accessors with map bookkeeping: no block, no discard cells.
+// bruteForce tallies one candidate's value → histogram with the shared
+// oracle: row-oriented accessors, map bookkeeping, no block, no discard
+// cells.
 func bruteForce(db *dataset.DB, records []int32, k Key) map[dataset.ValueID][]int {
-	t, rowOf := db.Items, db.Ratings.Item
-	if k.Side == query.ReviewerSide {
-		t, rowOf = db.Reviewers, db.Ratings.Reviewer
-	}
-	ai := t.Schema.Index(k.Attr)
-	out := map[dataset.ValueID][]int{}
-	for _, r := range records {
-		s := db.Ratings.Scores[k.Dim][r]
-		var vs []dataset.ValueID
-		if t.Schema.At(ai).Kind == dataset.MultiValued {
-			vs = t.MultiValues(ai, int(rowOf[r]))
-		} else {
-			vs = []dataset.ValueID{t.AtomicValue(ai, int(rowOf[r]))}
-		}
-		for _, v := range vs {
-			if v == dataset.MissingValue || s == 0 {
-				continue
-			}
-			if out[v] == nil {
-				out[v] = make([]int, db.Ratings.Dimensions[k.Dim].Scale)
-			}
-			out[v][s-1]++
-		}
-	}
-	return out
+	return reftest.Histogram(db, k.Side, k.Attr, k.Dim, records)
 }
 
 // discardMass sums an accumulator's discard cells: row 0 and column 0 of
@@ -178,22 +177,28 @@ func discardMass(acc *Accumulator) int {
 
 // TestDiscardCellsNeverLeak: the fixture has missing values and missing
 // scores on every attribute, so a kernel scan fills row 0 and column 0 of
-// its blocks. No reader may see them: NumRecords, Snapshot,
-// CriteriaEstimateOpt, EncodeWire and Merge must agree with the brute-force
-// tally and with the reference path, whose discard cells stay empty.
+// its blocks — the same cells with the same counts under either strategy.
+// No reader may see them: NumRecords, Snapshot, CriteriaEstimateOpt,
+// EncodeWire and Merge must agree with the brute-force tally and with the
+// reference path, whose discard cells stay empty.
 func TestDiscardCellsNeverLeak(t *testing.T) {
 	db, keys := fuzzFixture(t)
 	records := allRecords(db)
 	n := len(records)
 	kern, ref := kernelPair(db, keys)
 	kern.Update(records)
-	ref.Update(records)
+	ref.updateReference(records)
 	if discardMass(kern) == 0 {
 		t.Fatal("fixture no longer reaches the kernel's discard cells: the test is vacuous")
 	}
 	if m := discardMass(ref); m != 0 {
 		t.Fatalf("reference path wrote %d increments into discard cells", m)
 	}
+	folded, direct := kernelPair(db, keys)
+	folded.updateWith((*Accumulator).foldSide, records)
+	direct.updateWith((*Accumulator).scanSide, records)
+	assertBlocksEqual(t, folded, direct, "fold vs direct")
+	assertBlocksEqual(t, kern, direct, "Update vs direct")
 
 	// Merge adds discard cells too; they must stay invisible in the sum,
 	// both when merging into an existing candidate and when copying one.
@@ -206,7 +211,7 @@ func TestDiscardCellsNeverLeak(t *testing.T) {
 	merged.Merge(tail)
 	merged.Merge(head)
 
-	for _, acc := range []*Accumulator{kern, merged} {
+	for _, acc := range []*Accumulator{kern, folded, merged} {
 		for _, k := range keys {
 			want := bruteForce(db, records, k)
 			total := 0
@@ -244,55 +249,194 @@ func TestDiscardCellsNeverLeak(t *testing.T) {
 	}
 }
 
-// TestKernelUnfrozenFallsBack: an unfrozen database has no columnar
-// projections; the accumulator must silently use the reference path and
-// still match a frozen kernel scan of the same data.
-func TestKernelUnfrozenFallsBack(t *testing.T) {
-	build := func(freeze bool) *dataset.DB {
-		rs := dataset.MustSchema(dataset.Attribute{Name: "g", Kind: dataset.Atomic})
-		is := dataset.MustSchema(dataset.Attribute{Name: "tag", Kind: dataset.MultiValued})
-		reviewers := dataset.NewEntityTable("reviewers", rs)
-		items := dataset.NewEntityTable("items", is)
-		for i := 0; i < 4; i++ {
-			reviewers.AppendRow("u", map[string]string{"g": fmt.Sprintf("g%d", i%3)}, nil)
-			items.AppendRow("i", nil, map[string][]string{"tag": {"a", fmt.Sprintf("t%d", i)}})
-		}
-		rt, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 12; r++ {
-			rt.Append(r%4, (r*3)%4, []dataset.Score{dataset.Score(r % 5)})
-		}
-		db := dataset.NewDB("k", reviewers, items, rt)
-		if freeze {
-			if err := db.Freeze(); err != nil {
-				t.Fatal(err)
+// shapedDB builds a synthetic database of a given shape — entities per
+// side and records, which is all the strategy choice looks at — with every
+// cell kind a scan meets: atomic and multi-valued attributes on both sides,
+// missing atomic values, empty value sets, the missing label inside a set,
+// missing scores, and two scales. Deterministic.
+func shapedDB(tb testing.TB, nRev, nItem, nRec int) (*dataset.DB, []Key) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(42))
+	rev := dataset.NewEntityTable("reviewers", dataset.MustSchema(
+		dataset.Attribute{Name: "gender", Kind: dataset.Atomic},
+		dataset.Attribute{Name: "tags", Kind: dataset.MultiValued},
+	))
+	item := dataset.NewEntityTable("items", dataset.MustSchema(
+		dataset.Attribute{Name: "city", Kind: dataset.Atomic},
+		dataset.Attribute{Name: "cuisine", Kind: dataset.MultiValued},
+	))
+	fill := func(t *dataset.EntityTable, n int, atomic, multi string, nAtomic, nMulti int) {
+		for e := 0; e < n; e++ {
+			v := "" // missing one time in nAtomic+1
+			if k := rng.Intn(nAtomic + 1); k > 0 {
+				v = fmt.Sprintf("%s%d", atomic, k)
+			}
+			var set []string
+			for k := rng.Intn(4); k > 0; k-- {
+				set = append(set, setLabel(multi, rng.Intn(nMulti)))
+			}
+			if _, err := t.AppendRow(fmt.Sprintf("%s%d", t.Name, e),
+				map[string]string{atomic: v}, map[string][]string{multi: set}); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		return db
 	}
-	keys := []Key{
-		{Side: query.ReviewerSide, Attr: "g", Dim: 0},
-		{Side: query.ItemSide, Attr: "tag", Dim: 0},
+	fill(rev, nRev, "gender", "tags", 4, 30)
+	fill(item, nItem, "city", "cuisine", 12, 20)
+	ratings, err := dataset.NewRatingTable(
+		dataset.Dimension{Name: "overall", Scale: 5},
+		dataset.Dimension{Name: "value", Scale: 3},
+	)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	records := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	for r := 0; r < nRec; r++ {
+		if err := ratings.Append(rng.Intn(nRev), rng.Intn(nItem), []dataset.Score{
+			dataset.Score(rng.Intn(6)), dataset.Score(rng.Intn(4))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	db := dataset.NewDB("shaped", rev, item, ratings)
+	if err := db.Freeze(); err != nil {
+		tb.Fatal(err)
+	}
+	var keys []Key
+	for d := range ratings.Dimensions {
+		keys = append(keys,
+			Key{Side: query.ReviewerSide, Attr: "gender", Dim: d},
+			Key{Side: query.ReviewerSide, Attr: "tags", Dim: d},
+			Key{Side: query.ItemSide, Attr: "city", Dim: d},
+			Key{Side: query.ItemSide, Attr: "cuisine", Dim: d},
+		)
+	}
+	return db, keys
+}
 
-	unfrozen := (&Builder{DB: build(false)}).NewAccumulator(query.Description{}, keys)
-	if unfrozen.kernel {
-		t.Fatal("unfrozen DB must not select the kernel")
-	}
-	unfrozen.Update(records)
+// TestStrategySwitch walks the strategy choice across dataset shapes and
+// across the crossover: for a shape where both sides fold (MovieLens:
+// tens of ratings per reviewer and per item), where only the item side
+// does (Yelp: 1.3 ratings per reviewer), and where neither does, batches
+// one record short of each side's crossover, at it, one past it, the whole
+// table and none of it must leave Update's blocks identical to the
+// reference scan's outside the discard cells, to the brute-force tally,
+// and to either strategy forced — also with a candidate pruned between a
+// direct batch and a folded one, and with a folded range cut into shards
+// that each scan directly and merge.
+func TestStrategySwitch(t *testing.T) {
+	const stride = 6 // the wider of the two scales
+	for _, shape := range []struct {
+		name                     string
+		nRev, nItem, nRec        int
+		reviewersFold, itemsFold bool // on the whole table
+	}{
+		{"both sides (MovieLens-shaped)", 40, 70, 6_000, true, true},
+		{"item side only (Yelp-shaped)", 4_000, 10, 5_200, false, true},
+		{"neither side", 3_000, 2_000, 500, false, false},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			db, keys := shapedDB(t, shape.nRev, shape.nItem, shape.nRec)
+			all := allRecords(db)
+			if r, i := foldPays(shape.nRev, stride, len(all)), foldPays(shape.nItem, stride, len(all)); r != shape.reviewersFold || i != shape.itemsFold {
+				t.Fatalf("whole table folds reviewers=%t items=%t, the shape promises %t / %t", r, i, shape.reviewersFold, shape.itemsFold)
+			}
+			lengths := []int{0, len(all)}
+			for _, rows := range []int{shape.nRev, shape.nItem} {
+				first := firstFoldedLen(rows, stride)
+				lengths = append(lengths, first-1, first, first+1)
+			}
+			for _, n := range lengths {
+				if n > len(all) {
+					continue
+				}
+				// A strided sample rather than a prefix: the batch reaches
+				// every part of the table, as a selection's records do.
+				records := make([]int32, n)
+				for i := range records {
+					records[i] = all[i*len(all)/n]
+				}
+				label := fmt.Sprintf("%d records", n)
+				kern, ref := kernelPair(db, keys)
+				kern.Update(records)
+				ref.updateReference(records)
+				assertAccEqual(t, kern, ref, keys, label)
+				folded, direct := kernelPair(db, keys)
+				folded.updateWith((*Accumulator).foldSide, records)
+				direct.updateWith((*Accumulator).scanSide, records)
+				assertBlocksEqual(t, folded, direct, label+", fold vs direct")
+				assertBlocksEqual(t, kern, direct, label+", Update vs direct")
+				for i, k := range keys {
+					want := bruteForce(db, records, k)
+					bars := 0
+					kern.parts[i].rows(func(v dataset.ValueID, counts []int32, _ int) {
+						bars++
+						if fmt.Sprint(counts) != fmt.Sprint(want[v]) {
+							t.Fatalf("%s, %v value %d: counts %v, brute force %v", label, k, v, counts, want[v])
+						}
+					})
+					if bars != len(want) {
+						t.Fatalf("%s, %v: %d subgroups, brute force has %d", label, k, bars, len(want))
+					}
+				}
+			}
 
-	frozen := (&Builder{DB: build(true)}).NewAccumulator(query.Description{}, keys)
-	if !frozen.kernel {
-		t.Fatal("frozen DB must select the kernel")
-	}
-	frozen.Update(records)
+			// Pruning between a batch too short to fold and the rest.
+			head := min(firstFoldedLen(min(shape.nRev, shape.nItem), stride)-1, len(all)/2)
+			kern, ref := kernelPair(db, keys)
+			kern.Update(all[:head])
+			ref.updateReference(all[:head])
+			for _, drop := range []Key{keys[2], keys[5]} {
+				kern.Remove(drop)
+				ref.Remove(drop)
+			}
+			kern.Update(all[head:])
+			ref.updateReference(all[head:])
+			assertAccEqual(t, kern, ref, kern.Keys(), "Remove between batches")
+			assertAligned(t, kern, nil, "Remove between batches")
 
-	if g, w := accDigest(frozen, keys), accDigest(unfrozen, keys); g != w {
-		t.Fatalf("frozen kernel scan diverges from unfrozen reference scan\n got: %s\nwant: %s", g, w)
+			// The sharded scan: private accumulators over shards too short
+			// to fold on any side, merged in order, against the whole range
+			// in one Update.
+			shard := head / 2
+			if foldPays(shape.nRev, stride, shard) || foldPays(shape.nItem, stride, shard) {
+				t.Fatalf("a %d-record shard folds: the shards do not straddle the crossover", shard)
+			}
+			whole, merged := kernelPair(db, keys)
+			whole.Update(all)
+			for lo := 0; lo < len(all); lo += shard {
+				sh := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+				sh.Update(all[lo:min(lo+shard, len(all))])
+				merged.Merge(sh)
+			}
+			assertBlocksEqual(t, merged, whole, "merged direct shards vs one folded range")
+		})
 	}
+}
+
+// TestUnfrozenDatabaseIsRefused: an unfrozen database has no columnar
+// projections for the kernel to read and no engine can hand out a group of
+// it, so building an accumulator over one is a bug, reported where it is
+// made rather than as a nil column inside the first Update.
+func TestUnfrozenDatabaseIsRefused(t *testing.T) {
+	reviewers := dataset.NewEntityTable("reviewers", dataset.MustSchema(dataset.Attribute{Name: "g"}))
+	items := dataset.NewEntityTable("items", dataset.MustSchema(dataset.Attribute{Name: "tag", Kind: dataset.MultiValued}))
+	rt, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Builder{DB: dataset.NewDB("k", reviewers, items, rt)}
+	keys := []Key{{Side: query.ReviewerSide, Attr: "g", Dim: 0}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewAccumulator over an unfrozen database did not panic")
+			}
+		}()
+		b.NewAccumulator(query.Description{}, keys)
+	}()
+	if err := b.DB.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	b.NewAccumulator(query.Description{}, keys).Update(nil)
 }
 
 // setLabel names the i-th value of a fuzzed value set. Index 0 is the
@@ -400,8 +544,8 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 // FuzzScanKernel fuzzes the dataset shape (dictionary sizes, missing
 // values, scales) and the record selection (positions with repeats,
 // scores) together, asserting the kernel's accumulator state is
-// bit-identical to the row-oriented reference path — one-shot and split
-// into two batches — and never panics.
+// bit-identical to the row-oriented reference path — one-shot, under
+// either strategy forced, and split into two batches — and never panics.
 func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 2, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{}, []byte{})
@@ -411,6 +555,14 @@ func FuzzScanKernel(f *testing.F) {
 	// The missing label inside value sets: reviewer 0 lists it alone,
 	// reviewer 1 beside a real tag, item 0 twice beside two real cuisines.
 	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	// Batches long enough to be scanned entity-first: one reviewer and one
+	// item on scale 2 (a 3-cell entity block) under 9 records; six reviewers
+	// and five items on scales 9 and 5 under 200 records with repeats, where
+	// the two-batch split and the re-scan after Remove fold as well; and the
+	// missing-label shape above under 64 records.
+	f.Add([]byte{0, 0, 0, 0, 8, 1, 1, 1, 1, 1, 1, 2, 0, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81, 0, 2, 77}, bytes.Repeat([]byte{0, 9, 63, 31, 17, 42, 250, 5}, 25))
+	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 3, 0, 0}, 4))
 
 	f.Fuzz(func(t *testing.T, shape []byte, recs []byte) {
 		db, keys := fuzzShapeDB(t, shape)
@@ -422,8 +574,16 @@ func FuzzScanKernel(f *testing.F) {
 
 		kern, ref := kernelPair(db, keys)
 		kern.Update(records)
-		ref.Update(records)
+		ref.updateReference(records)
 		assertAccEqual(t, kern, ref, keys, "one-shot")
+
+		// Whichever strategy Update chose for each side, the other one
+		// leaves the same blocks, discard cells included.
+		folded, direct := kernelPair(db, keys)
+		folded.updateWith((*Accumulator).foldSide, records)
+		direct.updateWith((*Accumulator).scanSide, records)
+		assertBlocksEqual(t, folded, direct, "fold vs direct")
+		assertBlocksEqual(t, kern, direct, "Update vs direct")
 
 		// The same records split into two kernel batches must land in the
 		// same state.
@@ -442,7 +602,7 @@ func FuzzScanKernel(f *testing.F) {
 			kern.Remove(drop)
 			ref.Remove(drop)
 			kern.Update(records)
-			ref.Update(records)
+			ref.updateReference(records)
 			assertAligned(t, kern, nil, "kernel after Remove")
 			assertAccEqual(t, kern, ref, kern.Keys(), "after Remove")
 		}

@@ -190,16 +190,10 @@ func (rm *RatingMap) Render(dict Dict) string {
 // groups by the same attribute, across all rating dimensions.
 type Builder struct {
 	DB *dataset.DB
-	// DisableKernel forces the row-oriented reference accumulation path even
-	// when the fused columnar scan kernel (kernel.go) is available. The
-	// reference path is the exactness oracle: the differential harness and
-	// FuzzScanKernel assert that both paths produce bit-identical digests
-	// on every input. Only tests set it; no non-test code does.
-	DisableKernel bool
 }
 
 // partial accumulates one candidate map across phases. hist is the dense
-// [NValues × (scale+1)] counter block both scan paths increment: cell
+// [NValues × (scale+1)] counter block the scan kernel increments: cell
 // v*(scale+1)+s counts the records of subgroup value v with score s. Row 0
 // (missing value) and column 0 (missing score) are discard cells — the
 // kernel writes them instead of branching per record, and every reader
@@ -243,25 +237,21 @@ type Accumulator struct {
 	// is outside the schema belongs to none: no scan reaches it.
 	groups []attrGroup
 	desc   query.Description
-	// kernel selects the fused columnar scan path (kernel.go) for Update.
-	// Set at construction: on iff the database is frozen (so the flat
-	// column projections exist) and the builder did not disable it.
-	kernel bool
 
 	// recordVisits counts len(records) once per attribute group per Update
-	// — the (record, attribute) lookups the reference scan performs, which
-	// the "Combining Multiple Aggregates" optimization keeps independent of
-	// how many rating dimensions share the attribute. The kernel charges
-	// the same number but does more: scanAtomic / scanMulti run once per
-	// (attribute, dimension), each resolving the record's entity row again.
+	// — the (record, attribute) lookups a scan of the group's records
+	// performs, which the "Combining Multiple Aggregates" optimization keeps
+	// independent of how many rating dimensions share the attribute. It is
+	// the paper's unit of shared work, not the kernel's: the direct strategy
+	// passes over the batch once per (attribute, dimension), the fold once
+	// per (side, dimension) — kernel.go.
 	recordVisits int
 }
 
 // attrGroup is one grouping attribute, resolved against the database once,
 // when its first candidate is registered: its table, the per-record
-// entity-row column, its schema index, its flat column (nil until the
-// database is frozen), its dictionary length — and the positions in parts
-// of the candidates grouping by it.
+// entity-row column, its schema index, its flat column, its dictionary
+// length — and the positions in parts of the candidates grouping by it.
 type attrGroup struct {
 	t       *dataset.EntityTable
 	rowOf   []int32
@@ -314,15 +304,15 @@ func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulato
 	return acc
 }
 
-// emptyAccumulator is the one place an Accumulator is constructed, so the
-// kernel-selection rule (Accumulator.kernel) is written once for scans and
-// for decoded wire frames alike.
+// emptyAccumulator is the one place an Accumulator is constructed, for
+// scans and for decoded wire frames alike. The scan kernel reads the flat
+// columns Freeze builds, so an unfrozen database is a caller's bug — as it
+// is for query.NewEngine, which every scanned group comes from.
 func (b *Builder) emptyAccumulator(desc query.Description) *Accumulator {
-	return &Accumulator{
-		db:     b.DB,
-		desc:   desc,
-		kernel: !b.DisableKernel && b.DB != nil && b.DB.Frozen(),
+	if !b.DB.Frozen() {
+		panic("ratingmap: database " + b.DB.Name + " is not frozen")
 	}
+	return &Accumulator{db: b.DB, desc: desc}
 }
 
 // groupOf returns the shared scan of a candidate's attribute, resolving and
@@ -361,55 +351,6 @@ func (a *Accumulator) register(k Key) *partial {
 
 // index returns the position of a candidate key in Keys(), or -1.
 func (a *Accumulator) index(k Key) int { return slices.Index(a.order, k) }
-
-// Update feeds a batch of rating-record positions into every candidate map.
-// It dispatches to the fused columnar scan kernel (kernel.go) when the
-// database is frozen, falling back to the row-oriented reference path
-// otherwise (or when the builder disabled the kernel). Exactness is the
-// contract between the two paths: identical Digest output on every input,
-// enforced by the engine differential harness and FuzzScanKernel.
-func (a *Accumulator) Update(records []int32) {
-	if a.kernel {
-		a.updateKernel(records)
-		return
-	}
-	a.updateReference(records)
-}
-
-// updateReference is the row-oriented reference scan: per record, an
-// attribute-keyed lookup, a kind switch, and explicit missing-value and
-// missing-score branches in front of every increment. Deliberately simple
-// — it is the oracle the kernel is proven bit-identical against.
-func (a *Accumulator) updateReference(records []int32) {
-	for gi := range a.groups {
-		g := &a.groups[gi]
-		a.recordVisits += len(records)
-		kind := g.t.Schema.At(g.ai).Kind
-		for _, r := range records {
-			row := int(g.rowOf[r])
-			switch kind {
-			case dataset.Atomic:
-				a.addAll(g, g.t.AtomicValue(g.ai, row), r)
-			case dataset.MultiValued:
-				for _, v := range g.t.MultiValues(g.ai, row) {
-					a.addAll(g, v, r)
-				}
-			}
-		}
-	}
-}
-
-// addAll is the reference path's increment, for every candidate of the
-// group — the one attribute lookup serves all of its dimensions. What the
-// kernel sends to the discard cells is branched around here.
-func (a *Accumulator) addAll(g *attrGroup, v dataset.ValueID, r int32) {
-	for _, i := range g.members {
-		p := &a.parts[i]
-		if s := a.db.Ratings.Scores[p.key.Dim][r]; v != dataset.MissingValue && s != 0 {
-			p.hist[int(v)*(p.scale+1)+int(s)]++
-		}
-	}
-}
 
 // Keys returns the candidate keys in registration order.
 func (a *Accumulator) Keys() []Key { return a.order }

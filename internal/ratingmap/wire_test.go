@@ -220,11 +220,13 @@ func TestWireParentFrame(t *testing.T) {
 	if !bytes.Equal(dec.EncodeWire(), frame) {
 		t.Fatal("parent-commit frame does not re-encode byte-identically")
 	}
-	for _, disable := range []bool{false, true} {
-		acc := (&Builder{DB: db, DisableKernel: disable}).NewAccumulator(query.Description{}, keys)
-		acc.Update(all)
+	for name, update := range map[string]func(*Accumulator, []int32){
+		"kernel": (*Accumulator).Update, "reference": (*Accumulator).updateReference,
+	} {
+		acc := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+		update(acc, all)
 		if !bytes.Equal(acc.EncodeWire(), frame) {
-			t.Fatalf("DisableKernel=%t: today's encoding differs from the parent commit's", disable)
+			t.Fatalf("%s scan: today's encoding differs from the parent commit's", name)
 		}
 	}
 }
