@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,8 +13,18 @@ import (
 	"time"
 
 	"subdex/internal/core"
+	"subdex/internal/gen"
 	"subdex/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/verdict.golden.json")
+
+// TestMain lets the test binary stand in for sdeload's re-executed soak
+// children: spawn runs os.Executable() with SDELOAD_CHILD set.
+func TestMain(m *testing.M) {
+	childMain()
+	os.Exit(m.Run())
+}
 
 func TestParseSessionMode(t *testing.T) {
 	for token, want := range map[string]core.Mode{
@@ -27,30 +40,49 @@ func TestParseSessionMode(t *testing.T) {
 	}
 }
 
-func TestAssertSLOs(t *testing.T) {
-	rep := &benchReport{Steps: 10, P95Ms: 50, P99Ms: 90, ErrRate: 0.1, DegradedRate: 0.2}
-	checks, pass := assertSLOs(options{sloMinSteps: 1, sloP95: 100 * time.Millisecond,
-		sloErrRate: -1, sloDegRate: -1}, rep)
-	if !pass || len(checks) != 2 {
-		t.Fatalf("lenient SLOs failed: pass=%v checks=%+v", pass, checks)
+// readVerdict decodes the artifact a run wrote.
+func readVerdict(t *testing.T, path string) verdict {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	checks, pass = assertSLOs(options{sloMinSteps: 1, sloP99: 50 * time.Millisecond,
-		sloErrRate: 0, sloDegRate: -1}, rep)
-	if pass {
-		t.Fatalf("strict SLOs passed: %+v", checks)
+	var rep verdict
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
 	}
-	if got := describeBreaches(checks); got == "" {
-		t.Error("describeBreaches empty for failing checks")
-	}
-	// A zero error-rate limit must still be an active check.
-	found := false
-	for _, c := range checks {
-		if c.Name == "error_rate" && !c.Pass {
-			found = true
+	return rep
+}
+
+// row finds a check by name.
+func row(t *testing.T, rep *verdict, name string) check {
+	t.Helper()
+	for _, c := range rep.Checks {
+		if c.Name == name {
+			return c
 		}
 	}
-	if !found {
-		t.Errorf("error_rate limit 0 not enforced: %+v", checks)
+	t.Fatalf("verdict has no %q row: %+v", name, rep.Checks)
+	return check{}
+}
+
+func TestAssertSLOs(t *testing.T) {
+	res := &workload.Result{Steps: 8, Degraded: 2}
+	res.Errors.Busy = 2
+	o := options{sloMinSteps: 1, sloErrRate: -1, sloDegRate: 0.5}
+	rep := report(o, "inproc", res)
+	if err := finish(&bytes.Buffer{}, o, rep, res, nil); err != nil || !rep.Pass || len(rep.Checks) != 2 {
+		t.Fatalf("lenient SLOs failed: err=%v checks=%+v", err, rep.Checks)
+	}
+	// A zero error-rate limit must still be an active check.
+	o = options{sloMinSteps: 1, sloErrRate: 0, sloDegRate: -1}
+	rep = report(o, "inproc", res)
+	err := finish(&bytes.Buffer{}, o, rep, res, nil)
+	if err == nil || rep.Pass || !strings.Contains(err.Error(), "error_rate got 0.2 limit 0") {
+		t.Fatalf("strict SLOs passed: err=%v checks=%+v", err, rep.Checks)
+	}
+	if c := row(t, rep, "error_rate"); c.Pass {
+		t.Errorf("error_rate limit 0 not enforced: %+v", rep.Checks)
 	}
 }
 
@@ -76,24 +108,16 @@ func TestFaultHook(t *testing.T) {
 // self-hosted modes, and show up as wall time and as degraded steps.
 func TestRunFaultEveryInjects(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	runReport := func(t *testing.T, o options) benchReport {
+	runReport := func(t *testing.T, o options) verdict {
 		t.Helper()
 		o.generate, o.scale, o.seed = "demo", 1, 1
 		o.users, o.steps, o.faultDelay = 1, 3, delay
 		o.sloErrRate, o.sloDegRate = -1, -1
-		o.benchout = filepath.Join(t.TempDir(), "BENCH_serving.json")
+		o.benchout = filepath.Join(t.TempDir(), "verdict.json")
 		if err := run(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(o.benchout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep benchReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return readVerdict(t, o.benchout)
 	}
 	for _, mode := range []string{"inproc", "http"} {
 		t.Run(mode, func(t *testing.T) {
@@ -118,39 +142,31 @@ func TestRunFaultEveryInjects(t *testing.T) {
 func TestReportRates(t *testing.T) {
 	res := &workload.Result{Steps: 8, Degraded: 2, Wall: time.Second}
 	res.Errors.Busy = 2
-	s, err := workload.ParseMetrics(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep := report(options{generate: "demo", scale: 1, seed: 1, users: 4,
-		sloMinSteps: 1, sloErrRate: -1, sloDegRate: -1}, "inproc", res, s)
-	if rep.StepsPerS != 8 {
-		t.Errorf("throughput: want 8, got %v", rep.StepsPerS)
+		sloMinSteps: 1, sloErrRate: 1, sloDegRate: 1}, "inproc", res)
+	if got := row(t, rep, "degraded_rate").Got; got != 0.25 {
+		t.Errorf("degraded rate: want 0.25, got %v", got)
 	}
-	if rep.DegradedRate != 0.25 {
-		t.Errorf("degraded rate: want 0.25, got %v", rep.DegradedRate)
+	if got := row(t, rep, "error_rate").Got; got != 0.2 { // 2 errors over 10 operations
+		t.Errorf("error rate: want 0.2, got %v", got)
 	}
-	if rep.ErrRate != 0.2 { // 2 errors over 10 operations
-		t.Errorf("error rate: want 0.2, got %v", rep.ErrRate)
-	}
-	if !rep.SLOPass {
-		t.Errorf("min_steps should pass with 8 steps: %+v", rep.SLOChecks)
+	if c := row(t, rep, "min_steps"); !c.Pass {
+		t.Errorf("min_steps should pass with 8 steps: %+v", rep.Checks)
 	}
 }
 
 // TestRunSLOBreachDumpsFlightRecorder induces an SLO breach end to end
 // and requires exactly one rate-limited flight-recorder dump under
-// -flight-dir, wide events with trace IDs inside it, and a bench
-// artifact carrying exemplars that resolve the slowest steps.
+// -flight-dir, wide events with trace IDs inside it, and a verdict
+// carrying exemplars that resolve the slowest steps.
 func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	bench := filepath.Join(dir, "BENCH_serving.json")
 	o := options{
 		generate: "demo", scale: 1, seed: 1, mode: "inproc", sessionMode: "rp",
 		users: 2, steps: 3,
 		sloErrRate: -1, sloDegRate: -1,
 		sloMinSteps: 1 << 30, // unreachable: a guaranteed breach
-		benchout:    bench,
+		benchout:    filepath.Join(dir, "verdict.json"),
 		flightDir:   dir,
 		exemplars:   3,
 	}
@@ -185,16 +201,9 @@ func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 		t.Fatalf("dump event carries no trace_id: %s", lines[1])
 	}
 
-	var rep benchReport
-	raw, err = os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := readVerdict(t, o.benchout)
 	if len(rep.Exemplars) == 0 {
-		t.Fatal("bench artifact carries no exemplars")
+		t.Fatal("verdict carries no exemplars")
 	}
 	for _, e := range rep.Exemplars {
 		if e.TraceID == "" || e.Profile == nil {
@@ -202,10 +211,10 @@ func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 		}
 	}
 	if rep.FlightDump != dumps[0] {
-		t.Fatalf("bench artifact flight_dump %q != dump %q", rep.FlightDump, dumps[0])
+		t.Fatalf("verdict flight_dump %q != dump %q", rep.FlightDump, dumps[0])
 	}
 	if rep.GoVersion == "" || rep.Version == "" || rep.Commit == "" {
-		t.Fatalf("bench artifact missing build info: %+v", rep)
+		t.Fatalf("verdict missing build info: %+v", rep)
 	}
 }
 
@@ -220,7 +229,166 @@ func TestRunTargetRejectsFlightDir(t *testing.T) {
 		t.Fatalf("expected -flight-dir usage error, got %v", err)
 	}
 	var ue usageError
-	if !errorsAs(err, &ue) {
+	if !errors.As(err, &ue) {
 		t.Fatalf("expected usage error, got %v", err)
+	}
+}
+
+// TestSoakProduct runs the product neither old mode could: a durable,
+// coordinator-backed child server over one worker child, SIGKILLed and
+// restarted mid-walk, against a plain child server — at demo scale, with
+// think pacing so the kill lands inside the walk.
+func TestSoakProduct(t *testing.T) {
+	o := options{
+		generate: "demo", scale: 1, seed: 1, sessionMode: "rp",
+		users: 2, steps: 4, think: 150 * time.Millisecond,
+		sloMinSteps: 8, sloErrRate: -1, sloDegRate: -1,
+		soakKill: true, killFrac: 0.4, sessionDir: t.TempDir(),
+		clusterSoak: true, clusterNodes: 1,
+		benchout: filepath.Join(t.TempDir(), "verdict.json"),
+	}
+	if err := run(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	rep := readVerdict(t, o.benchout)
+	if !rep.Pass || rep.Mode != "soak-kill+cluster-soak" || rep.Steps != 8 {
+		t.Fatalf("verdict: pass=%v mode=%q steps=%d", rep.Pass, rep.Mode, rep.Steps)
+	}
+	for _, name := range []string{"min_steps", "golden_divergences", "sessions_recovered_min",
+		"wal_replay_records_min", "digests_identical", "partitions_lost"} {
+		if c := row(t, &rep, name); !c.Pass {
+			t.Errorf("%s failed: %+v", name, c)
+		}
+	}
+}
+
+// TestSoakChecksByVariant pins which objectives each variant asserts, and
+// that each one fails on the fact that breaks its property.
+func TestSoakChecksByVariant(t *testing.T) {
+	healthy := soakFacts{sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true}
+	names := func(cs []check) string {
+		var out []string
+		for _, c := range cs {
+			if !c.Pass {
+				t.Errorf("healthy facts fail %+v", c)
+			}
+			out = append(out, c.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	for _, tc := range []struct {
+		kill, clustered bool
+		want            string
+	}{
+		{false, false, "golden_divergences"},
+		{true, false, "golden_divergences sessions_recovered_min wal_replay_records_min"},
+		{false, true, "golden_divergences digests_identical partitions_lost"},
+		{true, true, "golden_divergences sessions_recovered_min wal_replay_records_min digests_identical partitions_lost"},
+	} {
+		if got := names(soakChecks(tc.kill, tc.clustered, healthy)); got != tc.want {
+			t.Errorf("kill=%v cluster=%v asserts %q, want %q", tc.kill, tc.clustered, got, tc.want)
+		}
+	}
+	for name, broken := range map[string]soakFacts{
+		"golden_divergences":     {goldenDivergences: 1, sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true},
+		"sessions_recovered_min": {replayRecords: 9, digestsIdentical: true},
+		"wal_replay_records_min": {sessionsRecovered: 2, digestsIdentical: true},
+		"digests_identical":      {sessionsRecovered: 2, replayRecords: 9},
+		"partitions_lost":        {sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true, partitionsLost: 1},
+	} {
+		for _, c := range soakChecks(true, true, broken) {
+			if c.Pass != (c.Name != name) {
+				t.Errorf("facts breaking %s: row %+v", name, c)
+			}
+		}
+	}
+}
+
+// recordedWalk runs the soak's population in process: two users' golden
+// traces on demo data, without the child processes.
+func recordedWalk(t *testing.T) *workload.Result {
+	t.Helper()
+	db, err := gen.ByName("demo", gen.Config{Seed: 1, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := core.NewExplorer(db, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := workload.Run(context.Background(),
+		workload.Config{Users: 2, Seed: 1, StepsPerUser: 3, Record: true},
+		workload.InprocFactory(ex, core.RecommendationPowered, ""))
+	if err != nil || len(res.Failures()) != 0 {
+		t.Fatalf("walk: %v %v", err, res.Failures())
+	}
+	return res
+}
+
+// TestSoakTamperedGoldenFails is the negative case: a flipped digest in
+// one record of phase B and a renumbered step in another fail the verdict,
+// and the failure names golden_divergences in the error and in checks[].
+func TestSoakTamperedGoldenFails(t *testing.T) {
+	resA, resB := recordedWalk(t), recordedWalk(t)
+	o := options{generate: "demo", scale: 1, seed: 1, users: 2, soakKill: true,
+		sloMinSteps: 1, sloErrRate: -1, sloDegRate: -1,
+		benchout: filepath.Join(t.TempDir(), "verdict.json")}
+	facts := soakFacts{sessionsRecovered: 2, replayRecords: 9}
+	if err := concludeSoak(o, "soak-kill", resA, resB, facts); err != nil {
+		t.Fatalf("identical walks: %v", err)
+	}
+	resB.Users[1].Records[2].MapDigests[0] += "x"
+	// A field DiffRecords does not itemize still breaks byte identity.
+	resB.Users[0].Records[0].Event.Step = 99
+	err := concludeSoak(o, "soak-kill", resA, resB, facts)
+	if err == nil || !strings.Contains(err.Error(), "golden_divergences got 2 limit 0") {
+		t.Fatalf("tampered records: err = %v", err)
+	}
+	rep := readVerdict(t, o.benchout)
+	if c := row(t, &rep, "golden_divergences"); rep.Pass || c.Pass || c.Got != 2 {
+		t.Fatalf("tampered records: pass=%v row=%+v", rep.Pass, c)
+	}
+	for _, c := range rep.Checks {
+		if c.Name != "golden_divergences" && !c.Pass {
+			t.Errorf("unrelated row failed: %+v", c)
+		}
+	}
+}
+
+// TestVerdictGolden pins the one artifact schema — field names, order and
+// the shape of a check row — on a product soak's verdict with fixed
+// inputs. Regenerate with -update when the schema changes on purpose.
+func TestVerdictGolden(t *testing.T) {
+	res := &workload.Result{Steps: 20, Degraded: 1, Wall: 1500 * time.Millisecond,
+		Exemplars: []workload.Exemplar{{User: 1, Step: 3, Op: "step", DurationMS: 12.5,
+			TraceID: "0af7651916cd43dd8448eb211c80319c"}}}
+	res.Errors.Busy = 1
+	o := options{generate: "yelp", scale: 0.5, seed: 7, users: 4,
+		sloMinSteps: 20, sloErrRate: 0.1, sloDegRate: -1, soakKill: true, clusterSoak: true,
+		benchout: filepath.Join(t.TempDir(), "verdict.json")}
+	rep := report(o, "soak-kill+cluster-soak", res)
+	rep.Checks = append(rep.Checks, soakChecks(true, true,
+		soakFacts{sessionsRecovered: 4, replayRecords: 31, digestsIdentical: true, partitionsLost: 2})...)
+	rep.FlightDump = "flightrec/sdeload-001-slo_breach.jsonl"
+	rep.Version, rep.Commit, rep.GoVersion = "v0.0.0-test", "0123abc", "go1.x"
+	if err := finish(&bytes.Buffer{}, o, rep, res, nil); err == nil || !strings.Contains(err.Error(), "partitions_lost") {
+		t.Fatalf("a lost partition must fail the verdict, got %v", err)
+	}
+	got, err := os.ReadFile(o.benchout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/verdict.golden.json"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("verdict schema drifted from %s:\n%s", golden, got)
 	}
 }

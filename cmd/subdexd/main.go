@@ -49,9 +49,7 @@ import (
 	"subdex"
 	"subdex/internal/cluster"
 	"subdex/internal/daemon"
-	"subdex/internal/obs"
 	"subdex/internal/server"
-	"subdex/internal/sessionstore"
 )
 
 func main() {
@@ -98,62 +96,45 @@ func main() {
 	cfg.K, cfg.O, cfg.L = *k, *o, *l
 	cfg.StepTimeout = *stepTimeout
 
-	var store sessionstore.Store
-	if *sessionDir != "" {
-		fs, err := sessionstore.Open(*sessionDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "subdexd:", err)
-			os.Exit(1)
-		}
-		defer fs.Close()
-		if rec := fs.Recovery(); rec.Records > 0 || rec.Truncated {
-			fmt.Printf("subdexd: session store %s: %d records replayed, %d sessions recovered", *sessionDir, rec.Records, rec.Sessions)
-			if rec.Truncated {
-				fmt.Printf(" (corrupt tail truncated at byte %d: %s)", rec.TruncatedAt, rec.Reason)
-			}
-			fmt.Println()
-		}
-		store = fs
-	}
-	// With -cluster-workers, engine scans run distributed: a coordinator
-	// partitions record ranges across the workers and merges their
-	// checksummed partial frames in deterministic partition order. The
-	// coordinator and server share one registry so a single /metrics
-	// scrape covers subdex_cluster_* and the HTTP surface.
-	var reg *obs.Registry
+	var workers []string
 	if *clusterWorkers != "" {
-		reg = obs.NewRegistry()
-		workers := strings.Split(*clusterWorkers, ",")
+		workers = strings.Split(*clusterWorkers, ",")
 		for i := range workers {
 			workers[i] = strings.TrimSpace(workers[i])
 		}
-		coord, err := cluster.NewCoordinator(context.Background(), db, cluster.CoordinatorConfig{
+	}
+	// One constructor wires the store, the coordinator and the server
+	// onto a single registry (internal/daemon.NewServer).
+	srv, err := daemon.NewServer(context.Background(), db, daemon.ServerConfig{
+		Core: cfg,
+		Options: server.Options{
+			MaxSessions: *maxSessions,
+			SessionTTL:  *sessionTTL,
+			FlightDir:   *flightDir,
+		},
+		SessionDir: *sessionDir,
+		Cluster: cluster.CoordinatorConfig{
 			Workers:          workers,
 			Partitions:       *clusterPartitions,
 			PartitionTimeout: *clusterTimeout,
 			Retries:          *clusterRetries,
-			Registry:         reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "subdexd:", err)
-			os.Exit(1)
-		}
-		defer coord.Close()
-		cfg.Scanner = coord
-		fmt.Printf("subdexd: distributed scans across %d workers\n", len(workers))
-	}
-	srv, err := server.NewWithOptions(db, cfg, server.Options{
-		MaxSessions: *maxSessions,
-		SessionTTL:  *sessionTTL,
-		FlightDir:   *flightDir,
-		Store:       store,
-		Registry:    reg,
+		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subdexd:", err)
 		os.Exit(1)
 	}
 	defer srv.Close()
+	if rec := srv.Recovery; rec.Records > 0 || rec.Truncated {
+		fmt.Printf("subdexd: session store %s: %d records replayed, %d sessions recovered", *sessionDir, rec.Records, rec.Sessions)
+		if rec.Truncated {
+			fmt.Printf(" (corrupt tail truncated at byte %d: %s)", rec.TruncatedAt, rec.Reason)
+		}
+		fmt.Println()
+	}
+	if len(workers) > 0 {
+		fmt.Printf("subdexd: distributed scans across %d workers\n", len(workers))
+	}
 	s := db.Stats()
 	fmt.Printf("subdexd: serving %s (%d reviewers, %d items, %d ratings) on %s\n",
 		s.Name, s.NumReviewers, s.NumItems, s.NumRatings, *addr)

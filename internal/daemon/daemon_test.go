@@ -5,8 +5,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"subdex/internal/cluster"
+	"subdex/internal/core"
 )
 
 // TestServeDrainsInFlightRequest cancels Serve's context while a request
@@ -101,5 +106,63 @@ func TestLoadDataset(t *testing.T) {
 	db, err := LoadDataset("", "demo", 1, 1)
 	if err != nil || db.Stats().NumRatings == 0 {
 		t.Errorf("demo: %v", err)
+	}
+}
+
+// TestNewServerWiring drives the one constructor through both optional
+// parts: a session created on a durable, coordinator-backed server is
+// recovered by the next server over the same directory, and one /metrics
+// scrape covers the HTTP surface, the WAL and the coordinator.
+func TestNewServerWiring(t *testing.T) {
+	ctx := context.Background()
+	db, err := LoadDataset("", "demo", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := core.NewExplorer(db, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{}).Handler())
+	defer worker.Close()
+	cfg := ServerConfig{
+		Core:       core.DefaultConfig(),
+		SessionDir: t.TempDir(),
+		Cluster:    cluster.CoordinatorConfig{Workers: []string{worker.URL}, HealthInterval: -1},
+	}
+
+	first, err := NewServer(ctx, db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(first.Handler())
+	resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(`{"mode":"ud"}`))
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %v %v", err, resp)
+	}
+	resp.Body.Close()
+	if resp, err = http.Get(ts.URL + "/sessions/1/step"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("step through the coordinator: %v %v", err, resp)
+	}
+	resp.Body.Close()
+	ts.Close()
+	first.Close()
+
+	second, err := NewServer(ctx, db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if rec := second.Recovery; rec.Sessions != 1 || rec.Records != 2 {
+		t.Errorf("recovery = %+v, want 1 session from 2 records", rec)
+	}
+	var metrics strings.Builder
+	if err := second.Registry().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"subdex_sessions_recovered_total 1", "subdex_wal_replay_records_total 2", "subdex_cluster_workers_healthy 1"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

@@ -731,6 +731,83 @@ func TestDeleteStepHammer(t *testing.T) {
 	sweeper.Wait()
 }
 
+// windowStore runs a hook at the head of every AppendOp — inside the
+// window between commit releasing the session lock and the op reaching
+// the log, which TestDeleteStepHammer only hits by chance.
+type windowStore struct {
+	sessionstore.Store
+	inWindow func(id int)
+}
+
+func (s *windowStore) AppendOp(id, seq int, op core.SessionOp) error {
+	s.inWindow(id)
+	return s.Store.AppendOp(id, seq, op)
+}
+
+// TestCommitWindowIsPinned is the deterministic form of
+// TestDeleteStepHammer's `step: 500`: the janitor sweeps (hand clock, the
+// session long idle) after commit unlocked the session and before its
+// AppendOp lands. Unpinned, the sweep snapshots the session with the
+// just-committed op and sheds it, the store holds seq N when
+// AppendOp(N) arrives, and a durable op answers "append seq 0, want 1".
+// A DELETE in the same window must answer 409, not pull the record out
+// from under the append.
+func TestCommitWindowIsPinned(t *testing.T) {
+	stores := map[string]func(t *testing.T) sessionstore.Store{
+		"mem": func(*testing.T) sessionstore.Store { return sessionstore.NewMemStore() },
+		"file": func(t *testing.T) sessionstore.Store {
+			fs, err := sessionstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			base := time.Now()
+			var s *Server
+			var offset, swept, deleteStatus atomic.Int64 // written on handler goroutines
+			store := &windowStore{Store: open(t), inWindow: func(id int) {
+				offset.Add(int64(time.Hour))
+				swept.Add(int64(s.EvictIdle()))
+				if ref := s.table.remove(id); ref != nil {
+					deleteStatus.Store(int64(ref.status))
+				}
+			}}
+			s, ts := durableServer(t, store, Options{
+				SessionTTL:      time.Minute,
+				JanitorInterval: 24 * time.Hour,
+				Clock:           func() time.Time { return base.Add(time.Duration(offset.Load())) },
+			})
+			_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
+			id := int(created["id"].(float64))
+			for step := 1; step <= 2; step++ {
+				if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+					t.Fatalf("step %d answered %d with the janitor inside its commit window", step, code)
+				}
+				snap, ok, err := store.Get(id)
+				if err != nil || !ok || len(snap.Ops) != step {
+					t.Fatalf("after step %d the store holds %+v (ok=%v, err=%v), want %d ops", step, snap, ok, err, step)
+				}
+			}
+			if swept.Load() != 0 || deleteStatus.Load() != http.StatusConflict {
+				t.Errorf("inside the window: %d sessions shed, DELETE answered %d; want 0 and 409", swept.Load(), deleteStatus.Load())
+			}
+			// Once the append has landed the session is idle again: the
+			// same sweep sheds it, and the next step restores it.
+			offset.Add(int64(time.Hour))
+			if n := s.EvictIdle(); n != 1 {
+				t.Fatalf("sweep after the append shed %d sessions, want 1", n)
+			}
+			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+				t.Fatalf("step on the shed session answered %d", code)
+			}
+		})
+	}
+}
+
 // faultyGetStore fails every Get, simulating a store whose backing file
 // went bad between requests.
 type faultyGetStore struct {

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subdex/internal/core"
@@ -33,6 +34,27 @@ type sessionEntry struct {
 	// lastUsed is guarded by sessionTable.mu (not entry.mu): the janitor
 	// reads it while deciding evictions without taking the compute lock.
 	lastUsed time.Time
+	// appending pins the entry from the moment commit unlocks mu until the
+	// committed op's log append has landed. The append runs outside mu
+	// (lockblock), and without the pin that window lets the janitor
+	// snapshot the session with the op and shed it — the store then holds
+	// seq N when AppendOp(N) arrives and a durable op answers 500 — or
+	// lets a DELETE or a second commit overtake the append. Set under mu,
+	// cleared without it.
+	appending atomic.Bool
+}
+
+// tryLock takes mu for a caller that needs the session quiescent: no
+// request computing on it and no committed op still on its way to the log.
+func (e *sessionEntry) tryLock() bool {
+	if !e.mu.TryLock() {
+		return false
+	}
+	if e.appending.Load() {
+		e.mu.Unlock()
+		return false
+	}
+	return true
 }
 
 // sessionTable owns the server's sessions: which are live, which ids are
@@ -277,7 +299,7 @@ func (t *sessionTable) remove(id int) *refusal {
 	t.mu.Lock()
 	e, ok := t.sessions[id]
 	if ok {
-		if !e.mu.TryLock() {
+		if !e.tryLock() {
 			t.mu.Unlock()
 			t.tel.busyRejected.Inc()
 			return errBusy
@@ -379,8 +401,8 @@ func (t *sessionTable) evictIdle() int {
 		if e.lastUsed.After(cutoff) {
 			continue
 		}
-		if !e.mu.TryLock() {
-			continue // a request is computing on it right now
+		if !e.tryLock() {
+			continue // a request is computing on it, or its last op is still being logged
 		}
 		if t.store != nil {
 			shed = append(shed, shedItem{id, e.sess.Snapshot()})

@@ -161,7 +161,7 @@ type mutation struct {
 // per-session lock means a slow step here never blocks other sessions or
 // /healthz.
 func (s *Server) commit(w http.ResponseWriter, id int, e *sessionEntry, m mutation) {
-	if !e.mu.TryLock() {
+	if !e.tryLock() {
 		s.busyRejected.Inc()
 		errBusy.write(w)
 		return
@@ -191,6 +191,7 @@ func (s *Server) commit(w http.ResponseWriter, id int, e *sessionEntry, m mutati
 		op, _ = sess.LastOp()
 		seq = sess.NumOps() - 1
 		payload = m.render(sess)
+		e.appending.Store(true)
 	}
 	// Everything below — the WAL append, the wide event, dump triggers,
 	// the response — happens outside the session lock: the WAL fsync and
@@ -207,7 +208,9 @@ func (s *Server) commit(w http.ResponseWriter, id int, e *sessionEntry, m mutati
 	}
 	// Log before respond: the op is durable before the client sees it,
 	// so a crash after this point loses nothing a client has acted on.
-	if ref := s.table.appendOp(id, seq, op, m.what); ref != nil {
+	ref = s.table.appendOp(id, seq, op, m.what)
+	e.appending.Store(false)
+	if ref != nil {
 		ref.write(w)
 		return
 	}

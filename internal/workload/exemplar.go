@@ -1,7 +1,7 @@
 // Slow-step exemplars: the client-side half of trace correlation. Each
 // virtual user keeps its K slowest step calls — with their trace IDs and
 // EXPLAIN profiles — and the runner merges them into a population-wide
-// top-K. sdeload persists the merged list in BENCH_serving.json, so a
+// top-K. sdeload persists the merged list in its verdict, so a
 // "p99 = 63 ms" report ships the exact steps that produced the tail and
 // the IDs to look them up with (/debug/spans?trace=<id> for the engine
 // phase spans, /debug/flightrecorder?trace=<id> for the wide event).

@@ -121,10 +121,42 @@ func DiffRecords(want, got []Record) []string {
 		if w.Event.ChosenOp != g.Event.ChosenOp {
 			out = append(out, fmt.Sprintf("step %d chosen op: want %q, got %q", step, w.Event.ChosenOp, g.Event.ChosenOp))
 		}
+		if w.Event.Degraded != g.Event.Degraded {
+			out = append(out, fmt.Sprintf("step %d degraded: want %v, got %v", step, w.Event.Degraded, g.Event.Degraded))
+		}
 		out = append(out, diffStrings(step, "map", w.Event.Maps, g.Event.Maps)...)
 		out = append(out, diffFloats(step, "utility", w.Event.Utilities, g.Event.Utilities)...)
 		out = append(out, diffStrings(step, "map digest", w.MapDigests, g.MapDigests)...)
 		out = append(out, diffStrings(step, "recommendation", w.Recommendations, g.Recommendations)...)
+	}
+	return out
+}
+
+// DiffRuns byte-compares two recorded runs of one population user by
+// user (Config.Record) and returns human-readable divergences, empty when
+// every user's golden trace is identical — the differential harnesses'
+// verdict on "the same walk against a different server".
+func DiffRuns(base, got *Result) []string {
+	var out []string
+	if len(base.Users) != len(got.Users) {
+		out = append(out, fmt.Sprintf("%d users against %d", len(got.Users), len(base.Users)))
+	}
+	for i := 0; i < min(len(base.Users), len(got.Users)); i++ {
+		want, have := base.Users[i].Records, got.Users[i].Records
+		wb, err1 := MarshalGolden(want)
+		gb, err2 := MarshalGolden(have)
+		diffs := DiffRecords(want, have)
+		switch {
+		case err1 != nil || err2 != nil:
+			diffs = []string{fmt.Sprintf("marshal failed: %v %v", err1, err2)}
+		case bytes.Equal(wb, gb):
+			continue
+		case len(diffs) == 0: // a field DiffRecords does not itemize
+			diffs = []string{"golden bytes differ"}
+		}
+		for _, d := range diffs {
+			out = append(out, fmt.Sprintf("user %d: %s", i, d))
+		}
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -13,43 +12,23 @@ import (
 )
 
 // Scrape is a parsed snapshot of a Prometheus text exposition — the
-// format internal/obs writes and /metrics serves. The load harness
-// scrapes instead of re-reading instruments so it works identically
-// against an in-process registry, a self-hosted server, and a remote
-// -target (and so the workload package itself never registers metrics,
-// keeping the obsmetrics registration discipline trivially satisfied).
+// format internal/obs writes and /metrics serves. Harnesses scrape
+// instead of re-reading instruments so they work identically against an
+// in-process registry and a child or remote server (and so the workload
+// package itself never registers metrics, keeping the obsmetrics
+// registration discipline trivially satisfied). Every sample is kept
+// under its full series name: a histogram's _bucket, _sum and _count
+// lines are plain samples like any counter's.
 type Scrape struct {
-	// values holds counter and gauge samples keyed by canonical series id.
+	// values holds every sample keyed by canonical series id.
 	values map[string]float64
-	// hists holds histogram families keyed by canonical series id
-	// (without the le label).
-	hists map[string]*HistogramSnapshot
-}
-
-// HistogramSnapshot is one scraped histogram series.
-type HistogramSnapshot struct {
-	// Bounds are the finite bucket upper bounds, ascending.
-	Bounds []float64
-	// Counts are cumulative observation counts per bound, with the +Inf
-	// bucket appended (len = len(Bounds)+1).
-	Counts []int64
-	// Sum and Count are the series' running totals.
-	Sum   float64
-	Count int64
 }
 
 // ParseMetrics parses a Prometheus text exposition.
 func ParseMetrics(r io.Reader) (*Scrape, error) {
-	s := &Scrape{values: make(map[string]float64), hists: make(map[string]*HistogramSnapshot)}
+	s := &Scrape{values: make(map[string]float64)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	type bucket struct {
-		le  float64
-		cum int64
-	}
-	buckets := make(map[string][]bucket)
-	sums := make(map[string]float64)
-	counts := make(map[string]int64)
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
@@ -59,53 +38,10 @@ func ParseMetrics(r io.Reader) (*Scrape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: metrics line %d: %w", line, err)
 		}
-		switch {
-		case strings.HasSuffix(name, "_bucket"):
-			rest, le, ok := takeLabel(labels, "le")
-			if !ok {
-				return nil, fmt.Errorf("workload: metrics line %d: _bucket sample without le", line)
-			}
-			bound := parseBound(le)
-			id := seriesKey(strings.TrimSuffix(name, "_bucket"), rest)
-			buckets[id] = append(buckets[id], bucket{le: bound, cum: int64(value)})
-		case strings.HasSuffix(name, "_sum"):
-			sums[seriesKey(strings.TrimSuffix(name, "_sum"), labels)] = value
-		case strings.HasSuffix(name, "_count"):
-			counts[seriesKey(strings.TrimSuffix(name, "_count"), labels)] = value2int(value)
-		default:
-			s.values[seriesKey(name, labels)] = value
-		}
+		s.values[seriesKey(name, labels)] = value
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	for id, bs := range buckets {
-		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-		h := &HistogramSnapshot{Sum: sums[id], Count: counts[id]}
-		for _, b := range bs {
-			if b.le == inf {
-				h.Counts = append(h.Counts, b.cum)
-				continue
-			}
-			h.Bounds = append(h.Bounds, b.le)
-			h.Counts = append(h.Counts, b.cum)
-		}
-		if len(h.Counts) == len(h.Bounds) { // exposition without +Inf
-			h.Counts = append(h.Counts, h.Count)
-		}
-		s.hists[id] = h
-	}
-	// _sum/_count pairs without buckets (untyped summaries) fall back to
-	// plain values so they are still reachable.
-	for id, v := range sums {
-		if _, ok := s.hists[id]; !ok {
-			s.values[id+"_sum"] = v
-		}
-	}
-	for id, v := range counts {
-		if _, ok := s.hists[id]; !ok {
-			s.values[id+"_count"] = float64(v)
-		}
 	}
 	return s, nil
 }
@@ -147,193 +83,6 @@ func (s *Scrape) Sum(name string) float64 {
 	}
 	return total
 }
-
-// SumMatching adds every sample of a family whose label set includes
-// key=value (e.g. all subdex_http_requests_total with code="409").
-func (s *Scrape) SumMatching(name, key, value string) float64 {
-	total := 0.0
-	prefix := name + "{"
-	needle := key + "=" + strconv.Quote(value)
-	for id, v := range s.values {
-		if strings.HasPrefix(id, prefix) && strings.Contains(id, needle) {
-			total += v
-		}
-	}
-	return total
-}
-
-// Histogram merges every series of a histogram family into one snapshot
-// (bucket layouts within a family are identical by construction in obs).
-// It returns nil when the family is absent.
-func (s *Scrape) Histogram(name string) *HistogramSnapshot {
-	var merged *HistogramSnapshot
-	prefix := name + "{"
-	ids := make([]string, 0, 4)
-	for id := range s.hists {
-		if id == name || strings.HasPrefix(id, prefix) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		h := s.hists[id]
-		if merged == nil {
-			merged = &HistogramSnapshot{
-				Bounds: append([]float64(nil), h.Bounds...),
-				Counts: append([]int64(nil), h.Counts...),
-				Sum:    h.Sum,
-				Count:  h.Count,
-			}
-			continue
-		}
-		if len(h.Counts) == len(merged.Counts) {
-			for i, c := range h.Counts {
-				merged.Counts[i] += c
-			}
-			merged.Sum += h.Sum
-			merged.Count += h.Count
-		}
-	}
-	return merged
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the cumulative
-// buckets with linear interpolation inside the containing bucket — the
-// standard Prometheus histogram_quantile estimator. An empty histogram
-// returns 0; observations in the +Inf bucket clamp to the largest finite
-// bound.
-func (h *HistogramSnapshot) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 || len(h.Counts) == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	for i, bound := range h.Bounds {
-		cum := float64(h.Counts[i])
-		if cum < rank {
-			continue
-		}
-		lower, lowerCum := 0.0, 0.0
-		if i > 0 {
-			lower = h.Bounds[i-1]
-			lowerCum = float64(h.Counts[i-1])
-		}
-		width := cum - lowerCum
-		if width <= 0 {
-			return bound
-		}
-		return lower + (bound-lower)*(rank-lowerCum)/width
-	}
-	if len(h.Bounds) > 0 {
-		return h.Bounds[len(h.Bounds)-1]
-	}
-	return 0
-}
-
-// Delta returns a snapshot with before's monotone samples subtracted:
-// *_total families and histogram buckets/sums/counts become the increase
-// over the interval, while gauges keep their current value. Use it to
-// measure one load run against a server that was already serving.
-func (s *Scrape) Delta(before *Scrape) *Scrape {
-	out := &Scrape{values: make(map[string]float64, len(s.values)),
-		hists: make(map[string]*HistogramSnapshot, len(s.hists))}
-	for id, v := range s.values {
-		if strings.Contains(id, "_total") {
-			if prev, ok := before.values[id]; ok {
-				v -= prev
-				if v < 0 {
-					v = 0
-				}
-			}
-		}
-		out.values[id] = v
-	}
-	for id, h := range s.hists {
-		d := &HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]int64(nil), h.Counts...),
-			Sum:    h.Sum,
-			Count:  h.Count,
-		}
-		if prev, ok := before.hists[id]; ok && len(prev.Counts) == len(d.Counts) {
-			for i := range d.Counts {
-				d.Counts[i] -= prev.Counts[i]
-				if d.Counts[i] < 0 {
-					d.Counts[i] = 0
-				}
-			}
-			d.Sum -= prev.Sum
-			d.Count -= prev.Count
-			if d.Count < 0 {
-				d.Count = 0
-			}
-		}
-		out.hists[id] = d
-	}
-	return out
-}
-
-// Merge returns a snapshot with other's samples added: counters, gauges,
-// and histogram buckets/sums/counts all sum. Use it to account one
-// workload across a server restart, where each process lifetime exposes
-// its own registry starting from zero (the kill-and-resume soak scrapes
-// the dying process just before the kill and the recovered one at the
-// end, and SLOs are asserted over the merged totals).
-func (s *Scrape) Merge(other *Scrape) *Scrape {
-	out := &Scrape{values: make(map[string]float64, len(s.values)),
-		hists: make(map[string]*HistogramSnapshot, len(s.hists))}
-	for id, v := range s.values {
-		out.values[id] = v
-	}
-	//subdex:orderinsensitive keyed map merge: every write adds into its own key, order cannot change the result
-	for id, v := range other.values {
-		out.values[id] += v
-	}
-	copyHist := func(h *HistogramSnapshot) *HistogramSnapshot {
-		return &HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]int64(nil), h.Counts...),
-			Sum:    h.Sum,
-			Count:  h.Count,
-		}
-	}
-	for id, h := range s.hists {
-		out.hists[id] = copyHist(h)
-	}
-	//subdex:orderinsensitive keyed map merge: per-key accumulation, order cannot change the result
-	for id, h := range other.hists {
-		d, ok := out.hists[id]
-		if !ok {
-			out.hists[id] = copyHist(h)
-			continue
-		}
-		if len(d.Counts) != len(h.Counts) {
-			continue // differing layouts cannot merge; keep the first
-		}
-		for i, c := range h.Counts {
-			d.Counts[i] += c
-		}
-		d.Sum += h.Sum
-		d.Count += h.Count
-	}
-	return out
-}
-
-// inf marks the +Inf bucket bound.
-var inf = math.Inf(1)
-
-// parseBound parses a le label value.
-func parseBound(s string) float64 {
-	if s == "+Inf" {
-		return inf
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return inf
-	}
-	return v
-}
-
-func value2int(v float64) int64 { return int64(v) }
 
 // parseSample splits one exposition line into name, labels, and value.
 func parseSample(line string) (string, []string, float64, error) {
@@ -405,28 +154,6 @@ func parseLabels(s string) ([]string, error) {
 		out = append(out, key+"="+strconv.Quote(val.String()))
 	}
 	return out, nil
-}
-
-// takeLabel removes key from the normalized label list, returning the
-// filtered list alongside the key's unquoted value. The input slice is
-// not mutated — histogram bucket ids must be built from a label set that
-// genuinely excludes "le", and aliasing bugs here would silently corrupt
-// series keys.
-func takeLabel(labels []string, key string) ([]string, string, bool) {
-	prefix := key + "="
-	for i, l := range labels {
-		if strings.HasPrefix(l, prefix) {
-			rest := make([]string, 0, len(labels)-1)
-			rest = append(rest, labels[:i]...)
-			rest = append(rest, labels[i+1:]...)
-			v, err := strconv.Unquote(strings.TrimPrefix(l, prefix))
-			if err != nil {
-				return rest, strings.TrimPrefix(l, prefix), true
-			}
-			return rest, v, true
-		}
-	}
-	return labels, "", false
 }
 
 // seriesKey renders the canonical id of a series: name{sorted labels}.
