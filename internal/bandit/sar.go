@@ -142,7 +142,15 @@ func (s *SAR) RemainingSlots() int { return s.k - s.accepted }
 // Done reports whether the selection is complete: all slots filled or no
 // active arms remain.
 func (s *SAR) Done() bool {
-	return s.accepted >= s.k || len(s.Active()) == 0
+	if s.accepted >= s.k {
+		return true
+	}
+	for _, a := range s.arms {
+		if a.state == Active {
+			return false
+		}
+	}
+	return true
 }
 
 // Step performs one accept-or-reject decision over the active arms, the

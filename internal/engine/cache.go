@@ -174,23 +174,14 @@ const (
 // cacheKey builds the lookup key: the group signature (description +
 // record-set hash, distinguishing subsampled groups from their full
 // selection), the candidate-key set (order-insensitive), and the utility
-// configuration. The record hash is FNV-1a over the four little-endian
-// bytes of each position — hash/fnv's sum, computed inline because a cold
-// step hashes its whole group and Hash64.Write is an interface call per
-// record — O(n) but ~50× cheaper per record than the scan it guards. The
-// recommendation pass builds one key per candidate operation over ~90
-// candidates each, so the candidate set is named by its length and the sum
-// of its keys' hashes — any order of one set adds up the same — not cloned,
-// sorted and spelled out; the rest is appended field by field, no fmt.
+// configuration. A cold step hashes its whole group for a lookup that
+// cannot hit, so the record hash (recordsHash) is O(n) but one multiply for
+// two records (BenchmarkCacheKey: 30 µs for 46 000). The recommendation
+// pass builds one key per candidate operation over ~90 candidates each, so
+// the candidate set is named by its length and the sum of its keys' hashes
+// — any order of one set adds up the same — not cloned, sorted and spelled
+// out; the rest is appended field by field, no fmt.
 func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.UtilityConfig) string {
-	h := uint64(fnvOffset64)
-	for _, r := range group.Records {
-		p := uint32(r)
-		h = (h ^ uint64(p&0xff)) * fnvPrime64
-		h = (h ^ uint64(p>>8&0xff)) * fnvPrime64
-		h = (h ^ uint64(p>>16&0xff)) * fnvPrime64
-		h = (h ^ uint64(p>>24)) * fnvPrime64
-	}
 	set := uint64(0)
 	for _, k := range candidates {
 		set += keyHash(k)
@@ -201,7 +192,7 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 	b = append(b, 0x02)
 	b = strconv.AppendInt(b, int64(len(group.Records)), 10)
 	b = append(b, 0x02)
-	b = strconv.AppendUint(b, h, 16)
+	b = strconv.AppendUint(b, recordsHash(group.Records), 16)
 	b = append(b, 0x02)
 	b = strconv.AppendInt(b, int64(len(candidates)), 10)
 	b = append(b, '.')
@@ -219,11 +210,30 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 	return string(b)
 }
 
+// recordsHash hashes a record list in order: FNV-1a's xor-and-multiply over
+// 64-bit words of two positions each (an odd list's last position is a word
+// of its own), finished with mix64. Every position feeds the hash, so a
+// sampled or hand-built group cannot pass for the selection its description
+// names; each step is a bijection of the running hash, so two lists that
+// differ in one position never collide; and the chain is one multiply per
+// word where hash/fnv's byte-wise sum, which this replaced, makes eight
+// (236 µs for the same 46 000).
+func recordsHash(records []int32) uint64 {
+	h := uint64(fnvOffset64)
+	for ; len(records) >= 2; records = records[2:] {
+		h = (h ^ (uint64(uint32(records[0])) | uint64(uint32(records[1]))<<32)) * fnvPrime64
+	}
+	if len(records) == 1 {
+		h = (h ^ uint64(uint32(records[0]))) * fnvPrime64
+	}
+	return mix64(h)
+}
+
 // keyHash hashes one candidate key: FNV-1a over side, dimension, attribute
 // length and attribute bytes — the length keeps "a"+"bc" apart from
-// "ab"+"c" — finished with the murmur3 mixer. FNV's last step is linear in
-// the last byte, and a sum of such hashes cannot tell two sets that swapped
-// their last bytes apart; a sum of mixed ones can.
+// "ab"+"c" — finished with mix64. FNV's last step is linear in the last
+// byte, and a sum of such hashes cannot tell two sets that swapped their
+// last bytes apart; a sum of mixed ones can.
 func keyHash(k ratingmap.Key) uint64 {
 	h := uint64(fnvOffset64)
 	h = (h ^ uint64(k.Side)) * fnvPrime64
@@ -232,6 +242,11 @@ func keyHash(k ratingmap.Key) uint64 {
 	for i := 0; i < len(k.Attr); i++ {
 		h = (h ^ uint64(k.Attr[i])) * fnvPrime64
 	}
+	return mix64(h)
+}
+
+// mix64 is the murmur3 finalizer: every input bit reaches every output bit.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -114,8 +111,9 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 }
 
 // TestCacheKeyNamesCandidateSet: the key names the candidate *set* — any
-// order of it, nothing but it — beside the record list and the description,
-// and its record hash is still hash/fnv's.
+// order of it, nothing but it — beside the record *list* — every position
+// of it, in order — and the description. The classes are pinned, not the
+// hash that tells them apart.
 func TestCacheKeyNamesCandidateSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := buildRandomDB(t, rng, 8, 8, 200)
@@ -184,18 +182,76 @@ func TestCacheKeyNamesCandidateSet(t *testing.T) {
 		}
 	}
 
-	// Positions with four distinct bytes: a 200-record table's all fit in
-	// one, which would hide a byte-order slip in the inline record hash.
-	records := []int32{0x01020304, 70000, 1<<31 - 1}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, r := range records {
-		binary.LittleEndian.PutUint32(buf[:], uint32(r))
-		h.Write(buf[:])
+	// Record lists one description can arrive with, which must not share
+	// a key: positions with four distinct bytes each, so that no byte of a
+	// position is left out, in lists of odd and even length, so that both
+	// the paired positions and an odd list's last are covered.
+	for _, records := range [][]int32{
+		{0x01020304, 0x05060708, 0x090a0b0c, 0x0d0e0f10, 1<<31 - 1},
+		{0x01020304, 0x05060708, 0x090a0b0c, 0x0d0e0f10},
+	} {
+		key := func(rs []int32) string {
+			return cacheKey(&query.RatingGroup{Desc: bound, Records: rs}, keys, u)
+		}
+		base := key(records)
+		if key(slices.Clone(records)) != base {
+			t.Fatal("equal record lists, different keys")
+		}
+		recordsDiffer := func(label string, rs []int32) {
+			t.Helper()
+			if key(rs) == base {
+				t.Fatalf("%d records, %s: same key", len(records), label)
+			}
+		}
+		for p := range records {
+			for shift := 0; shift < 32; shift += 8 {
+				rs := slices.Clone(records)
+				rs[p] ^= 1 << shift
+				recordsDiffer(fmt.Sprintf("byte %d of position %d changed", shift/8, p), rs)
+			}
+			if p > 0 {
+				rs := slices.Clone(records)
+				rs[p-1], rs[p] = rs[p], rs[p-1]
+				recordsDiffer(fmt.Sprintf("positions %d and %d swapped", p-1, p), rs)
+			}
+			recordsDiffer(fmt.Sprintf("position %d dropped", p), slices.Delete(slices.Clone(records), p, p+1))
+		}
+		recordsDiffer("a zero appended", append(slices.Clone(records), 0))
+		// A sampled list against the full selection it was drawn from.
+		recordsDiffer("every other position", []int32{records[0], records[2]})
+		recordsDiffer("its first half", records[:len(records)/2])
 	}
-	want := fmt.Sprintf("\x02%d\x02%x\x02", len(records), h.Sum64())
-	if got := cacheKey(&query.RatingGroup{Desc: bound, Records: records}, keys, u); !strings.Contains(got, want) {
-		t.Fatalf("key %q does not carry hash/fnv's record hash %q", got, want)
+}
+
+// TestCacheKeySinglePositionPerturbations: a 2 000-record list — the
+// recommendation pass's sample size — and 10 000 copies of it with one
+// position changed have 10 001 distinct keys.
+func TestCacheKeySinglePositionPerturbations(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, table = 2000, 200500
+	records := make([]int32, 0, n)
+	for _, r := range rng.Perm(table)[:n] {
+		records = append(records, int32(r))
+	}
+	slices.Sort(records)
+	keys := []ratingmap.Key{{Side: query.ItemSide, Attr: "city"}}
+	u := ratingmap.DefaultUtilityConfig()
+	seen := map[string]string{cacheKey(&query.RatingGroup{Records: records}, keys, u): "the list itself"}
+	changed := make(map[[2]int32]bool)
+	for len(changed) < 10000 {
+		p, to := int32(rng.Intn(n)), int32(rng.Intn(table))
+		if to == records[p] || changed[[2]int32{p, to}] {
+			continue
+		}
+		changed[[2]int32{p, to}] = true
+		rs := slices.Clone(records)
+		rs[p] = to
+		label := fmt.Sprintf("position %d set to %d", p, to)
+		key := cacheKey(&query.RatingGroup{Records: rs}, keys, u)
+		if other, dup := seen[key]; dup {
+			t.Fatalf("%s and %s share a key", label, other)
+		}
+		seen[key] = label
 	}
 }
 
@@ -357,5 +413,35 @@ func TestPrunedRunNotCached(t *testing.T) {
 	}
 	if st := g.Cache.Stats(); st.Entries != 0 || st.Misses != 1 {
 		t.Fatalf("pruned run populated the cache: %+v", st)
+	}
+}
+
+var sinkKey string
+
+// BenchmarkCacheKey is one key over Yelp's 92 candidates for a record list
+// of the recommendation pass's sample size, of scan_sweep's mean group and
+// of its whole table: every cold step builds one before it scans, for a
+// lookup that cannot hit.
+//
+//	go test ./internal/engine -run '^$' -bench CacheKey -benchmem
+func BenchmarkCacheKey(b *testing.B) {
+	keys := make([]ratingmap.Key, 92)
+	for k := range keys {
+		keys[k] = ratingmap.Key{Side: query.Side(k % 2), Attr: fmt.Sprintf("attribute_%d", k/8), Dim: k % 4}
+	}
+	desc := query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"})
+	u := ratingmap.DefaultUtilityConfig()
+	for _, n := range []int{2000, 46000, 200500} {
+		records := make([]int32, n)
+		for r := range records {
+			records[r] = int32(r) * 3
+		}
+		group := &query.RatingGroup{Desc: desc, Records: records}
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkKey = cacheKey(group, keys, u)
+			}
+		})
 	}
 }

@@ -124,19 +124,24 @@ func (e *Engine) EntityGroup(d Description, side Side) (*Bitset, error) {
 	return acc, nil
 }
 
-// Materialize evaluates a description into a rating group: the records of
-// the smaller entity side, read from its record index and kept when the
-// other side's bitset admits them, so narrow selections stay cheap; they
-// come back ascending without a sort (gather), in a slice of exactly their
-// number. With the group cache enabled (EnableGroupCache), repeated
-// selections are served from memory; the returned group must then be
-// treated as immutable.
+// Materialize evaluates a description into a rating group. Its records are
+// collected one of two ways, chosen from how much of the rating table the
+// first would visit (sweepPays): the records of the smaller entity side,
+// read from its record index and kept when the other side's bitset admits
+// them (gather), so narrow selections stay cheap; or one pass over the
+// rating table in order (sweep), when the index walk would visit a large
+// share of it anyway. Either way they come back ascending without a sort,
+// in a slice of exactly their number. With the group cache enabled
+// (EnableGroupCache), repeated selections are served from memory; the
+// returned group must then be treated as immutable.
 func (e *Engine) Materialize(d Description) (*RatingGroup, error) {
 	g, _, err := e.MaterializeCached(d)
 	return g, err
 }
 
-func (e *Engine) materialize(d Description) (*RatingGroup, error) {
+// entityGroups materializes both sides of a description: a rating group
+// without its records.
+func (e *Engine) entityGroups(d Description) (*RatingGroup, error) {
 	ug, err := e.EntityGroup(d, ReviewerSide)
 	if err != nil {
 		return nil, err
@@ -145,23 +150,109 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &RatingGroup{Desc: d, Reviewers: ug, Items: ig}
+	return &RatingGroup{Desc: d, Reviewers: ug, Items: ig}, nil
+}
 
-	uCount, iCount := ug.Count(), ig.Count()
+func (e *Engine) materialize(d Description) (*RatingGroup, error) {
+	g, err := e.entityGroups(d)
+	if err != nil {
+		return nil, err
+	}
 	switch {
-	case uCount == 0 || iCount == 0:
+	case g.Reviewers.Count() == 0 || g.Items.Count() == 0:
 		// empty group
 	case d.IsEmpty():
 		g.Records = make([]int32, e.DB.Ratings.Len())
 		for r := range g.Records {
 			g.Records[r] = int32(r)
 		}
-	case uCount <= iCount:
-		g.Records = e.gather(ug, e.DB.RecordsOfReviewer, ig, e.DB.Ratings.Item)
 	default:
-		g.Records = e.gather(ig, e.DB.RecordsOfItem, ug, e.DB.Ratings.Reviewer)
+		from, recordsOf, other, otherOf := e.walkSides(g.Reviewers, g.Items)
+		if e.sweepPays(from, recordsOf) {
+			g.Records = e.sweep(g.Reviewers, g.Items)
+		} else {
+			g.Records = e.gather(from, recordsOf, other, otherOf)
+		}
 	}
 	return g, nil
+}
+
+// walkSides orders the two entity groups for the index walk: the side with
+// fewer matching entities is walked (from, its record index recordsOf) and
+// each of its records is tested against the other (other, and the rating
+// table's column otherOf naming each record's entity on that side).
+func (e *Engine) walkSides(ug, ig *Bitset) (from *Bitset, recordsOf func(int) []int32, other *Bitset, otherOf []int32) {
+	if ug.Count() <= ig.Count() {
+		return ug, e.DB.RecordsOfReviewer, ig, e.DB.Ratings.Item
+	}
+	return ig, e.DB.RecordsOfItem, ug, e.DB.Ratings.Reviewer
+}
+
+// sweepCrossover is the share of the rating table, as 1/sweepCrossover, the
+// index walk must be about to visit before the sweep replaces it: more than
+// half. Measured, not tuned — BenchmarkMaterialize's index and sweep arms on
+// the Yelp, MovieLens and Hotels shapes (datasets_test.go). A walk that
+// keeps every record it visits (one side unconstrained: the item1_* and
+// reviewer1_55 arms) is the walk at its cheapest per record, and it meets
+// the sweep between 0.45 and 0.55 of the table on all three shapes (index /
+// sweep 0.86 at 0.43 and 1.04 at 0.56 on Yelp, 0.89 at 0.33 and 1.03 at
+// 0.55 on MovieLens, 0.96 at 0.46 on Hotels). A walk whose other side
+// rejects most of what it visits mispredicts its Has and meets the sweep
+// sooner (both_31 0.99, both_42 1.22, Hotels' both_43 0.98), but the
+// visited share cannot tell the two apart, and between a third and a half
+// of the table neither strategy is more than a quarter ahead. Past half the
+// sweep is never the slower, up to 3.8x the faster (reviewer1) — and past
+// half is where every reviewer selection on Yelp- and Hotels-shaped data
+// sits, at 1.0.
+const sweepCrossover = 2
+
+// sweepPays reports whether the index walk from these entities would visit
+// more than 1/sweepCrossover of the rating table — the sum of their
+// record-list lengths, which stops at the first entity that takes it past
+// the mark. The walk visits records the other side then rejects, so this is
+// the walk's cost, not the group's size: any reviewer selection on 93 items
+// visits the whole table.
+func (e *Engine) sweepPays(from *Bitset, recordsOf func(int) []int32) bool {
+	limit := e.DB.Ratings.Len() / sweepCrossover
+	visited := 0
+	for wi, w := range from.words {
+		for ; w != 0; w &= w - 1 {
+			visited += len(recordsOf(wi*64 + bits.TrailingZeros64(w)))
+			if visited > limit {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sweep returns, ascending, the records whose reviewer is in ug and whose
+// item is in ig by one pass over the rating table in order. The two
+// membership tests of a record are a shift and a mask each, and-ed into one
+// bit with no branch to mispredict (a pass that branches on them loses to
+// the walk: DESIGN.md "Limitations"); 64 records make one word of the
+// record bitmap, assembled in a register, stored once and counted, and the
+// bitmap is read out into a slice of exactly that count.
+func (e *Engine) sweep(ug, ig *Bitset) []int32 {
+	reviewer, item := e.DB.Ratings.Reviewer, e.DB.Ratings.Item
+	uw, iw := ug.words, ig.words
+	n := len(reviewer)
+	marks := NewBitset(n)
+	count := 0
+	for wi := range marks.words {
+		lo := wi * 64
+		hi := min(lo+64, n)
+		us, is := reviewer[lo:hi], item[lo:hi]
+		is = is[:len(us)] // is[k] needs no bounds check below
+		var w uint64
+		for k, u := range us {
+			u, i := uint32(u), uint32(is[k])
+			w |= (uw[u>>6] >> (u & 63) & (iw[i>>6] >> (i & 63)) & 1) << (uint(k) & 63)
+		}
+		marks.words[wi] = w
+		count += bits.OnesCount64(w)
+	}
+	return marks.Elements(make([]int32, 0, count))
 }
 
 // gather returns, ascending, the records of the entities in from whose
