@@ -204,7 +204,7 @@ func BenchmarkCriteriaEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := range keys {
-			benchScores = acc.ScoresAt(k, seen, 1, ratingmap.PecTVD)
+			benchScores = acc.ScoresAt(k, seen, 1, ratingmap.PecTVD, nil)
 		}
 	}
 }

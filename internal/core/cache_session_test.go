@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"subdex/internal/engine"
@@ -127,6 +128,84 @@ func TestSessionCachedMatchesUncached(t *testing.T) {
 	exC.InvalidateEngineCache()
 	if st := exC.EngineCacheStats(); st.Entries != 0 || st.UsedRecords != 0 {
 		t.Fatalf("post-invalidate stats %+v", st)
+	}
+}
+
+// TestConcurrentSessionsFinalizeSharedAccumulators: two sessions of one
+// explorer walk root → drill-down → Back at the same time, so both finalize
+// the same cached accumulators — the displayed groups' and every candidate
+// operation's — concurrently, each against its own seen set. The
+// accumulators are read-only and finalize's scratch is borrowed per call,
+// so under -race this must be silent, and both walks must show what an
+// uncached explorer shows for the same walk.
+func TestConcurrentSessionsFinalizeSharedAccumulators(t *testing.T) {
+	db := coreDB(t)
+	cfg := DefaultConfig()
+	cfg.Engine.Workers = 2
+	walk := func(ex *Explorer) ([]*StepResult, error) {
+		s, err := NewSession(ex, RecommendationPowered, query.Description{})
+		if err != nil {
+			return nil, err
+		}
+		var steps []*StepResult
+		for i := 0; i < 3; i++ {
+			res, err := s.Step()
+			if err != nil {
+				return nil, err
+			}
+			steps = append(steps, res)
+			switch i {
+			case 0:
+				err = s.ApplyRecommendation(0)
+			case 1:
+				s.Back()
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return steps, nil
+	}
+
+	exU, err := NewExplorer(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exU.Gen.Cache = nil
+	want, err := walk(exU)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exC, err := NewExplorer(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := walk(exC); err != nil { // fill the cache: the walks below hit
+		t.Fatal(err)
+	}
+	before := exC.EngineCacheStats().Hits
+	got := make([][]*StepResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w], errs[w] = walk(exC)
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for i := range want {
+			assertStepsEqual(t, i, got[w][i], want[i])
+		}
+	}
+	if hits := exC.EngineCacheStats().Hits - before; hits == 0 {
+		t.Fatal("the concurrent walks never hit the accumulator cache: nothing was shared")
 	}
 }
 

@@ -313,84 +313,112 @@ var benchRecs []Recommendation
 
 // BenchmarkRecommendPass is the inner loop of a guided step on its own: one
 // recommendation pass (CandidateOps, group derivation, ~300 × Algorithm 1)
-// from the root, a one-selector and a three-selector selection of Yelp at
-// scale 0.05, each with the accumulator cache off — every iteration does
-// the pass's full work — and on, as binaries ship it: a cache of its own per
-// arm, so the first iteration (all CI's -benchtime 1x runs) misses and
-// fills it, and the later ones are what a pass costs beside its scans.
+// on the three dataset shapes — Yelp at scale 0.05 (4 dimensions, the item
+// side folds), MovieLens at 0.2 (1 dimension, tens of ratings an entity) and
+// Hotels at 0.2 (4 dimensions, 28 attributes' worth of candidates) — from
+// the root, a one-selector and a three-selector selection, each with the
+// accumulator cache off — every iteration does the pass's full work — and
+// on, as binaries ship it: a cache of its own per arm, so the first
+// iteration (all CI's -benchtime 1x runs) misses and fills it, and the later
+// ones are what a pass costs beside its scans. …/root/instrumented is
+// root/cache_on as a served step runs it: under Explorer.Instrument and a
+// span sink, every candidate's engine.topmaps and engine.phase spans and
+// hot-path metrics included — the in-tree figure behind obs.overhead_frac.
 // Reports candidates/op beside ns/op, B/op and allocs/op.
 func BenchmarkRecommendPass(b *testing.B) {
-	db, err := gen.Yelp(gen.Config{Seed: 1, Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex, err := NewExplorer(db, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Drill down the first value that keeps the group non-empty, one
-	// attribute at a time, to get selections of every depth.
-	selections := []query.Description{{}}
-	cur := query.Description{}
-	for _, gc := range ex.Query.GroupingCandidates(cur) {
-		if cur.Len() == 3 {
-			break
+	for _, shape := range []struct {
+		name string
+		gen  func(gen.Config) (*dataset.DB, error)
+		cfg  gen.Config
+	}{
+		{"yelp", gen.Yelp, gen.Config{Seed: 1, Scale: 0.05}},
+		{"movielens", gen.Movielens, gen.Config{Seed: 1, Scale: 0.2}},
+		{"hotels", gen.Hotels, gen.Config{Seed: 1, Scale: 0.2}},
+	} {
+		db, err := shape.gen(shape.cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		values, _ := ex.Query.AttributeValues(gc.Side, gc.Attr)
-		for _, v := range values {
-			next, err := cur.With(query.Selector{Side: gc.Side, Attr: gc.Attr, Value: v})
-			if err != nil {
-				continue
-			}
-			if g, err := ex.Query.Materialize(next); err == nil && g.Len() >= 50 {
-				cur = next
-				selections = append(selections, cur)
+		ex, err := NewExplorer(db, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Drill down the first value that keeps the group non-empty, one
+		// attribute at a time, to get selections of every depth.
+		selections := []query.Description{{}}
+		cur := query.Description{}
+		for _, gc := range ex.Query.GroupingCandidates(cur) {
+			if cur.Len() == 3 {
 				break
 			}
+			values, _ := ex.Query.AttributeValues(gc.Side, gc.Attr)
+			for _, v := range values {
+				next, err := cur.With(query.Selector{Side: gc.Side, Attr: gc.Attr, Value: v})
+				if err != nil {
+					continue
+				}
+				if g, err := ex.Query.Materialize(next); err == nil && g.Len() >= 50 {
+					cur = next
+					selections = append(selections, cur)
+					break
+				}
+			}
 		}
-	}
-	if cur.Len() != 3 {
-		b.Fatalf("could not drill down to a three-selector selection, stopped at %s", cur)
-	}
-	for _, arm := range []struct {
-		desc  query.Description
-		cache bool
-	}{
-		{selections[0], false}, {selections[0], true},
-		{selections[1], false}, {selections[1], true},
-		{selections[3], false}, {selections[3], true},
-	} {
-		desc, name := arm.desc, benchName(arm.desc)+"/cache_off"
-		if arm.cache {
-			name = benchName(arm.desc) + "/cache_on"
+		if cur.Len() != 3 {
+			b.Fatalf("%s: could not drill down to a three-selector selection, stopped at %s", shape.name, cur)
 		}
-		b.Run(name, func(b *testing.B) {
-			ex.Gen.Cache = nil
-			if arm.cache {
-				ex.Gen.Cache = engine.NewTopMapsCache(engineCacheRecords)
+		for _, arm := range []struct {
+			desc         query.Description
+			cache        bool
+			instrumented bool
+		}{
+			{desc: selections[0]}, {desc: selections[0], cache: true}, {desc: selections[0], cache: true, instrumented: true},
+			{desc: selections[1]}, {desc: selections[1], cache: true},
+			{desc: selections[3]}, {desc: selections[3], cache: true},
+		} {
+			desc, variant := arm.desc, "cache_off"
+			switch {
+			case arm.instrumented:
+				variant = "instrumented"
+			case arm.cache:
+				variant = "cache_on"
 			}
-			seen := ratingmap.NewSeenSet()
-			res, err := ex.RMSet(desc, seen)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, rm := range res.Maps {
-				seen.Add(rm)
-			}
-			rb := RecommendationBuilder{Ex: ex}
-			candidates := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recs, durs, err := rb.Recommend(desc, res.Maps, seen, ex.Cfg.O)
+			b.Run(shape.name+"/"+benchName(desc)+"/"+variant, func(b *testing.B) {
+				ex.Gen.Cache = nil
+				if arm.cache {
+					ex.Gen.Cache = engine.NewTopMapsCache(engineCacheRecords)
+				}
+				ctx := context.Background()
+				ex.Instrument(nil)
+				if arm.instrumented {
+					ex.Instrument(obs.NewRegistry())
+					ctx = obs.WithSink(ctx, obs.NewRingSink(8))
+				}
+				seen := ratingmap.NewSeenSet()
+				res, err := ex.RMSet(desc, seen)
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchRecs = recs
-				candidates += len(durs)
-			}
-			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
-		})
+				for _, rm := range res.Maps {
+					seen.Add(rm)
+				}
+				rb := RecommendationBuilder{Ex: ex}
+				candidates := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					stepCtx, root := obs.StartSpan(ctx, "core.step") // nil, and free, without a sink
+					recs, durs, err := rb.RecommendCtx(stepCtx, desc, res.Maps, seen, ex.Cfg.O)
+					root.End()
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchRecs = recs
+					candidates += len(durs)
+				}
+				b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+			})
+		}
 	}
 }
 

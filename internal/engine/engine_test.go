@@ -183,10 +183,10 @@ func TestTopMapsParallelEqualsSequential(t *testing.T) {
 func TestCIPruneDominance(t *testing.T) {
 	// Two candidates with far-apart means: at a late phase (tight radius),
 	// the weak one must be pruned; at an early phase (wide radius), not.
-	mk := func(mean float64) estimateEntry {
-		return estimateEntry{scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
+	mk := func(idx int, mean float64) estimateEntry {
+		return estimateEntry{idx: idx, scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
 	}
-	est := map[int]estimateEntry{0: mk(0.9), 1: mk(0.85), 2: mk(0.1)}
+	est := []estimateEntry{mk(0, 0.9), mk(1, 0.85), mk(2, 0.1)}
 	late := ciPrune(est, 9000, 10000, 2, nil)
 	if len(late) != 1 || late[0] != 2 {
 		t.Errorf("late-phase prune = %v, want [2]", late)
@@ -200,10 +200,10 @@ func TestCIPruneDominance(t *testing.T) {
 func TestCIPruneRespectsAcceptedArms(t *testing.T) {
 	// An arm accepted by the bandit must not be CI-pruned even if its
 	// interval falls below.
-	mk := func(mean float64) estimateEntry {
-		return estimateEntry{scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
+	mk := func(idx int, mean float64) estimateEntry {
+		return estimateEntry{idx: idx, scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
 	}
-	est := map[int]estimateEntry{0: mk(0.9), 1: mk(0.85), 2: mk(0.1)}
+	est := []estimateEntry{mk(0, 0.9), mk(1, 0.85), mk(2, 0.1)}
 	sar, _ := bandit.NewSAR([]int{0, 1, 2}, 2)
 	sar.SetMean(2, 0.99)
 	sar.SetMean(0, 0.5)

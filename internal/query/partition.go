@@ -38,21 +38,22 @@ func (e *Engine) Partition(records []int32, side Side, attr string) (*Partition,
 		rowOf = e.DB.Ratings.Item
 	}
 	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
-	// A row's values: the one cell of an atomic column, the CSR run of a
-	// multi-valued one.
-	valuesOf := func(row int32) []dataset.ValueID {
-		if col.Kind == dataset.Atomic {
-			return col.Values[row : row+1]
-		}
-		return col.Values[col.Offsets[row]:col.Offsets[row+1]]
-	}
+	vals, offs := col.Values, col.Offsets
+	atomic := col.Kind == dataset.Atomic // one cell a row; otherwise a CSR run
 
 	// offsets[v+1] first counts bucket v, then the prefix sum turns it into
 	// the bucket's end.
 	offsets := make([]int, col.NValues+1)
-	for _, r := range records {
-		for _, v := range valuesOf(rowOf[r]) {
-			offsets[v+1]++
+	if atomic {
+		for _, r := range records {
+			offsets[vals[rowOf[r]]+1]++
+		}
+	} else {
+		for _, r := range records {
+			row := rowOf[r]
+			for _, v := range vals[offs[row]:offs[row+1]] {
+				offsets[v+1]++
+			}
 		}
 	}
 	for v := 0; v < col.NValues; v++ {
@@ -61,10 +62,19 @@ func (e *Engine) Partition(records []int32, side Side, attr string) (*Partition,
 
 	out := make([]int32, offsets[col.NValues])
 	next := slices.Clone(offsets[:col.NValues])
-	for _, r := range records {
-		for _, v := range valuesOf(rowOf[r]) {
+	if atomic {
+		for _, r := range records {
+			v := vals[rowOf[r]]
 			out[next[v]] = r
 			next[v]++
+		}
+	} else {
+		for _, r := range records {
+			row := rowOf[r]
+			for _, v := range vals[offs[row]:offs[row+1]] {
+				out[next[v]] = r
+				next[v]++
+			}
 		}
 	}
 	return &Partition{dict: t.Dict(a), offsets: offsets, records: out}, nil

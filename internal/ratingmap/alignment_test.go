@@ -61,7 +61,7 @@ func assertAligned(t *testing.T, acc *Accumulator, seen *SeenSet, label string) 
 			t.Fatalf("%s: SnapshotAt(%d) = %s, Snapshot(%v) = %s", label, i, at.Digest(), k, byKey.Digest())
 		}
 		for _, m := range []PeculiarityMeasure{PecTVD, PecKL} {
-			got := acc.ScoresAt(i, seen, 1.5, m)
+			got := acc.ScoresAt(i, seen, 1.5, m, nil)
 			if est, ok := acc.CriteriaEstimateOpt(k, seen, 1.5, m); !ok || est != got {
 				t.Fatalf("%s: %v under %s: ScoresAt(%d) = %v, CriteriaEstimateOpt = %v (ok=%t)", label, k, m, i, got, est, ok)
 			}
@@ -210,7 +210,7 @@ func TestAccumulatorIndexAlignment(t *testing.T) {
 		}
 		assertAligned(t, dec, seen, fmt.Sprintf("round %d, decoded", round))
 		for i := range acc.Keys() {
-			if got, want := dec.ScoresAt(i, seen, 1, PecKL), acc.ScoresAt(i, seen, 1, PecKL); got != want {
+			if got, want := dec.ScoresAt(i, seen, 1, PecKL, nil), acc.ScoresAt(i, seen, 1, PecKL, nil); got != want {
 				t.Fatalf("round %d: decoded candidate %d scores %v, encoded %v", round, i, got, want)
 			}
 		}
@@ -227,8 +227,8 @@ func TestAccumulatorIndexAlignment(t *testing.T) {
 }
 
 // TestScoringAndSnapshotAllocations: scoring a candidate allocates nothing
-// under either measure while its scale and bar count fit ScoresAt's stack
-// buffers, and a snapshot is three allocations (the map, the subgroup list,
+// under either measure, through a memo or without one, while its scale and
+// bar count fit ScoresAt's stack buffers, and a snapshot is three allocations (the map, the subgroup list,
 // one array for every histogram) whatever the bar count.
 func TestScoringAndSnapshotAllocations(t *testing.T) {
 	seen := NewSeenSet()
@@ -251,8 +251,11 @@ func TestScoringAndSnapshotAllocations(t *testing.T) {
 				continue
 			}
 			for _, m := range []PeculiarityMeasure{PecTVD, PecKL} {
-				if n := testing.AllocsPerRun(20, func() { acc.ScoresAt(i, seen, 1, m) }); n != 0 {
-					t.Errorf("%s: ScoresAt(%v) under %s allocates %v times, want 0", name, k, m, n)
+				var memo PecMemo
+				for _, pm := range []*PecMemo{nil, &memo} {
+					if n := testing.AllocsPerRun(20, func() { acc.ScoresAt(i, seen, 1, m, pm) }); n != 0 {
+						t.Errorf("%s: ScoresAt(%v) under %s (memo: %t) allocates %v times, want 0", name, k, m, pm != nil, n)
+					}
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package ratingmap
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // CriteriaEstimateOpt is ScoresAt for a candidate given by key; ok is false
 // for an unknown one.
@@ -9,7 +12,7 @@ func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale floa
 	if i < 0 {
 		return s, false
 	}
-	return a.ScoresAt(i, seen, recordScale, m), true
+	return a.ScoresAt(i, seen, recordScale, m, nil), true
 }
 
 // stackScale and stackBars size ScoresAt's stack buffers; rating scales and
@@ -23,8 +26,10 @@ const stackScale, stackBars = 16, 64
 // the engine's scorer, per phase and at the end — some 90 calls per
 // candidate operation of a recommendation pass, most over a few dozen
 // records — so the block is walked once, the subgroups found are revisited
-// from a list, and nothing is allocated.
-func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores) {
+// from a list, and nothing is allocated. memo, when non-nil, shares global
+// peculiarity among the candidates of one scoring pass (see PecMemo); the
+// scores are the same bits with and without it.
+func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m PeculiarityMeasure, memo *PecMemo) (s Scores) {
 	p := &a.parts[i]
 	stride := p.scale + 1
 	var distBuf [2 * stackScale]float64
@@ -56,6 +61,7 @@ func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m Pecu
 	if len(bars) == 0 {
 		return s
 	}
+	slot, known := memo.slot(pooled) // while pooled still holds counts
 	total := float64(nRecords)
 	for i := range pooled {
 		pooled[i] /= total
@@ -107,8 +113,66 @@ func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m Pecu
 	s[PecSelf] = maxPec
 
 	// Global peculiarity against the seen pooled distributions.
+	if known {
+		s[PecGlobal] = memo.pec[slot]
+		return s
+	}
 	s[PecGlobal] = seen.maxDistAgainst(pooled, m)
+	if slot >= 0 {
+		memo.pec[slot] = s[PecGlobal]
+	}
 	return s
+}
+
+// pecMemoSize is how many pooled histograms a PecMemo holds. An
+// accumulator's candidates pool to few distinct ones — every atomic
+// attribute without missing values pools a dimension to the same counts, so
+// only multi-valued attributes and attributes with missing values add their
+// own: all candidates of a strided batch make 8 on the Yelp shape (96
+// candidates) and on Hotels (32), 2 on MovieLens (12), 4 on demo. Twice
+// that leaves room for real data's missing values; past it the memo evicts
+// round-robin and stays exact.
+const pecMemoSize = 16
+
+// PecMemo shares global peculiarity among the candidates of one scoring
+// pass. Global peculiarity is a function of a candidate's pooled
+// distribution, the seen set and the measure, and its cost grows with the
+// session's seen set; the pooled distribution is the pooled counts divided
+// by their sum, so candidates of equal scale and equal counts — integers,
+// exact in a float64 — have bit-identical distributions and bit-identical
+// results. The memo is keyed by the counts and computes once per distinct
+// histogram.
+//
+// A memo is good for one seen-set state and one measure: the zero value is
+// ready, each worker of a pass declares its own (no locking), and none
+// outlives the pass. A nil *PecMemo, or a scale beyond stackScale, computes
+// every time.
+type PecMemo struct {
+	n, next int // slots filled; the slot the next eviction takes
+	scale   [pecMemoSize]int
+	counts  [pecMemoSize][stackScale]float64
+	pec     [pecMemoSize]float64
+}
+
+// slot returns the index in pec of the pooled counts' global peculiarity and
+// whether it is already there; when it is not, the slot is claimed for the
+// counts and the caller computes the value and stores it. Slot -1 means no
+// memo: compute, store nothing.
+func (pm *PecMemo) slot(counts []float64) (slot int, known bool) {
+	if pm == nil || len(counts) > stackScale {
+		return -1, false
+	}
+	for i := 0; i < pm.n; i++ {
+		if pm.scale[i] == len(counts) && slices.Equal(pm.counts[i][:len(counts)], counts) {
+			return i, true
+		}
+	}
+	i := pm.next
+	pm.next = (pm.next + 1) % pecMemoSize
+	pm.n = max(pm.n, i+1)
+	pm.scale[i] = len(counts)
+	copy(pm.counts[i][:], counts)
+	return i, false
 }
 
 // maxDistAgainst returns the maximum peculiarity distance between dist and

@@ -7,16 +7,18 @@ package ratingmap
 // one of two strategies, chosen per side per batch from the input's shape
 // alone (foldPays):
 //
-//   - Direct (scanSide): one tight loop over the batch per candidate.
-//     dataset.AttrColumn supplies per-attribute dictionary-coded value
-//     columns as flat arrays (atomic: one id per entity row; multi-valued:
-//     CSR runs in one shared backing array) — two array indexings reach a
-//     record's value ids, no interface dispatch, no [][]ValueID chase. The
+//   - Direct (scanSide): the join is resolved once per tile of scanTile
+//     records — entity rows, scores, and per atomic attribute the value
+//     ids, gathered into arrays on the stack — and every candidate then
+//     runs one tight increment loop over the tile. dataset.AttrColumn
+//     supplies per-attribute dictionary-coded value columns as flat arrays
+//     (atomic: one id per entity row; multi-valued: CSR runs in one shared
+//     backing array), no interface dispatch, no [][]ValueID chase. The
 //     inner loop is branch-free: a missing value (id 0) lands in the
 //     block's row 0 and a missing score (score 0) in its row's column 0,
 //     the discard cells partial.rows never shows a reader. The kind
-//     dispatch is hoisted out of the record loop: scanAtomic and scanMulti
-//     are separate loops chosen once per attribute per Update call.
+//     dispatch is hoisted out of the record loop: tileAtomic, tileAtomicOne
+//     and tileMulti are separate loops chosen once per attribute per tile.
 //   - Entity-first (foldSide): aggregate below the join. All maps of one
 //     side and dimension share the same per-entity score histogram, so one
 //     pass over the batch per (side, dimension) counts E[row][score], and
@@ -86,9 +88,158 @@ func (a *Accumulator) Update(records []int32) {
 	}
 }
 
-// scanSide is the direct strategy: one tight loop over the batch per
-// candidate of the side.
+// scanTile is how many records the direct strategy joins at a time, and
+// tileDims how many rating dimensions its stack scratch holds: 4 B of entity
+// row and 4 B of value id a record plus one byte of score a record and
+// dimension, 3 KB in all, so a tile's gathers and every increment loop over
+// it run out of L1. Both are fixed by BenchmarkUpdateKernel's …/tiled
+// against …/perkey arms (kernel_bench_test.go; one vCPU, best of 5, µs):
+//
+//	                      batch=50        batch=2000     batch=50000
+//	yelp/reviewers      5.9 → 3.6       397 → 217      4 332 → 2 821
+//	yelp/items          5.4 → 3.5       192 → 115      4 158 → 2 582
+//	hotels/reviewers    1.3 → 1.1        52 → 40
+//	hotels/items        2.1 → 1.6        87 → 58
+//	movielens/reviewers 0.62 → 0.40      18 → 14         350 → 376
+//	movielens/items     0.76 → 0.64      23 → 18         747 → 716
+//
+// (Hotels has 35 912 ratings; at 50 000 records both MovieLens sides fold
+// anyway. Two runs of one arm differ by up to 15% on this box.)
+//
+// The frame is zeroed on every scanSide call, which is what the tile size
+// trades against: tiles of 128, 256, 512 and 1 024 records are within noise
+// of each other from 2 000 records up on all three shapes (Yelp's reviewers
+// at 50 000: 2.76–2.95 ms), while MovieLens' reviewers at 50 records — one
+// dimension, so nothing to share but the rows — read 0.39, 0.44, 0.72 and
+// 0.81 µs. 256 keeps the 50-record batches a guided step is made of ahead
+// on every shape. Yelp and Hotels have four dimensions and MovieLens one;
+// each further dimension the scratch held would be scanTile more bytes to
+// zero per call on all of them.
+const (
+	scanTile = 256
+	tileDims = 4
+)
+
+// scanSide is the direct strategy. The record → entity row → value id →
+// counter chain of a candidate's increment goes through three arrays, two
+// of them indexed at random, and a side's candidates share all of it but
+// the last step: every attribute shares the row and the scores, every
+// dimension of an attribute shares the value id. So the join is resolved
+// once per tile of scanTile records — the side's entity rows, each live
+// dimension's scores, and per atomic attribute the value ids, gathered into
+// arrays on this frame — and the per-candidate loop that remains reads two
+// small sequential arrays. The scratch is the stack's on purpose: a scan
+// must allocate nothing and retain nothing (a pooled block sized by the
+// batch is emptied every GC cycle and shows up in alloc_kb_per_step).
+//
+// Every record still adds one to the same cell it did before, discard
+// cells included; only the order of the increments changes, and integer
+// addition commutes. A database with more dimensions than the scratch holds
+// takes the per-key loop.
 func (a *Accumulator) scanSide(t *dataset.EntityTable, records []int32) {
+	dims := a.db.Ratings.Scores
+	if len(dims) > tileDims {
+		a.scanSidePerKey(t, records)
+		return
+	}
+	var live [tileDims]bool // the dimensions some candidate of the side aggregates
+	var rowOf []int32
+	for gi := range a.groups {
+		if g := &a.groups[gi]; g.t == t {
+			rowOf = g.rowOf
+			for _, i := range g.members {
+				live[a.parts[i].key.Dim] = true
+			}
+		}
+	}
+	if rowOf == nil {
+		return
+	}
+	var (
+		rows [scanTile]int32
+		vals [scanTile]dataset.ValueID
+		sc   [tileDims][scanTile]dataset.Score
+	)
+	for len(records) > 0 {
+		tile := records[:min(scanTile, len(records))]
+		records = records[len(tile):]
+		n := len(tile)
+		for j, r := range tile {
+			rows[j] = rowOf[r]
+		}
+		for d, scores := range dims {
+			if live[d] {
+				for j, r := range tile {
+					sc[d][j] = scores[r]
+				}
+			}
+		}
+		for gi := range a.groups {
+			g := &a.groups[gi]
+			if g.t != t {
+				continue
+			}
+			col := g.col
+			switch {
+			case col.Kind != dataset.Atomic:
+				for _, i := range g.members {
+					p := &a.parts[i]
+					tileMulti(p.hist, p.scale+1, col.Values, col.Offsets, rows[:n], sc[p.key.Dim][:n])
+				}
+			case len(g.members) == 1: // nobody to share the value ids with
+				p := &a.parts[g.members[0]]
+				tileAtomicOne(p.hist, p.scale+1, col.Values, rows[:n], sc[p.key.Dim][:n])
+			default:
+				for j, row := range rows[:n] {
+					vals[j] = col.Values[row]
+				}
+				for _, i := range g.members {
+					p := &a.parts[i]
+					tileAtomic(p.hist, p.scale+1, vals[:n], sc[p.key.Dim][:n])
+				}
+			}
+		}
+	}
+}
+
+// tileAtomic is the increment loop of an atomic candidate over one joined
+// tile: vals[j] and scores[j] are record j's value id and score.
+func tileAtomic(hist []int32, stride int, vals []dataset.ValueID, scores []dataset.Score) {
+	scores = scores[:len(vals)]
+	for j, v := range vals {
+		hist[int(v)*stride+int(scores[j])]++
+	}
+}
+
+// tileAtomicOne is tileAtomic for an attribute with one live candidate — a
+// pruned accumulator's, or any attribute of a one-dimension database: the
+// value id is looked up where it is used, since gathering it first would be
+// a second pass for nothing (MovieLens' reviewers at 2 000 records: 15.9 µs
+// against 25.8 gathered and 22.6 per key).
+func tileAtomicOne(hist []int32, stride int, vals []dataset.ValueID, rows []int32, scores []dataset.Score) {
+	scores = scores[:len(rows)]
+	for j, row := range rows {
+		hist[int(vals[row])*stride+int(scores[j])]++
+	}
+}
+
+// tileMulti is scanMulti over one joined tile: the rows are resolved, the
+// value loop walks each row's CSR run.
+func tileMulti(hist []int32, stride int, vals []dataset.ValueID, offs []int32, rows []int32, scores []dataset.Score) {
+	scores = scores[:len(rows)]
+	for j, row := range rows {
+		s := int(scores[j])
+		for _, v := range vals[offs[row]:offs[row+1]] {
+			hist[int(v)*stride+s]++
+		}
+	}
+}
+
+// scanSidePerKey is the direct strategy without the tile: one loop over the
+// batch per candidate of the side, each resolving the join for itself. It
+// is what a database of more than tileDims dimensions scans with, and the
+// arm the tile is measured and tested against.
+func (a *Accumulator) scanSidePerKey(t *dataset.EntityTable, records []int32) {
 	for gi := range a.groups {
 		g := &a.groups[gi]
 		if g.t != t {

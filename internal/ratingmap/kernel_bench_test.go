@@ -12,6 +12,7 @@ package ratingmap
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"subdex/internal/dataset"
@@ -27,19 +28,20 @@ type benchShape struct {
 	keys []Key
 }
 
-// benchShapes generates the paper's three dataset shapes (Table 2): Yelp,
+// benchShapes generates the paper's three dataset shapes (Table 2) — Yelp,
 // 93 items under 150 318 reviewers of 1.3 ratings each; MovieLens, 943
-// reviewers and 1 682 items under 100 000 ratings; and the 3 000-rating
-// demo.
-func benchShapes(b *testing.B) []benchShape {
+// reviewers and 1 682 items under 100 000 ratings on one dimension; Hotels,
+// 879 hotels under 35 912 four-dimension ratings — and the 3 000-rating
+// demo, once per process: both benchmarks below read the same databases.
+var benchShapes = sync.OnceValue(func() []benchShape {
 	var shapes []benchShape
 	for _, g := range []struct {
 		name string
 		gen  func(gen.Config) (*dataset.DB, error)
-	}{{"yelp", gen.Yelp}, {"movielens", gen.Movielens}, {"demo", gen.Demo}} {
+	}{{"yelp", gen.Yelp}, {"movielens", gen.Movielens}, {"hotels", gen.Hotels}, {"demo", gen.Demo}} {
 		db, err := g.gen(gen.Config{})
 		if err != nil {
-			b.Fatal(err)
+			panic(err) // the generators fail on a bad Config only
 		}
 		sh := benchShape{name: g.name, db: db}
 		for _, s := range []struct {
@@ -55,7 +57,7 @@ func benchShapes(b *testing.B) []benchShape {
 		shapes = append(shapes, sh)
 	}
 	return shapes
-}
+})
 
 // batch is a strided sample of n of the shape's records — it reaches every
 // part of the rating table, as a selection's records do.
@@ -84,9 +86,11 @@ func (sh benchShape) run(b *testing.B, name string, n int, scan func(*Accumulato
 // BenchmarkUpdateKernel scans batches of a recommendation candidate's
 // length (50), a phase's (2 000) and a whole large group's (50 000).
 // update is Update as shipped; reviewers/… and items/… scan one side only,
-// with the named strategy forced; reference is the row-oriented oracle.
+// with the named strategy forced — tiled is the direct strategy as shipped
+// (scanSide), perkey the same loop without the tile; reference is the
+// row-oriented oracle.
 func BenchmarkUpdateKernel(b *testing.B) {
-	for _, sh := range benchShapes(b) {
+	for _, sh := range benchShapes() {
 		for _, n := range []int{50, 2_000, 50_000} {
 			if n > sh.db.Ratings.Len() {
 				continue
@@ -96,7 +100,8 @@ func BenchmarkUpdateKernel(b *testing.B) {
 			sh.run(b, prefix+"update", n, func(a *Accumulator) { a.Update(records) })
 			sh.run(b, prefix+"reference", n, func(a *Accumulator) { a.updateReference(records) })
 			for _, t := range []*dataset.EntityTable{sh.db.Reviewers, sh.db.Items} {
-				sh.run(b, prefix+t.Name+"/direct", n, func(a *Accumulator) { a.scanSide(t, records) })
+				sh.run(b, prefix+t.Name+"/tiled", n, func(a *Accumulator) { a.scanSide(t, records) })
+				sh.run(b, prefix+t.Name+"/perkey", n, func(a *Accumulator) { a.scanSidePerKey(t, records) })
 				sh.run(b, prefix+t.Name+"/fold", n, func(a *Accumulator) { a.foldSide(t, records) })
 			}
 		}
@@ -108,7 +113,7 @@ func BenchmarkUpdateKernel(b *testing.B) {
 // entity block (rows × 6 cells on these scale-5 datasets). A side whose
 // block outgrows the rating table — Yelp's reviewers — has no such batch.
 func BenchmarkFoldCrossover(b *testing.B) {
-	for _, sh := range benchShapes(b) {
+	for _, sh := range benchShapes() {
 		for _, t := range []*dataset.EntityTable{sh.db.Reviewers, sh.db.Items} {
 			cells := t.Len() * 6
 			for _, n := range []int{cells / 2, cells, 2 * cells} {

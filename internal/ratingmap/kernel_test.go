@@ -126,9 +126,10 @@ func TestKernelMultiBatchAndRemove(t *testing.T) {
 
 // TestUpdateAllocatesNothing pins the property that replaced the kernel's
 // per-Update scratch: a candidate's block is sized when its partial is
-// built and the fold borrows its entity block from a pool, so a scan
-// allocates nothing — for atomic and multi-valued keys alike, on a batch
-// both sides fold and on one both scan directly.
+// built, the fold borrows its entity block from a pool and the direct
+// strategy joins its tiles in arrays on the stack, so a scan allocates
+// nothing — for atomic and multi-valued keys alike, on a batch both sides
+// fold, on one both scan directly, and on a direct one of several tiles.
 func TestUpdateAllocatesNothing(t *testing.T) {
 	db, keys := fuzzFixture(t)
 	folded, direct := allRecords(db), allRecords(db)[:4]
@@ -151,6 +152,18 @@ func TestUpdateAllocatesNothing(t *testing.T) {
 				t.Errorf("%s keys, %s batch: Update allocates %v times per call, want 0", name, batch, n)
 			}
 		}
+	}
+
+	// The tile's scratch is the stack's, with the race detector on as well:
+	// two full tiles and a partial one, on a shape neither side folds.
+	wide, wideKeys := shapedDB(t, 3_000, 2_000, 2*scanTile+3)
+	tiles := allRecords(wide)
+	if foldPays(3_000, 6, len(tiles)) || foldPays(2_000, 6, len(tiles)) {
+		t.Fatal("the several-tile batch folds: it no longer pins the tiled arm")
+	}
+	acc := (&Builder{DB: wide}).NewAccumulator(query.Description{}, wideKeys)
+	if n := testing.AllocsPerRun(50, func() { acc.Update(tiles) }); n != 0 {
+		t.Errorf("direct batch of %d records (tile %d): Update allocates %v times per call, want 0", len(tiles), scanTile, n)
 	}
 }
 
@@ -197,7 +210,10 @@ func TestDiscardCellsNeverLeak(t *testing.T) {
 	folded, direct := kernelPair(db, keys)
 	folded.updateWith((*Accumulator).foldSide, records)
 	direct.updateWith((*Accumulator).scanSide, records)
+	perKey := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+	perKey.updateWith((*Accumulator).scanSidePerKey, records)
 	assertBlocksEqual(t, folded, direct, "fold vs direct")
+	assertBlocksEqual(t, perKey, direct, "per-key vs tiled")
 	assertBlocksEqual(t, kern, direct, "Update vs direct")
 
 	// Merge adds discard cells too; they must stay invisible in the sum,
@@ -255,6 +271,11 @@ func TestDiscardCellsNeverLeak(t *testing.T) {
 // missing atomic values, empty value sets, the missing label inside a set,
 // missing scores, and two scales. Deterministic.
 func shapedDB(tb testing.TB, nRev, nItem, nRec int) (*dataset.DB, []Key) {
+	return shapedDBScales(tb, nRev, nItem, nRec, 5, 3)
+}
+
+// shapedDBScales is shapedDB with one rating dimension per given scale.
+func shapedDBScales(tb testing.TB, nRev, nItem, nRec int, scales ...int) (*dataset.DB, []Key) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
 	rev := dataset.NewEntityTable("reviewers", dataset.MustSchema(
@@ -283,16 +304,21 @@ func shapedDB(tb testing.TB, nRev, nItem, nRec int) (*dataset.DB, []Key) {
 	}
 	fill(rev, nRev, "gender", "tags", 4, 30)
 	fill(item, nItem, "city", "cuisine", 12, 20)
-	ratings, err := dataset.NewRatingTable(
-		dataset.Dimension{Name: "overall", Scale: 5},
-		dataset.Dimension{Name: "value", Scale: 3},
-	)
+	dims := make([]dataset.Dimension, len(scales))
+	for d, scale := range scales {
+		dims[d] = dataset.Dimension{Name: fmt.Sprintf("dim%d", d), Scale: scale}
+	}
+	ratings, err := dataset.NewRatingTable(dims...)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	scores := make([]dataset.Score, len(scales))
 	for r := 0; r < nRec; r++ {
-		if err := ratings.Append(rng.Intn(nRev), rng.Intn(nItem), []dataset.Score{
-			dataset.Score(rng.Intn(6)), dataset.Score(rng.Intn(4))}); err != nil {
+		reviewer, item := rng.Intn(nRev), rng.Intn(nItem)
+		for d, scale := range scales {
+			scores[d] = dataset.Score(rng.Intn(scale + 1)) // 0 = missing
+		}
+		if err := ratings.Append(reviewer, item, scores); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -410,6 +436,95 @@ func TestStrategySwitch(t *testing.T) {
 			assertBlocksEqual(t, merged, whole, "merged direct shards vs one folded range")
 		})
 	}
+}
+
+// TestTiledScanMatchesPerKey compares the direct strategy's two loops cell
+// for cell: the tile (scanSide: the join resolved once per scanTile records)
+// against one pass per candidate (scanSidePerKey), against Update and
+// against the reference scan, on batches that end before, on and after a
+// tile boundary. The shapes have multi-valued attributes inside every tile,
+// dimensions of different scales, and too many entities for either side to
+// fold; the last has one dimension more than the tile's scratch holds, so
+// its scanSide must take the per-key loop (indexing the scratch by that
+// dimension would panic). A pruned accumulator — a dimension with no live
+// candidate on one attribute, an attribute down to one candidate, an
+// attribute gone — and direct shards merged against one tiled range close
+// each shape.
+func TestTiledScanMatchesPerKey(t *testing.T) {
+	for _, shape := range []struct {
+		name   string
+		scales []int
+	}{
+		{"two scales", mixedScales(2)},
+		{"as many dimensions as the scratch holds", mixedScales(tileDims)},
+		{"one dimension more (fallback)", mixedScales(tileDims + 1)},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			const nRev, nItem = 3_000, 2_000
+			db, keys := shapedDBScales(t, nRev, nItem, 2*scanTile+3, shape.scales...)
+			all := allRecords(db)
+			if foldPays(nItem, 1, len(all)) {
+				t.Fatal("the whole table folds: Update would not scan it directly")
+			}
+			for _, n := range []int{0, 1, scanTile - 1, scanTile, scanTile + 1, 2*scanTile + 3} {
+				records := all[len(all)-n:]
+				label := fmt.Sprintf("%d records", n)
+				tiled, perKey := kernelPair(db, keys)
+				tiled.updateWith((*Accumulator).scanSide, records)
+				perKey.updateWith((*Accumulator).scanSidePerKey, records)
+				assertBlocksEqual(t, tiled, perKey, label+", tiled vs per-key")
+				kern, ref := kernelPair(db, keys)
+				kern.Update(records)
+				ref.updateReference(records)
+				assertBlocksEqual(t, kern, perKey, label+", Update vs per-key")
+				assertAccEqual(t, kern, ref, keys, label)
+			}
+
+			// Pruning between batches: gender keeps dimension 0 only (one
+			// candidate: the loop that skips the value gather), cuisine
+			// loses dimension 0 (a dimension live on the side but not on
+			// the attribute), city goes altogether.
+			tiled, perKey := kernelPair(db, keys)
+			ref := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+			head := scanTile/2 + 1
+			tiled.updateWith((*Accumulator).scanSide, all[:head])
+			perKey.updateWith((*Accumulator).scanSidePerKey, all[:head])
+			ref.updateReference(all[:head])
+			for _, k := range keys {
+				if (k.Attr == "gender" && k.Dim != 0) || (k.Attr == "cuisine" && k.Dim == 0) || k.Attr == "city" {
+					tiled.Remove(k)
+					perKey.Remove(k)
+					ref.Remove(k)
+				}
+			}
+			tiled.updateWith((*Accumulator).scanSide, all[head:])
+			perKey.updateWith((*Accumulator).scanSidePerKey, all[head:])
+			ref.updateReference(all[head:])
+			assertBlocksEqual(t, tiled, perKey, "Remove between batches, tiled vs per-key")
+			assertAccEqual(t, tiled, ref, tiled.Keys(), "Remove between batches")
+			assertAligned(t, tiled, nil, "Remove between batches")
+
+			// The sharded scan: shards that end inside a tile, each scanned
+			// directly and merged in order, against the range in one piece.
+			whole, merged := kernelPair(db, keys)
+			whole.updateWith((*Accumulator).scanSide, all)
+			for lo := 0; lo < len(all); lo += head {
+				sh := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+				sh.Update(all[lo:min(lo+head, len(all))])
+				merged.Merge(sh)
+			}
+			assertBlocksEqual(t, merged, whole, "merged direct shards vs one tiled range")
+		})
+	}
+}
+
+// mixedScales returns n rating scales, no two neighbours alike.
+func mixedScales(n int) []int {
+	scales := make([]int, n)
+	for d := range scales {
+		scales[d] = []int{5, 3, 7, 2, 4}[d%5]
+	}
+	return scales
 }
 
 // TestUnfrozenDatabaseIsRefused: an unfrozen database has no columnar
@@ -545,7 +660,8 @@ func fuzzShapeDB(t *testing.T, shape []byte) (*dataset.DB, []Key) {
 // values, scales) and the record selection (positions with repeats,
 // scores) together, asserting the kernel's accumulator state is
 // bit-identical to the row-oriented reference path — one-shot, under
-// either strategy forced, and split into two batches — and never panics.
+// each strategy forced (fold, tiled direct, per-key direct), and split into
+// two batches — and never panics.
 func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 2, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{}, []byte{})
@@ -563,6 +679,12 @@ func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 8, 1, 1, 1, 1, 1, 1, 2, 0, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81, 0, 2, 77}, bytes.Repeat([]byte{0, 9, 63, 31, 17, 42, 250, 5}, 25))
 	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 3, 0, 0}, 4))
+	// Batches that cross the direct strategy's tile boundary (scanTile
+	// records): exactly one tile and one record on the six-by-five shape, and
+	// two tiles and three on the missing-label shape, whose two-batch split
+	// ends its first half inside a tile.
+	f.Add([]byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81, 0, 2, 77}, bytes.Repeat([]byte{0, 9, 63, 31, 17, 42, 250, 5, 11}, 29)[:scanTile+1])
+	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 3, 0, 0, 7}, 31)[:2*scanTile+3])
 
 	f.Fuzz(func(t *testing.T, shape []byte, recs []byte) {
 		db, keys := fuzzShapeDB(t, shape)
@@ -577,12 +699,15 @@ func FuzzScanKernel(f *testing.F) {
 		ref.updateReference(records)
 		assertAccEqual(t, kern, ref, keys, "one-shot")
 
-		// Whichever strategy Update chose for each side, the other one
-		// leaves the same blocks, discard cells included.
+		// Whichever strategy Update chose for each side, the others leave
+		// the same blocks, discard cells included.
 		folded, direct := kernelPair(db, keys)
 		folded.updateWith((*Accumulator).foldSide, records)
 		direct.updateWith((*Accumulator).scanSide, records)
+		perKey := (&Builder{DB: db}).NewAccumulator(query.Description{}, keys)
+		perKey.updateWith((*Accumulator).scanSidePerKey, records)
 		assertBlocksEqual(t, folded, direct, "fold vs direct")
+		assertBlocksEqual(t, perKey, direct, "per-key vs tiled")
 		assertBlocksEqual(t, kern, direct, "Update vs direct")
 
 		// The same records split into two kernel batches must land in the

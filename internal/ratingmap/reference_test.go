@@ -45,8 +45,10 @@ func (a *Accumulator) addAll(g *attrGroup, v dataset.ValueID, r int32) {
 	}
 }
 
-// updateWith scans a batch with one strategy (scanSide or foldSide) on
-// both sides, whatever foldPays would have chosen for it.
+// updateWith scans a batch with one strategy on both sides, whatever
+// foldPays would have chosen for it: foldSide, scanSide (the direct
+// strategy as shipped — tiled, up to tileDims dimensions) or scanSidePerKey
+// (the direct strategy without the tile).
 func (a *Accumulator) updateWith(strategy func(*Accumulator, *dataset.EntityTable, []int32), records []int32) {
 	a.recordVisits += len(a.groups) * len(records)
 	strategy(a, a.db.Reviewers, records)
