@@ -66,7 +66,7 @@ func (ex *Explorer) EngineCacheStats() engine.CacheStats {
 // InvalidateEngineCache drops every cached accumulator, e.g. after the
 // underlying database is swapped. Safe to call with a nil Gen.Cache.
 func (ex *Explorer) InvalidateEngineCache() {
-	ex.Gen.Cache.Invalidate()
+	ex.Gen.InvalidateCache()
 }
 
 // StepResult is what one exploration step displays: the group, its k
@@ -235,30 +235,40 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 	if err != nil {
 		return 0, err
 	}
-	return ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen)
+	u, _, err := ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
+	return u, err
 }
 
 // groupUtility is Equation 2 over a rating group given as its description,
 // ascending records and candidate rating maps. To keep recommendation
 // building interactive, the records may be subsampled per Cfg.RecSampleSize.
-func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands []ratingmap.Key, seen *ratingmap.SeenSet) (float64, error) {
+//
+// keep, when non-nil, is the engine's gate (engine.TopMapsIf): it sees the
+// group's k′ = K×L top utilities in rank order before any of the maps
+// exists, and a group it turns down is reported bounded, its utility not
+// computed — no map snapshot, no GMM.
+func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands []ratingmap.Key, seen *ratingmap.SeenSet,
+	keep func(ranked []float64) bool) (u float64, bounded bool, err error) {
 	if len(records) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 	if n := ex.Cfg.RecSampleSize; n > 0 && len(records) > n {
 		records = sampleRecords(records, n)
 	}
 	group := &query.RatingGroup{Desc: desc, Records: records}
-	genRes, err := ex.Gen.TopMaps(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine)
+	genRes, err := ex.Gen.TopMapsIf(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
 	if err != nil {
-		return 0, err
+		return 0, false, err
+	}
+	if genRes.Gated {
+		return 0, true, nil
 	}
 	_, utils := ex.selectDiverse(genRes)
 	sum := 0.0
 	for _, u := range utils {
 		sum += u
 	}
-	return sum, nil
+	return sum, false, nil
 }
 
 // sampleRecords picks n records evenly spaced across the (sorted) record

@@ -28,10 +28,12 @@ type RecommendationBuilder struct {
 	Ex *Explorer
 }
 
-// evaluated pairs an operation with its computed utility and cost.
+// evaluated pairs an operation with its computed utility and cost. A
+// bounded one has no utility: the pass's gate proved it below the top-o.
 type evaluated struct {
 	op       query.Operation
 	utility  float64
+	bounded  bool
 	duration time.Duration
 	err      error
 }
@@ -42,6 +44,12 @@ type evaluated struct {
 // with RecWorkers ≤ 1 it degrades to the No-Parallelism baseline. The
 // returned durations list the sequential cost of every evaluated candidate,
 // letting benches derive schedules for arbitrary core counts.
+//
+// With o > 0 and no Cfg.Scorer, a candidate that provably cannot reach the
+// top-o is dropped as soon as its rating maps are ranked, before they are
+// materialized and diversified (recPass.keep). What is returned is what
+// evaluating every candidate in full returns — same operations, same order,
+// same utilities bit for bit — and every candidate still has its duration.
 //
 // Recommend is an XCtx compatibility shim: a context-free wrapper F that
 // delegates to FCtx with context.Background(), keeping the pre-context
@@ -76,7 +84,7 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if err != nil {
 		return nil, nil, err
 	}
-	pass := newRecPass(rb.Ex, group)
+	pass := newRecPass(rb.Ex, group, o)
 	defer pass.describe(span)
 
 	scorer := rb.Ex.Cfg.Scorer
@@ -90,11 +98,11 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 			defer wg.Done()
 			for i := range next {
 				start := time.Now()
-				u, err := rb.operationUtility(pass, ops[i], seen)
+				u, bounded, err := rb.operationUtility(pass, ops[i], seen)
 				if err == nil && scorer != nil {
 					u = scorer.ScoreOperation(ops[i], u)
 				}
-				results[i] = evaluated{op: ops[i], utility: u, duration: time.Since(start), err: err}
+				results[i] = evaluated{op: ops[i], utility: u, bounded: bounded, duration: time.Since(start), err: err}
 			}
 		}()
 	}
@@ -119,7 +127,9 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 			return nil, nil, r.err
 		}
 		durations = append(durations, r.duration)
-		recs = append(recs, Recommendation{Op: r.op, Utility: r.utility})
+		if !r.bounded {
+			recs = append(recs, Recommendation{Op: r.op, Utility: r.utility})
+		}
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Utility > recs[j].Utility })
 	if o > 0 && len(recs) > o {
@@ -131,13 +141,21 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 }
 
 // operationUtility is Explorer.OperationUtility with the candidate's group
-// derived by the pass instead of materialized.
-func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
+// derived by the pass instead of materialized, and behind the pass's gate:
+// a candidate comes back either with its exact utility, which the gate then
+// knows of, or bounded, with none.
+func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operation, seen *ratingmap.SeenSet) (u float64, bounded bool, err error) {
 	records, err := pass.records(op)
-	if err != nil || len(records) == 0 {
-		return 0, err
+	if err != nil {
+		return 0, false, err
 	}
-	return rb.Ex.groupUtility(op.Target, records, pass.candidates(op), seen)
+	if len(records) > 0 {
+		u, bounded, err = rb.Ex.groupUtility(op.Target, records, pass.candidates(op), seen, pass.gate)
+	}
+	if err == nil && !bounded {
+		pass.offer(u)
+	}
+	return u, bounded, err
 }
 
 // CandidateOps enumerates the candidate operations of a step. Per §4.3 a

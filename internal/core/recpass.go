@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"subdex/internal/obs"
@@ -44,6 +45,16 @@ type recPass struct {
 	cands map[boundDelta][]ratingmap.Key
 
 	derived, materialized, partitionRecords int
+
+	// The bound gate. best holds the o highest exact utilities the pass has
+	// computed so far, ascending, so best[0] is the utility a candidate must
+	// reach to be recommended once len(best) == o. gate is keep, bound once
+	// for the pass's ≈ 300 engine calls, or nil — and o is 0 — when the gate
+	// is off. bounded counts the candidates keep turned down.
+	o       int
+	gate    func(ranked []float64) bool
+	best    []float64
+	bounded int
 }
 
 // source names a record list the pass partitions: cur (the zero value),
@@ -66,10 +77,61 @@ type partKey struct {
 // the zero Selector for none).
 type boundDelta struct{ unbound, bound query.Selector }
 
-func newRecPass(ex *Explorer, cur *query.RatingGroup) *recPass {
-	return &recPass{ex: ex, cur: cur, materialized: 1, // cur itself
+// newRecPass starts the pass of a RecommendCtx call that will return the
+// top o. The gate is on when there is a top to miss (o > 0; o ≤ 0 returns
+// every candidate) and the ranking is Equation 2's own (no Cfg.Scorer: a
+// re-weighting need not keep the order of the bound and the utility).
+func newRecPass(ex *Explorer, cur *query.RatingGroup, o int) *recPass {
+	p := &recPass{ex: ex, cur: cur, materialized: 1, // cur itself
 		bases: make(map[query.Selector][]int32), parts: make(map[partKey]*query.Partition),
 		cands: make(map[boundDelta][]ratingmap.Key)}
+	if o > 0 && ex.Cfg.Scorer == nil {
+		p.o, p.gate = o, p.keep
+	}
+	return p
+}
+
+// keep decides, from a candidate's k′ top utilities in rank order, whether
+// its Equation 2 utility can still enter the pass's top-o. GMM returns K of
+// the k′ maps (fewer when there are fewer) and groupUtility sums their
+// utilities in rank order, so the j-th term of that sum is at most
+// ranked[j]; every term is non-negative and float64 addition is monotone in
+// both operands, so the sum of the first K ranked utilities, added in the
+// same order, is ≥ the candidate's utility exactly — not up to rounding.
+// A candidate whose bound is strictly below the o-th best exact utility so
+// far cannot be among the o best at the end (that utility only rises) and
+// is turned down. A bound equal to it is kept: ties are the stable sort's to
+// decide. With RecWorkers > 1 which candidates are turned down depends on
+// the order they finish in; what RecommendCtx returns does not.
+func (p *recPass) keep(ranked []float64) bool {
+	bound := 0.0
+	for _, u := range ranked[:min(p.ex.Cfg.K, len(ranked))] {
+		bound += u
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.best) == p.o && bound < p.best[0] {
+		p.bounded++
+		return false
+	}
+	return true
+}
+
+// offer tells the gate of a candidate's exact utility.
+func (p *recPass) offer(u float64) {
+	if p.o == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.best) == p.o {
+		if u <= p.best[0] {
+			return
+		}
+		p.best = slices.Delete(p.best, 0, 1)
+	}
+	at, _ := slices.BinarySearch(p.best, u)
+	p.best = slices.Insert(p.best, at, u)
 }
 
 // candidates is Generator.Candidates of op.Target, shared read-only by the
@@ -172,4 +234,5 @@ func (p *recPass) describe(span *obs.Span) {
 	span.SetAttr("groups_materialized", p.materialized)
 	span.SetAttr("partitions_built", len(p.parts))
 	span.SetAttr("partition_records", p.partitionRecords)
+	span.SetAttr("bounded", p.bounded)
 }

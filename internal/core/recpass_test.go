@@ -15,23 +15,27 @@ import (
 	"subdex/internal/ratingmap"
 )
 
+// walkShapes are the dataset shapes the pass's differential tests walk: demo
+// and the three generated ones, small enough for a reference that evaluates
+// every candidate of every step from the entity tables.
+var walkShapes = []struct {
+	name  string
+	build func(gen.Config) (*dataset.DB, error)
+	scale float64
+}{
+	{"demo", gen.Demo, 1},
+	{"yelp", gen.Yelp, 0.02},
+	{"movielens", gen.Movielens, 0.02},
+	{"hotels", gen.Hotels, 0.02},
+}
+
 // TestDerivedGroupsMatchMaterialized is the exactness proof of recPass: on
 // every dataset shape, at every step of a seeded Recommendation-Powered
 // walk, for every operation CandidateOps returns, the derived records equal
 // Query.Materialize(op.Target).Records element for element and the derived
 // utility equals the materializing reference OperationUtility bit for bit.
 func TestDerivedGroupsMatchMaterialized(t *testing.T) {
-	datasets := []struct {
-		name  string
-		build func(gen.Config) (*dataset.DB, error)
-		scale float64
-	}{
-		{"demo", gen.Demo, 1},
-		{"yelp", gen.Yelp, 0.02},
-		{"movielens", gen.Movielens, 0.02},
-		{"hotels", gen.Hotels, 0.02},
-	}
-	for _, ds := range datasets {
+	for _, ds := range walkShapes {
 		t.Run(ds.name, func(t *testing.T) {
 			db, err := ds.build(gen.Config{Seed: 11, Scale: ds.scale})
 			if err != nil {
@@ -64,7 +68,7 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pass := newRecPass(ex, group)
+				pass := newRecPass(ex, group, 0) // gate off: every utility is computed
 				var nonEmpty []query.Operation
 				for _, op := range ops {
 					got, err := pass.records(op)
@@ -82,7 +86,7 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 					if memo, fresh := pass.candidates(op), ex.Gen.Candidates(ex.Query, op.Target); !slices.Equal(memo, fresh) {
 						t.Fatalf("step %d at %s, %s → %s: memoized candidates %v, enumerated %v", step, cur, op, op.Target, memo, fresh)
 					}
-					u, err := sess.rb.operationUtility(pass, op, sess.Seen())
+					u, _, err := sess.rb.operationUtility(pass, op, sess.Seen())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -243,14 +247,15 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 }
 
 // TestRecommendSpanSaysWhereGroupsCameFrom pins the core.recommend span's
-// account of a demo step from a one-selector selection: every candidate
-// but the roll-up derived, two materializations (the selection and the
-// roll-up), and partitions holding at least the displayed group once each.
+// account of a Yelp-shaped step from a one-selector selection: every
+// candidate evaluated, some of them turned down by the bound gate (demo data,
+// which this test used to walk, is too even for that: at this step every
+// candidate's three best maps score ≈ 0.33 each, so every bound is ≈ 1.0 and
+// no exact utility is above 0.86), every one but the roll-up derived, two
+// materializations (the selection and the roll-up), and partitions holding
+// at least the displayed group once each.
 func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
-	db, err := gen.Demo(gen.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := coreDB(t)
 	ex, err := NewExplorer(db, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -294,6 +299,18 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	if got := attr("evaluated"); got != evaluated {
 		t.Errorf("evaluated = %d, want %d", got, evaluated)
 	}
+	// The gate turns candidates down without taking them out of the count:
+	// every candidate CandidateOps proposed is evaluated and has a duration.
+	ops, err := sess.rb.CandidateOps(start, res.Maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evaluated != len(ops) {
+		t.Errorf("%d RecOpDurations for %d candidate operations", evaluated, len(ops))
+	}
+	if got := attr("bounded"); got <= 0 || got >= evaluated {
+		t.Errorf("bounded = %d of %d evaluated, want some and not all", got, evaluated)
+	}
 	if got := attr("groups_derived"); got != evaluated-1 {
 		t.Errorf("groups_derived = %d, want every candidate but the roll-up (%d)", got, evaluated-1)
 	}
@@ -324,7 +341,10 @@ var benchRecs []Recommendation
 // root/cache_on as a served step runs it: under Explorer.Instrument and a
 // span sink, every candidate's engine.topmaps and engine.phase spans and
 // hot-path metrics included — the in-tree figure behind obs.overhead_frac.
-// Reports candidates/op beside ns/op, B/op and allocs/op.
+// Reports candidates/op and bounded/op — the candidates the bound gate
+// turned down, read off the core.recommend span of one more, untimed pass —
+// beside ns/op, B/op and allocs/op. With the cache on, most candidates of a
+// pass are under its admission floor and bypass it, as they do in a binary.
 func BenchmarkRecommendPass(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -416,7 +436,13 @@ func BenchmarkRecommendPass(b *testing.B) {
 					benchRecs = recs
 					candidates += len(durs)
 				}
+				b.StopTimer()
 				b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+				sink := obs.NewRingSink(1)
+				if _, _, err := rb.RecommendCtx(obs.WithSink(context.Background(), sink), desc, res.Maps, seen, ex.Cfg.O); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(sink.Snapshot()[0].Attrs["bounded"].(int)), "bounded/op")
 			})
 		}
 	}

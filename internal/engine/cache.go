@@ -11,6 +11,16 @@
 // repeated-subquery memoization of the Subjective Databases system
 // (Li et al.) applied to SubDEx's aggregation hot path, budgeted like the
 // query layer's group cache (cf. Data Canopy [57]).
+//
+// The budget is in records — the scan a hit saves — and an entry's bytes do
+// not depend on its records: an accumulator is one counter block per
+// candidate, sized by the attributes' dictionaries (≈ 21 KB for Yelp's 92
+// candidates), whether the group has ten records or ten thousand. A budget
+// in records alone therefore bounds nothing in bytes — a million one-record
+// groups would fit — and charges most for the entries that earn most. So
+// admission has a floor (cacheFloorRecords): a group under it is cheaper to
+// scan again than to key, admit and later evict, is never looked up, and
+// with it the cache holds at most budget / floor entries.
 
 package engine
 
@@ -40,17 +50,60 @@ type TopMapsCache struct {
 	mu      sync.Mutex
 	budget  int
 	used    int
+	bytes   int64
 	order   *list.List // front = most recently used
 	entries map[string]*list.Element
 
-	hits, misses, evictions int64
+	hits, misses, evictions, bypassed int64
 }
 
 type topMapsCacheEntry struct {
-	key  string
-	acc  *ratingmap.Accumulator
-	cost int // record count of the cached scan
+	key   string
+	acc   *ratingmap.Accumulator
+	cost  int // record count of the cached scan
+	bytes int // acc.Bytes() at admission; a published accumulator never grows
 }
+
+// cacheFloorRecords is the admission floor: a group of fewer records is
+// neither looked up nor admitted (Profile.Cache = "bypass") and scans into a
+// recycled accumulator instead. The arithmetic that places it: an entry
+// costs ≈ 9 µs to make, key and admit (a fresh ≈ 21 KB accumulator, cacheKey,
+// put and the eviction it forces), a hit saves the scan, ≈ 0.11 µs a record,
+// and comes with probability ≈ 0.31 on a guided walk — break-even near 260
+// records. Measured, not tuned per dataset, on the code as shipped (two
+// shared vCPUs, 2026-10-05). bench guided_walk (Yelp 0.25; seeds 1 / 2,
+// steps/s) with the floor at
+//
+//	0 (every group cached)   78.2 / 81.2    alloc_kb_per_step 5 057
+//	64                       88.7 / 84.7    3 366
+//	256                      87.2 / 84.4    3 000
+//	1 024                    85.3 / 82.5    2 752
+//	2 001 (nothing cached:   65.7 / 62.2    2 403, step_p90_ms 40–43 against 19
+//	  over RecSampleSize)
+//
+// — flat from 64 to 1 024, and a floor at the sample cap gives back the
+// cache's whole 1.5×: it is earned by the sample-capped tenth of the
+// candidates that make three quarters of the increments, and by nothing
+// under a few hundred records. BenchmarkRecommendPass/…/cache_on, the same
+// pass forty times over so that every lookup after the first round hits —
+// the cache's best case — on three shapes (-cpu 1, best of 4, ms a pass, same
+// floors):
+//
+//	yelp/root            6.7   6.2   6.4   7.4  13.9
+//	yelp/one_selector    5.8   5.7   5.8   6.5  13.0
+//	movielens/root       4.6   5.0   4.4   5.5   7.3
+//	hotels/root          4.5   5.2   4.9   5.6   7.2
+//	hotels/one_selector  7.6   9.2   8.7  10.1  10.9
+//
+// (the three-selector arms, where nearly every group is tiny, read the same
+// at every floor: yelp 11.8–15.5, movielens 8.3–9.3, hotels 9.6–10.6, and
+// allocate a quarter less from 64 up). Even with every lookup a hit, 64 and
+// 256 cost nothing against 0 that this resolves, 1 024 starts to (8–15% on
+// the root and one-selector arms), and with it the cache's worst case is
+// budget / floor entries — ≈ 3 900 × 21 KB ≈ 82 MB on Yelp at 256 — where it
+// was unbounded in bytes. 256 is the break-even of the arithmetic and the
+// middle of the flat.
+const cacheFloorRecords = 256
 
 // NewTopMapsCache returns a cache budgeted by total cached record count
 // (≤ 0 yields a cache that stores nothing but still counts misses).
@@ -80,22 +133,32 @@ func (c *TopMapsCache) get(key string) (*ratingmap.Accumulator, bool) {
 	return el.Value.(*topMapsCacheEntry).acc, true
 }
 
+// bypass counts a group that went past the cache: under the admission
+// floor, so neither a lookup nor a miss.
+func (c *TopMapsCache) bypass() {
+	c.mu.Lock()
+	c.bypassed++
+	c.mu.Unlock()
+}
+
 // put admits a completed accumulator, evicting LRU entries until the
 // record budget holds. It counts the evictions under the lock that made
 // them — Stats never shows entries gone but not yet counted — and returns
-// how many there were, for the metrics counter. Entries larger than the
-// whole budget are never admitted.
-func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) int {
-	if c == nil || c.budget <= 0 || cost > c.budget {
-		return 0
+// how many there were and the bytes the cache now holds, for the metrics.
+// Entries larger than the whole budget are never admitted.
+func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) (evicted int, bytes int64) {
+	if c == nil {
+		return 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.budget <= 0 || cost > c.budget {
+		return 0, c.bytes
+	}
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return 0
+		return 0, c.bytes
 	}
-	evicted := 0
 	for c.used+cost > c.budget {
 		back := c.order.Back()
 		if back == nil {
@@ -103,15 +166,17 @@ func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) int
 		}
 		ev := back.Value.(*topMapsCacheEntry)
 		c.used -= ev.cost
+		c.bytes -= int64(ev.bytes)
 		delete(c.entries, ev.key)
 		c.order.Remove(back)
 		evicted++
 	}
 	c.evictions += int64(evicted)
-	el := c.order.PushFront(&topMapsCacheEntry{key: key, acc: acc, cost: cost})
-	c.entries[key] = el
+	e := &topMapsCacheEntry{key: key, acc: acc, cost: cost, bytes: acc.Bytes()}
+	c.entries[key] = c.order.PushFront(e)
 	c.used += cost
-	return evicted
+	c.bytes += int64(e.bytes)
+	return evicted, c.bytes
 }
 
 // Invalidate drops every entry (and resets nothing else: hit/miss
@@ -125,21 +190,28 @@ func (c *TopMapsCache) Invalidate() {
 	defer c.mu.Unlock()
 	c.order.Init()
 	c.entries = make(map[string]*list.Element)
-	c.used = 0
+	c.used, c.bytes = 0, 0
 }
 
 // CacheStats is a point-in-time snapshot of the cache, surfaced by the
 // server's /debug/cache endpoint and by cmd/sdebench.
 type CacheStats struct {
-	Entries       int   `json:"entries"`
-	UsedRecords   int   `json:"used_records"`
-	BudgetRecords int   `json:"budget_records"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
+	Entries       int `json:"entries"`
+	UsedRecords   int `json:"used_records"`
+	BudgetRecords int `json:"budget_records"`
+	// Bytes is what the entries' accumulators hold (Accumulator.Bytes),
+	// the number the record budget does not bound by itself.
+	Bytes     int64 `json:"bytes"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	// Bypassed counts groups under the admission floor: scanned without a
+	// lookup, so neither hits nor misses.
+	Bypassed int64 `json:"bypassed"`
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
+// HitRate returns hits / (hits + misses), or 0 before any lookup. A
+// bypassed group is not a lookup.
 func (s CacheStats) HitRate() float64 {
 	total := s.Hits + s.Misses
 	if total == 0 {
@@ -159,9 +231,11 @@ func (c *TopMapsCache) Stats() CacheStats {
 		Entries:       len(c.entries),
 		UsedRecords:   c.used,
 		BudgetRecords: c.budget,
+		Bytes:         c.bytes,
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,
+		Bypassed:      c.bypassed,
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -28,7 +29,7 @@ func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("want hit on a")
 	}
-	if ev := c.put("c", acc, 40); ev != 1 {
+	if ev, _ := c.put("c", acc, 40); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
 	// The count lands under the lock that evicted: no window in which
@@ -43,7 +44,7 @@ func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 		t.Fatal("a should have survived (recently used)")
 	}
 	// Oversized entries are never admitted.
-	if ev := c.put("huge", acc, 101); ev != 0 {
+	if ev, _ := c.put("huge", acc, 101); ev != 0 {
 		t.Fatalf("oversized put evicted %d", ev)
 	}
 	if _, ok := c.get("huge"); ok {
@@ -290,16 +291,23 @@ func TestCacheMetricsWired(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionMetrics drives the budget over capacity and checks
-// evictions are counted on both the cache and the metrics registry.
+// TestCacheEvictionMetrics drives the record budget over capacity with
+// groups above the admission floor and checks that evictions are counted on
+// both the cache and the metrics registry, and that the cache's bytes — the
+// sum of what its entries' accumulators hold — follow every admission,
+// eviction and Invalidate, on Stats and on the gauge alike.
 func TestCacheEvictionMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	db := buildRandomDB(t, rng, 10, 10, 400)
+	db := buildRandomDB(t, rng, 10, 10, 3000)
 	qe, err := query.NewEngine(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := allCandidates(db)
+	entryBytes := int64((&ratingmap.Builder{DB: db}).NewAccumulator(query.Description{}, keys).Bytes())
+	if entryBytes == 0 {
+		t.Fatal("an accumulator over every candidate holds no bytes")
+	}
 
 	reg := obs.NewRegistry()
 	g := NewGenerator(db)
@@ -314,28 +322,140 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		{},
 		query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "age", Value: "young"}),
 		query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "age", Value: "old"}),
+		query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "age", Value: "mid"}),
 	}
 	for _, d := range descs {
 		group, err := qe.Materialize(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if group.Len() == 0 {
-			continue
+		if group.Len() < cacheFloorRecords {
+			t.Fatalf("%s has %d records, under the admission floor: the test needs cacheable groups", d, group.Len())
 		}
 		if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
 			t.Fatal(err)
 		}
+		st := g.Cache.Stats()
+		if want := int64(st.Entries) * entryBytes; st.Bytes != want || g.Metrics.CacheBytes.Value() != float64(want) {
+			t.Fatalf("after %s: %d entries hold %d bytes (gauge %v), want %d each", d, st.Entries, st.Bytes, g.Metrics.CacheBytes.Value(), entryBytes)
+		}
 	}
 	st := g.Cache.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions, stats %+v", st)
+	if st.Evictions == 0 || st.Entries == 0 {
+		t.Fatalf("expected evictions and survivors, stats %+v", st)
 	}
 	if got := g.Metrics.CacheEvictions.Value(); got != st.Evictions {
 		t.Fatalf("metrics evictions %d != cache evictions %d", got, st.Evictions)
 	}
 	if st.UsedRecords > st.BudgetRecords {
 		t.Fatalf("budget overrun: %+v", st)
+	}
+	if st.Bypassed != 0 || g.Metrics.CacheBypass.Value() != 0 {
+		t.Fatalf("groups above the floor were counted as bypassed: %+v", st)
+	}
+	g.InvalidateCache()
+	if st := g.Cache.Stats(); st.Entries != 0 || st.Bytes != 0 || g.Metrics.CacheBytes.Value() != 0 {
+		t.Fatalf("after InvalidateCache: %+v, gauge %v", st, g.Metrics.CacheBytes.Value())
+	}
+}
+
+// TestSmallGroupsBypassTheCache: a group under the admission floor is not a
+// lookup — no key, no entry, neither hit nor miss — and says so in its
+// profile, its span and the bypass counters; its one stride still runs the
+// PhaseHook once; and what it returns is what a generator without a cache
+// returns, call after call through the recycled accumulator — different
+// groups, different candidate sets — without a later call reaching into an
+// earlier call's maps. A group of exactly the floor is a lookup again.
+func TestSmallGroupsBypassTheCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	db := buildRandomDB(t, rng, 20, 15, 1200)
+	whole := wholeGroup(t, db)
+	keys := allCandidates(db)
+
+	reg := obs.NewRegistry()
+	g := NewGenerator(db)
+	g.Metrics = NewMetrics(reg)
+	g.Cache = NewTopMapsCache(1 << 20)
+	plain := NewGenerator(db) // no cache
+	cfg := DefaultConfig()
+	cfg.Pruning = PruneNone
+	hooks := 0
+	hooked := cfg
+	hooked.PhaseHook = func(context.Context, int) { hooks++ }
+
+	type call struct {
+		res    *Result
+		digest string
+	}
+	var calls []call
+	seen := ratingmap.NewSeenSet()
+	for i, c := range []struct {
+		lo, hi int
+		keys   []ratingmap.Key
+	}{
+		{0, cacheFloorRecords - 1, keys},
+		{100, 130, keys},                 // a short list after a long one
+		{400, 400, keys},                 // empty
+		{7, 200, keys[2:5]},              // fewer candidates
+		{300, 300 + 90, keys},            // and all of them again
+		{0, cacheFloorRecords - 1, keys}, // the first group once more: still no hit
+	} {
+		group := &query.RatingGroup{Desc: whole.Desc, Records: whole.Records[c.lo:c.hi]}
+		sink := obs.NewRingSink(1)
+		hooks = 0
+		res, err := g.TopMapsCtx(obs.WithSink(context.Background(), sink), group, c.keys, seen, 4, hooked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.TopMaps(group, c.keys, seen, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ratingmap.DigestMaps(res.Maps); got != ratingmap.DigestMaps(want.Maps) || !slices.Equal(res.Utilities, want.Utilities) {
+			t.Fatalf("call %d: the bypassed result differs from the cache-less generator's", i)
+		}
+		if res.Profile.Cache != "bypass" || want.Profile.Cache != "off" {
+			t.Fatalf("call %d: Profile.Cache = %q (cache-less: %q), want bypass and off", i, res.Profile.Cache, want.Profile.Cache)
+		}
+		if got := sink.Snapshot()[0].Attrs["cache"]; got != "bypass" {
+			t.Fatalf("call %d: engine.topmaps span says cache = %v, want bypass", i, got)
+		}
+		if hooks != 1 || len(res.Profile.Phases) != 1 || res.Profile.RecordsScanned != len(group.Records) {
+			t.Fatalf("call %d: %d hook calls, %d strides, %d records scanned; want the group's one stride", i, hooks, len(res.Profile.Phases), res.Profile.RecordsScanned)
+		}
+		calls = append(calls, call{res, ratingmap.DigestMaps(res.Maps)})
+		for _, rm := range res.Maps[:min(1, len(res.Maps))] {
+			seen.Add(rm) // later calls finalize against a different history
+		}
+	}
+	for i, c := range calls {
+		if ratingmap.DigestMaps(c.res.Maps) != c.digest {
+			t.Fatalf("call %d's maps changed after it returned: they alias the recycled accumulator", i)
+		}
+	}
+	st := g.Cache.Stats()
+	if st.Entries != 0 || st.Bytes != 0 || st.Hits+st.Misses != 0 || st.Bypassed != int64(len(calls)) {
+		t.Fatalf("after %d groups under the floor: %+v", len(calls), st)
+	}
+	if got := g.Metrics.CacheBypass.Value(); got != st.Bypassed || g.Metrics.CacheMisses.Value() != 0 {
+		t.Fatalf("metrics: bypass %d (cache %d), misses %d", got, st.Bypassed, g.Metrics.CacheMisses.Value())
+	}
+	if hr := st.HitRate(); hr != 0 {
+		t.Fatalf("hit rate %g over no lookups", hr)
+	}
+
+	atFloor := &query.RatingGroup{Desc: whole.Desc, Records: whole.Records[:cacheFloorRecords]}
+	for _, want := range []string{"miss", "hit"} {
+		res, err := g.TopMaps(atFloor, keys, seen, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Profile.Cache != want {
+			t.Fatalf("a group of exactly the floor: cache = %q, want %q", res.Profile.Cache, want)
+		}
+	}
+	if st := g.Cache.Stats(); st.Entries != 1 || st.Bypassed != int64(len(calls)) {
+		t.Fatalf("after a group at the floor: %+v", st)
 	}
 }
 
@@ -421,7 +541,12 @@ var sinkKey string
 // BenchmarkCacheKey is one key over Yelp's 92 candidates for a record list
 // of the recommendation pass's sample size, of scan_sweep's mean group and
 // of its whole table: every cold step builds one before it scans, for a
-// lookup that cannot hit.
+// lookup that cannot hit. There is no arm under 256 records because no such
+// group is keyed any more: a key is ≈ 1 µs of description and digest however
+// few the records, part of the ≈ 9 µs an entry costs to make, key and admit,
+// which a group that small cannot earn back — cacheFloorRecords, whose
+// comment holds the sweep (guided_walk and BenchmarkRecommendPass on three
+// shapes, floors 0 / 64 / 256 / 1 024 / the sample cap).
 //
 //	go test ./internal/engine -run '^$' -bench CacheKey -benchmem
 func BenchmarkCacheKey(b *testing.B) {

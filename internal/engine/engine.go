@@ -127,6 +127,10 @@ type Result struct {
 	// accumulator before finalization (== len(group.Records) for a
 	// complete scan).
 	RecordsProcessed int
+	// Gated reports that the caller's keep function (TopMapsIf) turned the
+	// ranking down: Utilities holds the top utilities it was shown, in rank
+	// order, and no map was materialized.
+	Gated bool
 	// Profile is the per-call EXPLAIN profile (always populated by
 	// TopMapsCtx, even for degraded or cache-hit runs).
 	Profile *Profile
@@ -194,7 +198,9 @@ func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key
 // cancellation. It is Algorithm 1 in four stages, each its own function:
 //
 //  1. cache lookup — a completed unpruned accumulator for this exact
-//     (group, candidate set, utility config) skips stages 2 and 3;
+//     (group, candidate set, utility config) skips stages 2 and 3; a group
+//     under the cache's admission floor (cacheFloorRecords) is not looked
+//     up and scans into a recycled accumulator;
 //  2. the phase loop (scan) — fold the group one record fraction ("stride")
 //     at a time through scanRange, the engine's only scan site;
 //  3. between strides, pruning (prune) — estimate the survivors on the
@@ -221,6 +227,27 @@ func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key
 // RecordsProcessed reporting the prefix length.
 func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
 	seen *ratingmap.SeenSet, kPrime int, cfg Config) (*Result, error) {
+	return g.TopMapsIfCtx(ctx, group, candidates, seen, kPrime, cfg, nil)
+}
+
+// TopMapsIf is TopMaps for a caller that may not want the maps once it has
+// seen how they rank — the Recommendation Builder, which sums a candidate
+// operation's maps into one number and keeps the operation only if that
+// number can still reach its top-o. keep is handed the top kPrime utilities
+// in rank order after ranking and before any map is materialized; when it
+// returns false the call stops there, Result.Gated set, Utilities what keep
+// saw and Maps empty. A nil keep keeps everything: TopMaps.
+//
+// TopMapsIf is an XCtx compatibility shim like TopMaps.
+func (g *Generator) TopMapsIf(group *query.RatingGroup, candidates []ratingmap.Key,
+	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) (*Result, error) {
+	return g.TopMapsIfCtx(context.Background(), group, candidates, seen, kPrime, cfg, keep)
+}
+
+// TopMapsIfCtx is TopMapsCtx with TopMapsIf's keep: the one implementation
+// behind all four entry points.
+func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
+	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) (*Result, error) {
 	if kPrime <= 0 {
 		return nil, fmt.Errorf("engine: kPrime must be positive, got %d", kPrime)
 	}
@@ -246,7 +273,14 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	// mutates it.
 	var key string
 	var acc *ratingmap.Accumulator
-	if g.Cache != nil {
+	bypass := g.Cache != nil && n < cacheFloorRecords
+	switch {
+	case g.Cache == nil:
+	case bypass:
+		g.Cache.bypass()
+		g.Metrics.addCacheBypass()
+		prof.Cache = "bypass"
+	default:
 		key = cacheKey(group, candidates, cfg.Utility)
 		if cached, ok := g.Cache.get(key); ok {
 			acc = cached
@@ -266,7 +300,16 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		}
 		res.RecordsProcessed = n
 	} else {
-		acc = g.Builder.NewAccumulator(group.Desc, candidates)
+		if bypass {
+			// No one else will ever see this accumulator, so it is a
+			// recycled one, handed back when the call returns: nothing in
+			// res aliases it (SnapshotAt copies).
+			acc = bypassAccumulators.Get().(*ratingmap.Accumulator)
+			defer bypassAccumulators.Put(acc)
+			g.Builder.Recycle(acc, group.Desc, candidates)
+		} else {
+			acc = g.Builder.NewAccumulator(group.Desc, candidates)
+		}
 		if err := g.scan(ctx, acc, group, seen, kPrime, cfg, res); err != nil {
 			return nil, err
 		}
@@ -282,10 +325,18 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 		fctx = context.WithoutCancel(ctx)
 	}
 	fstart := time.Now()
-	g.finalize(fctx, acc, seen, kPrime, cfg, res)
+	g.finalize(fctx, acc, seen, kPrime, cfg, keep, res)
 	prof.FinalizeMS = msSince(fstart)
 	return res, nil
 }
+
+// bypassAccumulators recycles the accumulators of groups under the cache's
+// admission floor, one per call in flight. What is reused is capacity
+// (ratingmap.Builder.Recycle), not content: a recommendation pass runs
+// through some two dozen candidate-key sets — each Filter attribute drops
+// its own keys — over one schema, so nearly every call finds arrays that
+// already fit.
+var bypassAccumulators = sync.Pool{New: func() any { return new(ratingmap.Accumulator) }}
 
 // endTopMaps closes a TopMaps call — failed ones included — by copying the
 // result's counters into the metrics, the profile and the span.
@@ -616,28 +667,38 @@ func ciPrune(est []estimateEntry, processed, total, kPrime int, sar *bandit.SAR)
 // maybeCache admits the accumulator into the cross-step cache when it is
 // a complete, unpruned scan of the whole group: no candidate was removed
 // mid-scan (every histogram covers every record) and the scan reached the
-// final record. key is empty when no cache is installed. A degraded
-// *finalize* does not block admission — degradation there only truncates
-// scoring, the accumulated counts are already complete.
+// final record. key is empty when no cache is installed or the group
+// bypasses it. A degraded *finalize* does not block admission — degradation
+// there only truncates scoring, the accumulated counts are already complete.
 func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Result, n int) {
 	if key == "" || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
 		return
 	}
-	g.Metrics.addCacheEvictions(g.Cache.put(key, acc, n))
+	evicted, bytes := g.Cache.put(key, acc, n)
+	g.Metrics.addCacheEvictions(evicted)
+	g.Metrics.setCacheBytes(bytes)
+}
+
+// InvalidateCache drops every cached accumulator (TopMapsCache.Invalidate)
+// and brings the cache-bytes gauge down with them. Nil-safe like the cache.
+func (g *Generator) InvalidateCache() {
+	g.Cache.Invalidate()
+	g.Metrics.setCacheBytes(0)
 }
 
 // finalize scores all remaining candidates on their full accumulated data
 // using the allocation-light estimator, ranks them, and materializes only
-// the top kPrime as rating maps. With normalization enabled in the utility
-// config, criterion columns are min-max normalized across the survivors
-// before aggregation, per Somech et al. [51].
+// the top kPrime as rating maps — and those only if keep, when there is
+// one, accepts their utilities (TopMapsIf). With normalization enabled in
+// the utility config, criterion columns are min-max normalized across the
+// survivors before aggregation, per Somech et al. [51].
 //
 // The workers consult ctx between candidates: if the context dies
 // mid-finalize, unscored candidates are dropped from the ranking and the
 // result is marked Degraded (callers that already degraded pass a
 // detached context so the anytime result is always fully scored).
 func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
-	kPrime int, cfg Config, res *Result) {
+	kPrime int, cfg Config, keep func(ranked []float64) bool, res *Result) {
 	keys := acc.Keys()
 	f := finalizeScratches.Get().(*finalizeScratch)
 	defer finalizeScratches.Put(f) // nothing in res aliases it
@@ -682,11 +743,17 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	}
 	kPrime = min(kPrime, len(order))
 	rankTop(order, utils, kPrime)
-	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
 	res.Utilities = make([]float64, 0, kPrime)
 	for _, i := range order[:kPrime] {
-		res.Maps = append(res.Maps, acc.SnapshotAt(i))
 		res.Utilities = append(res.Utilities, utils[i])
+	}
+	if keep != nil && !keep(res.Utilities) {
+		res.Gated = true
+		return
+	}
+	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
+	for _, i := range order[:kPrime] {
+		res.Maps = append(res.Maps, acc.SnapshotAt(i))
 	}
 }
 

@@ -149,7 +149,7 @@ func TestFinalizeMatchesOracle(t *testing.T) {
 						left := new(atomic.Int64)
 						left.Store(int64(scoredN))
 						res := &Result{Profile: &Profile{}}
-						g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, res)
+						g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, nil, res)
 
 						wantDigest, wantUtils := finalizeOracle(acc, seen, kPrime, cfg, scoredN)
 						if got := ratingmap.DigestMaps(res.Maps); got != wantDigest {
@@ -193,7 +193,7 @@ func TestFinalizeConcurrentOnOneAccumulator(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
 				res := &Result{Profile: &Profile{}}
-				g.finalize(context.Background(), acc, seen, 4, cfg, res)
+				g.finalize(context.Background(), acc, seen, 4, cfg, nil, res)
 				if ratingmap.DigestMaps(res.Maps) != wantDigest || !slices.Equal(res.Utilities, wantUtils) {
 					t.Errorf("round %d: a concurrent finalize changed this one's result", round)
 					return
@@ -230,5 +230,59 @@ func BenchmarkRankTop(b *testing.B) {
 				slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(utils[b], utils[a]) })
 			}
 		})
+	}
+}
+
+// TestTopMapsIfGate: keep sees exactly the utilities TopMaps returns, in
+// rank order, before a map exists; turning them down leaves a Gated result
+// with those utilities and no maps, accepting them (or passing no keep)
+// leaves TopMaps' result — on a scanned group, a bypassed one and a cache
+// hit alike, and a gated call neither blocks admission nor spoils the entry.
+func TestTopMapsIfGate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	db := buildRandomDB(t, rng, 30, 20, 2500)
+	whole := wholeGroup(t, db)
+	keys := allCandidates(db)
+	cfg := DefaultConfig()
+	cfg.Pruning = PruneNone
+	seen := ratingmap.NewSeenSet()
+	for _, size := range []int{len(whole.Records), cacheFloorRecords - 1} {
+		group := *whole
+		group.Records = whole.Records[:size]
+		want, err := NewGenerator(db).TopMaps(&group, keys, seen, 5, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(db)
+		g.Cache = NewTopMapsCache(1 << 20)
+		for round, verdict := range []bool{false, true, false, true} { // the second pair is served from the cache where there is one
+			var shown []float64
+			res, err := g.TopMapsIf(&group, keys, seen, 5, cfg, func(ranked []float64) bool {
+				shown = slices.Clone(ranked)
+				return verdict
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%d records, round %d (cache %s, keep = %t)", size, round, res.Profile.Cache, verdict)
+			if !slices.Equal(shown, want.Utilities) || !slices.Equal(res.Utilities, want.Utilities) {
+				t.Fatalf("%s: keep saw %v, the result holds %v, TopMaps ranks %v", label, shown, res.Utilities, want.Utilities)
+			}
+			if !slices.IsSortedFunc(shown, func(a, b float64) int { return cmp.Compare(b, a) }) {
+				t.Fatalf("%s: keep saw utilities out of rank order: %v", label, shown)
+			}
+			if res.Gated == verdict {
+				t.Fatalf("%s: Gated = %t", label, res.Gated)
+			}
+			switch {
+			case !verdict && res.Maps != nil:
+				t.Fatalf("%s: a gated result holds %d maps", label, len(res.Maps))
+			case verdict && ratingmap.DigestMaps(res.Maps) != ratingmap.DigestMaps(want.Maps):
+				t.Fatalf("%s: the kept result's maps differ from TopMaps'", label)
+			}
+		}
+		if st, cached := g.Cache.Stats(), size >= cacheFloorRecords; cached && (st.Entries != 1 || st.Hits != 3) || !cached && st.Bypassed != 4 {
+			t.Fatalf("%d records: cache stats %+v", size, st)
+		}
 	}
 }

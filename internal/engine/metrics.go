@@ -45,6 +45,12 @@ type Metrics struct {
 	CacheHits      *obs.Counter
 	CacheMisses    *obs.Counter
 	CacheEvictions *obs.Counter
+	// CacheBypass counts TopMaps calls whose group was under the cache's
+	// admission floor and went past it (subdex_engine_cache_bypass_total);
+	// CacheBytes is what the cached accumulators hold
+	// (subdex_engine_cache_bytes).
+	CacheBypass *obs.Counter
+	CacheBytes  *obs.Gauge
 }
 
 // NewMetrics registers the engine's instruments on r. A nil registry
@@ -79,6 +85,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"TopMaps cache lookups that missed and fell back to a scan."),
 		CacheEvictions: r.Counter("subdex_engine_cache_evictions_total",
 			"Accumulator cache entries evicted by the record budget."),
+		CacheBypass: r.Counter("subdex_engine_cache_bypass_total",
+			"TopMaps calls on groups under the cache's admission floor: scanned without a lookup."),
+		CacheBytes: r.Gauge("subdex_engine_cache_bytes",
+			"Bytes held by the accumulators in the cross-step cache."),
 	}
 }
 
@@ -146,6 +156,20 @@ func (m *Metrics) addCacheEvictions(n int) {
 		return
 	}
 	m.CacheEvictions.Add(int64(n))
+}
+
+func (m *Metrics) addCacheBypass() {
+	if m == nil {
+		return
+	}
+	m.CacheBypass.Inc()
+}
+
+func (m *Metrics) setCacheBytes(n int64) {
+	if m == nil {
+		return
+	}
+	m.CacheBytes.Set(float64(n))
 }
 
 // observeUtilization records Σbusy/(wall×workers), clamped to (0,1].

@@ -43,7 +43,8 @@ type Profile struct {
 	// hits — those scan in one stride or not at all).
 	Phased bool `json:"phased"`
 	// Cache is the cross-step accumulator cache outcome: "hit", "miss",
-	// or "off" when no cache is installed.
+	// "bypass" for a group under the admission floor (scanned without a
+	// lookup), or "off" when no cache is installed.
 	Cache string `json:"cache"`
 	// Workers is the configured parallelism (clamped to ≥ 1).
 	Workers int `json:"workers"`

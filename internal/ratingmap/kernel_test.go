@@ -686,6 +686,20 @@ func FuzzScanKernel(f *testing.F) {
 	f.Add([]byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81, 0, 2, 77}, bytes.Repeat([]byte{0, 9, 63, 31, 17, 42, 250, 5, 11}, 29)[:scanTile+1])
 	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 3, 0, 0, 7}, 31)[:2*scanTile+3])
 
+	// One recycled accumulator for the whole run (below): these inputs, in
+	// this order, put it through two databases, a long list and then a short
+	// and an empty one over the same blocks, and candidate sets that shrink to
+	// one key and grow back — TestRecycledAccumulatorEqualsFresh's sequence in
+	// this target's terms. The last record byte picks the candidate set.
+	sixByFive := []byte{5, 4, 7, 3, 63, 39, 17, 250, 128, 9, 33, 200, 5, 81, 0, 2, 77}
+	f.Add(sixByFive, append(bytes.Repeat([]byte{0, 9, 63, 31, 17, 42, 250, 5}, 40), 0xff))
+	f.Add(sixByFive, []byte{3, 3, 0xff})
+	f.Add(sixByFive, []byte{})
+	f.Add(sixByFive, []byte{9, 8, 7, 6, 0x02})
+	f.Add([]byte{1, 0, 3, 2, 11, 1, 1, 0, 2, 2, 0, 3, 5, 4, 0, 7, 0, 9}, []byte{0, 1, 2, 3, 4, 5, 0xb5})
+	f.Add(sixByFive, append(bytes.Repeat([]byte{62, 1, 30}, 20), 0x7e))
+	recycled := new(Accumulator)
+
 	f.Fuzz(func(t *testing.T, shape []byte, recs []byte) {
 		db, keys := fuzzShapeDB(t, shape)
 		n := db.Ratings.Len()
@@ -693,6 +707,21 @@ func FuzzScanKernel(f *testing.F) {
 		for i, b := range recs {
 			records[i] = int32(int(b) % n)
 		}
+
+		// A recycled accumulator is a fresh one, whatever the inputs before
+		// this one left in its arrays: the candidates the last record byte's
+		// bits name (all of them for an empty list), in the fixture's
+		// dimension-major order, so an attribute's keys are not contiguous.
+		pick := keys
+		if len(recs) > 0 {
+			pick = nil
+			for i, k := range keys {
+				if recs[len(recs)-1]>>i&1 == 1 {
+					pick = append(pick, k)
+				}
+			}
+		}
+		assertRecycledEqualsFresh(t, &Builder{DB: db}, recycled, query.Description{}, pick, records, "recycled")
 
 		kern, ref := kernelPair(db, keys)
 		kern.Update(records)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"subdex/internal/dataset"
 	"subdex/internal/query"
@@ -237,6 +238,11 @@ type Accumulator struct {
 	// is outside the schema belongs to none: no scan reaches it.
 	groups []attrGroup
 	desc   query.Description
+	// slab and positions are the two arrays carve cuts every candidate's
+	// block and every attribute's member list out of, kept so that Recycle
+	// can cut the next candidate set out of them again.
+	slab      []int32
+	positions []int32
 
 	// recordVisits counts len(records) once per attribute group per Update
 	// — the (record, attribute) lookups a scan of the group's records
@@ -271,48 +277,92 @@ type attrGroup struct {
 // and all member lists out of one index array.
 func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulator {
 	acc := b.emptyAccumulator(desc)
-	acc.order = slices.Clone(keys)
-	acc.parts = make([]partial, len(keys))
-	acc.groups = make([]attrGroup, 0, b.DB.Reviewers.Schema.Len()+b.DB.Items.Schema.Len())
-	positions := make([]int32, len(keys))
+	acc.carve(keys)
+	return acc
+}
+
+// Recycle makes acc what NewAccumulator(desc, keys) returns — same keys,
+// every cell zero, no record visited — inside the arrays acc already holds:
+// each is reused when its capacity covers the new candidate set, whatever
+// set, description or database it served before, and replaced when not. It
+// is for an accumulator nothing else can reach: whatever was read out of it
+// must have been copied (SnapshotAt does). The zero Accumulator recycles
+// into a fresh one.
+func (b *Builder) Recycle(acc *Accumulator, desc query.Description, keys []Key) {
+	b.mustBeFrozen()
+	acc.db, acc.desc, acc.recordVisits = b.DB, desc, 0
+	acc.carve(keys)
+}
+
+// carve registers keys in order and gives every candidate of the schema a
+// zeroed block, reusing the accumulator's arrays by capacity. Nothing a
+// previous candidate set left behind survives: order, parts and positions
+// are overwritten element by element, groups refilled, the slab cleared.
+func (a *Accumulator) carve(keys []Key) {
+	a.order = append(a.order[:0], keys...)
+	a.parts = slices.Grow(a.parts[:0], len(keys))[:len(keys)]
+	a.groups = slices.Grow(a.groups[:0], a.db.Reviewers.Schema.Len()+a.db.Items.Schema.Len())
+	a.positions = slices.Grow(a.positions[:0], len(keys))[:len(keys)]
 	cells := 0
 	for lo, hi := 0, 0; lo < len(keys); lo = hi {
 		for hi = lo + 1; hi < len(keys) && keys[hi].Side == keys[lo].Side && keys[hi].Attr == keys[lo].Attr; hi++ {
 		}
-		g := acc.groupOf(keys[lo])
+		g := a.groupOf(keys[lo])
 		for i := lo; i < hi; i++ {
-			positions[i] = int32(i)
-			acc.parts[i] = partial{key: keys[i], scale: b.DB.Ratings.Dimensions[keys[i].Dim].Scale}
+			a.positions[i] = int32(i)
+			a.parts[i] = partial{key: keys[i], scale: a.db.Ratings.Dimensions[keys[i].Dim].Scale}
 			if g != nil {
-				cells += g.nValues * (acc.parts[i].scale + 1)
+				cells += g.nValues * (a.parts[i].scale + 1)
 			}
 		}
 		if g != nil && g.members == nil {
-			g.members = positions[lo:hi:hi]
+			g.members = a.positions[lo:hi:hi]
 		} else if g != nil { // the attribute's keys were not contiguous
-			g.members = append(g.members, positions[lo:hi]...)
+			g.members = append(g.members, a.positions[lo:hi]...)
 		}
 	}
-	slab := make([]int32, cells)
-	for gi := range acc.groups {
-		g := &acc.groups[gi]
+	if cap(a.slab) < cells {
+		a.slab = make([]int32, cells)
+	} else {
+		a.slab = a.slab[:cells]
+		clear(a.slab)
+	}
+	slab := a.slab
+	for gi := range a.groups {
+		g := &a.groups[gi]
 		for _, i := range g.members {
-			n := g.nValues * (acc.parts[i].scale + 1)
-			acc.parts[i].hist, slab = slab[:n:n], slab[n:]
+			n := g.nValues * (a.parts[i].scale + 1)
+			a.parts[i].hist, slab = slab[:n:n], slab[n:]
 		}
 	}
-	return acc
+}
+
+// Bytes is the heap the accumulator holds for its candidates: their counter
+// blocks and, per candidate, its partial, its key and its member position.
+// It is what an accumulator-cache entry is charged.
+func (a *Accumulator) Bytes() int {
+	n := len(a.parts) * int(unsafe.Sizeof(partial{})+unsafe.Sizeof(Key{})+unsafe.Sizeof(int32(0)))
+	for i := range a.parts {
+		n += len(a.parts[i].hist) * int(unsafe.Sizeof(int32(0)))
+	}
+	return n
 }
 
 // emptyAccumulator is the one place an Accumulator is constructed, for
-// scans and for decoded wire frames alike. The scan kernel reads the flat
-// columns Freeze builds, so an unfrozen database is a caller's bug — as it
-// is for query.NewEngine, which every scanned group comes from.
+// scans and for decoded wire frames alike.
 func (b *Builder) emptyAccumulator(desc query.Description) *Accumulator {
+	b.mustBeFrozen()
+	return &Accumulator{db: b.DB, desc: desc}
+}
+
+// mustBeFrozen guards every way an Accumulator comes to observe b's
+// database. The scan kernel reads the flat columns Freeze builds, so an
+// unfrozen database is a caller's bug — as it is for query.NewEngine, which
+// every scanned group comes from.
+func (b *Builder) mustBeFrozen() {
 	if !b.DB.Frozen() {
 		panic("ratingmap: database " + b.DB.Name + " is not frozen")
 	}
-	return &Accumulator{db: b.DB, desc: desc}
 }
 
 // groupOf returns the shared scan of a candidate's attribute, resolving and

@@ -29,10 +29,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCache serves a snapshot of the engine's cross-step accumulator
-// cache: entry/record occupancy against the budget, hit/miss/eviction
-// counters, and the derived hit rate. The same counters are exported as
-// subdex_engine_cache_*_total on /metrics; this endpoint adds the
-// occupancy view Prometheus counters cannot carry.
+// cache: entry/record occupancy against the budget, the bytes the entries
+// hold, hit/miss/eviction/bypass counters, and the derived hit rate (over
+// lookups: a bypassed group is not one). The counters are exported as
+// subdex_engine_cache_*_total and the bytes as subdex_engine_cache_bytes on
+// /metrics; this endpoint adds the occupancy view they cannot carry.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	st := s.ex.EngineCacheStats()
 	writeJSON(w, http.StatusOK, map[string]any{

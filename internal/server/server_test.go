@@ -494,8 +494,10 @@ func TestDebugCacheEndpoint(t *testing.T) {
 			Entries       int   `json:"entries"`
 			UsedRecords   int   `json:"used_records"`
 			BudgetRecords int   `json:"budget_records"`
+			Bytes         int64 `json:"bytes"`
 			Hits          int64 `json:"hits"`
 			Misses        int64 `json:"misses"`
+			Bypassed      int64 `json:"bypassed"`
 		} `json:"engine_cache"`
 		HitRate float64 `json:"hit_rate"`
 		Enabled bool    `json:"enabled"`
@@ -507,7 +509,7 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	if !out.Enabled || out.EngineCache.BudgetRecords <= 0 {
 		t.Fatalf("default server must enable the engine cache: %+v", out)
 	}
-	if out.EngineCache.Hits != 0 || out.EngineCache.Misses != 0 {
+	if out.EngineCache.Hits != 0 || out.EngineCache.Misses != 0 || out.EngineCache.Bypassed != 0 || out.EngineCache.Bytes != 0 {
 		t.Fatalf("fresh server has cache traffic: %+v", out)
 	}
 
@@ -527,6 +529,11 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	}
 	if out.EngineCache.UsedRecords > out.EngineCache.BudgetRecords {
 		t.Fatalf("budget overrun: %+v", out)
+	}
+	// The entries hold bytes, and most of a demo step's candidate groups are
+	// under the admission floor: bypassed, not looked up.
+	if out.EngineCache.Bytes <= 0 || out.EngineCache.Bypassed == 0 {
+		t.Fatalf("step left no cache bytes or bypassed no group: %+v", out)
 	}
 
 	// Method discipline.
