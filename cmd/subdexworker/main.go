@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"subdex"
@@ -42,7 +41,6 @@ func main() {
 		k        = flag.Int("k", 3, "rating maps per step (must match the coordinator)")
 		o        = flag.Int("o", 3, "recommendations per step (must match the coordinator)")
 		l        = flag.Int("l", 3, "pruning-diversity factor (must match the coordinator)")
-		scanW    = flag.Int("scan-workers", runtime.NumCPU(), "sharded-scan parallelism per request")
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		drain    = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain timeout")
 	)
@@ -60,10 +58,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "subdexworker:", err)
 		os.Exit(1)
 	}
-	worker := cluster.NewWorker(ex, cluster.WorkerOptions{
-		Registry:    obs.NewRegistry(),
-		ScanWorkers: *scanW,
-	})
+	worker := cluster.NewWorker(ex, cluster.WorkerOptions{Registry: obs.NewRegistry()})
 	s := db.Stats()
 	fmt.Printf("subdexworker: serving %s (%d ratings) on %s\n", s.Name, s.NumRatings, *addr)
 	fmt.Printf("subdexworker: engine fingerprint %s\n", worker.Fingerprint())

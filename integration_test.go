@@ -129,7 +129,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 		cfg := subdex.DefaultConfig()
 		cfg.RecSampleSize = 300
-		cfg.RecWorkers = 4 // parallel evaluation must not break determinism
 		ex, err := subdex.NewExplorer(db, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -49,9 +49,6 @@ func (s State) String() string {
 // Mean returns the arm's running mean reward.
 func (a *Arm) Mean() float64 { return a.mean }
 
-// Pulls returns how many reward observations the arm has received.
-func (a *Arm) Pulls() int { return a.pulls }
-
 // SAR runs Successive Accepts and Rejects over a fixed arm set.
 type SAR struct {
 	arms     []*Arm

@@ -40,8 +40,8 @@ func TestSARObserve(t *testing.T) {
 		t.Fatal("unknown arm must error")
 	}
 	arm := s.byID[0]
-	if arm.Pulls() != 2 || arm.Mean() != 0.75 {
-		t.Fatalf("pulls=%d mean=%v", arm.Pulls(), arm.Mean())
+	if arm.pulls != 2 || arm.Mean() != 0.75 {
+		t.Fatalf("pulls=%d mean=%v", arm.pulls, arm.Mean())
 	}
 }
 

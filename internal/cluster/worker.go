@@ -79,9 +79,6 @@ type WorkerOptions struct {
 	// Registry receives subdex_cluster_worker_* instruments and, when
 	// non-nil, is also served at /metrics.
 	Registry *obs.Registry
-	// ScanWorkers is the sharded-scan parallelism of every served
-	// partition (default: NumCPU).
-	ScanWorkers int
 	// ScanHook, when non-nil, runs before every scan — the fault-
 	// injection seam: return an error to fail the request with 500, or
 	// block on ctx.Done() to stall it into the coordinator's partition
@@ -101,9 +98,6 @@ type Worker struct {
 // explorer must be configured identically to the coordinator's
 // (result-affecting config feeds the fingerprint both sides compare).
 func NewWorker(ex *core.Explorer, opts WorkerOptions) *Worker {
-	if opts.ScanWorkers <= 0 {
-		opts.ScanWorkers = runtime.NumCPU()
-	}
 	return &Worker{ex: ex, fp: ex.Fingerprint(), opts: opts, m: NewWorkerMetrics(opts.Registry)}
 }
 
@@ -210,7 +204,9 @@ func (w *Worker) handleScan(rw http.ResponseWriter, r *http.Request) {
 	// description at decode (see ratingmap.DecodeWire).
 	acc := w.ex.Gen.Builder.NewAccumulator(query.Description{}, req.Keys)
 	scanStart := time.Now()
-	w.ex.Gen.ScanInto(acc, records, w.opts.ScanWorkers, 0)
+	// One shard per P this process may run on: NumCPU would over-shard
+	// under a CPU quota.
+	w.ex.Gen.ScanInto(acc, records, runtime.GOMAXPROCS(0), 0)
 	frame := acc.EncodeWire()
 	rw.Header().Set("Content-Type", frameContentType)
 	rw.Header().Set(scanMSHeader, fmt.Sprintf("%.3f", float64(time.Since(scanStart).Microseconds())/1000))

@@ -73,10 +73,10 @@ func assertSameRecommendations(t *testing.T, label string, got, want []Recommend
 // TestBoundGateMatchesReference is the exactness proof of the gate: on every
 // dataset shape, at every step of a seeded walk that drills three selectors
 // deep and then moves any way it can, the recommendations of a gated pass —
-// with one worker and with four, where which candidates are gated depends on
-// timing — are the reference's: same operations, same order, utilities bit
-// for bit. The gate must also have done something: over each walk it turns
-// candidates down, and never all of them.
+// with the accumulator cache and without it — are the reference's: same
+// operations, same order, utilities bit for bit, and both passes turn down
+// the same number of candidates. The gate must also have done something: over
+// each walk it turns candidates down, and never all of them.
 func TestBoundGateMatchesReference(t *testing.T) {
 	for _, ds := range walkShapes {
 		t.Run(ds.name, func(t *testing.T) {
@@ -84,10 +84,8 @@ func TestBoundGateMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			explorer := func(recWorkers int, cache bool) *Explorer {
-				cfg := DefaultConfig()
-				cfg.RecWorkers = recWorkers
-				ex, err := NewExplorer(db, cfg)
+			explorer := func(cache bool) *Explorer {
+				ex, err := NewExplorer(db, DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,8 +94,8 @@ func TestBoundGateMatchesReference(t *testing.T) {
 				}
 				return ex
 			}
-			ref, one, four := explorer(1, false), explorer(1, true), explorer(4, true)
-			sess, err := NewSession(one, RecommendationPowered, query.Description{})
+			off, on := explorer(false), explorer(true) // off is also the reference's: it keeps nothing between calls
+			sess, err := NewSession(on, RecommendationPowered, query.Description{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,16 +107,21 @@ func TestBoundGateMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur, seen := sess.Current(), sess.Seen()
-				want := referenceRecommendations(t, ref, cur, res.Maps, seen, one.Cfg.O)
+				want := referenceRecommendations(t, off, cur, res.Maps, seen, on.Cfg.O)
 				assertSameRecommendations(t, "the session's step", res.Recommendations, want)
-				for _, ex := range []*Explorer{one, four} {
+				var gated [2]int
+				for i, ex := range []*Explorer{on, off} {
 					got, n, attrs := recommendTraced(t, ex, cur, res.Maps, seen, ex.Cfg.O)
 					assertSameRecommendations(t, cur.String(), got, want)
 					if n != len(res.RecOpDurations) || attrs["evaluated"] != n {
 						t.Fatalf("%s: %d durations, evaluated = %v; the session's step had %d candidates", cur, n, attrs["evaluated"], len(res.RecOpDurations))
 					}
-					bounded += attrs["bounded"].(int)
+					gated[i] = attrs["bounded"].(int)
+					bounded += gated[i]
 					evaluated += n
+				}
+				if gated[0] != gated[1] {
+					t.Fatalf("%s: the gate turned down %d candidates with the cache and %d without", cur, gated[0], gated[1])
 				}
 				// Drill down first, then move any way the recommendations allow.
 				ops, err := sess.rb.CandidateOps(cur, res.Maps)
@@ -127,7 +130,7 @@ func TestBoundGateMatchesReference(t *testing.T) {
 				}
 				var next []query.Operation
 				for _, op := range ops {
-					if g, err := one.Query.Materialize(op.Target); err == nil && g.Len() > 0 && (cur.Len() >= 3 || op.Kind == query.Filter) {
+					if g, err := on.Query.Materialize(op.Target); err == nil && g.Len() > 0 && (cur.Len() >= 3 || op.Kind == query.Filter) {
 						next = append(next, op)
 					}
 				}

@@ -43,10 +43,6 @@ type Config struct {
 	Distance diversity.Distance
 	// Limits bound candidate-operation enumeration.
 	Limits CandidateLimits
-	// RecWorkers is the number of candidate operations evaluated
-	// simultaneously by the Recommendation Builder; the paper sets it to
-	// the number of cores. ≤1 is the No-Parallelism/Naive behaviour.
-	RecWorkers int
 	// RecSampleSize caps how many records of a candidate operation's group
 	// are scanned when estimating its utility (0 = all). Sampling follows
 	// the scalable-visualization practice the paper cites [36].
@@ -110,9 +106,9 @@ const (
 	engineCacheRecords = 1_000_000
 )
 
-// DefaultConfig returns the Table 3 defaults with both pruning schemes,
-// unlimited candidate enumeration and one worker. It is the only place a
-// default is written.
+// DefaultConfig returns the Table 3 defaults with both pruning schemes and
+// unlimited candidate enumeration. It is the only place a default is
+// written.
 func DefaultConfig() Config {
 	return Config{
 		K:             3,
@@ -120,7 +116,6 @@ func DefaultConfig() Config {
 		L:             3,
 		Engine:        engine.DefaultConfig(),
 		Distance:      diversity.EMDWithAttribute,
-		RecWorkers:    1,
 		RecSampleSize: 2000,
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,36 +385,6 @@ func TestRecommendRespectsMaxCandidates(t *testing.T) {
 	}
 }
 
-func TestRecommendParallelMatchesSequential(t *testing.T) {
-	db := coreDB(t)
-	cfgSeq := DefaultConfig()
-	cfgSeq.Limits.MaxCandidates = 30
-	cfgPar := cfgSeq
-	cfgPar.RecWorkers = 4
-
-	exSeq, _ := NewExplorer(db, cfgSeq)
-	exPar, _ := NewExplorer(db, cfgPar)
-	rbSeq := RecommendationBuilder{Ex: exSeq}
-	rbPar := RecommendationBuilder{Ex: exPar}
-
-	a, _, err := rbSeq.Recommend(query.Description{}, nil, ratingmap.NewSeenSet(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := rbPar.Recommend(query.Description{}, nil, ratingmap.NewSeenSet(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Op.Target.Key() != b[i].Op.Target.Key() {
-			t.Fatalf("rec %d differs: %s vs %s", i, a[i].Op.Target, b[i].Op.Target)
-		}
-	}
-}
-
 func TestRenderMapNil(t *testing.T) {
 	ex := coreExplorer(t)
 	if got := ex.RenderMap(nil); got == "" {
@@ -501,13 +470,13 @@ func TestStepTimeoutDegrades(t *testing.T) {
 // cancellingScorer is Equation 2 that spends the step's budget — cancels
 // the step's context — while scoring its after-th candidate.
 type cancellingScorer struct {
-	after  int64
+	after  int
 	cancel context.CancelFunc
-	calls  atomic.Int64
+	calls  int
 }
 
 func (c *cancellingScorer) ScoreOperation(_ query.Operation, eq2 float64) float64 {
-	if c.calls.Add(1) == c.after {
+	if c.calls++; c.calls == c.after {
 		c.cancel()
 	}
 	return eq2
@@ -515,49 +484,44 @@ func (c *cancellingScorer) ScoreOperation(_ query.Operation, eq2 float64) float6
 
 // TestStepDeadlineCoversRecommendationPass pins that the step budget
 // reaches into the recommendation pass, where a guided step spends nearly
-// all of its time: a budget spent while candidates are being scored stops
-// the dispatch (each worker finishes at most the candidate it holds) and
-// the step degrades exactly as it does when the budget is spent before
-// the pass — Degraded, RecommendationsSkipped, no partial list.
+// all of its time: once the budget is spent while a candidate is being
+// scored, no further candidate is, and the step degrades exactly as it does
+// when the budget is spent before the pass — Degraded,
+// RecommendationsSkipped, no partial list.
 func TestStepDeadlineCoversRecommendationPass(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		scorer := &cancellingScorer{after: 3, cancel: cancel}
-		cfg := DefaultConfig()
-		cfg.RecWorkers = workers
-		cfg.Scorer = scorer
-		ex, err := NewExplorer(coreDB(t), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := NewSession(ex, RecommendationPowered, query.Description{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops, err := sess.rb.CandidateOps(query.Description{}, nil)
-		if err != nil || len(ops) < 20 {
-			t.Fatalf("want a root selection with many candidates, have %d (%v)", len(ops), err)
-		}
-		res, err := sess.StepCtx(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("workers=%d: a budget spent mid-pass must degrade, not fail: %v", workers, err)
-		}
-		if got, bound := scorer.calls.Load(), scorer.after+int64(workers); got > bound {
-			t.Errorf("workers=%d: %d candidates scored after the budget was spent at #%d, want at most one more per worker (%d)",
-				workers, got, scorer.after, bound)
-		}
-		if !res.Degraded || !res.Profile.RecommendationsSkipped || res.Profile.DegradedReason != "recommendations_skipped" {
-			t.Errorf("workers=%d: degraded=%v profile=%+v, want a degraded step with the recommendations skipped",
-				workers, res.Degraded, res.Profile)
-		}
-		if res.Recommendations != nil || res.RecOpDurations != nil || res.RecDuration != 0 {
-			t.Errorf("workers=%d: a partial recommendation pass leaked into the step: %d recs, %d durations",
-				workers, len(res.Recommendations), len(res.RecOpDurations))
-		}
-		if len(res.Maps) == 0 || res.RecordsProcessed != res.GroupSize {
-			t.Errorf("workers=%d: the maps were complete before the budget ran out and must stay so", workers)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	scorer := &cancellingScorer{after: 3, cancel: cancel}
+	cfg := DefaultConfig()
+	cfg.Scorer = scorer
+	ex, err := NewExplorer(coreDB(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(ex, RecommendationPowered, query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := sess.rb.CandidateOps(query.Description{}, nil)
+	if err != nil || len(ops) < 20 {
+		t.Fatalf("want a root selection with many candidates, have %d (%v)", len(ops), err)
+	}
+	res, err := sess.StepCtx(ctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("a budget spent mid-pass must degrade, not fail: %v", err)
+	}
+	if got := scorer.calls; got != scorer.after {
+		t.Errorf("%d candidates scored, want none after the budget was spent at #%d", got, scorer.after)
+	}
+	if !res.Degraded || !res.Profile.RecommendationsSkipped || res.Profile.DegradedReason != "recommendations_skipped" {
+		t.Errorf("degraded=%v profile=%+v, want a degraded step with the recommendations skipped", res.Degraded, res.Profile)
+	}
+	if res.Recommendations != nil || res.RecOpDurations != nil || res.RecDuration != 0 {
+		t.Errorf("a partial recommendation pass leaked into the step: %d recs, %d durations",
+			len(res.Recommendations), len(res.RecOpDurations))
+	}
+	if len(res.Maps) == 0 || res.RecordsProcessed != res.GroupSize {
+		t.Error("the maps were complete before the budget ran out and must stay so")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"subdex/internal/dataset"
@@ -28,22 +27,12 @@ type RecommendationBuilder struct {
 	Ex *Explorer
 }
 
-// evaluated pairs an operation with its computed utility and cost. A
-// bounded one has no utility: the pass's gate proved it below the top-o.
-type evaluated struct {
-	op       query.Operation
-	utility  float64
-	bounded  bool
-	duration time.Duration
-	err      error
-}
-
 // Recommend returns the overall top-o recommendations for the current
-// description given the displayed maps. Candidate evaluation runs on
-// Cfg.RecWorkers goroutines — the paper's parallel Recommendation Builder;
-// with RecWorkers ≤ 1 it degrades to the No-Parallelism baseline. The
-// returned durations list the sequential cost of every evaluated candidate,
-// letting benches derive schedules for arbitrary core counts.
+// description given the displayed maps. Candidates are evaluated one after
+// another on the caller's goroutine; the paper's parallel Recommendation
+// Builder is reproduced as a cost model over the returned durations — the
+// cost of every evaluated candidate, in CandidateOps order — not as code
+// (DESIGN.md "Limitations": at two cores a worker pool bought 0.81–1.14×).
 //
 // With o > 0 and no Cfg.Scorer, a candidate that provably cannot reach the
 // top-o is dropped as soon as its rating maps are ranked, before they are
@@ -60,10 +49,10 @@ func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*rating
 }
 
 // RecommendCtx is Recommend under a deadline: once ctx is done no further
-// candidate is dispatched (the overrun is bounded by the one candidate
-// each worker has in hand — ctx does not reach inside a candidate's
-// evaluation) and ctx's error is returned instead of a list, because a
-// top-o over a prefix of the candidates is not Equation 2's top-o.
+// candidate is evaluated (ctx does not reach inside a candidate's
+// evaluation, so the overrun is the one in hand) and ctx's error is
+// returned instead of a list, because a top-o over a prefix of the
+// candidates is not Equation 2's top-o.
 //
 // No candidate's group is materialized from the entity tables: each is
 // derived from the displayed group by a recPass that lives for this call.
@@ -88,48 +77,24 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	defer pass.describe(span)
 
 	scorer := rb.Ex.Cfg.Scorer
-	results := make([]evaluated, len(ops))
-	workers := min(max(rb.Ex.Cfg.RecWorkers, 1), len(ops))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				start := time.Now()
-				u, bounded, err := rb.operationUtility(pass, ops[i], seen)
-				if err == nil && scorer != nil {
-					u = scorer.ScoreOperation(ops[i], u)
-				}
-				results[i] = evaluated{op: ops[i], utility: u, bounded: bounded, duration: time.Since(start), err: err}
-			}
-		}()
-	}
-	dispatched := 0
-	for dispatched < len(ops) && ctx.Err() == nil {
-		select {
-		case next <- dispatched:
-			dispatched++
-		case <-ctx.Done():
-		}
-	}
-	close(next)
-	wg.Wait()
-	if dispatched < len(ops) {
-		return nil, nil, ctx.Err()
-	}
-
-	durations := make([]time.Duration, 0, len(results))
+	durations := make([]time.Duration, 0, len(ops))
 	var recs []Recommendation
-	for _, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
+	for _, op := range ops {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		durations = append(durations, r.duration)
-		if !r.bounded {
-			recs = append(recs, Recommendation{Op: r.op, Utility: r.utility})
+		start := time.Now()
+		u, bounded, err := rb.operationUtility(pass, op, seen)
+		if err != nil {
+			return nil, nil, err
 		}
+		if !bounded {
+			if scorer != nil {
+				u = scorer.ScoreOperation(op, u)
+			}
+			recs = append(recs, Recommendation{Op: op, Utility: u})
+		}
+		durations = append(durations, time.Since(start))
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Utility > recs[j].Utility })
 	if o > 0 && len(recs) > o {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"subdex/internal/obs"
 	"subdex/internal/query"
@@ -33,13 +32,13 @@ import (
 //
 // The memo belongs to one RecommendCtx call and is reachable only from it:
 // sessions share an explorer, so nothing here may outlive the call or hang
-// off the Explorer. mu makes it safe for the call's RecWorkers goroutines;
-// a partition is built under it, by the first candidate that needs it.
+// off the Explorer. The call evaluates its candidates one after another, so
+// the memo needs no lock; a partition is built by the first candidate that
+// needs it.
 type recPass struct {
 	ex  *Explorer
 	cur *query.RatingGroup
 
-	mu    sync.Mutex
 	bases map[query.Selector][]int32 // old → records of cur∖old
 	parts map[partKey]*query.Partition
 	cands map[boundDelta][]ratingmap.Key
@@ -101,15 +100,13 @@ func newRecPass(ex *Explorer, cur *query.RatingGroup, o int) *recPass {
 // A candidate whose bound is strictly below the o-th best exact utility so
 // far cannot be among the o best at the end (that utility only rises) and
 // is turned down. A bound equal to it is kept: ties are the stable sort's to
-// decide. With RecWorkers > 1 which candidates are turned down depends on
-// the order they finish in; what RecommendCtx returns does not.
+// decide. Candidates are evaluated in CandidateOps order, so which are
+// turned down — and the span's bounded — is a function of the pass's input.
 func (p *recPass) keep(ranked []float64) bool {
 	bound := 0.0
 	for _, u := range ranked[:min(p.ex.Cfg.K, len(ranked))] {
 		bound += u
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.best) == p.o && bound < p.best[0] {
 		p.bounded++
 		return false
@@ -122,8 +119,6 @@ func (p *recPass) offer(u float64) {
 	if p.o == 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.best) == p.o {
 		if u <= p.best[0] {
 			return
@@ -145,8 +140,6 @@ func (p *recPass) candidates(op query.Operation) []ratingmap.Key {
 	if op.Added != nil {
 		d.bound = query.Selector{Side: op.Added.Side, Attr: op.Added.Attr}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.cands[d]; !ok {
 		p.cands[d] = p.ex.Gen.Candidates(p.ex.Query, op.Target)
 	}
@@ -157,8 +150,6 @@ func (p *recPass) candidates(op query.Operation) []ratingmap.Key {
 // CandidateOps' operations on the pass's cur: the delta fields are trusted
 // to describe how Target differs from it.
 func (p *recPass) records(op query.Operation) ([]int32, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if op.Kind != query.Generalize {
 		p.derived++
 	}
@@ -228,8 +219,6 @@ func (p *recPass) base(old query.Selector) ([]int32, error) {
 
 // describe records on the pass's span where its candidate groups came from.
 func (p *recPass) describe(span *obs.Span) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	span.SetAttr("groups_derived", p.derived)
 	span.SetAttr("groups_materialized", p.materialized)
 	span.SetAttr("partitions_built", len(p.parts))

@@ -168,10 +168,11 @@ func isMultiValued(ex *Explorer, s query.Selector) bool {
 func head(records []int32) []int32 { return records[:min(len(records), 5)] }
 
 // TestRecommendConcurrentSessionsShareNoPassState steps two sessions of one
-// explorer at once with RecWorkers = 4 and holds each to the
-// recommendations a RecWorkers = 1 explorer returns: the pass memo lives in
-// the RecommendCtx call, so neither the other session nor the call's own
-// workers can disturb it. Run under -race in CI.
+// explorer at once and holds each to the recommendations the same walk gets
+// alone on an explorer of its own: sessions share the explorer, its caches
+// and its sync.Pools, but the pass memo and the gate live in the
+// RecommendCtx call, so the other session cannot disturb them. Run under
+// -race in CI.
 func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 	db := coreDB(t)
 	starts := []query.Description{
@@ -200,13 +201,11 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 		return out, nil
 	}
 
-	seq, err := NewExplorer(db, DefaultConfig())
+	alone, err := NewExplorer(db, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RecWorkers = 4
-	par, err := NewExplorer(db, cfg)
+	shared, err := NewExplorer(db, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = walk(par, start)
+			got[i], errs[i] = walk(shared, start)
 		}()
 	}
 	wg.Wait()
@@ -225,7 +224,7 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want, err := walk(seq, start)
+		want, err := walk(alone, start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,13 +247,16 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 
 // TestRecommendSpanSaysWhereGroupsCameFrom pins the core.recommend span's
 // account of a Yelp-shaped step from a one-selector selection: every
-// candidate evaluated, some of them turned down by the bound gate (demo data,
-// which this test used to walk, is too even for that: at this step every
-// candidate's three best maps score ≈ 0.33 each, so every bound is ≈ 1.0 and
-// no exact utility is above 0.86), every one but the roll-up derived, two
-// materializations (the selection and the roll-up), and partitions holding
-// at least the displayed group once each.
+// candidate evaluated, exactly spanBounded of them turned down by the bound
+// gate — candidates are evaluated in CandidateOps order, so the count is a
+// function of the step and a second pass over it reports it too (demo
+// data, which this test used to walk, is too even for the gate: at this step
+// every candidate's three best maps score ≈ 0.33 each, so every bound is
+// ≈ 1.0 and no exact utility is above 0.86) — every one but the roll-up
+// derived, two materializations (the selection and the roll-up), and
+// partitions holding at least the displayed group once each.
 func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
+	const spanBounded = 161
 	db := coreDB(t)
 	ex, err := NewExplorer(db, DefaultConfig())
 	if err != nil {
@@ -308,8 +310,11 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	if evaluated != len(ops) {
 		t.Errorf("%d RecOpDurations for %d candidate operations", evaluated, len(ops))
 	}
-	if got := attr("bounded"); got <= 0 || got >= evaluated {
-		t.Errorf("bounded = %d of %d evaluated, want some and not all", got, evaluated)
+	if got := attr("bounded"); got != spanBounded {
+		t.Errorf("bounded = %d of %d evaluated, want %d", got, evaluated, spanBounded)
+	}
+	if _, _, again := recommendTraced(t, ex, start, res.Maps, sess.Seen(), ex.Cfg.O); again["bounded"] != spanBounded {
+		t.Errorf("a second pass over the same step: bounded = %v, want %d", again["bounded"], spanBounded)
 	}
 	if got := attr("groups_derived"); got != evaluated-1 {
 		t.Errorf("groups_derived = %d, want every candidate but the roll-up (%d)", got, evaluated-1)
@@ -342,8 +347,9 @@ var benchRecs []Recommendation
 // span sink, every candidate's engine.topmaps and engine.phase spans and
 // hot-path metrics included — the in-tree figure behind obs.overhead_frac.
 // Reports candidates/op and bounded/op — the candidates the bound gate
-// turned down, read off the core.recommend span of one more, untimed pass —
-// beside ns/op, B/op and allocs/op. With the cache on, most candidates of a
+// turned down, the same on every iteration (the gate is a function of the
+// pass's input), read off the core.recommend spans of two more, untimed
+// passes that must agree — beside ns/op, B/op and allocs/op. With the cache on, most candidates of a
 // pass are under its admission floor and bypass it, as they do in a binary.
 func BenchmarkRecommendPass(b *testing.B) {
 	for _, shape := range []struct {
@@ -438,11 +444,18 @@ func BenchmarkRecommendPass(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
-				sink := obs.NewRingSink(1)
-				if _, _, err := rb.RecommendCtx(obs.WithSink(context.Background(), sink), desc, res.Maps, seen, ex.Cfg.O); err != nil {
-					b.Fatal(err)
+				var bounded [2]int
+				for i := range bounded {
+					sink := obs.NewRingSink(1)
+					if _, _, err := rb.RecommendCtx(obs.WithSink(context.Background(), sink), desc, res.Maps, seen, ex.Cfg.O); err != nil {
+						b.Fatal(err)
+					}
+					bounded[i] = sink.Snapshot()[0].Attrs["bounded"].(int)
 				}
-				b.ReportMetric(float64(sink.Snapshot()[0].Attrs["bounded"].(int)), "bounded/op")
+				if bounded[0] != bounded[1] {
+					b.Fatalf("the gate turned down %d candidates, then %d, of one pass", bounded[0], bounded[1])
+				}
+				b.ReportMetric(float64(bounded[0]), "bounded/op")
 			})
 		}
 	}

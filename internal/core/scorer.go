@@ -12,8 +12,7 @@ import "subdex/internal/query"
 // derived for the candidate, so a scorer never evaluates a group.
 type OperationScorer interface {
 	// ScoreOperation returns the ranking utility of op given eq2, its
-	// Equation 2 utility under the maps the user has already seen. It is
-	// called from the builder's RecWorkers goroutines.
+	// Equation 2 utility under the maps the user has already seen.
 	ScoreOperation(op query.Operation, eq2 float64) float64
 }
 

@@ -156,9 +156,6 @@ func TestRatingTableValidation(t *testing.T) {
 	if err := rt.Append(0, 0, []Score{0}); err != nil { // 0 = missing, allowed
 		t.Fatal(err)
 	}
-	if rt.DimensionIndex("overall") != 0 || rt.DimensionIndex("nope") != -1 {
-		t.Error("DimensionIndex wrong")
-	}
 }
 
 // buildTinyDB assembles a small consistent database for integration-style

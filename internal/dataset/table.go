@@ -198,16 +198,6 @@ func NewRatingTable(dims ...Dimension) (*RatingTable, error) {
 // Len returns the number of rating records.
 func (rt *RatingTable) Len() int { return len(rt.Reviewer) }
 
-// DimensionIndex returns the index of the named dimension, or -1.
-func (rt *RatingTable) DimensionIndex(name string) int {
-	for i, d := range rt.Dimensions {
-		if d.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Append adds one rating record. scores must have one entry per dimension;
 // each must be in {0..scale} where 0 means missing.
 func (rt *RatingTable) Append(reviewer, item int, scores []Score) error {

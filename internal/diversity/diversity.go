@@ -36,17 +36,6 @@ func EMD(a, b *ratingmap.RatingMap) float64 {
 	return (pooled + sig) / 2
 }
 
-// PooledEMD is the paper-literal distance over pooled distributions only,
-// kept for the diversity ablation benches.
-func PooledEMD(a, b *ratingmap.RatingMap) float64 {
-	da, db := a.Distribution(), b.Distribution()
-	if len(da) != len(db) {
-		return math.Inf(1)
-	}
-	d, _ := stats.NormalizedEarthMovers(da, db)
-	return d
-}
-
 // EMDWithAttribute augments EMD with a small bonus when the two maps group
 // by different attributes or aggregate different dimensions, breaking ties
 // between identical distributions so distinct facets surface. The paper

@@ -91,8 +91,8 @@ func TestEMDScaleMismatch(t *testing.T) {
 	c := fabricate(0, "c")
 	c.Scale = 7
 	// Different scale → maximally distant.
-	if !math.IsInf(PooledEMD(a, c), 1) {
-		t.Skip("fabricated map has uniform fallback distribution of scale 5")
+	if !math.IsInf(EMD(a, c), 1) {
+		t.Errorf("EMD across scales %d and %d = %v, want +Inf", a.Scale, c.Scale, EMD(a, c))
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 	"subdex/internal/ratingmap"
 )
 
-// Variant is one of the six engine configurations compared in §5.3.
+// Variant is one of the six engine configurations compared in §5.3. The
+// repository evaluates a step's candidate operations one after another;
+// what a variant's Parallel says is which schedule the cost model lays over
+// their measured costs (see stepCost).
 type Variant struct {
 	Name string
 	// Pruning for the RM generator.
 	Pruning engine.Pruning
-	// Parallel recommendation building (simulated schedule over measured
-	// per-op costs; see stepCost).
+	// Parallel variants are modelled on simCores cores, the others on one.
 	Parallel bool
 }
 
@@ -34,75 +36,78 @@ func Variants() []Variant {
 	}
 }
 
-// simCores is the core count used for the simulated parallel schedule; the
-// paper sets the worker count to the number of available cores.
+// simCores is the core count of the simulated parallel schedule; the paper
+// sets the worker count to the number of available cores.
 const simCores = 8
 
-// stepCost measures one exploration step for a variant: the rating-map
-// generation time (real, with the variant's pruning) plus the
-// recommendation-building time. Candidate operations are always evaluated
-// sequentially for measurement stability; the parallel variants report the
-// schedule length over simCores workers (max(longest op, total/cores)),
-// the sequential ones the plain sum. On the paper's multi-core server the
-// schedule is what wall-clock realizes; on a 1-core CI box real wall-clock
-// would serialize either way, so the deterministic schedule keeps the
-// figure's shape hardware-independent.
+// simulatedHeading heads the cost-model column of every Figure 10 / 11
+// table, so that no simulated number is read as a measured one.
+var simulatedHeading = fmt.Sprintf("simulated, %d cores", simCores)
+
+// stepTime is what one exploration step cost: sequential is its wall-clock
+// on this machine, on one goroutine; simulated is the cost model's — the
+// same run with the candidates' summed cost replaced by the length of their
+// schedule over simCores workers, max(longest candidate, sum / simCores).
+// The model is the paper's parallel Recommendation Builder as this
+// repository reproduces it (DESIGN.md "Reproduction substitutions"): it
+// assumes candidates share nothing and cores are free, which the builder's
+// own partitions and gate do not grant it — a worker pool measured
+// 0.81–1.14× at two cores (EXPERIMENTS.md "PR 26"). A variant that is not
+// Parallel is the model's one-core schedule: its simulated time is its
+// sequential time.
+type stepTime struct{ sequential, simulated time.Duration }
+
+// stepCost runs one exploration step under the explorer's pruning scheme —
+// rating-map generation, then the recommendation pass — and returns both of
+// its times.
 func stepCost(ex *core.Explorer, desc query.Description, seen *ratingmap.SeenSet,
-	v Variant, o int) (time.Duration, *core.StepResult, error) {
+	v Variant, o int) (stepTime, *core.StepResult, error) {
 	start := time.Now()
 	res, err := ex.RMSet(desc, seen)
 	if err != nil {
-		return 0, nil, err
+		return stepTime{}, nil, err
 	}
-	genTime := time.Since(start)
 	for _, rm := range res.Maps {
 		seen.Add(rm)
 	}
 	rb := core.RecommendationBuilder{Ex: ex}
 	recs, durs, err := rb.Recommend(desc, res.Maps, seen, o)
 	if err != nil {
-		return 0, nil, err
+		return stepTime{}, nil, err
 	}
+	sequential := time.Since(start)
 	res.Recommendations = recs
-	var recTime time.Duration
+	simulated := sequential
 	if v.Parallel {
 		var total, longest time.Duration
 		for _, d := range durs {
 			total += d
-			if d > longest {
-				longest = d
-			}
+			longest = max(longest, d)
 		}
-		recTime = total / simCores
-		if longest > recTime {
-			recTime = longest
-		}
-	} else {
-		for _, d := range durs {
-			recTime += d
-		}
+		simulated += max(longest, total/simCores) - total
 	}
-	return genTime + recTime, res, nil
+	return stepTime{sequential, simulated}, res, nil
 }
 
 // runPath executes a Fully-Automated path under a variant and returns the
 // average step cost.
-func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (time.Duration, error) {
+func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (stepTime, error) {
 	cfg.Engine.Pruning = v.Pruning
 	ex, err := core.NewExplorer(db, cfg)
 	if err != nil {
-		return 0, err
+		return stepTime{}, err
 	}
 	seen := ratingmap.NewSeenSet()
 	var cur query.Description
-	var total time.Duration
+	var total stepTime
 	n := 0
 	for s := 0; s < steps; s++ {
 		cost, res, err := stepCost(ex, cur, seen, v, cfg.O)
 		if err != nil {
-			return 0, err
+			return stepTime{}, err
 		}
-		total += cost
+		total.sequential += cost.sequential
+		total.simulated += cost.simulated
 		n++
 		if len(res.Recommendations) == 0 {
 			break
@@ -110,9 +115,9 @@ func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (time.Durati
 		cur = res.Recommendations[0].Op.Target
 	}
 	if n == 0 {
-		return 0, nil
+		return stepTime{}, nil
 	}
-	return total / time.Duration(n), nil
+	return stepTime{total.sequential / time.Duration(n), total.simulated / time.Duration(n)}, nil
 }
 
 // scalabilitySteps keeps the sweeps affordable; the paper averages across
@@ -145,28 +150,30 @@ func yelpForScale(p Params) (*dataset.DB, error) {
 	return db, nil
 }
 
-// sweep runs all variants over a list of labelled databases and prints the
-// average step time per cell.
-func sweep(p Params, title, xlabel string, labels []string, dbs []*dataset.DB, cfg core.Config) error {
+// sweepTable prints one Figure 10 / 11 table: a row per variant and value
+// of the swept quantity, carrying the average step's measured sequential
+// time and, under simulatedHeading, the cost model's.
+func sweepTable(p Params, title, xlabel string, labels []string, cell func(v Variant, i int) (stepTime, error)) error {
 	header(p.Out, title)
 	tw := newTab(p.Out)
-	fmt.Fprintf(tw, "%s", xlabel)
-	for _, l := range labels {
-		fmt.Fprintf(tw, "\t%s", l)
-	}
-	fmt.Fprintln(tw)
+	fmt.Fprintf(tw, "variant\t%s\tsequential\t%s\n", xlabel, simulatedHeading)
 	for _, v := range Variants() {
-		fmt.Fprintf(tw, "%s", v.Name)
-		for _, db := range dbs {
-			avg, err := runPath(db, v, cfg, scalabilitySteps)
+		for i, l := range labels {
+			avg, err := cell(v, i)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(tw, "\t%s", fmtDur(avg))
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", v.Name, l, fmtDur(avg.sequential), fmtDur(avg.simulated))
 		}
-		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
+}
+
+// sweep runs all variants over a list of labelled databases.
+func sweep(p Params, title, xlabel string, labels []string, dbs []*dataset.DB, cfg core.Config) error {
+	return sweepTable(p, title, xlabel, labels, func(v Variant, i int) (stepTime, error) {
+		return runPath(dbs[i], v, cfg, scalabilitySteps)
+	})
 }
 
 // Fig10a sweeps the database size by sampling reviewers.
@@ -244,27 +251,11 @@ func paramSweep(p Params, title, xlabel string, labels []string, mut func(int, *
 	if err != nil {
 		return err
 	}
-	header(p.Out, title)
-	tw := newTab(p.Out)
-	fmt.Fprintf(tw, "%s", xlabel)
-	for _, l := range labels {
-		fmt.Fprintf(tw, "\t%s", l)
-	}
-	fmt.Fprintln(tw)
-	for _, v := range Variants() {
-		fmt.Fprintf(tw, "%s", v.Name)
-		for i := range labels {
-			cfg := sweepConfig()
-			mut(i, &cfg)
-			avg, err := runPath(db, v, cfg, scalabilitySteps)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "\t%s", fmtDur(avg))
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
+	return sweepTable(p, title, xlabel, labels, func(v Variant, i int) (stepTime, error) {
+		cfg := sweepConfig()
+		mut(i, &cfg)
+		return runPath(db, v, cfg, scalabilitySteps)
+	})
 }
 
 // Fig11a sweeps k, the number of displayed rating maps.

@@ -67,13 +67,6 @@ func HoeffdingSerflingRadius(m, n int, delta float64) float64 {
 	return math.Sqrt(correction * 2 * math.Log(1/delta) / (2 * float64(m)))
 }
 
-// HoeffdingSerflingInterval builds the worst-case confidence interval around
-// a running mean of values in [0,1] after m of n records, clamped to [0,1].
-func HoeffdingSerflingInterval(mean float64, m, n int, delta float64) Interval {
-	r := HoeffdingSerflingRadius(m, n, delta)
-	return Interval{Lo: mean - r, Hi: mean + r}.Clamp(0, 1)
-}
-
 // ANOVAResult carries the outcome of a one-way analysis of variance: the F
 // statistic, its degrees of freedom, and an approximate p-value. The paper
 // uses one-way ANOVA at p < .05 to verify that treatment subgroups do not

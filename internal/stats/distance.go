@@ -198,41 +198,3 @@ func NormalizedEarthMovers(p, q Distribution) (float64, error) {
 	}
 	return d / float64(len(p)-1), nil
 }
-
-// OutlierScore is the Outlier Function peculiarity alternative referenced in
-// §4.1: the largest absolute z-score of any bucket of p relative to the
-// bucket-wise mean and standard deviation of the reference distribution set.
-func OutlierScore(p Distribution, refs []Distribution) float64 {
-	if len(refs) == 0 || len(p) == 0 {
-		return 0
-	}
-	maxZ := 0.0
-	for i := range p {
-		mean, sd := 0.0, 0.0
-		n := 0
-		for _, r := range refs {
-			if i < len(r) {
-				mean += r[i]
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		mean /= float64(n)
-		for _, r := range refs {
-			if i < len(r) {
-				d := r[i] - mean
-				sd += d * d
-			}
-		}
-		sd = math.Sqrt(sd / float64(n))
-		if sd < 1e-9 {
-			sd = 1e-9
-		}
-		if z := math.Abs(p[i]-mean) / sd; z > maxZ {
-			maxZ = z
-		}
-	}
-	return maxZ
-}

@@ -196,22 +196,6 @@ func TestKLNonNegative(t *testing.T) {
 	}
 }
 
-func TestOutlierScore(t *testing.T) {
-	refs := []Distribution{
-		{0.2, 0.2, 0.2, 0.2, 0.2},
-		{0.21, 0.19, 0.2, 0.2, 0.2},
-		{0.19, 0.21, 0.2, 0.2, 0.2},
-	}
-	inlier := Distribution{0.2, 0.2, 0.2, 0.2, 0.2}
-	outlier := Distribution{0.9, 0.025, 0.025, 0.025, 0.025}
-	if OutlierScore(outlier, refs) <= OutlierScore(inlier, refs) {
-		t.Error("outlier should score higher than inlier")
-	}
-	if OutlierScore(inlier, nil) != 0 {
-		t.Error("no references should score 0")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	d := Distribution{0.3, 0.7}
 	c := d.Clone()

@@ -61,14 +61,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n)
 }
 
-// SampleVariance returns the unbiased sample variance (0 when n < 2).
-func (r *Running) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 

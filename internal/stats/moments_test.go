@@ -75,18 +75,6 @@ func TestRunningAddN(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	var r Running
-	r.Add(1)
-	if r.SampleVariance() != 0 {
-		t.Error("sample variance of n=1 must be 0")
-	}
-	r.Add(3)
-	if !almostEqual(r.SampleVariance(), 2, 1e-12) { // ((1-2)²+(3-2)²)/(2-1)
-		t.Errorf("sample variance = %v, want 2", r.SampleVariance())
-	}
-}
-
 func TestMinMaxNormalize(t *testing.T) {
 	xs := []float64{2, 4, 6}
 	MinMaxNormalize(xs)

@@ -175,19 +175,6 @@ func Load(path string) (*Trace, error) {
 	return Read(f)
 }
 
-// SeedScorer feeds every selection of the trace into a log-affinity scorer,
-// so a new session starts personalized to this history.
-func (tr *Trace) SeedScorer(ex *core.Explorer, scorer *core.LogAffinityScorer) error {
-	for _, ev := range tr.Events {
-		d, err := ex.ParseDescription(ev.Selection)
-		if err != nil {
-			return fmt.Errorf("trace: step %d selection %q: %w", ev.Step, ev.Selection, err)
-		}
-		scorer.Observe(query.Operation{Target: d})
-	}
-	return nil
-}
-
 // Replay walks the trace's selections against an explorer, recomputing each
 // step's display, and returns the per-step selection mismatches — empty when
 // the engine still shows the same rating maps it showed when the trace was

@@ -183,41 +183,6 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestSeedScorer(t *testing.T) {
-	ex, sess := traceSession(t)
-	tr := FromSession(sess)
-	scorer := &core.LogAffinityScorer{Alpha: 0.5}
-	if err := tr.SeedScorer(ex, scorer); err != nil {
-		t.Fatal(err)
-	}
-	// The scorer must now boost an operation touching a logged attribute.
-	var logged query.Selector
-	found := false
-	for _, ev := range tr.Events {
-		d, err := ex.ParseDescription(ev.Selection)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sels := d.Selectors(); len(sels) > 0 {
-			logged = sels[0]
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Skip("trace never narrowed the selection")
-	}
-	op := query.Operation{Target: query.MustDescription(logged), Added: &logged}
-	base, err := ex.OperationUtility(op, sess.Seen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boosted := scorer.ScoreOperation(op, base)
-	if boosted <= base {
-		t.Fatalf("seeded scorer must boost logged attributes: %v vs %v", boosted, base)
-	}
-}
-
 // TestEventDegradedRoundTrip checks that deadline-degraded steps persist
 // their anytime markers through FromSession and the JSONL round trip.
 func TestEventDegradedRoundTrip(t *testing.T) {
