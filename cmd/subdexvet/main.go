@@ -1,19 +1,10 @@
-// Command subdexvet is SubDEx's project-invariant checker: a
-// multichecker over the seven analyzers that encode the disciplines
-// hand-review kept re-catching in PRs 1–8 (see internal/analysis/...).
-// The PR 9 additions (lockorder, walcheck, goleak) are inter-procedural:
-// they compose per-function summaries across packages through the vetx
-// fact files, so running under `go vet -vettool` gives the same global
-// verdicts as the standalone driver.
-//
-// Run it standalone over the module:
+// Command subdexvet is SubDEx's project-invariant checker: the five
+// analyzers that encode disciplines only a static check can see (see
+// internal/analysis/... and DESIGN.md "Invariants as analyzers"), run
+// over the module in the current directory by one in-process driver.
 //
 //	go run ./cmd/subdexvet ./...
-//
-// or as a vet tool, which lets cmd/go cache results per package:
-//
-//	go build -o bin/subdexvet ./cmd/subdexvet
-//	go vet -vettool=$PWD/bin/subdexvet ./...
+//	go run ./cmd/subdexvet help
 //
 // Exit status: 0 clean, 1 driver error, 2 findings.
 package main
@@ -22,11 +13,9 @@ import (
 	"subdex/internal/analysis/ctxflow"
 	"subdex/internal/analysis/detorder"
 	"subdex/internal/analysis/framework"
-	"subdex/internal/analysis/goleak"
 	"subdex/internal/analysis/lockblock"
 	"subdex/internal/analysis/lockorder"
 	"subdex/internal/analysis/obsmetrics"
-	"subdex/internal/analysis/walcheck"
 )
 
 func main() {
@@ -36,7 +25,5 @@ func main() {
 		detorder.Analyzer,
 		lockblock.Analyzer,
 		lockorder.Analyzer,
-		walcheck.Analyzer,
-		goleak.Analyzer,
 	})
 }

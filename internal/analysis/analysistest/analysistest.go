@@ -122,9 +122,7 @@ func (ld *fixtureLoader) load(path string) (*loaded, error) {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	lp := &loaded{
-		pkg: &framework.Package{
-			Path: path, Fset: ld.fset, Files: files, Types: tpkg, TypesInfo: info,
-		},
+		pkg:   &framework.Package{Fset: ld.fset, Files: files, Types: tpkg, TypesInfo: info},
 		types: tpkg,
 	}
 	ld.cache[path] = lp

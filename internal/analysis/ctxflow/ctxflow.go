@@ -17,9 +17,9 @@
 //     body calls F+"Ctx" — the one-line wrappers (engine.TopMaps,
 //     core.Session.Step, core.Explorer.RMSet) that keep the pre-context
 //     API alive by delegating to the context-aware implementation,
-//     - the nil-context normalization guard `if ctx == nil { ctx =
-//     context.Background() }` used by nil-safe observability entry
-//     points (obs.StartSpan).
+//     - a call annotated `//subdex:ctxflow <reason>` (trailing or on the
+//     line above), reason mandatory: the one in the module is the nil-ctx
+//     normalization of the nil-safe obs.StartSpan.
 package ctxflow
 
 import (
@@ -32,7 +32,7 @@ import (
 // Analyzer is the ctxflow check.
 var Analyzer = &framework.Analyzer{
 	Name: "ctxflow",
-	Doc:  "context.Context first and named ctx; no context.Background/TODO outside main, tests, XCtx shims, and nil-ctx guards",
+	Doc:  "context.Context first and named ctx; no context.Background/TODO outside main, tests, XCtx shims, and //subdex:ctxflow annotated calls",
 	Run:  run,
 }
 
@@ -45,9 +45,9 @@ func run(pass *framework.Pass) error {
 		}
 		switch node := n.(type) {
 		case *ast.FuncDecl:
-			checkSignature(pass, node.Type, node.Recv != nil)
+			checkSignature(pass, node.Type)
 		case *ast.FuncLit:
-			checkSignature(pass, node.Type, false)
+			checkSignature(pass, node.Type)
 		case *ast.CallExpr:
 			if !isMain {
 				checkRootContextCall(pass, node, stack)
@@ -59,7 +59,7 @@ func run(pass *framework.Pass) error {
 }
 
 // checkSignature enforces rule 1 on one function signature.
-func checkSignature(pass *framework.Pass, ft *ast.FuncType, isMethod bool) {
+func checkSignature(pass *framework.Pass, ft *ast.FuncType) {
 	if ft.Params == nil {
 		return
 	}
@@ -84,7 +84,6 @@ func checkSignature(pass *framework.Pass, ft *ast.FuncType, isMethod bool) {
 		}
 		paramIdx += names
 	}
-	_ = isMethod // the receiver does not count as a parameter
 }
 
 // checkRootContextCall enforces rule 2 on one call expression.
@@ -96,7 +95,14 @@ func checkRootContextCall(pass *framework.Pass, call *ast.CallExpr, stack []ast.
 	if fn.Name() != "Background" && fn.Name() != "TODO" {
 		return
 	}
-	if inXCtxShim(pass, stack) || inNilCtxGuard(pass, call, stack) {
+	if inXCtxShim(stack) {
+		return
+	}
+	file := framework.FileOf(pass.Files, call.Pos())
+	if reason, found := framework.Annotation(pass.Fset, file, call, "ctxflow"); found {
+		if reason == "" {
+			pass.Reportf(call.Pos(), "//subdex:ctxflow needs a reason: say why no caller deadline is severed here")
+		}
 		return
 	}
 	pass.Reportf(call.Pos(),
@@ -105,7 +111,7 @@ func checkRootContextCall(pass *framework.Pass, call *ast.CallExpr, stack []ast.
 
 // inXCtxShim reports whether the call sits inside a function named F
 // whose body calls F+"Ctx" — the compatibility-shim convention.
-func inXCtxShim(pass *framework.Pass, stack []ast.Node) bool {
+func inXCtxShim(stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		fd, ok := stack[i].(*ast.FuncDecl)
 		if !ok {
@@ -127,55 +133,6 @@ func inXCtxShim(pass *framework.Pass, stack []ast.Node) bool {
 			return !found
 		})
 		return found
-	}
-	return false
-}
-
-// inNilCtxGuard recognizes the normalization idiom
-//
-//	if ctx == nil { ctx = context.Background() }
-//
-// permitted in nil-safe entry points: the enclosing if's condition
-// compares a context variable against nil, and the call's result is
-// assigned straight back to that variable.
-func inNilCtxGuard(pass *framework.Pass, call *ast.CallExpr, stack []ast.Node) bool {
-	// Expect: AssignStmt{lhs = call} directly inside IfStmt{cond: lhs == nil}.
-	if len(stack) < 3 {
-		return false
-	}
-	assign, ok := stack[len(stack)-1].(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 || ast.Unparen(assign.Rhs[0]) != call {
-		return false
-	}
-	lhs, ok := assign.Lhs[0].(*ast.Ident)
-	if !ok || !isContextType(pass.TypesInfo.Types[assign.Lhs[0]].Type) {
-		return false
-	}
-	var ifStmt *ast.IfStmt
-	for i := len(stack) - 2; i >= 0 && ifStmt == nil; i-- {
-		switch s := stack[i].(type) {
-		case *ast.BlockStmt:
-			continue
-		case *ast.IfStmt:
-			ifStmt = s
-		default:
-			return false
-		}
-	}
-	if ifStmt == nil {
-		return false
-	}
-	bin, ok := ast.Unparen(ifStmt.Cond).(*ast.BinaryExpr)
-	if !ok || bin.Op.String() != "==" {
-		return false
-	}
-	x, xOK := ast.Unparen(bin.X).(*ast.Ident)
-	y, yOK := ast.Unparen(bin.Y).(*ast.Ident)
-	switch {
-	case xOK && x.Name == lhs.Name && yOK && y.Name == "nil":
-		return true
-	case yOK && y.Name == lhs.Name && xOK && x.Name == "nil":
-		return true
 	}
 	return false
 }

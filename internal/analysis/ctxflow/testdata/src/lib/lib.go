@@ -16,13 +16,18 @@ func Step(n int) error {
 	return StepCtx(context.Background(), n)
 }
 
-// StartSpan is nil-safe: the nil-ctx normalization guard is the one
-// non-shim place a library may call Background.
+// StartSpan is nil-safe: its normalization is annotated, with a reason.
 func StartSpan(ctx context.Context, name string) context.Context {
 	if ctx == nil {
-		ctx = context.Background()
+		ctx = context.Background() //subdex:ctxflow nil-safe entry point: a nil ctx carries no deadline
 	}
 	return ctx
+}
+
+// bareAnnotation gives no reason, which is itself a finding.
+func bareAnnotation() context.Context {
+	//subdex:ctxflow
+	return context.Background() // want `//subdex:ctxflow needs a reason`
 }
 
 // detached mints a root context with no shim or guard in sight.

@@ -10,14 +10,11 @@
 //     package per Pass and reports findings through Pass.Report.
 //   - Package facts: an analyzer may export one JSON-serializable fact
 //     blob per package and observe the facts of previously analyzed
-//     packages, enabling cross-package invariants (obsmetrics uses this
-//     to catch a metric name re-registered with different help text in a
-//     different package).
-//   - Two drivers sharing this contract: a standalone driver (load.go)
-//     that loads packages via `go list -export`, and a unitchecker-style
-//     driver (unitchecker.go) speaking `go vet -vettool`'s vet.cfg
-//     protocol, so the same analyzers run identically from the command
-//     line, from CI, and from `go vet`.
+//     packages, enabling cross-package invariants (lockorder composes
+//     the module's lock-acquisition graph this way).
+//   - One driver (load.go, Main): it loads the module's packages via
+//     `go list -export`, analyzes them in dependency order in one
+//     process and threads one in-memory FactStore through the run.
 //
 // The API deliberately mirrors x/tools so analyzers could be ported to
 // the upstream framework by changing imports alone.
@@ -40,10 +37,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-	// UsesFacts marks analyzers that call Pass.ExportFact /
-	// Pass.ImportedFact. It is advisory (drivers always plumb facts) but
-	// documents the analyzer's cross-package nature.
-	UsesFacts bool
 }
 
 // A Diagnostic is one finding, positioned in the analyzed package's file
@@ -69,13 +62,10 @@ type Pass struct {
 
 	report func(Diagnostic)
 	store  FactStore
-	path   string // canonical package path (test-variant suffixes stripped)
 }
 
-// Path returns the canonical import path of the package under analysis,
-// with any `go vet` test-variant decoration (" [pkg.test]") stripped, so
-// path-based scoping rules behave identically under both drivers.
-func (p *Pass) Path() string { return p.path }
+// Path returns the import path of the package under analysis.
+func (p *Pass) Path() string { return p.Pkg.Path() }
 
 // Report records a finding.
 func (p *Pass) Report(pos token.Pos, msg string) {
@@ -99,7 +89,7 @@ func (p *Pass) ExportFact(v any) error {
 		byPkg = make(map[string]json.RawMessage)
 		p.store[p.Analyzer.Name] = byPkg
 	}
-	byPkg[p.path] = raw
+	byPkg[p.Path()] = raw
 	return nil
 }
 
@@ -113,7 +103,7 @@ func (p *Pass) ImportedFacts() []PackageFact {
 	}
 	paths := make([]string, 0, len(byPkg))
 	for path := range byPkg {
-		if path != p.path {
+		if path != p.Path() {
 			paths = append(paths, path)
 		}
 	}
@@ -133,40 +123,16 @@ type PackageFact struct {
 }
 
 // FactStore accumulates facts across packages: analyzer name → package
-// path → raw JSON fact. Drivers thread one store through an analysis
-// run; the unitchecker driver serializes it to the vetx file.
+// path → raw JSON fact. The driver threads one store through a run.
 type FactStore map[string]map[string]json.RawMessage
 
-// Merge copies other's facts into s (other wins on conflicts).
-func (s FactStore) Merge(other FactStore) {
-	for name, byPkg := range other {
-		dst := s[name]
-		if dst == nil {
-			dst = make(map[string]json.RawMessage)
-			s[name] = dst
-		}
-		for path, raw := range byPkg {
-			dst[path] = raw
-		}
-	}
-}
-
-// A Package is one loaded, type-checked package, ready for analysis.
+// A Package is one loaded, type-checked package, ready for analysis; its
+// import path is Types.Path().
 type Package struct {
-	Path      string // canonical import path (no test-variant suffix)
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-}
-
-// CanonicalPath strips `go vet`'s test-variant decorations from an
-// import path: "pkg [pkg.test]" → "pkg", "pkg.test" → "pkg".
-func CanonicalPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, ".test")
 }
 
 // Analyze runs every analyzer over pkg, reading and writing facts in
@@ -184,11 +150,10 @@ func Analyze(pkg *Package, analyzers []*Analyzer, store FactStore) ([]Diagnostic
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 			store:     store,
-			path:      pkg.Path,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
+			return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Types.Path(), a.Name, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -208,7 +173,7 @@ func Analyze(pkg *Package, analyzers []*Analyzer, store FactStore) ([]Diagnostic
 }
 
 // NewTypesInfo allocates a types.Info with every map populated — the
-// shape both drivers and the analysistest harness feed to analyzers.
+// shape the driver and the analysistest harness feed to analyzers.
 func NewTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -7,19 +7,6 @@ import (
 	"testing"
 )
 
-func TestCanonicalPath(t *testing.T) {
-	cases := map[string]string{
-		"subdex/internal/engine":                               "subdex/internal/engine",
-		"subdex/internal/engine.test":                          "subdex/internal/engine",
-		"subdex/internal/engine [subdex/internal/engine.test]": "subdex/internal/engine",
-	}
-	for in, want := range cases {
-		if got := CanonicalPath(in); got != want {
-			t.Errorf("CanonicalPath(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestPathHasSuffix(t *testing.T) {
 	cases := []struct {
 		path, suffix string

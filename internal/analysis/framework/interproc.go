@@ -1,30 +1,23 @@
-// Inter-procedural building blocks: the facts-based dataflow layer the
-// PR 9 analyzers (lockorder, walcheck, goleak) compose cross-package
-// checks from.
+// Inter-procedural building blocks: the facts-based dataflow layer
+// lockorder composes its cross-package check from, and the statement
+// walker it shares with lockblock.
 //
-// The model mirrors `go vet`'s fact propagation. Each analyzer computes,
+// The model mirrors `go vet`'s fact propagation. An analyzer computes,
 // per package, a summary for every declared function (which lock classes
-// it may acquire, whether it propagates a Store error, whether it
-// observes a cancellation signal) that is already *closed* over
-// everything the package can see: its own call graph (by local
-// fixpoint, so intra-package recursion and mutual calls converge) and
-// the summaries imported from dependency facts. A dependent package
-// then needs exactly one hop — look the callee's key up in the fact —
-// never a whole-program graph. The known blind spot, shared with vet
-// itself, is a cycle spread across sibling packages with no import
-// relation between them; the lockorder fact therefore also carries the
-// raw acquisition *edges* so any importer of both sides still sees the
-// composed graph.
+// it may acquire) that is already *closed* over everything the package
+// can see: its own call graph (by local fixpoint, so intra-package
+// recursion and mutual calls converge) and the summaries in the facts of
+// the packages analyzed before it. A dependent package then needs exactly
+// one hop — look the callee's key up in the fact — never a whole-program
+// graph.
 //
-// Identity is textual because facts are JSON that crosses process
-// boundaries (the vetx files): functions are keyed
-// "pkgpath.Name" / "pkgpath.(Type).Name", and lock/channel/counter
-// objects are keyed by *class* — "pkgpath.(Type).field" for a struct
-// field, "pkgpath.name" for a package-level var — deliberately merging
-// all instances of a type (every sessionEntry.mu is one class: lock
-// *order* is a property of classes, not instances). Locals that never
-// leave a function render as "" and are each analyzer's choice to
-// track by expression key or ignore.
+// Identity is textual because facts are JSON: functions are keyed
+// "pkgpath.Name" / "pkgpath.(Type).Name", and locks are keyed by
+// *class* — "pkgpath.(Type).field" for a struct field, "pkgpath.name"
+// for a package-level var — deliberately merging all instances of a type
+// (every sessionEntry.mu is one class: lock *order* is a property of
+// classes, not instances). A local that never leaves a function has no
+// class; ScanFlow tracks it by expression.
 package framework
 
 import (
@@ -48,21 +41,12 @@ func FuncKeyOf(fn *types.Func) string {
 		return ""
 	}
 	if recv := ReceiverTypeName(fn); recv != "" {
-		return CanonicalPath(fn.Pkg().Path()) + ".(" + recv + ")." + fn.Name()
+		return fn.Pkg().Path() + ".(" + recv + ")." + fn.Name()
 	}
 	// A package function — or a receiver of unnamed type (an embedded
 	// interface literal), whose package-function rendering is still
 	// stable if imprecise.
-	return CanonicalPath(fn.Pkg().Path()) + "." + fn.Name()
-}
-
-// CalleeKey resolves call's static callee to its FuncKey, or "" for
-// calls through function values, builtins, and conversions. Calls on
-// interface values key to the *interface* method
-// ("pkg.(Iface).Method") — the interface's defining package exports a
-// merged summary under that key (see InterfaceMethodImpls).
-func CalleeKey(info *types.Info, call *ast.CallExpr) string {
-	return FuncKeyOf(CalleeFunc(info, call))
+	return fn.Pkg().Path() + "." + fn.Name()
 }
 
 // FuncBody is one scannable function body in a package: either a
@@ -112,9 +96,8 @@ func FuncBodies(pass *Pass) []FuncBody {
 // Object classes
 // ---------------------------------------------------------------------------
 
-// ObjClass renders the object behind expr (the receiver of a Lock call,
-// the operand of close(), the target of Counter registration) as a
-// cross-package class:
+// ObjClass renders the object behind expr (the receiver of a Lock call)
+// as a cross-package class:
 //
 //	fs.swapMu      → "subdex/internal/sessionstore.(FileStore).swapMu"
 //	fs.st.mu       → "subdex/internal/sessionstore.(memState).mu"
@@ -137,7 +120,7 @@ func ObjClass(info *types.Info, expr ast.Expr) string {
 			return ""
 		}
 		if v.Parent() == v.Pkg().Scope() { // package-level var
-			return CanonicalPath(v.Pkg().Path()) + "." + v.Name()
+			return v.Pkg().Path() + "." + v.Name()
 		}
 		return ""
 	case *ast.SelectorExpr:
@@ -145,7 +128,7 @@ func ObjClass(info *types.Info, expr ast.Expr) string {
 		if !ok {
 			// Qualified identifier pkg.Var.
 			if obj, okO := info.Uses[x.Sel].(*types.Var); okO && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				return CanonicalPath(obj.Pkg().Path()) + "." + obj.Name()
+				return obj.Pkg().Path() + "." + obj.Name()
 			}
 			return ""
 		}
@@ -161,41 +144,21 @@ func ObjClass(info *types.Info, expr ast.Expr) string {
 		if !okN {
 			return ""
 		}
-		return CanonicalPath(named.Obj().Pkg().Path()) + ".(" + named.Obj().Name() + ")." + v.Name()
+		return named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + v.Name()
 	}
 	return ""
 }
 
-// LocalPrefix marks the key of an object that has no class.
-const LocalPrefix = "local:"
+// localPrefix marks the key of an object that has no class.
+const localPrefix = "local:"
 
-// ObjKey is ObjClass with a fallback for a local, which renders to no
-// class: LocalPrefix plus the expression, meaningful in one package only.
-func ObjKey(info *types.Info, expr ast.Expr) string {
+// objKey is ObjClass with a fallback for a local, which renders to no
+// class: localPrefix plus the expression, meaningful in one function only.
+func objKey(info *types.Info, expr ast.Expr) string {
 	if class := ObjClass(info, expr); class != "" {
 		return class
 	}
-	return LocalPrefix + ExprKey(expr)
-}
-
-// FieldClassInLiteral renders the class of a field being initialized in
-// a composite literal: for the key ident of `&Server{walFailures: …}`
-// it returns "pkg.(Server).walFailures". lit is the enclosing
-// CompositeLit, key the field name ident.
-func FieldClassInLiteral(info *types.Info, lit *ast.CompositeLit, key *ast.Ident) string {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return ""
-	}
-	t := tv.Type
-	if ptr, okP := t.(*types.Pointer); okP {
-		t = ptr.Elem()
-	}
-	named, okN := t.(*types.Named)
-	if !okN || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return CanonicalPath(named.Obj().Pkg().Path()) + ".(" + named.Obj().Name() + ")." + key.Name
+	return localPrefix + exprKey(expr)
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +228,7 @@ type flowScanner struct {
 	inComm bool
 }
 
-// heldLock is one entry of the held set, keyed by ObjKey.
+// heldLock is one entry of the held set, keyed by objKey.
 type heldLock struct {
 	n    int    // acquisitions not yet released
 	name string // the expression that took it first, for messages
@@ -278,7 +241,7 @@ func (fs *flowScanner) event(ev FlowEvent, held map[string]heldLock) {
 			continue
 		}
 		ev.Locks = append(ev.Locks, l.name)
-		if !strings.HasPrefix(key, LocalPrefix) {
+		if !strings.HasPrefix(key, localPrefix) {
 			ev.Held = append(ev.Held, key)
 		}
 	}
@@ -424,7 +387,7 @@ func (fs *flowScanner) call(call *ast.CallExpr, held map[string]heldLock) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	recv, method := "", ""
 	if ok {
-		recv, method = SyncMethod(fs.info, sel)
+		recv, method = syncMethod(fs.info, sel)
 	}
 	if recv != "Mutex" && recv != "RWMutex" {
 		if fn := CalleeFunc(fs.info, call); fn != nil {
@@ -432,11 +395,11 @@ func (fs *flowScanner) call(call *ast.CallExpr, held map[string]heldLock) {
 		}
 		return
 	}
-	key := ObjKey(fs.info, sel.X)
+	key := objKey(fs.info, sel.X)
 	l := held[key]
 	switch method {
 	case "Lock", "RLock", "TryLock", "TryRLock":
-		if !strings.HasPrefix(key, LocalPrefix) {
+		if !strings.HasPrefix(key, localPrefix) {
 			kind := FlowAcquire
 			if method == "TryLock" || method == "TryRLock" {
 				kind = FlowTryAcquire
@@ -444,7 +407,7 @@ func (fs *flowScanner) call(call *ast.CallExpr, held map[string]heldLock) {
 			fs.event(FlowEvent{Kind: kind, Class: key, Call: call, Pos: call.Pos()}, held)
 		}
 		if l.n == 0 {
-			l.name = ExprKey(sel.X)
+			l.name = exprKey(sel.X)
 		}
 		l.n++
 	case "Unlock", "RUnlock":
@@ -455,27 +418,26 @@ func (fs *flowScanner) call(call *ast.CallExpr, held map[string]heldLock) {
 	held[key] = l
 }
 
-// ExprKey renders an expression as a stable source-path key: "s.mu",
-// "wg", "shards[...]". Package-local only (two functions' local "wg"
-// collide) — use ObjClass for cross-package identity and ExprKey when
-// a local object must be matched within one package.
-func ExprKey(e ast.Expr) string {
+// exprKey renders an expression as a source-path key: "s.mu", "mu",
+// "shards[...]" — how a held lock is named in messages, and what
+// identifies a function-local one.
+func exprKey(e ast.Expr) string {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return x.Name
 	case *ast.SelectorExpr:
-		return ExprKey(x.X) + "." + x.Sel.Name
+		return exprKey(x.X) + "." + x.Sel.Name
 	case *ast.IndexExpr:
-		return ExprKey(x.X) + "[...]"
+		return exprKey(x.X) + "[...]"
 	default:
 		return "<expr>"
 	}
 }
 
-// SyncMethod resolves sel to a method of a package sync type (selected
+// syncMethod resolves sel to a method of a package sync type (selected
 // directly or via embedding) and returns the type's and the method's
-// names — ("Mutex", "Lock"), ("WaitGroup", "Done") — or "", "".
-func SyncMethod(info *types.Info, sel *ast.SelectorExpr) (recv, method string) {
+// names — ("Mutex", "Lock") — or "", "".
+func syncMethod(info *types.Info, sel *ast.SelectorExpr) (recv, method string) {
 	selection, ok := info.Selections[sel]
 	if !ok {
 		return "", ""
@@ -514,7 +476,7 @@ func ReceiverTypeName(fn *types.Func) string {
 // ("pkg.(Iface).Method") to the keys of the same-signature methods on
 // the concrete package-scope types that implement the interface.
 // Analyzers use it to export a merged summary under the interface
-// method's key, which is what CalleeKey yields at dynamic call sites —
+// method's key, which is what a dynamic call site's FlowEvent.Key is —
 // so a caller of sessionstore.Store.Get composes with the union of
 // MemStore.Get and FileStore.Get without ever seeing the concrete
 // types. Implementations in *other* packages are invisible (vet's
@@ -553,7 +515,7 @@ func InterfaceMethodImpls(pkg *types.Package) map[string][]string {
 				if !okF {
 					continue
 				}
-				ikey := CanonicalPath(pkg.Path()) + ".(" + itn.Name() + ")." + m.Name()
+				ikey := pkg.Path() + ".(" + itn.Name() + ")." + m.Name()
 				out[ikey] = append(out[ikey], FuncKeyOf(implFn))
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -35,11 +36,8 @@ type listPackage struct {
 // package from source — imports are satisfied from the build cache's
 // export data, so loading needs no network and no GOPATH — and returns
 // the pattern-matched packages in dependency order (a package's
-// in-module imports precede it), ready for Analyze.
-//
-// This is the standalone driver's loader; the vet -vettool path instead
-// receives file lists and export-data locations from cmd/go via the
-// vet.cfg protocol (see unitchecker.go).
+// in-module imports precede it), ready for Analyze. Test files are not
+// loaded: every analyzer exempts them.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -120,22 +118,15 @@ func checkPackage(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Pa
 		Importer: importMapper{imp: imp, importMap: lp.ImportMap},
 		Error:    func(error) {}, // collect just the first via Check's return
 	}
-	tpkg, err := conf.Check(CanonicalPath(lp.ImportPath), fset, files, info)
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 	}
-	return &Package{
-		Path:      CanonicalPath(lp.ImportPath),
-		Fset:      fset,
-		Files:     files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
+	return &Package{Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
 }
 
 // importMapper applies a source-path → canonical-path import map (as
-// produced by go list and the vet.cfg protocol for vendoring and test
-// variants) in front of an export-data importer.
+// produced by go list for vendoring) in front of an export-data importer.
 type importMapper struct {
 	imp       types.Importer
 	importMap map[string]string
@@ -146,4 +137,43 @@ func (m importMapper) Import(path string) (*types.Package, error) {
 		path = mapped
 	}
 	return m.imp.Import(path)
+}
+
+// Main is cmd/subdexvet's entry point: it analyzes the packages of the
+// module in the current directory that match the pattern arguments
+// ("./..." when there are none), or prints the analyzers' documentation
+// for `subdexvet help`. Findings go to stderr; the exit status is 2 when
+// there are findings, 1 on load errors, 0 when clean (the same contract as
+// x/tools' checkers). It never returns.
+func Main(analyzers []*Analyzer) {
+	args := os.Args[1:]
+	if len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+		fmt.Println("subdexvet: SubDEx project-invariant analyzers")
+		fmt.Println()
+		fmt.Println("usage: subdexvet [packages]")
+		fmt.Println()
+		for _, a := range analyzers {
+			fmt.Printf("%s:\n%s\n\n", a.Name, strings.TrimSpace(a.Doc))
+		}
+		os.Exit(0)
+	}
+	pkgs, err := Load("", args...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "subdexvet:", err)
+		os.Exit(1)
+	}
+	store := make(FactStore)
+	exit := 0
+	for _, pkg := range pkgs {
+		diags, err := Analyze(pkg, analyzers, store)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "subdexvet:", err)
+			os.Exit(1)
+		}
+		for _, d := range diags {
+			fmt.Fprintln(os.Stderr, d)
+			exit = 2
+		}
+	}
+	os.Exit(exit)
 }

@@ -35,15 +35,11 @@
 // discipline pinned by its own tests, not by this analyzer).
 //
 // That exemption is a split of jurisdiction, not a blind spot: what
-// lockblock waives for sessionstore (file I/O under wmu), the walcheck
-// analyzer covers from the other side — every error those exempted
-// writes can return must be checked or propagated, and every caller on
-// the log-before-respond path must count the failure before answering.
-// The ordering of the locks the WAL write path takes is lockorder's
-// jurisdiction. The internal/sessionstore fixture in testdata pins the
-// lockblock half (exempt writes unflagged, universal rules still
-// enforced); walcheck's own internal/sessionstore fixture pins the
-// other half against the same idiom.
+// those exempted writes' errors must lead to — never a 2xx, and a count
+// before the answer — is internal/server's TestStoreFaultIsNeverSilent,
+// and the ordering of the locks the WAL write path takes is lockorder's.
+// The internal/sessionstore fixture in testdata pins the lockblock half
+// (exempt writes unflagged, universal rules still enforced).
 package lockblock
 
 import (
@@ -62,8 +58,7 @@ var Analyzer = &framework.Analyzer{
 
 // fileIOCriticalPkgs are the package-path suffixes where file I/O under
 // a held mutex is also a finding. internal/sessionstore is exempt by
-// design — its WAL writes under wmu on purpose, and walcheck owns the
-// error-path discipline of exactly those writes: see the package
+// design — its WAL writes under wmu on purpose: see the package
 // comment's jurisdiction note.
 var fileIOCriticalPkgs = []string{"internal/server", "internal/obs", "internal/core"}
 

@@ -3,12 +3,6 @@
 // under the writer mutex by design (ordering), moving only the fsync
 // outside — so none of these may be flagged. The universal rules still
 // apply: a time.Sleep under the same lock stays a finding.
-//
-// This fixture is one half of the lockblock/walcheck jurisdiction
-// split: lockblock waives the write-under-wmu idiom here, and
-// walcheck's own internal/sessionstore fixture pins the other half —
-// the errors these exempted writes return must be checked or
-// propagated, and counted on the log-before-respond path.
 package sessionstore
 
 import (

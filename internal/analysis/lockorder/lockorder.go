@@ -52,16 +52,16 @@ import (
 
 // Analyzer is the lockorder check.
 var Analyzer = &framework.Analyzer{
-	Name:      "lockorder",
-	Doc:       "global lock-acquisition graph: no cycles, and declared //subdex:lockorder rank=N hierarchies must be acquired in strictly increasing rank order",
-	Run:       run,
-	UsesFacts: true,
+	Name: "lockorder",
+	Doc:  "global lock-acquisition graph: no cycles, and declared //subdex:lockorder rank=N hierarchies must be acquired in strictly increasing rank order",
+	Run:  run,
 }
 
 // pkgFact is the per-package fact: closed may-acquire summaries for
-// every declared function (and interface method), the acquisition
-// edges observed so far (local ∪ imported, so the reachable graph
-// composes transitively under both drivers), and every declared rank.
+// every declared function (and interface method), the acquisition edges
+// observed in the package, and the ranks it declares. A later package
+// sees the facts of every package analyzed before it, so the union of
+// their edges is the module's graph so far.
 type pkgFact struct {
 	MayAcquire map[string][]string `json:"may_acquire,omitempty"`
 	Edges      []factEdge          `json:"edges,omitempty"`
@@ -103,7 +103,10 @@ func run(pass *framework.Pass) error {
 	}
 
 	// 2. Local rank declarations.
-	collectRanks(pass, ranks)
+	localRanks := collectRanks(pass)
+	for class, r := range localRanks {
+		ranks[class] = r
+	}
 
 	// 3. Scan every body: acquisition edges, may-acquire seeds, calls.
 	seeds := make(map[string][]string)
@@ -242,9 +245,8 @@ func run(pass *framework.Pass) error {
 		}
 	}
 
-	// 8. Export: closed summaries, the transitive edge union, merged
-	// ranks.
-	exported := pkgFact{Ranks: ranks}
+	// 8. Export: closed summaries, this package's edges and ranks.
+	exported := pkgFact{Ranks: localRanks}
 	for key, classes := range mayAcquire {
 		if len(classes) == 0 {
 			continue
@@ -254,32 +256,20 @@ func run(pass *framework.Pass) error {
 		}
 		exported.MayAcquire[key] = classes
 	}
-	all := make(map[factEdge]bool, len(upstreamEdges)+len(edges))
-	for e := range upstreamEdges {
-		all[e] = true
-	}
 	for _, e := range edges {
-		all[factEdge{From: e.from, To: e.to}] = true
+		exported.Edges = append(exported.Edges, factEdge{From: e.from, To: e.to})
 	}
-	for e := range all {
-		exported.Edges = append(exported.Edges, e)
-	}
-	sort.Slice(exported.Edges, func(i, j int) bool {
-		if exported.Edges[i].From != exported.Edges[j].From {
-			return exported.Edges[i].From < exported.Edges[j].From
-		}
-		return exported.Edges[i].To < exported.Edges[j].To
-	})
 	return pass.ExportFact(exported)
 }
 
 // collectRanks walks non-test files for `//subdex:lockorder rank=N
 // <reason>` annotations on sync.Mutex / sync.RWMutex struct fields and
-// package-level vars, recording the class's rank. A lockorder
+// package-level vars, and returns each annotated class's rank. A lockorder
 // annotation on a declaration that fails to parse as rank=N with a
 // non-empty reason is a finding: the hierarchy is documentation, and
 // undocumented entries are what let it rot.
-func collectRanks(pass *framework.Pass, ranks map[string]int) {
+func collectRanks(pass *framework.Pass) map[string]int {
+	ranks := make(map[string]int)
 	for _, file := range pass.Files {
 		if framework.IsTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -305,7 +295,7 @@ func collectRanks(pass *framework.Pass, ranks map[string]int) {
 						continue
 					}
 					for _, name := range field.Names {
-						class := framework.CanonicalPath(pass.Pkg.Path()) + ".(" + d.Name.Name + ")." + name.Name
+						class := pass.Path() + ".(" + d.Name.Name + ")." + name.Name
 						ranks[class] = rank
 					}
 				}
@@ -325,13 +315,14 @@ func collectRanks(pass *framework.Pass, ranks map[string]int) {
 						continue
 					}
 					for _, name := range vs.Names {
-						ranks[framework.CanonicalPath(pass.Pkg.Path())+"."+name.Name] = rank
+						ranks[pass.Path()+"."+name.Name] = rank
 					}
 				}
 			}
 			return true
 		})
 	}
+	return ranks
 }
 
 // parseRank parses "rank=N <reason>" returning the rank; ok is false

@@ -1,31 +1,26 @@
-// Package obsmetrics enforces SubDEx's metric-registry discipline on
-// every call to (*obs.Registry).Counter / Gauge / Histogram:
+// Package obsmetrics enforces the part of SubDEx's metric-registry and
+// wide-event discipline that nothing at run time can see:
 //
-//  1. The metric name is a compile-time string constant matching
-//     ^subdex_[a-z0-9_]+$ — names must be greppable and collision-free
-//     across the fleet's dashboards.
-//  2. The name carries the canonical unit suffix for its kind: counters
-//     end in _total; histograms end in a base unit (_seconds, _bytes,
-//     _ratio, _records); gauges must not end in _total (they are not
-//     monotone).
-//  3. The same name is never registered twice with different help text
-//     or a different label-key set — Prometheus scrapes would otherwise
-//     see one series family with contradictory metadata. The check uses
-//     package facts, so a re-registration in a *different* package is
-//     caught too (obs.Registry itself enforces only kind mismatches at
-//     runtime; see internal/obs.Registry).
-//  4. Registration calls appear only in constructor-shaped functions
+//  1. The name of every (*obs.Registry).Counter / Gauge / Histogram call
+//     is a compile-time string constant — names must be greppable, and
+//     the naming test can only vouch for names it can scrape.
+//  2. Registration calls appear only in constructor-shaped functions
 //     (New*/new*/init): PR 1 shipped — and review had to catch — a
 //     per-request reg.Histogram lookup in the HTTP middleware hot path,
 //     a mutex acquisition per request that the registry's own doc
 //     comment forbids. Resolve instruments once, then hammer them.
-//  5. Flight-recorder wide events obey the same field discipline as
+//  3. Flight-recorder wide events obey the same field discipline as
 //     metric labels: every (*obs.WideEvent).Set key is a compile-time
 //     snake_case string, and a field name is never reused with a value
 //     of a different static type — queries over dumped JSONL (and the
 //     /debug/flightrecorder?trace= filter) assume one name means one
-//     shape everywhere. The check crosses packages via the same facts
-//     mechanism as rule 3.
+//     shape everywhere. The check crosses packages via package facts.
+//
+// What a name must look like (subdex_ prefix, unit suffix by kind) is
+// checked on a live /metrics scrape by internal/daemon's
+// TestMetricNamesSayWhatTheyMeasure — rule 2 is why one scrape sees every
+// instrument — and a name re-registered with another kind, help text or
+// label-key set panics in obs.Registry itself.
 //
 // Test files are exempt, as is the obs package itself (it defines the
 // API).
@@ -43,34 +38,18 @@ import (
 
 // Analyzer is the obsmetrics check.
 var Analyzer = &framework.Analyzer{
-	Name:      "obsmetrics",
-	Doc:       "enforce metric naming, unit suffixes, single registration, and constructor-only registry lookups",
-	Run:       run,
-	UsesFacts: true,
+	Name: "obsmetrics",
+	Doc:  "literal metric names, constructor-only registry lookups, and one snake_case name and one value type per wide-event field",
+	Run:  run,
 }
 
 // obsPkgSuffix identifies the registry's package; suffix matching lets
 // test fixtures provide a stand-in "obs" package.
 const obsPkgSuffix = "internal/obs"
 
-// nameRx is the mandatory shape of a SubDEx metric name.
-var nameRx = regexp.MustCompile(`^subdex_[a-z0-9_]+$`)
-
 // fieldRx is the mandatory shape of a wide-event field key: snake_case,
 // no leading/trailing/doubled underscores.
 var fieldRx = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
-
-// histogramUnits are the accepted base-unit suffixes for histograms.
-var histogramUnits = []string{"_seconds", "_bytes", "_ratio", "_records"}
-
-// registration is one metric's first-seen metadata, compared against
-// every later registration of the same name.
-type registration struct {
-	Kind   string   `json:"kind"`
-	Help   string   `json:"help"`
-	Labels []string `json:"labels"` // sorted label keys; nil = not statically known
-	Pos    string   `json:"pos"`    // "file:line" of the first registration
-}
 
 // fieldReg is one wide-event field's first-seen metadata.
 type fieldReg struct {
@@ -78,11 +57,9 @@ type fieldReg struct {
 	Pos  string `json:"pos"`  // "file:line" of the first Set
 }
 
-// fact is the package fact: every metric the package registers and
-// every wide-event field it sets.
+// fact is the package fact: every wide-event field the package sets.
 type fact struct {
-	Metrics map[string]registration `json:"metrics"`
-	Fields  map[string]fieldReg     `json:"fields,omitempty"`
+	Fields map[string]fieldReg `json:"fields,omitempty"`
 }
 
 func run(pass *framework.Pass) error {
@@ -90,19 +67,13 @@ func run(pass *framework.Pass) error {
 		return nil
 	}
 
-	// Seed the registry view with facts from already-analyzed packages so
-	// cross-package duplicates are diagnosed at the later site.
-	seen := make(map[string]registration)
+	// Seed the field view with facts from already-analyzed packages so a
+	// cross-package reshaping is diagnosed at the later site.
 	seenFields := make(map[string]fieldReg)
 	for _, pf := range pass.ImportedFacts() {
 		var f fact
 		if err := json.Unmarshal(pf.Fact, &f); err != nil {
 			continue
-		}
-		for name, reg := range f.Metrics {
-			if _, ok := seen[name]; !ok {
-				seen[name] = reg
-			}
 		}
 		for name, fr := range f.Fields {
 			if _, ok := seenFields[name]; !ok {
@@ -110,7 +81,7 @@ func run(pass *framework.Pass) error {
 			}
 		}
 	}
-	local := fact{Metrics: make(map[string]registration), Fields: make(map[string]fieldReg)}
+	local := fact{Fields: make(map[string]fieldReg)}
 
 	framework.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -123,24 +94,14 @@ func run(pass *framework.Pass) error {
 			}
 			return true
 		}
-		kind, ok := registryCallKind(pass, call)
-		if !ok {
+		if !isRegistryCall(pass, call) || framework.IsTestFile(pass.Fset, call.Pos()) {
 			return true
 		}
-		if framework.IsTestFile(pass.Fset, call.Pos()) {
-			return true
-		}
-
 		checkConstructorContext(pass, call, stack)
-
-		name, ok := framework.ConstString(pass.TypesInfo, call.Args[0])
-		if !ok {
+		if _, ok := framework.ConstString(pass.TypesInfo, call.Args[0]); !ok {
 			pass.Reportf(call.Args[0].Pos(),
-				"metric name must be a string literal or constant (dynamic names defeat dashboards and the duplicate-registration check)")
-			return true
+				"metric name must be a string literal or constant (dynamic names defeat dashboards and the naming test)")
 		}
-		checkName(pass, call, kind, name)
-		checkDuplicate(pass, call, kind, name, seen, local.Metrics)
 		return true
 	})
 
@@ -152,29 +113,21 @@ func isObsPackage(path string) bool {
 	return framework.PathHasSuffix(path, obsPkgSuffix) || path == "obs"
 }
 
-// registryCallKind reports whether call is a registration on
-// obs.Registry and which instrument kind it creates.
-func registryCallKind(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
+// isRegistryCall reports whether call is a registration on obs.Registry.
+func isRegistryCall(pass *framework.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
+	if !ok || len(call.Args) < 2 {
+		return false
 	}
-	method := sel.Sel.Name
-	if method != "Counter" && method != "Gauge" && method != "Histogram" {
-		return "", false
+	if m := sel.Sel.Name; m != "Counter" && m != "Gauge" && m != "Histogram" {
+		return false
 	}
 	selection, ok := pass.TypesInfo.Selections[sel]
 	if !ok {
-		return "", false
+		return false
 	}
 	recv := selection.Recv()
-	if !framework.NamedTypeIn(recv, obsPkgSuffix, "Registry") && !framework.NamedTypeIn(recv, "obs", "Registry") {
-		return "", false
-	}
-	if len(call.Args) < 2 {
-		return "", false
-	}
-	return strings.ToLower(method), true
+	return framework.NamedTypeIn(recv, obsPkgSuffix, "Registry") || framework.NamedTypeIn(recv, "obs", "Registry")
 }
 
 // isWideEventSet reports whether call is (*obs.WideEvent).Set.
@@ -192,7 +145,7 @@ func isWideEventSet(pass *framework.Pass, call *ast.CallExpr) bool {
 		framework.NamedTypeIn(recv, "obs", "WideEvent")
 }
 
-// checkWideField enforces rule 5 on one Set call, against both imported
+// checkWideField enforces rule 3 on one Set call, against both imported
 // facts and earlier Sets in this package.
 func checkWideField(pass *framework.Pass, call *ast.CallExpr, seen, local map[string]fieldReg) {
 	key, ok := framework.ConstString(pass.TypesInfo, call.Args[0])
@@ -235,7 +188,7 @@ func valueTypeString(pass *framework.Pass, e ast.Expr) string {
 	return types.Default(tv.Type).String()
 }
 
-// checkConstructorContext enforces rule 4: the (topmost) named function
+// checkConstructorContext enforces rule 2: the (topmost) named function
 // around the call must be constructor-shaped.
 func checkConstructorContext(pass *framework.Pass, call *ast.CallExpr, stack []ast.Node) {
 	name := framework.EnclosingFuncName(stack)
@@ -249,132 +202,4 @@ func checkConstructorContext(pass *framework.Pass, call *ast.CallExpr, stack []a
 	}
 	pass.Reportf(call.Pos(),
 		"registry lookup in %s: instruments must be resolved in a constructor (New*/new*/init) and stored, not looked up on the hot path (each lookup takes the registry mutex)", name)
-}
-
-// checkName enforces rules 1–2.
-func checkName(pass *framework.Pass, call *ast.CallExpr, kind, name string) {
-	if !nameRx.MatchString(name) {
-		pass.Reportf(call.Args[0].Pos(),
-			"metric name %q is not of the form subdex_[a-z0-9_]+", name)
-		return
-	}
-	switch kind {
-	case "counter":
-		if !strings.HasSuffix(name, "_total") {
-			pass.Reportf(call.Args[0].Pos(),
-				"counter %q must end in _total (Prometheus counter convention)", name)
-		}
-	case "histogram":
-		ok := false
-		for _, u := range histogramUnits {
-			if strings.HasSuffix(name, u) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			pass.Reportf(call.Args[0].Pos(),
-				"histogram %q must end in a base-unit suffix (%s)", name, strings.Join(histogramUnits, ", "))
-		}
-	case "gauge":
-		if strings.HasSuffix(name, "_total") {
-			pass.Reportf(call.Args[0].Pos(),
-				"gauge %q must not end in _total (gauges are not monotone)", name)
-		}
-	}
-}
-
-// checkDuplicate enforces rule 3 against both imported facts and
-// earlier registrations in this package.
-func checkDuplicate(pass *framework.Pass, call *ast.CallExpr, kind, name string, seen, local map[string]registration) {
-	help, helpConst := framework.ConstString(pass.TypesInfo, call.Args[1])
-	labels, labelsKnown := labelKeys(pass, call, kind)
-
-	reg := registration{
-		Kind: kind,
-		Pos:  pass.Fset.Position(call.Pos()).String(),
-	}
-	if helpConst {
-		reg.Help = help
-	}
-	if labelsKnown {
-		reg.Labels = labels
-	}
-
-	for _, prev := range [2]map[string]registration{local, seen} {
-		p, ok := prev[name]
-		if !ok {
-			continue
-		}
-		if p.Kind != kind {
-			pass.Reportf(call.Pos(),
-				"metric %q re-registered as %s (was %s at %s)", name, kind, p.Kind, p.Pos)
-		} else if helpConst && p.Help != "" && p.Help != reg.Help {
-			pass.Reportf(call.Pos(),
-				"metric %q re-registered with different help text (was %q at %s)", name, p.Help, p.Pos)
-		} else if labelsKnown && p.Labels != nil && !equalStrings(p.Labels, reg.Labels) {
-			pass.Reportf(call.Pos(),
-				"metric %q re-registered with label keys [%s] (was [%s] at %s)",
-				name, strings.Join(reg.Labels, " "), strings.Join(p.Labels, " "), p.Pos)
-		}
-		return
-	}
-	local[name] = reg
-}
-
-// labelKeys extracts the constant label keys of a registration call's
-// variadic obs.L("key", value) / obs.Label{Key: "key"} arguments, in
-// source order. The second result is false when any label is not
-// statically resolvable (a slice spread, a computed key, …).
-func labelKeys(pass *framework.Pass, call *ast.CallExpr, kind string) ([]string, bool) {
-	first := 2 // name, help
-	if kind == "histogram" {
-		first = 3 // name, help, bounds
-	}
-	if call.Ellipsis.IsValid() {
-		return nil, false // labels... spread: not statically known
-	}
-	keys := []string{}
-	for _, arg := range call.Args[first:] {
-		key, ok := labelKey(pass, arg)
-		if !ok {
-			return nil, false
-		}
-		keys = append(keys, key)
-	}
-	return keys, true
-}
-
-func labelKey(pass *framework.Pass, arg ast.Expr) (string, bool) {
-	switch e := ast.Unparen(arg).(type) {
-	case *ast.CallExpr: // obs.L("key", v)
-		if fn := framework.CalleeFunc(pass.TypesInfo, e); fn != nil && fn.Name() == "L" && len(e.Args) == 2 {
-			return framework.ConstString(pass.TypesInfo, e.Args[0])
-		}
-	case *ast.CompositeLit: // obs.Label{Key: "key", Value: v} or positional
-		for i, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Key" {
-					return framework.ConstString(pass.TypesInfo, kv.Value)
-				}
-				continue
-			}
-			if i == 0 { // positional: Key first
-				return framework.ConstString(pass.TypesInfo, elt)
-			}
-		}
-	}
-	return "", false
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,8 +8,7 @@ import (
 )
 
 func TestObsMetrics(t *testing.T) {
-	// Order matters: package a's facts must be exported before package b
-	// re-registers one of its metrics, and w's before w2 reshapes one of
+	// Order matters: w's facts must be exported before w2 reshapes one of
 	// its wide-event fields.
-	analysistest.Run(t, "testdata", obsmetrics.Analyzer, "a", "b", "w", "w2")
+	analysistest.Run(t, "testdata", obsmetrics.Analyzer, "a", "w", "w2")
 }

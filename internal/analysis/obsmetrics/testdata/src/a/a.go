@@ -1,6 +1,5 @@
-// Package a exercises every obsmetrics rule: accepted constructor-time
-// registrations, each naming violation, hot-path lookups, and in-package
-// duplicate registrations.
+// Package a exercises the registry rules: accepted constructor-time
+// registrations, a name that is not a constant, and a hot-path lookup.
 package a
 
 import "obs"
@@ -32,12 +31,8 @@ func init() {
 	restarts = defaultReg.Counter("subdex_process_restarts_total", "Process restarts.")
 }
 
-// newBad is constructor-shaped, so only the naming rules fire.
+// newBad is constructor-shaped, so only the literal-name rule fires.
 func newBad(reg *obs.Registry) {
-	reg.Counter("http_requests_total", "h")     // want `not of the form subdex_`
-	reg.Counter("subdex_requests", "h")         // want `must end in _total`
-	reg.Gauge("subdex_queue_total", "h")        // want `must not end in _total`
-	reg.Histogram("subdex_step_time", "h", nil) // want `must end in a base-unit suffix`
 	name := dynamicName()
 	reg.Counter(name, "h") // want `must be a string literal or constant`
 }
@@ -48,17 +43,4 @@ func dynamicName() string { return "subdex_oops_total" }
 // even though the name is impeccable.
 func (m *Metrics) Observe(reg *obs.Registry) {
 	reg.Counter("subdex_observe_calls_total", "Observe calls.").Inc() // want `registry lookup in Observe`
-}
-
-// newDup re-registers names with conflicting metadata.
-func newDup(reg *obs.Registry) {
-	reg.Counter("subdex_dup_total", "First help.", obs.L("route", "x"))
-	reg.Counter("subdex_dup_total", "Second help.", obs.L("route", "x")) // want `re-registered with different help text`
-	reg.Counter("subdex_dup_total", "First help.", obs.L("code", "200")) // want `re-registered with label keys`
-	reg.Gauge("subdex_cache_fill_ratio", "Cache fill fraction.")
-	reg.Histogram("subdex_cache_fill_ratio", "Cache fill fraction.", nil) // want `re-registered as histogram`
-	// Same name, same help, same label KEYS (values differ): accepted —
-	// that is exactly how label fan-out works.
-	reg.Counter("subdex_retries_total", "Retries.", obs.L("route", "a"))
-	reg.Counter("subdex_retries_total", "Retries.", obs.L("route", "b"))
 }

@@ -1,4 +1,4 @@
-// Package w exercises the wide-event field discipline (rule 5):
+// Package w exercises the wide-event field discipline (rule 3):
 // accepted snake_case literal keys, every key-shape violation, and
 // in-package type conflicts.
 package w

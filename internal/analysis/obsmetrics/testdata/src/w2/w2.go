@@ -1,6 +1,6 @@
 // Package w2 reuses a wide-event field that package w already shaped,
 // once compatibly and once with a different type — the conflict is
-// caught via package facts, proving rule 5 crosses package boundaries.
+// caught via package facts, proving rule 3 crosses package boundaries.
 package w2
 
 import "obs"

@@ -6,12 +6,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"subdex/internal/cluster"
 	"subdex/internal/core"
+	"subdex/internal/dataset"
+	"subdex/internal/obs"
 )
 
 // TestServeDrainsInFlightRequest cancels Serve's context while a request
@@ -109,12 +113,11 @@ func TestLoadDataset(t *testing.T) {
 	}
 }
 
-// TestNewServerWiring drives the one constructor through both optional
-// parts: a session created on a durable, coordinator-backed server is
-// recovered by the next server over the same directory, and one /metrics
-// scrape covers the HTTP surface, the WAL and the coordinator.
-func TestNewServerWiring(t *testing.T) {
-	ctx := context.Background()
+// fullConfig is the fullest server NewServer builds — durable, and scanning
+// through a coordinator — over the demo dataset and one in-process worker
+// with a registry of its own, whose address it returns too.
+func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, string) {
+	t.Helper()
 	db, err := LoadDataset("", "demo", 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +126,22 @@ func TestNewServerWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{}).Handler())
-	defer worker.Close()
-	cfg := ServerConfig{
+	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{Registry: obs.NewRegistry()}).Handler())
+	t.Cleanup(worker.Close)
+	return db, ServerConfig{
 		Core:       core.DefaultConfig(),
 		SessionDir: t.TempDir(),
 		Cluster:    cluster.CoordinatorConfig{Workers: []string{worker.URL}, HealthInterval: -1},
-	}
+	}, worker.URL
+}
+
+// TestNewServerWiring drives the one constructor through both optional
+// parts: a session created on a durable, coordinator-backed server is
+// recovered by the next server over the same directory, and one /metrics
+// scrape covers the HTTP surface, the WAL and the coordinator.
+func TestNewServerWiring(t *testing.T) {
+	ctx := context.Background()
+	db, cfg, _ := fullConfig(t)
 
 	first, err := NewServer(ctx, db, cfg)
 	if err != nil {
@@ -163,6 +175,71 @@ func TestNewServerWiring(t *testing.T) {
 	for _, want := range []string{"subdex_sessions_recovered_total 1", "subdex_wal_replay_records_total 2", "subdex_cluster_workers_healthy 1"} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
+// TestMetricNamesSayWhatTheyMeasure holds every metric the module exports
+// to the naming contract dashboards are written against: subdex_ and
+// snake_case, a counter ends in _total, a histogram in its base unit, and
+// a gauge — not monotone — never in _total. It reads the # TYPE lines of
+// what the fullest server and its worker serve at /metrics after one
+// step; instruments are resolved in constructors (subdexvet's obsmetrics
+// keeps them there), so that is all of them.
+func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
+	db, cfg, workerURL := fullConfig(t)
+	srv, err := NewServer(context.Background(), db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(`{"mode":"rp"}`))
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %v %v", err, resp)
+	}
+	resp.Body.Close()
+	if resp, err = http.Get(ts.URL + "/sessions/1/step"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("step: %v %v", err, resp)
+	}
+	resp.Body.Close()
+
+	name := regexp.MustCompile(`^subdex_[a-z0-9_]+$`)
+	units := []string{"_seconds", "_bytes", "_ratio", "_records"}
+	for _, url := range []string{ts.URL, workerURL} {
+		seen := 0
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(text), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+				continue
+			}
+			seen++
+			metric, kind := f[2], f[3]
+			total := strings.HasSuffix(metric, "_total")
+			unit := slices.ContainsFunc(units, func(u string) bool { return strings.HasSuffix(metric, u) })
+			switch {
+			case !name.MatchString(metric):
+				t.Errorf("%s %q is not of the form subdex_[a-z0-9_]+", kind, metric)
+			case kind == "counter" && !total:
+				t.Errorf("counter %q must end in _total", metric)
+			case kind == "gauge" && total:
+				t.Errorf("gauge %q must not end in _total: a gauge is not monotone", metric)
+			case kind == "histogram" && !unit:
+				t.Errorf("histogram %q must end in a base unit (%s)", metric, strings.Join(units, ", "))
+			}
+		}
+		if seen == 0 {
+			t.Errorf("%s/metrics has no # TYPE line: nothing was checked", url)
 		}
 	}
 }

@@ -221,10 +221,9 @@ type Registry struct {
 
 // seriesMeta is the per-NAME contract fixed at first registration: every
 // later registration of the same name must agree on kind, help text, and
-// label-key set, whatever its label values. This is the runtime twin of
-// the obsmetrics analyzer's duplicate-registration rule — the analyzer
-// catches mismatches at vet time, the registry rejects whatever slips
-// past it (reflection, generated code, tests).
+// label-key set, whatever its label values. lookup panics on a mismatch,
+// and every test that builds a server runs every registration the server
+// makes, so this is the whole check: no analyzer repeats it.
 type seriesMeta struct {
 	kind metricKind
 	help string

@@ -80,7 +80,7 @@ func SinkFrom(ctx context.Context) SpanSink {
 // is free: it returns (ctx, nil) and the nil span swallows SetAttr/End.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if ctx == nil {
-		ctx = context.Background()
+		ctx = context.Background() //subdex:ctxflow nil-safe entry point: a nil ctx carries no caller deadline to sever
 	}
 	parent, _ := ctx.Value(spanKey{}).(*Span)
 	if parent == nil {

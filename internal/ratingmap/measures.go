@@ -2,6 +2,7 @@ package ratingmap
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"subdex/internal/stats"
@@ -454,11 +455,7 @@ func (s *SeenSet) State() SeenState {
 		}
 	}
 	if len(s.dimCount) > 0 {
-		st.Dims = make(map[int]int, len(s.dimCount))
-		//subdex:orderinsensitive keyed map copy: every write targets its own key, order cannot change the result
-		for d, n := range s.dimCount {
-			st.Dims[d] = n
-		}
+		st.Dims = maps.Clone(s.dimCount)
 	}
 	return st
 }
@@ -482,26 +479,17 @@ func (s *SeenSet) EqualState(st SeenState) bool {
 			}
 		}
 	}
-	//subdex:orderinsensitive keyed map comparison: equality over all keys, order cannot change the verdict
-	for d, n := range s.dimCount {
-		if st.Dims[d] != n {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(s.dimCount, st.Dims)
 }
 
 // Clone returns an independent copy of the history, used when evaluating
 // hypothetical next-step operations without committing their maps.
 func (s *SeenSet) Clone() *SeenSet {
-	c := NewSeenSet()
-	c.dists = append(c.dists, s.dists...)
-	//subdex:orderinsensitive keyed map copy: every write targets its own key, order cannot change the result
-	for d, n := range s.dimCount {
-		c.dimCount[d] = n
+	return &SeenSet{
+		dists:    append([]stats.Distribution(nil), s.dists...),
+		dimCount: maps.Clone(s.dimCount),
+		total:    s.total,
 	}
-	c.total = s.total
-	return c
 }
 
 // DWUtility applies Equation 1: û(rm) = (1 − m_{r_i}/m) · u(rm). With

@@ -500,17 +500,6 @@ func TestDeleteVsRestoreRace(t *testing.T) {
 	}
 }
 
-// staleShedStore fails every Shed with ErrStaleShed, simulating a
-// janitor snapshot that lost the race against a concurrent
-// restore-and-commit or DELETE.
-type staleShedStore struct {
-	sessionstore.Store
-}
-
-func (s *staleShedStore) Shed(id int, snap *core.SessionSnapshot) error {
-	return fmt.Errorf("%w: injected", sessionstore.ErrStaleShed)
-}
-
 // TestJanitorStaleShedBenign pins EvictIdle's handling of a refused
 // stale shed: it is the store protecting newer durable state, not a WAL
 // failure — no failure counter, no shed counter, and the session (whose
@@ -519,7 +508,11 @@ func TestJanitorStaleShedBenign(t *testing.T) {
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	var offset atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
-	s, ts := durableServer(t, &staleShedStore{Store: sessionstore.NewMemStore()}, Options{
+	// Every Shed loses the race against a concurrent restore-and-commit or
+	// DELETE, as far as the store can tell.
+	store := &faultStore{Store: sessionstore.NewMemStore()}
+	store.arm(map[string]error{"Shed": fmt.Errorf("%w: injected", sessionstore.ErrStaleShed)}, 0)
+	s, ts := durableServer(t, store, Options{
 		SessionTTL:      time.Minute,
 		JanitorInterval: time.Hour,
 		Clock:           clock,
@@ -731,19 +724,6 @@ func TestDeleteStepHammer(t *testing.T) {
 	sweeper.Wait()
 }
 
-// windowStore runs a hook at the head of every AppendOp — inside the
-// window between commit releasing the session lock and the op reaching
-// the log, which TestDeleteStepHammer only hits by chance.
-type windowStore struct {
-	sessionstore.Store
-	inWindow func(id int)
-}
-
-func (s *windowStore) AppendOp(id, seq int, op core.SessionOp) error {
-	s.inWindow(id)
-	return s.Store.AppendOp(id, seq, op)
-}
-
 // TestCommitWindowIsPinned is the deterministic form of
 // TestDeleteStepHammer's `step: 500`: the janitor sweeps (hand clock, the
 // session long idle) after commit unlocked the session and before its
@@ -769,7 +749,13 @@ func TestCommitWindowIsPinned(t *testing.T) {
 			base := time.Now()
 			var s *Server
 			var offset, swept, deleteStatus atomic.Int64 // written on handler goroutines
-			store := &windowStore{Store: open(t), inWindow: func(id int) {
+			// The head of AppendOp is inside the window between commit
+			// releasing the session lock and the op reaching the log, which
+			// TestDeleteStepHammer only hits by chance.
+			store := &faultStore{Store: open(t), before: func(method string, id int) {
+				if method != "AppendOp" {
+					return
+				}
 				offset.Add(int64(time.Hour))
 				swept.Add(int64(s.EvictIdle()))
 				if ref := s.table.remove(id); ref != nil {
@@ -808,23 +794,14 @@ func TestCommitWindowIsPinned(t *testing.T) {
 	}
 }
 
-// faultyGetStore fails every Get, simulating a store whose backing file
-// went bad between requests.
-type faultyGetStore struct {
-	sessionstore.Store
-}
-
-func (s *faultyGetStore) Get(id int) (*core.SessionSnapshot, bool, error) {
-	return nil, false, fmt.Errorf("injected read fault")
-}
-
-// TestDeleteStoreReadFaultIs500 pins the handleDelete fix walcheck
-// surfaced: when the session is not in memory and the store read that
+// TestDeleteStoreReadFaultIs500 pins a handleDelete fix: when the session is not in memory and the store read that
 // decides between 404 and restore fails, the client must see a 500.
 // Answering "no such session" on a store fault reports a durable record
 // gone while its bytes — and the delete obligation — still exist.
 func TestDeleteStoreReadFaultIs500(t *testing.T) {
-	_, ts := durableServer(t, &faultyGetStore{Store: sessionstore.NewMemStore()}, Options{})
+	store := &faultStore{Store: sessionstore.NewMemStore()}
+	store.arm(map[string]error{"Get": fmt.Errorf("injected read fault")}, 0)
+	_, ts := durableServer(t, store, Options{})
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/7", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -836,21 +813,6 @@ func TestDeleteStoreReadFaultIs500(t *testing.T) {
 	}
 }
 
-// blockingShedStore parks every Shed until released, so a test can hold
-// the janitor mid-eviction at will.
-type blockingShedStore struct {
-	sessionstore.Store
-	started chan struct{} // closed when the first Shed begins
-	release chan struct{} // Shed returns once this closes
-	once    sync.Once
-}
-
-func (s *blockingShedStore) Shed(id int, snap *core.SessionSnapshot) error {
-	s.once.Do(func() { close(s.started) })
-	<-s.release
-	return s.Store.Shed(id, snap)
-}
-
 // TestCloseJoinsJanitor pins that Close waits for the janitor goroutine
 // to exit. Before the join, Close only signalled the stop channel, so a
 // caller tearing down the store right after Close could race a shed
@@ -859,11 +821,16 @@ func TestCloseJoinsJanitor(t *testing.T) {
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	var offset atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
-	store := &blockingShedStore{
-		Store:   sessionstore.NewMemStore(),
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	// Every Shed parks until released, holding the janitor mid-eviction.
+	started := make(chan struct{}) // closed when the first Shed begins
+	release := make(chan struct{}) // a Shed returns once this closes
+	var once sync.Once
+	store := &faultStore{Store: sessionstore.NewMemStore(), before: func(method string, _ int) {
+		if method == "Shed" {
+			once.Do(func() { close(started) })
+			<-release
+		}
+	}}
 	s, ts := durableServer(t, store, Options{
 		SessionTTL:      time.Minute,
 		JanitorInterval: time.Millisecond,
@@ -876,7 +843,7 @@ func TestCloseJoinsJanitor(t *testing.T) {
 	}
 	offset.Store(int64(2 * time.Minute)) // session is now idle-expired
 	select {
-	case <-store.started:
+	case <-started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("janitor never started shedding")
 	}
@@ -891,7 +858,7 @@ func TestCloseJoinsJanitor(t *testing.T) {
 		t.Fatal("Close returned while the janitor was mid-shed")
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(store.release)
+	close(release)
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):

@@ -26,23 +26,22 @@ func seriesValue(text, series string) int {
 	return 0
 }
 
-// TestRouteTable pins the whole HTTP surface in one table: for every
-// (method, path) the server answers — the status, the Allow header of a
-// 405, the JSON error shape of every refusal, and the route/code series
-// the request is counted in. Session sub-routes all land in
-// route="/sessions/{id}".
-func TestRouteTable(t *testing.T) {
-	_, ts := testServerWith(t, lightConfig(), Options{})
-	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
-	id := int(created["id"].(float64))
-	sess := fmt.Sprintf("/sessions/%d", id)
+// routeCase is one row of the HTTP surface: a request, and how the server
+// answers it when nothing is wrong.
+type routeCase struct {
+	method, path, body string
+	status             int
+	allow, errMsg      string
+	route              string
+}
 
-	cases := []struct {
-		method, path, body string
-		status             int
-		allow, errMsg      string
-		route              string
-	}{
+// routeCases is the whole HTTP surface as a table, over a session that
+// lives at path sess ("/sessions/<id>"). The rows run in order against one
+// server — the last one deletes the session — and
+// TestStoreFaultIsNeverSilent replays each of them over a failing store,
+// so a new route belongs here.
+func routeCases(sess string) []routeCase {
+	return []routeCase{
 		{"GET", "/healthz", "", 200, "", "", "/healthz"},
 		{"POST", "/healthz", "", 200, "", "", "/healthz"},
 		{"POST", "/sessions", `{"mode":"ud"}`, 201, "", "", "/sessions"},
@@ -54,6 +53,7 @@ func TestRouteTable(t *testing.T) {
 		{"POST", sess + "/step", "", 405, "GET", "GET only", sessionRoute},
 		{"POST", sess + "/apply", `{"back":true}`, 409, "", "history empty", sessionRoute},
 		{"POST", sess + "/apply", `{}`, 400, "", "one of predicate", sessionRoute},
+		{"POST", sess + "/apply", `{"predicate":"reviewers.gender = 'female'"}`, 200, "", "", sessionRoute},
 		{"GET", sess + "/apply", "", 405, "POST", "POST only", sessionRoute},
 		{"GET", sess + "/summary", "", 200, "", "", sessionRoute},
 		{"POST", sess + "/summary", "", 405, "GET", "GET only", sessionRoute},
@@ -81,7 +81,19 @@ func TestRouteTable(t *testing.T) {
 		{"PUT", "/debug/flightrecorder", "", 405, "GET", "GET only", "/debug/flightrecorder"},
 		{"DELETE", sess, "", 200, "", "", sessionRoute},
 	}
-	for _, c := range cases {
+}
+
+// TestRouteTable pins the whole HTTP surface in one table: for every
+// (method, path) the server answers — the status, the Allow header of a
+// 405, the JSON error shape of every refusal, and the route/code series
+// the request is counted in. Session sub-routes all land in
+// route="/sessions/{id}".
+func TestRouteTable(t *testing.T) {
+	_, ts := testServerWith(t, lightConfig(), Options{})
+	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
+	id := int(created["id"].(float64))
+
+	for _, c := range routeCases(fmt.Sprintf("/sessions/%d", id)) {
 		name := c.method + " " + c.path
 		series := fmt.Sprintf(`subdex_http_requests_total{route=%q,code="%d"}`, c.route, c.status)
 		before := seriesValue(metricsText(t, ts), series)

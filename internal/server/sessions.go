@@ -3,7 +3,8 @@
 // here and nowhere else. Store appends, sheds and deletes run outside
 // sessionTable.mu and every sessionEntry's mu (lockblock), and a failed
 // one is counted in the branch that detects it and leaves as a refusal
-// built there, which is where walcheck verifies the count.
+// built there, so the count precedes the answer
+// (TestStoreFaultIsNeverSilent).
 
 package server
 
@@ -125,7 +126,6 @@ func (t *sessionTable) recover(ctx context.Context) error {
 		return fmt.Errorf("server: reading session store: %w", err)
 	}
 	recovered := 0
-	//subdex:orderinsensitive keyed map iteration: each session restores independently into its own map slot
 	for id, snap := range snaps {
 		sess, rerr := core.RestoreSession(ctx, t.ex, snap)
 		if rerr != nil {

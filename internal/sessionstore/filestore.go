@@ -174,7 +174,6 @@ func (fs *FileStore) All() (map[int]*core.SessionSnapshot, int, error) {
 	fs.st.mu.Lock()
 	defer fs.st.mu.Unlock()
 	out := make(map[int]*core.SessionSnapshot, len(fs.st.sessions))
-	//subdex:orderinsensitive keyed map copy: every write targets its own key, order cannot change the result
 	for id, snap := range fs.st.sessions {
 		out[id] = snapshotCopy(snap)
 	}
@@ -292,7 +291,6 @@ func (fs *FileStore) compact() {
 	fs.st.mu.Lock()
 	recs := make([]walRecord, 0, len(fs.st.sessions)+1)
 	recs = append(recs, walRecord{Kind: recNext, ID: fs.st.nextID - 1})
-	//subdex:orderinsensitive keyed map copy: collected records are sorted by id below
 	for id, snap := range fs.st.sessions {
 		recs = append(recs, walRecord{Kind: recShed, ID: id, Snap: snapshotCopy(snap)})
 	}

@@ -188,7 +188,6 @@ func (m *MemStore) All() (map[int]*core.SessionSnapshot, int, error) {
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()
 	out := make(map[int]*core.SessionSnapshot, len(m.st.sessions))
-	//subdex:orderinsensitive keyed map copy: every write targets its own key, order cannot change the result
 	for id, snap := range m.st.sessions {
 		out[id] = snapshotCopy(snap)
 	}

@@ -1,46 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
-// Interval is a closed confidence interval [Lo, Hi] around an estimate. The
-// pruning machinery of Algorithm 3 manipulates one Interval per
-// interestingness criterion and collapses them into a single interval per
-// rating map.
-type Interval struct {
-	Lo, Hi float64
-}
-
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// Below reports whether iv lies entirely below other (iv.Hi < other.Lo):
-// the dominance relation used to discard non-promising criteria and to prune
-// rating maps in Algorithm 3.
-func (iv Interval) Below(other Interval) bool { return iv.Hi < other.Lo }
-
-// Intersects reports whether the two intervals overlap.
-func (iv Interval) Intersects(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
-// Scale multiplies both bounds by w ≥ 0, the dimension weight applied in
-// lines 10-11 of Algorithm 3.
-func (iv Interval) Scale(w float64) Interval {
-	return Interval{Lo: iv.Lo * w, Hi: iv.Hi * w}
-}
-
-// Clamp restricts the interval to [lo, hi].
-func (iv Interval) Clamp(lo, hi float64) Interval {
-	return Interval{Lo: Clamp(iv.Lo, lo, hi), Hi: Clamp(iv.Hi, lo, hi)}
-}
-
-func (iv Interval) String() string { return fmt.Sprintf("[%.4f, %.4f]", iv.Lo, iv.Hi) }
+import "math"
 
 // HoeffdingSerflingRadius returns the half-width of a (1−delta) worst-case
 // confidence interval for the mean of m samples drawn without replacement

@@ -63,30 +63,6 @@ func TestHoeffdingSerflingCoverage(t *testing.T) {
 	}
 }
 
-func TestIntervalOperations(t *testing.T) {
-	a := Interval{Lo: 0.1, Hi: 0.3}
-	b := Interval{Lo: 0.4, Hi: 0.6}
-	c := Interval{Lo: 0.25, Hi: 0.5}
-	if !a.Below(b) {
-		t.Error("a should be entirely below b")
-	}
-	if a.Below(c) {
-		t.Error("a overlaps c; Below must be false")
-	}
-	if !a.Intersects(c) || !c.Intersects(b) || a.Intersects(b) {
-		t.Error("intersection relations wrong")
-	}
-	if got := a.Scale(2); got.Lo != 0.2 || !almostEqual(got.Hi, 0.6, 1e-12) {
-		t.Errorf("Scale: got %v", got)
-	}
-	if got := b.Clamp(0, 0.5); got.Hi != 0.5 {
-		t.Errorf("Clamp: got %v", got)
-	}
-	if a.Width() != 0.2 && !almostEqual(a.Width(), 0.2, 1e-12) {
-		t.Errorf("Width: got %v", a.Width())
-	}
-}
-
 func TestOneWayANOVAIdenticalGroups(t *testing.T) {
 	g := []float64{1, 2, 3, 4, 5}
 	res := OneWayANOVA([][]float64{g, g, g})
