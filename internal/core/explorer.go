@@ -81,6 +81,9 @@ type StepResult struct {
 	// Utilities aligns with Maps.
 	Maps      []*ratingmap.RatingMap
 	Utilities []float64
+	// Digests aligns with Maps: each map's ratingmap.Digest, rendered once,
+	// when a session commits the step (nil on an uncommitted result).
+	Digests []string
 	// SetDiversity is the min-pairwise EMD of the selected set, and
 	// AvgDiversity the mean pairwise EMD (the Table 5 metric).
 	SetDiversity float64

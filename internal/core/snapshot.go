@@ -245,11 +245,13 @@ func (s *Session) replayOp(ctx context.Context, op SessionOp) error {
 		if res.Degraded {
 			return fmt.Errorf("replayed step degraded, original did not")
 		}
-		if len(res.Maps) != len(op.Digests) {
-			return fmt.Errorf("replayed step shows %d maps, log recorded %d", len(res.Maps), len(op.Digests))
+		// The step has just logged its own digests; the recorded op's are
+		// held against those, not against a second rendering of the maps.
+		if len(res.Digests) != len(op.Digests) {
+			return fmt.Errorf("replayed step shows %d maps, log recorded %d", len(res.Digests), len(op.Digests))
 		}
-		for i, rm := range res.Maps {
-			if got := rm.Digest(); got != op.Digests[i] {
+		for i, got := range res.Digests {
+			if got != op.Digests[i] {
 				return fmt.Errorf("map %d digest mismatch: replay %s, log %s", i, got, op.Digests[i])
 			}
 		}
@@ -291,13 +293,16 @@ func (s *Session) replayDegradedStep(op SessionOp) error {
 	return nil
 }
 
-// stepOp builds the log record of a just-executed step.
+// stepOp builds the log record of a just-executed step. It is the one
+// place a step's maps are digested: the digests stay on res, where the
+// replay check and every rendering of the step read them.
 func stepOp(res *StepResult) SessionOp {
 	op := SessionOp{Kind: OpStep, Degraded: res.Degraded}
 	op.Digests = make([]string, len(res.Maps))
 	for i, rm := range res.Maps {
 		op.Digests[i] = rm.Digest()
 	}
+	res.Digests = op.Digests
 	if res.Degraded {
 		op.Seen = make([]SeenDelta, len(res.Maps))
 		for i, rm := range res.Maps {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,6 +197,67 @@ func TestRestoreRejections(t *testing.T) {
 	}
 	if _, err := RestoreSession(context.Background(), other, sess.Snapshot()); err == nil {
 		t.Error("snapshot must not restore against a differently-configured engine")
+	}
+}
+
+// TestReplayComparesLoggedDigests pins the replay check where it now
+// lives: RestoreSession holds each recorded step's digests against the
+// ones the replayed step has just logged, so one changed byte in any
+// stored digest of any step — or a digest too few — still refuses the
+// session.
+func TestReplayComparesLoggedDigests(t *testing.T) {
+	ex := coreExplorer(t)
+	sess, err := NewSession(ex, RecommendationPowered, query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(t, sess)
+	// tampered returns the session's snapshot with op i's digests replaced
+	// by a private, edited copy (a snapshot shares them with the session).
+	tampered := func(i int, edit func([]string) []string) *SessionSnapshot {
+		snap := sess.Snapshot()
+		snap.Final = nil // leave the digests the only check
+		snap.Ops[i].Digests = edit(slices.Clone(snap.Ops[i].Digests))
+		return snap
+	}
+	steps := 0
+	for i, op := range sess.Oplog() {
+		if op.Kind != OpStep {
+			continue
+		}
+		steps++
+		for m, digest := range op.Digests {
+			for _, at := range []int{0, len(digest) / 2, len(digest) - 1} {
+				snap := tampered(i, func(ds []string) []string {
+					b := []byte(ds[m])
+					b[at] ^= 0x01
+					ds[m] = string(b)
+					return ds
+				})
+				_, err := RestoreSession(context.Background(), ex, snap)
+				if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+					t.Fatalf("op %d map %d byte %d changed: err = %v, want a digest mismatch", i, m, at, err)
+				}
+			}
+		}
+		snap := tampered(i, func(ds []string) []string { return ds[:len(ds)-1] })
+		if _, err := RestoreSession(context.Background(), ex, snap); err == nil || !strings.Contains(err.Error(), "log recorded") {
+			t.Fatalf("op %d with a digest dropped: err = %v, want a map-count mismatch", i, err)
+		}
+	}
+	if steps != 4 {
+		t.Fatalf("walk logged %d steps, want 4", steps)
+	}
+	restored, err := RestoreSession(context.Background(), ex, sess.Snapshot())
+	if err != nil {
+		t.Fatalf("untampered snapshot: %v", err)
+	}
+	for i, st := range restored.Steps() {
+		for m, rm := range st.Maps {
+			if st.Digests[m] != rm.Digest() {
+				t.Fatalf("step %d map %d: StepResult.Digests is not the map's digest", i, m)
+			}
+		}
 	}
 }
 

@@ -50,11 +50,11 @@ type Selector struct {
 // constructible programmatically — have no parseable rendering; the
 // single-quoted form is used as a best effort.
 func (s Selector) String() string {
-	q := byte('\'')
+	q := "'"
 	if strings.ContainsRune(s.Value, '\'') && !strings.ContainsRune(s.Value, '"') {
-		q = '"'
+		q = `"`
 	}
-	return fmt.Sprintf("%s.%s=%c%s%c", s.Side, s.Attr, q, s.Value, q)
+	return s.Side.String() + "." + s.Attr + "=" + q + s.Value + q
 }
 
 // Key returns a canonical identity string (used for set semantics):

@@ -33,13 +33,16 @@ type benchShape struct {
 // reviewers and 1 682 items under 100 000 ratings on one dimension; Hotels,
 // 879 hotels under 35 912 four-dimension ratings — and the 3 000-rating
 // demo, once per process: both benchmarks below read the same databases.
-var benchShapes = sync.OnceValue(func() []benchShape {
+var benchShapes = sync.OnceValue(func() []benchShape { return shapesAt(1) })
+
+// shapesAt generates the four shapes at a fraction of their paper size.
+func shapesAt(scale float64) []benchShape {
 	var shapes []benchShape
 	for _, g := range []struct {
 		name string
 		gen  func(gen.Config) (*dataset.DB, error)
 	}{{"yelp", gen.Yelp}, {"movielens", gen.Movielens}, {"hotels", gen.Hotels}, {"demo", gen.Demo}} {
-		db, err := g.gen(gen.Config{})
+		db, err := g.gen(gen.Config{Scale: scale})
 		if err != nil {
 			panic(err) // the generators fail on a bad Config only
 		}
@@ -57,7 +60,7 @@ var benchShapes = sync.OnceValue(func() []benchShape {
 		shapes = append(shapes, sh)
 	}
 	return shapes
-})
+}
 
 // batch is a strided sample of n of the shape's records — it reaches every
 // part of the rating table, as a selection's records do.

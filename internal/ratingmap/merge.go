@@ -1,8 +1,9 @@
 package ratingmap
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 
 	"subdex/internal/dataset"
@@ -78,14 +79,35 @@ func (a *Accumulator) NumRecords(k Key) int {
 // identical — the "byte-identical rating maps" check of the differential
 // harness and of the benchmark's per-step oracle comparison.
 func (rm *RatingMap) Digest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d.%s.dim%d|n=%d|", rm.Side, rm.Attr, rm.Dim, rm.TotalRecords)
-	sgs := append([]Subgroup(nil), rm.Subgroups...)
-	sort.Slice(sgs, func(i, j int) bool { return sgs[i].Value < sgs[j].Value })
-	for _, sg := range sgs {
-		fmt.Fprintf(&b, "%d:%v;", sg.Value, sg.Counts)
+	// Rendered by appends into a buffer that starts on the stack; only the
+	// returned string, cut to size, reaches the heap for an ordinary map.
+	var buf [1024]byte
+	b := strconv.AppendInt(buf[:0], int64(rm.Side), 10)
+	b = append(append(b, '.'), rm.Attr...)
+	b = append(b, ".dim"...)
+	b = strconv.AppendInt(b, int64(rm.Dim), 10)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(rm.TotalRecords), 10)
+	b = append(b, '|')
+	sgs := rm.Subgroups
+	byValue := func(x, y Subgroup) int { return cmp.Compare(x.Value, y.Value) }
+	if !slices.IsSortedFunc(sgs, byValue) { // a displayed map is in score order
+		var sorted [16]Subgroup
+		sgs = append(sorted[:0], sgs...)
+		slices.SortFunc(sgs, byValue)
 	}
-	return b.String()
+	for i := range sgs {
+		b = strconv.AppendUint(b, uint64(sgs[i].Value), 10)
+		b = append(b, ':', '[')
+		for j, c := range sgs[i].Counts {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, ']', ';')
+	}
+	return string(b)
 }
 
 // DigestMaps digests a whole result set in order, newline-separated.

@@ -79,7 +79,7 @@ func (s *Server) stepJSON(sess *core.Session, step *core.StepResult, explain boo
 		out.Profile = step.Profile
 	}
 	for i, rm := range step.Maps {
-		out.Maps = append(out.Maps, s.mapJSON(sess, rm, step.Utilities[i]))
+		out.Maps = append(out.Maps, s.mapJSON(sess, rm, step.Utilities[i], step.Digests[i]))
 	}
 	for _, rec := range step.Recommendations {
 		out.Recommendations = append(out.Recommendations, RecommendationJSON{
@@ -91,14 +91,14 @@ func (s *Server) stepJSON(sess *core.Session, step *core.StepResult, explain boo
 	return out
 }
 
-func (s *Server) mapJSON(sess *core.Session, rm *ratingmap.RatingMap, utility float64) MapJSON {
+func (s *Server) mapJSON(sess *core.Session, rm *ratingmap.RatingMap, utility float64, digest string) MapJSON {
 	_, winner := s.ex.ExplainMap(rm, sess.Seen())
 	mj := MapJSON{
 		GroupBy:   rm.Side.String() + "." + rm.Attr,
 		Dimension: rm.DimName,
 		Utility:   utility,
 		WonBy:     winner.String(),
-		Digest:    rm.Digest(),
+		Digest:    digest,
 	}
 	dict := s.ex.DictFor(rm)
 	for i := range rm.Subgroups {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -114,20 +115,31 @@ func newSessionTable(ctx context.Context, ex *core.Explorer, reg *obs.Registry, 
 	return t, nil
 }
 
-// recover resumes every stored session at boot: each snapshot is
-// replayed through the real engine (rewarming the cross-step cache and
-// verifying the recorded digests) and installed in the live map. A
-// session that fails to replay is flight-recorded and left in the store
-// for forensics, never served. A corrupt WAL tail found by the store's
-// own open is likewise flight-recorded here, where a recorder exists.
+// recover resumes every stored session at boot, in ascending id order:
+// each snapshot is replayed through the real engine (rewarming the
+// cross-step cache and verifying the recorded digests) and installed in
+// the live map. A session that fails to replay is flight-recorded and
+// left in the store for forensics, never served — unless ctx is done:
+// that is the boot called off, not the session's fault, so recover
+// returns the context's error and the store, only read, recovers in full
+// next time. A corrupt WAL tail found by the store's own open is likewise
+// flight-recorded here, where a recorder exists.
 func (t *sessionTable) recover(ctx context.Context) error {
 	snaps, nextID, err := t.store.All()
 	if err != nil {
 		return fmt.Errorf("server: reading session store: %w", err)
 	}
+	ids := make([]int, 0, len(snaps))
+	for id := range snaps {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	recovered := 0
-	for id, snap := range snaps {
-		sess, rerr := core.RestoreSession(ctx, t.ex, snap)
+	for _, id := range ids {
+		sess, rerr := core.RestoreSession(ctx, t.ex, snaps[id])
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("server: session recovery: %w", err)
+		}
 		if rerr != nil {
 			t.tel.flightEvent("session_recovery_failed", obs.NewWideEvent().
 				Set("op", "recover_session").

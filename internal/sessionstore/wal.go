@@ -2,6 +2,8 @@ package sessionstore
 
 import (
 	"bufio"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -12,7 +14,11 @@ import (
 
 // The WAL is a JSONL file: one record per line, each wrapped in a CRC
 // envelope {"c":"<crc32c hex>","r":<record>} so torn or bit-flipped
-// tails are detected without trusting JSON well-formedness alone. Replay
+// tails are detected without trusting JSON well-formedness alone. The
+// envelope is a byte frame, not a JSON object of its own: a line is valid
+// only in the exact bytes encodeRecord writes around the record. Any other
+// line, valid JSON or not, is a corrupt tail — which is what a line that
+// encodeRecord did not write has always been in practice. Replay
 // recovers the longest valid prefix: the first undecodable or
 // checksum-failing line ends recovery and the file is truncated there.
 // Three well-formed redundancies are tolerated mid-stream instead of
@@ -46,13 +52,24 @@ type walRecord struct {
 	Snap *core.SessionSnapshot `json:"snap,omitempty"`
 }
 
-// walEnvelope is the on-disk line: the record's raw JSON plus its CRC.
-type walEnvelope struct {
-	C string          `json:"c"`
-	R json.RawMessage `json:"r"`
-}
+// The frame around a record's JSON, {"c":"<8 hex digits>","r":<record>},
+// as the byte offsets encodeRecord writes and decodeLine checks.
+const (
+	framePrefix = `{"c":"`
+	frameInfix  = `","r":`
+	crcStart    = len(framePrefix)
+	crcEnd      = crcStart + 8
+	frameHead   = crcEnd + len(frameInfix)
+)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendCRC appends the payload's CRC-32C as eight lower-case hex digits.
+func appendCRC(dst, payload []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	return hex.AppendEncode(dst, sum[:])
+}
 
 // encodeRecord renders one WAL line, newline-terminated.
 func encodeRecord(rec walRecord) ([]byte, error) {
@@ -60,28 +77,29 @@ func encodeRecord(rec walRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := walEnvelope{
-		C: fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli)),
-		R: payload,
-	}
-	line, err := json.Marshal(env)
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	line := append(make([]byte, 0, frameHead+len(payload)+2), framePrefix...)
+	line = appendCRC(line, payload)
+	line = append(line, frameInfix...)
+	line = append(line, payload...)
+	return append(line, '}', '\n'), nil
 }
 
 // decodeLine parses and checksum-verifies one WAL line.
 func decodeLine(line []byte) (walRecord, error) {
-	var env walEnvelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return walRecord{}, fmt.Errorf("sessionstore: bad wal line: %w", err)
+	// The payload's own braces are part of the frame: with them, a line
+	// accepted here is one JSON object whose "r" is exactly the payload.
+	n := len(line)
+	if n < frameHead+len("{}}") || string(line[:crcStart]) != framePrefix ||
+		string(line[crcEnd:frameHead]) != frameInfix || line[frameHead] != '{' || string(line[n-2:]) != "}}" {
+		return walRecord{}, fmt.Errorf("sessionstore: bad wal line: not a %s…%s{…}} frame", framePrefix, frameInfix)
 	}
-	if got := fmt.Sprintf("%08x", crc32.Checksum(env.R, castagnoli)); got != env.C {
-		return walRecord{}, fmt.Errorf("sessionstore: wal checksum mismatch: line says %s, payload is %s", env.C, got)
+	payload := line[frameHead : n-1]
+	var sum [8]byte
+	if got := appendCRC(sum[:0], payload); string(got) != string(line[crcStart:crcEnd]) {
+		return walRecord{}, fmt.Errorf("sessionstore: wal checksum mismatch: line says %s, payload is %s", line[crcStart:crcEnd], got)
 	}
 	var rec walRecord
-	if err := json.Unmarshal(env.R, &rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		return walRecord{}, fmt.Errorf("sessionstore: bad wal record: %w", err)
 	}
 	return rec, nil

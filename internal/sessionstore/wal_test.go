@@ -239,7 +239,31 @@ func FuzzWALReplay(f *testing.F) {
 	corrupt := baseWAL(f)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
+	// Damage to the frame around the last record, and two envelopes that
+	// are valid JSON but not the frame (TestWALFrameMatchesReference).
+	base := baseWAL(f)
+	last := bytes.LastIndexByte(base[:len(base)-1], '\n') + 1
+	mutate := func(edit func(line []byte) []byte) {
+		f.Add(append(bytes.Clone(base[:last]), edit(bytes.Clone(base[last:]))...))
+	}
+	mutate(func(line []byte) []byte { // a flipped hex digit
+		line[crcStart+2] ^= 0x01
+		return line
+	})
+	mutate(func(line []byte) []byte { // the closing brace missing
+		return append(line[:len(line)-2], '\n')
+	})
+	mutate(func(line []byte) []byte { // "c" and "r" swapped
+		n := len(line)
+		return []byte(`{"r":` + string(line[frameHead:n-2]) + `,"c":"` + string(line[crcStart:crcEnd]) + "\"}\n")
+	})
+	mutate(func(line []byte) []byte { // whitespace inside the frame
+		return append([]byte(`{"c": `), line[crcStart-1:]...)
+	})
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, line := range bytes.Split(raw, []byte("\n")) {
+			checkAgainstReference(t, line)
+		}
 		st := newMemState()
 		res := replayWAL(st, bytes.NewReader(raw))
 		if res.ValidBytes > int64(len(raw)) {

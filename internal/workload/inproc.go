@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"subdex/internal/core"
@@ -117,10 +116,10 @@ func (c *InprocClient) view(st *core.StepResult) *StepView {
 	}
 	for i, rm := range st.Maps {
 		mv := MapView{
-			GroupBy:   fmt.Sprintf("%s.%s", rm.Side, rm.Attr),
+			GroupBy:   rm.Side.String() + "." + rm.Attr,
 			Dimension: rm.DimName,
 			Utility:   st.Utilities[i],
-			Digest:    rm.Digest(),
+			Digest:    st.Digests[i],
 		}
 		dict := c.ex.DictFor(rm)
 		for j := range rm.Subgroups {
