@@ -3,9 +3,34 @@ package main
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"subdex"
+	"subdex/internal/ratingmap"
 )
+
+// printWhy answers `why <n>`: the four criterion values map n of the last
+// step was ranked by — the engine's own, against what was seen before the
+// step — with the winner marked.
+func printWhy(w io.Writer, steps []*subdex.StepResult, arg string) {
+	n, err := strconv.Atoi(strings.TrimSpace(arg))
+	if err != nil || n < 1 || len(steps) == 0 || n > len(steps[len(steps)-1].Maps) {
+		fmt.Fprintln(w, "usage: why <map number from the last step>")
+		return
+	}
+	last := steps[len(steps)-1]
+	rm, scores := last.Maps[n-1], last.Scores[n-1]
+	winner, _ := scores.Best()
+	fmt.Fprintf(w, "map %d (%s.%s by %s) is shown because of its %s:\n", n, rm.Side, rm.Attr, rm.DimName, winner)
+	for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
+		marker := "  "
+		if c == winner {
+			marker = "->"
+		}
+		fmt.Fprintf(w, " %s %-20v %.3f\n", marker, c, scores[c])
+	}
+}
 
 // printProfile pretty-prints a step's EXPLAIN record: where the time
 // went (generation vs recommendations, per engine phase), what the

@@ -55,3 +55,45 @@ func TestPrintProfile(t *testing.T) {
 		t.Errorf("degraded reason not rendered: %q", db2.String())
 	}
 }
+
+// TestWhyPrintsRankingScores drives `why 1` after a session's first step:
+// nothing was seen before it, so the scores the map was ranked by — the
+// ones `why` prints — have a global peculiarity of 0, however much the
+// step's own maps differ from each other.
+func TestWhyPrintsRankingScores(t *testing.T) {
+	db, err := gen.Demo(gen.Config{Seed: 1, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := subdex.NewExplorer(db, subdex.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := subdex.NewSession(ex, subdex.RecommendationPowered, subdex.Everything())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	printWhy(&b, sess.Steps(), "1")
+	if !strings.HasPrefix(b.String(), "usage:") {
+		t.Errorf("why before any step: %q", b.String())
+	}
+	if _, err := sess.Step(); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	printWhy(&b, sess.Steps(), "1")
+	out := b.String()
+	if !strings.Contains(out, "map 1 (") || !strings.Contains(out, "->") {
+		t.Fatalf("why 1 names no winner:\n%s", out)
+	}
+	global := ""
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); strings.Contains(line, "global-peculiarity") {
+			global = f[len(f)-1]
+		}
+	}
+	if global != "0.000" {
+		t.Errorf("why 1 after the first step prints global peculiarity %q, want 0.000:\n%s", global, out)
+	}
+}

@@ -103,14 +103,6 @@ func main() {
 	}
 }
 
-func criterionName(c int) string {
-	names := []string{"conciseness", "agreement", "self-peculiarity", "global-peculiarity"}
-	if c < len(names) {
-		return names[c]
-	}
-	return "?"
-}
-
 // display runs one step and renders it.
 func display(ex *subdex.Explorer, sess *subdex.Session) {
 	step, err := sess.Step()
@@ -206,22 +198,7 @@ func handle(ex *subdex.Explorer, sess *subdex.Session, line string) bool {
 		}
 		display(ex, sess)
 	case "why":
-		n, err := strconv.Atoi(strings.TrimSpace(rest))
-		steps := sess.Steps()
-		if err != nil || n < 1 || len(steps) == 0 || n > len(steps[len(steps)-1].Maps) {
-			fmt.Println("usage: why <map number from the last step>")
-			return false
-		}
-		rm := steps[len(steps)-1].Maps[n-1]
-		scores, winner := ex.ExplainMap(rm, sess.Seen())
-		fmt.Printf("map %d (%s.%s by %s) is shown because of its %s:\n", n, rm.Side, rm.Attr, rm.DimName, winner)
-		for c := 0; c < len(scores); c++ {
-			marker := "  "
-			if c == int(winner) {
-				marker = "->"
-			}
-			fmt.Printf(" %s %-20v %.3f\n", marker, criterionName(c), scores[c])
-		}
+		printWhy(os.Stdout, sess.Steps(), rest)
 	case "where", "filter":
 		pred := rest
 		if cmd == "filter" {

@@ -403,25 +403,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestExplainMap(t *testing.T) {
-	ex := coreExplorer(t)
-	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, winner := ex.ExplainMap(res.Maps[0], seen)
-	if winner < 0 || winner >= ratingmap.NumCriteria {
-		t.Fatalf("winner out of range: %v", winner)
-	}
-	for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
-		if scores[c] > scores[winner] {
-			t.Fatalf("criterion %v (%v) beats reported winner %v (%v)",
-				c, scores[c], winner, scores[winner])
-		}
-	}
-}
-
 // TestStepTimeoutDegrades covers the Config.StepTimeout contract: when
 // the deadline fires after the engine's first phase boundary (forced
 // deterministically by a PhaseHook that stalls phase 1 until the

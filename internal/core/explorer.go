@@ -81,6 +81,10 @@ type StepResult struct {
 	// Utilities aligns with Maps.
 	Maps      []*ratingmap.RatingMap
 	Utilities []float64
+	// Scores aligns with Maps: the four criterion values the engine ranked
+	// each map by, against the seen set before the step. Scores[i].Best()
+	// is the criterion a map is explained by.
+	Scores []ratingmap.Scores
 	// Digests aligns with Maps: each map's ratingmap.Digest, rendered once,
 	// when a session commits the step (nil on an uncommitted result).
 	Digests []string
@@ -187,12 +191,13 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 	if err != nil {
 		return nil, err
 	}
-	sel, utils := ex.selectDiverse(genRes)
+	sel, picked := ex.selectDiverse(genRes)
 	out := &StepResult{
 		Desc:             group.Desc,
 		GroupSize:        group.Len(),
 		Maps:             sel,
-		Utilities:        utils,
+		Utilities:        make([]float64, len(picked)),
+		Scores:           make([]ratingmap.Scores, len(picked)),
 		PrunedCI:         genRes.PrunedCI,
 		PrunedMAB:        genRes.PrunedMAB,
 		Considered:       genRes.Considered,
@@ -208,6 +213,9 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 		SetDiversity: diversity.SetDiversity(sel, diversity.EMD),
 		AvgDiversity: diversity.AvgPairwiseDiversity(sel, diversity.EMD),
 	}
+	for j, i := range picked {
+		out.Utilities[j], out.Scores[j] = genRes.Utilities[i], genRes.Scores[i]
+	}
 	out.NumMatched.Reviewers = group.Reviewers.Count()
 	out.NumMatched.Items = group.Items.Count()
 	return out, nil
@@ -215,18 +223,18 @@ func (ex *Explorer) rmSetForGroup(ctx context.Context, group *query.RatingGroup,
 
 // selectDiverse is the second half of RM-Set selection, shared by a step
 // and by every candidate operation it scores: GMM picks the k diverse
-// maps out of the generator's k′, and each keeps the utility the
-// generator ranked it by.
-func (ex *Explorer) selectDiverse(genRes *engine.Result) ([]*ratingmap.RatingMap, []float64) {
-	sel := diversity.SelectDiverse(genRes.Maps, ex.Cfg.K, ex.Cfg.Distance)
-	// sel keeps the generator's order, so one walk pairs the utilities up.
-	utils := make([]float64, 0, len(sel))
+// maps out of the generator's k′, and picked[j] is sel[j]'s position in
+// genRes, so each keeps the utility and scores the generator ranked it by.
+func (ex *Explorer) selectDiverse(genRes *engine.Result) (sel []*ratingmap.RatingMap, picked []int) {
+	sel = diversity.SelectDiverse(genRes.Maps, ex.Cfg.K, ex.Cfg.Distance)
+	// sel keeps the generator's order, so one walk finds the positions.
+	picked = make([]int, 0, len(sel))
 	for i, rm := range genRes.Maps {
-		if len(utils) < len(sel) && rm == sel[len(utils)] {
-			utils = append(utils, genRes.Utilities[i])
+		if len(picked) < len(sel) && rm == sel[len(picked)] {
+			picked = append(picked, i)
 		}
 	}
-	return sel, utils
+	return sel, picked
 }
 
 // OperationUtility evaluates Equation 2 for a candidate operation: the sum
@@ -266,10 +274,10 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands 
 	if genRes.Gated {
 		return 0, true, nil
 	}
-	_, utils := ex.selectDiverse(genRes)
+	_, picked := ex.selectDiverse(genRes)
 	sum := 0.0
-	for _, u := range utils {
-		sum += u
+	for _, i := range picked {
+		sum += genRes.Utilities[i]
 	}
 	return sum, false, nil
 }
@@ -314,15 +322,6 @@ func (ex *Explorer) RenderMap(rm *ratingmap.RatingMap) string {
 		return "<nil rating map>"
 	}
 	return rm.Render(ex.DictFor(rm))
-}
-
-// ExplainMap reports why a rating map scores: its four criterion values and
-// the winning criterion — the attribution behind the max-aggregated
-// utility, shown by the CLI's "why" command.
-func (ex *Explorer) ExplainMap(rm *ratingmap.RatingMap, seen *ratingmap.SeenSet) (scores ratingmap.Scores, winner ratingmap.Criterion) {
-	scores = ratingmap.ComputeScoresOpt(rm, seen, 1, ex.Cfg.Engine.Utility.Peculiarity)
-	winner, _ = scores.Best()
-	return scores, winner
 }
 
 func (ex *Explorer) String() string {

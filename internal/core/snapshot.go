@@ -166,12 +166,17 @@ func (ex *Explorer) Fingerprint() string {
 	c := ex.Cfg
 	fmt.Fprintf(h, "|k=%d|o=%d|l=%d|div=%t|rss=%d", c.K, c.O, c.L, c.DiversityOnly, c.RecSampleSize)
 	e := c.Engine
-	// "exact=false" is the token an engine setting since removed (exact
-	// scans on cache misses, never enabled by any binary) used to render;
-	// the literal keeps every stored session directory and mixed-version
-	// cluster on the same fingerprint.
-	fmt.Fprintf(h, "|ph=%d|delta=%g|prune=%d|minph=%d|exact=false|util=%+v",
-		e.Phases, engine.Delta, int(e.Pruning), e.MinPhaseRecords, e.Utility)
+	// "exact=false" and "Normalize:false" are tokens of settings since
+	// removed (exact scans on cache misses; min-max normalization of the
+	// criteria), neither ever enabled by any binary; util is spelled out as
+	// %+v rendered it with Normalize still a field. The literals keep every
+	// stored session directory and mixed-version cluster on the same
+	// fingerprint.
+	u := e.Utility
+	fmt.Fprintf(h, "|ph=%d|delta=%g|prune=%d|minph=%d|exact=false"+
+		"|util={Aggregation:%d Single:%v Peculiarity:%v DisableDimensionWeights:%t Normalize:false}",
+		e.Phases, engine.Delta, int(e.Pruning), e.MinPhaseRecords,
+		u.Aggregation, u.Single, u.Peculiarity, u.DisableDimensionWeights)
 	// The candidate caps decide which operations a step recommends, so an
 	// OpRecommend index replays onto a different target under different
 	// caps. Rendered only when set: the uncapped default keeps the

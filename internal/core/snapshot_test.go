@@ -400,3 +400,25 @@ func TestFingerprintPinned(t *testing.T) {
 		t.Fatalf("Fingerprint() = %s, want %s: stored sessions and workers of the previous version would be refused", got, want)
 	}
 }
+
+// TestFingerprintPinnedSingleDimension pins the other utility rendering
+// every stored session carries: a single-dimension database, on which
+// NewExplorer turns dimension weighting off, so the literal util= token
+// Fingerprint writes must render DisableDimensionWeights:true as the
+// struct's %+v did.
+func TestFingerprintPinnedSingleDimension(t *testing.T) {
+	db, err := gen.Movielens(gen.Config{Seed: 1, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExplorer(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.Cfg.Engine.Utility.DisableDimensionWeights {
+		t.Fatal("a single-dimension explorer must weight no dimension")
+	}
+	if got, want := ex.Fingerprint(), "7ae8bd913fdeba6f"; got != want {
+		t.Fatalf("Fingerprint() = %s, want %s: stored sessions and workers of the previous version would be refused", got, want)
+	}
+}

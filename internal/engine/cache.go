@@ -279,8 +279,6 @@ func cacheKey(group *query.RatingGroup, candidates []ratingmap.Key, u ratingmap.
 	b = strconv.AppendInt(b, int64(u.Peculiarity), 10)
 	b = append(b, '|')
 	b = strconv.AppendBool(b, u.DisableDimensionWeights)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, u.Normalize)
 	return string(b)
 }
 

@@ -105,7 +105,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 	// A different utility config must change the key.
 	u2 := u
-	u2.Normalize = true
+	u2.Peculiarity = ratingmap.PecKL
 	if base == cacheKey(group, keys, u2) {
 		t.Fatal("key ignores utility config")
 	}

@@ -22,6 +22,7 @@ import (
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 	"subdex/internal/ratingmap/reftest"
+	"subdex/internal/stats"
 )
 
 // buildRandomDB constructs a small synthetic subjective database with
@@ -182,9 +183,10 @@ func assertAccMatchesReference(t *testing.T, acc *ratingmap.Accumulator,
 				t.Fatalf("%v value %d: avg %g vs reference %g (Δ=%g)",
 					k, sg.Value, sg.AvgScore(), refAvg, d)
 			}
-			if d := math.Abs(sg.StdDev() - math.Sqrt(refVar)); d > 1e-9 {
+			sd := stats.NewDistributionFromCounts(sg.Counts).StdDev()
+			if d := math.Abs(sd - math.Sqrt(refVar)); d > 1e-9 {
 				t.Fatalf("%v value %d: sd %g vs reference %g (Δ=%g)",
-					k, sg.Value, sg.StdDev(), math.Sqrt(refVar), d)
+					k, sg.Value, sd, math.Sqrt(refVar), d)
 			}
 		}
 		if rm.TotalRecords != totalRecords {

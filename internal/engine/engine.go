@@ -107,10 +107,15 @@ func DefaultConfig() Config {
 }
 
 // Result carries the generator's output: the top maps ranked by descending
-// DW utility, aligned utilities, and observability counters.
+// DW utility, aligned utilities and criterion scores, and observability
+// counters.
 type Result struct {
 	Maps      []*ratingmap.RatingMap
 	Utilities []float64
+	// Scores aligns with Maps: the criterion values each map was ranked by
+	// — ScoresAt against the seen set the call was given — so a map is
+	// explained by the numbers that chose it, not scored a second time.
+	Scores []ratingmap.Scores
 	// PrunedCI and PrunedMAB count candidates dropped by each scheme.
 	PrunedCI  int
 	PrunedMAB int
@@ -688,10 +693,9 @@ func (g *Generator) InvalidateCache() {
 
 // finalize scores all remaining candidates on their full accumulated data
 // using the allocation-light estimator, ranks them, and materializes only
-// the top kPrime as rating maps — and those only if keep, when there is
-// one, accepts their utilities (TopMapsIf). With normalization enabled in
-// the utility config, criterion columns are min-max normalized across the
-// survivors before aggregation, per Somech et al. [51].
+// the top kPrime as rating maps, each with the scores it was ranked by —
+// and those only if keep, when there is one, accepts their utilities
+// (TopMapsIf).
 //
 // The workers consult ctx between candidates: if the context dies
 // mid-finalize, unscored candidates are dropped from the ranking and the
@@ -726,18 +730,6 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 		res.degrade("deadline_mid_finalize")
 	}
 
-	if cfg.Utility.Normalize && len(order) > 1 {
-		col := make([]float64, len(order))
-		for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
-			for j, i := range order {
-				col[j] = scores[i][c]
-			}
-			stats.MinMaxNormalize(col)
-			for j, i := range order {
-				scores[i][c] = col[j]
-			}
-		}
-	}
 	for _, i := range order {
 		utils[i] = ratingmap.DWUtility(scores[i].Aggregate(cfg.Utility), keys[i].Dim, seen, cfg.Utility)
 	}
@@ -752,8 +744,10 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 		return
 	}
 	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
+	res.Scores = make([]ratingmap.Scores, 0, kPrime)
 	for _, i := range order[:kPrime] {
 		res.Maps = append(res.Maps, acc.SnapshotAt(i))
+		res.Scores = append(res.Scores, scores[i])
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"subdex/internal/ratingmap"
-	"subdex/internal/stats"
 )
 
 // TestRankTopMatchesStableSort: for rankings of every size around
@@ -65,25 +64,13 @@ func TestRankTopMatchesStableSort(t *testing.T) {
 
 // finalizeOracle is finalize written plainly over the first scoredN
 // candidates: no memo, no scratch, every candidate ranked by a stable sort.
-func finalizeOracle(acc *ratingmap.Accumulator, seen *ratingmap.SeenSet, kPrime int, cfg Config, scoredN int) (digest string, utilities []float64) {
+func finalizeOracle(acc *ratingmap.Accumulator, seen *ratingmap.SeenSet, kPrime int, cfg Config, scoredN int) (digest string, utilities []float64, ranked []ratingmap.Scores) {
 	keys := acc.Keys()
 	scores := make([]ratingmap.Scores, scoredN)
 	order := make([]int, scoredN)
 	for i := range order {
 		order[i] = i
 		scores[i] = acc.ScoresAt(i, seen, 1, cfg.Utility.Peculiarity, nil)
-	}
-	if cfg.Utility.Normalize && scoredN > 1 {
-		col := make([]float64, scoredN)
-		for c := ratingmap.Criterion(0); c < ratingmap.NumCriteria; c++ {
-			for i := range col {
-				col[i] = scores[i][c]
-			}
-			stats.MinMaxNormalize(col)
-			for i := range col {
-				scores[i][c] = col[i]
-			}
-		}
 	}
 	utils := make([]float64, scoredN)
 	for i := range utils {
@@ -94,8 +81,9 @@ func finalizeOracle(acc *ratingmap.Accumulator, seen *ratingmap.SeenSet, kPrime 
 	for _, i := range order[:min(kPrime, scoredN)] {
 		maps = append(maps, acc.SnapshotAt(i))
 		utilities = append(utilities, utils[i])
+		ranked = append(ranked, scores[i])
 	}
-	return ratingmap.DigestMaps(maps), utilities
+	return ratingmap.DigestMaps(maps), utilities, ranked
 }
 
 // countdownCtx is alive for a fixed number of Err calls: finalize asks once
@@ -113,9 +101,9 @@ func (c countdownCtx) Err() error {
 }
 
 // TestFinalizeMatchesOracle: over a seen set that makes global peculiarity
-// matter, finalize returns the oracle's maps and utilities bit for bit —
-// for answers on both sides of rankTopFactor's switch and larger than the
-// candidate set, with and without normalization, under both measures, with
+// matter, finalize returns the oracle's maps, utilities and scores bit for
+// bit — for answers on both sides of rankTopFactor's switch and larger than
+// the candidate set, under both measures, with
 // one worker and with three (three memos), and when the scoring pass is
 // cancelled part-way (order shorter than keys: the call degrades and ranks
 // what it scored).
@@ -133,34 +121,34 @@ func TestFinalizeMatchesOracle(t *testing.T) {
 	}
 
 	for _, kPrime := range []int{1, 3, len(keys) / 2, len(keys), len(keys) + 4} {
-		for _, normalize := range []bool{false, true} {
-			for _, m := range []ratingmap.PeculiarityMeasure{ratingmap.PecTVD, ratingmap.PecKL} {
-				for _, workers := range []int{1, 3} {
-					for _, scoredN := range []int{len(keys), len(keys) / 2, 1} {
-						if scoredN < len(keys) && workers > 1 {
-							continue // which candidates a cancelled parallel pass reached is not fixed
-						}
-						cfg := DefaultConfig()
-						cfg.Workers = workers
-						cfg.Utility.Normalize = normalize
-						cfg.Utility.Peculiarity = m
-						label := fmt.Sprintf("k'=%d normalize=%t %v workers=%d scored=%d", kPrime, normalize, m, workers, scoredN)
+		for _, m := range []ratingmap.PeculiarityMeasure{ratingmap.PecTVD, ratingmap.PecKL} {
+			for _, workers := range []int{1, 3} {
+				for _, scoredN := range []int{len(keys), len(keys) / 2, 1} {
+					if scoredN < len(keys) && workers > 1 {
+						continue // which candidates a cancelled parallel pass reached is not fixed
+					}
+					cfg := DefaultConfig()
+					cfg.Workers = workers
+					cfg.Utility.Peculiarity = m
+					label := fmt.Sprintf("k'=%d %v workers=%d scored=%d", kPrime, m, workers, scoredN)
 
-						left := new(atomic.Int64)
-						left.Store(int64(scoredN))
-						res := &Result{Profile: &Profile{}}
-						g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, nil, res)
+					left := new(atomic.Int64)
+					left.Store(int64(scoredN))
+					res := &Result{Profile: &Profile{}}
+					g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, nil, res)
 
-						wantDigest, wantUtils := finalizeOracle(acc, seen, kPrime, cfg, scoredN)
-						if got := ratingmap.DigestMaps(res.Maps); got != wantDigest {
-							t.Fatalf("%s: maps differ from the oracle's\n got: %s\nwant: %s", label, got, wantDigest)
-						}
-						if !slices.Equal(res.Utilities, wantUtils) {
-							t.Fatalf("%s: utilities %v, the oracle's %v", label, res.Utilities, wantUtils)
-						}
-						if wantDegraded := scoredN < len(keys); res.Degraded != wantDegraded {
-							t.Fatalf("%s: Degraded = %t, want %t", label, res.Degraded, wantDegraded)
-						}
+					wantDigest, wantUtils, wantScores := finalizeOracle(acc, seen, kPrime, cfg, scoredN)
+					if got := ratingmap.DigestMaps(res.Maps); got != wantDigest {
+						t.Fatalf("%s: maps differ from the oracle's\n got: %s\nwant: %s", label, got, wantDigest)
+					}
+					if !slices.Equal(res.Utilities, wantUtils) {
+						t.Fatalf("%s: utilities %v, the oracle's %v", label, res.Utilities, wantUtils)
+					}
+					if !slices.Equal(res.Scores, wantScores) {
+						t.Fatalf("%s: scores %v, the oracle's %v", label, res.Scores, wantScores)
+					}
+					if wantDegraded := scoredN < len(keys); res.Degraded != wantDegraded {
+						t.Fatalf("%s: Degraded = %t, want %t", label, res.Degraded, wantDegraded)
 					}
 				}
 			}
@@ -187,7 +175,7 @@ func TestFinalizeConcurrentOnOneAccumulator(t *testing.T) {
 	seens[1].Add(acc.SnapshotAt(2))
 	var wg sync.WaitGroup
 	for _, seen := range seens {
-		wantDigest, wantUtils := finalizeOracle(acc, seen, 4, cfg, len(keys))
+		wantDigest, wantUtils, _ := finalizeOracle(acc, seen, 4, cfg, len(keys))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -5,16 +5,6 @@ import (
 	"slices"
 )
 
-// CriteriaEstimateOpt is ScoresAt for a candidate given by key; ok is false
-// for an unknown one.
-func (a *Accumulator) CriteriaEstimateOpt(k Key, seen *SeenSet, recordScale float64, m PeculiarityMeasure) (s Scores, ok bool) {
-	i := a.index(k)
-	if i < 0 {
-		return s, false
-	}
-	return a.ScoresAt(i, seen, recordScale, m, nil), true
-}
-
 // stackScale and stackBars size ScoresAt's stack buffers; rating scales and
 // bar counts beyond them are scored the same way, from the heap.
 const stackScale, stackBars = 16, 64
@@ -22,8 +12,10 @@ const stackScale, stackBars = 16, 64
 // ScoresAt computes the four bounded criteria of candidate Keys()[i] under
 // peculiarity measure m from its current partial state, without
 // materializing a RatingMap (no subgroup structs, no sorting). recordScale
-// projects conciseness to the full group as in ComputeScoresScaled. It is
-// the engine's scorer, per phase and at the end — some 90 calls per
+// is total/processed records: it projects conciseness to the full group
+// from a partial scan (bar counts saturate early; record counts grow
+// linearly). It is the one scorer — per phase, at the end, and behind every
+// displayed map's explanation (engine.Result.Scores) — some 90 calls per
 // candidate operation of a recommendation pass, most over a few dozen
 // records — so the block is walked once, the subgroups found are revisited
 // from a list, and nothing is allocated. memo, when non-nil, shares global
@@ -102,7 +94,7 @@ func (a *Accumulator) ScoresAt(i int, seen *SeenSet, recordScale float64, m Pecu
 		sdSum += fn * math.Sqrt(variance/fn)
 		t := tvd / 2
 		if m != PecTVD {
-			t = pecDist(sub, pooled, m)
+			t = klDist(sub, pooled)
 		}
 		t *= fn / (fn + pecSupport)
 		if t > maxPec {
@@ -195,7 +187,7 @@ func (s *SeenSet) maxDistAgainst(dist []float64, m PeculiarityMeasure) float64 {
 			}
 			t = sum / 2
 		} else {
-			t = pecDist(dist, d, m)
+			t = klDist(dist, d)
 		}
 		if t > maxD {
 			maxD = t

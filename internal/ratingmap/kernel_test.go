@@ -191,7 +191,7 @@ func discardMass(acc *Accumulator) int {
 // TestDiscardCellsNeverLeak: the fixture has missing values and missing
 // scores on every attribute, so a kernel scan fills row 0 and column 0 of
 // its blocks — the same cells with the same counts under either strategy.
-// No reader may see them: NumRecords, Snapshot, CriteriaEstimateOpt,
+// No reader may see them: NumRecords, Snapshot, ScoresAt,
 // EncodeWire and Merge must agree with the brute-force tally and with the
 // reference path, whose discard cells stay empty.
 func TestDiscardCellsNeverLeak(t *testing.T) {
@@ -245,8 +245,8 @@ func TestDiscardCellsNeverLeak(t *testing.T) {
 				t.Fatalf("%v: TotalRecords=%d NumRecords=%d, brute force %d", k, rm.TotalRecords, acc.NumRecords(k), total)
 			}
 			for _, m := range []PeculiarityMeasure{PecTVD, PecKL} {
-				got, _ := acc.CriteriaEstimateOpt(k, nil, 1, m)
-				exp, _ := ref.CriteriaEstimateOpt(k, nil, 1, m)
+				got := acc.ScoresAt(acc.index(k), nil, 1, m, nil)
+				exp := ref.ScoresAt(ref.index(k), nil, 1, m, nil)
 				if got != exp {
 					t.Fatalf("%v measure %v: estimate %v, reference path %v", k, m, got, exp)
 				}

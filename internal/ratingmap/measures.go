@@ -9,15 +9,24 @@ import (
 )
 
 // Criterion enumerates the four interestingness criteria whose maximum
-// defines the utility of a rating map (§3.2.3).
+// defines the utility of a rating map (§3.2.3). Each is scored in [0,1] by
+// Accumulator.ScoresAt, the one scorer.
 type Criterion int
 
 const (
 	// Conciseness favors maps with a small, human-readable number of
-	// subgroups summarizing many records (compaction gain [15]).
+	// subgroups summarizing many records (compaction gain [15]). The gain
+	// |g_R|/|rm| is log-scaled, log(1+gain)/log(1+concGainRef) clamped at
+	// 1, rather than replaced by 1/|rm|: a single bar over five records is
+	// not concise, so utilities stay comparable across rating groups of
+	// different sizes, as Equation 2 requires.
 	Conciseness Criterion = iota
 	// Agreement favors maps whose subgroups contain reviewers who agree
-	// among themselves (low within-subgroup dispersion [16]).
+	// among themselves (low within-subgroup dispersion [16]), scored
+	// 1/(1+σ̃) — monotone in the paper's 1/σ̃ and finite at σ̃ = 0. σ̃ is
+	// the record-weighted mean subgroup standard deviation: the paper's
+	// unweighted mean lets singleton bars (SD 0 by construction) pin
+	// agreement to its maximum for any finely partitioned group.
 	Agreement
 	// PecSelf (self peculiarity) favors maps containing a subgroup whose
 	// rating distribution deviates from the whole group's (TVD, max over
@@ -103,6 +112,13 @@ func (m PeculiarityMeasure) String() string {
 // UtilityConfig parameterizes utility computation; the zero value is the
 // paper's configuration (max aggregation, TVD peculiarity, dimension
 // weighting on).
+//
+// The paper min-max normalizes each criterion across the candidate set
+// before aggregating, per Somech et al. [51], because its raw criteria
+// (compaction gain, 1/σ̃) are unbounded. The criteria here are bounded
+// forms that already share the [0,1] scale, so there is no normalization
+// step: it would pin every per-criterion winner to exactly 1.0 and
+// collapse the utility ranking into ties.
 type UtilityConfig struct {
 	Aggregation Aggregation
 	Single      Criterion // used when Aggregation == AggSingle
@@ -112,28 +128,12 @@ type UtilityConfig struct {
 	// DisableDimensionWeights turns Equation 1 off (the Fig. 9 "without
 	// weights" arm).
 	DisableDimensionWeights bool
-	// Normalize applies min-max normalization of each criterion across the
-	// candidate set before aggregating, per Somech et al. [51]. The paper
-	// needs this because its raw criteria (compaction gain, 1/σ̃) are
-	// unbounded; this implementation instead uses bounded forms that
-	// already share the [0,1] scale, so normalization defaults to off —
-	// min-max normalization would pin every per-criterion winner to
-	// exactly 1.0 and collapse the utility ranking into ties.
-	Normalize bool
 }
 
 // DefaultUtilityConfig returns the paper's configuration with the bounded
-// criteria (see Normalize).
+// criteria.
 func DefaultUtilityConfig() UtilityConfig {
 	return UtilityConfig{Aggregation: AggMax}
-}
-
-// RawConciseness is the compaction gain Conc(rm) = |g_R| / |rm| of §4.1.
-func RawConciseness(rm *RatingMap) float64 {
-	if rm.NumSubgroups() == 0 {
-		return 0
-	}
-	return float64(rm.TotalRecords) / float64(rm.NumSubgroups())
 }
 
 // concGainRef is the compaction gain (records per bar) mapped to bounded
@@ -150,189 +150,21 @@ const concGainRef = 1_000_000.0
 // engine evaluates the criterion for every candidate of every group.
 var logConcGainRef = math.Log1p(concGainRef)
 
-// BoundedConciseness maps the compaction gain |g_R|/|rm| into (0,1] with a
-// log transform: log(1+gain)/log(1+concGainRef), clamped at 1. Unlike a
-// pure 1/|rm|, this keeps the paper's absolute intent — a single bar over
-// five records is NOT concise in the compaction-gain sense — so utilities
-// stay comparable across rating groups of different sizes (which
-// Equation 2 requires).
-func BoundedConciseness(rm *RatingMap) float64 {
-	return boundedConcisenessScaled(rm, 1)
-}
-
-func boundedConcisenessScaled(rm *RatingMap, recordScale float64) float64 {
-	n := rm.NumSubgroups()
-	if n == 0 {
-		return 0
-	}
-	gain := recordScale * float64(rm.TotalRecords) / float64(n)
-	c := math.Log1p(gain) / logConcGainRef
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
-// RawAgreement is Agr(rm) = 1/σ̃ with σ̃ the average standard deviation of
-// the subgroups (§4.1). A zero σ̃ (perfect agreement) returns +Inf; callers
-// display the bounded form.
-func RawAgreement(rm *RatingMap) float64 {
-	sd := avgSubgroupSD(rm)
-	if sd == 0 {
-		return math.Inf(1)
-	}
-	return 1 / sd
-}
-
-// BoundedAgreement maps agreement into (0,1]: 1/(1+σ̃), monotone in the
-// paper's 1/σ̃ and finite at σ̃ = 0.
-func BoundedAgreement(rm *RatingMap) float64 {
-	return 1 / (1 + avgSubgroupSD(rm))
-}
-
-// avgSubgroupSD is σ̃, the average within-subgroup standard deviation. The
-// average is record-weighted: the paper's unweighted mean lets singleton
-// bars (SD = 0 by construction) pin agreement to its maximum for any
-// finely partitioned group, which collapses the utility ranking. Weighting
-// by bar size preserves the paper's intent — reward genuine within-group
-// consensus — without the small-sample pathology.
-func avgSubgroupSD(rm *RatingMap) float64 {
-	total := 0
-	sum := 0.0
-	for i := range rm.Subgroups {
-		n := rm.Subgroups[i].N
-		sum += float64(n) * rm.Subgroups[i].StdDev()
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return sum / float64(total)
-}
-
 // pecSupport is the shrinkage constant applied to subgroup peculiarity: a
 // bar's TVD is scaled by N/(N+pecSupport), so a one-record outlier bar
 // cannot dominate the score while a substantial deviant bar keeps nearly
 // all of it.
 const pecSupport = 5.0
 
-// pecDist evaluates the configured peculiarity distance between two
-// distributions, mapped into [0,1]: TVD is already there; KL divergence is
-// squashed with 1 − e^(−KL).
-func pecDist(p, q stats.Distribution, m PeculiarityMeasure) float64 {
-	switch m {
-	case PecKL:
-		kl, err := stats.KLDivergence(p, q)
-		if err != nil {
-			return 0
-		}
-		return 1 - math.Exp(-kl)
-	default:
-		d, err := stats.TotalVariation(p, q)
-		if err != nil {
-			return 0
-		}
-		return d
-	}
-}
-
-// SelfPeculiarity is Pec_self(rm): the maximum total-variation distance of
-// any subgroup's distribution from the whole map's distribution, in [0,1],
-// with each subgroup's TVD shrunk by its support (see pecSupport).
-func SelfPeculiarity(rm *RatingMap) float64 {
-	return SelfPeculiarityWith(rm, PecTVD)
-}
-
-// SelfPeculiarityWith is SelfPeculiarity under an explicit peculiarity
-// measure (§4.1 alternatives).
-func SelfPeculiarityWith(rm *RatingMap, m PeculiarityMeasure) float64 {
-	if len(rm.Subgroups) == 0 {
+// klDist is the PecKL peculiarity distance between two distributions,
+// mapped into [0,1] with 1 − e^(−KL). Total variation, the default, is
+// already in [0,1]; ScoresAt computes it inline.
+func klDist(p, q []float64) float64 {
+	kl, err := stats.KLDivergence(p, q)
+	if err != nil {
 		return 0
 	}
-	whole := rm.Distribution()
-	maxD := 0.0
-	for i := range rm.Subgroups {
-		sg := &rm.Subgroups[i]
-		d := pecDist(sg.Distribution(), whole, m)
-		d *= float64(sg.N) / (float64(sg.N) + pecSupport)
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// GlobalPeculiarity is Pec_global(rm, RM): the maximum TVD between rm's
-// pooled distribution and the pooled distribution of each previously seen
-// rating map. With nothing seen it is 0 (no history to deviate from).
-func GlobalPeculiarity(rm *RatingMap, seen *SeenSet) float64 {
-	return GlobalPeculiarityWith(rm, seen, PecTVD)
-}
-
-// GlobalPeculiarityWith is GlobalPeculiarity under an explicit measure.
-func GlobalPeculiarityWith(rm *RatingMap, seen *SeenSet, m PeculiarityMeasure) float64 {
-	if seen == nil || len(seen.dists) == 0 {
-		return 0
-	}
-	mine := rm.Distribution()
-	maxD := 0.0
-	for _, d := range seen.dists {
-		if len(d) != len(mine) {
-			continue // different scale; incomparable
-		}
-		if dist := pecDist(mine, d, m); dist > maxD {
-			maxD = dist
-		}
-	}
-	return maxD
-}
-
-// ComputeScores evaluates the four bounded criteria for one map.
-func ComputeScores(rm *RatingMap, seen *SeenSet) Scores {
-	return ComputeScoresScaled(rm, seen, 1)
-}
-
-// ComputeScoresScaled evaluates the criteria treating the map as a partial
-// result covering 1/recordScale of its group: the phase-based engine passes
-// recordScale = total/processed so the conciseness estimate projects to the
-// full group (bar counts saturate early; record counts grow linearly).
-func ComputeScoresScaled(rm *RatingMap, seen *SeenSet, recordScale float64) Scores {
-	return ComputeScoresOpt(rm, seen, recordScale, PecTVD)
-}
-
-// ComputeScoresOpt is ComputeScoresScaled with an explicit peculiarity
-// measure.
-func ComputeScoresOpt(rm *RatingMap, seen *SeenSet, recordScale float64, m PeculiarityMeasure) Scores {
-	var s Scores
-	s[Conciseness] = boundedConcisenessScaled(rm, recordScale)
-	s[Agreement] = BoundedAgreement(rm)
-	s[PecSelf] = SelfPeculiarityWith(rm, m)
-	s[PecGlobal] = GlobalPeculiarityWith(rm, seen, m)
-	return s
-}
-
-// ScoreSetOpt evaluates scores for a whole candidate set under peculiarity
-// measure m, optionally min-max normalizing each criterion across the
-// candidates (the [51] normalization the paper applies because criteria
-// live on different scales).
-func ScoreSetOpt(maps []*RatingMap, seen *SeenSet, normalize bool, m PeculiarityMeasure) []Scores {
-	out := make([]Scores, len(maps))
-	for i, rm := range maps {
-		out[i] = ComputeScoresOpt(rm, seen, 1, m)
-	}
-	if normalize && len(maps) > 1 {
-		col := make([]float64, len(maps))
-		for c := Criterion(0); c < NumCriteria; c++ {
-			for i := range out {
-				col[i] = out[i][c]
-			}
-			stats.MinMaxNormalize(col)
-			for i := range out {
-				out[i][c] = col[i]
-			}
-		}
-	}
-	return out
+	return 1 - math.Exp(-kl)
 }
 
 // tieEps blends a small fraction of the non-maximal criteria into the
@@ -421,20 +253,6 @@ func (s *SeenSet) Weight(d int) float64 {
 	return w
 }
 
-// Weights materializes the getWeights vector of Algorithm 2: the per-
-// dimension frequencies m_{r_i}/m (NOT the Eq. 1 factor; callers subtract
-// from 1 when weighting utilities).
-func (s *SeenSet) Weights(numDims int) []float64 {
-	w := make([]float64, numDims)
-	if s == nil || s.total == 0 {
-		return w
-	}
-	for d := 0; d < numDims; d++ {
-		w[d] = float64(s.dimCount[d]) / float64(s.total)
-	}
-	return w
-}
-
 // SeenState is the serializable form of a SeenSet: the pooled
 // distributions in display order, the per-dimension counts, and the
 // total. It exists so session snapshots can both persist the history
@@ -499,15 +317,4 @@ func DWUtility(u float64, dim int, seen *SeenSet, cfg UtilityConfig) float64 {
 		return u
 	}
 	return seen.Weight(dim) * u
-}
-
-// UtilitySet computes the DW utilities of a candidate set in one shot:
-// scores, optional normalization, aggregation, then Equation 1.
-func UtilitySet(maps []*RatingMap, seen *SeenSet, cfg UtilityConfig) []float64 {
-	scores := ScoreSetOpt(maps, seen, cfg.Normalize, cfg.Peculiarity)
-	out := make([]float64, len(maps))
-	for i, rm := range maps {
-		out[i] = DWUtility(scores[i].Aggregate(cfg), rm.Dim, seen, cfg)
-	}
-	return out
 }

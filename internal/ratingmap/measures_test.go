@@ -219,10 +219,6 @@ func TestSeenSetWeights(t *testing.T) {
 	if w := seen.Weight(0); w != 1 {
 		t.Errorf("unseen dimension weight = %v, want 1", w)
 	}
-	ws := seen.Weights(4)
-	if !almost(ws[2], 1) || ws[0] != 0 {
-		t.Errorf("getWeights vector = %v", ws)
-	}
 }
 
 func TestSeenSetClone(t *testing.T) {
@@ -236,21 +232,25 @@ func TestSeenSetClone(t *testing.T) {
 	}
 }
 
-func TestUtilitySetNormalization(t *testing.T) {
+// TestUtilitySetBounded: the bounded criteria share [0,1], so utilities
+// need no normalization step to stay there.
+func TestUtilitySetBounded(t *testing.T) {
 	maps := []*RatingMap{
 		mapWithBars(5, []int{50, 0, 0, 0, 0}),
 		mapWithBars(5, []int{1, 1, 1, 1, 1}),
 		mapWithBars(5, []int{0, 0, 0, 0, 3}),
 	}
 	seen := NewSeenSet()
-	cfg := UtilityConfig{Aggregation: AggMax, Normalize: true}
-	utils := UtilitySet(maps, seen, cfg)
-	if len(utils) != 3 {
-		t.Fatal("wrong arity")
-	}
-	for _, u := range utils {
-		if u < 0 || u > 1+1e-9 {
-			t.Errorf("normalized utility out of range: %v", u)
+	seen.Add(maps[0])
+	for _, cfg := range []UtilityConfig{{Aggregation: AggMax}, {Aggregation: AggAvg}, {Aggregation: AggSingle, Single: PecGlobal}} {
+		utils := UtilitySet(maps, seen, cfg)
+		if len(utils) != 3 {
+			t.Fatal("wrong arity")
+		}
+		for _, u := range utils {
+			if u < 0 || u > 1+1e-9 {
+				t.Errorf("%+v: utility out of range: %v", cfg, u)
+			}
 		}
 	}
 }
@@ -276,11 +276,8 @@ func TestCriteriaEstimateMatchesComputeScores(t *testing.T) {
 		if r.Intn(2) == 0 {
 			seen.Add(randomRatingMap(r))
 		}
-		for _, k := range keys {
-			est, ok := acc.CriteriaEstimateOpt(k, seen, 1, PecTVD)
-			if !ok {
-				return false
-			}
+		for i, k := range keys {
+			est := acc.ScoresAt(i, seen, 1, PecTVD, nil)
 			exact := ComputeScores(acc.Snapshot(k), seen)
 			for c := Criterion(0); c < NumCriteria; c++ {
 				if math.Abs(est[c]-exact[c]) > 1e-9 {

@@ -42,11 +42,6 @@ type Subgroup struct {
 	N      int
 }
 
-// Distribution returns the subgroup's rating distribution.
-func (sg *Subgroup) Distribution() stats.Distribution {
-	return stats.NewDistributionFromCounts(sg.Counts)
-}
-
 // AvgScore returns the subgroup's aggregated (average) score, the single
 // number the paper's rating maps attach to each subgroup. Records with a
 // missing score are excluded by construction.
@@ -59,12 +54,6 @@ func (sg *Subgroup) AvgScore() float64 {
 		sum += (i + 1) * c
 	}
 	return float64(sum) / float64(sg.N)
-}
-
-// StdDev returns the standard deviation of scores within the subgroup,
-// feeding the agreement criterion.
-func (sg *Subgroup) StdDev() float64 {
-	return sg.Distribution().StdDev()
 }
 
 // ModeScore returns the subgroup's most frequent rating value — the

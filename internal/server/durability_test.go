@@ -388,6 +388,63 @@ func TestOpIDDedup(t *testing.T) {
 	}
 }
 
+// assertWonByRanking checks a served step against the session's last
+// StepResult: every map's won_by names the criterion its ranking scores
+// put first.
+func assertWonByRanking(t *testing.T, s *Server, id int, sj StepJSON, label string) {
+	t.Helper()
+	e, ref := s.table.lookup(context.Background(), id)
+	if ref != nil {
+		t.Fatalf("%s: lookup: %s", label, ref.msg)
+	}
+	e.mu.Lock()
+	steps := e.sess.Steps()
+	step := steps[len(steps)-1]
+	e.mu.Unlock()
+	if len(sj.Maps) == 0 || len(sj.Maps) != len(step.Scores) {
+		t.Fatalf("%s: %d maps served, %d scored", label, len(sj.Maps), len(step.Scores))
+	}
+	for i, m := range sj.Maps {
+		if winner, _ := step.Scores[i].Best(); m.WonBy != winner.String() {
+			t.Errorf("%s: map %d won_by %q, ranked by %v (%s)", label, i, m.WonBy, step.Scores[i], winner)
+		}
+	}
+}
+
+// TestWonByIsTheRankingCriterion: won_by is rendered from the scores the
+// engine ranked each map by — on a fresh step, on an opid retry answered
+// from the committed state, and on a step of a session a second server
+// restored from the store.
+func TestWonByIsTheRankingCriterion(t *testing.T) {
+	store := sessionstore.NewMemStore()
+	s1, ts1 := durableServer(t, store, Options{})
+	_, created := postJSON(t, ts1.URL+"/sessions", map[string]string{"mode": "rp"})
+	id := int(created["id"].(float64))
+
+	code, fresh := stepBody(t, ts1, id, "?opid=w-1")
+	if code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	assertWonByRanking(t, s1, id, fresh, "fresh step")
+	code, retry := stepBody(t, ts1, id, "?opid=w-1")
+	if code != http.StatusOK {
+		t.Fatalf("retried step: %d", code)
+	}
+	assertWonByRanking(t, s1, id, retry, "opid retry")
+	if resp, _ := postJSON(t, fmt.Sprintf("%s/sessions/%d/apply", ts1.URL, id), map[string]any{"recommendation": 1}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("apply recommendation: %d", resp.StatusCode)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := durableServer(t, store, Options{})
+	code, restored := stepBody(t, ts2, id, "")
+	if code != http.StatusOK {
+		t.Fatalf("step after restore: %d", code)
+	}
+	assertWonByRanking(t, s2, id, restored, "restored session")
+}
+
 // TestStepRetryOpidOnNonStepOp pins the retry fast path's kind guard: a
 // GET step whose opid tags the last committed *apply* — on a session
 // with zero steps — must fall through to normal execution instead of

@@ -37,7 +37,7 @@ type MapJSON struct {
 	GroupBy   string    `json:"group_by"` // side.attr
 	Dimension string    `json:"dimension"`
 	Utility   float64   `json:"utility"`
-	WonBy     string    `json:"won_by"` // winning interestingness criterion
+	WonBy     string    `json:"won_by"` // the criterion the map was ranked by (StepResult.Scores)
 	Bars      []BarJSON `json:"bars"`
 	// Digest is the canonical byte-stable fingerprint of the rating map
 	// (ratingmap.Digest): two maps digest equally iff their accumulated
@@ -63,7 +63,7 @@ type RecommendationJSON struct {
 	Target    string  `json:"target"`
 }
 
-func (s *Server) stepJSON(sess *core.Session, step *core.StepResult, explain bool) StepJSON {
+func (s *Server) stepJSON(step *core.StepResult, explain bool) StepJSON {
 	out := StepJSON{
 		Selection:        step.Desc.String(),
 		GroupSize:        step.GroupSize,
@@ -79,7 +79,7 @@ func (s *Server) stepJSON(sess *core.Session, step *core.StepResult, explain boo
 		out.Profile = step.Profile
 	}
 	for i, rm := range step.Maps {
-		out.Maps = append(out.Maps, s.mapJSON(sess, rm, step.Utilities[i], step.Digests[i]))
+		out.Maps = append(out.Maps, s.mapJSON(rm, step.Utilities[i], step.Scores[i], step.Digests[i]))
 	}
 	for _, rec := range step.Recommendations {
 		out.Recommendations = append(out.Recommendations, RecommendationJSON{
@@ -91,8 +91,8 @@ func (s *Server) stepJSON(sess *core.Session, step *core.StepResult, explain boo
 	return out
 }
 
-func (s *Server) mapJSON(sess *core.Session, rm *ratingmap.RatingMap, utility float64, digest string) MapJSON {
-	_, winner := s.ex.ExplainMap(rm, sess.Seen())
+func (s *Server) mapJSON(rm *ratingmap.RatingMap, utility float64, scores ratingmap.Scores, digest string) MapJSON {
+	winner, _ := scores.Best()
 	mj := MapJSON{
 		GroupBy:   rm.Side.String() + "." + rm.Attr,
 		Dimension: rm.DimName,

@@ -243,7 +243,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		},
 		render: func(sess *core.Session) any {
 			steps := sess.Steps()
-			out = s.stepJSON(sess, steps[len(steps)-1], explain)
+			out = s.stepJSON(steps[len(steps)-1], explain)
 			return out
 		},
 		observe: func(ref *refusal, elapsed time.Duration) {

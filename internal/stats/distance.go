@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate of SubDEx: probability
 // distributions over discrete rating scales, distance measures between them
-// (total variation, Kullback-Leibler, Earth Mover's), streaming moments,
+// (total variation, Kullback-Leibler, Earth Mover's), sample moments,
 // worst-case confidence intervals derived from the Hoeffding-Serfling
 // inequality for sampling without replacement, and a one-way ANOVA used by
 // the simulated user study.
@@ -123,16 +123,6 @@ func TotalVariation(p, q Distribution) (float64, error) {
 	return sum / 2, nil
 }
 
-// MustTotalVariation is TotalVariation for callers that have already
-// established domain agreement; it panics on mismatch.
-func MustTotalVariation(p, q Distribution) float64 {
-	d, err := TotalVariation(p, q)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // KLDivergence returns the Kullback-Leibler divergence D(p‖q) in nats, the
 // alternative peculiarity measure mentioned in §4.1. Terms where p_i = 0
 // contribute zero; terms where p_i > 0 and q_i = 0 are smoothed with epsilon
@@ -175,15 +165,6 @@ func EarthMovers(p, q Distribution) (float64, error) {
 		total += math.Abs(cum)
 	}
 	return total, nil
-}
-
-// MustEarthMovers is EarthMovers with a panic on domain mismatch.
-func MustEarthMovers(p, q Distribution) float64 {
-	d, err := EarthMovers(p, q)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // NormalizedEarthMovers rescales EMD into [0,1] by dividing by the maximum

@@ -69,6 +69,20 @@ func TestDistributionMeanVariance(t *testing.T) {
 	}
 }
 
+// must drops the domain-mismatch error of a distance whose arguments the
+// caller has given one domain.
+func must(d func(p, q Distribution) (float64, error)) func(p, q Distribution) float64 {
+	return func(p, q Distribution) float64 {
+		v, err := d(p, q)
+		if err != nil {
+			panic(err)
+		}
+		return v
+	}
+}
+
+var tvd, emd = must(TotalVariation), must(EarthMovers)
+
 func TestTotalVariationKnownValues(t *testing.T) {
 	p := Distribution{1, 0}
 	q := Distribution{0, 1}
@@ -93,14 +107,14 @@ func TestTVDMetricProperties(t *testing.T) {
 		p := randomDistribution(r, 5)
 		q := randomDistribution(r, 5)
 		w := randomDistribution(r, 5)
-		dpq := MustTotalVariation(p, q)
-		dqp := MustTotalVariation(q, p)
-		dpw := MustTotalVariation(p, w)
-		dwq := MustTotalVariation(w, q)
+		dpq := tvd(p, q)
+		dqp := tvd(q, p)
+		dpw := tvd(p, w)
+		dwq := tvd(w, q)
 		// symmetry, range, identity, triangle inequality
 		return almostEqual(dpq, dqp, 1e-12) &&
 			dpq >= 0 && dpq <= 1+1e-12 &&
-			MustTotalVariation(p, p) < 1e-12 &&
+			tvd(p, p) < 1e-12 &&
 			dpq <= dpw+dwq+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
@@ -131,13 +145,13 @@ func TestEMDRespectsOrdering(t *testing.T) {
 	base := Distribution{1, 0, 0, 0, 0}
 	near := Distribution{0, 1, 0, 0, 0}
 	far := Distribution{0, 0, 0, 0, 1}
-	dNear := MustEarthMovers(base, near)
-	dFar := MustEarthMovers(base, far)
+	dNear := emd(base, near)
+	dFar := emd(base, far)
 	if dFar <= dNear {
 		t.Errorf("EMD far (%v) should exceed near (%v)", dFar, dNear)
 	}
-	tvdNear := MustTotalVariation(base, near)
-	tvdFar := MustTotalVariation(base, far)
+	tvdNear := tvd(base, near)
+	tvdFar := tvd(base, far)
 	if !almostEqual(tvdNear, tvdFar, 1e-12) {
 		t.Errorf("TVD should not distinguish displacement: %v vs %v", tvdNear, tvdFar)
 	}
@@ -150,13 +164,13 @@ func TestEMDMetricProperties(t *testing.T) {
 		p := randomDistribution(r, 5)
 		q := randomDistribution(r, 5)
 		w := randomDistribution(r, 5)
-		dpq := MustEarthMovers(p, q)
-		dqp := MustEarthMovers(q, p)
-		dpw := MustEarthMovers(p, w)
-		dwq := MustEarthMovers(w, q)
+		dpq := emd(p, q)
+		dqp := emd(q, p)
+		dpw := emd(p, w)
+		dwq := emd(w, q)
 		return almostEqual(dpq, dqp, 1e-9) &&
 			dpq >= -1e-12 &&
-			MustEarthMovers(p, p) < 1e-12 &&
+			emd(p, p) < 1e-12 &&
 			dpq <= dpw+dwq+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {

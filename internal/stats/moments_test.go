@@ -1,119 +1,6 @@
 package stats
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(100)
-		xs := make([]float64, n)
-		var run Running
-		for i := range xs {
-			xs[i] = r.NormFloat64()*3 + 1
-			run.Add(xs[i])
-		}
-		return run.N() == n &&
-			almostEqual(run.Mean(), Mean(xs), 1e-9) &&
-			almostEqual(run.StdDev(), StdDev(xs), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var a, b, all Running
-		for i := 0; i < 50; i++ {
-			x := r.Float64() * 10
-			all.Add(x)
-			if i%2 == 0 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almostEqual(a.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(a.Variance(), all.Variance(), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 2 || !almostEqual(a.Mean(), 2, 1e-12) {
-		t.Errorf("merge with empty changed state: n=%d mean=%v", a.N(), a.Mean())
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || !almostEqual(b.Mean(), 2, 1e-12) {
-		t.Errorf("merge into empty: n=%d mean=%v", b.N(), b.Mean())
-	}
-}
-
-func TestRunningAddN(t *testing.T) {
-	var a, b Running
-	for i := 0; i < 5; i++ {
-		a.Add(2.5)
-	}
-	b.AddN(2.5, 5)
-	if a.N() != b.N() || !almostEqual(a.Mean(), b.Mean(), 1e-12) {
-		t.Error("AddN must match repeated Add")
-	}
-}
-
-func TestMinMaxNormalize(t *testing.T) {
-	xs := []float64{2, 4, 6}
-	MinMaxNormalize(xs)
-	want := []float64{0, 0.5, 1}
-	for i := range xs {
-		if !almostEqual(xs[i], want[i], 1e-12) {
-			t.Errorf("normalized[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	// Constant input maps to 0.5 per [51]'s convention.
-	cs := []float64{3, 3, 3}
-	MinMaxNormalize(cs)
-	for _, v := range cs {
-		if v != 0.5 {
-			t.Errorf("constant input should normalize to 0.5, got %v", v)
-		}
-	}
-}
-
-func TestMinMaxNormalizeBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+r.Intn(30))
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 100
-		}
-		MinMaxNormalize(xs)
-		for _, v := range xs {
-			if v < -1e-12 || v > 1+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
@@ -121,11 +8,7 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestMinMaxEmpty(t *testing.T) {
-	lo, hi := MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("MinMax(nil) = %v,%v", lo, hi)
-	}
+func TestMomentsEmpty(t *testing.T) {
 	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("Mean/StdDev of empty must be 0")
 	}

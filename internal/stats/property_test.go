@@ -70,15 +70,9 @@ func TestPropertyDistanceMetricAxioms(t *testing.T) {
 		max  func(n int) float64 // tight upper bound on an n-bucket domain
 	}
 	metrics := []metric{
-		{"TVD", MustTotalVariation, func(int) float64 { return 1 }},
-		{"EMD", MustEarthMovers, func(n int) float64 { return float64(n - 1) }},
-		{"nEMD", func(p, q Distribution) float64 {
-			d, err := NormalizedEarthMovers(p, q)
-			if err != nil {
-				panic(err)
-			}
-			return d
-		}, func(int) float64 { return 1 }},
+		{"TVD", must(TotalVariation), func(int) float64 { return 1 }},
+		{"EMD", must(EarthMovers), func(n int) float64 { return float64(n - 1) }},
+		{"nEMD", must(NormalizedEarthMovers), func(int) float64 { return 1 }},
 	}
 	const eps = 1e-12
 	for trial := 0; trial < 500; trial++ {
@@ -107,38 +101,6 @@ func TestPropertyDistanceMetricAxioms(t *testing.T) {
 		}
 		if kl, err := KLDivergence(p, q); err == nil && kl < -eps {
 			t.Fatalf("KL negative: %g", kl)
-		}
-	}
-}
-
-// TestPropertyRunningMergeEqualsAddN: the Running moments used by phase
-// merging must satisfy Merge(a, b) == AddN over the concatenation — the
-// stats-layer analog of the accumulator-merge identity.
-func TestPropertyRunningMergeEqualsAddN(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 300; trial++ {
-		xs := make([]float64, 1+rng.Intn(200))
-		for i := range xs {
-			xs[i] = rng.Float64() * 10
-		}
-		cut := rng.Intn(len(xs) + 1)
-		var whole, a, b Running
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("N %d vs %d", a.N(), whole.N())
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-9 || math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-			t.Fatalf("merge drifted: mean %g vs %g, var %g vs %g",
-				a.Mean(), whole.Mean(), a.Variance(), whole.Variance())
 		}
 	}
 }
