@@ -255,7 +255,7 @@ func TestSoakProduct(t *testing.T) {
 		t.Fatalf("verdict: pass=%v mode=%q steps=%d", rep.Pass, rep.Mode, rep.Steps)
 	}
 	for _, name := range []string{"min_steps", "golden_divergences", "sessions_recovered_min",
-		"wal_replay_records_min", "digests_identical", "partitions_lost"} {
+		"wal_replay_records_min", "wal_truncations", "digests_identical", "partitions_lost"} {
 		if c := row(t, &rep, name); !c.Pass {
 			t.Errorf("%s failed: %+v", name, c)
 		}
@@ -281,9 +281,9 @@ func TestSoakChecksByVariant(t *testing.T) {
 		want            string
 	}{
 		{false, false, "golden_divergences"},
-		{true, false, "golden_divergences sessions_recovered_min wal_replay_records_min"},
+		{true, false, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations"},
 		{false, true, "golden_divergences digests_identical partitions_lost"},
-		{true, true, "golden_divergences sessions_recovered_min wal_replay_records_min digests_identical partitions_lost"},
+		{true, true, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations digests_identical partitions_lost"},
 	} {
 		if got := names(soakChecks(tc.kill, tc.clustered, healthy)); got != tc.want {
 			t.Errorf("kill=%v cluster=%v asserts %q, want %q", tc.kill, tc.clustered, got, tc.want)
@@ -293,6 +293,7 @@ func TestSoakChecksByVariant(t *testing.T) {
 		"golden_divergences":     {goldenDivergences: 1, sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true},
 		"sessions_recovered_min": {replayRecords: 9, digestsIdentical: true},
 		"wal_replay_records_min": {sessionsRecovered: 2, digestsIdentical: true},
+		"wal_truncations":        {sessionsRecovered: 2, replayRecords: 9, walTruncations: 1, digestsIdentical: true},
 		"digests_identical":      {sessionsRecovered: 2, replayRecords: 9},
 		"partitions_lost":        {sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true, partitionsLost: 1},
 	} {

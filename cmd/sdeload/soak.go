@@ -195,9 +195,9 @@ type soakFacts struct {
 	// goldenDivergences counts the places phase B's recorded walks differ
 	// from phase A's.
 	goldenDivergences int
-	// sessionsRecovered and replayRecords are the restarted lifetime's
-	// recovery counters.
-	sessionsRecovered, replayRecords float64
+	// sessionsRecovered, replayRecords and walTruncations are the
+	// restarted lifetime's recovery counters.
+	sessionsRecovered, replayRecords, walTruncations float64
 	// digestsIdentical: the whole-database TopMaps digest of a distributed
 	// scan matched a single-thread local scan's. partitionsLost sums
 	// subdex_cluster_partitions_lost_total over phase B's lifetimes.
@@ -207,7 +207,8 @@ type soakFacts struct {
 
 // soakChecks derives the soak's objectives from the features phase B
 // carried: the answers never move; a killed durable server must actually
-// have recovered by WAL replay; a healthy cluster must scan
+// have recovered by WAL replay with nothing to cut (a SIGKILL cannot tear a
+// write(2)); a healthy cluster must scan
 // digest-identically and lose nothing (so anytime degradation never
 // triggered).
 func soakChecks(kill, clustered bool, f soakFacts) []check {
@@ -215,7 +216,8 @@ func soakChecks(kill, clustered bool, f soakFacts) []check {
 	if kill {
 		checks = append(checks,
 			atLeast("sessions_recovered_min", 1, f.sessionsRecovered),
-			atLeast("wal_replay_records_min", 1, f.replayRecords))
+			atLeast("wal_replay_records_min", 1, f.replayRecords),
+			atMost("wal_truncations", 0, f.walTruncations))
 	}
 	if clustered {
 		identical := 0.0
@@ -356,6 +358,7 @@ func runSoak(ctx context.Context, o options) error {
 
 	facts.sessionsRecovered = final.Sum("subdex_sessions_recovered_total")
 	facts.replayRecords = final.Sum("subdex_wal_replay_records_total")
+	facts.walTruncations = final.Sum("subdex_wal_truncations_total")
 	facts.partitionsLost += final.Sum("subdex_cluster_partitions_lost_total")
 	if o.clusterSoak {
 		db, err := buildDataset(o.generate, o.scale, o.seed)

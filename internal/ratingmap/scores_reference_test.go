@@ -11,6 +11,7 @@ package ratingmap
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"subdex/internal/query"
@@ -94,11 +95,88 @@ func pecDist(p, q stats.Distribution, m PeculiarityMeasure) float64 {
 	if m == PecKL {
 		return klDist(p, q)
 	}
-	d, err := stats.TotalVariation(p, q)
+	d, err := totalVariation(p, q)
 	if err != nil {
 		return 0
 	}
 	return d
+}
+
+// totalVariation returns the total variation distance between two
+// distributions over the same domain: ½ Σ |p_i − q_i|, in [0,1]. This is the
+// peculiarity measure of the paper (§4.1).
+func totalVariation(p, q stats.Distribution) (float64, error) {
+	if len(p) != len(q) {
+		return 0, fmt.Errorf("total variation of mismatched domains %d vs %d", len(p), len(q))
+	}
+	sum := 0.0
+	for i := range p {
+		sum += math.Abs(p[i] - q[i])
+	}
+	return sum / 2, nil
+}
+
+func TestTotalVariationKnownValues(t *testing.T) {
+	p := stats.Distribution{1, 0}
+	q := stats.Distribution{0, 1}
+	if d, _ := totalVariation(p, q); d != 1 {
+		t.Errorf("TVD of disjoint = %v, want 1", d)
+	}
+	if d, _ := totalVariation(p, p); d != 0 {
+		t.Errorf("TVD of identical = %v, want 0", d)
+	}
+	// Unlike EMD, TVD does not see how far mass moved on the scale.
+	base := stats.Distribution{1, 0, 0, 0, 0}
+	near, _ := totalVariation(base, stats.Distribution{0, 1, 0, 0, 0})
+	far, _ := totalVariation(base, stats.Distribution{0, 0, 0, 0, 1})
+	if near != far {
+		t.Errorf("TVD should not distinguish displacement: %v vs %v", near, far)
+	}
+}
+
+func TestTotalVariationMismatch(t *testing.T) {
+	if _, err := totalVariation(stats.Distribution{1}, stats.Distribution{0.5, 0.5}); err == nil {
+		t.Fatal("expected error for mismatched domains")
+	}
+}
+
+// TestTVDMetricProperties: on random histograms TVD is a metric bounded by
+// 1 — range, identity, symmetry and the triangle inequality.
+func TestTVDMetricProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dist := func(n int) stats.Distribution {
+		counts := make([]int, n)
+		for i := range counts {
+			counts[i] = rng.Intn(20)
+		}
+		counts[rng.Intn(n)]++ // never all-zero
+		return stats.NewDistributionFromCounts(counts)
+	}
+	tvd := func(p, q stats.Distribution) float64 {
+		d, err := totalVariation(p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	const eps = 1e-12
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(9)
+		p, q, r := dist(n), dist(n), dist(n)
+		dpq := tvd(p, q)
+		if dpq < 0 || dpq > 1+eps || math.IsNaN(dpq) {
+			t.Fatalf("TVD out of range: %g", dpq)
+		}
+		if math.Abs(dpq-tvd(q, p)) > eps {
+			t.Fatalf("TVD asymmetric on %v, %v", p, q)
+		}
+		if d := tvd(p, p); d > eps {
+			t.Fatalf("TVD identity violated: d(p,p)=%g", d)
+		}
+		if dpq+tvd(q, r)+eps < tvd(p, r) {
+			t.Fatalf("TVD triangle inequality violated on %v, %v, %v", p, q, r)
+		}
+	}
 }
 
 // SelfPeculiarity is Pec_self(rm): the maximum total-variation distance of

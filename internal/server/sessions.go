@@ -103,7 +103,7 @@ func newSessionTable(ctx context.Context, ex *core.Explorer, reg *obs.Registry, 
 		Appends: reg.Counter("subdex_wal_appends_total",
 			"Durable records appended to the session write-ahead log."),
 		Fsyncs: reg.Counter("subdex_wal_fsyncs_total",
-			"fsync calls on the session write-ahead log."),
+			"fsync/fdatasync calls on the session write-ahead log."),
 		ReplayRecords: reg.Counter("subdex_wal_replay_records_total",
 			"Write-ahead-log records applied during open-time replay."),
 		Truncations: reg.Counter("subdex_wal_truncations_total",

@@ -1,6 +1,7 @@
 package sessionstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +18,10 @@ const WALFileName = "wal.jsonl"
 // WAL as one snapshot record per live session.
 const compactEvery = 4096
 
+// preallocChunk is how much space the store allocates ahead of its log at
+// a time: about 5 800 records of a served step.
+const preallocChunk = 1 << 20
+
 // RecoveryInfo reports what Open found in the log.
 type RecoveryInfo struct {
 	// Records and Skipped count the replayed prefix (see Stats).
@@ -32,16 +37,18 @@ type RecoveryInfo struct {
 }
 
 // FileStore is the durable Store: the shared mirror backed by an
-// append-only, fsync-per-record, checksummed JSONL write-ahead log with
+// append-only, synced-per-record, checksummed JSONL write-ahead log with
 // periodic snapshot compaction.
 //
 // Write path: the mirror mutation and the file write happen under the
-// writer mutex (order is the log's whole value); the fsync happens
+// writer mutex (order is the log's whole value); the data sync happens
 // after it is released, so concurrent appenders batch their flushes
-// instead of convoying — a record is durable once its own Sync returns.
-// If a write fails after the mirror applied, the mirror is momentarily
-// ahead of the log; the next compaction rewrites the log from the
-// mirror, healing the gap.
+// instead of convoying — a record is durable once its own sync returns.
+// A record is written at end, into space allocated ahead (see reserve), so
+// the sync flushes data and not a growing size. If a write fails after the
+// mirror applied, the mirror is momentarily ahead of the log and end does
+// not move: the next record overwrites the fragment, and the next
+// compaction rewrites the log from the mirror, healing the gap.
 type FileStore struct {
 	st   *memState
 	dir  string
@@ -61,6 +68,8 @@ type FileStore struct {
 	f                *os.File
 	recsSinceCompact int
 	compactEvery     int
+	end, alloc       int64 // the next record's offset; how far f's blocks are allocated
+	noPrealloc       bool  // the file system cannot allocate ahead
 
 	//subdex:lockorder rank=50 leaf of the write path; Stats holds it across the mirror's memState.mu only
 	statsMu  sync.Mutex
@@ -89,20 +98,18 @@ func open(dir string, every int) (*FileStore, error) {
 	}
 	fs := &FileStore{st: newMemState(), dir: dir, path: path, f: f, compactEvery: every}
 	res := replayWAL(fs.st, f)
-	if res.Truncated {
-		if err := f.Truncate(res.ValidBytes); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sessionstore: truncating corrupt tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sessionstore: %w", err)
+	// Cut a corrupt tail, or the NULs allocated ahead of a crashed log.
+	info, err := f.Stat()
+	if err == nil && info.Size() > res.ValidBytes {
+		if err = f.Truncate(res.ValidBytes); err == nil {
+			err = f.Sync()
 		}
 	}
-	if _, err := f.Seek(res.ValidBytes, 0); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("sessionstore: %w", err)
+		return nil, fmt.Errorf("sessionstore: truncating the tail: %w", err)
 	}
+	fs.end, fs.alloc = res.ValidBytes, res.ValidBytes
 	fs.recsSinceCompact = int(res.Applied + res.Skipped)
 	fs.stats.ReplayRecords = res.Applied
 	fs.stats.ReplaySkipped = res.Skipped
@@ -203,7 +210,11 @@ func (fs *FileStore) Close() error {
 	// As in compact: let in-flight appender Syncs drain before the close.
 	fs.swapMu.Lock()
 	defer fs.swapMu.Unlock()
-	err := fs.f.Sync()
+	// Cut the space allocated ahead: a closed log is exactly its records.
+	err := fs.f.Truncate(fs.end)
+	if serr := fs.f.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := fs.f.Close(); err == nil {
 		err = cerr
 	}
@@ -211,7 +222,7 @@ func (fs *FileStore) Close() error {
 	return err
 }
 
-// logAppend is the shared write path: mirror + file under wmu, fsync
+// logAppend is the shared write path: mirror + file under wmu, data sync
 // outside it, compaction when due.
 func (fs *FileStore) logAppend(rec walRecord) error {
 	line, err := encodeRecord(rec)
@@ -227,7 +238,11 @@ func (fs *FileStore) logAppend(rec walRecord) error {
 		fs.wmu.Unlock()
 		return err
 	}
-	_, werr := fs.f.Write(line)
+	fs.reserve(int64(len(line)))
+	_, werr := fs.f.WriteAt(line, fs.end)
+	if werr == nil {
+		fs.end += int64(len(line))
+	}
 	f := fs.f
 	fs.recsSinceCompact++
 	compactDue := werr == nil && fs.compactEvery > 0 && fs.recsSinceCompact >= fs.compactEvery
@@ -242,7 +257,7 @@ func (fs *FileStore) logAppend(rec walRecord) error {
 	}
 	ins := fs.bump(func(s *Stats) { s.Appends++ })
 	ins.Appends.Inc()
-	serr := f.Sync()
+	serr := syncData(f)
 	fs.swapMu.RUnlock()
 	if serr != nil {
 		return fmt.Errorf("sessionstore: wal fsync: %w", serr)
@@ -256,6 +271,22 @@ func (fs *FileStore) logAppend(rec walRecord) error {
 		fs.compact()
 	}
 	return nil
+}
+
+// reserve allocates preallocChunk past the n bytes at end unless they lie in
+// allocated space already; callers hold wmu. A failure only means the write
+// extends the file; an unsupported file system is not asked again.
+func (fs *FileStore) reserve(n int64) {
+	if fs.noPrealloc || fs.end+n <= fs.alloc {
+		return
+	}
+	err := preallocate(fs.f, fs.end, n+preallocChunk)
+	switch {
+	case err == nil:
+		fs.alloc = fs.end + n + preallocChunk
+	case errors.Is(err, errors.ErrUnsupported):
+		fs.noPrealloc = true
+	}
 }
 
 // bump applies a stats mutation and returns the current instruments.
@@ -295,6 +326,7 @@ func (fs *FileStore) compact() {
 		tmp.Close()
 		os.Remove(tmpPath)
 	}
+	var end int64
 	for _, rec := range recs {
 		line, err := encodeRecord(rec)
 		if err != nil {
@@ -305,6 +337,11 @@ func (fs *FileStore) compact() {
 			abort()
 			return
 		}
+		end += int64(len(line))
+	}
+	alloc := end
+	if !fs.noPrealloc && preallocate(tmp, end, preallocChunk) == nil {
+		alloc += preallocChunk
 	}
 	if err := tmp.Sync(); err != nil {
 		abort()
@@ -323,7 +360,7 @@ func (fs *FileStore) compact() {
 	// they need wmu, which this function holds.
 	fs.swapMu.Lock()
 	fs.f.Close()
-	fs.f = tmp
+	fs.f, fs.end, fs.alloc = tmp, end, alloc
 	fs.swapMu.Unlock()
 	fs.recsSinceCompact = 0
 	fs.bump(func(s *Stats) { s.Compactions++ })

@@ -12,7 +12,7 @@
 //
 // Lock discipline: this package deliberately serializes its file writes
 // under an internal writer mutex — that is the point of a WAL — but the
-// hot-path fsync happens outside it, and no session or server mutex is
+// hot-path data sync happens outside it, and no session or server mutex is
 // ever held around store calls (the subdexvet lockblock rule enforces
 // the caller side).
 package sessionstore
@@ -36,7 +36,7 @@ var ErrStaleShed = errors.New("sessionstore: stale shed")
 
 // Store is the durable session store. Implementations are safe for
 // concurrent use. An op append or shed that returns nil has been made
-// durable (for FileStore: written and fsynced) — the server relies on
+// durable (for FileStore: written and synced) — the server relies on
 // that to log before it responds.
 type Store interface {
 	// Create durably records a new session under id with its
@@ -72,7 +72,7 @@ type Instruments struct {
 	// Appends counts durable WAL record writes
 	// (subdex_wal_appends_total).
 	Appends *obs.Counter
-	// Fsyncs counts WAL fsync calls (subdex_wal_fsyncs_total).
+	// Fsyncs counts WAL fsync/fdatasync calls (subdex_wal_fsyncs_total).
 	Fsyncs *obs.Counter
 	// ReplayRecords counts WAL records applied during open-time replay
 	// (subdex_wal_replay_records_total).
@@ -86,7 +86,7 @@ type Instruments struct {
 type Stats struct {
 	// Appends is the number of durable record writes.
 	Appends int64
-	// Fsyncs is the number of fsync calls on the WAL file.
+	// Fsyncs is the number of fsync/fdatasync calls on the WAL file.
 	Fsyncs int64
 	// ReplayRecords is the number of records applied during replay.
 	ReplayRecords int64

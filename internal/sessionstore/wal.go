@@ -2,6 +2,7 @@ package sessionstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -249,7 +250,7 @@ type replayResult struct {
 
 // replayWAL reads a WAL stream into the mirror, stopping at the first
 // invalid line. It never fails: any unreadable suffix just ends the
-// recovered prefix.
+// recovered prefix. A remainder of NULs alone ends the log cleanly.
 func replayWAL(st *memState, r io.Reader) replayResult {
 	var res replayResult
 	deleted := make(map[int]bool)
@@ -257,7 +258,9 @@ func replayWAL(st *memState, r io.Reader) replayResult {
 	for {
 		line, err := br.ReadBytes('\n')
 		if err == io.EOF {
-			if len(line) > 0 {
+			// NULs to the end are space allocated ahead of the log, not
+			// a record: no frame starts with one.
+			if len(bytes.TrimLeft(line, "\x00")) > 0 {
 				// A torn final write: the record never finished.
 				res.Truncated = true
 				res.Reason = "torn final record (no newline)"

@@ -207,7 +207,8 @@ func TestWALTorture(t *testing.T) {
 
 // TestWALTruncationPreservesPrefix pins the byte-level contract: after a
 // corrupt-tail open, the on-disk file is exactly the longest valid
-// prefix.
+// prefix, and after an append and a clean Close exactly its records — the
+// space allocated ahead is gone.
 func TestWALTruncationPreservesPrefix(t *testing.T) {
 	base := baseWAL(t)
 	raw := append(append([]byte{}, base...), []byte("garbage, no newline")...)
@@ -216,13 +217,77 @@ func TestWALTruncationPreservesPrefix(t *testing.T) {
 	if rec := fs.Recovery(); !rec.Truncated || rec.TruncatedAt != int64(len(base)) {
 		t.Fatalf("recovery: %+v, want truncation at %d", rec, len(base))
 	}
-	fs.Close()
-	onDisk, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	path := filepath.Join(dir, WALFileName)
+	onDisk, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(onDisk, base) {
 		t.Errorf("on-disk log is not the valid prefix: %d bytes, want %d", len(onDisk), len(base))
+	}
+	if err := fs.AppendOp(1, 2, stepOp("1-3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(bytes.Clone(base), lines(t, walRecord{Kind: recOp, ID: 1, Seq: 2, Op: opPtr(stepOp("1-3"))})...)
+	if onDisk, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Errorf("closed log is not its records: %d bytes, want %d", len(onDisk), len(want))
+	}
+}
+
+// TestWALZeroTail pins where replay ends around the NULs a crash leaves in
+// the space allocated ahead: NULs alone to the end are the log's clean
+// end; anything else in or after them is the corrupt tail it always was,
+// cut at the byte it would be cut at without them.
+func TestWALZeroTail(t *testing.T) {
+	base := baseWAL(t)
+	nuls := make([]byte, 4096)
+	torn := []byte(`{"c":"0000`)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name      string
+		raw       []byte
+		truncated bool
+	}{
+		{"NUL tail", cat(base, nuls), false},
+		{"one NUL", cat(base, nuls[:1]), false},
+		{"NULs alone", nuls, false},
+		{"torn record then NULs", cat(base, torn, nuls), true},
+		{"NULs then a byte", cat(base, nuls, []byte("x")), true},
+		{"NULs then a record", cat(base, nuls, lines(t, walRecord{Kind: recDelete, ID: 1})), true},
+		{"a NUL line", cat(base, nuls[:3], []byte("\n"), nuls), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantAt := int64(len(base))
+			if bytes.Equal(tc.raw, nuls) {
+				wantAt = 0
+			}
+			dir := writeWAL(t, tc.raw)
+			fs := openFile(t, dir, -1)
+			rec := fs.Recovery()
+			if rec.Truncated != tc.truncated || rec.TruncatedAt != wantAt {
+				t.Fatalf("recovery: %+v, want truncated=%t at %d", rec, tc.truncated, wantAt)
+			}
+			wantCuts := int64(0)
+			if tc.truncated {
+				wantCuts = 1
+			}
+			if got := fs.Stats().Truncations; got != wantCuts {
+				t.Errorf("truncations = %d, want %d", got, wantCuts)
+			}
+			info, err := os.Stat(filepath.Join(dir, WALFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Size() != wantAt {
+				t.Errorf("file is %d bytes after open, want %d", info.Size(), wantAt)
+			}
+		})
 	}
 }
 
@@ -260,6 +325,11 @@ func FuzzWALReplay(f *testing.F) {
 	mutate(func(line []byte) []byte { // whitespace inside the frame
 		return append([]byte(`{"c": `), line[crcStart-1:]...)
 	})
+	// The space a crash leaves allocated ahead of the log, and damage in
+	// and around it (TestWALZeroTail).
+	f.Add(append(baseWAL(f), make([]byte, 64)...))
+	f.Add(append(baseWAL(f), "{\"c\":\x00\x00\x00"...))
+	f.Add(append(baseWAL(f), "\x00\x00\x00\n\x00"...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, line := range bytes.Split(raw, []byte("\n")) {
 			checkAgainstReference(t, line)
@@ -269,8 +339,18 @@ func FuzzWALReplay(f *testing.F) {
 		if res.ValidBytes > int64(len(raw)) {
 			t.Fatalf("valid prefix %d exceeds input %d", res.ValidBytes, len(raw))
 		}
-		if !res.Truncated && res.ValidBytes != int64(len(raw)) {
-			t.Fatalf("clean replay consumed %d of %d bytes", res.ValidBytes, len(raw))
+		if !res.Truncated && len(bytes.TrimLeft(raw[res.ValidBytes:], "\x00")) > 0 {
+			t.Fatalf("clean replay consumed %d of %d bytes, and the rest is not NULs", res.ValidBytes, len(raw))
+		}
+
+		// NULs appended to any input are space allocated ahead: the
+		// replay is the same, truncated or not.
+		for _, n := range []int{1, 1 + len(raw)%4099} {
+			padded := newMemState()
+			res3 := replayWAL(padded, bytes.NewReader(append(bytes.Clone(raw), make([]byte, n)...)))
+			if res3 != res || !reflect.DeepEqual(st.sessions, padded.sessions) || st.nextID != padded.nextID {
+				t.Fatalf("%d NULs appended change the replay: %+v vs %+v", n, res3, res)
+			}
 		}
 
 		// Reference: replay only the claimed prefix. It must be clean and

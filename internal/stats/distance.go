@@ -109,20 +109,6 @@ func (d Distribution) Clone() Distribution {
 	return c
 }
 
-// TotalVariation returns the total variation distance between two
-// distributions over the same domain: ½ Σ |p_i − q_i|, in [0,1]. This is the
-// peculiarity measure of the paper (§4.1).
-func TotalVariation(p, q Distribution) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: total variation of mismatched domains %d vs %d", len(p), len(q))
-	}
-	sum := 0.0
-	for i := range p {
-		sum += math.Abs(p[i] - q[i])
-	}
-	return sum / 2, nil
-}
-
 // KLDivergence returns the Kullback-Leibler divergence D(p‖q) in nats, the
 // alternative peculiarity measure mentioned in §4.1. Terms where p_i = 0
 // contribute zero; terms where p_i > 0 and q_i = 0 are smoothed with epsilon

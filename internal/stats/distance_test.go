@@ -81,46 +81,7 @@ func must(d func(p, q Distribution) (float64, error)) func(p, q Distribution) fl
 	}
 }
 
-var tvd, emd = must(TotalVariation), must(EarthMovers)
-
-func TestTotalVariationKnownValues(t *testing.T) {
-	p := Distribution{1, 0}
-	q := Distribution{0, 1}
-	if d, _ := TotalVariation(p, q); !almostEqual(d, 1, 1e-12) {
-		t.Errorf("TVD of disjoint = %v, want 1", d)
-	}
-	if d, _ := TotalVariation(p, p); !almostEqual(d, 0, 1e-12) {
-		t.Errorf("TVD of identical = %v, want 0", d)
-	}
-}
-
-func TestTotalVariationMismatch(t *testing.T) {
-	if _, err := TotalVariation(Distribution{1}, Distribution{0.5, 0.5}); err == nil {
-		t.Fatal("expected error for mismatched domains")
-	}
-}
-
-func TestTVDMetricProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randomDistribution(r, 5)
-		q := randomDistribution(r, 5)
-		w := randomDistribution(r, 5)
-		dpq := tvd(p, q)
-		dqp := tvd(q, p)
-		dpw := tvd(p, w)
-		dwq := tvd(w, q)
-		// symmetry, range, identity, triangle inequality
-		return almostEqual(dpq, dqp, 1e-12) &&
-			dpq >= 0 && dpq <= 1+1e-12 &&
-			tvd(p, p) < 1e-12 &&
-			dpq <= dpw+dwq+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
+var emd = must(EarthMovers)
 
 func TestEMDKnownValues(t *testing.T) {
 	// Moving all mass by one bucket costs 1.
@@ -141,7 +102,8 @@ func TestEMDKnownValues(t *testing.T) {
 }
 
 func TestEMDRespectsOrdering(t *testing.T) {
-	// EMD must grow with displacement distance; TVD cannot tell these apart.
+	// EMD must grow with displacement distance (TVD cannot tell these
+	// apart: ratingmap's TestTotalVariationKnownValues).
 	base := Distribution{1, 0, 0, 0, 0}
 	near := Distribution{0, 1, 0, 0, 0}
 	far := Distribution{0, 0, 0, 0, 1}
@@ -149,11 +111,6 @@ func TestEMDRespectsOrdering(t *testing.T) {
 	dFar := emd(base, far)
 	if dFar <= dNear {
 		t.Errorf("EMD far (%v) should exceed near (%v)", dFar, dNear)
-	}
-	tvdNear := tvd(base, near)
-	tvdFar := tvd(base, far)
-	if !almostEqual(tvdNear, tvdFar, 1e-12) {
-		t.Errorf("TVD should not distinguish displacement: %v vs %v", tvdNear, tvdFar)
 	}
 }
 

@@ -58,10 +58,11 @@ func TestPropertyCIShrinksMonotonically(t *testing.T) {
 	}
 }
 
-// TestPropertyDistanceMetricAxioms: TVD and EMD on random histograms must
-// satisfy the metric axioms — non-negativity, identity of indiscernibles,
-// symmetry, and the triangle inequality — plus their tight range bounds
-// (TVD and normalized EMD in [0,1]; raw EMD at most n−1 on n buckets).
+// TestPropertyDistanceMetricAxioms: EMD on random histograms must satisfy
+// the metric axioms — non-negativity, identity of indiscernibles,
+// symmetry, and the triangle inequality — plus its tight range bounds
+// (normalized EMD in [0,1]; raw EMD at most n−1 on n buckets). TVD's are
+// ratingmap's TestTVDMetricProperties.
 func TestPropertyDistanceMetricAxioms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type metric struct {
@@ -70,7 +71,6 @@ func TestPropertyDistanceMetricAxioms(t *testing.T) {
 		max  func(n int) float64 // tight upper bound on an n-bucket domain
 	}
 	metrics := []metric{
-		{"TVD", must(TotalVariation), func(int) float64 { return 1 }},
 		{"EMD", must(EarthMovers), func(n int) float64 { return float64(n - 1) }},
 		{"nEMD", must(NormalizedEarthMovers), func(int) float64 { return 1 }},
 	}
