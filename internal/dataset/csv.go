@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -41,6 +42,12 @@ func WriteEntityCSV(w io.Writer, t *EntityTable) error {
 // ReadEntityCSV parses an entity table with the given name and kinds; kinds
 // maps attribute name → Kind, defaulting to Atomic when absent.
 func ReadEntityCSV(r io.Reader, name string, kinds map[string]Kind) (*EntityTable, error) {
+	return readEntityCSV(r, name, kinds, 0)
+}
+
+// readEntityCSV is ReadEntityCSV with the columns sized for lines rows; a
+// wrong count costs appends or slack, never a different table.
+func readEntityCSV(r io.Reader, name string, kinds map[string]Kind, lines int) (*EntityTable, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
@@ -60,9 +67,7 @@ func ReadEntityCSV(r io.Reader, name string, kinds map[string]Kind) (*EntityTabl
 		return nil, err
 	}
 	t := NewEntityTable(name, schema)
-	// AppendRow reads the two maps and keeps neither.
-	values := make(map[string]string)
-	setValues := make(map[string][]string)
+	t.reserve(lines)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -74,24 +79,18 @@ func ReadEntityCSV(r io.Reader, name string, kinds map[string]Kind) (*EntityTabl
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("dataset: %s line %d: %d fields, want %d", name, line, len(rec), len(header))
 		}
-		clear(values)
-		clear(setValues)
-		for a, attr := range attrs {
-			cell := rec[a+1]
-			if cell == MissingLabel {
-				continue
-			}
-			if attr.Kind == MultiValued {
-				setValues[attr.Name] = strings.Split(cell, ";")
-			} else {
-				values[attr.Name] = cell
-			}
-		}
 		// encoding/csv cuts a record's fields out of one string per line: a
 		// key stored as is would keep its whole line alive (12.6 MB of
 		// reviewers.csv on Yelp). Dictionary.Intern clones for the same reason.
-		if _, err := t.AppendRow(strings.Clone(rec[0]), values, setValues); err != nil {
-			return nil, fmt.Errorf("dataset: %s line %d: %w", name, line, err)
+		t.Keys = append(t.Keys, strings.Clone(rec[0]))
+		for a, attr := range attrs {
+			// MissingLabel needs no case: it interns as MissingValue, and
+			// appendCell drops it from a set.
+			if cell := rec[a+1]; attr.Kind == MultiValued {
+				t.appendCell(a, "", strings.Split(cell, ";"))
+			} else {
+				t.appendCell(a, cell, nil)
+			}
 		}
 	}
 	return t, nil
@@ -123,8 +122,14 @@ func WriteRatingCSV(w io.Writer, db *DB) error {
 }
 
 // ReadRatingCSV parses a rating table, resolving entity keys through the
-// already-loaded reviewer and item tables.
+// already-loaded reviewer and item tables. A key held by two rows of either
+// table is an error: its ratings could join to only one of them.
 func ReadRatingCSV(r io.Reader, reviewers, items *EntityTable) (*RatingTable, error) {
+	return readRatingCSV(r, reviewers, items, 0)
+}
+
+// readRatingCSV is ReadRatingCSV with the columns sized for lines records.
+func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*RatingTable, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
@@ -150,9 +155,16 @@ func ReadRatingCSV(r io.Reader, reviewers, items *EntityTable) (*RatingTable, er
 	if err != nil {
 		return nil, err
 	}
+	rt.reserve(lines)
 	cr.ReuseRecord = true // no field outlives its line
-	uIndex := keyIndex(reviewers.Keys)
-	iIndex := keyIndex(items.Keys)
+	uIndex, err := keyIndex(reviewers)
+	if err != nil {
+		return nil, err
+	}
+	iIndex, err := keyIndex(items)
+	if err != nil {
+		return nil, err
+	}
 	scores := make([]Score, len(dims))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
@@ -190,12 +202,16 @@ func ReadRatingCSV(r io.Reader, reviewers, items *EntityTable) (*RatingTable, er
 	return rt, nil
 }
 
-func keyIndex(keys []string) map[string]int {
-	m := make(map[string]int, len(keys))
-	for i, k := range keys {
+// keyIndex maps each of t's keys to its row, refusing a key two rows hold.
+func keyIndex(t *EntityTable) (map[string]int, error) {
+	m := make(map[string]int, len(t.Keys))
+	for i, k := range t.Keys {
+		if j, dup := m[k]; dup {
+			return nil, fmt.Errorf("dataset: %s: key %q on rows %d and %d", t.Name, k, j, i)
+		}
 		m[k] = i
 	}
-	return m
+	return m, nil
 }
 
 // SaveDir writes the database as reviewers.csv, items.csv, ratings.csv in
@@ -228,41 +244,53 @@ func SaveDir(db *DB, dir string) error {
 // multi-valued attribute declarations for both entity tables (attribute
 // names are unique across tables in all shipped datasets).
 func LoadDir(dir, name string, kinds map[string]Kind) (*DB, error) {
-	open := func(file string) (*os.File, error) { return os.Open(filepath.Join(dir, file)) }
-
-	rf, err := open("reviewers.csv")
-	if err != nil {
-		return nil, err
+	var reviewers, items *EntityTable
+	var ratings *RatingTable
+	for _, file := range []string{"reviewers.csv", "items.csv", "ratings.csv"} {
+		f, lines, err := openCounted(filepath.Join(dir, file))
+		if err != nil {
+			return nil, err
+		}
+		switch file {
+		case "reviewers.csv":
+			reviewers, err = readEntityCSV(f, "reviewers", kinds, lines)
+		case "items.csv":
+			items, err = readEntityCSV(f, "items", kinds, lines)
+		default:
+			ratings, err = readRatingCSV(f, reviewers, items, lines)
+		}
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
 	}
-	reviewers, err := ReadEntityCSV(rf, "reviewers", kinds)
-	rf.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	itf, err := open("items.csv")
-	if err != nil {
-		return nil, err
-	}
-	items, err := ReadEntityCSV(itf, "items", kinds)
-	itf.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	raf, err := open("ratings.csv")
-	if err != nil {
-		return nil, err
-	}
-	ratings, err := ReadRatingCSV(raf, reviewers, items)
-	raf.Close()
-	if err != nil {
-		return nil, err
-	}
-
 	db := NewDB(name, reviewers, items, ratings)
 	if err := db.Freeze(); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// openCounted opens path and returns it rewound, with its '\n's + 1 (a last
+// line may lack one). Every column the file fills is sized from that count
+// once, instead of doubling its way there and keeping the slack; a newline
+// inside a quoted cell only makes it high.
+func openCounted(path string) (f *os.File, lines int, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, 0, err
+	}
+	lines, buf := 1, make([]byte, 64<<10)
+	for err == nil {
+		var n int
+		n, err = f.Read(buf)
+		lines += bytes.Count(buf[:n], []byte{'\n'})
+	}
+	if err == io.EOF {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, lines, nil
 }

@@ -1,0 +1,247 @@
+package dataset_test
+
+import (
+	"encoding/csv"
+	"fmt"
+	"io"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"subdex/internal/dataset"
+	"subdex/internal/gen"
+)
+
+// readEntityCSVReference is the map-based entity reader ReadEntityCSV
+// replaced, kept as its oracle: every cell goes into one of two maps keyed
+// by attribute name, and AppendRow takes the row from there.
+func readEntityCSVReference(r io.Reader, name string, kinds map[string]dataset.Kind) (*dataset.EntityTable, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return nil, err
+	}
+	if len(header) == 0 || header[0] != "_key" {
+		return nil, fmt.Errorf("first column must be _key, got %q", strings.Join(header, ","))
+	}
+	attrs := make([]dataset.Attribute, 0, len(header)-1)
+	for _, h := range header[1:] {
+		attrs = append(attrs, dataset.Attribute{Name: h, Kind: kinds[h]})
+	}
+	schema, err := dataset.NewSchema(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	t := dataset.NewEntityTable(name, schema)
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(rec) != len(header) {
+			return nil, fmt.Errorf("%d fields, want %d", len(rec), len(header))
+		}
+		values := map[string]string{}
+		setValues := map[string][]string{}
+		for a, attr := range attrs {
+			cell := rec[a+1]
+			if cell == dataset.MissingLabel {
+				continue
+			}
+			if attr.Kind == dataset.MultiValued {
+				setValues[attr.Name] = strings.Split(cell, ";")
+			} else {
+				values[attr.Name] = cell
+			}
+		}
+		if _, err := t.AppendRow(rec[0], values, setValues); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// diffTables returns the first difference between two entity tables: name,
+// schema, keys, each dictionary in id order, each row's value or value set
+// and, when frozen, each flat column with its CSR offsets.
+func diffTables(got, want *dataset.EntityTable) error {
+	if got.Name != want.Name {
+		return fmt.Errorf("table %q, want %q", got.Name, want.Name)
+	}
+	if !reflect.DeepEqual(got.Schema.Attributes(), want.Schema.Attributes()) {
+		return fmt.Errorf("%s: schema %v, want %v", want.Name, got.Schema.Attributes(), want.Schema.Attributes())
+	}
+	if !slices.Equal(got.Keys, want.Keys) {
+		return fmt.Errorf("%s: %d keys, want %d, or a key differs", want.Name, len(got.Keys), len(want.Keys))
+	}
+	for a := 0; a < want.Schema.Len(); a++ {
+		attr := want.Schema.At(a)
+		gd, wd := got.Dict(a), want.Dict(a)
+		if gd.Len() != wd.Len() {
+			return fmt.Errorf("%s.%s: dictionary of %d, want %d", want.Name, attr.Name, gd.Len(), wd.Len())
+		}
+		for id := dataset.ValueID(0); int(id) < wd.Len(); id++ {
+			if gd.Value(id) != wd.Value(id) {
+				return fmt.Errorf("%s.%s: id %d is %q, want %q", want.Name, attr.Name, id, gd.Value(id), wd.Value(id))
+			}
+		}
+		for row := range want.Keys {
+			if attr.Kind == dataset.Atomic && got.AtomicValue(a, row) != want.AtomicValue(a, row) ||
+				attr.Kind == dataset.MultiValued && !slices.Equal(got.MultiValues(a, row), want.MultiValues(a, row)) {
+				return fmt.Errorf("%s.%s row %d: %q, want %q", want.Name, attr.Name, row, got.ValueString(a, row), want.ValueString(a, row))
+			}
+		}
+		gc, wc := got.Column(a), want.Column(a)
+		if (gc == nil) != (wc == nil) || wc != nil && (gc.Kind != wc.Kind || gc.NValues != wc.NValues ||
+			!slices.Equal(gc.Values, wc.Values) || !slices.Equal(gc.Offsets, wc.Offsets)) {
+			return fmt.Errorf("%s.%s: flat column differs", want.Name, attr.Name)
+		}
+	}
+	return nil
+}
+
+// diffDBs is diffTables over both entity tables, then the rating table's
+// dimensions and its three columns.
+func diffDBs(got, want *dataset.DB) error {
+	if err := diffTables(got.Reviewers, want.Reviewers); err != nil {
+		return err
+	}
+	if err := diffTables(got.Items, want.Items); err != nil {
+		return err
+	}
+	g, w := got.Ratings, want.Ratings
+	switch {
+	case !slices.Equal(g.Dimensions, w.Dimensions):
+		return fmt.Errorf("dimensions %v, want %v", g.Dimensions, w.Dimensions)
+	case !slices.Equal(g.Reviewer, w.Reviewer):
+		return fmt.Errorf("ratings' reviewer column differs")
+	case !slices.Equal(g.Item, w.Item):
+		return fmt.Errorf("ratings' item column differs")
+	}
+	for d := range w.Scores {
+		if !slices.Equal(g.Scores[d], w.Scores[d]) {
+			return fmt.Errorf("ratings' %s scores differ", w.Dimensions[d].Name)
+		}
+	}
+	return nil
+}
+
+// multiValued lists db's multi-valued attributes, what LoadDir must be told.
+func multiValued(db *dataset.DB) map[string]dataset.Kind {
+	kinds := map[string]dataset.Kind{}
+	for _, t := range []*dataset.EntityTable{db.Reviewers, db.Items} {
+		for _, a := range t.Schema.Attributes() {
+			if a.Kind == dataset.MultiValued {
+				kinds[a.Name] = a.Kind
+			}
+		}
+	}
+	return kinds
+}
+
+// TestLoadDirEqualsGenerated: a database saved and loaded back is the one
+// generated, id for id — on every shape the generators make.
+func TestLoadDirEqualsGenerated(t *testing.T) {
+	for _, name := range []string{"yelp", "movielens", "hotels", "demo"} {
+		t.Run(name, func(t *testing.T) {
+			db, err := gen.ByName(name, gen.Config{Scale: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := dataset.SaveDir(db, dir); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := dataset.LoadDir(dir, db.Name, multiValued(db))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diffDBs(loaded, db); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLoadDirRejectsDuplicateKey: two reviewers keyed "u", an F rating 5
+// and an M rating 1. A loader that joins ratings through a key → row map
+// keeping the last row points both ratings at the M reviewer; the key is
+// refused instead.
+func TestLoadDirRejectsDuplicateKey(t *testing.T) {
+	reviewers := dataset.NewEntityTable("reviewers", dataset.MustSchema(dataset.Attribute{Name: "gender"}))
+	items := dataset.NewEntityTable("items", dataset.MustSchema(dataset.Attribute{Name: "city"}))
+	ratings, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, r := range []struct {
+		gender string
+		score  dataset.Score
+	}{{"F", 5}, {"M", 1}} {
+		if _, err := reviewers.AppendRow("u", map[string]string{"gender": r.gender}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ratings.Append(row, 0, []dataset.Score{r.score}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := items.AppendRow("i", map[string]string{"city": "NYC"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.SaveDir(dataset.NewDB("dup", reviewers, items, ratings), dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dataset.LoadDir(dir, "dup", nil)
+	const want = `dataset: reviewers: key "u" on rows 0 and 1`
+	if err == nil {
+		t.Fatalf("LoadDir accepted a repeated key; ratings joined to reviewer rows %v, written as [0 1]", loaded.Ratings.Reviewer)
+	}
+	if err.Error() != want {
+		t.Fatalf("LoadDir: %v, want %s", err, want)
+	}
+}
+
+// FuzzReadEntityCSV holds ReadEntityCSV to the map-based reader it
+// replaced: the same table, or both fail. multi marks attribute i
+// multi-valued when bit i%8 is set.
+func FuzzReadEntityCSV(f *testing.F) {
+	for _, in := range []string{
+		// TestMissingLabelInsideSet's input.
+		"_key,tags\nu0,a;__missing__\nu1,__missing__;__missing__\nu2,__missing__;b;;a\n",
+		// TestReadEntityCSVRejectsMalformed's inputs.
+		"name,city\na,b\n", "_key,city\nu1\n", "", "_key,city\nu1,NYC,extra\n",
+		// Quoted cells holding ',', ';' and '\n'.
+		"_key,city,tags\nu1,\"a,b\",\"x;y\"\n\"u\n2\",\"line\nbreak\",\"p;\nq;p\"\n",
+		// A last line without a newline, and an empty atomic cell.
+		"_key,city,tags\nu1,NYC,a;b\nu2,,b;a",
+	} {
+		for _, multi := range []uint8{0, 0b10, 0xff} {
+			f.Add(in, multi)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in string, multi uint8) {
+		kinds := map[string]dataset.Kind{}
+		if header, err := csv.NewReader(strings.NewReader(in)).Read(); err == nil {
+			for i, h := range header[1:] {
+				if multi>>(i%8)&1 == 1 {
+					kinds[h] = dataset.MultiValued
+				}
+			}
+		}
+		got, err := dataset.ReadEntityCSV(strings.NewReader(in), "t", kinds)
+		want, wantErr := readEntityCSVReference(strings.NewReader(in), "t", kinds)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadEntityCSV error %v, reference error %v", err, wantErr)
+		}
+		if err == nil {
+			if d := diffTables(got, want); d != nil {
+				t.Fatal(d)
+			}
+		}
+	})
+}

@@ -64,39 +64,54 @@ func (t *EntityTable) AppendRow(key string, values map[string]string, setValues 
 	t.Keys = append(t.Keys, key)
 	for a := 0; a < t.Schema.Len(); a++ {
 		attr := t.Schema.At(a)
-		switch attr.Kind {
-		case Atomic:
-			v, ok := values[attr.Name]
-			if !ok || v == "" {
-				t.atomic[a] = append(t.atomic[a], MissingValue)
-			} else {
-				t.atomic[a] = append(t.atomic[a], t.dicts[a].Intern(v))
-			}
-			if sv, bad := setValues[attr.Name]; bad && len(sv) > 0 {
-				return 0, fmt.Errorf("dataset: atomic attribute %q given a value set", attr.Name)
-			}
-		case MultiValued:
-			vs := setValues[attr.Name]
-			if single, ok := values[attr.Name]; ok && single != "" {
-				vs = append(vs, single)
-			}
-			ids := make([]ValueID, 0, len(vs))
-			seen := make(map[ValueID]bool, len(vs))
-			for _, v := range vs {
-				if v == "" || v == MissingLabel {
-					continue
-				}
-				id := t.dicts[a].Intern(v)
-				if !seen[id] {
-					seen[id] = true
-					ids = append(ids, id)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			t.multi[a] = append(t.multi[a], ids)
+		if attr.Kind == Atomic && len(setValues[attr.Name]) > 0 {
+			return 0, fmt.Errorf("dataset: atomic attribute %q given a value set", attr.Name)
 		}
+		t.appendCell(a, values[attr.Name], setValues[attr.Name])
 	}
 	return row, nil
+}
+
+// appendCell appends one row's value of attribute a, the step AppendRow and
+// the CSV reader share. An atomic attribute interns v ("" is missing). A
+// multi-valued one takes the set vs, plus v unless it is "", drops "" and
+// MissingLabel, and stores the rest interned in order, deduped and sorted.
+func (t *EntityTable) appendCell(a int, v string, vs []string) {
+	d := t.dicts[a]
+	if t.Schema.At(a).Kind == Atomic {
+		id := MissingValue
+		if v != "" {
+			id = d.Intern(v)
+		}
+		t.atomic[a] = append(t.atomic[a], id)
+		return
+	}
+	if v != "" {
+		vs = append(vs[:len(vs):len(vs)], v)
+	}
+	ids := make([]ValueID, 0, len(vs))
+	for _, s := range vs {
+		if s == "" || s == MissingLabel {
+			continue
+		}
+		if id := d.Intern(s); !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	t.multi[a] = append(t.multi[a], ids)
+}
+
+// reserve sizes the keys and every column for n more rows.
+func (t *EntityTable) reserve(n int) {
+	t.Keys = slices.Grow(t.Keys, n)
+	for a := range t.dicts {
+		if t.Schema.At(a).Kind == Atomic {
+			t.atomic[a] = slices.Grow(t.atomic[a], n)
+		} else {
+			t.multi[a] = slices.Grow(t.multi[a], n)
+		}
+	}
 }
 
 // AtomicValue returns the value id of atomic attribute a for the given row.
@@ -185,18 +200,25 @@ func NewRatingTable(dims ...Dimension) (*RatingTable, error) {
 	}
 	rt := &RatingTable{Dimensions: append([]Dimension(nil), dims...)}
 	rt.Scores = make([][]Score, len(dims))
-	for i, d := range dims {
+	for _, d := range dims {
 		if d.Scale < 2 {
 			return nil, fmt.Errorf("dataset: dimension %q has scale %d < 2", d.Name, d.Scale)
 		}
-		rt.Scores[i] = nil
-		_ = i
 	}
 	return rt, nil
 }
 
 // Len returns the number of rating records.
 func (rt *RatingTable) Len() int { return len(rt.Reviewer) }
+
+// reserve sizes every column for n more records.
+func (rt *RatingTable) reserve(n int) {
+	rt.Reviewer = slices.Grow(rt.Reviewer, n)
+	rt.Item = slices.Grow(rt.Item, n)
+	for d := range rt.Scores {
+		rt.Scores[d] = slices.Grow(rt.Scores[d], n)
+	}
+}
 
 // Append adds one rating record. scores must have one entry per dimension;
 // each must be in {0..scale} where 0 means missing.
