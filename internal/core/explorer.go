@@ -252,7 +252,9 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 
 // groupUtility is Equation 2 over a rating group given as its description,
 // ascending records and candidate rating maps. To keep recommendation
-// building interactive, the records may be subsampled per Cfg.RecSampleSize.
+// building interactive, the group is scored on query.Sample of its records
+// (Cfg.RecSampleSize) — which records already are when the recPass derived
+// them through a bounded partition.
 //
 // keep, when non-nil, is the engine's gate (engine.TopMapsIf): it sees the
 // group's k′ = K×L top utilities in rank order before any of the maps
@@ -263,10 +265,7 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands 
 	if len(records) == 0 {
 		return 0, false, nil
 	}
-	if n := ex.Cfg.RecSampleSize; n > 0 && len(records) > n {
-		records = sampleRecords(records, n)
-	}
-	group := &query.RatingGroup{Desc: desc, Records: records}
+	group := &query.RatingGroup{Desc: desc, Records: query.Sample(records, ex.Cfg.RecSampleSize)}
 	genRes, err := ex.Gen.TopMapsIf(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
 	if err != nil {
 		return 0, false, err
@@ -280,18 +279,6 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands 
 		sum += genRes.Utilities[i]
 	}
 	return sum, false, nil
-}
-
-// sampleRecords picks n records evenly spaced across the (sorted) record
-// list — deterministic and order-preserving, which keeps repeated
-// evaluations of the same operation stable.
-func sampleRecords(records []int32, n int) []int32 {
-	out := make([]int32, 0, n)
-	step := float64(len(records)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, records[int(float64(i)*step)])
-	}
-	return out
 }
 
 // ParseDescription exposes the advanced-screen SQL predicate parser bound

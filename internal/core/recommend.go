@@ -69,6 +69,7 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if len(ops) == 0 {
 		return nil, nil, nil
 	}
+	// A group-cache hit: the step has just materialized cur.
 	group, err := rb.Ex.Query.Materialize(cur)
 	if err != nil {
 		return nil, nil, err

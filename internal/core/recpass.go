@@ -22,9 +22,12 @@ import (
 //	FilterChange      a Change group  by the added attribute
 //
 // so the ≈ 300 candidates of a step cost one materialization per selector of
-// cur and a few dozen linear passes, not 300 entity-table scans and sorts,
-// and the derived record lists equal what Query.Materialize(op.Target)
-// returns element for element.
+// cur and a few dozen linear passes, not 300 entity-table scans and sorts.
+// A candidate is scored on query.Sample of its group (Cfg.RecSampleSize),
+// and a partition keeps only that much of each bucket, so the derived
+// record lists equal query.Sample(Query.Materialize(op.Target).Records)
+// element for element — and Materialize's whole list for the Change and
+// Generalize groups, which are not read through a bounded partition.
 //
 // A group's candidate rating maps depend only on which attributes its
 // description binds — cur's, less at most one, plus at most one — so each
@@ -152,23 +155,28 @@ func (p *recPass) records(op query.Operation) ([]int32, error) {
 	if op.Kind != query.Generalize {
 		p.derived++
 	}
+	n := p.ex.Cfg.RecSampleSize
 	switch op.Kind {
 	case query.Filter:
-		return p.bucket(source{}, *op.Added)
+		return p.bucket(source{}, *op.Added, n)
 	case query.Generalize:
 		return p.base(*op.Removed)
 	case query.Change:
 		return p.sourceRecords(source{removed: *op.Changed, changedTo: op.ChangedTo})
 	case query.FilterGeneralize:
-		return p.bucket(source{removed: *op.Removed}, *op.Added)
+		return p.bucket(source{removed: *op.Removed}, *op.Added, n)
 	case query.FilterChange:
-		return p.bucket(source{removed: *op.Changed, changedTo: op.ChangedTo}, *op.Added)
+		return p.bucket(source{removed: *op.Changed, changedTo: op.ChangedTo}, *op.Added, n)
 	}
 	return nil, fmt.Errorf("core: cannot derive the group of %s operation %s", op.Kind, op)
 }
 
-// bucket narrows a source by one selector.
-func (p *recPass) bucket(src source, sel query.Selector) ([]int32, error) {
+// bucket narrows a source by one selector, keeping at most n records of it
+// (query.Partition's bound; n ≤ 0 keeps it whole). One partKey is always
+// built with one bound: only a Change group partitions cur∖old by old's own
+// attribute, and only a Filter* candidate partitions by an attribute its
+// source leaves unbound.
+func (p *recPass) bucket(src source, sel query.Selector, n int) ([]int32, error) {
 	key := partKey{src: src, side: sel.Side, attr: sel.Attr}
 	part, ok := p.parts[key]
 	if !ok {
@@ -176,7 +184,7 @@ func (p *recPass) bucket(src source, sel query.Selector) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		if part, err = p.ex.Query.Partition(records, sel.Side, sel.Attr); err != nil {
+		if part, err = p.ex.Query.Partition(records, sel.Side, sel.Attr, n); err != nil {
 			return nil, err
 		}
 		p.parts[key] = part
@@ -192,9 +200,10 @@ func (p *recPass) sourceRecords(src source) ([]int32, error) {
 	case src.changedTo == "":
 		return p.base(src.removed)
 	}
+	// A Change group is whole: FilterChange partitions it again.
 	changed := src.removed
 	changed.Value = src.changedTo
-	return p.bucket(source{removed: src.removed}, changed)
+	return p.bucket(source{removed: src.removed}, changed, 0)
 }
 
 // base materializes cur∖old: a superset of cur, so the one kind of group
@@ -217,6 +226,9 @@ func (p *recPass) base(old query.Selector) ([]int32, error) {
 }
 
 // describe records on the pass's span where its candidate groups came from.
+// partition_records is what the pass's partitions hold: under the sample
+// bound at most RecSampleSize records a bucket, not the records they were
+// built from.
 func (p *recPass) describe(span *obs.Span) {
 	span.SetAttr("groups_derived", p.derived)
 	span.SetAttr("groups_materialized", p.materialized)

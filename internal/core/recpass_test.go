@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -32,8 +33,13 @@ var walkShapes = []struct {
 // TestDerivedGroupsMatchMaterialized is the exactness proof of recPass: on
 // every dataset shape, at every step of a seeded Recommendation-Powered
 // walk, for every operation CandidateOps returns, the derived records equal
-// Query.Materialize(op.Target).Records element for element and the derived
-// utility equals the materializing reference OperationUtility bit for bit.
+// element for element what the candidate is scored on —
+// query.Sample(Query.Materialize(op.Target).Records, RecSampleSize) for a
+// Filter, FilterGeneralize or FilterChange, read through a bounded
+// partition, and the whole materialized group for a Change or Generalize —
+// and the derived utility equals the materializing reference
+// OperationUtility bit for bit; under the shipped RecSampleSize and under
+// one small enough that every shape's groups outgrow it.
 func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 	for _, ds := range walkShapes {
 		t.Run(ds.name, func(t *testing.T) {
@@ -41,104 +47,127 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := NewExplorer(db, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess, err := NewSession(ex, RecommendationPowered, query.Description{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(11))
-			kinds := make(map[query.OpKind]int)
-			var empty, multiValued, deepest int
-			for step := 0; step < 8; step++ {
-				res, err := sess.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cur := sess.Current()
-				deepest = max(deepest, cur.Len())
-				ops, err := sess.rb.CandidateOps(cur, res.Maps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ops = append(ops, missingLabelFilters(ex, cur)...)
-				group, err := ex.Query.Materialize(cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pass := newRecPass(ex, group, 0) // gate off: every utility is computed
-				var nonEmpty []query.Operation
-				for _, op := range ops {
-					got, err := pass.records(op)
-					if err != nil {
-						t.Fatalf("%s: %v", op, err)
-					}
-					want, err := ex.Query.Materialize(op.Target)
-					if err != nil {
-						t.Fatalf("%s: %v", op, err)
-					}
-					if !slices.Equal(got, want.Records) {
-						t.Fatalf("step %d at %s, %s → %s: derived %d records, materialized %d (first of each: %v / %v)",
-							step, cur, op, op.Target, len(got), len(want.Records), head(got), head(want.Records))
-					}
-					if memo, fresh := pass.candidates(op), ex.Gen.Candidates(ex.Query, op.Target); !slices.Equal(memo, fresh) {
-						t.Fatalf("step %d at %s, %s → %s: memoized candidates %v, enumerated %v", step, cur, op, op.Target, memo, fresh)
-					}
-					u, _, err := sess.rb.operationUtility(pass, op, sess.Seen())
+			// The shipped bound, and one small enough that every shape samples
+			// and has Change groups above it.
+			for _, n := range []int{DefaultConfig().RecSampleSize, 200} {
+				t.Run(fmt.Sprintf("sample_%d", n), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.RecSampleSize = n
+					ex, err := NewExplorer(db, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := ex.OperationUtility(op, sess.Seen())
+					sess, err := NewSession(ex, RecommendationPowered, query.Description{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if u != ref {
-						t.Fatalf("step %d at %s, %s: derived utility %v, reference %v", step, cur, op, u, ref)
+					rng := rand.New(rand.NewSource(11))
+					kinds := make(map[query.OpKind]int)
+					var empty, multiValued, deepest, sampled, wholeOverBound int
+					for step := 0; step < 8; step++ {
+						res, err := sess.Step()
+						if err != nil {
+							t.Fatal(err)
+						}
+						cur := sess.Current()
+						deepest = max(deepest, cur.Len())
+						ops, err := sess.rb.CandidateOps(cur, res.Maps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ops = append(ops, missingLabelFilters(ex, cur)...)
+						group, err := ex.Query.Materialize(cur)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pass := newRecPass(ex, group, 0) // gate off: every utility is computed
+						var nonEmpty []query.Operation
+						for _, op := range ops {
+							got, err := pass.records(op)
+							if err != nil {
+								t.Fatalf("%s: %v", op, err)
+							}
+							g, err := ex.Query.Materialize(op.Target)
+							if err != nil {
+								t.Fatalf("%s: %v", op, err)
+							}
+							want := g.Records
+							if op.Added != nil {
+								want = query.Sample(want, ex.Cfg.RecSampleSize)
+								if len(want) < g.Len() {
+									sampled++
+								}
+							} else if g.Len() > n {
+								wholeOverBound++
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("step %d at %s, %s → %s: derived %d records, want %d of the %d materialized (first of each: %v / %v)",
+									step, cur, op, op.Target, len(got), len(want), g.Len(), head(got), head(want))
+							}
+							if memo, fresh := pass.candidates(op), ex.Gen.Candidates(ex.Query, op.Target); !slices.Equal(memo, fresh) {
+								t.Fatalf("step %d at %s, %s → %s: memoized candidates %v, enumerated %v", step, cur, op, op.Target, memo, fresh)
+							}
+							u, _, err := sess.rb.operationUtility(pass, op, sess.Seen())
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref, err := ex.OperationUtility(op, sess.Seen())
+							if err != nil {
+								t.Fatal(err)
+							}
+							if u != ref {
+								t.Fatalf("step %d at %s, %s: derived utility %v, reference %v", step, cur, op, u, ref)
+							}
+							kinds[op.Kind]++
+							if len(got) == 0 {
+								empty++
+							} else {
+								nonEmpty = append(nonEmpty, op)
+							}
+							if op.Added != nil && isMultiValued(ex, *op.Added) {
+								multiValued++
+							}
+						}
+						// Drill down first, so the walk passes through one-, two- and
+						// three-selector selections; then move any way the candidates allow.
+						next := nonEmpty
+						if cur.Len() < 3 {
+							next = slices.DeleteFunc(slices.Clone(nonEmpty), func(op query.Operation) bool { return op.Kind != query.Filter })
+						}
+						if len(next) == 0 {
+							break
+						}
+						if err := sess.Apply(next[rng.Intn(len(next))]); err != nil {
+							t.Fatal(err)
+						}
 					}
-					kinds[op.Kind]++
-					if len(got) == 0 {
-						empty++
-					} else {
-						nonEmpty = append(nonEmpty, op)
+					for k := query.Filter; k <= query.FilterChange; k++ {
+						if kinds[k] == 0 {
+							t.Errorf("the walk never produced a %s candidate", k)
+						}
 					}
-					if op.Added != nil && isMultiValued(ex, *op.Added) {
-						multiValued++
+					if deepest < 3 {
+						t.Errorf("the walk never reached a three-selector selection (deepest %d)", deepest)
 					}
-				}
-				// Drill down first, so the walk passes through one-, two- and
-				// three-selector selections; then move any way the candidates allow.
-				next := nonEmpty
-				if cur.Len() < 3 {
-					next = slices.DeleteFunc(slices.Clone(nonEmpty), func(op query.Operation) bool { return op.Kind != query.Filter })
-				}
-				if len(next) == 0 {
-					break
-				}
-				if err := sess.Apply(next[rng.Intn(len(next))]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for k := query.Filter; k <= query.FilterChange; k++ {
-				if kinds[k] == 0 {
-					t.Errorf("the walk never produced a %s candidate", k)
-				}
-			}
-			if deepest < 3 {
-				t.Errorf("the walk never reached a three-selector selection (deepest %d)", deepest)
-			}
-			if empty == 0 {
-				t.Error("the walk never derived an empty group")
-			}
-			hasMulti := false
-			for _, tab := range []*dataset.EntityTable{db.Reviewers, db.Items} {
-				for a := 0; a < tab.Schema.Len(); a++ {
-					hasMulti = hasMulti || tab.Schema.At(a).Kind == dataset.MultiValued
-				}
-			}
-			if hasMulti && multiValued == 0 {
-				t.Error("the walk never filtered on the dataset's multi-valued attribute")
+					if empty == 0 {
+						t.Error("the walk never derived an empty group")
+					}
+					if (ds.name == "yelp" || n < DefaultConfig().RecSampleSize) && sampled == 0 {
+						t.Error("the walk never derived a group larger than RecSampleSize through a bounded partition")
+					}
+					if n < DefaultConfig().RecSampleSize && wholeOverBound == 0 {
+						t.Error("the walk never derived a Change or Generalize group larger than RecSampleSize, which must stay whole")
+					}
+					hasMulti := false
+					for _, tab := range []*dataset.EntityTable{db.Reviewers, db.Items} {
+						for a := 0; a < tab.Schema.Len(); a++ {
+							hasMulti = hasMulti || tab.Schema.At(a).Kind == dataset.MultiValued
+						}
+					}
+					if hasMulti && multiValued == 0 {
+						t.Error("the walk never filtered on the dataset's multi-valued attribute")
+					}
+				})
 			}
 		})
 	}
@@ -254,7 +283,7 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 // every candidate's three best maps score ≈ 0.33 each, so every bound is
 // ≈ 1.0 and no exact utility is above 0.86) — every one but the roll-up
 // derived, two materializations (the selection and the roll-up), and
-// partitions holding at least the displayed group once each.
+// partitions holding at least the displayed group's sample once each.
 func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	const spanBounded = 161
 	db := coreDB(t)
@@ -326,8 +355,8 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	if built < 2 || built >= evaluated {
 		t.Errorf("partitions_built = %d, want at least one per base and far fewer than the %d candidates", built, evaluated)
 	}
-	if records < res.GroupSize {
-		t.Errorf("partition_records = %d, want at least the displayed group's %d", records, res.GroupSize)
+	if floor := min(res.GroupSize, ex.Cfg.RecSampleSize); records < floor {
+		t.Errorf("partition_records = %d, want at least the displayed group's sample, %d records", records, floor)
 	}
 }
 

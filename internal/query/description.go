@@ -8,7 +8,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -79,26 +78,40 @@ type Description struct {
 // the empty group for atomic attributes and is disallowed in the paper's
 // operation grammar).
 func NewDescription(selectors ...Selector) (Description, error) {
-	seen := make(map[string]bool, len(selectors))
-	attrs := make(map[string]string, len(selectors))
-	var out []Selector
-	for _, s := range selectors {
+	return canonical(append([]Selector(nil), selectors...))
+}
+
+// canonical is NewDescription over a selector list it may reorder and
+// shorten in place. A description binds a handful of attributes, so the
+// checks are linear scans and the sort an insertion sort: candidate
+// enumeration builds several hundred descriptions a step.
+func canonical(ss []Selector) (Description, error) {
+	out := ss[:0]
+next:
+	for _, s := range ss {
 		if s.Attr == "" {
 			return Description{}, fmt.Errorf("query: selector with empty attribute")
 		}
-		k := s.Key()
-		if seen[k] {
-			continue
-		}
-		if prev, dup := attrs[s.AttrKey()]; dup {
+		for _, prev := range out {
+			if prev.Side != s.Side || prev.Attr != s.Attr {
+				continue
+			}
+			if prev.Value == s.Value {
+				continue next
+			}
 			return Description{}, fmt.Errorf("query: attribute %s.%s bound to both %q and %q",
-				s.Side, s.Attr, prev, s.Value)
+				s.Side, s.Attr, prev.Value, s.Value)
 		}
-		seen[k] = true
-		attrs[s.AttrKey()] = s.Value
 		out = append(out, s)
 	}
-	sortSelectors(out)
+	if len(out) == 0 {
+		return Description{}, nil
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && selectorLess(out[j], out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return Description{selectors: out}, nil
 }
 
@@ -111,16 +124,15 @@ func MustDescription(selectors ...Selector) Description {
 	return d
 }
 
-func sortSelectors(ss []Selector) {
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].Side != ss[j].Side {
-			return ss[i].Side < ss[j].Side
-		}
-		if ss[i].Attr != ss[j].Attr {
-			return ss[i].Attr < ss[j].Attr
-		}
-		return ss[i].Value < ss[j].Value
-	})
+// selectorLess is the canonical selector order: by side, attribute, value.
+func selectorLess(a, b Selector) bool {
+	if a.Side != b.Side {
+		return a.Side < b.Side
+	}
+	if a.Attr != b.Attr {
+		return a.Attr < b.Attr
+	}
+	return a.Value < b.Value
 }
 
 // Selectors returns a copy of the selector list in canonical order.
@@ -206,7 +218,9 @@ func (d Description) String() string {
 
 // With returns a new description with sel added (filter / drill-down).
 func (d Description) With(sel Selector) (Description, error) {
-	return NewDescription(append(d.Selectors(), sel)...)
+	out := make([]Selector, len(d.selectors), len(d.selectors)+1)
+	copy(out, d.selectors)
+	return canonical(append(out, sel))
 }
 
 // Without returns a new description with sel removed (generalize / roll-up).
@@ -216,13 +230,13 @@ func (d Description) Without(sel Selector) (Description, error) {
 	if !d.Has(sel) {
 		return Description{}, fmt.Errorf("query: selector %s not in description", sel)
 	}
-	var out []Selector
+	out := make([]Selector, 0, len(d.selectors)-1)
 	for _, s := range d.selectors {
 		if s != sel {
 			out = append(out, s)
 		}
 	}
-	return NewDescription(out...)
+	return canonical(out)
 }
 
 // WithChanged returns a new description where the attribute bound by old is
@@ -238,7 +252,7 @@ func (d Description) WithChanged(old Selector, newValue string) (Description, er
 		}
 		out = append(out, s)
 	}
-	return NewDescription(out...)
+	return canonical(out)
 }
 
 // EditDistance counts the minimum number of selector additions, removals,

@@ -1,6 +1,9 @@
 package query
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -69,6 +72,147 @@ func FuzzParse(f *testing.F) {
 		// Canonical form must be a fixed point of String.
 		if again.String() != canon {
 			t.Fatalf("String not canonical: %q vs %q", again.String(), canon)
+		}
+	})
+}
+
+// newDescriptionMaps is NewDescription as it was first written — a seen
+// map of selector keys, a map of bound attributes and sort.Slice — kept as
+// the reference FuzzNewDescription holds the map-free version to.
+func newDescriptionMaps(selectors ...Selector) (Description, error) {
+	seen := make(map[string]bool, len(selectors))
+	attrs := make(map[string]string, len(selectors))
+	var out []Selector
+	for _, s := range selectors {
+		if s.Attr == "" {
+			return Description{}, fmt.Errorf("query: selector with empty attribute")
+		}
+		k := s.Key()
+		if seen[k] {
+			continue
+		}
+		if prev, dup := attrs[s.AttrKey()]; dup {
+			return Description{}, fmt.Errorf("query: attribute %s.%s bound to both %q and %q",
+				s.Side, s.Attr, prev, s.Value)
+		}
+		seen[k] = true
+		attrs[s.AttrKey()] = s.Value
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Side != out[j].Side {
+			return out[i].Side < out[j].Side
+		}
+		if out[i].Attr != out[j].Attr {
+			return out[i].Attr < out[j].Attr
+		}
+		return out[i].Value < out[j].Value
+	})
+	return Description{selectors: out}, nil
+}
+
+// encodeSelectors is FuzzNewDescription's input form: one line a selector,
+// its side as the first byte (a signed byte, so Side(-1) is expressible),
+// then attr=value. Attributes may not hold '=' or a newline, values not a
+// newline.
+func encodeSelectors(ss ...Selector) string {
+	var b strings.Builder
+	for i, s := range ss {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteByte(byte(int8(s.Side)))
+		b.WriteString(s.Attr + "=" + s.Value)
+	}
+	return b.String()
+}
+
+func decodeSelectors(spec string) []Selector {
+	if spec == "" {
+		return nil
+	}
+	var ss []Selector
+	for _, line := range strings.Split(spec, "\n") {
+		if line == "" {
+			ss = append(ss, Selector{})
+			continue
+		}
+		attr, value, _ := strings.Cut(line[1:], "=")
+		ss = append(ss, Selector{Side: Side(int8(line[0])), Attr: attr, Value: value})
+	}
+	return ss
+}
+
+// FuzzNewDescription holds NewDescription — and With, which builds its
+// result the same way — to the map-based reference: the same selectors in
+// the same canonical order, or the same error text. The one input the two
+// may answer differently is excluded: two distinct selectors whose Keys
+// collide (an attribute name holding NUL), which the reference drops as a
+// duplicate and NewDescription, comparing fields, keeps or rejects.
+func FuzzNewDescription(f *testing.F) {
+	f.Add("")
+	for _, ss := range [][]Selector{
+		// query_test.go's cases.
+		{sel(ReviewerSide, "gender", "F"), sel(ItemSide, "city", "NYC")},
+		{sel(ItemSide, "city", "NYC"), sel(ReviewerSide, "gender", "F")},
+		{sel(ReviewerSide, "gender", "F"), sel(ReviewerSide, "gender", "F"), sel(ItemSide, "city", "NYC")},
+		{sel(ReviewerSide, "gender", "F"), sel(ReviewerSide, "gender", "M")},
+		{{Side: ReviewerSide, Attr: "", Value: "x"}},
+		{sel(ReviewerSide, "age", "young"), sel(ReviewerSide, "gender", "F"), sel(ItemSide, "city", "NYC")},
+		// Exact duplicates.
+		{sel(ItemSide, "cuisine", "sushi"), sel(ItemSide, "cuisine", "sushi"), sel(ItemSide, "cuisine", "sushi")},
+		// One attribute bound twice, in both orders, after a duplicate.
+		{sel(ItemSide, "city", "a"), sel(ReviewerSide, "age", "x"), sel(ItemSide, "city", "b")},
+		{sel(ItemSide, "city", "b"), sel(ItemSide, "city", "b"), sel(ItemSide, "city", "a")},
+		// The same attribute name on both sides.
+		{sel(ReviewerSide, "city", "a"), sel(ItemSide, "city", "b")},
+		{sel(ItemSide, "city", "a"), sel(ReviewerSide, "city", "a"), sel(ItemSide, "city", "a")},
+		// An empty attribute after a conflict, and a conflict after it.
+		{sel(ReviewerSide, "g", "F"), sel(ReviewerSide, "g", "M"), {Side: ItemSide}},
+		{{Side: ItemSide, Value: "v"}, sel(ReviewerSide, "g", "F"), sel(ReviewerSide, "g", "M")},
+		// TestKeysMatchSprintf's selectors.
+		{
+			sel(ReviewerSide, "gender", "F"),
+			sel(ItemSide, "city", "New York"),
+			sel(ItemSide, "a\x00b", "v\x00\x01w"),
+			sel(ReviewerSide, `quo"te`, `it's "both"`),
+			sel(ItemSide, "cuisine", "crème brûlée 🦀"),
+			sel(Side(7), "x", ""),
+			sel(Side(-1), "%d%s", "%!s(MISSING)"),
+		},
+	} {
+		f.Add(encodeSelectors(ss...))
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ss := decodeSelectors(spec)
+		for i := range ss {
+			for j := range ss[:i] {
+				if ss[i] != ss[j] && ss[i].Key() == ss[j].Key() {
+					return
+				}
+			}
+		}
+		same := func(what string, got Description, gotErr error, want Description, wantErr error) {
+			t.Helper()
+			switch {
+			case gotErr != nil || wantErr != nil:
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s of %q: error %v, reference %v", what, ss, gotErr, wantErr)
+				}
+			case !slices.Equal(got.Selectors(), want.Selectors()):
+				t.Fatalf("%s of %q: %q, reference %q", what, ss, got.Selectors(), want.Selectors())
+			}
+		}
+		got, err := NewDescription(ss...)
+		want, wantErr := newDescriptionMaps(ss...)
+		same("NewDescription", got, err, want, wantErr)
+		if len(ss) == 0 {
+			return
+		}
+		last := ss[len(ss)-1]
+		if prefix, err := newDescriptionMaps(ss[:len(ss)-1]...); err == nil {
+			got, err := prefix.With(last)
+			same("With", got, err, want, wantErr)
 		}
 	})
 }

@@ -48,12 +48,13 @@ var partitionAttrs = []struct {
 	attr string
 }{{ReviewerSide, "gender"}, {ReviewerSide, "age_group"}, {ItemSide, "cuisine"}, {ItemSide, "city"}}
 
-// checkPartition holds a partition of records to its definition: the bucket
-// of every dictionary value — the missing label included — is the HasValue
-// filter of the input, in the input's order.
-func checkPartition(t *testing.T, e *Engine, records []int32, side Side, attr string) {
+// checkPartition holds a partition of records under sample bound n to its
+// definition: the bucket of every dictionary value — the missing label
+// included — is Sample of the HasValue filter of the input, in the input's
+// order (the whole filter when n ≤ 0).
+func checkPartition(t *testing.T, e *Engine, records []int32, side Side, attr string, n int) {
 	t.Helper()
-	p, err := e.Partition(records, side, attr)
+	p, err := e.Partition(records, side, attr, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +72,14 @@ func checkPartition(t *testing.T, e *Engine, records []int32, side Side, attr st
 				want = append(want, r)
 			}
 		}
+		want = Sample(want, n)
 		label := tab.Dict(a).Value(dataset.ValueID(v))
 		got, err := p.Bucket(label)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s.%s=%q over %v: bucket %v, HasValue filter %v", side, attr, label, records, got, want)
+			t.Fatalf("%s.%s=%q over %v, bound %d: bucket %v, sampled HasValue filter %v", side, attr, label, records, n, got, want)
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("%s.%s=%q: bucket of %d records has capacity %d — an append would write its neighbour",
@@ -113,11 +115,13 @@ func TestPartitionIsMaterialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pa := range partitionAttrs {
-			checkPartition(t, e, g.Records, pa.side, pa.attr)
+			for _, n := range []int{0, 1, 3, 7} {
+				checkPartition(t, e, g.Records, pa.side, pa.attr, n)
+			}
 			if base.BindsAttr(pa.side, pa.attr) {
 				continue
 			}
-			p, err := e.Partition(g.Records, pa.side, pa.attr)
+			p, err := e.Partition(g.Records, pa.side, pa.attr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,20 +141,58 @@ func TestPartitionIsMaterialize(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.Partition(nil, ItemSide, "nope"); err == nil {
+	if _, err := e.Partition(nil, ItemSide, "nope", 0); err == nil {
 		t.Fatal("unknown attribute must be an error")
 	}
 }
 
+// TestSamplePositions pins Sample to the stride rule candidates have always
+// been scored by: the i-th of n picks is records[int(float64(i)*step)] with
+// step = len/n computed first — the positions the workload goldens' sampled
+// utilities were recorded with. Computing i·len first and dividing after
+// picks differently: of 2 002 records, pick 1 000 would be position 1 001,
+// and of 30, with n = 22, pick 11 would be 15, not 14.
+func TestSamplePositions(t *testing.T) {
+	for _, size := range []int{0, 1, 5, 30, 64, 1999, 2000, 2001, 2002, 4096, 50_021} {
+		records := make([]int32, size)
+		for i := range records {
+			records[i] = int32(3*i + 1)
+		}
+		for _, n := range []int{-1, 0, 1, 2, 7, 22, 2000, 4095} {
+			got := Sample(records, n)
+			if n <= 0 || size <= n {
+				if !slices.Equal(got, records) {
+					t.Fatalf("Sample of %d records, n=%d: not the records themselves", size, n)
+				}
+				continue
+			}
+			want := make([]int32, 0, n)
+			step := float64(size) / float64(n)
+			for i := 0; i < n; i++ {
+				want = append(want, records[int(float64(i)*step)])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("Sample of %d records, n=%d: picks differ from the stride rule", size, n)
+			}
+		}
+	}
+}
+
 // FuzzPartition partitions arbitrary ascending record subsets by every
-// attribute kind. subset is a bit mask over the rating table (bit i of byte
-// i/8 admits record i); attr picks the attribute.
+// attribute kind, under a sample bound. subset is a bit mask over the
+// rating table (bit i of byte i/8 admits record i); attr picks the
+// attribute (attr mod 4) and the bound (attr div 4; 0 keeps buckets whole),
+// so the checked-in corpus keeps its two-value form. Every bucket must be
+// Sample of the unbounded bucket.
 func FuzzPartition(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, byte(2))
 	f.Add([]byte{0x01}, byte(1))
 	f.Add([]byte{0xaa, 0x55, 0x00, 0xf0}, byte(3))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}, byte(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, byte(3*4+2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, byte(5*4+0))
+	f.Add([]byte{0xfe, 0x7f, 0xff, 0xee, 0xff, 0xff, 0xdf, 0xff}, byte(7*4+3))
 	e, err := NewEngine(buildPartitionDB(f))
 	if err != nil {
 		f.Fatal(err)
@@ -164,7 +206,7 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		pa := partitionAttrs[int(attr)%len(partitionAttrs)]
-		checkPartition(t, e, records, pa.side, pa.attr)
+		checkPartition(t, e, records, pa.side, pa.attr, int(attr)/len(partitionAttrs))
 	})
 }
 
