@@ -89,23 +89,34 @@ type CandidateLimits struct {
 	MaxCandidates int
 }
 
-// Cache budgets, in total cached rating records. Both caches are shared
-// by every session of an explorer and return exactly what a recomputation
-// would; DESIGN.md "Mechanisms and the ledger rows that justify them"
-// records what each one buys on the guided_walk workload.
+// Cache budgets. Both caches are shared by every session of an explorer
+// and return exactly what a recomputation would; DESIGN.md "Mechanisms and
+// the ledger rows that justify them" records what each one buys on the
+// guided_walk workload.
 const (
-	// groupCacheRecords budgets the query engine's materialization cache:
-	// walks revisit selections and every recommendation pass materializes
-	// the displayed group's roll-ups, and the cache trades memory for
-	// those repeated scans (cf. Data Canopy [57]).
-	groupCacheRecords = 500_000
+	// groupCacheBytes budgets the query engine's group cache, in bytes of
+	// record lists, bitsets and bucket offsets: walks revisit selections,
+	// every recommendation pass materializes the displayed group's
+	// roll-ups, and every pass partitions cur and those roll-ups again —
+	// the root on every step of every walk that starts there — and the
+	// cache trades memory for those repeated scans (cf. Data Canopy [57]).
+	// The smallest budget whose step_p50_ms is within noise of the
+	// largest tried. bench guided_walk (Yelp 0.25, two shared vCPUs,
+	// 2026-10-16), seeds 1–4, with the budget at
+	//
+	//	         step_p50_ms                 median  alloc_kb_per_step
+	//	 2 MiB   11.61 11.49 11.47 11.06     11.48   1 859–1 889
+	//	 4 MiB    9.61  9.88  9.43  9.54      9.58   1 783–1 813
+	//	 8 MiB    8.62  8.52  8.63  8.32      8.57   1 718–1 762
+	//	16 MiB   10.51  8.66  8.58  8.27      8.62   1 695–1 738
+	groupCacheBytes = 8 << 20
 	// engineCacheRecords budgets the RM-Generator's cross-step accumulator
-	// cache. A filter→generalize→filter walk that returns to an earlier
-	// selection — and the Recommendation Builder's repeated evaluation of
-	// overlapping candidate operations — skips the aggregation scan and
-	// re-finalizes the exact cached histograms against the current seen
-	// set. Only complete unpruned scans are cacheable; Engine.Pruning =
-	// PruneNone makes every completed scan one.
+	// cache, in rating records. A filter→generalize→filter walk that
+	// returns to an earlier selection — and the Recommendation Builder's
+	// repeated evaluation of overlapping candidate operations — skips the
+	// aggregation scan and re-finalizes the exact cached histograms against
+	// the current seen set. Only complete unpruned scans are cacheable;
+	// Engine.Pruning = PruneNone makes every completed scan one.
 	engineCacheRecords = 1_000_000
 )
 

@@ -42,7 +42,7 @@ func NewExplorer(db *dataset.DB, cfg Config) (*Explorer, error) {
 	if len(db.Ratings.Dimensions) == 1 {
 		cfg.Engine.Utility.DisableDimensionWeights = true
 	}
-	qe.EnableGroupCache(groupCacheRecords)
+	qe.EnableGroupCache(groupCacheBytes)
 	gen := engine.NewGenerator(db)
 	gen.Cache = engine.NewTopMapsCache(engineCacheRecords)
 	gen.Scanner = cfg.Scanner

@@ -22,7 +22,8 @@ import (
 //	FilterChange      a Change group  by the added attribute
 //
 // so the ≈ 300 candidates of a step cost one materialization per selector of
-// cur and a few dozen linear passes, not 300 entity-table scans and sorts.
+// cur and a few dozen linear passes, not 300 entity-table scans and sorts —
+// and no pass at all for a partition an earlier pass built.
 // A candidate is scored on query.Sample of its group (Cfg.RecSampleSize),
 // and a partition keeps only that much of each bucket, so the derived
 // record lists equal query.Sample(Query.Materialize(op.Target).Records)
@@ -33,11 +34,17 @@ import (
 // description binds — cur's, less at most one, plus at most one — so each
 // such set is enumerated once per pass, not once per candidate operation.
 //
-// The memo belongs to one RecommendCtx call and is reachable only from it:
-// sessions share an explorer, so nothing here may outlive the call or hang
-// off the Explorer. The call evaluates its candidates one after another, so
-// the memo needs no lock; a partition is built by the first candidate that
-// needs it.
+// The partitions are the explorer's: query.Engine.PartitionCached keeps them
+// in the group cache under their source's description (cur, cur∖old, or a
+// Change group's), so a pass reads the ones an earlier pass — of this
+// session or another — built, and builds and shares the rest. A partition is
+// immutable once built and hands its buckets out with their capacity
+// clipped, so sharing one needs no lock. The memo and the gate belong to one
+// RecommendCtx call and are reachable only from it: sessions share an
+// explorer, so the pass's own state may not outlive the call or hang off the
+// Explorer. The call evaluates its candidates one after another, so the memo
+// needs no lock; a partition is looked up once a pass, by the first
+// candidate that needs it.
 type recPass struct {
 	ex  *Explorer
 	cur *query.RatingGroup
@@ -46,7 +53,10 @@ type recPass struct {
 	parts map[partKey]*query.Partition
 	cands map[boundDelta][]ratingmap.Key
 
-	derived, materialized, partitionRecords int
+	derived, materialized int
+	// The partitions the pass built, the records they hold, and the ones it
+	// found in the group cache.
+	built, partitionRecords, reused int
 
 	// The bound gate. best holds the o highest exact utilities the pass has
 	// computed so far, ascending, so best[0] is the utility a candidate must
@@ -180,17 +190,39 @@ func (p *recPass) bucket(src source, sel query.Selector, n int) ([]int32, error)
 	key := partKey{src: src, side: sel.Side, attr: sel.Attr}
 	part, ok := p.parts[key]
 	if !ok {
+		desc, err := p.sourceDesc(src)
+		if err != nil {
+			return nil, err
+		}
 		records, err := p.sourceRecords(src)
 		if err != nil {
 			return nil, err
 		}
-		if part, err = p.ex.Query.Partition(records, sel.Side, sel.Attr, n); err != nil {
+		var hit bool
+		if part, hit, err = p.ex.Query.PartitionCached(desc, records, sel.Side, sel.Attr, n); err != nil {
 			return nil, err
 		}
 		p.parts[key] = part
-		p.partitionRecords += part.Len()
+		if hit {
+			p.reused++
+		} else {
+			p.built++
+			p.partitionRecords += part.Len()
+		}
 	}
 	return part.Bucket(sel.Value)
+}
+
+// sourceDesc is the description of a source's records, which is what its
+// partitions are cached under.
+func (p *recPass) sourceDesc(src source) (query.Description, error) {
+	switch {
+	case src.removed == (query.Selector{}):
+		return p.cur.Desc, nil
+	case src.changedTo == "":
+		return p.cur.Desc.Without(src.removed)
+	}
+	return p.cur.Desc.WithChanged(src.removed, src.changedTo)
 }
 
 func (p *recPass) sourceRecords(src source) ([]int32, error) {
@@ -226,13 +258,15 @@ func (p *recPass) base(old query.Selector) ([]int32, error) {
 }
 
 // describe records on the pass's span where its candidate groups came from.
-// partition_records is what the pass's partitions hold: under the sample
-// bound at most RecSampleSize records a bucket, not the records they were
-// built from.
+// partitions_built and partition_records count the partitions the pass built
+// and what they hold — under the sample bound at most RecSampleSize records
+// a bucket, not the records they were built from; partitions_reused counts
+// the ones it found in the group cache instead.
 func (p *recPass) describe(span *obs.Span) {
 	span.SetAttr("groups_derived", p.derived)
 	span.SetAttr("groups_materialized", p.materialized)
-	span.SetAttr("partitions_built", len(p.parts))
+	span.SetAttr("partitions_built", p.built)
 	span.SetAttr("partition_records", p.partitionRecords)
+	span.SetAttr("partitions_reused", p.reused)
 	span.SetAttr("bounded", p.bounded)
 }

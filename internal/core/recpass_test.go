@@ -39,7 +39,10 @@ var walkShapes = []struct {
 // partition, and the whole materialized group for a Change or Generalize —
 // and the derived utility equals the materializing reference
 // OperationUtility bit for bit; under the shipped RecSampleSize and under
-// one small enough that every shape's groups outgrow it.
+// one small enough that every shape's groups outgrow it. Each walk is taken
+// twice on one explorer: the warm walk reads every partition from the group
+// cache, where the cold one (and its session's own passes) left it, and is
+// held to the same assertions.
 func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 	for _, ds := range walkShapes {
 		t.Run(ds.name, func(t *testing.T) {
@@ -57,115 +60,124 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess, err := NewSession(ex, RecommendationPowered, query.Description{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(11))
-					kinds := make(map[query.OpKind]int)
-					var empty, multiValued, deepest, sampled, wholeOverBound int
-					for step := 0; step < 8; step++ {
-						res, err := sess.Step()
-						if err != nil {
-							t.Fatal(err)
-						}
-						cur := sess.Current()
-						deepest = max(deepest, cur.Len())
-						ops, err := sess.rb.CandidateOps(cur, res.Maps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ops = append(ops, missingLabelFilters(ex, cur)...)
-						group, err := ex.Query.Materialize(cur)
-						if err != nil {
-							t.Fatal(err)
-						}
-						pass := newRecPass(ex, group, 0) // gate off: every utility is computed
-						var nonEmpty []query.Operation
-						for _, op := range ops {
-							got, err := pass.records(op)
+					// The cold walk builds the partitions; the warm one, the same walk on
+					// the same explorer, finds them in the group cache.
+					for _, walk := range []string{"cold", "warm"} {
+						t.Run(walk, func(t *testing.T) {
+							sess, err := NewSession(ex, RecommendationPowered, query.Description{})
 							if err != nil {
-								t.Fatalf("%s: %v", op, err)
+								t.Fatal(err)
 							}
-							g, err := ex.Query.Materialize(op.Target)
-							if err != nil {
-								t.Fatalf("%s: %v", op, err)
-							}
-							want := g.Records
-							if op.Added != nil {
-								want = query.Sample(want, ex.Cfg.RecSampleSize)
-								if len(want) < g.Len() {
-									sampled++
+							rng := rand.New(rand.NewSource(11))
+							kinds := make(map[query.OpKind]int)
+							var empty, multiValued, deepest, sampled, wholeOverBound int
+							for step := 0; step < 8; step++ {
+								res, err := sess.Step()
+								if err != nil {
+									t.Fatal(err)
 								}
-							} else if g.Len() > n {
-								wholeOverBound++
+								cur := sess.Current()
+								deepest = max(deepest, cur.Len())
+								ops, err := sess.rb.CandidateOps(cur, res.Maps)
+								if err != nil {
+									t.Fatal(err)
+								}
+								ops = append(ops, missingLabelFilters(ex, cur)...)
+								group, err := ex.Query.Materialize(cur)
+								if err != nil {
+									t.Fatal(err)
+								}
+								pass := newRecPass(ex, group, 0) // gate off: every utility is computed
+								var nonEmpty []query.Operation
+								for _, op := range ops {
+									got, err := pass.records(op)
+									if err != nil {
+										t.Fatalf("%s: %v", op, err)
+									}
+									g, err := ex.Query.Materialize(op.Target)
+									if err != nil {
+										t.Fatalf("%s: %v", op, err)
+									}
+									want := g.Records
+									if op.Added != nil {
+										want = query.Sample(want, ex.Cfg.RecSampleSize)
+										if len(want) < g.Len() {
+											sampled++
+										}
+									} else if g.Len() > n {
+										wholeOverBound++
+									}
+									if !slices.Equal(got, want) {
+										t.Fatalf("step %d at %s, %s → %s: derived %d records, want %d of the %d materialized (first of each: %v / %v)",
+											step, cur, op, op.Target, len(got), len(want), g.Len(), head(got), head(want))
+									}
+									if memo, fresh := pass.candidates(op), ex.Gen.Candidates(ex.Query, op.Target); !slices.Equal(memo, fresh) {
+										t.Fatalf("step %d at %s, %s → %s: memoized candidates %v, enumerated %v", step, cur, op, op.Target, memo, fresh)
+									}
+									u, _, err := sess.rb.operationUtility(pass, op, sess.Seen())
+									if err != nil {
+										t.Fatal(err)
+									}
+									ref, err := ex.OperationUtility(op, sess.Seen())
+									if err != nil {
+										t.Fatal(err)
+									}
+									if u != ref {
+										t.Fatalf("step %d at %s, %s: derived utility %v, reference %v", step, cur, op, u, ref)
+									}
+									kinds[op.Kind]++
+									if len(got) == 0 {
+										empty++
+									} else {
+										nonEmpty = append(nonEmpty, op)
+									}
+									if op.Added != nil && isMultiValued(ex, *op.Added) {
+										multiValued++
+									}
+								}
+								if walk == "warm" && pass.built != 0 {
+									t.Errorf("step %d at %s: the warm walk built %d partitions, want every one found in the group cache", step, cur, pass.built)
+								}
+								// Drill down first, so the walk passes through one-, two- and
+								// three-selector selections; then move any way the candidates allow.
+								next := nonEmpty
+								if cur.Len() < 3 {
+									next = slices.DeleteFunc(slices.Clone(nonEmpty), func(op query.Operation) bool { return op.Kind != query.Filter })
+								}
+								if len(next) == 0 {
+									break
+								}
+								if err := sess.Apply(next[rng.Intn(len(next))]); err != nil {
+									t.Fatal(err)
+								}
 							}
-							if !slices.Equal(got, want) {
-								t.Fatalf("step %d at %s, %s → %s: derived %d records, want %d of the %d materialized (first of each: %v / %v)",
-									step, cur, op, op.Target, len(got), len(want), g.Len(), head(got), head(want))
+							for k := query.Filter; k <= query.FilterChange; k++ {
+								if kinds[k] == 0 {
+									t.Errorf("the walk never produced a %s candidate", k)
+								}
 							}
-							if memo, fresh := pass.candidates(op), ex.Gen.Candidates(ex.Query, op.Target); !slices.Equal(memo, fresh) {
-								t.Fatalf("step %d at %s, %s → %s: memoized candidates %v, enumerated %v", step, cur, op, op.Target, memo, fresh)
+							if deepest < 3 {
+								t.Errorf("the walk never reached a three-selector selection (deepest %d)", deepest)
 							}
-							u, _, err := sess.rb.operationUtility(pass, op, sess.Seen())
-							if err != nil {
-								t.Fatal(err)
+							if empty == 0 {
+								t.Error("the walk never derived an empty group")
 							}
-							ref, err := ex.OperationUtility(op, sess.Seen())
-							if err != nil {
-								t.Fatal(err)
+							if (ds.name == "yelp" || n < DefaultConfig().RecSampleSize) && sampled == 0 {
+								t.Error("the walk never derived a group larger than RecSampleSize through a bounded partition")
 							}
-							if u != ref {
-								t.Fatalf("step %d at %s, %s: derived utility %v, reference %v", step, cur, op, u, ref)
+							if n < DefaultConfig().RecSampleSize && wholeOverBound == 0 {
+								t.Error("the walk never derived a Change or Generalize group larger than RecSampleSize, which must stay whole")
 							}
-							kinds[op.Kind]++
-							if len(got) == 0 {
-								empty++
-							} else {
-								nonEmpty = append(nonEmpty, op)
+							hasMulti := false
+							for _, tab := range []*dataset.EntityTable{db.Reviewers, db.Items} {
+								for a := 0; a < tab.Schema.Len(); a++ {
+									hasMulti = hasMulti || tab.Schema.At(a).Kind == dataset.MultiValued
+								}
 							}
-							if op.Added != nil && isMultiValued(ex, *op.Added) {
-								multiValued++
+							if hasMulti && multiValued == 0 {
+								t.Error("the walk never filtered on the dataset's multi-valued attribute")
 							}
-						}
-						// Drill down first, so the walk passes through one-, two- and
-						// three-selector selections; then move any way the candidates allow.
-						next := nonEmpty
-						if cur.Len() < 3 {
-							next = slices.DeleteFunc(slices.Clone(nonEmpty), func(op query.Operation) bool { return op.Kind != query.Filter })
-						}
-						if len(next) == 0 {
-							break
-						}
-						if err := sess.Apply(next[rng.Intn(len(next))]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for k := query.Filter; k <= query.FilterChange; k++ {
-						if kinds[k] == 0 {
-							t.Errorf("the walk never produced a %s candidate", k)
-						}
-					}
-					if deepest < 3 {
-						t.Errorf("the walk never reached a three-selector selection (deepest %d)", deepest)
-					}
-					if empty == 0 {
-						t.Error("the walk never derived an empty group")
-					}
-					if (ds.name == "yelp" || n < DefaultConfig().RecSampleSize) && sampled == 0 {
-						t.Error("the walk never derived a group larger than RecSampleSize through a bounded partition")
-					}
-					if n < DefaultConfig().RecSampleSize && wholeOverBound == 0 {
-						t.Error("the walk never derived a Change or Generalize group larger than RecSampleSize, which must stay whole")
-					}
-					hasMulti := false
-					for _, tab := range []*dataset.EntityTable{db.Reviewers, db.Items} {
-						for a := 0; a < tab.Schema.Len(); a++ {
-							hasMulti = hasMulti || tab.Schema.At(a).Kind == dataset.MultiValued
-						}
-					}
-					if hasMulti && multiValued == 0 {
-						t.Error("the walk never filtered on the dataset's multi-valued attribute")
+						})
 					}
 				})
 			}
@@ -198,36 +210,51 @@ func head(records []int32) []int32 { return records[:min(len(records), 5)] }
 
 // TestRecommendConcurrentSessionsShareNoPassState steps two sessions of one
 // explorer at once and holds each to the recommendations the same walk gets
-// alone on an explorer of its own: sessions share the explorer, its caches
-// and its sync.Pools, but the pass memo and the gate live in the
-// RecommendCtx call, so the other session cannot disturb them. Run under
-// -race in CI.
+// without the other beside it: sessions share the explorer, its caches and
+// its sync.Pools. The pass memo and the gate are per RecommendCtx call, so
+// the other session cannot disturb them; the partitions are shared, through
+// the group cache, and immutable. Both walks pass through the root — one
+// starts there, and it is the other's roll-up — so their passes read
+// partitions built by an earlier pass, possibly the other session's, and the
+// test asserts that they do reuse some. Run under -race in CI, and 20 times
+// over in a step of its own.
 func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 	db := coreDB(t)
 	starts := []query.Description{
 		{},
 		query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"}),
 	}
-	walk := func(ex *Explorer, start query.Description) ([][]Recommendation, error) {
+	// walk also returns how many partitions its passes found in the group
+	// cache instead of building them.
+	walk := func(ex *Explorer, start query.Description) ([][]Recommendation, int, error) {
 		sess, err := NewSession(ex, RecommendationPowered, start)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var out [][]Recommendation
+		reused := 0
 		for step := 0; step < 4; step++ {
-			res, err := sess.Step()
+			sink := obs.NewRingSink(1)
+			res, err := sess.StepCtx(obs.WithSink(context.Background(), sink))
 			if err != nil {
-				return nil, err
+				return nil, 0, err
+			}
+			for _, root := range sink.Snapshot() {
+				for _, c := range root.Children {
+					if c.Name == "core.recommend" {
+						reused += c.Attrs["partitions_reused"].(int)
+					}
+				}
 			}
 			out = append(out, res.Recommendations)
 			if len(res.Recommendations) == 0 {
 				break
 			}
 			if err := sess.ApplyRecommendation(step % len(res.Recommendations)); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		return out, nil
+		return out, reused, nil
 	}
 
 	alone, err := NewExplorer(db, DefaultConfig())
@@ -239,21 +266,25 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([][][]Recommendation, len(starts))
+	reused := make([]int, len(starts))
 	errs := make([]error, len(starts))
 	var wg sync.WaitGroup
 	for i, start := range starts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = walk(shared, start)
+			got[i], reused[i], errs[i] = walk(shared, start)
 		}()
 	}
 	wg.Wait()
+	if reused[0]+reused[1] == 0 {
+		t.Error("the shared explorer's passes reused no partition: the sessions never read a partition from the group cache")
+	}
 	for i, start := range starts {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want, err := walk(alone, start)
+		want, _, err := walk(alone, start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +314,9 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 // every candidate's three best maps score ≈ 0.33 each, so every bound is
 // ≈ 1.0 and no exact utility is above 0.86) — every one but the roll-up
 // derived, two materializations (the selection and the roll-up), and
-// partitions holding at least the displayed group's sample once each.
+// partitions holding at least the displayed group's sample once each. A
+// second pass over the step on the same explorer builds none: it finds every
+// partition in the group cache and recommends what the first did.
 func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	const spanBounded = 161
 	db := coreDB(t)
@@ -342,9 +375,6 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	if got := attr("bounded"); got != spanBounded {
 		t.Errorf("bounded = %d of %d evaluated, want %d", got, evaluated, spanBounded)
 	}
-	if _, _, again := recommendTraced(t, ex, start, res.Maps, sess.Seen(), ex.Cfg.O); again["bounded"] != spanBounded {
-		t.Errorf("a second pass over the same step: bounded = %v, want %d", again["bounded"], spanBounded)
-	}
 	if got := attr("groups_derived"); got != evaluated-1 {
 		t.Errorf("groups_derived = %d, want every candidate but the roll-up (%d)", got, evaluated-1)
 	}
@@ -358,6 +388,22 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 	if floor := min(res.GroupSize, ex.Cfg.RecSampleSize); records < floor {
 		t.Errorf("partition_records = %d, want at least the displayed group's sample, %d records", records, floor)
 	}
+	if got := attr("partitions_reused"); got != 0 {
+		t.Errorf("partitions_reused = %d on the first pass of a new explorer, want 0", got)
+	}
+
+	// A second pass over the same step on the same explorer finds every
+	// partition the first one built in the group cache, and recommends what
+	// it did.
+	recs, _, again := recommendTraced(t, ex, start, res.Maps, sess.Seen(), ex.Cfg.O)
+	assertSameRecommendations(t, "a second pass over the same step", recs, res.Recommendations)
+	if again["bounded"] != spanBounded {
+		t.Errorf("a second pass over the same step: bounded = %v, want %d", again["bounded"], spanBounded)
+	}
+	if again["partitions_built"] != 0 || again["partition_records"] != 0 || again["partitions_reused"] != built {
+		t.Errorf("a second pass over the same step built %v partitions holding %v records and reused %v, want 0, 0 and %d",
+			again["partitions_built"], again["partition_records"], again["partitions_reused"], built)
+	}
 }
 
 var benchRecs []Recommendation
@@ -367,11 +413,15 @@ var benchRecs []Recommendation
 // on the three dataset shapes — Yelp at scale 0.05 (4 dimensions, the item
 // side folds), MovieLens at 0.2 (1 dimension, tens of ratings an entity) and
 // Hotels at 0.2 (4 dimensions, 28 attributes' worth of candidates) — from
-// the root, a one-selector and a three-selector selection, each with the
-// accumulator cache off — every iteration does the pass's full work — and
-// on, as binaries ship it: a cache of its own per arm, so the first
-// iteration (all CI's -benchtime 1x runs) misses and fills it, and the later
-// ones are what a pass costs beside its scans. …/root/instrumented is
+// the root, a one-selector and a three-selector selection, each cold and
+// warm. A cache_off arm does the pass's full work on every iteration: no
+// accumulator cache, and a fresh group cache, filled untimed with only the
+// groups the step has already materialized (the selection and its roll-ups),
+// so every query.Partition is built. A cache_on arm runs as binaries ship
+// it: caches of its own, so the first iteration (all CI's -benchtime 1x
+// runs) misses and fills them, and the later ones are the warm figure — what
+// a pass costs beside its scans, every partition found in the group cache
+// where the previous pass left it. …/root/instrumented is
 // root/cache_on as a served step runs it: under Explorer.Instrument and a
 // span sink, every candidate's engine.topmaps and engine.phase spans and
 // hot-path metrics included — the in-tree figure behind obs.overhead_frac.
@@ -443,6 +493,7 @@ func BenchmarkRecommendPass(b *testing.B) {
 				if arm.cache {
 					ex.Gen.Cache = engine.NewTopMapsCache(engineCacheRecords)
 				}
+				ex.Query.EnableGroupCache(groupCacheBytes)
 				ctx := context.Background()
 				ex.Instrument(nil)
 				if arm.instrumented {
@@ -462,6 +513,16 @@ func BenchmarkRecommendPass(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if !arm.cache {
+						b.StopTimer()
+						ex.Query.EnableGroupCache(groupCacheBytes)
+						for _, d := range append(rollUps(desc), desc) {
+							if _, err := ex.Query.Materialize(d); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+					}
 					stepCtx, root := obs.StartSpan(ctx, "core.step") // nil, and free, without a sink
 					recs, durs, err := rb.RecommendCtx(stepCtx, desc, res.Maps, seen, ex.Cfg.O)
 					root.End()
@@ -488,6 +549,17 @@ func BenchmarkRecommendPass(b *testing.B) {
 			})
 		}
 	}
+}
+
+// rollUps are a selection without each one of its selectors.
+func rollUps(d query.Description) []query.Description {
+	var out []query.Description
+	for _, s := range d.Selectors() {
+		if up, err := d.Without(s); err == nil {
+			out = append(out, up)
+		}
+	}
+	return out
 }
 
 func benchName(d query.Description) string {

@@ -1,18 +1,25 @@
 package query
 
-import "container/list"
+import (
+	"container/list"
+	"strconv"
+)
 
-// Group-materialization cache. Consecutive steps (and consecutive simulated
-// subjects) revisit selections, and a recommendation pass materializes the
-// displayed group once more plus its roll-ups (the displayed group without
-// one selector); caching whole rating groups avoids those repeated record
-// scans, in the spirit of the statistics-reuse frameworks the paper cites
-// (Data Canopy [57], the caching of [18]). The pass's other candidates are
-// derived from these groups by Partition and never enter the cache. The
-// cache is budgeted by total cached record count and evicts
-// least-recently-used groups.
+// Group cache. Consecutive steps (and consecutive simulated subjects)
+// revisit selections, and a recommendation pass materializes the displayed
+// group once more plus its roll-ups (the displayed group without one
+// selector) and buckets them into the partitions its other candidates'
+// groups are read from; caching whole rating groups and those partitions
+// avoids the repeated record scans, in the spirit of the statistics-reuse
+// frameworks the paper cites (Data Canopy [57], the caching of [18]).
+// Sessions start at the root, and every one-selector step's roll-up is the
+// root, so the same partitions are asked for pass after pass and session
+// after session. Both kinds of entry live in one LRU under one budget,
+// charged in bytes for what they hold, and the least-recently-used entries
+// are evicted first.
 
-// groupCache is an LRU keyed by description with a record-count budget.
+// groupCache is an LRU keyed by description (a group) or by description,
+// attribute and bound (a partition), with a byte budget.
 type groupCache struct {
 	budget  int
 	used    int
@@ -20,86 +27,132 @@ type groupCache struct {
 	entries map[string]*list.Element
 }
 
+// cacheEntry is one cached group or partition — exactly one of the two is
+// set — and the bytes it is charged.
 type cacheEntry struct {
 	key   string
 	group *RatingGroup
+	part  *Partition
+	bytes int
+}
+
+// groupEntry charges a group for its records and both entity bitsets: an
+// empty group still holds two bitsets over the entity tables.
+func groupEntry(key string, g *RatingGroup) *cacheEntry {
+	return &cacheEntry{key: key, group: g, bytes: 4*len(g.Records) + 8*(len(g.Reviewers.words)+len(g.Items.words))}
+}
+
+// partitionEntry charges a partition for its records and bucket offsets.
+func partitionEntry(key string, p *Partition) *cacheEntry {
+	return &cacheEntry{key: key, part: p, bytes: 4*len(p.records) + 8*len(p.offsets)}
+}
+
+// partitionKey names Partition(Materialize(src).Records, side, attr, n).
+// No description's key starts with \x02 (one starts with a side's digit, or
+// is empty), so a partition never shares a key with a group; the fields
+// before the description are each NUL- or \x02-terminated, as Selector.Key
+// assumes an attribute name holds no NUL.
+func partitionKey(src Description, side Side, attr string, n int) string {
+	return "\x02" + strconv.Itoa(int(side)) + "\x00" + attr + "\x00" + strconv.Itoa(max(n, 0)) + "\x02" + src.Key()
 }
 
 func newGroupCache(budget int) *groupCache {
 	return &groupCache{budget: budget, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-func (c *groupCache) get(key string) (*RatingGroup, bool) {
+func (c *groupCache) get(key string) (*cacheEntry, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).group, true
+	return el.Value.(*cacheEntry), true
 }
 
-func (c *groupCache) put(key string, g *RatingGroup) {
-	if c.budget <= 0 {
-		return
+func (c *groupCache) put(en *cacheEntry) {
+	if en.bytes > c.budget {
+		return // larger than the whole budget: never cache
 	}
-	cost := len(g.Records)
-	if cost > c.budget {
-		return // singleton larger than the whole budget: never cache
-	}
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[en.key]; ok {
 		c.order.MoveToFront(el)
 		return
 	}
-	for c.used+cost > c.budget {
+	for c.used+en.bytes > c.budget {
 		back := c.order.Back()
-		if back == nil {
-			break
-		}
 		ev := back.Value.(*cacheEntry)
-		c.used -= len(ev.group.Records)
+		c.used -= ev.bytes
 		delete(c.entries, ev.key)
 		c.order.Remove(back)
 	}
-	el := c.order.PushFront(&cacheEntry{key: key, group: g})
-	c.entries[key] = el
-	c.used += cost
+	c.entries[en.key] = c.order.PushFront(en)
+	c.used += en.bytes
 }
 
-// EnableGroupCache turns on materialization caching with the given budget
-// (total cached rating-record count; ≤0 disables). Cached groups are shared
+// EnableGroupCache turns on group and partition caching with the given
+// budget in bytes (≤0 disables). Cached groups and partitions are shared
 // and must be treated as immutable by callers — the engine's own paths
-// never mutate a materialized group.
-func (e *Engine) EnableGroupCache(budgetRecords int) {
+// never mutate a materialized group, and a partition's buckets are handed
+// out with their capacity clipped.
+func (e *Engine) EnableGroupCache(budgetBytes int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if budgetRecords <= 0 {
+	if budgetBytes <= 0 {
 		e.groups = nil
 		return
 	}
-	e.groups = newGroupCache(budgetRecords)
+	e.groups = newGroupCache(budgetBytes)
+}
+
+// cached returns the entry under key, or nil when there is none or no cache.
+func (e *Engine) cached(key string) *cacheEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.groups == nil {
+		return nil
+	}
+	en, _ := e.groups.get(key)
+	return en
+}
+
+// keep offers a freshly built entry to the cache. Two sessions may build
+// one entry at once; the first to arrive is kept, and the two are equal.
+func (e *Engine) keep(en *cacheEntry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.groups != nil {
+		e.groups.put(en)
+	}
 }
 
 // MaterializeCached is Materialize that also reports whether the group was
 // found in the group cache (true) or built (false).
 func (e *Engine) MaterializeCached(d Description) (*RatingGroup, bool, error) {
 	key := d.Key()
-	e.mu.Lock()
-	if e.groups != nil {
-		if g, ok := e.groups.get(key); ok {
-			e.mu.Unlock()
-			return g, true, nil
-		}
+	if en := e.cached(key); en != nil {
+		return en.group, true, nil
 	}
-	e.mu.Unlock()
-
 	g, err := e.materialize(d)
 	if err != nil {
 		return nil, false, err
 	}
-	e.mu.Lock()
-	if e.groups != nil {
-		e.groups.put(key, g)
-	}
-	e.mu.Unlock()
+	e.keep(groupEntry(key, g))
 	return g, false, nil
+}
+
+// PartitionCached is Partition memoized in the group cache, where it is
+// keyed by the description the records are of: records must be
+// Materialize(src).Records — only then is a partition built by one caller
+// the one another caller asks for. It also reports whether the partition
+// was found (true) or built (false).
+func (e *Engine) PartitionCached(src Description, records []int32, side Side, attr string, n int) (*Partition, bool, error) {
+	key := partitionKey(src, side, attr, n)
+	if en := e.cached(key); en != nil {
+		return en.part, true, nil
+	}
+	p, err := e.Partition(records, side, attr, n)
+	if err != nil {
+		return nil, false, err
+	}
+	e.keep(partitionEntry(key, p))
+	return p, false, nil
 }

@@ -36,7 +36,7 @@ type Engine struct {
 
 	mu       sync.RWMutex
 	selCache map[string]*Bitset
-	groups   *groupCache // optional whole-group cache (EnableGroupCache)
+	groups   *groupCache // optional group and partition cache (EnableGroupCache)
 }
 
 // NewEngine wraps a frozen database.

@@ -19,7 +19,8 @@ import (
 // by two linear passes over the frozen AttrColumn (count, then fill one
 // CSR backing array) instead of one entity-table materialization and one
 // sort per value, and a candidate scored on a sample never has its whole
-// group built. A Partition is immutable once built.
+// group built. A Partition is immutable once built, so the group cache
+// shares one across passes and sessions (PartitionCached).
 type Partition struct {
 	dict    *dataset.Dictionary
 	offsets []int   // bucket v is records[offsets[v]:offsets[v+1]]

@@ -371,16 +371,18 @@ func TestGroupCache(t *testing.T) {
 func TestGroupCacheEviction(t *testing.T) {
 	db := buildQueryDB(t)
 	e, _ := NewEngine(db)
-	// Budget of 4 records: the root group (7 records) must never cache;
-	// small groups evict each other. (Gender F covers 4 records.)
-	e.EnableGroupCache(4)
+	// Every group holds two one-word bitsets (16 bytes) beside 4 bytes a
+	// record. A budget of 40 bytes: the root group (7 records, 44 bytes)
+	// must never cache; gender F (4 records, 32 bytes) and gender M (3
+	// records, 28 bytes) fit one at a time, so they evict each other.
+	e.EnableGroupCache(40)
 	root, _ := e.Materialize(MustDescription())
 	again, _ := e.Materialize(MustDescription())
 	if root == again {
 		t.Fatal("over-budget group must not be cached")
 	}
 	dF := MustDescription(sel(ReviewerSide, "gender", "F"))
-	a, _ := e.Materialize(dF) // 4 records, fills the budget
+	a, _ := e.Materialize(dF)
 	b, _ := e.Materialize(dF)
 	if a != b {
 		t.Fatal("small group should be cached")
