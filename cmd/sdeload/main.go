@@ -374,11 +374,11 @@ func finish(w io.Writer, o options, rep *verdict, res *workload.Result, flight *
 		// One rate-limited dump per breach: the recent ring (the slow or
 		// failing steps, wide events with trace IDs) plus a goroutine/heap
 		// snapshot land under -flight-dir for post-mortem.
-		if path, dumped, err := flight.Trigger("slo_breach"); err != nil {
+		path, err := flight.Trigger("slo_breach")
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdeload: flight-recorder dump failed: %v\n", err)
-		} else if dumped {
-			rep.FlightDump = path
 		}
+		rep.FlightDump = path
 	}
 	render(w, rep)
 	if o.benchout != "" {

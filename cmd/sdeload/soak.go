@@ -336,7 +336,7 @@ func runSoak(ctx context.Context, o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("soak: SIGKILL after %.0f steps, restarting on %s\n", preKill.Sum("subdex_steps_total"), b.spec.Addr)
+		fmt.Printf("soak: SIGKILL after %.0f steps, restarting on %s\n", preKill.Sum("subdex_step_duration_seconds_count"), b.spec.Addr)
 		facts.partitionsLost = preKill.Sum("subdex_cluster_partitions_lost_total")
 		b.kill()
 		// Same address: the retrying clients reconnect to the recovered
@@ -398,9 +398,9 @@ func concludeSoak(o options, mode string, resA, resB *workload.Result, facts soa
 }
 
 // awaitSteps polls the child's /metrics until the population has executed
-// at least want steps (per subdex_steps_total) and returns that last
-// scrape of the lifetime about to be killed. A walk that ends first is a
-// configuration problem, not a pass: nothing was killed.
+// at least want steps (per subdex_step_duration_seconds_count) and returns
+// that last scrape of the lifetime about to be killed. A walk that ends
+// first is a configuration problem, not a pass: nothing was killed.
 func awaitSteps(ctx context.Context, base string, want int, done <-chan outcome) (*workload.Scrape, error) {
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
@@ -414,7 +414,7 @@ func awaitSteps(ctx context.Context, base string, want int, done <-chan outcome)
 		case <-tick.C:
 		}
 		// A failed scrape is transient: the child may still be binding.
-		if s, err := workload.FetchMetrics(ctx, nil, base+"/metrics"); err == nil && int(s.Sum("subdex_steps_total")) >= want {
+		if s, err := workload.FetchMetrics(ctx, nil, base+"/metrics"); err == nil && int(s.Sum("subdex_step_duration_seconds_count")) >= want {
 			return s, nil
 		}
 	}

@@ -17,7 +17,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		steps:   reg.Counter("subdex_engine_steps_total", "Engine steps executed.", obs.L("phase", "score")),
 		depth:   reg.Gauge("subdex_session_depth", "Current exploration depth."),
-		latency: reg.Histogram("subdex_step_duration_seconds", "Step latency.", nil, obs.L("phase", "score")),
+		latency: reg.Histogram("subdex_step_duration_seconds", "Step latency.", obs.L("phase", "score")),
 	}
 }
 

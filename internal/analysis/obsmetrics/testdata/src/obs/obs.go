@@ -44,9 +44,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter { return
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge { return &Gauge{} }
 
 // Histogram registers/returns a histogram series.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	return &Histogram{}
-}
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram { return &Histogram{} }
 
 // WideEvent is one structured flight-recorder record.
 type WideEvent struct{ n int }

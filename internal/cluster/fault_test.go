@@ -238,15 +238,15 @@ func TestLocalThresholdBypassesWorkers(t *testing.T) {
 	if got.Degraded || ratingmap.DigestMaps(got.Maps) != ratingmap.DigestMaps(want.Maps) {
 		t.Fatalf("local-threshold scan wrong: degraded=%v", got.Degraded)
 	}
-	if coord.m.RPCs.Value() != 0 {
-		t.Fatalf("sub-threshold scan made %d worker RPCs, want 0", coord.m.RPCs.Value())
+	if coord.m.RPCLatency.Count() != 0 {
+		t.Fatalf("sub-threshold scan made %d worker RPCs, want 0", coord.m.RPCLatency.Count())
 	}
 	// One record over the threshold: the scan must go to the (failing)
 	// workers and error out with nothing merged.
 	if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
 		t.Fatal("above-threshold scan did not reach the failing workers")
 	}
-	if coord.m.RPCs.Value() == 0 {
+	if coord.m.RPCLatency.Count() == 0 {
 		t.Fatal("above-threshold scan made no worker RPCs")
 	}
 }

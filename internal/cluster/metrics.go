@@ -13,13 +13,11 @@ import (
 
 // Metrics bundles the coordinator-side instruments.
 type Metrics struct {
-	// RPCs counts worker scan RPC attempts and RPCErrors the failed ones
-	// (subdex_cluster_rpc_total, subdex_cluster_rpc_errors_total).
-	RPCs      *obs.Counter
-	RPCErrors *obs.Counter
-	// RPCLatency times one scan RPC round trip, successful or not
-	// (subdex_cluster_rpc_duration_seconds).
+	// RPCLatency times one scan RPC round trip, successful or not; its
+	// count is the attempts (subdex_cluster_rpc_duration_seconds).
+	// RPCErrors counts the failed ones (subdex_cluster_rpc_errors_total).
 	RPCLatency *obs.Histogram
+	RPCErrors  *obs.Counter
 	// Retries counts re-dispatches of a partition after a failed attempt
 	// (subdex_cluster_retries_total).
 	Retries *obs.Counter
@@ -45,12 +43,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		RPCs: r.Counter("subdex_cluster_rpc_total",
-			"Worker scan RPC attempts issued by the coordinator."),
 		RPCErrors: r.Counter("subdex_cluster_rpc_errors_total",
 			"Worker scan RPC attempts that failed (transport, status, or decode)."),
 		RPCLatency: r.Histogram("subdex_cluster_rpc_duration_seconds",
-			"Round-trip time of one worker scan RPC.", obs.DefBuckets),
+			"Round-trip time of one worker scan RPC."),
 		Retries: r.Counter("subdex_cluster_retries_total",
 			"Partition scans re-dispatched after a failed attempt."),
 		Partitions: r.Counter("subdex_cluster_partitions_total",
@@ -68,7 +64,6 @@ func (m *Metrics) addRPC(d time.Duration, failed bool) {
 	if m == nil {
 		return
 	}
-	m.RPCs.Inc()
 	m.RPCLatency.ObserveDuration(d)
 	if failed {
 		m.RPCErrors.Inc()
@@ -105,14 +100,12 @@ func (m *Metrics) setWorkersHealthy(n int) {
 
 // WorkerMetrics bundles the worker-side instruments.
 type WorkerMetrics struct {
-	// Scans counts scan requests served and ScanErrors the rejected ones
-	// (subdex_cluster_worker_scans_total,
-	// subdex_cluster_worker_scan_errors_total).
-	Scans      *obs.Counter
-	ScanErrors *obs.Counter
-	// ScanLatency times one served scan including encode
-	// (subdex_cluster_worker_scan_duration_seconds).
+	// ScanLatency times one served scan including encode; its count is
+	// the scan requests served (subdex_cluster_worker_scan_duration_seconds).
+	// ScanErrors counts the rejected ones
+	// (subdex_cluster_worker_scan_errors_total).
 	ScanLatency *obs.Histogram
+	ScanErrors  *obs.Counter
 	// ScanRecords counts records folded across served scans
 	// (subdex_cluster_worker_records_total).
 	ScanRecords *obs.Counter
@@ -125,12 +118,10 @@ func NewWorkerMetrics(r *obs.Registry) *WorkerMetrics {
 		return nil
 	}
 	return &WorkerMetrics{
-		Scans: r.Counter("subdex_cluster_worker_scans_total",
-			"Partition scan requests served by this worker."),
 		ScanErrors: r.Counter("subdex_cluster_worker_scan_errors_total",
 			"Partition scan requests rejected (bad frame, fingerprint mismatch, injected fault)."),
 		ScanLatency: r.Histogram("subdex_cluster_worker_scan_duration_seconds",
-			"Serve time of one partition scan, decode to encode.", obs.DefBuckets),
+			"Serve time of one partition scan, decode to encode."),
 		ScanRecords: r.Counter("subdex_cluster_worker_records_total",
 			"Records folded into partial accumulators by this worker."),
 	}
@@ -140,7 +131,6 @@ func (m *WorkerMetrics) addScan(records int, d time.Duration, failed bool) {
 	if m == nil {
 		return
 	}
-	m.Scans.Inc()
 	m.ScanLatency.ObserveDuration(d)
 	if failed {
 		m.ScanErrors.Inc()

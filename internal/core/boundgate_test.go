@@ -52,7 +52,7 @@ func recommendTraced(t *testing.T, ex *Explorer, cur query.Description, maps []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, len(durs), sink.Snapshot()[0].Attrs
+	return recs, len(durs), sink.Snapshot("", 0)[0].Attrs
 }
 
 func assertSameRecommendations(t *testing.T, label string, got, want []Recommendation) {

@@ -299,7 +299,7 @@ func TestMaterializeSpanSaysFoundOrBuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m *obs.SpanData
-		for _, c := range sink.Snapshot()[0].Children { // newest first
+		for _, c := range sink.Snapshot("", 0)[0].Children { // newest first
 			if c.Name == "query.materialize" {
 				m = c
 			}

@@ -15,14 +15,12 @@ type Instruments struct {
 	// SessionsStarted counts NewSession calls
 	// (subdex_sessions_started_total).
 	SessionsStarted *obs.Counter
-	// StepsTotal counts executed exploration steps (subdex_steps_total).
-	StepsTotal *obs.Counter
 	// StepsDegraded counts steps that returned anytime (deadline-degraded)
 	// results (subdex_steps_degraded_total).
 	StepsDegraded *obs.Counter
 	// StepLatency is the end-to-end per-step histogram in seconds —
-	// the paper's §6 interactive-speed signal
-	// (subdex_step_duration_seconds).
+	// the paper's §6 interactive-speed signal, and the step count
+	// (subdex_step_duration_seconds, its _count).
 	StepLatency *obs.Histogram
 	// GenLatency times rating-map generation within a step
 	// (subdex_generation_duration_seconds).
@@ -45,16 +43,14 @@ func NewInstruments(r *obs.Registry) *Instruments {
 	return &Instruments{
 		SessionsStarted: r.Counter("subdex_sessions_started_total",
 			"Exploration sessions created."),
-		StepsTotal: r.Counter("subdex_steps_total",
-			"Exploration steps executed."),
 		StepsDegraded: r.Counter("subdex_steps_degraded_total",
 			"Exploration steps degraded to anytime results by a deadline."),
 		StepLatency: r.Histogram("subdex_step_duration_seconds",
-			"End-to-end duration of one exploration step (generation + recommendations).", nil),
+			"End-to-end duration of one exploration step (generation + recommendations)."),
 		GenLatency: r.Histogram("subdex_generation_duration_seconds",
-			"Duration of rating-map generation within a step.", nil),
+			"Duration of rating-map generation within a step."),
 		RecLatency: r.Histogram("subdex_recommendation_duration_seconds",
-			"Duration of recommendation scoring within a step.", nil),
+			"Duration of recommendation scoring within a step."),
 		RecCandidates: r.Counter("subdex_recommendation_candidates_total",
 			"Candidate operations evaluated by the Recommendation Builder."),
 		Engine: engine.NewMetrics(r),
@@ -74,7 +70,6 @@ func (in *Instruments) stepDone(total, gen, rec time.Duration, recCandidates int
 	if in == nil {
 		return
 	}
-	in.StepsTotal.Inc()
 	if degraded {
 		in.StepsDegraded.Inc()
 	}

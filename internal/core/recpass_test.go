@@ -239,7 +239,7 @@ func TestRecommendConcurrentSessionsShareNoPassState(t *testing.T) {
 			if err != nil {
 				return nil, 0, err
 			}
-			for _, root := range sink.Snapshot() {
+			for _, root := range sink.Snapshot("", 0) {
 				for _, c := range root.Children {
 					if c.Name == "core.recommend" {
 						reused += c.Attrs["partitions_reused"].(int)
@@ -339,7 +339,7 @@ func TestRecommendSpanSaysWhereGroupsCameFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec *obs.SpanData
-	for _, root := range sink.Snapshot() {
+	for _, root := range sink.Snapshot("", 0) {
 		for _, c := range root.Children {
 			if c.Name == "core.recommend" {
 				rec = c
@@ -540,7 +540,7 @@ func BenchmarkRecommendPass(b *testing.B) {
 					if _, _, err := rb.RecommendCtx(obs.WithSink(context.Background(), sink), desc, res.Maps, seen, ex.Cfg.O); err != nil {
 						b.Fatal(err)
 					}
-					bounded[i] = sink.Snapshot()[0].Attrs["bounded"].(int)
+					bounded[i] = sink.Snapshot("", 0)[0].Attrs["bounded"].(int)
 				}
 				if bounded[0] != bounded[1] {
 					b.Fatalf("the gate turned down %d candidates, then %d, of one pass", bounded[0], bounded[1])

@@ -2,13 +2,22 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
-	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +25,7 @@ import (
 	"subdex/internal/core"
 	"subdex/internal/dataset"
 	"subdex/internal/obs"
+	"subdex/internal/sessionstore"
 )
 
 // TestServeDrainsInFlightRequest cancels Serve's context while a request
@@ -114,9 +124,10 @@ func TestLoadDataset(t *testing.T) {
 }
 
 // fullConfig is the fullest server NewServer builds — durable, and scanning
-// through a coordinator — over the demo dataset and one in-process worker
-// with a registry of its own, whose address it returns too.
-func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, string) {
+// every group, however small, through a coordinator — over the demo dataset
+// and one in-process worker with a registry of its own. It returns the
+// worker and its registry too.
+func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	db, err := LoadDataset("", "demo", 1, 1)
 	if err != nil {
@@ -126,13 +137,14 @@ func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{Registry: obs.NewRegistry()}).Handler())
+	wreg := obs.NewRegistry()
+	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{Registry: wreg}).Handler())
 	t.Cleanup(worker.Close)
 	return db, ServerConfig{
 		Core:       core.DefaultConfig(),
 		SessionDir: t.TempDir(),
-		Cluster:    cluster.CoordinatorConfig{Workers: []string{worker.URL}, HealthInterval: -1},
-	}, worker.URL
+		Cluster:    cluster.CoordinatorConfig{Workers: []string{worker.URL}, HealthInterval: -1, LocalThreshold: -1},
+	}, worker, wreg
 }
 
 // TestNewServerWiring drives the one constructor through both optional
@@ -141,7 +153,7 @@ func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, string) {
 // scrape covers the HTTP surface, the WAL and the coordinator.
 func TestNewServerWiring(t *testing.T) {
 	ctx := context.Background()
-	db, cfg, _ := fullConfig(t)
+	db, cfg, _, _ := fullConfig(t)
 
 	first, err := NewServer(ctx, db, cfg)
 	if err != nil {
@@ -181,13 +193,14 @@ func TestNewServerWiring(t *testing.T) {
 
 // TestMetricNamesSayWhatTheyMeasure holds every metric the module exports
 // to the naming contract dashboards are written against: subdex_ and
-// snake_case, a counter ends in _total, a histogram in its base unit, and
-// a gauge — not monotone — never in _total. It reads the # TYPE lines of
-// what the fullest server and its worker serve at /metrics after one
-// step; instruments are resolved in constructors (subdexvet's obsmetrics
-// keeps them there), so that is all of them.
+// snake_case, a counter ends in _total, a histogram in _seconds (obs has
+// one bucket layout, and it spans latencies), and a gauge — not monotone —
+// never in _total. It reads the # TYPE lines of what the fullest server
+// and its worker serve at /metrics after one step; instruments are
+// resolved in constructors (subdexvet's obsmetrics keeps them there), so
+// that is all of them.
 func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
-	db, cfg, workerURL := fullConfig(t)
+	db, cfg, worker, _ := fullConfig(t)
 	srv, err := NewServer(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +219,7 @@ func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
 	resp.Body.Close()
 
 	name := regexp.MustCompile(`^subdex_[a-z0-9_]+$`)
-	units := []string{"_seconds", "_bytes", "_ratio", "_records"}
-	for _, url := range []string{ts.URL, workerURL} {
+	for _, url := range []string{ts.URL, worker.URL} {
 		seen := 0
 		resp, err := http.Get(url + "/metrics")
 		if err != nil {
@@ -226,7 +238,6 @@ func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
 			seen++
 			metric, kind := f[2], f[3]
 			total := strings.HasSuffix(metric, "_total")
-			unit := slices.ContainsFunc(units, func(u string) bool { return strings.HasSuffix(metric, u) })
 			switch {
 			case !name.MatchString(metric):
 				t.Errorf("%s %q is not of the form subdex_[a-z0-9_]+", kind, metric)
@@ -234,12 +245,531 @@ func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
 				t.Errorf("counter %q must end in _total", metric)
 			case kind == "gauge" && total:
 				t.Errorf("gauge %q must not end in _total: a gauge is not monotone", metric)
-			case kind == "histogram" && !unit:
-				t.Errorf("histogram %q must end in a base unit (%s)", metric, strings.Join(units, ", "))
+			case kind == "histogram" && !strings.HasSuffix(metric, "_seconds"):
+				t.Errorf("histogram %q must end in _seconds: the one bucket layout spans latencies", metric)
 			}
 		}
 		if seen == 0 {
 			t.Errorf("%s/metrics has no # TYPE line: nothing was checked", url)
 		}
 	}
+}
+
+// censusRow is one row of TestSignalCensus: a metric family the fullest
+// server or its worker serves at /metrics, a span name, or a flight-dump
+// reason, and what moves it. by names a step of censusSteps, which the
+// census runs and watches the signal move in, or "pkg.TestName", a test
+// elsewhere that moves the signal and names it in an assertion.
+type censusRow struct{ kind, name, by string }
+
+const (
+	kindMetric = "metric"
+	kindSpan   = "span"
+	kindReason = "flight-dump reason"
+)
+
+// census is every signal the module emits, each with the one request
+// sequence, store fault or test that must move it. DESIGN.md "Limitations"
+// has a ledger row for each signal that left because nothing moved it or
+// it repeated another.
+var census = []censusRow{
+	{kindMetric, "subdex_admission_rejected_total", "server.TestAdmissionControl"},
+	{kindMetric, "subdex_build_info", "boot"},
+	{kindMetric, "subdex_cluster_fingerprint_mismatch_total", "another engine configuration"},
+	{kindMetric, "subdex_cluster_partitions_lost_total", "another engine configuration"},
+	{kindMetric, "subdex_cluster_partitions_total", "recommendation walk"},
+	{kindMetric, "subdex_cluster_retries_total", "cluster.TestFaultRetryThenSucceed"},
+	{kindMetric, "subdex_cluster_rpc_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_cluster_rpc_errors_total", "another engine configuration"},
+	{kindMetric, "subdex_cluster_worker_records_total", "recommendation walk"},
+	{kindMetric, "subdex_cluster_worker_scan_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_cluster_worker_scan_errors_total", "bad scan frame"},
+	{kindMetric, "subdex_cluster_workers_healthy", "boot"},
+	{kindMetric, "subdex_engine_cache_bypass_total", "recommendation walk"},
+	{kindMetric, "subdex_engine_cache_bytes", "recommendation walk"},
+	{kindMetric, "subdex_engine_cache_evictions_total", "engine.TestCacheEvictionMetrics"},
+	{kindMetric, "subdex_engine_cache_hits_total", "recommendation walk"},
+	{kindMetric, "subdex_engine_cache_misses_total", "recommendation walk"},
+	{kindMetric, "subdex_engine_candidates_pruned_total", "engine.TestInstrumentedTopMaps"},
+	{kindMetric, "subdex_engine_candidates_total", "recommendation walk"},
+	{kindMetric, "subdex_engine_maps_finalized_total", "recommendation walk"},
+	{kindMetric, "subdex_engine_phase_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_engine_topmaps_degraded_total", "server.TestFlightRecorderEndpointAndDegradedDump"},
+	{kindMetric, "subdex_engine_topmaps_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_flight_dumps_suppressed_total", "store fault"},
+	{kindMetric, "subdex_flight_dumps_total", "step past its deadline"},
+	{kindMetric, "subdex_generation_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_http_in_flight_requests", "server.TestMetricsEndpoint"},
+	{kindMetric, "subdex_http_request_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_http_requests_total", "recommendation walk"},
+	{kindMetric, "subdex_recommendation_candidates_total", "recommendation walk"},
+	{kindMetric, "subdex_recommendation_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_session_busy_rejections_total", "server.TestConcurrentStepApplyConflict"},
+	{kindMetric, "subdex_sessions_evicted_total", "server.TestJanitorEvictionFakeClock"},
+	{kindMetric, "subdex_sessions_in_flight", "recommendation walk"},
+	{kindMetric, "subdex_sessions_recovered_total", "restart"},
+	{kindMetric, "subdex_sessions_restored_total", "shed and restore"},
+	{kindMetric, "subdex_sessions_shed_total", "shed and restore"},
+	{kindMetric, "subdex_sessions_started_total", "recommendation walk"},
+	{kindMetric, "subdex_step_duration_seconds", "recommendation walk"},
+	{kindMetric, "subdex_step_timeouts_total", "step past its deadline"},
+	{kindMetric, "subdex_steps_degraded_total", "server.TestFlightRecorderEndpointAndDegradedDump"},
+	{kindMetric, "subdex_wal_append_failures_total", "store fault"},
+	{kindMetric, "subdex_wal_appends_total", "recommendation walk"},
+	{kindMetric, "subdex_wal_replay_records_total", "restart"},
+	{kindMetric, "subdex_wal_truncations_total", "corrupt WAL tail"},
+
+	{kindSpan, "cluster.scanrange", "recommendation walk"},
+	{kindSpan, "core.recommend", "recommendation walk"},
+	{kindSpan, "core.rmset", "recommendation walk"},
+	{kindSpan, "core.step", "recommendation walk"},
+	{kindSpan, "engine.phase", "recommendation walk"},
+	{kindSpan, "engine.topmaps", "recommendation walk"},
+	{kindSpan, "http", "recommendation walk"},
+	{kindSpan, "query.materialize", "recommendation walk"},
+
+	{kindReason, "degraded_step", "server.TestFlightRecorderEndpointAndDegradedDump"},
+	{kindReason, "http_5xx", "step past its deadline"},
+	{kindReason, "session_recovery_failed", "another engine configuration"},
+	{kindReason, "session_restore_failed", "another engine configuration"},
+	{kindReason, "slo_breach", "sdeload.TestRunSLOBreachDumpsFlightRecorder"},
+	{kindReason, "wal_append_failed", "store fault"},
+	{kindReason, "wal_corrupt_tail", "corrupt WAL tail"},
+}
+
+// censusStep is one request sequence or fault the census drives against
+// the rig, in order: later steps build on the sessions earlier ones left.
+type censusStep struct {
+	name string
+	run  func(r *censusRig)
+}
+
+var censusSteps = []censusStep{
+	{"boot", func(r *censusRig) {
+		r.boot(func(c *ServerConfig) { c.Core.StepTimeout = 200 * time.Millisecond })
+	}},
+	{"step past its deadline", func(r *censusRig) {
+		// Every phase waits out the 200 ms step deadline: 504, and its dump.
+		id := r.create("ud")
+		r.stall.Store(true)
+		r.want(http.StatusGatewayTimeout, http.MethodGet, fmt.Sprintf("/sessions/%d/step", id), "")
+		r.stall.Store(false)
+	}},
+	{"restart", func(r *censusRig) { r.boot(nil) }},
+	{"recommendation walk", func(r *censusRig) {
+		r.walk = r.create("rp")
+		step := fmt.Sprintf("/sessions/%d/step", r.walk)
+		r.want(http.StatusOK, http.MethodGet, step, "")
+		r.want(http.StatusOK, http.MethodGet, step, "") // the root again: a cache hit
+		r.want(http.StatusOK, http.MethodPost, fmt.Sprintf("/sessions/%d/apply", r.walk), `{"recommendation":1}`)
+		r.want(http.StatusOK, http.MethodGet, step, "")
+	}},
+	{"bad scan frame", func(r *censusRig) {
+		resp, err := http.Post(r.worker.URL+"/cluster/scan", "application/json", strings.NewReader("{"))
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			r.t.Fatalf("worker answered a torn frame with %d, want 400", resp.StatusCode)
+		}
+	}},
+	{"shed and restore", func(r *censusRig) {
+		r.boot(func(c *ServerConfig) { c.Options.SessionTTL = time.Nanosecond })
+		time.Sleep(time.Millisecond)
+		if r.srv.EvictIdle() == 0 {
+			r.t.Fatal("a session idle past a 1 ns TTL was not shed")
+		}
+		r.want(http.StatusOK, http.MethodGet, fmt.Sprintf("/sessions/%d/summary", r.walk), "")
+	}},
+	{"corrupt WAL tail", func(r *censusRig) {
+		r.stop()
+		wal, err := os.OpenFile(filepath.Join(r.cfg.SessionDir, sessionstore.WALFileName), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if _, err := wal.WriteString("torn"); err != nil {
+			r.t.Fatal(err)
+		}
+		if err := wal.Close(); err != nil {
+			r.t.Fatal(err)
+		}
+		r.boot(nil)
+	}},
+	{"store fault", func(r *censusRig) {
+		// The log closes under a live session: its next step commits in
+		// memory and fails to persist, twice, and the second dump of each
+		// reason is suppressed.
+		if err := r.srv.store.Close(); err != nil {
+			r.t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			r.want(http.StatusInternalServerError, http.MethodGet, fmt.Sprintf("/sessions/%d/step", r.walk), "")
+		}
+	}},
+	{"another engine configuration", func(r *censusRig) {
+		// k = 2 changes the engine fingerprint: no stored session replays,
+		// at boot or on request, and the worker refuses every scan, so a new
+		// session's step loses its only partition.
+		r.boot(func(c *ServerConfig) { c.Core.K = 2 })
+		r.want(http.StatusInternalServerError, http.MethodGet, fmt.Sprintf("/sessions/%d/step", r.walk), "")
+		r.want(http.StatusInternalServerError, http.MethodGet, fmt.Sprintf("/sessions/%d/step", r.create("ud")), "")
+	}},
+}
+
+// censusRig is the fullest server, rebooted over one session directory
+// by the steps that need another configuration, and its worker.
+type censusRig struct {
+	t      *testing.T
+	db     *dataset.DB
+	cfg    ServerConfig // as fullConfig built it; boot applies each step's change to a copy
+	worker *httptest.Server
+	wreg   *obs.Registry
+	flight string // one dump directory per boot under it: dump names restart at 001
+
+	srv      *Server
+	ts       *httptest.Server
+	boots    int
+	rebooted bool        // the running step booted a fresh server: its metrics start at zero
+	trace    obs.TraceID // the running step's, sent on every request it makes
+	stall    atomic.Bool // every engine phase waits for its step's deadline
+	walk     int         // the recommendation walk's session
+}
+
+// boot stops the running server and starts a new one over the same
+// session directory, configured as fullConfig's with mut applied.
+func (r *censusRig) boot(mut func(*ServerConfig)) {
+	r.stop()
+	cfg := r.cfg
+	if mut != nil {
+		mut(&cfg)
+	}
+	r.boots++
+	cfg.Options.FlightDir = filepath.Join(r.flight, strconv.Itoa(r.boots))
+	cfg.Core.Engine.PhaseHook = func(ctx context.Context, _ int) {
+		if r.stall.Load() {
+			<-ctx.Done()
+		}
+	}
+	srv, err := NewServer(context.Background(), r.db, cfg)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.srv, r.ts, r.rebooted = srv, httptest.NewServer(srv.Handler()), true
+}
+
+func (r *censusRig) stop() {
+	if r.srv != nil {
+		r.ts.Close()
+		r.srv.Close()
+		r.srv = nil
+	}
+}
+
+// want sends one request under the step's trace and fails unless it is
+// answered with code.
+func (r *censusRig) want(code int, method, path, body string) []byte {
+	r.t.Helper()
+	req, err := http.NewRequest(method, r.ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	req.Header.Set("traceparent", obs.Traceparent(r.trace, obs.NewSpanID()))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if resp.StatusCode != code {
+		r.t.Fatalf("%s %s answered %d, want %d: %s", method, path, resp.StatusCode, code, out)
+	}
+	return out
+}
+
+// create starts a session in mode and returns its id.
+func (r *censusRig) create(mode string) int {
+	r.t.Helper()
+	var created struct{ ID int }
+	if err := json.Unmarshal(r.want(http.StatusCreated, http.MethodPost, "/sessions", `{"mode":"`+mode+`"}`), &created); err != nil {
+		r.t.Fatal(err)
+	}
+	return created.ID
+}
+
+// reading is what the census reads off the rig between steps: each metric
+// family's value on the server and on the worker (a histogram's is its
+// _count; a family's series are summed), the span names under the running
+// step's trace, and how many dumps each reason has on disk.
+type reading struct {
+	server, worker map[string]float64
+	spans          map[string]bool
+	dumps          map[string]int
+}
+
+func (r *censusRig) read() reading {
+	r.t.Helper()
+	rd := reading{worker: r.scrape(r.wreg), spans: map[string]bool{}, dumps: map[string]int{}}
+	if r.srv == nil {
+		return rd
+	}
+	rd.server = r.scrape(r.srv.Registry())
+	var spans struct{ Spans []*obs.SpanData }
+	resp, err := http.Get(r.ts.URL + "/debug/spans?trace=" + string(r.trace))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+		r.t.Fatal(err)
+	}
+	var walk func(*obs.SpanData)
+	walk = func(sp *obs.SpanData) {
+		name, _, _ := strings.Cut(sp.Name, " ") // "http GET /sessions/{id}" is the span "http"
+		rd.spans[name] = true
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	for _, sp := range spans.Spans {
+		walk(sp)
+	}
+	dumps, err := filepath.Glob(filepath.Join(r.flight, "*", "server-*.jsonl"))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, d := range dumps {
+		// server-<seq>-<reason>.jsonl
+		_, reason, _ := strings.Cut(strings.TrimPrefix(filepath.Base(d), "server-"), "-")
+		rd.dumps[strings.TrimSuffix(reason, ".jsonl")]++
+	}
+	return rd
+}
+
+// scrape reads each metric family's value off reg.
+func (r *censusRig) scrape(reg *obs.Registry) map[string]float64 {
+	r.t.Helper()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		r.t.Fatal(err)
+	}
+	out, kinds := map[string]float64{}, map[string]string{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kinds[f[2]] = f[3]
+			out[f[2]] += 0
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line[:sp], "{")
+		if h := strings.TrimSuffix(name, "_count"); kinds[h] == "histogram" {
+			name = h
+		} else if kinds[name] == "" || kinds[name] == "histogram" {
+			continue // a histogram's _bucket and _sum series
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			r.t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[name] += v
+	}
+	return out
+}
+
+// moved lists the signals whose reading differs between before and after.
+func moved(before, after reading) map[censusRow]bool {
+	out := map[censusRow]bool{}
+	for _, m := range [][2]map[string]float64{{before.server, after.server}, {before.worker, after.worker}} {
+		for name, v := range m[1] {
+			if v != m[0][name] {
+				out[censusRow{kind: kindMetric, name: name}] = true
+			}
+		}
+	}
+	for name := range after.spans {
+		if !before.spans[name] {
+			out[censusRow{kind: kindSpan, name: name}] = true
+		}
+	}
+	for reason, n := range after.dumps {
+		if n != before.dumps[reason] {
+			out[censusRow{kind: kindReason, name: reason}] = true
+		}
+	}
+	return out
+}
+
+// TestSignalCensus holds every signal to a test that moves it, the way
+// TestKnobCensus holds every knob to who sets it. It drives censusSteps
+// against the fullest server and its worker and reads, after each step,
+// what moved. A census row naming a step fails unless that step moved its
+// signal; one naming a test elsewhere fails unless that test exists and
+// names the signal. A signal served without a row fails — a metric family
+// on either /metrics, a span name or a flight-dump reason written as a
+// literal in non-test code under internal/ or cmd/ — and so does a row
+// whose signal is gone.
+func TestSignalCensus(t *testing.T) {
+	db, cfg, worker, wreg := fullConfig(t)
+	r := &censusRig{t: t, db: db, cfg: cfg, worker: worker, wreg: wreg, flight: t.TempDir()}
+	defer r.stop()
+
+	served := emittedSignals(t)
+	movedIn := map[string]map[censusRow]bool{}
+	for i, st := range censusSteps {
+		r.trace = obs.DeriveTraceID(uint64(i))
+		r.rebooted = false
+		before := r.read()
+		st.run(r)
+		if r.rebooted {
+			before.server = nil
+		}
+		after := r.read()
+		movedIn[st.name] = moved(before, after)
+		for _, m := range []map[string]float64{after.server, after.worker} {
+			for name := range m {
+				served[censusRow{kind: kindMetric, name: name}] = true
+			}
+		}
+	}
+
+	rows := map[censusRow]bool{}
+	for _, row := range census {
+		key := censusRow{kind: row.kind, name: row.name}
+		rows[key] = true
+		if !served[key] {
+			t.Errorf("census row for %s %s, which is no longer emitted: remove the row", row.kind, row.name)
+			continue
+		}
+		if m, ok := movedIn[row.by]; ok {
+			if !m[key] {
+				t.Errorf("%s %s: step %q did not move it", row.kind, row.name, row.by)
+			}
+			continue
+		}
+		if err := testNamesSignal(row.by, row.name); err != nil {
+			t.Errorf("%s %s: %v", row.kind, row.name, err)
+		}
+	}
+	for key := range served {
+		if !rows[key] {
+			t.Errorf("%s %s has no census row: name the step or test that moves it, or remove it", key.kind, key.name)
+		}
+	}
+}
+
+// emittedSignals collects the span names and flight-dump reasons the
+// non-test code under internal/ and cmd/ writes as literals: the first
+// word of obs.StartSpan's name, and the first argument of Trigger,
+// flightEvent and flightTrigger (a non-literal there forwards a reason
+// chosen elsewhere). A reason names dump files, so it must be snake_case.
+func emittedSignals(t *testing.T) map[censusRow]bool {
+	t.Helper()
+	snakeCase := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	out := map[censusRow]bool{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"../../internal", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "StartSpan":
+					if len(call.Args) != 2 {
+						return true
+					}
+					arg := call.Args[1]
+					for {
+						bin, ok := arg.(*ast.BinaryExpr)
+						if !ok {
+							break
+						}
+						arg = bin.X
+					}
+					lit, ok := arg.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						t.Errorf("%s: a span name must start with a string literal", fset.Position(call.Pos()))
+						return true
+					}
+					name, _ := strconv.Unquote(lit.Value)
+					out[censusRow{kind: kindSpan, name: strings.Fields(name)[0]}] = true
+				case "Trigger", "flightEvent", "flightTrigger":
+					if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if reason, _ := strconv.Unquote(lit.Value); reason != "" {
+							if !snakeCase.MatchString(reason) {
+								t.Errorf("%s: flight-dump reason %q names the dump's files: it must be snake_case", fset.Position(call.Pos()), reason)
+							}
+							out[censusRow{kind: kindReason, name: reason}] = true
+						}
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// testNamesSignal checks that by, "pkg.TestName", is a test function of
+// package pkg (internal/pkg, or cmd/pkg for a binary) whose body contains
+// name.
+func testNamesSignal(by, name string) error {
+	pkg, test, ok := strings.Cut(by, ".")
+	if !ok {
+		return fmt.Errorf("%q is neither a census step nor a pkg.TestName", by)
+	}
+	dir := filepath.Join("..", pkg)
+	if _, err := os.Stat(dir); err != nil {
+		dir = filepath.Join("..", "..", "cmd", pkg)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		return err
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		_, body, found := strings.Cut(string(src), "\nfunc "+test+"(")
+		if !found {
+			continue
+		}
+		if end := strings.Index(body, "\nfunc "); end >= 0 {
+			body = body[:end]
+		}
+		if !strings.Contains(body, name) {
+			return fmt.Errorf("%s does not name it", by)
+		}
+		return nil
+	}
+	return fmt.Errorf("no test %s", by)
 }

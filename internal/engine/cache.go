@@ -9,8 +9,9 @@
 // the cheap finalize pass still runs fresh against the current history, so
 // cached and uncached steps return identical Results. This is the
 // repeated-subquery memoization of the Subjective Databases system
-// (Li et al.) applied to SubDEx's aggregation hot path, budgeted like the
-// query layer's group cache (cf. Data Canopy [57]).
+// (Li et al.) applied to SubDEx's aggregation hot path (cf. Data Canopy
+// [57]). Unlike the query layer's group cache, which is budgeted in the
+// bytes its entries hold, this one is budgeted in records.
 //
 // The budget is in records — the scan a hit saves — and an entry's bytes do
 // not depend on its records: an accumulator is one counter block per

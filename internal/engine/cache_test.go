@@ -345,7 +345,7 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		t.Fatalf("expected evictions and survivors, stats %+v", st)
 	}
 	if got := g.Metrics.CacheEvictions.Value(); got != st.Evictions {
-		t.Fatalf("metrics evictions %d != cache evictions %d", got, st.Evictions)
+		t.Fatalf("subdex_engine_cache_evictions_total = %d, cache evictions %d", got, st.Evictions)
 	}
 	if st.UsedRecords > st.BudgetRecords {
 		t.Fatalf("budget overrun: %+v", st)
@@ -417,7 +417,7 @@ func TestSmallGroupsBypassTheCache(t *testing.T) {
 		if res.Profile.Cache != "bypass" || want.Profile.Cache != "off" {
 			t.Fatalf("call %d: Profile.Cache = %q (cache-less: %q), want bypass and off", i, res.Profile.Cache, want.Profile.Cache)
 		}
-		if got := sink.Snapshot()[0].Attrs["cache"]; got != "bypass" {
+		if got := sink.Snapshot("", 0)[0].Attrs["cache"]; got != "bypass" {
 			t.Fatalf("call %d: engine.topmaps span says cache = %v, want bypass", i, got)
 		}
 		if hooks != 1 || len(res.Profile.Phases) != 1 || res.Profile.RecordsScanned != len(group.Records) {

@@ -147,8 +147,8 @@ type Generator struct {
 	DB      *dataset.DB
 	Builder ratingmap.Builder
 	// Metrics, when non-nil, receives hot-path telemetry (candidate,
-	// pruning and finalization counters, latency and worker-utilization
-	// histograms). Leave nil for a zero-overhead generator.
+	// pruning, finalization and cache counters, latency histograms).
+	// Leave nil for a zero-overhead generator.
 	Metrics *Metrics
 	// Cache, when non-nil, memoizes completed unpruned accumulators
 	// across TopMaps calls (see TopMapsCache). Safe for concurrent use;

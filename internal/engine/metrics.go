@@ -33,11 +33,6 @@ type Metrics struct {
 	// that follow it. A group scanned in one pass is one stride
 	// (subdex_engine_phase_duration_seconds).
 	PhaseLatency *obs.Histogram
-	// WorkerUtilization is Σ busy-time / (wall × workers) of every run of
-	// the engine's worker pool (sharded scan, estimate, finalize) that
-	// used more than one worker, in (0,1]
-	// (subdex_engine_worker_utilization_ratio).
-	WorkerUtilization *obs.Histogram
 	// CacheHits / CacheMisses / CacheEvictions count cross-step
 	// accumulator cache traffic (subdex_engine_cache_hits_total,
 	// subdex_engine_cache_misses_total,
@@ -73,12 +68,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Degraded: r.Counter("subdex_engine_topmaps_degraded_total",
 			"TopMaps calls degraded to anytime prefix results by deadline or cancellation."),
 		TopMapsLatency: r.Histogram("subdex_engine_topmaps_duration_seconds",
-			"Wall-clock duration of one TopMaps call.", nil),
+			"Wall-clock duration of one TopMaps call."),
 		PhaseLatency: r.Histogram("subdex_engine_phase_duration_seconds",
-			"Duration of one executed stride of the Algorithm 1 phase loop (scan + estimate + prune).", nil),
-		WorkerUtilization: r.Histogram("subdex_engine_worker_utilization_ratio",
-			"Busy-time share of the engine worker pool (scan shards, estimate, finalize).",
-			obs.RatioBuckets),
+			"Duration of one executed stride of the Algorithm 1 phase loop (scan + estimate + prune)."),
 		CacheHits: r.Counter("subdex_engine_cache_hits_total",
 			"TopMaps calls served from the cross-step accumulator cache."),
 		CacheMisses: r.Counter("subdex_engine_cache_misses_total",
@@ -170,16 +162,4 @@ func (m *Metrics) setCacheBytes(n int64) {
 		return
 	}
 	m.CacheBytes.Set(float64(n))
-}
-
-// observeUtilization records Σbusy/(wall×workers), clamped to (0,1].
-func (m *Metrics) observeUtilization(busy, wall time.Duration, workers int) {
-	if m == nil || wall <= 0 || workers < 1 {
-		return
-	}
-	u := busy.Seconds() / (wall.Seconds() * float64(workers))
-	if u > 1 {
-		u = 1
-	}
-	m.WorkerUtilization.Observe(u)
 }

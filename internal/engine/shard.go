@@ -14,7 +14,6 @@ package engine
 
 import (
 	"sync"
-	"time"
 
 	"subdex/internal/ratingmap"
 )
@@ -61,31 +60,21 @@ func (g *Generator) accumulate(acc *ratingmap.Accumulator, records []int32, work
 
 // parallel splits [0, n) into at most workers contiguous chunks and runs
 // fn(w, lo, hi) on each — concurrently when there is more than one, inline
-// otherwise. It owns every goroutine the engine starts, their WaitGroup,
-// and the busy-time accounting behind the worker-utilization histogram
-// (Σ busy / (wall × workers); a pool of one is not sampled).
+// otherwise. It owns every goroutine the engine starts and their
+// WaitGroup.
 func (g *Generator) parallel(n, workers int, fn func(w, lo, hi int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
 		fn(0, 0, n)
 		return
 	}
-	poolStart := time.Now()
-	busy := make([]time.Duration, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			t0 := time.Now()
 			fn(w, w*n/workers, (w+1)*n/workers)
-			busy[w] = time.Since(t0)
 		}(w)
 	}
 	wg.Wait()
-	var totalBusy time.Duration
-	for _, b := range busy {
-		totalBusy += b
-	}
-	g.Metrics.observeUtilization(totalBusy, time.Since(poolStart), workers)
 }

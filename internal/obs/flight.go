@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 )
@@ -93,11 +94,12 @@ func (e *WideEvent) MarshalJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// FlightOptions configure a FlightRecorder. The zero value gives a
-// 256-event ring with dumps disabled.
+// flightRingSize bounds a FlightRecorder's event ring.
+const flightRingSize = 256
+
+// FlightOptions configure a FlightRecorder. The zero value records into
+// the ring with dumps disabled.
 type FlightOptions struct {
-	// Ring bounds the event buffer (default 256).
-	Ring int
 	// Dir is where triggered dumps are written; "" disables dumps (the
 	// ring still records and serves).
 	Dir string
@@ -115,28 +117,23 @@ type FlightOptions struct {
 }
 
 // FlightRecorder is a concurrency-safe bounded ring of wide events with
-// trigger-based dumping. All methods are no-ops on a nil receiver.
+// trigger-based dumping. All methods are no-ops on a nil receiver. It
+// keeps no dump counts: Trigger's result says what happened, and the
+// caller counts it (the server in subdex_flight_dumps{,_suppressed}_total).
 type FlightRecorder struct {
 	dir         string
 	name        string
 	minInterval time.Duration
 	clock       func() time.Time
+	ring        *ring[*WideEvent]
 
-	mu         sync.Mutex
-	buf        []*WideEvent
-	next       int
-	full       bool
-	lastDump   map[string]time.Time
-	seq        int
-	dumps      int
-	suppressed int
+	mu       sync.Mutex
+	lastDump map[string]time.Time
+	seq      int
 }
 
 // NewFlightRecorder builds a recorder from opts.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
-	if opts.Ring < 1 {
-		opts.Ring = 256
-	}
 	if opts.Name == "" {
 		opts.Name = "flight"
 	}
@@ -151,7 +148,7 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 		name:        opts.Name,
 		minInterval: opts.MinInterval,
 		clock:       opts.Clock,
-		buf:         make([]*WideEvent, opts.Ring),
+		ring:        newRing[*WideEvent](flightRingSize),
 		lastDump:    make(map[string]time.Time),
 	}
 }
@@ -168,26 +165,7 @@ func (f *FlightRecorder) Record(ev *WideEvent) {
 	if _, ok := ev.Get("ts"); !ok {
 		ev.Set("ts", f.clock().UTC().Format(time.RFC3339Nano))
 	}
-	f.mu.Lock()
-	f.buf[f.next] = ev
-	f.next++
-	if f.next == len(f.buf) {
-		f.next, f.full = 0, true
-	}
-	f.mu.Unlock()
-}
-
-// Len reports how many events the ring currently holds.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return len(f.buf)
-	}
-	return f.next
+	f.ring.add(ev)
 }
 
 // Snapshot returns buffered events newest first, optionally restricted
@@ -197,89 +175,54 @@ func (f *FlightRecorder) Snapshot(trace string, limit int) []*WideEvent {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	all := f.newestFirstLocked()
-	f.mu.Unlock()
+	var keep func(*WideEvent) bool
 	if trace != "" {
-		kept := all[:0]
-		for _, ev := range all {
-			if v, ok := ev.Get("trace_id"); ok && fmt.Sprint(v) == trace {
-				kept = append(kept, ev)
-			}
-		}
-		all = kept
-	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all
-}
-
-// newestFirstLocked copies the ring newest first; caller holds f.mu.
-func (f *FlightRecorder) newestFirstLocked() []*WideEvent {
-	n := f.next
-	if f.full {
-		n = len(f.buf)
-	}
-	out := make([]*WideEvent, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (f.next - 1 - i + len(f.buf)) % len(f.buf)
-		if f.buf[idx] != nil {
-			out = append(out, f.buf[idx])
+		keep = func(ev *WideEvent) bool {
+			v, ok := ev.Get("trace_id")
+			return ok && fmt.Sprint(v) == trace
 		}
 	}
-	return out
+	return f.ring.newest(keep, limit)
 }
 
-// Stats reports how many dumps were written and how many triggers the
-// rate limiter suppressed.
-func (f *FlightRecorder) Stats() (dumps, suppressed int) {
-	if f == nil {
-		return 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dumps, f.suppressed
-}
-
-// Trigger requests a dump for reason. With dumps disabled it is a no-op
-// (false, no error, nothing counted). Otherwise it is rate-limited per
-// reason: inside MinInterval of the previous dump for the same reason
-// the trigger is suppressed. A dump writes two files under Dir — the
-// ring as JSONL (a header line, then events oldest first) and a
-// goroutine+heap profile snapshot — and returns the JSONL path. File
-// I/O happens outside the recorder lock.
-func (f *FlightRecorder) Trigger(reason string) (path string, dumped bool, err error) {
+// Trigger requests a dump for reason and returns the JSONL path of the
+// dump it wrote. With dumps disabled it is a no-op ("", nil). Otherwise
+// it is rate-limited per reason: inside MinInterval of the previous
+// attempt for the same reason the trigger is suppressed ("", nil). A
+// dump writes two files under Dir — the ring as JSONL (a header line,
+// then events oldest first) and a goroutine+heap profile snapshot — and
+// only a dump with both files written returns a path. A failed dump
+// returns its error and still arms the rate limit, so a failing disk is
+// not retried on every trigger. reason names the dump's files, so it is
+// a snake_case literal (internal/daemon's signal census checks each one).
+// File I/O happens outside the recorder lock.
+func (f *FlightRecorder) Trigger(reason string) (path string, err error) {
 	if f == nil || f.dir == "" {
-		return "", false, nil
+		return "", nil
 	}
 	f.mu.Lock()
 	now := f.clock()
 	if last, ok := f.lastDump[reason]; ok && now.Sub(last) < f.minInterval {
-		f.suppressed++
 		f.mu.Unlock()
-		return "", false, nil
+		return "", nil
 	}
 	f.lastDump[reason] = now
 	f.seq++
 	seq := f.seq
-	f.dumps++
-	events := f.newestFirstLocked()
 	f.mu.Unlock()
 
+	events := f.ring.newest(nil, 0)
 	// Oldest first: a dump reads chronologically.
-	for i, j := 0, len(events)-1; i < j; i, j = i+1, j-1 {
-		events[i], events[j] = events[j], events[i]
-	}
-	base := fmt.Sprintf("%s-%03d-%s", f.name, seq, sanitizeReason(reason))
+	slices.Reverse(events)
+	base := fmt.Sprintf("%s-%03d-%s", f.name, seq, reason)
 	path = filepath.Join(f.dir, base+".jsonl")
 	if err := f.writeDump(path, reason, now, events); err != nil {
-		return "", false, err
+		return "", err
 	}
 	if err := writeProfileSnapshot(filepath.Join(f.dir, base+".profiles.txt")); err != nil {
-		return path, true, err
+		return "", err
 	}
-	return path, true, nil
+	return path, nil
 }
 
 // writeDump writes the JSONL dump file.
@@ -313,35 +256,10 @@ func writeProfileSnapshot(path string) error {
 	var buf bytes.Buffer
 	for _, name := range []string{"goroutine", "heap"} {
 		fmt.Fprintf(&buf, "=== %s profile ===\n", name)
-		p := pprof.Lookup(name)
-		if p == nil {
-			fmt.Fprintf(&buf, "(unavailable)\n")
-			continue
-		}
-		if err := p.WriteTo(&buf, 1); err != nil {
+		if err := pprof.Lookup(name).WriteTo(&buf, 1); err != nil {
 			fmt.Fprintf(&buf, "(error: %v)\n", err)
 		}
 		buf.WriteByte('\n')
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// sanitizeReason keeps dump filenames portable.
-func sanitizeReason(reason string) string {
-	out := make([]byte, 0, len(reason))
-	for i := 0; i < len(reason); i++ {
-		c := reason[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '_', c == '-':
-			out = append(out, c)
-		case c >= 'A' && c <= 'Z':
-			out = append(out, c+'a'-'A')
-		default:
-			out = append(out, '_')
-		}
-	}
-	if len(out) == 0 {
-		return "trigger"
-	}
-	return string(out)
 }

@@ -60,35 +60,28 @@ func TestWideEventNilSafe(t *testing.T) {
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(NewWideEvent().Set("op", "x"))
-	if f.Len() != 0 || f.DumpsEnabled() {
+	if f.DumpsEnabled() {
 		t.Fatal("nil recorder should be inert")
 	}
 	if got := f.Snapshot("", 0); got != nil {
 		t.Fatalf("nil Snapshot = %v", got)
 	}
-	if _, dumped, err := f.Trigger("boom"); dumped || err != nil {
-		t.Fatalf("nil Trigger: dumped=%v err=%v", dumped, err)
-	}
-	d, s := f.Stats()
-	if d != 0 || s != 0 {
-		t.Fatalf("nil Stats = %d, %d", d, s)
+	if path, err := f.Trigger("boom"); path != "" || err != nil {
+		t.Fatalf("nil Trigger: path=%q err=%v", path, err)
 	}
 }
 
 func TestFlightRecorderRingEviction(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Ring: 4})
-	for i := 0; i < 10; i++ {
+	f := NewFlightRecorder(FlightOptions{})
+	for i := 0; i < flightRingSize+4; i++ {
 		f.Record(NewWideEvent().Set("step", i))
 	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", f.Len())
-	}
 	got := f.Snapshot("", 0)
-	if len(got) != 4 {
-		t.Fatalf("Snapshot kept %d events, want 4", len(got))
+	if len(got) != flightRingSize {
+		t.Fatalf("Snapshot kept %d events, want %d", len(got), flightRingSize)
 	}
-	// Newest first: 9, 8, 7, 6.
-	for i, want := range []int{9, 8, 7, 6} {
+	// Newest first.
+	for i, want := range []int{flightRingSize + 3, flightRingSize + 2, flightRingSize + 1} {
 		if v, _ := got[i].Get("step"); v != want {
 			t.Fatalf("snapshot[%d] step = %v, want %d", i, v, want)
 		}
@@ -99,7 +92,7 @@ func TestFlightRecorderRingEviction(t *testing.T) {
 }
 
 func TestFlightRecorderSnapshotTraceFilter(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Ring: 16})
+	f := NewFlightRecorder(FlightOptions{})
 	want := string(DeriveTraceID(7))
 	f.Record(NewWideEvent().Set("trace_id", string(DeriveTraceID(1))).Set("step", 1))
 	f.Record(NewWideEvent().Set("trace_id", want).Set("step", 2))
@@ -114,7 +107,7 @@ func TestFlightRecorderSnapshotTraceFilter(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Ring: 64, Dir: t.TempDir(), MinInterval: time.Nanosecond})
+	f := NewFlightRecorder(FlightOptions{Dir: t.TempDir(), MinInterval: time.Nanosecond})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -124,7 +117,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 				f.Record(NewWideEvent().Set("user", g).Set("step", i))
 				if i%50 == 0 {
 					f.Snapshot("", 10)
-					if _, _, err := f.Trigger(fmt.Sprintf("reason_%d", g)); err != nil {
+					if _, err := f.Trigger(fmt.Sprintf("reason_%d", g)); err != nil {
 						t.Errorf("Trigger: %v", err)
 					}
 				}
@@ -132,8 +125,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if f.Len() != 64 {
-		t.Fatalf("ring should be full: Len = %d", f.Len())
+	if got := len(f.Snapshot("", 0)); got != flightRingSize {
+		t.Fatalf("ring should be full: %d events", got)
 	}
 }
 
@@ -141,37 +134,33 @@ func TestFlightRecorderTriggerRateLimit(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
 	dir := t.TempDir()
-	f := NewFlightRecorder(FlightOptions{Ring: 8, Dir: dir, MinInterval: 30 * time.Second, Clock: clock})
+	f := NewFlightRecorder(FlightOptions{Dir: dir, MinInterval: 30 * time.Second, Clock: clock})
 	f.Record(NewWideEvent().Set("op", "step").Set("trace_id", string(DeriveTraceID(1))))
 
 	// A storm of identical triggers: exactly one dump.
 	var dumpedPaths []string
 	for i := 0; i < 50; i++ {
-		path, dumped, err := f.Trigger("slo_breach")
+		path, err := f.Trigger("slo_breach")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dumped {
+		if path != "" {
 			dumpedPaths = append(dumpedPaths, path)
 		}
 	}
 	if len(dumpedPaths) != 1 {
 		t.Fatalf("storm produced %d dumps, want exactly 1", len(dumpedPaths))
 	}
-	dumps, suppressed := f.Stats()
-	if dumps != 1 || suppressed != 49 {
-		t.Fatalf("Stats = (%d, %d), want (1, 49)", dumps, suppressed)
-	}
 
 	// A different reason dumps independently.
-	if _, dumped, err := f.Trigger("http_5xx"); err != nil || !dumped {
-		t.Fatalf("different reason should dump: dumped=%v err=%v", dumped, err)
+	if path, err := f.Trigger("http_5xx"); err != nil || path == "" {
+		t.Fatalf("different reason should dump: path=%q err=%v", path, err)
 	}
 
 	// After the window passes, the original reason dumps again.
 	now = now.Add(31 * time.Second)
-	if _, dumped, err := f.Trigger("slo_breach"); err != nil || !dumped {
-		t.Fatalf("post-window trigger should dump: dumped=%v err=%v", dumped, err)
+	if path, err := f.Trigger("slo_breach"); err != nil || path == "" {
+		t.Fatalf("post-window trigger should dump: path=%q err=%v", path, err)
 	}
 
 	// Each dump wrote a JSONL file and a profile snapshot.
@@ -195,14 +184,14 @@ func TestFlightRecorderTriggerRateLimit(t *testing.T) {
 
 func TestFlightRecorderDumpContents(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(FlightOptions{Ring: 8, Dir: dir, Name: "server"})
+	f := NewFlightRecorder(FlightOptions{Dir: dir, Name: "server"})
 	tid := string(DeriveTraceID(9))
 	f.Record(NewWideEvent().Set("op", "step").Set("step", 1).Set("trace_id", tid))
 	f.Record(NewWideEvent().Set("op", "step").Set("step", 2).Set("trace_id", tid))
 
-	path, dumped, err := f.Trigger("degraded_step")
-	if err != nil || !dumped {
-		t.Fatalf("Trigger: dumped=%v err=%v", dumped, err)
+	path, err := f.Trigger("degraded_step")
+	if err != nil || path == "" {
+		t.Fatalf("Trigger: path=%q err=%v", path, err)
 	}
 	if base := filepath.Base(path); !strings.HasPrefix(base, "server-") || !strings.Contains(base, "degraded_step") {
 		t.Fatalf("dump filename %q should carry name and reason", base)
@@ -252,17 +241,13 @@ func TestFlightRecorderDumpContents(t *testing.T) {
 }
 
 func TestFlightRecorderDumpsDisabled(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Ring: 8})
+	f := NewFlightRecorder(FlightOptions{})
 	f.Record(NewWideEvent().Set("op", "step"))
-	path, dumped, err := f.Trigger("slo_breach")
-	if err != nil || dumped || path != "" {
-		t.Fatalf("disabled dumps: (%q, %v, %v)", path, dumped, err)
+	path, err := f.Trigger("slo_breach")
+	if err != nil || path != "" {
+		t.Fatalf("disabled dumps: (%q, %v)", path, err)
 	}
-	dumps, suppressed := f.Stats()
-	if dumps != 0 || suppressed != 0 {
-		t.Fatalf("disabled dumps should count nothing: (%d, %d)", dumps, suppressed)
-	}
-	if f.Len() != 1 {
+	if len(f.Snapshot("", 0)) != 1 {
 		t.Fatal("ring should still record with dumps disabled")
 	}
 }

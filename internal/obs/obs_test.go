@@ -16,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c_total", "h")
 	g := r.Gauge("g", "h")
-	h := r.Histogram("h", "h", nil)
+	h := r.Histogram("h", "h")
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
@@ -43,15 +43,12 @@ func TestNilSafety(t *testing.T) {
 	span.SetAttr("k", "v")
 	span.End()
 	span.End()
-	if span.Duration() != 0 {
-		t.Fatal("nil span duration must be zero")
-	}
 	_, child := StartSpan(ctx, "child")
 	child.End()
 
 	var ring *RingSink
 	ring.Collect(&SpanData{})
-	if ring.Snapshot() != nil {
+	if ring.Snapshot("", 0) != nil {
 		t.Fatal("nil ring snapshot must be nil")
 	}
 	// nil context must not panic either.
@@ -74,7 +71,7 @@ func TestConcurrentHammer(t *testing.T) {
 			// the lookup path is exercised concurrently.
 			c := r.Counter("hammer_total", "hammered")
 			g := r.Gauge("hammer_gauge", "hammered")
-			h := r.Histogram("hammer_seconds", "hammered", LogBuckets(0.001, 2, 10))
+			h := r.Histogram("hammer_seconds", "hammered")
 			for j := 0; j < perG; j++ {
 				c.Inc()
 				g.Add(1)
@@ -90,7 +87,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := r.Gauge("hammer_gauge", "").Value(); got != 0 {
 		t.Fatalf("gauge should balance to 0, got %v", got)
 	}
-	h := r.Histogram("hammer_seconds", "", nil)
+	h := r.Histogram("hammer_seconds", "")
 	if h.Count() != goroutines*perG {
 		t.Fatalf("histogram lost observations: got %d", h.Count())
 	}
@@ -121,7 +118,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 				<-start
 				r.Counter("first_use_total", "h").Inc()
 				r.Gauge("first_use_gauge", "h").Add(1)
-				r.Histogram("first_use_seconds", "h", nil).Observe(0.01)
+				r.Histogram("first_use_seconds", "h").Observe(0.01)
 				// Encode concurrently with first-use registration.
 				_ = r.WritePrometheus(&strings.Builder{})
 			}()
@@ -135,7 +132,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 		if got := r.Gauge("first_use_gauge", "").Value(); got != goroutines {
 			t.Fatalf("round %d: gauge lost first-use adds: got %v", round, got)
 		}
-		if got := r.Histogram("first_use_seconds", "", nil).Count(); got != goroutines {
+		if got := r.Histogram("first_use_seconds", "").Count(); got != goroutines {
 			t.Fatalf("round %d: histogram lost first-use observations: got %d", round, got)
 		}
 	}
@@ -155,7 +152,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("subdex_demo_total", "demo counter", L("kind", "a")).Add(3)
 	r.Counter("subdex_demo_total", "demo counter", L("kind", "b")).Add(1)
 	r.Gauge("subdex_demo_gauge", "demo gauge").Set(2.5)
-	h := r.Histogram("subdex_demo_seconds", "demo histogram", []float64{0.1, 1, 10})
+	h := r.Histogram("subdex_demo_seconds", "demo histogram")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(0.5)
@@ -170,9 +167,22 @@ func TestPrometheusGolden(t *testing.T) {
 subdex_demo_gauge 2.5
 # HELP subdex_demo_seconds demo histogram
 # TYPE subdex_demo_seconds histogram
-subdex_demo_seconds_bucket{le="0.1"} 1
-subdex_demo_seconds_bucket{le="1"} 3
-subdex_demo_seconds_bucket{le="10"} 3
+subdex_demo_seconds_bucket{le="0.00025"} 0
+subdex_demo_seconds_bucket{le="0.0005"} 0
+subdex_demo_seconds_bucket{le="0.001"} 0
+subdex_demo_seconds_bucket{le="0.002"} 0
+subdex_demo_seconds_bucket{le="0.004"} 0
+subdex_demo_seconds_bucket{le="0.008"} 0
+subdex_demo_seconds_bucket{le="0.016"} 0
+subdex_demo_seconds_bucket{le="0.032"} 0
+subdex_demo_seconds_bucket{le="0.064"} 1
+subdex_demo_seconds_bucket{le="0.128"} 1
+subdex_demo_seconds_bucket{le="0.256"} 1
+subdex_demo_seconds_bucket{le="0.512"} 3
+subdex_demo_seconds_bucket{le="1.024"} 3
+subdex_demo_seconds_bucket{le="2.048"} 3
+subdex_demo_seconds_bucket{le="4.096"} 3
+subdex_demo_seconds_bucket{le="8.192"} 3
 subdex_demo_seconds_bucket{le="+Inf"} 4
 subdex_demo_seconds_sum 100.05
 subdex_demo_seconds_count 4
@@ -260,22 +270,6 @@ func TestRegistryMetadataContract(t *testing.T) {
 			t.Fatal("reordered label keys must register cleanly")
 		}
 	})
-}
-
-func TestLogBuckets(t *testing.T) {
-	got := LogBuckets(0.5, 2, 4)
-	want := []float64{0.5, 1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	if LogBuckets(0, 2, 3) != nil || LogBuckets(1, 1, 3) != nil || LogBuckets(1, 2, 0) != nil {
-		t.Fatal("degenerate inputs must return nil")
-	}
 }
 
 func TestLabelEscaping(t *testing.T) {

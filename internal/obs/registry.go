@@ -76,10 +76,14 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
+	addFloat(&g.bits, delta)
+}
+
+// addFloat adds delta to the float64 stored as bits, lock-free.
+func addFloat(bits *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
 			return
 		}
 	}
@@ -97,14 +101,11 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets (typically log-scale;
-// see LogBuckets). Observation is lock-free: one atomic add for the
-// bucket, one for the count, and a CAS loop for the running sum. A nil
-// Histogram is a no-op.
+// Histogram counts observations into the fixed log-scale buckets.
+// Observation is lock-free: one atomic add for the bucket, one for the
+// count, and a CAS loop for the running sum. A nil Histogram is a no-op.
 type Histogram struct {
-	// bounds are the inclusive upper bounds of the finite buckets,
-	// ascending; counts has len(bounds)+1 entries, the last being +Inf.
-	bounds  []float64
+	// counts has len(buckets)+1 entries, the last being +Inf.
 	counts  []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64
@@ -118,18 +119,12 @@ func (h *Histogram) Observe(v float64) {
 	// Branchless-ish upper_bound: buckets are few (tens), linear scan is
 	// cache-friendly and beats binary search at these sizes.
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(buckets) && v > buckets[i] {
 		i++
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	addFloat(&h.sumBits, v)
 }
 
 // ObserveDuration records a duration in seconds — the Prometheus base
@@ -152,48 +147,26 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// LogBuckets returns count upper bounds in a geometric progression:
-// start, start·factor, start·factor², … — the fixed log-scale bucket
-// layout used throughout SubDEx.
-func LogBuckets(start, factor float64, count int) []float64 {
-	if count <= 0 || start <= 0 || factor <= 1 {
-		return nil
-	}
-	out := make([]float64, count)
-	v := start
-	for i := range out {
+// buckets are the upper bounds every histogram counts into: interactive-
+// latency territory, 250µs to ~8s, doubling. Every histogram SubDEx
+// exports is a duration in seconds, so one layout serves them all.
+var buckets = func() []float64 {
+	out := make([]float64, 16)
+	for i, v := 0, 0.00025; i < len(out); i, v = i+1, v*2 {
 		out[i] = v
-		v *= factor
 	}
 	return out
-}
+}()
 
-// DefBuckets covers interactive-latency territory: 250µs to ~8s, doubling.
-var DefBuckets = LogBuckets(0.00025, 2, 16)
-
-// RatioBuckets covers (0,1] quantities such as worker utilization.
-var RatioBuckets = LogBuckets(1.0/64, 2, 7)
-
-// metricKind discriminates registry entries.
-type metricKind int
+// metricKind discriminates registry entries; its value is the # TYPE
+// the encoder writes.
+type metricKind string
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   metricKind = "counter"
+	kindGauge     metricKind = "gauge"
+	kindHistogram metricKind = "histogram"
 )
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "untyped"
-}
 
 // series is one registered (name, labels) instrument.
 type series struct {
@@ -248,22 +221,6 @@ func labelKeySig(labels []Label) string {
 	return strings.Join(keys, "\x00")
 }
 
-// seriesID builds the registry key of a (name, labels) pair.
-func seriesID(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte(0)
-		b.WriteString(l.Key)
-		b.WriteByte(0)
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
-
 // lookup returns the existing series or registers a new one. The
 // instrument itself is allocated here, while r.mu is held, so a series
 // is never published with a nil instrument and concurrent first-use of
@@ -272,10 +229,9 @@ func seriesID(name string, labels []Label) string {
 // Re-registering a name with a different kind, different help text, or a
 // different label-key set is a programmer error and panics: one scrape
 // must never see one series family with contradictory metadata. (Label
-// VALUES may differ freely — that is label fan-out.) bounds is only
-// consulted for kindHistogram.
-func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels []Label) *series {
-	id := seriesID(name, labels)
+// VALUES may differ freely — that is label fan-out.)
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *series {
+	id := name + labelString(labels)
 	keys := labelKeySig(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -311,13 +267,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 	case kindGauge:
 		s.gauge = &Gauge{}
 	case kindHistogram:
-		if bounds == nil {
-			bounds = DefBuckets
-		}
-		s.histogram = &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]atomic.Int64, len(bounds)+1),
-		}
+		s.histogram = &Histogram{counts: make([]atomic.Int64, len(buckets)+1)}
 	}
 	r.series[id] = s
 	return s
@@ -330,7 +280,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, nil, labels).counter
+	return r.lookup(name, help, kindCounter, labels).counter
 }
 
 // Gauge returns the gauge registered under (name, labels). Nil-safe.
@@ -338,17 +288,16 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge, nil, labels).gauge
+	return r.lookup(name, help, kindGauge, labels).gauge
 }
 
-// Histogram returns the histogram registered under (name, labels) with
-// the given bucket upper bounds (DefBuckets when nil). Bounds are fixed
-// at first registration; later calls reuse them. Nil-safe.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+// Histogram returns the histogram registered under (name, labels),
+// counting into the fixed log-scale buckets. Nil-safe.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindHistogram, bounds, labels).histogram
+	return r.lookup(name, help, kindHistogram, labels).histogram
 }
 
 // WritePrometheus encodes every registered series in the Prometheus text
@@ -400,12 +349,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeHistogram(b *strings.Builder, s *series) {
 	h := s.histogram
 	cum := int64(0)
-	for i, bound := range h.bounds {
+	for i, bound := range buckets {
 		cum += h.counts[i].Load()
 		fmt.Fprintf(b, "%s_bucket%s %d\n", s.name,
 			labelString(append(append([]Label(nil), s.labels...), L("le", formatFloat(bound)))), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.counts[len(buckets)].Load()
 	fmt.Fprintf(b, "%s_bucket%s %d\n", s.name,
 		labelString(append(append([]Label(nil), s.labels...), L("le", "+Inf"))), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", s.name, labelString(s.labels), formatFloat(h.Sum()))

@@ -65,15 +65,6 @@ func WithSink(ctx context.Context, sink SpanSink) context.Context {
 	return context.WithValue(ctx, sinkKey{}, sink)
 }
 
-// SinkFrom extracts the installed sink, or nil.
-func SinkFrom(ctx context.Context) SpanSink {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(sinkKey{}).(SpanSink)
-	return s
-}
-
 // StartSpan begins a span named name. If the context carries a parent
 // span, the new span is attached as its child; otherwise it becomes a
 // root bound to the context's sink. When no sink is installed the call
@@ -84,7 +75,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	parent, _ := ctx.Value(spanKey{}).(*Span)
 	if parent == nil {
-		sink := SinkFrom(ctx)
+		sink, _ := ctx.Value(sinkKey{}).(SpanSink)
 		if sink == nil {
 			return ctx, nil
 		}
@@ -135,16 +126,6 @@ func (s *Span) End() {
 	}
 }
 
-// Duration returns the span's recorded duration (0 before End / on nil).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.duration
-}
-
 // snapshot deep-copies the span tree into SpanData. Children that never
 // ended are snapshotted with their duration-so-far.
 func (s *Span) snapshot() *SpanData {
@@ -173,21 +154,15 @@ func (s *Span) snapshot() *SpanData {
 	return out
 }
 
-// RingSink keeps the most recent n root spans in a ring buffer — the
-// storage behind the server's /debug/spans endpoint.
+// RingSink keeps the most recent n root spans — the storage behind the
+// server's /debug/spans endpoint.
 type RingSink struct {
-	mu   sync.Mutex
-	buf  []*SpanData
-	next int
-	full bool
+	ring *ring[*SpanData]
 }
 
 // NewRingSink builds a sink holding the latest n spans (n < 1 → 1).
 func NewRingSink(n int) *RingSink {
-	if n < 1 {
-		n = 1
-	}
-	return &RingSink{buf: make([]*SpanData, n)}
+	return &RingSink{ring: newRing[*SpanData](n)}
 }
 
 // Collect implements SpanSink.
@@ -195,54 +170,20 @@ func (r *RingSink) Collect(root *SpanData) {
 	if r == nil || root == nil {
 		return
 	}
-	r.mu.Lock()
-	r.buf[r.next] = root
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
+	r.ring.add(root)
 }
 
-// Snapshot returns the buffered spans, newest first.
-func (r *RingSink) Snapshot() []*SpanData {
+// Snapshot returns the buffered spans newest first, restricted to roots
+// carrying the given trace ID (trace "" disables the filter) and
+// truncated to the newest limit spans (limit <= 0 disables truncation) —
+// the /debug/spans query parameters.
+func (r *RingSink) Snapshot(trace TraceID, limit int) []*SpanData {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]*SpanData, 0, n)
-	// Walk backwards from the most recently written slot.
-	for i := 0; i < n; i++ {
-		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		if r.buf[idx] != nil {
-			out = append(out, r.buf[idx])
-		}
-	}
-	return out
-}
-
-// SnapshotFiltered is Snapshot restricted to roots carrying the given
-// trace ID (trace "" disables the filter) and truncated to the newest
-// limit spans (limit <= 0 disables truncation) — the /debug/spans query
-// parameters.
-func (r *RingSink) SnapshotFiltered(trace TraceID, limit int) []*SpanData {
-	all := r.Snapshot()
+	var keep func(*SpanData) bool
 	if trace != "" {
-		kept := all[:0]
-		for _, sp := range all {
-			if sp.TraceID == trace {
-				kept = append(kept, sp)
-			}
-		}
-		all = kept
+		keep = func(sp *SpanData) bool { return sp.TraceID == trace }
 	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all
+	return r.ring.newest(keep, limit)
 }

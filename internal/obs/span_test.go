@@ -100,7 +100,7 @@ func TestRingSink(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Collect(&SpanData{Name: string(rune('a' + i))})
 	}
-	snap := r.Snapshot()
+	snap := r.Snapshot("", 0)
 	if len(snap) != 3 {
 		t.Fatalf("want 3 buffered, got %d", len(snap))
 	}
@@ -112,14 +112,14 @@ func TestRingSink(t *testing.T) {
 	// Partial fill.
 	r2 := NewRingSink(8)
 	r2.Collect(&SpanData{Name: "only"})
-	if s := r2.Snapshot(); len(s) != 1 || s[0].Name != "only" {
+	if s := r2.Snapshot("", 0); len(s) != 1 || s[0].Name != "only" {
 		t.Fatalf("partial ring wrong: %+v", s)
 	}
 	// Degenerate size.
 	r3 := NewRingSink(0)
 	r3.Collect(&SpanData{Name: "x"})
 	r3.Collect(&SpanData{Name: "y"})
-	if s := r3.Snapshot(); len(s) != 1 || s[0].Name != "y" {
+	if s := r3.Snapshot("", 0); len(s) != 1 || s[0].Name != "y" {
 		t.Fatalf("size-clamped ring wrong: %+v", s)
 	}
 }
@@ -133,12 +133,12 @@ func TestRingSinkConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Collect(&SpanData{Name: "s"})
-				_ = r.Snapshot()
+				_ = r.Snapshot("", 0)
 			}
 		}()
 	}
 	wg.Wait()
-	if len(r.Snapshot()) != 16 {
+	if len(r.Snapshot("", 0)) != 16 {
 		t.Fatalf("ring should be full")
 	}
 }

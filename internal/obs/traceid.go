@@ -30,28 +30,25 @@ const (
 // NewTraceID mints a random trace ID (crypto/rand; never all-zero).
 func NewTraceID() TraceID {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a non-zero
-		// constant keeps the ID valid if it somehow does.
-		b[15] = 1
-	}
-	if allZero(b[:]) {
-		b[15] = 1
-	}
-	return TraceID(hex.EncodeToString(b[:]))
+	return TraceID(randomHex(b[:]))
 }
 
 // NewSpanID mints a random 16-hex-character parent/span ID for
 // traceparent headers.
 func NewSpanID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		b[7] = 1
+	return randomHex(b[:])
+}
+
+// randomHex fills b with random bytes and renders it as hex, never all
+// zero (the W3C invalid value). crypto/rand never fails on supported
+// platforms; a buffer a failure left zero is made valid the same way.
+func randomHex(b []byte) string {
+	_, _ = rand.Read(b)
+	if allZero(b) {
+		b[len(b)-1] = 1
 	}
-	if allZero(b[:]) {
-		b[7] = 1
-	}
-	return hex.EncodeToString(b[:])
+	return hex.EncodeToString(b)
 }
 
 // DeriveTraceID builds a deterministic trace ID from integer parts

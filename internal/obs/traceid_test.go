@@ -152,7 +152,7 @@ func TestRootSpanBindsTraceID(t *testing.T) {
 	}
 	root2.End()
 
-	spans := sink.Snapshot()
+	spans := sink.Snapshot("", 0)
 	if len(spans) != 2 {
 		t.Fatalf("got %d root spans, want 2", len(spans))
 	}
@@ -178,18 +178,18 @@ func TestRingSinkSnapshotFiltered(t *testing.T) {
 		s.End()
 	}
 
-	if got := sink.SnapshotFiltered("", 0); len(got) != 5 {
+	if got := sink.Snapshot("", 0); len(got) != 5 {
 		t.Fatalf("unfiltered: got %d spans, want 5", len(got))
 	}
-	got := sink.SnapshotFiltered("", 2)
+	got := sink.Snapshot("", 2)
 	if len(got) != 2 || got[0].TraceID != ids[4] || got[1].TraceID != ids[3] {
 		t.Fatalf("limit=2 should keep the 2 newest, got %+v", got)
 	}
-	got = sink.SnapshotFiltered(ids[1], 0)
+	got = sink.Snapshot(ids[1], 0)
 	if len(got) != 1 || got[0].TraceID != ids[1] {
 		t.Fatalf("trace filter: got %+v, want just %q", got, ids[1])
 	}
-	if got := sink.SnapshotFiltered("deadbeefdeadbeefdeadbeefdeadbeef", 0); len(got) != 0 {
+	if got := sink.Snapshot("deadbeefdeadbeefdeadbeefdeadbeef", 0); len(got) != 0 {
 		t.Fatalf("unknown trace should match nothing, got %d", len(got))
 	}
 }

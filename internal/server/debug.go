@@ -67,23 +67,22 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"spans": s.spans.SnapshotFiltered(obs.TraceID(trace), limit),
+		"spans": s.spans.Snapshot(obs.TraceID(trace), limit),
 	})
 }
 
 // handleFlight serves the live flight-recorder ring, newest first, with
 // the same ?limit / ?trace filters as /debug/spans, plus the dump and
-// rate-limit-suppression counts.
+// rate-limit-suppression counts of /metrics.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	trace, limit, ok := debugFilters(w, r)
 	if !ok {
 		return
 	}
-	dumps, suppressed := s.flight.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"events":        s.flight.Snapshot(trace, limit),
-		"dumps":         dumps,
-		"suppressed":    suppressed,
+		"dumps":         s.flightDumps.Value(),
+		"suppressed":    s.flightSuppressed.Value(),
 		"dumps_enabled": s.flight.DumpsEnabled(),
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -316,7 +317,67 @@ func TestFlightRecorderEndpointAndDegradedDump(t *testing.T) {
 	for _, want := range []string{
 		"subdex_flight_dumps_total 1",
 		fmt.Sprintf("subdex_flight_dumps_suppressed_total %d", steps-1),
+		fmt.Sprintf("subdex_steps_degraded_total %d", steps),
+		fmt.Sprintf("subdex_engine_topmaps_degraded_total %d", steps),
 	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestFailedFlightDumpIsNotCounted points the dump directory under a
+// regular file, so every dump fails to write. A failed dump is counted as
+// neither written nor suppressed, still arms its reason's rate limit (a
+// failing disk is not hit again on the next trigger), and leaves its error
+// in the ring, where /debug/flightrecorder shows it.
+func TestFailedFlightDumpIsNotCounted(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := lightConfig()
+	cfg.StepTimeout = 50 * time.Millisecond
+	cfg.Engine.MinPhaseRecords = 1
+	cfg.Engine.PhaseHook = func(ctx context.Context, phase int) {
+		if phase > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Second):
+			}
+		}
+	}
+	_, ts := testServerWith(t, cfg, Options{FlightDir: filepath.Join(file, "flight"), flightMinInterval: time.Hour})
+	id := createSession(t, ts, "ud")
+	for i := 0; i < 2; i++ {
+		if step, _, code := getStep(t, stepURL(ts, id, ""), ""); code != http.StatusOK || !step.Degraded {
+			t.Fatalf("step %d: code %d degraded %v", i, code, step.Degraded)
+		}
+	}
+
+	var out struct {
+		Events     []map[string]any `json:"events"`
+		Dumps      int              `json:"dumps"`
+		Suppressed int              `json:"suppressed"`
+	}
+	getJSON(t, ts.URL+"/debug/flightrecorder", &out)
+	if out.Dumps != 0 || out.Suppressed != 1 {
+		t.Errorf("dumps=%d suppressed=%d, want 0 and 1: the failed dump counts as neither, the retry is rate-limited", out.Dumps, out.Suppressed)
+	}
+	failed := 0
+	for _, ev := range out.Events {
+		if ev["op"] == "flight_dump" {
+			failed++
+			if ev["reason"] != "degraded_step" || !strings.Contains(fmt.Sprint(ev["error"]), "not a directory") {
+				t.Errorf("failed-dump event: %+v", ev)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d failed-dump events in the ring, want 1: %+v", failed, out.Events)
+	}
+	text := metricsText(t, ts)
+	for _, want := range []string{"subdex_flight_dumps_total 0", "subdex_flight_dumps_suppressed_total 1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}

@@ -126,7 +126,7 @@ func newRouteInstruments(reg *obs.Registry, route string) *routeInstruments {
 		totalHelp   = "HTTP requests by route and status code."
 	)
 	ri := &routeInstruments{
-		latency: reg.Histogram(latencyName, latencyHelp, nil, obs.L("route", route)),
+		latency: reg.Histogram(latencyName, latencyHelp, obs.L("route", route)),
 		byCode:  make(map[int]*obs.Counter, len(statusCodes)),
 		other:   reg.Counter(totalName, totalHelp, obs.L("route", route), obs.L("code", "other")),
 	}

@@ -213,15 +213,24 @@ func (t *telemetry) flightEvent(trigger string, ev *obs.WideEvent) {
 }
 
 // flightTrigger fires a rate-limited flight-recorder dump and keeps the
-// dump/suppression counters in step. With no FlightDir configured it is
-// free.
+// dump/suppression counters — the one count of both — in step. A dump
+// that fails to write counts as neither: its error is recorded in the
+// ring as a wide event instead, where /debug/flightrecorder shows it, and
+// the reason stays rate-limited like a written one. With no FlightDir
+// configured it is free.
 func (t *telemetry) flightTrigger(reason string) {
 	if !t.flight.DumpsEnabled() {
 		return
 	}
-	if _, dumped, err := t.flight.Trigger(reason); err == nil && dumped {
+	switch path, err := t.flight.Trigger(reason); {
+	case err != nil:
+		t.flight.Record(obs.NewWideEvent().
+			Set("op", "flight_dump").
+			Set("reason", reason).
+			Set("error", err.Error()))
+	case path != "":
 		t.flightDumps.Inc()
-	} else if err == nil {
+	default:
 		t.flightSuppressed.Inc()
 	}
 }

@@ -102,8 +102,6 @@ func newSessionTable(ctx context.Context, ex *core.Explorer, reg *obs.Registry, 
 	t.store.Instrument(sessionstore.Instruments{
 		Appends: reg.Counter("subdex_wal_appends_total",
 			"Durable records appended to the session write-ahead log."),
-		Fsyncs: reg.Counter("subdex_wal_fsyncs_total",
-			"fsync/fdatasync calls on the session write-ahead log."),
 		ReplayRecords: reg.Counter("subdex_wal_replay_records_total",
 			"Write-ahead-log records applied during open-time replay."),
 		Truncations: reg.Counter("subdex_wal_truncations_total",

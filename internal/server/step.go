@@ -285,16 +285,16 @@ func (s *Server) recordStep(ctx context.Context, id int, out *StepJSON, ref *ref
 		s.flightEvent("", ev.Set("error", ref.msg))
 		return
 	}
-	trigger := ""
-	if out.Degraded {
-		trigger = "degraded_step"
-	}
-	s.flightEvent(trigger, ev.
-		Set("degraded", out.Degraded).
+	ev.Set("degraded", out.Degraded).
 		Set("selection", out.Selection).
 		Set("gen_ms", out.GenMillis).
 		Set("rec_ms", out.RecMillis).
-		Set("records_processed", out.RecordsProcessed))
+		Set("records_processed", out.RecordsProcessed)
+	if out.Degraded {
+		s.flightEvent("degraded_step", ev)
+		return
+	}
+	s.flightEvent("", ev)
 }
 
 // applyRequest moves a session: exactly one of the move fields is used.

@@ -184,7 +184,6 @@ func (fs *FileStore) Instrument(ins Instruments) {
 	fs.ins = ins
 	fs.statsMu.Unlock()
 	ins.Appends.Add(st.Appends)
-	ins.Fsyncs.Add(st.Fsyncs)
 	ins.ReplayRecords.Add(st.ReplayRecords)
 	ins.Truncations.Add(st.Truncations)
 }
@@ -262,8 +261,7 @@ func (fs *FileStore) logAppend(rec walRecord) error {
 	if serr != nil {
 		return fmt.Errorf("sessionstore: wal fsync: %w", serr)
 	}
-	ins = fs.bump(func(s *Stats) { s.Fsyncs++ })
-	ins.Fsyncs.Inc()
+	fs.bump(func(s *Stats) { s.Fsyncs++ })
 	if compactDue {
 		// Compaction failure is deliberately not the append's failure:
 		// the record above is already durable, and an uncompacted WAL is

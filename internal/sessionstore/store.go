@@ -72,8 +72,6 @@ type Instruments struct {
 	// Appends counts durable WAL record writes
 	// (subdex_wal_appends_total).
 	Appends *obs.Counter
-	// Fsyncs counts WAL fsync/fdatasync calls (subdex_wal_fsyncs_total).
-	Fsyncs *obs.Counter
 	// ReplayRecords counts WAL records applied during open-time replay
 	// (subdex_wal_replay_records_total).
 	ReplayRecords *obs.Counter

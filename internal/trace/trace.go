@@ -1,8 +1,8 @@
-// Package trace records exploration sessions as JSON-lines files and plays
+// Package trace records exploration sessions as JSON-lines files and reads
 // them back. Session logs are the raw material of the log-based next-step
 // recommenders the paper positions against (Eirinaki et al. [23], Milo &
-// Somech [42]); here a persisted trace is replayed against a new database
-// version or drives regression comparisons of exploration paths.
+// Somech [42]); the subdex REPL's `save` writes one, and the workload
+// harness's golden traces are built from its Event.
 package trace
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"subdex/internal/core"
-	"subdex/internal/query"
 )
 
 // Event is one step of an exploration session.
@@ -34,9 +33,12 @@ type Event struct {
 	// At is the wall-clock time the step was recorded.
 	At time.Time `json:"at"`
 
-	// Telemetry (optional, version-1 compatible): persisted session logs
-	// carry the same per-step signals the live /metrics endpoint exposes,
-	// so log-based recommenders and offline latency analyses see them.
+	// Telemetry (optional, version-1 compatible): the step's own numbers.
+	// DurationMS and RecommendationMS are the values /metrics observes
+	// into subdex_generation_duration_seconds and
+	// subdex_recommendation_duration_seconds; the candidate and prune
+	// counts are the step's own scan only, while /metrics' engine counters
+	// also add every TopMaps call of the recommendation pass.
 
 	// DurationMS is the rating-map generation wall-clock time of the step
 	// in milliseconds; RecommendationMS the recommendation-scoring time.
@@ -172,50 +174,4 @@ func Load(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// Replay walks the trace's selections against an explorer, recomputing each
-// step's display, and returns the per-step selection mismatches — empty when
-// the engine still shows the same rating maps it showed when the trace was
-// recorded (a regression check across engine or data changes).
-func (tr *Trace) Replay(ex *core.Explorer) ([]string, error) {
-	sess, err := core.NewSession(ex, core.UserDriven, query.Description{})
-	if err != nil {
-		return nil, err
-	}
-	var mismatches []string
-	for _, ev := range tr.Events {
-		d, err := ex.ParseDescription(ev.Selection)
-		if err != nil {
-			return nil, fmt.Errorf("trace: step %d: %w", ev.Step, err)
-		}
-		if err := sess.ApplyDescription(d); err != nil {
-			return nil, fmt.Errorf("trace: step %d: %w", ev.Step, err)
-		}
-		st, err := sess.Step()
-		if err != nil {
-			return nil, fmt.Errorf("trace: step %d: %w", ev.Step, err)
-		}
-		got := make([]string, 0, len(st.Maps))
-		for _, rm := range st.Maps {
-			got = append(got, fmt.Sprintf("%s.%s/%s", rm.Side, rm.Attr, rm.DimName))
-		}
-		if !sameStrings(got, ev.Maps) {
-			mismatches = append(mismatches,
-				fmt.Sprintf("step %d: recorded %v, got %v", ev.Step, ev.Maps, got))
-		}
-	}
-	return mismatches, nil
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -161,28 +161,6 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestReplayDeterministic(t *testing.T) {
-	ex, sess := traceSession(t)
-	tr := FromSession(sess)
-	// Replaying against the same engine configuration and data must
-	// reproduce the recorded displays: the whole pipeline is deterministic.
-	db2, err := gen.Yelp(gen.Config{Seed: 6, Scale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := core.NewExplorer(db2, ex.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatches, err := tr.Replay(ex2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mismatches) != 0 {
-		t.Fatalf("deterministic replay mismatched: %v", mismatches)
-	}
-}
-
 // TestEventDegradedRoundTrip checks that deadline-degraded steps persist
 // their anytime markers through FromSession and the JSONL round trip.
 func TestEventDegradedRoundTrip(t *testing.T) {

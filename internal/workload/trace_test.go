@@ -157,7 +157,7 @@ func TestClientFlightEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := obs.NewFlightRecorder(obs.FlightOptions{Ring: 1024})
+	fr := obs.NewFlightRecorder(obs.FlightOptions{})
 	cfg := Config{Users: 2, Seed: 5, StepsPerUser: 4, Flight: fr}
 	res := runPopulation(t, cfg, InprocFactory(ex, core.RecommendationPowered, ""))
 	events := fr.Snapshot("", 0)
