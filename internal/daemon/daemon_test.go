@@ -255,86 +255,61 @@ func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
 	}
 }
 
-// censusRow is one row of TestSignalCensus: a metric family the fullest
+// censusRow is one row of README "Signals": a metric family the fullest
 // server or its worker serves at /metrics, a span name, or a flight-dump
-// reason, and what moves it. by names a step of censusSteps, which the
-// census runs and watches the signal move in, or "pkg.TestName", a test
-// elsewhere that moves the signal and names it in an assertion.
-type censusRow struct{ kind, name, by string }
+// reason, and what moves it. typ is a metric's # TYPE (counter, gauge or
+// histogram). by names a step of censusSteps, which the census runs and
+// watches the signal move in, or "pkg.TestName", a test elsewhere that
+// moves the signal and names it in an assertion.
+type censusRow struct{ kind, name, typ, by string }
 
 const (
 	kindMetric = "metric"
 	kindSpan   = "span"
-	kindReason = "flight-dump reason"
+	kindReason = "dump reason"
 )
 
-// census is every signal the module emits, each with the one request
-// sequence, store fault or test that must move it. DESIGN.md "Limitations"
-// has a ledger row for each signal that left because nothing moved it or
+// readmeSignals reads README "Signals", the one list of every signal the
+// module emits: signal | kind | meaning | moved by, where the kind is a
+// metric's type, "span" or "dump reason". DESIGN.md's "Limitations"
+// ledger has a row for each signal that left because nothing moved it or
 // it repeated another.
-var census = []censusRow{
-	{kindMetric, "subdex_admission_rejected_total", "server.TestAdmissionControl"},
-	{kindMetric, "subdex_build_info", "boot"},
-	{kindMetric, "subdex_cluster_fingerprint_mismatch_total", "another engine configuration"},
-	{kindMetric, "subdex_cluster_partitions_lost_total", "another engine configuration"},
-	{kindMetric, "subdex_cluster_partitions_total", "recommendation walk"},
-	{kindMetric, "subdex_cluster_retries_total", "cluster.TestFaultRetryThenSucceed"},
-	{kindMetric, "subdex_cluster_rpc_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_cluster_rpc_errors_total", "another engine configuration"},
-	{kindMetric, "subdex_cluster_worker_records_total", "recommendation walk"},
-	{kindMetric, "subdex_cluster_worker_scan_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_cluster_worker_scan_errors_total", "bad scan frame"},
-	{kindMetric, "subdex_cluster_workers_healthy", "boot"},
-	{kindMetric, "subdex_engine_cache_bypass_total", "recommendation walk"},
-	{kindMetric, "subdex_engine_cache_bytes", "recommendation walk"},
-	{kindMetric, "subdex_engine_cache_evictions_total", "engine.TestCacheEvictionMetrics"},
-	{kindMetric, "subdex_engine_cache_hits_total", "recommendation walk"},
-	{kindMetric, "subdex_engine_cache_misses_total", "recommendation walk"},
-	{kindMetric, "subdex_engine_candidates_pruned_total", "engine.TestInstrumentedTopMaps"},
-	{kindMetric, "subdex_engine_candidates_total", "recommendation walk"},
-	{kindMetric, "subdex_engine_maps_finalized_total", "recommendation walk"},
-	{kindMetric, "subdex_engine_phase_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_engine_topmaps_degraded_total", "server.TestFlightRecorderEndpointAndDegradedDump"},
-	{kindMetric, "subdex_engine_topmaps_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_flight_dumps_suppressed_total", "store fault"},
-	{kindMetric, "subdex_flight_dumps_total", "step past its deadline"},
-	{kindMetric, "subdex_generation_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_http_in_flight_requests", "server.TestMetricsEndpoint"},
-	{kindMetric, "subdex_http_request_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_http_requests_total", "recommendation walk"},
-	{kindMetric, "subdex_recommendation_candidates_total", "recommendation walk"},
-	{kindMetric, "subdex_recommendation_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_session_busy_rejections_total", "server.TestConcurrentStepApplyConflict"},
-	{kindMetric, "subdex_sessions_evicted_total", "server.TestJanitorEvictionFakeClock"},
-	{kindMetric, "subdex_sessions_in_flight", "recommendation walk"},
-	{kindMetric, "subdex_sessions_recovered_total", "restart"},
-	{kindMetric, "subdex_sessions_restored_total", "shed and restore"},
-	{kindMetric, "subdex_sessions_shed_total", "shed and restore"},
-	{kindMetric, "subdex_sessions_started_total", "recommendation walk"},
-	{kindMetric, "subdex_step_duration_seconds", "recommendation walk"},
-	{kindMetric, "subdex_step_timeouts_total", "step past its deadline"},
-	{kindMetric, "subdex_steps_degraded_total", "server.TestFlightRecorderEndpointAndDegradedDump"},
-	{kindMetric, "subdex_wal_append_failures_total", "store fault"},
-	{kindMetric, "subdex_wal_appends_total", "recommendation walk"},
-	{kindMetric, "subdex_wal_replay_records_total", "restart"},
-	{kindMetric, "subdex_wal_truncations_total", "corrupt WAL tail"},
-
-	{kindSpan, "cluster.scanrange", "recommendation walk"},
-	{kindSpan, "core.recommend", "recommendation walk"},
-	{kindSpan, "core.rmset", "recommendation walk"},
-	{kindSpan, "core.step", "recommendation walk"},
-	{kindSpan, "engine.phase", "recommendation walk"},
-	{kindSpan, "engine.topmaps", "recommendation walk"},
-	{kindSpan, "http", "recommendation walk"},
-	{kindSpan, "query.materialize", "recommendation walk"},
-
-	{kindReason, "degraded_step", "server.TestFlightRecorderEndpointAndDegradedDump"},
-	{kindReason, "http_5xx", "step past its deadline"},
-	{kindReason, "session_recovery_failed", "another engine configuration"},
-	{kindReason, "session_restore_failed", "another engine configuration"},
-	{kindReason, "slo_breach", "sdeload.TestRunSLOBreachDumpsFlightRecorder"},
-	{kindReason, "wal_append_failed", "store fault"},
-	{kindReason, "wal_corrupt_tail", "corrupt WAL tail"},
+func readmeSignals(t *testing.T) []censusRow {
+	t.Helper()
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### Signals\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Signals" section`)
+	}
+	if end := strings.Index(section, "\n#"); end >= 0 {
+		section = section[:end]
+	}
+	var rows []censusRow
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if len(cells) != 4 {
+			t.Errorf("README \"Signals\" row %q: want signal | kind | meaning | moved by", line)
+			continue
+		}
+		row := censusRow{name: strings.Trim(cells[0], "`"), by: strings.Trim(cells[3], "`")}
+		switch kind := cells[1]; kind {
+		case "counter", "gauge", "histogram":
+			row.kind, row.typ = kindMetric, kind
+		case kindSpan, kindReason:
+			row.kind = kind
+		default:
+			t.Errorf("README \"Signals\" row %s: kind %q is not counter, gauge, histogram, %s or %s", row.name, kind, kindSpan, kindReason)
+			continue
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // censusStep is one request sequence or fault the census drives against
@@ -430,10 +405,11 @@ type censusRig struct {
 	srv      *Server
 	ts       *httptest.Server
 	boots    int
-	rebooted bool        // the running step booted a fresh server: its metrics start at zero
-	trace    obs.TraceID // the running step's, sent on every request it makes
-	stall    atomic.Bool // every engine phase waits for its step's deadline
-	walk     int         // the recommendation walk's session
+	rebooted bool              // the running step booted a fresh server: its metrics start at zero
+	trace    obs.TraceID       // the running step's, sent on every request it makes
+	stall    atomic.Bool       // every engine phase waits for its step's deadline
+	walk     int               // the recommendation walk's session
+	types    map[string]string // each metric family's # TYPE, as served
 }
 
 // boot stops the running server and starts a new one over the same
@@ -549,17 +525,18 @@ func (r *censusRig) read() reading {
 	return rd
 }
 
-// scrape reads each metric family's value off reg.
+// scrape reads each metric family's value off reg, and records its #
+// TYPE in r.types.
 func (r *censusRig) scrape(reg *obs.Registry) map[string]float64 {
 	r.t.Helper()
 	var text strings.Builder
 	if err := reg.WritePrometheus(&text); err != nil {
 		r.t.Fatal(err)
 	}
-	out, kinds := map[string]float64{}, map[string]string{}
+	out := map[string]float64{}
 	for _, line := range strings.Split(text.String(), "\n") {
 		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-			kinds[f[2]] = f[3]
+			r.types[f[2]] = f[3]
 			out[f[2]] += 0
 			continue
 		}
@@ -568,9 +545,9 @@ func (r *censusRig) scrape(reg *obs.Registry) map[string]float64 {
 			continue
 		}
 		name, _, _ := strings.Cut(line[:sp], "{")
-		if h := strings.TrimSuffix(name, "_count"); kinds[h] == "histogram" {
+		if h := strings.TrimSuffix(name, "_count"); r.types[h] == "histogram" {
 			name = h
-		} else if kinds[name] == "" || kinds[name] == "histogram" {
+		} else if r.types[name] == "" || r.types[name] == "histogram" {
 			continue // a histogram's _bucket and _sum series
 		}
 		v, err := strconv.ParseFloat(line[sp+1:], 64)
@@ -606,17 +583,18 @@ func moved(before, after reading) map[censusRow]bool {
 }
 
 // TestSignalCensus holds every signal to a test that moves it, the way
-// TestKnobCensus holds every knob to who sets it. It drives censusSteps
-// against the fullest server and its worker and reads, after each step,
-// what moved. A census row naming a step fails unless that step moved its
-// signal; one naming a test elsewhere fails unless that test exists and
-// names the signal. A signal served without a row fails — a metric family
-// on either /metrics, a span name or a flight-dump reason written as a
-// literal in non-test code under internal/ or cmd/ — and so does a row
-// whose signal is gone.
+// TestKnobCensus holds every knob to who sets it; the rows are README
+// "Signals". It drives censusSteps against the fullest server and its
+// worker and reads, after each step, what moved. A row naming a step
+// fails unless that step moved its signal; one naming a test elsewhere
+// fails unless that test exists and names the signal; a metric row fails
+// unless its kind is the # TYPE /metrics serves. A signal served without
+// a row fails — a metric family on either /metrics, a span name or a
+// flight-dump reason written as a literal in non-test code under
+// internal/ or cmd/ — and so does a row whose signal is gone.
 func TestSignalCensus(t *testing.T) {
 	db, cfg, worker, wreg := fullConfig(t)
-	r := &censusRig{t: t, db: db, cfg: cfg, worker: worker, wreg: wreg, flight: t.TempDir()}
+	r := &censusRig{t: t, db: db, cfg: cfg, worker: worker, wreg: wreg, flight: t.TempDir(), types: map[string]string{}}
 	defer r.stop()
 
 	served := emittedSignals(t)
@@ -639,12 +617,18 @@ func TestSignalCensus(t *testing.T) {
 	}
 
 	rows := map[censusRow]bool{}
-	for _, row := range census {
+	for _, row := range readmeSignals(t) {
 		key := censusRow{kind: row.kind, name: row.name}
+		if rows[key] {
+			t.Errorf("README \"Signals\" has two rows for %s %s", row.kind, row.name)
+		}
 		rows[key] = true
 		if !served[key] {
-			t.Errorf("census row for %s %s, which is no longer emitted: remove the row", row.kind, row.name)
+			t.Errorf("README \"Signals\" has a row for %s %s, which is no longer emitted: remove the row", row.kind, row.name)
 			continue
+		}
+		if row.kind == kindMetric && r.types[row.name] != row.typ {
+			t.Errorf("README \"Signals\" says %s is a %s; /metrics serves it as a %s", row.name, row.typ, r.types[row.name])
 		}
 		if m, ok := movedIn[row.by]; ok {
 			if !m[key] {
@@ -658,7 +642,7 @@ func TestSignalCensus(t *testing.T) {
 	}
 	for key := range served {
 		if !rows[key] {
-			t.Errorf("%s %s has no census row: name the step or test that moves it, or remove it", key.kind, key.name)
+			t.Errorf("%s %s has no row in README \"Signals\": name the step or test that moves it, or remove it", key.kind, key.name)
 		}
 	}
 }

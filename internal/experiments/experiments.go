@@ -68,7 +68,6 @@ func All() []Experiment {
 	return []Experiment{
 		{"table2", "Table 2: dataset statistics", Table2},
 		{"fig7", "Figure 7: exploration guidance user study", Fig7},
-		{"fig7yelp", "Figure 7 (Yelp half only, calibration helper)", Fig7YelpOnly},
 		{"fig8", "Figure 8: recall vs number of steps", Fig8},
 		{"table4", "Table 4: quality of next-action recommendations", Table4},
 		{"table5", "Table 5: utility vs diversity across l", Table5},

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -131,6 +133,61 @@ func TestRouteTable(t *testing.T) {
 		if got := seriesValue(metricsText(t, ts), series); got != want {
 			t.Errorf("%s: %s = %d, want %d", name, series, got, want)
 		}
+	}
+}
+
+// TestReadmeRoutesAreTheRouteTable holds README "HTTP API" to routes():
+// one row, method and path, per route the server handles. The two
+// catch-alls — a pattern ending in "/" or in a {name...} wildcard — answer
+// what no row claims and are described in the README's prose instead. A
+// handler's "" method (every method) is written "any".
+func TestReadmeRoutesAreTheRouteTable(t *testing.T) {
+	var code []string
+	for _, rt := range (*Server)(nil).routes() {
+		if strings.HasSuffix(rt.pattern, "/") || strings.HasSuffix(rt.pattern, "...}") {
+			continue
+		}
+		method := rt.method
+		if method == "" {
+			method = "any"
+		}
+		code = append(code, method+" "+rt.pattern)
+	}
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## HTTP API\n")
+	if !ok {
+		t.Fatal(`README.md has no "## HTTP API" section`)
+	}
+	if end := strings.Index(section, "\n#"); end >= 0 {
+		section = section[:end]
+	}
+	var readme []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if len(cells) < 3 {
+			t.Errorf("README \"HTTP API\" row %q: want method | path | answers", line)
+			continue
+		}
+		readme = append(readme, strings.Trim(cells[0], "`")+" "+strings.Trim(cells[1], "`"))
+	}
+	for _, r := range code {
+		if !slices.Contains(readme, r) {
+			t.Errorf("routes() handles %s, which has no row in README \"HTTP API\"", r)
+		}
+	}
+	for _, r := range readme {
+		if !slices.Contains(code, r) {
+			t.Errorf("README \"HTTP API\" has a row for %s, which routes() does not handle", r)
+		}
+	}
+	if !t.Failed() && !slices.Equal(readme, code) {
+		t.Errorf("README \"HTTP API\" lists the routes as %v; routes() has them as %v", readme, code)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -135,19 +134,8 @@ func codeKnobs(t *testing.T) knobs {
 // table: the knob, in backquotes.
 func designKnobs(t *testing.T) map[string]bool {
 	t.Helper()
-	doc, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(doc), "\n## Knobs\n")
-	if !ok {
-		t.Fatal(`DESIGN.md has no "## Knobs" section`)
-	}
-	if end := strings.Index(section, "\n## "); end >= 0 {
-		section = section[:end]
-	}
 	rows := map[string]bool{}
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range strings.Split(docSection(t, "DESIGN.md", "## Knobs"), "\n") {
 		if !strings.HasPrefix(line, "| `") {
 			continue
 		}
