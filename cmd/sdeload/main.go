@@ -3,17 +3,16 @@
 // an in-process explorer, a self-hosted HTTP server, or a remote -target,
 // asserts objectives over what the population saw, and writes one
 // machine-readable verdict. It asserts and nothing else: throughput,
-// latency and what the WAL or the cluster cost are bench/'s to measure
-// (see bench/README.md).
+// latency and what the WAL costs are bench/'s to measure (see
+// bench/README.md).
 //
 //	sdeload -generate demo -users 32 -steps 8
 //	sdeload -generate yelp -scale 0.05 -mode http -users 64 -duration 30s -ramp 5s
 //	sdeload -target http://localhost:8080 -users 16 -duration 1m -think 200ms
 //	sdeload -generate demo -users 8 -step-timeout 5ms -fault-every 3 -fault-delay 10ms
-//	sdeload -soak-kill -cluster-soak -generate yelp -scale 0.5 -seed 7 -users 4 -steps 5
+//	sdeload -soak-kill -generate yelp -scale 0.5 -seed 7 -users 4 -steps 5
 //
-// -soak-kill and -cluster-soak, alone or together, select the
-// differential soak described in soak.go.
+// -soak-kill selects the differential soak described in soak.go.
 //
 // Every run with the same -seed replays the same population paths (think
 // pacing and fault injection never perturb which operations a user
@@ -76,9 +75,6 @@ func main() {
 		"differential soak: the variant server keeps a durable session store, is SIGKILLed at -kill-frac of the step budget and restarted on the same address and store")
 	flag.Float64Var(&o.killFrac, "kill-frac", 0.5, "fraction of the population step budget after which -soak-kill fires the SIGKILL")
 	flag.StringVar(&o.sessionDir, "session-dir", "", "session store directory for -soak-kill (default: a temp dir, removed on pass, kept on failure)")
-	flag.BoolVar(&o.clusterSoak, "cluster-soak", false,
-		"differential soak: the variant server distributes its scans over -cluster-nodes worker processes")
-	flag.IntVar(&o.clusterNodes, "cluster-nodes", 3, "worker process count for -cluster-soak")
 	flag.Parse()
 
 	if err := run(context.Background(), o); err != nil {
@@ -121,20 +117,17 @@ type options struct {
 	flightDir   string
 	exemplars   int
 
-	soakKill     bool
-	killFrac     float64
-	sessionDir   string
-	clusterSoak  bool
-	clusterNodes int
+	soakKill   bool
+	killFrac   float64
+	sessionDir string
 }
 
 // verdict is the one artifact sdeload writes, whatever it ran: what the
 // run was, what the population counted, and every asserted objective as
 // a row of checks — the process exit status is Pass.
 type verdict struct {
-	// Mode is inproc, http or target for a load run, and the soak's
-	// variant features (soak-kill, cluster-soak, or both joined by "+")
-	// for a differential soak.
+	// Mode is inproc, http or target for a load run, and soak-kill for
+	// the differential soak.
 	Mode     string  `json:"mode"`
 	Dataset  string  `json:"dataset"`
 	Scale    float64 `json:"scale"`
@@ -186,7 +179,7 @@ func atLeast(name string, limit, got float64) check {
 }
 
 func run(ctx context.Context, o options) error {
-	if o.soakKill || o.clusterSoak {
+	if o.soakKill {
 		return runSoak(ctx, o)
 	}
 	cfg, err := workloadConfig(o)

@@ -234,28 +234,26 @@ func TestRunTargetRejectsFlightDir(t *testing.T) {
 	}
 }
 
-// TestSoakProduct runs the product neither old mode could: a durable,
-// coordinator-backed child server over one worker child, SIGKILLed and
-// restarted mid-walk, against a plain child server — at demo scale, with
-// think pacing so the kill lands inside the walk.
+// TestSoakProduct runs the kill soak end to end: a durable child server,
+// SIGKILLed and restarted mid-walk, against a plain child server — at demo
+// scale, with think pacing so the kill lands inside the walk.
 func TestSoakProduct(t *testing.T) {
 	o := options{
 		generate: "demo", scale: 1, seed: 1, sessionMode: "rp",
 		users: 2, steps: 4, think: 150 * time.Millisecond,
 		sloMinSteps: 8, sloErrRate: -1, sloDegRate: -1,
 		soakKill: true, killFrac: 0.4, sessionDir: t.TempDir(),
-		clusterSoak: true, clusterNodes: 1,
 		benchout: filepath.Join(t.TempDir(), "verdict.json"),
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	rep := readVerdict(t, o.benchout)
-	if !rep.Pass || rep.Mode != "soak-kill+cluster-soak" || rep.Steps != 8 {
+	if !rep.Pass || rep.Mode != "soak-kill" || rep.Steps != 8 {
 		t.Fatalf("verdict: pass=%v mode=%q steps=%d", rep.Pass, rep.Mode, rep.Steps)
 	}
 	for _, name := range []string{"min_steps", "golden_divergences", "sessions_recovered_min",
-		"wal_replay_records_min", "wal_truncations", "digests_identical", "partitions_lost"} {
+		"wal_replay_records_min", "wal_truncations"} {
 		if c := row(t, &rep, name); !c.Pass {
 			t.Errorf("%s failed: %+v", name, c)
 		}
@@ -265,7 +263,7 @@ func TestSoakProduct(t *testing.T) {
 // TestSoakChecksByVariant pins which objectives each variant asserts, and
 // that each one fails on the fact that breaks its property.
 func TestSoakChecksByVariant(t *testing.T) {
-	healthy := soakFacts{sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true}
+	healthy := soakFacts{sessionsRecovered: 2, replayRecords: 9}
 	names := func(cs []check) string {
 		var out []string
 		for _, c := range cs {
@@ -277,27 +275,23 @@ func TestSoakChecksByVariant(t *testing.T) {
 		return strings.Join(out, " ")
 	}
 	for _, tc := range []struct {
-		kill, clustered bool
-		want            string
+		kill bool
+		want string
 	}{
-		{false, false, "golden_divergences"},
-		{true, false, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations"},
-		{false, true, "golden_divergences digests_identical partitions_lost"},
-		{true, true, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations digests_identical partitions_lost"},
+		{false, "golden_divergences"},
+		{true, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations"},
 	} {
-		if got := names(soakChecks(tc.kill, tc.clustered, healthy)); got != tc.want {
-			t.Errorf("kill=%v cluster=%v asserts %q, want %q", tc.kill, tc.clustered, got, tc.want)
+		if got := names(soakChecks(tc.kill, healthy)); got != tc.want {
+			t.Errorf("kill=%v asserts %q, want %q", tc.kill, got, tc.want)
 		}
 	}
 	for name, broken := range map[string]soakFacts{
-		"golden_divergences":     {goldenDivergences: 1, sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true},
-		"sessions_recovered_min": {replayRecords: 9, digestsIdentical: true},
-		"wal_replay_records_min": {sessionsRecovered: 2, digestsIdentical: true},
-		"wal_truncations":        {sessionsRecovered: 2, replayRecords: 9, walTruncations: 1, digestsIdentical: true},
-		"digests_identical":      {sessionsRecovered: 2, replayRecords: 9},
-		"partitions_lost":        {sessionsRecovered: 2, replayRecords: 9, digestsIdentical: true, partitionsLost: 1},
+		"golden_divergences":     {goldenDivergences: 1, sessionsRecovered: 2, replayRecords: 9},
+		"sessions_recovered_min": {replayRecords: 9},
+		"wal_replay_records_min": {sessionsRecovered: 2},
+		"wal_truncations":        {sessionsRecovered: 2, replayRecords: 9, walTruncations: 1},
 	} {
-		for _, c := range soakChecks(true, true, broken) {
+		for _, c := range soakChecks(true, broken) {
 			if c.Pass != (c.Name != name) {
 				t.Errorf("facts breaking %s: row %+v", name, c)
 			}
@@ -335,13 +329,13 @@ func TestSoakTamperedGoldenFails(t *testing.T) {
 		sloMinSteps: 1, sloErrRate: -1, sloDegRate: -1,
 		benchout: filepath.Join(t.TempDir(), "verdict.json")}
 	facts := soakFacts{sessionsRecovered: 2, replayRecords: 9}
-	if err := concludeSoak(o, "soak-kill", resA, resB, facts); err != nil {
+	if err := concludeSoak(o, resA, resB, facts); err != nil {
 		t.Fatalf("identical walks: %v", err)
 	}
 	resB.Users[1].Records[2].MapDigests[0] += "x"
 	// A field DiffRecords does not itemize still breaks byte identity.
 	resB.Users[0].Records[0].Event.Step = 99
-	err := concludeSoak(o, "soak-kill", resA, resB, facts)
+	err := concludeSoak(o, resA, resB, facts)
 	if err == nil || !strings.Contains(err.Error(), "golden_divergences got 2 limit 0") {
 		t.Fatalf("tampered records: err = %v", err)
 	}
@@ -357,23 +351,23 @@ func TestSoakTamperedGoldenFails(t *testing.T) {
 }
 
 // TestVerdictGolden pins the one artifact schema — field names, order and
-// the shape of a check row — on a product soak's verdict with fixed
-// inputs. Regenerate with -update when the schema changes on purpose.
+// the shape of a check row — on a kill soak's verdict with fixed inputs.
+// Regenerate with -update when the schema changes on purpose.
 func TestVerdictGolden(t *testing.T) {
 	res := &workload.Result{Steps: 20, Degraded: 1, Wall: 1500 * time.Millisecond,
 		Exemplars: []workload.Exemplar{{User: 1, Step: 3, Op: "step", DurationMS: 12.5,
 			TraceID: "0af7651916cd43dd8448eb211c80319c"}}}
 	res.Errors.Busy = 1
 	o := options{generate: "yelp", scale: 0.5, seed: 7, users: 4,
-		sloMinSteps: 20, sloErrRate: 0.1, sloDegRate: -1, soakKill: true, clusterSoak: true,
+		sloMinSteps: 20, sloErrRate: 0.1, sloDegRate: -1, soakKill: true,
 		benchout: filepath.Join(t.TempDir(), "verdict.json")}
-	rep := report(o, "soak-kill+cluster-soak", res)
-	rep.Checks = append(rep.Checks, soakChecks(true, true,
-		soakFacts{sessionsRecovered: 4, replayRecords: 31, digestsIdentical: true, partitionsLost: 2})...)
+	rep := report(o, "soak-kill", res)
+	rep.Checks = append(rep.Checks, soakChecks(true,
+		soakFacts{sessionsRecovered: 4, replayRecords: 31})...)
 	rep.FlightDump = "flightrec/sdeload-001-slo_breach.jsonl"
 	rep.Version, rep.Commit, rep.GoVersion = "v0.0.0-test", "0123abc", "go1.x"
-	if err := finish(&bytes.Buffer{}, o, rep, res, nil); err == nil || !strings.Contains(err.Error(), "partitions_lost") {
-		t.Fatalf("a lost partition must fail the verdict, got %v", err)
+	if err := finish(&bytes.Buffer{}, o, rep, res, nil); err != nil {
+		t.Fatalf("every row passes, got %v", err)
 	}
 	got, err := os.ReadFile(o.benchout)
 	if err != nil {

@@ -1,22 +1,13 @@
-// The differential soak (-soak-kill, -cluster-soak, or both): sdeload
-// re-executes itself as child processes and runs the same seeded
-// population twice. Phase A drives a plain child server, whose golden
-// traces are the ground truth. Phase B drives a child server carrying
-// every variant feature the flags ask for:
-//
-//   - -soak-kill: a durable session store; the child is SIGKILLed at
-//     -kill-frac of the step budget and restarted on the same address and
-//     store, and the retrying clients ride the outage. This exercises the
-//     exactly-once chain — log-before-respond on the server, op-id dedup
-//     on retry, deterministic WAL replay on boot.
-//   - -cluster-soak: engine scans partitioned by a cluster coordinator
-//     over -cluster-nodes worker children. Distribution is a scheduling
-//     choice; the answers must not move.
-//
-// The features are orthogonal, so passing both soaks their product: a
-// coordinator-backed durable server killed and recovered mid-run. Both
-// children are built by daemon.NewServer — the wiring subdexd ships — and
-// the checks follow from the features present (soakChecks).
+// The differential soak (-soak-kill): sdeload re-executes itself as
+// child processes and runs the same seeded population twice. Phase A
+// drives a plain child server, whose golden traces are the ground truth.
+// Phase B drives a child server with a durable session store; it is
+// SIGKILLed at -kill-frac of the step budget and restarted on the same
+// address and store, and the retrying clients ride the outage. This
+// exercises the exactly-once chain — log-before-respond on the server,
+// op-id dedup on retry, deterministic WAL replay on boot. Both children
+// are built by daemon.NewServer — the wiring subdexd ships — and the
+// checks are soakChecks'.
 package main
 
 import (
@@ -26,20 +17,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
-	"strings"
 	"time"
 
-	"subdex/internal/cluster"
 	"subdex/internal/core"
 	"subdex/internal/daemon"
-	"subdex/internal/dataset"
-	"subdex/internal/engine"
-	"subdex/internal/obs"
-	"subdex/internal/query"
-	"subdex/internal/ratingmap"
 	"subdex/internal/workload"
 )
 
@@ -53,16 +36,14 @@ var soakRetry = workload.Retry{Attempts: 14, Backoff: 100 * time.Millisecond}
 // parsing flags.
 const childEnv = "SDELOAD_CHILD"
 
-// childSpec is what one child process is: a scan worker, or a server
-// with whatever of SessionDir and Workers the phase gives it.
+// childSpec is what one child process is: a server, durable when the
+// phase gives it a SessionDir.
 type childSpec struct {
-	Worker     bool     `json:"worker,omitempty"`
-	Addr       string   `json:"addr"`
-	Generate   string   `json:"generate"`
-	Scale      float64  `json:"scale"`
-	Seed       int64    `json:"seed"`
-	SessionDir string   `json:"session_dir,omitempty"`
-	Workers    []string `json:"workers,omitempty"`
+	Addr       string  `json:"addr"`
+	Generate   string  `json:"generate"`
+	Scale      float64 `json:"scale"`
+	Seed       int64   `json:"seed"`
+	SessionDir string  `json:"session_dir,omitempty"`
 }
 
 // childMain turns this process into the soak child childEnv describes, if
@@ -96,26 +77,15 @@ func serveChild(ctx context.Context, raw string) error {
 	if err != nil {
 		return err
 	}
-	var h http.Handler
-	if spec.Worker {
-		ex, err := core.NewExplorer(db, core.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		h = cluster.NewWorker(ex, cluster.WorkerOptions{Registry: obs.NewRegistry()}).Handler()
-	} else {
-		srv, err := daemon.NewServer(ctx, db, daemon.ServerConfig{
-			Core:       core.DefaultConfig(),
-			SessionDir: spec.SessionDir,
-			Cluster:    cluster.CoordinatorConfig{Workers: spec.Workers},
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		h = srv.Handler()
+	srv, err := daemon.NewServer(ctx, db, daemon.ServerConfig{
+		Core:       core.DefaultConfig(),
+		SessionDir: spec.SessionDir,
+	})
+	if err != nil {
+		return err
 	}
-	return daemon.Serve(ctx, "sdeload child", spec.Addr, "", h, time.Second)
+	defer srv.Close()
+	return daemon.Serve(ctx, "sdeload child", spec.Addr, "", srv.Handler(), time.Second)
 }
 
 // child is one spawned process, what it was told to be, and the base
@@ -153,7 +123,7 @@ func spawn(ctx context.Context, spec childSpec) (*child, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, _ := json.Marshal(spec) // strings, numbers and a bool: cannot fail
+	raw, _ := json.Marshal(spec) // strings and numbers: cannot fail
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), childEnv+"="+string(raw))
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
@@ -189,8 +159,7 @@ type outcome struct {
 }
 
 // soakFacts is what a differential run observed beyond its step counts;
-// soakChecks turns the facts the variant's features make meaningful into
-// verdict rows.
+// soakChecks turns them into verdict rows.
 type soakFacts struct {
 	// goldenDivergences counts the places phase B's recorded walks differ
 	// from phase A's.
@@ -198,35 +167,18 @@ type soakFacts struct {
 	// sessionsRecovered, replayRecords and walTruncations are the
 	// restarted lifetime's recovery counters.
 	sessionsRecovered, replayRecords, walTruncations float64
-	// digestsIdentical: the whole-database TopMaps digest of a distributed
-	// scan matched a single-thread local scan's. partitionsLost sums
-	// subdex_cluster_partitions_lost_total over phase B's lifetimes.
-	digestsIdentical bool
-	partitionsLost   float64
 }
 
-// soakChecks derives the soak's objectives from the features phase B
-// carried: the answers never move; a killed durable server must actually
-// have recovered by WAL replay with nothing to cut (a SIGKILL cannot tear a
-// write(2)); a healthy cluster must scan
-// digest-identically and lose nothing (so anytime degradation never
-// triggered).
-func soakChecks(kill, clustered bool, f soakFacts) []check {
+// soakChecks derives the soak's objectives: the answers never move, and a
+// killed durable server must actually have recovered by WAL replay with
+// nothing to cut (a SIGKILL cannot tear a write(2)).
+func soakChecks(kill bool, f soakFacts) []check {
 	checks := []check{atMost("golden_divergences", 0, float64(f.goldenDivergences))}
 	if kill {
 		checks = append(checks,
 			atLeast("sessions_recovered_min", 1, f.sessionsRecovered),
 			atLeast("wal_replay_records_min", 1, f.replayRecords),
 			atMost("wal_truncations", 0, f.walTruncations))
-	}
-	if clustered {
-		identical := 0.0
-		if f.digestsIdentical {
-			identical = 1
-		}
-		checks = append(checks,
-			atLeast("digests_identical", 1, identical),
-			atMost("partitions_lost", 0, f.partitionsLost))
 	}
 	return checks
 }
@@ -241,10 +193,8 @@ func runSoak(ctx context.Context, o options) error {
 	case o.faultEvery > 0 || o.stepTimeout > 0:
 		// Degraded and fault-cut steps depend on wall-clock phase timing,
 		// which would make the two phases legitimately diverge — the soak
-		// proves recovery and distribution, not anytime behavior.
+		// proves recovery, not anytime behavior.
 		return usageError{"a soak requires deterministic steps; drop -fault-every and -step-timeout"}
-	case o.clusterSoak && o.clusterNodes < 1:
-		return usageError{"-cluster-nodes must be at least 1"}
 	}
 	ctx, cancel := context.WithCancel(ctx) // an early return stops phase B's walk
 	defer cancel()
@@ -256,15 +206,6 @@ func runSoak(ctx context.Context, o options) error {
 	if cfg.StepsPerUser <= 0 {
 		cfg.StepsPerUser = 8
 	}
-	var features []string
-	if o.soakKill {
-		features = append(features, "soak-kill")
-	}
-	if o.clusterSoak {
-		features = append(features, "cluster-soak")
-	}
-	mode := strings.Join(features, "+")
-
 	var kids []*child
 	defer func() {
 		for _, c := range kids {
@@ -289,7 +230,7 @@ func runSoak(ctx context.Context, o options) error {
 		return res, err
 	}
 
-	// Phase A: the plain server — no store, no workers.
+	// Phase A: the plain server, without a store.
 	fmt.Println("soak phase A: plain server")
 	a, err := start(childSpec{})
 	if err != nil {
@@ -301,25 +242,14 @@ func runSoak(ctx context.Context, o options) error {
 		return fmt.Errorf("phase A: %w", err)
 	}
 
-	// Phase B: the variant server.
-	var variant childSpec
-	if o.clusterSoak {
-		for i := 0; i < o.clusterNodes; i++ {
-			w, err := start(childSpec{Worker: true})
-			if err != nil {
-				return err
-			}
-			variant.Workers = append(variant.Workers, w.base)
+	// Phase B: the durable server, killed and restarted mid-walk.
+	variant := childSpec{SessionDir: o.sessionDir}
+	if variant.SessionDir == "" {
+		if variant.SessionDir, err = os.MkdirTemp("", "sdeload-soak-*"); err != nil {
+			return err
 		}
 	}
-	if o.soakKill {
-		if variant.SessionDir = o.sessionDir; variant.SessionDir == "" {
-			if variant.SessionDir, err = os.MkdirTemp("", "sdeload-soak-*"); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("soak phase B: %s server (session-dir %q, %d workers)\n", mode, variant.SessionDir, len(variant.Workers))
+	fmt.Printf("soak phase B: durable server (session-dir %q)\n", variant.SessionDir)
 	b, err := start(variant)
 	if err != nil {
 		return err
@@ -329,22 +259,18 @@ func runSoak(ctx context.Context, o options) error {
 		res, err := walk(c)
 		done <- outcome{res, err}
 	}(b)
-	var facts soakFacts
-	if o.soakKill {
-		killAt := max(int(o.killFrac*float64(cfg.Users*cfg.StepsPerUser)), 1)
-		preKill, err := awaitSteps(ctx, b.base, killAt, done)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("soak: SIGKILL after %.0f steps, restarting on %s\n", preKill.Sum("subdex_step_duration_seconds_count"), b.spec.Addr)
-		facts.partitionsLost = preKill.Sum("subdex_cluster_partitions_lost_total")
-		b.kill()
-		// Same address: the retrying clients reconnect to the recovered
-		// server without reconfiguration, exactly like a production
-		// restart behind a stable endpoint.
-		if b, err = start(b.spec); err != nil {
-			return err
-		}
+	killAt := max(int(o.killFrac*float64(cfg.Users*cfg.StepsPerUser)), 1)
+	preKill, err := awaitSteps(ctx, b.base, killAt, done)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("soak: SIGKILL after %.0f steps, restarting on %s\n", preKill.Sum("subdex_step_duration_seconds_count"), b.spec.Addr)
+	b.kill()
+	// Same address: the retrying clients reconnect to the recovered
+	// server without reconfiguration, exactly like a production restart
+	// behind a stable endpoint.
+	if b, err = start(b.spec); err != nil {
+		return err
 	}
 	out := <-done
 	if out.err != nil {
@@ -356,28 +282,15 @@ func runSoak(ctx context.Context, o options) error {
 		return fmt.Errorf("phase B scrape: %w", err)
 	}
 
-	facts.sessionsRecovered = final.Sum("subdex_sessions_recovered_total")
-	facts.replayRecords = final.Sum("subdex_wal_replay_records_total")
-	facts.walTruncations = final.Sum("subdex_wal_truncations_total")
-	facts.partitionsLost += final.Sum("subdex_cluster_partitions_lost_total")
-	if o.clusterSoak {
-		db, err := buildDataset(o.generate, o.scale, o.seed)
-		if err != nil {
-			return err
-		}
-		// A scan that cannot complete is a failed digests_identical row,
-		// not a run without a verdict.
-		if facts.digestsIdentical, err = clusterScanDigests(ctx, db, variant.Workers); err != nil {
-			fmt.Fprintln(os.Stderr, "sdeload: whole-database scan:", err)
-		}
+	facts := soakFacts{
+		sessionsRecovered: final.Sum("subdex_sessions_recovered_total"),
+		replayRecords:     final.Sum("subdex_wal_replay_records_total"),
+		walTruncations:    final.Sum("subdex_wal_truncations_total"),
 	}
-	if err := concludeSoak(o, mode, resA, out.res, facts); err != nil {
-		if variant.SessionDir != "" {
-			err = fmt.Errorf("%w (session-dir kept at %s)", err, variant.SessionDir)
-		}
-		return err
+	if err := concludeSoak(o, resA, out.res, facts); err != nil {
+		return fmt.Errorf("%w (session-dir kept at %s)", err, variant.SessionDir)
 	}
-	if o.soakKill && o.sessionDir == "" {
+	if o.sessionDir == "" {
 		os.RemoveAll(variant.SessionDir) // temp dir, and every check passed
 	}
 	return nil
@@ -386,14 +299,14 @@ func runSoak(ctx context.Context, o options) error {
 // concludeSoak byte-compares the two phases' golden traces and closes the
 // run on the verdict: phase B's counts, the -slo-* objectives, and the
 // rows soakChecks derives.
-func concludeSoak(o options, mode string, resA, resB *workload.Result, facts soakFacts) error {
+func concludeSoak(o options, resA, resB *workload.Result, facts soakFacts) error {
 	divergences := workload.DiffRuns(resA, resB)
 	for _, d := range divergences[:min(len(divergences), 8)] {
 		fmt.Fprintln(os.Stderr, "golden divergence:", d)
 	}
 	facts.goldenDivergences = len(divergences)
-	rep := report(o, mode, resB)
-	rep.Checks = append(rep.Checks, soakChecks(o.soakKill, o.clusterSoak, facts)...)
+	rep := report(o, "soak-kill", resB)
+	rep.Checks = append(rep.Checks, soakChecks(o.soakKill, facts)...)
 	return finish(os.Stdout, o, rep, resB, nil)
 }
 
@@ -418,46 +331,4 @@ func awaitSteps(ctx context.Context, base string, want int, done <-chan outcome)
 			return s, nil
 		}
 	}
-}
-
-// clusterScanDigests scans the whole-database group — every candidate
-// key, PruneNone so the scan is complete — once locally and once across
-// the worker fleet, and reports whether the TopMaps digests agree.
-func clusterScanDigests(ctx context.Context, db *dataset.DB, workers []string) (bool, error) {
-	coord, err := cluster.NewCoordinator(ctx, db, cluster.CoordinatorConfig{Workers: workers, HealthInterval: -1})
-	if err != nil {
-		return false, err
-	}
-	defer coord.Close()
-	local, err := core.NewExplorer(db, core.DefaultConfig())
-	if err != nil {
-		return false, err
-	}
-	// The distributed explorer binds the engine fingerprint the workers
-	// check on every scan RPC.
-	distCfg := core.DefaultConfig()
-	distCfg.Scanner = coord
-	dist, err := core.NewExplorer(db, distCfg)
-	if err != nil {
-		return false, err
-	}
-	group, err := local.Query.Materialize(query.Description{})
-	if err != nil {
-		return false, err
-	}
-	keys := local.Gen.Candidates(local.Query, query.Description{})
-	cfg := engine.DefaultConfig()
-	cfg.Pruning = engine.PruneNone
-	var digests [2]string
-	for i, ex := range []*core.Explorer{local, dist} {
-		res, err := ex.Gen.TopMapsCtx(ctx, group, keys, ratingmap.NewSeenSet(), 6, cfg)
-		if err != nil {
-			return false, err
-		}
-		if res.Degraded {
-			return false, errors.New("whole-database scan degraded")
-		}
-		digests[i] = ratingmap.DigestMaps(res.Maps)
-	}
-	return digests[0] == digests[1], nil
 }

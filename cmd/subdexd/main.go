@@ -43,11 +43,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"subdex"
-	"subdex/internal/cluster"
 	"subdex/internal/daemon"
 	"subdex/internal/server"
 )
@@ -75,15 +73,6 @@ func main() {
 			"directory for flight-recorder dumps on 5xx responses and degraded steps; the live ring is always served at /debug/flightrecorder (empty = dumps disabled)")
 		sessionDir = flag.String("session-dir", "",
 			"directory for the durable session store (write-ahead log + snapshots); on boot every stored session is replayed through the engine and resumed exactly, and idle sessions are shed here instead of destroyed (empty = sessions are process-lifetime only)")
-
-		clusterWorkers = flag.String("cluster-workers", "",
-			"comma-separated subdexworker base URLs; when set, engine scans are partitioned across the workers and merged deterministically (bit-identical to single-node), with lost partitions degrading to anytime results")
-		clusterPartitions = flag.Int("cluster-partitions", 0,
-			"scan partitions per cluster scan (0 = one per worker)")
-		clusterTimeout = flag.Duration("cluster-timeout", 0,
-			"per-partition worker RPC deadline (0 = coordinator default)")
-		clusterRetries = flag.Int("cluster-retries", 0,
-			"retry attempts per partition on other workers (0 = coordinator default: workers-1)")
 	)
 	flag.Parse()
 
@@ -96,15 +85,8 @@ func main() {
 	cfg.K, cfg.O, cfg.L = *k, *o, *l
 	cfg.StepTimeout = *stepTimeout
 
-	var workers []string
-	if *clusterWorkers != "" {
-		workers = strings.Split(*clusterWorkers, ",")
-		for i := range workers {
-			workers[i] = strings.TrimSpace(workers[i])
-		}
-	}
-	// One constructor wires the store, the coordinator and the server
-	// onto a single registry (internal/daemon.NewServer).
+	// One constructor opens the store and builds the server over it
+	// (internal/daemon.NewServer).
 	srv, err := daemon.NewServer(context.Background(), db, daemon.ServerConfig{
 		Core: cfg,
 		Options: server.Options{
@@ -113,12 +95,6 @@ func main() {
 			FlightDir:   *flightDir,
 		},
 		SessionDir: *sessionDir,
-		Cluster: cluster.CoordinatorConfig{
-			Workers:          workers,
-			Partitions:       *clusterPartitions,
-			PartitionTimeout: *clusterTimeout,
-			Retries:          *clusterRetries,
-		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subdexd:", err)
@@ -131,9 +107,6 @@ func main() {
 			fmt.Printf(" (corrupt tail truncated at byte %d: %s)", rec.TruncatedAt, rec.Reason)
 		}
 		fmt.Println()
-	}
-	if len(workers) > 0 {
-		fmt.Printf("subdexd: distributed scans across %d workers\n", len(workers))
 	}
 	s := db.Stats()
 	fmt.Printf("subdexd: serving %s (%d reviewers, %d items, %d ratings) on %s\n",

@@ -9,6 +9,7 @@ import (
 	"subdex/internal/dataset"
 	"subdex/internal/engine"
 	"subdex/internal/gen"
+	"subdex/internal/obs"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
@@ -255,7 +256,8 @@ func TestDifferentialExplorerEndToEnd(t *testing.T) {
 }
 
 // TestScanRangeGuards pins the hard-error surface: unbound fingerprint
-// and out-of-range scans fail, they never degrade.
+// and out-of-range scans fail, they never degrade. A scan past the guards
+// records one cluster.scanrange span over its records.
 func TestScanRangeGuards(t *testing.T) {
 	db := buildDB(t, gen.Demo, gen.Config{Seed: 1, Scale: 1})
 	group, keys := allKeys(t, db)
@@ -270,6 +272,13 @@ func TestScanRangeGuards(t *testing.T) {
 	}
 	if _, err := coord.ScanRange(context.Background(), group, keys, -1, 0); err == nil {
 		t.Fatal("negative lo accepted")
+	}
+	spans := obs.NewRingSink(2)
+	if _, err := coord.ScanRange(obs.WithSink(context.Background(), spans), group, keys, 0, len(group.Records)); err != nil {
+		t.Fatal(err)
+	}
+	if got := spans.Snapshot("", 0); len(got) != 1 || got[0].Name != "cluster.scanrange" || got[0].Attrs["records"] != len(group.Records) {
+		t.Fatalf("a scan of %d records recorded %+v, want one cluster.scanrange span over them", len(group.Records), got)
 	}
 }
 

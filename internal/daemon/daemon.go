@@ -26,7 +26,7 @@ func LoadDataset(data, generate string, scale float64, seed int64) (*dataset.DB,
 	case data != "":
 		kinds := map[string]dataset.Kind{
 			"genre": dataset.MultiValued, "cuisine": dataset.MultiValued,
-			"amenity": dataset.MultiValued,
+			"amenity": dataset.MultiValued, "roast": dataset.MultiValued,
 		}
 		return dataset.LoadDir(data, "loaded", kinds)
 	case generate != "":

@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"subdex/internal/cluster"
 	"subdex/internal/core"
 	"subdex/internal/dataset"
 	"subdex/internal/obs"
@@ -123,37 +122,60 @@ func TestLoadDataset(t *testing.T) {
 	}
 }
 
-// fullConfig is the fullest server NewServer builds — durable, and scanning
-// every group, however small, through a coordinator — over the demo dataset
-// and one in-process worker with a registry of its own. It returns the
-// worker and its registry too.
-func fullConfig(t *testing.T) (*dataset.DB, ServerConfig, *httptest.Server, *obs.Registry) {
+// TestLoadDatasetRoundTrip writes every generated dataset with
+// dataset.SaveDir, as datagen does, and loads it back through -data: each
+// attribute must come back with the kind and the value cardinality it was
+// generated with. A multi-valued attribute LoadDataset does not declare
+// loads as an atomic one whose values are the joined sets.
+func TestLoadDatasetRoundTrip(t *testing.T) {
+	for _, name := range []string{"demo", "movielens", "yelp", "hotels"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := LoadDataset("", name, 0.01, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := dataset.SaveDir(want, dir); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadDataset(dir, "", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, side := range [][2]*dataset.EntityTable{{want.Reviewers, got.Reviewers}, {want.Items, got.Items}} {
+				w, g := side[0], side[1]
+				for a := 0; a < w.Schema.Len(); a++ {
+					attr := w.Schema.At(a)
+					if ga := g.Schema.At(a); ga != attr {
+						t.Errorf("%s.%s: loaded as %+v, generated as %+v", w.Name, attr.Name, ga, attr)
+					}
+					if wc, gc := w.ValueCardinality(a), g.ValueCardinality(a); gc != wc {
+						t.Errorf("%s.%s: loaded with %d values, generated with %d", w.Name, attr.Name, gc, wc)
+					}
+				}
+			}
+		})
+	}
+}
+
+// fullConfig is the fullest server NewServer builds — durable — over the
+// demo dataset.
+func fullConfig(t *testing.T) (*dataset.DB, ServerConfig) {
 	t.Helper()
 	db, err := LoadDataset("", "demo", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := core.NewExplorer(db, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wreg := obs.NewRegistry()
-	worker := httptest.NewServer(cluster.NewWorker(ex, cluster.WorkerOptions{Registry: wreg}).Handler())
-	t.Cleanup(worker.Close)
-	return db, ServerConfig{
-		Core:       core.DefaultConfig(),
-		SessionDir: t.TempDir(),
-		Cluster:    cluster.CoordinatorConfig{Workers: []string{worker.URL}, HealthInterval: -1, LocalThreshold: -1},
-	}, worker, wreg
+	return db, ServerConfig{Core: core.DefaultConfig(), SessionDir: t.TempDir()}
 }
 
-// TestNewServerWiring drives the one constructor through both optional
-// parts: a session created on a durable, coordinator-backed server is
-// recovered by the next server over the same directory, and one /metrics
-// scrape covers the HTTP surface, the WAL and the coordinator.
+// TestNewServerWiring drives the one constructor through its store: a
+// session created on a durable server is recovered by the next server
+// over the same directory, and one /metrics scrape covers the HTTP
+// surface and the WAL.
 func TestNewServerWiring(t *testing.T) {
 	ctx := context.Background()
-	db, cfg, _, _ := fullConfig(t)
+	db, cfg := fullConfig(t)
 
 	first, err := NewServer(ctx, db, cfg)
 	if err != nil {
@@ -166,7 +188,7 @@ func TestNewServerWiring(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp, err = http.Get(ts.URL + "/sessions/1/step"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("step through the coordinator: %v %v", err, resp)
+		t.Fatalf("step: %v %v", err, resp)
 	}
 	resp.Body.Close()
 	ts.Close()
@@ -184,7 +206,7 @@ func TestNewServerWiring(t *testing.T) {
 	if err := second.Registry().WritePrometheus(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"subdex_sessions_recovered_total 1", "subdex_wal_replay_records_total 2", "subdex_cluster_workers_healthy 1"} {
+	for _, want := range []string{"subdex_sessions_recovered_total 1", "subdex_wal_replay_records_total 2"} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
@@ -196,11 +218,11 @@ func TestNewServerWiring(t *testing.T) {
 // snake_case, a counter ends in _total, a histogram in _seconds (obs has
 // one bucket layout, and it spans latencies), and a gauge — not monotone —
 // never in _total. It reads the # TYPE lines of what the fullest server
-// and its worker serve at /metrics after one step; instruments are
-// resolved in constructors (subdexvet's obsmetrics keeps them there), so
-// that is all of them.
+// serves at /metrics after one step; instruments are resolved in
+// constructors (subdexvet's obsmetrics keeps them there), so that is all
+// of them.
 func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
-	db, cfg, worker, _ := fullConfig(t)
+	db, cfg := fullConfig(t)
 	srv, err := NewServer(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,44 +241,42 @@ func TestMetricNamesSayWhatTheyMeasure(t *testing.T) {
 	resp.Body.Close()
 
 	name := regexp.MustCompile(`^subdex_[a-z0-9_]+$`)
-	for _, url := range []string{ts.URL, worker.URL} {
-		seen := 0
-		resp, err := http.Get(url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range strings.Split(string(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
 		}
-		text, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		seen++
+		metric, kind := f[2], f[3]
+		total := strings.HasSuffix(metric, "_total")
+		switch {
+		case !name.MatchString(metric):
+			t.Errorf("%s %q is not of the form subdex_[a-z0-9_]+", kind, metric)
+		case kind == "counter" && !total:
+			t.Errorf("counter %q must end in _total", metric)
+		case kind == "gauge" && total:
+			t.Errorf("gauge %q must not end in _total: a gauge is not monotone", metric)
+		case kind == "histogram" && !strings.HasSuffix(metric, "_seconds"):
+			t.Errorf("histogram %q must end in _seconds: the one bucket layout spans latencies", metric)
 		}
-		for _, line := range strings.Split(string(text), "\n") {
-			f := strings.Fields(line)
-			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
-				continue
-			}
-			seen++
-			metric, kind := f[2], f[3]
-			total := strings.HasSuffix(metric, "_total")
-			switch {
-			case !name.MatchString(metric):
-				t.Errorf("%s %q is not of the form subdex_[a-z0-9_]+", kind, metric)
-			case kind == "counter" && !total:
-				t.Errorf("counter %q must end in _total", metric)
-			case kind == "gauge" && total:
-				t.Errorf("gauge %q must not end in _total: a gauge is not monotone", metric)
-			case kind == "histogram" && !strings.HasSuffix(metric, "_seconds"):
-				t.Errorf("histogram %q must end in _seconds: the one bucket layout spans latencies", metric)
-			}
-		}
-		if seen == 0 {
-			t.Errorf("%s/metrics has no # TYPE line: nothing was checked", url)
-		}
+	}
+	if seen == 0 {
+		t.Error("/metrics has no # TYPE line: nothing was checked")
 	}
 }
 
 // censusRow is one row of README "Signals": a metric family the fullest
-// server or its worker serves at /metrics, a span name, or a flight-dump
+// server serves at /metrics, a span name, or a flight-dump
 // reason, and what moves it. typ is a metric's # TYPE (counter, gauge or
 // histogram). by names a step of censusSteps, which the census runs and
 // watches the signal move in, or "pkg.TestName", a test elsewhere that
@@ -339,16 +359,6 @@ var censusSteps = []censusStep{
 		r.want(http.StatusOK, http.MethodPost, fmt.Sprintf("/sessions/%d/apply", r.walk), `{"recommendation":1}`)
 		r.want(http.StatusOK, http.MethodGet, step, "")
 	}},
-	{"bad scan frame", func(r *censusRig) {
-		resp, err := http.Post(r.worker.URL+"/cluster/scan", "application/json", strings.NewReader("{"))
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			r.t.Fatalf("worker answered a torn frame with %d, want 400", resp.StatusCode)
-		}
-	}},
 	{"shed and restore", func(r *censusRig) {
 		r.boot(func(c *ServerConfig) { c.Options.SessionTTL = time.Nanosecond })
 		time.Sleep(time.Millisecond)
@@ -384,23 +394,19 @@ var censusSteps = []censusStep{
 	}},
 	{"another engine configuration", func(r *censusRig) {
 		// k = 2 changes the engine fingerprint: no stored session replays,
-		// at boot or on request, and the worker refuses every scan, so a new
-		// session's step loses its only partition.
+		// at boot or on request.
 		r.boot(func(c *ServerConfig) { c.Core.K = 2 })
 		r.want(http.StatusInternalServerError, http.MethodGet, fmt.Sprintf("/sessions/%d/step", r.walk), "")
-		r.want(http.StatusInternalServerError, http.MethodGet, fmt.Sprintf("/sessions/%d/step", r.create("ud")), "")
 	}},
 }
 
 // censusRig is the fullest server, rebooted over one session directory
-// by the steps that need another configuration, and its worker.
+// by the steps that need another configuration.
 type censusRig struct {
 	t      *testing.T
 	db     *dataset.DB
 	cfg    ServerConfig // as fullConfig built it; boot applies each step's change to a copy
-	worker *httptest.Server
-	wreg   *obs.Registry
-	flight string // one dump directory per boot under it: dump names restart at 001
+	flight string       // one dump directory per boot under it: dump names restart at 001
 
 	srv      *Server
 	ts       *httptest.Server
@@ -477,18 +483,18 @@ func (r *censusRig) create(mode string) int {
 }
 
 // reading is what the census reads off the rig between steps: each metric
-// family's value on the server and on the worker (a histogram's is its
-// _count; a family's series are summed), the span names under the running
-// step's trace, and how many dumps each reason has on disk.
+// family's value on the server (a histogram's is its _count; a family's
+// series are summed), the span names under the running step's trace, and
+// how many dumps each reason has on disk.
 type reading struct {
-	server, worker map[string]float64
-	spans          map[string]bool
-	dumps          map[string]int
+	server map[string]float64
+	spans  map[string]bool
+	dumps  map[string]int
 }
 
 func (r *censusRig) read() reading {
 	r.t.Helper()
-	rd := reading{worker: r.scrape(r.wreg), spans: map[string]bool{}, dumps: map[string]int{}}
+	rd := reading{spans: map[string]bool{}, dumps: map[string]int{}}
 	if r.srv == nil {
 		return rd
 	}
@@ -562,11 +568,9 @@ func (r *censusRig) scrape(reg *obs.Registry) map[string]float64 {
 // moved lists the signals whose reading differs between before and after.
 func moved(before, after reading) map[censusRow]bool {
 	out := map[censusRow]bool{}
-	for _, m := range [][2]map[string]float64{{before.server, after.server}, {before.worker, after.worker}} {
-		for name, v := range m[1] {
-			if v != m[0][name] {
-				out[censusRow{kind: kindMetric, name: name}] = true
-			}
+	for name, v := range after.server {
+		if v != before.server[name] {
+			out[censusRow{kind: kindMetric, name: name}] = true
 		}
 	}
 	for name := range after.spans {
@@ -584,17 +588,17 @@ func moved(before, after reading) map[censusRow]bool {
 
 // TestSignalCensus holds every signal to a test that moves it, the way
 // TestKnobCensus holds every knob to who sets it; the rows are README
-// "Signals". It drives censusSteps against the fullest server and its
-// worker and reads, after each step, what moved. A row naming a step
-// fails unless that step moved its signal; one naming a test elsewhere
-// fails unless that test exists and names the signal; a metric row fails
-// unless its kind is the # TYPE /metrics serves. A signal served without
-// a row fails — a metric family on either /metrics, a span name or a
-// flight-dump reason written as a literal in non-test code under
-// internal/ or cmd/ — and so does a row whose signal is gone.
+// "Signals". It drives censusSteps against the fullest server and reads,
+// after each step, what moved. A row naming a step fails unless that step
+// moved its signal; one naming a test elsewhere fails unless that test
+// exists and names the signal; a metric row fails unless its kind is the
+// # TYPE /metrics serves. A signal served without a row fails — a metric
+// family on /metrics, a span name or a flight-dump reason written as a
+// literal in non-test code under internal/ or cmd/ — and so does a row
+// whose signal is gone.
 func TestSignalCensus(t *testing.T) {
-	db, cfg, worker, wreg := fullConfig(t)
-	r := &censusRig{t: t, db: db, cfg: cfg, worker: worker, wreg: wreg, flight: t.TempDir(), types: map[string]string{}}
+	db, cfg := fullConfig(t)
+	r := &censusRig{t: t, db: db, cfg: cfg, flight: t.TempDir(), types: map[string]string{}}
 	defer r.stop()
 
 	served := emittedSignals(t)
@@ -609,10 +613,8 @@ func TestSignalCensus(t *testing.T) {
 		}
 		after := r.read()
 		movedIn[st.name] = moved(before, after)
-		for _, m := range []map[string]float64{after.server, after.worker} {
-			for name := range m {
-				served[censusRow{kind: kindMetric, name: name}] = true
-			}
+		for name := range after.server {
+			served[censusRow{kind: kindMetric, name: name}] = true
 		}
 	}
 

@@ -55,11 +55,6 @@ type Options struct {
 	// Empty keeps the ring recording and served at /debug/flightrecorder
 	// but writes nothing to disk.
 	FlightDir string
-	// Registry, when non-nil, receives the server's instruments instead
-	// of a private registry — subdexd shares one registry between the
-	// server and the cluster coordinator so a single /metrics scrape
-	// covers both.
-	Registry *obs.Registry
 	// Store makes sessions durable: every committed operation is logged
 	// to it before the response is sent, idle sessions are shed to it
 	// (and transparently restored on their next request) instead of
@@ -100,8 +95,8 @@ type Server struct {
 
 // NewWithOptionsCtx builds a server over a frozen database: the explorer,
 // its session table and the observability surface. The server instruments
-// the explorer with opts.Registry, or with a registry of its own (exposed
-// at /metrics and via Registry). The zero Options has no admission limits.
+// the explorer with a registry of its own (exposed at /metrics and via
+// Registry). The zero Options has no admission limits.
 // When opts.SessionTTL > 0 a janitor goroutine sweeps idle sessions; stop
 // it with Close. ctx bounds the boot-time session recovery a durable Store
 // triggers (every stored session is replayed through the engine before the
@@ -111,10 +106,7 @@ func NewWithOptionsCtx(ctx context.Context, db *dataset.DB, cfg core.Config, opt
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	ex.Instrument(reg)
 	now := opts.clock
 	if now == nil {
