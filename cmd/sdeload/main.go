@@ -1,13 +1,13 @@
 // Command sdeload is the serving-layer load and soak generator: it ramps
 // a population of seeded simulated explorers (internal/workload) against
-// an in-process explorer, a self-hosted HTTP server, or a remote -target,
-// asserts objectives over what the population saw, and writes one
+// a server it self-hosts over loopback HTTP, or a remote -target, asserts
+// objectives over what the population saw, and writes one
 // machine-readable verdict. It asserts and nothing else: throughput,
 // latency and what the WAL costs are bench/'s to measure (see
 // bench/README.md).
 //
 //	sdeload -generate demo -users 32 -steps 8
-//	sdeload -generate yelp -scale 0.05 -mode http -users 64 -duration 30s -ramp 5s
+//	sdeload -generate yelp -scale 0.05 -users 64 -duration 30s -ramp 5s
 //	sdeload -target http://localhost:8080 -users 16 -duration 1m -think 200ms
 //	sdeload -generate demo -users 8 -step-timeout 5ms -fault-every 3 -fault-delay 10ms
 //	sdeload -soak-kill -generate yelp -scale 0.5 -seed 7 -users 4 -steps 5
@@ -44,11 +44,10 @@ import (
 
 func main() {
 	childMain()
-	var o options
+	o := options{exemplars: 5, killFrac: 0.5}
 	flag.StringVar(&o.generate, "generate", "demo", "dataset to generate: demo | movielens | yelp | hotels")
 	flag.Float64Var(&o.scale, "scale", 1.0, "dataset scale for -generate")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for generation and user decision streams")
-	flag.StringVar(&o.mode, "mode", "inproc", "driving mode: inproc | http")
 	flag.StringVar(&o.target, "target", "", "load an external server at this base URL instead of self-hosting")
 
 	flag.IntVar(&o.users, "users", 8, "concurrent simulated users")
@@ -68,13 +67,10 @@ func main() {
 	flag.IntVar(&o.sloMinSteps, "slo-min-steps", 1, "fail if the population executed fewer total steps than this")
 
 	flag.StringVar(&o.benchout, "benchout", "sdeload_verdict.json", "output path for the verdict ('' disables)")
-	flag.StringVar(&o.flightDir, "flight-dir", "", "directory for a flight-recorder dump when a check fails ('' disables; -mode inproc and http only)")
-	flag.IntVar(&o.exemplars, "exemplars", 5, "record the K slowest steps' trace IDs and EXPLAIN profiles as exemplars (0 disables)")
+	flag.StringVar(&o.flightDir, "flight-dir", "", "directory for the self-hosted server's flight-recorder dump when a check fails ('' disables)")
 
 	flag.BoolVar(&o.soakKill, "soak-kill", false,
-		"differential soak: the variant server keeps a durable session store, is SIGKILLed at -kill-frac of the step budget and restarted on the same address and store")
-	flag.Float64Var(&o.killFrac, "kill-frac", 0.5, "fraction of the population step budget after which -soak-kill fires the SIGKILL")
-	flag.StringVar(&o.sessionDir, "session-dir", "", "session store directory for -soak-kill (default: a temp dir, removed on pass, kept on failure)")
+		"differential soak: the variant server keeps a durable session store, is SIGKILLed at half the step budget and restarted on the same address and store")
 	flag.Parse()
 
 	if err := run(context.Background(), o); err != nil {
@@ -93,12 +89,12 @@ type usageError struct{ msg string }
 
 func (e usageError) Error() string { return e.msg }
 
-// options carries the parsed flag set.
+// options carries the parsed flag set, and three settings only tests
+// move off main's defaults.
 type options struct {
 	generate    string
 	scale       float64
 	seed        int64
-	mode        string
 	target      string
 	users       int
 	steps       int
@@ -115,10 +111,16 @@ type options struct {
 	sloMinSteps int
 	benchout    string
 	flightDir   string
-	exemplars   int
+	soakKill    bool
 
-	soakKill   bool
-	killFrac   float64
+	// exemplars keeps the K slowest steps' trace IDs and EXPLAIN profiles
+	// in the verdict (0 disables).
+	exemplars int
+	// killFrac is the share of the population's step budget after which
+	// the soak SIGKILLs its durable server.
+	killFrac float64
+	// sessionDir is the soak's session store ("": a temp dir, removed on
+	// pass and kept on failure).
 	sessionDir string
 }
 
@@ -126,8 +128,8 @@ type options struct {
 // run was, what the population counted, and every asserted objective as
 // a row of checks — the process exit status is Pass.
 type verdict struct {
-	// Mode is inproc, http or target for a load run, and soak-kill for
-	// the differential soak.
+	// Mode is http (self-hosted) or target for a load run, and soak-kill
+	// for the differential soak.
 	Mode     string  `json:"mode"`
 	Dataset  string  `json:"dataset"`
 	Scale    float64 `json:"scale"`
@@ -187,65 +189,41 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 
-	var (
-		factory workload.ClientFactory
-		// flight is the recorder a failed check dumps: the server's in http
-		// mode (its ring holds the per-step wide events), a client-side one
-		// in inproc mode.
-		flight *obs.FlightRecorder
-		mode   = o.mode
-	)
-	switch {
-	case o.target != "":
+	base, mode := o.target, "target"
+	var flight *obs.FlightRecorder // the recorder a failed check dumps
+	if o.target != "" {
 		if o.faultEvery > 0 || o.stepTimeout > 0 {
 			return usageError{"-fault-every/-step-timeout configure a self-hosted engine and cannot apply to an external -target"}
 		}
 		if o.flightDir != "" {
-			return usageError{"-flight-dir dumps a self-hosted engine's flight recorder and cannot apply to an external -target"}
+			return usageError{"-flight-dir dumps a self-hosted server's flight recorder and cannot apply to an external -target"}
 		}
-		mode = "target"
-		factory = workload.HTTPFactory(o.target, nil, cfg.Mode, "")
-	case o.mode != "inproc" && o.mode != "http":
-		return usageError{fmt.Sprintf("unknown -mode %q (want inproc or http)", o.mode)}
-	default:
+	} else {
 		db, err := buildDataset(o.generate, o.scale, o.seed)
 		if err != nil {
 			return err
 		}
-		if o.mode == "inproc" {
-			ex, err := core.NewExplorer(db, engineConfig(o))
-			if err != nil {
-				return err
-			}
-			if o.flightDir != "" {
-				flight = obs.NewFlightRecorder(obs.FlightOptions{Dir: o.flightDir, Name: "sdeload"})
-				cfg.Flight = flight
-			}
-			factory = workload.InprocFactory(ex, cfg.Mode, "")
-		} else {
-			srv, err := daemon.NewServer(ctx, db, daemon.ServerConfig{
-				Core:    engineConfig(o),
-				Options: server.Options{FlightDir: o.flightDir},
-			})
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			flight = srv.Flight()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			hs := &http.Server{Handler: srv.Handler()}
-			go func() { _ = hs.Serve(ln) }() // ends at hs.Close
-			defer hs.Close()
-			base := "http://" + ln.Addr().String()
-			fmt.Printf("serving %s on %s\n", db.Name, base)
-			factory = workload.HTTPFactory(base, nil, cfg.Mode, "")
+		srv, err := daemon.NewServer(ctx, db, daemon.ServerConfig{
+			Core:    engineConfig(o),
+			Options: server.Options{FlightDir: o.flightDir},
+		})
+		if err != nil {
+			return err
 		}
+		defer srv.Close()
+		flight = srv.Flight()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go func() { _ = hs.Serve(ln) }() // ends at hs.Close
+		defer hs.Close()
+		base, mode = "http://"+ln.Addr().String(), "http"
+		fmt.Printf("serving %s on %s\n", db.Name, base)
 	}
 
-	res, err := workload.Run(ctx, cfg, factory)
+	res, err := workload.Run(ctx, cfg, workload.HTTPFactory(base, nil, cfg.Mode, ""))
 	if err != nil {
 		return err
 	}

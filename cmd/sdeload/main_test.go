@@ -104,8 +104,8 @@ func TestFaultHook(t *testing.T) {
 }
 
 // TestRunFaultEveryInjects drives run() end to end with the fault
-// injector on: the hook must reach the engine the run hosts, in both
-// self-hosted modes, and show up as wall time and as degraded steps.
+// injector on: the hook must reach the engine of the server the run
+// hosts, and show up as wall time and as degraded steps.
 func TestRunFaultEveryInjects(t *testing.T) {
 	const delay = 30 * time.Millisecond
 	runReport := func(t *testing.T, o options) verdict {
@@ -119,24 +119,22 @@ func TestRunFaultEveryInjects(t *testing.T) {
 		}
 		return readVerdict(t, o.benchout)
 	}
-	for _, mode := range []string{"inproc", "http"} {
-		t.Run(mode, func(t *testing.T) {
-			// User-Driven steps are one engine call each, so a stall on
-			// every phase entry is a floor of one delay per step.
-			rep := runReport(t, options{mode: mode, sessionMode: "ud", faultEvery: 1})
-			if min := float64(rep.Steps) * delay.Seconds(); rep.Steps != 3 || rep.WallSecs < min {
-				t.Errorf("%d steps in %.3fs: every step should have stalled %v", rep.Steps, rep.WallSecs, delay)
-			}
-			// Every second phase entry: the step's own scan runs, the first
-			// candidate of its recommendation pass stalls past the deadline,
-			// and the step degrades instead of failing.
-			rep = runReport(t, options{mode: mode, sessionMode: "rp", faultEvery: 2,
-				stepTimeout: 5 * time.Millisecond})
-			if rep.Degraded == 0 {
-				t.Errorf("no degraded step under a 5ms deadline and %v stalls: %+v", delay, rep)
-			}
-		})
-	}
+	// The run self-hosts over HTTP, its only mode.
+	t.Run("http", func(t *testing.T) {
+		// User-Driven steps are one engine call each, so a stall on every
+		// phase entry is a floor of one delay per step.
+		rep := runReport(t, options{sessionMode: "ud", faultEvery: 1})
+		if min := float64(rep.Steps) * delay.Seconds(); rep.Steps != 3 || rep.WallSecs < min {
+			t.Errorf("%d steps in %.3fs: every step should have stalled %v", rep.Steps, rep.WallSecs, delay)
+		}
+		// Every second phase entry: the step's own scan runs, the first
+		// candidate of its recommendation pass stalls past the deadline,
+		// and the step degrades instead of failing.
+		rep = runReport(t, options{sessionMode: "rp", faultEvery: 2, stepTimeout: 5 * time.Millisecond})
+		if rep.Degraded == 0 {
+			t.Errorf("no degraded step under a 5ms deadline and %v stalls: %+v", delay, rep)
+		}
+	})
 }
 
 func TestReportRates(t *testing.T) {
@@ -156,13 +154,14 @@ func TestReportRates(t *testing.T) {
 }
 
 // TestRunSLOBreachDumpsFlightRecorder induces an SLO breach end to end
-// and requires exactly one rate-limited flight-recorder dump under
-// -flight-dir, wide events with trace IDs inside it, and a verdict
-// carrying exemplars that resolve the slowest steps.
+// and requires exactly one rate-limited dump of the self-hosted server's
+// flight recorder under -flight-dir, the steps' wide events with trace
+// IDs inside it, and a verdict carrying exemplars that resolve the
+// slowest steps.
 func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
-		generate: "demo", scale: 1, seed: 1, mode: "inproc", sessionMode: "rp",
+		generate: "demo", scale: 1, seed: 1, sessionMode: "rp",
 		users: 2, steps: 3,
 		sloErrRate: -1, sloDegRate: -1,
 		sloMinSteps: 1 << 30, // unreachable: a guaranteed breach
@@ -179,8 +178,8 @@ func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dumps) != 1 {
-		t.Fatalf("expected exactly one flight-recorder dump, got %v", dumps)
+	if len(dumps) != 1 || filepath.Base(dumps[0]) != "server-001-slo_breach.jsonl" {
+		t.Fatalf("expected exactly the server's slo_breach dump, got %v", dumps)
 	}
 	raw, err := os.ReadFile(dumps[0])
 	if err != nil {
@@ -193,12 +192,14 @@ func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 	if !strings.Contains(lines[0], `"slo_breach"`) {
 		t.Fatalf("dump header missing reason: %s", lines[0])
 	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatalf("dump event not JSON: %v", err)
-	}
-	if tid, _ := ev["trace_id"].(string); tid == "" {
-		t.Fatalf("dump event carries no trace_id: %s", lines[1])
+	dumped := map[string]bool{}
+	for _, line := range lines[1:] {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("dump event not JSON: %v", err)
+		}
+		tid, _ := ev["trace_id"].(string)
+		dumped[tid] = true
 	}
 
 	rep := readVerdict(t, o.benchout)
@@ -208,6 +209,11 @@ func TestRunSLOBreachDumpsFlightRecorder(t *testing.T) {
 	for _, e := range rep.Exemplars {
 		if e.TraceID == "" || e.Profile == nil {
 			t.Fatalf("exemplar missing trace ID or profile: %+v", e)
+		}
+		// The client derives each step's trace ID and the server's wide
+		// event carries it: an exemplar resolves against the dump.
+		if !dumped[e.TraceID] {
+			t.Errorf("exemplar trace %s has no wide event in the dump", e.TraceID)
 		}
 	}
 	if rep.FlightDump != dumps[0] {
@@ -260,8 +266,8 @@ func TestSoakProduct(t *testing.T) {
 	}
 }
 
-// TestSoakChecksByVariant pins which objectives each variant asserts, and
-// that each one fails on the fact that breaks its property.
+// TestSoakChecksByVariant pins which objectives the kill soak asserts,
+// and that each one fails on the fact that breaks its property.
 func TestSoakChecksByVariant(t *testing.T) {
 	healthy := soakFacts{sessionsRecovered: 2, replayRecords: 9}
 	names := func(cs []check) string {
@@ -274,16 +280,9 @@ func TestSoakChecksByVariant(t *testing.T) {
 		}
 		return strings.Join(out, " ")
 	}
-	for _, tc := range []struct {
-		kill bool
-		want string
-	}{
-		{false, "golden_divergences"},
-		{true, "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations"},
-	} {
-		if got := names(soakChecks(tc.kill, healthy)); got != tc.want {
-			t.Errorf("kill=%v asserts %q, want %q", tc.kill, got, tc.want)
-		}
+	want := "golden_divergences sessions_recovered_min wal_replay_records_min wal_truncations"
+	if got := names(soakChecks(healthy)); got != want {
+		t.Errorf("the soak asserts %q, want %q", got, want)
 	}
 	for name, broken := range map[string]soakFacts{
 		"golden_divergences":     {goldenDivergences: 1, sessionsRecovered: 2, replayRecords: 9},
@@ -291,7 +290,7 @@ func TestSoakChecksByVariant(t *testing.T) {
 		"wal_replay_records_min": {sessionsRecovered: 2},
 		"wal_truncations":        {sessionsRecovered: 2, replayRecords: 9, walTruncations: 1},
 	} {
-		for _, c := range soakChecks(true, broken) {
+		for _, c := range soakChecks(broken) {
 			if c.Pass != (c.Name != name) {
 				t.Errorf("facts breaking %s: row %+v", name, c)
 			}
@@ -362,8 +361,7 @@ func TestVerdictGolden(t *testing.T) {
 		sloMinSteps: 20, sloErrRate: 0.1, sloDegRate: -1, soakKill: true,
 		benchout: filepath.Join(t.TempDir(), "verdict.json")}
 	rep := report(o, "soak-kill", res)
-	rep.Checks = append(rep.Checks, soakChecks(true,
-		soakFacts{sessionsRecovered: 4, replayRecords: 31})...)
+	rep.Checks = append(rep.Checks, soakChecks(soakFacts{sessionsRecovered: 4, replayRecords: 31})...)
 	rep.FlightDump = "flightrec/sdeload-001-slo_breach.jsonl"
 	rep.Version, rep.Commit, rep.GoVersion = "v0.0.0-test", "0123abc", "go1.x"
 	if err := finish(&bytes.Buffer{}, o, rep, res, nil); err != nil {

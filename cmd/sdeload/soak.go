@@ -2,7 +2,7 @@
 // child processes and runs the same seeded population twice. Phase A
 // drives a plain child server, whose golden traces are the ground truth.
 // Phase B drives a child server with a durable session store; it is
-// SIGKILLed at -kill-frac of the step budget and restarted on the same
+// SIGKILLed at half the step budget and restarted on the same
 // address and store, and the retrying clients ride the outage. This
 // exercises the exactly-once chain — log-before-respond on the server,
 // op-id dedup on retry, deterministic WAL replay on boot. Both children
@@ -172,15 +172,13 @@ type soakFacts struct {
 // soakChecks derives the soak's objectives: the answers never move, and a
 // killed durable server must actually have recovered by WAL replay with
 // nothing to cut (a SIGKILL cannot tear a write(2)).
-func soakChecks(kill bool, f soakFacts) []check {
-	checks := []check{atMost("golden_divergences", 0, float64(f.goldenDivergences))}
-	if kill {
-		checks = append(checks,
-			atLeast("sessions_recovered_min", 1, f.sessionsRecovered),
-			atLeast("wal_replay_records_min", 1, f.replayRecords),
-			atMost("wal_truncations", 0, f.walTruncations))
+func soakChecks(f soakFacts) []check {
+	return []check{
+		atMost("golden_divergences", 0, float64(f.goldenDivergences)),
+		atLeast("sessions_recovered_min", 1, f.sessionsRecovered),
+		atLeast("wal_replay_records_min", 1, f.replayRecords),
+		atMost("wal_truncations", 0, f.walTruncations),
 	}
-	return checks
 }
 
 // runSoak orchestrates the two phases and the verdict.
@@ -249,7 +247,7 @@ func runSoak(ctx context.Context, o options) error {
 			return err
 		}
 	}
-	fmt.Printf("soak phase B: durable server (session-dir %q)\n", variant.SessionDir)
+	fmt.Printf("soak phase B: durable server (session store %q)\n", variant.SessionDir)
 	b, err := start(variant)
 	if err != nil {
 		return err
@@ -274,7 +272,7 @@ func runSoak(ctx context.Context, o options) error {
 	}
 	out := <-done
 	if out.err != nil {
-		return fmt.Errorf("phase B: %w (session-dir kept at %q)", out.err, variant.SessionDir)
+		return fmt.Errorf("phase B: %w (session store kept at %q)", out.err, variant.SessionDir)
 	}
 	final, err := workload.FetchMetrics(ctx, nil, b.base+"/metrics")
 	b.kill()
@@ -288,7 +286,7 @@ func runSoak(ctx context.Context, o options) error {
 		walTruncations:    final.Sum("subdex_wal_truncations_total"),
 	}
 	if err := concludeSoak(o, resA, out.res, facts); err != nil {
-		return fmt.Errorf("%w (session-dir kept at %s)", err, variant.SessionDir)
+		return fmt.Errorf("%w (session store kept at %s)", err, variant.SessionDir)
 	}
 	if o.sessionDir == "" {
 		os.RemoveAll(variant.SessionDir) // temp dir, and every check passed
@@ -306,7 +304,7 @@ func concludeSoak(o options, resA, resB *workload.Result, facts soakFacts) error
 	}
 	facts.goldenDivergences = len(divergences)
 	rep := report(o, "soak-kill", resB)
-	rep.Checks = append(rep.Checks, soakChecks(o.soakKill, facts)...)
+	rep.Checks = append(rep.Checks, soakChecks(facts)...)
 	return finish(os.Stdout, o, rep, resB, nil)
 }
 
@@ -323,7 +321,7 @@ func awaitSteps(ctx context.Context, base string, want int, done <-chan outcome)
 			if out.err != nil {
 				return nil, fmt.Errorf("phase B: %w", out.err)
 			}
-			return nil, usageError{fmt.Sprintf("workload finished before the kill threshold (%d steps); raise -steps or lower -kill-frac", want)}
+			return nil, usageError{fmt.Sprintf("workload finished before the kill threshold (%d steps); raise -steps or -think", want)}
 		case <-tick.C:
 		}
 		// A failed scrape is transient: the child may still be binding.

@@ -9,24 +9,35 @@ import (
 	"subdex/internal/experiments"
 )
 
-// The size limits of the two documents that grow with every change:
-// DESIGN.md keeps the design, and the measurements and the history behind
-// it live in EXPERIMENTS.md; a CHANGES.md entry is one paragraph, and the
-// full account is EXPERIMENTS.md "PR n".
+// The size limits of the documents that grow with every change: README.md
+// says what the system does and points at DESIGN.md for how, DESIGN.md
+// keeps the design, and the measurements and the history behind it live
+// in EXPERIMENTS.md; a CHANGES.md entry is one paragraph, and the full
+// account is EXPERIMENTS.md "PR n".
 const (
+	maxReadmeLines     = 700
 	maxDesignLines     = 800
 	maxChangesLineSize = 1500 // bytes, an upper bound on characters
 )
 
-// TestDocsStayReadable fails when DESIGN.md passes maxDesignLines lines
-// or a CHANGES.md line passes maxChangesLineSize.
+// TestDocsStayReadable fails when README.md passes maxReadmeLines lines,
+// DESIGN.md passes maxDesignLines lines or a CHANGES.md line passes
+// maxChangesLineSize.
 func TestDocsStayReadable(t *testing.T) {
-	design, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(design), "\n"); n > maxDesignLines {
-		t.Errorf("DESIGN.md has %d lines, over %d: move measurements and history to EXPERIMENTS.md", n, maxDesignLines)
+	for _, doc := range []struct {
+		name, where string
+		max         int
+	}{
+		{"README.md", "point at DESIGN.md instead of repeating it", maxReadmeLines},
+		{"DESIGN.md", "move measurements and history to EXPERIMENTS.md", maxDesignLines},
+	} {
+		raw, err := os.ReadFile(doc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(raw), "\n"); n > doc.max {
+			t.Errorf("%s has %d lines, over %d: %s", doc.name, n, doc.max, doc.where)
+		}
 	}
 	changes, err := os.ReadFile("CHANGES.md")
 	if err != nil {

@@ -97,16 +97,17 @@ func (e *WideEvent) MarshalJSON() ([]byte, error) {
 // flightRingSize bounds a FlightRecorder's event ring.
 const flightRingSize = 256
 
+// flightName names every dump's files ("server-<seq>-<reason>.jsonl")
+// and its header: the server's recorder is the only one the module
+// builds.
+const flightName = "server"
+
 // FlightOptions configure a FlightRecorder. The zero value records into
 // the ring with dumps disabled.
 type FlightOptions struct {
 	// Dir is where triggered dumps are written; "" disables dumps (the
 	// ring still records and serves).
 	Dir string
-	// Name tags dump filenames ("<name>-<seq>-<reason>.jsonl"), default
-	// "flight" — so server-side and client-side recorders sharing a
-	// directory stay distinguishable.
-	Name string
 	// MinInterval is the per-reason dump rate limit (default 30s):
 	// repeated triggers for the same reason inside the window are
 	// suppressed, so a failing SLO or a 5xx storm yields one dump, not
@@ -122,7 +123,6 @@ type FlightOptions struct {
 // caller counts it (the server in subdex_flight_dumps{,_suppressed}_total).
 type FlightRecorder struct {
 	dir         string
-	name        string
 	minInterval time.Duration
 	clock       func() time.Time
 	ring        *ring[*WideEvent]
@@ -134,9 +134,6 @@ type FlightRecorder struct {
 
 // NewFlightRecorder builds a recorder from opts.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
-	if opts.Name == "" {
-		opts.Name = "flight"
-	}
 	if opts.MinInterval <= 0 {
 		opts.MinInterval = 30 * time.Second
 	}
@@ -145,7 +142,6 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	}
 	return &FlightRecorder{
 		dir:         opts.Dir,
-		name:        opts.Name,
 		minInterval: opts.MinInterval,
 		clock:       opts.Clock,
 		ring:        newRing[*WideEvent](flightRingSize),
@@ -214,7 +210,7 @@ func (f *FlightRecorder) Trigger(reason string) (path string, err error) {
 	events := f.ring.newest(nil, 0)
 	// Oldest first: a dump reads chronologically.
 	slices.Reverse(events)
-	base := fmt.Sprintf("%s-%03d-%s", f.name, seq, reason)
+	base := fmt.Sprintf("%s-%03d-%s", flightName, seq, reason)
 	path = filepath.Join(f.dir, base+".jsonl")
 	if err := f.writeDump(path, reason, now, events); err != nil {
 		return "", err
@@ -233,7 +229,7 @@ func (f *FlightRecorder) writeDump(path, reason string, at time.Time, events []*
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	hdr := map[string]any{
-		"flight_recorder": f.name,
+		"flight_recorder": flightName,
 		"reason":          reason,
 		"at":              at.UTC().Format(time.RFC3339Nano),
 		"events":          len(events),

@@ -184,7 +184,7 @@ func TestFlightRecorderTriggerRateLimit(t *testing.T) {
 
 func TestFlightRecorderDumpContents(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(FlightOptions{Dir: dir, Name: "server"})
+	f := NewFlightRecorder(FlightOptions{Dir: dir})
 	tid := string(DeriveTraceID(9))
 	f.Record(NewWideEvent().Set("op", "step").Set("step", 1).Set("trace_id", tid))
 	f.Record(NewWideEvent().Set("op", "step").Set("step", 2).Set("trace_id", tid))

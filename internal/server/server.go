@@ -164,7 +164,6 @@ func newTelemetry(reg *obs.Registry, opts Options, now func() time.Time) *teleme
 	return &telemetry{
 		flight: obs.NewFlightRecorder(obs.FlightOptions{
 			Dir:         opts.FlightDir,
-			Name:        "server",
 			MinInterval: opts.flightMinInterval,
 			Clock:       now,
 		}),
@@ -227,9 +226,9 @@ func (t *telemetry) flightTrigger(reason string) {
 	}
 }
 
-// Flight exposes the server's flight recorder so embedders (sdeload's
-// http mode, tests) can record client-side wide events into the same
-// ring and fire their own triggers (e.g. an SLO breach).
+// Flight exposes the server's flight recorder so embedders (sdeload,
+// tests) can read the ring its requests feed and fire their own triggers
+// (e.g. an SLO breach).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
 // Registry exposes the server's metrics registry, e.g. for registering

@@ -115,10 +115,6 @@ type Client interface {
 	// Back returns to the previously visited selection, reporting false
 	// when the history is empty.
 	Back(ctx context.Context) (bool, error)
-	// Auto runs the auto-pilot for up to m steps (step, follow top-1,
-	// repeat), returning the executed steps. On a mid-walk failure it
-	// returns the completed prefix together with the error.
-	Auto(ctx context.Context, m int) ([]*StepView, error)
 	// Summary returns the session's path summary so far.
 	Summary(ctx context.Context) (*SummaryView, error)
 	// Close releases the session.

@@ -170,7 +170,7 @@ func TestEquivalenceConcurrent32(t *testing.T) {
 func TestHTTPBackEmptyHistory(t *testing.T) {
 	ctx := context.Background()
 	_, ts := demoServer(t, server.Options{})
-	hc, err := NewHTTPClient(ctx, ts.URL, nil, "rp", "")
+	hc, err := newHTTPClient(ctx, ts.URL, nil, core.RecommendationPowered, "", Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}

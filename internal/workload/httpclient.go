@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"subdex/internal/core"
 	"subdex/internal/obs"
 	"subdex/internal/server"
 )
@@ -45,19 +46,14 @@ type HTTPClient struct {
 	opSeq int
 }
 
-// NewHTTPClient creates a session via POST /sessions. base is the server
-// root (e.g. an httptest.Server URL), mode one of "ud", "rp", "fa", and
-// predicate the optional starting selection. A 429 admission rejection
-// surfaces as a *StatusError.
-func NewHTTPClient(ctx context.Context, base string, hc *http.Client, mode, predicate string) (*HTTPClient, error) {
-	return NewHTTPClientRetry(ctx, base, hc, mode, predicate, Retry{})
-}
-
-// NewHTTPClientRetry is NewHTTPClient with a transport retry policy, for
-// workloads that must survive a server restart mid-run (the kill-and-
-// resume soak). A crashed-and-recovered server resumes the session
-// exactly, so a retried walk stays on the deterministic path.
-func NewHTTPClientRetry(ctx context.Context, base string, hc *http.Client, mode, predicate string, retry Retry) (*HTTPClient, error) {
+// newHTTPClient creates a session via POST /sessions. base is the server
+// root (e.g. an httptest.Server URL), mode the session's exploration mode
+// and predicate the optional starting selection. A 429 admission
+// rejection surfaces as a *StatusError. With retry on, the client rides
+// a server restart mid-run (the kill-and-resume soak): a crashed-and-
+// recovered server resumes the session exactly, so a retried walk stays
+// on the deterministic path.
+func newHTTPClient(ctx context.Context, base string, hc *http.Client, mode core.Mode, predicate string, retry Retry) (*HTTPClient, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
@@ -69,7 +65,7 @@ func NewHTTPClientRetry(ctx context.Context, base string, hc *http.Client, mode,
 		ID int `json:"id"`
 	}
 	err := c.do(ctx, http.MethodPost, "/sessions",
-		map[string]string{"mode": mode, "predicate": predicate}, &created)
+		map[string]string{"mode": mode.Token(), "predicate": predicate}, &created)
 	if err != nil {
 		return nil, err
 	}
@@ -131,31 +127,6 @@ func (c *HTTPClient) Back(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// Auto implements Client by emulating Session.AutoCtx over the wire with
-// the exact same loop: step, stop after m steps or when no recommendation
-// is available, otherwise follow the top-1 recommendation. On a mid-walk
-// failure the completed prefix is returned together with the error.
-func (c *HTTPClient) Auto(ctx context.Context, m int) ([]*StepView, error) {
-	var out []*StepView
-	for i := 0; i < m; i++ {
-		sv, err := c.Step(ctx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, sv)
-		if i == m-1 {
-			break
-		}
-		if len(sv.Recommendations) == 0 {
-			break
-		}
-		if err := c.ApplyRecommendation(ctx, 0); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // Summary implements Client.

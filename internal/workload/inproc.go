@@ -69,18 +69,6 @@ func (c *InprocClient) Back(_ context.Context) (bool, error) {
 	return c.sess.Back(), nil
 }
 
-// Auto implements Client via Session.AutoCtx: on a mid-walk failure the
-// completed prefix is returned together with the error, matching the
-// anytime semantics the HTTP client emulates.
-func (c *InprocClient) Auto(ctx context.Context, m int) ([]*StepView, error) {
-	steps, err := c.sess.AutoCtx(ctx, m)
-	views := make([]*StepView, 0, len(steps))
-	for _, st := range steps {
-		views = append(views, c.view(st))
-	}
-	return views, err
-}
-
 // Summary implements Client.
 func (c *InprocClient) Summary(_ context.Context) (*SummaryView, error) {
 	sum := c.sess.Summarize()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"subdex/internal/core"
-	"subdex/internal/obs"
 )
 
 // Config parameterizes a simulated-explorer population.
@@ -42,9 +41,6 @@ type Config struct {
 	// Record retains per-step golden-trace records on each UserResult.
 	// Leave it off for soak runs (it accumulates memory per step).
 	Record bool
-	// Flight, when non-nil, receives one client-side wide event per
-	// step-producing call (the client half of trace correlation).
-	Flight *obs.FlightRecorder
 	// ExemplarK keeps the K slowest step calls — trace IDs and EXPLAIN
 	// profiles included — across the population (0 disables).
 	ExemplarK int
@@ -114,9 +110,7 @@ func InprocFactory(ex *core.Explorer, mode core.Mode, predicate string) ClientFa
 // HTTPFactory returns a factory minting HTTP clients against a server
 // root URL. A nil http.Client selects http.DefaultClient.
 func HTTPFactory(base string, hc *http.Client, mode core.Mode, predicate string) ClientFactory {
-	return func(ctx context.Context, _ int) (Client, error) {
-		return NewHTTPClient(ctx, base, hc, ModeString(mode), predicate)
-	}
+	return HTTPRetryFactory(base, hc, mode, predicate, Retry{})
 }
 
 // HTTPRetryFactory is HTTPFactory with a transport retry policy: clients
@@ -125,12 +119,9 @@ func HTTPFactory(base string, hc *http.Client, mode core.Mode, predicate string)
 // without perturbing any user's seeded path.
 func HTTPRetryFactory(base string, hc *http.Client, mode core.Mode, predicate string, retry Retry) ClientFactory {
 	return func(ctx context.Context, _ int) (Client, error) {
-		return NewHTTPClientRetry(ctx, base, hc, ModeString(mode), predicate, retry)
+		return newHTTPClient(ctx, base, hc, mode, predicate, retry)
 	}
 }
-
-// ModeString renders a core.Mode as the server's wire token.
-func ModeString(m core.Mode) string { return m.Token() }
 
 // Run drives a population of cfg.Users virtual users against clients
 // minted by newClient and returns the aggregated outcome. The context
@@ -217,7 +208,6 @@ func newUser(cfg Config, id int) *user {
 		ops:       rand.New(rand.NewSource(base*2 + 1)),
 		thinkRN:   rand.New(rand.NewSource(base*2 + 2)),
 		base:      base,
-		flight:    cfg.Flight,
 		exemplarK: cfg.ExemplarK,
 	}
 }

@@ -22,7 +22,7 @@ import (
 func TestTraceparentRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	srv, ts := demoServer(t, server.Options{})
-	hc, err := NewHTTPClient(ctx, ts.URL, nil, "rp", "")
+	hc, err := newHTTPClient(ctx, ts.URL, nil, core.RecommendationPowered, "", Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,33 +144,6 @@ func TestEquivalenceTraceIDs(t *testing.T) {
 				if e.Profile == nil {
 					t.Fatalf("%s: user %d step %d exemplar has no profile", name, e.User, e.Step)
 				}
-			}
-		}
-	}
-}
-
-// TestClientFlightEvents wires a client-side flight recorder through the
-// runner config and requires one wide event per step-producing call,
-// carrying the field set the obsmetrics discipline expects.
-func TestClientFlightEvents(t *testing.T) {
-	ex, err := core.NewExplorer(demoDB(t), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := obs.NewFlightRecorder(obs.FlightOptions{})
-	cfg := Config{Users: 2, Seed: 5, StepsPerUser: 4, Flight: fr}
-	res := runPopulation(t, cfg, InprocFactory(ex, core.RecommendationPowered, ""))
-	events := fr.Snapshot("", 0)
-	if len(events) == 0 {
-		t.Fatal("no client wide events recorded")
-	}
-	if len(events) > res.Steps {
-		t.Fatalf("more wide events (%d) than steps (%d): auto bursts must record once", len(events), res.Steps)
-	}
-	for _, ev := range events {
-		for _, key := range []string{"op", "user", "step", "trace_id", "duration_ms", "degraded", "ts"} {
-			if _, ok := ev.Get(key); !ok {
-				t.Fatalf("client wide event missing %q", key)
 			}
 		}
 	}

@@ -157,9 +157,6 @@ type user struct {
 	base int64
 	// traceSeq numbers the user's step-producing calls for ID derivation.
 	traceSeq uint64
-	// flight, when non-nil, receives one client-side wide event per
-	// step-producing call.
-	flight *obs.FlightRecorder
 	// exemplarK keeps the K slowest calls as exemplars (0 disables).
 	exemplarK int
 }
@@ -174,27 +171,15 @@ func (u *user) opCtx(ctx context.Context) (context.Context, string) {
 	return obs.WithTraceID(ctx, tid), string(tid)
 }
 
-// telemetry records one completed step-producing call: a wide event into
-// the flight recorder (when wired) and a slow-call exemplar.
-func (u *user) telemetry(res *UserResult, op, tid string, dur time.Duration, degraded bool, profile *StepView) {
-	durMS := float64(dur.Microseconds()) / 1000
-	if u.flight != nil {
-		u.flight.Record(obs.NewWideEvent().
-			Set("op", op).
-			Set("user", u.id).
-			Set("step", res.Steps).
-			Set("trace_id", tid).
-			Set("duration_ms", durMS).
-			Set("degraded", degraded))
+// exemplar offers one completed step-producing call, profiled by the
+// display sv, to the user's exemplarK slowest.
+func (u *user) exemplar(res *UserResult, op, tid string, dur time.Duration, degraded bool, sv *StepView) {
+	if u.exemplarK <= 0 {
+		return
 	}
-	if u.exemplarK > 0 {
-		ex := Exemplar{User: u.id, Step: res.Steps, Op: op,
-			DurationMS: durMS, TraceID: tid, Degraded: degraded}
-		if profile != nil {
-			ex.Profile = profile.Profile
-		}
-		res.Exemplars = insertExemplar(res.Exemplars, ex, u.exemplarK)
-	}
+	ex := Exemplar{User: u.id, Step: res.Steps, Op: op, DurationMS: float64(dur.Microseconds()) / 1000,
+		TraceID: tid, Degraded: degraded, Profile: sv.Profile}
+	res.Exemplars = insertExemplar(res.Exemplars, ex, u.exemplarK)
 }
 
 // UserResult is what one virtual user's walk produced.
@@ -244,7 +229,7 @@ loop:
 			continue
 		}
 		u.note(res, sv, "")
-		u.telemetry(res, "step", tid, time.Since(stepStart), sv.Degraded, sv)
+		u.exemplar(res, "step", tid, time.Since(stepStart), sv.Degraded, sv)
 		if res.Steps >= u.steps {
 			break
 		}
@@ -283,7 +268,7 @@ loop:
 			u.label(res, fmt.Sprintf("auto:%d", m))
 			autoCtx, autoTID := u.opCtx(ctx)
 			autoStart := time.Now()
-			views, err := c.Auto(autoCtx, m)
+			views, err := autoBurst(autoCtx, c, m)
 			anyDegraded := false
 			for i, av := range views {
 				op := ""
@@ -296,7 +281,7 @@ loop:
 			if len(views) > 0 {
 				// One exemplar per burst: the burst's wall time under one
 				// trace ID, profiled by its last step.
-				u.telemetry(res, "auto", autoTID, time.Since(autoStart),
+				u.exemplar(res, "auto", autoTID, time.Since(autoStart),
 					anyDegraded, views[len(views)-1])
 			}
 			if len(views) > 1 {
@@ -314,6 +299,29 @@ loop:
 		u.pause(ctx)
 	}
 	return u.finish(ctx, c, res)
+}
+
+// autoBurst is the auto-pilot, §3.3's Fully-Automated loop as
+// core.Session.AutoCtx runs it, on any Client: step, stop after m steps
+// or when no recommendation is offered, otherwise follow the top-1
+// recommendation. Every call runs under ctx, so one burst carries one
+// trace ID. On a failure it returns the completed prefix with the error.
+func autoBurst(ctx context.Context, c Client, m int) ([]*StepView, error) {
+	var out []*StepView
+	for i := 0; i < m; i++ {
+		sv, err := c.Step(ctx)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, sv)
+		if i == m-1 || len(sv.Recommendations) == 0 {
+			break
+		}
+		if err := c.ApplyRecommendation(ctx, 0); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // finish attaches the session summary (best effort under a live context).
