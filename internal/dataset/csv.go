@@ -48,14 +48,12 @@ func ReadEntityCSV(r io.Reader, name string, kinds map[string]Kind) (*EntityTabl
 // readEntityCSV is ReadEntityCSV with the columns sized for lines rows; a
 // wrong count costs appends or slack, never a different table.
 func readEntityCSV(r io.Reader, name string, kinds map[string]Kind, lines int) (*EntityTable, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	cr := newRecordReader(r)
+	header, err := readHeader(cr)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading %s header: %w", name, err)
 	}
-	if len(header) == 0 || header[0] != "_key" {
+	if header[0] != "_key" {
 		return nil, fmt.Errorf("dataset: %s: first column must be _key, got %q", name, strings.Join(header, ","))
 	}
 	attrs := make([]Attribute, 0, len(header)-1)
@@ -68,32 +66,38 @@ func readEntityCSV(r io.Reader, name string, kinds map[string]Kind, lines int) (
 	}
 	t := NewEntityTable(name, schema)
 	t.reserve(lines)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
+	for {
+		rec, err := cr.read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %s line %d: %w", name, line, err)
+			return nil, fmt.Errorf("dataset: %s line %d: %w", name, cr.line, err)
 		}
 		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: %s line %d: %d fields, want %d", name, line, len(rec), len(header))
+			return nil, fmt.Errorf("dataset: %s line %d: %d fields, want %d", name, cr.start, len(rec), len(header))
 		}
-		// encoding/csv cuts a record's fields out of one string per line: a
-		// key stored as is would keep its whole line alive (12.6 MB of
-		// reviewers.csv on Yelp). Dictionary.Intern clones for the same reason.
-		t.Keys = append(t.Keys, strings.Clone(rec[0]))
-		for a, attr := range attrs {
-			// MissingLabel needs no case: it interns as MissingValue, and
-			// appendCell drops it from a set.
-			if cell := rec[a+1]; attr.Kind == MultiValued {
-				t.appendCell(a, "", strings.Split(cell, ";"))
-			} else {
-				t.appendCell(a, cell, nil)
-			}
+		// A field is overwritten by the next read: the key is copied, and
+		// a cell's value only when the dictionary has not seen it.
+		t.Keys = append(t.Keys, string(rec[0]))
+		for a := range attrs {
+			t.appendCSVCell(a, rec[a+1])
 		}
 	}
 	return t, nil
+}
+
+// readHeader reads cr's first record as strings; it has at least one field.
+func readHeader(cr *recordReader) ([]string, error) {
+	rec, err := cr.read()
+	if err != nil {
+		return nil, err
+	}
+	header := make([]string, len(rec))
+	for i, f := range rec {
+		header[i] = string(f)
+	}
+	return header, nil
 }
 
 // WriteRatingCSV serializes a rating table using entity keys as references.
@@ -130,9 +134,8 @@ func ReadRatingCSV(r io.Reader, reviewers, items *EntityTable) (*RatingTable, er
 
 // readRatingCSV is ReadRatingCSV with the columns sized for lines records.
 func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*RatingTable, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	cr := newRecordReader(r)
+	header, err := readHeader(cr)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading ratings header: %w", err)
 	}
@@ -156,7 +159,6 @@ func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*Rati
 		return nil, err
 	}
 	rt.reserve(lines)
-	cr.ReuseRecord = true // no field outlives its line
 	uIndex, err := keyIndex(reviewers)
 	if err != nil {
 		return nil, err
@@ -166,27 +168,28 @@ func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*Rati
 		return nil, err
 	}
 	scores := make([]Score, len(dims))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
+	for {
+		rec, err := cr.read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: ratings line %d: %w", line, err)
+			return nil, fmt.Errorf("dataset: ratings line %d: %w", cr.line, err)
 		}
+		line := cr.start
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("dataset: ratings line %d: %d fields, want %d", line, len(rec), len(header))
 		}
-		u, ok := uIndex[rec[0]]
+		u, ok := uIndex[string(rec[0])]
 		if !ok {
 			return nil, fmt.Errorf("dataset: ratings line %d: unknown reviewer %q", line, rec[0])
 		}
-		i, ok := iIndex[rec[1]]
+		i, ok := iIndex[string(rec[1])]
 		if !ok {
 			return nil, fmt.Errorf("dataset: ratings line %d: unknown item %q", line, rec[1])
 		}
 		for d := range dims {
-			v, err := strconv.Atoi(rec[d+2])
+			v, err := strconv.Atoi(string(rec[d+2]))
 			if err != nil {
 				return nil, fmt.Errorf("dataset: ratings line %d dim %q: %w", line, dims[d].Name, err)
 			}

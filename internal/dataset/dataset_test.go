@@ -388,16 +388,26 @@ func TestMissingLabelInsideSet(t *testing.T) {
 	}
 }
 
+// A case with a want names the line of the record at fault: a quoted
+// newline makes a record two lines long, so a later record's line is not
+// its record count + 1.
 func TestReadEntityCSVRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no key column":   "name,city\na,b\n",
-		"field mismatch":  "_key,city\nu1\n",
-		"empty file":      "",
-		"unbalanced rows": "_key,city\nu1,NYC,extra\n",
+	cases := map[string]struct{ in, want string }{
+		"no key column":   {in: "name,city\na,b\n"},
+		"field mismatch":  {in: "_key,city\nu1\n"},
+		"empty file":      {in: ""},
+		"unbalanced rows": {in: "_key,city\nu1,NYC,extra\n"},
+		"after a quoted newline": {
+			in:   "_key,city\n\"u\n1\",NYC\nu2\n",
+			want: "dataset: t line 4: 1 fields, want 2",
+		},
 	}
-	for name, input := range cases {
-		if _, err := ReadEntityCSV(strings.NewReader(input), "t", nil); err == nil {
+	for name, c := range cases {
+		_, err := ReadEntityCSV(strings.NewReader(c.in), "t", nil)
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if c.want != "" && err.Error() != c.want {
+			t.Errorf("%s: %v, want %s", name, err, c.want)
 		}
 	}
 }
@@ -406,20 +416,28 @@ func TestReadRatingCSVRejectsMalformed(t *testing.T) {
 	rs, _ := NewSchema(Attribute{Name: "g"})
 	reviewers := NewEntityTable("reviewers", rs)
 	reviewers.AppendRow("u1", map[string]string{"g": "x"}, nil)
+	reviewers.AppendRow("u\n2", map[string]string{"g": "x"}, nil)
 	items := NewEntityTable("items", rs)
 	items.AppendRow("i1", map[string]string{"g": "y"}, nil)
 
-	cases := map[string]string{
-		"bad header":       "_reviewer,wrong\nu1,i1\n",
-		"no scale":         "_reviewer,_item,overall\nu1,i1,3\n",
-		"unknown reviewer": "_reviewer,_item,overall:5\nuX,i1,3\n",
-		"unknown item":     "_reviewer,_item,overall:5\nu1,iX,3\n",
-		"score overflow":   "_reviewer,_item,overall:5\nu1,i1,9\n",
-		"non-numeric":      "_reviewer,_item,overall:5\nu1,i1,abc\n",
+	cases := map[string]struct{ in, want string }{
+		"bad header":       {in: "_reviewer,wrong\nu1,i1\n"},
+		"no scale":         {in: "_reviewer,_item,overall\nu1,i1,3\n"},
+		"unknown reviewer": {in: "_reviewer,_item,overall:5\nuX,i1,3\n"},
+		"unknown item":     {in: "_reviewer,_item,overall:5\nu1,iX,3\n"},
+		"score overflow":   {in: "_reviewer,_item,overall:5\nu1,i1,9\n"},
+		"non-numeric":      {in: "_reviewer,_item,overall:5\nu1,i1,abc\n"},
+		"after a quoted newline": {
+			in:   "_reviewer,_item,overall:5\n\"u\n2\",i1,3\nu1,i1,3\"\n",
+			want: `dataset: ratings line 4: bare " in non-quoted-field`,
+		},
 	}
-	for name, input := range cases {
-		if _, err := ReadRatingCSV(strings.NewReader(input), reviewers, items); err == nil {
+	for name, c := range cases {
+		_, err := ReadRatingCSV(strings.NewReader(c.in), reviewers, items)
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if c.want != "" && err.Error() != c.want {
+			t.Errorf("%s: %v, want %s", name, err, c.want)
 		}
 	}
 }
@@ -488,11 +506,10 @@ func TestAttributeProfileMissing(t *testing.T) {
 	}
 }
 
-// TestReadEntityCSVDoesNotPinLines: encoding/csv returns a record's fields
-// as substrings of one string per line, so a key (or a dictionary value)
-// stored as is keeps the whole line reachable. Every row here carries the
-// same 4 KB cell; the loaded table must retain one copy of it, not one per
-// row.
+// TestReadEntityCSVDoesNotPinLines: the CSV reader's fields alias its read
+// buffer, so a key (or a dictionary value) stored without a copy would keep
+// that buffer reachable. Every row here carries the same 4 KB cell; the
+// loaded table must retain one copy of it, not one per row.
 func TestReadEntityCSVDoesNotPinLines(t *testing.T) {
 	const rows, cell = 2_000, 4 << 10
 	var b strings.Builder

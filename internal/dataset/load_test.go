@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,8 +105,7 @@ func diffTables(got, want *dataset.EntityTable) error {
 	return nil
 }
 
-// diffDBs is diffTables over both entity tables, then the rating table's
-// dimensions and its three columns.
+// diffDBs is diffTables over both entity tables, then diffRatings.
 func diffDBs(got, want *dataset.DB) error {
 	if err := diffTables(got.Reviewers, want.Reviewers); err != nil {
 		return err
@@ -113,7 +113,12 @@ func diffDBs(got, want *dataset.DB) error {
 	if err := diffTables(got.Items, want.Items); err != nil {
 		return err
 	}
-	g, w := got.Ratings, want.Ratings
+	return diffRatings(got.Ratings, want.Ratings)
+}
+
+// diffRatings returns the first difference between two rating tables: the
+// dimensions, then the reviewer, item and score columns.
+func diffRatings(g, w *dataset.RatingTable) error {
 	switch {
 	case !slices.Equal(g.Dimensions, w.Dimensions):
 		return fmt.Errorf("dimensions %v, want %v", g.Dimensions, w.Dimensions)
@@ -206,6 +211,31 @@ func TestLoadDirRejectsDuplicateKey(t *testing.T) {
 	}
 }
 
+// TestReadEntityCSVLinesLongerThanTheBuffer: lines longer than the
+// reader's 64 KiB buffer, which no fuzz input reaches, quoted and not, read
+// as the reference reads them.
+func TestReadEntityCSVLinesLongerThanTheBuffer(t *testing.T) {
+	big := strings.Repeat("x", 200_000)
+	in := "_key,city,tags\nu1," + big + ",a;b\n" +
+		"\"u\n2\",\"" + big + "\n" + big + "\"\"\",\"" + big + ";c\"\r\n" +
+		"u3,NYC," + big
+	kinds := map[string]dataset.Kind{"tags": dataset.MultiValued}
+	got, err := dataset.ReadEntityCSV(strings.NewReader(in), "t", kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readEntityCSVReference(strings.NewReader(in), "t", kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := diffTables(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("%d rows, want 3", got.Len())
+	}
+}
+
 // FuzzReadEntityCSV holds ReadEntityCSV to the map-based reader it
 // replaced: the same table, or both fail. multi marks attribute i
 // multi-valued when bit i%8 is set.
@@ -219,6 +249,16 @@ func FuzzReadEntityCSV(f *testing.F) {
 		"_key,city,tags\nu1,\"a,b\",\"x;y\"\n\"u\n2\",\"line\nbreak\",\"p;\nq;p\"\n",
 		// A last line without a newline, and an empty atomic cell.
 		"_key,city,tags\nu1,NYC,a;b\nu2,,b;a",
+		// CRLF line ends, a quoted one among them.
+		"_key,city,tags\r\nu1,NYC,a;b\r\n\"u\r\n2\",\"LA\r\n\",b\r\n",
+		// A lone '\r' line, which ends the input.
+		"_key\n\r",
+		// Blank lines between records, and before the header.
+		"\n_key,city\n\nu1,NYC\n\n\r\n\nu2,LA\n",
+		// A bare '"' inside an unquoted field.
+		"_key,city\nu1,N\"YC\n",
+		// A quoted last field with no trailing newline, and one with a "".
+		"_key,city\nu1,\"NYC\"\nu2,\"L\"\"A\"",
 	} {
 		for _, multi := range []uint8{0, 0b10, 0xff} {
 			f.Add(in, multi)
@@ -240,6 +280,121 @@ func FuzzReadEntityCSV(f *testing.F) {
 		}
 		if err == nil {
 			if d := diffTables(got, want); d != nil {
+				t.Fatal(d)
+			}
+		}
+	})
+}
+
+// readRatingCSVReference is the encoding/csv reader ReadRatingCSV
+// replaced, kept as its oracle.
+func readRatingCSVReference(r io.Reader, reviewers, items *dataset.EntityTable) (*dataset.RatingTable, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return nil, err
+	}
+	if len(header) < 3 || header[0] != "_reviewer" || header[1] != "_item" {
+		return nil, fmt.Errorf("header %q", header)
+	}
+	dims := make([]dataset.Dimension, 0, len(header)-2)
+	for _, h := range header[2:] {
+		name, scale, ok := strings.Cut(h, ":")
+		if !ok {
+			return nil, fmt.Errorf("column %q has no scale", h)
+		}
+		m, err := strconv.Atoi(scale)
+		if err != nil {
+			return nil, err
+		}
+		dims = append(dims, dataset.Dimension{Name: name, Scale: m})
+	}
+	rt, err := dataset.NewRatingTable(dims...)
+	if err != nil {
+		return nil, err
+	}
+	row := func(t *dataset.EntityTable, key string) (int, error) {
+		if i := slices.Index(t.Keys, key); i >= 0 {
+			return i, nil
+		}
+		return 0, fmt.Errorf("unknown key %q", key)
+	}
+	scores := make([]dataset.Score, len(dims))
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return rt, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(rec) != len(header) {
+			return nil, fmt.Errorf("%d fields, want %d", len(rec), len(header))
+		}
+		u, err := row(reviewers, rec[0])
+		if err != nil {
+			return nil, err
+		}
+		i, err := row(items, rec[1])
+		if err != nil {
+			return nil, err
+		}
+		for d := range dims {
+			v, err := strconv.Atoi(rec[d+2])
+			if err != nil {
+				return nil, err
+			}
+			if v < 0 || v > dims[d].Scale {
+				return nil, fmt.Errorf("score %d out of 0..%d", v, dims[d].Scale)
+			}
+			scores[d] = dataset.Score(v)
+		}
+		if err := rt.Append(u, i, scores); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// FuzzReadRatingCSV holds ReadRatingCSV to the encoding/csv reader it
+// replaced: the same dimensions and reviewer, item and score columns, or
+// both fail. The entity keys hold the bytes a quoted field carries.
+func FuzzReadRatingCSV(f *testing.F) {
+	schema := dataset.MustSchema(dataset.Attribute{Name: "g"})
+	reviewers := dataset.NewEntityTable("reviewers", schema)
+	items := dataset.NewEntityTable("items", schema)
+	for _, k := range []string{"u1", "u\n2", "u,3", `u"4`, ""} {
+		if _, err := reviewers.AppendRow(k, nil, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, k := range []string{"i1", "i 2", "i\r3"} {
+		if _, err := items.AppendRow(k, nil, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, in := range []string{
+		// TestReadRatingCSVRejectsMalformed's inputs.
+		"_reviewer,wrong\nu1,i1\n", "_reviewer,_item,overall\nu1,i1,3\n",
+		"_reviewer,_item,overall:5\nuX,i1,3\n", "_reviewer,_item,overall:5\nu1,iX,3\n",
+		"_reviewer,_item,overall:5\nu1,i1,9\n", "_reviewer,_item,overall:5\nu1,i1,abc\n",
+		"_reviewer,_item,overall:5\n\"u\n2\",i1,3\nu1,i1,3\"\n",
+		// Quoted keys and scores, two dimensions, signs and leading zeros.
+		"_reviewer,_item,overall:5,food:4\n\"u,3\",\"i 2\",\"5\",+4\n\"u\"\"4\",i1,05,-0\n,i1,0,1\n",
+		// CRLF line ends, and a last line with no newline.
+		"_reviewer,_item,overall:5\r\nu1,i1,3\r\n\"u\r\n2\",i1,2\r\nu1,\"i 2\",1",
+		"_reviewer,_item,overall:5\nu1,i1,3",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := dataset.ReadRatingCSV(strings.NewReader(in), reviewers, items)
+		want, wantErr := readRatingCSVReference(strings.NewReader(in), reviewers, items)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadRatingCSV error %v, reference error %v", err, wantErr)
+		}
+		if err == nil {
+			if d := diffRatings(got, want); d != nil {
 				t.Fatal(d)
 			}
 		}

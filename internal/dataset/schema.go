@@ -134,12 +134,25 @@ func NewDictionary() *Dictionary {
 
 // Intern returns the id of v, registering it if new. Interning the missing
 // label returns MissingValue. The dictionary keeps a copy of a new value,
-// not v itself: a CSV cell is a substring of its whole line.
+// not v itself, which may be a substring of a larger string.
 func (d *Dictionary) Intern(v string) ValueID {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
-	v = strings.Clone(v)
+	return d.add(strings.Clone(v))
+}
+
+// internBytes is Intern for a value held in bytes: looking it up allocates
+// nothing, and only a new value is copied.
+func (d *Dictionary) internBytes(v []byte) ValueID {
+	if id, ok := d.ids[string(v)]; ok {
+		return id
+	}
+	return d.add(string(v))
+}
+
+// add registers v, which no id has yet.
+func (d *Dictionary) add(v string) ValueID {
 	id := ValueID(len(d.values))
 	d.values = append(d.values, v)
 	d.ids[v] = id

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -72,10 +73,10 @@ func (t *EntityTable) AppendRow(key string, values map[string]string, setValues 
 	return row, nil
 }
 
-// appendCell appends one row's value of attribute a, the step AppendRow and
-// the CSV reader share. An atomic attribute interns v ("" is missing). A
-// multi-valued one takes the set vs, plus v unless it is "", drops "" and
-// MissingLabel, and stores the rest interned in order, deduped and sorted.
+// appendCell appends one row's value of attribute a, AppendRow's step. An
+// atomic attribute interns v ("" is missing). A multi-valued one takes the
+// set vs, plus v unless it is "", drops "" and MissingLabel, and stores the
+// rest interned, deduped and sorted.
 func (t *EntityTable) appendCell(a int, v string, vs []string) {
 	d := t.dicts[a]
 	if t.Schema.At(a).Kind == Atomic {
@@ -91,15 +92,43 @@ func (t *EntityTable) appendCell(a int, v string, vs []string) {
 	}
 	ids := make([]ValueID, 0, len(vs))
 	for _, s := range vs {
-		if s == "" || s == MissingLabel {
-			continue
-		}
-		if id := d.Intern(s); !slices.Contains(ids, id) {
-			ids = append(ids, id)
+		if s != "" && s != MissingLabel {
+			ids = append(ids, d.Intern(s))
 		}
 	}
+	t.appendSet(a, ids)
+}
+
+// appendCSVCell is appendCell for a CSV cell: an atomic attribute takes it
+// as v, a multi-valued one as the set of its ';'-separated parts. cell is
+// the reader's, so only a value new to the dictionary is copied.
+func (t *EntityTable) appendCSVCell(a int, cell []byte) {
+	d := t.dicts[a]
+	if t.Schema.At(a).Kind == Atomic {
+		id := MissingValue
+		if len(cell) > 0 {
+			id = d.internBytes(cell)
+		}
+		t.atomic[a] = append(t.atomic[a], id)
+		return
+	}
+	ids := make([]ValueID, 0, bytes.Count(cell, []byte{';'})+1)
+	for more := true; more; {
+		var v []byte
+		v, cell, more = bytes.Cut(cell, []byte{';'})
+		if len(v) > 0 && string(v) != MissingLabel {
+			ids = append(ids, d.internBytes(v))
+		}
+	}
+	t.appendSet(a, ids)
+}
+
+// appendSet appends one row's value set of multi-valued attribute a: the
+// interned ids of its values, sorted and deduped in place. appendCell and
+// appendCSVCell both end in it.
+func (t *EntityTable) appendSet(a int, ids []ValueID) {
 	slices.Sort(ids)
-	t.multi[a] = append(t.multi[a], ids)
+	t.multi[a] = append(t.multi[a], slices.Compact(ids))
 }
 
 // reserve sizes the keys and every column for n more rows.
