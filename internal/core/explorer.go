@@ -151,7 +151,9 @@ func (ex *Explorer) RMSetCtx(ctx context.Context, desc query.Description, seen *
 	}
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "core.rmset")
-	span.SetAttr("selection", desc.String())
+	if span != nil { // rendered only for a span that records it
+		span.SetAttr("selection", desc.String())
+	}
 	defer span.End()
 	_, mspan := obs.StartSpan(ctx, "query.materialize")
 	group, hit, err := ex.Query.MaterializeCached(desc)

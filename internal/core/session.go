@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"subdex/internal/obs"
@@ -45,6 +46,21 @@ func NewSession(ex *Explorer, mode Mode, start query.Description) (*Session, err
 	ex.Ins.sessionStarted()
 	return &Session{Ex: ex, Mode: mode, cur: start, start: start,
 		seen: ratingmap.NewSeenSet(), rb: RecommendationBuilder{Ex: ex}}, nil
+}
+
+// clone returns an independent copy of the session for restore to walk
+// on from: its own seen set, history and op log, and the same committed
+// steps. Sharing those is safe because a StepResult is complete when its
+// step commits — finishProfile is its last write, and everything after
+// reads it (ApplyRecommendation; the server's rendering, which hands out
+// its Profile only to be encoded).
+func (s *Session) clone() *Session {
+	c := *s
+	c.seen = s.seen.Clone()
+	c.steps = slices.Clone(s.steps)
+	c.history = slices.Clone(s.history)
+	c.oplog = slices.Clone(s.oplog)
+	return &c
 }
 
 // Current returns the session's current description.
@@ -97,8 +113,10 @@ func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 		defer cancel()
 	}
 	ctx, span := obs.StartSpan(ctx, "core.step")
-	span.SetAttr("selection", s.cur.String())
-	span.SetAttr("mode", s.Mode.String())
+	if span != nil { // rendered only for a span that records it
+		span.SetAttr("selection", s.cur.String())
+		span.SetAttr("mode", s.Mode.String())
+	}
 	defer span.End()
 	res, err := s.Ex.RMSetCtx(ctx, s.cur, s.seen)
 	if err != nil {

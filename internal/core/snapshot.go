@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"subdex/internal/engine"
+	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
 
@@ -193,47 +195,185 @@ func (ex *Explorer) Fingerprint() string {
 // are re-applied from their recorded seen-set delta. The final state is
 // additionally checked against the snapshot's Current/Steps/Seen record.
 // Replay therefore both proves exactness and rewarms the engine's
-// cross-step cache for the session's path.
+// cross-step cache for the session's path. It is RestoreSessions of one
+// snapshot.
 func RestoreSession(ctx context.Context, ex *Explorer, snap *SessionSnapshot) (*Session, error) {
+	sessions, errs := RestoreSessions(ctx, ex, []*SessionSnapshot{snap})
+	return sessions[0], errs[0]
+}
+
+// RestoreSessions is RestoreSession over many snapshots at once, which
+// replays an op-log prefix that several of them share once. Snapshots
+// share a prefix when they start from the same mode and selection and
+// their logs agree op for op on every field but the OpID tag; where two
+// logs part, the session replayed so far is cloned, and each clone goes
+// on with its own ops. Each session still ends with its own OpID tags and
+// is held to its own Final record, and every step it shows was recomputed
+// and checked against the digests its log holds — in the one replay its
+// log shares with others. The i-th session or error is snaps[i]'s, with
+// RestoreSession's error for it: an op that fails fails exactly the
+// snapshots whose log holds it. Prefixes are replayed depth first in the
+// order of their first snapshot, which is the order the engine's caches
+// are rewarmed in.
+func RestoreSessions(ctx context.Context, ex *Explorer, snaps []*SessionSnapshot) ([]*Session, []error) {
+	w := restoreWalk{ctx: ctx, snaps: snaps,
+		sessions: make([]*Session, len(snaps)), errs: make([]error, len(snaps))}
+	type root struct {
+		mode    Mode
+		start   query.Description
+		members []int
+	}
+	var roots []*root
+	byStart := make(map[string]*root)
+	for i, snap := range snaps {
+		mode, start, err := ex.snapshotStart(snap)
+		if err != nil {
+			w.errs[i] = err
+			continue
+		}
+		key := mode.Token() + "\x00" + start.Key()
+		r := byStart[key]
+		if r == nil {
+			r = &root{mode: mode, start: start}
+			byStart[key] = r
+			roots = append(roots, r)
+		}
+		r.members = append(r.members, i)
+	}
+	for _, r := range roots {
+		sess, err := NewSession(ex, r.mode, r.start)
+		if err != nil {
+			for _, m := range r.members {
+				w.errs[m] = err
+			}
+			continue
+		}
+		// One session started per snapshot, as one restore each counts.
+		for range r.members[1:] {
+			ex.Ins.sessionStarted()
+		}
+		w.walk(sess, r.members, 0)
+	}
+	return w.sessions, w.errs
+}
+
+// snapshotStart checks a snapshot's header against the explorer and
+// parses where its session starts.
+func (ex *Explorer) snapshotStart(snap *SessionSnapshot) (Mode, query.Description, error) {
 	if snap == nil {
-		return nil, fmt.Errorf("core: nil snapshot")
+		return 0, query.Description{}, fmt.Errorf("core: nil snapshot")
 	}
 	if snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, want %d", snap.Version, SnapshotVersion)
+		return 0, query.Description{}, fmt.Errorf("core: snapshot version %d, want %d", snap.Version, SnapshotVersion)
 	}
 	if fp := ex.Fingerprint(); snap.Fingerprint != fp {
-		return nil, fmt.Errorf("core: snapshot fingerprint %s does not match engine %s", snap.Fingerprint, fp)
+		return 0, query.Description{}, fmt.Errorf("core: snapshot fingerprint %s does not match engine %s", snap.Fingerprint, fp)
 	}
 	mode, err := ParseModeToken(snap.Mode)
 	if err != nil {
-		return nil, err
+		return 0, query.Description{}, err
 	}
 	start, err := ex.ParseDescription(snap.Start)
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot start: %w", err)
+		return 0, query.Description{}, fmt.Errorf("core: snapshot start: %w", err)
 	}
-	sess, err := NewSession(ex, mode, start)
-	if err != nil {
-		return nil, err
-	}
-	for i, op := range snap.Ops {
-		if err := sess.replayOp(ctx, op); err != nil {
-			return nil, fmt.Errorf("core: replay op %d (%s): %w", i, op.Kind, err)
+	return mode, start, nil
+}
+
+// restoreWalk is one RestoreSessions call's walk over the op-log prefix
+// tree: sessions and errs are filled in as snapshots finish.
+type restoreWalk struct {
+	ctx      context.Context
+	snaps    []*SessionSnapshot
+	sessions []*Session
+	errs     []error
+}
+
+// walk goes on from sess, the replay of the first depth ops that every
+// member's log shares. Members whose log ends here finish; the others
+// part by their next op, and each part replays it once. sess is cloned
+// for every use but its last, before any use changes it.
+func (w *restoreWalk) walk(sess *Session, members []int, depth int) {
+	var ends []int
+	var parts [][]int
+next:
+	for _, m := range members {
+		ops := w.snaps[m].Ops
+		if len(ops) == depth {
+			ends = append(ends, m)
+			continue
 		}
-		sess.TagLastOp(op.OpID)
+		for p, part := range parts {
+			if sameOp(w.snaps[part[0]].Ops[depth], ops[depth]) {
+				parts[p] = append(part, m)
+				continue next
+			}
+		}
+		parts = append(parts, []int{m})
+	}
+	uses := len(ends) + len(parts)
+	take := func() *Session {
+		if uses--; uses == 0 {
+			return sess
+		}
+		return sess.clone()
+	}
+	for _, m := range ends {
+		w.finish(m, take())
+	}
+	for _, part := range parts {
+		s := take()
+		op := w.snaps[part[0]].Ops[depth]
+		if err := s.replayOp(w.ctx, op); err != nil {
+			for _, m := range part {
+				w.errs[m] = fmt.Errorf("core: replay op %d (%s): %w", depth, op.Kind, err)
+			}
+			continue
+		}
+		w.walk(s, part, depth+1)
+	}
+}
+
+// finish hands sess, the replay of snapshot m's whole log, to m: the log's
+// own OpID tags go on its ops, and its Final record is checked.
+func (w *restoreWalk) finish(m int, sess *Session) {
+	snap := w.snaps[m]
+	for i, op := range snap.Ops {
+		sess.oplog[i].OpID = op.OpID
 	}
 	if f := snap.Final; f != nil {
 		if got := sess.cur.String(); got != f.Current {
-			return nil, fmt.Errorf("core: replay ended at %q, snapshot recorded %q", got, f.Current)
+			w.errs[m] = fmt.Errorf("core: replay ended at %q, snapshot recorded %q", got, f.Current)
+			return
 		}
 		if len(sess.steps) != f.Steps {
-			return nil, fmt.Errorf("core: replay produced %d steps, snapshot recorded %d", len(sess.steps), f.Steps)
+			w.errs[m] = fmt.Errorf("core: replay produced %d steps, snapshot recorded %d", len(sess.steps), f.Steps)
+			return
 		}
 		if !sess.seen.EqualState(f.Seen) {
-			return nil, fmt.Errorf("core: replayed seen-set diverges from snapshot")
+			w.errs[m] = fmt.Errorf("core: replayed seen-set diverges from snapshot")
+			return
 		}
 	}
-	return sess, nil
+	w.sessions[m] = sess
+}
+
+// sameOp reports whether two logged ops replay alike: equal in every field
+// but the OpID tag, nil and empty slices told apart as a degraded step's
+// op is committed as logged.
+func sameOp(a, b SessionOp) bool {
+	if a.Kind != b.Kind || a.Predicate != b.Predicate || a.Index != b.Index || a.Degraded != b.Degraded ||
+		(a.Digests == nil) != (b.Digests == nil) || !slices.Equal(a.Digests, b.Digests) ||
+		(a.Seen == nil) != (b.Seen == nil) || len(a.Seen) != len(b.Seen) {
+		return false
+	}
+	for i, d := range a.Seen {
+		o := b.Seen[i]
+		if d.Dim != o.Dim || (d.Dist == nil) != (o.Dist == nil) || !slices.Equal(d.Dist, o.Dist) {
+			return false
+		}
+	}
+	return true
 }
 
 // replayOp re-executes one logged operation, verifying step digests.

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -420,5 +422,66 @@ func TestFingerprintPinnedSingleDimension(t *testing.T) {
 	}
 	if got, want := ex.Fingerprint(), "7ae8bd913fdeba6f"; got != want {
 		t.Fatalf("Fingerprint() = %s, want %s: stored sessions and workers of the previous version would be refused", got, want)
+	}
+}
+
+// TestRestoredSessionsStepConcurrently steps two sessions restored from
+// one shared prefix at the same time: they share the prefix's committed
+// StepResults, so under -race any write to those, or to state the clone
+// should have copied, shows here. Both must end where one session alone
+// ends.
+func TestRestoredSessionsStepConcurrently(t *testing.T) {
+	ex := coreExplorer(t)
+	sess, err := NewSession(ex, RecommendationPowered, query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(t, sess)
+	snap := sess.Snapshot()
+	got, errs := RestoreSessions(context.Background(), ex, []*SessionSnapshot{snap, snap})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] == got[1] || got[0].Steps()[0] != got[1].Steps()[0] {
+		t.Fatal("the two restores must be two sessions sharing the prefix's steps")
+	}
+	var wg sync.WaitGroup
+	snaps := make([]*SessionSnapshot, 2)
+	for i, s := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2 {
+				if _, err := s.Step(); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.ApplyRecommendation(0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for _, st := range s.Steps() {
+				_ = st.Profile.Selection + strings.Join(st.Digests, "")
+			}
+			snaps[i] = s.Snapshot()
+		}()
+	}
+	wg.Wait()
+	for range 2 {
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.ApplyRecommendation(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := sess.Snapshot()
+	for i, s := range snaps {
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("restored session %d ends at\n%+v\nwant\n%+v", i, s, want)
+		}
 	}
 }

@@ -50,10 +50,10 @@ func partitionEntry(key string, p *Partition) *cacheEntry {
 // partitionKey names Partition(Materialize(src).Records, side, attr, n).
 // No description's key starts with \x02 (one starts with a side's digit, or
 // is empty), so a partition never shares a key with a group; the fields
-// before the description are each NUL- or \x02-terminated, as Selector.Key
-// assumes an attribute name holds no NUL.
+// before the description are each NUL- or \x02-terminated, the attribute
+// escaped as in a description's key.
 func partitionKey(src Description, side Side, attr string, n int) string {
-	return "\x02" + strconv.Itoa(int(side)) + "\x00" + attr + "\x00" + strconv.Itoa(max(n, 0)) + "\x02" + src.Key()
+	return "\x02" + strconv.Itoa(int(side)) + "\x00" + keyPart(attr) + "\x00" + strconv.Itoa(max(n, 0)) + "\x02" + src.Key()
 }
 
 func newGroupCache(budget int) *groupCache {

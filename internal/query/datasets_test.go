@@ -5,6 +5,9 @@ package query_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"subdex/internal/dataset"
@@ -206,5 +209,55 @@ func benchMaterializeArm(b *testing.B, e *query.Engine, arm materializeArm) {
 				b.ReportMetric(swept, "swept")
 			}
 		})
+	}
+}
+
+// TestDescriptionKeysTellCellsApart: a cell may hold the bytes a key
+// separates its fields with. Loaded from CSV, a value that spells out a
+// second selector must still name its own group in the group cache — not
+// the conjunction its bytes imitate — and the two descriptions must not
+// compare equal.
+func TestDescriptionKeysTellCellsApart(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"reviewers.csv": "_key,a,b\nu1,x\x010\x00b\x00y,z\nu2,x,y\nu3,x,z\n",
+		"items.csv":     "_key,c\ni1,q\ni2,q\n",
+		"ratings.csv":   "_reviewer,_item,overall:5\nu1,i1,1\nu2,i1,2\nu2,i2,3\nu3,i1,4\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := dataset.LoadDir(dir, "keys", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "a", Value: "x\x010\x00b\x00y"})
+	pair := query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "a", Value: "x"},
+		query.Selector{Side: query.ReviewerSide, Attr: "b", Value: "y"})
+	if odd.Equal(pair) || odd.Key() == pair.Key() {
+		t.Errorf("%q and %q compare equal", odd, pair)
+	}
+	cached, err := query.NewEngine(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.EnableGroupCache(1 << 20)
+	for _, d := range []query.Description{odd, pair} {
+		got, _, err := cached.MaterializeCached(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := query.NewEngine(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Materialize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Records, want.Records) {
+			t.Errorf("%q through the group cache holds records %v, want %v", d, got.Records, want.Records)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -57,14 +58,55 @@ func (s Selector) String() string {
 }
 
 // Key returns a canonical identity string (used for set semantics):
-// side, attribute and value, NUL-separated. Keys are built by concatenation —
-// candidate enumeration makes several hundred a step.
+// side, attribute and value, NUL-separated, with the separator bytes in
+// the attribute and value escaped (keyPart). Keys are built by
+// concatenation — candidate enumeration makes several hundred a step.
 func (s Selector) Key() string {
-	return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr + "\x00" + s.Value
+	return strconv.Itoa(int(s.Side)) + "\x00" + keyPart(s.Attr) + "\x00" + keyPart(s.Value)
 }
 
 // AttrKey identifies the attribute (without the value) a selector binds.
-func (s Selector) AttrKey() string { return strconv.Itoa(int(s.Side)) + "\x00" + s.Attr }
+func (s Selector) AttrKey() string { return strconv.Itoa(int(s.Side)) + "\x00" + keyPart(s.Attr) }
+
+// keyEscape introduces an escaped byte in a key part. Keys separate their
+// fields with \x00, \x01 and \x02, and a cell may hold any of them, so each
+// of those bytes and keyEscape itself is written as keyEscape followed by
+// the byte plus '0'. No escaped part holds a separator, which makes every
+// key built from parts injective; a part without those bytes, which is
+// every part of ordinary data, is itself.
+const keyEscape = 0x03
+
+// keyPart is s as a key part.
+func keyPart(s string) string {
+	if !needsKeyEscape(s) {
+		return s
+	}
+	return string(appendKeyPart(nil, s))
+}
+
+func needsKeyEscape(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] <= keyEscape {
+			return true
+		}
+	}
+	return false
+}
+
+// appendKeyPart appends s to a key as keyPart writes it.
+func appendKeyPart(b []byte, s string) []byte {
+	if !needsKeyEscape(s) {
+		return append(b, s...)
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= keyEscape {
+			b = append(b, keyEscape, c+'0')
+		} else {
+			b = append(b, c)
+		}
+	}
+	return b
+}
 
 // Description is a conjunctive set of selectors defining a reviewer group
 // and an item group simultaneously (the paper's q). The zero value selects
@@ -194,15 +236,16 @@ func (d Description) Key() string {
 		}
 		b = strconv.AppendInt(b, int64(s.Side), 10)
 		b = append(b, 0x00)
-		b = append(b, s.Attr...)
+		b = appendKeyPart(b, s.Attr)
 		b = append(b, 0x00)
-		b = append(b, s.Value...)
+		b = appendKeyPart(b, s.Value)
 	}
 	return string(b)
 }
 
-// Equal reports whether two descriptions select the same predicate.
-func (d Description) Equal(o Description) bool { return d.Key() == o.Key() }
+// Equal reports whether two descriptions select the same predicate: the
+// same selectors, which canonical order makes the same list.
+func (d Description) Equal(o Description) bool { return slices.Equal(d.selectors, o.selectors) }
 
 // String renders the description as a WHERE-style conjunction.
 func (d Description) String() string {

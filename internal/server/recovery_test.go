@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -151,9 +154,10 @@ func TestBootRecoveryHonoursContext(t *testing.T) {
 	}
 }
 
-// TestBootRecoveryInIdOrder pins the order sessions are restored in —
-// the order the accumulator cache is rewarmed and flight events are
-// written — by making every restore fail and reading the events back.
+// TestBootRecoveryInIdOrder pins the order recovered sessions are
+// installed and their flight events written in — ascending id — by making
+// every restore fail and reading the events back. The accumulator cache is
+// rewarmed in another order, the prefix walk's (core.RestoreSessions).
 func TestBootRecoveryInIdOrder(t *testing.T) {
 	db, err := gen.Demo(gen.Config{})
 	if err != nil {
@@ -183,10 +187,243 @@ func TestBootRecoveryInIdOrder(t *testing.T) {
 	}
 }
 
+// stepCounter is a span sink counting the engine steps run under it.
+type stepCounter struct{ n atomic.Int64 }
+
+func (c *stepCounter) Collect(root *obs.SpanData) {
+	if root.Name == "core.step" {
+		c.n.Add(1)
+	}
+}
+
+// TestRecoveryReplaysEachPrefixOnce boots a server over a store whose logs
+// share prefixes — across two modes and two starts, with an OpID-tagged
+// twin, a degraded step, a shed snapshot with its Final record and a
+// tampered digest — and holds every recovered session to what restoring it
+// alone gives: the same Snapshot, or the same error. The engine runs one
+// step per distinct step prefix, each session keeps its own log's ops and
+// OpID tags, and the sessions that fail are exactly the two whose logs
+// hold the tampered op and the one whose Final record its shared replay
+// does not reach.
+func TestRecoveryReplaysEachPrefixOnce(t *testing.T) {
+	db, err := gen.Demo(gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lightConfig()
+	ex, err := core.NewExplorer(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	root, err := core.NewSession(ex, core.UserDriven, query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := root.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := first.Maps[0]
+	var preds []string
+	for _, sg := range rm.Subgroups[:2] {
+		d, err := root.Current().With(query.Selector{Side: rm.Side, Attr: rm.Attr, Value: ex.DictFor(rm).Value(sg.Value)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, d.String())
+	}
+	predA, predB := preds[0], preds[1]
+
+	// live runs a walk on a session of its own; each op is "step", "back",
+	// "rec" (the top recommendation) or a predicate to apply.
+	live := func(mode core.Mode, start string, ops ...string) *core.Session {
+		t.Helper()
+		d, err := ex.ParseDescription(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := core.NewSession(ex, mode, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			switch op {
+			case "step":
+				_, err = sess.Step()
+			case "back":
+				if !sess.Back() {
+					err = errors.New("back on empty history")
+				}
+			case "rec":
+				err = sess.ApplyRecommendation(0)
+			default:
+				var to query.Description
+				if to, err = ex.ParseDescription(op); err == nil {
+					err = sess.ApplyDescription(to)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		}
+		return sess
+	}
+	logOf := func(sess *core.Session) *core.SessionSnapshot {
+		snap := sess.Snapshot()
+		snap.Final = nil
+		return snap
+	}
+	edit := func(snap *core.SessionSnapshot, i int, change func(op *core.SessionOp)) *core.SessionSnapshot {
+		out := *snap
+		out.Ops = slices.Clone(snap.Ops)
+		change(&out.Ops[i])
+		return &out
+	}
+	degrade := func(op *core.SessionOp) {
+		op.Degraded = true
+		for _, rm := range first.Maps {
+			op.Seen = append(op.Seen, core.SeenDelta{Dim: rm.Dim, Dist: rm.Distribution()})
+		}
+	}
+	one := logOf(live(core.UserDriven, "TRUE", "step", predA, "step"))
+	two := live(core.UserDriven, "TRUE", "step", predA, "step", "back", "step")
+	three := logOf(live(core.UserDriven, "TRUE", "step", predB, "step"))
+	tampered := edit(one, 2, func(op *core.SessionOp) { op.Digests = append([]string{"tampered"}, op.Digests[1:]...) })
+	tamperedLonger := logOf(two)
+	tamperedLonger.Ops[2] = tampered.Ops[2]
+	logs := map[int]*core.SessionSnapshot{
+		1:  one,
+		2:  logOf(two),
+		3:  three,
+		4:  logOf(live(core.RecommendationPowered, "TRUE", "step", "rec", "step")),
+		5:  logOf(live(core.RecommendationPowered, "TRUE", "step", "rec", "step", "rec", "step")),
+		6:  logOf(live(core.UserDriven, predA, "step", "step")),
+		7:  logOf(live(core.UserDriven, predA, "step")),
+		8:  edit(logOf(two), 1, func(op *core.SessionOp) { op.OpID = "w8-apply" }),
+		9:  tampered,
+		10: tamperedLonger,
+		11: edit(one, 0, degrade),
+		12: edit(three, 0, degrade),
+		13: two.Snapshot(), // shed, Final and all
+		14: two.Snapshot(),
+	}
+	logs[8].Ops[4].OpID = "w8-step"
+	logs[14].Final.Steps++
+	failing := map[int]bool{9: true, 10: true, 14: true}
+
+	dir := t.TempDir()
+	store, err := sessionstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, snap := range logs {
+		base := &core.SessionSnapshot{Version: snap.Version, Fingerprint: snap.Fingerprint, Mode: snap.Mode, Start: snap.Start}
+		if err := store.Create(id, base); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Final != nil {
+			err = store.Shed(id, snap)
+		}
+		for seq, op := range snap.Ops {
+			if err == nil && snap.Final == nil {
+				err = store.AppendOp(id, seq, op)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = sessionstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	stored, _, err := store.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What restoring each session alone gives, on an explorer of its own,
+	// and the step prefixes the engine must run: every prefix ending in a
+	// recomputed step, up to and including a failing op.
+	alone, err := core.NewExplorer(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes, steps := map[string]bool{}, 0
+	for id, snap := range stored {
+		want, werr := core.RestoreSession(ctx, alone, snap)
+		if (werr != nil) != failing[id] {
+			t.Fatalf("session %d alone: err %v, want failing %t", id, werr, failing[id])
+		}
+		key := snap.Mode + "|" + snap.Start
+		for i, op := range snap.Ops {
+			op.OpID = ""
+			key += fmt.Sprintf("|%+v", op)
+			if op.Kind == core.OpStep && !op.Degraded {
+				prefixes[key] = true
+				steps++
+			}
+			if (id == 9 || id == 10) && i == 2 {
+				break
+			}
+		}
+		logs[id] = nil
+		if werr == nil {
+			logs[id] = want.Snapshot()
+		}
+	}
+
+	counter := &stepCounter{}
+	s, err := NewWithOptionsCtx(obs.WithSink(ctx, counter), db, cfg, Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := counter.n.Load(); got != int64(len(prefixes)) || len(prefixes) >= steps {
+		t.Errorf("recovery ran %d engine steps for %d distinct step prefixes (%d steps logged)", got, len(prefixes), steps)
+	}
+	failed := map[int]string{}
+	for _, ev := range s.Flight().Snapshot("", 0) {
+		id, _ := ev.Get("session")
+		msg, _ := ev.Get("error")
+		failed[id.(int)] = msg.(string)
+	}
+	for id, want := range logs {
+		e := s.table.sessions[id]
+		if failing[id] {
+			_, werr := core.RestoreSession(ctx, alone, stored[id])
+			if e != nil || failed[id] != werr.Error() {
+				t.Errorf("session %d: live %t, flight error %q; want it failed with %q", id, e != nil, failed[id], werr)
+			}
+			continue
+		}
+		if e == nil {
+			t.Errorf("session %d not recovered (%s)", id, failed[id])
+			continue
+		}
+		got := e.sess.Snapshot()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("session %d recovers as\n%+v\nalone it restores as\n%+v", id, got, want)
+		}
+		if !reflect.DeepEqual(got.Ops, stored[id].Ops) {
+			t.Errorf("session %d recovers the ops\n%+v\nits log holds\n%+v", id, got.Ops, stored[id].Ops)
+		}
+	}
+	if len(failed) != len(failing) {
+		t.Errorf("flight events for sessions %v, want %v", failed, failing)
+	}
+}
+
 // BenchmarkBootRecovery is serve_durable's set-up without the benchmark
 // around it: open a WAL of 200 crashed demo sessions of 10 steps each and
 // boot a server over it, every session replayed through the engine and
-// checked against its logged digests.
+// checked against its logged digests. open_ms is sessionstore.Open (read,
+// checksum and decode the log) and recover_ms the server's boot over it
+// (the replay), each per boot.
 //
 //	go test ./internal/server -run '^$' -bench BootRecovery -benchtime 20x
 func BenchmarkBootRecovery(b *testing.B) {
@@ -204,17 +441,22 @@ func BenchmarkBootRecovery(b *testing.B) {
 	if err := seed.Close(); err != nil {
 		b.Fatal(err)
 	}
+	var opening, recovering time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		start := time.Now()
 		store, err := sessionstore.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
+		opened := time.Now()
 		s, err := NewWithOptionsCtx(context.Background(), db, core.DefaultConfig(), Options{Store: store})
 		if err != nil {
 			b.Fatal(err)
 		}
+		opening += opened.Sub(start)
+		recovering += time.Since(opened)
 		if got := liveSessions(s); got != sessions {
 			b.Fatalf("recovered %d of %d sessions", got, sessions)
 		}
@@ -226,4 +468,6 @@ func BenchmarkBootRecovery(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N)/sessions, "ms/session")
+	b.ReportMetric(float64(opening.Microseconds())/1000/float64(b.N), "open_ms")
+	b.ReportMetric(float64(recovering.Microseconds())/1000/float64(b.N), "recover_ms")
 }

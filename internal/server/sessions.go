@@ -113,32 +113,37 @@ func newSessionTable(ctx context.Context, ex *core.Explorer, reg *obs.Registry, 
 	return t, nil
 }
 
-// recover resumes every stored session at boot, in ascending id order:
-// each snapshot is replayed through the real engine (rewarming the
-// cross-step cache and verifying the recorded digests) and installed in
-// the live map. A session that fails to replay is flight-recorded and
-// left in the store for forensics, never served — unless ctx is done:
+// recover resumes every stored session at boot: the snapshots are
+// replayed through the real engine in one core.RestoreSessions call (each
+// distinct op-log prefix once, rewarming the cross-step cache and checking
+// every session's recorded digests), then installed in the live map in
+// ascending id order. A session that fails to replay is flight-recorded
+// and left in the store for forensics, never served — unless ctx is done:
 // that is the boot called off, not the session's fault, so recover
 // returns the context's error and the store, only read, recovers in full
 // next time. A corrupt WAL tail found by the store's own open is likewise
 // flight-recorded here, where a recorder exists.
 func (t *sessionTable) recover(ctx context.Context) error {
-	snaps, nextID, err := t.store.All()
+	stored, nextID, err := t.store.All()
 	if err != nil {
 		return fmt.Errorf("server: reading session store: %w", err)
 	}
-	ids := make([]int, 0, len(snaps))
-	for id := range snaps {
+	ids := make([]int, 0, len(stored))
+	for id := range stored {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	snaps := make([]*core.SessionSnapshot, len(ids))
+	for i, id := range ids {
+		snaps[i] = stored[id]
+	}
+	sessions, errs := core.RestoreSessions(ctx, t.ex, snaps)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("server: session recovery: %w", err)
+	}
 	recovered := 0
-	for _, id := range ids {
-		sess, rerr := core.RestoreSession(ctx, t.ex, snaps[id])
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("server: session recovery: %w", err)
-		}
-		if rerr != nil {
+	for i, id := range ids {
+		if rerr := errs[i]; rerr != nil {
 			t.tel.flightEvent("session_recovery_failed", obs.NewWideEvent().
 				Set("op", "recover_session").
 				Set("session", id).
@@ -147,7 +152,7 @@ func (t *sessionTable) recover(ctx context.Context) error {
 			continue
 		}
 		t.mu.Lock()
-		t.sessions[id] = &sessionEntry{sess: sess, lastUsed: t.now()}
+		t.sessions[id] = &sessionEntry{sess: sessions[i], lastUsed: t.now()}
 		t.mu.Unlock()
 		t.tel.sessionsLive.Inc()
 		recovered++

@@ -68,8 +68,9 @@ type FileStore struct {
 	f                *os.File
 	recsSinceCompact int
 	compactEvery     int
-	end, alloc       int64 // the next record's offset; how far f's blocks are allocated
-	noPrealloc       bool  // the file system cannot allocate ahead
+	end, alloc       int64  // the next record's offset; how far f's blocks are allocated
+	noPrealloc       bool   // the file system cannot allocate ahead
+	line             []byte // under wmu: the record being written, encoded over the last
 
 	//subdex:lockorder rank=50 leaf of the write path; Stats holds it across the mirror's memState.mu only
 	statsMu  sync.Mutex
@@ -224,15 +225,19 @@ func (fs *FileStore) Close() error {
 // logAppend is the shared write path: mirror + file under wmu, data sync
 // outside it, compaction when due.
 func (fs *FileStore) logAppend(rec walRecord) error {
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
 	fs.wmu.Lock()
 	if fs.f == nil {
 		fs.wmu.Unlock()
 		return fmt.Errorf("sessionstore: store is closed")
 	}
+	// Encoded before the mirror applies it: a record the log cannot hold
+	// changes nothing.
+	line, err := appendLine(fs.line[:0], rec)
+	if err != nil {
+		fs.wmu.Unlock()
+		return err
+	}
+	fs.line = line
 	if err := fs.st.apply(rec); err != nil {
 		fs.wmu.Unlock()
 		return err
@@ -326,11 +331,13 @@ func (fs *FileStore) compact() {
 	}
 	var end int64
 	for _, rec := range recs {
-		line, err := encodeRecord(rec)
+		// Compaction runs under wmu: the append buffer is free.
+		line, err := appendLine(fs.line[:0], rec)
 		if err != nil {
 			abort()
 			return
 		}
+		fs.line = line
 		if _, err := tmp.Write(line); err != nil {
 			abort()
 			return

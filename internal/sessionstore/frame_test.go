@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,7 +274,8 @@ func TestWALCrossVersionReplay(t *testing.T) {
 
 // BenchmarkWALFrame encodes and decodes one line, reference against the
 // byte frame, for the two records a served session writes most: a step op
-// and a create.
+// and a create. The frame arm encodes as FileStore appends, into one
+// buffer it reuses.
 //
 //	go test ./internal/sessionstore -run '^$' -bench WALFrame -benchmem
 func BenchmarkWALFrame(b *testing.B) {
@@ -286,13 +288,18 @@ func BenchmarkWALFrame(b *testing.B) {
 	} {
 		line := lines(b, r.rec)
 		line = line[:len(line)-1]
+		var buf []byte
+		appendReused := func(rec walRecord) (_ []byte, err error) {
+			buf, err = appendLine(buf[:0], rec)
+			return buf, err
+		}
 		for _, arm := range []struct {
 			name   string
 			encode func(walRecord) ([]byte, error)
 			decode func([]byte) (walRecord, error)
 		}{
 			{"reference", encodeRecordReference, decodeLineReference},
-			{"frame", encodeRecord, decodeLine},
+			{"frame", appendReused, decodeLine},
 		} {
 			b.Run("encode/"+r.name+"/"+arm.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -312,6 +319,136 @@ func BenchmarkWALFrame(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// codecRecord builds a record whose every string, float and map key comes
+// from the caller; shape's bits choose which optional parts are present:
+// 1 an op, 2 a snapshot, 4 its final state, 8 empty slices in place of
+// filled ones.
+func codecRecord(shape uint8, s1, s2, s3 string, n1, n2 int, f1, f2 float64, degraded bool) walRecord {
+	rec := walRecord{Kind: s1, ID: n1, Seq: n2}
+	digests, dist, seen := []string{s2, s3}, []float64{f1, f2}, []core.SeenDelta{{Dim: n2, Dist: []float64{f1, f2}}, {Dim: n1}}
+	if shape&8 != 0 {
+		digests, dist, seen = []string{}, []float64{}, []core.SeenDelta{}
+	}
+	op := core.SessionOp{Kind: core.OpKind(s2), Predicate: s3, Index: n1, Digests: digests,
+		Degraded: degraded, Seen: seen, OpID: s1}
+	if shape&1 != 0 {
+		rec.Op = &op
+	}
+	if shape&2 != 0 {
+		rec.Snap = &core.SessionSnapshot{Version: n2, Fingerprint: s1, Mode: s2, Start: s3,
+			Ops: []core.SessionOp{op, {Kind: core.OpBack}}}
+		if shape&8 != 0 {
+			rec.Snap.Ops = []core.SessionOp{}
+		}
+		if shape&4 != 0 {
+			rec.Snap.Final = &core.FinalState{Current: s2, Steps: n1, Seen: ratingmap.SeenState{
+				Dists: [][]float64{dist, nil}, Dims: map[int]int{n1: n2, n2: n1, 2: 1, 10: 3}, Total: n2}}
+		}
+	}
+	return rec
+}
+
+// FuzzWALRecord holds the hand-written codec to encoding/json on records
+// with arbitrary strings (invalid UTF-8 among them), floats at the format
+// boundaries and NaN/Inf, and map keys whose string order is not their
+// numeric order. Properties: encodeRecord writes the reference's bytes or
+// both fail; decodeLine reads its own output as the reference does; and a
+// payload with one byte replaced and its checksum recomputed is either
+// refused by decodeLine or read as the reference reads it.
+func FuzzWALRecord(f *testing.F) {
+	for _, s := range []string{"", "step", "reviewers.city='NYC'", `a"b\c`, "<b>&amp;</b>", "\x00\x01\x1f\x7f",
+		"\b\f\n\r\t", "\xff", "a\xc3", "\xed\xa0\x80", "\u00e9\u20ac\U0001F600", "\u2028\u2029", "\ufffd"} {
+		f.Add(uint8(15), s, s+"x", "y"+s, 2, 10, 1e-6, 1e21, true, 0, byte('x'))
+	}
+	for _, fl := range []float64{0, math.Copysign(0, -1), 1e-6, 9.999999e-7, 1e-7, 1e21, 9.99999e20, 1e20, 123456789,
+		0.1, 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(uint8(7), "op", "step", "TRUE", -3, 0, fl, -fl, false, 17, byte('}'))
+	}
+	f.Add(uint8(0), "next", "", "", 41, 0, 0.0, 0.0, false, 5, byte('9'))
+	f.Add(uint8(14), "shed", "ud", "TRUE", 1<<40, -(1 << 40), 0.25, 0.75, false, 40, byte(' '))
+	f.Fuzz(func(t *testing.T, shape uint8, s1, s2, s3 string, n1, n2 int, f1, f2 float64, degraded bool, at int, b byte) {
+		rec := codecRecord(shape, s1, s2, s3, n1, n2, f1, f2, degraded)
+		got, err := encodeRecord(rec)
+		want, rerr := encodeRecordReference(rec)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("encodeRecord error %v, reference error %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encodeRecord\n got %q\nwant %q", got, want)
+		}
+		line := got[:len(got)-1]
+		dec, err := decodeLine(line)
+		if err != nil {
+			t.Fatalf("decodeLine rejects its own encoding: %v\n%q", err, line)
+		}
+		ref, err := decodeLineReference(line)
+		if err != nil {
+			t.Fatalf("reference rejects the encoding: %v", err)
+		}
+		if !reflect.DeepEqual(dec, ref) {
+			t.Fatalf("decoded\n got %+v\nwant %+v", dec, ref)
+		}
+
+		payload := bytes.Clone(line[frameHead : len(line)-1])
+		payload[uint(at)%uint(len(payload))] = b
+		edited := append([]byte(framePrefix), appendCRC(nil, payload)...)
+		edited = append(append(append(edited, frameInfix...), payload...), '}')
+		checkAgainstReference(t, edited)
+	})
+}
+
+// TestWALCodecFields lists the JSON fields of every type a WAL record
+// holds. The codec writes and reads them by name, so a field added to any
+// of these types fails here until the codec learns it.
+func TestWALCodecFields(t *testing.T) {
+	for typ, want := range map[reflect.Type]string{
+		reflect.TypeOf(walRecord{}):            "k id seq,omitempty op,omitempty snap,omitempty",
+		reflect.TypeOf(core.SessionOp{}):       "kind predicate,omitempty index,omitempty digests,omitempty degraded,omitempty seen,omitempty op_id,omitempty",
+		reflect.TypeOf(core.SeenDelta{}):       "dim dist",
+		reflect.TypeOf(core.SessionSnapshot{}): "version fingerprint mode start ops,omitempty final,omitempty",
+		reflect.TypeOf(core.FinalState{}):      "current steps seen",
+		reflect.TypeOf(ratingmap.SeenState{}):  "dists,omitempty dims,omitempty total",
+	} {
+		var tags []string
+		for i := 0; i < typ.NumField(); i++ {
+			tags = append(tags, typ.Field(i).Tag.Get("json"))
+		}
+		if got := strings.Join(tags, " "); got != want {
+			t.Errorf("%s fields are %q; the codec writes %q", typ, got, want)
+		}
+	}
+}
+
+// TestWALPayloadOnlyAsWritten: a payload that is valid JSON for the same
+// record but not the bytes the encoder writes is no record, even behind a
+// good checksum.
+func TestWALPayloadOnlyAsWritten(t *testing.T) {
+	for name, payload := range map[string]string{
+		"whitespace":         `{"k":"next", "id":41}`,
+		"keys reordered":     `{"id":41,"k":"next"}`,
+		"an unknown key":     `{"k":"next","id":41,"x":1}`,
+		"a repeated key":     `{"k":"next","id":40,"id":41}`,
+		"a null op":          `{"k":"op","id":1,"op":null}`,
+		"a quoted number":    `{"k":"next","id":"41"}`,
+		"a fraction id":      `{"k":"next","id":41.0}`,
+		"a leading zero":     `{"k":"next","id":041}`,
+		"escaped surrogates": `{"k":"\ud83d\ude00","id":41}`,
+		"raw invalid UTF-8":  "{\"k\":\"\xff\",\"id\":41}",
+		"a raw control":      "{\"k\":\"\t\",\"id\":41}",
+		"trailing bytes":     `{"k":"next","id":41}{}`,
+	} {
+		line := append([]byte(framePrefix), appendCRC(nil, []byte(payload))...)
+		line = append(append(append(line, frameInfix...), payload...), '}')
+		checkAgainstReference(t, line)
+		if _, err := decodeLine(line); err == nil {
+			t.Errorf("%s: decodeLine accepts %q", name, payload)
 		}
 	}
 }

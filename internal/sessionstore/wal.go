@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,9 +16,9 @@ import (
 // envelope {"c":"<crc32c hex>","r":<record>} so torn or bit-flipped
 // tails are detected without trusting JSON well-formedness alone. The
 // envelope is a byte frame, not a JSON object of its own: a line is valid
-// only in the exact bytes encodeRecord writes around the record. Any other
+// only in the exact bytes appendLine writes around the record. Any other
 // line, valid JSON or not, is a corrupt tail — which is what a line that
-// encodeRecord did not write has always been in practice. Replay
+// appendLine did not write has always been in practice. Replay
 // recovers the longest valid prefix: the first undecodable or
 // checksum-failing line ends recovery and the file is truncated there.
 // Three well-formed redundancies are tolerated mid-stream instead of
@@ -44,7 +43,9 @@ const (
 	recNext = "next"
 )
 
-// walRecord is one logical WAL record (the "r" payload of a line).
+// walRecord is one logical WAL record (the "r" payload of a line). Its
+// JSON tags are the layout: codec.go writes and reads the bytes
+// json.Marshal gives it, field by field.
 type walRecord struct {
 	Kind string                `json:"k"`
 	ID   int                   `json:"id"`
@@ -54,7 +55,7 @@ type walRecord struct {
 }
 
 // The frame around a record's JSON, {"c":"<8 hex digits>","r":<record>},
-// as the byte offsets encodeRecord writes and decodeLine checks.
+// as the byte offsets appendLine writes and decodeLine checks.
 const (
 	framePrefix = `{"c":"`
 	frameInfix  = `","r":`
@@ -72,16 +73,15 @@ func appendCRC(dst, payload []byte) []byte {
 	return hex.AppendEncode(dst, sum[:])
 }
 
-// encodeRecord renders one WAL line, newline-terminated.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// appendLine appends rec's WAL line to dst: the payload is written in
+// place after the frame head, whose checksum digits it then fills.
+func appendLine(dst []byte, rec walRecord) ([]byte, error) {
+	head := len(dst)
+	line, err := appendRecord(append(dst, framePrefix+"00000000"+frameInfix...), &rec)
 	if err != nil {
 		return nil, err
 	}
-	line := append(make([]byte, 0, frameHead+len(payload)+2), framePrefix...)
-	line = appendCRC(line, payload)
-	line = append(line, frameInfix...)
-	line = append(line, payload...)
+	appendCRC(line[head+crcStart:head+crcStart], line[head+frameHead:])
 	return append(line, '}', '\n'), nil
 }
 
@@ -99,8 +99,8 @@ func decodeLine(line []byte) (walRecord, error) {
 	if got := appendCRC(sum[:0], payload); string(got) != string(line[crcStart:crcEnd]) {
 		return walRecord{}, fmt.Errorf("sessionstore: wal checksum mismatch: line says %s, payload is %s", line[crcStart:crcEnd], got)
 	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := parseRecord(payload)
+	if err != nil {
 		return walRecord{}, fmt.Errorf("sessionstore: bad wal record: %w", err)
 	}
 	return rec, nil
@@ -256,7 +256,18 @@ func replayWAL(st *memState, r io.Reader) replayResult {
 	deleted := make(map[int]bool)
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
-		line, err := br.ReadBytes('\n')
+		// A line is decoded before the next read, and nothing decoded
+		// aliases it: it can stay in the reader's buffer unless it is
+		// longer than that.
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long := bytes.Clone(line)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if err == io.EOF {
 			// NULs to the end are space allocated ahead of the log, not
 			// a record: no frame starts with one.

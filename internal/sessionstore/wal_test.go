@@ -10,6 +10,10 @@ import (
 	"subdex/internal/core"
 )
 
+// encodeRecord renders one WAL line, newline-terminated, as the store
+// appends it.
+func encodeRecord(rec walRecord) ([]byte, error) { return appendLine(nil, rec) }
+
 // lines renders a sequence of records as a well-formed WAL.
 func lines(t testing.TB, recs ...walRecord) []byte {
 	t.Helper()
@@ -288,6 +292,35 @@ func TestWALZeroTail(t *testing.T) {
 				t.Errorf("file is %d bytes after open, want %d", info.Size(), wantAt)
 			}
 		})
+	}
+}
+
+// TestWALReplayLinesLongerThanTheBuffer: a shed record longer than the
+// replay reader's 64 KiB buffer replays whole, with the records around it,
+// and the same line torn at the end of the log is a torn tail.
+func TestWALReplayLinesLongerThanTheBuffer(t *testing.T) {
+	var ops []core.SessionOp
+	for i := 0; i < 3000; i++ {
+		ops = append(ops, servedStepOp())
+	}
+	long := walRecord{Kind: recShed, ID: 2, Snap: snap("TRUE", ops...)}
+	raw := lines(t, walRecord{Kind: recCreate, ID: 1, Snap: snap("TRUE")}, long,
+		walRecord{Kind: recOp, ID: 1, Op: opPtr(stepOp("1-1"))})
+	if n := bytes.IndexByte(raw[bytes.IndexByte(raw, '\n')+1:], '\n'); n < 3<<16 {
+		t.Fatalf("the shed line is %d bytes, want several buffers", n)
+	}
+	st := newMemState()
+	if res := replayWAL(st, bytes.NewReader(raw)); res.Truncated || res.Applied != 3 || res.ValidBytes != int64(len(raw)) {
+		t.Fatalf("replay: %+v", res)
+	}
+	if !reflect.DeepEqual(st.sessions[2], long.Snap) || len(st.sessions[1].Ops) != 1 {
+		t.Fatal("the long record did not replay as written")
+	}
+	torn := raw[:len(raw)-len(lines(t, walRecord{Kind: recOp, ID: 1, Op: opPtr(stepOp("1-1"))}))-1]
+	st = newMemState()
+	res := replayWAL(st, bytes.NewReader(torn))
+	if !res.Truncated || res.Applied != 1 || st.sessions[2] != nil {
+		t.Fatalf("a torn long line replays as %+v", res)
 	}
 }
 
