@@ -7,11 +7,10 @@ package subdex_test
 // under each pruning scheme, GMM selection, recommendation building).
 //
 // Regenerate the actual paper artifacts with `go run ./cmd/sdebench -run
-// all -scale 0.2`; these benches exist so `go test -bench=.` exercises
-// every experiment code path and tracks their cost over time.
+// all`; these benches exist so `go test -bench=.` exercises every
+// experiment code path and tracks their cost over time.
 
 import (
-	"io"
 	"sync"
 	"testing"
 
@@ -29,7 +28,7 @@ import (
 // benchParams is the shared experiment scale for table/figure benches:
 // large enough to exercise the pruning machinery, small enough for -bench.
 func benchParams() experiments.Params {
-	return experiments.Params{Scale: 0.02, Seed: 1, Subjects: 3, Out: io.Discard}
+	return experiments.Params{Scale: 0.02, Seed: 1, Subjects: 3}
 }
 
 func runExperiment(b *testing.B, id string) {
@@ -41,7 +40,7 @@ func runExperiment(b *testing.B, id string) {
 	p := benchParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(p); err != nil {
+		if _, err := e.Run(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,25 +1,33 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5). Each experiment is a named, self-contained function that
-// generates its workload, runs the system, and renders the same rows or
-// series the paper reports. The per-experiment index lives in DESIGN.md;
-// measured-vs-paper comparisons are recorded in EXPERIMENTS.md.
+// generates its workload, runs the system, and returns the rows or series
+// the paper reports as Tables, with the paper's values beside them where
+// the paper prints numbers. Render writes tables as markdown: `cmd/sdebench`
+// prints exactly that, and EXPERIMENTS.md holds it byte for byte (the root
+// TestExperimentsDocIsTheRun reruns it). The per-experiment index lives in
+// DESIGN.md.
 //
-// Scale: experiments accept a Params struct whose Scale field shrinks the
-// synthetic datasets; Scale 1.0 reproduces the paper's dataset sizes
-// (Table 2). The defaults used by `cmd/sdebench` are chosen so the full
-// suite completes in minutes on a laptop while preserving every reported
-// shape.
+// Scale: Params.Scale shrinks the synthetic datasets; Scale 1.0 reproduces
+// the paper's dataset sizes (Table 2). EXPERIMENTS.md is generated at the
+// documented point, DefaultScale / DefaultSeed / DefaultSubjects, which is
+// also what `cmd/sdebench` runs when given no flags.
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
-	"time"
+	"strings"
 
 	"subdex/internal/core"
 	"subdex/internal/dataset"
 	"subdex/internal/gen"
+)
+
+// The documented point: EXPERIMENTS.md's §5 tables are the run at these
+// values, and sdebench's flags default to them.
+const (
+	DefaultScale    = 0.2
+	DefaultSeed     = 1
+	DefaultSubjects = 30
 )
 
 // Params carries the experiment-wide knobs.
@@ -31,36 +39,49 @@ type Params struct {
 	// Subjects is the number of simulated subjects per treatment cell
 	// (the paper uses 30 per cell after grouping).
 	Subjects int
-	// Out receives the rendered tables.
-	Out io.Writer
 }
 
-func (p Params) scale() float64 {
-	if p.Scale <= 0 {
-		return 0.05
-	}
-	return p.Scale
+// Table is one table of an experiment's result, as data.
+type Table struct {
+	Title  string
+	Header []string
+	Rows   [][]string
+	// Note is printed under the table: a statistic over its cells.
+	Note string
 }
 
-func (p Params) seed() int64 {
-	if p.Seed == 0 {
-		return 1
+// Render writes tables as markdown, each a bold title, the table and its
+// note: the bytes sdebench prints and EXPERIMENTS.md holds.
+func Render(tables []Table) string {
+	var b strings.Builder
+	row := func(cells []string) {
+		for _, c := range cells {
+			b.WriteString("| " + strings.ReplaceAll(c, "|", `\|`) + " ")
+		}
+		b.WriteString("|\n")
 	}
-	return p.Seed
-}
-
-func (p Params) subjects() int {
-	if p.Subjects <= 0 {
-		return 30
+	for i, t := range tables {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
+		row(t.Header)
+		b.WriteString(strings.Repeat("|---", len(t.Header)) + "|\n")
+		for _, r := range t.Rows {
+			row(r)
+		}
+		if t.Note != "" {
+			fmt.Fprintf(&b, "\n%s\n", t.Note)
+		}
 	}
-	return p.Subjects
+	return b.String()
 }
 
 // Experiment is one runnable paper artifact.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Params) error
+	Run   func(Params) ([]Table, error)
 }
 
 // All returns the experiment registry in paper order.
@@ -94,51 +115,33 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// header prints a section banner.
-func header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n=== %s ===\n", title)
-}
-
-// newTab builds a tabwriter for aligned table output.
-func newTab(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
-// Table2 prints the dataset statistics of Table 2 for the three generated
+// Table2 returns the dataset statistics of Table 2 for the three generated
 // databases at the requested scale, next to the paper's full-scale values.
-func Table2(p Params) error {
-	header(p.Out, "Table 2: Examined Datasets (generated at scale "+fmt.Sprintf("%.3g", p.scale())+")")
-	type row struct {
-		db    *dataset.DB
-		paper [6]int // atts, maxvals, dims, R, U, I
+func Table2(p Params) ([]Table, error) {
+	t := Table{
+		Title:  fmt.Sprintf("Table 2: Examined Datasets (generated at scale %.3g)", p.Scale),
+		Header: []string{"Dataset", "#Atts", "Max#Vals", "#Dims", "|R|", "|U|", "|I|", "paper"},
 	}
-	ml, err := gen.Movielens(gen.Config{Seed: p.seed(), Scale: p.scale()})
-	if err != nil {
-		return err
+	for _, ds := range []struct {
+		generate func(gen.Config) (*dataset.DB, error)
+		paper    string
+	}{
+		{gen.Movielens, "12, 29, 1, 100000, 943, 1682"},
+		{gen.Yelp, "24, 13, 4, 200500, 150318, 93"},
+		{gen.Hotels, "8, 62, 4, 35912, 15493, 879"},
+	} {
+		db, err := ds.generate(gen.Config{Seed: p.Seed, Scale: p.Scale})
+		if err != nil {
+			return nil, err
+		}
+		s := db.Stats()
+		row := []string{s.Name}
+		for _, n := range []int{s.NumAttributes, s.MaxNumValues, s.NumDimensions, s.NumRatings, s.NumReviewers, s.NumItems} {
+			row = append(row, fmt.Sprint(n))
+		}
+		t.Rows = append(t.Rows, append(row, ds.paper))
 	}
-	yp, err := gen.Yelp(gen.Config{Seed: p.seed(), Scale: p.scale()})
-	if err != nil {
-		return err
-	}
-	ht, err := gen.Hotels(gen.Config{Seed: p.seed(), Scale: p.scale()})
-	if err != nil {
-		return err
-	}
-	rows := []row{
-		{ml, [6]int{12, 29, 1, 100000, 943, 1682}},
-		{yp, [6]int{24, 13, 4, 200500, 150318, 93}},
-		{ht, [6]int{8, 62, 4, 35912, 15493, 879}},
-	}
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Dataset\t#Atts\tMax#Vals\t#Dims\t|R|\t|U|\t|I|\tpaper(|R|,|U|,|I|)")
-	for _, r := range rows {
-		s := r.db.Stats()
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t(%d, %d, %d)\n",
-			s.Name, s.NumAttributes, s.MaxNumValues, s.NumDimensions,
-			s.NumRatings, s.NumReviewers, s.NumItems,
-			r.paper[3], r.paper[4], r.paper[5])
-	}
-	return tw.Flush()
+	return []Table{t}, nil
 }
 
 // buildScenarioI prepares a dataset with planted irregular groups and an
@@ -148,18 +151,18 @@ func buildScenarioI(dsName string, p Params, cfg core.Config) (*core.Explorer, [
 	var err error
 	switch dsName {
 	case "Movielens":
-		db, err = gen.Movielens(gen.Config{Seed: p.seed(), Scale: p.scale()})
+		db, err = gen.Movielens(gen.Config{Seed: p.Seed, Scale: p.Scale})
 	case "Yelp":
-		db, err = gen.Yelp(gen.Config{Seed: p.seed(), Scale: p.scale()})
+		db, err = gen.Yelp(gen.Config{Seed: p.Seed, Scale: p.Scale})
 	case "Hotels":
-		db, err = gen.Hotels(gen.Config{Seed: p.seed(), Scale: p.scale()})
+		db, err = gen.Hotels(gen.Config{Seed: p.Seed, Scale: p.Scale})
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown dataset %q", dsName)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	groups, err := gen.PlantIrregularGroups(db, p.seed()+11, 1, 5)
+	groups, err := gen.PlantIrregularGroups(db, p.Seed+11, 1, 5)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,9 +171,4 @@ func buildScenarioI(dsName string, p Params, cfg core.Config) (*core.Explorer, [
 		return nil, nil, err
 	}
 	return ex, groups, nil
-}
-
-// fmtDur renders a duration in milliseconds with 2 decimals.
-func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 }

@@ -1,16 +1,26 @@
 package experiments
 
 import (
-	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyParams keeps experiment smoke tests fast; the real artifacts are
-// regenerated by cmd/sdebench at larger scales.
-func tinyParams(buf *bytes.Buffer) Params {
-	return Params{Scale: 0.01, Seed: 1, Subjects: 3, Out: buf}
+// regenerated by cmd/sdebench at the documented point.
+func tinyParams() Params {
+	return Params{Scale: 0.01, Seed: 1, Subjects: 3}
+}
+
+// run runs one experiment at tinyParams and returns its rendered tables.
+func run(t *testing.T, e func(Params) ([]Table, error)) ([]Table, string) {
+	t.Helper()
+	tables, err := e(tinyParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables, Render(tables)
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -30,12 +40,19 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestTable2Output(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table2(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
+func TestRender(t *testing.T) {
+	got := Render([]Table{
+		{Title: "A", Header: []string{"x", "|R|"}, Rows: [][]string{{"1", "2"}}, Note: "n"},
+		{Title: "B", Header: []string{"y"}},
+	})
+	want := "**A**\n\n| x | \\|R\\| |\n|---|---|\n| 1 | 2 |\n\nn\n\n**B**\n\n| y |\n|---|\n"
+	if got != want {
+		t.Errorf("Render:\n%q\nwant\n%q", got, want)
 	}
-	out := buf.String()
+}
+
+func TestTable2Output(t *testing.T) {
+	_, out := run(t, Table2)
 	for _, want := range []string{"Movielens", "Yelp", "HotelReviews", "#Dims"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table2 output missing %q:\n%s", want, out)
@@ -47,15 +64,14 @@ func TestTable5Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	var buf bytes.Buffer
-	if err := Table5(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	tables, out := run(t, Table5)
 	for _, want := range []string{"Utility-Only", "l=2", "l=3", "Diversity-Only"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table5 output missing %q:\n%s", want, out)
 		}
+	}
+	if n := len(tables[0].Rows); n != 8 {
+		t.Errorf("table5 has %d rows, want 4 variants × 2 datasets", n)
 	}
 }
 
@@ -63,13 +79,9 @@ func TestFig9Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	var buf bytes.Buffer
-	if err := Fig9(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "with DW weights") ||
-		!strings.Contains(buf.String(), "without weights") {
-		t.Errorf("fig9 output incomplete:\n%s", buf.String())
+	_, out := run(t, Fig9)
+	if !strings.Contains(out, "with DW weights") || !strings.Contains(out, "without weights") {
+		t.Errorf("fig9 output incomplete:\n%s", out)
 	}
 }
 
@@ -77,11 +89,7 @@ func TestTable4Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	var buf bytes.Buffer
-	if err := Table4(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	_, out := run(t, Table4)
 	for _, want := range []string{"SubDEx", "SDD", "Qagview"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table4 output missing %q:\n%s", want, out)
@@ -89,32 +97,24 @@ func TestTable4Output(t *testing.T) {
 	}
 }
 
-// sweepRows parses a Figure 10 / 11 table: it fails unless the table has the
-// sequential and simulatedHeading columns, and returns, per variant, how many
-// rows it has — every one checked to cost at least as much measured on one
-// goroutine as the cost model says it would on its cores.
-func sweepRows(t *testing.T, out string) map[string]int {
+// sweepRows checks a Figure 10 / 11 table: it fails unless the table has
+// the measured and simulatedHeading columns, and returns, per scheme, how
+// many rows it has — every one checked to cost at least as much measured on
+// one goroutine as the cost model says the same run would on its cores.
+func sweepRows(t *testing.T, tables []Table) map[string]int {
 	t.Helper()
-	if !strings.Contains(out, "sequential") || !strings.Contains(out, simulatedHeading) {
-		t.Fatalf("no sequential / %q columns:\n%s", simulatedHeading, out)
+	if len(tables) != 1 || !slices.Contains(tables[0].Header, simulatedHeading) {
+		t.Fatalf("want one table with a %q column:\n%s", simulatedHeading, Render(tables))
 	}
 	rows := make(map[string]int)
-	for _, line := range strings.Split(out, "\n") {
-		for _, v := range Variants() {
-			if !strings.HasPrefix(line, v.Name+" ") {
-				continue
-			}
-			f := strings.Fields(line)
-			seq, err1 := time.ParseDuration(f[len(f)-2])
-			sim, err2 := time.ParseDuration(f[len(f)-1])
-			if err1 != nil || err2 != nil {
-				t.Fatalf("row %q does not end in two durations", line)
-			}
-			if seq < sim || (!v.Parallel && seq != sim) {
-				t.Errorf("row %q: sequential %v, simulated %v (parallel variant: %t)", line, seq, sim, v.Parallel)
-			}
-			rows[v.Name]++
+	for _, r := range tables[0].Rows {
+		seq, err1 := strconv.ParseFloat(r[2], 64)
+		sim, err2 := strconv.ParseFloat(r[3], 64)
+		if err1 != nil || err2 != nil || seq < sim {
+			t.Errorf("row %q: measured %s, simulated %s", r, r[2], r[3])
 		}
+		scheme, _, _ := strings.Cut(r[0], " ")
+		rows[scheme]++
 	}
 	return rows
 }
@@ -123,15 +123,15 @@ func TestFig10aOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	var buf bytes.Buffer
-	if err := Fig10a(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	rows := sweepRows(t, buf.String())
-	for _, v := range Variants() {
-		if rows[v.Name] != 5 {
-			t.Errorf("fig10a has %d rows for %q, want one per database size (5):\n%s", rows[v.Name], v.Name, buf.String())
+	tables, out := run(t, Fig10a)
+	rows := sweepRows(t, tables)
+	for _, s := range Schemes() {
+		if n := rows[s.Pruning.String()]; n != 5 {
+			t.Errorf("fig10a has %d rows for %s, want one per database size (5):\n%s", n, s.Pruning, out)
 		}
+	}
+	if len(rows) != len(Schemes()) {
+		t.Errorf("fig10a rows by scheme %v, want one set per scheme", rows)
 	}
 }
 
@@ -139,21 +139,24 @@ func TestFig11aOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	var buf bytes.Buffer
-	if err := Fig11a(tinyParams(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if rows := sweepRows(t, buf.String()); rows["SubDEx"] != 5 || !strings.Contains(buf.String(), "k=10") {
-		t.Errorf("fig11a output incomplete:\n%s", buf.String())
+	tables, out := run(t, Fig11a)
+	if rows := sweepRows(t, tables); rows["ci+mab"] != 5 || !strings.Contains(out, "k=10") {
+		t.Errorf("fig11a output incomplete:\n%s", out)
 	}
 }
 
+// TestVariantsList: the four measured schemes name the paper's six §5.1
+// variants, in the paper's order, each once.
 func TestVariantsList(t *testing.T) {
-	vs := Variants()
-	if len(vs) != 6 {
-		t.Fatalf("variants = %d, want 6 (§5.1)", len(vs))
+	var cores, oneCore []string
+	for _, s := range Schemes() {
+		cores = append(cores, s.Cores)
+		if s.OneCore != "" {
+			oneCore = append(oneCore, s.OneCore)
+		}
 	}
-	if vs[0].Name != "SubDEx" || vs[5].Name != "Naive" {
-		t.Error("variant order must follow the paper")
+	want := []string{"SubDEx", "No-Pruning", "CI Pruning", "MAB Pruning", "No Parallelism", "Naive"}
+	if got := append(cores, oneCore...); !slices.Equal(got, want) {
+		t.Errorf("variants %v, want the paper's %v", got, want)
 	}
 }

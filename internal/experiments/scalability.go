@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -12,27 +13,25 @@ import (
 	"subdex/internal/ratingmap"
 )
 
-// Variant is one of the six engine configurations compared in §5.3. The
-// repository evaluates a step's candidate operations one after another;
-// what a variant's Parallel says is which schedule the cost model lays over
-// their measured costs (see stepCost).
-type Variant struct {
-	Name string
-	// Pruning for the RM generator.
-	Pruning engine.Pruning
-	// Parallel variants are modelled on simCores cores, the others on one.
-	Parallel bool
+// Scheme is one pruning scheme the Figure 10 / 11 sweeps measure, once per
+// swept value. The paper's six variants are four schemes read two ways:
+// the run's measured time on one goroutine, and the cost model's schedule
+// of the same run on simCores cores (see stepCost). OneCore and Cores name
+// the paper's variant for each reading; the paper draws no one-core line
+// for CI or MAB pruning alone.
+type Scheme struct {
+	Pruning        engine.Pruning
+	OneCore, Cores string
 }
 
-// Variants returns the §5.1 scalability baselines in paper order.
-func Variants() []Variant {
-	return []Variant{
-		{"SubDEx", engine.PruneBoth, true},
-		{"No-Pruning", engine.PruneNone, true},
-		{"CI Pruning", engine.PruneCI, true},
-		{"MAB Pruning", engine.PruneMAB, true},
-		{"No Parallelism", engine.PruneBoth, false},
-		{"Naive", engine.PruneNone, false},
+// Schemes returns the §5.1 scalability baselines. Their Cores names, then
+// their OneCore names, are the paper's six variants in its order.
+func Schemes() []Scheme {
+	return []Scheme{
+		{engine.PruneBoth, "No Parallelism", "SubDEx"},
+		{engine.PruneNone, "Naive", "No-Pruning"},
+		{engine.PruneCI, "", "CI Pruning"},
+		{engine.PruneMAB, "", "MAB Pruning"},
 	}
 }
 
@@ -52,47 +51,14 @@ var simulatedHeading = fmt.Sprintf("simulated, %d cores", simCores)
 // repository reproduces it (DESIGN.md "Reproduction substitutions"): it
 // assumes candidates share nothing and cores are free, which the builder's
 // own partitions and gate do not grant it — a worker pool measured
-// 0.81–1.14× at two cores (EXPERIMENTS.md "PR 26"). A variant that is not
-// Parallel is the model's one-core schedule: its simulated time is its
-// sequential time.
+// 0.81–1.14× at two cores (EXPERIMENTS.md "PR 26").
 type stepTime struct{ sequential, simulated time.Duration }
 
-// stepCost runs one exploration step under the explorer's pruning scheme —
-// rating-map generation, then the recommendation pass — and returns both of
-// its times.
-func stepCost(ex *core.Explorer, desc query.Description, seen *ratingmap.SeenSet,
-	v Variant, o int) (stepTime, *core.StepResult, error) {
-	start := time.Now()
-	res, err := ex.RMSet(desc, seen)
-	if err != nil {
-		return stepTime{}, nil, err
-	}
-	for _, rm := range res.Maps {
-		seen.Add(rm)
-	}
-	rb := core.RecommendationBuilder{Ex: ex}
-	recs, durs, err := rb.Recommend(desc, res.Maps, seen, o)
-	if err != nil {
-		return stepTime{}, nil, err
-	}
-	sequential := time.Since(start)
-	res.Recommendations = recs
-	simulated := sequential
-	if v.Parallel {
-		var total, longest time.Duration
-		for _, d := range durs {
-			total += d
-			longest = max(longest, d)
-		}
-		simulated += max(longest, total/simCores) - total
-	}
-	return stepTime{sequential, simulated}, res, nil
-}
-
-// runPath executes a Fully-Automated path under a variant and returns the
-// average step cost.
-func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (stepTime, error) {
-	cfg.Engine.Pruning = v.Pruning
+// runPath executes scalabilitySteps steps of a Fully-Automated path under a
+// pruning scheme — each step rating-map generation, then the
+// recommendation pass — and returns the average step's times.
+func runPath(db *dataset.DB, pruning engine.Pruning, cfg core.Config) (stepTime, error) {
+	cfg.Engine.Pruning = pruning
 	ex, err := core.NewExplorer(db, cfg)
 	if err != nil {
 		return stepTime{}, err
@@ -101,21 +67,33 @@ func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (stepTime, e
 	var cur query.Description
 	var total stepTime
 	n := 0
-	for s := 0; s < steps; s++ {
-		cost, res, err := stepCost(ex, cur, seen, v, cfg.O)
+	for n < scalabilitySteps {
+		start := time.Now()
+		res, err := ex.RMSet(cur, seen)
 		if err != nil {
 			return stepTime{}, err
 		}
-		total.sequential += cost.sequential
-		total.simulated += cost.simulated
+		for _, rm := range res.Maps {
+			seen.Add(rm)
+		}
+		rb := core.RecommendationBuilder{Ex: ex}
+		recs, durs, err := rb.Recommend(cur, res.Maps, seen, cfg.O)
+		if err != nil {
+			return stepTime{}, err
+		}
+		sequential := time.Since(start)
+		var sum, longest time.Duration
+		for _, d := range durs {
+			sum += d
+			longest = max(longest, d)
+		}
+		total.sequential += sequential
+		total.simulated += sequential + max(longest, sum/simCores) - sum
 		n++
-		if len(res.Recommendations) == 0 {
+		if len(recs) == 0 {
 			break
 		}
-		cur = res.Recommendations[0].Op.Target
-	}
-	if n == 0 {
-		return stepTime{}, nil
+		cur = recs[0].Op.Target
 	}
 	return stepTime{total.sequential / time.Duration(n), total.simulated / time.Duration(n)}, nil
 }
@@ -125,7 +103,7 @@ func runPath(db *dataset.DB, v Variant, cfg core.Config, steps int) (stepTime, e
 const scalabilitySteps = 2
 
 // sweepCandidateCap bounds the per-step candidate-operation pool during
-// timing sweeps so a full figure completes in seconds; all variants share
+// timing sweeps so a full figure completes in seconds; all schemes share
 // the cap, so relative shapes are unaffected.
 const sweepCandidateCap = 120
 
@@ -137,150 +115,106 @@ func sweepConfig() core.Config {
 	return cfg
 }
 
-// yelpForScale generates the Yelp database with planted irregular groups
-// (scenario I, as in §5.3).
-func yelpForScale(p Params) (*dataset.DB, error) {
-	db, err := gen.Yelp(gen.Config{Seed: p.seed(), Scale: p.scale()})
+// sweep returns one Figure 10 / 11 table: every scheme runs the path on
+// Yelp with planted irregular groups (scenario I, as in §5.3) at each
+// swept value. Value i runs on derive(full, i) and under sweepConfig with
+// tune(i, …) applied; a nil derive keeps the full database, a nil tune the
+// config. A row carries the average step's measured one-core time and,
+// under simulatedHeading, the cost model's schedule of the same run.
+func sweep(p Params, title, xlabel string, labels []string,
+	derive func(full *dataset.DB, i int) (*dataset.DB, error), tune func(i int, c *core.Config)) ([]Table, error) {
+	full, err := gen.Yelp(gen.Config{Seed: p.Seed, Scale: p.Scale})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := gen.PlantIrregularGroups(db, p.seed()+11, 1, 5); err != nil {
+	if _, err := gen.PlantIrregularGroups(full, p.Seed+11, 1, 5); err != nil {
 		return nil, err
 	}
-	return db, nil
-}
-
-// sweepTable prints one Figure 10 / 11 table: a row per variant and value
-// of the swept quantity, carrying the average step's measured sequential
-// time and, under simulatedHeading, the cost model's.
-func sweepTable(p Params, title, xlabel string, labels []string, cell func(v Variant, i int) (stepTime, error)) error {
-	header(p.Out, title)
-	tw := newTab(p.Out)
-	fmt.Fprintf(tw, "variant\t%s\tsequential\t%s\n", xlabel, simulatedHeading)
-	for _, v := range Variants() {
-		for i, l := range labels {
-			avg, err := cell(v, i)
-			if err != nil {
-				return err
+	dbs := make([]*dataset.DB, len(labels))
+	for i := range dbs {
+		dbs[i] = full
+		if derive != nil {
+			if dbs[i], err = derive(full, i); err != nil {
+				return nil, err
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", v.Name, l, fmtDur(avg.sequential), fmtDur(avg.simulated))
 		}
 	}
-	return tw.Flush()
+	t := Table{
+		Title:  title + ", ms per step",
+		Header: []string{"pruning (paper variant: 1 core / 8 cores)", xlabel, "measured, 1 core", simulatedHeading},
+	}
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
+	for _, s := range Schemes() {
+		label := fmt.Sprintf("%s (%s / %s)", s.Pruning, cmp.Or(s.OneCore, "—"), s.Cores)
+		for i, l := range labels {
+			cfg := sweepConfig()
+			if tune != nil {
+				tune(i, &cfg)
+			}
+			avg, err := runPath(dbs[i], s.Pruning, cfg)
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{label, l, ms(avg.sequential), ms(avg.simulated)})
+		}
+	}
+	return []Table{t}, nil
 }
 
-// sweep runs all variants over a list of labelled databases.
-func sweep(p Params, title, xlabel string, labels []string, dbs []*dataset.DB, cfg core.Config) error {
-	return sweepTable(p, title, xlabel, labels, func(v Variant, i int) (stepTime, error) {
-		return runPath(dbs[i], v, cfg, scalabilitySteps)
-	})
+// fractionSweep is a Figure 10 sweep over 20–100% of the database, as
+// reduced by sample.
+func fractionSweep(p Params, title, xlabel string, sample func(*dataset.DB, float64, int64) (*dataset.DB, error), seed int64) ([]Table, error) {
+	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+	return sweep(p, title, xlabel, []string{"20%", "40%", "60%", "80%", "100%"}, func(full *dataset.DB, i int) (*dataset.DB, error) {
+		if fractions[i] == 1.0 {
+			return full, nil
+		}
+		return sample(full, fractions[i], seed)
+	}, nil)
+}
+
+// labelled renders swept integer values as column labels.
+func labelled(prefix string, values []int) []string {
+	labels := make([]string, len(values))
+	for i, v := range values {
+		labels[i] = prefix + fmt.Sprint(v)
+	}
+	return labels
 }
 
 // Fig10a sweeps the database size by sampling reviewers.
-func Fig10a(p Params) error {
-	full, err := yelpForScale(p)
-	if err != nil {
-		return err
-	}
-	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	var labels []string
-	var dbs []*dataset.DB
-	for _, f := range fractions {
-		labels = append(labels, fmt.Sprintf("%d%%", int(f*100)))
-		if f == 1.0 {
-			dbs = append(dbs, full)
-			continue
-		}
-		db, err := dataset.SampleReviewers(full, f, p.seed()+31)
-		if err != nil {
-			return err
-		}
-		dbs = append(dbs, db)
-	}
-	return sweep(p, "Figure 10(a): avg step time vs database size (Yelp)", "size", labels, dbs, sweepConfig())
+func Fig10a(p Params) ([]Table, error) {
+	return fractionSweep(p, "Figure 10(a): avg step time vs database size (Yelp)", "size", dataset.SampleReviewers, p.Seed+31)
 }
 
 // Fig10b sweeps the number of attributes.
-func Fig10b(p Params) error {
-	full, err := yelpForScale(p)
-	if err != nil {
-		return err
-	}
+func Fig10b(p Params) ([]Table, error) {
 	counts := []int{4, 8, 12, 16, 20, 24}
-	var labels []string
-	var dbs []*dataset.DB
-	for _, c := range counts {
-		labels = append(labels, fmt.Sprint(c))
-		db, err := dataset.KeepAttributes(full, c, p.seed()+32)
-		if err != nil {
-			return err
-		}
-		dbs = append(dbs, db)
-	}
-	return sweep(p, "Figure 10(b): avg step time vs #attributes (Yelp)", "#attrs", labels, dbs, sweepConfig())
+	return sweep(p, "Figure 10(b): avg step time vs #attributes (Yelp)", "#attrs", labelled("", counts),
+		func(full *dataset.DB, i int) (*dataset.DB, error) {
+			return dataset.KeepAttributes(full, counts[i], p.Seed+32)
+		}, nil)
 }
 
 // Fig10c sweeps the number of attribute values.
-func Fig10c(p Params) error {
-	full, err := yelpForScale(p)
-	if err != nil {
-		return err
-	}
-	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	var labels []string
-	var dbs []*dataset.DB
-	for _, f := range fractions {
-		labels = append(labels, fmt.Sprintf("%d%%", int(f*100)))
-		if f == 1.0 {
-			dbs = append(dbs, full)
-			continue
-		}
-		db, err := dataset.SampleAttributeValues(full, f, p.seed()+33)
-		if err != nil {
-			return err
-		}
-		dbs = append(dbs, db)
-	}
-	return sweep(p, "Figure 10(c): avg step time vs #attribute-values (Yelp)", "values", labels, dbs, sweepConfig())
-}
-
-// paramSweep runs all variants over one database with per-column config
-// mutations.
-func paramSweep(p Params, title, xlabel string, labels []string, mut func(int, *core.Config)) error {
-	db, err := yelpForScale(p)
-	if err != nil {
-		return err
-	}
-	return sweepTable(p, title, xlabel, labels, func(v Variant, i int) (stepTime, error) {
-		cfg := sweepConfig()
-		mut(i, &cfg)
-		return runPath(db, v, cfg, scalabilitySteps)
-	})
+func Fig10c(p Params) ([]Table, error) {
+	return fractionSweep(p, "Figure 10(c): avg step time vs #attribute-values (Yelp)", "values", dataset.SampleAttributeValues, p.Seed+33)
 }
 
 // Fig11a sweeps k, the number of displayed rating maps.
-func Fig11a(p Params) error {
+func Fig11a(p Params) ([]Table, error) {
 	ks := []int{1, 3, 5, 7, 10}
-	labels := make([]string, len(ks))
-	for i, k := range ks {
-		labels[i] = fmt.Sprintf("k=%d", k)
-	}
-	return paramSweep(p, "Figure 11(a): avg step time vs #rating maps k (Yelp)", "k", labels,
+	return sweep(p, "Figure 11(a): avg step time vs #rating maps k (Yelp)", "k", labelled("k=", ks), nil,
 		func(i int, c *core.Config) { c.K = ks[i] })
 }
 
-// Fig11b sweeps o, the number of recommendations.
-func Fig11b(p Params) error {
+// Fig11b sweeps o, the number of recommendations. The builder's evaluated
+// candidate pool is proportional to the number of requested
+// recommendations (the paper's per-map builder produces top-o operations
+// per rating map), which is what makes the one-core time grow with o.
+func Fig11b(p Params) ([]Table, error) {
 	os := []int{1, 3, 5, 7, 10}
-	labels := make([]string, len(os))
-	for i, o := range os {
-		labels[i] = fmt.Sprintf("o=%d", o)
-	}
-	// The builder's evaluated candidate pool is proportional to the number
-	// of requested recommendations (the paper's per-map builder produces
-	// top-o operations per rating map), which is what makes the sequential
-	// variants grow linearly in o.
-	return paramSweep(p, "Figure 11(b): avg step time vs #recommendations o (Yelp)", "o", labels,
+	return sweep(p, "Figure 11(b): avg step time vs #recommendations o (Yelp)", "o", labelled("o=", os), nil,
 		func(i int, c *core.Config) {
 			c.O = os[i]
 			c.Limits.MaxCandidates = 40 * os[i]
@@ -288,12 +222,8 @@ func Fig11b(p Params) error {
 }
 
 // Fig11c sweeps l, the pruning-diversity factor.
-func Fig11c(p Params) error {
+func Fig11c(p Params) ([]Table, error) {
 	ls := []int{1, 2, 3, 4, 5, 6}
-	labels := make([]string, len(ls))
-	for i, l := range ls {
-		labels[i] = fmt.Sprintf("l=%d", l)
-	}
-	return paramSweep(p, "Figure 11(c): avg step time vs pruning-diversity factor l (Yelp)", "l", labels,
+	return sweep(p, "Figure 11(c): avg step time vs pruning-diversity factor l (Yelp)", "l", labelled("l=", ls), nil,
 		func(i int, c *core.Config) { c.L = ls[i] })
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"subdex/internal/baselines"
 	"subdex/internal/core"
@@ -28,71 +29,102 @@ func studyConfig() core.Config {
 	return cfg
 }
 
-// Fig7 reproduces the exploration-guidance study: for each dataset and
-// scenario, the mean number of identified irregular groups (scenario I) or
-// insights (scenario II) per treatment cell. High-CS subjects run
-// User-Driven and Recommendation-Powered; low-CS subjects run
-// Recommendation-Powered and Fully-Automated, as in the paper's assignment.
-func Fig7(p Params) error {
-	header(p.Out, "Figure 7: Exploration guidance (avg identified, n="+fmt.Sprint(p.subjects())+" per cell)")
-	for _, ds := range []string{"Movielens", "Yelp"} {
-		if err := fig7Scenario(p, ds, 1); err != nil {
-			return err
-		}
-		if err := fig7Scenario(p, ds, 2); err != nil {
-			return err
-		}
-	}
-	return nil
+// guidanceRows is the paper's treatment assignment: high-CS subjects run
+// User-Driven and Recommendation-Powered, low-CS subjects
+// Recommendation-Powered and Fully-Automated.
+var guidanceRows = []struct {
+	label string
+	cs    study.CSLevel
+	modes [2]core.Mode
+}{
+	{"High CS Expertise", study.HighCS, [2]core.Mode{core.UserDriven, core.RecommendationPowered}},
+	{"Low CS Expertise", study.LowCS, [2]core.Mode{core.RecommendationPowered, core.FullyAutomated}},
 }
 
-func fig7Scenario(p Params, ds string, scenario int) error {
-	runner, err := scenarioRunner(p, ds, scenario)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(p.Out, "\nScenario %s — %s\n", roman(scenario), ds)
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "\tHigh Domain Knowledge\tLow Domain Knowledge")
-	type pair struct {
-		label string
-		cs    study.CSLevel
-		modes [2]core.Mode
-	}
-	rows := []pair{
-		{"High CS Expertise", study.HighCS, [2]core.Mode{core.UserDriven, core.RecommendationPowered}},
-		{"Low CS Expertise", study.LowCS, [2]core.Mode{core.RecommendationPowered, core.FullyAutomated}},
-	}
-	var anovaGroups [][]float64
-	stdSum, stdN := 0.0, 0
-	for _, r := range rows {
-		cells := make([]string, 2)
+// fig7Paper is the paper's Figure 7 for scenario I on Movielens, indexed
+// like guidanceTable's cells: CS row, domain column, the row's mode. The
+// paper prints no other panel's values.
+var fig7Paper = [2][2][2]float64{
+	{{0.8, 1.4}, {0.7, 1.5}},
+	{{1.3, 0.9}, {1.4, 0.8}},
+}
+
+// guidanceTable runs one Figure 7 panel: per CS row and domain column, the
+// mean identified count of each of the row's two modes, with the paper's
+// value in parentheses when paper is not nil. Its note is the average
+// standard deviation across the eight cells, which the paper reports under
+// the figure (0.2 for scenario I, 0.4 for II), and the one-way ANOVA it
+// uses to check that same-treatment subgroups do not differ.
+func guidanceTable(runner *study.Runner, title string, p Params, seed int64, paper *[2][2][2]float64) (Table, error) {
+	t := Table{Title: title, Header: []string{"", "High Domain Knowledge", "Low Domain Knowledge"}}
+	var groups [][]float64
+	stdSum := 0.0
+	for ri, r := range guidanceRows {
+		row := []string{r.label}
 		for di, dom := range []study.DomainLevel{study.HighDomain, study.LowDomain} {
 			var parts []string
-			for _, mode := range r.modes {
-				cell, err := runner.RunCell(mode, r.cs, dom, p.subjects(), p.seed()+int64(scenario)*100)
+			for mi, mode := range r.modes {
+				cell, err := runner.RunCell(mode, r.cs, dom, p.Subjects, seed)
 				if err != nil {
-					return err
+					return Table{}, err
 				}
-				parts = append(parts, fmt.Sprintf("%s: %.1f", modeAbbrev(mode), cell.Mean()))
-				anovaGroups = append(anovaGroups, cell.Results)
+				part := fmt.Sprintf("%s %.1f", modeAbbrev(mode), cell.Mean())
+				if paper != nil {
+					part += fmt.Sprintf(" (%.1f)", paper[ri][di][mi])
+				}
+				parts = append(parts, part)
+				groups = append(groups, cell.Results)
 				stdSum += cell.StdDev()
-				stdN++
 			}
-			cells[di] = parts[0] + ", " + parts[1]
+			row = append(row, strings.Join(parts, ", "))
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.label, cells[0], cells[1])
+		t.Rows = append(t.Rows, row)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	a := stats.OneWayANOVA(groups)
+	t.Note = fmt.Sprintf("avg std across cells: %.2f | one-way ANOVA: F=%.2f p=%.3f", stdSum/float64(len(groups)), a.F, a.P)
+	return t, nil
+}
+
+// Fig7 reproduces the exploration-guidance study: for each dataset and
+// scenario, the mean number of identified irregular groups (scenario I) or
+// insights (scenario II) per treatment cell.
+func Fig7(p Params) ([]Table, error) {
+	var tables []Table
+	for _, ds := range []string{"Movielens", "Yelp"} {
+		for scenario := 1; scenario <= 2; scenario++ {
+			runner, err := scenarioRunner(p, ds, scenario)
+			if err != nil {
+				return nil, err
+			}
+			title := fmt.Sprintf("Figure 7: Exploration guidance, scenario %s — %s (avg identified, n=%d per cell)",
+				roman(scenario), ds, p.Subjects)
+			var paper *[2][2][2]float64
+			if ds == "Movielens" && scenario == 1 {
+				title += "; paper in parentheses"
+				paper = &fig7Paper
+			}
+			t, err := guidanceTable(runner, title, p, p.Seed+int64(scenario)*100, paper)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, t)
+		}
 	}
-	// The paper reports the average standard deviation under the figure
-	// (0.2 for scenario I, 0.4 for II) and verifies via ANOVA that
-	// same-treatment subgroups do not differ significantly.
-	a := stats.OneWayANOVA(anovaGroups)
-	fmt.Fprintf(p.Out, "avg std across cells: %.2f | one-way ANOVA: F=%.2f p=%.3f\n",
-		stdSum/float64(stdN), a.F, a.P)
-	return nil
+	return tables, nil
+}
+
+// Hotels runs the Scenario I guidance study on the Hotel-Reviews-shaped
+// dataset. The paper generated this result but omitted it to save space
+// ("As the Hotel Review dataset demonstrated similar trends to Yelp, we
+// omit it"); this experiment fills the gap so the claim is checkable.
+func Hotels(p Params) ([]Table, error) {
+	runner, err := scenarioRunner(p, "Hotels", 1)
+	if err != nil {
+		return nil, err
+	}
+	t, err := guidanceTable(runner, fmt.Sprintf("Extension: Scenario I guidance on Hotel Reviews (avg identified, n=%d per cell; omitted from the paper for space)", p.Subjects),
+		p, p.Seed+4000, nil)
+	return []Table{t}, err
 }
 
 func modeAbbrev(m core.Mode) string {
@@ -137,7 +169,7 @@ func scenarioRunner(p Params, ds string, scenario int) (*study.Runner, error) {
 	default:
 		return nil, fmt.Errorf("experiments: scenario II undefined for %q", ds)
 	}
-	db, err := genFn(gen.Config{Seed: p.seed(), Scale: p.scale(),
+	db, err := genFn(gen.Config{Seed: p.Seed, Scale: p.Scale,
 		ForcedBiases: gen.InsightBiases(insights)})
 	if err != nil {
 		return nil, err
@@ -153,111 +185,97 @@ func scenarioRunner(p Params, ds string, scenario int) (*study.Runner, error) {
 // Fig8 reproduces the recall-vs-steps curve: for each mode, subjects run
 // without a step cap and the cumulative identification fraction per step
 // is reported. The paper prints scenario I on Movielens; both scenarios
-// are rendered here (the paper reports they trend alike).
-func Fig8(p Params) error {
-	if err := fig8Scenario(p, 1); err != nil {
-		return err
-	}
-	return fig8Scenario(p, 2)
-}
-
-func fig8Scenario(p Params, scenario int) error {
-	header(p.Out, fmt.Sprintf("Figure 8: Recall vs exploration steps (Movielens, scenario %s)", roman(scenario)))
+// are returned here (the paper reports they trend alike).
+func Fig8(p Params) ([]Table, error) {
 	const maxSteps = 14
-	runner, err := scenarioRunner(p, "Movielens", scenario)
-	if err != nil {
-		return err
-	}
-	runner.PathLen = maxSteps
-	tw := newTab(p.Out)
-	fmt.Fprint(tw, "steps")
-	for s := 1; s <= maxSteps; s++ {
-		fmt.Fprintf(tw, "\t%d", s)
-	}
-	fmt.Fprintln(tw)
-	for _, mode := range []core.Mode{core.UserDriven, core.RecommendationPowered, core.FullyAutomated} {
-		recall := make([]float64, maxSteps)
-		n := p.subjects()
-		for i := 0; i < n; i++ {
-			cs := study.LowCS
-			if i%2 == 0 {
-				cs = study.HighCS
-			}
-			subj := study.NewSubject(i, cs, study.HighDomain, p.seed()+500)
-			out, err := runner.Run(subj, mode)
-			if err != nil {
-				return err
-			}
-			for s := 0; s < maxSteps; s++ {
-				v := 0
-				if s < len(out.PerStepIdentified) {
-					v = out.PerStepIdentified[s]
-				} else if len(out.PerStepIdentified) > 0 {
-					v = out.PerStepIdentified[len(out.PerStepIdentified)-1]
+	var tables []Table
+	for scenario := 1; scenario <= 2; scenario++ {
+		runner, err := scenarioRunner(p, "Movielens", scenario)
+		if err != nil {
+			return nil, err
+		}
+		runner.PathLen = maxSteps
+		t := Table{
+			Title:  fmt.Sprintf("Figure 8: Recall vs exploration steps (Movielens, scenario %s)", roman(scenario)),
+			Header: []string{"steps"},
+		}
+		for s := 1; s <= maxSteps; s++ {
+			t.Header = append(t.Header, fmt.Sprint(s))
+		}
+		for _, mode := range []core.Mode{core.UserDriven, core.RecommendationPowered, core.FullyAutomated} {
+			recall := make([]float64, maxSteps)
+			for i := 0; i < p.Subjects; i++ {
+				cs := study.LowCS
+				if i%2 == 0 {
+					cs = study.HighCS
 				}
-				recall[s] += float64(v)
+				out, err := runner.Run(study.NewSubject(i, cs, study.HighDomain, p.Seed+500), mode)
+				if err != nil {
+					return nil, err
+				}
+				for s := 0; s < maxSteps; s++ {
+					if n := len(out.PerStepIdentified); n > 0 {
+						recall[s] += float64(out.PerStepIdentified[min(s, n-1)])
+					}
+				}
 			}
+			total := float64(runner.Detector.NumTargets() * p.Subjects)
+			row := []string{modeAbbrev(mode)}
+			for _, r := range recall {
+				row = append(row, fmt.Sprintf("%.2f", r/total))
+			}
+			t.Rows = append(t.Rows, row)
 		}
-		total := float64(runner.Detector.NumTargets() * n)
-		fmt.Fprintf(tw, "%s", modeAbbrev(mode))
-		for s := 0; s < maxSteps; s++ {
-			fmt.Fprintf(tw, "\t%.2f", recall[s]/total)
-		}
-		fmt.Fprintln(tw)
+		tables = append(tables, t)
 	}
-	return tw.Flush()
+	return tables, nil
 }
 
 // Table4 reproduces the recommendation-quality comparison: Fully-Automated
 // paths whose next-action operations come from SubDEx, Smart Drill-Down,
 // or Qagview (rating-map sets fixed to SubDEx's), scored by the average
 // number of irregular groups subjects identify on the path.
-func Table4(p Params) error {
-	header(p.Out, "Table 4: Quality of recommendations (avg # identified irregular groups)")
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Baseline\tMovielens\tYelp\tpaper(ML)\tpaper(Yelp)")
-	paper := map[string][2]float64{
-		"SubDEx": {0.9, 0.8}, "SDD": {0.6, 0.4}, "Qagview": {0.7, 0.5},
-	}
+func Table4(p Params) ([]Table, error) {
 	sources := []study.OpSource{
 		study.SubdexSource{},
 		&study.SDDSource{SDD: baselines.SmartDrillDown{}},
 		&study.QagviewSource{Qagview: baselines.Qagview{}},
 	}
-	results := make(map[string][2]float64)
+	var scores [3][2]float64 // source, dataset
 	for di, ds := range []string{"Movielens", "Yelp"} {
 		ex, groups, err := buildScenarioI(ds, p, studyConfig())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		det := &study.IrregularDetector{Groups: groups}
-		for _, src := range sources {
+		for si, src := range sources {
 			path, err := study.GeneratePath(ex, src, scenarioIPathLen)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			score := study.ScorePath(ex, det, path, p.subjects(), p.seed()+900)
-			r := results[src.Name()]
-			r[di] = score
-			results[src.Name()] = r
+			scores[si][di] = study.ScorePath(ex, det, path, p.Subjects, p.Seed+900)
 		}
 	}
-	for _, src := range sources {
-		name := src.Name()
-		r := results[name]
-		pp := paper[name]
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.1f\t%.1f\n", name, r[0], r[1], pp[0], pp[1])
+	t := Table{
+		Title:  "Table 4: Quality of recommendations (avg # identified irregular groups)",
+		Header: []string{"Baseline", "Movielens", "Yelp", "paper (ML)", "paper (Yelp)"},
 	}
-	return tw.Flush()
+	paper := [3][2]float64{{0.9, 0.8}, {0.6, 0.4}, {0.7, 0.5}}
+	for si, src := range sources {
+		t.Rows = append(t.Rows, []string{src.Name(), fmt.Sprintf("%.2f", scores[si][0]), fmt.Sprintf("%.2f", scores[si][1]),
+			fmt.Sprintf("%.1f", paper[si][0]), fmt.Sprintf("%.1f", paper[si][1])})
+	}
+	return []Table{t}, nil
 }
 
 // Table6 reproduces the utility-only vs diversity-only path comparison for
 // Scenario I: Fully-Automated paths generated with l=1 (utility-only) and
 // with diversity-only selection, scored by subjects.
-func Table6(p Params) error {
-	header(p.Out, "Table 6: Avg # identified irregular groups, utility-only vs diversity-only paths")
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Dataset\tUtility-only\tDiversity-only\tpaper(U)\tpaper(D)")
+func Table6(p Params) ([]Table, error) {
+	t := Table{
+		Title:  "Table 6: Avg # identified irregular groups, utility-only vs diversity-only paths",
+		Header: []string{"Dataset", "Utility-only", "Diversity-only", "paper (U)", "paper (D)"},
+	}
 	paper := map[string][2]float64{"Movielens": {1.4, 0.6}, "Yelp": {1.3, 0.6}}
 	// The next-action operations are fixed (the paper generates the path
 	// with the Fully-Automated mode and varies only the selected maps,
@@ -268,15 +286,15 @@ func Table6(p Params) error {
 		var scores [2]float64
 		for sample := 0; sample < pathSamples; sample++ {
 			sp := p
-			sp.Seed = p.seed() + int64(sample)*37
+			sp.Seed = p.Seed + int64(sample)*37
 			base, groups, err := buildScenarioI(ds, sp, studyConfig())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			det := &study.IrregularDetector{Groups: groups}
 			fixed, err := study.GeneratePath(base, study.SubdexSource{}, scenarioIPathLen)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for vi, variant := range []string{"utility", "diversity"} {
 				cfg := studyConfig()
@@ -287,18 +305,18 @@ func Table6(p Params) error {
 				}
 				vex, _, err := buildScenarioI(ds, sp, cfg)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				path, err := study.ReplayPath(vex, fixed)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				scores[vi] += study.ScorePath(vex, det, path, p.subjects(), p.seed()+1200)
+				scores[vi] += study.ScorePath(vex, det, path, p.Subjects, p.Seed+1200)
 			}
 		}
 		pp := paper[ds]
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.1f\t%.1f\n",
-			ds, scores[0]/pathSamples, scores[1]/pathSamples, pp[0], pp[1])
+		t.Rows = append(t.Rows, []string{ds, fmt.Sprintf("%.2f", scores[0]/pathSamples), fmt.Sprintf("%.2f", scores[1]/pathSamples),
+			fmt.Sprintf("%.1f", pp[0]), fmt.Sprintf("%.1f", pp[1])})
 	}
-	return tw.Flush()
+	return []Table{t}, nil
 }

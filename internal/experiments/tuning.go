@@ -13,10 +13,7 @@ import (
 // of 7 steps with k=3 under l ∈ {1 (utility-only), 2, 3, diversity-only},
 // reporting the number of distinct grouping attributes shown, the total
 // utility, and the average per-step pairwise diversity.
-func Table5(p Params) error {
-	header(p.Out, "Table 5: Utility and diversity across the pruning-diversity factor l")
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Variant\tDataset\t#attributes\tutility\tdiversity")
+func Table5(p Params) ([]Table, error) {
 	variants := []struct {
 		name          string
 		l             int
@@ -27,49 +24,45 @@ func Table5(p Params) error {
 		{"l=3", 3, false},
 		{"Diversity-Only", 3, true},
 	}
-	type cell struct {
-		attrs     int
-		utility   float64
-		diversity float64
-	}
-	results := make(map[string]map[string]cell)
-	for _, ds := range []string{"Movielens", "Yelp"} {
+	datasets := []string{"Movielens", "Yelp"}
+	var results [4][2]core.PathSummary // variant, dataset
+	for di, ds := range datasets {
 		// Fix the next-action operations (the paper generates the path with
 		// the Fully-Automated mode once), then replay the same selections
 		// under each variant so only map selection differs.
 		ex, _, err := buildScenarioI(ds, p, core.DefaultConfig())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		descs, err := autoPathDescs(ex, scenarioIPathLen)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, v := range variants {
+		for vi, v := range variants {
 			cfg := core.DefaultConfig()
 			cfg.L = v.l
 			cfg.DiversityOnly = v.diversityOnly
 			vex, _, err := buildScenarioI(ds, p, cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sum, err := replayPath(vex, descs)
-			if err != nil {
-				return err
+			if results[vi][di], err = replayPath(vex, descs); err != nil {
+				return nil, err
 			}
-			if results[v.name] == nil {
-				results[v.name] = make(map[string]cell)
-			}
-			results[v.name][ds] = cell{sum.DistinctAttributes, sum.TotalUtility, sum.AvgDiversity}
 		}
 	}
-	for _, v := range variants {
-		for _, ds := range []string{"Movielens", "Yelp"} {
-			c := results[v.name][ds]
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f\t%.3f\n", v.name, ds, c.attrs, c.utility, c.diversity)
+	t := Table{
+		Title:  "Table 5: Utility and diversity across the pruning-diversity factor l",
+		Header: []string{"Variant", "Dataset", "#attributes", "utility", "diversity"},
+	}
+	for vi, v := range variants {
+		for di, ds := range datasets {
+			s := results[vi][di]
+			t.Rows = append(t.Rows, []string{v.name, ds, fmt.Sprint(s.DistinctAttributes),
+				fmt.Sprintf("%.1f", s.TotalUtility), fmt.Sprintf("%.3f", s.AvgDiversity)})
 		}
 	}
-	return tw.Flush()
+	return []Table{t}, nil
 }
 
 // autoPathDescs generates the description sequence of a Fully-Automated
@@ -119,51 +112,52 @@ func replayPath(ex *core.Explorer, descs []query.Description) (core.PathSummary,
 // dimensions): the number of displayed rating maps per dimension over a
 // Fully-Automated path, with and without the dimension-weighted utility of
 // Equation 1.
-func Fig9(p Params) error {
-	header(p.Out, "Figure 9: Rating maps per dimension, with vs without dimension weights (Yelp)")
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Variant\toverall\tfood\tservice\tambiance")
+func Fig9(p Params) ([]Table, error) {
+	t := Table{
+		Title:  "Figure 9: Rating maps per dimension, with vs without dimension weights (Yelp)",
+		Header: []string{"Variant", "overall", "food", "service", "ambiance"},
+	}
 	// Fix the path once, then replay under both weighting variants.
 	base, _, err := buildScenarioI("Yelp", p, core.DefaultConfig())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	descs, err := autoPathDescs(base, scenarioIPathLen)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, weighted := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.Engine.Utility.DisableDimensionWeights = !weighted
 		ex, _, err := buildScenarioI("Yelp", p, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sum, err := replayPath(ex, descs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		label := "with DW weights"
+		row := []string{"with DW weights"}
 		if !weighted {
-			label = "without weights"
+			row[0] = "without weights"
 		}
-		fmt.Fprintf(tw, "%s", label)
 		for d := 0; d < 4; d++ {
-			fmt.Fprintf(tw, "\t%d", sum.MapsPerDimension[d])
+			row = append(row, fmt.Sprint(sum.MapsPerDimension[d]))
 		}
-		fmt.Fprintln(tw)
+		t.Rows = append(t.Rows, row)
 	}
-	return tw.Flush()
+	return []Table{t}, nil
 }
 
 // Ablation reproduces the §5.2.3 "Utility criteria" study: Fully-Automated
 // paths generated with single-criterion utilities and with the average
 // aggregation, scored on the Scenario I task, against the paper's finding
 // that every variant is inferior to the max-of-all-criteria utility.
-func Ablation(p Params) error {
-	header(p.Out, "§5.2.3 ablation: utility-criteria variants (avg # identified irregular groups)")
-	tw := newTab(p.Out)
-	fmt.Fprintln(tw, "Utility variant\tMovielens\tYelp")
+func Ablation(p Params) ([]Table, error) {
+	t := Table{
+		Title:  "§5.2.3 ablation: utility-criteria variants (avg # identified irregular groups)",
+		Header: []string{"Utility variant", "Movielens", "Yelp"},
+	}
 	variants := []struct {
 		name string
 		mut  func(*core.Config)
@@ -199,16 +193,16 @@ func Ablation(p Params) error {
 			v.mut(&cfg)
 			ex, groups, err := buildScenarioI(ds, p, cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			det := &study.IrregularDetector{Groups: groups}
 			path, err := study.GeneratePath(ex, study.SubdexSource{}, scenarioIPathLen)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			scores[di] = study.ScorePath(ex, det, path, p.subjects(), p.seed()+1500)
+			scores[di] = study.ScorePath(ex, det, path, p.Subjects, p.Seed+1500)
 		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\n", v.name, scores[0], scores[1])
+		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", scores[0]), fmt.Sprintf("%.2f", scores[1])})
 	}
-	return tw.Flush()
+	return []Table{t}, nil
 }
