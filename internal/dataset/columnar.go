@@ -1,7 +1,5 @@
 package dataset
 
-import "fmt"
-
 // AttrColumn is the flat, scan-ready projection of one attribute column,
 // the substrate of the ratingmap fused scan kernel. It removes every
 // per-record pointer chase the row-oriented accessors pay:
@@ -13,9 +11,11 @@ import "fmt"
 //     are Values[Offsets[r]:Offsets[r+1]], a contiguous run in one shared
 //     backing array instead of a [][]ValueID slice-of-slices.
 //
-// Columns are built once by DB.Freeze and are immutable afterwards; they
-// alias the table's dictionary-encoded storage, so they are snapshots of
-// the table as frozen (the only state the rest of the system ever scans).
+// The columns are the table's only storage of its values: AppendRow and
+// the CSV reader append every cell straight into them, a multi-valued set
+// sorted and deduped. DB.Freeze hands them out, and they are immutable
+// afterwards (the frozen table is the only state the rest of the system
+// ever scans).
 type AttrColumn struct {
 	Kind Kind
 	// NValues is the dictionary size including the reserved missing id 0:
@@ -32,42 +32,21 @@ type AttrColumn struct {
 	Offsets []int32
 }
 
-// buildColumnar materializes the flat projection of every attribute.
-// Called by DB.Freeze; not safe to call concurrently with scans.
-func (t *EntityTable) buildColumnar() error {
-	t.cols = make([]AttrColumn, t.Schema.Len())
-	for a := 0; a < t.Schema.Len(); a++ {
-		attr := t.Schema.At(a)
-		col := AttrColumn{Kind: attr.Kind, NValues: t.dicts[a].Len()}
-		switch attr.Kind {
-		case Atomic:
-			col.Values = t.atomic[a] // alias: already flat and dictionary-coded
-		case MultiValued:
-			rows := t.multi[a]
-			total := 0
-			for _, ids := range rows {
-				total += len(ids)
-			}
-			if total > 1<<31-2 {
-				return fmt.Errorf("dataset: attribute %q has %d values, too many for int32 CSR offsets", attr.Name, total)
-			}
-			col.Offsets = make([]int32, len(rows)+1)
-			col.Values = make([]ValueID, 0, total)
-			for r, ids := range rows {
-				col.Values = append(col.Values, ids...)
-				col.Offsets[r+1] = int32(len(col.Values))
-			}
-		}
-		t.cols[a] = col
+// freeze fixes each column's NValues at its dictionary's size and lets
+// Column hand the columns out. Called by DB.Freeze; the table takes no
+// more rows after it.
+func (t *EntityTable) freeze() {
+	for a := range t.cols {
+		t.cols[a].NValues = t.dicts[a].Len()
 	}
-	return nil
+	t.frozen = true
 }
 
 // Column returns the flat projection of attribute index a, or nil when the
 // table has not been frozen into a DB yet (callers fall back to the
 // row-oriented accessors).
 func (t *EntityTable) Column(a int) *AttrColumn {
-	if t.cols == nil || a < 0 || a >= len(t.cols) {
+	if !t.frozen || a < 0 || a >= len(t.cols) {
 		return nil
 	}
 	return &t.cols[a]

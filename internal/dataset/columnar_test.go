@@ -53,15 +53,29 @@ func buildColumnarDB(t *testing.T) *DB {
 	return db
 }
 
-// TestColumnarNilBeforeFreeze: the projection must not exist before Freeze,
-// so callers can detect and fall back to row-oriented access.
+// TestColumnarNilBeforeFreeze: the columns hold every appended row, but
+// Column hands them out only after Freeze, so callers can detect and fall
+// back to row-oriented access; a frozen table takes no more rows.
 func TestColumnarNilBeforeFreeze(t *testing.T) {
 	tbl := NewEntityTable("x", MustSchema(Attribute{Name: "a", Kind: Atomic}))
+	if _, err := tbl.AppendRow("k", map[string]string{"a": "v"}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if col := tbl.Column(0); col != nil {
 		t.Fatalf("Column before Freeze = %+v, want nil", col)
 	}
 	if col := tbl.Column(-1); col != nil {
 		t.Fatal("Column(-1) must be nil")
+	}
+	db := NewDB("x", tbl, NewEntityTable("y", MustSchema(Attribute{Name: "b"})), &RatingTable{})
+	if err := db.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if col := tbl.Column(0); col == nil || col.NValues != 2 || len(col.Values) != 1 {
+		t.Fatalf("Column after Freeze = %+v, want one row of 2 ids", col)
+	}
+	if _, err := tbl.AppendRow("k2", nil, nil); err == nil {
+		t.Fatal("a frozen table took a row")
 	}
 }
 

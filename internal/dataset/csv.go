@@ -27,7 +27,7 @@ func WriteEntityCSV(w io.Writer, t *EntityTable) error {
 	}
 	row := make([]string, len(header))
 	for r := 0; r < t.Len(); r++ {
-		row[0] = t.Keys[r]
+		row[0] = t.Key(r)
 		for a := 0; a < t.Schema.Len(); a++ {
 			row[a+1] = t.ValueString(a, r)
 		}
@@ -77,11 +77,15 @@ func readEntityCSV(r io.Reader, name string, kinds map[string]Kind, lines int) (
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("dataset: %s line %d: %d fields, want %d", name, cr.start, len(rec), len(header))
 		}
-		// A field is overwritten by the next read: the key is copied, and
-		// a cell's value only when the dictionary has not seen it.
-		t.Keys = append(t.Keys, string(rec[0]))
-		for a := range attrs {
-			t.appendCSVCell(a, rec[a+1])
+		// A field is overwritten by the next read: the key is copied into
+		// the key blob, and a cell's value only when the dictionary has not
+		// seen it.
+		err = t.appendKey(string(rec[0]))
+		for a := 0; a < len(attrs) && err == nil; a++ {
+			err = t.appendCSVCell(a, rec[a+1])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %s line %d: %w", name, cr.start, err)
 		}
 	}
 	return t, nil
@@ -112,8 +116,8 @@ func WriteRatingCSV(w io.Writer, db *DB) error {
 	}
 	row := make([]string, len(header))
 	for r := 0; r < db.Ratings.Len(); r++ {
-		row[0] = db.Reviewers.Keys[db.Ratings.Reviewer[r]]
-		row[1] = db.Items.Keys[db.Ratings.Item[r]]
+		row[0] = db.Reviewers.Key(int(db.Ratings.Reviewer[r]))
+		row[1] = db.Items.Key(int(db.Ratings.Item[r]))
 		for d := range db.Ratings.Dimensions {
 			row[d+2] = strconv.Itoa(int(db.Ratings.Scores[d][r]))
 		}
@@ -206,13 +210,17 @@ func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*Rati
 }
 
 // keyIndex maps each of t's keys to its row, refusing a key two rows hold.
+// The map's keys share one copy of the key blob.
 func keyIndex(t *EntityTable) (map[string]int, error) {
-	m := make(map[string]int, len(t.Keys))
-	for i, k := range t.Keys {
+	blob := string(t.keys)
+	m := make(map[string]int, t.Len())
+	lo := int32(0)
+	for i, hi := range t.keyEnds {
+		k := blob[lo:hi]
 		if j, dup := m[k]; dup {
 			return nil, fmt.Errorf("dataset: %s: key %q on rows %d and %d", t.Name, k, j, i)
 		}
-		m[k] = i
+		m[k], lo = i, hi
 	}
 	return m, nil
 }

@@ -1,9 +1,12 @@
 package dataset_test
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
@@ -67,8 +70,9 @@ func readEntityCSVReference(r io.Reader, name string, kinds map[string]dataset.K
 }
 
 // diffTables returns the first difference between two entity tables: name,
-// schema, keys, each dictionary in id order, each row's value or value set
-// and, when frozen, each flat column with its CSR offsets.
+// schema, each row's key, each dictionary in id order, each row's value or
+// value set and, when frozen, each flat column row by row, atomic ids or
+// CSR runs.
 func diffTables(got, want *dataset.EntityTable) error {
 	if got.Name != want.Name {
 		return fmt.Errorf("table %q, want %q", got.Name, want.Name)
@@ -76,8 +80,13 @@ func diffTables(got, want *dataset.EntityTable) error {
 	if !reflect.DeepEqual(got.Schema.Attributes(), want.Schema.Attributes()) {
 		return fmt.Errorf("%s: schema %v, want %v", want.Name, got.Schema.Attributes(), want.Schema.Attributes())
 	}
-	if !slices.Equal(got.Keys, want.Keys) {
-		return fmt.Errorf("%s: %d keys, want %d, or a key differs", want.Name, len(got.Keys), len(want.Keys))
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%s: %d rows, want %d", want.Name, got.Len(), want.Len())
+	}
+	for row := 0; row < want.Len(); row++ {
+		if got.Key(row) != want.Key(row) {
+			return fmt.Errorf("%s row %d: key %q, want %q", want.Name, row, got.Key(row), want.Key(row))
+		}
 	}
 	for a := 0; a < want.Schema.Len(); a++ {
 		attr := want.Schema.At(a)
@@ -85,21 +94,46 @@ func diffTables(got, want *dataset.EntityTable) error {
 		if gd.Len() != wd.Len() {
 			return fmt.Errorf("%s.%s: dictionary of %d, want %d", want.Name, attr.Name, gd.Len(), wd.Len())
 		}
-		for id := dataset.ValueID(0); int(id) < wd.Len(); id++ {
-			if gd.Value(id) != wd.Value(id) {
-				return fmt.Errorf("%s.%s: id %d is %q, want %q", want.Name, attr.Name, id, gd.Value(id), wd.Value(id))
+		for id := 0; id < wd.Len(); id++ {
+			if v := dataset.ValueID(id); gd.Value(v) != wd.Value(v) {
+				return fmt.Errorf("%s.%s: id %d is %q, want %q", want.Name, attr.Name, id, gd.Value(v), wd.Value(v))
 			}
 		}
-		for row := range want.Keys {
+		for row := 0; row < want.Len(); row++ {
 			if attr.Kind == dataset.Atomic && got.AtomicValue(a, row) != want.AtomicValue(a, row) ||
 				attr.Kind == dataset.MultiValued && !slices.Equal(got.MultiValues(a, row), want.MultiValues(a, row)) {
 				return fmt.Errorf("%s.%s row %d: %q, want %q", want.Name, attr.Name, row, got.ValueString(a, row), want.ValueString(a, row))
 			}
 		}
-		gc, wc := got.Column(a), want.Column(a)
-		if (gc == nil) != (wc == nil) || wc != nil && (gc.Kind != wc.Kind || gc.NValues != wc.NValues ||
-			!slices.Equal(gc.Values, wc.Values) || !slices.Equal(gc.Offsets, wc.Offsets)) {
-			return fmt.Errorf("%s.%s: flat column differs", want.Name, attr.Name)
+		if err := diffColumns(got.Column(a), want.Column(a), want.Len()); err != nil {
+			return fmt.Errorf("%s.%s: flat column: %w", want.Name, attr.Name, err)
+		}
+	}
+	return nil
+}
+
+// diffColumns returns the first difference between two flat columns of
+// rows rows, nil meaning not frozen: kind and NValues, then each row's id
+// or CSR run, then the lengths of Values and Offsets.
+func diffColumns(g, w *dataset.AttrColumn, rows int) error {
+	switch {
+	case g == nil || w == nil:
+		if (g == nil) != (w == nil) {
+			return fmt.Errorf("frozen %t, want %t", g != nil, w != nil)
+		}
+		return nil
+	case g.Kind != w.Kind || g.NValues != w.NValues:
+		return fmt.Errorf("%s of %d ids, want %s of %d", g.Kind, g.NValues, w.Kind, w.NValues)
+	case len(g.Values) != len(w.Values) || len(g.Offsets) != len(w.Offsets):
+		return fmt.Errorf("%d values and %d offsets, want %d and %d", len(g.Values), len(g.Offsets), len(w.Values), len(w.Offsets))
+	}
+	for row := 0; row < rows; row++ {
+		gr, wr := g.Values[row:row+1], w.Values[row:row+1]
+		if w.Kind == dataset.MultiValued {
+			gr, wr = g.Values[g.Offsets[row]:g.Offsets[row+1]], w.Values[w.Offsets[row]:w.Offsets[row+1]]
+		}
+		if !slices.Equal(gr, wr) {
+			return fmt.Errorf("row %d: ids %v, want %v", row, gr, wr)
 		}
 	}
 	return nil
@@ -149,7 +183,8 @@ func multiValued(db *dataset.DB) map[string]dataset.Kind {
 }
 
 // TestLoadDirEqualsGenerated: a database saved and loaded back is the one
-// generated, id for id — on every shape the generators make.
+// generated, id for id — on every shape the generators make — and saving
+// the loaded one writes the same bytes again.
 func TestLoadDirEqualsGenerated(t *testing.T) {
 	for _, name := range []string{"yelp", "movielens", "hotels", "demo"} {
 		t.Run(name, func(t *testing.T) {
@@ -168,7 +203,114 @@ func TestLoadDirEqualsGenerated(t *testing.T) {
 			if err := diffDBs(loaded, db); err != nil {
 				t.Fatal(err)
 			}
+			again := t.TempDir()
+			if err := dataset.SaveDir(loaded, again); err != nil {
+				t.Fatal(err)
+			}
+			for _, file := range []string{"reviewers.csv", "items.csv", "ratings.csv"} {
+				first, err := os.ReadFile(filepath.Join(dir, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := os.ReadFile(filepath.Join(again, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first, second) {
+					t.Fatalf("%s: saved again after LoadDir, %d bytes differ from the %d first saved", file, len(second), len(first))
+				}
+			}
 		})
+	}
+}
+
+// writeDir writes the three CSV files of a saved database into a fresh
+// directory and returns it.
+func writeDir(t *testing.T, reviewers, items, ratings string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for file, body := range map[string]string{"reviewers.csv": reviewers, "items.csv": items, "ratings.csv": ratings} {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLoadDirRejectsScaleAbove255: a Score is one byte, so a score of 300
+// on a 300-level scale stored as 300 mod 256 = 44. The scale is refused
+// instead, naming the dimension.
+func TestLoadDirRejectsScaleAbove255(t *testing.T) {
+	dir := writeDir(t, "_key,g\nu1,F\n", "_key,city\ni1,NYC\n", "_reviewer,_item,overall:300\nu1,i1,300\n")
+	db, err := dataset.LoadDir(dir, "wide", nil)
+	const want = `dataset: dimension "overall" has scale 300 outside 2..255`
+	if err == nil {
+		t.Fatalf("LoadDir accepted scale 300; the score loaded as %d", db.Ratings.Scores[0][0])
+	}
+	if err.Error() != want {
+		t.Fatalf("LoadDir: %v, want %s", err, want)
+	}
+	if _, err := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 255}); err != nil {
+		t.Fatalf("scale 255: %v", err)
+	}
+}
+
+// TestDictionaryBoundary: ids are 16 bits and 0 is the missing value, so
+// an attribute holds at most 65 535 values. That many load, each id
+// naming its own value; one more is refused by LoadDir, naming the
+// attribute and the line, and by AppendRow, naming the attribute, on
+// either kind of attribute.
+func TestDictionaryBoundary(t *testing.T) {
+	var reviewers strings.Builder
+	reviewers.WriteString("_key,name\n")
+	for v := 0; v < dataset.MaxValues; v++ {
+		fmt.Fprintf(&reviewers, "u%d,v%d\n", v, v)
+	}
+	items, ratings := "_key,city\ni1,NYC\n", "_reviewer,_item,overall:5\nu0,i1,3\n"
+	db, err := dataset.LoadDir(writeDir(t, reviewers.String(), items, ratings), "full", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := db.Reviewers.Dict(0)
+	if d.Len() != dataset.MaxValues+1 || db.Reviewers.Column(0).NValues != d.Len() {
+		t.Fatalf("dictionary of %d ids, column of %d, want %d", d.Len(), db.Reviewers.Column(0).NValues, dataset.MaxValues+1)
+	}
+	for v := 1; v <= dataset.MaxValues; v++ {
+		id := dataset.ValueID(v)
+		if s := d.Value(id); s != fmt.Sprintf("v%d", v-1) {
+			t.Fatalf("id %d is %q, want v%d", v, s, v-1)
+		}
+		if back, ok := d.Lookup(d.Value(id)); !ok || back != id || db.Reviewers.AtomicValue(0, v-1) != id {
+			t.Fatalf("id %d: Lookup %d, %t; row %d holds %d", v, back, ok, v-1, db.Reviewers.AtomicValue(0, v-1))
+		}
+	}
+
+	fmt.Fprintf(&reviewers, "u%d,v%d\n", dataset.MaxValues, dataset.MaxValues)
+	_, err = dataset.LoadDir(writeDir(t, reviewers.String(), items, ratings), "over", nil)
+	if want := `dataset: reviewers line 65537: attribute "name": more than 65535 distinct values`; err == nil || err.Error() != want {
+		t.Fatalf("LoadDir past the limit: %v, want %s", err, want)
+	}
+
+	for _, kind := range []dataset.Kind{dataset.Atomic, dataset.MultiValued} {
+		tbl := dataset.NewEntityTable("reviewers", dataset.MustSchema(dataset.Attribute{Name: "name", Kind: kind}))
+		row := func(v int) error {
+			s := fmt.Sprintf("v%d", v)
+			if kind == dataset.Atomic {
+				_, err := tbl.AppendRow(s, map[string]string{"name": s}, nil)
+				return err
+			}
+			_, err := tbl.AppendRow(s, nil, map[string][]string{"name": {s, "v0"}})
+			return err
+		}
+		for v := 0; v < dataset.MaxValues; v++ {
+			if err := row(v); err != nil {
+				t.Fatalf("%s row %d: %v", kind, v, err)
+			}
+		}
+		err := row(dataset.MaxValues)
+		if want := `dataset: reviewers: attribute "name": more than 65535 distinct values`; err == nil || err.Error() != want {
+			t.Fatalf("%s AppendRow past the limit: %v, want %s", kind, err, want)
+		}
 	}
 }
 
@@ -259,6 +401,11 @@ func FuzzReadEntityCSV(f *testing.F) {
 		"_key,city\nu1,N\"YC\n",
 		// A quoted last field with no trailing newline, and one with a "".
 		"_key,city\nu1,\"NYC\"\nu2,\"L\"\"A\"",
+		// Keys the key blob holds as they are: empty, unquoted and quoted;
+		// non-ASCII; holding a quoted newline, alone and inside a key.
+		"_key,city\n,NYC\n\"\",LA\n",
+		"_key,city\nü→日本,NYC\n\"ß,ø\",LA\n",
+		"_key,city\n\"\n\",NYC\n\"u\nv\r\nw\",LA\n",
 	} {
 		for _, multi := range []uint8{0, 0b10, 0xff} {
 			f.Add(in, multi)
@@ -315,8 +462,10 @@ func readRatingCSVReference(r io.Reader, reviewers, items *dataset.EntityTable) 
 		return nil, err
 	}
 	row := func(t *dataset.EntityTable, key string) (int, error) {
-		if i := slices.Index(t.Keys, key); i >= 0 {
-			return i, nil
+		for i := 0; i < t.Len(); i++ {
+			if t.Key(i) == key {
+				return i, nil
+			}
 		}
 		return 0, fmt.Errorf("unknown key %q", key)
 	}
@@ -384,6 +533,8 @@ func FuzzReadRatingCSV(f *testing.F) {
 		// CRLF line ends, and a last line with no newline.
 		"_reviewer,_item,overall:5\r\nu1,i1,3\r\n\"u\r\n2\",i1,2\r\nu1,\"i 2\",1",
 		"_reviewer,_item,overall:5\nu1,i1,3",
+		// A scale above 255, which a one-byte Score would wrap.
+		"_reviewer,_item,overall:300\nu1,i1,300\n",
 	} {
 		f.Add(in)
 	}

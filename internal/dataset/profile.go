@@ -38,25 +38,16 @@ func (t *EntityTable) Profile(a, topN int) AttributeProfile {
 	counts := make(map[ValueID]int)
 	total := 0
 	for row := 0; row < t.Len(); row++ {
-		switch attr.Kind {
-		case Atomic:
-			v := t.AtomicValue(a, row)
-			if v == MissingValue {
-				p.Missing++
-				continue
-			}
+		// A set never holds MissingValue, so only a missing atomic value
+		// starts with it.
+		vs := t.cell(a, row)
+		if len(vs) == 0 || vs[0] == MissingValue {
+			p.Missing++
+			continue
+		}
+		for _, v := range vs {
 			counts[v]++
 			total++
-		case MultiValued:
-			vs := t.MultiValues(a, row)
-			if len(vs) == 0 {
-				p.Missing++
-				continue
-			}
-			for _, v := range vs {
-				counts[v]++
-				total++
-			}
 		}
 	}
 	p.Cardinality = len(counts)

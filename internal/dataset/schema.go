@@ -12,6 +12,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -114,7 +115,11 @@ type Dictionary struct {
 }
 
 // ValueID is a dictionary-encoded attribute value. 0 means missing.
-type ValueID uint32
+type ValueID uint16
+
+// MaxValues is the most distinct values one attribute's dictionary holds
+// besides the missing value: every ValueID but MissingValue.
+const MaxValues = math.MaxUint16
 
 // MissingValue is the ValueID of an absent value, and MissingLabel its
 // string form.
@@ -122,6 +127,9 @@ const MissingValue ValueID = 0
 
 // MissingLabel is how missing values print and round-trip through CSV.
 const MissingLabel = "__missing__"
+
+// errDictFull is what interning one value more than MaxValues returns.
+var errDictFull = fmt.Errorf("more than %d distinct values", MaxValues)
 
 // NewDictionary returns an empty dictionary with the missing value
 // pre-registered as id 0.
@@ -132,31 +140,35 @@ func NewDictionary() *Dictionary {
 	return d
 }
 
-// Intern returns the id of v, registering it if new. Interning the missing
-// label returns MissingValue. The dictionary keeps a copy of a new value,
-// not v itself, which may be a substring of a larger string.
-func (d *Dictionary) Intern(v string) ValueID {
+// Intern returns the id of v, registering it if new; a new value past
+// MaxValues is an error. Interning the missing label returns MissingValue.
+// The dictionary keeps a copy of a new value, not v itself, which may be a
+// substring of a larger string.
+func (d *Dictionary) Intern(v string) (ValueID, error) {
 	if id, ok := d.ids[v]; ok {
-		return id
+		return id, nil
 	}
 	return d.add(strings.Clone(v))
 }
 
 // internBytes is Intern for a value held in bytes: looking it up allocates
 // nothing, and only a new value is copied.
-func (d *Dictionary) internBytes(v []byte) ValueID {
+func (d *Dictionary) internBytes(v []byte) (ValueID, error) {
 	if id, ok := d.ids[string(v)]; ok {
-		return id
+		return id, nil
 	}
 	return d.add(string(v))
 }
 
 // add registers v, which no id has yet.
-func (d *Dictionary) add(v string) ValueID {
+func (d *Dictionary) add(v string) (ValueID, error) {
+	if len(d.values) > MaxValues {
+		return MissingValue, errDictFull
+	}
 	id := ValueID(len(d.values))
 	d.values = append(d.values, v)
 	d.ids[v] = id
-	return id
+	return id, nil
 }
 
 // Lookup returns the id of v and whether it is registered.
@@ -181,13 +193,4 @@ func (d *Dictionary) Values() []string {
 	vs := append([]string(nil), d.values[1:]...)
 	sort.Strings(vs)
 	return vs
-}
-
-// IDs returns all value ids except MissingValue, in registration order.
-func (d *Dictionary) IDs() []ValueID {
-	ids := make([]ValueID, 0, len(d.values)-1)
-	for i := 1; i < len(d.values); i++ {
-		ids = append(ids, ValueID(i))
-	}
-	return ids
 }

@@ -37,33 +37,11 @@ func SampleReviewers(db *DB, fraction float64, seed int64) (*DB, error) {
 	for i := range allItems {
 		allItems[i] = true
 	}
-	newI, oldToNewI, err := copyEntities(db.Items, allItems)
+	newI, _, err := copyEntities(db.Items, allItems)
 	if err != nil {
 		return nil, err
 	}
-
-	rt, err := NewRatingTable(db.Ratings.Dimensions...)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]Score, len(db.Ratings.Dimensions))
-	for r := 0; r < db.Ratings.Len(); r++ {
-		u := int(db.Ratings.Reviewer[r])
-		if !keep[u] {
-			continue
-		}
-		for d := range scores {
-			scores[d] = db.Ratings.Scores[d][r]
-		}
-		if err := rt.Append(oldToNewU[u], oldToNewI[int(db.Ratings.Item[r])], scores); err != nil {
-			return nil, err
-		}
-	}
-	out := NewDB(db.Name+"-sampled", newU, newI, rt)
-	if err := out.Freeze(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return rebuildWithEntities(db, newU, newI, oldToNewU, db.Name+"-sampled")
 }
 
 // copyEntities clones the kept rows of a table.
@@ -74,28 +52,36 @@ func copyEntities(t *EntityTable, keep []bool) (*EntityTable, map[int]int, error
 		if !keep[row] {
 			continue
 		}
-		values := make(map[string]string)
-		setValues := make(map[string][]string)
-		for a := 0; a < t.Schema.Len(); a++ {
-			attr := t.Schema.At(a)
-			switch attr.Kind {
-			case Atomic:
-				if v := t.AtomicValue(a, row); v != MissingValue {
-					values[attr.Name] = t.Dict(a).Value(v)
-				}
-			case MultiValued:
-				for _, v := range t.MultiValues(a, row) {
-					setValues[attr.Name] = append(setValues[attr.Name], t.Dict(a).Value(v))
-				}
-			}
-		}
-		nr, err := nt.AppendRow(t.Keys[row], values, setValues)
+		values, setValues := rowCells(t, row, nil)
+		nr, err := nt.AppendRow(t.Key(row), values, setValues)
 		if err != nil {
 			return nil, nil, err
 		}
 		oldToNew[row] = nr
 	}
 	return nt, oldToNew, nil
+}
+
+// rowCells returns row's cells in AppendRow's form, keyed by attribute
+// name, leaving out attribute a's value s when keep is set and
+// keep(a, s) is false.
+func rowCells(t *EntityTable, row int, keep func(a int, s string) bool) (map[string]string, map[string][]string) {
+	values, setValues := map[string]string{}, map[string][]string{}
+	for a := 0; a < t.Schema.Len(); a++ {
+		attr := t.Schema.At(a)
+		for _, v := range t.cell(a, row) {
+			s := t.Dict(a).Value(v)
+			if v == MissingValue || keep != nil && !keep(a, s) {
+				continue
+			}
+			if attr.Kind == Atomic {
+				values[attr.Name] = s
+			} else {
+				setValues[attr.Name] = append(setValues[attr.Name], s)
+			}
+		}
+	}
+	return values, setValues
 }
 
 // KeepAttributes retains a random subset of attributes across the two
@@ -134,7 +120,7 @@ func KeepAttributes(db *DB, keepTotal int, seed int64) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rebuildWithEntities(db, newU, newI, db.Name+"-attrs")
+	return rebuildWithEntities(db, newU, newI, nil, db.Name+"-attrs")
 }
 
 // projectEntities keeps only the flagged attributes of a table.
@@ -149,27 +135,11 @@ func projectEntities(t *EntityTable, keep []bool) (*EntityTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	// AppendRow reads only the attributes of nt's schema.
 	nt := NewEntityTable(t.Name, schema)
 	for row := 0; row < t.Len(); row++ {
-		values := make(map[string]string)
-		setValues := make(map[string][]string)
-		for a := 0; a < t.Schema.Len(); a++ {
-			if !keep[a] {
-				continue
-			}
-			attr := t.Schema.At(a)
-			switch attr.Kind {
-			case Atomic:
-				if v := t.AtomicValue(a, row); v != MissingValue {
-					values[attr.Name] = t.Dict(a).Value(v)
-				}
-			case MultiValued:
-				for _, v := range t.MultiValues(a, row) {
-					setValues[attr.Name] = append(setValues[attr.Name], t.Dict(a).Value(v))
-				}
-			}
-		}
-		if _, err := nt.AppendRow(t.Keys[row], values, setValues); err != nil {
+		values, setValues := rowCells(t, row, nil)
+		if _, err := nt.AppendRow(t.Key(row), values, setValues); err != nil {
 			return nil, err
 		}
 	}
@@ -192,7 +162,7 @@ func SampleAttributeValues(db *DB, fraction float64, seed int64) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rebuildWithEntities(db, newU, newI, db.Name+"-vals")
+	return rebuildWithEntities(db, newU, newI, nil, db.Name+"-vals")
 }
 
 func sampleValues(t *EntityTable, fraction float64, rng *rand.Rand) (*EntityTable, error) {
@@ -213,27 +183,10 @@ func sampleValues(t *EntityTable, fraction float64, rng *rand.Rand) (*EntityTabl
 		}
 	}
 	nt := NewEntityTable(t.Name, t.Schema)
+	kept := func(a int, s string) bool { return keep[a][s] }
 	for row := 0; row < t.Len(); row++ {
-		values := make(map[string]string)
-		setValues := make(map[string][]string)
-		for a := 0; a < t.Schema.Len(); a++ {
-			attr := t.Schema.At(a)
-			switch attr.Kind {
-			case Atomic:
-				if v := t.AtomicValue(a, row); v != MissingValue {
-					if s := t.Dict(a).Value(v); keep[a][s] {
-						values[attr.Name] = s
-					}
-				}
-			case MultiValued:
-				for _, v := range t.MultiValues(a, row) {
-					if s := t.Dict(a).Value(v); keep[a][s] {
-						setValues[attr.Name] = append(setValues[attr.Name], s)
-					}
-				}
-			}
-		}
-		if _, err := nt.AppendRow(t.Keys[row], values, setValues); err != nil {
+		values, setValues := rowCells(t, row, kept)
+		if _, err := nt.AppendRow(t.Key(row), values, setValues); err != nil {
 			return nil, err
 		}
 	}
@@ -241,18 +194,26 @@ func sampleValues(t *EntityTable, fraction float64, rng *rand.Rand) (*EntityTabl
 }
 
 // rebuildWithEntities re-attaches the rating table to transformed entity
-// tables (row order preserved) and freezes.
-func rebuildWithEntities(db *DB, newU, newI *EntityTable, name string) (*DB, error) {
+// tables and freezes. Item rows are unchanged; reviewer row u becomes
+// oldToNewU[u], and a record whose reviewer it lacks is dropped, or, when
+// oldToNewU is nil, every row is unchanged.
+func rebuildWithEntities(db *DB, newU, newI *EntityTable, oldToNewU map[int]int, name string) (*DB, error) {
 	rt, err := NewRatingTable(db.Ratings.Dimensions...)
 	if err != nil {
 		return nil, err
 	}
 	scores := make([]Score, len(db.Ratings.Dimensions))
 	for r := 0; r < db.Ratings.Len(); r++ {
+		u, ok := int(db.Ratings.Reviewer[r]), true
+		if oldToNewU != nil {
+			if u, ok = oldToNewU[u]; !ok {
+				continue
+			}
+		}
 		for d := range scores {
 			scores[d] = db.Ratings.Scores[d][r]
 		}
-		if err := rt.Append(int(db.Ratings.Reviewer[r]), int(db.Ratings.Item[r]), scores); err != nil {
+		if err := rt.Append(u, int(db.Ratings.Item[r]), scores); err != nil {
 			return nil, err
 		}
 	}

@@ -3,28 +3,26 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // EntityTable stores the objective attributes of reviewers or items in
 // columnar, dictionary-encoded form. Row i describes the entity with dense
-// id i; the application-level identifier (e.g. "user 42") is kept in Keys.
+// id i; its application-level identifier (e.g. "user 42") is Key(i).
 type EntityTable struct {
 	Name   string
 	Schema *Schema
-	Keys   []string // external identifier per row
 
-	dicts []*Dictionary // one per attribute
-	// atomic[a][row] is the single value id of attribute a for row, or
-	// MissingValue. Only populated for atomic attributes.
-	atomic [][]ValueID
-	// multi[a][row] is the sorted set of value ids of attribute a for row.
-	// Only populated for multi-valued attributes.
-	multi [][][]ValueID
-	// cols are the flat scan-kernel projections, built by DB.Freeze
-	// (see columnar.go); nil until then.
-	cols []AttrColumn
+	// keys holds every row's identifier back to back: row r's ends at
+	// keyEnds[r] and starts where row r-1's ends (row 0's at 0).
+	keys    []byte
+	keyEnds []int32
+	dicts   []*Dictionary // one per attribute
+	// cols holds every attribute's values, appended row by row (see
+	// columnar.go); Freeze exposes them through Column.
+	cols   []AttrColumn
+	frozen bool
 }
 
 // NewEntityTable creates an empty table with the given schema.
@@ -32,16 +30,28 @@ func NewEntityTable(name string, schema *Schema) *EntityTable {
 	t := &EntityTable{Name: name, Schema: schema}
 	n := schema.Len()
 	t.dicts = make([]*Dictionary, n)
-	t.atomic = make([][]ValueID, n)
-	t.multi = make([][][]ValueID, n)
-	for i := 0; i < n; i++ {
-		t.dicts[i] = NewDictionary()
+	t.cols = make([]AttrColumn, n)
+	for a := 0; a < n; a++ {
+		t.dicts[a] = NewDictionary()
+		t.cols[a].Kind = schema.At(a).Kind
+		if t.cols[a].Kind == MultiValued {
+			t.cols[a].Offsets = []int32{0}
+		}
 	}
 	return t
 }
 
 // Len returns the number of rows (entities).
-func (t *EntityTable) Len() int { return len(t.Keys) }
+func (t *EntityTable) Len() int { return len(t.keyEnds) }
+
+// Key returns the external identifier of row.
+func (t *EntityTable) Key(row int) string {
+	lo := int32(0)
+	if row > 0 {
+		lo = t.keyEnds[row-1]
+	}
+	return string(t.keys[lo:t.keyEnds[row]])
+}
 
 // Dict returns the dictionary of attribute index a.
 func (t *EntityTable) Dict(a int) *Dictionary { return t.dicts[a] }
@@ -59,131 +69,169 @@ func (t *EntityTable) DictByName(name string) *Dictionary {
 // atomic attributes; setValues maps attribute name → value set for
 // multi-valued attributes. Missing entries are stored as missing; a value
 // set never holds the missing id (MissingLabel and "" are dropped from it).
-// It returns the dense row id.
+// It returns the dense row id. A table that returned an error holds part of
+// the row and must not be used.
 func (t *EntityTable) AppendRow(key string, values map[string]string, setValues map[string][]string) (int, error) {
-	row := len(t.Keys)
-	t.Keys = append(t.Keys, key)
+	if t.frozen {
+		return 0, fmt.Errorf("dataset: %s is frozen", t.Name)
+	}
+	row := t.Len()
+	if err := t.appendKey(key); err != nil {
+		return 0, fmt.Errorf("dataset: %s: %w", t.Name, err)
+	}
 	for a := 0; a < t.Schema.Len(); a++ {
 		attr := t.Schema.At(a)
 		if attr.Kind == Atomic && len(setValues[attr.Name]) > 0 {
 			return 0, fmt.Errorf("dataset: atomic attribute %q given a value set", attr.Name)
 		}
-		t.appendCell(a, values[attr.Name], setValues[attr.Name])
+		if err := t.appendCell(a, values[attr.Name], setValues[attr.Name]); err != nil {
+			return 0, fmt.Errorf("dataset: %s: %w", t.Name, err)
+		}
 	}
 	return row, nil
 }
 
+// appendKey appends the next row's identifier to the key blob.
+func (t *EntityTable) appendKey(key string) error {
+	if len(t.keys)+len(key) > math.MaxInt32 {
+		return fmt.Errorf("keys longer than %d bytes in all", math.MaxInt32)
+	}
+	t.keys = append(t.keys, key...)
+	t.keyEnds = append(t.keyEnds, int32(len(t.keys)))
+	return nil
+}
+
 // appendCell appends one row's value of attribute a, AppendRow's step. An
 // atomic attribute interns v ("" is missing). A multi-valued one takes the
-// set vs, plus v unless it is "", drops "" and MissingLabel, and stores the
-// rest interned, deduped and sorted.
-func (t *EntityTable) appendCell(a int, v string, vs []string) {
-	d := t.dicts[a]
-	if t.Schema.At(a).Kind == Atomic {
-		id := MissingValue
+// set vs, plus v unless it is "", and drops "" and MissingLabel.
+func (t *EntityTable) appendCell(a int, v string, vs []string) error {
+	c, d := &t.cols[a], t.dicts[a]
+	if c.Kind == Atomic {
+		id, err := MissingValue, error(nil)
 		if v != "" {
-			id = d.Intern(v)
+			id, err = d.Intern(v)
 		}
-		t.atomic[a] = append(t.atomic[a], id)
-		return
+		c.Values = append(c.Values, id)
+		return t.attrErr(a, err)
 	}
 	if v != "" {
 		vs = append(vs[:len(vs):len(vs)], v)
 	}
-	ids := make([]ValueID, 0, len(vs))
+	start := len(c.Values)
 	for _, s := range vs {
 		if s != "" && s != MissingLabel {
-			ids = append(ids, d.Intern(s))
+			id, err := d.Intern(s)
+			if err != nil {
+				return t.attrErr(a, err)
+			}
+			c.Values = append(c.Values, id)
 		}
 	}
-	t.appendSet(a, ids)
+	return t.endSet(a, start)
 }
 
 // appendCSVCell is appendCell for a CSV cell: an atomic attribute takes it
 // as v, a multi-valued one as the set of its ';'-separated parts. cell is
 // the reader's, so only a value new to the dictionary is copied.
-func (t *EntityTable) appendCSVCell(a int, cell []byte) {
-	d := t.dicts[a]
-	if t.Schema.At(a).Kind == Atomic {
-		id := MissingValue
+func (t *EntityTable) appendCSVCell(a int, cell []byte) error {
+	c, d := &t.cols[a], t.dicts[a]
+	if c.Kind == Atomic {
+		id, err := MissingValue, error(nil)
 		if len(cell) > 0 {
-			id = d.internBytes(cell)
+			id, err = d.internBytes(cell)
 		}
-		t.atomic[a] = append(t.atomic[a], id)
-		return
+		c.Values = append(c.Values, id)
+		return t.attrErr(a, err)
 	}
-	ids := make([]ValueID, 0, bytes.Count(cell, []byte{';'})+1)
+	start := len(c.Values)
 	for more := true; more; {
 		var v []byte
 		v, cell, more = bytes.Cut(cell, []byte{';'})
 		if len(v) > 0 && string(v) != MissingLabel {
-			ids = append(ids, d.internBytes(v))
+			id, err := d.internBytes(v)
+			if err != nil {
+				return t.attrErr(a, err)
+			}
+			c.Values = append(c.Values, id)
 		}
 	}
-	t.appendSet(a, ids)
+	return t.endSet(a, start)
 }
 
-// appendSet appends one row's value set of multi-valued attribute a: the
-// interned ids of its values, sorted and deduped in place. appendCell and
-// appendCSVCell both end in it.
-func (t *EntityTable) appendSet(a int, ids []ValueID) {
-	slices.Sort(ids)
-	t.multi[a] = append(t.multi[a], slices.Compact(ids))
+// endSet ends one row's value set of multi-valued attribute a, whose ids
+// appendCell or appendCSVCell appended to the column from start on: it
+// sorts and dedupes them in place and closes the row's CSR run.
+func (t *EntityTable) endSet(a, start int) error {
+	c := &t.cols[a]
+	set := c.Values[start:]
+	slices.Sort(set)
+	c.Values = c.Values[:start+len(slices.Compact(set))]
+	if len(c.Values) > math.MaxInt32 {
+		return t.attrErr(a, fmt.Errorf("more than %d values in all, too many for int32 CSR offsets", math.MaxInt32))
+	}
+	c.Offsets = append(c.Offsets, int32(len(c.Values)))
+	return nil
 }
 
-// reserve sizes the keys and every column for n more rows.
+// attrErr names attribute a in err, if there is one.
+func (t *EntityTable) attrErr(a int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("attribute %q: %w", t.Schema.At(a).Name, err)
+}
+
+// reserve sizes the key ends and every column's per-row array for n more
+// rows.
 func (t *EntityTable) reserve(n int) {
-	t.Keys = slices.Grow(t.Keys, n)
-	for a := range t.dicts {
-		if t.Schema.At(a).Kind == Atomic {
-			t.atomic[a] = slices.Grow(t.atomic[a], n)
+	t.keyEnds = slices.Grow(t.keyEnds, n)
+	for a := range t.cols {
+		if c := &t.cols[a]; c.Kind == Atomic {
+			c.Values = slices.Grow(c.Values, n)
 		} else {
-			t.multi[a] = slices.Grow(t.multi[a], n)
+			c.Offsets = slices.Grow(c.Offsets, n)
 		}
 	}
+}
+
+// cell returns row's value ids of attribute a: a multi-valued set, sorted,
+// or an atomic value as a one-id slice (MissingValue included). The slice
+// is the column's, with its capacity clipped: read-only.
+func (t *EntityTable) cell(a, row int) []ValueID {
+	c := &t.cols[a]
+	if c.Kind == Atomic {
+		return c.Values[row : row+1 : row+1]
+	}
+	lo, hi := c.Offsets[row], c.Offsets[row+1]
+	return c.Values[lo:hi:hi]
 }
 
 // AtomicValue returns the value id of atomic attribute a for the given row.
-func (t *EntityTable) AtomicValue(a, row int) ValueID { return t.atomic[a][row] }
+func (t *EntityTable) AtomicValue(a, row int) ValueID { return t.cols[a].Values[row] }
 
-// MultiValues returns the value-id set of multi-valued attribute a for row.
-func (t *EntityTable) MultiValues(a, row int) []ValueID { return t.multi[a][row] }
+// MultiValues returns the value-id set of multi-valued attribute a for row,
+// sorted. The slice is the column's: read-only.
+func (t *EntityTable) MultiValues(a, row int) []ValueID { return t.cell(a, row) }
 
 // HasValue reports whether the row has the given value for attribute a,
 // handling both attribute kinds.
 func (t *EntityTable) HasValue(a, row int, v ValueID) bool {
-	switch t.Schema.At(a).Kind {
-	case Atomic:
-		return t.atomic[a][row] == v
-	case MultiValued:
-		ids := t.multi[a][row]
-		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
-		return i < len(ids) && ids[i] == v
-	}
-	return false
+	_, ok := slices.BinarySearch(t.cell(a, row), v)
+	return ok
 }
 
-// ValueString renders the row's value(s) of attribute a for display.
+// ValueString renders the row's value(s) of attribute a for display: an
+// empty set or a missing value as MissingLabel.
 func (t *EntityTable) ValueString(a, row int) string {
-	attr := t.Schema.At(a)
-	switch attr.Kind {
-	case Atomic:
-		return t.dicts[a].Value(t.atomic[a][row])
-	case MultiValued:
-		ids := t.multi[a][row]
-		if len(ids) == 0 {
-			return MissingLabel
-		}
-		s := ""
-		for i, id := range ids {
-			if i > 0 {
-				s += ";"
-			}
-			s += t.dicts[a].Value(id)
-		}
-		return s
+	ids := t.cell(a, row)
+	if len(ids) == 0 {
+		return MissingLabel
 	}
-	return ""
+	s := t.dicts[a].Value(ids[0])
+	for _, id := range ids[1:] {
+		s += ";" + t.dicts[a].Value(id)
+	}
+	return s
 }
 
 // ValueCardinality returns the number of distinct non-missing values of the
@@ -230,8 +278,8 @@ func NewRatingTable(dims ...Dimension) (*RatingTable, error) {
 	rt := &RatingTable{Dimensions: append([]Dimension(nil), dims...)}
 	rt.Scores = make([][]Score, len(dims))
 	for _, d := range dims {
-		if d.Scale < 2 {
-			return nil, fmt.Errorf("dataset: dimension %q has scale %d < 2", d.Name, d.Scale)
+		if d.Scale < 2 || d.Scale > math.MaxUint8 {
+			return nil, fmt.Errorf("dataset: dimension %q has scale %d outside 2..%d", d.Name, d.Scale, math.MaxUint8)
 		}
 	}
 	return rt, nil
@@ -342,12 +390,8 @@ func (db *DB) Freeze() error {
 	if err != nil {
 		return err
 	}
-	if err := db.Reviewers.buildColumnar(); err != nil {
-		return err
-	}
-	if err := db.Items.buildColumnar(); err != nil {
-		return err
-	}
+	db.Reviewers.freeze()
+	db.Items.freeze()
 	db.byReviewer, db.byItem = byReviewer, byItem
 	db.frozen = true
 	return nil

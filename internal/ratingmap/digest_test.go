@@ -97,7 +97,7 @@ func digestFuzzMap(attr string, side, dim, total int, data []byte) *RatingMap {
 	data = data[1:]
 	seen := map[dataset.ValueID]bool{}
 	for len(data) > scale {
-		v, row := dataset.ValueID(data[0])<<(data[0]%24), data[1:1+scale]
+		v, row := dataset.ValueID(data[0])<<(data[0]%16), data[1:1+scale]
 		data = data[1+scale:]
 		if seen[v] {
 			continue
