@@ -1,4 +1,4 @@
-// Command subdexvet is SubDEx's project-invariant checker: the five
+// Command subdexvet is SubDEx's project-invariant checker: the four
 // analyzers that encode disciplines only a static check can see (see
 // internal/analysis/... and DESIGN.md "Invariants as analyzers"), run
 // over the module in the current directory by one in-process driver.
@@ -11,7 +11,6 @@ package main
 
 import (
 	"subdex/internal/analysis/ctxflow"
-	"subdex/internal/analysis/detorder"
 	"subdex/internal/analysis/framework"
 	"subdex/internal/analysis/lockblock"
 	"subdex/internal/analysis/lockorder"
@@ -22,7 +21,6 @@ func main() {
 	framework.Main([]*framework.Analyzer{
 		obsmetrics.Analyzer,
 		ctxflow.Analyzer,
-		detorder.Analyzer,
 		lockblock.Analyzer,
 		lockorder.Analyzer,
 	})

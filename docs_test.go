@@ -3,6 +3,9 @@ package subdex_test
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"regexp"
@@ -103,6 +106,70 @@ func TestExperimentIndexIsTheRegistry(t *testing.T) {
 	}
 	if !t.Failed() && !slices.Equal(index, registry) {
 		t.Errorf("DESIGN.md \"Per-experiment index\" lists %v; experiments.All() is %v", index, registry)
+	}
+}
+
+// TestAnalyzerDocsAreTheDriver holds README "Static analysis" and DESIGN.md
+// "Invariants as analyzers" to the analyzers cmd/subdexvet registers: one
+// README bullet and one row of the analyzer table (the section's first) per
+// analyzer, in the driver's order, and no bullet or row for anything else.
+func TestAnalyzerDocsAreTheDriver(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "cmd/subdexvet/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The registered list is the composite literal main hands framework.Main;
+	// each element is pkg.Analyzer, and each analyzer is named for its package.
+	var driver []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		for _, elt := range lit.Elts {
+			if sel, ok := elt.(*ast.SelectorExpr); ok && sel.Sel.Name == "Analyzer" {
+				if pkg, ok := sel.X.(*ast.Ident); ok {
+					driver = append(driver, pkg.Name)
+				}
+			}
+		}
+		return false
+	})
+	if len(driver) == 0 {
+		t.Fatal("cmd/subdexvet/main.go registers no pkg.Analyzer")
+	}
+	bullet := regexp.MustCompile(`^\* \*\*([a-z]+)\*\* `)
+	var readme []string
+	for _, line := range strings.Split(docSection(t, "README.md", "## Static analysis"), "\n") {
+		if m := bullet.FindStringSubmatch(line); m != nil {
+			readme = append(readme, m[1])
+		}
+	}
+	row := regexp.MustCompile(`^\| \*\*([a-z]+)\*\* \|`)
+	var design []string
+	inTable := false
+	for _, line := range strings.Split(docSection(t, "DESIGN.md", "## Invariants as analyzers"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break // the analyzer table is the section's first
+			}
+			continue
+		}
+		inTable = true
+		if m := row.FindStringSubmatch(line); m != nil {
+			design = append(design, m[1])
+		}
+	}
+	for _, doc := range []struct {
+		where string
+		names []string
+	}{
+		{`README.md "Static analysis" bullets`, readme},
+		{`DESIGN.md "Invariants as analyzers" rows`, design},
+	} {
+		if !slices.Equal(doc.names, driver) {
+			t.Errorf("%s name %v; cmd/subdexvet registers %v", doc.where, doc.names, driver)
+		}
 	}
 }
 

@@ -9,17 +9,11 @@
 //
 //  1. Any function taking a context.Context takes it as its first
 //     parameter, named ctx.
-//  2. Library code never calls context.Background() or context.TODO().
-//     The permitted exceptions, matching the documented conventions:
-//     - main packages (an entry point owns its root context),
-//     - test files,
-//     - the XCtx compatibility shims: inside a function named F whose
-//     body calls F+"Ctx" — the one-line wrappers (engine.TopMaps,
-//     core.Session.Step, core.Explorer.RMSet) that keep the pre-context
-//     API alive by delegating to the context-aware implementation,
-//     - a call annotated `//subdex:ctxflow <reason>` (trailing or on the
-//     line above), reason mandatory: the one in the module is the nil-ctx
-//     normalization of the nil-safe obs.StartSpan.
+//  2. Library code never makes a root or detached context
+//     (context.Background, context.TODO, context.WithoutCancel) unless
+//     the call is annotated `//subdex:ctxflow <reason>` (trailing or on
+//     the line above), reason mandatory. main packages (an entry point
+//     owns its root context) and test files are exempt.
 package ctxflow
 
 import (
@@ -32,29 +26,30 @@ import (
 // Analyzer is the ctxflow check.
 var Analyzer = &framework.Analyzer{
 	Name: "ctxflow",
-	Doc:  "context.Context first and named ctx; no context.Background/TODO outside main, tests, XCtx shims, and //subdex:ctxflow annotated calls",
+	Doc:  "context.Context first and named ctx; no context.Background/TODO/WithoutCancel outside main and tests unless annotated //subdex:ctxflow <reason>",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
 	isMain := pass.Pkg.Name() == "main"
-
-	framework.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		if framework.IsTestFile(pass.Fset, n.Pos()) {
-			return false
+	for _, file := range pass.Files {
+		if framework.IsTestFile(pass.Fset, file.Pos()) {
+			continue
 		}
-		switch node := n.(type) {
-		case *ast.FuncDecl:
-			checkSignature(pass, node.Type)
-		case *ast.FuncLit:
-			checkSignature(pass, node.Type)
-		case *ast.CallExpr:
-			if !isMain {
-				checkRootContextCall(pass, node, stack)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch node := n.(type) {
+			case *ast.FuncDecl:
+				checkSignature(pass, node.Type)
+			case *ast.FuncLit:
+				checkSignature(pass, node.Type)
+			case *ast.CallExpr:
+				if !isMain {
+					checkRootContextCall(pass, file, node)
+				}
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 	return nil
 }
 
@@ -87,18 +82,16 @@ func checkSignature(pass *framework.Pass, ft *ast.FuncType) {
 }
 
 // checkRootContextCall enforces rule 2 on one call expression.
-func checkRootContextCall(pass *framework.Pass, call *ast.CallExpr, stack []ast.Node) {
+func checkRootContextCall(pass *framework.Pass, file *ast.File, call *ast.CallExpr) {
 	fn := framework.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return
 	}
-	if fn.Name() != "Background" && fn.Name() != "TODO" {
+	switch fn.Name() {
+	case "Background", "TODO", "WithoutCancel":
+	default:
 		return
 	}
-	if inXCtxShim(stack) {
-		return
-	}
-	file := framework.FileOf(pass.Files, call.Pos())
 	if reason, found := framework.Annotation(pass.Fset, file, call, "ctxflow"); found {
 		if reason == "" {
 			pass.Reportf(call.Pos(), "//subdex:ctxflow needs a reason: say why no caller deadline is severed here")
@@ -106,35 +99,7 @@ func checkRootContextCall(pass *framework.Pass, call *ast.CallExpr, stack []ast.
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"context.%s() in library code severs caller cancellation; thread a ctx parameter, or make this an XCtx shim (a function F whose body delegates to FCtx)", fn.Name())
-}
-
-// inXCtxShim reports whether the call sits inside a function named F
-// whose body calls F+"Ctx" — the compatibility-shim convention.
-func inXCtxShim(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		fd, ok := stack[i].(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		target := fd.Name.Name + "Ctx"
-		found := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				found = found || fun.Name == target
-			case *ast.SelectorExpr:
-				found = found || fun.Sel.Name == target
-			}
-			return !found
-		})
-		return found
-	}
-	return false
+		"context.%s() in library code severs caller cancellation; thread a ctx parameter, or annotate //subdex:ctxflow <reason>", fn.Name())
 }
 
 // isContextType reports whether t is context.Context.

@@ -10,10 +10,15 @@ import (
 // StepCtx is the context-aware implementation: accepted shape.
 func StepCtx(ctx context.Context, n int) error { return nil }
 
-// Step is an XCtx compatibility shim — it may mint a root context
-// because its body delegates to StepCtx.
+// Step is a context-free shim over StepCtx: a name does not exempt it,
+// the annotation does.
 func Step(n int) error {
-	return StepCtx(context.Background(), n)
+	return StepCtx(context.Background(), n) //subdex:ctxflow context-free API: the caller has no deadline to sever
+}
+
+// unannotatedShim delegates the same way without saying why.
+func unannotatedShim(n int) error {
+	return StepCtx(context.Background(), n) // want `context.Background\(\) in library code`
 }
 
 // StartSpan is nil-safe: its normalization is annotated, with a reason.
@@ -40,10 +45,16 @@ func todoToo() context.Context {
 	return context.TODO() // want `context.TODO\(\) in library code`
 }
 
-// notAShim calls somethingElseCtx, not notAShimCtx: the delegation
-// naming must match for the exemption to apply.
-func notAShim() error {
-	return StepCtx(context.Background(), 1) // want `context.Background\(\) in library code`
+// detachedFromDeadline keeps ctx's values but drops its deadline, which
+// severs cancellation exactly as a root context does.
+func detachedFromDeadline(ctx context.Context) context.Context {
+	return context.WithoutCancel(ctx) // want `context.WithoutCancel\(\) in library code`
+}
+
+// teardown detaches on purpose, and says why.
+func teardown(ctx context.Context) error {
+	//subdex:ctxflow cleanup must outlive an expired caller deadline
+	return StepCtx(context.WithoutCancel(ctx), 0)
 }
 
 // ctxSecond has the context in the wrong position.

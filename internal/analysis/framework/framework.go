@@ -191,8 +191,8 @@ func NewTypesInfo() *types.Info {
 // ---------------------------------------------------------------------------
 
 // IsTestFile reports whether pos sits in a _test.go file. Every SubDEx
-// analyzer exempts test files: tests may use context.Background, range
-// maps freely, and register scratch metrics.
+// analyzer exempts test files: tests may use context.Background, hold
+// locks across channel operations, and register scratch metrics.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -210,60 +210,27 @@ func FileOf(files []*ast.File, pos token.Pos) *ast.File {
 // Annotation looks for a `//subdex:<marker> <reason>` suppression
 // comment attached to node: either trailing on the node's first line or
 // as the last line of a comment ending on the line immediately above.
-// It returns the reason text and whether the annotation was found.
+// The marker must end the comment or be followed by a space, so
+// `//subdex:ctxflowed` is not a ctxflow annotation. It returns the
+// reason text and whether the annotation was found.
 func Annotation(fset *token.FileSet, file *ast.File, node ast.Node, marker string) (reason string, found bool) {
 	if file == nil {
 		return "", false
 	}
 	nodeLine := fset.Position(node.Pos()).Line
-	prefix := "//subdex:" + marker
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, prefix) {
+			rest, ok := strings.CutPrefix(c.Text, "//subdex:"+marker)
+			if !ok || (rest != "" && rest[0] != ' ') {
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
 			if line == nodeLine || line == nodeLine-1 {
-				rest := strings.TrimPrefix(c.Text, prefix)
 				return strings.TrimSpace(rest), true
 			}
 		}
 	}
 	return "", false
-}
-
-// EnclosingFuncName returns the name of the innermost *named* function
-// declaration in stack (a path of AST nodes from the file root to some
-// node), and "" when the node is not inside a FuncDecl. Function
-// literals are transparent: a call inside a closure inside NewServer is
-// attributed to NewServer.
-func EnclosingFuncName(stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
-	}
-	return ""
-}
-
-// WalkStack traverses every file, invoking fn with each node and the
-// stack of its ancestors (outermost first, not including the node
-// itself). Returning false skips the node's children.
-func WalkStack(files []*ast.File, fn func(node ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			descend := fn(n, stack)
-			if descend {
-				stack = append(stack, n)
-			}
-			return descend
-		})
-	}
 }
 
 // NamedTypeIn reports whether t (after pointer indirection) is the named

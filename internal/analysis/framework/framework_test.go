@@ -26,20 +26,24 @@ func TestPathHasSuffix(t *testing.T) {
 }
 
 // TestAnnotation pins the two accepted comment placements (line above,
-// trailing), the empty-reason form, and the absent case.
+// trailing), the empty-reason form, the absent case, and that a marker is
+// a whole word: `//subdex:ctxflowed` is not a ctxflow annotation.
 func TestAnnotation(t *testing.T) {
 	src := `package p
 
-func f(m map[int]int) {
-	//subdex:orderinsensitive pure count
-	for range m {
-	}
-	for range m { //subdex:orderinsensitive trailing reason
-	}
-	for range m { //subdex:orderinsensitive
-	}
-	for range m {
-	}
+import "context"
+
+func f() {
+	//subdex:ctxflow context-free API
+	_ = context.Background()
+
+	_ = context.Background() //subdex:ctxflow trailing reason
+
+	_ = context.Background() //subdex:ctxflow
+
+	_ = context.Background()
+
+	_ = context.Background() //subdex:ctxflowed x
 }
 `
 	fset := token.NewFileSet()
@@ -47,29 +51,30 @@ func f(m map[int]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loops []*ast.RangeStmt
+	var calls []*ast.CallExpr
 	ast.Inspect(file, func(n ast.Node) bool {
-		if r, ok := n.(*ast.RangeStmt); ok {
-			loops = append(loops, r)
+		if c, ok := n.(*ast.CallExpr); ok {
+			calls = append(calls, c)
 		}
 		return true
 	})
-	if len(loops) != 4 {
-		t.Fatalf("expected 4 range statements, got %d", len(loops))
-	}
 	want := []struct {
 		reason string
 		found  bool
 	}{
-		{"pure count", true},
+		{"context-free API", true},
 		{"trailing reason", true},
 		{"", true},
 		{"", false},
+		{"", false},
+	}
+	if len(calls) != len(want) {
+		t.Fatalf("expected %d calls, got %d", len(want), len(calls))
 	}
 	for i, w := range want {
-		reason, found := Annotation(fset, file, loops[i], "orderinsensitive")
+		reason, found := Annotation(fset, file, calls[i], "ctxflow")
 		if reason != w.reason || found != w.found {
-			t.Errorf("loop %d: Annotation = (%q, %v), want (%q, %v)", i, reason, found, w.reason, w.found)
+			t.Errorf("call %d: Annotation = (%q, %v), want (%q, %v)", i, reason, found, w.reason, w.found)
 		}
 	}
 }

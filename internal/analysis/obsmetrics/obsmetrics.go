@@ -14,7 +14,8 @@
 //     snake_case string, and a field name is never reused with a value
 //     of a different static type — queries over dumped JSONL (and the
 //     /debug/flightrecorder?trace= filter) assume one name means one
-//     shape everywhere. The check crosses packages via package facts.
+//     shape everywhere. The check runs one package at a time: every Set
+//     outside obs is in internal/server.
 //
 // What a name must look like (subdex_ prefix, unit suffix by kind) is
 // checked on a live /metrics scrape by internal/daemon's
@@ -27,7 +28,6 @@
 package obsmetrics
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 	"regexp"
@@ -53,59 +53,42 @@ var fieldRx = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
 // fieldReg is one wide-event field's first-seen metadata.
 type fieldReg struct {
-	Type string `json:"type"` // static value type; "" = not statically known
-	Pos  string `json:"pos"`  // "file:line" of the first Set
-}
-
-// fact is the package fact: every wide-event field the package sets.
-type fact struct {
-	Fields map[string]fieldReg `json:"fields,omitempty"`
+	Type string // static value type; "" = not statically known
+	Pos  string // "file:line" of the first Set
 }
 
 func run(pass *framework.Pass) error {
 	if isObsPackage(pass.Path()) {
 		return nil
 	}
-
-	// Seed the field view with facts from already-analyzed packages so a
-	// cross-package reshaping is diagnosed at the later site.
-	seenFields := make(map[string]fieldReg)
-	for _, pf := range pass.ImportedFacts() {
-		var f fact
-		if err := json.Unmarshal(pf.Fact, &f); err != nil {
+	fields := make(map[string]fieldReg)
+	for _, file := range pass.Files {
+		if framework.IsTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
-		for name, fr := range f.Fields {
-			if _, ok := seenFields[name]; !ok {
-				seenFields[name] = fr
+		for _, decl := range file.Decls {
+			// A registry call outside any function is a package-level var
+			// initializer: resolved once at init time, which is exactly the
+			// discipline.
+			funcName := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				funcName = fd.Name.Name
 			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if isWideEventSet(pass, call) {
+					checkWideField(pass, call, fields)
+				} else if isRegistryCall(pass, call) {
+					checkRegistryCall(pass, call, funcName)
+				}
+				return true
+			})
 		}
 	}
-	local := fact{Fields: make(map[string]fieldReg)}
-
-	framework.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isWideEventSet(pass, call) {
-			if !framework.IsTestFile(pass.Fset, call.Pos()) {
-				checkWideField(pass, call, seenFields, local.Fields)
-			}
-			return true
-		}
-		if !isRegistryCall(pass, call) || framework.IsTestFile(pass.Fset, call.Pos()) {
-			return true
-		}
-		checkConstructorContext(pass, call, stack)
-		if _, ok := framework.ConstString(pass.TypesInfo, call.Args[0]); !ok {
-			pass.Reportf(call.Args[0].Pos(),
-				"metric name must be a string literal or constant (dynamic names defeat dashboards and the naming test)")
-		}
-		return true
-	})
-
-	return pass.ExportFact(local)
+	return nil
 }
 
 // isObsPackage reports whether path is the obs package itself.
@@ -145,9 +128,9 @@ func isWideEventSet(pass *framework.Pass, call *ast.CallExpr) bool {
 		framework.NamedTypeIn(recv, "obs", "WideEvent")
 }
 
-// checkWideField enforces rule 3 on one Set call, against both imported
-// facts and earlier Sets in this package.
-func checkWideField(pass *framework.Pass, call *ast.CallExpr, seen, local map[string]fieldReg) {
+// checkWideField enforces rule 3 on one Set call, against earlier Sets in
+// this package.
+func checkWideField(pass *framework.Pass, call *ast.CallExpr, fields map[string]fieldReg) {
 	key, ok := framework.ConstString(pass.TypesInfo, call.Args[0])
 	if !ok {
 		pass.Reportf(call.Args[0].Pos(),
@@ -163,19 +146,16 @@ func checkWideField(pass *framework.Pass, call *ast.CallExpr, seen, local map[st
 		Type: valueTypeString(pass, call.Args[1]),
 		Pos:  pass.Fset.Position(call.Pos()).String(),
 	}
-	for _, prev := range [2]map[string]fieldReg{local, seen} {
-		p, ok := prev[key]
-		if !ok {
-			continue
-		}
-		if fr.Type != "" && p.Type != "" && fr.Type != p.Type {
-			pass.Reportf(call.Pos(),
-				"wide-event field %q set with type %s (was %s at %s): one field name, one shape",
-				key, fr.Type, p.Type, p.Pos)
-		}
+	p, ok := fields[key]
+	if !ok {
+		fields[key] = fr
 		return
 	}
-	local[key] = fr
+	if fr.Type != "" && p.Type != "" && fr.Type != p.Type {
+		pass.Reportf(call.Pos(),
+			"wide-event field %q set with type %s (was %s at %s): one field name, one shape",
+			key, fr.Type, p.Type, p.Pos)
+	}
 }
 
 // valueTypeString renders the static type of a Set value, with untyped
@@ -188,18 +168,17 @@ func valueTypeString(pass *framework.Pass, e ast.Expr) string {
 	return types.Default(tv.Type).String()
 }
 
-// checkConstructorContext enforces rule 2: the (topmost) named function
-// around the call must be constructor-shaped.
-func checkConstructorContext(pass *framework.Pass, call *ast.CallExpr, stack []ast.Node) {
-	name := framework.EnclosingFuncName(stack)
-	if name == "" {
-		// Package-level var initializer: resolved once at init time, which
-		// is exactly the discipline.
-		return
+// checkRegistryCall enforces rules 1 and 2 on one registration inside
+// the function named funcName ("" for a package-level initializer).
+// Function literals are transparent: a call inside a closure inside
+// NewServer is attributed to NewServer.
+func checkRegistryCall(pass *framework.Pass, call *ast.CallExpr, funcName string) {
+	if funcName != "" && funcName != "init" && !strings.HasPrefix(funcName, "New") && !strings.HasPrefix(funcName, "new") {
+		pass.Reportf(call.Pos(),
+			"registry lookup in %s: instruments must be resolved in a constructor (New*/new*/init) and stored, not looked up on the hot path (each lookup takes the registry mutex)", funcName)
 	}
-	if name == "init" || strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") {
-		return
+	if _, ok := framework.ConstString(pass.TypesInfo, call.Args[0]); !ok {
+		pass.Reportf(call.Args[0].Pos(),
+			"metric name must be a string literal or constant (dynamic names defeat dashboards and the naming test)")
 	}
-	pass.Reportf(call.Pos(),
-		"registry lookup in %s: instruments must be resolved in a constructor (New*/new*/init) and stored, not looked up on the hot path (each lookup takes the registry mutex)", name)
 }

@@ -8,7 +8,5 @@ import (
 )
 
 func TestObsMetrics(t *testing.T) {
-	// Order matters: w's facts must be exported before w2 reshapes one of
-	// its wide-event fields.
-	analysistest.Run(t, "testdata", obsmetrics.Analyzer, "a", "w", "w2")
+	analysistest.Run(t, "testdata", obsmetrics.Analyzer, "a", "w")
 }

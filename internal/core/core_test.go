@@ -454,7 +454,7 @@ func TestStepTimeoutDegrades(t *testing.T) {
 // call, no further candidate reaches the engine, and the step degrades
 // exactly as it does when the budget is spent before the pass — Degraded,
 // RecommendationsSkipped, no partial list. Engine.PhaseHook spends it: the
-// pass hands ex.Cfg.Engine to every TopMapsIf call, and a candidate's
+// pass hands ex.Cfg.Engine to every TopMapsIfCtx call, and a candidate's
 // sampled group is one stride, so after the step's own scan each call
 // fires the hook once and the hook's (strides+3)-th call is inside the
 // pass's third engine call.

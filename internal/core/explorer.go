@@ -133,13 +133,9 @@ func (s *StepResult) TotalUtility() float64 {
 // utility (pruned per config), then select the k most diverse with GMM.
 // The seen set is not mutated; callers commit displayed maps explicitly.
 //
-// RMSet is an XCtx compatibility shim: a context-free wrapper F that
-// delegates to FCtx with context.Background(), keeping the pre-context
-// API alive. Shims like this (RMSet, Session.Step,
-// engine.Generator.TopMaps) are the only non-main, non-test call sites
-// where the ctxflow analyzer permits minting a root context.
+// RMSet is the context-free form of RMSetCtx.
 func (ex *Explorer) RMSet(desc query.Description, seen *ratingmap.SeenSet) (*StepResult, error) {
-	return ex.RMSetCtx(context.Background(), desc, seen)
+	return ex.RMSetCtx(context.Background(), desc, seen) //subdex:ctxflow context-free API: the caller has no deadline to sever
 }
 
 // RMSetCtx is RMSet with span propagation: under a context carrying an
@@ -258,7 +254,7 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 // (Cfg.RecSampleSize) — which records already are when the recPass derived
 // them through a bounded partition.
 //
-// keep, when non-nil, is the engine's gate (engine.TopMapsIf): it sees the
+// keep, when non-nil, is the engine's gate (engine.TopMapsIfCtx): it sees the
 // group's k′ = K×L top utilities in rank order before any of the maps
 // exists, and a group it turns down is reported bounded, its utility not
 // computed — no map snapshot, no GMM.
@@ -268,7 +264,8 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands 
 		return 0, false, nil
 	}
 	group := &query.RatingGroup{Desc: desc, Records: query.Sample(records, ex.Cfg.RecSampleSize)}
-	genRes, err := ex.Gen.TopMapsIf(group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
+	//subdex:ctxflow a candidate's evaluation runs to completion: RecommendCtx checks ctx between candidates
+	genRes, err := ex.Gen.TopMapsIfCtx(context.Background(), group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
 	if err != nil {
 		return 0, false, err
 	}

@@ -40,12 +40,10 @@ type RecommendationBuilder struct {
 // candidate in full returns — same operations, same order, same utilities
 // bit for bit — and every candidate still has its duration.
 //
-// Recommend is an XCtx compatibility shim: a context-free wrapper F that
-// delegates to FCtx with context.Background(), keeping the pre-context
-// API alive.
+// Recommend is the context-free form of RecommendCtx.
 func (rb *RecommendationBuilder) Recommend(cur query.Description, maps []*ratingmap.RatingMap,
 	seen *ratingmap.SeenSet, o int) ([]Recommendation, []time.Duration, error) {
-	return rb.RecommendCtx(context.Background(), cur, maps, seen, o)
+	return rb.RecommendCtx(context.Background(), cur, maps, seen, o) //subdex:ctxflow context-free API kept for bench/trace.go: the caller has no deadline to sever
 }
 
 // RecommendCtx is Recommend under a deadline: once ctx is done no further

@@ -82,13 +82,9 @@ func (s *Session) NumSteps() int { return len(s.steps) }
 // the paper's ordering (an operation's utility depends on the maps "seen by
 // the user up to this step").
 //
-// Step is an XCtx compatibility shim: a context-free wrapper F that
-// delegates to FCtx with context.Background(), keeping the pre-context
-// API alive. Shims like this (Step, engine.Generator.TopMaps,
-// Explorer.RMSet) are the only non-main, non-test call sites where the
-// ctxflow analyzer permits minting a root context.
+// Step is the context-free form of StepCtx.
 func (s *Session) Step() (*StepResult, error) {
-	return s.StepCtx(context.Background())
+	return s.StepCtx(context.Background()) //subdex:ctxflow context-free API: the caller has no deadline to sever
 }
 
 // StepCtx is Step with span propagation and a compute deadline: under a
@@ -255,13 +251,9 @@ func (s *Session) ApplyRecommendation(i int) error {
 // description, applying the top-1 recommendation after each step. It stops
 // early if no recommendation is available. It returns the executed steps.
 //
-// Auto is an XCtx compatibility shim: a context-free wrapper F that
-// delegates to FCtx with context.Background(), keeping the pre-context
-// API alive. Shims like this (Auto, Step, engine.Generator.TopMaps,
-// Explorer.RMSet) are the only non-main, non-test call sites where the
-// ctxflow analyzer permits minting a root context.
+// Auto is the context-free form of AutoCtx.
 func (s *Session) Auto(m int) ([]*StepResult, error) {
-	return s.AutoCtx(context.Background(), m)
+	return s.AutoCtx(context.Background(), m) //subdex:ctxflow context-free API: the caller has no deadline to sever
 }
 
 // AutoCtx is Auto under a caller-supplied context: every step runs through

@@ -76,7 +76,7 @@ func Serve(ctx context.Context, name, addr, debugAddr string, h http.Handler, dr
 	case err = <-errCh: // nothing has called Shutdown yet, so this is a real failure
 		running--
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain) //subdex:ctxflow the drain outlives the shutdown signal that cancelled ctx
 	defer cancel()
 	for _, hs := range servers {
 		if serr := hs.Shutdown(shutdownCtx); serr != nil && err == nil {

@@ -132,7 +132,7 @@ type Result struct {
 	// accumulator before finalization (== len(group.Records) for a
 	// complete scan).
 	RecordsProcessed int
-	// Gated reports that the caller's keep function (TopMapsIf) turned the
+	// Gated reports that the caller's keep function (TopMapsIfCtx) turned the
 	// ranking down: Utilities holds the top utilities it was shown, in rank
 	// order, and no map was materialized.
 	Gated bool
@@ -189,14 +189,10 @@ func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratin
 // with the highest DW utilities over the group's records, ranked by exact
 // utility, pruning low-utility candidates at phase boundaries.
 //
-// TopMaps is an XCtx compatibility shim: a context-free wrapper F that
-// delegates to FCtx with context.Background(), keeping the pre-context
-// API alive. Shims like this (TopMaps, core.Session.Step,
-// core.Explorer.RMSet) are the only non-main, non-test call sites where
-// the ctxflow analyzer permits minting a root context.
+// TopMaps is the context-free form of TopMapsCtx.
 func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key,
 	seen *ratingmap.SeenSet, kPrime int, cfg Config) (*Result, error) {
-	return g.TopMapsCtx(context.Background(), group, candidates, seen, kPrime, cfg)
+	return g.TopMapsCtx(context.Background(), group, candidates, seen, kPrime, cfg) //subdex:ctxflow context-free API: the caller has no deadline to sever
 }
 
 // TopMapsCtx is TopMaps with span propagation and cooperative
@@ -235,22 +231,15 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 	return g.TopMapsIfCtx(ctx, group, candidates, seen, kPrime, cfg, nil)
 }
 
-// TopMapsIf is TopMaps for a caller that may not want the maps once it has
-// seen how they rank — the Recommendation Builder, which sums a candidate
-// operation's maps into one number and keeps the operation only if that
-// number can still reach its top-o. keep is handed the top kPrime utilities
-// in rank order after ranking and before any map is materialized; when it
-// returns false the call stops there, Result.Gated set, Utilities what keep
-// saw and Maps empty. A nil keep keeps everything: TopMaps.
-//
-// TopMapsIf is an XCtx compatibility shim like TopMaps.
-func (g *Generator) TopMapsIf(group *query.RatingGroup, candidates []ratingmap.Key,
-	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) (*Result, error) {
-	return g.TopMapsIfCtx(context.Background(), group, candidates, seen, kPrime, cfg, keep)
-}
-
-// TopMapsIfCtx is TopMapsCtx with TopMapsIf's keep: the one implementation
-// behind all four entry points.
+// TopMapsIfCtx is TopMapsCtx for a caller that may not want the maps once
+// it has seen how they rank — the Recommendation Builder, which sums a
+// candidate operation's maps into one number and keeps the operation only
+// if that number can still reach its top-o. keep is handed the top kPrime
+// utilities in rank order after ranking and before any map is
+// materialized; when it returns false the call stops there, Result.Gated
+// set, Utilities what keep saw and Maps empty. A nil keep keeps
+// everything: TopMapsCtx. It is the one implementation behind TopMaps and
+// TopMapsCtx.
 func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
 	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) (*Result, error) {
 	if kPrime <= 0 {
@@ -327,7 +316,7 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 	// the anytime result to be usable.
 	fctx := ctx
 	if res.Degraded {
-		fctx = context.WithoutCancel(ctx)
+		fctx = context.WithoutCancel(ctx) //subdex:ctxflow a degraded run's finalize reads accumulated statistics and must complete
 	}
 	fstart := time.Now()
 	g.finalize(fctx, acc, seen, kPrime, cfg, keep, res)
@@ -695,7 +684,7 @@ func (g *Generator) InvalidateCache() {
 // using the allocation-light estimator, ranks them, and materializes only
 // the top kPrime as rating maps, each with the scores it was ranked by —
 // and those only if keep, when there is one, accepts their utilities
-// (TopMapsIf).
+// (TopMapsIfCtx).
 //
 // The workers consult ctx between candidates: if the context dies
 // mid-finalize, unscored candidates are dropped from the ranking and the

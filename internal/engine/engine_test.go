@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"subdex/internal/bandit"
@@ -148,6 +149,47 @@ func TestPrunedAgreesWithExactTopK(t *testing.T) {
 		}
 		if pr != PruneNone && res.PrunedCI+res.PrunedMAB == 0 {
 			t.Errorf("%v: expected some pruning on %d candidates", pr, len(cands))
+		}
+	}
+}
+
+// TestTopMapsRepeatsExactly holds Algorithm 1 to one answer per input: the
+// pruner keeps its survivors in a map, and Go randomizes every range over
+// a map, so an estimate that read the survivors in map order would prune
+// and rank differently from call to call. Twenty uncached calls per scheme
+// on the phased path, 96 candidates for k' = 9, must agree on every map,
+// utility and pruning count.
+func TestTopMapsRepeatsExactly(t *testing.T) {
+	db := engineDB(t)
+	g := NewGenerator(db)
+	qe, group := rootGroup(t, db)
+	cands := g.Candidates(qe, query.Description{})
+	seen := ratingmap.NewSeenSet()
+	for _, pr := range []Pruning{PruneNone, PruneCI, PruneMAB, PruneBoth} {
+		cfg := DefaultConfig()
+		cfg.Pruning = pr
+		cfg.MinPhaseRecords = 100 // force the phased path
+		var first *Result
+		for call := 0; call < 20; call++ {
+			res, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res
+				if pr != PruneNone && res.PrunedCI+res.PrunedMAB == 0 {
+					t.Fatalf("%v: nothing pruned, so the pruner's order is not exercised", pr)
+				}
+				continue
+			}
+			if ratingmap.DigestMaps(res.Maps) != ratingmap.DigestMaps(first.Maps) ||
+				!slices.Equal(res.Utilities, first.Utilities) ||
+				res.PrunedCI != first.PrunedCI || res.PrunedMAB != first.PrunedMAB ||
+				res.RecordsProcessed != first.RecordsProcessed {
+				t.Fatalf("%v: call %d differs from call 0: pruned CI/MAB %d/%d against %d/%d, %d against %d records",
+					pr, call, res.PrunedCI, res.PrunedMAB, first.PrunedCI, first.PrunedMAB,
+					res.RecordsProcessed, first.RecordsProcessed)
+			}
 		}
 	}
 }

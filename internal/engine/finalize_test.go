@@ -245,7 +245,7 @@ func TestTopMapsIfGate(t *testing.T) {
 		g.Cache = NewTopMapsCache(1 << 20)
 		for round, verdict := range []bool{false, true, false, true} { // the second pair is served from the cache where there is one
 			var shown []float64
-			res, err := g.TopMapsIf(&group, keys, seen, 5, cfg, func(ranked []float64) bool {
+			res, err := g.TopMapsIfCtx(context.Background(), &group, keys, seen, 5, cfg, func(ranked []float64) bool {
 				shown = slices.Clone(ranked)
 				return verdict
 			})

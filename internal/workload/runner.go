@@ -189,7 +189,7 @@ func runUser(ctx context.Context, cfg Config, id int, newClient ClientFactory) *
 	res := u.run(ctx, c)
 	// Teardown must survive an expired soak deadline: DELETE frees the
 	// server-side session so admission capacity is returned.
-	_ = c.Close(context.WithoutCancel(ctx))
+	_ = c.Close(context.WithoutCancel(ctx)) //subdex:ctxflow teardown must survive an expired soak deadline
 	return res
 }
 
