@@ -4,7 +4,8 @@ package subdex_test
 // evaluation (§5), each delegating to the corresponding experiment in
 // internal/experiments at a bench-friendly scale, plus micro-benchmarks of
 // the load-bearing primitives (group materialization, top-map generation
-// under each pruning scheme, GMM selection, recommendation building).
+// under each pruning scheme, GMM selection). The RM-Set and recommendation
+// benchmarks live in internal/core, beside the step they measure.
 //
 // Regenerate the actual paper artifacts with `go run ./cmd/sdebench -run
 // all`; these benches exist so `go test -bench=.` exercises every
@@ -15,7 +16,6 @@ import (
 	"testing"
 
 	"subdex"
-	"subdex/internal/core"
 	"subdex/internal/diversity"
 	"subdex/internal/engine"
 	"subdex/internal/experiments"
@@ -135,21 +135,6 @@ func BenchmarkTopMapsCI(b *testing.B)        { benchTopMaps(b, engine.PruneCI) }
 func BenchmarkTopMapsMAB(b *testing.B)       { benchTopMaps(b, engine.PruneMAB) }
 func BenchmarkTopMapsBoth(b *testing.B)      { benchTopMaps(b, engine.PruneBoth) }
 
-func BenchmarkRMSetSelection(b *testing.B) {
-	db := sharedDB(b)
-	ex, err := core.NewExplorer(db, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seen := ratingmap.NewSeenSet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.RMSet(query.Description{}, seen); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGMMSelection(b *testing.B) {
 	db := sharedDB(b)
 	qe, _ := query.NewEngine(db)
@@ -163,29 +148,6 @@ func BenchmarkGMMSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		diversity.SelectDiverse(res.Maps, 3, diversity.EMDWithAttribute)
-	}
-}
-
-func BenchmarkRecommendationBuilding(b *testing.B) {
-	db := sharedDB(b)
-	cfg := core.DefaultConfig()
-	cfg.Limits.MaxCandidates = 40
-	cfg.RecSampleSize = 500
-	ex, err := core.NewExplorer(db, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rb := core.RecommendationBuilder{Ex: ex}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := rb.Recommend(query.Description{}, res.Maps, seen, 3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -213,7 +213,7 @@ func TestBoundGateOff(t *testing.T) {
 		}
 		plain.Gen.Cache = nil
 		seen := ratingmap.NewSeenSet()
-		res, err := ex.RMSet(query.Description{}, seen)
+		res, err := ex.rmSet(context.Background(), query.Description{}, seen)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -294,7 +294,7 @@ func TestMaterializeSpanSaysFoundOrBuilt(t *testing.T) {
 	sink := obs.NewRingSink(2)
 	ctx := obs.WithSink(context.Background(), sink)
 	for _, want := range []string{"miss", "hit"} {
-		res, err := ex.RMSetCtx(ctx, desc, ratingmap.NewSeenSet())
+		res, err := ex.rmSet(ctx, desc, ratingmap.NewSeenSet())
 		if err != nil {
 			t.Fatal(err)
 		}

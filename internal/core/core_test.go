@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,7 +85,7 @@ func TestNewExplorerRejectsZeroConfig(t *testing.T) {
 func TestRMSetBasics(t *testing.T) {
 	ex := coreExplorer(t)
 	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
+	res, err := ex.rmSet(context.Background(), query.Description{}, seen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,9 @@ func TestRMSetBasics(t *testing.T) {
 	if res.GroupSize != ex.DB.Ratings.Len() {
 		t.Errorf("root group size = %d, want %d", res.GroupSize, ex.DB.Ratings.Len())
 	}
-	// Seen must NOT be mutated by RMSet (callers commit explicitly).
+	// Seen must NOT be mutated by rmSet (Session.StepCtx commits).
 	if seen.Total() != 0 {
-		t.Error("RMSet must not commit maps to the seen set")
+		t.Error("rmSet must not commit maps to the seen set")
 	}
 	// Distinct maps.
 	keys := map[ratingmap.Key]bool{}
@@ -114,9 +115,22 @@ func TestRMSetBasics(t *testing.T) {
 func TestRMSetValidatesDescription(t *testing.T) {
 	ex := coreExplorer(t)
 	bad := query.MustDescription(query.Selector{Side: query.ReviewerSide, Attr: "nope", Value: "x"})
-	if _, err := ex.RMSet(bad, ratingmap.NewSeenSet()); err == nil {
+	if _, err := ex.rmSet(context.Background(), bad, ratingmap.NewSeenSet()); err == nil {
 		t.Fatal("invalid description must be rejected")
 	}
+}
+
+// OperationUtility evaluates Equation 2 for a candidate operation: the sum
+// of DW utilities of the k rating maps its target group would display. It
+// materializes the target from the entity tables — the reference the
+// Recommendation Builder's derived groups (recPass) are tested against.
+func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
+	group, err := ex.Query.Materialize(op.Target)
+	if err != nil {
+		return 0, err
+	}
+	u, _, err := ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
+	return u, err
 }
 
 func TestOperationUtilityRanksAnomalies(t *testing.T) {
@@ -266,7 +280,7 @@ func TestSessionSummarize(t *testing.T) {
 func TestCandidateOpsDeduplicate(t *testing.T) {
 	ex := coreExplorer(t)
 	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
+	res, err := ex.rmSet(context.Background(), query.Description{}, seen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +310,7 @@ func TestCandidateOpsRespectEditDistance(t *testing.T) {
 	ex := coreExplorer(t)
 	cur := query.MustDescription(
 		query.Selector{Side: query.ReviewerSide, Attr: "gender", Value: "female"})
-	res, err := ex.RMSet(cur, ratingmap.NewSeenSet())
+	res, err := ex.rmSet(context.Background(), cur, ratingmap.NewSeenSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,5 +575,59 @@ func TestSessionBack(t *testing.T) {
 	}
 	if sess.Back() {
 		t.Fatal("no-op apply must not create history")
+	}
+}
+
+// benchYelp is the Yelp-shaped database (seed 1, scale 0.1) the RM-Set
+// benchmarks share, generated once per test binary.
+var benchYelp = sync.OnceValues(func() (*dataset.DB, error) {
+	return gen.Yelp(gen.Config{Seed: 1, Scale: 0.1})
+})
+
+// BenchmarkRMSetSelection is one RM-Set selection (Problem 1) at the root
+// under the default configuration: generation, pruning and GMM.
+func BenchmarkRMSetSelection(b *testing.B) {
+	db, err := benchYelp()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex, err := NewExplorer(db, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	seen := ratingmap.NewSeenSet()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.rmSet(context.Background(), query.Description{}, seen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecommendationBuilding is one recommendation pass at the root
+// over 40 candidate operations, each scored on a 500-record sample.
+func BenchmarkRecommendationBuilding(b *testing.B) {
+	db, err := benchYelp()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Limits.MaxCandidates = 40
+	cfg.RecSampleSize = 500
+	ex, err := NewExplorer(db, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seen := ratingmap.NewSeenSet()
+	res, err := ex.rmSet(context.Background(), query.Description{}, seen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rb := RecommendationBuilder{Ex: ex}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := rb.Recommend(query.Description{}, res.Maps, seen, 3); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"subdex/internal/dataset"
@@ -34,7 +35,7 @@ func TestExplorerOnDegenerateDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.RMSet(query.Description{}, ratingmap.NewSeenSet())
+	res, err := ex.rmSet(context.Background(), query.Description{}, ratingmap.NewSeenSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestExplorerOnZeroRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.RMSet(query.Description{}, ratingmap.NewSeenSet())
+	res, err := ex.rmSet(context.Background(), query.Description{}, ratingmap.NewSeenSet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,19 +129,13 @@ func (s *StepResult) TotalUtility() float64 {
 	return sum
 }
 
-// RMSet solves Problem 1 for a description: generate the top k×l maps by DW
-// utility (pruned per config), then select the k most diverse with GMM.
-// The seen set is not mutated; callers commit displayed maps explicitly.
-//
-// RMSet is the context-free form of RMSetCtx.
-func (ex *Explorer) RMSet(desc query.Description, seen *ratingmap.SeenSet) (*StepResult, error) {
-	return ex.RMSetCtx(context.Background(), desc, seen) //subdex:ctxflow context-free API: the caller has no deadline to sever
-}
-
-// RMSetCtx is RMSet with span propagation: under a context carrying an
-// obs sink, the step's generation work is recorded as a "core.rmset"
-// span whose children cover materialization and the engine's phases.
-func (ex *Explorer) RMSetCtx(ctx context.Context, desc query.Description, seen *ratingmap.SeenSet) (*StepResult, error) {
+// rmSet solves Problem 1 for a description: generate the top k×l maps by
+// DW utility (pruned per config), then select the k most diverse with GMM.
+// The seen set is not mutated; Session.StepCtx, its one caller, commits the
+// displayed maps. Under a context carrying an obs sink, the generation work
+// is recorded as a "core.rmset" span whose children cover materialization
+// and the engine's phases.
+func (ex *Explorer) rmSet(ctx context.Context, desc query.Description, seen *ratingmap.SeenSet) (*StepResult, error) {
 	if err := ex.Query.Validate(desc); err != nil {
 		return nil, err
 	}
@@ -233,19 +227,6 @@ func (ex *Explorer) selectDiverse(genRes *engine.Result) (sel []*ratingmap.Ratin
 		}
 	}
 	return sel, picked
-}
-
-// OperationUtility evaluates Equation 2 for a candidate operation: the sum
-// of DW utilities of the k rating maps its target group would display. It
-// materializes the target from the entity tables — the reference the
-// Recommendation Builder's derived groups (recPass) are tested against.
-func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
-	group, err := ex.Query.Materialize(op.Target)
-	if err != nil {
-		return 0, err
-	}
-	u, _, err := ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
-	return u, err
 }
 
 // groupUtility is Equation 2 over a rating group given as its description,

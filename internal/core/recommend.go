@@ -100,8 +100,10 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	return recs, durations, nil
 }
 
-// operationUtility is Explorer.OperationUtility with the candidate's group
-// derived by the pass instead of materialized, and behind the pass's gate:
+// operationUtility evaluates Equation 2 for a candidate operation: the sum
+// of DW utilities of the k rating maps its target group would display. The
+// group is derived by the pass instead of materialized (the tests hold it
+// to a materializing reference), and the utility sits behind the pass's gate:
 // a candidate comes back either with its exact utility, which the gate then
 // knows of, or bounded, with none.
 func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operation, seen *ratingmap.SeenSet) (u float64, bounded bool, err error) {

@@ -501,7 +501,7 @@ func BenchmarkRecommendPass(b *testing.B) {
 					ctx = obs.WithSink(ctx, obs.NewRingSink(8))
 				}
 				seen := ratingmap.NewSeenSet()
-				res, err := ex.RMSet(desc, seen)
+				res, err := ex.rmSet(context.Background(), desc, seen)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -114,7 +114,7 @@ func (s *Session) StepCtx(ctx context.Context) (*StepResult, error) {
 		span.SetAttr("mode", s.Mode.String())
 	}
 	defer span.End()
-	res, err := s.Ex.RMSetCtx(ctx, s.cur, s.seen)
+	res, err := s.Ex.rmSet(ctx, s.cur, s.seen)
 	if err != nil {
 		return nil, err
 	}

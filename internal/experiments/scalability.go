@@ -10,7 +10,6 @@ import (
 	"subdex/internal/engine"
 	"subdex/internal/gen"
 	"subdex/internal/query"
-	"subdex/internal/ratingmap"
 )
 
 // Scheme is one pruning scheme the Figure 10 / 11 sweeps measure, once per
@@ -54,8 +53,8 @@ var simulatedHeading = fmt.Sprintf("simulated, %d cores", simCores)
 // 0.81–1.14× at two cores (EXPERIMENTS.md "PR 26").
 type stepTime struct{ sequential, simulated time.Duration }
 
-// runPath executes scalabilitySteps steps of a Fully-Automated path under a
-// pruning scheme — each step rating-map generation, then the
+// runPath executes scalabilitySteps steps of a Fully-Automated session
+// under a pruning scheme — each step rating-map generation, then the
 // recommendation pass — and returns the average step's times.
 func runPath(db *dataset.DB, pruning engine.Pruning, cfg core.Config) (stepTime, error) {
 	cfg.Engine.Pruning = pruning
@@ -63,37 +62,33 @@ func runPath(db *dataset.DB, pruning engine.Pruning, cfg core.Config) (stepTime,
 	if err != nil {
 		return stepTime{}, err
 	}
-	seen := ratingmap.NewSeenSet()
-	var cur query.Description
+	sess, err := core.NewSession(ex, core.FullyAutomated, query.Description{})
+	if err != nil {
+		return stepTime{}, err
+	}
 	var total stepTime
 	n := 0
 	for n < scalabilitySteps {
 		start := time.Now()
-		res, err := ex.RMSet(cur, seen)
-		if err != nil {
-			return stepTime{}, err
-		}
-		for _, rm := range res.Maps {
-			seen.Add(rm)
-		}
-		rb := core.RecommendationBuilder{Ex: ex}
-		recs, durs, err := rb.Recommend(cur, res.Maps, seen, cfg.O)
+		res, err := sess.Step()
 		if err != nil {
 			return stepTime{}, err
 		}
 		sequential := time.Since(start)
 		var sum, longest time.Duration
-		for _, d := range durs {
+		for _, d := range res.RecOpDurations {
 			sum += d
 			longest = max(longest, d)
 		}
 		total.sequential += sequential
 		total.simulated += sequential + max(longest, sum/simCores) - sum
 		n++
-		if len(recs) == 0 {
+		if len(res.Recommendations) == 0 {
 			break
 		}
-		cur = recs[0].Op.Target
+		if err := sess.ApplyRecommendation(0); err != nil {
+			return stepTime{}, err
+		}
 	}
 	return stepTime{total.sequential / time.Duration(n), total.simulated / time.Duration(n)}, nil
 }

@@ -253,7 +253,7 @@ func Table4(p Params) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			scores[si][di] = study.ScorePath(ex, det, path, p.Subjects, p.Seed+900)
+			scores[si][di] = study.ScorePath(ex, det, path.Steps(), p.Subjects, p.Seed+900)
 		}
 	}
 	t := Table{
@@ -307,11 +307,11 @@ func Table6(p Params) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				path, err := study.ReplayPath(vex, fixed)
+				path, err := study.ReplayPath(vex, fixed.Steps())
 				if err != nil {
 					return nil, err
 				}
-				scores[vi] += study.ScorePath(vex, det, path, p.Subjects, p.Seed+1200)
+				scores[vi] += study.ScorePath(vex, det, path.Steps(), p.Subjects, p.Seed+1200)
 			}
 		}
 		pp := paper[ds]

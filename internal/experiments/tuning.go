@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subdex/internal/core"
-	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 	"subdex/internal/study"
 )
@@ -34,7 +33,7 @@ func Table5(p Params) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		descs, err := autoPathDescs(ex, scenarioIPathLen)
+		path, err := study.GeneratePath(ex, study.SubdexSource{}, scenarioIPathLen)
 		if err != nil {
 			return nil, err
 		}
@@ -46,9 +45,11 @@ func Table5(p Params) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if results[vi][di], err = replayPath(vex, descs); err != nil {
+			replay, err := study.ReplayPath(vex, path.Steps())
+			if err != nil {
 				return nil, err
 			}
+			results[vi][di] = replay.Summarize()
 		}
 	}
 	t := Table{
@@ -65,49 +66,6 @@ func Table5(p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// autoPathDescs generates the description sequence of a Fully-Automated
-// path with the given explorer.
-func autoPathDescs(ex *core.Explorer, steps int) ([]query.Description, error) {
-	sess, err := core.NewSession(ex, core.FullyAutomated, query.Description{})
-	if err != nil {
-		return nil, err
-	}
-	var descs []query.Description
-	for i := 0; i < steps; i++ {
-		res, err := sess.Step()
-		if err != nil {
-			return nil, err
-		}
-		descs = append(descs, res.Desc)
-		if i == steps-1 || len(res.Recommendations) == 0 {
-			break
-		}
-		if err := sess.Apply(res.Recommendations[0].Op); err != nil {
-			return nil, err
-		}
-	}
-	return descs, nil
-}
-
-// replayPath walks a fixed description sequence under the explorer's own
-// configuration (User-Driven: no recommendations are computed) and returns
-// the path summary.
-func replayPath(ex *core.Explorer, descs []query.Description) (core.PathSummary, error) {
-	sess, err := core.NewSession(ex, core.UserDriven, query.Description{})
-	if err != nil {
-		return core.PathSummary{}, err
-	}
-	for _, d := range descs {
-		if err := sess.ApplyDescription(d); err != nil {
-			return core.PathSummary{}, err
-		}
-		if _, err := sess.Step(); err != nil {
-			return core.PathSummary{}, err
-		}
-	}
-	return sess.Summarize(), nil
-}
-
 // Fig9 reproduces the rating-dimension balance experiment on Yelp (4
 // dimensions): the number of displayed rating maps per dimension over a
 // Fully-Automated path, with and without the dimension-weighted utility of
@@ -122,7 +80,7 @@ func Fig9(p Params) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	descs, err := autoPathDescs(base, scenarioIPathLen)
+	path, err := study.GeneratePath(base, study.SubdexSource{}, scenarioIPathLen)
 	if err != nil {
 		return nil, err
 	}
@@ -133,10 +91,11 @@ func Fig9(p Params) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := replayPath(ex, descs)
+		replay, err := study.ReplayPath(ex, path.Steps())
 		if err != nil {
 			return nil, err
 		}
+		sum := replay.Summarize()
 		row := []string{"with DW weights"}
 		if !weighted {
 			row[0] = "without weights"
@@ -200,7 +159,7 @@ func Ablation(p Params) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			scores[di] = study.ScorePath(ex, det, path, p.Subjects, p.Seed+1500)
+			scores[di] = study.ScorePath(ex, det, path.Steps(), p.Subjects, p.Seed+1500)
 		}
 		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", scores[0]), fmt.Sprintf("%.2f", scores[1])})
 	}

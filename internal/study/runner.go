@@ -2,13 +2,11 @@ package study
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"subdex/internal/core"
 	"subdex/internal/dataset"
 	"subdex/internal/query"
-	"subdex/internal/ratingmap"
 )
 
 // Runner executes one subject's exploration of a task and scores it.
@@ -18,9 +16,6 @@ type Runner struct {
 	// PathLen is the exploration length (Table 3: 7 for Scenario I, 10 for
 	// Scenario II).
 	PathLen int
-	// Trace, when set, receives a line per step for debugging/observing
-	// simulated sessions.
-	Trace io.Writer
 	// BreadthTask marks tasks whose targets live in broad selections
 	// (Scenario II insight extraction): subjects prefer rolling up when
 	// the selection narrows instead of drilling ever deeper.
@@ -39,29 +34,32 @@ type Outcome struct {
 }
 
 // Run explores for PathLen steps in the given mode and returns the outcome.
+// The subject walks a User-Driven session and picks every move itself: in
+// a guided mode it asks the Recommendation Builder for the next-step
+// operations before each move, so the last step gets no recommendation
+// pass.
 func (r *Runner) Run(subj *Subject, mode core.Mode) (*Outcome, error) {
+	sess, err := core.NewSession(r.Ex, core.UserDriven, query.Description{})
+	if err != nil {
+		return nil, err
+	}
 	rb := core.RecommendationBuilder{Ex: r.Ex}
-	seen := ratingmap.NewSeenSet()
-	var cur query.Description
 	found := make(map[int]bool)
-	visited := map[string]bool{cur.Key(): true}
+	visited := map[string]bool{sess.Current().Key(): true}
 	out := &Outcome{}
-	justFound := false
 	sideAwareDet, _ := r.Detector.(SideAware)
 
 	for step := 0; step < r.PathLen; step++ {
-		res, err := r.Ex.RMSet(cur, seen)
+		cur := sess.Current()
+		res, err := sess.Step()
 		if err != nil {
 			return nil, err
-		}
-		for _, rm := range res.Maps {
-			seen.Add(rm)
 		}
 
 		// Perception: each exposed target is noticed independently. An
 		// inexact exposure (an all-ones sliver of the true group) must also
 		// survive the subject's generalize-and-recheck diligence.
-		justFound = false
+		justFound := false
 		for _, e := range r.Detector.Exposed(r.Ex, cur, res.Maps) {
 			if found[e.Target] {
 				continue
@@ -79,17 +77,13 @@ func (r *Runner) Run(subj *Subject, mode core.Mode) (*Outcome, error) {
 			}
 		}
 		out.PerStepIdentified = append(out.PerStepIdentified, len(found))
-		if r.Trace != nil {
-			fmt.Fprintf(r.Trace, "subj%d %s step%d: desc=%s found=%d\n",
-				subj.ID, mode, step+1, cur, len(found))
-		}
 		if step == r.PathLen-1 {
 			break
 		}
 
 		var recs []core.Recommendation
 		if mode != core.UserDriven {
-			recs, _, err = rb.Recommend(cur, res.Maps, seen, r.Ex.Cfg.O)
+			recs, _, err = rb.Recommend(cur, res.Maps, sess.Seen(), r.Ex.Cfg.O)
 			if err != nil {
 				return nil, err
 			}
@@ -105,8 +99,10 @@ func (r *Runner) Run(subj *Subject, mode core.Mode) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = next
-		visited[cur.Key()] = true
+		if err := sess.ApplyDescription(next); err != nil {
+			return nil, err
+		}
+		visited[next.Key()] = true
 	}
 	out.Identified = len(found)
 	return out, nil

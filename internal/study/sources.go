@@ -74,67 +74,62 @@ func (s *QagviewSource) Next(ex *core.Explorer, cur query.Description, _ []*rati
 	return s.Qagview.Recommend(ex.DB, cur, group.Records, o)
 }
 
-// PathStep records one step of a generated Fully-Automated path.
-type PathStep struct {
-	Desc query.Description
-	Maps []*ratingmap.RatingMap
-}
-
-// GeneratePath builds a Fully-Automated exploration path of pathLen steps,
-// applying the source's top-1 operation after each step. Used by Table 4
-// (one path per op source, then subjects score it) and by the parameter-
-// tuning experiments that need fixed paths.
-func GeneratePath(ex *core.Explorer, src OpSource, pathLen int) ([]PathStep, error) {
-	seen := ratingmap.NewSeenSet()
-	var cur query.Description
-	var path []PathStep
+// GeneratePath walks a User-Driven session for up to pathLen steps,
+// applying the source's top-1 operation after each step but the last, and
+// stops early when the source has none. The session's Steps() are the
+// path. Used by Table 4 (one path per op source, then subjects score it)
+// and by the experiments that need fixed paths; with SubdexSource the path
+// is the Fully-Automated auto-pilot's.
+func GeneratePath(ex *core.Explorer, src OpSource, pathLen int) (*core.Session, error) {
+	sess, err := core.NewSession(ex, core.UserDriven, query.Description{})
+	if err != nil {
+		return nil, err
+	}
 	for step := 0; step < pathLen; step++ {
-		res, err := ex.RMSet(cur, seen)
+		res, err := sess.Step()
 		if err != nil {
 			return nil, err
 		}
-		for _, rm := range res.Maps {
-			seen.Add(rm)
-		}
-		path = append(path, PathStep{Desc: cur, Maps: res.Maps})
 		if step == pathLen-1 {
 			break
 		}
-		ops, err := src.Next(ex, cur, res.Maps, seen, ex.Cfg.O)
+		ops, err := src.Next(ex, res.Desc, res.Maps, sess.Seen(), ex.Cfg.O)
 		if err != nil {
 			return nil, err
 		}
 		if len(ops) == 0 {
 			break
 		}
-		cur = ops[0].Target
-	}
-	return path, nil
-}
-
-// ReplayPath walks a fixed path's descriptions under another explorer's
-// configuration, recomputing the displayed rating maps at each step — the
-// §5.2.3 methodology of fixing next-action operations while varying the
-// map-selection policy.
-func ReplayPath(ex *core.Explorer, fixed []PathStep) ([]PathStep, error) {
-	seen := ratingmap.NewSeenSet()
-	out := make([]PathStep, 0, len(fixed))
-	for _, st := range fixed {
-		res, err := ex.RMSet(st.Desc, seen)
-		if err != nil {
+		if err := sess.Apply(ops[0]); err != nil {
 			return nil, err
 		}
-		for _, rm := range res.Maps {
-			seen.Add(rm)
-		}
-		out = append(out, PathStep{Desc: st.Desc, Maps: res.Maps})
 	}
-	return out, nil
+	return sess, nil
+}
+
+// ReplayPath walks a fixed path's selections on a fresh User-Driven session
+// of another explorer, which recomputes the displayed rating maps under its
+// own configuration — the §5.2.3 methodology of fixing next-action
+// operations while varying the map-selection policy.
+func ReplayPath(ex *core.Explorer, fixed []*core.StepResult) (*core.Session, error) {
+	sess, err := core.NewSession(ex, core.UserDriven, query.Description{})
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range fixed {
+		if err := sess.ApplyDescription(st.Desc); err != nil {
+			return nil, err
+		}
+		if _, err := sess.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
 }
 
 // ScorePath has n subjects examine a fixed path and returns the average
 // number of targets identified — the Table 4 and Table 6 measurement.
-func ScorePath(ex *core.Explorer, det Detector, path []PathStep, n int, seed int64) float64 {
+func ScorePath(ex *core.Explorer, det Detector, path []*core.StepResult, n int, seed int64) float64 {
 	total := 0.0
 	for i := 0; i < n; i++ {
 		subj := NewSubject(i, LowCS, LowDomain, seed)

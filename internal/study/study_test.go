@@ -1,6 +1,7 @@
 package study
 
 import (
+	"slices"
 	"testing"
 
 	"subdex/internal/baselines"
@@ -27,6 +28,20 @@ func studyExplorer(t testing.TB) (*core.Explorer, []gen.IrregularGroup) {
 		t.Fatal(err)
 	}
 	return ex, groups
+}
+
+// firstStep is the display a fresh User-Driven session shows at desc.
+func firstStep(t testing.TB, ex *core.Explorer, desc query.Description) (*core.Session, *core.StepResult) {
+	t.Helper()
+	sess, err := core.NewSession(ex, core.UserDriven, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, res
 }
 
 func TestSubjectProbabilities(t *testing.T) {
@@ -67,11 +82,7 @@ func TestIrregularDetectorExactExposure(t *testing.T) {
 	// dimension must expose it exactly.
 	g := groups[0]
 	desc := g.Description()
-	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(desc, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := firstStep(t, ex, desc)
 	exposures := det.Exposed(ex, desc, res.Maps)
 	foundExact := false
 	for _, e := range exposures {
@@ -90,11 +101,7 @@ func TestIrregularDetectorExactExposure(t *testing.T) {
 func TestIrregularDetectorNoFalsePositiveAtRoot(t *testing.T) {
 	ex, groups := studyExplorer(t)
 	det := &IrregularDetector{Groups: groups}
-	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := firstStep(t, ex, query.Description{})
 	for _, e := range det.Exposed(ex, query.Description{}, res.Maps) {
 		if e.Exact {
 			// Exact exposure straight from the root display is possible
@@ -218,36 +225,70 @@ func TestGeneratePathAndScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(path) == 0 || len(path) > 5 {
-		t.Fatalf("path length %d", len(path))
+	steps := path.Steps()
+	if len(steps) == 0 || len(steps) > 5 {
+		t.Fatalf("path length %d", len(steps))
 	}
-	for _, st := range path {
+	for _, st := range steps {
 		if len(st.Maps) == 0 {
 			t.Fatal("path step without maps")
 		}
 	}
-	score := ScorePath(ex, det, path, 10, 3)
+	score := ScorePath(ex, det, steps, 10, 3)
 	if score < 0 || score > float64(det.NumTargets()) {
 		t.Fatalf("score %v out of range", score)
 	}
 	// Scoring is deterministic for a fixed seed.
-	if again := ScorePath(ex, det, path, 10, 3); again != score {
+	if again := ScorePath(ex, det, steps, 10, 3); again != score {
 		t.Fatal("ScorePath must be deterministic per seed")
+	}
+}
+
+// TestGeneratedPathIsTheAutoPilot pins that the SubDEx path of Tables 4–6,
+// Figure 9 and the ablation is the product's Fully-Automated mode: the same
+// selections and the same maps, step for step, as Session.Auto on a fresh
+// explorer over the same database.
+func TestGeneratedPathIsTheAutoPilot(t *testing.T) {
+	ex, _ := studyExplorer(t)
+	const n = 5
+	path, err := GeneratePath(ex, SubdexSource{}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.NewExplorer(ex.DB, ex.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.NewSession(fresh, core.FullyAutomated, query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := sess.Auto(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := path.Steps()
+	if len(got) != n || len(auto) != n {
+		t.Fatalf("generated path has %d steps, auto-pilot %d, want %d each", len(got), len(auto), n)
+	}
+	for i, st := range got {
+		if !st.Desc.Equal(auto[i].Desc) {
+			t.Fatalf("step %d: generated path at %s, auto-pilot at %s", i+1, st.Desc, auto[i].Desc)
+		}
+		if !slices.Equal(st.Digests, auto[i].Digests) {
+			t.Fatalf("step %d at %s: generated path shows %v, auto-pilot %v", i+1, st.Desc, st.Digests, auto[i].Digests)
+		}
 	}
 }
 
 func TestBaselineSources(t *testing.T) {
 	ex, _ := studyExplorer(t)
-	seen := ratingmap.NewSeenSet()
-	res, err := ex.RMSet(query.Description{}, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, res := firstStep(t, ex, query.Description{})
 	for _, src := range []OpSource{
 		&SDDSource{SDD: baselines.SmartDrillDown{}},
 		&QagviewSource{Qagview: baselines.Qagview{}},
 	} {
-		ops, err := src.Next(ex, query.Description{}, res.Maps, seen, 3)
+		ops, err := src.Next(ex, query.Description{}, res.Maps, sess.Seen(), 3)
 		if err != nil {
 			t.Fatalf("%s: %v", src.Name(), err)
 		}

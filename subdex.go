@@ -140,7 +140,7 @@ var EMD = diversity.EMD
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // WithSpanSink installs a span sink on a context; exploration calls made
-// with that context (Session.StepCtx, Explorer.RMSetCtx) then emit span
+// with that context (Session.StepCtx, Session.AutoCtx) then emit span
 // trees to it. obs.NewRingSink(n) is a ready-made bounded sink.
 func WithSpanSink(ctx context.Context, sink SpanSink) context.Context {
 	return obs.WithSink(ctx, sink)
