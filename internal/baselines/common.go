@@ -12,80 +12,82 @@
 // joined, so every rule/cluster is a simultaneous selection over reviewer
 // and item attributes — and, crucially, both baselines can only produce
 // drill-down (subset) operations, never roll-ups, which is what Table 4
-// exposes.
+// exposes. Both satisfy study.OpSource.
 package baselines
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"subdex/internal/dataset"
 	"subdex/internal/query"
 )
 
-// pair is one (side, attribute, value) cell of the joined table.
+// topSingles bounds both baselines' candidate universe to the most-covering
+// single pairs before they are composed into two-pair rules. Rules hold at
+// most two pairs, matching SubDEx's candidate operations, so the comparison
+// is fair.
+const topSingles = 40
+
+// pair is one (side, attribute, value) cell of the joined table, with the
+// group's records that carry it.
 type pair struct {
 	side  query.Side
 	attr  string
 	value dataset.ValueID
-}
-
-// coverageIndex counts, over the records of a rating group, how many
-// records carry each attribute-value pair of the joined table, and keeps
-// per-record pair lists for marginal-coverage computation.
-type coverageIndex struct {
-	db      *dataset.DB
+	// records ascend: a bucket of a query.Partition, shared with it and
+	// read-only.
 	records []int32
-	// pairsOf[i] lists the pair ids of record i (indexes into pairs).
-	pairsOf [][]int32
-	pairs   []pair
-	count   []int
-	pairID  map[pair]int32
 }
 
-// buildCoverageIndex scans the group once, materializing the pair universe.
-// Attributes already bound by the current description are excluded: both
-// baselines extend the current selection.
-func buildCoverageIndex(db *dataset.DB, cur query.Description, records []int32) *coverageIndex {
-	ci := &coverageIndex{db: db, records: records, pairID: make(map[pair]int32)}
-	ci.pairsOf = make([][]int32, len(records))
+// coverageIndex lists the attribute-value pairs a rating group's records
+// carry, with each pair's records.
+type coverageIndex struct {
+	db    *dataset.DB
+	pairs []pair
+}
 
-	add := func(rec int, p pair) {
-		id, ok := ci.pairID[p]
-		if !ok {
-			id = int32(len(ci.pairs))
-			ci.pairID[p] = id
-			ci.pairs = append(ci.pairs, p)
-			ci.count = append(ci.count, 0)
+// buildCoverageIndex partitions the group's records, ascending like
+// RatingGroup.Records, by every attribute cur leaves unbound — both
+// baselines extend the current selection — and keeps each value's bucket
+// but the missing value's. A pair's id is its index in the order a scan of
+// the group meets the pairs first: attribute by attribute, reviewer side
+// first, and within an attribute by first record, then value id.
+func buildCoverageIndex(qe *query.Engine, cur query.Description, records []int32) (*coverageIndex, error) {
+	ci := &coverageIndex{db: qe.DB}
+	for _, side := range []query.Side{query.ReviewerSide, query.ItemSide} {
+		t := qe.DB.Reviewers
+		if side == query.ItemSide {
+			t = qe.DB.Items
 		}
-		ci.count[id]++
-		ci.pairsOf[rec] = append(ci.pairsOf[rec], id)
-	}
-
-	scan := func(side query.Side, t *dataset.EntityTable, rowOf []int32) {
 		for a := 0; a < t.Schema.Len(); a++ {
 			name := t.Schema.At(a).Name
 			if cur.BindsAttr(side, name) {
 				continue
 			}
-			kind := t.Schema.At(a).Kind
-			for ri, r := range records {
-				row := int(rowOf[r])
-				switch kind {
-				case dataset.Atomic:
-					if v := t.AtomicValue(a, row); v != dataset.MissingValue {
-						add(ri, pair{side, name, v})
-					}
-				case dataset.MultiValued:
-					for _, v := range t.MultiValues(a, row) {
-						add(ri, pair{side, name, v})
-					}
+			part, err := qe.Partition(records, side, name, 0)
+			if err != nil {
+				return nil, err
+			}
+			dict := t.Dict(a)
+			first := len(ci.pairs)
+			for v := dataset.MissingValue + 1; int(v) < dict.Len(); v++ {
+				bucket, err := part.Bucket(dict.Value(v))
+				if err != nil {
+					return nil, err
+				}
+				if len(bucket) > 0 {
+					ci.pairs = append(ci.pairs, pair{side, name, v, bucket})
 				}
 			}
+			// Stable: pairs first met in one record keep value-id order.
+			slices.SortStableFunc(ci.pairs[first:], func(x, y pair) int {
+				return cmp.Compare(x.records[0], y.records[0])
+			})
 		}
 	}
-	scan(query.ReviewerSide, db.Reviewers, db.Ratings.Reviewer)
-	scan(query.ItemSide, db.Items, db.Ratings.Item)
-	return ci
+	return ci, nil
 }
 
 // topPairs returns the n most-covering pair ids.
@@ -94,54 +96,116 @@ func (ci *coverageIndex) topPairs(n int) []int32 {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ci.count[ids[a]] > ci.count[ids[b]] })
+	sort.Slice(ids, func(a, b int) bool { return len(ci.pairs[ids[a]].records) > len(ci.pairs[ids[b]].records) })
 	if n > 0 && len(ids) > n {
 		ids = ids[:n]
 	}
 	return ids
 }
 
-// valueLabel resolves a pair's value string.
-func (ci *coverageIndex) valueLabel(p pair) string {
-	var t *dataset.EntityTable
-	if p.side == query.ReviewerSide {
-		t = ci.db.Reviewers
-	} else {
-		t = ci.db.Items
-	}
-	return t.DictByName(p.attr).Value(p.value)
-}
-
 // selector converts a pair into a query selector.
 func (ci *coverageIndex) selector(p pair) query.Selector {
-	return query.Selector{Side: p.side, Attr: p.attr, Value: ci.valueLabel(p)}
+	t := ci.db.Reviewers
+	if p.side == query.ItemSide {
+		t = ci.db.Items
+	}
+	return query.Selector{Side: p.side, Attr: p.attr, Value: t.DictByName(p.attr).Value(p.value)}
 }
 
-// rule is a conjunction of pairs with its covered record set.
+// rule is a conjunction of pairs with its covered records.
 type rule struct {
 	pairIDs []int32
-	covered []int32 // record indexes (into ci.records)
+	covered []int32 // ascending
 }
 
-// coveredBy computes the record indexes covered by a pair conjunction.
+// coveredBy returns the records carrying every pair of a conjunction: the
+// intersection of the pairs' ascending record lists.
 func (ci *coverageIndex) coveredBy(pairIDs []int32) []int32 {
-	want := make(map[int32]bool, len(pairIDs))
-	for _, id := range pairIDs {
-		want[id] = true
-	}
-	var out []int32
-	for ri, ps := range ci.pairsOf {
-		n := 0
-		for _, id := range ps {
-			if want[id] {
-				n++
+	out := ci.pairs[pairIDs[0]].records
+	for _, id := range pairIDs[1:] {
+		var both []int32
+		b := ci.pairs[id].records
+		for i, j := 0, 0; i < len(out) && j < len(b); {
+			switch {
+			case out[i] < b[j]:
+				i++
+			case out[i] > b[j]:
+				j++
+			default:
+				both = append(both, out[i])
+				i++
+				j++
 			}
 		}
-		if n == len(pairIDs) {
-			out = append(out, int32(ri))
+		out = both
+	}
+	return out
+}
+
+// rules enumerates the candidate rules both baselines choose among: each of
+// the topSingles most-covering pairs, then each two of them over distinct
+// attributes that some record carries together.
+func (ci *coverageIndex) rules() []rule {
+	singles := ci.topPairs(topSingles)
+	var out []rule
+	for _, id := range singles {
+		out = append(out, rule{pairIDs: []int32{id}, covered: ci.coveredBy([]int32{id})})
+	}
+	for i, a := range singles {
+		for _, b := range singles[i+1:] {
+			if pa, pb := &ci.pairs[a], &ci.pairs[b]; pa.side == pb.side && pa.attr == pb.attr {
+				continue // two values of one attribute never co-occur usefully
+			}
+			ids := []int32{a, b}
+			if cov := ci.coveredBy(ids); len(cov) > 0 {
+				out = append(out, rule{pairIDs: ids, covered: cov})
+			}
 		}
 	}
 	return out
+}
+
+// choose is both baselines' greedy: up to k times it takes the candidate
+// rule of highest positive score — given its marginal coverage (its
+// records no chosen rule covers) and the rules chosen so far, the first on
+// a tie — and lists it as a drill-down of cur, unless its target collides
+// with cur or is already listed.
+func (ci *coverageIndex) choose(cur query.Description, k int, score func(r rule, marginal int, chosen []rule) float64) []query.Operation {
+	candidates := ci.rules()
+	covered := make([]bool, ci.db.Ratings.Len())
+	var chosen []rule
+	var ops []query.Operation
+	listed := make(map[string]bool)
+	for len(ops) < k {
+		best, bestScore := -1, 0.0
+		for i, c := range candidates {
+			marginal := 0
+			for _, r := range c.covered {
+				if !covered[r] {
+					marginal++
+				}
+			}
+			if s := score(c, marginal, chosen); s > bestScore {
+				best, bestScore = i, s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		r := candidates[best]
+		candidates = slices.Delete(candidates, best, best+1)
+		op, ok := ci.operationFor(cur, r.pairIDs)
+		if !ok || listed[op.Target.Key()] {
+			continue
+		}
+		listed[op.Target.Key()] = true
+		chosen = append(chosen, r)
+		for _, rec := range r.covered {
+			covered[rec] = true
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // operationFor converts a rule into a drill-down operation on cur. Rules

@@ -1,58 +1,37 @@
 package baselines
 
 import (
-	"subdex/internal/dataset"
+	"subdex/internal/core"
 	"subdex/internal/query"
+	"subdex/internal/ratingmap"
 )
 
 // Qagview reimplements the diverse top-aggregate summarizer of Wen et al.
 // [58] as a next-action recommender: a k-cluster summary of the rating
 // group where each cluster is a pattern (attribute-value conjunction over
-// the joined table), the summary covers at least CoverageThreshold of the
-// records, and any two chosen patterns differ in at least D
+// the joined table) and any two chosen patterns differ in at least D
 // attribute-values. Per the paper's setup (§5.1) every record has value 1,
-// the coverage threshold is |g_R|/2, and D = 2.
-type Qagview struct {
-	// D is the minimum pairwise pattern distance (default 2).
-	D int
-	// CoverageFraction is the fraction of the group the summary must cover
-	// (default 0.5, the paper's |g_R|/2).
-	CoverageFraction float64
-	// TopSingles bounds the candidate universe (default 40).
-	TopSingles int
-	// MaxPairs bounds pattern length (default 2).
-	MaxPairs int
-}
+// the coverage threshold is |g_R|/2, and D = 2 (qagviewD). The greedy
+// adds the pattern of largest marginal coverage until k are chosen, so the
+// threshold is never a stopping rule: k patterns are returned whenever k
+// fit, whether or not they reach it.
+type Qagview struct{}
+
+// qagviewD is Qagview's D.
+const qagviewD = 2
 
 // Name identifies the baseline in experiment tables.
-func (q *Qagview) Name() string { return "Qagview" }
+func (Qagview) Name() string { return "Qagview" }
 
-func (q *Qagview) d() int {
-	if q.D > 0 {
-		return q.D
+// Next returns the diverse summary of the current selection's rating
+// group, o clusters at most.
+func (q Qagview) Next(ex *core.Explorer, cur query.Description, _ []*ratingmap.RatingMap,
+	_ *ratingmap.SeenSet, o int) ([]query.Operation, error) {
+	g, err := ex.Query.Materialize(cur)
+	if err != nil {
+		return nil, err
 	}
-	return 2
-}
-
-func (q *Qagview) coverage() float64 {
-	if q.CoverageFraction > 0 {
-		return q.CoverageFraction
-	}
-	return 0.5
-}
-
-func (q *Qagview) topSingles() int {
-	if q.TopSingles > 0 {
-		return q.TopSingles
-	}
-	return 40
-}
-
-func (q *Qagview) maxPairs() int {
-	if q.MaxPairs > 0 {
-		return q.MaxPairs
-	}
-	return 2
+	return q.recommend(ex.Query, cur, g.Records, o)
 }
 
 // patternDistance counts attribute-value pairs present in exactly one of
@@ -73,87 +52,21 @@ func patternDistance(a, b []int32) int {
 	return d + len(inA)
 }
 
-// Recommend returns up to k drill-down operations forming a diverse summary
-// of the current rating group: greedily add the pattern with maximal
-// marginal coverage whose distance to every chosen pattern is at least D,
-// stopping when k patterns are chosen or the coverage threshold is met and
-// no candidate fits.
-func (q *Qagview) Recommend(db *dataset.DB, cur query.Description, records []int32, k int) ([]query.Operation, error) {
-	ci := buildCoverageIndex(db, cur, records)
-	singles := ci.topPairs(q.topSingles())
-
-	var candidates []rule
-	for _, id := range singles {
-		candidates = append(candidates, rule{pairIDs: []int32{id}, covered: ci.coveredBy([]int32{id})})
+// recommend returns up to k drill-down operations forming a diverse
+// summary of the rating group of cur whose ascending records are given:
+// greedily add the pattern with maximal marginal coverage whose distance
+// to every chosen pattern is at least D.
+func (Qagview) recommend(qe *query.Engine, cur query.Description, records []int32, k int) ([]query.Operation, error) {
+	ci, err := buildCoverageIndex(qe, cur, records)
+	if err != nil {
+		return nil, err
 	}
-	if q.maxPairs() >= 2 {
-		for i := 0; i < len(singles); i++ {
-			for j := i + 1; j < len(singles); j++ {
-				a, b := ci.pairs[singles[i]], ci.pairs[singles[j]]
-				if a.side == b.side && a.attr == b.attr {
-					continue
-				}
-				ids := []int32{singles[i], singles[j]}
-				cov := ci.coveredBy(ids)
-				if len(cov) == 0 {
-					continue
-				}
-				candidates = append(candidates, rule{pairIDs: ids, covered: cov})
+	return ci.choose(cur, k, func(r rule, marginal int, chosen []rule) float64 {
+		for _, c := range chosen {
+			if patternDistance(r.pairIDs, c.pairIDs) < qagviewD {
+				return 0
 			}
 		}
-	}
-
-	needCover := int(q.coverage() * float64(len(records)))
-	coveredSoFar := make([]bool, len(records))
-	totalCovered := 0
-	var chosen []rule
-	var ops []query.Operation
-	usedTargets := make(map[string]bool)
-
-	for len(ops) < k {
-		bestIdx, bestMarginal := -1, 0
-		for i, c := range candidates {
-			ok := true
-			for _, ch := range chosen {
-				if patternDistance(c.pairIDs, ch.pairIDs) < q.d() {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			marginal := 0
-			for _, ri := range c.covered {
-				if !coveredSoFar[ri] {
-					marginal++
-				}
-			}
-			if marginal > bestMarginal {
-				bestIdx, bestMarginal = i, marginal
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		best := candidates[bestIdx]
-		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
-		op, ok := ci.operationFor(cur, best.pairIDs)
-		if !ok || usedTargets[op.Target.Key()] {
-			continue
-		}
-		usedTargets[op.Target.Key()] = true
-		chosen = append(chosen, best)
-		for _, ri := range best.covered {
-			if !coveredSoFar[ri] {
-				coveredSoFar[ri] = true
-				totalCovered++
-			}
-		}
-		ops = append(ops, op)
-		if totalCovered >= needCover && len(ops) >= k {
-			break
-		}
-	}
-	return ops, nil
+		return float64(marginal)
+	}), nil
 }

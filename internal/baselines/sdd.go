@@ -1,10 +1,9 @@
 package baselines
 
 import (
-	"sort"
-
-	"subdex/internal/dataset"
+	"subdex/internal/core"
 	"subdex/internal/query"
+	"subdex/internal/ratingmap"
 )
 
 // SmartDrillDown reimplements the interesting-rule-list operator of
@@ -18,112 +17,34 @@ import (
 //	score(r | chosen) = marginalCoverage(r) × (W + |r|)
 //
 // with W the weight balancing coverage against specificity ([35] uses a
-// per-non-⋆ attribute weight).
-type SmartDrillDown struct {
-	// W balances coverage vs. specificity; 0 selects the default 1.
-	W float64
-	// MaxPairs bounds rule length (default 2, matching the paper's ≤2-pair
-	// candidate operations so the comparison is fair).
-	MaxPairs int
-	// TopSingles bounds the candidate universe to the most-covering single
-	// pairs before composing longer rules (default 40).
-	TopSingles int
-}
+// per-non-⋆ attribute weight), sddW here.
+type SmartDrillDown struct{}
+
+// sddW is SmartDrillDown's W.
+const sddW = 1
 
 // Name identifies the baseline in experiment tables.
-func (s *SmartDrillDown) Name() string { return "SDD" }
+func (SmartDrillDown) Name() string { return "SDD" }
 
-func (s *SmartDrillDown) w() float64 {
-	if s.W > 0 {
-		return s.W
+// Next returns the greedy interesting rule list of the current selection's
+// rating group, o rules long at most.
+func (s SmartDrillDown) Next(ex *core.Explorer, cur query.Description, _ []*ratingmap.RatingMap,
+	_ *ratingmap.SeenSet, o int) ([]query.Operation, error) {
+	g, err := ex.Query.Materialize(cur)
+	if err != nil {
+		return nil, err
 	}
-	return 1
+	return s.recommend(ex.Query, cur, g.Records, o)
 }
 
-func (s *SmartDrillDown) maxPairs() int {
-	if s.MaxPairs > 0 {
-		return s.MaxPairs
+// recommend returns k drill-down operations: the greedy interesting rule
+// list of the rating group of cur whose ascending records are given.
+func (SmartDrillDown) recommend(qe *query.Engine, cur query.Description, records []int32, k int) ([]query.Operation, error) {
+	ci, err := buildCoverageIndex(qe, cur, records)
+	if err != nil {
+		return nil, err
 	}
-	return 2
-}
-
-func (s *SmartDrillDown) topSingles() int {
-	if s.TopSingles > 0 {
-		return s.TopSingles
-	}
-	return 40
-}
-
-// Recommend returns k drill-down operations: the greedy interesting rule
-// list of the current rating group.
-func (s *SmartDrillDown) Recommend(db *dataset.DB, cur query.Description, records []int32, k int) ([]query.Operation, error) {
-	ci := buildCoverageIndex(db, cur, records)
-	singles := ci.topPairs(s.topSingles())
-
-	// Candidate rules: single pairs and pairs of pairs (bounded).
-	var candidates []rule
-	for _, id := range singles {
-		candidates = append(candidates, rule{pairIDs: []int32{id}, covered: ci.coveredBy([]int32{id})})
-	}
-	if s.maxPairs() >= 2 {
-		for i := 0; i < len(singles); i++ {
-			for j := i + 1; j < len(singles); j++ {
-				a, b := ci.pairs[singles[i]], ci.pairs[singles[j]]
-				if a.side == b.side && a.attr == b.attr {
-					continue // two values of one attribute never co-occur usefully
-				}
-				ids := []int32{singles[i], singles[j]}
-				cov := ci.coveredBy(ids)
-				if len(cov) == 0 {
-					continue
-				}
-				candidates = append(candidates, rule{pairIDs: ids, covered: cov})
-			}
-		}
-	}
-
-	coveredSoFar := make([]bool, len(records))
-	var ops []query.Operation
-	usedTargets := make(map[string]bool)
-	for len(ops) < k && len(candidates) > 0 {
-		bestIdx, bestScore := -1, 0.0
-		for i, c := range candidates {
-			marginal := 0
-			for _, ri := range c.covered {
-				if !coveredSoFar[ri] {
-					marginal++
-				}
-			}
-			score := float64(marginal) * (s.w() + float64(len(c.pairIDs)))
-			if score > bestScore {
-				bestIdx, bestScore = i, score
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		best := candidates[bestIdx]
-		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
-		op, ok := ci.operationFor(cur, best.pairIDs)
-		if !ok || usedTargets[op.Target.Key()] {
-			continue
-		}
-		usedTargets[op.Target.Key()] = true
-		for _, ri := range best.covered {
-			coveredSoFar[ri] = true
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
-// sortRulesBySpecificity orders rules longest-first then by coverage; used
-// by tests to assert the specificity preference.
-func sortRulesBySpecificity(rules []rule) {
-	sort.SliceStable(rules, func(i, j int) bool {
-		if len(rules[i].pairIDs) != len(rules[j].pairIDs) {
-			return len(rules[i].pairIDs) > len(rules[j].pairIDs)
-		}
-		return len(rules[i].covered) > len(rules[j].covered)
-	})
+	return ci.choose(cur, k, func(r rule, marginal int, _ []rule) float64 {
+		return float64(marginal) * float64(sddW+len(r.pairIDs))
+	}), nil
 }

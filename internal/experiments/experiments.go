@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"subdex/internal/core"
 	"subdex/internal/dataset"
 	"subdex/internal/gen"
 )
@@ -144,21 +143,12 @@ func Table2(p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// buildScenarioI prepares a dataset with planted irregular groups and an
-// explorer, shared by several experiments.
-func buildScenarioI(dsName string, p Params, cfg core.Config) (*core.Explorer, []gen.IrregularGroup, error) {
-	var db *dataset.DB
-	var err error
-	switch dsName {
-	case "Movielens":
-		db, err = gen.Movielens(gen.Config{Seed: p.Seed, Scale: p.Scale})
-	case "Yelp":
-		db, err = gen.Yelp(gen.Config{Seed: p.Seed, Scale: p.Scale})
-	case "Hotels":
-		db, err = gen.Hotels(gen.Config{Seed: p.Seed, Scale: p.Scale})
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown dataset %q", dsName)
-	}
+// scenarioI generates a dataset, by its name in the tables, and plants its
+// Scenario I irregular groups. An experiment does so once per (dataset,
+// seed) and gives each configuration it compares its own core.NewExplorer
+// over the one database, which no explorer writes.
+func scenarioI(dsName string, p Params) (*dataset.DB, []gen.IrregularGroup, error) {
+	db, err := gen.ByName(strings.ToLower(dsName), gen.Config{Seed: p.Seed, Scale: p.Scale})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,9 +156,5 @@ func buildScenarioI(dsName string, p Params, cfg core.Config) (*core.Explorer, [
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := core.NewExplorer(db, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex, groups, nil
+	return db, groups, nil
 }

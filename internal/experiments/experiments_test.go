@@ -5,6 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"subdex/internal/core"
+	"subdex/internal/gen"
+	"subdex/internal/study"
 )
 
 // tinyParams keeps experiment smoke tests fast; the real artifacts are
@@ -158,5 +162,54 @@ func TestVariantsList(t *testing.T) {
 	want := []string{"SubDEx", "No-Pruning", "CI Pruning", "MAB Pruning", "No Parallelism", "Naive"}
 	if got := append(cores, oneCore...); !slices.Equal(got, want) {
 		t.Errorf("variants %v, want the paper's %v", got, want)
+	}
+}
+
+// TestExplorersShareTheDatabase pins what generating one Scenario I
+// database per experiment rests on: explorers over the shared database
+// leave it unchanged, and under each configuration the path generated over
+// it is the path generated over a database of its own.
+func TestExplorersShareTheDatabase(t *testing.T) {
+	p := tinyParams()
+	shared, _, err := scenarioI("Yelp", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := gen.Digest(shared)
+	for _, v := range []int{0, 2} { // max of all criteria, conciseness only
+		cfg := studyConfig()
+		ablationVariants[v].mut(&cfg)
+		var paths [2][]*core.StepResult // over the shared database, over its own
+		for i := range paths {
+			db := shared
+			if i == 1 {
+				if db, _, err = scenarioI("Yelp", p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex, err := core.NewExplorer(db, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := study.GeneratePath(ex, study.SubdexSource{}, scenarioIPathLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths[i] = path.Steps()
+		}
+		name := ablationVariants[v].name
+		if len(paths[0]) != len(paths[1]) {
+			t.Fatalf("%s: %d steps over the shared database, %d over its own", name, len(paths[0]), len(paths[1]))
+		}
+		for s, st := range paths[0] {
+			own := paths[1][s]
+			if !st.Desc.Equal(own.Desc) || !slices.Equal(st.Digests, own.Digests) {
+				t.Fatalf("%s, step %d: %s %v over the shared database, %s %v over its own",
+					name, s+1, st.Desc, st.Digests, own.Desc, own.Digests)
+			}
+		}
+	}
+	if after := gen.Digest(shared); after != before {
+		t.Fatalf("the explorers changed the shared database: digest %s, generated as %s", after, before)
 	}
 }

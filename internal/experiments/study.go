@@ -6,7 +6,6 @@ import (
 
 	"subdex/internal/baselines"
 	"subdex/internal/core"
-	"subdex/internal/dataset"
 	"subdex/internal/gen"
 	"subdex/internal/stats"
 	"subdex/internal/study"
@@ -149,7 +148,11 @@ func roman(n int) string {
 func scenarioRunner(p Params, ds string, scenario int) (*study.Runner, error) {
 	cfg := studyConfig()
 	if scenario == 1 {
-		ex, groups, err := buildScenarioI(ds, p, cfg)
+		db, groups, err := scenarioI(ds, p)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := core.NewExplorer(db, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -157,19 +160,11 @@ func scenarioRunner(p Params, ds string, scenario int) (*study.Runner, error) {
 			PathLen: scenarioIPathLen}, nil
 	}
 	// Scenario II: regenerate with planted insights.
-	var insights []gen.Insight
-	var genFn func(gen.Config) (*dataset.DB, error)
-	switch ds {
-	case "Movielens":
-		insights = gen.MovielensInsights()
-		genFn = gen.Movielens
-	case "Yelp":
-		insights = gen.YelpInsights()
-		genFn = gen.Yelp
-	default:
+	insights, ok := map[string][]gen.Insight{"Movielens": gen.MovielensInsights(), "Yelp": gen.YelpInsights()}[ds]
+	if !ok {
 		return nil, fmt.Errorf("experiments: scenario II undefined for %q", ds)
 	}
-	db, err := genFn(gen.Config{Seed: p.Seed, Scale: p.Scale,
+	db, err := gen.ByName(strings.ToLower(ds), gen.Config{Seed: p.Seed, Scale: p.Scale,
 		ForcedBiases: gen.InsightBiases(insights)})
 	if err != nil {
 		return nil, err
@@ -236,14 +231,14 @@ func Fig8(p Params) ([]Table, error) {
 // or Qagview (rating-map sets fixed to SubDEx's), scored by the average
 // number of irregular groups subjects identify on the path.
 func Table4(p Params) ([]Table, error) {
-	sources := []study.OpSource{
-		study.SubdexSource{},
-		&study.SDDSource{SDD: baselines.SmartDrillDown{}},
-		&study.QagviewSource{Qagview: baselines.Qagview{}},
-	}
+	sources := []study.OpSource{study.SubdexSource{}, baselines.SmartDrillDown{}, baselines.Qagview{}}
 	var scores [3][2]float64 // source, dataset
 	for di, ds := range []string{"Movielens", "Yelp"} {
-		ex, groups, err := buildScenarioI(ds, p, studyConfig())
+		db, groups, err := scenarioI(ds, p)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := core.NewExplorer(db, studyConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +282,11 @@ func Table6(p Params) ([]Table, error) {
 		for sample := 0; sample < pathSamples; sample++ {
 			sp := p
 			sp.Seed = p.Seed + int64(sample)*37
-			base, groups, err := buildScenarioI(ds, sp, studyConfig())
+			db, groups, err := scenarioI(ds, sp)
+			if err != nil {
+				return nil, err
+			}
+			base, err := core.NewExplorer(db, studyConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +302,7 @@ func Table6(p Params) ([]Table, error) {
 				} else {
 					cfg.DiversityOnly = true
 				}
-				vex, _, err := buildScenarioI(ds, sp, cfg)
+				vex, err := core.NewExplorer(db, cfg)
 				if err != nil {
 					return nil, err
 				}

@@ -29,7 +29,11 @@ func Table5(p Params) ([]Table, error) {
 		// Fix the next-action operations (the paper generates the path with
 		// the Fully-Automated mode once), then replay the same selections
 		// under each variant so only map selection differs.
-		ex, _, err := buildScenarioI(ds, p, core.DefaultConfig())
+		db, _, err := scenarioI(ds, p)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := core.NewExplorer(db, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +45,7 @@ func Table5(p Params) ([]Table, error) {
 			cfg := core.DefaultConfig()
 			cfg.L = v.l
 			cfg.DiversityOnly = v.diversityOnly
-			vex, _, err := buildScenarioI(ds, p, cfg)
+			vex, err := core.NewExplorer(db, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -76,7 +80,11 @@ func Fig9(p Params) ([]Table, error) {
 		Header: []string{"Variant", "overall", "food", "service", "ambiance"},
 	}
 	// Fix the path once, then replay under both weighting variants.
-	base, _, err := buildScenarioI("Yelp", p, core.DefaultConfig())
+	db, _, err := scenarioI("Yelp", p)
+	if err != nil {
+		return nil, err
+	}
+	base, err := core.NewExplorer(db, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +95,7 @@ func Fig9(p Params) ([]Table, error) {
 	for _, weighted := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.Engine.Utility.DisableDimensionWeights = !weighted
-		ex, _, err := buildScenarioI("Yelp", p, cfg)
+		ex, err := core.NewExplorer(db, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -117,51 +125,60 @@ func Ablation(p Params) ([]Table, error) {
 		Title:  "§5.2.3 ablation: utility-criteria variants (avg # identified irregular groups)",
 		Header: []string{"Utility variant", "Movielens", "Yelp"},
 	}
-	variants := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"max of all criteria (paper)", func(c *core.Config) {}},
-		{"average of all criteria", func(c *core.Config) {
-			c.Engine.Utility.Aggregation = ratingmap.AggAvg
-		}},
-		{"conciseness only", func(c *core.Config) {
-			c.Engine.Utility.Aggregation = ratingmap.AggSingle
-			c.Engine.Utility.Single = ratingmap.Conciseness
-		}},
-		{"agreement only", func(c *core.Config) {
-			c.Engine.Utility.Aggregation = ratingmap.AggSingle
-			c.Engine.Utility.Single = ratingmap.Agreement
-		}},
-		{"self-peculiarity only", func(c *core.Config) {
-			c.Engine.Utility.Aggregation = ratingmap.AggSingle
-			c.Engine.Utility.Single = ratingmap.PecSelf
-		}},
-		{"global-peculiarity only", func(c *core.Config) {
-			c.Engine.Utility.Aggregation = ratingmap.AggSingle
-			c.Engine.Utility.Single = ratingmap.PecGlobal
-		}},
-		{"KL peculiarity (§4.1 alternative)", func(c *core.Config) {
-			c.Engine.Utility.Peculiarity = ratingmap.PecKL
-		}},
-	}
-	for _, v := range variants {
-		var scores [2]float64
-		for di, ds := range []string{"Movielens", "Yelp"} {
+	scores := make([][2]float64, len(ablationVariants))
+	for di, ds := range []string{"Movielens", "Yelp"} {
+		db, groups, err := scenarioI(ds, p)
+		if err != nil {
+			return nil, err
+		}
+		det := &study.IrregularDetector{Groups: groups}
+		for vi, v := range ablationVariants {
 			cfg := studyConfig()
 			v.mut(&cfg)
-			ex, groups, err := buildScenarioI(ds, p, cfg)
+			ex, err := core.NewExplorer(db, cfg)
 			if err != nil {
 				return nil, err
 			}
-			det := &study.IrregularDetector{Groups: groups}
 			path, err := study.GeneratePath(ex, study.SubdexSource{}, scenarioIPathLen)
 			if err != nil {
 				return nil, err
 			}
-			scores[di] = study.ScorePath(ex, det, path.Steps(), p.Subjects, p.Seed+1500)
+			scores[vi][di] = study.ScorePath(ex, det, path.Steps(), p.Subjects, p.Seed+1500)
 		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", scores[0]), fmt.Sprintf("%.2f", scores[1])})
+	}
+	for vi, v := range ablationVariants {
+		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", scores[vi][0]), fmt.Sprintf("%.2f", scores[vi][1])})
 	}
 	return []Table{t}, nil
+}
+
+// ablationVariants are the utility configurations Ablation compares, each a
+// change to studyConfig.
+var ablationVariants = []struct {
+	name string
+	mut  func(*core.Config)
+}{
+	{"max of all criteria (paper)", func(c *core.Config) {}},
+	{"average of all criteria", func(c *core.Config) {
+		c.Engine.Utility.Aggregation = ratingmap.AggAvg
+	}},
+	{"conciseness only", func(c *core.Config) {
+		c.Engine.Utility.Aggregation = ratingmap.AggSingle
+		c.Engine.Utility.Single = ratingmap.Conciseness
+	}},
+	{"agreement only", func(c *core.Config) {
+		c.Engine.Utility.Aggregation = ratingmap.AggSingle
+		c.Engine.Utility.Single = ratingmap.Agreement
+	}},
+	{"self-peculiarity only", func(c *core.Config) {
+		c.Engine.Utility.Aggregation = ratingmap.AggSingle
+		c.Engine.Utility.Single = ratingmap.PecSelf
+	}},
+	{"global-peculiarity only", func(c *core.Config) {
+		c.Engine.Utility.Aggregation = ratingmap.AggSingle
+		c.Engine.Utility.Single = ratingmap.PecGlobal
+	}},
+	{"KL peculiarity (§4.1 alternative)", func(c *core.Config) {
+		c.Engine.Utility.Peculiarity = ratingmap.PecKL
+	}},
 }

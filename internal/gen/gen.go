@@ -97,21 +97,24 @@ func scaleN(n int, scale float64, floor int) int {
 // shifts that entity's scores, producing subgroup-dependent distributions.
 type biasModel struct {
 	rng    *rand.Rand
-	biases map[string]float64
+	biases map[biasKey]float64
 	spread float64
 }
 
-func newBiasModel(rng *rand.Rand, spread float64) *biasModel {
-	return &biasModel{rng: rng, biases: make(map[string]float64), spread: spread}
+// biasKey names one (side, attribute, value, dimension) combination.
+type biasKey struct {
+	side        query.Side
+	attr, value string
+	dim         int
 }
 
-func biasKey(side query.Side, attr, value string, dim int) string {
-	return fmt.Sprintf("%d\x00%s\x00%s\x00%d", side, attr, value, dim)
+func newBiasModel(rng *rand.Rand, spread float64) *biasModel {
+	return &biasModel{rng: rng, biases: make(map[biasKey]float64), spread: spread}
 }
 
 // of returns (memoized) the bias of one attribute value for one dimension.
 func (b *biasModel) of(side query.Side, attr, value string, dim int) float64 {
-	k := biasKey(side, attr, value, dim)
+	k := biasKey{side, attr, value, dim}
 	if v, ok := b.biases[k]; ok {
 		return v
 	}
@@ -122,7 +125,7 @@ func (b *biasModel) of(side query.Side, attr, value string, dim int) float64 {
 
 // force pins a bias (used by insight planting).
 func (b *biasModel) force(side query.Side, attr, value string, dim int, bias float64) {
-	b.biases[biasKey(side, attr, value, dim)] = bias
+	b.biases[biasKey{side, attr, value, dim}] = bias
 }
 
 // entityBias sums the biases of an entity's attribute values for one

@@ -182,7 +182,7 @@ func (r *Runner) suspiciousRec(subj *Subject, recs []core.Recommendation, res *c
 	if subj.Rng.Float64() > subj.SmartActionProb()+0.3 {
 		return query.Description{}, false
 	}
-	sel, ok := r.lowestBar(res)
+	sel, ok := r.lowestBar(res, query.Description{}, nil)
 	if !ok {
 		return query.Description{}, false
 	}
@@ -194,12 +194,17 @@ func (r *Runner) suspiciousRec(subj *Subject, recs []core.Recommendation, res *c
 	return query.Description{}, false
 }
 
-// lowestBar finds the minimum-average bar across the display.
-func (r *Runner) lowestBar(res *core.StepResult) (query.Selector, bool) {
+// lowestBar finds the minimum-average bar across the display — of at least
+// three ratings, not the missing value's — among the maps on needSide (any
+// side when nil) whose attribute cur leaves unbound.
+func (r *Runner) lowestBar(res *core.StepResult, cur query.Description, needSide *query.Side) (query.Selector, bool) {
 	bestAvg := 1e9
 	var best query.Selector
 	ok := false
 	for _, rm := range res.Maps {
+		if cur.BindsAttr(rm.Side, rm.Attr) || needSide != nil && rm.Side != *needSide {
+			continue
+		}
 		dict := r.Ex.DictFor(rm)
 		for i := range rm.Subgroups {
 			sg := &rm.Subgroups[i]
@@ -302,37 +307,11 @@ func (r *Runner) randomFilter(subj *Subject, cur query.Description, needSide *qu
 // drillLowestBar filters into the minimum-average bar across the display,
 // restricted to needSide when set.
 func (r *Runner) drillLowestBar(cur query.Description, res *core.StepResult, needSide *query.Side) (query.Description, bool) {
-	bestAvg := 1e9
-	var bestSel query.Selector
-	ok := false
-	for _, rm := range res.Maps {
-		if cur.BindsAttr(rm.Side, rm.Attr) {
-			continue
-		}
-		if needSide != nil && rm.Side != *needSide {
-			continue
-		}
-		dict := r.Ex.DictFor(rm)
-		for i := range rm.Subgroups {
-			sg := &rm.Subgroups[i]
-			if sg.N < 3 {
-				continue
-			}
-			label := dict.Value(sg.Value)
-			if label == dataset.MissingLabel {
-				continue
-			}
-			if avg := sg.AvgScore(); avg < bestAvg {
-				bestAvg = avg
-				bestSel = query.Selector{Side: rm.Side, Attr: rm.Attr, Value: label}
-				ok = true
-			}
-		}
-	}
+	sel, ok := r.lowestBar(res, cur, needSide)
 	if !ok {
 		return query.Description{}, false
 	}
-	d, err := cur.With(bestSel)
+	d, err := cur.With(sel)
 	if err != nil {
 		return query.Description{}, false
 	}

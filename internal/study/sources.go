@@ -1,7 +1,6 @@
 package study
 
 import (
-	"subdex/internal/baselines"
 	"subdex/internal/core"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
@@ -9,8 +8,9 @@ import (
 
 // OpSource supplies next-action operations for the Table 4 comparison: the
 // rating maps shown at each step are fixed (SubDEx's RM-Set), and only the
-// source of next-action recommendations varies between SubDEx, Smart
-// Drill-Down, and Qagview.
+// source of next-action recommendations varies between SubDEx
+// (SubdexSource) and the two baselines, baselines.SmartDrillDown and
+// baselines.Qagview.
 type OpSource interface {
 	Name() string
 	Next(ex *core.Explorer, cur query.Description, maps []*ratingmap.RatingMap,
@@ -36,42 +36,6 @@ func (SubdexSource) Next(ex *core.Explorer, cur query.Description, maps []*ratin
 		ops = append(ops, rec.Op)
 	}
 	return ops, nil
-}
-
-// SDDSource yields Smart Drill-Down rule-list operations.
-type SDDSource struct {
-	SDD baselines.SmartDrillDown
-}
-
-// Name identifies the source.
-func (s *SDDSource) Name() string { return s.SDD.Name() }
-
-// Next materializes the current group and runs SDD over it.
-func (s *SDDSource) Next(ex *core.Explorer, cur query.Description, _ []*ratingmap.RatingMap,
-	_ *ratingmap.SeenSet, o int) ([]query.Operation, error) {
-	group, err := ex.Query.Materialize(cur)
-	if err != nil {
-		return nil, err
-	}
-	return s.SDD.Recommend(ex.DB, cur, group.Records, o)
-}
-
-// QagviewSource yields Qagview summary-cluster operations.
-type QagviewSource struct {
-	Qagview baselines.Qagview
-}
-
-// Name identifies the source.
-func (s *QagviewSource) Name() string { return s.Qagview.Name() }
-
-// Next materializes the current group and runs Qagview over it.
-func (s *QagviewSource) Next(ex *core.Explorer, cur query.Description, _ []*ratingmap.RatingMap,
-	_ *ratingmap.SeenSet, o int) ([]query.Operation, error) {
-	group, err := ex.Query.Materialize(cur)
-	if err != nil {
-		return nil, err
-	}
-	return s.Qagview.Recommend(ex.DB, cur, group.Records, o)
 }
 
 // GeneratePath walks a User-Driven session for up to pathLen steps,

@@ -285,8 +285,8 @@ func TestBaselineSources(t *testing.T) {
 	ex, _ := studyExplorer(t)
 	sess, res := firstStep(t, ex, query.Description{})
 	for _, src := range []OpSource{
-		&SDDSource{SDD: baselines.SmartDrillDown{}},
-		&QagviewSource{Qagview: baselines.Qagview{}},
+		baselines.SmartDrillDown{},
+		baselines.Qagview{},
 	} {
 		ops, err := src.Next(ex, query.Description{}, res.Maps, sess.Seen(), 3)
 		if err != nil {
