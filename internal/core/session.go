@@ -187,9 +187,10 @@ func (s *Session) finishProfile(ctx context.Context, res *StepResult) {
 	}
 }
 
-// Apply moves the session to the operation's target description. Any
-// operation is accepted in UserDriven and RecommendationPowered modes;
-// FullyAutomated sessions advance only via Auto.
+// Apply moves the session to the operation's target description. It
+// accepts an operation in every mode: nothing yet refuses a user move on a
+// FullyAutomated session, whose moves the system is meant to pick (Auto),
+// because the workload harness's simulated fa users drill and go back.
 func (s *Session) Apply(op query.Operation) error {
 	return s.ApplyDescription(op.Target)
 }

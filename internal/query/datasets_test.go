@@ -5,6 +5,7 @@ package query_test
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -74,34 +75,28 @@ func item(attr, value string) query.Selector {
 	return query.Selector{Side: query.ItemSide, Attr: attr, Value: value}
 }
 
-// materializeArm is one group shape of BenchmarkMaterialize: a selection,
-// the share of the rating table the index walk visits for it (which is
-// what chooses the strategy; checked to ±0.01) and the share it keeps.
+// materializeArm is one group shape of BenchmarkMaterialize: a selection
+// and the share of the rating table it keeps (checked to ±0.01).
 type materializeArm struct {
-	name          string
-	sels          []query.Selector
-	visited, kept float64
+	name string
+	sels []query.Selector
+	kept float64
 }
 
 // BenchmarkMaterialize is the inner loop of a cold step's first half: one
-// uncached materialization (the group cache is off unless
-// EnableGroupCache is called) per group shape, on the three dataset shapes
-// at full scale, each shape collected three ways: as materialize chooses
-// (chosen), by the index walk (index) and by the table sweep (sweep). The
-// index and sweep arms are the measurement behind sweepCrossover in
-// group.go; the tiny ones are there because the walk's record bitmap and
-// the sweep cost the same whatever the group's size.
+// uncached materialization (the group cache is off unless EnableGroupCache
+// is called) per group shape, on the three dataset shapes at full scale,
+// with the attributes' indexes already built — the first selector on an
+// attribute builds its index, and a session's steps pay that once per
+// engine. The arms keep the names DESIGN.md and EXPERIMENTS.md quote; the
+// number in a name is the share of the table a walk of the record index
+// used to visit, the kept share is the group's.
 //
-// Yelp (200 500 ratings, 150 318 reviewers, 93 items) is the shape the
-// sweep is for: any reviewer selector leaves every item in play, so the
-// walk — from the side with fewer entities, the items — visits the whole
-// table and keeps a fraction. Hotels (35 912; 15 493 reviewers, 879 hotels)
-// is the same shape with ten times the items. On MovieLens (100 000; 943
-// reviewers, 1 682 films) both sides are short and either may be walked: a
-// reviewer selection visits exactly what it keeps, and the sweep runs only
-// for a selection past the crossover on its own (gender=M, 55% of the
-// table) or an item selection matching more films than there are
-// reviewers, which is walked from all 943 reviewers (language=english).
+// Yelp (200 500 ratings, 150 318 reviewers, 93 items) has reviewer
+// selections that keep a few percent of the table and item selections that
+// keep most of it; Hotels (35 912; 15 493 reviewers, 879 hotels) is the
+// same shape with ten times the items; on MovieLens (100 000; 943
+// reviewers, 1 682 films) both sides are short.
 //
 //	go test ./internal/query -run '^$' -bench Materialize -benchmem
 func BenchmarkMaterialize(b *testing.B) {
@@ -110,46 +105,42 @@ func BenchmarkMaterialize(b *testing.B) {
 		arms []materializeArm
 	}{
 		{"yelp", []materializeArm{
-			{"root", nil, 1, 1},
-			// Fewer reviewers than items: the only Yelp arm walked
-			// from the reviewer index.
-			{"tiny3_reviewer_walk", []query.Selector{rev("state", "MA"), rev("city", "Newark"), rev("membership", "elite")}, 0, 0},
-			{"tiny2", []query.Selector{rev("state", "MA"), item("cuisine", "indian")}, 0.21, 0.01},
-			{"reviewer1", []query.Selector{rev("state", "NY")}, 1, 0.60},
-			{"reviewer1_narrow", []query.Selector{rev("city", "Newark")}, 1, 0.05},
-			{"reviewer2", []query.Selector{rev("age_group", "adult"), rev("social_activity", "lurker")}, 1, 0.07},
-			{"item1_03", []query.Selector{item("open_since", "2006")}, 0.03, 0.03},
-			{"item1_21", []query.Selector{item("cuisine", "indian")}, 0.21, 0.21},
-			{"item1_33", []query.Selector{item("alcohol", "full_bar")}, 0.33, 0.33},
-			{"item1_43", []query.Selector{item("price_range", "$$")}, 0.43, 0.43},
-			{"item1_56", []query.Selector{item("parking", "no")}, 0.56, 0.56},
-			{"item1_69", []query.Selector{item("attire", "casual")}, 0.69, 0.69},
-			{"both_31", []query.Selector{rev("age_group", "adult"), item("price_range", "$$$")}, 0.31, 0.09},
-			{"both_42", []query.Selector{rev("social_activity", "casual"), item("outdoor_seating", "yes")}, 0.42, 0.10},
-			{"both_52", []query.Selector{rev("age_group", "adult"), item("reservations", "yes")}, 0.52, 0.14},
-			{"big2", []query.Selector{rev("state", "NY"), item("attire", "casual")}, 0.69, 0.41},
+			{"root", nil, 1},
+			{"tiny3_reviewer_walk", []query.Selector{rev("state", "MA"), rev("city", "Newark"), rev("membership", "elite")}, 0},
+			{"tiny2", []query.Selector{rev("state", "MA"), item("cuisine", "indian")}, 0.01},
+			{"reviewer1", []query.Selector{rev("state", "NY")}, 0.60},
+			{"reviewer1_narrow", []query.Selector{rev("city", "Newark")}, 0.05},
+			{"reviewer2", []query.Selector{rev("age_group", "adult"), rev("social_activity", "lurker")}, 0.07},
+			{"item1_03", []query.Selector{item("open_since", "2006")}, 0.03},
+			{"item1_21", []query.Selector{item("cuisine", "indian")}, 0.21},
+			{"item1_33", []query.Selector{item("alcohol", "full_bar")}, 0.33},
+			{"item1_43", []query.Selector{item("price_range", "$$")}, 0.43},
+			{"item1_56", []query.Selector{item("parking", "no")}, 0.56},
+			{"item1_69", []query.Selector{item("attire", "casual")}, 0.69},
+			{"both_31", []query.Selector{rev("age_group", "adult"), item("price_range", "$$$")}, 0.09},
+			{"both_42", []query.Selector{rev("social_activity", "casual"), item("outdoor_seating", "yes")}, 0.10},
+			{"both_52", []query.Selector{rev("age_group", "adult"), item("reservations", "yes")}, 0.14},
+			{"big2", []query.Selector{rev("state", "NY"), item("attire", "casual")}, 0.41},
 		}},
 		{"movielens", []materializeArm{
-			{"root", nil, 1, 1},
-			{"tiny2", []query.Selector{rev("city", "city_8"), item("genre", "fantasy")}, 0.03, 0},
-			{"reviewer1_04", []query.Selector{rev("occupation", "doctor")}, 0.04, 0.04},
-			{"reviewer1_55", []query.Selector{rev("gender", "M")}, 0.55, 0.55},
-			{"item1_25", []query.Selector{item("length_class", "long")}, 0.25, 0.25},
-			{"item1_33", []query.Selector{item("decade", "1980s")}, 0.33, 0.33},
-			// 1 177 films match, more than there are reviewers: walked
-			// from every reviewer.
-			{"item1_wide", []query.Selector{item("language", "english")}, 1, 0.70},
-			{"both_55", []query.Selector{rev("gender", "M"), item("language", "english")}, 0.55, 0.39},
+			{"root", nil, 1},
+			{"tiny2", []query.Selector{rev("city", "city_8"), item("genre", "fantasy")}, 0},
+			{"reviewer1_04", []query.Selector{rev("occupation", "doctor")}, 0.04},
+			{"reviewer1_55", []query.Selector{rev("gender", "M")}, 0.55},
+			{"item1_25", []query.Selector{item("length_class", "long")}, 0.25},
+			{"item1_33", []query.Selector{item("decade", "1980s")}, 0.33},
+			{"item1_wide", []query.Selector{item("language", "english")}, 0.70},
+			{"both_55", []query.Selector{rev("gender", "M"), item("language", "english")}, 0.39},
 		}},
 		{"hotels", []materializeArm{
-			{"root", nil, 1, 1},
-			{"tiny1", []query.Selector{item("city", "hcity_16")}, 0.01, 0.01},
-			{"reviewer1", []query.Selector{rev("traveler_type", "family")}, 1, 0.20},
-			{"reviewer1_narrow", []query.Selector{rev("loyalty_tier", "platinum")}, 0.05, 0.05},
-			{"item1_30", []query.Selector{item("star_class", "4")}, 0.30, 0.30},
-			{"item1_41", []query.Selector{item("amenity", "parking")}, 0.41, 0.41},
-			{"item1_46", []query.Selector{item("amenity", "pool")}, 0.46, 0.46},
-			{"both_43", []query.Selector{rev("age_group", "middle_aged"), item("amenity", "shuttle")}, 0.43, 0.12},
+			{"root", nil, 1},
+			{"tiny1", []query.Selector{item("city", "hcity_16")}, 0.01},
+			{"reviewer1", []query.Selector{rev("traveler_type", "family")}, 0.20},
+			{"reviewer1_narrow", []query.Selector{rev("loyalty_tier", "platinum")}, 0.05},
+			{"item1_30", []query.Selector{item("star_class", "4")}, 0.30},
+			{"item1_41", []query.Selector{item("amenity", "parking")}, 0.41},
+			{"item1_46", []query.Selector{item("amenity", "pool")}, 0.46},
+			{"both_43", []query.Selector{rev("age_group", "middle_aged"), item("amenity", "shuttle")}, 0.12},
 		}},
 	} {
 		b.Run(ds.name, func(b *testing.B) {
@@ -170,46 +161,21 @@ func BenchmarkMaterialize(b *testing.B) {
 
 func benchMaterializeArm(b *testing.B, e *query.Engine, arm materializeArm) {
 	desc := query.MustDescription(arm.sels...)
-	table := float64(e.DB.Ratings.Len())
-	visits, chosen, err := e.WalkVisits(desc)
-	if err != nil {
-		b.Fatal(err)
-	}
 	g, err := e.Materialize(desc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	visited, kept := float64(visits)/table, float64(g.Len())/table
-	if math.Abs(visited-arm.visited) > 0.01 || math.Abs(kept-arm.kept) > 0.01 {
-		b.Fatalf("%s: the walk visits %.3f of the table and keeps %.3f, the arm says %.2f and %.2f", desc, visited, kept, arm.visited, arm.kept)
+	if kept := float64(g.Len()) / float64(e.DB.Ratings.Len()); math.Abs(kept-arm.kept) > 0.01 {
+		b.Fatalf("%s keeps %.3f of the table, the arm says %.2f", desc, kept, arm.kept)
 	}
-	swept := 0.0
-	if chosen == query.Sweep {
-		swept = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkGroup, _ = e.Materialize(desc)
 	}
-	for _, way := range []struct {
-		name        string
-		materialize func() (*query.RatingGroup, error)
-	}{
-		{"chosen", func() (*query.RatingGroup, error) { return e.Materialize(desc) }},
-		{"index", func() (*query.RatingGroup, error) { return e.MaterializeWith(desc, query.Index) }},
-		{"sweep", func() (*query.RatingGroup, error) { return e.MaterializeWith(desc, query.Sweep) }},
-	} {
-		b.Run(way.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkGroup, _ = way.materialize()
-			}
-			if sinkGroup.Len() != g.Len() {
-				b.Fatalf("%s: %d records, Materialize has %d", desc, sinkGroup.Len(), g.Len())
-			}
-			b.ReportMetric(float64(g.Len()), "records")
-			b.ReportMetric(visited, "visited")
-			if way.name == "chosen" && len(arm.sels) > 0 { // the root takes neither path
-				b.ReportMetric(swept, "swept")
-			}
-		})
+	if sinkGroup.Len() != g.Len() {
+		b.Fatalf("%s: %d records, the first Materialize had %d", desc, sinkGroup.Len(), g.Len())
 	}
+	b.ReportMetric(float64(g.Len()), "records")
 }
 
 // TestDescriptionKeysTellCellsApart: a cell may hold the bytes a key
@@ -258,6 +224,161 @@ func TestDescriptionKeysTellCellsApart(t *testing.T) {
 		}
 		if !slices.Equal(got.Records, want.Records) {
 			t.Errorf("%q through the group cache holds records %v, want %v", d, got.Records, want.Records)
+		}
+	}
+}
+
+// withMissingCells copies db with a seeded share of the atomic cells of
+// both entity tables blank. No generator writes a missing atomic value, so
+// without it the missing value never reaches a generated database's
+// materialization.
+func withMissingCells(t *testing.T, db *dataset.DB, share float64, seed int64) *dataset.DB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	blank := func(src *dataset.EntityTable) *dataset.EntityTable {
+		dst := dataset.NewEntityTable(src.Name, src.Schema)
+		for row := 0; row < src.Len(); row++ {
+			values, sets := map[string]string{}, map[string][]string{}
+			for a := 0; a < src.Schema.Len(); a++ {
+				attr, dict := src.Schema.At(a), src.Dict(a)
+				switch {
+				case attr.Kind == dataset.MultiValued:
+					for _, v := range src.MultiValues(a, row) {
+						sets[attr.Name] = append(sets[attr.Name], dict.Value(v))
+					}
+				case rng.Float64() >= share:
+					values[attr.Name] = dict.Value(src.AtomicValue(a, row))
+				}
+			}
+			if _, err := dst.AppendRow(src.Key(row), values, sets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dst
+	}
+	rt, err := dataset.NewRatingTable(db.Ratings.Dimensions...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]dataset.Score, len(db.Ratings.Dimensions))
+	for r := 0; r < db.Ratings.Len(); r++ {
+		for d := range scores {
+			scores[d] = db.Ratings.Scores[d][r]
+		}
+		if err := rt.Append(int(db.Ratings.Reviewer[r]), int(db.Ratings.Item[r]), scores); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := dataset.NewDB(db.Name+"-missing", blank(db.Reviewers), blank(db.Items), rt)
+	if err := out.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// naiveRecords is the naive filter over the rating table: the records,
+// ascending, whose reviewer and item hold every selector's value.
+func naiveRecords(db *dataset.DB, d query.Description) []int32 {
+	type test struct {
+		tab *dataset.EntityTable
+		of  []int32
+		a   int
+		v   dataset.ValueID
+	}
+	var tests []test
+	for _, s := range d.Selectors() {
+		tab, of := db.Reviewers, db.Ratings.Reviewer
+		if s.Side == query.ItemSide {
+			tab, of = db.Items, db.Ratings.Item
+		}
+		a := tab.Schema.Index(s.Attr)
+		v, _ := tab.Dict(a).Lookup(s.Value)
+		tests = append(tests, test{tab, of, a, v})
+	}
+	var out []int32
+	for r := 0; r < db.Ratings.Len(); r++ {
+		keep := true
+		for _, c := range tests {
+			keep = keep && c.tab.HasValue(c.a, int(c.of[r]), c.v)
+		}
+		if keep {
+			out = append(out, int32(r))
+		}
+	}
+	return out
+}
+
+// TestMissingCellsMaterialize holds Materialize and Partition to the naive
+// filter on Hotels- and Yelp-shaped databases with a fifth of their atomic
+// cells blank. The root's group and, on each side, the first missing label
+// that keeps records are partitioned by every attribute they do not bind;
+// each bucket, missing labels' included, and the group Materialize returns
+// for the bucket's description must equal the naive filter.
+func TestMissingCellsMaterialize(t *testing.T) {
+	for _, ds := range []struct {
+		name  string
+		scale float64
+	}{{"hotels", 0.5}, {"yelp", 0.05}} {
+		gdb, err := gen.ByName(ds.name, gen.Config{Scale: ds.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := withMissingCells(t, gdb, 0.2, 1)
+		e, err := query.NewEngine(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		materialize := func(d query.Description) []int32 {
+			t.Helper()
+			g, err := e.Materialize(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g.Records
+		}
+		var bases []query.Description
+		var seen [2]bool
+		partitions := func(d query.Description) {
+			t.Helper()
+			records := materialize(d)
+			for _, gc := range e.GroupingCandidates(d) {
+				p, err := e.Partition(records, gc.Side, gc.Attr, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				values, err := e.AttributeValues(gc.Side, gc.Attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range append(values, dataset.MissingLabel) {
+					bucket, err := p.Bucket(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					with, err := d.With(query.Selector{Side: gc.Side, Attr: gc.Attr, Value: v})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := naiveRecords(db, with)
+					if got := materialize(with); !slices.Equal(got, want) {
+						t.Fatalf("%s %s: Materialize has %d records, the naive filter %d", ds.name, with, len(got), len(want))
+					}
+					if !slices.Equal(bucket, want) {
+						t.Fatalf("%s %s: the bucket has %d records, the naive filter %d", ds.name, with, len(bucket), len(want))
+					}
+					if d.IsEmpty() && v == dataset.MissingLabel && len(want) > 0 && !seen[gc.Side] {
+						seen[gc.Side] = true
+						bases = append(bases, with)
+					}
+				}
+			}
+		}
+		partitions(query.Description{})
+		if !seen[query.ReviewerSide] || !seen[query.ItemSide] {
+			t.Fatalf("%s: a side has no rated entity with a blank cell", ds.name)
+		}
+		for _, d := range bases {
+			partitions(d)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"subdex/internal/dataset"
@@ -24,19 +23,20 @@ type RatingGroup struct {
 // Len returns the number of rating records in the group.
 func (g *RatingGroup) Len() int { return len(g.Records) }
 
-// Engine materializes descriptions against a database — per-selector entity
-// bitsets, cached, intersected into the two entity groups, then the records
-// of the smaller one gathered from the database's record index in table
-// order (gather) — and partitions a group's records by an attribute
-// (Partition), which is how the Recommendation Builder gets its candidates'
-// groups without materializing them. The caches are guarded: sessions share
-// an engine and materialize concurrently.
+// Engine materializes descriptions and partitions a group's records by an
+// attribute (Partition), which is how the Recommendation Builder gets its
+// candidates' groups without materializing them. A description is
+// materialized from per-attribute indexes (attrIndex): the entity groups
+// are the AND of its selectors' entity bitsets, and its records the AND of
+// its selectors' record bitmaps over the rating table. The indexes and the
+// group cache are guarded: sessions share an engine and materialize
+// concurrently.
 type Engine struct {
 	DB *dataset.DB
 
-	mu       sync.RWMutex
-	selCache map[string]*Bitset
-	groups   *groupCache // optional group and partition cache (EnableGroupCache)
+	mu      sync.RWMutex
+	indexes map[attrKey]*attrIndex
+	groups  *groupCache // optional group and partition cache (EnableGroupCache)
 }
 
 // NewEngine wraps a frozen database.
@@ -44,7 +44,7 @@ func NewEngine(db *dataset.DB) (*Engine, error) {
 	if !db.Frozen() {
 		return nil, fmt.Errorf("query: database %q is not frozen", db.Name)
 	}
-	return &Engine{DB: db, selCache: make(map[string]*Bitset)}, nil
+	return &Engine{DB: db, indexes: make(map[attrKey]*attrIndex)}, nil
 }
 
 // table returns the entity table of a side.
@@ -59,104 +59,177 @@ func (e *Engine) table(side Side) *dataset.EntityTable {
 // registered value of that attribute.
 func (e *Engine) Validate(d Description) error {
 	for _, s := range d.Selectors() {
-		t := e.table(s.Side)
-		a := t.Schema.Index(s.Attr)
-		if a < 0 {
-			return fmt.Errorf("query: %s has no attribute %q", s.Side, s.Attr)
-		}
-		if _, ok := t.Dict(a).Lookup(s.Value); !ok {
-			return fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
+		if _, _, err := e.lookup(s); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// selectorBitset returns the entity rows matching one selector, cached. It
-// reads the frozen flat column, as the scan kernel and Partition do.
-func (e *Engine) selectorBitset(s Selector) (*Bitset, error) {
-	e.mu.RLock()
-	b, ok := e.selCache[s.Key()]
-	e.mu.RUnlock()
-	if ok {
-		return b, nil
-	}
+// lookup resolves a selector to its attribute's index in its entity table
+// and its value's id.
+func (e *Engine) lookup(s Selector) (int, dataset.ValueID, error) {
 	t := e.table(s.Side)
 	a := t.Schema.Index(s.Attr)
 	if a < 0 {
-		return nil, fmt.Errorf("query: %s has no attribute %q", s.Side, s.Attr)
+		return 0, 0, fmt.Errorf("query: %s has no attribute %q", s.Side, s.Attr)
 	}
 	v, ok := t.Dict(a).Lookup(s.Value)
 	if !ok {
-		return nil, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
+		return 0, 0, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
 	}
-	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
-	b = NewBitset(t.Len())
-	if col.Kind == dataset.Atomic {
-		for row, x := range col.Values {
-			if x == v {
-				b.Set(row)
-			}
-		}
-	} else {
-		for row := 0; row < t.Len(); row++ {
-			if slices.Contains(col.Values[col.Offsets[row]:col.Offsets[row+1]], v) {
-				b.Set(row)
-			}
-		}
+	return a, v, nil
+}
+
+// attrKey names one attribute of one side.
+type attrKey struct {
+	side Side
+	attr int
+}
+
+// attrIndex is what every selector on one attribute is answered from: for
+// each value id — the missing value, id 0, included — the entity rows that
+// hold it and the rating records whose entity holds it. It is built on the
+// attribute's first selector, in one pass over the attribute's column and
+// one over the rating table's entity column, and is immutable afterwards.
+// Its record bitmaps cost the attribute's dictionary size × ⌈|R|/64⌉ words
+// whatever the traffic: over every attribute, 1.2 to 2.1 times the rating
+// table's own columns on the generated Hotels, MovieLens and Yelp shapes
+// (DESIGN.md "Mechanisms").
+type attrIndex struct {
+	entities []Bitset // by value id, over the entity table
+	records  []Bitset // by value id, over the rating table
+}
+
+// index returns the index of attribute a of a side, building it on first
+// use. Two sessions may build one at once; the first to arrive is kept, as
+// in keep, and the two are equal.
+func (e *Engine) index(side Side, a int) *attrIndex {
+	k := attrKey{side, a}
+	e.mu.RLock()
+	x, ok := e.indexes[k]
+	e.mu.RUnlock()
+	if ok {
+		return x
 	}
+	x = e.buildIndex(side, a)
 	e.mu.Lock()
-	e.selCache[s.Key()] = b
-	e.mu.Unlock()
-	return b, nil
+	defer e.mu.Unlock()
+	if first, ok := e.indexes[k]; ok {
+		return first
+	}
+	e.indexes[k] = x
+	return x
+}
+
+// buildIndex builds attribute a's index from the frozen flat column, as the
+// scan kernel and Partition read it: an atomic row holds one value id, a
+// multi-valued row the CSR run of its set. Bits are set through the array
+// backing the bitsets (packed.mark), not bitset by bitset (Set), which
+// measured 1.2x slower over a Yelp-shaped round of cold steps.
+func (e *Engine) buildIndex(side Side, a int) *attrIndex {
+	t := e.table(side)
+	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
+	rowOf := e.entityColumn(side)
+	x := &attrIndex{}
+	var ents, recs packed
+	x.entities, ents = bitsets(col.NValues, t.Len())
+	x.records, recs = bitsets(col.NValues, len(rowOf))
+	if col.Kind == dataset.Atomic {
+		for row, v := range col.Values {
+			ents.mark(v, row)
+		}
+		for r, row := range rowOf {
+			recs.mark(col.Values[row], r)
+		}
+		return x
+	}
+	for row := 0; row < t.Len(); row++ {
+		for _, v := range col.Values[col.Offsets[row]:col.Offsets[row+1]] {
+			ents.mark(v, row)
+		}
+	}
+	for r, row := range rowOf {
+		for _, v := range col.Values[col.Offsets[row]:col.Offsets[row+1]] {
+			recs.mark(v, r)
+		}
+	}
+	return x
+}
+
+// entityColumn is the rating table's column naming each record's entity on
+// a side.
+func (e *Engine) entityColumn(side Side) []int32 {
+	if side == ReviewerSide {
+		return e.DB.Ratings.Reviewer
+	}
+	return e.DB.Ratings.Item
+}
+
+// bitsets returns k empty bitsets over {0..n-1} and the array backing them.
+func bitsets(k, n int) ([]Bitset, packed) {
+	p := packed{words: make([]uint64, k*((n+63)/64)), w: (n + 63) / 64}
+	out := make([]Bitset, k)
+	for v := range out {
+		out[v] = Bitset{words: p.words[v*p.w : (v+1)*p.w : (v+1)*p.w], n: n}
+	}
+	return out, p
+}
+
+// packed is bitsets of w words each, back to back in one array.
+type packed struct {
+	words []uint64
+	w     int
+}
+
+// mark adds element i to bitset v.
+func (p packed) mark(v dataset.ValueID, i int) {
+	p.words[int(v)*p.w+i>>6] |= 1 << (uint(i) & 63)
 }
 
 // EntityGroup materializes one side of a description as a row bitset.
 func (e *Engine) EntityGroup(d Description, side Side) (*Bitset, error) {
-	sels := d.SideSelectors(side)
 	acc := FullBitset(e.table(side).Len())
-	for _, s := range sels {
-		b, err := e.selectorBitset(s)
+	for _, s := range d.SideSelectors(side) {
+		a, v, err := e.lookup(s)
 		if err != nil {
 			return nil, err
 		}
-		acc.IntersectWith(b)
+		acc.IntersectWith(&e.index(side, a).entities[v])
 	}
 	return acc, nil
 }
 
-// Materialize evaluates a description into a rating group. Its records are
-// collected one of two ways, chosen from how much of the rating table the
-// first would visit (sweepPays): the records of the smaller entity side,
-// read from its record index and kept when the other side's bitset admits
-// them (gather), so narrow selections stay cheap; or one pass over the
-// rating table in order (sweep), when the index walk would visit a large
-// share of it anyway. Either way they come back ascending without a sort,
-// in a slice of exactly their number. With the group cache enabled
-// (EnableGroupCache), repeated selections are served from memory; the
-// returned group must then be treated as immutable.
+// Materialize evaluates a description into a rating group: its entity
+// groups, and its records ascending in a slice of exactly their number.
+// With the group cache enabled (EnableGroupCache), repeated selections are
+// served from memory; the returned group must then be treated as
+// immutable.
 func (e *Engine) Materialize(d Description) (*RatingGroup, error) {
 	g, _, err := e.MaterializeCached(d)
 	return g, err
 }
 
-// entityGroups materializes both sides of a description: a rating group
-// without its records.
-func (e *Engine) entityGroups(d Description) (*RatingGroup, error) {
-	ug, err := e.EntityGroup(d, ReviewerSide)
-	if err != nil {
-		return nil, err
-	}
-	ig, err := e.EntityGroup(d, ItemSide)
-	if err != nil {
-		return nil, err
-	}
-	return &RatingGroup{Desc: d, Reviewers: ug, Items: ig}, nil
-}
-
+// materialize builds a rating group. A record is in it iff its reviewer
+// holds every reviewer selector's value and its item every item
+// selector's, that is iff it is in every selector's record bitmap: the
+// records are the AND of those bitmaps, counted in one pass and read out in
+// a second, so they come back in table order without a sort or a bitmap of
+// their own.
 func (e *Engine) materialize(d Description) (*RatingGroup, error) {
-	g, err := e.entityGroups(d)
-	if err != nil {
-		return nil, err
+	g := &RatingGroup{Desc: d, Reviewers: FullBitset(e.DB.Reviewers.Len()), Items: FullBitset(e.DB.Items.Len())}
+	recs := make([]*Bitset, 0, d.Len())
+	for _, s := range d.selectors {
+		a, v, err := e.lookup(s)
+		if err != nil {
+			return nil, err
+		}
+		x, entities := e.index(s.Side, a), g.Reviewers
+		if s.Side == ItemSide {
+			entities = g.Items
+		}
+		entities.IntersectWith(&x.entities[v])
+		recs = append(recs, &x.records[v])
 	}
 	switch {
 	case g.Reviewers.Count() == 0 || g.Items.Count() == 0:
@@ -167,133 +240,35 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 			g.Records[r] = int32(r)
 		}
 	default:
-		from, recordsOf, other, otherOf := e.walkSides(g.Reviewers, g.Items)
-		if e.sweepPays(from, recordsOf) {
-			g.Records = e.sweep(g.Reviewers, g.Items)
-		} else {
-			g.Records = e.gather(from, recordsOf, other, otherOf)
-		}
+		g.Records = and(recs)
 	}
 	return g, nil
 }
 
-// walkSides orders the two entity groups for the index walk: the side with
-// fewer matching entities is walked (from, its record index recordsOf) and
-// each of its records is tested against the other (other, and the rating
-// table's column otherOf naming each record's entity on that side).
-func (e *Engine) walkSides(ug, ig *Bitset) (from *Bitset, recordsOf func(int) []int32, other *Bitset, otherOf []int32) {
-	if ug.Count() <= ig.Count() {
-		return ug, e.DB.RecordsOfReviewer, ig, e.DB.Ratings.Item
-	}
-	return ig, e.DB.RecordsOfItem, ug, e.DB.Ratings.Reviewer
-}
-
-// sweepCrossover is the share of the rating table, as 1/sweepCrossover, the
-// index walk must be about to visit before the sweep replaces it: more than
-// half. Measured, not tuned — BenchmarkMaterialize's index and sweep arms on
-// the Yelp, MovieLens and Hotels shapes (datasets_test.go). A walk that
-// keeps every record it visits (one side unconstrained: the item1_* and
-// reviewer1_55 arms) is the walk at its cheapest per record, and it meets
-// the sweep between 0.45 and 0.55 of the table on all three shapes (index /
-// sweep 0.86 at 0.43 and 1.04 at 0.56 on Yelp, 0.89 at 0.33 and 1.03 at
-// 0.55 on MovieLens, 0.96 at 0.46 on Hotels). A walk whose other side
-// rejects most of what it visits mispredicts its Has and meets the sweep
-// sooner (both_31 0.99, both_42 1.22, Hotels' both_43 0.98), but the
-// visited share cannot tell the two apart, and between a third and a half
-// of the table neither strategy is more than a quarter ahead. Past half the
-// sweep is never the slower, up to 3.8x the faster (reviewer1) — and past
-// half is where every reviewer selection on Yelp- and Hotels-shaped data
-// sits, at 1.0.
-const sweepCrossover = 2
-
-// sweepPays reports whether the index walk from these entities would visit
-// more than 1/sweepCrossover of the rating table — the sum of their
-// record-list lengths, which stops at the first entity that takes it past
-// the mark. The walk visits records the other side then rejects, so this is
-// the walk's cost, not the group's size: any reviewer selection on 93 items
-// visits the whole table.
-func (e *Engine) sweepPays(from *Bitset, recordsOf func(int) []int32) bool {
-	limit := e.DB.Ratings.Len() / sweepCrossover
-	visited := 0
-	for wi, w := range from.words {
-		for ; w != 0; w &= w - 1 {
-			visited += len(recordsOf(wi*64 + bits.TrailingZeros64(w)))
-			if visited > limit {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sweep returns, ascending, the records whose reviewer is in ug and whose
-// item is in ig by one pass over the rating table in order. The two
-// membership tests of a record are a shift and a mask each, and-ed into one
-// bit with no branch to mispredict (a pass that branches on them loses to
-// the walk: DESIGN.md "Limitations"); 64 records make one word of the
-// record bitmap, assembled in a register, stored once and counted, and the
-// bitmap is read out into a slice of exactly that count.
-func (e *Engine) sweep(ug, ig *Bitset) []int32 {
-	reviewer, item := e.DB.Ratings.Reviewer, e.DB.Ratings.Item
-	uw, iw := ug.words, ig.words
-	n := len(reviewer)
-	marks := NewBitset(n)
+// and returns, ascending, the elements of the intersection of one or more
+// bitsets over one universe, in a slice of exactly their number.
+func and(sets []*Bitset) []int32 {
+	first, rest := sets[0].words, sets[1:]
 	count := 0
-	for wi := range marks.words {
-		lo := wi * 64
-		hi := min(lo+64, n)
-		us, is := reviewer[lo:hi], item[lo:hi]
-		is = is[:len(us)] // is[k] needs no bounds check below
-		var w uint64
-		for k, u := range us {
-			u, i := uint32(u), uint32(is[k])
-			w |= (uw[u>>6] >> (u & 63) & (iw[i>>6] >> (i & 63)) & 1) << (uint(k) & 63)
+	for wi, w := range first {
+		for _, b := range rest {
+			w &= b.words[wi]
 		}
-		marks.words[wi] = w
 		count += bits.OnesCount64(w)
 	}
-	return marks.Elements(make([]int32, 0, count))
-}
-
-// gather returns, ascending, the records of the entities in from whose
-// entity on the other side — otherOf[r] — is in other. The index hands the
-// records over entity by entity, which is not table order; marking them in
-// a bitmap over the rating table and reading the bitmap out restores it
-// without a sort, and sizes the result exactly. The bitmap costs an
-// allocation and a pass over its words however few records it holds, so the
-// first records gathered wait in a list, and a gather that never outgrows
-// the list is sorted instead. The list holds a quarter as many records as
-// the bitmap has words: at 3 000, 50 000 and 200 000 ratings alike, the sort
-// becomes the slower of the two between 0.2 and 0.3 records a word.
-func (e *Engine) gather(from *Bitset, recordsOf func(int) []int32, other *Bitset, otherOf []int32) []int32 {
-	n := e.DB.Ratings.Len()
-	limit := (n + 63) / 64 / 4
-	var few []int32
-	var marks *Bitset
-	for wi, w := range from.words {
+	out := make([]int32, count)
+	n := 0
+	for wi, w := range first {
+		for _, b := range rest {
+			w &= b.words[wi]
+		}
+		base := int32(wi * 64)
 		for ; w != 0; w &= w - 1 {
-			for _, r := range recordsOf(wi*64 + bits.TrailingZeros64(w)) {
-				switch {
-				case !other.Has(int(otherOf[r])):
-				case marks != nil:
-					marks.Set(int(r))
-				case len(few) < limit:
-					few = append(few, r)
-				default:
-					marks = NewBitset(n)
-					for _, f := range few {
-						marks.Set(int(f))
-					}
-					marks.Set(int(r))
-				}
-			}
+			out[n] = base + int32(bits.TrailingZeros64(w))
+			n++
 		}
 	}
-	if marks == nil {
-		slices.Sort(few)
-		return slices.Clip(few)
-	}
-	return marks.Elements(make([]int32, 0, marks.Count()))
+	return out
 }
 
 // GroupingCandidate describes one way to partition a rating group: by an

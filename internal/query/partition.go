@@ -59,10 +59,7 @@ func (e *Engine) Partition(records []int32, side Side, attr string, n int) (*Par
 	if a < 0 {
 		return nil, fmt.Errorf("query: %s has no attribute %q", side, attr)
 	}
-	rowOf := e.DB.Ratings.Reviewer
-	if side == ItemSide {
-		rowOf = e.DB.Ratings.Item
-	}
+	rowOf := e.entityColumn(side)
 	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
 	vals, offs := col.Values, col.Offsets
 	atomic := col.Kind == dataset.Atomic // one cell a row; otherwise a CSR run
