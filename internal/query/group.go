@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"subdex/internal/dataset"
@@ -26,17 +27,20 @@ func (g *RatingGroup) Len() int { return len(g.Records) }
 // Engine materializes descriptions and partitions a group's records by an
 // attribute (Partition), which is how the Recommendation Builder gets its
 // candidates' groups without materializing them. A description is
-// materialized from per-attribute indexes (attrIndex): the entity groups
-// are the AND of its selectors' entity bitsets, and its records the AND of
-// its selectors' record bitmaps over the rating table. The indexes and the
-// group cache are guarded: sessions share an engine and materialize
-// concurrently.
+// materialized from per-selector sets, each built on the selector's first
+// use and cached: the entity groups are the AND of its selectors' entity
+// sets (entitySet), and its records the AND of its selectors' record sets
+// over the rating table (recordSet). The caches hold only what has been
+// selected, ⌈|E|/64⌉ + ⌈|R|/64⌉ words a selector, whatever the size of the
+// attribute's dictionary. They and the group cache are guarded: sessions
+// share an engine and materialize concurrently.
 type Engine struct {
 	DB *dataset.DB
 
-	mu      sync.RWMutex
-	indexes map[attrKey]*attrIndex
-	groups  *groupCache // optional group and partition cache (EnableGroupCache)
+	mu       sync.RWMutex
+	entities map[selKey]*Bitset // by selector: the entity rows holding its value
+	records  map[selKey]*Bitset // by selector: the records whose entity holds its value
+	groups   *groupCache        // optional group and partition cache (EnableGroupCache)
 }
 
 // NewEngine wraps a frozen database.
@@ -44,7 +48,7 @@ func NewEngine(db *dataset.DB) (*Engine, error) {
 	if !db.Frozen() {
 		return nil, fmt.Errorf("query: database %q is not frozen", db.Name)
 	}
-	return &Engine{DB: db, indexes: make(map[attrKey]*attrIndex)}, nil
+	return &Engine{DB: db, entities: make(map[selKey]*Bitset), records: make(map[selKey]*Bitset)}, nil
 }
 
 // table returns the entity table of a side.
@@ -59,102 +63,113 @@ func (e *Engine) table(side Side) *dataset.EntityTable {
 // registered value of that attribute.
 func (e *Engine) Validate(d Description) error {
 	for _, s := range d.Selectors() {
-		if _, _, err := e.lookup(s); err != nil {
+		if _, err := e.lookup(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// lookup resolves a selector to its attribute's index in its entity table
-// and its value's id.
-func (e *Engine) lookup(s Selector) (int, dataset.ValueID, error) {
+// lookup resolves a selector to its cache key: the position of its
+// attribute in its entity table and its value's id.
+func (e *Engine) lookup(s Selector) (selKey, error) {
 	t := e.table(s.Side)
 	a := t.Schema.Index(s.Attr)
 	if a < 0 {
-		return 0, 0, fmt.Errorf("query: %s has no attribute %q", s.Side, s.Attr)
+		return selKey{}, fmt.Errorf("query: %s has no attribute %q", s.Side, s.Attr)
 	}
 	v, ok := t.Dict(a).Lookup(s.Value)
 	if !ok {
-		return 0, 0, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
+		return selKey{}, fmt.Errorf("query: %s.%s has no value %q", s.Side, s.Attr, s.Value)
 	}
-	return a, v, nil
+	return selKey{s.Side, a, v}, nil
 }
 
-// attrKey names one attribute of one side.
-type attrKey struct {
+// selKey names one selector: a value id of one attribute of one side.
+type selKey struct {
 	side Side
 	attr int
+	v    dataset.ValueID
 }
 
-// attrIndex is what every selector on one attribute is answered from: for
-// each value id — the missing value, id 0, included — the entity rows that
-// hold it and the rating records whose entity holds it. It is built on the
-// attribute's first selector, in one pass over the attribute's column and
-// one over the rating table's entity column, and is immutable afterwards.
-// Its record bitmaps cost the attribute's dictionary size × ⌈|R|/64⌉ words
-// whatever the traffic: over every attribute, 1.2 to 2.1 times the rating
-// table's own columns on the generated Hotels, MovieLens and Yelp shapes
-// (DESIGN.md "Mechanisms").
-type attrIndex struct {
-	entities []Bitset // by value id, over the entity table
-	records  []Bitset // by value id, over the rating table
+// entitySet returns the entity rows that hold a selector's value, built on
+// first use in one pass over the frozen flat column, as the scan kernel and
+// Partition read it: an atomic row holds one value id, a multi-valued row
+// the CSR run of its set. Missing cells hold value id 0. An atomic column
+// is read a word of rows at a time, last row first, shifting in one bit a
+// row: no branch on the data, and a quarter of the time a branch and a Set
+// a row took over a Yelp-shaped round of cold steps.
+func (e *Engine) entitySet(k selKey) *Bitset {
+	return e.selectorSet(e.entities, k, func() *Bitset {
+		t := e.table(k.side)
+		col := t.Column(k.attr) // non-nil: NewEngine only wraps a frozen database
+		b := NewBitset(t.Len())
+		if col.Kind == dataset.Atomic {
+			for wi := range b.words {
+				chunk := col.Values[wi*64 : min(wi*64+64, len(col.Values))]
+				var w uint64
+				for j := len(chunk) - 1; j >= 0; j-- {
+					var bit uint64
+					if chunk[j] == k.v {
+						bit = 1
+					}
+					w = w<<1 | bit
+				}
+				b.words[wi] = w
+			}
+			return b
+		}
+		for row := 0; row < t.Len(); row++ {
+			if slices.Contains(col.Values[col.Offsets[row]:col.Offsets[row+1]], k.v) {
+				b.Set(row)
+			}
+		}
+		return b
+	})
 }
 
-// index returns the index of attribute a of a side, building it on first
-// use. Two sessions may build one at once; the first to arrive is kept, as
-// in keep, and the two are equal.
-func (e *Engine) index(side Side, a int) *attrIndex {
-	k := attrKey{side, a}
+// recordSet returns the rating records whose entity holds a selector's
+// value, built on first use from the selector's entity set and the
+// database's per-entity record index: one bit set a record of the
+// selector's entities. Over every value of Yelp-shaped data that is 2.2x
+// faster than a pass over the whole rating table's entity column a
+// selector.
+func (e *Engine) recordSet(k selKey) *Bitset {
+	return e.selectorSet(e.records, k, func() *Bitset {
+		recordsOf := e.DB.RecordsOfReviewer
+		if k.side == ItemSide {
+			recordsOf = e.DB.RecordsOfItem
+		}
+		b := NewBitset(e.DB.Ratings.Len())
+		for wi, w := range e.entitySet(k).words {
+			for ; w != 0; w &= w - 1 {
+				for _, r := range recordsOf(wi*64 + bits.TrailingZeros64(w)) {
+					b.words[r>>6] |= 1 << (uint32(r) & 63)
+				}
+			}
+		}
+		return b
+	})
+}
+
+// selectorSet returns m's bitset for k, building it on a miss. Two
+// sessions may build one at once; the first to arrive is kept, as in keep,
+// and the two are equal.
+func (e *Engine) selectorSet(m map[selKey]*Bitset, k selKey, build func() *Bitset) *Bitset {
 	e.mu.RLock()
-	x, ok := e.indexes[k]
+	b, ok := m[k]
 	e.mu.RUnlock()
 	if ok {
-		return x
+		return b
 	}
-	x = e.buildIndex(side, a)
+	b = build()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if first, ok := e.indexes[k]; ok {
+	if first, ok := m[k]; ok {
 		return first
 	}
-	e.indexes[k] = x
-	return x
-}
-
-// buildIndex builds attribute a's index from the frozen flat column, as the
-// scan kernel and Partition read it: an atomic row holds one value id, a
-// multi-valued row the CSR run of its set. Bits are set through the array
-// backing the bitsets (packed.mark), not bitset by bitset (Set), which
-// measured 1.2x slower over a Yelp-shaped round of cold steps.
-func (e *Engine) buildIndex(side Side, a int) *attrIndex {
-	t := e.table(side)
-	col := t.Column(a) // non-nil: NewEngine only wraps a frozen database
-	rowOf := e.entityColumn(side)
-	x := &attrIndex{}
-	var ents, recs packed
-	x.entities, ents = bitsets(col.NValues, t.Len())
-	x.records, recs = bitsets(col.NValues, len(rowOf))
-	if col.Kind == dataset.Atomic {
-		for row, v := range col.Values {
-			ents.mark(v, row)
-		}
-		for r, row := range rowOf {
-			recs.mark(col.Values[row], r)
-		}
-		return x
-	}
-	for row := 0; row < t.Len(); row++ {
-		for _, v := range col.Values[col.Offsets[row]:col.Offsets[row+1]] {
-			ents.mark(v, row)
-		}
-	}
-	for r, row := range rowOf {
-		for _, v := range col.Values[col.Offsets[row]:col.Offsets[row+1]] {
-			recs.mark(v, r)
-		}
-	}
-	return x
+	m[k] = b
+	return b
 }
 
 // entityColumn is the rating table's column naming each record's entity on
@@ -166,36 +181,15 @@ func (e *Engine) entityColumn(side Side) []int32 {
 	return e.DB.Ratings.Item
 }
 
-// bitsets returns k empty bitsets over {0..n-1} and the array backing them.
-func bitsets(k, n int) ([]Bitset, packed) {
-	p := packed{words: make([]uint64, k*((n+63)/64)), w: (n + 63) / 64}
-	out := make([]Bitset, k)
-	for v := range out {
-		out[v] = Bitset{words: p.words[v*p.w : (v+1)*p.w : (v+1)*p.w], n: n}
-	}
-	return out, p
-}
-
-// packed is bitsets of w words each, back to back in one array.
-type packed struct {
-	words []uint64
-	w     int
-}
-
-// mark adds element i to bitset v.
-func (p packed) mark(v dataset.ValueID, i int) {
-	p.words[int(v)*p.w+i>>6] |= 1 << (uint(i) & 63)
-}
-
 // EntityGroup materializes one side of a description as a row bitset.
 func (e *Engine) EntityGroup(d Description, side Side) (*Bitset, error) {
 	acc := FullBitset(e.table(side).Len())
 	for _, s := range d.SideSelectors(side) {
-		a, v, err := e.lookup(s)
+		k, err := e.lookup(s)
 		if err != nil {
 			return nil, err
 		}
-		acc.IntersectWith(&e.index(side, a).entities[v])
+		acc.IntersectWith(e.entitySet(k))
 	}
 	return acc, nil
 }
@@ -212,24 +206,24 @@ func (e *Engine) Materialize(d Description) (*RatingGroup, error) {
 
 // materialize builds a rating group. A record is in it iff its reviewer
 // holds every reviewer selector's value and its item every item
-// selector's, that is iff it is in every selector's record bitmap: the
-// records are the AND of those bitmaps, counted in one pass and read out in
-// a second, so they come back in table order without a sort or a bitmap of
-// their own.
+// selector's, that is iff it is in every selector's record set: the
+// records are the AND of those sets, counted in one pass and read out in a
+// second, so they come back in table order without a sort or a bitmap of
+// their own. An empty entity group needs no record sets.
 func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 	g := &RatingGroup{Desc: d, Reviewers: FullBitset(e.DB.Reviewers.Len()), Items: FullBitset(e.DB.Items.Len())}
-	recs := make([]*Bitset, 0, d.Len())
+	keys := make([]selKey, 0, d.Len())
 	for _, s := range d.selectors {
-		a, v, err := e.lookup(s)
+		k, err := e.lookup(s)
 		if err != nil {
 			return nil, err
 		}
-		x, entities := e.index(s.Side, a), g.Reviewers
+		entities := g.Reviewers
 		if s.Side == ItemSide {
 			entities = g.Items
 		}
-		entities.IntersectWith(&x.entities[v])
-		recs = append(recs, &x.records[v])
+		entities.IntersectWith(e.entitySet(k))
+		keys = append(keys, k)
 	}
 	switch {
 	case g.Reviewers.Count() == 0 || g.Items.Count() == 0:
@@ -240,7 +234,11 @@ func (e *Engine) materialize(d Description) (*RatingGroup, error) {
 			g.Records[r] = int32(r)
 		}
 	default:
-		g.Records = and(recs)
+		sets := make([]*Bitset, len(keys))
+		for i, k := range keys {
+			sets[i] = e.recordSet(k)
+		}
+		g.Records = and(sets)
 	}
 	return g, nil
 }

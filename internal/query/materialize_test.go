@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -144,11 +145,11 @@ func FuzzMaterialize(f *testing.F) {
 	})
 }
 
-// TestConcurrentFirstBuilds has one goroutine per value of an attribute
-// materialize that value on a fresh engine at the same moment, half of them
-// asking for the attribute's index first. Each must get the naive filter's
-// records, and the index must be installed once: every goroutine ends up
-// with the one the engine keeps.
+// TestConcurrentFirstBuilds has two goroutines per value of an attribute
+// materialize that value on a fresh engine at the same moment, one of the
+// two asking for the selector's record set first. Each must get the naive
+// filter's records, and each selector's sets must be installed once: both
+// goroutines end up with the record set the engine keeps.
 func TestConcurrentFirstBuilds(t *testing.T) {
 	db := buildMaterializeDB(t, 7, materializeShape{400, 20, 20000})
 	for _, ma := range materializeAttrs {
@@ -163,43 +164,98 @@ func TestConcurrentFirstBuilds(t *testing.T) {
 		for v := range descs {
 			descs[v] = MustDescription(sel(ma.side, ma.attr, tab.Dict(a).Value(dataset.ValueID(v))))
 		}
-		groups := make([]*RatingGroup, n)
-		errs := make([]error, n)
-		indexes := make([]*attrIndex, n)
+		groups := make([]*RatingGroup, 2*n)
+		errs := make([]error, 2*n)
+		sets := make([]*Bitset, 2*n)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		for v := range descs {
+		for j := range groups {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				k := selKey{ma.side, a, dataset.ValueID(j / 2)}
 				<-start
-				if v%2 == 0 {
-					indexes[v] = e.index(ma.side, a)
+				if j%2 == 0 {
+					sets[j] = e.recordSet(k)
 				}
-				groups[v], errs[v] = e.Materialize(descs[v])
-				if v%2 == 1 {
-					indexes[v] = e.index(ma.side, a)
+				groups[j], errs[j] = e.Materialize(descs[j/2])
+				if j%2 == 1 {
+					sets[j] = e.recordSet(k)
 				}
 			}()
 		}
 		close(start)
 		wg.Wait()
-		for v, d := range descs {
-			if errs[v] != nil {
-				t.Fatalf("%s: %v", d, errs[v])
+		for j := range groups {
+			d := descs[j/2]
+			if errs[j] != nil {
+				t.Fatalf("%s: %v", d, errs[j])
 			}
-			if want := naiveMaterialize(db, d); !slices.Equal(groups[v].Records, want) {
-				t.Fatalf("%s: got %v, naive filter %v", d, groups[v].Records, want)
+			if want := naiveMaterialize(db, d); !slices.Equal(groups[j].Records, want) {
+				t.Fatalf("%s: got %v, naive filter %v", d, groups[j].Records, want)
 			}
-		}
-		kept := e.indexes[attrKey{ma.side, a}]
-		if len(e.indexes) != 1 || kept == nil {
-			t.Fatalf("%s.%s: the engine holds %d indexes, want this attribute's alone", ma.side, ma.attr, len(e.indexes))
-		}
-		for v, x := range indexes {
-			if x != kept {
-				t.Errorf("%s: the goroutine got an index the engine does not keep", descs[v])
+			if kept := e.records[selKey{ma.side, a, dataset.ValueID(j / 2)}]; sets[j] != kept {
+				t.Errorf("%s: the goroutine got a record set the engine does not keep", d)
 			}
 		}
+		if len(e.records) != n || len(e.entities) != n {
+			t.Fatalf("%s.%s: the engine holds %d record sets and %d entity sets, want %d of each",
+				ma.side, ma.attr, len(e.records), len(e.entities), n)
+		}
+	}
+}
+
+// TestSelectorMemory materializes one value of a key-like attribute, one
+// distinct value per reviewer, and holds the bytes the step allocates to a
+// small multiple of one selector's sets and one group: what the caches keep
+// must grow with the values selected, not with the attribute's dictionary
+// (4 096 values here, 65 535 allowed). EntityGroup builds no record set.
+func TestSelectorMemory(t *testing.T) {
+	const reviewers, ratings = 4096, 16384
+	rs, _ := dataset.NewSchema(dataset.Attribute{Name: "handle"})
+	is, _ := dataset.NewSchema(dataset.Attribute{Name: "city"})
+	rev := dataset.NewEntityTable("reviewers", rs)
+	for u := 0; u < reviewers; u++ {
+		rev.AppendRow(fmt.Sprintf("u%d", u), map[string]string{"handle": fmt.Sprintf("h%d", u)}, nil)
+	}
+	items := dataset.NewEntityTable("items", is)
+	items.AppendRow("i0", map[string]string{"city": "NYC"}, nil)
+	rt, _ := dataset.NewRatingTable(dataset.Dimension{Name: "overall", Scale: 5})
+	for r := 0; r < ratings; r++ {
+		rt.Append(r%reviewers, 0, []dataset.Score{1})
+	}
+	db := dataset.NewDB("handles", rev, items, rt)
+	if err := db.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One selector's entity and record sets, a group's two entity bitsets
+	// and four records, and the caches' map entries come to about 4 KB.
+	// The bound leaves room for growth and is a 150th of the 10 MB that
+	// sets for every value of the attribute would take.
+	const bound = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := e.Materialize(MustDescription(sel(ReviewerSide, "handle", "h9")))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != ratings/reviewers {
+		t.Fatalf("h9 has %d records, want %d", g.Len(), ratings/reviewers)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("materializing one selector allocated %d bytes, want at most %d", got, bound)
+	}
+
+	if _, err := e.EntityGroup(MustDescription(sel(ReviewerSide, "handle", "h7")), ReviewerSide); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.records) != 1 {
+		t.Errorf("EntityGroup built a record set: the engine holds %d, want h9's alone", len(e.records))
 	}
 }
