@@ -12,6 +12,7 @@ package subdex_test
 // experiment code path and tracks their cost over time.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -124,7 +125,7 @@ func benchTopMaps(b *testing.B, pruning engine.Pruning) {
 	cfg.Pruning = pruning
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.TopMaps(group, cands, seen, 9, cfg); err != nil {
+		if _, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +142,7 @@ func BenchmarkGMMSelection(b *testing.B) {
 	group, _ := qe.Materialize(query.Description{})
 	g := engine.NewGenerator(db)
 	cands := g.Candidates(qe, query.Description{})
-	res, err := g.TopMaps(group, cands, ratingmap.NewSeenSet(), 30, engine.DefaultConfig())
+	res, err := g.TopMapsCtx(context.Background(), group, cands, ratingmap.NewSeenSet(), 30, engine.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

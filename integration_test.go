@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"subdex"
+	"subdex/internal/query/querytest"
 )
 
 func allDatasets(t *testing.T) map[string]*subdex.DB {
@@ -81,10 +82,10 @@ func TestGuidedSessionInvariants(t *testing.T) {
 					}
 				}
 				// Seen set grows by exactly the displayed maps.
-				if got := sess.Seen().Total(); got != seenBefore+len(res.Maps) {
+				if got := sess.Seen().State().Total; got != seenBefore+len(res.Maps) {
 					t.Fatalf("step %d: seen %d, want %d", s+1, got, seenBefore+len(res.Maps))
 				}
-				seenBefore = sess.Seen().Total()
+				seenBefore = sess.Seen().State().Total
 				// Recommendations: sorted, non-negative, targets valid and
 				// within edit distance 2 of the current selection.
 				for i, rec := range res.Recommendations {
@@ -94,7 +95,7 @@ func TestGuidedSessionInvariants(t *testing.T) {
 					if i > 0 && rec.Utility > res.Recommendations[i-1].Utility+1e-9 {
 						t.Fatalf("step %d: recs not sorted", s+1)
 					}
-					if d := res.Desc.EditDistance(rec.Op.Target); d == 0 || d > 2 {
+					if d := querytest.EditDistance(res.Desc, rec.Op.Target); d == 0 || d > 2 {
 						t.Fatalf("step %d: rec at edit distance %d", s+1, d)
 					}
 				}

@@ -23,11 +23,9 @@ type listPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 

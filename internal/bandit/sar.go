@@ -46,9 +46,6 @@ func (s State) String() string {
 	}
 }
 
-// Mean returns the arm's running mean reward.
-func (a *Arm) Mean() float64 { return a.mean }
-
 // SAR runs Successive Accepts and Rejects over a fixed arm set.
 type SAR struct {
 	arms     []*Arm
@@ -81,21 +78,6 @@ func NewSAR(ids []int, k int) (*SAR, error) {
 	return s, nil
 }
 
-// Observe feeds a reward observation for an arm. Observations on accepted
-// or rejected arms are ignored (their fate is sealed).
-func (s *SAR) Observe(id int, reward float64) error {
-	a, ok := s.byID[id]
-	if !ok {
-		return fmt.Errorf("bandit: unknown arm %d", id)
-	}
-	if a.state != Active {
-		return nil
-	}
-	a.pulls++
-	a.mean += (reward - a.mean) / float64(a.pulls)
-	return nil
-}
-
 // SetMean overrides an arm's running mean; the engine uses this because
 // rating-map utility means are maintained by the phase accumulator rather
 // than per-pull.
@@ -109,17 +91,6 @@ func (s *SAR) SetMean(id int, mean float64) error {
 		a.pulls++
 	}
 	return nil
-}
-
-// Active returns the ids of arms still in play.
-func (s *SAR) Active() []int {
-	var out []int
-	for _, a := range s.arms {
-		if a.state == Active {
-			out = append(out, a.ID)
-		}
-	}
-	return out
 }
 
 // Accepted returns the ids of arms accepted so far.
@@ -190,26 +161,4 @@ func (s *SAR) Step() (id int, st State, ok bool) {
 	last := active[len(active)-1]
 	last.state = Rejected
 	return last.ID, Rejected, true
-}
-
-// Finish ends the selection by accepting the best remaining active arms into
-// the unfilled slots (used after the final phase when exact means are
-// known). It returns the full accepted set.
-func (s *SAR) Finish() []int {
-	var active []*Arm
-	for _, a := range s.arms {
-		if a.state == Active {
-			active = append(active, a)
-		}
-	}
-	sort.Slice(active, func(i, j int) bool { return active[i].mean > active[j].mean })
-	for _, a := range active {
-		if s.accepted >= s.k {
-			a.state = Rejected
-			continue
-		}
-		a.state = Accepted
-		s.accepted++
-	}
-	return s.Accepted()
 }

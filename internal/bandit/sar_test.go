@@ -1,7 +1,9 @@
 package bandit
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,8 +42,8 @@ func TestSARObserve(t *testing.T) {
 		t.Fatal("unknown arm must error")
 	}
 	arm := s.byID[0]
-	if arm.pulls != 2 || arm.Mean() != 0.75 {
-		t.Fatalf("pulls=%d mean=%v", arm.pulls, arm.Mean())
+	if arm.pulls != 2 || arm.mean != 0.75 {
+		t.Fatalf("pulls=%d mean=%v", arm.pulls, arm.mean)
 	}
 }
 
@@ -142,9 +144,9 @@ func TestSARObserveSealedArmIgnored(t *testing.T) {
 	if len(accepted) != 1 {
 		t.Fatalf("accepted %v", accepted)
 	}
-	before := s.byID[accepted[0]].Mean()
+	before := s.byID[accepted[0]].mean
 	s.Observe(accepted[0], 0.0) // must be ignored
-	if s.byID[accepted[0]].Mean() != before {
+	if s.byID[accepted[0]].mean != before {
 		t.Fatal("observations on sealed arms must be ignored")
 	}
 }
@@ -153,4 +155,52 @@ func TestStateString(t *testing.T) {
 	if Active.String() != "active" || Accepted.String() != "accepted" || Rejected.String() != "rejected" {
 		t.Error("state strings wrong")
 	}
+}
+
+// Observe feeds a reward observation for an arm. Observations on accepted
+// or rejected arms are ignored (their fate is sealed).
+func (s *SAR) Observe(id int, reward float64) error {
+	a, ok := s.byID[id]
+	if !ok {
+		return fmt.Errorf("bandit: unknown arm %d", id)
+	}
+	if a.state != Active {
+		return nil
+	}
+	a.pulls++
+	a.mean += (reward - a.mean) / float64(a.pulls)
+	return nil
+}
+
+// Active returns the ids of arms still in play.
+func (s *SAR) Active() []int {
+	var out []int
+	for _, a := range s.arms {
+		if a.state == Active {
+			out = append(out, a.ID)
+		}
+	}
+	return out
+}
+
+// Finish ends the selection by accepting the best remaining active arms into
+// the unfilled slots (used after the final phase when exact means are
+// known). It returns the full accepted set.
+func (s *SAR) Finish() []int {
+	var active []*Arm
+	for _, a := range s.arms {
+		if a.state == Active {
+			active = append(active, a)
+		}
+	}
+	sort.Slice(active, func(i, j int) bool { return active[i].mean > active[j].mean })
+	for _, a := range active {
+		if s.accepted >= s.k {
+			a.state = Rejected
+			continue
+		}
+		a.state = Accepted
+		s.accepted++
+	}
+	return s.Accepted()
 }

@@ -8,6 +8,7 @@ import (
 	"subdex/internal/dataset"
 	"subdex/internal/gen"
 	"subdex/internal/query"
+	"subdex/internal/query/querytest"
 )
 
 func baseDB(t testing.TB) *dataset.DB {
@@ -343,7 +344,7 @@ func TestQagviewDiversityConstraint(t *testing.T) {
 			t.Errorf("Qagview produced %v; it can only drill down", ops[i].Kind)
 		}
 		for j := i + 1; j < len(ops); j++ {
-			if d := ops[i].Target.EditDistance(ops[j].Target); d < 2 {
+			if d := querytest.EditDistance(ops[i].Target, ops[j].Target); d < 2 {
 				t.Errorf("clusters %d and %d differ in %d pairs, want ≥ 2", i, j, d)
 			}
 		}

@@ -104,7 +104,7 @@ func TestDifferentialClusterMatrix(t *testing.T) {
 			group, keys := allKeys(t, db)
 
 			runLocal := func(cfg engine.Config) *engine.Result {
-				res, err := engine.NewGenerator(db).TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+				res, err := engine.NewGenerator(db).TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestDifferentialClusterMatrix(t *testing.T) {
 						if name == "phased" {
 							cfg = phased
 						}
-						got, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+						got, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 						if err != nil {
 							t.Fatalf("nodes=%d parts=%d %s: %v", nodes, parts, name, err)
 						}
@@ -172,11 +172,11 @@ func TestDifferentialTinyGroups(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3} {
 		tiny := &query.RatingGroup{Desc: group.Desc, Records: group.Records[:n]}
-		got, err := gDist.TopMaps(tiny, keys, ratingmap.NewSeenSet(), 6, cfg)
+		got, err := gDist.TopMapsCtx(context.Background(), tiny, keys, ratingmap.NewSeenSet(), 6, cfg)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		want, err := gLocal.TopMaps(tiny, keys, ratingmap.NewSeenSet(), 6, cfg)
+		want, err := gLocal.TopMapsCtx(context.Background(), tiny, keys, ratingmap.NewSeenSet(), 6, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestDifferentialTinyGroups(t *testing.T) {
 	}
 	// A zero-record range is a no-op, not an RPC.
 	empty := &query.RatingGroup{Desc: group.Desc, Records: nil}
-	if res, err := gDist.TopMaps(empty, keys, ratingmap.NewSeenSet(), 6, cfg); err != nil || res.RecordsProcessed != 0 {
+	if res, err := gDist.TopMapsCtx(context.Background(), empty, keys, ratingmap.NewSeenSet(), 6, cfg); err != nil || res.RecordsProcessed != 0 {
 		t.Fatalf("empty group: res=%+v err=%v", res, err)
 	}
 }

@@ -71,11 +71,11 @@ func TestFaultRetryThenSucceed(t *testing.T) {
 	g.Scanner = coord
 	cfg := engine.DefaultConfig()
 	cfg.Pruning = engine.PruneNone
-	got, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	got, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.NewGenerator(db).TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	want, err := engine.NewGenerator(db).TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestFaultStallTimesOutAndRetries(t *testing.T) {
 	g.Scanner = coord
 	cfg := engine.DefaultConfig()
 	cfg.Pruning = engine.PruneNone
-	got, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	got, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.NewGenerator(db).TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	want, err := engine.NewGenerator(db).TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFaultPartitionLostContract(t *testing.T) {
 	g.Scanner = coord
 	cfg := engine.DefaultConfig()
 	cfg.Pruning = engine.PruneNone
-	res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFaultPartitionLostContract(t *testing.T) {
 	}
 	prefix := *group
 	prefix.Records = group.Records[:2*n/3]
-	want, err := engine.NewGenerator(db).TopMaps(&prefix, keys, ratingmap.NewSeenSet(), 6, cfg)
+	want, err := engine.NewGenerator(db).TopMapsCtx(context.Background(), &prefix, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFaultTotalOutage(t *testing.T) {
 	g.Scanner = coord
 	cfg := engine.DefaultConfig()
 	cfg.Pruning = engine.PruneNone
-	if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
+	if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
 		t.Fatal("total outage returned a result, want error")
 	}
 }
@@ -227,11 +227,11 @@ func TestLocalThresholdBypassesWorkers(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Pruning = engine.PruneNone
 	small := &query.RatingGroup{Desc: group.Desc, Records: group.Records[:n-1]}
-	got, err := g.TopMaps(small, keys, ratingmap.NewSeenSet(), 6, cfg)
+	got, err := g.TopMapsCtx(context.Background(), small, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.NewGenerator(db).TopMaps(small, keys, ratingmap.NewSeenSet(), 6, cfg)
+	want, err := engine.NewGenerator(db).TopMapsCtx(context.Background(), small, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestLocalThresholdBypassesWorkers(t *testing.T) {
 	}
 	// One record over the threshold: the scan must go to the (failing)
 	// workers and error out with nothing merged.
-	if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
+	if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
 		t.Fatal("above-threshold scan did not reach the failing workers")
 	}
 	if coord.m.RPCLatency.Count() == 0 {

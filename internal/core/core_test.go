@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"subdex/internal/dataset"
+	"subdex/internal/dataset/datasettest"
 	"subdex/internal/engine"
 	"subdex/internal/gen"
 	"subdex/internal/query"
+	"subdex/internal/query/querytest"
 	"subdex/internal/ratingmap"
 )
 
@@ -99,7 +101,7 @@ func TestRMSetBasics(t *testing.T) {
 		t.Errorf("root group size = %d, want %d", res.GroupSize, ex.DB.Ratings.Len())
 	}
 	// Seen must NOT be mutated by rmSet (Session.StepCtx commits).
-	if seen.Total() != 0 {
+	if seen.State().Total != 0 {
 		t.Error("rmSet must not commit maps to the seen set")
 	}
 	// Distinct maps.
@@ -202,8 +204,8 @@ func TestSessionStepAndRecommendations(t *testing.T) {
 		}
 	}
 	// The step must have committed its maps to the history.
-	if sess.Seen().Total() != len(res.Maps) {
-		t.Errorf("seen = %d, want %d", sess.Seen().Total(), len(res.Maps))
+	if sess.Seen().State().Total != len(res.Maps) {
+		t.Errorf("seen = %d, want %d", sess.Seen().State().Total, len(res.Maps))
 	}
 	if err := sess.ApplyRecommendation(0); err != nil {
 		t.Fatal(err)
@@ -322,7 +324,7 @@ func TestCandidateOpsRespectEditDistance(t *testing.T) {
 	targets := map[string]bool{}
 	kinds := map[query.OpKind]bool{}
 	for _, op := range ops {
-		if d := cur.EditDistance(op.Target); d == 0 || d > 2 {
+		if d := querytest.EditDistance(cur, op.Target); d == 0 || d > 2 {
 			t.Errorf("candidate %s at edit distance %d", op, d)
 		}
 		k := op.Target.Key()
@@ -628,6 +630,68 @@ func BenchmarkRecommendationBuilding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := rb.Recommend(query.Description{}, res.Maps, seen, 3); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCandidateOpsNeverBindMissing: on Hotels and Yelp with a fifth of
+// their atomic cells blank, the displayed maps group records whose cell
+// is blank, yet no map shows the missing value as a bar (a rating map
+// discards it) and no candidate operation binds it.
+func TestCandidateOpsNeverBindMissing(t *testing.T) {
+	for _, ds := range []struct {
+		name  string
+		scale float64
+	}{{"hotels", 0.5}, {"yelp", 0.05}} {
+		gdb, err := gen.ByName(ds.name, gen.Config{Scale: ds.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := NewExplorer(datasettest.WithMissingCells(t, gdb, 0.2, 1), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb := RecommendationBuilder{Ex: ex}
+		cur := query.Description{}
+		blank := 0 // displayed maps over records with a blank cell
+		for depth := 0; depth < 2; depth++ {
+			res, err := ex.rmSet(context.Background(), cur, ratingmap.NewSeenSet())
+			if err != nil {
+				t.Fatal(err)
+			}
+			group, err := ex.Query.Materialize(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rm := range res.Maps {
+				p, err := ex.Query.Partition(group.Records, rm.Side, rm.Attr, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b, err := p.Bucket(dataset.MissingLabel); err == nil && len(b) > 0 {
+					blank++
+				}
+				for _, sg := range rm.Subgroups {
+					if ex.DictFor(rm).Value(sg.Value) == dataset.MissingLabel {
+						t.Errorf("%s at %s: %s shows the missing value as a bar", ds.name, cur, rm.Key)
+					}
+				}
+			}
+			ops, err := rb.CandidateOps(cur, res.Maps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops {
+				for _, s := range op.Target.Selectors() {
+					if s.Value == dataset.MissingLabel {
+						t.Errorf("%s at %s: candidate %s binds the missing value", ds.name, cur, op)
+					}
+				}
+			}
+			cur = ops[0].Target // one drill down, to reach the two-pair kinds
+		}
+		if blank == 0 {
+			t.Fatalf("%s: no displayed map groups a blank cell; the test would hold nothing", ds.name)
 		}
 	}
 }

@@ -63,12 +63,6 @@ func (ex *Explorer) EngineCacheStats() engine.CacheStats {
 	return ex.Gen.Cache.Stats()
 }
 
-// InvalidateEngineCache drops every cached accumulator, e.g. after the
-// underlying database is swapped. Safe to call with a nil Gen.Cache.
-func (ex *Explorer) InvalidateEngineCache() {
-	ex.Gen.InvalidateCache()
-}
-
 // StepResult is what one exploration step displays: the group, its k
 // diverse high-utility rating maps, and (in guided modes) the top-o
 // next-step recommendations.

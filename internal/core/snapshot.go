@@ -127,9 +127,6 @@ func (s *Session) BaseSnapshot() *SessionSnapshot {
 	}
 }
 
-// Oplog returns a copy of the committed operation log.
-func (s *Session) Oplog() []SessionOp { return append([]SessionOp(nil), s.oplog...) }
-
 // NumOps returns the length of the committed operation log.
 func (s *Session) NumOps() int { return len(s.oplog) }
 

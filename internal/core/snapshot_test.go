@@ -74,7 +74,7 @@ func assertSameSession(t *testing.T, want, got *Session) {
 	if !got.Seen().EqualState(want.Seen().State()) {
 		t.Error("restored seen-set diverges from original")
 	}
-	wOps, gOps := want.Oplog(), got.Oplog()
+	wOps, gOps := want.Snapshot().Ops, got.Snapshot().Ops
 	if len(wOps) != len(gOps) {
 		t.Fatalf("oplog: want %d ops, got %d", len(wOps), len(gOps))
 	}
@@ -223,7 +223,7 @@ func TestReplayComparesLoggedDigests(t *testing.T) {
 		return snap
 	}
 	steps := 0
-	for i, op := range sess.Oplog() {
+	for i, op := range sess.Snapshot().Ops {
 		if op.Kind != OpStep {
 			continue
 		}

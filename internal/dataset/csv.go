@@ -39,14 +39,10 @@ func WriteEntityCSV(w io.Writer, t *EntityTable) error {
 	return cw.Error()
 }
 
-// ReadEntityCSV parses an entity table with the given name and kinds; kinds
-// maps attribute name → Kind, defaulting to Atomic when absent.
-func ReadEntityCSV(r io.Reader, name string, kinds map[string]Kind) (*EntityTable, error) {
-	return readEntityCSV(r, name, kinds, 0)
-}
-
-// readEntityCSV is ReadEntityCSV with the columns sized for lines rows; a
-// wrong count costs appends or slack, never a different table.
+// readEntityCSV parses an entity table with the given name and kinds, with
+// the columns sized for lines rows; kinds maps attribute name → Kind,
+// defaulting to Atomic when absent. A wrong count costs appends or slack,
+// never a different table.
 func readEntityCSV(r io.Reader, name string, kinds map[string]Kind, lines int) (*EntityTable, error) {
 	cr := newRecordReader(r)
 	header, err := readHeader(cr)
@@ -129,14 +125,10 @@ func WriteRatingCSV(w io.Writer, db *DB) error {
 	return cw.Error()
 }
 
-// ReadRatingCSV parses a rating table, resolving entity keys through the
-// already-loaded reviewer and item tables. A key held by two rows of either
-// table is an error: its ratings could join to only one of them.
-func ReadRatingCSV(r io.Reader, reviewers, items *EntityTable) (*RatingTable, error) {
-	return readRatingCSV(r, reviewers, items, 0)
-}
-
-// readRatingCSV is ReadRatingCSV with the columns sized for lines records.
+// readRatingCSV parses a rating table, with the columns sized for lines
+// records, resolving entity keys through the already-loaded reviewer and
+// item tables. A key held by two rows of either table is an error: its
+// ratings could join to only one of them.
 func readRatingCSV(r io.Reader, reviewers, items *EntityTable, lines int) (*RatingTable, error) {
 	cr := newRecordReader(r)
 	header, err := readHeader(cr)

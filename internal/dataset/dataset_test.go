@@ -464,52 +464,6 @@ func TestSaveLoadDir(t *testing.T) {
 	}
 }
 
-func TestAttributeProfile(t *testing.T) {
-	db := buildTinyDB(t)
-	gi := db.Reviewers.Schema.Index("gender")
-	p := db.Reviewers.Profile(gi, 0)
-	if p.Name != "gender" || p.Rows != 4 || p.Missing != 0 {
-		t.Fatalf("profile header wrong: %+v", p)
-	}
-	if p.Cardinality != 2 {
-		t.Fatalf("cardinality = %d, want 2", p.Cardinality)
-	}
-	// 2×F, 2×M: entropy exactly 1 bit.
-	if p.Entropy < 0.999 || p.Entropy > 1.001 {
-		t.Fatalf("entropy = %v, want 1", p.Entropy)
-	}
-	if len(p.Top) != 2 || p.Top[0].Count != 2 {
-		t.Fatalf("top values wrong: %v", p.Top)
-	}
-	// Multi-valued attribute counts per value; topN truncates.
-	ci := db.Items.Schema.Index("cuisine")
-	pc := db.Items.Profile(ci, 3)
-	if pc.Kind != MultiValued || len(pc.Top) != 3 {
-		t.Fatalf("cuisine profile: %+v", pc)
-	}
-	if pc.Cardinality < 7 { // 7 distinct cuisines in the fixture
-		t.Fatalf("cuisine cardinality = %d", pc.Cardinality)
-	}
-	// Profiles covers the schema.
-	if got := len(db.Items.Profiles(1)); got != db.Items.Schema.Len() {
-		t.Fatalf("Profiles len = %d", got)
-	}
-}
-
-func TestAttributeProfileMissing(t *testing.T) {
-	tab := NewEntityTable("r", testSchema(t))
-	tab.AppendRow("u1", map[string]string{"gender": "F"}, nil)
-	tab.AppendRow("u2", nil, nil)
-	p := tab.Profile(tab.Schema.Index("gender"), 0)
-	if p.Missing != 1 || p.Cardinality != 1 {
-		t.Fatalf("missing handling wrong: %+v", p)
-	}
-	// Single-valued attribute: zero entropy.
-	if p.Entropy != 0 {
-		t.Fatalf("entropy = %v, want 0", p.Entropy)
-	}
-}
-
 // TestReadEntityCSVDoesNotPinLines: the CSV reader's fields alias its read
 // buffer, so a key (or a dictionary value) stored without a copy would keep
 // that buffer reachable. Every row here carries the same 4 KB cell; the

@@ -3,11 +3,12 @@ package dataset
 import (
 	"math"
 	"sort"
+	"testing"
 )
 
-// AttributeProfile summarizes one objective attribute for exploration UIs
-// and workload analysis: value cardinality, coverage, Shannon entropy of
-// the value distribution, and the most frequent values.
+// AttributeProfile summarizes one objective attribute: value cardinality,
+// coverage, Shannon entropy of the value distribution, and the most
+// frequent values.
 type AttributeProfile struct {
 	Name string
 	Kind Kind
@@ -70,11 +71,44 @@ func (t *EntityTable) Profile(a, topN int) AttributeProfile {
 	return p
 }
 
-// Profiles computes profiles for every attribute of the table.
-func (t *EntityTable) Profiles(topN int) []AttributeProfile {
-	out := make([]AttributeProfile, 0, t.Schema.Len())
-	for a := 0; a < t.Schema.Len(); a++ {
-		out = append(out, t.Profile(a, topN))
+func TestAttributeProfile(t *testing.T) {
+	db := buildTinyDB(t)
+	gi := db.Reviewers.Schema.Index("gender")
+	p := db.Reviewers.Profile(gi, 0)
+	if p.Name != "gender" || p.Rows != 4 || p.Missing != 0 {
+		t.Fatalf("profile header wrong: %+v", p)
 	}
-	return out
+	if p.Cardinality != 2 {
+		t.Fatalf("cardinality = %d, want 2", p.Cardinality)
+	}
+	// 2×F, 2×M: entropy exactly 1 bit.
+	if p.Entropy < 0.999 || p.Entropy > 1.001 {
+		t.Fatalf("entropy = %v, want 1", p.Entropy)
+	}
+	if len(p.Top) != 2 || p.Top[0].Count != 2 {
+		t.Fatalf("top values wrong: %v", p.Top)
+	}
+	// Multi-valued attribute counts per value; topN truncates.
+	ci := db.Items.Schema.Index("cuisine")
+	pc := db.Items.Profile(ci, 3)
+	if pc.Kind != MultiValued || len(pc.Top) != 3 {
+		t.Fatalf("cuisine profile: %+v", pc)
+	}
+	if pc.Cardinality < 7 { // 7 distinct cuisines in the fixture
+		t.Fatalf("cuisine cardinality = %d", pc.Cardinality)
+	}
+}
+
+func TestAttributeProfileMissing(t *testing.T) {
+	tab := NewEntityTable("r", testSchema(t))
+	tab.AppendRow("u1", map[string]string{"gender": "F"}, nil)
+	tab.AppendRow("u2", nil, nil)
+	p := tab.Profile(tab.Schema.Index("gender"), 0)
+	if p.Missing != 1 || p.Cardinality != 1 {
+		t.Fatalf("missing handling wrong: %+v", p)
+	}
+	// Single-valued attribute: zero entropy.
+	if p.Entropy != 0 {
+		t.Fatalf("entropy = %v, want 0", p.Entropy)
+	}
 }

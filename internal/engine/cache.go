@@ -180,20 +180,6 @@ func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) (ev
 	return evicted, c.bytes
 }
 
-// Invalidate drops every entry (and resets nothing else: hit/miss
-// counters keep accumulating). Call it when the underlying database is
-// swapped or mutated out from under the engine.
-func (c *TopMapsCache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = make(map[string]*list.Element)
-	c.used, c.bytes = 0, 0
-}
-
 // CacheStats is a point-in-time snapshot of the cache, surfaced by the
 // server's /debug/cache endpoint and by cmd/sdebench.
 type CacheStats struct {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"math/rand"
@@ -272,7 +273,7 @@ func TestCacheMetricsWired(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pruning = PruneNone
 	for i := 0; i < 3; i++ {
-		if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
+		if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +333,7 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		if group.Len() < cacheFloorRecords {
 			t.Fatalf("%s has %d records, under the admission floor: the test needs cacheable groups", d, group.Len())
 		}
-		if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
+		if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
 			t.Fatal(err)
 		}
 		st := g.Cache.Stats()
@@ -407,7 +408,7 @@ func TestSmallGroupsBypassTheCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plain.TopMaps(group, c.keys, seen, 4, cfg)
+		want, err := plain.TopMapsCtx(context.Background(), group, c.keys, seen, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +447,7 @@ func TestSmallGroupsBypassTheCache(t *testing.T) {
 
 	atFloor := &query.RatingGroup{Desc: whole.Desc, Records: whole.Records[:cacheFloorRecords]}
 	for _, want := range []string{"miss", "hit"} {
-		res, err := g.TopMaps(atFloor, keys, seen, 4, cfg)
+		res, err := g.TopMapsCtx(context.Background(), atFloor, keys, seen, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +475,7 @@ func TestCacheConcurrentTopMaps(t *testing.T) {
 	cfg.Pruning = PruneNone
 	cfg.Workers = 2
 
-	want, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 5, cfg)
+	want, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestCacheConcurrentTopMaps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 5, cfg)
+				res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 5, cfg)
 				if err != nil {
 					errs <- err
 					return
@@ -524,7 +525,7 @@ func TestPrunedRunNotCached(t *testing.T) {
 	g.Cache = NewTopMapsCache(1 << 22)
 	cfg := DefaultConfig()
 	cfg.MinPhaseRecords = 1000
-	res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 4, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,4 +570,24 @@ func BenchmarkCacheKey(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Invalidate drops every entry (and resets nothing else: hit/miss
+// counters keep accumulating).
+func (c *TopMapsCache) Invalidate() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	c.entries = make(map[string]*list.Element)
+	c.used, c.bytes = 0, 0
+}
+
+// InvalidateCache drops every cached accumulator (TopMapsCache.Invalidate)
+// and brings the cache-bytes gauge down with them. Nil-safe like the cache.
+func (g *Generator) InvalidateCache() {
+	g.Cache.Invalidate()
+	g.Metrics.setCacheBytes(0)
 }

@@ -13,16 +13,17 @@ package engine
 // and merging is addition.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"subdex/internal/dataset"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 	"subdex/internal/ratingmap/reftest"
-	"subdex/internal/stats"
 )
 
 // buildRandomDB constructs a small synthetic subjective database with
@@ -138,7 +139,7 @@ func assertAccMatchesReference(t *testing.T, acc *ratingmap.Accumulator,
 	ref map[ratingmap.Key]map[dataset.ValueID][]int, keys []ratingmap.Key) {
 	t.Helper()
 	for _, k := range keys {
-		rm := acc.Snapshot(k)
+		rm := snapshot(acc, k)
 		if rm == nil {
 			t.Fatalf("%v: no snapshot", k)
 		}
@@ -168,32 +169,19 @@ func assertAccMatchesReference(t *testing.T, acc *ratingmap.Accumulator,
 			}
 			totalRecords += n
 
-			// Float moments: reference recomputes them naively in float64.
-			refSum, refSq := 0.0, 0.0
+			// The average: reference recomputes it naively in float64.
+			refSum := 0.0
 			for s, c := range wh {
 				refSum += float64(s+1) * float64(c)
-				refSq += float64(s+1) * float64(s+1) * float64(c)
 			}
 			refAvg := refSum / float64(n)
-			refVar := refSq/float64(n) - refAvg*refAvg
-			if refVar < 0 {
-				refVar = 0
-			}
 			if d := math.Abs(sg.AvgScore() - refAvg); d > 1e-12 {
 				t.Fatalf("%v value %d: avg %g vs reference %g (Δ=%g)",
 					k, sg.Value, sg.AvgScore(), refAvg, d)
 			}
-			sd := stats.NewDistributionFromCounts(sg.Counts).StdDev()
-			if d := math.Abs(sd - math.Sqrt(refVar)); d > 1e-9 {
-				t.Fatalf("%v value %d: sd %g vs reference %g (Δ=%g)",
-					k, sg.Value, sd, math.Sqrt(refVar), d)
-			}
 		}
 		if rm.TotalRecords != totalRecords {
 			t.Fatalf("%v: TotalRecords=%d, reference %d", k, rm.TotalRecords, totalRecords)
-		}
-		if got := acc.NumRecords(k); got != totalRecords {
-			t.Fatalf("%v: NumRecords=%d, reference %d", k, got, totalRecords)
 		}
 	}
 }
@@ -264,10 +252,18 @@ func TestDifferentialShardedAccumulation(t *testing.T) {
 }
 
 // snapshotDigest digests every candidate's materialized state.
+// snapshot materializes candidate k of acc, or nil for an unknown one.
+func snapshot(acc *ratingmap.Accumulator, k ratingmap.Key) *ratingmap.RatingMap {
+	if i := slices.Index(acc.Keys(), k); i >= 0 {
+		return acc.SnapshotAt(i)
+	}
+	return nil
+}
+
 func snapshotDigest(acc *ratingmap.Accumulator, keys []ratingmap.Key) string {
 	maps := make([]*ratingmap.RatingMap, 0, len(keys))
 	for _, k := range keys {
-		maps = append(maps, acc.Snapshot(k))
+		maps = append(maps, snapshot(acc, k))
 	}
 	return ratingmap.DigestMaps(maps)
 }
@@ -317,7 +313,7 @@ func TestDifferentialTopMapsParallelVsSequential(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Pruning = PruneNone
 		cfg.Workers = workers
-		res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+		res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,18 +360,18 @@ func TestDifferentialCacheHitExactness(t *testing.T) {
 	cfg.Workers = 4
 
 	plain := NewGenerator(db)
-	want, err := plain.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	want, err := plain.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cached := NewGenerator(db)
 	cached.Cache = NewTopMapsCache(1 << 20)
-	first, err := cached.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	first, err := cached.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cached.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	second, err := cached.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +409,14 @@ func TestDifferentialCacheSeenSetFreshness(t *testing.T) {
 
 	runPair := func(g *Generator) (*Result, *Result) {
 		seen := ratingmap.NewSeenSet()
-		a, err := g.TopMaps(group, keys, seen, 4, cfg)
+		a, err := g.TopMapsCtx(context.Background(), group, keys, seen, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rm := range a.Maps {
 			seen.Add(rm)
 		}
-		b, err := g.TopMaps(group, keys, seen, 4, cfg)
+		b, err := g.TopMapsCtx(context.Background(), group, keys, seen, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -692,7 +688,7 @@ func TestShardMinRecordsConfig(t *testing.T) {
 		cfg.Pruning = PruneNone
 		cfg.Workers = workers
 		cfg.ShardMinRecords = minPerShard
-		res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+		res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,18 +185,11 @@ func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratin
 	return keys
 }
 
-// TopMaps runs Algorithm 1: it returns w.h.p. the kPrime = k×l candidates
-// with the highest DW utilities over the group's records, ranked by exact
-// utility, pruning low-utility candidates at phase boundaries.
-//
-// TopMaps is the context-free form of TopMapsCtx.
-func (g *Generator) TopMaps(group *query.RatingGroup, candidates []ratingmap.Key,
-	seen *ratingmap.SeenSet, kPrime int, cfg Config) (*Result, error) {
-	return g.TopMapsCtx(context.Background(), group, candidates, seen, kPrime, cfg) //subdex:ctxflow context-free API: the caller has no deadline to sever
-}
-
-// TopMapsCtx is TopMaps with span propagation and cooperative
-// cancellation. It is Algorithm 1 in four stages, each its own function:
+// TopMapsCtx runs Algorithm 1: it returns w.h.p. the kPrime = k×l
+// candidates with the highest DW utilities over the group's records,
+// ranked by exact utility, pruning low-utility candidates at phase
+// boundaries, with span propagation and cooperative cancellation. It is
+// Algorithm 1 in four stages, each its own function:
 //
 //  1. cache lookup — a completed unpruned accumulator for this exact
 //     (group, candidate set, utility config) skips stages 2 and 3; a group
@@ -671,13 +664,6 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 	evicted, bytes := g.Cache.put(key, acc, n)
 	g.Metrics.addCacheEvictions(evicted)
 	g.Metrics.setCacheBytes(bytes)
-}
-
-// InvalidateCache drops every cached accumulator (TopMapsCache.Invalidate)
-// and brings the cache-bytes gauge down with them. Nil-safe like the cache.
-func (g *Generator) InvalidateCache() {
-	g.Cache.Invalidate()
-	g.Metrics.setCacheBytes(0)
 }
 
 // finalize scores all remaining candidates on their full accumulated data

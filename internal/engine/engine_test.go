@@ -62,7 +62,7 @@ func TestTopMapsUnprunedRanking(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Pruning = PruneNone
-	res, err := g.TopMaps(group, cands, seen, 9, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTopMapsKPrimeValidation(t *testing.T) {
 	g := NewGenerator(db)
 	qe, group := rootGroup(t, db)
 	cands := g.Candidates(qe, query.Description{})
-	if _, err := g.TopMaps(group, cands, ratingmap.NewSeenSet(), 0, DefaultConfig()); err == nil {
+	if _, err := g.TopMapsCtx(context.Background(), group, cands, ratingmap.NewSeenSet(), 0, DefaultConfig()); err == nil {
 		t.Fatal("kPrime=0 must be rejected")
 	}
 }
@@ -96,7 +96,7 @@ func TestTopMapsEmptyCandidates(t *testing.T) {
 	db := engineDB(t)
 	g := NewGenerator(db)
 	_, group := rootGroup(t, db)
-	res, err := g.TopMaps(group, nil, ratingmap.NewSeenSet(), 3, DefaultConfig())
+	res, err := g.TopMapsCtx(context.Background(), group, nil, ratingmap.NewSeenSet(), 3, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPrunedAgreesWithExactTopK(t *testing.T) {
 
 	exactCfg := DefaultConfig()
 	exactCfg.Pruning = PruneNone
-	exact, err := g.TopMaps(group, cands, seen, 9, exactCfg)
+	exact, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, exactCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPrunedAgreesWithExactTopK(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Pruning = pr
 		cfg.MinPhaseRecords = 100 // force the phased path
-		res, err := g.TopMaps(group, cands, seen, 9, cfg)
+		res, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +207,11 @@ func TestTopMapsParallelEqualsSequential(t *testing.T) {
 	par := seq
 	par.Workers = 4
 
-	a, err := g.TopMaps(group, cands, seen, 9, seq)
+	a, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.TopMaps(group, cands, seen, 9, par)
+	b, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestMinPhaseRecordsSkipsPhases(t *testing.T) {
 		t.Skip("group unexpectedly large")
 	}
 	cands := g.Candidates(qe, desc)
-	res, err := g.TopMaps(group, cands, ratingmap.NewSeenSet(), 9, DefaultConfig())
+	res, err := g.TopMapsCtx(context.Background(), group, cands, ratingmap.NewSeenSet(), 9, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPhasedCoversAllRecords(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.MinPhaseRecords = 100
-	res, err := g.TopMaps(group, cands, seen, 9, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, cands, seen, 9, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

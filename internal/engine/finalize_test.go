@@ -237,7 +237,7 @@ func TestTopMapsIfGate(t *testing.T) {
 	for _, size := range []int{len(whole.Records), cacheFloorRecords - 1} {
 		group := *whole
 		group.Records = whole.Records[:size]
-		want, err := NewGenerator(db).TopMaps(&group, keys, seen, 5, cfg)
+		want, err := NewGenerator(db).TopMapsCtx(context.Background(), &group, keys, seen, 5, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

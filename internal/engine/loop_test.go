@@ -60,7 +60,7 @@ func TestUnifiedLoop(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Pruning, cfg.Phases, cfg.MinPhaseRecords = row.pruning, row.phases, 1
 				if row.warm {
-					if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 1, cfg); err != nil {
+					if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 1, cfg); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -70,7 +70,7 @@ func TestUnifiedLoop(t *testing.T) {
 				}
 				hooks := 0
 				cfg.PhaseHook = func(context.Context, int) { hooks++ }
-				res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 1, cfg)
+				res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 1, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

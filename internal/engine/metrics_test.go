@@ -94,7 +94,7 @@ func TestInstrumentedTopMapsConcurrent(t *testing.T) {
 			defer wg.Done()
 			// Each goroutine owns its seen set (sessions are
 			// single-threaded); the generator and metrics are shared.
-			_, errs[i] = g.TopMaps(group, cands, ratingmap.NewSeenSet(), 9, forcePhased())
+			_, errs[i] = g.TopMapsCtx(context.Background(), group, cands, ratingmap.NewSeenSet(), 9, forcePhased())
 		}(i)
 	}
 	wg.Wait()
@@ -120,7 +120,7 @@ func TestUninstrumentedIsUnchanged(t *testing.T) {
 	qe, group := rootGroup(t, db)
 	cands := g.Candidates(qe, query.Description{})
 
-	a, err := g.TopMaps(group, cands, ratingmap.NewSeenSet(), 9, forcePhased())
+	a, err := g.TopMapsCtx(context.Background(), group, cands, ratingmap.NewSeenSet(), 9, forcePhased())
 	if err != nil {
 		t.Fatal(err)
 	}

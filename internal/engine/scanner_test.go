@@ -79,7 +79,7 @@ func TestScannerDigestIdentity(t *testing.T) {
 		cfg.Pruning = pruning
 		cfg.Phases = 4
 		cfg.MinPhaseRecords = 1
-		res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+		res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestScannerPartitionLostUnphased(t *testing.T) {
 	g.Scanner = &fakeScanner{g: NewGenerator(db), parts: 3, loseCall: 0, loseAt: 1}
 	cfg := DefaultConfig()
 	cfg.Pruning = PruneNone
-	res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestScannerPartitionLostUnphased(t *testing.T) {
 
 	// The anytime answer must equal a clean scan over the same prefix.
 	prefix := &query.RatingGroup{Desc: group.Desc, Records: group.Records[:n/3]}
-	ref, err := NewGenerator(db).TopMaps(prefix, keys, ratingmap.NewSeenSet(), 6, cfg)
+	ref, err := NewGenerator(db).TopMapsCtx(context.Background(), prefix, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestScannerPartitionLostPhased(t *testing.T) {
 	cfg.Pruning = PruneBoth
 	cfg.Phases = 4
 	cfg.MinPhaseRecords = 1
-	res, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	res, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestScannerAllPartitionsLost(t *testing.T) {
 		cfg.Pruning = pruning
 		cfg.Phases = 4
 		cfg.MinPhaseRecords = 1
-		if _, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
+		if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg); err == nil {
 			t.Fatalf("pruning=%v: total partition loss returned a result, want error", pruning)
 		}
 	}
@@ -218,7 +218,7 @@ func TestScannerErrorPropagates(t *testing.T) {
 	g.Scanner = &fakeScanner{g: NewGenerator(db), fail: sentinel}
 	cfg := DefaultConfig()
 	cfg.Pruning = PruneNone
-	_, err := g.TopMaps(group, keys, ratingmap.NewSeenSet(), 6, cfg)
+	_, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 6, cfg)
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}

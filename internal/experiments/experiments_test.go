@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"subdex/internal/core"
-	"subdex/internal/gen"
+	"subdex/internal/dataset/datasettest"
 	"subdex/internal/study"
 )
 
@@ -175,7 +175,7 @@ func TestExplorersShareTheDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := gen.Digest(shared)
+	before := datasettest.Digest(shared)
 	for _, v := range []int{0, 2} { // max of all criteria, conciseness only
 		cfg := studyConfig()
 		ablationVariants[v].mut(&cfg)
@@ -209,7 +209,7 @@ func TestExplorersShareTheDatabase(t *testing.T) {
 			}
 		}
 	}
-	if after := gen.Digest(shared); after != before {
+	if after := datasettest.Digest(shared); after != before {
 		t.Fatalf("the explorers changed the shared database: digest %s, generated as %s", after, before)
 	}
 }

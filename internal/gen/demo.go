@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"subdex/internal/dataset"
@@ -92,53 +91,4 @@ func Demo(cfg Config) (*dataset.DB, error) {
 		return nil, err
 	}
 	return db, nil
-}
-
-// Digest renders a byte-stable FNV-1a fingerprint of a frozen database's
-// generated content: the schema (attribute names and kinds), every
-// entity's attribute values in row order, the rating dimensions, and
-// every rating record's reviewer, item, and per-dimension scores. Two
-// databases digest equally iff the generator produced identical data, so
-// pinning the digest of each generator's default seed catches platform or
-// toolchain drift in math/rand or float handling before it can corrupt
-// the golden exploration traces built on top of the generated data.
-func Digest(db *dataset.DB) string {
-	h := fnv.New64a()
-	write := func(format string, args ...any) {
-		fmt.Fprintf(h, format, args...)
-	}
-	write("db:%s\x00", db.Name)
-	for _, t := range []*dataset.EntityTable{db.Reviewers, db.Items} {
-		write("table:%s rows:%d\x00", t.Name, t.Len())
-		for a := 0; a < t.Schema.Len(); a++ {
-			attr := t.Schema.At(a)
-			write("attr:%s kind:%d\x00", attr.Name, attr.Kind)
-		}
-		for row := 0; row < t.Len(); row++ {
-			write("row:%d\x00", row)
-			for a := 0; a < t.Schema.Len(); a++ {
-				switch t.Schema.At(a).Kind {
-				case dataset.Atomic:
-					write("%d,", t.AtomicValue(a, row))
-				case dataset.MultiValued:
-					for _, v := range t.MultiValues(a, row) {
-						write("%d,", v)
-					}
-					write(";")
-				}
-			}
-		}
-	}
-	write("ratings:%d\x00", db.Ratings.Len())
-	for _, dim := range db.Ratings.Dimensions {
-		write("dim:%s scale:%d\x00", dim.Name, dim.Scale)
-	}
-	for r := 0; r < db.Ratings.Len(); r++ {
-		write("%d:%d", db.Ratings.Reviewer[r], db.Ratings.Item[r])
-		for d := range db.Ratings.Dimensions {
-			write(",%d", db.Ratings.Scores[d][r])
-		}
-		write(";")
-	}
-	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"subdex/internal/dataset"
+	"subdex/internal/dataset/datasettest"
 )
 
 // pinnedDigests fixes the FNV-1a content digest of every generator at its
@@ -35,7 +36,7 @@ func TestGeneratorDigestPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got := Digest(db)
+		got := datasettest.Digest(db)
 		t.Logf("%s(seed=%d, scale=%g) = %s", tc.name, tc.cfg.Seed, tc.cfg.Scale, got)
 		if got != tc.digest {
 			t.Errorf("%s dataset digest drifted:\n  got  %s\n  want %s\n(platform/toolchain drift or an intentional generator change; see comment above)",
@@ -59,10 +60,10 @@ func TestDigestDiscriminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Digest(a) != Digest(b) {
+	if datasettest.Digest(a) != datasettest.Digest(b) {
 		t.Error("same config must digest identically")
 	}
-	if Digest(a) == Digest(c) {
+	if datasettest.Digest(a) == datasettest.Digest(c) {
 		t.Error("different seeds must digest differently")
 	}
 }

@@ -35,12 +35,6 @@ func (b *Bitset) trim() {
 // Set adds element i.
 func (b *Bitset) Set(i int) { b.words[i/64] |= 1 << uint(i%64) }
 
-// Clear removes element i.
-func (b *Bitset) Clear(i int) { b.words[i/64] &^= 1 << uint(i%64) }
-
-// Has reports membership of i.
-func (b *Bitset) Has(i int) bool { return b.words[i/64]&(1<<uint(i%64)) != 0 }
-
 // Count returns the number of elements.
 func (b *Bitset) Count() int {
 	c := 0
@@ -61,16 +55,6 @@ func (b *Bitset) IntersectWith(o *Bitset) {
 	}
 }
 
-// UnionWith adds to b every element of o.
-func (b *Bitset) UnionWith(o *Bitset) {
-	for i := range b.words {
-		if i < len(o.words) {
-			b.words[i] |= o.words[i]
-		}
-	}
-	b.trim()
-}
-
 // Clone returns an independent copy.
 func (b *Bitset) Clone() *Bitset {
 	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
@@ -89,17 +73,4 @@ func (b *Bitset) Equal(o *Bitset) bool {
 		}
 	}
 	return true
-}
-
-// Elements appends all members in ascending order to dst and returns it.
-func (b *Bitset) Elements(dst []int32) []int32 {
-	for wi, w := range b.words {
-		base := wi * 64
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			dst = append(dst, int32(base+tz))
-			w &= w - 1
-		}
-	}
-	return dst
 }

@@ -6,6 +6,7 @@ package query
 // intersect/union, whose trim behavior is easy to break.
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -191,4 +192,33 @@ func TestBitsetUnionIdempotentAndCommutative(t *testing.T) {
 			t.Fatal("A∩B not a subset of A∪B")
 		}
 	}
+}
+
+// Clear removes element i.
+func (b *Bitset) Clear(i int) { b.words[i/64] &^= 1 << uint(i%64) }
+
+// Has reports membership of i.
+func (b *Bitset) Has(i int) bool { return b.words[i/64]&(1<<uint(i%64)) != 0 }
+
+// UnionWith adds to b every element of o.
+func (b *Bitset) UnionWith(o *Bitset) {
+	for i := range b.words {
+		if i < len(o.words) {
+			b.words[i] |= o.words[i]
+		}
+	}
+	b.trim()
+}
+
+// Elements appends all members in ascending order to dst and returns it.
+func (b *Bitset) Elements(dst []int32) []int32 {
+	for wi, w := range b.words {
+		base := wi * 64
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			dst = append(dst, int32(base+tz))
+			w &= w - 1
+		}
+	}
+	return dst
 }

@@ -5,13 +5,13 @@ package query_test
 
 import (
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"subdex/internal/dataset"
+	"subdex/internal/dataset/datasettest"
 	"subdex/internal/gen"
 	"subdex/internal/query"
 )
@@ -229,54 +229,6 @@ func TestDescriptionKeysTellCellsApart(t *testing.T) {
 	}
 }
 
-// withMissingCells copies db with a seeded share of the atomic cells of
-// both entity tables blank. No generator writes a missing atomic value, so
-// without it the missing value never reaches a generated database's
-// materialization.
-func withMissingCells(t *testing.T, db *dataset.DB, share float64, seed int64) *dataset.DB {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	blank := func(src *dataset.EntityTable) *dataset.EntityTable {
-		dst := dataset.NewEntityTable(src.Name, src.Schema)
-		for row := 0; row < src.Len(); row++ {
-			values, sets := map[string]string{}, map[string][]string{}
-			for a := 0; a < src.Schema.Len(); a++ {
-				attr, dict := src.Schema.At(a), src.Dict(a)
-				switch {
-				case attr.Kind == dataset.MultiValued:
-					for _, v := range src.MultiValues(a, row) {
-						sets[attr.Name] = append(sets[attr.Name], dict.Value(v))
-					}
-				case rng.Float64() >= share:
-					values[attr.Name] = dict.Value(src.AtomicValue(a, row))
-				}
-			}
-			if _, err := dst.AppendRow(src.Key(row), values, sets); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dst
-	}
-	rt, err := dataset.NewRatingTable(db.Ratings.Dimensions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := make([]dataset.Score, len(db.Ratings.Dimensions))
-	for r := 0; r < db.Ratings.Len(); r++ {
-		for d := range scores {
-			scores[d] = db.Ratings.Scores[d][r]
-		}
-		if err := rt.Append(int(db.Ratings.Reviewer[r]), int(db.Ratings.Item[r]), scores); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := dataset.NewDB(db.Name+"-missing", blank(db.Reviewers), blank(db.Items), rt)
-	if err := out.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // naiveRecords is the naive filter over the rating table: the records,
 // ascending, whose reviewer and item hold every selector's value.
 func naiveRecords(db *dataset.DB, d query.Description) []int32 {
@@ -324,7 +276,7 @@ func TestMissingCellsMaterialize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := withMissingCells(t, gdb, 0.2, 1)
+		db := datasettest.WithMissingCells(t, gdb, 0.2, 1)
 		e, err := query.NewEngine(db)
 		if err != nil {
 			t.Fatal(err)

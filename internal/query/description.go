@@ -57,14 +57,6 @@ func (s Selector) String() string {
 	return s.Side.String() + "." + s.Attr + "=" + q + s.Value + q
 }
 
-// Key returns a canonical identity string (used for set semantics):
-// side, attribute and value, NUL-separated, with the separator bytes in
-// the attribute and value escaped (keyPart). Keys are built by
-// concatenation — candidate enumeration makes several hundred a step.
-func (s Selector) Key() string {
-	return strconv.Itoa(int(s.Side)) + "\x00" + keyPart(s.Attr) + "\x00" + keyPart(s.Value)
-}
-
 // AttrKey identifies the attribute (without the value) a selector binds.
 func (s Selector) AttrKey() string { return strconv.Itoa(int(s.Side)) + "\x00" + keyPart(s.Attr) }
 
@@ -296,31 +288,4 @@ func (d Description) WithChanged(old Selector, newValue string) (Description, er
 		out = append(out, s)
 	}
 	return canonical(out)
-}
-
-// EditDistance counts the minimum number of selector additions, removals,
-// and value changes turning d into o. A change (same attribute, different
-// value) counts 1, matching §4.3's "small adjustment" semantics.
-func (d Description) EditDistance(o Description) int {
-	mine := make(map[string]string)
-	for _, s := range d.selectors {
-		mine[s.AttrKey()] = s.Value
-	}
-	theirs := make(map[string]string)
-	for _, s := range o.selectors {
-		theirs[s.AttrKey()] = s.Value
-	}
-	dist := 0
-	for k, v := range mine {
-		tv, ok := theirs[k]
-		if !ok || tv != v {
-			dist++ // removal or change
-		}
-	}
-	for k := range theirs {
-		if _, ok := mine[k]; !ok {
-			dist++ // addition
-		}
-	}
-	return dist
 }

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // FuzzParse drives the advanced-screen predicate parser with arbitrary
-// input. Two invariants:
+// input. Three invariants:
 //
 //  1. Never panic — any byte sequence yields a Description or an error.
-//  2. Round trip — a successful parse formats (Description.String) to a
+//  2. Only a blank input or TRUE alone parses to the universal
+//     description: a parse of anything else binds at least one selector.
+//  3. Round trip — a successful parse formats (Description.String) to a
 //     canonical predicate that re-parses to an equal Description. The
 //     formatter picks its quote character per value, so the only inputs
 //     exempted are values containing both quote kinds, which the grammar
@@ -44,6 +47,9 @@ func FuzzParse(f *testing.F) {
 		"\x00\x01\x02",
 		"gender=''",
 		"  REVIEWERS.GENDER  =  \"F\"  ",
+		"TRUE AND reviewers.gender='f'",
+		"true garbage",
+		"items.city = café",
 	} {
 		f.Add(s)
 	}
@@ -52,6 +58,9 @@ func FuzzParse(f *testing.F) {
 		d, err := ParseDescription(input, e) // must not panic
 		if err != nil {
 			return
+		}
+		if trimmed := strings.TrimSpace(input); trimmed != "" && !strings.EqualFold(trimmed, "TRUE") && d.Len() < 1 {
+			t.Fatalf("%q parsed to the universal description", input)
 		}
 		canon := d.String()
 		again, err := ParseDescription(canon, e)
@@ -215,4 +224,11 @@ func FuzzNewDescription(f *testing.F) {
 			same("With", got, err, want, wantErr)
 		}
 	})
+}
+
+// Key is a selector's identity, the reference's set key: side, attribute
+// and value, NUL-separated, with the separator bytes in the attribute and
+// value escaped (keyPart).
+func (s Selector) Key() string {
+	return strconv.Itoa(int(s.Side)) + "\x00" + keyPart(s.Attr) + "\x00" + keyPart(s.Value)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ParseDescription parses the SQL-style predicate accepted by the advanced
@@ -19,12 +20,17 @@ import (
 //	value      := '\'' chars '\'' | '"' chars '"' | bareword
 //
 // An unqualified attribute is resolved against resolver (typically the
-// engine's schemas); it is an error if it exists on both sides. The empty
-// string and the keyword TRUE parse to the universal description.
+// engine's schemas); it is an error if it exists on both sides. A blank
+// string and the keyword TRUE alone parse to the universal description;
+// anything after TRUE is read as a term, so "TRUE AND …" is an error.
 func ParseDescription(input string, resolver AttrResolver) (Description, error) {
 	p := &parser{src: input}
-	p.skipSpace()
-	if p.eof() || p.peekKeyword("TRUE") {
+	if p.keyword("TRUE") {
+		if p.skipSpace(); !p.eof() {
+			p.pos = 0 // more follows TRUE: read it all as terms
+		}
+	}
+	if p.skipSpace(); p.eof() {
 		return Description{}, nil
 	}
 	var sels []Selector
@@ -80,9 +86,18 @@ func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("query: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
 }
 
+// next decodes the rune at the read position and its width in bytes; an
+// invalid byte reads as utf8.RuneError, which is neither space nor part
+// of an identifier.
+func (p *parser) next() (rune, int) { return utf8.DecodeRuneInString(p.src[p.pos:]) }
+
 func (p *parser) skipSpace() {
-	for !p.eof() && unicode.IsSpace(rune(p.src[p.pos])) {
-		p.pos++
+	for !p.eof() {
+		r, w := p.next()
+		if !unicode.IsSpace(r) {
+			return
+		}
+		p.pos += w
 	}
 }
 
@@ -104,7 +119,8 @@ func (p *parser) peekKeyword(kw string) bool {
 		return false
 	}
 	end := p.pos + len(kw)
-	return end == len(p.src) || !isIdentChar(rune(p.src[end]))
+	r, _ := utf8.DecodeRuneInString(p.src[end:]) // RuneError at the end
+	return !isIdentChar(r)
 }
 
 func isIdentChar(r rune) bool {
@@ -114,8 +130,12 @@ func isIdentChar(r rune) bool {
 func (p *parser) ident() (string, error) {
 	p.skipSpace()
 	start := p.pos
-	for !p.eof() && isIdentChar(rune(p.src[p.pos])) {
-		p.pos++
+	for !p.eof() {
+		r, w := p.next()
+		if !isIdentChar(r) {
+			break
+		}
+		p.pos += w
 	}
 	if p.pos == start {
 		return "", p.errorf("expected identifier")

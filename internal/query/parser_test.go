@@ -53,7 +53,7 @@ func TestParseDescriptionQuoteStyles(t *testing.T) {
 
 func TestParseDescriptionUniversal(t *testing.T) {
 	e := parserEngine(t)
-	for _, input := range []string{"", "   ", "TRUE", "true"} {
+	for _, input := range []string{"", "   ", "TRUE", "true", "  TRUE\t\n", "\u00a0TRUE\u2003"} {
 		d, err := ParseDescription(input, e)
 		if err != nil {
 			t.Errorf("%q: %v", input, err)
@@ -61,6 +61,51 @@ func TestParseDescriptionUniversal(t *testing.T) {
 		if !d.IsEmpty() {
 			t.Errorf("%q should parse to the universal description", input)
 		}
+	}
+}
+
+// TestParseDescriptionReadsTheWholeInput: TRUE is the universal
+// description only when it is all the input says; anything after it is
+// read as terms, and fails like any other malformed predicate.
+func TestParseDescriptionReadsTheWholeInput(t *testing.T) {
+	e := parserEngine(t)
+	for _, input := range []string{
+		"TRUE AND reviewers.gender='f'",
+		"true garbage",
+		"TRUE TRUE",
+		"TRUE = 'x'", // no attribute named TRUE
+		"TRUE;",
+	} {
+		if d, err := ParseDescription(input, e); err == nil {
+			t.Errorf("%q parsed to %q, want an error", input, d)
+		}
+	}
+}
+
+// TestParseDescriptionBarewordRunes: a bareword is read rune by rune, so a
+// letter outside ASCII is part of it, as it is of a quoted value, and a
+// space outside ASCII separates like a blank.
+func TestParseDescriptionBarewordRunes(t *testing.T) {
+	e := parserEngine(t)
+	for _, c := range []struct{ input, value string }{
+		{"items.city = café", "café"},
+		{"items.city = 'café'", "café"},
+		{"items.city = São-Paulo", "São-Paulo"},
+		{"items.city = Zürich\u00a0", "Zürich"},
+		{"items.city = 東京", "東京"},
+		{"items.city=ÅÀ", "ÅÀ"}, // UTF-8 continuation bytes 0x85 and 0x80, not spaces
+	} {
+		d, err := ParseDescription(c.input, e)
+		if err != nil {
+			t.Errorf("%q: %v", c.input, err)
+			continue
+		}
+		if v, ok := d.ValueOf(ItemSide, "city"); !ok || v != c.value || d.Len() != 1 {
+			t.Errorf("%q parsed to %q, want items.city = %q", c.input, d, c.value)
+		}
+	}
+	if d, err := ParseDescription("items.city = caf\xe9", e); err == nil {
+		t.Errorf("an invalid UTF-8 byte in a bareword parsed to %q, want an error", d)
 	}
 }
 

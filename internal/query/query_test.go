@@ -80,36 +80,6 @@ func TestDescriptionAlgebra(t *testing.T) {
 	}
 }
 
-func TestDescriptionEditDistance(t *testing.T) {
-	a := sel(ReviewerSide, "gender", "F")
-	b := sel(ItemSide, "city", "NYC")
-	c := sel(ReviewerSide, "age", "young")
-	d0 := MustDescription()
-	d1 := MustDescription(a)
-	d2 := MustDescription(a, b)
-	dChanged := MustDescription(sel(ReviewerSide, "gender", "M"))
-
-	cases := []struct {
-		x, y Description
-		want int
-	}{
-		{d0, d0, 0},
-		{d0, d1, 1},
-		{d1, d2, 1},
-		{d1, dChanged, 1}, // value change counts 1
-		{d2, MustDescription(c), 3},
-		{d2, d0, 2},
-	}
-	for _, tc := range cases {
-		if got := tc.x.EditDistance(tc.y); got != tc.want {
-			t.Errorf("EditDistance(%s, %s) = %d, want %d", tc.x, tc.y, got, tc.want)
-		}
-		if got := tc.y.EditDistance(tc.x); got != tc.want {
-			t.Errorf("EditDistance must be symmetric for %s / %s", tc.x, tc.y)
-		}
-	}
-}
-
 func TestDescriptionString(t *testing.T) {
 	if got := MustDescription().String(); got != "TRUE" {
 		t.Errorf("empty description = %q", got)

@@ -232,9 +232,6 @@ func (s *SeenSet) AddDist(dim int, dist []float64) {
 	s.total++
 }
 
-// Total returns the number of maps seen (m in Equation 1).
-func (s *SeenSet) Total() int { return s.total }
-
 // Weight returns the Equation 1 factor (1 − m_{r_d}/m) for dimension d.
 // Before anything is seen it is 1 for every dimension. When every seen map
 // aggregated dimension d the literal factor is 0, which — on a database

@@ -187,8 +187,8 @@ func TestDWUtilityPaperExample(t *testing.T) {
 	addN(dimFood, 3)
 	addN(dimService, 3)
 	addN(dimAmb, 1)
-	if seen.Total() != 10 {
-		t.Fatalf("m = %d, want 10", seen.Total())
+	if seen.State().Total != 10 {
+		t.Fatalf("m = %d, want 10", seen.State().Total)
 	}
 	cfg := UtilityConfig{}
 	if got := DWUtility(0.6, dimFood, seen, cfg); !almost(got, 0.42) {
@@ -227,7 +227,7 @@ func TestSeenSetClone(t *testing.T) {
 	seen.Add(rm)
 	c := seen.Clone()
 	c.Add(rm)
-	if seen.Total() != 1 || c.Total() != 2 {
+	if seen.State().Total != 1 || c.State().Total != 2 {
 		t.Error("Clone must be independent")
 	}
 }

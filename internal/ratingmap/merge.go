@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"subdex/internal/dataset"
 	"subdex/internal/query"
 )
 
@@ -58,18 +57,6 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		}
 	}
 	a.recordVisits += other.recordVisits
-}
-
-// NumRecords reports how many scored records the candidate has accumulated,
-// with multiplicity for multi-valued attributes (0 for unknown candidates).
-// Exposed for the differential test harness and the bench's exactness
-// checks.
-func (a *Accumulator) NumRecords(k Key) int {
-	total := 0
-	if i := a.index(k); i >= 0 {
-		a.parts[i].rows(func(_ dataset.ValueID, _ []int32, n int) { total += n })
-	}
-	return total
 }
 
 // Digest renders a canonical, byte-stable fingerprint of a rating map:

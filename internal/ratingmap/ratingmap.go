@@ -105,9 +105,6 @@ func (rm *RatingMap) AppendDistribution(dst stats.Distribution) stats.Distributi
 	return stats.AppendDistributionFromCounts(dst, rm.total)
 }
 
-// NumSubgroups returns the number of bars.
-func (rm *RatingMap) NumSubgroups() int { return len(rm.Subgroups) }
-
 // AppendSignature computes the distribution of subgroup average scores, weighted
 // by subgroup size, with fractional averages split linearly between the
 // neighbouring scale bins. Unlike the pooled Distribution — which is
@@ -394,10 +391,6 @@ func (a *Accumulator) index(k Key) int { return slices.Index(a.order, k) }
 // Keys returns the candidate keys in registration order.
 func (a *Accumulator) Keys() []Key { return a.order }
 
-// RecordVisits reports how many (record, attribute) lookups the shared
-// scans performed so far — the work the sharing optimization bounds.
-func (a *Accumulator) RecordVisits() int { return a.recordVisits }
-
 // Remove drops a candidate from accumulation, the effect of pruning: later
 // phases no longer pay for its histogram updates. Removing the last
 // candidate of an attribute removes the attribute's shared scan entirely.
@@ -419,15 +412,6 @@ func (a *Accumulator) Remove(k Key) {
 		}
 	}
 	a.groups = slices.DeleteFunc(a.groups, func(g attrGroup) bool { return len(g.members) == 0 })
-}
-
-// Snapshot materializes the current partial state of one candidate as a
-// RatingMap, or nil for an unknown candidate.
-func (a *Accumulator) Snapshot(k Key) *RatingMap {
-	if i := a.index(k); i >= 0 {
-		return a.SnapshotAt(i)
-	}
-	return nil
 }
 
 // SnapshotAt is Snapshot of candidate Keys()[i]: the engine's final exact

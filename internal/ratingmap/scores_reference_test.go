@@ -26,7 +26,13 @@ func (sg *Subgroup) Distribution() stats.Distribution {
 // StdDev returns the standard deviation of scores within the subgroup,
 // feeding the agreement criterion.
 func (sg *Subgroup) StdDev() float64 {
-	return sg.Distribution().StdDev()
+	d := sg.Distribution()
+	mean, v := d.Mean(), 0.0
+	for i, p := range d {
+		diff := float64(i+1) - mean
+		v += p * diff * diff
+	}
+	return math.Sqrt(v)
 }
 
 // RawConciseness is the compaction gain Conc(rm) = |g_R| / |rm| of §4.1.
@@ -306,7 +312,7 @@ func BenchmarkScoresAt(b *testing.B) {
 		acc := (&Builder{DB: sh.db}).NewAccumulator(query.Description{}, keys)
 		acc.Update(allRecords(sh.db))
 		seen := NewSeenSet()
-		for i := 0; seen.Total() < 30; i = (i + 1) % len(keys) {
+		for i := 0; seen.State().Total < 30; i = (i + 1) % len(keys) {
 			seen.Add(acc.SnapshotAt(i))
 		}
 		at := make([]int, len(keys))

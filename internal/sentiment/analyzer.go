@@ -26,13 +26,6 @@ const (
 	negationLookback      = 3
 )
 
-// Compound returns the VADER-style compound sentiment of text in [-1, 1]:
-// the booster/negation/caps-adjusted valence sum, alpha-normalized.
-func (a *Analyzer) Compound(text string) float64 {
-	tokens := Tokenize(text)
-	return a.compoundOf(tokens, countExclamations(text))
-}
-
 func (a *Analyzer) negFactor() float64 {
 	if a.NegationFactor != 0 {
 		return a.NegationFactor

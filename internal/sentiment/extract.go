@@ -26,16 +26,6 @@ func DefaultRestaurantKeywords() map[string][]string {
 	}
 }
 
-// DefaultHotelKeywords are the triggers for the Hotel-Reviews pipeline
-// (cleanliness, food, comfort, per §5.1).
-func DefaultHotelKeywords() map[string][]string {
-	return map[string][]string{
-		"cleanliness": {"clean", "cleanliness", "spotless", "dirty", "filthy", "housekeeping"},
-		"food":        {"food", "breakfast", "restaurant", "meal", "buffet"},
-		"comfort":     {"comfort", "comfortable", "bed", "room", "quiet", "cozy"},
-	}
-}
-
 func (e *Extractor) window() int {
 	if e.Window > 0 {
 		return e.Window

@@ -68,10 +68,3 @@ var negations = map[string]bool{
 	"wont": true, "won't": true, "wouldnt": true, "wouldn't": true,
 	"hardly": true, "without": true, "lacks": true, "lacked": true,
 }
-
-// LexiconSize reports how many sentiment-bearing words the built-in lexicon
-// carries (for documentation and tests).
-func LexiconSize() int { return len(valence) }
-
-// Valence exposes the lexicon entry for a lowercase word (0 when absent).
-func Valence(word string) float64 { return valence[word] }

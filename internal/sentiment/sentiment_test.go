@@ -240,3 +240,27 @@ func TestHotelKeywords(t *testing.T) {
 		t.Errorf("positive hotel review scored low: %v", scores)
 	}
 }
+
+// Compound returns the VADER-style compound sentiment of text in [-1, 1]:
+// the booster/negation/caps-adjusted valence sum, alpha-normalized.
+func (a *Analyzer) Compound(text string) float64 {
+	tokens := Tokenize(text)
+	return a.compoundOf(tokens, countExclamations(text))
+}
+
+// DefaultHotelKeywords are the triggers for the Hotel-Reviews pipeline
+// (cleanliness, food, comfort, per §5.1).
+func DefaultHotelKeywords() map[string][]string {
+	return map[string][]string{
+		"cleanliness": {"clean", "cleanliness", "spotless", "dirty", "filthy", "housekeeping"},
+		"food":        {"food", "breakfast", "restaurant", "meal", "buffet"},
+		"comfort":     {"comfort", "comfortable", "bed", "room", "quiet", "cozy"},
+	}
+}
+
+// LexiconSize reports how many sentiment-bearing words the built-in lexicon
+// carries.
+func LexiconSize() int { return len(valence) }
+
+// Valence exposes the lexicon entry for a lowercase word (0 when absent).
+func Valence(word string) float64 { return valence[word] }

@@ -516,9 +516,9 @@ func TestDeleteVsRestoreRace(t *testing.T) {
 	if n := s.EvictIdle(); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
-	// Cold cache forces the restore replay through real engine phases,
+	// Without the cache the restore replays through real engine phases,
 	// where the armed hook can hold it mid-flight.
-	s.ex.InvalidateEngineCache()
+	s.ex.Gen.Cache = nil
 	arm.Store(true)
 
 	restoreCode := make(chan int, 1)

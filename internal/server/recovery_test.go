@@ -61,7 +61,7 @@ func seedSessions(tb testing.TB, store sessionstore.Store, db *dataset.DB, cfg c
 		if err := store.Create(id, sess.BaseSnapshot()); err != nil {
 			tb.Fatal(err)
 		}
-		for seq, op := range sess.Oplog() {
+		for seq, op := range sess.Snapshot().Ops {
 			if err := store.AppendOp(id, seq, op); err != nil {
 				tb.Fatal(err)
 			}

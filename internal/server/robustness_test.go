@@ -374,6 +374,40 @@ func TestJSONHardening(t *testing.T) {
 	}
 }
 
+// TestJSONBodyIsOneValue: a request body is one JSON value and nothing
+// after it but whitespace. Data after the value is a 400 that creates no
+// session; whitespace after it is accepted.
+func TestJSONBodyIsOneValue(t *testing.T) {
+	s, ts := testServerWith(t, lightConfig(), Options{})
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"mode":"ud"}`, http.StatusCreated},
+		{"{\"mode\":\"ud\"} \r\n\t", http.StatusCreated},
+		{`{"mode":"ud"} xyz`, http.StatusBadRequest},
+		{`{"mode":"ud"}{"mode":"rp"}`, http.StatusBadRequest},
+		{`{"mode":"ud"} 5`, http.StatusBadRequest},
+		{`{"mode":"ud"}}`, http.StatusBadRequest},
+		{`{"mode":"ud"} "x"`, http.StatusBadRequest},
+	} {
+		before := liveSessions(s)
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%q: %d %v, want %d", c.body, resp.StatusCode, body, c.want)
+		}
+		if c.want == http.StatusBadRequest && liveSessions(s) != before {
+			t.Errorf("%q: a rejected body created a session", c.body)
+		}
+	}
+}
+
 // grepMetric extracts matching lines for readable failures.
 func grepMetric(text, substr string) string {
 	var out []string

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -214,16 +215,21 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // decodeJSON reads a JSON body with the hardening defaults: a 64 KiB
-// size cap (413 on breach) and unknown-field rejection (a targeted 400).
-// It reports whether decoding succeeded; on failure the response has
-// been written.
+// size cap (413 on breach), unknown-field rejection (a targeted 400) and
+// one value only: anything but whitespace after it is a 400. It reports
+// whether decoding succeeded; on failure the response has been written.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the request's JSON value")
+		}
 	}
 	var maxErr *http.MaxBytesError
 	switch {

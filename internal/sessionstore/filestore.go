@@ -132,9 +132,6 @@ func (fs *FileStore) Recovery() RecoveryInfo {
 	return fs.recovery
 }
 
-// Dir returns the store directory.
-func (fs *FileStore) Dir() string { return fs.dir }
-
 // Create implements Store.
 func (fs *FileStore) Create(id int, snap *core.SessionSnapshot) error {
 	return fs.logAppend(walRecord{Kind: recCreate, ID: id, Snap: snapshotCopy(snap)})

@@ -13,7 +13,8 @@ import (
 // what a crash leaves, NULs allocated ahead included — and opens the
 // copy: the same sessions, ops and next id, and no truncation.
 func TestCrashImageOpensClean(t *testing.T) {
-	fs := openFile(t, t.TempDir(), -1)
+	dir := t.TempDir()
+	fs := openFile(t, dir, -1)
 	for id := 1; id <= 3; id++ {
 		if err := fs.Create(id, snap("TRUE")); err != nil {
 			t.Fatal(err)
@@ -27,7 +28,7 @@ func TestCrashImageOpensClean(t *testing.T) {
 	if err := fs.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	image, err := os.ReadFile(filepath.Join(fs.Dir(), WALFileName))
+	image, err := os.ReadFile(filepath.Join(dir, WALFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

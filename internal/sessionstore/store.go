@@ -5,10 +5,10 @@
 // accumulated snapshots back for the server to replay through the real
 // engine on recovery.
 //
-// Two implementations share the same semantics: MemStore (a mirror map,
-// for tests and single-process use) and FileStore (the mirror backed by
-// a crash-safe append-only write-ahead log with periodic snapshot
-// compaction; see filestore.go).
+// Two implementations share the same semantics: FileStore (the mirror
+// backed by a crash-safe append-only write-ahead log with periodic
+// snapshot compaction; see filestore.go), which the server runs on, and
+// MemStore (the mirror alone), which only tests build.
 //
 // Lock discipline: this package deliberately serializes its file writes
 // under an internal writer mutex — that is the point of a WAL — but the
@@ -131,10 +131,10 @@ func snapshotCopy(s *core.SessionSnapshot) *core.SessionSnapshot {
 }
 
 // MemStore is the in-memory Store: the mirror alone, with no backing
-// file. It gives single-process deployments shed/restore semantics (the
-// janitor can move idle sessions out of the serving map) without any
-// durability, and is the reference implementation the WAL tests compare
-// against.
+// file. No program builds one — the server's in-memory mode has no store
+// at all. It is the reference TestStoreContract holds FileStore to, and
+// the store the server's shed, restore and recovery tests run on without
+// touching the disk.
 type MemStore struct {
 	st  *memState
 	ins Instruments

@@ -38,9 +38,6 @@ type ANOVAResult struct {
 	P        float64
 }
 
-// Significant reports whether the groups differ at the given alpha.
-func (a ANOVAResult) Significant(alpha float64) bool { return a.P < alpha }
-
 // OneWayANOVA runs a one-way ANOVA over the given groups of observations.
 // Groups with fewer than one observation are ignored; if fewer than two
 // non-empty groups remain, or the within-group variance is zero, a degenerate

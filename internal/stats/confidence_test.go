@@ -160,3 +160,6 @@ func TestFDistSF(t *testing.T) {
 		t.Errorf("P(F(1,10)>4.96) = %v, want ≈ 0.05", p)
 	}
 }
+
+// Significant reports whether the groups differ at the given alpha.
+func (a ANOVAResult) Significant(alpha float64) bool { return a.P < alpha }

@@ -62,22 +62,6 @@ func (d Distribution) Normalize() {
 	}
 }
 
-// IsValid reports whether d is a proper probability distribution: entries in
-// [0,1] summing to 1 within tolerance.
-func (d Distribution) IsValid() bool {
-	if len(d) == 0 {
-		return false
-	}
-	sum := 0.0
-	for _, v := range d {
-		if v < -1e-12 || v > 1+1e-12 || math.IsNaN(v) {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) < 1e-6
-}
-
 // Mean returns the expected rating value assuming the domain is {1..len(d)}.
 func (d Distribution) Mean() float64 {
 	mean := 0.0
@@ -85,28 +69,6 @@ func (d Distribution) Mean() float64 {
 		mean += float64(i+1) * p
 	}
 	return mean
-}
-
-// Variance returns the variance of the rating value under d, with the domain
-// {1..len(d)}.
-func (d Distribution) Variance() float64 {
-	mean := d.Mean()
-	v := 0.0
-	for i, p := range d {
-		diff := float64(i+1) - mean
-		v += p * diff * diff
-	}
-	return v
-}
-
-// StdDev returns the standard deviation of the rating value under d.
-func (d Distribution) StdDev() float64 { return math.Sqrt(d.Variance()) }
-
-// Clone returns an independent copy of d.
-func (d Distribution) Clone() Distribution {
-	c := make(Distribution, len(d))
-	copy(c, d)
-	return c
 }
 
 // KLDivergence returns the Kullback-Leibler divergence D(p‖q) in nats, the

@@ -17,20 +17,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

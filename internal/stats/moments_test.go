@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
@@ -54,4 +57,18 @@ func TestRanks(t *testing.T) {
 			t.Fatalf("ranks = %v, want %v", r, want)
 		}
 	}
+}
+
+// StdDev returns the population standard deviation of xs.
+func StdDev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(xs)))
 }

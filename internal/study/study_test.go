@@ -1,11 +1,14 @@
 package study
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"subdex/internal/baselines"
 	"subdex/internal/core"
+	"subdex/internal/dataset"
+	"subdex/internal/dataset/datasettest"
 	"subdex/internal/gen"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
@@ -336,5 +339,63 @@ func TestBreadthTaskRollsUp(t *testing.T) {
 	}
 	if len(out.PerStepIdentified) != 6 {
 		t.Fatalf("steps = %d", len(out.PerStepIdentified))
+	}
+}
+
+// visitLog is a Detector that records every selection it is shown: the
+// path a subject walked.
+type visitLog struct {
+	*IrregularDetector
+	path []string
+}
+
+func (v *visitLog) Exposed(ex *core.Explorer, desc query.Description, maps []*ratingmap.RatingMap) []Exposure {
+	v.path = append(v.path, desc.String())
+	for _, s := range desc.Selectors() {
+		if s.Value == dataset.MissingLabel {
+			v.path = append(v.path, "BINDS MISSING")
+		}
+	}
+	return v.IrregularDetector.Exposed(ex, desc, maps)
+}
+
+// TestRunnerOnBlankCells: over a Scenario I database with a fifth of its
+// atomic cells blank, Runner.Run walks the same paths to the same outcome
+// twice, and no subject move binds the missing value.
+func TestRunnerOnBlankCells(t *testing.T) {
+	db, err := gen.Movielens(gen.Config{Seed: 5, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := gen.PlantIrregularGroups(db, 42, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.RecSampleSize = 500
+	ex, err := core.NewExplorer(datasettest.WithMissingCells(t, db, 0.2, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode core.Mode, id int) (*Outcome, []string) {
+		log := &visitLog{IrregularDetector: &IrregularDetector{Groups: groups}}
+		r := &Runner{Ex: ex, Detector: log, PathLen: 7}
+		out, err := r.Run(NewSubject(id, LowCS, LowDomain, 3), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, log.path
+	}
+	for _, mode := range []core.Mode{core.UserDriven, core.RecommendationPowered} {
+		for id := 0; id < 12; id++ {
+			out, path := run(mode, id)
+			again, pathAgain := run(mode, id)
+			if !reflect.DeepEqual(out, again) || !slices.Equal(path, pathAgain) {
+				t.Errorf("%v subject %d: two runs differ:\n  %+v %q\n  %+v %q", mode, id, out, path, again, pathAgain)
+			}
+			if slices.Contains(path, "BINDS MISSING") {
+				t.Errorf("%v subject %d: a move binds the missing value: %q", mode, id, path)
+			}
+		}
 	}
 }

@@ -125,34 +125,6 @@ func (tr *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return nil, fmt.Errorf("trace: bad header: %w", err)
-	}
-	if h.Version != 1 {
-		return nil, fmt.Errorf("trace: unsupported version %d", h.Version)
-	}
-	tr := &Trace{Database: h.Database, Mode: h.Mode}
-	for line := 2; sc.Scan(); line++ {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-	return tr, sc.Err()
-}
-
 // Save writes the trace to a file.
 func (tr *Trace) Save(path string) error {
 	f, err := os.Create(path)
@@ -164,14 +136,4 @@ func (tr *Trace) Save(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Load reads a trace from a file.
-func Load(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

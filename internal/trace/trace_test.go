@@ -1,8 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -202,4 +207,42 @@ func TestEventDegradedRoundTrip(t *testing.T) {
 	if !back.Events[0].Degraded || back.Events[0].RecordsProcessed != tr.Events[0].RecordsProcessed {
 		t.Fatalf("degradation lost in round trip: %+v", back.Events[0])
 	}
+}
+
+// Load reads a trace from a file.
+func Load(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
+}
+
+// Read parses a trace written by Write.
+func Read(r io.Reader) (*Trace, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("trace: empty input")
+	}
+	var h header
+	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+		return nil, fmt.Errorf("trace: bad header: %w", err)
+	}
+	if h.Version != 1 {
+		return nil, fmt.Errorf("trace: unsupported version %d", h.Version)
+	}
+	tr := &Trace{Database: h.Database, Mode: h.Mode}
+	for line := 2; sc.Scan(); line++ {
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		tr.Events = append(tr.Events, ev)
+	}
+	return tr, sc.Err()
 }

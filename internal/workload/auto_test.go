@@ -47,7 +47,7 @@ func TestAutoBurstIsAutoCtx(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s m=%d: AutoCtx: %v", gc.name, m, err)
 			}
-			if got, want := c.Session().Oplog(), sess.Oplog(); !reflect.DeepEqual(got, want) {
+			if got, want := c.Session().Snapshot().Ops, sess.Snapshot().Ops; !reflect.DeepEqual(got, want) {
 				t.Errorf("%s m=%d: op logs differ:\n  burst   %+v\n  AutoCtx %+v", gc.name, m, got, want)
 			}
 			if len(views) != len(steps) {

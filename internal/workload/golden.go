@@ -78,24 +78,6 @@ func MarshalGolden(recs []Record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ReadGolden parses a golden-trace file written by WriteGolden.
-func ReadGolden(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	var out []Record
-	for line := 1; sc.Scan(); line++ {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("workload: golden line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
 // DiffRecords renders a readable field-level account of how got diverges
 // from want — the error message of a golden-trace failure. It reports at
 // most a handful of differences per step so a real regression stays

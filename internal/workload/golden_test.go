@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,4 +246,22 @@ func TestDiffRecordsReportsFields(t *testing.T) {
 	if !strings.Contains(joined, "selection") || !strings.Contains(joined, "digest") {
 		t.Fatalf("diff output missing expected fields:\n%s", joined)
 	}
+}
+
+// ReadGolden parses a golden-trace file written by WriteGolden.
+func ReadGolden(r io.Reader) ([]Record, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	var out []Record
+	for line := 1; sc.Scan(); line++ {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+			continue
+		}
+		var rec Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("workload: golden line %d: %w", line, err)
+		}
+		out = append(out, rec)
+	}
+	return out, sc.Err()
 }

@@ -66,12 +66,6 @@ func FetchMetrics(ctx context.Context, hc *http.Client, url string) (*Scrape, er
 	return ParseMetrics(io.LimitReader(resp.Body, 64<<20))
 }
 
-// Value returns one counter/gauge sample by name and exact label set
-// (nil/empty labels select the unlabeled series). Missing series read 0.
-func (s *Scrape) Value(name string, labels map[string]string) float64 {
-	return s.values[seriesKey(name, labels)]
-}
-
 // Sum adds every sample of a counter/gauge family regardless of labels.
 func (s *Scrape) Sum(name string) float64 {
 	total := 0.0

@@ -114,3 +114,9 @@ func TestFetchMetricsLive(t *testing.T) {
 		t.Errorf("step-latency histogram count %v < steps %d", got, res.Steps)
 	}
 }
+
+// Value returns one counter/gauge sample by name and exact label set
+// (nil/empty labels select the unlabeled series). Missing series read 0.
+func (s *Scrape) Value(name string, labels map[string]string) float64 {
+	return s.values[seriesKey(name, labels)]
+}
