@@ -21,8 +21,6 @@ import (
 // it excuses.
 var exportExceptions = []struct{ export, reason string }{
 	{"cluster", "the cluster library leaves with bench/'s cluster_sweep (ROADMAP item 1); until then its tests drive more of it than bench/ does"},
-	{"sessionstore.NewMemStore", "a test seam: MemStore applies the WAL's unexported record semantics to the mirror alone, so no test-support package can hold it. sessionstore's TestStoreContract holds FileStore to it, and server's durability, fault, recovery, route and session-table tests (durability_test.go, faultstore_test.go, recovery_test.go, routes_test.go, sessions_test.go) run on it without a disk"},
-	{"sessionstore.MemStore", "the same seam as NewMemStore: its Stats satisfies no interface a program calls"},
 }
 
 // TestExportCensus holds program code to what a program calls: every

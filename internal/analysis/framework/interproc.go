@@ -477,11 +477,11 @@ func ReceiverTypeName(fn *types.Func) string {
 // the concrete package-scope types that implement the interface.
 // Analyzers use it to export a merged summary under the interface
 // method's key, which is what a dynamic call site's FlowEvent.Key is —
-// so a caller of sessionstore.Store.Get composes with the union of
-// MemStore.Get and FileStore.Get without ever seeing the concrete
-// types. Implementations in *other* packages are invisible (vet's
-// one-hop fact model); SubDEx keeps Store implementations beside the
-// interface for exactly this reason.
+// so a caller of sessionstore.Store.Get composes with FileStore.Get —
+// with the union of the implementations' summaries, were there more than
+// one — without ever seeing the concrete type. Implementations in
+// *other* packages are invisible (vet's one-hop fact model); SubDEx keeps
+// Store's implementation beside the interface for exactly this reason.
 func InterfaceMethodImpls(pkg *types.Package) map[string][]string {
 	scope := pkg.Scope()
 	var ifaces, concretes []*types.TypeName

@@ -12,8 +12,8 @@ import (
 // scoring, and the RM-Generator's hot-path metrics. A nil *Instruments
 // is a no-op everywhere, so explorers without observability pay nothing.
 type Instruments struct {
-	// SessionsStarted counts NewSession calls
-	// (subdex_sessions_started_total).
+	// SessionsStarted counts sessions created by NewSession, not the
+	// ones restored from a snapshot (subdex_sessions_started_total).
 	SessionsStarted *obs.Counter
 	// StepsDegraded counts steps that returned anytime (deadline-degraded)
 	// results (subdex_steps_degraded_total).

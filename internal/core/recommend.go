@@ -180,11 +180,7 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 			values = values[:lim.MaxValuesPerAttribute]
 		}
 		for i := range values {
-			label := dict.Value(values[i].Value)
-			if label == dataset.MissingLabel {
-				continue
-			}
-			sel := query.Selector{Side: rm.Side, Attr: rm.Attr, Value: label}
+			sel := query.Selector{Side: rm.Side, Attr: rm.Attr, Value: dict.Value(values[i].Value)}
 			if cur.BindsAttr(sel.Side, sel.Attr) {
 				continue
 			}

@@ -38,12 +38,22 @@ type Session struct {
 }
 
 // NewSession starts a session at the given description (use the zero
-// Description to start from the whole database).
+// Description to start from the whole database) and counts it in
+// subdex_sessions_started_total.
 func NewSession(ex *Explorer, mode Mode, start query.Description) (*Session, error) {
+	sess, err := newSession(ex, mode, start)
+	if err == nil {
+		ex.Ins.sessionStarted()
+	}
+	return sess, err
+}
+
+// newSession is NewSession without the count, for restore: a session
+// rebuilt from its snapshot was counted when it was created.
+func newSession(ex *Explorer, mode Mode, start query.Description) (*Session, error) {
 	if err := ex.Query.Validate(start); err != nil {
 		return nil, err
 	}
-	ex.Ins.sessionStarted()
 	return &Session{Ex: ex, Mode: mode, cur: start, start: start,
 		seen: ratingmap.NewSeenSet(), rb: RecommendationBuilder{Ex: ex}}, nil
 }

@@ -238,16 +238,12 @@ func RestoreSessions(ctx context.Context, ex *Explorer, snaps []*SessionSnapshot
 		r.members = append(r.members, i)
 	}
 	for _, r := range roots {
-		sess, err := NewSession(ex, r.mode, r.start)
+		sess, err := newSession(ex, r.mode, r.start)
 		if err != nil {
 			for _, m := range r.members {
 				w.errs[m] = err
 			}
 			continue
-		}
-		// One session started per snapshot, as one restore each counts.
-		for range r.members[1:] {
-			ex.Ins.sessionStarted()
 		}
 		w.walk(sess, r.members, 0)
 	}

@@ -195,7 +195,9 @@ type partial struct {
 // rows calls fn for every subgroup of the candidate in ascending value
 // order: a subgroup exists iff its row holds a scored record. counts are
 // the row's score columns (counts[s-1] = records with score s), n their
-// sum.
+// sum. It starts at row 1: this is the one place that decides the missing
+// value is never a bar, so no reader of a RatingMap checks for one
+// (TestNoMissingValueBar).
 func (p *partial) rows(fn func(v dataset.ValueID, counts []int32, n int)) {
 	stride := p.scale + 1
 	for base := stride; base < len(p.hist); base += stride {

@@ -9,6 +9,8 @@ import (
 	"testing/quick"
 
 	"subdex/internal/dataset"
+	"subdex/internal/dataset/datasettest"
+	"subdex/internal/gen"
 	"subdex/internal/query"
 )
 
@@ -48,6 +50,40 @@ func allRecords(db *dataset.DB) []int32 {
 		rs[i] = int32(i)
 	}
 	return rs
+}
+
+// TestNoMissingValueBar: the missing value is never a bar. partial.rows
+// starts at row 1, so no map the Builder produces — for any attribute of
+// either side, on any dimension, over a database with blank cells — has a
+// subgroup for dataset.MissingValue, and code that reads a map's bars
+// never checks for one.
+func TestNoMissingValueBar(t *testing.T) {
+	gdb, err := gen.Hotels(gen.Config{Seed: 1, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := datasettest.WithMissingCells(t, gdb, 0.2, 1)
+	var keys []Key
+	for side, table := range []*dataset.EntityTable{db.Reviewers, db.Items} {
+		schema := table.Schema
+		for a := 0; a < schema.Len(); a++ {
+			for d := range db.Ratings.Dimensions {
+				keys = append(keys, Key{Side: query.Side(side), Attr: schema.At(a).Name, Dim: d})
+			}
+		}
+	}
+	bars := 0
+	for _, rm := range (&Builder{DB: db}).Build(query.Description{}, allRecords(db), keys) {
+		for _, sg := range rm.Subgroups {
+			if sg.Value == dataset.MissingValue {
+				t.Errorf("%v has a bar for the missing value (%d records)", rm.Key, sg.N)
+			}
+		}
+		bars += len(rm.Subgroups)
+	}
+	if bars == 0 {
+		t.Fatalf("%d maps with no bars at all", len(keys))
+	}
 }
 
 func TestBuilderGroupByAtomic(t *testing.T) {

@@ -25,6 +25,19 @@ func durableServer(t *testing.T, store sessionstore.Store, opts Options) (*Serve
 	return testServerWith(t, lightConfig(), opts)
 }
 
+// tempStore opens a FileStore, the store the server ships, in a
+// directory of its own and closes it when the test ends — after the
+// servers the test builds on it, whose cleanups run first.
+func tempStore(t *testing.T) *sessionstore.FileStore {
+	t.Helper()
+	store, err := sessionstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 // stepBody GETs a step and returns its decoded payload.
 func stepBody(t *testing.T, ts *httptest.Server, id int, query string) (int, StepJSON) {
 	t.Helper()
@@ -57,7 +70,7 @@ func summarySteps(t *testing.T, ts *httptest.Server, id int) int {
 // mutation is in the store by the time the response is read, and
 // rejected requests are never logged.
 func TestDurableLifecyclePersisted(t *testing.T) {
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	_, ts := durableServer(t, store, Options{})
 
 	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "rp"})
@@ -186,7 +199,7 @@ func TestRestartResume(t *testing.T) {
 // server restarted mid-walk or not.
 func TestRestartResumeExactDigests(t *testing.T) {
 	// Control: an uninterrupted walk (step, recommend, step).
-	_, control := durableServer(t, sessionstore.NewMemStore(), Options{})
+	_, control := durableServer(t, tempStore(t), Options{})
 	_, created := postJSON(t, control.URL+"/sessions", map[string]string{"mode": "rp"})
 	cid := int(created["id"].(float64))
 	if code, _ := stepBody(t, control, cid, ""); code != http.StatusOK {
@@ -256,7 +269,7 @@ func TestShedRestoreTransparent(t *testing.T) {
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	var offset atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	s, ts := durableServer(t, store, Options{
 		SessionTTL:      time.Minute,
 		janitorInterval: time.Hour,
@@ -330,7 +343,7 @@ func TestShedRestoreTransparent(t *testing.T) {
 // answers from state — the same display, no second execution, no second
 // log record.
 func TestOpIDDedup(t *testing.T) {
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	_, ts := durableServer(t, store, Options{})
 	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "rp"})
 	id := int(created["id"].(float64))
@@ -416,7 +429,7 @@ func assertWonByRanking(t *testing.T, s *Server, id int, sj StepJSON, label stri
 // from the committed state, and on a step of a session a second server
 // restored from the store.
 func TestWonByIsTheRankingCriterion(t *testing.T) {
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	s1, ts1 := durableServer(t, store, Options{})
 	_, created := postJSON(t, ts1.URL+"/sessions", map[string]string{"mode": "rp"})
 	id := int(created["id"].(float64))
@@ -451,7 +464,7 @@ func TestWonByIsTheRankingCriterion(t *testing.T) {
 // indexing an empty step list. Before the guard this panicked with the
 // entry lock held, wedging the session into 409s forever.
 func TestStepRetryOpidOnNonStepOp(t *testing.T) {
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	_, ts := durableServer(t, store, Options{})
 	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "rp"})
 	id := int(created["id"].(float64))
@@ -501,7 +514,7 @@ func TestDeleteVsRestoreRace(t *testing.T) {
 		}
 	}
 	s, ts := testServerWith(t, cfg, Options{
-		Store:           sessionstore.NewMemStore(),
+		Store:           tempStore(t),
 		SessionTTL:      time.Minute,
 		janitorInterval: time.Hour,
 		clock:           clock,
@@ -567,7 +580,7 @@ func TestJanitorStaleShedBenign(t *testing.T) {
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
 	// Every Shed loses the race against a concurrent restore-and-commit or
 	// DELETE, as far as the store can tell.
-	store := &faultStore{Store: sessionstore.NewMemStore()}
+	store := &faultStore{Store: tempStore(t)}
 	store.arm(map[string]error{"Shed": fmt.Errorf("%w: injected", sessionstore.ErrStaleShed)}, 0)
 	s, ts := durableServer(t, store, Options{
 		SessionTTL:      time.Minute,
@@ -602,7 +615,7 @@ func TestJanitorStaleShedBenign(t *testing.T) {
 // TestUnknownSessionChecksStore pins the 404 path: with a store
 // configured, a genuinely unknown id still 404s on reads and deletes.
 func TestUnknownSessionChecksStore(t *testing.T) {
-	_, ts := durableServer(t, sessionstore.NewMemStore(), Options{})
+	_, ts := durableServer(t, tempStore(t), Options{})
 	if code, _ := stepBody(t, ts, 999, ""); code != http.StatusNotFound {
 		t.Errorf("unknown session: %d, want 404", code)
 	}
@@ -621,7 +634,7 @@ func TestUnknownSessionChecksStore(t *testing.T) {
 // atomicity: when the store cannot persist the creation, the client gets
 // a 500 and no half-created session remains serving.
 func TestCreateRollbackOnStoreFailure(t *testing.T) {
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	// Pre-seed an id the server will try to claim. Its placeholder
 	// snapshot cannot restore (no fingerprint), so boot leaves it in the
 	// store — and a create colliding with it fails to persist.
@@ -662,7 +675,7 @@ func TestDeleteVsInflightStep(t *testing.T) {
 			<-release
 		})
 	}
-	_, ts := testServerWith(t, cfg, Options{Store: sessionstore.NewMemStore()})
+	_, ts := testServerWith(t, cfg, Options{Store: tempStore(t)})
 
 	_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
 	id := int(created["id"].(float64))
@@ -713,7 +726,7 @@ func TestDeleteStepHammer(t *testing.T) {
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	var offset atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
-	s, ts := durableServer(t, sessionstore.NewMemStore(), Options{
+	s, ts := durableServer(t, tempStore(t), Options{
 		SessionTTL:      time.Millisecond,
 		janitorInterval: time.Hour,
 		clock:           clock,
@@ -790,65 +803,52 @@ func TestDeleteStepHammer(t *testing.T) {
 // A DELETE in the same window must answer 409, not pull the record out
 // from under the append.
 func TestCommitWindowIsPinned(t *testing.T) {
-	stores := map[string]func(t *testing.T) sessionstore.Store{
-		"mem": func(*testing.T) sessionstore.Store { return sessionstore.NewMemStore() },
-		"file": func(t *testing.T) sessionstore.Store {
-			fs, err := sessionstore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
+	t.Run("file", func(t *testing.T) {
+		base := time.Now()
+		var s *Server
+		var offset, swept, deleteStatus atomic.Int64 // written on handler goroutines
+		// The head of AppendOp is inside the window between commit
+		// releasing the session lock and the op reaching the log, which
+		// TestDeleteStepHammer only hits by chance.
+		store := &faultStore{Store: tempStore(t), before: func(method string, id int) {
+			if method != "AppendOp" {
+				return
 			}
-			t.Cleanup(func() { fs.Close() })
-			return fs
-		},
-	}
-	for name, open := range stores {
-		t.Run(name, func(t *testing.T) {
-			base := time.Now()
-			var s *Server
-			var offset, swept, deleteStatus atomic.Int64 // written on handler goroutines
-			// The head of AppendOp is inside the window between commit
-			// releasing the session lock and the op reaching the log, which
-			// TestDeleteStepHammer only hits by chance.
-			store := &faultStore{Store: open(t), before: func(method string, id int) {
-				if method != "AppendOp" {
-					return
-				}
-				offset.Add(int64(time.Hour))
-				swept.Add(int64(s.EvictIdle()))
-				if ref := s.table.remove(id); ref != nil {
-					deleteStatus.Store(int64(ref.status))
-				}
-			}}
-			s, ts := durableServer(t, store, Options{
-				SessionTTL:      time.Minute,
-				janitorInterval: 24 * time.Hour,
-				clock:           func() time.Time { return base.Add(time.Duration(offset.Load())) },
-			})
-			_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
-			id := int(created["id"].(float64))
-			for step := 1; step <= 2; step++ {
-				if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
-					t.Fatalf("step %d answered %d with the janitor inside its commit window", step, code)
-				}
-				snap, ok, err := store.Get(id)
-				if err != nil || !ok || len(snap.Ops) != step {
-					t.Fatalf("after step %d the store holds %+v (ok=%v, err=%v), want %d ops", step, snap, ok, err, step)
-				}
-			}
-			if swept.Load() != 0 || deleteStatus.Load() != http.StatusConflict {
-				t.Errorf("inside the window: %d sessions shed, DELETE answered %d; want 0 and 409", swept.Load(), deleteStatus.Load())
-			}
-			// Once the append has landed the session is idle again: the
-			// same sweep sheds it, and the next step restores it.
 			offset.Add(int64(time.Hour))
-			if n := s.EvictIdle(); n != 1 {
-				t.Fatalf("sweep after the append shed %d sessions, want 1", n)
+			swept.Add(int64(s.EvictIdle()))
+			if ref := s.table.remove(id); ref != nil {
+				deleteStatus.Store(int64(ref.status))
 			}
-			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
-				t.Fatalf("step on the shed session answered %d", code)
-			}
+		}}
+		s, ts := durableServer(t, store, Options{
+			SessionTTL:      time.Minute,
+			janitorInterval: 24 * time.Hour,
+			clock:           func() time.Time { return base.Add(time.Duration(offset.Load())) },
 		})
-	}
+		_, created := postJSON(t, ts.URL+"/sessions", map[string]string{"mode": "ud"})
+		id := int(created["id"].(float64))
+		for step := 1; step <= 2; step++ {
+			if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+				t.Fatalf("step %d answered %d with the janitor inside its commit window", step, code)
+			}
+			snap, ok, err := store.Get(id)
+			if err != nil || !ok || len(snap.Ops) != step {
+				t.Fatalf("after step %d the store holds %+v (ok=%v, err=%v), want %d ops", step, snap, ok, err, step)
+			}
+		}
+		if swept.Load() != 0 || deleteStatus.Load() != http.StatusConflict {
+			t.Errorf("inside the window: %d sessions shed, DELETE answered %d; want 0 and 409", swept.Load(), deleteStatus.Load())
+		}
+		// Once the append has landed the session is idle again: the
+		// same sweep sheds it, and the next step restores it.
+		offset.Add(int64(time.Hour))
+		if n := s.EvictIdle(); n != 1 {
+			t.Fatalf("sweep after the append shed %d sessions, want 1", n)
+		}
+		if code, _ := stepBody(t, ts, id, ""); code != http.StatusOK {
+			t.Fatalf("step on the shed session answered %d", code)
+		}
+	})
 }
 
 // TestDeleteStoreReadFaultIs500 pins a handleDelete fix: when the session is not in memory and the store read that
@@ -856,7 +856,7 @@ func TestCommitWindowIsPinned(t *testing.T) {
 // Answering "no such session" on a store fault reports a durable record
 // gone while its bytes — and the delete obligation — still exist.
 func TestDeleteStoreReadFaultIs500(t *testing.T) {
-	store := &faultStore{Store: sessionstore.NewMemStore()}
+	store := &faultStore{Store: tempStore(t)}
 	store.arm(map[string]error{"Get": fmt.Errorf("injected read fault")}, 0)
 	_, ts := durableServer(t, store, Options{})
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/7", nil)
@@ -882,7 +882,7 @@ func TestCloseJoinsJanitor(t *testing.T) {
 	started := make(chan struct{}) // closed when the first Shed begins
 	release := make(chan struct{}) // a Shed returns once this closes
 	var once sync.Once
-	store := &faultStore{Store: sessionstore.NewMemStore(), before: func(method string, _ int) {
+	store := &faultStore{Store: tempStore(t), before: func(method string, _ int) {
 		if method == "Shed" {
 			once.Do(func() { close(started) })
 			<-release

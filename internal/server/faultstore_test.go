@@ -21,8 +21,9 @@ import (
 )
 
 // faultStore is this package's one store wrapper: it counts the calls of
-// the six methods the server makes, fails the ones a test names, and runs
-// a hook at the head of every call.
+// the six methods through which the server reads and writes sessions,
+// fails the ones a test names, and runs a hook at the head of every call.
+// Instrument and Recovery pass straight through to the wrapped store.
 type faultStore struct {
 	sessionstore.Store
 	// before, when set, runs at the head of every call, whatever its fate:
@@ -152,7 +153,7 @@ type faultRig struct {
 
 func newFaultRig(t *testing.T, db *dataset.DB) *faultRig {
 	t.Helper()
-	r := &faultRig{store: &faultStore{Store: sessionstore.NewMemStore()}}
+	r := &faultRig{store: &faultStore{Store: tempStore(t)}}
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	s, err := NewWithOptionsCtx(context.Background(), db, lightConfig(), Options{
 		Store:           r.store,
@@ -253,7 +254,7 @@ func TestStoreFaultIsNeverSilent(t *testing.T) {
 	}
 
 	t.Run("boot", func(t *testing.T) {
-		store := &faultStore{Store: sessionstore.NewMemStore()}
+		store := &faultStore{Store: tempStore(t)}
 		store.arm(map[string]error{"All": injected}, 0)
 		s, err := NewWithOptionsCtx(context.Background(), db, lightConfig(), Options{Store: store})
 		if err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -99,7 +100,7 @@ func TestBootRecoveryHonoursContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sessions, steps = 3, 2
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	seedSessions(t, store, db, lightConfig(), sessions, steps)
 
 	for _, tc := range []struct {
@@ -163,7 +164,7 @@ func TestBootRecoveryInIdOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := sessionstore.NewMemStore()
+	store := tempStore(t)
 	const sessions = 12
 	for _, id := range rand.New(rand.NewSource(1)).Perm(sessions) {
 		stale := &core.SessionSnapshot{Version: core.SnapshotVersion + 1, Mode: "ud", Start: "TRUE"}
@@ -185,6 +186,87 @@ func TestBootRecoveryInIdOrder(t *testing.T) {
 			t.Fatalf("event %d from the end is session %v, want %d: recovery is not in id order", i, id, sessions-i)
 		}
 	}
+}
+
+// TestRecoveryStartsNoSession: subdex_sessions_started_total counts the
+// sessions clients create. A boot that recovers n stored sessions leaves
+// it at 0 — subdex_sessions_recovered_total counts those — and the next
+// create moves it to 1.
+func TestRecoveryStartsNoSession(t *testing.T) {
+	db, err := gen.Demo(gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 4
+	store := tempStore(t)
+	seedSessions(t, store, db, lightConfig(), sessions, 2)
+	s, err := NewWithOptionsCtx(context.Background(), db, lightConfig(), Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.sessionsRecovered.Value(); got != sessions {
+		t.Fatalf("recovered %d sessions, want %d", got, sessions)
+	}
+	if got := s.ex.Ins.SessionsStarted.Value(); got != 0 {
+		t.Errorf("subdex_sessions_started_total = %d after a boot that only recovered, want 0", got)
+	}
+	if _, ref := s.table.create(core.UserDriven, query.Description{}); ref != nil {
+		t.Fatal(ref.msg)
+	}
+	if got := s.ex.Ins.SessionsStarted.Value(); got != 1 {
+		t.Errorf("subdex_sessions_started_total = %d after one create, want 1", got)
+	}
+}
+
+// TestCorruptTailIsFlightRecorded: a torn WAL tail the store cut at open
+// is a flight event at boot, also when a wrapper stands between the server
+// and the FileStore — the server reads the cut from Store.Recovery, not
+// from the concrete type.
+func TestCorruptTailIsFlightRecorded(t *testing.T) {
+	db, err := gen.Demo(gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := sessionstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSessions(t, store, db, lightConfig(), 1, 1)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, sessionstore.WALFileName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"torn`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = sessionstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	s, err := NewWithOptionsCtx(context.Background(), db, lightConfig(), Options{Store: &faultStore{Store: store}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := liveSessions(s); got != 1 {
+		t.Errorf("recovered %d sessions from before the tear, want 1", got)
+	}
+	for _, ev := range s.Flight().Snapshot("", 0) {
+		if op, _ := ev.Get("op"); op == "wal_truncation" {
+			return
+		}
+	}
+	t.Error("the boot cut a torn WAL tail and flight-recorded nothing")
 }
 
 // stepCounter is a span sink counting the engine steps run under it.

@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"subdex/internal/sessionstore"
 )
 
 // seriesValue reads one counter series out of a /metrics scrape; a
@@ -198,7 +196,7 @@ func TestReadmeRoutesAreTheRouteTable(t *testing.T) {
 func TestWrongMethodDoesNotRestore(t *testing.T) {
 	var offset atomic.Int64
 	base := time.Now()
-	s, ts := durableServer(t, sessionstore.NewMemStore(), Options{
+	s, ts := durableServer(t, tempStore(t), Options{
 		SessionTTL:      time.Minute,
 		janitorInterval: time.Hour, // the test sweeps by hand
 		clock:           func() time.Time { return base.Add(time.Duration(offset.Load())) },

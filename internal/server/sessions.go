@@ -161,14 +161,12 @@ func (t *sessionTable) recover(ctx context.Context) error {
 	t.mu.Lock()
 	t.nextID = max(t.nextID, nextID)
 	t.mu.Unlock()
-	if fs, ok := t.store.(*sessionstore.FileStore); ok {
-		if rec := fs.Recovery(); rec.Truncated {
-			t.tel.flightEvent("wal_corrupt_tail", obs.NewWideEvent().
-				Set("op", "wal_truncation").
-				Set("error", rec.Reason).
-				Set("wal_valid_bytes", rec.TruncatedAt).
-				Set("wal_records", rec.Records))
-		}
+	if rec := t.store.Recovery(); rec.Truncated {
+		t.tel.flightEvent("wal_corrupt_tail", obs.NewWideEvent().
+			Set("op", "wal_truncation").
+			Set("error", rec.Reason).
+			Set("wal_valid_bytes", rec.TruncatedAt).
+			Set("wal_records", rec.Records))
 	}
 	return nil
 }

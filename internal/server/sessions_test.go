@@ -94,7 +94,7 @@ func TestTableEvictVersusShed(t *testing.T) {
 		}
 	})
 	t.Run("store", func(t *testing.T) {
-		table, offset := testTable(t, sessionstore.NewMemStore(), 0)
+		table, offset := testTable(t, tempStore(t), 0)
 		id := mustCreate(t, table)
 		*offset = 2 * time.Minute
 		if n := table.evictIdle(); n != 1 {
@@ -128,7 +128,7 @@ func TestTableEvictVersusShed(t *testing.T) {
 // install the session the client is being told is gone.
 func TestTableRestoreVersusDeleteTombstone(t *testing.T) {
 	ctx := context.Background()
-	table, offset := testTable(t, sessionstore.NewMemStore(), 0)
+	table, offset := testTable(t, tempStore(t), 0)
 	id := mustCreate(t, table)
 	*offset = 2 * time.Minute
 	table.evictIdle()
@@ -151,7 +151,7 @@ func TestTableRestoreVersusDeleteTombstone(t *testing.T) {
 }
 
 func TestTableRemove(t *testing.T) {
-	table, offset := testTable(t, sessionstore.NewMemStore(), 0)
+	table, offset := testTable(t, tempStore(t), 0)
 	id := mustCreate(t, table)
 	e, _ := table.lookup(context.Background(), id)
 	e.mu.Lock()

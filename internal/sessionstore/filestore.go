@@ -36,7 +36,7 @@ type RecoveryInfo struct {
 	Sessions int
 }
 
-// FileStore is the durable Store: the shared mirror backed by an
+// FileStore is the durable Store: the mirror backed by an
 // append-only, synced-per-record, checksummed JSONL write-ahead log with
 // periodic snapshot compaction.
 //
@@ -125,7 +125,7 @@ func open(dir string, every int) (*FileStore, error) {
 	return fs, nil
 }
 
-// Recovery reports what Open found.
+// Recovery implements Store: it reports what Open found.
 func (fs *FileStore) Recovery() RecoveryInfo {
 	fs.statsMu.Lock()
 	defer fs.statsMu.Unlock()
@@ -186,7 +186,7 @@ func (fs *FileStore) Instrument(ins Instruments) {
 	ins.Truncations.Add(st.Truncations)
 }
 
-// Stats implements Store.
+// Stats reports lifetime operation counts.
 func (fs *FileStore) Stats() Stats {
 	fs.statsMu.Lock()
 	st := fs.stats
@@ -197,7 +197,7 @@ func (fs *FileStore) Stats() Stats {
 	return st
 }
 
-// Close implements Store.
+// Close releases the log file. The store must not be used afterwards.
 func (fs *FileStore) Close() error {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()

@@ -5,10 +5,11 @@
 // accumulated snapshots back for the server to replay through the real
 // engine on recovery.
 //
-// Two implementations share the same semantics: FileStore (the mirror
-// backed by a crash-safe append-only write-ahead log with periodic
-// snapshot compaction; see filestore.go), which the server runs on, and
-// MemStore (the mirror alone), which only tests build.
+// The store is FileStore: an in-memory mirror of every session's
+// snapshot backed by a crash-safe append-only write-ahead log with
+// periodic snapshot compaction (see filestore.go). The server holds it as
+// a Store, the methods it calls, so that its tests can wrap the store in a
+// fault injector.
 //
 // Lock discipline: this package deliberately serializes its file writes
 // under an internal writer mutex — that is the point of a WAL — but the
@@ -34,10 +35,10 @@ import (
 // must drop its snapshot, which is the correct outcome, not a failure.
 var ErrStaleShed = errors.New("sessionstore: stale shed")
 
-// Store is the durable session store. Implementations are safe for
-// concurrent use. An op append or shed that returns nil has been made
-// durable (for FileStore: written and synced) — the server relies on
-// that to log before it responds.
+// Store is the durable session store as the server calls it; FileStore
+// is the one implementation. It is safe for concurrent use. An op append
+// or shed that returns nil has been written and synced — the server
+// relies on that to log before it responds.
 type Store interface {
 	// Create durably records a new session under id with its
 	// creation-time base snapshot (no ops yet).
@@ -60,10 +61,9 @@ type Store interface {
 	// before the call (e.g. during WAL replay in open) are added to the
 	// counters immediately.
 	Instrument(ins Instruments)
-	// Stats reports lifetime operation counts.
-	Stats() Stats
-	// Close releases resources. The store must not be used afterwards.
-	Close() error
+	// Recovery reports what opening the store found in its log, which
+	// the server flight-records when the log had a corrupt tail.
+	Recovery() RecoveryInfo
 }
 
 // Instruments carries the store's metric hooks. Nil counters are no-ops,
@@ -100,12 +100,12 @@ type Stats struct {
 	Sessions int
 }
 
-// memState is the shared mirror: the current snapshot of every stored
-// session. Both implementations apply the same record semantics to it
-// (see apply in wal.go), which is what makes FileStore's replay provably
-// equivalent to the in-memory history.
+// memState is the store's mirror: the current snapshot of every stored
+// session. Live appends and open-time replay apply the same record
+// semantics to it (see apply in wal.go), which is what makes FileStore's
+// replay provably equivalent to the history it logged.
 type memState struct {
-	//subdex:lockorder rank=60 innermost: the shared mirror's lock nests under every server and store lock and takes nothing itself
+	//subdex:lockorder rank=60 innermost: the mirror's lock nests under every server and store lock and takes nothing itself
 	mu       sync.Mutex
 	sessions map[int]*core.SessionSnapshot
 	nextID   int
@@ -128,109 +128,6 @@ func snapshotCopy(s *core.SessionSnapshot) *core.SessionSnapshot {
 		c.Final = &f
 	}
 	return &c
-}
-
-// MemStore is the in-memory Store: the mirror alone, with no backing
-// file. No program builds one — the server's in-memory mode has no store
-// at all. It is the reference TestStoreContract holds FileStore to, and
-// the store the server's shed, restore and recovery tests run on without
-// touching the disk.
-type MemStore struct {
-	st  *memState
-	ins Instruments
-
-	//subdex:lockorder rank=50 Stats holds it across the mirror's memState.mu, mirroring FileStore's ladder
-	statsMu sync.Mutex
-	stats   Stats
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{st: newMemState()}
-}
-
-// Create implements Store.
-func (m *MemStore) Create(id int, snap *core.SessionSnapshot) error {
-	err := m.st.apply(walRecord{Kind: recCreate, ID: id, Snap: snapshotCopy(snap)})
-	m.count(err)
-	return err
-}
-
-// AppendOp implements Store.
-func (m *MemStore) AppendOp(id, seq int, op core.SessionOp) error {
-	err := m.st.apply(walRecord{Kind: recOp, ID: id, Seq: seq, Op: &op})
-	m.count(err)
-	return err
-}
-
-// Shed implements Store.
-func (m *MemStore) Shed(id int, snap *core.SessionSnapshot) error {
-	err := m.st.apply(walRecord{Kind: recShed, ID: id, Snap: snapshotCopy(snap)})
-	m.count(err)
-	return err
-}
-
-// Get implements Store.
-func (m *MemStore) Get(id int) (*core.SessionSnapshot, bool, error) {
-	m.st.mu.Lock()
-	defer m.st.mu.Unlock()
-	snap, ok := m.st.sessions[id]
-	if !ok {
-		return nil, false, nil
-	}
-	return snapshotCopy(snap), true, nil
-}
-
-// All implements Store.
-func (m *MemStore) All() (map[int]*core.SessionSnapshot, int, error) {
-	m.st.mu.Lock()
-	defer m.st.mu.Unlock()
-	out := make(map[int]*core.SessionSnapshot, len(m.st.sessions))
-	for id, snap := range m.st.sessions {
-		out[id] = snapshotCopy(snap)
-	}
-	return out, m.st.nextID, nil
-}
-
-// Delete implements Store.
-func (m *MemStore) Delete(id int) error {
-	err := m.st.apply(walRecord{Kind: recDelete, ID: id})
-	m.count(err)
-	return err
-}
-
-// Instrument implements Store.
-func (m *MemStore) Instrument(ins Instruments) {
-	m.statsMu.Lock()
-	appends := m.stats.Appends
-	m.ins = ins
-	m.statsMu.Unlock()
-	ins.Appends.Add(appends)
-}
-
-// Stats implements Store.
-func (m *MemStore) Stats() Stats {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	st := m.stats
-	m.st.mu.Lock()
-	st.Sessions = len(m.st.sessions)
-	m.st.mu.Unlock()
-	return st
-}
-
-// Close implements Store.
-func (m *MemStore) Close() error { return nil }
-
-func (m *MemStore) count(err error) {
-	if err != nil {
-		return
-	}
-	m.statsMu.Lock()
-	ins := m.ins
-	m.stats.Appends++
-	m.statsMu.Unlock()
-	ins.Appends.Inc()
 }
 
 // errSeq reports an out-of-order live append — a store-usage bug, as

@@ -37,122 +37,116 @@ func openFile(t *testing.T, dir string, every int) *FileStore {
 	return fs
 }
 
-// TestStoreContract runs the shared semantics against both
-// implementations: they must be indistinguishable through the interface.
+// TestStoreContract runs the record semantics the server relies on
+// against the file store.
 func TestStoreContract(t *testing.T) {
-	impls := map[string]func(t *testing.T) Store{
-		"mem":  func(t *testing.T) Store { return NewMemStore() },
-		"file": func(t *testing.T) Store { return openFile(t, t.TempDir(), -1) },
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			s := mk(t)
+	t.Run("file", func(t *testing.T) {
+		s := openFile(t, t.TempDir(), -1)
 
-			if err := s.Create(1, snap("TRUE")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Create(1, snap("TRUE")); err == nil {
-				t.Fatal("duplicate create must fail")
-			}
-			if err := s.AppendOp(1, 0, stepOp("1-1")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AppendOp(1, 0, stepOp("1-dup")); err == nil {
-				t.Fatal("out-of-order append must fail")
-			}
-			if err := s.AppendOp(1, 2, stepOp("1-gap")); err == nil {
-				t.Fatal("gapped append must fail")
-			}
-			if err := s.AppendOp(99, 0, stepOp("99-1")); err == nil {
-				t.Fatal("append to unknown session must fail")
-			}
-			got, ok, err := s.Get(1)
-			if err != nil || !ok {
-				t.Fatalf("get: ok=%t err=%v", ok, err)
-			}
-			if len(got.Ops) != 1 || got.Ops[0].OpID != "1-1" {
-				t.Fatalf("stored ops: %+v", got.Ops)
-			}
+		if err := s.Create(1, snap("TRUE")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Create(1, snap("TRUE")); err == nil {
+			t.Fatal("duplicate create must fail")
+		}
+		if err := s.AppendOp(1, 0, stepOp("1-1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendOp(1, 0, stepOp("1-dup")); err == nil {
+			t.Fatal("out-of-order append must fail")
+		}
+		if err := s.AppendOp(1, 2, stepOp("1-gap")); err == nil {
+			t.Fatal("gapped append must fail")
+		}
+		if err := s.AppendOp(99, 0, stepOp("99-1")); err == nil {
+			t.Fatal("append to unknown session must fail")
+		}
+		got, ok, err := s.Get(1)
+		if err != nil || !ok {
+			t.Fatalf("get: ok=%t err=%v", ok, err)
+		}
+		if len(got.Ops) != 1 || got.Ops[0].OpID != "1-1" {
+			t.Fatalf("stored ops: %+v", got.Ops)
+		}
 
-			// A full snapshot's Final is dropped the moment an op is
-			// appended without one: the end-state record would be stale.
-			full := snap("TRUE", stepOp("2-1"))
-			full.Final = &core.FinalState{Current: "TRUE", Steps: 1}
-			if err := s.Create(2, full); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AppendOp(2, 1, stepOp("2-2")); err != nil {
-				t.Fatal(err)
-			}
-			got, _, _ = s.Get(2)
-			if got.Final != nil {
-				t.Error("append must clear a stale Final")
-			}
+		// A full snapshot's Final is dropped the moment an op is
+		// appended without one: the end-state record would be stale.
+		full := snap("TRUE", stepOp("2-1"))
+		full.Final = &core.FinalState{Current: "TRUE", Steps: 1}
+		if err := s.Create(2, full); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendOp(2, 1, stepOp("2-2")); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ = s.Get(2)
+		if got.Final != nil {
+			t.Error("append must clear a stale Final")
+		}
 
-			// Shed replaces wholesale; its Final survives (it matches).
-			shed := snap("TRUE", stepOp("2-1"), stepOp("2-2"))
-			shed.Final = &core.FinalState{Current: "TRUE", Steps: 2}
-			if err := s.Shed(2, shed); err != nil {
-				t.Fatal(err)
-			}
-			got, _, _ = s.Get(2)
-			if got.Final == nil || got.Final.Steps != 2 {
-				t.Errorf("shed must keep its Final: %+v", got.Final)
-			}
+		// Shed replaces wholesale; its Final survives (it matches).
+		shed := snap("TRUE", stepOp("2-1"), stepOp("2-2"))
+		shed.Final = &core.FinalState{Current: "TRUE", Steps: 2}
+		if err := s.Shed(2, shed); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ = s.Get(2)
+		if got.Final == nil || got.Final.Steps != 2 {
+			t.Errorf("shed must keep its Final: %+v", got.Final)
+		}
 
-			// A stale shed — a snapshot with fewer ops than the record it
-			// would replace — must be refused: between snapshot and shed a
-			// restored copy committed (and was acknowledged for) more ops,
-			// and overwriting would erase them.
-			if err := s.Shed(2, snap("TRUE", stepOp("2-1"))); !errors.Is(err, ErrStaleShed) {
-				t.Fatalf("stale shed: err = %v, want ErrStaleShed", err)
-			}
-			if got, _, _ = s.Get(2); len(got.Ops) != 2 {
-				t.Fatalf("stale shed mutated the record: %d ops, want 2", len(got.Ops))
-			}
+		// A stale shed — a snapshot with fewer ops than the record it
+		// would replace — must be refused: between snapshot and shed a
+		// restored copy committed (and was acknowledged for) more ops,
+		// and overwriting would erase them.
+		if err := s.Shed(2, snap("TRUE", stepOp("2-1"))); !errors.Is(err, ErrStaleShed) {
+			t.Fatalf("stale shed: err = %v, want ErrStaleShed", err)
+		}
+		if got, _, _ = s.Get(2); len(got.Ops) != 2 {
+			t.Fatalf("stale shed mutated the record: %d ops, want 2", len(got.Ops))
+		}
 
-			// Mutating a returned copy must not reach the mirror.
-			got.Ops[0].OpID = "mutated"
-			again, _, _ := s.Get(2)
-			if again.Ops[0].OpID == "mutated" {
-				t.Error("Get must return a private copy")
-			}
+		// Mutating a returned copy must not reach the mirror.
+		got.Ops[0].OpID = "mutated"
+		again, _, _ := s.Get(2)
+		if again.Ops[0].OpID == "mutated" {
+			t.Error("Get must return a private copy")
+		}
 
-			all, next, err := s.All()
-			if err != nil || len(all) != 2 {
-				t.Fatalf("all: %d sessions err=%v", len(all), err)
-			}
-			if next != 3 {
-				t.Errorf("next id: want 3, got %d", next)
-			}
-			if err := s.Delete(2); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete(2); err != nil {
-				t.Fatalf("deleting an unknown id must be a no-op: %v", err)
-			}
-			if _, ok, _ := s.Get(2); ok {
-				t.Error("deleted session still readable")
-			}
-			// A shed that raced a delete must not resurrect the session.
-			if err := s.Shed(2, shed); !errors.Is(err, ErrStaleShed) {
-				t.Fatalf("shed after delete: err = %v, want ErrStaleShed", err)
-			}
-			if _, ok, _ := s.Get(2); ok {
-				t.Error("stale shed resurrected a deleted session")
-			}
-			// The watermark survives deleting the highest id.
-			if _, next, _ = s.All(); next != 3 {
-				t.Errorf("next id after delete: want 3, got %d", next)
-			}
-			if st := s.Stats(); st.Sessions != 1 || st.Appends == 0 {
-				t.Errorf("stats: %+v", st)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		all, next, err := s.All()
+		if err != nil || len(all) != 2 {
+			t.Fatalf("all: %d sessions err=%v", len(all), err)
+		}
+		if next != 3 {
+			t.Errorf("next id: want 3, got %d", next)
+		}
+		if err := s.Delete(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(2); err != nil {
+			t.Fatalf("deleting an unknown id must be a no-op: %v", err)
+		}
+		if _, ok, _ := s.Get(2); ok {
+			t.Error("deleted session still readable")
+		}
+		// A shed that raced a delete must not resurrect the session.
+		if err := s.Shed(2, shed); !errors.Is(err, ErrStaleShed) {
+			t.Fatalf("shed after delete: err = %v, want ErrStaleShed", err)
+		}
+		if _, ok, _ := s.Get(2); ok {
+			t.Error("stale shed resurrected a deleted session")
+		}
+		// The watermark survives deleting the highest id.
+		if _, next, _ = s.All(); next != 3 {
+			t.Errorf("next id after delete: want 3, got %d", next)
+		}
+		if st := s.Stats(); st.Sessions != 1 || st.Appends == 0 {
+			t.Errorf("stats: %+v", st)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFileStoreReopen is the durability core: everything recorded before

@@ -2,7 +2,6 @@ package study
 
 import (
 	"subdex/internal/core"
-	"subdex/internal/dataset"
 	"subdex/internal/gen"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
@@ -164,11 +163,7 @@ func (d *IrregularDetector) groupExposed(ex *core.Explorer, gi int,
 			if sg.N < d.minBar() || sg.AvgScore() > 1+d.eps() {
 				continue
 			}
-			label := dict.Value(sg.Value)
-			if label == dataset.MissingLabel {
-				continue
-			}
-			refined, err := desc.With(query.Selector{Side: rm.Side, Attr: rm.Attr, Value: label})
+			refined, err := desc.With(query.Selector{Side: rm.Side, Attr: rm.Attr, Value: dict.Value(sg.Value)})
 			if err != nil {
 				continue
 			}
@@ -233,7 +228,7 @@ func (d *InsightDetector) insightExposed(ex *core.Explorer, in gen.Insight, maps
 		// First pass: find the target bar.
 		for i := range rm.Subgroups {
 			sg := &rm.Subgroups[i]
-			if sg.N < d.minBar() || dict.Value(sg.Value) == dataset.MissingLabel {
+			if sg.N < d.minBar() {
 				continue
 			}
 			bars++
@@ -248,8 +243,7 @@ func (d *InsightDetector) insightExposed(ex *core.Explorer, in gen.Insight, maps
 		extreme = true
 		for i := range rm.Subgroups {
 			sg := &rm.Subgroups[i]
-			if sg.N < d.minBar() || dict.Value(sg.Value) == in.Value ||
-				dict.Value(sg.Value) == dataset.MissingLabel {
+			if sg.N < d.minBar() || dict.Value(sg.Value) == in.Value {
 				continue
 			}
 			avg := sg.AvgScore()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"subdex/internal/core"
-	"subdex/internal/dataset"
 	"subdex/internal/query"
 )
 
@@ -211,13 +210,9 @@ func (r *Runner) lowestBar(res *core.StepResult, cur query.Description, needSide
 			if sg.N < 3 {
 				continue
 			}
-			label := dict.Value(sg.Value)
-			if label == dataset.MissingLabel {
-				continue
-			}
 			if avg := sg.AvgScore(); avg < bestAvg {
 				bestAvg = avg
-				best = query.Selector{Side: rm.Side, Attr: rm.Attr, Value: label}
+				best = query.Selector{Side: rm.Side, Attr: rm.Attr, Value: dict.Value(sg.Value)}
 				ok = true
 			}
 		}
@@ -258,7 +253,7 @@ func (r *Runner) selfDirected(subj *Subject, cur query.Description, res *core.St
 		if (needSide == nil || rm.Side == *needSide) && len(rm.Subgroups) > 0 {
 			sg := rm.Subgroups[subj.Rng.Intn(len(rm.Subgroups))]
 			label := r.Ex.DictFor(rm).Value(sg.Value)
-			if label != dataset.MissingLabel && !cur.BindsAttr(rm.Side, rm.Attr) {
+			if !cur.BindsAttr(rm.Side, rm.Attr) {
 				if d, err := cur.With(query.Selector{Side: rm.Side, Attr: rm.Attr, Value: label}); err == nil {
 					return d, nil
 				}
