@@ -227,7 +227,7 @@ func (ex *Explorer) selectDiverse(genRes *engine.Result) (sel []*ratingmap.Ratin
 // ascending records and candidate rating maps. To keep recommendation
 // building interactive, the group is scored on query.Sample of its records
 // (Cfg.RecSampleSize) — which records already are when the recPass derived
-// them through a bounded partition.
+// them, so Sample hands them back as they are.
 //
 // keep, when non-nil, is the engine's gate (engine.TopMapsIfCtx): it sees the
 // group's k′ = K×L top utilities in rank order before any of the maps

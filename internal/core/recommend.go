@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,7 +77,11 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	defer pass.describe(span)
 
 	durations := make([]time.Duration, 0, len(ops))
-	var recs []Recommendation
+	top := len(ops)
+	if o > 0 {
+		top = min(o, len(ops))
+	}
+	recs := make([]Recommendation, 0, top)
 	for _, op := range ops {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -87,17 +92,28 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 			return nil, nil, err
 		}
 		if !bounded {
-			recs = append(recs, Recommendation{Op: op, Utility: u})
+			recs = keepTop(recs, Recommendation{Op: op, Utility: u}, o)
 		}
 		durations = append(durations, time.Since(start))
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Utility > recs[j].Utility })
-	if o > 0 && len(recs) > o {
-		recs = recs[:o]
 	}
 	span.SetAttr("evaluated", len(durations))
 	span.SetAttr("recommended", len(recs))
 	return recs, durations, nil
+}
+
+// keepTop inserts r into recs, the top o so far — all of them when o ≤ 0 —
+// by descending utility, ties in arrival order, and drops what falls past
+// the o-th place: the stable sort of every candidate, truncated to o, kept
+// as the candidates arrive. recs never outgrows a capacity of o.
+func keepTop(recs []Recommendation, r Recommendation, o int) []Recommendation {
+	at := sort.Search(len(recs), func(i int) bool { return recs[i].Utility < r.Utility })
+	if o > 0 && len(recs) == o {
+		if at == o {
+			return recs
+		}
+		recs = recs[:o-1]
+	}
+	return slices.Insert(recs, at, r)
 }
 
 // operationUtility evaluates Equation 2 for a candidate operation: the sum
@@ -127,17 +143,62 @@ func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operat
 // changes are included. The two-pair combinations are anchored on the
 // displayed maps (filtering into a map's subgroup while adjusting one
 // existing pair), which is how the paper's Recommendation Builder
-// associates candidates with rating maps. Duplicate targets are merged.
+// associates candidates with rating maps.
+//
+// The operations are distinct by construction. A target is fixed by its
+// delta from cur — the pair it adds, the one it removes, the one it changes
+// and to what — and a description binds an attribute at most once, so
+// operations of different deltas have different targets, and none is cur.
+// Only two kinds of repeated delta can arise, and neither is made: a
+// map-anchored plain Filter, which the single-pair loop has always added
+// already (a subgroup is a registered value of an attribute cur leaves
+// unbound), and an anchor that a second map on the same attribute repeats,
+// whose operations its first occurrence made.
 func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*ratingmap.RatingMap) ([]query.Operation, error) {
 	lim := rb.Ex.Cfg.Limits
-	seen := map[string]bool{cur.Key(): true}
-	var ops []query.Operation
-	add := func(op query.Operation) bool {
-		k := op.Target.Key()
-		if seen[k] {
-			return true
+	// The values each selector of cur may change to, read once a call: the
+	// roll-ups and sideways moves and every anchor's combinations share them.
+	// moves counts what the selectors make on one base, cur or an anchor's
+	// cur + ⟨a, v⟩: a removal each and a change per value, so the list holds
+	// the single-pair filters and (anchors + 1) × moves.
+	olds := cur.Selectors()
+	changeTo := make([][]string, len(olds))
+	moves := 0
+	for i, old := range olds {
+		vals, err := rb.Ex.Query.AttributeValues(old.Side, old.Attr)
+		if err != nil {
+			return nil, err
 		}
-		seen[k] = true
+		changeTo[i] = capped(vals, lim.MaxValuesPerAttribute)
+		moves += 1 + len(changeTo[i])
+		if slices.Contains(changeTo[i], old.Value) {
+			moves--
+		}
+	}
+	var anchors []query.Selector
+	for _, rm := range maps {
+		dict := rb.dictOf(rm)
+		for _, sg := range capped(rm.Subgroups, lim.MaxValuesPerAttribute) {
+			sel := query.Selector{Side: rm.Side, Attr: rm.Attr, Value: dict.Value(sg.Value)}
+			if !cur.BindsAttr(sel.Side, sel.Attr) && !slices.Contains(anchors, sel) {
+				anchors = append(anchors, sel)
+			}
+		}
+	}
+	tables := rb.Ex.tables()
+	n := (len(anchors) + 1) * moves
+	for side, t := range tables {
+		for a := 0; a < t.Schema.Len(); a++ {
+			if !cur.BindsAttr(query.Side(side), t.Schema.At(a).Name) {
+				n += t.ValueCardinality(a)
+			}
+		}
+	}
+	if lim.MaxCandidates > 0 {
+		n = min(n, lim.MaxCandidates)
+	}
+	ops := make([]query.Operation, 0, n)
+	add := func(op query.Operation) bool {
 		ops = append(ops, op)
 		return lim.MaxCandidates == 0 || len(ops) < lim.MaxCandidates
 	}
@@ -146,19 +207,14 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 	// per-attribute value cap deliberately does not apply here: single-pair
 	// candidates are the cheap, load-bearing ones, and truncating the value
 	// list would hide exactly the operations the user needs.
-	for _, side := range []query.Side{query.ReviewerSide, query.ItemSide} {
-		var t = rb.Ex.DB.Reviewers
-		if side == query.ItemSide {
-			t = rb.Ex.DB.Items
-		}
+	for side, t := range tables {
 		for a := 0; a < t.Schema.Len(); a++ {
 			attr := t.Schema.At(a).Name
-			if cur.BindsAttr(side, attr) {
+			if cur.BindsAttr(query.Side(side), attr) {
 				continue
 			}
-			values := t.Dict(a).Values()
-			for _, v := range values {
-				sel := query.Selector{Side: side, Attr: attr, Value: v}
+			for _, v := range t.Dict(a).Values() {
+				sel := query.Selector{Side: query.Side(side), Attr: attr, Value: v}
 				target, err := cur.With(sel)
 				if err != nil {
 					continue
@@ -172,48 +228,26 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 	}
 
 	// Map-anchored drill-downs: filter to each subgroup of each displayed
-	// map, optionally combined with one removal or change.
-	for _, rm := range maps {
-		dict := rb.dictOf(rm)
-		values := rm.Subgroups
-		if lim.MaxValuesPerAttribute > 0 && len(values) > lim.MaxValuesPerAttribute {
-			values = values[:lim.MaxValuesPerAttribute]
+	// map — the plain Filter is made above — combined with one removal or
+	// change.
+	for _, s := range anchors {
+		target, err := cur.With(s)
+		if err != nil {
+			continue
 		}
-		for i := range values {
-			sel := query.Selector{Side: rm.Side, Attr: rm.Attr, Value: dict.Value(values[i].Value)}
-			if cur.BindsAttr(sel.Side, sel.Attr) {
-				continue
+		for i, old := range olds {
+			if t2, err := target.Without(old); err == nil {
+				if !add(query.Operation{Kind: query.FilterGeneralize, Target: t2, Added: &s, Removed: &old}) {
+					return ops, nil
+				}
 			}
-			target, err := cur.With(sel)
-			if err != nil {
-				continue
-			}
-			s := sel
-			if !add(query.Operation{Kind: query.Filter, Target: target, Added: &s}) {
-				return ops, nil
-			}
-			for _, old := range cur.Selectors() {
-				old := old
-				if t2, err := target.Without(old); err == nil {
-					if !add(query.Operation{Kind: query.FilterGeneralize, Target: t2, Added: &s, Removed: &old}) {
+			for _, v := range changeTo[i] {
+				if v == old.Value {
+					continue
+				}
+				if t2, err := target.WithChanged(old, v); err == nil {
+					if !add(query.Operation{Kind: query.FilterChange, Target: t2, Added: &s, Changed: &old, ChangedTo: v}) {
 						return ops, nil
-					}
-				}
-				vals, err := rb.Ex.Query.AttributeValues(old.Side, old.Attr)
-				if err != nil {
-					return nil, err
-				}
-				if lim.MaxValuesPerAttribute > 0 && len(vals) > lim.MaxValuesPerAttribute {
-					vals = vals[:lim.MaxValuesPerAttribute]
-				}
-				for _, v := range vals {
-					if v == old.Value {
-						continue
-					}
-					if t2, err := target.WithChanged(old, v); err == nil {
-						if !add(query.Operation{Kind: query.FilterChange, Target: t2, Added: &s, Changed: &old, ChangedTo: v}) {
-							return ops, nil
-						}
 					}
 				}
 			}
@@ -222,21 +256,13 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 
 	// Pure roll-ups and sideways moves on the current description — SDD and
 	// Qagview cannot produce these, which Table 4 shows matters.
-	for _, old := range cur.Selectors() {
-		old := old
+	for i, old := range olds {
 		if target, err := cur.Without(old); err == nil {
 			if !add(query.Operation{Kind: query.Generalize, Target: target, Removed: &old}) {
 				return ops, nil
 			}
 		}
-		vals, err := rb.Ex.Query.AttributeValues(old.Side, old.Attr)
-		if err != nil {
-			return nil, err
-		}
-		if lim.MaxValuesPerAttribute > 0 && len(vals) > lim.MaxValuesPerAttribute {
-			vals = vals[:lim.MaxValuesPerAttribute]
-		}
-		for _, v := range vals {
+		for _, v := range changeTo[i] {
 			if v == old.Value {
 				continue
 			}
@@ -248,6 +274,20 @@ func (rb *RecommendationBuilder) CandidateOps(cur query.Description, maps []*rat
 		}
 	}
 	return ops, nil
+}
+
+// capped is the first max elements of s; max ≤ 0 keeps all of them
+// (CandidateLimits.MaxValuesPerAttribute).
+func capped[T any](s []T, max int) []T {
+	if max > 0 && len(s) > max {
+		return s[:max]
+	}
+	return s
+}
+
+// tables are the database's entity tables, indexed by query.Side.
+func (ex *Explorer) tables() [2]*dataset.EntityTable {
+	return [...]*dataset.EntityTable{query.ReviewerSide: ex.DB.Reviewers, query.ItemSide: ex.DB.Items}
 }
 
 // dictOf resolves the value dictionary of a map's grouping attribute.

@@ -27,31 +27,43 @@ import (
 // A candidate is scored on query.Sample of its group (Cfg.RecSampleSize),
 // and a partition keeps only that much of each bucket, so the derived
 // record lists equal query.Sample(Query.Materialize(op.Target).Records)
-// element for element — and Materialize's whole list for the Change and
-// Generalize groups, which are not read through a bounded partition.
+// element for element; the Change and Generalize groups, which are not read
+// through a bounded partition, are sampled into the pass's one buffer.
 //
 // A group's candidate rating maps depend only on which attributes its
-// description binds — cur's, less at most one, plus at most one — so each
-// such set is enumerated once per pass, not once per candidate operation.
+// description binds — cur's, less at most one, plus at most one — and
+// CandidateOps makes the operations of one such set one after another (an
+// attribute's Filters, a change group's FilterChanges, the Changes), so the
+// pass enumerates them into its key buffer where such a run starts, not
+// once per candidate operation.
 //
 // The partitions are the explorer's: query.Engine.PartitionCached keeps them
 // in the group cache under their source's description (cur, cur∖old, or a
 // Change group's), so a pass reads the ones an earlier pass — of this
 // session or another — built, and builds and shares the rest. A partition is
 // immutable once built and hands its buckets out with their capacity
-// clipped, so sharing one needs no lock. The memo and the gate belong to one
-// RecommendCtx call and are reachable only from it: sessions share an
-// explorer, so the pass's own state may not outlive the call or hang off the
-// Explorer. The call evaluates its candidates one after another, so the memo
-// needs no lock; a partition is looked up once a pass, by the first
-// candidate that needs it.
+// clipped, so sharing one needs no lock. The memo, the buffers and the gate
+// belong to one RecommendCtx call and are reachable only from it: sessions
+// share an explorer, so the pass's own state may not outlive the call or
+// hang off the Explorer. The call evaluates its candidates one after
+// another, so none of it needs a lock; a partition is looked up once a
+// pass, by the first candidate that needs it.
 type recPass struct {
 	ex  *Explorer
 	cur *query.RatingGroup
 
 	bases map[query.Selector][]int32 // old → records of cur∖old
 	parts map[partKey]*query.Partition
-	cands map[boundDelta][]ratingmap.Key
+
+	// The buffers, each allocated once a pass and overwritten by the
+	// candidates that need it: the engine reads them during its call and
+	// keeps neither. keys holds the candidate rating maps of the last target
+	// scored, which binds the attributes keysOf names (candidates); sample
+	// the sample of the last Change or Generalize group over RecSampleSize
+	// (sampleOf).
+	keys   []ratingmap.Key
+	keysOf boundDelta
+	sample []int32
 
 	derived, materialized int
 	// The partitions the pass built, the records they hold, and the ones it
@@ -94,8 +106,7 @@ type boundDelta struct{ unbound, bound query.Selector }
 // returns every candidate).
 func newRecPass(ex *Explorer, cur *query.RatingGroup, o int) *recPass {
 	p := &recPass{ex: ex, cur: cur, materialized: 1, // cur itself
-		bases: make(map[query.Selector][]int32), parts: make(map[partKey]*query.Partition),
-		cands: make(map[boundDelta][]ratingmap.Key)}
+		bases: make(map[query.Selector][]int32, cur.Desc.Len()), parts: make(map[partKey]*query.Partition)}
 	if o > 0 {
 		p.o, p.gate = o, p.keep
 	}
@@ -141,9 +152,10 @@ func (p *recPass) offer(u float64) {
 	p.best = slices.Insert(p.best, at, u)
 }
 
-// candidates is Generator.Candidates of op.Target, shared read-only by the
-// operations whose targets bind the same attributes. Like records it trusts
-// op's delta fields; a Change rebinds the attribute it changes, no delta.
+// candidates is Generator.Candidates of op.Target, in the pass's key
+// buffer: valid until the next call, and rebuilt only when op's target binds
+// other attributes than the last one's. Like records it trusts op's delta
+// fields; a Change rebinds the attribute it changes, no delta.
 func (p *recPass) candidates(op query.Operation) []ratingmap.Key {
 	var d boundDelta
 	if op.Removed != nil {
@@ -152,15 +164,37 @@ func (p *recPass) candidates(op query.Operation) []ratingmap.Key {
 	if op.Added != nil {
 		d.bound = query.Selector{Side: op.Added.Side, Attr: op.Added.Attr}
 	}
-	if _, ok := p.cands[d]; !ok {
-		p.cands[d] = p.ex.Gen.Candidates(p.ex.Query, op.Target)
+	if p.keys != nil && d == p.keysOf {
+		return p.keys
 	}
-	return p.cands[d]
+	tables := p.ex.tables()
+	dims := len(p.ex.DB.Ratings.Dimensions)
+	if p.keys == nil {
+		p.keys = make([]ratingmap.Key, 0, (tables[0].Schema.Len()+tables[1].Schema.Len())*dims)
+	}
+	// query.Engine.GroupingCandidates' rule: every attribute the target
+	// leaves unbound that has at least two values, × every dimension.
+	p.keys, p.keysOf = p.keys[:0], d
+	for side, t := range tables {
+		for a := 0; a < t.Schema.Len(); a++ {
+			attr := t.Schema.At(a).Name
+			if t.ValueCardinality(a) < 2 || op.Target.BindsAttr(query.Side(side), attr) {
+				continue
+			}
+			for dim := 0; dim < dims; dim++ {
+				p.keys = append(p.keys, ratingmap.Key{Side: query.Side(side), Attr: attr, Dim: dim})
+			}
+		}
+	}
+	return p.keys
 }
 
-// records returns the records of op.Target, ascending. op must be one of
+// records returns the records op.Target is scored on: query.Sample of its
+// records, ascending, under Cfg.RecSampleSize. op must be one of
 // CandidateOps' operations on the pass's cur: the delta fields are trusted
-// to describe how Target differs from it.
+// to describe how Target differs from it. A Change or Generalize group over
+// the bound is sampled into the pass's buffer, so what records returns is
+// valid until its next call.
 func (p *recPass) records(op query.Operation) ([]int32, error) {
 	if op.Kind != query.Generalize {
 		p.derived++
@@ -170,15 +204,33 @@ func (p *recPass) records(op query.Operation) ([]int32, error) {
 	case query.Filter:
 		return p.bucket(source{}, *op.Added, n)
 	case query.Generalize:
-		return p.base(*op.Removed)
+		records, err := p.base(*op.Removed)
+		return p.sampleOf(records), err
 	case query.Change:
-		return p.sourceRecords(source{removed: *op.Changed, changedTo: op.ChangedTo})
+		records, err := p.sourceRecords(source{removed: *op.Changed, changedTo: op.ChangedTo})
+		return p.sampleOf(records), err
 	case query.FilterGeneralize:
 		return p.bucket(source{removed: *op.Removed}, *op.Added, n)
 	case query.FilterChange:
 		return p.bucket(source{removed: *op.Changed, changedTo: op.ChangedTo}, *op.Added, n)
 	}
 	return nil, fmt.Errorf("core: cannot derive the group of %s operation %s", op.Kind, op)
+}
+
+// sampleOf is query.Sample(records, Cfg.RecSampleSize), picking the same
+// positions, written into the pass's buffer instead of a list of its own.
+func (p *recPass) sampleOf(records []int32) []int32 {
+	n := p.ex.Cfg.RecSampleSize
+	if n <= 0 || len(records) <= n {
+		return records
+	}
+	if p.sample == nil {
+		p.sample = make([]int32, n)
+	}
+	for i := range p.sample {
+		p.sample[i] = records[int(float64(i)*(float64(len(records))/float64(n)))]
+	}
+	return p.sample
 }
 
 // bucket narrows a source by one selector, keeping at most n records of it

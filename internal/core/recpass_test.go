@@ -34,10 +34,10 @@ var walkShapes = []struct {
 // every dataset shape, at every step of a seeded Recommendation-Powered
 // walk, for every operation CandidateOps returns, the derived records equal
 // element for element what the candidate is scored on —
-// query.Sample(Query.Materialize(op.Target).Records, RecSampleSize) for a
-// Filter, FilterGeneralize or FilterChange, read through a bounded
-// partition, and the whole materialized group for a Change or Generalize —
-// and the derived utility equals the materializing reference
+// query.Sample(Query.Materialize(op.Target).Records, RecSampleSize), read
+// through a bounded partition for a Filter, FilterGeneralize or
+// FilterChange, and sampled from the whole group into the pass's buffer for
+// a Change or Generalize — and the derived utility equals the materializing reference
 // OperationUtility bit for bit; under the shipped RecSampleSize and under
 // one small enough that every shape's groups outgrow it. Each walk is taken
 // twice on one explorer: the warm walk reads every partition from the group
@@ -70,7 +70,7 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 							}
 							rng := rand.New(rand.NewSource(11))
 							kinds := make(map[query.OpKind]int)
-							var empty, multiValued, deepest, sampled, wholeOverBound int
+							var empty, multiValued, deepest, sampled, sampledWhole int
 							for step := 0; step < 8; step++ {
 								res, err := sess.Step()
 								if err != nil {
@@ -98,14 +98,13 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 									if err != nil {
 										t.Fatalf("%s: %v", op, err)
 									}
-									want := g.Records
-									if op.Added != nil {
-										want = query.Sample(want, ex.Cfg.RecSampleSize)
-										if len(want) < g.Len() {
-											sampled++
-										}
-									} else if g.Len() > n {
-										wholeOverBound++
+									want := query.Sample(g.Records, ex.Cfg.RecSampleSize)
+									switch {
+									case len(want) == g.Len():
+									case op.Added != nil:
+										sampled++
+									default:
+										sampledWhole++
 									}
 									if !slices.Equal(got, want) {
 										t.Fatalf("step %d at %s, %s → %s: derived %d records, want %d of the %d materialized (first of each: %v / %v)",
@@ -165,8 +164,8 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 							if (ds.name == "yelp" || n < DefaultConfig().RecSampleSize) && sampled == 0 {
 								t.Error("the walk never derived a group larger than RecSampleSize through a bounded partition")
 							}
-							if n < DefaultConfig().RecSampleSize && wholeOverBound == 0 {
-								t.Error("the walk never derived a Change or Generalize group larger than RecSampleSize, which must stay whole")
+							if n < DefaultConfig().RecSampleSize && sampledWhole == 0 {
+								t.Error("the walk never derived a Change or Generalize group larger than RecSampleSize, which the pass samples into its buffer")
 							}
 							hasMulti := false
 							for _, tab := range []*dataset.EntityTable{db.Reviewers, db.Items} {
@@ -182,6 +181,35 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSampleOfIsQuerySample holds the pass's in-place sample to
+// query.Sample for every record count from the bound to well past it, and
+// checks that every sample over the bound lands in the pass's one buffer.
+func TestSampleOfIsQuerySample(t *testing.T) {
+	ex := coreExplorer(t)
+	for _, n := range []int{1, 7, 200, 2000} {
+		ex.Cfg.RecSampleSize = n
+		pass := newRecPass(ex, &query.RatingGroup{}, 0)
+		var buf *int32
+		for count := n; count <= 3*n+5; count++ {
+			records := make([]int32, count)
+			for i := range records {
+				records[i] = int32(3*i + 1)
+			}
+			got, want := pass.sampleOf(records), query.Sample(records, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n = %d, %d records: sampled %v, query.Sample %v", n, count, head(got), head(want))
+			}
+			if count > n {
+				if buf == nil {
+					buf = &got[0]
+				} else if &got[0] != buf {
+					t.Fatalf("n = %d, %d records: the sample is not in the pass's buffer", n, count)
+				}
+			}
+		}
 	}
 }
 
@@ -211,8 +239,8 @@ func head(records []int32) []int32 { return records[:min(len(records), 5)] }
 // TestRecommendConcurrentSessionsShareNoPassState steps two sessions of one
 // explorer at once and holds each to the recommendations the same walk gets
 // without the other beside it: sessions share the explorer, its caches and
-// its sync.Pools. The pass memo and the gate are per RecommendCtx call, so
-// the other session cannot disturb them; the partitions are shared, through
+// its sync.Pools. The pass memo, the gate and the pass's buffers are per
+// RecommendCtx call, so the other session cannot disturb them; the partitions are shared, through
 // the group cache, and immutable. Both walks pass through the root — one
 // starts there, and it is the other's roll-up — so their passes read
 // partitions built by an earlier pass, possibly the other session's, and the

@@ -171,8 +171,10 @@ func NewGenerator(db *dataset.DB) *Generator {
 }
 
 // Candidates enumerates all possible rating maps for a group description:
-// every unbound grouping attribute × every rating dimension (line 1 of
-// Algorithm 1).
+// every unbound grouping attribute with at least two values × every rating
+// dimension (line 1 of Algorithm 1). An attribute with fewer values would
+// group the records into one bar at most, so query.Engine.GroupingCandidates
+// skips it.
 func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratingmap.Key {
 	groupings := qe.GroupingCandidates(desc)
 	dims := len(g.DB.Ratings.Dimensions)
