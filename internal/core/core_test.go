@@ -124,14 +124,16 @@ func TestRMSetValidatesDescription(t *testing.T) {
 
 // OperationUtility evaluates Equation 2 for a candidate operation: the sum
 // of DW utilities of the k rating maps its target group would display. It
-// materializes the target from the entity tables — the reference the
-// Recommendation Builder's derived groups (recPass) are tested against.
+// materializes the target from the entity tables and samples it — the
+// reference the Recommendation Builder's derived groups (recPass) are
+// tested against.
 func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet) (float64, error) {
 	group, err := ex.Query.Materialize(op.Target)
 	if err != nil {
 		return 0, err
 	}
-	u, _, err := ex.groupUtility(op.Target, group.Records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
+	records := query.Sample(nil, group.Records, ex.Cfg.RecSampleSize)
+	u, _, err := ex.groupUtility(op.Target, records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
 	return u, err
 }
 

@@ -225,9 +225,9 @@ func (ex *Explorer) selectDiverse(genRes *engine.Result) (sel []*ratingmap.Ratin
 
 // groupUtility is Equation 2 over a rating group given as its description,
 // ascending records and candidate rating maps. To keep recommendation
-// building interactive, the group is scored on query.Sample of its records
-// (Cfg.RecSampleSize) — which records already are when the recPass derived
-// them, so Sample hands them back as they are.
+// building interactive, a group is scored on query.Sample of its records
+// (Cfg.RecSampleSize): records must already be that sample, as every list
+// the recPass derives is.
 //
 // keep, when non-nil, is the engine's gate (engine.TopMapsIfCtx): it sees the
 // group's k′ = K×L top utilities in rank order before any of the maps
@@ -238,7 +238,7 @@ func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands 
 	if len(records) == 0 {
 		return 0, false, nil
 	}
-	group := &query.RatingGroup{Desc: desc, Records: query.Sample(records, ex.Cfg.RecSampleSize)}
+	group := &query.RatingGroup{Desc: desc, Records: records}
 	//subdex:ctxflow a candidate's evaluation runs to completion: RecommendCtx checks ctx between candidates
 	genRes, err := ex.Gen.TopMapsIfCtx(context.Background(), group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
 	if err != nil {

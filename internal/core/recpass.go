@@ -217,20 +217,15 @@ func (p *recPass) records(op query.Operation) ([]int32, error) {
 	return nil, fmt.Errorf("core: cannot derive the group of %s operation %s", op.Kind, op)
 }
 
-// sampleOf is query.Sample(records, Cfg.RecSampleSize), picking the same
-// positions, written into the pass's buffer instead of a list of its own.
+// sampleOf is query.Sample(records, Cfg.RecSampleSize) written into the
+// pass's buffer. The buffer keeps only a sample: records handed back as
+// they are belong to a partition or to bases.
 func (p *recPass) sampleOf(records []int32) []int32 {
-	n := p.ex.Cfg.RecSampleSize
-	if n <= 0 || len(records) <= n {
-		return records
+	sample := query.Sample(p.sample, records, p.ex.Cfg.RecSampleSize)
+	if len(sample) < len(records) {
+		p.sample = sample
 	}
-	if p.sample == nil {
-		p.sample = make([]int32, n)
-	}
-	for i := range p.sample {
-		p.sample[i] = records[int(float64(i)*(float64(len(records))/float64(n)))]
-	}
-	return p.sample
+	return sample
 }
 
 // bucket narrows a source by one selector, keeping at most n records of it

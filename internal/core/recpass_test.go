@@ -98,7 +98,7 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 									if err != nil {
 										t.Fatalf("%s: %v", op, err)
 									}
-									want := query.Sample(g.Records, ex.Cfg.RecSampleSize)
+									want := query.Sample(nil, g.Records, ex.Cfg.RecSampleSize)
 									switch {
 									case len(want) == g.Len():
 									case op.Added != nil:
@@ -181,35 +181,6 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestSampleOfIsQuerySample holds the pass's in-place sample to
-// query.Sample for every record count from the bound to well past it, and
-// checks that every sample over the bound lands in the pass's one buffer.
-func TestSampleOfIsQuerySample(t *testing.T) {
-	ex := coreExplorer(t)
-	for _, n := range []int{1, 7, 200, 2000} {
-		ex.Cfg.RecSampleSize = n
-		pass := newRecPass(ex, &query.RatingGroup{}, 0)
-		var buf *int32
-		for count := n; count <= 3*n+5; count++ {
-			records := make([]int32, count)
-			for i := range records {
-				records[i] = int32(3*i + 1)
-			}
-			got, want := pass.sampleOf(records), query.Sample(records, n)
-			if !slices.Equal(got, want) {
-				t.Fatalf("n = %d, %d records: sampled %v, query.Sample %v", n, count, head(got), head(want))
-			}
-			if count > n {
-				if buf == nil {
-					buf = &got[0]
-				} else if &got[0] != buf {
-					t.Fatalf("n = %d, %d records: the sample is not in the pass's buffer", n, count)
-				}
-			}
-		}
 	}
 }
 

@@ -15,8 +15,9 @@
 //
 // The budget is in records — the scan a hit saves — and an entry's bytes do
 // not depend on its records: an accumulator is one counter block per
-// candidate, sized by the attributes' dictionaries (≈ 21 KB for Yelp's 92
-// candidates), whether the group has ten records or ten thousand. A budget
+// candidate, sized by the attributes' dictionaries, and a pooled one holds
+// the capacity of its schema's every candidate (≈ 27 KB on Yelp's 96),
+// whether the group has ten records or ten thousand. A budget
 // in records alone therefore bounds nothing in bytes — a million one-record
 // groups would fit — and charges most for the entries that earn most. So
 // admission has a floor (cacheFloorRecords): a group under it is cheaper to
@@ -45,8 +46,12 @@ import (
 // exact ranking directly; for unpruned configurations this is
 // bit-identical to the uncached run, for pruned configurations it is the
 // exact (strictly no-worse) answer the pruned run approximates w.h.p.
-// Cached accumulators are shared and read-only after publication;
-// concurrent finalize passes over one entry are safe.
+// Cached accumulators are shared and read-only while an entry has
+// readers; concurrent finalize passes over one entry are safe. A reader is
+// a TopMapsIfCtx call between taking the entry — get on a hit, put for the
+// scan it admits — and release, after its finalize. An evicted entry's
+// accumulator goes back to the engine's pool (recycle) when its last
+// reader releases it, never while one still reads it.
 type TopMapsCache struct {
 	mu      sync.Mutex
 	budget  int
@@ -56,6 +61,11 @@ type TopMapsCache struct {
 	entries map[string]*list.Element
 
 	hits, misses, evictions, bypassed int64
+
+	// recycle takes the accumulator of an evicted entry nobody reads any
+	// more: the engine's pool (accumulators), or a test's recorder. put
+	// calls it under mu, so it must neither block nor call the cache.
+	recycle func(*ratingmap.Accumulator)
 }
 
 type topMapsCacheEntry struct {
@@ -63,17 +73,22 @@ type topMapsCacheEntry struct {
 	acc   *ratingmap.Accumulator
 	cost  int // record count of the cached scan
 	bytes int // acc.Bytes() at admission; a published accumulator never grows
+	// readers counts the calls reading acc; evicted marks an entry put has
+	// dropped, whose last reader recycles acc. Both are guarded by the
+	// cache's mu.
+	readers int
+	evicted bool
 }
 
 // cacheFloorRecords is the admission floor: a group of fewer records is
 // neither looked up nor admitted (Profile.Cache = "bypass") and scans into a
 // recycled accumulator instead. The arithmetic that places it: an entry
-// costs ≈ 9 µs to make, key and admit (a fresh ≈ 21 KB accumulator, cacheKey,
-// put and the eviction it forces), a hit saves the scan, ≈ 0.11 µs a record,
-// and comes with probability ≈ 0.31 on a guided walk — break-even near 260
-// records. Measured, not tuned per dataset, on the code as shipped (two
-// shared vCPUs, 2026-10-05). bench guided_walk (Yelp 0.25; seeds 1 / 2,
-// steps/s) with the floor at
+// costs ≈ 9 µs to make, key and admit (a fresh ≈ 21 KB accumulator, as
+// admissions were then, cacheKey, put and the eviction it forces), a hit
+// saves the scan, ≈ 0.11 µs a record, and comes with probability ≈ 0.31 on
+// a guided walk — break-even near 260 records. Measured, not tuned per
+// dataset, on the code as shipped (two shared vCPUs, 2026-10-05). bench
+// guided_walk (Yelp 0.25; seeds 1 / 2, steps/s) with the floor at
 //
 //	0 (every group cached)   78.2 / 81.2    alloc_kb_per_step 5 057
 //	64                       88.7 / 84.7    3 366
@@ -101,9 +116,12 @@ type topMapsCacheEntry struct {
 // allocate a quarter less from 64 up). Even with every lookup a hit, 64 and
 // 256 cost nothing against 0 that this resolves, 1 024 starts to (8–15% on
 // the root and one-selector arms), and with it the cache's worst case is
-// budget / floor entries — ≈ 3 900 × 21 KB ≈ 82 MB on Yelp at 256 — where it
-// was unbounded in bytes. 256 is the break-even of the arithmetic and the
-// middle of the flat.
+// budget / floor entries, each a whole-schema accumulator, where it was
+// unbounded in bytes. On Yelp (scale 0.25 or 1) that is 3 906 × 26.6 KB
+// (Accumulator.Bytes of a recycled accumulator: 96 candidates, capacity
+// included) ≈ 104 MB charged, and 3 906 × 28.7 KB ≈ 112 MB of heap (runtime
+// HeapAlloc over 1 000 of them, size classes and headers included). 256 is
+// the break-even of the arithmetic and the middle of the flat.
 const cacheFloorRecords = 256
 
 // NewTopMapsCache returns a cache budgeted by total cached record count
@@ -113,25 +131,41 @@ func NewTopMapsCache(budgetRecords int) *TopMapsCache {
 		budget:  budgetRecords,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
+		recycle: func(acc *ratingmap.Accumulator) { accumulators.Put(acc) },
 	}
 }
 
-// get returns the cached accumulator for key, if any, marking it most
-// recently used.
-func (c *TopMapsCache) get(key string) (*ratingmap.Accumulator, bool) {
+// get returns the entry cached under key, if any, marking it most recently
+// used and taking a reader on it: the caller reads its accumulator until it
+// calls release.
+func (c *TopMapsCache) get(key string) *topMapsCacheEntry {
 	if c == nil {
-		return nil, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*topMapsCacheEntry).acc, true
+	e := el.Value.(*topMapsCacheEntry)
+	e.readers++
+	return e
+}
+
+// release drops a reader that get or put took. The last reader of an
+// evicted entry hands its accumulator back to the pool.
+func (c *TopMapsCache) release(e *topMapsCacheEntry) {
+	c.mu.Lock()
+	e.readers--
+	last := e.evicted && e.readers == 0
+	c.mu.Unlock()
+	if last {
+		c.recycle(e.acc)
+	}
 }
 
 // bypass counts a group that went past the cache: under the admission
@@ -143,22 +177,27 @@ func (c *TopMapsCache) bypass() {
 }
 
 // put admits a completed accumulator, evicting LRU entries until the
-// record budget holds. It counts the evictions under the lock that made
-// them — Stats never shows entries gone but not yet counted — and returns
-// how many there were and the bytes the cache now holds, for the metrics.
-// Entries larger than the whole budget are never admitted.
-func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) (evicted int, bytes int64) {
+// record budget holds, and returns its entry with a reader taken for the
+// caller, who releases it after finalize. It returns nil when it does not
+// admit acc — an entry larger than the whole budget, or a key another call
+// admitted first — and acc stays the caller's. An evicted entry nobody
+// reads hands its accumulator back to the pool at once; one still read is
+// marked, and its last release does. put counts the evictions under the
+// lock that made them — Stats never shows entries gone but not yet counted
+// — and returns how many there were and the bytes the cache now holds, for
+// the metrics.
+func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) (e *topMapsCacheEntry, evicted int, bytes int64) {
 	if c == nil {
-		return 0, 0
+		return nil, 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget <= 0 || cost > c.budget {
-		return 0, c.bytes
+		return nil, 0, c.bytes
 	}
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return 0, c.bytes
+		return nil, 0, c.bytes
 	}
 	for c.used+cost > c.budget {
 		back := c.order.Back()
@@ -171,13 +210,17 @@ func (c *TopMapsCache) put(key string, acc *ratingmap.Accumulator, cost int) (ev
 		delete(c.entries, ev.key)
 		c.order.Remove(back)
 		evicted++
+		ev.evicted = true
+		if ev.readers == 0 {
+			c.recycle(ev.acc)
+		}
 	}
 	c.evictions += int64(evicted)
-	e := &topMapsCacheEntry{key: key, acc: acc, cost: cost, bytes: acc.Bytes()}
+	e = &topMapsCacheEntry{key: key, acc: acc, cost: cost, bytes: acc.Bytes(), readers: 1}
 	c.entries[key] = c.order.PushFront(e)
 	c.used += cost
 	c.bytes += int64(e.bytes)
-	return evicted, c.bytes
+	return e, evicted, c.bytes
 }
 
 // CacheStats is a point-in-time snapshot of the cache, surfaced by the

@@ -16,21 +16,37 @@ import (
 
 func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	c := NewTopMapsCache(100)
-	acc := &ratingmap.Accumulator{} // placeholder value; the cache never derefs it
+	// Each entry its own placeholder: an evicted entry's accumulator goes to
+	// the pool, and one accumulator under two keys would go there twice.
+	// The cache never reads one.
+	put := func(key string, cost int) (*topMapsCacheEntry, int) {
+		e, ev, _ := c.put(key, &ratingmap.Accumulator{}, cost)
+		if e != nil {
+			c.release(e)
+		}
+		return e, ev
+	}
+	hit := func(key string) bool {
+		e := c.get(key)
+		if e != nil {
+			c.release(e)
+		}
+		return e != nil
+	}
 
-	if _, ok := c.get("a"); ok {
+	if hit("a") {
 		t.Fatal("empty cache hit")
 	}
-	c.put("a", acc, 40)
-	c.put("b", acc, 40)
+	put("a", 40)
+	put("b", 40)
 	if st := c.Stats(); st.Entries != 2 || st.UsedRecords != 80 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Touch a so b becomes LRU, then overflow: b must go first.
-	if _, ok := c.get("a"); !ok {
+	if !hit("a") {
 		t.Fatal("want hit on a")
 	}
-	if ev, _ := c.put("c", acc, 40); ev != 1 {
+	if _, ev := put("c", 40); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
 	// The count lands under the lock that evicted: no window in which
@@ -38,34 +54,41 @@ func TestTopMapsCacheLRUAndBudget(t *testing.T) {
 	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats after eviction %+v, want 2 entries and 1 eviction", st)
 	}
-	if _, ok := c.get("b"); ok {
+	if hit("b") {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if !hit("a") {
 		t.Fatal("a should have survived (recently used)")
 	}
-	// Oversized entries are never admitted.
-	if ev, _ := c.put("huge", acc, 101); ev != 0 {
-		t.Fatalf("oversized put evicted %d", ev)
+	// A key admitted already is not admitted again: the second
+	// accumulator stays its caller's.
+	if e, _ := put("a", 40); e != nil {
+		t.Fatal("a second put of a admitted it")
 	}
-	if _, ok := c.get("huge"); ok {
+	// Oversized entries are never admitted.
+	if e, ev := put("huge", 101); e != nil || ev != 0 {
+		t.Fatalf("oversized put admitted (%v) or evicted %d", e != nil, ev)
+	}
+	if hit("huge") {
 		t.Fatal("oversized entry admitted")
 	}
 	c.Invalidate()
 	if st := c.Stats(); st.Entries != 0 || st.UsedRecords != 0 {
 		t.Fatalf("post-invalidate stats %+v", st)
 	}
-	if _, ok := c.get("a"); ok {
+	if hit("a") {
 		t.Fatal("hit after invalidate")
 	}
 }
 
 func TestTopMapsCacheNilSafe(t *testing.T) {
 	var c *TopMapsCache
-	if _, ok := c.get("x"); ok {
+	if c.get("x") != nil {
 		t.Fatal("nil cache hit")
 	}
-	c.put("x", nil, 1)
+	if e, _, _ := c.put("x", nil, 1); e != nil {
+		t.Fatal("nil cache admitted")
+	}
 	c.Invalidate()
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil stats %+v", st)
@@ -336,9 +359,20 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		if _, err := g.TopMapsCtx(context.Background(), group, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
 			t.Fatal(err)
 		}
+		// An entry's accumulator came from the pool, so it holds at least the
+		// whole schema's capacity, and more if a larger database used it
+		// before: the cache is charged what each one holds.
 		st := g.Cache.Stats()
-		if want := int64(st.Entries) * entryBytes; st.Bytes != want || g.Metrics.CacheBytes.Value() != float64(want) {
-			t.Fatalf("after %s: %d entries hold %d bytes (gauge %v), want %d each", d, st.Entries, st.Bytes, g.Metrics.CacheBytes.Value(), entryBytes)
+		want := int64(0)
+		for _, el := range g.Cache.entries {
+			held := int64(el.Value.(*topMapsCacheEntry).acc.Bytes())
+			if held < entryBytes {
+				t.Fatalf("after %s: an entry holds %d bytes, under the whole schema's %d", d, held, entryBytes)
+			}
+			want += held
+		}
+		if st.Bytes != want || g.Metrics.CacheBytes.Value() != float64(want) {
+			t.Fatalf("after %s: %d entries are charged %d bytes (gauge %v), their accumulators hold %d", d, st.Entries, st.Bytes, g.Metrics.CacheBytes.Value(), want)
 		}
 	}
 	st := g.Cache.Stats()
@@ -507,6 +541,162 @@ func TestCacheConcurrentTopMaps(t *testing.T) {
 	}
 	if st := g.Cache.Stats(); st.Hits < 40 {
 		t.Fatalf("expected ≥40 hits, stats %+v", st)
+	}
+}
+
+// TestEvictedAccumulatorWaitsForItsReaders: hits on a cached accumulator
+// are held inside finalize — the keep gate runs there, after ranking and
+// before any map is snapshotted — while puts evict their entry and misses
+// draw accumulators from the pool, among them those other evictions hand
+// back. The cache must hand the hits' accumulator back only once the last
+// of them is done: while they read, no entry holds it and it has not been
+// recycled; every hit and every miss returns the uncached run's maps; after
+// the last release it has been recycled exactly once.
+func TestEvictedAccumulatorWaitsForItsReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := buildRandomDB(t, rng, 10, 10, 3000)
+	qe, err := query.NewEngine(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := allCandidates(db)
+	cfg := DefaultConfig()
+	cfg.Pruning = PruneNone
+	ctx := context.Background()
+	root, err := qe.Materialize(query.Description{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every value group of the age and cuisine attributes over the floor:
+	// together they hold more than twice the budget, so the misses below
+	// evict one another round after round.
+	var others []*query.RatingGroup
+	total := 0
+	for _, attr := range []struct {
+		side query.Side
+		name string
+	}{{query.ReviewerSide, "age"}, {query.ItemSide, "cuisine"}} {
+		values, err := qe.AttributeValues(attr.side, attr.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range values {
+			group, err := qe.Materialize(query.MustDescription(query.Selector{Side: attr.side, Attr: attr.name, Value: v}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if group.Len() >= cacheFloorRecords {
+				others = append(others, group)
+				total += group.Len()
+			}
+		}
+	}
+	if total <= 2*root.Len() {
+		t.Fatalf("the other groups hold %d records, not more than twice the root's %d", total, root.Len())
+	}
+	plain := NewGenerator(db)
+	uncached := func(group *query.RatingGroup) string {
+		res, err := plain.TopMapsCtx(ctx, group, keys, ratingmap.NewSeenSet(), 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ratingmap.DigestMaps(res.Maps)
+	}
+
+	g := NewGenerator(db)
+	g.Cache = NewTopMapsCache(root.Len()) // the root alone: admitting anything else evicts it
+	var mu sync.Mutex
+	var recycled []*ratingmap.Accumulator
+	g.Cache.recycle = func(acc *ratingmap.Accumulator) {
+		mu.Lock()
+		recycled = append(recycled, acc)
+		mu.Unlock()
+		accumulators.Put(acc)
+	}
+	recycledAs := func(acc *ratingmap.Accumulator) (times, all int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, a := range recycled {
+			if a == acc {
+				times++
+			}
+		}
+		return times, len(recycled)
+	}
+	if _, err := g.TopMapsCtx(ctx, root, keys, ratingmap.NewSeenSet(), 4, cfg); err != nil {
+		t.Fatal(err)
+	}
+	rootKey := cacheKey(root, keys, cfg.Utility)
+	g.Cache.mu.Lock()
+	rootEntry := g.Cache.entries[rootKey].Value.(*topMapsCacheEntry)
+	g.Cache.mu.Unlock()
+	rootAcc := rootEntry.acc
+
+	const hits = 4
+	inFinalize, resume := make(chan struct{}), make(chan struct{})
+	digests := make([]string, hits)
+	var wg sync.WaitGroup
+	for i := 0; i < hits; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := g.TopMapsIfCtx(ctx, root, keys, ratingmap.NewSeenSet(), 4, cfg, func([]float64) bool {
+				inFinalize <- struct{}{}
+				<-resume
+				return true
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Profile.Cache != "hit" {
+				t.Errorf("hit %d: cache %q", i, res.Profile.Cache)
+			}
+			digests[i] = ratingmap.DigestMaps(res.Maps)
+		}()
+	}
+	for i := 0; i < hits; i++ {
+		<-inFinalize
+	}
+
+	// Every hit is inside finalize, reading rootAcc.
+	for round := 0; round < 3; round++ {
+		for _, group := range others {
+			res, err := g.TopMapsCtx(ctx, group, keys, ratingmap.NewSeenSet(), 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ratingmap.DigestMaps(res.Maps), uncached(group); got != want {
+				t.Fatalf("round %d, %s: maps differ from the uncached run's", round, group.Desc)
+			}
+		}
+	}
+	g.Cache.mu.Lock()
+	_, cached := g.Cache.entries[rootKey]
+	evicted, readers := rootEntry.evicted, rootEntry.readers
+	for _, el := range g.Cache.entries {
+		if el.Value.(*topMapsCacheEntry).acc == rootAcc {
+			t.Error("a miss was admitted in the evicted root's accumulator while hits still read it")
+		}
+	}
+	g.Cache.mu.Unlock()
+	if cached || !evicted || readers != hits {
+		t.Fatalf("root entry: cached %v, evicted %v, %d readers; want evicted with %d", cached, evicted, readers, hits)
+	}
+	if times, all := recycledAs(rootAcc); times != 0 || all == 0 {
+		t.Fatalf("while hits read the root: it was recycled %d times, of %d recycled; want 0 of some", times, all)
+	}
+
+	close(resume)
+	wg.Wait()
+	want := uncached(root)
+	for i, got := range digests {
+		if got != want {
+			t.Fatalf("hit %d: maps differ from the uncached run's", i)
+		}
+	}
+	if times, _ := recycledAs(rootAcc); times != 1 || rootEntry.readers != 0 {
+		t.Fatalf("after the last hit: the root's accumulator recycled %d times, %d readers left; want once, none", times, rootEntry.readers)
 	}
 }
 

@@ -194,9 +194,11 @@ func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratin
 // Algorithm 1 in four stages, each its own function:
 //
 //  1. cache lookup — a completed unpruned accumulator for this exact
-//     (group, candidate set, utility config) skips stages 2 and 3; a group
-//     under the cache's admission floor (cacheFloorRecords) is not looked
-//     up and scans into a recycled accumulator;
+//     (group, candidate set, utility config) skips stages 2 and 3, the call
+//     a reader of its entry until it returns; a group under the cache's
+//     admission floor (cacheFloorRecords) is not looked up. Every other
+//     scan runs in a pooled accumulator (accumulators), which the cache
+//     keeps if it admits the scan and the pool gets back if not;
 //  2. the phase loop (scan) — fold the group one record fraction ("stride")
 //     at a time through scanRange, the engine's only scan site;
 //  3. between strides, pruning (prune) — estimate the survivors on the
@@ -258,21 +260,20 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 		return res, nil
 	}
 
-	// The cached accumulator is shared and read-only; finalize never
-	// mutates it.
+	// entry is the cache entry this call reads: the one it hit, or the one
+	// its scan is admitted as. The cached accumulator is shared and
+	// read-only; finalize never mutates it.
 	var key string
-	var acc *ratingmap.Accumulator
-	bypass := g.Cache != nil && n < cacheFloorRecords
+	var entry *topMapsCacheEntry
 	switch {
 	case g.Cache == nil:
-	case bypass:
+	case n < cacheFloorRecords:
 		g.Cache.bypass()
 		g.Metrics.addCacheBypass()
 		prof.Cache = "bypass"
 	default:
 		key = cacheKey(group, candidates, cfg.Utility)
-		if cached, ok := g.Cache.get(key); ok {
-			acc = cached
+		if entry = g.Cache.get(key); entry != nil {
 			g.Metrics.addCacheHit()
 			prof.Cache = "hit"
 		} else {
@@ -280,7 +281,24 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 			prof.Cache = "miss"
 		}
 	}
-	if acc != nil {
+	// Every scan fills a pooled accumulator. When the call returns, an
+	// entry is released — the last reader of an evicted one recycles it —
+	// and an accumulator the cache did not admit goes back to the pool:
+	// nothing in res aliases it (SnapshotAt copies).
+	var acc *ratingmap.Accumulator
+	if entry != nil {
+		acc = entry.acc
+	} else {
+		acc = accumulators.Get().(*ratingmap.Accumulator)
+	}
+	defer func() {
+		if entry != nil {
+			g.Cache.release(entry)
+		} else {
+			accumulators.Put(acc)
+		}
+	}()
+	if entry != nil {
 		if cfg.PhaseHook != nil {
 			cfg.PhaseHook(ctx, 0)
 		}
@@ -289,20 +307,11 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 		}
 		res.RecordsProcessed = n
 	} else {
-		if bypass {
-			// No one else will ever see this accumulator, so it is a
-			// recycled one, handed back when the call returns: nothing in
-			// res aliases it (SnapshotAt copies).
-			acc = bypassAccumulators.Get().(*ratingmap.Accumulator)
-			defer bypassAccumulators.Put(acc)
-			g.Builder.Recycle(acc, group.Desc, candidates)
-		} else {
-			acc = g.Builder.NewAccumulator(group.Desc, candidates)
-		}
+		g.Builder.Recycle(acc, group.Desc, candidates)
 		if err := g.scan(ctx, acc, group, seen, kPrime, cfg, res); err != nil {
 			return nil, err
 		}
-		g.maybeCache(key, acc, res, n)
+		entry = g.maybeCache(key, acc, res, n)
 	}
 
 	// Finalize over whatever prefix was accumulated. A degraded run
@@ -319,13 +328,17 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 	return res, nil
 }
 
-// bypassAccumulators recycles the accumulators of groups under the cache's
-// admission floor, one per call in flight. What is reused is capacity
-// (ratingmap.Builder.Recycle), not content: a recommendation pass runs
-// through some two dozen candidate-key sets — each Filter attribute drops
-// its own keys — over one schema, so nearly every call finds arrays that
-// already fit.
-var bypassAccumulators = sync.Pool{New: func() any { return new(ratingmap.Accumulator) }}
+// accumulators recycles the accumulator of every scan that is not a cache
+// hit: one per call in flight, and one per evicted cache entry whose last
+// reader is done (TopMapsCache.release). A scan the cache admits leaves the
+// pool until its entry is evicted; every other one — pruned, degraded,
+// failed, under the admission floor, or a key another call admitted first
+// — comes back when its call returns. What is reused is capacity
+// (ratingmap.Builder.Recycle, which grows a pooled accumulator to its
+// schema's whole candidate set), not content: a recommendation pass runs
+// through some two dozen candidate-key sets over one schema, so nearly
+// every call finds arrays that already fit.
+var accumulators = sync.Pool{New: func() any { return new(ratingmap.Accumulator) }}
 
 // endTopMaps closes a TopMaps call — failed ones included — by copying the
 // result's counters into the metrics, the profile and the span.
@@ -659,13 +672,16 @@ func ciPrune(est []estimateEntry, processed, total, kPrime int, sar *bandit.SAR)
 // final record. key is empty when no cache is installed or the group
 // bypasses it. A degraded *finalize* does not block admission — degradation
 // there only truncates scoring, the accumulated counts are already complete.
-func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Result, n int) {
+// It returns the entry acc was admitted as, with the caller as its reader,
+// or nil when acc is still the caller's.
+func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Result, n int) *topMapsCacheEntry {
 	if key == "" || res.PrunedCI > 0 || res.PrunedMAB > 0 || res.RecordsProcessed != n {
-		return
+		return nil
 	}
-	evicted, bytes := g.Cache.put(key, acc, n)
+	e, evicted, bytes := g.Cache.put(key, acc, n)
 	g.Metrics.addCacheEvictions(evicted)
 	g.Metrics.setCacheBytes(bytes)
+	return e
 }
 
 // finalize scores all remaining candidates on their full accumulated data

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"subdex/internal/dataset"
 )
@@ -28,19 +29,20 @@ type Partition struct {
 }
 
 // Sample returns n records evenly spaced across records, in their order:
-// the i-th at position int(i × (len/n)), the stride rounded first. With
-// n ≤ 0, or no more than n records, it returns records itself. It is
-// deterministic, so repeated evaluations of one candidate operation are
-// scored on the same records.
-func Sample(records []int32, n int) []int32 {
+// the i-th at position int(i × (len/n)), the stride rounded first. They are
+// written into dst's array, which is replaced when its capacity is under n.
+// With n ≤ 0, or no more than n records, it returns records itself and
+// leaves dst alone. It is deterministic, so repeated evaluations of one
+// candidate operation are scored on the same records.
+func Sample(dst, records []int32, n int) []int32 {
 	if n <= 0 || len(records) <= n {
 		return records
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = records[samplePos(i, len(records), n)]
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = records[samplePos(i, len(records), n)]
 	}
-	return out
+	return dst
 }
 
 // samplePos is the position of Sample's i-th pick among count > n records.

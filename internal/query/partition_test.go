@@ -73,7 +73,7 @@ func checkPartition(t *testing.T, e *Engine, records []int32, side Side, attr st
 				want = append(want, r)
 			}
 		}
-		want = Sample(want, n)
+		want = Sample(nil, want, n)
 		label := tab.Dict(a).Value(dataset.ValueID(v))
 		got, err := p.Bucket(label)
 		if err != nil {
@@ -160,7 +160,7 @@ func TestSamplePositions(t *testing.T) {
 			records[i] = int32(3*i + 1)
 		}
 		for _, n := range []int{-1, 0, 1, 2, 7, 22, 2000, 4095} {
-			got := Sample(records, n)
+			got := Sample(nil, records, n)
 			if n <= 0 || size <= n {
 				if !slices.Equal(got, records) {
 					t.Fatalf("Sample of %d records, n=%d: not the records themselves", size, n)
@@ -175,6 +175,41 @@ func TestSamplePositions(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("Sample of %d records, n=%d: picks differ from the stride rule", size, n)
 			}
+		}
+	}
+}
+
+// TestSampleWritesIntoTheCallersBuffer: Sample writes its picks into dst's
+// array whenever it holds n — whatever dst's length, and without an
+// allocation — replaces an array that is too small, and leaves dst alone
+// when it hands records back. The picks are the same in every case.
+func TestSampleWritesIntoTheCallersBuffer(t *testing.T) {
+	for _, n := range []int{1, 7, 200, 2000} {
+		buf := append(make([]int32, 0, n), -7)
+		for count := n; count <= 3*n+5; count++ {
+			records := make([]int32, count)
+			for i := range records {
+				records[i] = int32(3*i + 1)
+			}
+			got := Sample(buf, records, n)
+			if want := Sample(nil, records, n); !slices.Equal(got, want) {
+				t.Fatalf("n = %d, %d records: into a buffer %v, fresh %v", n, count, got, want)
+			}
+			switch {
+			case count == n && &got[0] != &records[0]:
+				t.Fatalf("n = %d: %d records are not handed back as they are", n, count)
+			case count == n && buf[0] != -7:
+				t.Fatalf("n = %d: handing records back wrote %d into dst", n, buf[0])
+			case count > n && &got[0] != &buf[:1][0]:
+				t.Fatalf("n = %d, %d records: the sample is not in dst's array", n, count)
+			}
+		}
+		records := make([]int32, 2*n+1)
+		if allocs := testing.AllocsPerRun(10, func() { Sample(buf, records, n) }); allocs != 0 {
+			t.Fatalf("n = %d: sampling into a buffer that holds n allocates %v times", n, allocs)
+		}
+		if small := make([]int32, 0, n-1); n > 1 && &Sample(small, records, n)[0] == &small[:1][0] {
+			t.Fatalf("n = %d: a buffer of capacity %d was written past its end", n, n-1)
 		}
 	}
 }

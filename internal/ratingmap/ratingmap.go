@@ -276,10 +276,41 @@ func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulato
 // is for an accumulator nothing else can reach: whatever was read out of it
 // must have been copied (SnapshotAt does). The zero Accumulator recycles
 // into a fresh one.
+//
+// Unlike NewAccumulator, Recycle first grows acc's arrays to the schema's
+// whole candidate set (reserve), so a pooled accumulator fits any key set
+// of its database from then on. Grown only to the keys it served, its
+// arrays would be replaced each time a larger set came by, and a
+// recommendation pass's candidate sets differ in size from target to
+// target.
 func (b *Builder) Recycle(acc *Accumulator, desc query.Description, keys []Key) {
 	b.mustBeFrozen()
 	acc.db, acc.desc, acc.recordVisits = b.DB, desc, 0
+	acc.reserve()
 	acc.carve(keys)
+}
+
+// reserve grows the arrays carve cuts from to the capacity of the schema's
+// whole candidate set — every attribute of both sides on every dimension —
+// and leaves larger ones as they are.
+func (a *Accumulator) reserve() {
+	dims := a.db.Ratings.Dimensions
+	n, cells := 0, 0
+	for _, t := range [2]*dataset.EntityTable{a.db.Reviewers, a.db.Items} {
+		for ai := 0; ai < t.Schema.Len(); ai++ {
+			nValues := t.Dict(ai).Len()
+			for _, d := range dims {
+				cells += nValues * (d.Scale + 1)
+			}
+			n += len(dims)
+		}
+	}
+	a.order = slices.Grow(a.order[:0], n)
+	a.parts = slices.Grow(a.parts[:0], n)
+	a.positions = slices.Grow(a.positions[:0], n)
+	if cap(a.slab) < cells {
+		a.slab = make([]int32, 0, cells)
+	}
 }
 
 // carve registers keys in order and gives every candidate of the schema a
@@ -325,13 +356,24 @@ func (a *Accumulator) carve(keys []Key) {
 	}
 }
 
-// Bytes is the heap the accumulator holds for its candidates: their counter
-// blocks and, per candidate, its partial, its key and its member position.
-// It is what an accumulator-cache entry is charged.
+// Bytes is the heap the accumulator holds: the capacity of its key order,
+// its partials, its member positions, its attribute groups and the slab
+// carve cuts the counter blocks from, and of every block register made on
+// its own. Capacity, not the candidates' share of it: a recycled
+// accumulator holds its schema's whole candidate set whatever keys it
+// serves (Builder.Recycle). It is what an accumulator-cache entry is
+// charged.
 func (a *Accumulator) Bytes() int {
-	n := len(a.parts) * int(unsafe.Sizeof(partial{})+unsafe.Sizeof(Key{})+unsafe.Sizeof(int32(0)))
+	const cell = int(unsafe.Sizeof(int32(0)))
+	n := cap(a.order)*int(unsafe.Sizeof(Key{})) + cap(a.parts)*int(unsafe.Sizeof(partial{})) +
+		cap(a.groups)*int(unsafe.Sizeof(attrGroup{})) + (cap(a.positions)+cap(a.slab))*cell
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(a.slab)))
+	hi := lo + uintptr(cap(a.slab)*cell)
 	for i := range a.parts {
-		n += len(a.parts[i].hist) * int(unsafe.Sizeof(int32(0)))
+		h := a.parts[i].hist
+		if at := uintptr(unsafe.Pointer(unsafe.SliceData(h))); cap(h) > 0 && (at < lo || at >= hi) {
+			n += cap(h) * cell
+		}
 	}
 	return n
 }
