@@ -230,7 +230,7 @@ func TestBoundGateOff(t *testing.T) {
 		}
 	})
 
-	pass := newRecPass(ex, &query.RatingGroup{}, 2)
+	pass := newRecPass(ex, &query.RatingGroup{}, 2, nil)
 	keep := pass.gate
 	if !keep([]float64{0.1, 0.1, 0.1}) {
 		t.Fatal("the gate turned a candidate down before it knew o utilities")
@@ -255,11 +255,11 @@ func TestBoundGateOff(t *testing.T) {
 	if pass.bounded != 2 {
 		t.Errorf("bounded = %d, want the 2 candidates turned down", pass.bounded)
 	}
-	if newRecPass(ex, &query.RatingGroup{}, 0).gate != nil {
+	if newRecPass(ex, &query.RatingGroup{}, 0, nil).gate != nil {
 		t.Error("a pass with o = 0 has a gate")
 	}
 	for o := 1; o <= 10; o++ {
-		if newRecPass(ex, &query.RatingGroup{}, o).gate == nil {
+		if newRecPass(ex, &query.RatingGroup{}, o, nil).gate == nil {
 			t.Errorf("a pass with o = %d has no gate", o)
 		}
 	}

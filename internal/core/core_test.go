@@ -133,7 +133,7 @@ func (ex *Explorer) OperationUtility(op query.Operation, seen *ratingmap.SeenSet
 		return 0, err
 	}
 	records := query.Sample(nil, group.Records, ex.Cfg.RecSampleSize)
-	u, _, err := ex.groupUtility(op.Target, records, ex.Gen.Candidates(ex.Query, op.Target), seen, nil)
+	u, _, err := (&recPass{ex: ex}).groupUtility(op.Target, records, ex.Gen.Candidates(ex.Query, op.Target), seen)
 	return u, err
 }
 

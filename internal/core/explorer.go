@@ -223,38 +223,6 @@ func (ex *Explorer) selectDiverse(genRes *engine.Result) (sel []*ratingmap.Ratin
 	return sel, picked
 }
 
-// groupUtility is Equation 2 over a rating group given as its description,
-// ascending records and candidate rating maps. To keep recommendation
-// building interactive, a group is scored on query.Sample of its records
-// (Cfg.RecSampleSize): records must already be that sample, as every list
-// the recPass derives is.
-//
-// keep, when non-nil, is the engine's gate (engine.TopMapsIfCtx): it sees the
-// group's k′ = K×L top utilities in rank order before any of the maps
-// exists, and a group it turns down is reported bounded, its utility not
-// computed — no map snapshot, no GMM.
-func (ex *Explorer) groupUtility(desc query.Description, records []int32, cands []ratingmap.Key, seen *ratingmap.SeenSet,
-	keep func(ranked []float64) bool) (u float64, bounded bool, err error) {
-	if len(records) == 0 {
-		return 0, false, nil
-	}
-	group := &query.RatingGroup{Desc: desc, Records: records}
-	//subdex:ctxflow a candidate's evaluation runs to completion: RecommendCtx checks ctx between candidates
-	genRes, err := ex.Gen.TopMapsIfCtx(context.Background(), group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, keep)
-	if err != nil {
-		return 0, false, err
-	}
-	if genRes.Gated {
-		return 0, true, nil
-	}
-	_, picked := ex.selectDiverse(genRes)
-	sum := 0.0
-	for _, i := range picked {
-		sum += genRes.Utilities[i]
-	}
-	return sum, false, nil
-}
-
 // ParseDescription exposes the advanced-screen SQL predicate parser bound
 // to this explorer's schemas.
 func (ex *Explorer) ParseDescription(input string) (query.Description, error) {

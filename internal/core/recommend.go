@@ -73,7 +73,7 @@ func (rb *RecommendationBuilder) RecommendCtx(ctx context.Context, cur query.Des
 	if err != nil {
 		return nil, nil, err
 	}
-	pass := newRecPass(rb.Ex, group, o)
+	pass := newRecPass(rb.Ex, group, o, ops)
 	defer pass.describe(span)
 
 	durations := make([]time.Duration, 0, len(ops))
@@ -128,7 +128,7 @@ func (rb *RecommendationBuilder) operationUtility(pass *recPass, op query.Operat
 		return 0, false, err
 	}
 	if len(records) > 0 {
-		u, bounded, err = rb.Ex.groupUtility(op.Target, records, pass.candidates(op), seen, pass.gate)
+		u, bounded, err = pass.groupUtility(op.Target, records, pass.candidates(op), seen)
 	}
 	if err == nil && !bounded {
 		pass.offer(u)

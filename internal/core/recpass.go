@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
+	"subdex/internal/engine"
 	"subdex/internal/obs"
 	"subdex/internal/query"
 	"subdex/internal/ratingmap"
@@ -44,10 +46,11 @@ import (
 // immutable once built and hands its buckets out with their capacity
 // clipped, so sharing one needs no lock. The memo, the buffers and the gate
 // belong to one RecommendCtx call and are reachable only from it: sessions
-// share an explorer, so the pass's own state may not outlive the call or
-// hang off the Explorer. The call evaluates its candidates one after
-// another, so none of it needs a lock; a partition is looked up once a
-// pass, by the first candidate that needs it.
+// share an explorer, so the pass's own state, the engine result its
+// candidates are scored into included, may not outlive the call or hang off
+// the Explorer. The call evaluates its candidates one after another, so
+// none of it needs a lock; a partition is looked up once a pass, by the
+// first candidate that needs it.
 type recPass struct {
 	ex  *Explorer
 	cur *query.RatingGroup
@@ -64,6 +67,12 @@ type recPass struct {
 	keys   []ratingmap.Key
 	keysOf boundDelta
 	sample []int32
+	// res and group are what every candidate's engine call is written into
+	// and handed (groupUtility): one Result — its k′ maps, utilities,
+	// scores and Profile — and one RatingGroup a pass, not one per
+	// candidate.
+	res   engine.Result
+	group query.RatingGroup
 
 	derived, materialized int
 	// The partitions the pass built, the records they hold, and the ones it
@@ -101,16 +110,64 @@ type partKey struct {
 // the zero Selector for none).
 type boundDelta struct{ unbound, bound query.Selector }
 
-// newRecPass starts the pass of a RecommendCtx call that will return the
-// top o. The gate is on whenever there is a top to miss: o > 0 (o ≤ 0
-// returns every candidate).
-func newRecPass(ex *Explorer, cur *query.RatingGroup, o int) *recPass {
+// newRecPass starts the pass of a RecommendCtx call over ops, CandidateOps'
+// operations on cur, that will return the top o. The gate is on whenever
+// there is a top to miss: o > 0 (o ≤ 0 returns every candidate).
+func newRecPass(ex *Explorer, cur *query.RatingGroup, o int, ops []query.Operation) *recPass {
 	p := &recPass{ex: ex, cur: cur, materialized: 1, // cur itself
-		bases: make(map[query.Selector][]int32, cur.Desc.Len()), parts: make(map[partKey]*query.Partition)}
+		bases: make(map[query.Selector][]int32, cur.Desc.Len()),
+		parts: make(map[partKey]*query.Partition, partitionsOf(ops))}
 	if o > 0 {
 		p.o, p.gate = o, p.keep
 	}
 	return p
+}
+
+// partitionsOf counts the partitions a pass over ops reads — one per
+// distinct partKey records reaches — so that the pass's memo is made at its
+// size rather than grown to it. CandidateOps' order lets one walk count them
+// without a set:
+//
+//   - Filters come attribute by attribute, and each attribute's partition
+//     of cur is read by a run of them;
+//   - every anchor's FilterGeneralize and FilterChange operations partition
+//     the same sources — cur∖old and each Change group — by the anchor's
+//     attribute, so the operations of the first anchor on an attribute read
+//     one partition each and those of a later anchor on it read none anew;
+//   - a Change and a FilterChange read their Change group out of the
+//     partition of cur∖old by old's attribute, one per changed selector.
+//
+// Operations in another order only size the memo wrong.
+func partitionsOf(ops []query.Operation) int {
+	n := 0
+	var filtered query.Selector // the last Filter's attribute, value blank
+	// The first anchor on each attribute and the selectors changed: as many
+	// as the displayed maps and cur's selectors, so they start on the stack.
+	var anchorBuf, changedBuf [4]query.Selector
+	anchors, changed := anchorBuf[:0], changedBuf[:0]
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case query.Filter:
+			if a := (query.Selector{Side: op.Added.Side, Attr: op.Added.Attr}); a != filtered {
+				filtered = a
+				n++
+			}
+		case query.FilterGeneralize, query.FilterChange:
+			at := slices.IndexFunc(anchors, func(s query.Selector) bool { return s.Side == op.Added.Side && s.Attr == op.Added.Attr })
+			if at < 0 {
+				at, anchors = len(anchors), append(anchors, *op.Added)
+			}
+			if anchors[at] == *op.Added {
+				n++
+			}
+		}
+		if (op.Kind == query.Change || op.Kind == query.FilterChange) && !slices.Contains(changed, *op.Changed) {
+			changed = append(changed, *op.Changed)
+			n++
+		}
+	}
+	return n
 }
 
 // keep decides, from a candidate's k′ top utilities in rank order, whether
@@ -215,6 +272,43 @@ func (p *recPass) records(op query.Operation) ([]int32, error) {
 		return p.bucket(source{removed: *op.Changed, changedTo: op.ChangedTo}, *op.Added, n)
 	}
 	return nil, fmt.Errorf("core: cannot derive the group of %s operation %s", op.Kind, op)
+}
+
+// groupUtility is Equation 2 over a rating group given as its description,
+// ascending records and candidate rating maps. To keep recommendation
+// building interactive, a group is scored on query.Sample of its records
+// (Cfg.RecSampleSize): records must already be that sample, as every list
+// the pass derives is.
+//
+// The pass's gate, when on, is the engine's keep (engine.TopMapsIfCtx): it
+// sees the group's k′ = K×L top utilities in rank order before any of the
+// maps exists, and a group it turns down is reported bounded, its utility
+// not computed — no map snapshot, no GMM.
+//
+// The engine writes every candidate's call into the pass's one result, and
+// the group it is handed is the pass's one group: what groupUtility reads of
+// either is summed into the float it returns, so the next call may
+// overwrite both.
+func (p *recPass) groupUtility(desc query.Description, records []int32, cands []ratingmap.Key,
+	seen *ratingmap.SeenSet) (u float64, bounded bool, err error) {
+	if len(records) == 0 {
+		return 0, false, nil
+	}
+	ex := p.ex
+	p.group = query.RatingGroup{Desc: desc, Records: records}
+	//subdex:ctxflow a candidate's evaluation runs to completion: RecommendCtx checks ctx between candidates
+	err = ex.Gen.TopMapsIfCtx(context.Background(), &p.res, &p.group, cands, seen, ex.Cfg.K*ex.Cfg.L, ex.Cfg.Engine, p.gate)
+	if err != nil {
+		return 0, false, err
+	}
+	if p.res.Gated {
+		return 0, true, nil
+	}
+	_, picked := ex.selectDiverse(&p.res)
+	for _, i := range picked {
+		u += p.res.Utilities[i]
+	}
+	return u, false, nil
 }
 
 // sampleOf is query.Sample(records, Cfg.RecSampleSize) written into the

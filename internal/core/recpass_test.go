@@ -42,7 +42,8 @@ var walkShapes = []struct {
 // one small enough that every shape's groups outgrow it. Each walk is taken
 // twice on one explorer: the warm walk reads every partition from the group
 // cache, where the cold one (and its session's own passes) left it, and is
-// held to the same assertions.
+// held to the same assertions. At every step the pass reads exactly as many
+// partitions as partitionsOf, which sizes its memo, counts.
 func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 	for _, ds := range walkShapes {
 		t.Run(ds.name, func(t *testing.T) {
@@ -78,16 +79,16 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 								}
 								cur := sess.Current()
 								deepest = max(deepest, cur.Len())
-								ops, err := sess.rb.CandidateOps(cur, res.Maps)
+								candidates, err := sess.rb.CandidateOps(cur, res.Maps)
 								if err != nil {
 									t.Fatal(err)
 								}
-								ops = append(ops, missingLabelFilters(ex, cur)...)
+								ops := append(slices.Clip(candidates), missingLabelFilters(ex, cur)...)
 								group, err := ex.Query.Materialize(cur)
 								if err != nil {
 									t.Fatal(err)
 								}
-								pass := newRecPass(ex, group, 0) // gate off: every utility is computed
+								pass := newRecPass(ex, group, 0, candidates) // gate off: every utility is computed
 								var nonEmpty []query.Operation
 								for _, op := range ops {
 									got, err := pass.records(op)
@@ -133,6 +134,9 @@ func TestDerivedGroupsMatchMaterialized(t *testing.T) {
 									if op.Added != nil && isMultiValued(ex, *op.Added) {
 										multiValued++
 									}
+								}
+								if got, want := len(pass.parts), partitionsOf(candidates); got != want {
+									t.Errorf("step %d at %s: the pass read %d partitions, partitionsOf counts %d", step, cur, got, want)
 								}
 								if walk == "warm" && pass.built != 0 {
 									t.Errorf("step %d at %s: the warm walk built %d partitions, want every one found in the group cache", step, cur, pass.built)
@@ -210,8 +214,10 @@ func head(records []int32) []int32 { return records[:min(len(records), 5)] }
 // TestRecommendConcurrentSessionsShareNoPassState steps two sessions of one
 // explorer at once and holds each to the recommendations the same walk gets
 // without the other beside it: sessions share the explorer, its caches and
-// its sync.Pools. The pass memo, the gate and the pass's buffers are per
-// RecommendCtx call, so the other session cannot disturb them; the partitions are shared, through
+// its sync.Pools. The pass memo, the gate, the pass's buffers and the engine
+// Result every candidate is scored into (its maps, utilities, scores and
+// Profile) are per RecommendCtx call, so the other session cannot disturb
+// them; the partitions are shared, through
 // the group cache, and immutable. Both walks pass through the root — one
 // starts there, and it is the other's roll-up — so their passes read
 // partitions built by an earlier pass, possibly the other session's, and the

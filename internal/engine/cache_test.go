@@ -640,7 +640,8 @@ func TestEvictedAccumulatorWaitsForItsReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := g.TopMapsIfCtx(ctx, root, keys, ratingmap.NewSeenSet(), 4, cfg, func([]float64) bool {
+			res := new(Result)
+			err := g.TopMapsIfCtx(ctx, res, root, keys, ratingmap.NewSeenSet(), 4, cfg, func([]float64) bool {
 				inFinalize <- struct{}{}
 				<-resume
 				return true

@@ -108,7 +108,10 @@ func DefaultConfig() Config {
 
 // Result carries the generator's output: the top maps ranked by descending
 // DW utility, aligned utilities and criterion scores, and observability
-// counters.
+// counters. A Result handed to TopMapsIfCtx again is overwritten by that
+// call — its slices, its maps (by position) and its Profile reused where
+// their capacity fits — so nothing read out of it may be kept past the next
+// call: TopMapsCtx gives every caller a Result of its own.
 type Result struct {
 	Maps      []*ratingmap.RatingMap
 	Utilities []float64
@@ -225,7 +228,11 @@ func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratin
 // RecordsProcessed reporting the prefix length.
 func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
 	seen *ratingmap.SeenSet, kPrime int, cfg Config) (*Result, error) {
-	return g.TopMapsIfCtx(ctx, group, candidates, seen, kPrime, cfg, nil)
+	res := new(Result)
+	if err := g.TopMapsIfCtx(ctx, res, group, candidates, seen, kPrime, cfg, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // TopMapsIfCtx is TopMapsCtx for a caller that may not want the maps once
@@ -237,10 +244,15 @@ func (g *Generator) TopMapsCtx(ctx context.Context, group *query.RatingGroup, ca
 // set, Utilities what keep saw and Maps empty. A nil keep keeps
 // everything: TopMapsCtx. It is the one implementation behind TopMaps and
 // TopMapsCtx.
-func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, candidates []ratingmap.Key,
-	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) (*Result, error) {
+//
+// The call writes its result over res, whatever an earlier call left there
+// (see Result), so a caller making many calls — a recommendation pass's
+// ≈ 300 — allocates one Result, one Profile and k′ maps for all of them.
+// After an error res holds nothing to read.
+func (g *Generator) TopMapsIfCtx(ctx context.Context, res *Result, group *query.RatingGroup, candidates []ratingmap.Key,
+	seen *ratingmap.SeenSet, kPrime int, cfg Config, keep func(ranked []float64) bool) error {
 	if kPrime <= 0 {
-		return nil, fmt.Errorf("engine: kPrime must be positive, got %d", kPrime)
+		return fmt.Errorf("engine: kPrime must be positive, got %d", kPrime)
 	}
 	if cfg.Phases <= 0 {
 		cfg.Phases = 1
@@ -253,11 +265,11 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 	span.SetAttr("pruning", cfg.Pruning.String())
 	g.Metrics.addCandidates(len(candidates))
 	n := len(group.Records)
-	prof := &Profile{Cache: "off", Workers: max(cfg.Workers, 1), GroupRecords: n, Considered: len(candidates)}
-	res := &Result{Considered: len(candidates), Profile: prof}
+	res.reset(Profile{Cache: "off", Workers: max(cfg.Workers, 1), GroupRecords: n, Considered: len(candidates)})
+	prof := res.Profile
 	defer g.endTopMaps(span, start, res)
 	if len(candidates) == 0 {
-		return res, nil
+		return nil
 	}
 
 	// entry is the cache entry this call reads: the one it hit, or the one
@@ -284,7 +296,7 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 	// Every scan fills a pooled accumulator. When the call returns, an
 	// entry is released — the last reader of an evicted one recycles it —
 	// and an accumulator the cache did not admit goes back to the pool:
-	// nothing in res aliases it (SnapshotAt copies).
+	// nothing in res aliases it (SnapshotInto copies).
 	var acc *ratingmap.Accumulator
 	if entry != nil {
 		acc = entry.acc
@@ -303,13 +315,13 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 			cfg.PhaseHook(ctx, 0)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err // nothing served yet: fail, don't degrade
+			return err // nothing served yet: fail, don't degrade
 		}
 		res.RecordsProcessed = n
 	} else {
 		g.Builder.Recycle(acc, group.Desc, candidates)
 		if err := g.scan(ctx, acc, group, seen, kPrime, cfg, res); err != nil {
-			return nil, err
+			return err
 		}
 		entry = g.maybeCache(key, acc, res, n)
 	}
@@ -325,7 +337,21 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, group *query.RatingGroup, 
 	fstart := time.Now()
 	g.finalize(fctx, acc, seen, kPrime, cfg, keep, res)
 	prof.FinalizeMS = msSince(fstart)
-	return res, nil
+	return nil
+}
+
+// reset readies r for a call whose profile starts as start: every field
+// zero but Considered, the slices empty with their arrays kept (Maps keeps
+// its maps past its length for finalize to write over), and the Profile
+// r's own if it has one, its Phases and Cluster arrays kept too.
+func (r *Result) reset(start Profile) {
+	prof := r.Profile
+	if prof == nil {
+		prof = new(Profile)
+	}
+	start.Phases, start.Cluster = prof.Phases[:0], prof.Cluster[:0]
+	*prof = start
+	*r = Result{Maps: r.Maps[:0], Utilities: r.Utilities[:0], Scores: r.Scores[:0], Considered: start.Considered, Profile: prof}
 }
 
 // accumulators recycles the accumulator of every scan that is not a cache
@@ -390,7 +416,7 @@ func (g *Generator) scan(ctx context.Context, acc *ratingmap.Accumulator, group 
 		phases = cfg.Phases
 	}
 	prof.Phased = pr != nil
-	prof.Phases = make([]PhaseProfile, 0, phases)
+	prof.Phases = slices.Grow(prof.Phases, phases)
 
 	processed := 0
 	for phase := 0; phase < phases && !res.Degraded; phase++ {
@@ -688,7 +714,9 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 // using the allocation-light estimator, ranks them, and materializes only
 // the top kPrime as rating maps, each with the scores it was ranked by —
 // and those only if keep, when there is one, accepts their utilities
-// (TopMapsIfCtx).
+// (TopMapsIfCtx). It writes into res as reset left it: the utilities,
+// scores and maps are appended to their slices' arrays, and the j-th map is
+// snapshotted over the map an earlier call left at position j, if any.
 //
 // The workers consult ctx between candidates: if the context dies
 // mid-finalize, unscored candidates are dropped from the ranking and the
@@ -728,7 +756,7 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	}
 	kPrime = min(kPrime, len(order))
 	rankTop(order, utils, kPrime)
-	res.Utilities = make([]float64, 0, kPrime)
+	res.Utilities = slices.Grow(res.Utilities, kPrime)
 	for _, i := range order[:kPrime] {
 		res.Utilities = append(res.Utilities, utils[i])
 	}
@@ -736,10 +764,11 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 		res.Gated = true
 		return
 	}
-	res.Maps = make([]*ratingmap.RatingMap, 0, kPrime)
-	res.Scores = make([]ratingmap.Scores, 0, kPrime)
-	for _, i := range order[:kPrime] {
-		res.Maps = append(res.Maps, acc.SnapshotAt(i))
+	// Past its length, Maps holds the maps of earlier calls, or nil.
+	res.Maps = slices.Grow(res.Maps, kPrime)[:kPrime]
+	res.Scores = slices.Grow(res.Scores, kPrime)
+	for j, i := range order[:kPrime] {
+		res.Maps[j] = acc.SnapshotInto(res.Maps[j], i)
 		res.Scores = append(res.Scores, scores[i])
 	}
 }

@@ -10,11 +10,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"subdex/internal/query"
 	"subdex/internal/ratingmap"
 )
 
@@ -226,6 +228,8 @@ func BenchmarkRankTop(b *testing.B) {
 // with those utilities and no maps, accepting them (or passing no keep)
 // leaves TopMaps' result — on a scanned group, a bypassed one and a cache
 // hit alike, and a gated call neither blocks admission nor spoils the entry.
+// The rounds share one Result, so a gated round after a kept one must leave
+// no map behind.
 func TestTopMapsIfGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := buildRandomDB(t, rng, 30, 20, 2500)
@@ -243,9 +247,11 @@ func TestTopMapsIfGate(t *testing.T) {
 		}
 		g := NewGenerator(db)
 		g.Cache = NewTopMapsCache(1 << 20)
+		// Every round overwrites res, a gated one after a kept one too.
+		var res Result
 		for round, verdict := range []bool{false, true, false, true} { // the second pair is served from the cache where there is one
 			var shown []float64
-			res, err := g.TopMapsIfCtx(context.Background(), &group, keys, seen, 5, cfg, func(ranked []float64) bool {
+			err := g.TopMapsIfCtx(context.Background(), &res, &group, keys, seen, 5, cfg, func(ranked []float64) bool {
 				shown = slices.Clone(ranked)
 				return verdict
 			})
@@ -263,7 +269,7 @@ func TestTopMapsIfGate(t *testing.T) {
 				t.Fatalf("%s: Gated = %t", label, res.Gated)
 			}
 			switch {
-			case !verdict && res.Maps != nil:
+			case !verdict && len(res.Maps) != 0:
 				t.Fatalf("%s: a gated result holds %d maps", label, len(res.Maps))
 			case verdict && ratingmap.DigestMaps(res.Maps) != ratingmap.DigestMaps(want.Maps):
 				t.Fatalf("%s: the kept result's maps differ from TopMaps'", label)
@@ -273,4 +279,135 @@ func TestTopMapsIfGate(t *testing.T) {
 			t.Fatalf("%d records: cache stats %+v", size, st)
 		}
 	}
+}
+
+// TestReusedResultEqualsFresh runs one Result through every kind of call —
+// a cache miss, a hit, a bypass, a gated and a kept call, a degraded pruned
+// scan, a call without candidates — with k′ growing and shrinking between
+// them. After each call it holds what the same call returns in a fresh
+// Result on a generator that made the same calls: the same maps, utilities,
+// scores, counters and profile (timings aside). And it is reused, not
+// replaced: its Profile stays the one it had, and each position of Maps
+// holds the map it first held there, written over.
+func TestReusedResultEqualsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	db := buildRandomDB(t, rng, 30, 20, 2500)
+	whole := wholeGroup(t, db)
+	part := func(n int) *query.RatingGroup {
+		g := *whole
+		g.Records = whole.Records[:n]
+		return &g
+	}
+	keys := allCandidates(db)
+	unpruned := DefaultConfig()
+	unpruned.Pruning = PruneNone
+	phased := DefaultConfig()
+	phased.MinPhaseRecords = 100
+	calls := []struct {
+		name     string
+		group    *query.RatingGroup
+		keys     []ratingmap.Key
+		kPrime   int
+		cfg      Config
+		keep     *bool // nil: no keep
+		cancelAt int   // > 0: the context dies before that phase
+		cache    string
+	}{
+		{name: "miss", group: whole, keys: keys, kPrime: 5, cfg: unpruned, cache: "miss"},
+		{name: "hit", group: whole, keys: keys, kPrime: 5, cfg: unpruned, cache: "hit"},
+		{name: "bypass", group: part(cacheFloorRecords - 1), keys: keys, kPrime: 9, cfg: unpruned, cache: "bypass"},
+		{name: "gated", group: whole, keys: keys, kPrime: 9, cfg: unpruned, keep: new(bool), cache: "hit"},
+		{name: "kept", group: whole, keys: keys, kPrime: len(keys), cfg: unpruned, keep: &[]bool{true}[0], cache: "hit"},
+		{name: "degraded", group: part(2000), keys: keys, kPrime: 3, cfg: phased, cancelAt: 4, cache: "miss"},
+		{name: "no candidates", group: whole, kPrime: 9, cfg: unpruned, cache: "off"},
+		{name: "kept after none", group: part(1000), keys: keys[2:], kPrime: 7, cfg: unpruned, cache: "miss"},
+	}
+	reused, fresh := NewGenerator(db), NewGenerator(db)
+	reused.Cache, fresh.Cache = NewTopMapsCache(1<<20), NewTopMapsCache(1<<20)
+	run := func(g *Generator, res *Result, c int) {
+		t.Helper()
+		call := calls[c]
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := call.cfg
+		if call.cancelAt > 0 {
+			cfg.PhaseHook = func(_ context.Context, phase int) {
+				if phase == call.cancelAt {
+					cancel()
+				}
+			}
+		}
+		var keep func([]float64) bool
+		if call.keep != nil {
+			keep = func([]float64) bool { return *call.keep }
+		}
+		if err := g.TopMapsIfCtx(ctx, res, call.group, call.keys, ratingmap.NewSeenSet(), call.kPrime, cfg, keep); err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+	}
+
+	var res Result
+	var prof *Profile
+	var positions []*ratingmap.RatingMap // the first map each position of res.Maps held
+	for c, call := range calls {
+		run(reused, &res, c)
+		want := new(Result)
+		run(fresh, want, c)
+		if res.Profile.Cache != call.cache || want.Profile.Cache != call.cache {
+			t.Fatalf("%s: cache %q (reused) and %q (fresh), want %q", call.name, res.Profile.Cache, want.Profile.Cache, call.cache)
+		}
+		if want.Gated != (call.keep != nil && !*call.keep) || want.Degraded != (call.cancelAt > 0) || want.Profile.Phased != (call.cancelAt > 0) {
+			t.Fatalf("%s: fresh result gated %t, degraded %t, phased %t", call.name, want.Gated, want.Degraded, want.Profile.Phased)
+		}
+		if got, w := ratingmap.DigestMaps(res.Maps), ratingmap.DigestMaps(want.Maps); got != w {
+			t.Fatalf("%s: maps\n%s\nwant\n%s", call.name, got, w)
+		}
+		if !slices.Equal(res.Utilities, want.Utilities) || !slices.Equal(res.Scores, want.Scores) {
+			t.Fatalf("%s: utilities %v scores %v, want %v %v", call.name, res.Utilities, res.Scores, want.Utilities, want.Scores)
+		}
+		if got, w := res.counters(), want.counters(); got != w {
+			t.Fatalf("%s: counters %+v, want %+v", call.name, got, w)
+		}
+		if got, w := untimed(res.Profile), untimed(want.Profile); !reflect.DeepEqual(got, w) {
+			t.Fatalf("%s: profile %+v, want %+v", call.name, got, w)
+		}
+		if prof == nil {
+			prof = res.Profile
+		} else if res.Profile != prof {
+			t.Fatalf("%s: the result's Profile was replaced", call.name)
+		}
+		for j, rm := range res.Maps {
+			if j == len(positions) {
+				positions = append(positions, rm)
+			} else if rm != positions[j] {
+				t.Fatalf("%s: position %d holds a new map", call.name, j)
+			}
+		}
+	}
+}
+
+// resultCounters is a Result without its slices and Profile.
+type resultCounters struct {
+	prunedCI, prunedMAB, considered, recordsProcessed int
+	degraded, gated                                   bool
+}
+
+func (r *Result) counters() resultCounters {
+	return resultCounters{r.PrunedCI, r.PrunedMAB, r.Considered, r.RecordsProcessed, r.Degraded, r.Gated}
+}
+
+// untimed is a copy of p without its wall times, and with an empty Phases
+// or Cluster as nil: a reused Profile keeps those arrays.
+func untimed(p *Profile) Profile {
+	q := *p
+	q.FinalizeMS, q.TotalMS, q.ClusterMergeMS = 0, 0, 0
+	q.Phases = nil
+	for _, ph := range p.Phases {
+		ph.DurationMS = 0
+		q.Phases = append(q.Phases, ph)
+	}
+	if len(q.Cluster) == 0 {
+		q.Cluster = nil
+	}
+	return q
 }

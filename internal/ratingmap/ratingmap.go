@@ -84,7 +84,10 @@ type RatingMap struct {
 	// grouping attributes (a record in two cuisines appears in two bars).
 	TotalRecords int
 
-	total []int // pooled histogram across subgroups
+	// total is the pooled histogram across subgroups. Its capacity runs on
+	// over the array every subgroup's Counts is cut from (SnapshotInto), so
+	// nothing may append to it.
+	total []int
 }
 
 // Dict resolves subgroup values to display strings; set by the builder.
@@ -274,7 +277,7 @@ func (b *Builder) NewAccumulator(desc query.Description, keys []Key) *Accumulato
 // each is reused when its capacity covers the new candidate set, whatever
 // set, description or database it served before, and replaced when not. It
 // is for an accumulator nothing else can reach: whatever was read out of it
-// must have been copied (SnapshotAt does). The zero Accumulator recycles
+// must have been copied (SnapshotInto does). The zero Accumulator recycles
 // into a fresh one.
 //
 // Unlike NewAccumulator, Recycle first grows acc's arrays to the schema's
@@ -458,24 +461,44 @@ func (a *Accumulator) Remove(k Key) {
 	a.groups = slices.DeleteFunc(a.groups, func(g attrGroup) bool { return len(g.members) == 0 })
 }
 
-// SnapshotAt is Snapshot of candidate Keys()[i]: the engine's final exact
-// maps, k′ per call — thousands a step under recommendations — so a map is
-// three allocations whatever its bar count: the pooled histogram and every
-// subgroup's Counts are carved out of one array, each clipped to its scale.
-func (a *Accumulator) SnapshotAt(i int) *RatingMap {
+// SnapshotAt is Snapshot of candidate Keys()[i] in a map of its own:
+// SnapshotInto(nil, i).
+func (a *Accumulator) SnapshotAt(i int) *RatingMap { return a.SnapshotInto(nil, i) }
+
+// SnapshotInto writes Snapshot of candidate Keys()[i] over rm and returns
+// it; a nil rm gets a new map. The engine materializes k′ maps per call —
+// thousands a step under recommendations — so the pooled histogram and
+// every subgroup's Counts are cut from one array (total, its capacity the
+// whole array; each Counts clipped to its scale), and the map's subgroup
+// list and that array are reused when their capacity covers the
+// candidate's bars. A new map is three allocations whatever its bar count
+// (two without a bar); a map that fits is none. Whatever rm held before is
+// overwritten: nothing may still read it.
+func (a *Accumulator) SnapshotInto(rm *RatingMap, i int) *RatingMap {
 	p := &a.parts[i]
 	bars := 0
 	p.rows(func(dataset.ValueID, []int32, int) { bars++ })
-	counts := make([]int, (bars+1)*p.scale)
-	rm := &RatingMap{
-		Key:     p.key,
-		DimName: a.db.Ratings.Dimensions[p.key.Dim].Name,
-		Scale:   p.scale,
-		Desc:    a.desc,
-		total:   counts[:p.scale:p.scale],
+	if rm == nil {
+		rm = new(RatingMap)
 	}
-	if bars > 0 {
-		rm.Subgroups = make([]Subgroup, 0, bars)
+	counts := rm.total[:cap(rm.total)]
+	if n := (bars + 1) * p.scale; len(counts) < n {
+		counts = make([]int, n)
+	} else {
+		counts = counts[:n]
+		clear(counts[:p.scale]) // the bars' Counts are written whole
+	}
+	subgroups := rm.Subgroups[:0]
+	if subgroups == nil || cap(subgroups) < bars {
+		subgroups = make([]Subgroup, 0, bars)
+	}
+	*rm = RatingMap{
+		Key:       p.key,
+		DimName:   a.db.Ratings.Dimensions[p.key.Dim].Name,
+		Scale:     p.scale,
+		Desc:      a.desc,
+		Subgroups: subgroups,
+		total:     counts[:p.scale],
 	}
 	p.rows(func(v dataset.ValueID, row []int32, n int) {
 		counts = counts[p.scale:]
