@@ -1,10 +1,11 @@
 // Package engine implements the RM-Generator of SubDEx (§4.2.1): the
 // phase-based execution framework of Algorithm 1 with the paper's two
 // sharing optimizations (combined aggregates via the shared accumulator,
-// parallel execution via a worker pool) and its two pruning schemes — the
-// confidence-interval pruning of Algorithm 3 built on Hoeffding-Serfling
-// worst-case intervals, and the multi-armed-bandit pruning built on the
-// Successive Accepts and Rejects strategy. Given a rating group, it returns
+// parallel execution via the sharded scan — candidates are scored in one
+// sequential loop) and its two pruning schemes — the confidence-interval
+// pruning of Algorithm 3 built on Hoeffding-Serfling worst-case intervals,
+// and the multi-armed-bandit pruning built on the Successive Accepts and
+// Rejects strategy. Given a rating group, it returns
 // (w.h.p.) the k×l rating maps with the highest dimension-weighted
 // utilities.
 package engine
@@ -17,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"subdex/internal/bandit"
@@ -68,8 +68,10 @@ type Config struct {
 	Phases int
 	// Pruning selects the pruning schemes.
 	Pruning Pruning
-	// Workers bounds parallel per-phase estimation; ≤1 disables
-	// parallelism (the No-Parallelism and Naive baselines).
+	// Workers bounds the sharded scan: a record range is folded by up to
+	// Workers goroutines (see ShardMinRecords); ≤1 scans sequentially (the
+	// No-Parallelism and Naive baselines). Scoring is sequential whatever
+	// its value.
 	Workers int
 	// Utility configures scoring (max-aggregation, normalization, DW).
 	Utility ratingmap.UtilityConfig
@@ -218,11 +220,11 @@ func (g *Generator) Candidates(qe *query.Engine, desc query.Description) []ratin
 // and — when Generator.Metrics is installed — records the hot-path
 // counters and histograms. Both instruments are no-ops when absent.
 //
-// The context is consulted before every stride and inside the
-// estimate/finalize worker loops. Cancellation before the first stride
-// completes returns ctx.Err(). Cancellation after that degrades instead
-// of failing: the scan stops at the last completed stride boundary and
-// the survivors are finalized over the records processed so far —
+// The context is consulted before every stride and between candidates of
+// the estimate and finalize scoring loop. Cancellation before the first
+// stride completes returns ctx.Err(). Cancellation after that degrades
+// instead of failing: the scan stops at the last completed stride boundary
+// and the survivors are finalized over the records processed so far —
 // Algorithm 1 is an anytime algorithm, every stride boundary is a
 // consistent record prefix — yielding a Result with Degraded set and
 // RecordsProcessed reporting the prefix length.
@@ -491,29 +493,38 @@ func (s stride) end(m *Metrics, res *Result, records, alive int) {
 // candidates are still accumulated and, under bandit pruning, the arms'
 // accept/reject state. A nil *pruner never prunes.
 type pruner struct {
-	// alive maps candidate index → key for candidates still accumulated.
-	alive  map[int]ratingmap.Key
+	// alive lists the candidates still accumulated by ascending candidate
+	// index. Remove keeps the accumulator's keys in candidate order too, so
+	// the survivor at accumulator position p is candidate alive[p].
+	alive  []int
 	sar    *bandit.SAR // nil without PruneMAB / PruneBoth
 	ci     bool        // PruneCI / PruneBoth
 	kPrime int
 }
 
 func newPruner(candidates []ratingmap.Key, kPrime int, mode Pruning) (*pruner, error) {
-	p := &pruner{alive: make(map[int]ratingmap.Key, len(candidates)), ci: mode != PruneMAB, kPrime: kPrime}
-	for i, k := range candidates {
-		p.alive[i] = k
+	p := &pruner{alive: make([]int, len(candidates)), ci: mode != PruneMAB, kPrime: kPrime}
+	for i := range p.alive {
+		p.alive[i] = i
 	}
 	if mode != PruneCI {
-		ids := make([]int, len(candidates))
-		for i := range ids {
-			ids[i] = i
-		}
 		var err error
-		if p.sar, err = bandit.NewSAR(ids, kPrime); err != nil {
+		if p.sar, err = bandit.NewSAR(p.alive, kPrime); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
+}
+
+// drop removes candidate idx from the survivors and from acc, and reports
+// whether it was still alive.
+func (p *pruner) drop(acc *ratingmap.Accumulator, idx int) bool {
+	pos, ok := slices.BinarySearch(p.alive, idx)
+	if ok {
+		acc.Remove(acc.Keys()[pos])
+		p.alive = slices.Delete(p.alive, pos, pos+1)
+	}
+	return ok
 }
 
 // active reports whether pruning can still drop a candidate: once the
@@ -534,8 +545,7 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 	}
 	if p.ci {
 		for _, idx := range ciPrune(est, processed, total, p.kPrime, p.sar) {
-			acc.Remove(p.alive[idx])
-			delete(p.alive, idx)
+			p.drop(acc, idx)
 			res.PrunedCI++
 		}
 	}
@@ -543,7 +553,7 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 		return nil
 	}
 	for _, e := range est {
-		if _, ok := p.alive[e.idx]; ok {
+		if _, ok := slices.BinarySearch(p.alive, e.idx); ok {
 			if err := p.sar.SetMean(e.idx, e.dwMean); err != nil {
 				return err
 			}
@@ -561,9 +571,7 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 		if !ok {
 			break
 		}
-		if k, live := p.alive[id]; live && st == bandit.Rejected {
-			acc.Remove(k)
-			delete(p.alive, id)
+		if st == bandit.Rejected && p.drop(acc, id) {
 			res.PrunedMAB++
 		}
 	}
@@ -579,53 +587,51 @@ type estimateEntry struct {
 	dwMean float64
 }
 
-// estimate computes the alive candidates' bounded criterion estimates in
-// parallel (the "parallel query execution" sharing optimization: up to
-// cfg.Workers candidates are scored simultaneously), in ascending candidate
-// index. Remove keeps the accumulator's keys in candidate order, so the
-// alive candidate with the p-th smallest index is the accumulator's
-// candidate p and is scored there. The workers consult ctx between
-// candidates; on cancellation the whole estimate is abandoned (aborted =
-// true) — partial estimates must never feed pruning decisions.
-func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, alive map[int]ratingmap.Key,
+// estimate computes the alive candidates' bounded criterion estimates on
+// the processed prefix, in accumulator position order: the survivor at
+// position p is candidate alive[p] (pruner). On cancellation the whole
+// estimate is abandoned (aborted = true) — partial estimates must never
+// feed pruning decisions.
+func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, alive []int,
 	seen *ratingmap.SeenSet, cfg Config, processed, total int) (est []estimateEntry, aborted bool) {
 	recordScale := 1.0
 	if processed > 0 {
 		recordScale = float64(total) / float64(processed)
 	}
-	idxs := make([]int, 0, len(alive))
-	for i := range alive {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	est = make([]estimateEntry, len(idxs))
-	keys := acc.Keys()
-	var abort atomic.Bool
-	util := cfg.Utility // the closure captures the scoring config, not the whole Config
-	g.parallel(len(idxs), cfg.Workers, func(_, lo, hi int) {
-		var memo ratingmap.PecMemo // per chunk: no worker shares one
-		for p := lo; p < hi; p++ {
-			if ctx.Err() != nil {
-				abort.Store(true)
-				return
-			}
-			scores := acc.ScoresAt(p, seen, recordScale, util.Peculiarity, &memo)
-			w := seen.Weight(keys[p].Dim)
-			if util.DisableDimensionWeights {
-				w = 1
-			}
-			est[p] = estimateEntry{
-				idx:    idxs[p],
-				scores: scores,
-				weight: w,
-				dwMean: w * scores.Aggregate(util),
-			}
-		}
-	})
-	if abort.Load() {
+	f := scoreScratches.Get().(*scoreScratch)
+	defer scoreScratches.Put(f)
+	f.size(len(alive))
+	if score(ctx, acc, seen, recordScale, cfg.Utility.Peculiarity, f.scores) < len(alive) {
 		return nil, true
 	}
+	keys := acc.Keys()
+	est = make([]estimateEntry, len(alive))
+	for p, scores := range f.scores {
+		w := seen.Weight(keys[p].Dim)
+		if cfg.Utility.DisableDimensionWeights {
+			w = 1
+		}
+		est[p] = estimateEntry{idx: alive[p], scores: scores, weight: w, dwMean: w * scores.Aggregate(cfg.Utility)}
+	}
 	return est, false
+}
+
+// score is the scoring loop of Algorithm 1, which estimate (at the
+// prefix's record scale) and finalize (at scale 1) share: it writes the
+// criterion scores of the accumulator's candidates into scores, position
+// by position, with one global-peculiarity memo for the pass, and consults
+// ctx before each candidate. It returns how many it scored; what a
+// cancelled pass scored is the prefix [0, n).
+func score(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet, recordScale float64,
+	m ratingmap.PeculiarityMeasure, scores []ratingmap.Scores) int {
+	var memo ratingmap.PecMemo
+	for i := range scores {
+		if ctx.Err() != nil {
+			return i
+		}
+		scores[i] = acc.ScoresAt(i, seen, recordScale, m, &memo)
+	}
+	return len(scores)
 }
 
 // ciPrune applies Algorithm 3. Each candidate's interval is built per
@@ -718,43 +724,31 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 // scores and maps are appended to their slices' arrays, and the j-th map is
 // snapshotted over the map an earlier call left at position j, if any.
 //
-// The workers consult ctx between candidates: if the context dies
-// mid-finalize, unscored candidates are dropped from the ranking and the
-// result is marked Degraded (callers that already degraded pass a
-// detached context so the anytime result is always fully scored).
+// If the context dies mid-finalize, the candidates the scoring loop did not
+// reach are dropped from the ranking and the result is marked Degraded
+// (callers that already degraded pass a detached context so the anytime
+// result is always fully scored).
 func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
 	kPrime int, cfg Config, keep func(ranked []float64) bool, res *Result) {
 	keys := acc.Keys()
-	f := finalizeScratches.Get().(*finalizeScratch)
-	defer finalizeScratches.Put(f) // nothing in res aliases it
+	f := scoreScratches.Get().(*scoreScratch)
+	defer scoreScratches.Put(f) // nothing in res aliases it
 	f.size(len(keys))
-	scores, scored, utils := f.scores, f.scored, f.utils
-	peculiarity := cfg.Utility.Peculiarity
-	g.parallel(len(keys), cfg.Workers, func(_, lo, hi int) {
-		var memo ratingmap.PecMemo // per chunk: no worker shares one
-		for i := lo; i < hi && ctx.Err() == nil; i++ {
-			scores[i] = acc.ScoresAt(i, seen, 1, peculiarity, &memo)
-			scored[i] = true
-		}
-	})
-
-	// order lists the scored candidates by accumulator position. Those the
-	// cancelled scoring pass never reached are left out; ranking a
-	// zero-valued score would be wrong, excluding it is merely incomplete.
-	order := f.order // empty, with room for every candidate
-	for i, ok := range scored {
-		if ok {
-			order = append(order, i)
-		}
-	}
-	if len(order) < len(keys) {
+	scores, utils := f.scores, f.utils
+	scored := score(ctx, acc, seen, 1, cfg.Utility.Peculiarity, scores)
+	if scored < len(keys) {
 		res.degrade("deadline_mid_finalize")
 	}
 
-	for _, i := range order {
+	// order ranks the scored prefix: ranking a zero-valued score would be
+	// wrong, leaving out what the cancelled pass never reached is merely
+	// incomplete.
+	order := f.order[:scored]
+	for i := range order {
+		order[i] = i
 		utils[i] = ratingmap.DWUtility(scores[i].Aggregate(cfg.Utility), keys[i].Dim, seen, cfg.Utility)
 	}
-	kPrime = min(kPrime, len(order))
+	kPrime = min(kPrime, scored)
 	rankTop(order, utils, kPrime)
 	res.Utilities = slices.Grow(res.Utilities, kPrime)
 	for _, i := range order[:kPrime] {
@@ -773,31 +767,27 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	}
 }
 
-// finalizeScratch is what one finalize call works in: per candidate
-// position its scores, whether the pass reached it and its utility, and the
-// ranking. A guided step finalizes some 300 accumulators of ~90 candidates,
-// so the four slices are borrowed from a pool for the length of the call
-// rather than made by it (they were a tenth of a guided step's allocated
-// bytes). The scratch is per call — two goroutines finalizing one cached
-// accumulator each hold their own.
-type finalizeScratch struct {
+// scoreScratch is what one estimate or finalize call works in: per
+// candidate position its scores and its utility, and the ranking. A guided
+// step finalizes some 300 accumulators of ~90 candidates, so the three
+// slices are borrowed from a pool for the length of the call rather than
+// made by it (they were a tenth of a guided step's allocated bytes). The
+// scratch is per call — two goroutines finalizing one cached accumulator
+// each hold their own.
+type scoreScratch struct {
 	scores []ratingmap.Scores
-	scored []bool
 	utils  []float64
 	order  []int
 }
 
-var finalizeScratches = sync.Pool{New: func() any { return new(finalizeScratch) }}
+var scoreScratches = sync.Pool{New: func() any { return new(scoreScratch) }}
 
-// size readies the scratch for n candidates: nothing scored, order empty.
-// scores and utils keep what the last call left; finalize reads neither at
-// a position it has not written.
-func (f *finalizeScratch) size(n int) {
+// size readies the scratch for n candidates. The slices keep what the last
+// call left; a call reads no position it has not written.
+func (f *scoreScratch) size(n int) {
 	f.scores = slices.Grow(f.scores[:0], n)[:n]
 	f.utils = slices.Grow(f.utils[:0], n)[:n]
-	f.order = slices.Grow(f.order[:0], n)
-	f.scored = slices.Grow(f.scored[:0], n)[:n]
-	clear(f.scored)
+	f.order = slices.Grow(f.order[:0], n)[:n]
 }
 
 // rankTopFactor: rankTop inserts while the answer is at most a third of the

@@ -153,12 +153,13 @@ func TestPrunedAgreesWithExactTopK(t *testing.T) {
 	}
 }
 
-// TestTopMapsRepeatsExactly holds Algorithm 1 to one answer per input: the
-// pruner keeps its survivors in a map, and Go randomizes every range over
-// a map, so an estimate that read the survivors in map order would prune
-// and rank differently from call to call. Twenty uncached calls per scheme
-// on the phased path, 96 candidates for k' = 9, must agree on every map,
-// utility and pruning count.
+// TestTopMapsRepeatsExactly holds Algorithm 1 to one answer per input:
+// pruning reads the survivors in candidate order — the pruner's slice and
+// the accumulator's keys, position for position — so nothing that varies
+// from run to run, such as a range over a map, may decide what is pruned
+// or how it ranks. Twenty uncached calls per scheme on the phased path, 96
+// candidates for k' = 9, must agree on every map, utility and pruning
+// count.
 func TestTopMapsRepeatsExactly(t *testing.T) {
 	db := engineDB(t)
 	g := NewGenerator(db)

@@ -1,7 +1,7 @@
 package engine
 
 // Tests for what finalize shares and borrows: the ranking prefix (rankTop),
-// the per-chunk global-peculiarity memo and the pooled scratch must leave
+// the per-pass global-peculiarity memo and the pooled scratch must leave
 // exactly the maps and utilities of the plain recipe — score every
 // candidate on its own, stable-sort all of them, cut.
 
@@ -105,10 +105,9 @@ func (c countdownCtx) Err() error {
 // TestFinalizeMatchesOracle: over a seen set that makes global peculiarity
 // matter, finalize returns the oracle's maps, utilities and scores bit for
 // bit — for answers on both sides of rankTopFactor's switch and larger than
-// the candidate set, under both measures, with
-// one worker and with three (three memos), and when the scoring pass is
-// cancelled part-way (order shorter than keys: the call degrades and ranks
-// what it scored).
+// the candidate set, under both measures, and when the scoring pass is
+// cancelled part-way (it scored a prefix: the call degrades and ranks that
+// prefix).
 func TestFinalizeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := buildRandomDB(t, rng, 30, 20, 2500)
@@ -124,34 +123,28 @@ func TestFinalizeMatchesOracle(t *testing.T) {
 
 	for _, kPrime := range []int{1, 3, len(keys) / 2, len(keys), len(keys) + 4} {
 		for _, m := range []ratingmap.PeculiarityMeasure{ratingmap.PecTVD, ratingmap.PecKL} {
-			for _, workers := range []int{1, 3} {
-				for _, scoredN := range []int{len(keys), len(keys) / 2, 1} {
-					if scoredN < len(keys) && workers > 1 {
-						continue // which candidates a cancelled parallel pass reached is not fixed
-					}
-					cfg := DefaultConfig()
-					cfg.Workers = workers
-					cfg.Utility.Peculiarity = m
-					label := fmt.Sprintf("k'=%d %v workers=%d scored=%d", kPrime, m, workers, scoredN)
+			for _, scoredN := range []int{len(keys), len(keys) / 2, 1} {
+				cfg := DefaultConfig()
+				cfg.Utility.Peculiarity = m
+				label := fmt.Sprintf("k'=%d %v scored=%d", kPrime, m, scoredN)
 
-					left := new(atomic.Int64)
-					left.Store(int64(scoredN))
-					res := &Result{Profile: &Profile{}}
-					g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, nil, res)
+				left := new(atomic.Int64)
+				left.Store(int64(scoredN))
+				res := &Result{Profile: &Profile{}}
+				g.finalize(countdownCtx{context.Background(), left}, acc, seen, kPrime, cfg, nil, res)
 
-					wantDigest, wantUtils, wantScores := finalizeOracle(acc, seen, kPrime, cfg, scoredN)
-					if got := ratingmap.DigestMaps(res.Maps); got != wantDigest {
-						t.Fatalf("%s: maps differ from the oracle's\n got: %s\nwant: %s", label, got, wantDigest)
-					}
-					if !slices.Equal(res.Utilities, wantUtils) {
-						t.Fatalf("%s: utilities %v, the oracle's %v", label, res.Utilities, wantUtils)
-					}
-					if !slices.Equal(res.Scores, wantScores) {
-						t.Fatalf("%s: scores %v, the oracle's %v", label, res.Scores, wantScores)
-					}
-					if wantDegraded := scoredN < len(keys); res.Degraded != wantDegraded {
-						t.Fatalf("%s: Degraded = %t, want %t", label, res.Degraded, wantDegraded)
-					}
+				wantDigest, wantUtils, wantScores := finalizeOracle(acc, seen, kPrime, cfg, scoredN)
+				if got := ratingmap.DigestMaps(res.Maps); got != wantDigest {
+					t.Fatalf("%s: maps differ from the oracle's\n got: %s\nwant: %s", label, got, wantDigest)
+				}
+				if !slices.Equal(res.Utilities, wantUtils) {
+					t.Fatalf("%s: utilities %v, the oracle's %v", label, res.Utilities, wantUtils)
+				}
+				if !slices.Equal(res.Scores, wantScores) {
+					t.Fatalf("%s: scores %v, the oracle's %v", label, res.Scores, wantScores)
+				}
+				if wantDegraded := scoredN < len(keys); res.Degraded != wantDegraded {
+					t.Fatalf("%s: Degraded = %t, want %t", label, res.Degraded, wantDegraded)
 				}
 			}
 		}
@@ -171,7 +164,6 @@ func TestFinalizeConcurrentOnOneAccumulator(t *testing.T) {
 	acc := g.Builder.NewAccumulator(group.Desc, keys)
 	acc.Update(group.Records)
 	cfg := DefaultConfig()
-	cfg.Workers = 2
 
 	seens := []*ratingmap.SeenSet{ratingmap.NewSeenSet(), ratingmap.NewSeenSet()}
 	seens[1].Add(acc.SnapshotAt(2))
@@ -192,6 +184,39 @@ func TestFinalizeConcurrentOnOneAccumulator(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFinalizeIntoFittingResultAllocatesNothing: a finalize writing over a
+// Result whose slices and maps already fit — what a recommendation pass's
+// calls after its first do — allocates nothing: the scoring loop, its memo
+// and the scratch all come without one.
+func TestFinalizeIntoFittingResultAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops what is Put into it at random")
+	}
+	rng := rand.New(rand.NewSource(47))
+	db := buildRandomDB(t, rng, 30, 20, 2500)
+	group := wholeGroup(t, db)
+	keys := allCandidates(db)
+	g := NewGenerator(db)
+	acc := g.Builder.NewAccumulator(group.Desc, keys)
+	acc.Update(group.Records)
+	seen := ratingmap.NewSeenSet()
+	seen.Add(acc.SnapshotAt(1))
+	cfg := DefaultConfig()
+	const kPrime = 9
+	res := &Result{Profile: &Profile{}}
+	finalize := func() {
+		res.reset(Profile{})
+		g.finalize(context.Background(), acc, seen, kPrime, cfg, nil, res)
+	}
+	finalize() // the maps the later calls write over
+	if len(res.Maps) != kPrime {
+		t.Fatalf("finalize kept %d maps, want %d", len(res.Maps), kPrime)
+	}
+	if allocs := testing.AllocsPerRun(100, finalize); allocs != 0 {
+		t.Fatalf("finalize over a fitting Result allocated %v times a call, want 0", allocs)
+	}
 }
 
 // BenchmarkRankTop is the measurement behind rankTopFactor: the first k of

@@ -11,7 +11,7 @@ import (
 )
 
 // forcePhased returns a config that takes the phased path on the test DB
-// with a parallel estimation pool.
+// with four scan workers.
 func forcePhased() Config {
 	cfg := DefaultConfig()
 	cfg.MinPhaseRecords = 1
@@ -76,7 +76,7 @@ func TestInstrumentedTopMaps(t *testing.T) {
 }
 
 // TestInstrumentedTopMapsConcurrent hammers one shared Generator+Metrics
-// from several goroutines with a parallel worker pool — the race-clean
+// from several goroutines with four scan workers — the race-clean
 // guarantee the server relies on. Run with -race.
 func TestInstrumentedTopMapsConcurrent(t *testing.T) {
 	db := engineDB(t)

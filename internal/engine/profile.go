@@ -46,7 +46,8 @@ type Profile struct {
 	// "bypass" for a group under the admission floor (scanned without a
 	// lookup), or "off" when no cache is installed.
 	Cache string `json:"cache"`
-	// Workers is the configured parallelism (clamped to ≥ 1).
+	// Workers is the configured scan parallelism, Config.Workers clamped
+	// to ≥ 1 (scoring is sequential).
 	Workers int `json:"workers"`
 	// Shards is the widest sharding any accumulate call actually used
 	// (1 = every scan ran sequentially; 0 = no scan ran at all).

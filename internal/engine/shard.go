@@ -1,14 +1,15 @@
-// Sharded parallel accumulation: the scan half of the "parallel query
-// execution" sharing optimization of §4.2.1, and the engine's one worker
-// pool (parallel), which the estimate and finalize passes share. The
-// record range of a stride is split into contiguous per-worker shards;
-// each worker folds its shard into a *private* ratingmap accumulator —
-// the per-record hot loop takes no locks and shares no cache lines — and
-// the shards are then merged into the target accumulator in shard order. Every count is an integer, so the merged
-// state is bit-for-bit identical to a sequential scan of the same range
-// regardless of scheduling; merging in shard order additionally makes the
-// in-memory layout reproducible run-to-run. The differential harness
-// (differential_test.go) proves the equivalence on randomized datasets.
+// Sharded parallel accumulation: the "parallel query execution" sharing
+// optimization of §4.2.1, and the only place the engine starts goroutines
+// (scoring is one sequential loop, engine.go's score). The record range of
+// a stride is split into contiguous per-worker shards; each worker folds
+// its shard into a *private* ratingmap accumulator — the per-record hot
+// loop takes no locks and shares no cache lines — and the shards are then
+// merged into the target accumulator in shard order. Every count is an
+// integer, so the merged state is bit-for-bit identical to a sequential
+// scan of the same range regardless of scheduling; merging in shard order
+// additionally makes the in-memory layout reproducible run-to-run. The
+// differential harness (differential_test.go) proves the equivalence on
+// randomized datasets.
 
 package engine
 
@@ -47,34 +48,20 @@ func (g *Generator) accumulate(acc *ratingmap.Accumulator, records []int32, work
 	}
 	shards := make([]*ratingmap.Accumulator, workers)
 	keys, desc := acc.Keys(), acc.Desc()
-	g.parallel(len(records), workers, func(w, lo, hi int) {
-		shards[w] = g.Builder.NewAccumulator(desc, keys)
-		shards[w].Update(records[lo:hi])
-	})
+	n := len(records)
+	var wg sync.WaitGroup
+	for w := range shards {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			shards[w] = g.Builder.NewAccumulator(desc, keys)
+			shards[w].Update(records[lo:hi])
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	wg.Wait()
 	// Deterministic merge: shard order, not completion order.
 	for _, sh := range shards {
 		acc.Merge(sh)
 	}
 	return workers
-}
-
-// parallel splits [0, n) into at most workers contiguous chunks and runs
-// fn(w, lo, hi) on each — concurrently when there is more than one, inline
-// otherwise. It owns every goroutine the engine starts and their
-// WaitGroup.
-func (g *Generator) parallel(n, workers int, fn func(w, lo, hi int)) {
-	workers = min(workers, n)
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w, w*n/workers, (w+1)*n/workers)
-		}(w)
-	}
-	wg.Wait()
 }

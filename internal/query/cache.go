@@ -51,9 +51,16 @@ func partitionEntry(key string, p *Partition) *cacheEntry {
 // No description's key starts with \x02 (one starts with a side's digit, or
 // is empty), so a partition never shares a key with a group; the fields
 // before the description are each NUL- or \x02-terminated, the attribute
-// escaped as in a description's key.
+// escaped as in a description's key. The key is written into one buffer,
+// on the stack for keys up to its size, so a lookup allocates only the
+// string.
 func partitionKey(src Description, side Side, attr string, n int) string {
-	return "\x02" + strconv.Itoa(int(side)) + "\x00" + keyPart(attr) + "\x00" + strconv.Itoa(max(n, 0)) + "\x02" + src.Key()
+	var buf [128]byte
+	b := append(buf[:0], 0x02)
+	b = strconv.AppendInt(b, int64(side), 10)
+	b = appendKeyPart(append(b, 0x00), attr)
+	b = strconv.AppendInt(append(b, 0x00), int64(max(n, 0)), 10)
+	return string(src.appendKey(append(b, 0x02)))
 }
 
 func newGroupCache(budget int) *groupCache {

@@ -221,7 +221,12 @@ func (d Description) ValueOf(side Side, attr string) (string, bool) {
 
 // Key returns a canonical identity string for the whole description.
 func (d Description) Key() string {
-	var b []byte
+	var buf [64]byte // most keys fit: the string is the one allocation
+	return string(d.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's bytes to b.
+func (d Description) appendKey(b []byte) []byte {
 	for i, s := range d.selectors {
 		if i > 0 {
 			b = append(b, 0x01)
@@ -232,7 +237,7 @@ func (d Description) Key() string {
 		b = append(b, 0x00)
 		b = appendKeyPart(b, s.Value)
 	}
-	return string(b)
+	return b
 }
 
 // Equal reports whether two descriptions select the same predicate: the
