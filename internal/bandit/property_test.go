@@ -31,7 +31,7 @@ func TestPropertySARNoiselessTopKPreserved(t *testing.T) {
 			ids[i] = id
 			means[id] = float64(i) + rng.Float64()/2
 		}
-		rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		sort.Ints(ids) // a SAR's arms ascend; the means, drawn by i, do not
 
 		want := append([]int(nil), ids...)
 		sort.Slice(want, func(i, j int) bool { return means[want[i]] > means[want[j]] })
@@ -46,11 +46,7 @@ func TestPropertySARNoiselessTopKPreserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		for !s.Done() {
-			for _, id := range s.Active() {
-				if err := s.SetMean(id, means[id]); err != nil {
-					t.Fatal(err)
-				}
-			}
+			setMeans(s, func(id int) float64 { return means[id] })
 			id, st, ok := s.Step()
 			if !ok {
 				break
@@ -61,14 +57,14 @@ func TestPropertySARNoiselessTopKPreserved(t *testing.T) {
 			if st == Accepted && !top[id] {
 				// The batch-accept path may seal several arms at once; verify
 				// none of the accepted set is outside the true top-k.
-				for _, a := range s.Accepted() {
+				for _, a := range acceptedIDs(s) {
 					if !top[a] {
 						t.Fatalf("n=%d k=%d: accepted non-top arm %d (mean %g)", n, k, a, means[a])
 					}
 				}
 			}
 		}
-		got := s.Finish()
+		got := finish(s)
 		if len(got) != k {
 			t.Fatalf("n=%d k=%d: accepted %d arms", n, k, len(got))
 		}
@@ -98,16 +94,12 @@ func TestPropertySARTiesStillFillK(t *testing.T) {
 				if steps > 10*n {
 					t.Fatalf("n=%d k=%d: SAR did not terminate", n, k)
 				}
-				for _, id := range s.Active() {
-					if err := s.SetMean(id, 0.5); err != nil {
-						t.Fatal(err)
-					}
-				}
+				setMeans(s, func(int) float64 { return 0.5 })
 				if _, _, ok := s.Step(); !ok {
 					break
 				}
 			}
-			if got := s.Finish(); len(got) != k {
+			if got := finish(s); len(got) != k {
 				t.Fatalf("n=%d k=%d: accepted %d", n, k, len(got))
 			}
 		}

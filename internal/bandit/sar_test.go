@@ -1,8 +1,8 @@
 package bandit
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,6 +15,9 @@ func TestNewSARValidation(t *testing.T) {
 	if _, err := NewSAR([]int{1, 1}, 1); err == nil {
 		t.Fatal("duplicate arm ids must be rejected")
 	}
+	if _, err := NewSAR([]int{2, 1}, 1); err == nil {
+		t.Fatal("descending arm ids must be rejected")
+	}
 }
 
 func TestSARDegenerateAllAccepted(t *testing.T) {
@@ -25,25 +28,37 @@ func TestSARDegenerateAllAccepted(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("k ≥ arms must be immediately done")
 	}
-	if got := len(s.Accepted()); got != 3 {
+	if got := len(acceptedIDs(s)); got != 3 {
 		t.Fatalf("accepted = %d, want 3", got)
 	}
 }
 
-func TestSARObserve(t *testing.T) {
-	s, _ := NewSAR([]int{0, 1}, 1)
-	if err := s.Observe(0, 0.5); err != nil {
-		t.Fatal(err)
+// TestSARDropLeavesTheSelection: a dropped arm is no longer live — it is
+// never decided, its mean no longer counts in the gaps, and the next
+// SetMeans does not cover it — while a dropped accepted arm gives its slot
+// back.
+func TestSARDropLeavesTheSelection(t *testing.T) {
+	s, _ := NewSAR([]int{0, 1, 2, 3}, 2)
+	s.SetMeans([]float64{1.0, 0.5, 0.45, 0.4})
+	if !s.Drop(3) || s.Drop(3) || s.Drop(99) {
+		t.Fatal("Drop must report true for a live arm only")
 	}
-	if err := s.Observe(0, 1.0); err != nil {
-		t.Fatal(err)
+	// Without arm 3: Δ1 = 1.0−0.45 = 0.55, Δ2 = 0.5−0.45 = 0.05 → accept 0.
+	if id, st, ok := s.Step(); !ok || st != Accepted || id != 0 {
+		t.Fatalf("got id=%d st=%v ok=%v, want accept arm 0", id, st, ok)
 	}
-	if err := s.Observe(99, 1); err == nil {
-		t.Fatal("unknown arm must error")
+	if !s.IsAccepted(0) || s.IsAccepted(1) {
+		t.Fatal("IsAccepted must name the accepted arm only")
 	}
-	arm := s.byID[0]
-	if arm.pulls != 2 || arm.mean != 0.75 {
-		t.Fatalf("pulls=%d mean=%v", arm.pulls, arm.mean)
+	if !s.Drop(0) || s.RemainingSlots() != 2 {
+		t.Fatalf("dropping an accepted arm must give its slot back, %d slots", s.RemainingSlots())
+	}
+	if got := live(s); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("live arms %v, want [1 2]", got)
+	}
+	s.SetMeans([]float64{0.1, 0.2})
+	if id, st, ok := s.Step(); !ok || st != Accepted || id != 2 || !s.Done() {
+		t.Fatalf("got id=%d st=%v ok=%v: two arms for two slots must all be accepted at once, the best named", id, st, ok)
 	}
 }
 
@@ -51,18 +66,19 @@ func TestSARAcceptRejectRule(t *testing.T) {
 	// Means: 1.0, 0.5, 0.45, 0.4; k=2. Δ1 = 1.0−0.45 = 0.55 (top vs k+1-th);
 	// Δ2 = 0.5−0.4 = 0.1 (k-th vs bottom). Δ1 > Δ2 → accept the top arm.
 	s, _ := NewSAR([]int{0, 1, 2, 3}, 2)
-	for id, m := range map[int]float64{0: 1.0, 1: 0.5, 2: 0.45, 3: 0.4} {
-		s.SetMean(id, m)
-	}
+	s.SetMeans([]float64{1.0, 0.5, 0.45, 0.4})
 	id, st, ok := s.Step()
 	if !ok || st != Accepted || id != 0 {
 		t.Fatalf("got id=%d st=%v ok=%v, want accept arm 0", id, st, ok)
 	}
 	// Now means 0.5, 0.45, 0.4 with 1 slot: Δ1 = 0.5−0.45 = 0.05;
-	// Δ2 = 0.5−0.4 = 0.1 → reject the bottom arm (3).
+	// Δ2 = 0.5−0.4 = 0.1 → reject the bottom arm (3), which leaves.
 	id, st, ok = s.Step()
 	if !ok || st != Rejected || id != 3 {
 		t.Fatalf("got id=%d st=%v ok=%v, want reject arm 3", id, st, ok)
+	}
+	if got := live(s); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("live arms %v, want [0 1 2]", got)
 	}
 }
 
@@ -83,13 +99,11 @@ func TestSARFindsTopArms(t *testing.T) {
 			return false
 		}
 		for !s.Done() {
-			for _, id := range s.Active() {
-				// Tight noise keeps the ordering observable.
-				s.Observe(id, means[id]+r.NormFloat64()*0.001)
-			}
+			// Tight noise keeps the ordering observable.
+			setMeans(s, func(id int) float64 { return means[id] + r.NormFloat64()*0.001 })
 			s.Step()
 		}
-		accepted := s.Finish()
+		accepted := finish(s)
 		if len(accepted) != k {
 			return false
 		}
@@ -108,10 +122,8 @@ func TestSARFindsTopArms(t *testing.T) {
 
 func TestSARFinishFillsSlots(t *testing.T) {
 	s, _ := NewSAR([]int{0, 1, 2, 3, 4}, 2)
-	for id, m := range map[int]float64{0: 0.9, 1: 0.8, 2: 0.3, 3: 0.2, 4: 0.1} {
-		s.SetMean(id, m)
-	}
-	accepted := s.Finish()
+	s.SetMeans([]float64{0.9, 0.8, 0.3, 0.2, 0.1})
+	accepted := finish(s)
 	if len(accepted) != 2 {
 		t.Fatalf("accepted %v", accepted)
 	}
@@ -125,29 +137,28 @@ func TestSARFinishFillsSlots(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("Finish must complete the selection")
 	}
-	if len(s.Active()) != 0 {
+	if len(activeIDs(s)) != 0 {
 		t.Fatal("no arm may stay active after Finish")
 	}
 }
 
-func TestSARObserveSealedArmIgnored(t *testing.T) {
+// TestSARSealedArmMeanIgnored: once an arm is accepted, the means later
+// phases set for it no longer move it.
+func TestSARSealedArmMeanIgnored(t *testing.T) {
 	s, _ := NewSAR([]int{0, 1, 2}, 1)
-	s.SetMean(0, 0.9)
-	s.SetMean(1, 0.2)
-	s.SetMean(2, 0.1)
+	s.SetMeans([]float64{0.9, 0.2, 0.1})
 	for !s.Done() {
 		if _, _, ok := s.Step(); !ok {
 			break
 		}
 	}
-	accepted := s.Accepted()
+	accepted := acceptedIDs(s)
 	if len(accepted) != 1 {
 		t.Fatalf("accepted %v", accepted)
 	}
-	before := s.byID[accepted[0]].mean
-	s.Observe(accepted[0], 0.0) // must be ignored
-	if s.byID[accepted[0]].mean != before {
-		t.Fatal("observations on sealed arms must be ignored")
+	setMeans(s, func(int) float64 { return 0 })
+	if _, _, ok := s.Step(); ok || !s.IsAccepted(accepted[0]) {
+		t.Fatal("a mean set on a sealed arm must not reopen the selection")
 	}
 }
 
@@ -157,50 +168,251 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// Observe feeds a reward observation for an arm. Observations on accepted
-// or rejected arms are ignored (their fate is sealed).
-func (s *SAR) Observe(id int, reward float64) error {
-	a, ok := s.byID[id]
-	if !ok {
-		return fmt.Errorf("bandit: unknown arm %d", id)
+// TestSARMatchesPerDecisionReference runs FuzzSAR's check over random
+// programs, so tier-1 covers what the fuzzer explores.
+func TestSARMatchesPerDecisionReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 2000; trial++ {
+		prog := make([]byte, rng.Intn(120))
+		rng.Read(prog)
+		checkAgainstReference(t, prog)
 	}
-	if a.state != Active {
-		return nil
-	}
-	a.pulls++
-	a.mean += (reward - a.mean) / float64(a.pulls)
-	return nil
 }
 
-// Active returns the ids of arms still in play.
-func (s *SAR) Active() []int {
-	var out []int
-	for _, a := range s.arms {
+// FuzzSAR checks SAR, which ranks once after the means or the arms change,
+// against the per-decision rule it replaced (refSAR), on random means with
+// ties (a few levels only) and random drops.
+func FuzzSAR(f *testing.F) {
+	f.Add([]byte{9, 2, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2})
+	f.Add([]byte{30, 5, 0, 7, 7, 7, 7, 1, 2, 3, 2, 5, 2, 2, 2, 0, 3, 3, 3, 2, 2, 2})
+	f.Add([]byte{3, 9, 2, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) { checkAgainstReference(t, prog) })
+}
+
+// checkAgainstReference runs prog on a SAR and a refSAR side by side and
+// fails at the first answer they disagree on. prog's first two bytes give
+// the arm count and k; the rest is a program of operations: SetMeans (the
+// next live-arm-count bytes are the means, on 8 levels), Drop (the next
+// byte picks a live arm) and Step.
+func checkAgainstReference(t *testing.T, prog []byte) {
+	next := func() byte {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return b
+	}
+	n := 1 + int(next())%40
+	k := 1 + int(next())%(n+1)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = 3*i + int(next())%3 // sparse, ascending
+	}
+	s, err := NewSAR(ids, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefSAR(ids, k)
+	for step := 0; len(prog) > 0; step++ {
+		switch op := next() % 4; op {
+		case 0:
+			means := make([]float64, len(live(s)))
+			for i := range means {
+				means[i] = float64(next()%8) / 8
+			}
+			s.SetMeans(means)
+			ref.setMeans(means)
+		case 1:
+			l := live(s)
+			if len(l) == 0 {
+				continue
+			}
+			id := l[int(next())%len(l)]
+			s.Drop(id)
+			ref.drop(id)
+		default:
+			id, st, ok := s.Step()
+			wid, wst, wok := ref.step()
+			if id != wid || st != wst || ok != wok {
+				t.Fatalf("op %d: Step = (%d, %v, %v), the per-decision rule says (%d, %v, %v)", step, id, st, ok, wid, wst, wok)
+			}
+		}
+		if got, want := live(s), ref.live(); !slices.Equal(got, want) {
+			t.Fatalf("op %d: live arms %v, want %v", step, got, want)
+		}
+		if got, want := acceptedIDs(s), ref.acceptedIDs(); !slices.Equal(got, want) {
+			t.Fatalf("op %d: accepted %v, want %v", step, got, want)
+		}
+		if s.Done() != ref.done() || s.RemainingSlots() != ref.k-ref.accepted {
+			t.Fatalf("op %d: Done %v with %d slots, want %v with %d", step, s.Done(), s.RemainingSlots(), ref.done(), ref.k-ref.accepted)
+		}
+	}
+}
+
+// refSAR is the per-decision rule SAR replaced, kept as its oracle: every
+// arm stays in arms, by ascending id, with its state, and each decision
+// ranks the active arms afresh. The sort is stable over arms in id order,
+// so ties rank by id, as SAR's do. A dropped arm is marked rejected.
+type refSAR struct {
+	arms        []*refArm
+	k, accepted int
+}
+
+type refArm struct {
+	id    int
+	mean  float64
+	state State
+}
+
+func newRefSAR(ids []int, k int) *refSAR {
+	r := &refSAR{k: k}
+	for _, id := range ids {
+		r.arms = append(r.arms, &refArm{id: id})
+	}
+	if k >= len(ids) {
+		for _, a := range r.arms {
+			a.state = Accepted
+		}
+		r.accepted = len(ids)
+	}
+	return r
+}
+
+// setMeans sets the live arms' means, in id order.
+func (r *refSAR) setMeans(means []float64) {
+	i := 0
+	for _, a := range r.arms {
+		if a.state != Rejected {
+			a.mean = means[i]
+			i++
+		}
+	}
+}
+
+func (r *refSAR) drop(id int) {
+	for _, a := range r.arms {
+		if a.id == id && a.state != Rejected {
+			if a.state == Accepted {
+				r.accepted--
+			}
+			a.state = Rejected
+		}
+	}
+}
+
+func (r *refSAR) done() bool {
+	if r.accepted >= r.k {
+		return true
+	}
+	for _, a := range r.arms {
 		if a.state == Active {
-			out = append(out, a.ID)
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refSAR) step() (id int, st State, ok bool) {
+	if r.done() {
+		return 0, Active, false
+	}
+	active := make([]*refArm, 0, len(r.arms))
+	for _, a := range r.arms {
+		if a.state == Active {
+			active = append(active, a)
+		}
+	}
+	sort.SliceStable(active, func(i, j int) bool { return active[i].mean > active[j].mean })
+	slots := r.k - r.accepted
+	if len(active) <= slots {
+		for _, a := range active {
+			a.state = Accepted
+			r.accepted++
+		}
+		return active[0].id, Accepted, true
+	}
+	if len(active) < 2 {
+		return 0, Active, false
+	}
+	delta1 := active[0].mean - active[slots].mean
+	delta2 := active[slots-1].mean - active[len(active)-1].mean
+	if delta1 > delta2 {
+		active[0].state = Accepted
+		r.accepted++
+		return active[0].id, Accepted, true
+	}
+	last := active[len(active)-1]
+	last.state = Rejected
+	return last.id, Rejected, true
+}
+
+func (r *refSAR) live() []int { return r.ids(func(st State) bool { return st != Rejected }) }
+
+func (r *refSAR) acceptedIDs() []int { return r.ids(func(st State) bool { return st == Accepted }) }
+
+func (r *refSAR) ids(keep func(State) bool) []int {
+	out := []int{}
+	for _, a := range r.arms {
+		if keep(a.state) {
+			out = append(out, a.id)
 		}
 	}
 	return out
 }
 
-// Finish ends the selection by accepting the best remaining active arms into
-// the unfilled slots (used after the final phase when exact means are
-// known). It returns the full accepted set.
-func (s *SAR) Finish() []int {
-	var active []*Arm
-	for _, a := range s.arms {
-		if a.state == Active {
-			active = append(active, a)
+// live returns s's live arms, ascending.
+func live(s *SAR) []int { return append([]int{}, s.ids...) }
+
+// acceptedIDs returns s's accepted arms, ascending.
+func acceptedIDs(s *SAR) []int {
+	out := []int{}
+	for i, id := range s.ids {
+		if s.accepted[i] {
+			out = append(out, id)
 		}
 	}
-	sort.Slice(active, func(i, j int) bool { return active[i].mean > active[j].mean })
+	return out
+}
+
+// activeIDs returns s's active arms, ascending.
+func activeIDs(s *SAR) []int {
+	out := []int{}
+	for i, id := range s.ids {
+		if !s.accepted[i] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// setMeans sets every live arm's mean to mean(id).
+func setMeans(s *SAR, mean func(id int) float64) {
+	means := make([]float64, len(s.ids))
+	for i, id := range s.ids {
+		means[i] = mean(id)
+	}
+	s.SetMeans(means)
+}
+
+// finish ends the selection by accepting the best active arms, by their
+// last means, into the unfilled slots and dropping the rest (what a caller
+// with exact means would do after the final phase). It returns the
+// accepted set.
+func finish(s *SAR) []int {
+	var active []arm
+	for i, id := range s.ids {
+		if !s.accepted[i] {
+			active = append(active, arm{id: id, mean: s.means[i]})
+		}
+	}
+	sort.SliceStable(active, func(i, j int) bool { return active[i].mean > active[j].mean })
 	for _, a := range active {
-		if s.accepted >= s.k {
-			a.state = Rejected
-			continue
+		if s.RemainingSlots() > 0 {
+			s.accept(a.id)
+		} else {
+			s.Drop(a.id)
 		}
-		a.state = Accepted
-		s.accepted++
 	}
-	return s.Accepted()
+	return acceptedIDs(s)
 }

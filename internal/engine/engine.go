@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -446,7 +445,7 @@ func (g *Generator) scan(ctx context.Context, acc *ratingmap.Accumulator, group 
 		case lost:
 			res.degrade("partition_lost")
 		case pr.active() && phase < phases-1: // nothing to prune after the last fraction
-			err = g.prune(ctx, pr, acc, seen, cfg, phase, processed, n, res)
+			pr.prune(ctx, acc, seen, cfg, phase, processed, n, res)
 		}
 		st.end(g.Metrics, res, folded, len(acc.Keys()))
 		if err != nil {
@@ -490,16 +489,33 @@ func (s stride) end(m *Metrics, res *Result, records, alive int) {
 }
 
 // pruner is the pruning state carried from stride to stride: which
-// candidates are still accumulated and, under bandit pruning, the arms'
-// accept/reject state. A nil *pruner never prunes.
+// candidates are still accumulated, the bandit's arms — the same candidates
+// — and the buffers every stride's estimate and CI pass work in. It belongs
+// to one call (the Generator is shared across sessions), its buffers sized
+// by the first stride and reused by the rest. A nil *pruner never prunes.
 type pruner struct {
 	// alive lists the candidates still accumulated by ascending candidate
 	// index. Remove keeps the accumulator's keys in candidate order too, so
-	// the survivor at accumulator position p is candidate alive[p].
+	// the survivor at accumulator position p is candidate alive[p]; the
+	// SAR's live arms are alive too, and its means follow the same order.
 	alive  []int
 	sar    *bandit.SAR // nil without PruneMAB / PruneBoth
 	ci     bool        // PruneCI / PruneBoth
 	kPrime int
+
+	// By accumulator position, as estimate last wrote them: each survivor's
+	// criterion estimates, dimension weight and dimension-weighted mean.
+	scores  []ratingmap.Scores
+	weights []float64
+	means   []float64
+	bounds  []bound // ciPrune's intervals
+	pruned  []int   // ciPrune's answer
+}
+
+// bound is one survivor's dimension-weighted utility interval.
+type bound struct {
+	idx    int // candidate index
+	lo, hi float64
 }
 
 func newPruner(candidates []ratingmap.Key, kPrime int, mode Pruning) (*pruner, error) {
@@ -516,15 +532,11 @@ func newPruner(candidates []ratingmap.Key, kPrime int, mode Pruning) (*pruner, e
 	return p, nil
 }
 
-// drop removes candidate idx from the survivors and from acc, and reports
-// whether it was still alive.
-func (p *pruner) drop(acc *ratingmap.Accumulator, idx int) bool {
-	pos, ok := slices.BinarySearch(p.alive, idx)
-	if ok {
-		acc.Remove(acc.Keys()[pos])
-		p.alive = slices.Delete(p.alive, pos, pos+1)
-	}
-	return ok
+// drop removes live candidate idx from the survivors and from acc.
+func (p *pruner) drop(acc *ratingmap.Accumulator, idx int) {
+	pos, _ := slices.BinarySearch(p.alive, idx)
+	acc.Remove(acc.Keys()[pos])
+	p.alive = slices.Delete(p.alive, pos, pos+1)
 }
 
 // active reports whether pruning can still drop a candidate: once the
@@ -533,31 +545,31 @@ func (p *pruner) active() bool { return p != nil && len(p.alive) > p.kPrime }
 
 // prune runs between strides: it estimates every survivor on the processed
 // record prefix, then drops the candidates Algorithm 3's intervals and the
-// bandit rule out. A deadline inside the estimate leaves the stride's
-// records accumulated (a consistent prefix) but the estimates incomplete,
-// so pruning is skipped and the call degrades to finalizing the prefix.
-func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
-	cfg Config, phase, processed, total int, res *Result) error {
-	est, aborted := g.estimate(ctx, acc, p.alive, seen, cfg, processed, total)
-	if aborted {
+// bandit rule out. A CI drop leaves the bandit's arms with the survivors, so
+// every bandit decision is about a live candidate. A deadline inside the
+// estimate leaves the stride's records accumulated (a consistent prefix) but
+// the estimates incomplete, so pruning is skipped and the call degrades to
+// finalizing the prefix.
+func (p *pruner) prune(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
+	cfg Config, phase, processed, total int, res *Result) {
+	if !p.estimate(ctx, acc, seen, cfg, processed, total) {
 		res.degrade("deadline_mid_estimate")
-		return nil
+		return
+	}
+	if p.sar != nil {
+		p.sar.SetMeans(p.means)
 	}
 	if p.ci {
-		for _, idx := range ciPrune(est, processed, total, p.kPrime, p.sar) {
+		for _, idx := range p.ciPrune(processed, total) {
 			p.drop(acc, idx)
+			if p.sar != nil {
+				p.sar.Drop(idx)
+			}
 			res.PrunedCI++
 		}
 	}
 	if p.sar == nil {
-		return nil
-	}
-	for _, e := range est {
-		if _, ok := slices.BinarySearch(p.alive, e.idx); ok {
-			if err := p.sar.SetMean(e.idx, e.dwMean); err != nil {
-				return err
-			}
-		}
+		return
 	}
 	// Successive Accepts and Rejects makes one decision per round and
 	// needs (#arms − k') rounds in total; with n phases the per-phase
@@ -571,49 +583,39 @@ func (g *Generator) prune(ctx context.Context, p *pruner, acc *ratingmap.Accumul
 		if !ok {
 			break
 		}
-		if st == bandit.Rejected && p.drop(acc, id) {
+		if st == bandit.Rejected {
+			p.drop(acc, id)
 			res.PrunedMAB++
 		}
 	}
-	return nil
 }
 
-// estimateEntry carries one candidate's per-criterion estimates and its
-// dimension-weighted mean at a phase boundary.
-type estimateEntry struct {
-	idx    int
-	scores ratingmap.Scores
-	weight float64
-	dwMean float64
-}
-
-// estimate computes the alive candidates' bounded criterion estimates on
-// the processed prefix, in accumulator position order: the survivor at
-// position p is candidate alive[p] (pruner). On cancellation the whole
-// estimate is abandoned (aborted = true) — partial estimates must never
-// feed pruning decisions.
-func (g *Generator) estimate(ctx context.Context, acc *ratingmap.Accumulator, alive []int,
-	seen *ratingmap.SeenSet, cfg Config, processed, total int) (est []estimateEntry, aborted bool) {
+// estimate writes the survivors' bounded criterion estimates on the
+// processed prefix, their dimension weights and their dimension-weighted
+// means into p, by accumulator position: the survivor at position i is
+// candidate alive[i]. It reports false on cancellation, when the estimates
+// are incomplete — partial estimates must never feed pruning decisions.
+func (p *pruner) estimate(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.SeenSet,
+	cfg Config, processed, total int) bool {
 	recordScale := 1.0
 	if processed > 0 {
 		recordScale = float64(total) / float64(processed)
 	}
-	f := scoreScratches.Get().(*scoreScratch)
-	defer scoreScratches.Put(f)
-	f.size(len(alive))
-	if score(ctx, acc, seen, recordScale, cfg.Utility.Peculiarity, f.scores) < len(alive) {
-		return nil, true
+	n := len(p.alive)
+	p.scores = slices.Grow(p.scores[:0], n)[:n]
+	p.weights = slices.Grow(p.weights[:0], n)[:n]
+	p.means = slices.Grow(p.means[:0], n)[:n]
+	if score(ctx, acc, seen, recordScale, cfg.Utility.Peculiarity, p.scores) < n {
+		return false
 	}
-	keys := acc.Keys()
-	est = make([]estimateEntry, len(alive))
-	for p, scores := range f.scores {
-		w := seen.Weight(keys[p].Dim)
+	for i, k := range acc.Keys() {
+		w := seen.Weight(k.Dim)
 		if cfg.Utility.DisableDimensionWeights {
 			w = 1
 		}
-		est[p] = estimateEntry{idx: alive[p], scores: scores, weight: w, dwMean: w * scores.Aggregate(cfg.Utility)}
+		p.weights[i], p.means[i] = w, w*p.scores[i].Aggregate(cfg.Utility)
 	}
-	return est, false
+	return true
 }
 
 // score is the scoring loop of Algorithm 1, which estimate (at the
@@ -634,38 +636,29 @@ func score(ctx context.Context, acc *ratingmap.Accumulator, seen *ratingmap.Seen
 	return len(scores)
 }
 
-// ciPrune applies Algorithm 3. Each candidate's interval is built per
-// criterion from the Hoeffding-Serfling radius at (processed, total), then
-// collapsed for the max-of-criteria utility: the interval of a maximum of
-// quantities is [max of lower bounds, max of upper bounds] — every criterion
-// interval lying entirely below another is discarded, exactly the loop of
-// lines 2-9. Both bounds are then scaled by the dimension weight (lines
-// 10-11). A candidate is pruned when its upper bound falls below the lowest
-// lower bound of the current top-kPrime (lines 12-17). Arms already accepted
-// by the bandit are exempt. est is estimate's, in ascending candidate index;
-// returns the pruned candidate indexes.
-func ciPrune(est []estimateEntry, processed, total, kPrime int, sar *bandit.SAR) []int {
-	if len(est) <= kPrime {
-		return nil
+// ciPrune applies Algorithm 3 to estimate's survivors. Each candidate's
+// interval is built per criterion from the Hoeffding-Serfling radius at
+// (processed, total), then collapsed for the max-of-criteria utility: the
+// interval of a maximum of quantities is [max of lower bounds, max of upper
+// bounds] — every criterion interval lying entirely below another is
+// discarded, exactly the loop of lines 2-9. Both bounds are then scaled by
+// the dimension weight (lines 10-11). A candidate is pruned when its upper
+// bound falls below the lowest lower bound of the current top-kPrime (lines
+// 12-17). Arms already accepted by the bandit are exempt. It returns the
+// pruned candidate indexes, in p's buffer.
+func (p *pruner) ciPrune(processed, total int) []int {
+	p.pruned = p.pruned[:0]
+	if len(p.alive) <= p.kPrime {
+		return p.pruned
 	}
 	radius := stats.HoeffdingSerflingRadius(processed, total, Delta)
-	type bound struct {
-		idx    int
-		lo, hi float64
-	}
-	accepted := make(map[int]bool)
-	if sar != nil {
-		for _, id := range sar.Accepted() {
-			accepted[id] = true
-		}
-	}
-	// est is in ascending candidate index and ranking ties break by index,
-	// so candidates with equal upper bounds straddling the k' cutoff are
-	// pruned the same way on every run.
-	bounds := make([]bound, 0, len(est))
-	for _, e := range est {
+	// alive ascends and ranking ties break by index, so candidates with
+	// equal upper bounds straddling the k' cutoff are pruned the same way on
+	// every run.
+	bounds := p.bounds[:0]
+	for i, idx := range p.alive {
 		lo, hi := -1.0, -1.0
-		for _, s := range e.scores {
+		for _, s := range p.scores[i] {
 			l := stats.Clamp(s-radius, 0, 1)
 			h := stats.Clamp(s+radius, 0, 1)
 			if l > lo {
@@ -675,27 +668,28 @@ func ciPrune(est []estimateEntry, processed, total, kPrime int, sar *bandit.SAR)
 				hi = h
 			}
 		}
-		bounds = append(bounds, bound{idx: e.idx, lo: lo * e.weight, hi: hi * e.weight})
+		w := p.weights[i]
+		bounds = append(bounds, bound{idx: idx, lo: lo * w, hi: hi * w})
 	}
-	sort.Slice(bounds, func(i, j int) bool {
-		if bounds[i].hi != bounds[j].hi {
-			return bounds[i].hi > bounds[j].hi
+	p.bounds = bounds
+	slices.SortFunc(bounds, func(a, b bound) int {
+		if c := cmp.Compare(b.hi, a.hi); c != 0 {
+			return c
 		}
-		return bounds[i].idx < bounds[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	lowest := bounds[0].lo
-	for _, b := range bounds[1:min(kPrime, len(bounds))] {
+	for _, b := range bounds[1:p.kPrime] {
 		if b.lo < lowest {
 			lowest = b.lo
 		}
 	}
-	var pruned []int
-	for _, b := range bounds[min(kPrime, len(bounds)):] {
-		if b.hi < lowest && !accepted[b.idx] {
-			pruned = append(pruned, b.idx)
+	for _, b := range bounds[p.kPrime:] {
+		if b.hi < lowest && (p.sar == nil || !p.sar.IsAccepted(b.idx)) {
+			p.pruned = append(p.pruned, b.idx)
 		}
 	}
-	return pruned
+	return p.pruned
 }
 
 // maybeCache admits the accumulator into the cross-step cache when it is
@@ -767,13 +761,13 @@ func (g *Generator) finalize(ctx context.Context, acc *ratingmap.Accumulator, se
 	}
 }
 
-// scoreScratch is what one estimate or finalize call works in: per
-// candidate position its scores and its utility, and the ranking. A guided
-// step finalizes some 300 accumulators of ~90 candidates, so the three
-// slices are borrowed from a pool for the length of the call rather than
-// made by it (they were a tenth of a guided step's allocated bytes). The
-// scratch is per call — two goroutines finalizing one cached accumulator
-// each hold their own.
+// scoreScratch is what one finalize call works in (a stride's estimate
+// works in its call's pruner): per candidate position its scores and its
+// utility, and the ranking. A guided step finalizes some 300 accumulators
+// of ~90 candidates, so the three slices are borrowed from a pool for the
+// length of the call rather than made by it (they were a tenth of a guided
+// step's allocated bytes). The scratch is per call — two goroutines
+// finalizing one cached accumulator each hold their own.
 type scoreScratch struct {
 	scores []ratingmap.Scores
 	utils  []float64

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"subdex/internal/bandit"
 	"subdex/internal/dataset"
 	"subdex/internal/gen"
 	"subdex/internal/query"
@@ -223,18 +222,32 @@ func TestTopMapsParallelEqualsSequential(t *testing.T) {
 	}
 }
 
+// estimated is a pruner over candidates 0..len(means)-1, k' = kPrime, as
+// estimate would leave it had every criterion of candidate i read means[i]
+// at dimension weight 1.
+func estimated(t *testing.T, mode Pruning, kPrime int, means ...float64) *pruner {
+	t.Helper()
+	p, err := newPruner(make([]ratingmap.Key, len(means)), kPrime, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range means {
+		p.scores = append(p.scores, ratingmap.Scores{m, m, m, m})
+		p.weights = append(p.weights, 1)
+		p.means = append(p.means, m)
+	}
+	return p
+}
+
 func TestCIPruneDominance(t *testing.T) {
 	// Two candidates with far-apart means: at a late phase (tight radius),
 	// the weak one must be pruned; at an early phase (wide radius), not.
-	mk := func(idx int, mean float64) estimateEntry {
-		return estimateEntry{idx: idx, scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
-	}
-	est := []estimateEntry{mk(0, 0.9), mk(1, 0.85), mk(2, 0.1)}
-	late := ciPrune(est, 9000, 10000, 2, nil)
+	p := estimated(t, PruneCI, 2, 0.9, 0.85, 0.1)
+	late := p.ciPrune(9000, 10000)
 	if len(late) != 1 || late[0] != 2 {
 		t.Errorf("late-phase prune = %v, want [2]", late)
 	}
-	early := ciPrune(est, 10, 10000, 2, nil)
+	early := p.ciPrune(10, 10000)
 	if len(early) != 0 {
 		t.Errorf("early-phase prune = %v, want none (radius too wide)", early)
 	}
@@ -243,17 +256,13 @@ func TestCIPruneDominance(t *testing.T) {
 func TestCIPruneRespectsAcceptedArms(t *testing.T) {
 	// An arm accepted by the bandit must not be CI-pruned even if its
 	// interval falls below.
-	mk := func(idx int, mean float64) estimateEntry {
-		return estimateEntry{idx: idx, scores: ratingmap.Scores{mean, mean, mean, mean}, weight: 1}
+	p := estimated(t, PruneBoth, 2, 0.9, 0.85, 0.1)
+	p.sar.SetMeans([]float64{0.5, 0.2, 0.99})
+	p.sar.Step() // accepts arm 2 (highest mean, large gap)
+	if !p.sar.IsAccepted(2) {
+		t.Fatal("the bandit did not accept arm 2")
 	}
-	est := []estimateEntry{mk(0, 0.9), mk(1, 0.85), mk(2, 0.1)}
-	sar, _ := bandit.NewSAR([]int{0, 1, 2}, 2)
-	sar.SetMean(2, 0.99)
-	sar.SetMean(0, 0.5)
-	sar.SetMean(1, 0.2)
-	sar.Step() // accepts arm 2 (highest mean, large gap)
-	pruned := ciPrune(est, 9000, 10000, 2, sar)
-	for _, idx := range pruned {
+	for _, idx := range p.ciPrune(9000, 10000) {
 		if idx == 2 {
 			t.Fatal("accepted arm was CI-pruned")
 		}
