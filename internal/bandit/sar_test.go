@@ -62,6 +62,23 @@ func TestSARDropLeavesTheSelection(t *testing.T) {
 	}
 }
 
+// TestSARObserve: a phase's means land on the live arms in ascending id
+// order, and a slice that does not cover exactly the live arms is refused.
+func TestSARObserve(t *testing.T) {
+	s, _ := NewSAR([]int{4, 7, 9}, 1)
+	s.SetMeans([]float64{0.1, 0.9, 0.2})
+	if !slices.Equal(s.means, []float64{0.1, 0.9, 0.2}) {
+		t.Fatalf("means %v", s.means)
+	}
+	s.Drop(7)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("means for a dropped arm must be refused")
+		}
+	}()
+	s.SetMeans([]float64{0.1, 0.9, 0.2})
+}
+
 func TestSARAcceptRejectRule(t *testing.T) {
 	// Means: 1.0, 0.5, 0.45, 0.4; k=2. Δ1 = 1.0−0.45 = 0.55 (top vs k+1-th);
 	// Δ2 = 0.5−0.4 = 0.1 (k-th vs bottom). Δ1 > Δ2 → accept the top arm.
@@ -142,9 +159,9 @@ func TestSARFinishFillsSlots(t *testing.T) {
 	}
 }
 
-// TestSARSealedArmMeanIgnored: once an arm is accepted, the means later
+// TestSARObserveSealedArmIgnored: once an arm is accepted, the means later
 // phases set for it no longer move it.
-func TestSARSealedArmMeanIgnored(t *testing.T) {
+func TestSARObserveSealedArmIgnored(t *testing.T) {
 	s, _ := NewSAR([]int{0, 1, 2}, 1)
 	s.SetMeans([]float64{0.9, 0.2, 0.1})
 	for !s.Done() {
