@@ -21,9 +21,9 @@ type Explorer struct {
 	Query *query.Engine
 	Gen   *engine.Generator
 	Cfg   Config
-	// Ins carries the explorer's telemetry instruments; nil (the
-	// default) disables them. Install via Instrument.
-	Ins *Instruments
+	// Ins carries the explorer's telemetry instruments; the zero value
+	// records nothing. Install via Instrument.
+	Ins Instruments
 }
 
 // NewExplorer builds an explorer over a frozen database. Databases with a

@@ -9,8 +9,8 @@ import (
 
 // Instruments bundles the SDE Engine's telemetry: session and step
 // counters, latency histograms for step execution and recommendation
-// scoring, and the RM-Generator's hot-path metrics. A nil *Instruments
-// is a no-op everywhere, so explorers without observability pay nothing.
+// scoring. The RM-Generator's hot-path metrics are Generator.Metrics. The
+// zero value holds nil instruments, which record nothing.
 type Instruments struct {
 	// SessionsStarted counts sessions created by NewSession, not the
 	// ones restored from a snapshot (subdex_sessions_started_total).
@@ -31,16 +31,12 @@ type Instruments struct {
 	// RecCandidates counts candidate operations evaluated by the
 	// Recommendation Builder (subdex_recommendation_candidates_total).
 	RecCandidates *obs.Counter
-	// Engine carries the RM-Generator metrics.
-	Engine *engine.Metrics
 }
 
-// NewInstruments registers the core instruments on r (nil r → nil).
-func NewInstruments(r *obs.Registry) *Instruments {
-	if r == nil {
-		return nil
-	}
-	return &Instruments{
+// NewInstruments registers the core instruments on r (nil r → the zero
+// Instruments).
+func NewInstruments(r *obs.Registry) Instruments {
+	return Instruments{
 		SessionsStarted: r.Counter("subdex_sessions_started_total",
 			"Exploration sessions created."),
 		StepsDegraded: r.Counter("subdex_steps_degraded_total",
@@ -53,23 +49,11 @@ func NewInstruments(r *obs.Registry) *Instruments {
 			"Duration of recommendation scoring within a step."),
 		RecCandidates: r.Counter("subdex_recommendation_candidates_total",
 			"Candidate operations evaluated by the Recommendation Builder."),
-		Engine: engine.NewMetrics(r),
 	}
 }
 
-// Nil-safe recording helpers.
-
-func (in *Instruments) sessionStarted() {
-	if in == nil {
-		return
-	}
-	in.SessionsStarted.Inc()
-}
-
-func (in *Instruments) stepDone(total, gen, rec time.Duration, recCandidates int, degraded bool) {
-	if in == nil {
-		return
-	}
+// stepDone records one finished step.
+func (in Instruments) stepDone(total, gen, rec time.Duration, recCandidates int, degraded bool) {
 	if degraded {
 		in.StepsDegraded.Inc()
 	}
@@ -85,10 +69,5 @@ func (in *Instruments) stepDone(total, gen, rec time.Duration, recCandidates int
 // counters/histograms plus the RM-Generator's hot-path metrics. Pass nil
 // to detach. Call it once at startup, before serving sessions.
 func (ex *Explorer) Instrument(r *obs.Registry) {
-	ex.Ins = NewInstruments(r)
-	if ex.Ins != nil {
-		ex.Gen.Metrics = ex.Ins.Engine
-	} else {
-		ex.Gen.Metrics = nil
-	}
+	ex.Ins, ex.Gen.Metrics = NewInstruments(r), engine.NewMetrics(r)
 }

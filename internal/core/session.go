@@ -43,7 +43,7 @@ type Session struct {
 func NewSession(ex *Explorer, mode Mode, start query.Description) (*Session, error) {
 	sess, err := newSession(ex, mode, start)
 	if err == nil {
-		ex.Ins.sessionStarted()
+		ex.Ins.SessionsStarted.Inc()
 	}
 	return sess, err
 }

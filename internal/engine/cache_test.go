@@ -780,5 +780,5 @@ func (c *TopMapsCache) Invalidate() {
 // and brings the cache-bytes gauge down with them. Nil-safe like the cache.
 func (g *Generator) InvalidateCache() {
 	g.Cache.Invalidate()
-	g.Metrics.setCacheBytes(0)
+	g.Metrics.CacheBytes.Set(0)
 }

@@ -150,10 +150,10 @@ type Result struct {
 type Generator struct {
 	DB      *dataset.DB
 	Builder ratingmap.Builder
-	// Metrics, when non-nil, receives hot-path telemetry (candidate,
-	// pruning, finalization and cache counters, latency histograms).
-	// Leave nil for a zero-overhead generator.
-	Metrics *Metrics
+	// Metrics receives hot-path telemetry (candidate, pruning,
+	// finalization and cache counters, latency histograms). The zero
+	// value records nothing.
+	Metrics Metrics
 	// Cache, when non-nil, memoizes completed unpruned accumulators
 	// across TopMaps calls (see TopMapsCache). Safe for concurrent use;
 	// all sessions of one explorer share it.
@@ -264,7 +264,7 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, res *Result, group *query.
 	span.SetAttr("records", len(group.Records))
 	span.SetAttr("k_prime", kPrime)
 	span.SetAttr("pruning", cfg.Pruning.String())
-	g.Metrics.addCandidates(len(candidates))
+	g.Metrics.Candidates.Add(int64(len(candidates)))
 	n := len(group.Records)
 	res.reset(Profile{Cache: "off", Workers: max(cfg.Workers, 1), GroupRecords: n, Considered: len(candidates)})
 	prof := res.Profile
@@ -282,15 +282,15 @@ func (g *Generator) TopMapsIfCtx(ctx context.Context, res *Result, group *query.
 	case g.Cache == nil:
 	case n < cacheFloorRecords:
 		g.Cache.bypass()
-		g.Metrics.addCacheBypass()
+		g.Metrics.CacheBypass.Inc()
 		prof.Cache = "bypass"
 	default:
 		key = cacheKey(group, candidates, cfg.Utility)
 		if entry = g.Cache.get(key); entry != nil {
-			g.Metrics.addCacheHit()
+			g.Metrics.CacheHits.Inc()
 			prof.Cache = "hit"
 		} else {
-			g.Metrics.addCacheMiss()
+			g.Metrics.CacheMisses.Inc()
 			prof.Cache = "miss"
 		}
 	}
@@ -371,11 +371,12 @@ var accumulators = sync.Pool{New: func() any { return new(ratingmap.Accumulator)
 // result's counters into the metrics, the profile and the span.
 func (g *Generator) endTopMaps(span *obs.Span, start time.Time, res *Result) {
 	prof := res.Profile
-	g.Metrics.addPruned(res.PrunedCI, res.PrunedMAB)
-	g.Metrics.addFinalized(len(res.Maps))
-	g.Metrics.observeTopMaps(time.Since(start))
+	g.Metrics.PrunedCI.Add(int64(res.PrunedCI))
+	g.Metrics.PrunedMAB.Add(int64(res.PrunedMAB))
+	g.Metrics.Finalized.Add(int64(len(res.Maps)))
+	g.Metrics.TopMapsLatency.ObserveDuration(time.Since(start))
 	if res.Degraded {
-		g.Metrics.addDegraded()
+		g.Metrics.Degraded.Inc()
 		span.SetAttr("degraded", true)
 	}
 	prof.PrunedCI, prof.PrunedMAB = res.PrunedCI, res.PrunedMAB
@@ -447,7 +448,7 @@ func (g *Generator) scan(ctx context.Context, acc *ratingmap.Accumulator, group 
 		case pr.active() && phase < phases-1: // nothing to prune after the last fraction
 			pr.prune(ctx, acc, seen, cfg, phase, processed, n, res)
 		}
-		st.end(g.Metrics, res, folded, len(acc.Keys()))
+		st.end(g.Metrics.PhaseLatency, res, folded, len(acc.Keys()))
 		if err != nil {
 			return err
 		}
@@ -471,7 +472,7 @@ func beginStride(ctx context.Context, phase int, res *Result) stride {
 	return stride{phase: phase, start: time.Now(), span: span, ci: res.PrunedCI, mab: res.PrunedMAB}
 }
 
-func (s stride) end(m *Metrics, res *Result, records, alive int) {
+func (s stride) end(latency *obs.Histogram, res *Result, records, alive int) {
 	row := PhaseProfile{
 		Phase:      s.phase,
 		DurationMS: msSince(s.start),
@@ -480,7 +481,7 @@ func (s stride) end(m *Metrics, res *Result, records, alive int) {
 		PrunedCI:   res.PrunedCI - s.ci,
 		PrunedMAB:  res.PrunedMAB - s.mab,
 	}
-	m.observePhase(time.Since(s.start))
+	latency.ObserveDuration(time.Since(s.start))
 	s.span.SetAttr("alive", row.Alive)
 	s.span.SetAttr("pruned_ci", row.PrunedCI)
 	s.span.SetAttr("pruned_mab", row.PrunedMAB)
@@ -705,8 +706,8 @@ func (g *Generator) maybeCache(key string, acc *ratingmap.Accumulator, res *Resu
 		return nil
 	}
 	e, evicted, bytes := g.Cache.put(key, acc, n)
-	g.Metrics.addCacheEvictions(evicted)
-	g.Metrics.setCacheBytes(bytes)
+	g.Metrics.CacheEvictions.Add(int64(evicted))
+	g.Metrics.CacheBytes.Set(float64(bytes))
 	return e
 }
 

@@ -1,15 +1,11 @@
 package engine
 
-import (
-	"time"
-
-	"subdex/internal/obs"
-)
+import "subdex/internal/obs"
 
 // Metrics bundles the generator's hot-path instruments. Resolve one with
-// NewMetrics at startup and attach it to Generator.Metrics; a nil
-// *Metrics (the default) makes every record call a no-op, so the
-// instrumented hot path costs nothing to library users and tests.
+// NewMetrics at startup and attach it to Generator.Metrics. The zero
+// value holds nil instruments, and a nil obs instrument records nothing,
+// so the hot path calls them unconditionally.
 type Metrics struct {
 	// Candidates counts rating-map candidates enumerated across TopMaps
 	// calls (subdex_engine_candidates_total).
@@ -49,12 +45,9 @@ type Metrics struct {
 }
 
 // NewMetrics registers the engine's instruments on r. A nil registry
-// yields a nil (no-op) Metrics.
-func NewMetrics(r *obs.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
-	return &Metrics{
+// yields the zero Metrics.
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Candidates: r.Counter("subdex_engine_candidates_total",
 			"Rating-map candidates enumerated by the RM-Generator."),
 		PrunedCI: r.Counter("subdex_engine_candidates_pruned_total",
@@ -82,84 +75,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		CacheBytes: r.Gauge("subdex_engine_cache_bytes",
 			"Bytes held by the accumulators in the cross-step cache."),
 	}
-}
-
-// Nil-safe recording helpers: the hot path calls these unconditionally.
-
-func (m *Metrics) addCandidates(n int) {
-	if m == nil {
-		return
-	}
-	m.Candidates.Add(int64(n))
-}
-
-func (m *Metrics) addPruned(ci, mab int) {
-	if m == nil {
-		return
-	}
-	m.PrunedCI.Add(int64(ci))
-	m.PrunedMAB.Add(int64(mab))
-}
-
-func (m *Metrics) addFinalized(n int) {
-	if m == nil {
-		return
-	}
-	m.Finalized.Add(int64(n))
-}
-
-func (m *Metrics) addDegraded() {
-	if m == nil {
-		return
-	}
-	m.Degraded.Inc()
-}
-
-func (m *Metrics) observeTopMaps(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.TopMapsLatency.ObserveDuration(d)
-}
-
-func (m *Metrics) observePhase(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.PhaseLatency.ObserveDuration(d)
-}
-
-func (m *Metrics) addCacheHit() {
-	if m == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
-func (m *Metrics) addCacheMiss() {
-	if m == nil {
-		return
-	}
-	m.CacheMisses.Inc()
-}
-
-func (m *Metrics) addCacheEvictions(n int) {
-	if m == nil {
-		return
-	}
-	m.CacheEvictions.Add(int64(n))
-}
-
-func (m *Metrics) addCacheBypass() {
-	if m == nil {
-		return
-	}
-	m.CacheBypass.Inc()
-}
-
-func (m *Metrics) setCacheBytes(n int64) {
-	if m == nil {
-		return
-	}
-	m.CacheBytes.Set(float64(n))
 }

@@ -63,7 +63,7 @@ type FileStore struct {
 	// concurrent compaction could close the file under an in-flight Sync,
 	// turning a durably-written record into a spurious fsync failure.
 	// Lock order is always wmu then swapMu.
-	//subdex:lockorder rank=40 acquired shared under wmu by appenders and exclusively by compaction before statsMu
+	//subdex:lockorder rank=40 taken under wmu: shared by an appender, which holds it across its Sync and its Appends bump of statsMu; exclusively by compaction and Close around the file swap, which release it before any statsMu
 	swapMu           sync.RWMutex
 	f                *os.File
 	recsSinceCompact int
@@ -72,7 +72,7 @@ type FileStore struct {
 	noPrealloc       bool   // the file system cannot allocate ahead
 	line             []byte // under wmu: the record being written, encoded over the last
 
-	//subdex:lockorder rank=50 leaf of the write path; Stats holds it across the mirror's memState.mu only
+	//subdex:lockorder rank=50 leaf: nests no lock; taken under wmu by compaction's bump and under shared swapMu by an appender's, and Stats releases it before taking the mirror's memState.mu
 	statsMu  sync.Mutex
 	ins      Instruments
 	stats    Stats

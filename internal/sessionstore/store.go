@@ -13,9 +13,12 @@
 //
 // Lock discipline: this package deliberately serializes its file writes
 // under an internal writer mutex — that is the point of a WAL — but the
-// hot-path data sync happens outside it, and no session or server mutex is
-// ever held around store calls (the subdexvet lockblock rule enforces
-// the caller side).
+// hot-path data sync happens outside it. The server calls the store's
+// writes with no session or server mutex held, and holds its session-map
+// mutex only around Get, a mirror read. No check enforces the caller
+// side: the subdexvet lockblock rule is intraprocedural, so it flags os
+// file I/O made in the function that holds the lock but not a call
+// through Store.
 package sessionstore
 
 import (
